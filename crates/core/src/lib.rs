@@ -66,8 +66,9 @@ pub use pool::{PooledWorker, WorkerPool};
 pub use profile::Breakdown;
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats};
 pub use shard::{
-    shard_of_key, IndexRouting, PooledShardedWorker, RoutedDdl, ShardPolicy, ShardRecoveryStats,
-    ShardedCommitToken, ShardedDb, ShardedTransaction, ShardedWorker, ShardedWorkerPool,
+    shard_of_key, DeferredCommit, IndexRouting, PooledShardedWorker, RoutedDdl, ShardPolicy,
+    ShardRecoveryStats, ShardedCommitToken, ShardedDb, ShardedTransaction, ShardedWorker,
+    ShardedWorkerPool, StagedCommit,
 };
 pub use transaction::{CommitToken, Transaction};
 pub use worker::Worker;

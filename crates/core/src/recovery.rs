@@ -186,13 +186,22 @@ impl LogApplier {
                 }
                 ermia_log::BlockKind::TxnDecide => {
                     let Some(d) = DecideRecord::decode(&block.payload) else { continue };
-                    self.decides.insert((d.coord_shard, d.gtid_lsn), d.commit);
-                    if let Some(txn) = self.pending.remove(&(d.coord_shard, d.gtid_lsn)) {
-                        if d.commit {
-                            rounds += 1;
-                            self.stats.replayed_blocks += 1;
-                            apply_traced(db, &txn, &mut self.stats)?;
-                        }
+                    let key = (d.coord_shard, d.gtid_lsn);
+                    let resolved = self.pending.remove(&key);
+                    // Verdicts are remembered for *other* shards' in-doubt
+                    // prepares, and only the coordinator's record (the
+                    // one whose own prepare stamp is the gtid) is theirs
+                    // to ask for. A participant's best-effort copy has
+                    // done its one job once it resolved the prepare it
+                    // follows; keeping every copy would grow the map by
+                    // an entry per cross-shard commit in the log.
+                    if resolved.as_ref().is_none_or(|txn| txn.cstamp.raw() == d.gtid_lsn) {
+                        self.decides.insert(key, d.commit);
+                    }
+                    if let Some(txn) = resolved.filter(|_| d.commit) {
+                        rounds += 1;
+                        self.stats.replayed_blocks += 1;
+                        apply_traced(db, &txn, &mut self.stats)?;
                     }
                 }
                 _ => {}

@@ -36,6 +36,13 @@
 //!    best-effort to the other writers' logs so their standalone
 //!    recovery resolves locally in the common case.
 //!
+//! Between the steps nothing is needed but log offsets turning durable,
+//! so from "every writer prepared" on the commit is an owned state
+//! machine, [`StagedCommit`], whose participants are parked — detached
+//! from the worker, no epoch pinned. [`ShardedTransaction::commit`]
+//! drives it with blocking waits; the server parks it with a thread
+//! that waits on logs and gets its worker back at once.
+//!
 //! Recovery is presumed-abort: a prepare without a reachable commit
 //! verdict (in its own log or the coordinator's) rolls forward to
 //! nothing. [`ShardedDb::recover`] scans every shard, pools the decide
@@ -71,7 +78,7 @@ use ermia_telemetry::{
 use crate::config::{DbConfig, IsolationLevel};
 use crate::database::{Database, DbState, DdlEntry, NodeRole};
 use crate::recovery::RecoveryStats;
-use crate::transaction::{CommitToken, PreparedTransaction, Transaction};
+use crate::transaction::{CommitToken, ParkedPrepare, PreparedTransaction, Transaction};
 use crate::worker::Worker;
 
 /// Deterministic key → shard map: FNV-1a over the routed key bytes,
@@ -279,9 +286,10 @@ pub(crate) struct ShardedInner {
     /// Cross-shard transactions currently between first prepare and
     /// durable decide (plus unresolved prepares during recovery).
     in_doubt: AtomicU64,
-    /// Test hook: sleep between "all prepares durable" and writing the
-    /// decide record (`ERMIA_2PC_PREPARE_DELAY_MS`, read once at open),
-    /// widening the window the chaos harness SIGKILLs into.
+    /// Test hook: how long a cross-shard commit holds back its decide
+    /// record once all prepares are durable
+    /// (`ERMIA_2PC_PREPARE_DELAY_MS`, read once at open), widening the
+    /// window the chaos harness SIGKILLs into.
     prepare_delay: Duration,
 }
 
@@ -533,6 +541,7 @@ impl ShardedDb {
             routing_version: inner.routing_version.load(Relaxed),
             twopc,
             trace,
+            resolver: None,
         }
     }
 
@@ -648,14 +657,10 @@ impl ShardedDb {
         for db in &inner.dbs {
             outcomes.push(db.recover_outcome()?);
         }
-        let mut verdicts = std::collections::HashMap::new();
-        for o in &outcomes {
-            for (gtid, commit) in &o.decides {
-                // A commit verdict wins over a stale best-effort copy.
-                let e = verdicts.entry(*gtid).or_insert(*commit);
-                *e = *e || *commit;
-            }
-        }
+        // The verdict pool stays the per-shard maps it arrived as: only
+        // the in-doubt few are ever looked up, and merging would copy an
+        // entry per cross-shard commit in the logs.
+        let decides: Vec<_> = outcomes.iter_mut().map(|o| std::mem::take(&mut o.decides)).collect();
         let total_in_doubt: u64 = outcomes.iter().map(|o| o.in_doubt.len() as u64).sum();
         inner.in_doubt.store(total_in_doubt, Relaxed);
         let mut stats = ShardRecoveryStats {
@@ -666,10 +671,9 @@ impl ShardedDb {
         let ring = &inner.dbs[0].inner.svc_ring;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             for txn in &outcome.in_doubt {
-                let commit = verdicts
-                    .get(&(txn.coord_shard, txn.gtid_lsn))
-                    .copied()
-                    .unwrap_or(false);
+                // A commit verdict wins over a stale best-effort copy.
+                let key = (txn.coord_shard, txn.gtid_lsn);
+                let commit = decides.iter().any(|d| d.get(&key) == Some(&true));
                 if commit {
                     inner.dbs[shard].apply_in_doubt(txn)?;
                     stats.resolved_commits += 1;
@@ -765,6 +769,10 @@ pub struct ShardedWorker {
     routing_version: u64,
     twopc: Option<TwoPcTelemetry>,
     trace: Option<WorkerTrace>,
+    /// The worker a blocking cross-shard [`ShardedTransaction::commit`]
+    /// resolves its [`StagedCommit`] on (this one is still borrowed by
+    /// the transaction then). Registered by the first such commit.
+    resolver: Option<Box<ShardedWorker>>,
 }
 
 impl ShardedWorker {
@@ -809,7 +817,7 @@ impl ShardedWorker {
             },
             None => None,
         };
-        let ShardedWorker { db, workers, routing, twopc, trace, .. } = self;
+        let ShardedWorker { db, workers, routing, twopc, trace, resolver, .. } = self;
         let trace = active.and_then(|(ctx, sampled)| {
             trace.as_ref().map(|t| ActiveTrace {
                 ctx,
@@ -830,6 +838,7 @@ impl ShardedWorker {
             isolation,
             slots,
             trace,
+            resolver,
         }
     }
 
@@ -898,6 +907,7 @@ pub struct ShardedTransaction<'w> {
     isolation: IsolationLevel,
     slots: Slots<'w>,
     trace: Option<ActiveTrace<'w>>,
+    resolver: &'w mut Option<Box<ShardedWorker>>,
 }
 
 /// Tracing state of one *traced* transaction: the propagated context,
@@ -916,13 +926,14 @@ struct ActiveTrace<'w> {
 }
 
 /// What [`ShardedTransaction::into_active`] destructures into: the
-/// engine, the optional 2PC telemetry and trace, and the live
-/// participants as (shard, transaction) pairs.
+/// engine, the optional 2PC telemetry and trace, the live participants
+/// as (shard, transaction) pairs, and the blocking-commit resolver slot.
 type ActiveParts<'w> = (
     &'w ShardedDb,
     Option<&'w TwoPcTelemetry>,
     Option<ActiveTrace<'w>>,
     Vec<(usize, Transaction<'w>)>,
+    &'w mut Option<Box<ShardedWorker>>,
 );
 
 /// Pack a (shard, oid) pair into the opaque row handle inserts return.
@@ -1223,19 +1234,20 @@ impl<'w> ShardedTransaction<'w> {
     }
 
     fn into_active(self) -> ActiveParts<'w> {
-        let ShardedTransaction { db, twopc, trace, slots, .. } = self;
+        let ShardedTransaction { db, twopc, trace, slots, resolver, .. } = self;
         let mut active = Vec::new();
         for (i, slot) in slots.into_vec().into_iter().enumerate() {
             if let TxSlot::Active(t) = slot {
                 active.push((i, t));
             }
         }
-        (db, twopc, trace, active)
+        (db, twopc, trace, active, resolver)
     }
 
     /// Commit and wait for durability (on a synchronous-commit
     /// database). Returns the commit LSN — the coordinator's cstamp for
-    /// a cross-shard transaction.
+    /// a cross-shard transaction, whose [`StagedCommit`] this drives to
+    /// its verdict with blocking waits.
     pub fn commit(self) -> TxResult<Lsn> {
         // Fast path: one shard, one active transaction — the inner
         // commit verbatim (plus span recording when traced), with no
@@ -1249,25 +1261,41 @@ impl<'w> ShardedTransaction<'w> {
             }
             return commit_one(db, trace, 0, t, true).map(|tok| tok.lsn());
         }
-        let (db, twopc, trace, active) = self.into_active();
-        commit_active(db, twopc, trace, active, true).map(|tok| tok.lsn())
+        let (db, twopc, trace, active, resolver) = self.into_active();
+        match commit_active(db, twopc, trace, active, true)? {
+            DeferredCommit::Committed(token) => Ok(token.lsn()),
+            DeferredCommit::Staged(staged) => {
+                let resolver = resolver.get_or_insert_with(|| Box::new(db.register_worker()));
+                staged.wait(resolver).map(|token| token.lsn())
+            }
+        }
     }
 
-    /// Commit without waiting for durability; the returned token names
-    /// the shard whose log backs the commit. Cross-shard transactions
-    /// always wait for prepare + decide durability internally (the
-    /// decide record *is* the commit), so their token is trivially
-    /// durable.
-    pub fn commit_deferred(self) -> TxResult<ShardedCommitToken> {
+    /// Commit without waiting for durability. A transaction that wrote
+    /// on at most one shard is committed in memory when this returns, and
+    /// the token names the shard whose log backs it. One that wrote on
+    /// several is only *prepared* on each: the decide record is the
+    /// commit, and it cannot be written before every prepare is durable —
+    /// so the caller gets the [`StagedCommit`] to drive (or hand to
+    /// whoever waits on logs) and its worker back at once.
+    pub fn commit_deferred(self) -> TxResult<DeferredCommit> {
         // Same Vec-free fast path as `commit` for the one-shard case.
         if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
             let ShardedTransaction { db, trace, slots, .. } = self;
             let Slots::One(TxSlot::Active(t)) = slots else { unreachable!("matched above") };
-            return commit_one(db, trace, 0, t, false);
+            return commit_one(db, trace, 0, t, false).map(DeferredCommit::Committed);
         }
-        let (db, twopc, trace, active) = self.into_active();
+        let (db, twopc, trace, active, _) = self.into_active();
         commit_active(db, twopc, trace, active, false)
     }
+}
+
+/// What [`ShardedTransaction::commit_deferred`] leaves the caller with.
+pub enum DeferredCommit {
+    /// Committed in memory; the token names the log offset to await.
+    Committed(ShardedCommitToken),
+    /// Prepared on every writer shard; the verdict is still to come.
+    Staged(Box<StagedCommit>),
 }
 
 /// Commit token carrying the backing shard.
@@ -1312,7 +1340,7 @@ fn commit_active<'w>(
     trace: Option<ActiveTrace<'_>>,
     active: Vec<(usize, Transaction<'w>)>,
     sync: bool,
-) -> TxResult<ShardedCommitToken> {
+) -> TxResult<DeferredCommit> {
     let mut readonly: Vec<(usize, Transaction<'w>)> = Vec::new();
     let mut writers: Vec<(usize, Transaction<'w>)> = Vec::new();
     for (i, t) in active {
@@ -1340,29 +1368,28 @@ fn commit_active<'w>(
             }
         }
     }
-    let result = match writers.len() {
-        0 => Ok(ro_token.unwrap_or(ShardedCommitToken {
-            shard: 0,
-            token: CommitToken::readonly_at(db.inner.dbs[0].now_lsn()),
-        })),
+    match writers.len() {
+        0 => {
+            // Tail-based capture for engine-sampled traces, as in
+            // `commit_one`.
+            if let Some(tr) = trace.filter(|tr| tr.sampled) {
+                let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
+                db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
+            }
+            Ok(DeferredCommit::Committed(ro_token.unwrap_or(ShardedCommitToken {
+                shard: 0,
+                token: CommitToken::readonly_at(db.inner.dbs[0].now_lsn()),
+            })))
+        }
+        // `commit_one` records the span and runs tail capture itself.
         1 => {
             let (i, t) = writers.pop().expect("len checked");
-            // `commit_one` records the span and runs tail capture
-            // itself; return directly so the capture below cannot
-            // double-fire.
-            return commit_one(db, trace, i, t, sync);
+            commit_one(db, trace, i, t, sync).map(DeferredCommit::Committed)
         }
-        _ => two_pc(db, twopc, trace, writers),
-    };
-    // Tail-based capture for engine-sampled traces: the server owns it
-    // for wire-traced requests (it knows the opcode and key).
-    if let Some(tr) = trace {
-        if tr.sampled {
-            let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-            db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
-        }
+        // From here the staged commit owns tail capture: its trace ends
+        // with its verdict.
+        _ => StagedCommit::prepare(db, twopc, trace, writers).map(DeferredCommit::Staged),
     }
-    result
 }
 
 /// Commit a single participant `t` on shard `i`: the inner commit plus
@@ -1403,162 +1430,384 @@ fn commit_one(
     Ok(ShardedCommitToken { shard: i as u32, token })
 }
 
-/// Decrements the in-doubt gauge when the 2PC window closes, on every
-/// exit path.
-struct InDoubtGuard<'a>(&'a AtomicU64);
+// --- Staged two-phase commit --------------------------------------------
 
-impl Drop for InDoubtGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Relaxed);
+/// One writer shard's half of a [`StagedCommit`].
+struct Participant {
+    shard: usize,
+    /// `None` once the verdict was delivered.
+    prepare: Option<ParkedPrepare>,
+    /// Exclusive end offset of the prepare block in the shard's log.
+    end_offset: u64,
+    /// The prepare block is durable.
+    durable: bool,
+}
+
+/// Where a [`StagedCommit`] stands. A durable decide moves
+/// `DecideWritten` to `Finalized` in one step: nothing is waited for in
+/// between.
+enum Stage {
+    /// Every writer shard holds a parked prepare; waiting for their
+    /// prepare blocks to be durable.
+    Prepared,
+    /// All prepares durable: the decide may be written.
+    PreparesDurable,
+    /// The decide record (the commit point) is in the coordinator's log
+    /// up to `end`; waiting for it to be durable.
+    DecideWritten { end: u64, since: Instant },
+    /// The verdict was delivered to every participant.
+    Finalized,
+}
+
+/// The trace of a staged commit. The spans of its later stages are
+/// recorded by whoever resolves it, under the context it was begun with.
+struct StagedTrace {
+    ctx: TraceContext,
+    /// Transaction begin, tracer-epoch ns.
+    start_ns: u64,
+    sampled: bool,
+    /// Start of the wait or stage now in progress, tracer-epoch ns.
+    t0: u64,
+}
+
+/// A cross-shard commit between prepare and verdict: two-phase commit
+/// across ≥2 writer shards as an owned state machine.
+///
+/// ```text
+/// prepared ─► prepares-durable ─► decide-written ─► decide-durable ─► finalized
+///     └──────────────┴── abort ──────────────────────────────────────────┘
+///                        (after the decide is written: in memory only;
+///                         recovery goes by the record)
+/// ```
+///
+/// It borrows nothing: every participant is a [`ParkedPrepare`], so the
+/// worker that ran the transaction is free, and no epoch is pinned. Each
+/// stage waits only on log offsets ([`StagedCommit::waits`]);
+/// [`StagedCommit::poll`] moves it as far as durability allows without
+/// blocking, so one thread can carry any number of them through the same
+/// few flushes. Every durability wait happens before any in-memory
+/// publish: the decide record is the single commit point.
+///
+/// A thread that executes transactions may wait on a prepared head, so a
+/// staged commit must not be left for that same thread to resolve later.
+///
+/// Dropped unresolved, it aborts in memory (presumed abort).
+pub struct StagedCommit {
+    db: ShardedDb,
+    /// Writer participants in shard order; the first coordinates.
+    parts: Vec<Participant>,
+    /// The coordinator's prepare cstamp: the global transaction id.
+    gtid_lsn: u64,
+    stage: Stage,
+    /// The decide is not written before this instant (the
+    /// `ERMIA_2PC_PREPARE_DELAY_MS` window, opened when the prepares turn
+    /// durable).
+    decide_not_before: Option<Instant>,
+    prepare_start: Instant,
+    trace: Option<StagedTrace>,
+}
+
+impl StagedCommit {
+    /// Phase one: prepare every writer — coordinator (lowest writer
+    /// shard) first, its prepare cstamp is the global transaction id —
+    /// and park the prepares.
+    fn prepare<'w>(
+        db: &ShardedDb,
+        twopc: Option<&TwoPcTelemetry>,
+        trace: Option<ActiveTrace<'_>>,
+        writers: Vec<(usize, Transaction<'w>)>,
+    ) -> TxResult<Box<StagedCommit>> {
+        db.inner.in_doubt.fetch_add(1, Relaxed);
+        // From here every exit, the early returns included, closes the
+        // in-doubt window through `Drop`.
+        let mut staged = Box::new(StagedCommit {
+            db: db.clone(),
+            parts: Vec::with_capacity(writers.len()),
+            gtid_lsn: 0,
+            stage: Stage::Prepared,
+            decide_not_before: None,
+            prepare_start: Instant::now(),
+            trace: trace.map(|tr| StagedTrace {
+                ctx: tr.ctx,
+                start_ns: tr.start_ns,
+                sampled: tr.sampled,
+                t0: 0,
+            }),
+        });
+        // The trace id rides inside each participant's durable prepare
+        // marker, so a replica (or recovery) applying the shipped log can
+        // stitch its apply spans to this transaction.
+        let (trace_hi, trace_lo) =
+            trace.map(|t| (t.ctx.trace_hi, t.ctx.trace_lo)).unwrap_or((0, 0));
+        let now = || trace.map(|tr| tr.ring.now_ns()).unwrap_or(0);
+        let coord = writers[0].0;
+        let mut prepared: Vec<(usize, PreparedTransaction<'w>)> =
+            Vec::with_capacity(writers.len());
+        let mut rest = writers.into_iter();
+        while let Some((i, t)) = rest.next() {
+            let t0 = now();
+            let coord_lsn =
+                if i == coord { PrepareMarker::COORD_SELF } else { staged.gtid_lsn };
+            let marker =
+                PrepareMarker { coord_shard: coord as u32, coord_lsn, trace_hi, trace_lo };
+            match t.prepare(marker) {
+                Ok(p) => {
+                    if i == coord {
+                        staged.gtid_lsn = p.cstamp().raw();
+                    }
+                    if let Some(tr) = trace {
+                        let c = p.cstamp().raw();
+                        tr.ring.record(&tr.ctx, SpanKind::TwoPcPrepare, t0, now(), i as u64, c);
+                    }
+                    prepared.push((i, p));
+                }
+                Err(r) => {
+                    for (_, p) in prepared {
+                        p.abort(r);
+                    }
+                    for (_, t) in rest {
+                        t.abort();
+                    }
+                    return Err(r);
+                }
+            }
+        }
+        if let Some(t) = twopc {
+            for (i, p) in &prepared {
+                t.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
+            }
+        }
+        if let Some(tr) = &mut staged.trace {
+            tr.t0 = now();
+        }
+        staged.parts.extend(prepared.into_iter().map(|(shard, p)| {
+            let prepare = p.park();
+            let end_offset = prepare.end_offset();
+            Participant { shard, prepare: Some(prepare), end_offset, durable: false }
+        }));
+        Ok(staged)
+    }
+
+    /// The log offsets this commit is waiting on now, as (shard, end
+    /// offset) pairs: every prepare block not yet seen durable, or the
+    /// decide record.
+    pub fn waits(&self) -> Vec<(usize, u64)> {
+        match self.stage {
+            Stage::Prepared => {
+                let pending = self.parts.iter().filter(|p| !p.durable);
+                pending.map(|p| (p.shard, p.end_offset)).collect()
+            }
+            Stage::DecideWritten { end, .. } => vec![(self.parts[0].shard, end)],
+            Stage::PreparesDurable | Stage::Finalized => Vec::new(),
+        }
+    }
+
+    /// The instant before which [`StagedCommit::poll`] cannot move even
+    /// though nothing is waited on (the prepare-delay test window).
+    pub fn not_before(&self) -> Option<Instant> {
+        match self.stage {
+            Stage::PreparesDurable => self.decide_not_before,
+            _ => None,
+        }
+    }
+
+    /// Whether the decide record has been written: from then on recovery
+    /// may find it, whatever is decided in memory.
+    pub fn decide_written(&self) -> bool {
+        matches!(self.stage, Stage::DecideWritten { .. } | Stage::Finalized)
+    }
+
+    /// Move as far as durability allows, without blocking. `None` while
+    /// a wait is outstanding; otherwise the verdict, delivered to every
+    /// participant on `resolver` (any worker of this engine not running a
+    /// transaction): its epoch pins, its counters, its span ring.
+    pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<ShardedCommitToken>> {
+        let inner = Arc::clone(&self.db.inner);
+        let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
+        let now = || ring.as_ref().map(|r| r.now_ns()).unwrap_or(0);
+        loop {
+            match self.stage {
+                Stage::Prepared => {
+                    // All prepares must be durable before the decide may
+                    // exist: a durable decide with a lost prepare would
+                    // commit a partial transaction at recovery.
+                    for i in 0..self.parts.len() {
+                        let p = &self.parts[i];
+                        if p.durable {
+                            continue;
+                        }
+                        match inner.dbs[p.shard].inner.log.durable_status(p.end_offset) {
+                            Ok(true) => {
+                                self.parts[i].durable = true;
+                                // One span per participant, each starting
+                                // where the previous one landed, so
+                                // concurrent waits are not counted twice.
+                                let shard = self.parts[i].shard as u64;
+                                self.span(&ring, SpanKind::DurabilityWait, shard, 0);
+                            }
+                            Ok(false) => {}
+                            Err(_) => return self.fail(resolver),
+                        }
+                    }
+                    if self.parts.iter().any(|p| !p.durable) {
+                        return None;
+                    }
+                    if let Some(t) = &resolver.twopc {
+                        t.slab
+                            .hist(TWOPC_PREPARE_HIST)
+                            .record(self.prepare_start.elapsed().as_nanos() as u64);
+                    }
+                    if !inner.prepare_delay.is_zero() {
+                        self.decide_not_before = Some(Instant::now() + inner.prepare_delay);
+                    }
+                    self.stage = Stage::PreparesDurable;
+                }
+                Stage::PreparesDurable => {
+                    if self.decide_not_before.is_some_and(|t| Instant::now() < t) {
+                        return None;
+                    }
+                    // Phase 2: the decide record on the coordinator's log
+                    // is the commit point.
+                    if let Some(tr) = &mut self.trace {
+                        tr.t0 = now();
+                    }
+                    match write_decide(&inner.dbs[self.parts[0].shard], self.decide_record()) {
+                        Ok(end) => {
+                            self.stage = Stage::DecideWritten { end, since: Instant::now() }
+                        }
+                        Err(_) => return self.fail(resolver),
+                    }
+                }
+                Stage::DecideWritten { end, since } => {
+                    let coord = self.parts[0].shard;
+                    match inner.dbs[coord].inner.log.durable_status(end) {
+                        Ok(true) => {}
+                        Ok(false) => return None,
+                        // The decide may or may not reach disk; either
+                        // way the outcome is atomic — recovery commits
+                        // all participants iff it finds the decide. In
+                        // memory we must pick one answer now, and without
+                        // a durable decide that answer is abort.
+                        Err(_) => return self.fail(resolver),
+                    }
+                    self.span(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
+                    if let Some(t) = &resolver.twopc {
+                        t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
+                        t.slab.add(TWOPC_CROSS, 1);
+                        t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
+                    }
+                    return Some(Ok(self.finalize(resolver, &ring)));
+                }
+                Stage::Finalized => panic!("staged commit polled after its verdict"),
+            }
+        }
+    }
+
+    fn decide_record(&self) -> DecideRecord {
+        DecideRecord {
+            gtid_lsn: self.gtid_lsn,
+            coord_shard: self.parts[0].shard as u32,
+            commit: true,
+        }
+    }
+
+    /// Record a span from the trace's running timestamp to now, and
+    /// restart the timestamp.
+    fn span(&mut self, ring: &Option<Arc<SpanRing>>, kind: SpanKind, a: u64, b: u64) {
+        if let (Some(tr), Some(ring)) = (&mut self.trace, ring) {
+            let now = ring.now_ns();
+            ring.record(&tr.ctx, kind, tr.t0, now, a, b);
+            tr.t0 = now;
+        }
+    }
+
+    /// Finalize: publish every participant in memory, then drop
+    /// best-effort decide copies on the other writers' logs so their
+    /// standalone recovery resolves without consulting the coordinator.
+    fn finalize(
+        &mut self,
+        resolver: &mut ShardedWorker,
+        ring: &Option<Arc<SpanRing>>,
+    ) -> ShardedCommitToken {
+        let mut coord_token = None;
+        for p in &mut self.parts {
+            let prepare = p.prepare.take().expect("no verdict yet");
+            let token = prepare.attach(&mut resolver.workers[p.shard]).finish_commit();
+            coord_token.get_or_insert(token);
+        }
+        let rec = self.decide_record();
+        for p in &self.parts[1..] {
+            let _ = write_decide(&self.db.inner.dbs[p.shard], rec);
+        }
+        self.span(ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
+        self.stage = Stage::Finalized;
+        ShardedCommitToken {
+            shard: self.parts[0].shard as u32,
+            token: coord_token.expect("a staged commit has participants"),
+        }
+    }
+
+    /// Give up: roll every participant back in memory, on `resolver`.
+    /// Before the decide is written that settles it (recovery presumes
+    /// abort); after, recovery still commits iff the record reached disk.
+    pub fn abort(&mut self, resolver: &mut ShardedWorker) {
+        for p in &mut self.parts {
+            if let Some(prepare) = p.prepare.take() {
+                prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);
+            }
+        }
+        self.stage = Stage::Finalized;
+    }
+
+    /// A log this commit waits on failed it.
+    fn fail(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<ShardedCommitToken>> {
+        self.abort(resolver);
+        Some(Err(AbortReason::LogFailure))
+    }
+
+    /// Drive to the verdict with blocking waits, each bounded by its
+    /// log's `wait_durable_timeout`.
+    pub fn wait(mut self, resolver: &mut ShardedWorker) -> TxResult<ShardedCommitToken> {
+        loop {
+            if let Some(verdict) = self.poll(resolver) {
+                return verdict;
+            }
+            if let Some(t) = self.not_before() {
+                std::thread::sleep(t.saturating_duration_since(Instant::now()));
+            }
+            // Block on one outstanding offset; the next poll sorts out
+            // the rest.
+            if let Some(&(shard, end)) = self.waits().first() {
+                if self.db.inner.dbs[shard].inner.log.wait_durable(end).is_err() {
+                    self.abort(resolver);
+                    return Err(AbortReason::LogFailure);
+                }
+            }
+        }
     }
 }
 
-/// Two-phase commit across ≥2 writer shards. See the module docs for
-/// the protocol; every durability wait happens before any in-memory
-/// publish, so the decide record is the single commit point.
-fn two_pc<'w>(
-    db: &ShardedDb,
-    twopc: Option<&TwoPcTelemetry>,
-    trace: Option<ActiveTrace<'_>>,
-    writers: Vec<(usize, Transaction<'w>)>,
-) -> TxResult<ShardedCommitToken> {
-    let inner = &*db.inner;
-    inner.in_doubt.fetch_add(1, Relaxed);
-    let _guard = InDoubtGuard(&inner.in_doubt);
-    let prepare_start = Instant::now();
-    // The trace id rides inside each participant's durable prepare
-    // marker, so a replica (or recovery) applying the shipped log can
-    // stitch its apply spans to this transaction.
-    let (trace_hi, trace_lo) =
-        trace.map(|t| (t.ctx.trace_hi, t.ctx.trace_lo)).unwrap_or((0, 0));
-    let span = |kind: SpanKind, t0: u64, a: u64, b: u64| {
-        if let Some(tr) = trace {
-            tr.ring.record(&tr.ctx, kind, t0, tr.ring.now_ns(), a, b);
-        }
-    };
-    let now = || trace.map(|tr| tr.ring.now_ns()).unwrap_or(0);
+#[cfg(test)]
+impl StagedCommit {
+    /// See [`ParkedPrepare::pointees`].
+    fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
+        self.parts.iter().filter_map(|p| p.prepare.as_ref()).flat_map(|p| p.pointees()).collect()
+    }
+}
 
-    // Phase 1: prepare, coordinator (lowest writer shard) first — its
-    // prepare cstamp is the global transaction id.
-    let mut rest = writers.into_iter();
-    let (coord, ct) = rest.next().expect("two_pc needs writers");
-    let t0 = now();
-    let cp = match ct.prepare(PrepareMarker {
-        coord_shard: coord as u32,
-        coord_lsn: PrepareMarker::COORD_SELF,
-        trace_hi,
-        trace_lo,
-    }) {
-        Ok(p) => p,
-        Err(r) => {
-            for (_, t) in rest {
-                t.abort();
-            }
-            return Err(r);
-        }
-    };
-    let gtid_lsn = cp.cstamp().raw();
-    span(SpanKind::TwoPcPrepare, t0, coord as u64, gtid_lsn);
-    let mut prepared: Vec<(usize, PreparedTransaction<'w>)> = vec![(coord, cp)];
-    loop {
-        let Some((i, t)) = rest.next() else { break };
-        let t0 = now();
-        match t.prepare(PrepareMarker {
-            coord_shard: coord as u32,
-            coord_lsn: gtid_lsn,
-            trace_hi,
-            trace_lo,
-        }) {
-            Ok(p) => {
-                span(SpanKind::TwoPcPrepare, t0, i as u64, p.cstamp().raw());
-                prepared.push((i, p));
-            }
-            Err(r) => {
-                for (_, p) in prepared {
-                    p.abort();
-                }
-                for (_, t) in rest {
-                    t.abort();
-                }
-                return Err(r);
-            }
+impl Drop for StagedCommit {
+    fn drop(&mut self) {
+        // The in-doubt window closes on every exit path; participants
+        // still parked abort as they drop.
+        self.db.inner.in_doubt.fetch_sub(1, Relaxed);
+        // Tail-based capture for engine-sampled traces: the server owns
+        // it for wire-traced requests (it knows the opcode and key).
+        if let Some(tr) = self.trace.as_ref().filter(|tr| tr.sampled) {
+            let tracer = self.db.telemetry().tracer();
+            let total = tracer.now_ns().saturating_sub(tr.start_ns);
+            tracer.maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
         }
     }
-    if let Some(t) = twopc {
-        for (i, p) in &prepared {
-            t.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
-        }
-    }
-
-    // All prepares must be durable before the decide may exist: a
-    // durable decide with a lost prepare would commit a partial
-    // transaction at recovery.
-    for (i, p) in &prepared {
-        let t0 = now();
-        if inner.dbs[*i].inner.log.wait_durable(p.end_offset()).is_err() {
-            for (_, p) in prepared {
-                p.abort();
-            }
-            return Err(AbortReason::LogFailure);
-        }
-        span(SpanKind::DurabilityWait, t0, *i as u64, 0);
-    }
-    if let Some(t) = twopc {
-        t.slab.hist(TWOPC_PREPARE_HIST).record(prepare_start.elapsed().as_nanos() as u64);
-    }
-    if !inner.prepare_delay.is_zero() {
-        std::thread::sleep(inner.prepare_delay);
-    }
-
-    // Phase 2: the decide record on the coordinator's log is the commit
-    // point.
-    let decide_start = Instant::now();
-    let decide_t0 = now();
-    let rec = DecideRecord { gtid_lsn, coord_shard: coord as u32, commit: true };
-    let decide_ok = match write_decide(&inner.dbs[coord], rec) {
-        Ok(end) => inner.dbs[coord].inner.log.wait_durable(end).is_ok(),
-        Err(_) => false,
-    };
-    if !decide_ok {
-        // The decide may or may not reach disk; either way the outcome
-        // is atomic — recovery commits all participants iff it finds
-        // the decide. In memory we must pick one answer now, and
-        // without a durable decide that answer is abort.
-        for (_, p) in prepared {
-            p.abort();
-        }
-        return Err(AbortReason::LogFailure);
-    }
-    span(SpanKind::TwoPcDecide, decide_t0, gtid_lsn, 0);
-    if let Some(t) = twopc {
-        t.slab.hist(TWOPC_DECIDE_HIST).record(decide_start.elapsed().as_nanos() as u64);
-        t.slab.add(TWOPC_CROSS, 1);
-        t.ring.record(EventKind::TwoPcDecide, gtid_lsn, 1);
-    }
-
-    // Finalize: publish every participant in memory, then drop
-    // best-effort decide copies on the other writers' logs so their
-    // standalone recovery resolves without consulting the coordinator.
-    let fin_t0 = now();
-    let nparticipants = prepared.len() as u64;
-    let mut coord_token = None;
-    let mut others: Vec<usize> = Vec::with_capacity(prepared.len() - 1);
-    for (i, p) in prepared {
-        let tok = p.finish_commit();
-        if i == coord {
-            coord_token = Some(tok);
-        } else {
-            others.push(i);
-        }
-    }
-    for i in others {
-        let _ = write_decide(&inner.dbs[i], rec);
-    }
-    span(SpanKind::TwoPcFinalize, fin_t0, nparticipants, 0);
-    Ok(ShardedCommitToken {
-        shard: coord as u32,
-        token: coord_token.expect("coordinator is in prepared"),
-    })
 }
 
 // --- ShardedWorkerPool --------------------------------------------------
@@ -2055,6 +2304,129 @@ mod tests {
             assert_eq!(a, with_decide, "cycle {cycle}: wrong verdict");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// The `i`-th key with this prefix that lives on `shard` of two.
+    fn key_on(shard: usize, prefix: &str, i: usize) -> Vec<u8> {
+        (0u32..)
+            .map(|j| format!("{prefix}-{j}").into_bytes())
+            .filter(|k| shard_of_key(k, 2) == shard)
+            .nth(i)
+            .expect("keys hash to both shards")
+    }
+
+    fn put(w: &mut ShardedWorker, t: TableId, key: &[u8], value: &[u8]) {
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        if !tx.update(t, key, value).unwrap() {
+            tx.insert(t, key, value).unwrap();
+        }
+        tx.commit().unwrap();
+    }
+
+    /// The safety argument for dropping the epoch pin, under load: parked
+    /// Serializable prepares (read sets, overwritten `prev` versions,
+    /// fresh inserts) sit through churn on exactly the versions they
+    /// point at — overwrites that turn them into garbage the moment the
+    /// horizon passes them — plus GC passes and epoch advances. Every
+    /// version they point at must come through untouched (a reclaimed
+    /// one is recycled into the churn's next write), and then both
+    /// verdicts must land.
+    #[test]
+    fn parked_prepares_keep_their_versions_through_churn_gc_and_epoch_advances() {
+        let mut cfg = DbConfig::in_memory();
+        cfg.gc_interval = Duration::from_millis(1);
+        cfg.rcu_epoch_interval = Duration::from_millis(1);
+        let db = ShardedDb::open(cfg, 2).unwrap();
+        let t = db.create_table("kv");
+        const PARKED: usize = 48;
+        let mut w = db.register_worker();
+        let read_keys: Vec<Vec<u8>> = (0..8).map(|i| key_on(i % 2, "read", i / 2)).collect();
+        for key in &read_keys {
+            put(&mut w, t, key, b"r0");
+        }
+        let pairs: Vec<[Vec<u8>; 2]> =
+            (0..PARKED).map(|i| [key_on(0, "pair", i), key_on(1, "pair", i)]).collect();
+        for pair in &pairs {
+            put(&mut w, t, &pair[0], b"old");
+            put(&mut w, t, &pair[1], b"old");
+        }
+
+        let mut parked = Vec::new();
+        for (i, pair) in pairs.iter().enumerate() {
+            // Serializable: reads on both shards join the read set; each
+            // half overwrites a row and inserts a fresh one.
+            let mut tx = w.begin(IsolationLevel::Serializable);
+            for key in &read_keys {
+                tx.read(t, key, |_| ()).unwrap().expect("read key loaded");
+            }
+            for (shard, key) in pair.iter().enumerate() {
+                assert!(tx.update(t, key, b"new").unwrap());
+                tx.insert(t, &key_on(shard, "fresh", i), b"new").unwrap();
+            }
+            match tx.commit_deferred().unwrap() {
+                DeferredCommit::Staged(staged) => {
+                    let pointees = staged.pointees();
+                    assert_eq!(pointees.len(), read_keys.len() + 2);
+                    parked.push((staged, pointees));
+                }
+                DeferredCommit::Committed(_) => panic!("two writer shards must stage a 2PC"),
+            }
+            // Churn under the parked prepares: overwrite everything they
+            // read, several versions deep.
+            for round in 0..4 {
+                for key in &read_keys {
+                    put(&mut w, t, key, format!("r{i}-{round}").as_bytes());
+                }
+            }
+        }
+        assert_eq!(db.tid_slots_in_use(), 2 * PARKED);
+
+        // Let the collector and the epochs run over all of it.
+        let passes0: Vec<u64> =
+            (0..2).map(|s| db.shard(s).inner.gc_stats.passes.load(Relaxed)).collect();
+        let epochs0: Vec<u64> = (0..2).map(|s| db.shard(s).epoch_stats().epoch).collect();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while (0..2).any(|s| {
+            db.shard(s).inner.gc_stats.passes.load(Relaxed) < passes0[s] + 20
+                || db.shard(s).epoch_stats().epoch < epochs0[s] + 20
+        }) {
+            assert!(Instant::now() < deadline, "GC or epochs stalled under parked prepares");
+            for key in &read_keys {
+                put(&mut w, t, key, b"churn");
+            }
+        }
+        for (i, (staged, before)) in parked.iter().enumerate() {
+            assert_eq!(&staged.pointees(), before, "prepare {i}: a version it holds was reclaimed");
+        }
+
+        // Verdicts, alternating, on a worker that ran none of them.
+        let mut resolver = db.register_worker();
+        for (i, (staged, _)) in parked.iter_mut().enumerate() {
+            if i % 2 == 0 {
+                while staged.poll(&mut resolver).map(|v| v.expect("commits")).is_none() {
+                    std::thread::yield_now();
+                }
+            } else {
+                staged.abort(&mut resolver);
+            }
+        }
+        drop(parked);
+        assert_eq!(db.tid_slots_in_use(), 0);
+        assert_eq!(db.inner.in_doubt.load(Relaxed), 0);
+
+        // Every pair, and its fresh inserts, show their verdict on both
+        // shards.
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        for (i, pair) in pairs.iter().enumerate() {
+            let want: &[u8] = if i % 2 == 0 { b"new" } else { b"old" };
+            for (shard, key) in pair.iter().enumerate() {
+                let got = tx.read(t, key, |v| v.to_vec()).unwrap();
+                assert_eq!(got.as_deref(), Some(want), "pair {i}, shard {shard}");
+                let fresh = tx.read(t, &key_on(shard, "fresh", i), |_| ()).unwrap().is_some();
+                assert_eq!(fresh, i % 2 == 0, "pair {i}: insert on shard {shard}");
+            }
+        }
+        tx.commit().unwrap();
     }
 
     #[test]

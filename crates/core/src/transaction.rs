@@ -295,10 +295,11 @@ impl<'w> Transaction<'w> {
     }
 
     /// Decide visibility of a single version, resolving TID stamps
-    /// through the owner's context (§3.5) and spinning through the brief
-    /// pre-commit window when the verdict depends on an undecided
-    /// transaction with an older commit stamp.
+    /// through the owner's context (§3.5) and waiting out the pre-commit
+    /// window when the verdict depends on an undecided transaction with
+    /// an older commit stamp.
     fn visibility_of(&self, v: &Version) -> Visibility {
+        let mut spins = 0;
         loop {
             let stamp = v.stamp();
             if !stamp.is_tid() {
@@ -319,9 +320,9 @@ impl<'w> Transaction<'w> {
                         // Even if it commits, it commits after us.
                         return Visibility::SkipCommitted { cstamp: c.raw() };
                     }
-                    // Undecided with a (possibly) older stamp: the window
-                    // spans no I/O; wait briefly for the verdict.
-                    std::thread::yield_now();
+                    // Undecided with a (possibly) older stamp: wait for
+                    // the verdict.
+                    verdict_backoff(&mut spins);
                 }
                 TidStatus::Committed(c) => {
                     if c.raw() < self.begin.raw() {
@@ -469,6 +470,7 @@ impl<'w> Transaction<'w> {
         value: &[u8],
         kind: WriteKind,
     ) -> OpResult<bool> {
+        let mut spins = 0;
         loop {
             let head = t.oids.head(oid);
             if head.is_null() {
@@ -486,21 +488,37 @@ impl<'w> Transaction<'w> {
                     return self.replace_own_head(t, oid, head, value, kind);
                 }
                 match self.db.inner.tid.inquire(owner) {
-                    // An uncommitted head version acts as a write lock:
-                    // the doomed (second) updater aborts immediately,
-                    // minimizing wasted work.
-                    TidStatus::InFlight | TidStatus::Precommit(_) | TidStatus::Aborted => {
+                    // An owner that will commit before our snapshot (if it
+                    // commits at all) is no conflict either way: the rule
+                    // `visibility_of` applies to readers. Wait for the
+                    // verdict, then re-read the head — committed, it is a
+                    // version we may overwrite; aborted, it gives way to
+                    // the one beneath. A prepared cross-shard owner sits
+                    // here for its durability rounds, and whoever resolves
+                    // it must not be this thread.
+                    TidStatus::Precommit(c) if c.is_null() || c.raw() < self.begin.raw() => {
+                        verdict_backoff(&mut spins);
+                    }
+                    // Otherwise an uncommitted head version acts as a
+                    // write lock: the doomed (second) updater aborts
+                    // immediately, minimizing wasted work.
+                    TidStatus::InFlight | TidStatus::Precommit(_) => {
                         return Err(self.doom(AbortReason::WriteWriteConflict));
                     }
-                    TidStatus::Committed(_) | TidStatus::Stale => {
-                        // Owner finished (or is finishing) post-commit;
-                        // re-read the stamp.
+                    // The owner decided (and is stamping its versions) or
+                    // aborted (and is unlinking them): re-read the head.
+                    TidStatus::Committed(_) | TidStatus::Aborted | TidStatus::Stale => {
                         std::thread::yield_now();
-                        continue;
                     }
                 }
+                continue;
             }
             let c = stamp.as_lsn();
+            if c == Lsn::MAX {
+                // A rolled-back version on its way out of the chain.
+                std::thread::yield_now();
+                continue;
+            }
             // Forbid updating a record whose committed head postdates our
             // snapshot (lost-update prevention).
             if c.raw() >= self.begin.raw() {
@@ -906,8 +924,15 @@ impl<'w> Transaction<'w> {
         }
         Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
 
+        self.publish(cstamp);
+        Ok(CommitToken { lsn: cstamp, end_offset: Some(end_offset) })
+    }
+
+    /// The in-memory commit point and post-commit: the tail of a
+    /// single-shard commit, and all of a prepared one's commit verdict.
+    fn publish(&mut self, cstamp: Lsn) {
         // All updates become visible atomically at this store.
-        ctx.commit(cstamp);
+        self.ctx().commit(cstamp);
         if let Some(t) = &self.scratch.telemetry {
             t.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
         }
@@ -933,7 +958,6 @@ impl<'w> Transaction<'w> {
             }
         }
         self.release(true);
-        Ok(CommitToken { lsn: cstamp, end_offset: Some(end_offset) })
     }
 
     /// Fill the private log buffer from the write/secondary sets,
@@ -984,14 +1008,15 @@ impl<'w> Transaction<'w> {
     /// [`ermia_log::BlockKind::TxnPrepare`] carrying `marker`, and stop
     /// *before* the in-memory commit. The transaction stays in the
     /// `Precommit` TID state, so its uncommitted head versions keep acting
-    /// as write locks (first-updater-wins) and readers that depend on the
-    /// verdict spin briefly — no conflicting transaction can commit around
-    /// a prepared one.
+    /// as write locks, and readers and writers that depend on the verdict
+    /// wait for it — no conflicting transaction can commit around a
+    /// prepared one.
     ///
     /// The caller must wait for the returned block to become durable
     /// before the coordinator decides, then call
     /// [`PreparedTransaction::finish_commit`] or
-    /// [`PreparedTransaction::abort`].
+    /// [`PreparedTransaction::abort`] — directly, or after a
+    /// [`PreparedTransaction::park`] that frees this worker meanwhile.
     pub(crate) fn prepare(
         mut self,
         marker: ermia_log::PrepareMarker,
@@ -1212,6 +1237,20 @@ enum Visibility {
     SkipUncommitted,
 }
 
+/// One wait step for another transaction's verdict. The pre-commit
+/// window of a single-shard commit is a log-buffer copy long, so the first
+/// rounds only yield; a prepared cross-shard owner holds the window open
+/// through its durability rounds, so later rounds sleep instead of
+/// burning the core its resolver may need.
+fn verdict_backoff(spins: &mut u32) {
+    if *spins < 64 {
+        *spins += 1;
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+}
+
 /// A transaction that passed [`Transaction::prepare`]: CC-validated, its
 /// prepare block filled in the log, awaiting the coordinator's verdict.
 /// Dropping it without a verdict aborts in memory — matching recovery's
@@ -1228,8 +1267,8 @@ impl<'w> PreparedTransaction<'w> {
         self.cstamp
     }
 
-    /// Exclusive end offset of the prepare block; the coordinator must
-    /// see this durable before writing its decision.
+    /// Exclusive end offset of the prepare block.
+    #[cfg(test)]
     pub fn end_offset(&self) -> u64 {
         self.end_offset
     }
@@ -1238,39 +1277,160 @@ impl<'w> PreparedTransaction<'w> {
     /// and run post-commit stamping. The caller must already have made
     /// the decide record durable.
     pub fn finish_commit(mut self) -> CommitToken {
-        let cstamp = self.cstamp;
-        let txn = &mut self.txn;
-        txn.db.inner.tid.ctx(txn.tid).commit(cstamp);
-        if let Some(t) = &txn.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, txn.tid.raw(), cstamp.raw());
-        }
-        let sstamp_final = txn.sstamp;
-        let serializable = txn.serializable();
-        for w in &txn.writes {
-            let new = unsafe { &*w.new };
-            if serializable {
-                if !w.prev.is_null() {
-                    unsafe { (*w.prev).sstamp.fetch_min(sstamp_final, Ordering::AcqRel) };
-                }
-                new.pstamp.store(cstamp.raw(), Ordering::Release);
-            }
-            new.clsn.store(Stamp::from_lsn(cstamp).raw(), Ordering::Release);
-        }
-        if serializable {
-            for &r in &txn.reads {
-                unsafe { (*r).raise_pstamp(cstamp.raw()) };
-            }
-        }
-        txn.release(true);
-        CommitToken { lsn: cstamp, end_offset: Some(self.end_offset) }
+        self.txn.publish(self.cstamp);
+        CommitToken { lsn: self.cstamp, end_offset: Some(self.end_offset) }
     }
 
     /// 2PC phase two, abort verdict: roll back the in-memory effects.
     /// The prepare block stays in the log; recovery's in-doubt resolution
     /// presumes abort when no commit decide record exists.
-    pub fn abort(mut self) {
-        self.txn.doomed.get_or_insert(AbortReason::UserRequested);
+    pub fn abort(mut self, reason: AbortReason) {
+        self.txn.doomed = Some(reason);
         self.txn.do_abort();
+    }
+
+    /// Detach from the worker, which is free for its next transaction
+    /// the moment this returns; [`ParkedPrepare::attach`] is the inverse.
+    pub fn park(self) -> ParkedPrepare {
+        let PreparedTransaction { mut txn, cstamp, end_offset } = self;
+        let parked = ParkedPrepare {
+            db: txn.db.clone(),
+            tid: txn.tid,
+            begin: txn.begin,
+            isolation: txn.isolation,
+            sstamp: txn.sstamp,
+            cstamp,
+            end_offset,
+            chain_walked: txn.chain_walked,
+            reads: std::mem::take(&mut txn.reads),
+            writes: std::mem::take(&mut txn.writes),
+            secondary: std::mem::take(&mut txn.secondary),
+            keys: std::mem::take(&mut txn.scratch.keys),
+            attached: false,
+        };
+        // The node set has served (validation ran at prepare) and goes
+        // straight back; the epoch pin drops with `txn`. The TID slot
+        // stays claimed — it is the parked prepare's now.
+        txn.node_set.clear();
+        txn.scratch.node_set = std::mem::take(&mut txn.node_set);
+        txn.finished = true;
+        parked
+    }
+}
+
+/// A [`PreparedTransaction`] detached from the worker that ran it, to sit
+/// out the coordinator's durability rounds without holding anything a
+/// running transaction needs.
+///
+/// It owns exactly what the verdict needs: the TID slot, still in
+/// `Precommit` (the write lock on every head it installed, and through
+/// `min_active_begin` a clamp on the GC horizon at or below its `begin`),
+/// the write, secondary and read sets with the key bytes they point
+/// into, and the commit stamp. It holds no worker and **no epoch pin**,
+/// so any number of prepares can be parked without stalling epoch
+/// advance. Whoever delivers the verdict lends a worker of the same
+/// database for the duration: the epoch pin that rollback needs and the
+/// counters the outcome lands in are that worker's.
+///
+/// Holding raw [`Version`] pointers without a pin is sound because none
+/// of them can be unlinked while the TID slot is held: `new` is the
+/// chain head, which only its owner replaces; `prev` is the newest
+/// committed version beneath a locked head, which the collector keeps as
+/// (or above) its boundary; and a read-set version was visible at
+/// `begin`, so it is the boundary of its chain for any horizon up to
+/// `begin`, which the held slot guarantees.
+///
+/// Dropped unattached, it aborts in memory like its attached form.
+pub struct ParkedPrepare {
+    db: Database,
+    tid: Tid,
+    begin: Lsn,
+    isolation: IsolationLevel,
+    /// SSN π(T) as settled by the exclusion test at prepare.
+    sstamp: u64,
+    cstamp: Lsn,
+    end_offset: u64,
+    chain_walked: u64,
+    reads: Vec<*mut Version>,
+    writes: Vec<WriteEntry>,
+    secondary: Vec<SecondaryEntry>,
+    /// The key arena the write and secondary sets slice into.
+    keys: Vec<u8>,
+    attached: bool,
+}
+
+// SAFETY: the raw `Version` pointers stay valid without an epoch pin for
+// as long as the TID slot is held (see the type docs), and the parked
+// prepare is their only user until it re-attaches to one worker on one
+// thread; everything else it holds is `Send`.
+unsafe impl Send for ParkedPrepare {}
+
+impl ParkedPrepare {
+    /// Exclusive end offset of the prepare block; the coordinator must
+    /// see this durable before writing its decision.
+    pub fn end_offset(&self) -> u64 {
+        self.end_offset
+    }
+
+    /// Re-attach to `worker` (of the same database) for the verdict: a
+    /// fresh epoch pin from its handle, its scratch and its counters.
+    pub fn attach(mut self, worker: &mut Worker) -> PreparedTransaction<'_> {
+        self.attach_to(worker)
+    }
+
+    fn attach_to<'a>(&mut self, worker: &'a mut Worker) -> PreparedTransaction<'a> {
+        let Worker { db, epoch_handle, scratch } = worker;
+        assert!(
+            Arc::ptr_eq(&db.inner, &self.db.inner),
+            "a parked prepare resolves on a worker of its own database"
+        );
+        self.attached = true;
+        // Rollback slices keys out of the scratch arena.
+        std::mem::swap(&mut scratch.keys, &mut self.keys);
+        let txn = Transaction {
+            db,
+            guard: epoch_handle.pin(),
+            tid: self.tid,
+            begin: self.begin,
+            isolation: self.isolation,
+            // η(T) has served: only π(T) outlives the exclusion test.
+            pstamp: 0,
+            sstamp: self.sstamp,
+            reads: std::mem::take(&mut self.reads),
+            writes: std::mem::take(&mut self.writes),
+            secondary: std::mem::take(&mut self.secondary),
+            node_set: std::mem::take(&mut scratch.node_set),
+            chain_walked: self.chain_walked,
+            scratch,
+            doomed: None,
+            finished: false,
+        };
+        PreparedTransaction { txn, cstamp: self.cstamp, end_offset: self.end_offset }
+    }
+}
+
+#[cfg(test)]
+impl ParkedPrepare {
+    /// Stamp and payload behind every raw pointer that must stay valid
+    /// unpinned: the read set, then the overwritten versions.
+    pub(crate) fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
+        let prevs = self.writes.iter().map(|w| w.prev).filter(|p| !p.is_null());
+        (self.reads.iter().copied().chain(prevs))
+            // SAFETY: the very claim under test — these nodes are not
+            // reclaimed while the TID slot is held (see the type docs).
+            .map(|v| unsafe { ((*v).clsn.load(Ordering::Acquire), (*v).data.clone()) })
+            .collect()
+    }
+}
+
+impl Drop for ParkedPrepare {
+    fn drop(&mut self) {
+        if !self.attached {
+            // Nobody delivered a verdict: presumed abort, on a worker
+            // registered for just this.
+            let mut worker = self.db.register_worker();
+            self.attach_to(&mut worker).abort(AbortReason::UserRequested);
+        }
     }
 }
 

@@ -494,6 +494,32 @@ impl RingBuffer {
         }
     }
 
+    /// True while a reservation is parked waiting for ring space.
+    #[inline]
+    pub fn has_space_waiters(&self) -> bool {
+        self.space_waiters.load(Ordering::Relaxed) != 0
+    }
+
+    /// Flusher side: hand the memory pages lying wholly inside logical
+    /// `[lo, hi)` back to the operating system (they read as zeros
+    /// until written again), so the ring's resident size follows what is
+    /// in flight rather than everything ever logged. A no-op off Linux.
+    ///
+    /// The range must be drained to storage and **not yet published**
+    /// through [`RingBuffer::mark_flushed`]: below the published
+    /// watermark the next wrap generation's writers are already admitted
+    /// and may be copying into these very pages.
+    pub fn release(&self, lo: u64, hi: u64) {
+        debug_assert!(self.flushed() <= lo && hi <= self.filled() && hi - lo <= self.cap);
+        if lo == hi {
+            return;
+        }
+        let pos = (lo % self.cap) as usize;
+        let first = std::cmp::min((hi - lo) as usize, self.cap as usize - pos);
+        release_pages(&self.data[pos..pos + first]);
+        release_pages(&self.data[..(hi - lo) as usize - first]);
+    }
+
     /// Flusher side: advance the flushed watermark and wake space
     /// waiters. Publishes the watermark, fences, then notifies only if a
     /// waiter registered itself — the Dekker handshake mirrored in
@@ -528,6 +554,29 @@ impl RingBuffer {
         }
     }
 }
+
+/// `madvise(MADV_DONTNEED)` the whole pages inside `bytes`.
+#[cfg(target_os = "linux")]
+fn release_pages(bytes: &[u8]) {
+    const PAGE: usize = 4096;
+    const MADV_DONTNEED: i32 = 4;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    let start = (bytes.as_ptr() as usize).next_multiple_of(PAGE);
+    let end = (bytes.as_ptr() as usize + bytes.len()) / PAGE * PAGE;
+    if start < end {
+        // SAFETY: `[start, end)` lies inside `bytes`, private anonymous
+        // memory this ring owns, and the caller guarantees nobody reads
+        // or writes it now; dropping the pages only zeroes content no
+        // one needs. A refusal (a platform with larger pages) changes
+        // nothing, so the result is ignored.
+        unsafe { madvise(start as *mut std::ffi::c_void, end - start, MADV_DONTNEED) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn release_pages(_bytes: &[u8]) {}
 
 #[cfg(test)]
 mod tests {

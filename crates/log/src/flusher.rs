@@ -16,6 +16,23 @@
 //! targets the new durable watermark covers are woken — each on its own
 //! condvar, no thundering herd.
 //!
+//! # Resident size of the ring
+//!
+//! A ring is touched from end to end as the log advances, so left alone
+//! its resident size grows with every byte ever logged until it equals
+//! the capacity — 64 MiB per log by default, for a buffer that only has
+//! to hold what accumulates during one flush. For rings of 16 MiB and up
+//! the flusher therefore hands drained memory back to the operating
+//! system in 2 MiB chunks ([`crate::buffer::RingBuffer::release`]), and
+//! the ring's resident size follows the bytes in flight. Pages can only
+//! be dropped *before* the space they occupy is published to writers
+//! (below the published watermark the next wrap generation is already
+//! admitted), so on such rings the *space* watermark advances a chunk at
+//! a time — released first, published second — and trails the true
+//! flushed position by less than a chunk, except that a reservation
+//! parked for space gets every drained byte at once. The durable
+//! watermark, which is what committers wait on, is never delayed.
+//!
 //! # Failure handling
 //!
 //! Segment writes that fail with a *transient* error (`Interrupted`,
@@ -38,6 +55,12 @@ use ermia_common::LogError;
 
 use crate::manager::LogInner;
 
+/// Rings at least this large return drained memory to the operating
+/// system, [`RELEASE_CHUNK`] bytes at a time; smaller ones (tests, the
+/// in-memory configuration) are cheaper left resident.
+const MIN_RELEASING_RING: u64 = 16 << 20;
+const RELEASE_CHUNK: u64 = 2 << 20;
+
 /// Transient-error retry budget: 6 attempts, 100µs..=3.2ms backoff.
 const MAX_WRITE_RETRIES: u32 = 6;
 const BACKOFF_BASE_MICROS: u64 = 100;
@@ -51,6 +74,11 @@ pub(crate) fn spawn(inner: Arc<LogInner>) -> std::thread::JoinHandle<()> {
 
 fn run(inner: &LogInner) {
     let mut flushed = inner.buffer.flushed();
+    // Large rings give drained memory back a chunk at a time (see the
+    // module docs): `released` is the ring's published space watermark,
+    // trailing `flushed` by less than one chunk.
+    let chunk = if inner.buffer.capacity() >= MIN_RELEASING_RING { RELEASE_CHUNK } else { 1 };
+    let mut released = flushed;
     loop {
         let hi = inner.buffer.wait_filled(flushed, inner.cfg.flush_interval);
         if hi == flushed {
@@ -59,13 +87,26 @@ fn run(inner: &LogInner) {
             if inner.stop.load(Ordering::Acquire) && inner.buffer.advance_filled() == flushed {
                 return;
             }
+            // A reservation parked for space needs every drained byte
+            // now, chunk boundary or not.
+            if released < flushed && inner.buffer.has_space_waiters() {
+                inner.buffer.mark_flushed(flushed);
+                released = flushed;
+            }
             continue;
         }
         if let Err(err) = flush_range(inner, flushed, hi) {
             poison(inner, &err);
             return;
         }
-        inner.buffer.mark_flushed(hi);
+        let space = if inner.buffer.has_space_waiters() { hi } else { hi / chunk * chunk };
+        if space > released {
+            if chunk > 1 {
+                inner.buffer.release(released, space);
+            }
+            inner.buffer.mark_flushed(space);
+            released = space;
+        }
         inner.durable.store(hi, Ordering::Release);
         inner.stats.flush_batches.fetch_add(1, Ordering::Relaxed);
         inner.stats.flushed_bytes.fetch_add(hi - flushed, Ordering::Relaxed);

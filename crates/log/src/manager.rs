@@ -97,6 +97,61 @@ impl WaiterSlot {
     fn new() -> WaiterSlot {
         WaiterSlot { woken: Mutex::new(false), cv: Condvar::new() }
     }
+
+    fn wake(&self) {
+        *self.woken.lock() = true;
+        self.cv.notify_one();
+    }
+}
+
+/// The wake-up cell of a thread that waits on *several* things at once —
+/// durability targets on more than one log ([`LogManager::subscribe_durable`]),
+/// work handed over by another thread ([`DurableWaker::wake`]), a deadline
+/// — where [`LogManager::wait_durable`] can block on only one. The wake
+/// is a level, not an edge: one that arrives before [`DurableWaker::wait`]
+/// is consumed by it, so "check state, then wait" loses nothing.
+#[derive(Clone)]
+pub struct DurableWaker(Arc<WaiterSlot>);
+
+impl Default for DurableWaker {
+    fn default() -> DurableWaker {
+        DurableWaker(Arc::new(WaiterSlot::new()))
+    }
+}
+
+impl DurableWaker {
+    /// Wake the waiting thread (or make its next wait return at once).
+    pub fn wake(&self) {
+        self.0.wake();
+    }
+
+    /// Sleep until woken or until `timeout` passes (`None`: no limit),
+    /// consuming the wake.
+    pub fn wait(&self, timeout: Option<Duration>) {
+        let mut woken = self.0.woken.lock();
+        if !*woken {
+            match timeout {
+                Some(t) => {
+                    self.0.cv.wait_for(&mut woken, t);
+                }
+                None => self.0.cv.wait(&mut woken),
+            }
+        }
+        *woken = false;
+    }
+}
+
+/// A live [`LogManager::subscribe_durable`] registration; dropping it
+/// cancels the subscription (a no-op once the flusher has fired it).
+pub struct DurableSub {
+    inner: Arc<LogInner>,
+    key: (u64, u64),
+}
+
+impl Drop for DurableSub {
+    fn drop(&mut self) {
+        self.inner.deregister_waiter(self.key);
+    }
 }
 
 thread_local! {
@@ -152,12 +207,11 @@ pub(crate) struct LogInner {
 
 impl LogInner {
     /// Register `slot` as waiting for the durable watermark to reach
-    /// `target`; returns the registration key for deregistration. Resets
-    /// the slot's woken flag and republishes the lowest demand.
+    /// `target`; returns the registration key for deregistration.
+    /// Republishes the lowest demand.
     fn register_waiter(&self, target: u64, slot: &Arc<WaiterSlot>) -> (u64, u64) {
         let key = (target, self.waiters.seq.fetch_add(1, Ordering::Relaxed));
         let mut map = self.waiters.map.lock();
-        *slot.woken.lock() = false;
         map.insert(key, Arc::clone(slot));
         let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
         self.buffer.set_demand(lowest);
@@ -189,9 +243,14 @@ impl LogInner {
             self.buffer.set_demand(lowest);
             ready
         };
-        for slot in ready {
-            *slot.woken.lock() = true;
-            slot.cv.notify_one();
+        // A subscriber with several targets in this batch appears once
+        // per target, in a row when it is the only one: one wake each.
+        let mut last: Option<&Arc<WaiterSlot>> = None;
+        for slot in &ready {
+            if !last.is_some_and(|l| Arc::ptr_eq(l, slot)) {
+                slot.wake();
+            }
+            last = Some(slot);
         }
     }
 
@@ -205,8 +264,7 @@ impl LogInner {
             drained.into_values().collect()
         };
         for slot in all {
-            *slot.woken.lock() = true;
-            slot.cv.notify_one();
+            slot.wake();
         }
     }
 }
@@ -470,25 +528,12 @@ impl LogManager {
     pub fn wait_durable_for(&self, end: u64, timeout: Duration) -> Result<(), LogError> {
         let inner = &*self.inner;
         let deadline = std::time::Instant::now() + timeout;
-        // Targets inside a resume gap were overwritten with skip blocks:
-        // the watermark has moved past them, but the commit bytes are
-        // gone for good — reporting `Ok` here would acknowledge a commit
-        // that can never be recovered.
-        if self.lost_to_resume_gap(end) {
-            return Err(LogError::Poisoned {
-                kind: std::io::ErrorKind::Other,
-                detail: "commit block was discarded by a degraded-mode resume; \
-                         it never became durable"
-                    .into(),
-            });
-        }
-        if self.durable_offset() >= end {
+        if self.durable_status(end)? {
             return Ok(());
         }
-        if inner.poisoned.load(Ordering::Acquire) {
-            return Err(self.poison_cause_or_default());
-        }
         let slot = WAITER_SLOT.with(Arc::clone);
+        // A wake left over from this thread's previous wait is stale.
+        *slot.woken.lock() = false;
         let key = inner.register_waiter(end, &slot);
         // Ordering handshake: the flusher stores `durable` *before* it
         // locks the registry to pop ready waiters, so after inserting
@@ -532,6 +577,58 @@ impl LogManager {
             *woken = false;
             slot.cv.wait_for(&mut woken, deadline - now);
         }
+    }
+
+    /// Non-blocking probe of one durability target: `Ok(true)` once the
+    /// block ending at `end` is durable, `Ok(false)` while it is in
+    /// flight, [`LogError::Poisoned`] when it can never become durable.
+    pub fn durable_status(&self, end: u64) -> Result<bool, LogError> {
+        // Targets inside a resume gap were overwritten with skip blocks:
+        // the watermark has moved past them, but the commit bytes are
+        // gone for good — reporting `Ok(true)` here would acknowledge a
+        // commit that can never be recovered.
+        if self.lost_to_resume_gap(end) {
+            return Err(LogError::Poisoned {
+                kind: std::io::ErrorKind::Other,
+                detail: "commit block was discarded by a degraded-mode resume; \
+                         it never became durable"
+                    .into(),
+            });
+        }
+        if self.durable_offset() >= end {
+            return Ok(true);
+        }
+        if self.inner.poisoned.load(Ordering::Acquire) {
+            return Err(self.poison_cause_or_default());
+        }
+        Ok(false)
+    }
+
+    /// The non-blocking half of [`Self::wait_durable`]: register `waker`
+    /// in the waiter registry, so the flusher sees the demand at once and
+    /// wakes it when the durable watermark covers `end` — or when the log
+    /// poisons. One waker may subscribe on any number of logs and
+    /// targets; after a wake its owner reads each verdict with
+    /// [`Self::durable_status`]. `None` means there is nothing to wait
+    /// for (already durable, or never will be): probe instead.
+    pub fn subscribe_durable(&self, end: u64, waker: &DurableWaker) -> Option<DurableSub> {
+        let inner = &self.inner;
+        if !matches!(self.durable_status(end), Ok(false)) {
+            return None;
+        }
+        let sub =
+            DurableSub { inner: Arc::clone(inner), key: inner.register_waiter(end, &waker.0) };
+        // The same handshakes as `wait_durable_for`: a batch (or a
+        // poisoning) that completed while we registered is caught by the
+        // re-check — either we see it here, or the flusher saw our
+        // registration and will wake us — and a fill that preceded our
+        // demand gets its flusher kick from us.
+        if inner.durable.load(Ordering::Acquire) >= end || inner.poisoned.load(Ordering::Acquire)
+        {
+            return None;
+        }
+        inner.buffer.kick_if_filled(end);
+        Some(sub)
     }
 
     /// True once the log has entered the terminal poisoned state.
@@ -726,8 +823,9 @@ impl LogManager {
     /// watermarks — how much contiguous work the flusher has pending.
     #[inline]
     pub fn ring_occupancy(&self) -> u64 {
-        let b = &self.inner.buffer;
-        b.filled().saturating_sub(b.flushed())
+        // Measured against the durable watermark: the ring's own space
+        // watermark may trail it by up to a release chunk.
+        self.inner.buffer.filled().saturating_sub(self.durable_offset())
     }
 
     /// Ring buffer capacity in bytes.

@@ -26,12 +26,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia::{Database, ShardedDb, ShardedWorkerPool};
+use ermia_log::DurableWaker;
 use ermia_telemetry::{EventRing, Sample, SpanRing};
 use parking_lot::Mutex;
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
-use crate::session::{run_parker, run_shard, Completion, ParkJob};
+use crate::session::{run_parker, run_shard, Completion, ParkIntake, ParkJob};
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
@@ -124,9 +125,12 @@ pub(crate) struct ShardHandle {
     pub inbox: Mutex<Vec<TcpStream>>,
     /// Resolved durability waits from the shard's parker.
     pub completions: Mutex<Vec<Completion>>,
-    /// Intake of the shard's durability parker; `None` once the shard
+    /// Intake of the shard's durability parker; closed once the shard
     /// cut over to shutdown (which is what lets the parker exit).
-    pub park_tx: Mutex<Option<std::sync::mpsc::Sender<ParkJob>>>,
+    pub park_in: Mutex<ParkIntake>,
+    /// Wakes the parker: rung by the event loop after posting to the
+    /// intake, and by every log flusher a parked commit subscribed it to.
+    pub park_waker: DurableWaker,
     /// Sync commits whose inline durability probe missed; the shard
     /// re-probes them at the end of the loop turn (one group-commit
     /// flush usually lands in between) before paying the parker handoff.
@@ -181,15 +185,13 @@ impl Server {
         let local = listener.local_addr()?;
         let shard_count = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(shard_count);
-        let mut park_rxs = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            let (tx, rx) = std::sync::mpsc::channel::<ParkJob>();
-            park_rxs.push(rx);
             shards.push(ShardHandle {
                 wake: Arc::new(WakeFd::new()?),
                 inbox: Mutex::new(Vec::new()),
                 completions: Mutex::new(Vec::new()),
-                park_tx: Mutex::new(Some(tx)),
+                park_in: Mutex::new(ParkIntake { jobs: Vec::new(), open: true }),
+                park_waker: DurableWaker::default(),
                 deferred: Mutex::new(Vec::new()),
                 trace_ring: db.telemetry().tracer().ring(),
                 parker_ring: db.telemetry().tracer().ring(),
@@ -216,7 +218,7 @@ impl Server {
             }
         });
         let mut threads = Vec::with_capacity(shard_count * 2);
-        for (i, rx) in park_rxs.into_iter().enumerate() {
+        for i in 0..shard_count {
             let shard_state = Arc::clone(&state);
             let shard_listener = if i == 0 { Some(listener.try_clone()?) } else { None };
             threads.push(
@@ -228,7 +230,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ermia-parker-{i}"))
-                    .spawn(move || run_parker(parker_state, i, rx))?,
+                    .spawn(move || run_parker(parker_state, i))?,
             );
         }
         drop(listener); // shard 0 holds the only remaining handle

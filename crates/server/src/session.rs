@@ -29,15 +29,36 @@
 //!
 //! # Durability parker
 //!
-//! A synchronous commit must not pin a thread while group commit
-//! fsyncs. `commit_deferred` yields a [`CommitToken`]; the connection
-//! queues an in-order placeholder reply and posts the token to the
-//! shard's durability parker — one thread per shard that resolves
-//! waits FIFO against absolute deadlines (enqueue time + `sync_wait`,
-//! so concurrent stalls share one window) and posts the finished frame
-//! back through the shard's completion mailbox + wake fd. A stalled
-//! log therefore parks sessions, not threads, and the client gets the
-//! typed [`ErrorCode::LogStalled`] when the window lapses.
+//! A commit must not pin a thread while group commit fsyncs.
+//! `commit_deferred` yields a [`DeferredCommit`]: for a transaction
+//! that wrote on one engine shard, a token naming the log offset that
+//! makes it durable; for one that wrote on several, a [`StagedCommit`] —
+//! prepared on each, committed only once its decide record is durable.
+//! Either way the connection queues an in-order placeholder reply and
+//! the job goes to the shard's durability parker: a sync token after two
+//! zero-patience probes (inline, then at the end of the loop turn) have
+//! missed; a staged commit straight away, whatever its `sync` flag,
+//! because this thread may wait on one of its prepared heads in a later
+//! frame and must never be the only thread able to resolve it.
+//!
+//! The parker — one thread per shard — is stage-aware rather than FIFO.
+//! Each job subscribes the parker's wake-up cell on every log offset it
+//! currently waits on (all participants of a cross-shard commit at once,
+//! so every flusher sees the demand immediately); each wake polls every
+//! job, advancing staged commits through prepares-durable →
+//! decide-written → finalized and writing all decides that are ready
+//! before asking any flusher for them, so they share a flush. Verdicts
+//! are delivered on a worker the parker registers for itself: a parked
+//! commit holds no pooled worker and no epoch pin. Finished frames go
+//! back through the shard's completion mailbox + wake fd. Deadlines are
+//! absolute (enqueue time + `sync_wait`, so concurrent stalls share one
+//! window): a stalled log parks sessions, not threads, and the client
+//! gets the typed [`ErrorCode::LogStalled`] when the window lapses — for
+//! a staged commit whose decide is not yet written that also aborts both
+//! halves; once it is written the answer is an in-memory abort with a
+//! log-failure reason, and recovery goes by the record. A connection
+//! that closes leaves its parked jobs running to their verdicts; their
+//! completions are dropped.
 //!
 //! # Shutdown
 //!
@@ -45,21 +66,24 @@
 //! wakes every shard's event fd — no loopback connects, no read
 //! timeouts. Each shard closes the listener, drains a quiet window so
 //! already-flushed client frames still get served, aborts what remains
-//! (`ShuttingDown` frames to open transactions), flushes outbound
-//! queues — including parked sync commits resolving through the parker
-//! — and joins.
+//! (`ShuttingDown` frames to open transactions), closes the parker's
+//! intake, flushes outbound queues — including parked commits, which the
+//! parker resolves (or aborts) within their `sync_wait` — and joins.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ermia::{IsolationLevel, NodeRole, PooledShardedWorker, ShardedCommitToken};
+use ermia::{
+    DeferredCommit, IsolationLevel, NodeRole, PooledShardedWorker, ShardedCommitToken, ShardedWorker,
+    StagedCommit,
+};
 use ermia_common::LogError;
+use ermia_log::{DurableSub, DurableWaker};
 use ermia_telemetry::{render_spans, EventKind, Span, SpanKind, SpanRing};
 
 use crate::conn::{
@@ -85,17 +109,56 @@ const TOK_WAKE: u64 = 0;
 const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// A sync commit handed to the durability parker.
+/// What a parked commit waits on.
+pub(crate) enum ParkWork {
+    /// A commit already visible in memory: one log offset.
+    Token(ShardedCommitToken),
+    /// A cross-shard commit between prepare and verdict: a log offset
+    /// per participant, then the decide record's.
+    Staged(Box<StagedCommit>),
+}
+
+/// The reply a parked commit turns into once its outcome is known.
+pub(crate) enum Reply {
+    /// An interactive `Commit`: the outcome itself.
+    Commit,
+    /// A `Batch`: the per-op results ride along into `BatchDone`.
+    Batch(Vec<Response>),
+    /// An autocommitted operation: its own response, if it committed.
+    Auto(Response),
+}
+
+impl Reply {
+    fn with(self, outcome: Response) -> Response {
+        match self {
+            Reply::Commit => outcome,
+            Reply::Batch(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
+            Reply::Auto(resp) if matches!(outcome, Response::Committed { .. }) => resp,
+            Reply::Auto(_) => outcome,
+        }
+    }
+}
+
+/// A commit handed to the durability parker, its in-order reply slot
+/// reserved.
 pub(crate) struct ParkJob {
     pub conn: u64,
     pub seq: u64,
-    pub token: ShardedCommitToken,
-    /// Batch per-op results that ride along into the `BatchDone` frame.
-    pub batch: Option<Vec<Response>>,
+    pub work: ParkWork,
+    pub reply: Reply,
     pub enqueued: Instant,
     /// Trace of the committing request; resolution records the
     /// durability-wait span and closes the request span.
     pub trace: Option<TraceReq>,
+}
+
+/// The parker's intake: jobs posted by the event loop, and whether more
+/// may come.
+pub(crate) struct ParkIntake {
+    pub jobs: Vec<ParkJob>,
+    /// Cleared at shutdown cutoff; the parker exits once it is closed
+    /// and every job it holds has resolved.
+    pub open: bool,
 }
 
 /// A resolved durability wait, posted back to the owning shard.
@@ -316,7 +379,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 } else if now >= soft {
                     quiesce_idle(&state, handle, &mut conns);
                     if conns.values().all(|c| c.draining) {
-                        *handle.park_tx.lock() = None;
+                        close_parker(handle);
                         phase = Phase::Flush {
                             deadline: now + state.cfg.sync_wait + Duration::from_secs(1),
                         };
@@ -787,16 +850,9 @@ fn dispatch_in_txn(
                 (Some(_), None) => {}
             }
             match open.finish(|t| t.commit_deferred()) {
-                Ok(token) => {
+                Ok(commit) => {
                     state.stats.commits.fetch_add(1, Ordering::Relaxed);
-                    if sync && token.end_offset().is_some() {
-                        park_commit(state, handle, conn, token, None, txn_trace);
-                    } else {
-                        conn.push(state, Response::Committed { lsn: token.lsn().raw() });
-                        if let Some(tr) = txn_trace {
-                            finish_trace(state, &handle.trace_ring, &tr);
-                        }
-                    }
+                    settle_commit(state, handle, conn, commit, sync, Reply::Commit, txn_trace);
                 }
                 Err(reason) => {
                     conn.push(state, aborted(reason));
@@ -879,7 +935,13 @@ fn start_work(
                     resp
                 } else {
                     match txn.commit_deferred() {
-                        Ok(_) => resp,
+                        // An autocommitted write crosses shards only on
+                        // a replicated table.
+                        Ok(commit @ DeferredCommit::Staged(_)) => {
+                            let reply = Reply::Auto(resp);
+                            return settle_commit(state, handle, conn, commit, false, reply, trace);
+                        }
+                        Ok(DeferredCommit::Committed(_)) => resp,
                         Err(reason) => aborted(reason),
                     }
                 }
@@ -919,34 +981,96 @@ fn run_batch(
     }
     if let Some(err) = failure {
         txn.abort();
-        conn.push(state, Response::BatchDone { results, outcome: Box::new(err) });
+        conn.push(state, Reply::Batch(results).with(err));
         if let Some(tr) = trace {
             finish_trace(state, &handle.trace_ring, &tr);
         }
         return;
     }
     match txn.commit_deferred() {
-        Ok(token) => {
+        Ok(commit) => {
             state.stats.commits.fetch_add(1, Ordering::Relaxed);
-            if sync && token.end_offset().is_some() {
-                park_commit(state, handle, conn, token, Some(results), trace);
-                return;
-            }
-            conn.push(
-                state,
-                Response::BatchDone {
-                    results,
-                    outcome: Box::new(Response::Committed { lsn: token.lsn().raw() }),
-                },
-            );
+            settle_commit(state, handle, conn, commit, sync, Reply::Batch(results), trace);
         }
-        Err(reason) => conn.push(
-            state,
-            Response::BatchDone { results, outcome: Box::new(aborted(reason)) },
-        ),
+        Err(reason) => {
+            conn.push(state, Reply::Batch(results).with(aborted(reason)));
+            if let Some(tr) = trace {
+                finish_trace(state, &handle.trace_ring, &tr);
+            }
+        }
     }
-    if let Some(tr) = trace {
-        finish_trace(state, &handle.trace_ring, &tr);
+}
+
+/// Answer a successful `commit_deferred`: reply at once, or reserve the
+/// in-order reply slot and park until the logs have caught up.
+fn settle_commit(
+    state: &Arc<ServerState>,
+    handle: &ShardHandle,
+    conn: &mut Conn,
+    commit: DeferredCommit,
+    sync: bool,
+    reply: Reply,
+    trace: Option<TraceReq>,
+) {
+    match commit {
+        DeferredCommit::Committed(token) if sync && token.end_offset().is_some() => {
+            park_commit(state, handle, conn, token, reply, trace)
+        }
+        DeferredCommit::Committed(token) => {
+            conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
+            if let Some(tr) = trace {
+                finish_trace(state, &handle.trace_ring, &tr);
+            }
+        }
+        // A cross-shard commit is not even committed before its decide
+        // record is durable, sync or not. It goes straight to the parker,
+        // past the end-of-turn tier: this thread may yet wait on one of
+        // its prepared heads (a later frame touching the same key), so
+        // the job must already be with a thread that can resolve it.
+        DeferredCommit::Staged(staged) => {
+            let seq = conn.push_pending(state);
+            state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
+            let job = ParkJob {
+                conn: conn.token,
+                seq,
+                work: ParkWork::Staged(staged),
+                reply,
+                enqueued: Instant::now(),
+                trace,
+            };
+            for job in send_to_parker(handle, vec![job]) {
+                // Parker already gone (shutdown race): the staged commit
+                // aborts as it drops; the reply slot must not wedge.
+                if let Some(tr) = &job.trace {
+                    finish_trace(state, &handle.trace_ring, tr);
+                }
+                conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
+            }
+        }
+    }
+}
+
+/// Post jobs to the shard's parker; hands them back if the intake has
+/// closed (shutdown race).
+fn send_to_parker(handle: &ShardHandle, mut jobs: Vec<ParkJob>) -> Vec<ParkJob> {
+    if jobs.is_empty() {
+        return jobs;
+    }
+    let mut intake = handle.park_in.lock();
+    if !intake.open {
+        return jobs;
+    }
+    intake.jobs.append(&mut jobs);
+    drop(intake);
+    handle.park_waker.wake();
+    jobs
+}
+
+/// The reply to a commit whose durability wait outlasted `sync_wait`.
+fn log_stalled() -> Response {
+    Response::Error {
+        code: ErrorCode::LogStalled,
+        detail: "durability wait timed out; commit fate indeterminate".into(),
     }
 }
 
@@ -957,7 +1081,7 @@ fn park_commit(
     handle: &ShardHandle,
     conn: &mut Conn,
     token: ShardedCommitToken,
-    batch: Option<Vec<Response>>,
+    reply: Reply,
     trace: Option<TraceReq>,
 ) {
     // Group commit means the target is often already durable by the time
@@ -967,16 +1091,7 @@ fn park_commit(
     let t_probe = if trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
     match token.wait_durable(&state.db, Duration::ZERO) {
         Ok(()) => {
-            let outcome = Response::Committed { lsn: token.lsn().raw() };
-            conn.push(
-                state,
-                match batch {
-                    Some(results) => {
-                        Response::BatchDone { results, outcome: Box::new(outcome) }
-                    }
-                    None => outcome,
-                },
-            );
+            conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
             if let Some(tr) = trace {
                 let ring = &handle.trace_ring;
                 ring.record(&tr.child(), SpanKind::DurabilityWait, t_probe, ring.now_ns(), 0, 0);
@@ -988,15 +1103,7 @@ fn park_commit(
         Err(e @ LogError::Poisoned { .. }) => {
             record_log_incident(state, EventKind::LogPoison, 1);
             let outcome = Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
-            conn.push(
-                state,
-                match batch {
-                    Some(results) => {
-                        Response::BatchDone { results, outcome: Box::new(outcome) }
-                    }
-                    None => outcome,
-                },
-            );
+            conn.push(state, reply.with(outcome));
             if let Some(tr) = trace {
                 finish_trace(state, &handle.trace_ring, &tr);
             }
@@ -1006,7 +1113,8 @@ fn park_commit(
 
     let seq = conn.push_pending(state);
     state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
-    let job = ParkJob { conn: conn.token, seq, token, batch, enqueued: Instant::now(), trace };
+    let work = ParkWork::Token(token);
+    let job = ParkJob { conn: conn.token, seq, work, reply, enqueued: Instant::now(), trace };
     handle.deferred.lock().push(job);
 }
 
@@ -1034,54 +1142,38 @@ fn drain_deferred(
         let mut d = handle.deferred.lock();
         if d.is_empty() { Vec::new() } else { std::mem::take(&mut *d) }
     };
+    let mut resolved: Vec<(ParkJob, Response)> = Vec::new();
+    let mut stragglers: Vec<ParkJob> = Vec::new();
     for job in jobs {
-        let probe = match job.token.wait_durable(&state.db, Duration::ZERO) {
-            Ok(()) => Some(Response::Committed { lsn: job.token.lsn().raw() }),
-            Err(LogError::Timeout) => None, // still in flight
+        let ParkWork::Token(token) = job.work else {
+            unreachable!("staged commits skip the end-of-turn tier")
+        };
+        match token.wait_durable(&state.db, Duration::ZERO) {
+            Ok(()) => resolved.push((job, Response::Committed { lsn: token.lsn().raw() })),
+            Err(LogError::Timeout) => stragglers.push(job), // still in flight
             Err(e @ LogError::Poisoned { .. }) => {
                 record_log_incident(state, EventKind::LogPoison, 1);
-                Some(Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() })
+                let outcome =
+                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
+                resolved.push((job, outcome));
             }
-        };
-        let (job, outcome) = match probe {
-            Some(outcome) => (job, outcome),
-            None => {
-                let returned = match &*handle.park_tx.lock() {
-                    Some(tx) => match tx.send(job) {
-                        Ok(()) => None, // the parker owns it now
-                        Err(std::sync::mpsc::SendError(job)) => Some(job),
-                    },
-                    None => Some(job),
-                };
-                match returned {
-                    None => continue,
-                    // Parker already gone (shutdown race): resolve inline
-                    // so the reply slot never wedges.
-                    Some(job) => (
-                        job,
-                        Response::Error {
-                            code: ErrorCode::LogStalled,
-                            detail: "durability wait timed out; commit fate indeterminate"
-                                .into(),
-                        },
-                    ),
-                }
-            }
-        };
+        }
+    }
+    // The parker owns the stragglers from here — one handoff, one wake
+    // for the lot — unless it is already gone (shutdown race), and then
+    // their reply slots must not wedge.
+    resolved.extend(send_to_parker(handle, stragglers).into_iter().map(|job| (job, log_stalled())));
+    for (job, outcome) in resolved {
         if let Some(tr) = &job.trace {
             finish_parked_trace(state, &handle.trace_ring, job.enqueued, tr);
         }
-        let resp = match job.batch {
-            Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
-            None => outcome,
-        };
         state.svc_ring.record(
             EventKind::SessionResumed,
             job.conn,
             job.enqueued.elapsed().as_micros() as u64,
         );
         if let Some(conn) = conns.get_mut(&job.conn) {
-            conn.complete(job.seq, frame_bytes(&resp));
+            conn.complete(job.seq, frame_bytes(&job.reply.with(outcome)));
             touched.push(job.conn);
             if service(state, handle, conn) {
                 to_close.push(job.conn);
@@ -1364,65 +1456,190 @@ fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u6
         conn.draining = true;
         let _ = conn.flush(state, &handle.stats);
     }
-    *handle.park_tx.lock() = None;
+    close_parker(handle);
+}
+
+/// Close the parker's intake: it resolves what it holds and exits.
+fn close_parker(handle: &ShardHandle) {
+    handle.park_in.lock().open = false;
+    handle.park_waker.wake();
 }
 
 // ---------------------------------------------------------------------
 // Durability parker
 // ---------------------------------------------------------------------
 
-/// One per shard: resolves sync-commit durability waits off the event
-/// loop, FIFO with absolute deadlines, posting finished frames back
-/// through the shard's completion mailbox. Exits when the shard drops
-/// the intake at cutoff and the queue drains.
-pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJob>) {
-    let handle = &state.shards[idx];
-    while let Ok(first) = rx.recv() {
-        // One flush batch typically resolves a whole run of parked
-        // commits at once: drain whatever else has queued and resolve
-        // the lot, posting a single wake instead of one per job.
-        let mut jobs = vec![first];
-        while let Ok(more) = rx.try_recv() {
-            jobs.push(more);
+/// A job the parker holds, with its live durability subscriptions as
+/// (engine shard, end offset, registration).
+struct Parked {
+    job: ParkJob,
+    /// When patience runs out: `sync_wait` after the job was parked.
+    deadline: Instant,
+    subs: Vec<(usize, u64, DurableSub)>,
+}
+
+impl Parked {
+    /// The log offsets the job waits on now.
+    fn waits(&self) -> Vec<(usize, u64)> {
+        match &self.job.work {
+            ParkWork::Token(token) => {
+                token.end_offset().map(|end| (token.shard() as usize, end)).into_iter().collect()
+            }
+            ParkWork::Staged(staged) => staged.waits(),
         }
-        let mut done = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let deadline = job.enqueued + state.cfg.sync_wait;
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let outcome = match job.token.wait_durable(&state.db, remaining) {
-                Ok(()) => Response::Committed { lsn: job.token.lsn().raw() },
-                Err(LogError::Timeout) => {
-                    record_log_incident(
-                        &state,
-                        EventKind::LogStall,
-                        state.cfg.sync_wait.as_millis() as u64,
-                    );
-                    Response::Error {
-                        code: ErrorCode::LogStalled,
-                        detail: "durability wait timed out; commit fate indeterminate".into(),
+    }
+
+    /// Keep one subscription per awaited offset. False if an offset
+    /// needs none — it landed (or its log failed) in the meantime — so
+    /// the job wants another poll, not a sleep.
+    fn subscribe(&mut self, state: &ServerState, waker: &DurableWaker) -> bool {
+        let waits = self.waits();
+        self.subs.retain(|(shard, end, _)| waits.contains(&(*shard, *end)));
+        let mut all = true;
+        for (shard, end) in waits {
+            if self.subs.iter().any(|(s, e, _)| (*s, *e) == (shard, end)) {
+                continue;
+            }
+            match state.db.shard(shard).log().subscribe_durable(end, waker) {
+                Some(sub) => self.subs.push((shard, end, sub)),
+                None => all = false,
+            }
+        }
+        all
+    }
+
+    /// When the parker must look at this job again even if no log
+    /// wakes it.
+    fn wake_at(&self) -> Instant {
+        match &self.job.work {
+            ParkWork::Staged(staged) => {
+                staged.not_before().map_or(self.deadline, |t| t.min(self.deadline))
+            }
+            ParkWork::Token(_) => self.deadline,
+        }
+    }
+
+    /// Advance the job as far as its logs allow. `Some(outcome)` once it
+    /// has one: durable, failed, or out of patience.
+    fn poll(&mut self, state: &ServerState, resolver: &mut ShardedWorker) -> Option<Response> {
+        let lapsed = Instant::now() >= self.deadline;
+        match &mut self.job.work {
+            ParkWork::Token(token) => {
+                // A token without an offset occupied no log space.
+                let status = token.end_offset().map_or(Ok(true), |end| {
+                    state.db.shard(token.shard() as usize).log().durable_status(end)
+                });
+                match status {
+                    Ok(true) => Some(Response::Committed { lsn: token.lsn().raw() }),
+                    Ok(false) if lapsed => {
+                        let waited = state.cfg.sync_wait.as_millis() as u64;
+                        record_log_incident(state, EventKind::LogStall, waited);
+                        Some(log_stalled())
+                    }
+                    Ok(false) => None,
+                    Err(e) => {
+                        record_log_incident(state, EventKind::LogPoison, 1);
+                        Some(Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() })
                     }
                 }
-                Err(e @ LogError::Poisoned { .. }) => {
-                    record_log_incident(&state, EventKind::LogPoison, 1);
-                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
-                }
-            };
-            if let Some(tr) = &job.trace {
-                finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr);
             }
-            let resp = match job.batch {
-                Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
-                None => outcome,
+            ParkWork::Staged(staged) => match staged.poll(resolver) {
+                Some(Ok(token)) => Some(Response::Committed { lsn: token.lsn().raw() }),
+                Some(Err(reason)) => Some(aborted(reason)),
+                None if lapsed => {
+                    // Before the decide is written, giving up settles it:
+                    // the prepared halves abort, recovery presumes the
+                    // same. After, memory and log may part ways until
+                    // restart, as with any failed decide wait.
+                    let written = staged.decide_written();
+                    staged.abort(resolver);
+                    if written {
+                        Some(aborted(ermia_common::AbortReason::LogFailure))
+                    } else {
+                        let waited = state.cfg.sync_wait.as_millis() as u64;
+                        record_log_incident(state, EventKind::LogStall, waited);
+                        Some(log_stalled())
+                    }
+                }
+                None => None,
+            },
+        }
+    }
+}
+
+/// One per shard: carries parked commits to their outcome off the event
+/// loop and posts the finished frames back through the shard's
+/// completion mailbox.
+///
+/// Stage-aware, not FIFO: every job subscribes its wake-up cell on
+/// *every* log it waits on at once — so a cross-shard commit's
+/// participants all see the flush demand immediately — and each wake
+/// (a flusher's, the event loop's, a deadline's) polls all jobs. Jobs
+/// are polled before any is (re)subscribed, so the decide records a
+/// pass writes are all in the coordinator's buffer before the first
+/// subscription asks its flusher for them: they share that flush.
+/// Verdicts of cross-shard commits are delivered on a worker the parker
+/// registers for itself, never a pooled one.
+///
+/// Exits when the shard closes the intake at cutoff and every job has
+/// resolved — each within `sync_wait` of being parked.
+pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
+    let handle = &state.shards[idx];
+    let waker = &handle.park_waker;
+    let mut resolver = state.db.register_worker();
+    let mut parked: Vec<Parked> = Vec::new();
+    loop {
+        let open = {
+            let mut intake = handle.park_in.lock();
+            parked.extend(intake.jobs.drain(..).map(|job| {
+                let deadline = job.enqueued + state.cfg.sync_wait;
+                Parked { job, deadline, subs: Vec::new() }
+            }));
+            intake.open
+        };
+        let mut done = Vec::new();
+        let mut i = 0;
+        while i < parked.len() {
+            let Some(outcome) = parked[i].poll(&state, &mut resolver) else {
+                i += 1;
+                continue;
             };
+            let Parked { job, .. } = parked.swap_remove(i);
+            if let Some(tr) = &job.trace {
+                match job.work {
+                    // The engine recorded a staged commit's waits, stage
+                    // by stage; only the request is left to close.
+                    ParkWork::Staged(_) => finish_trace(&state, &handle.parker_ring, tr),
+                    ParkWork::Token(_) => {
+                        finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr)
+                    }
+                }
+            }
             state.svc_ring.record(
                 EventKind::SessionResumed,
                 job.conn,
                 job.enqueued.elapsed().as_micros() as u64,
             );
-            done.push(Completion { conn: job.conn, seq: job.seq, bytes: frame_bytes(&resp) });
+            let bytes = frame_bytes(&job.reply.with(outcome));
+            done.push(Completion { conn: job.conn, seq: job.seq, bytes });
         }
-        handle.completions.lock().extend(done);
-        handle.wake.wake();
+        // One flush batch typically resolves a whole run of parked
+        // commits at once: a single wake for the lot.
+        if !done.is_empty() {
+            handle.completions.lock().extend(done);
+            handle.wake.wake();
+        }
+        if !open && parked.is_empty() {
+            return;
+        }
+        let mut settled = true;
+        for p in &mut parked {
+            settled &= p.subscribe(&state, waker);
+        }
+        if settled {
+            let until = parked.iter().map(Parked::wake_at).min();
+            waker.wait(until.map(|t| t.saturating_duration_since(Instant::now())));
+        }
     }
 }
 

@@ -1,17 +1,21 @@
 //! The durability-failure reply path: a wedged log must surface as the
 //! typed `LogStalled` error on a sync commit (bounded wait, connection
 //! survives), and a poisoned log as `LogFailed` — never a hang, never a
-//! generic close.
+//! generic close. Cross-shard commits park between prepare and verdict;
+//! their stalls must be as typed, and must leave nothing behind.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ermia::{Database, DbConfig};
-use ermia_log::{FaultInjector, FaultPlan, LogConfig};
+use ermia::{Database, DbConfig, ShardedDb};
+use ermia_log::{
+    FaultInjector, FaultPlan, FileBackend, LogConfig, SegmentIo, SegmentIoFactory,
+};
 use ermia_server::{
-    BatchOp, Client, ClientError, ErrorCode, Response, Server, ServerConfig, WireIsolation,
+    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
+    WireIsolation,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -170,4 +174,340 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
     );
     assert!(db.log().is_poisoned());
     srv.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Cross-shard commits against stalled logs
+// ---------------------------------------------------------------------
+
+/// A log device whose `sync_data` can be held shut: with the gate closed
+/// the flusher blocks inside its fsync, so durability stops advancing
+/// until the test lets syncs through again — all of them, or a counted
+/// few. Opens itself when dropped, so a failing test still lets the
+/// database's flushers exit.
+#[derive(Clone, Debug)]
+struct Gate(Arc<(Mutex<u64>, Condvar)>);
+
+const OPEN: u64 = u64::MAX;
+
+impl Gate {
+    fn new() -> Gate {
+        Gate(Arc::new((Mutex::new(OPEN), Condvar::new())))
+    }
+
+    /// Let `syncs` more `sync_data` calls through (0 shuts the gate,
+    /// [`OPEN`] removes it).
+    fn allow(&self, syncs: u64) {
+        *self.0 .0.lock().unwrap() = syncs;
+        self.0 .1.notify_all();
+    }
+}
+
+struct OpenOnDrop(Vec<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        for gate in &self.0 {
+            gate.allow(OPEN);
+        }
+    }
+}
+
+#[derive(Debug)]
+struct GatedIo {
+    inner: Arc<dyn SegmentIo>,
+    gate: Gate,
+}
+
+impl SegmentIo for GatedIo {
+    fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        self.inner.write_all_at(buf, offset)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.inner.read_exact_at(buf, offset)
+    }
+
+    fn sync_data(&self) -> std::io::Result<()> {
+        let (permits, opened) = &*self.gate.0;
+        let mut permits = permits.lock().unwrap();
+        while *permits == 0 {
+            permits = opened.wait(permits).unwrap();
+        }
+        if *permits != OPEN {
+            *permits -= 1;
+        }
+        drop(permits);
+        self.inner.sync_data()
+    }
+
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+impl SegmentIoFactory for Gate {
+    fn open(&self, path: &std::path::Path) -> std::io::Result<Arc<dyn SegmentIo>> {
+        Ok(Arc::new(GatedIo { inner: FileBackend.open(path)?, gate: self.clone() }))
+    }
+}
+
+/// A two-shard engine whose shard `i` logs through `gates[i]`, a table,
+/// and a pair of keys living on shard 0 and shard 1.
+fn gated_pair(tag: &str) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
+    let dir = tmpdir(tag);
+    let gates = [Gate::new(), Gate::new()];
+    let shards = gates
+        .iter()
+        .enumerate()
+        .map(|(i, gate)| {
+            let mut cfg = DbConfig::durable(dir.join(format!("shard-{i}")));
+            cfg.log = LogConfig {
+                dir: cfg.log.dir.clone(),
+                fsync: true,
+                io_factory: Arc::new(gate.clone()),
+                ..LogConfig::default()
+            };
+            Database::open(cfg).unwrap()
+        })
+        .collect();
+    let db = ShardedDb::from_shards(shards);
+    db.create_table("kv");
+    let guard = OpenOnDrop(gates.to_vec());
+    (db, gates, guard)
+}
+
+/// `n` keys with the given prefix on each of the two shards.
+fn keys_on_both_shards(prefix: &str, n: usize) -> [Vec<Vec<u8>>; 2] {
+    let mut keys = [Vec::new(), Vec::new()];
+    for j in 0u32.. {
+        let key = format!("{prefix}-{j}").into_bytes();
+        let home = &mut keys[ermia::shard_of_key(&key, 2)];
+        if home.len() < n {
+            home.push(key);
+        }
+        if keys.iter().all(|k| k.len() == n) {
+            return keys;
+        }
+    }
+    unreachable!()
+}
+
+fn cross_batch(table: u32, a: &[u8], b: &[u8], value: &[u8]) -> Request {
+    Request::Batch {
+        isolation: WireIsolation::Snapshot,
+        sync: true,
+        ops: [a, b]
+            .iter()
+            .map(|k| BatchOp::Put { table, key: k.to_vec(), value: value.to_vec() })
+            .collect(),
+    }
+}
+
+fn batch_outcome(resp: Response) -> Response {
+    match resp {
+        Response::BatchDone { outcome, .. } => *outcome,
+        other => panic!("expected BatchDone, got {other:?}"),
+    }
+}
+
+fn in_doubt(db: &ShardedDb) -> f64 {
+    let text = db.telemetry().render_prometheus();
+    ermia_telemetry::parse_exposition(&text)
+        .expect("exposition parses")
+        .value("ermia_shard_in_doubt")
+        .expect("in-doubt gauge")
+}
+
+/// Nothing of a parked commit may outlive its reply: no pooled worker,
+/// no TID slot, no in-doubt count.
+fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
+    let pool = srv.worker_pool();
+    assert_eq!(pool.outstanding(), 0, "every pooled worker returned");
+    assert_eq!(pool.idle(), pool.created(), "idle set equals created set");
+    assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
+    assert_eq!(in_doubt(db), 0.0, "no cross-shard commit left in doubt");
+}
+
+/// The event loop must never be the only thread able to resolve a
+/// prepared head it may wait on. Sixteen pipelined cross-shard commits
+/// against logs that cannot flush all end up prepared and parked, holding
+/// no pooled worker, while the loop keeps serving other connections;
+/// when the logs move again they all commit, in order.
+#[test]
+fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
+    let (db, gates, _open) = gated_pair("parked");
+    let cfg = ServerConfig {
+        shards: 1,
+        worker_capacity: 2,
+        sync_wait: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let [on0, on1] = keys_on_both_shards("parked", 16);
+    c.put(t, b"bystander", b"served").unwrap();
+
+    gates[0].allow(0);
+    gates[1].allow(0);
+    for (a, b) in on0.iter().zip(&on1) {
+        c.send(&cross_batch(t, a, b, b"v")).unwrap();
+    }
+    c.flush().unwrap();
+
+    // All sixteen reach the parker: prepared, in doubt, no worker held.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while in_doubt(&db) != 16.0 {
+        assert!(Instant::now() < deadline, "only {} commits got prepared", in_doubt(&db));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pool = srv.worker_pool();
+    assert_eq!(pool.outstanding(), 0, "a parked prepare holds no pooled worker");
+    assert_eq!(pool.idle(), pool.created());
+    assert_eq!(db.tid_slots_in_use(), 32, "one TID slot per prepared participant");
+
+    // The single event loop is still serving: another connection gets
+    // its answer while all sixteen are parked.
+    let mut other = Client::connect(srv.local_addr()).unwrap();
+    other.set_reply_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(other.get(t, b"bystander").unwrap().as_deref(), Some(&b"served"[..]));
+    assert_eq!(in_doubt(&db), 16.0, "still parked while the bystander was served");
+
+    gates[0].allow(OPEN);
+    gates[1].allow(OPEN);
+    let mut last = 0;
+    for i in 0..16 {
+        match batch_outcome(c.recv().unwrap()) {
+            Response::Committed { lsn } => {
+                assert!(lsn > last, "reply {i} out of commit order");
+                last = lsn;
+            }
+            other => panic!("parked commit {i} must commit once the logs move: {other:?}"),
+        }
+    }
+    for key in on0.iter().chain(&on1) {
+        assert_eq!(c.get(t, key).unwrap().as_deref(), Some(&b"v"[..]));
+    }
+    assert_nothing_leaked(&srv, &db);
+    srv.shutdown();
+}
+
+/// Patience running out *before* the decide record is written settles
+/// the commit: both prepared halves abort, the client gets the typed
+/// `LogStalled`, and nothing stays behind.
+#[test]
+fn stalled_prepare_aborts_both_halves_with_logstalled() {
+    let (db, gates, _open) = gated_pair("stalled-prepare");
+    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let [on0, on1] = keys_on_both_shards("stall", 1);
+    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"old")).unwrap()) {
+        Response::Committed { .. } => {}
+        other => panic!("healthy baseline must commit: {other:?}"),
+    }
+
+    // Only the participant's log stalls: the coordinator's prepare turns
+    // durable, the decide still may not be written.
+    gates[1].allow(0);
+    let started = Instant::now();
+    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"new")).unwrap()) {
+        Response::Error { code: ErrorCode::LogStalled, .. } => {}
+        other => panic!("expected typed LogStalled, got {other:?}"),
+    }
+    let waited = started.elapsed();
+    assert!(waited >= Duration::from_millis(250), "must wait out the bound, waited {waited:?}");
+    assert!(waited < Duration::from_secs(5), "must time out near sync_wait, waited {waited:?}");
+
+    // Aborted on both shards, and the connection keeps working.
+    assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
+    assert_eq!(c.get(t, &on1[0]).unwrap().as_deref(), Some(&b"old"[..]));
+    assert!(c.dump_events(0).unwrap().contains("log-stall"));
+    assert_nothing_leaked(&srv, &db);
+
+    gates[1].allow(OPEN);
+    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"newer")).unwrap()) {
+        Response::Committed { .. } => {}
+        other => panic!("the pair must be writable again: {other:?}"),
+    }
+    srv.shutdown();
+}
+
+/// Patience running out *after* the decide record is written cannot
+/// settle the commit — the record may yet reach disk. The answer is the
+/// one a failed decide wait always had: abort in memory, report a log
+/// failure, let recovery go by the record.
+#[test]
+fn stalled_decide_aborts_in_memory_with_log_failure() {
+    let (db, gates, _open) = gated_pair("stalled-decide");
+    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let [on0, on1] = keys_on_both_shards("decide", 1);
+    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"old")).unwrap()) {
+        Response::Committed { .. } => {}
+        other => panic!("healthy baseline must commit: {other:?}"),
+    }
+    for i in 0..2 {
+        db.shard(i).log().sync().unwrap();
+    }
+
+    // The coordinator (shard 0) gets one more flush — its prepare — and
+    // then stalls under the decide record.
+    gates[0].allow(1);
+    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"new")).unwrap()) {
+        Response::Error { code: ErrorCode::TxnAborted(reason), .. } => {
+            assert_eq!(reason.label(), "log-failure");
+        }
+        other => panic!("expected a log-failure abort, got {other:?}"),
+    }
+    assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
+    assert_eq!(c.get(t, &on1[0]).unwrap().as_deref(), Some(&b"old"[..]));
+    assert_nothing_leaked(&srv, &db);
+    gates[0].allow(OPEN);
+    srv.shutdown();
+}
+
+/// Shutdown with cross-shard commits parked on a dead log: the flush
+/// phase waits out their patience, they abort, and the server exits
+/// within its bound with nothing left behind.
+#[test]
+fn shutdown_resolves_parked_cross_shard_commits() {
+    let (db, gates, _open) = gated_pair("shutdown");
+    let cfg = ServerConfig {
+        sync_wait: Duration::from_millis(300),
+        shutdown_poll: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let [on0, on1] = keys_on_both_shards("shutdown", 4);
+    gates[0].allow(0);
+    gates[1].allow(0);
+    for (a, b) in on0.iter().zip(&on1) {
+        c.send(&cross_batch(t, a, b, b"v")).unwrap();
+    }
+    c.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while in_doubt(&db) != 4.0 {
+        assert!(Instant::now() < deadline, "commits never got prepared");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let started = Instant::now();
+    srv.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(10), "shutdown must not hang on a dead log");
+    assert_eq!(db.tid_slots_in_use(), 0, "parked prepares aborted at shutdown");
+    assert_eq!(in_doubt(&db), 0.0);
+    // The parked commits were answered, not dropped.
+    for _ in 0..4 {
+        match batch_outcome(c.recv().unwrap()) {
+            Response::Error { code: ErrorCode::LogStalled, .. } => {}
+            other => panic!("expected LogStalled at shutdown, got {other:?}"),
+        }
+    }
 }

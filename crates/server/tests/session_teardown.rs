@@ -190,3 +190,97 @@ fn disconnect_under_reply_backpressure_leaks_nothing() {
     assert_eq!(db.tid_slots_in_use(), 0);
     srv.shutdown();
 }
+
+/// Clients that die with cross-shard commits parked between prepare and
+/// verdict: every such commit still runs to its verdict (its completion
+/// is dropped with the connection), and the same exact accounting holds
+/// — plus nothing left in doubt.
+#[test]
+fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
+    let dir = std::env::temp_dir().join(format!("ermia-teardown-2pc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = ermia::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+    let cfg = ServerConfig {
+        worker_capacity: 2,
+        shards: 2,
+        shutdown_poll: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let addr = srv.local_addr();
+    let mut setup = Client::connect(addr).unwrap();
+    let table = setup.open_table("torture").unwrap();
+    drop(setup);
+
+    const DOOMED: usize = 200;
+    for wave in 0..(DOOMED / 50) {
+        let handles: Vec<_> = (0..50)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let id = wave * 50 + i;
+                    let Ok(mut c) = Client::connect(addr) else { return };
+                    // Eight keys land on both shards (all on one: 2^-7),
+                    // so nearly every batch is a two-phase commit. Queue
+                    // several, read no reply, hang up.
+                    for b in 0..4 {
+                        let ops = (0..8)
+                            .map(|k| BatchOp::Put {
+                                table,
+                                key: format!("x{id}-{b}-{k}").into_bytes(),
+                                value: vec![b'x'; 32],
+                            })
+                            .collect();
+                        let _ = c.send(&Request::Batch {
+                            isolation: WireIsolation::Snapshot,
+                            sync: true,
+                            ops,
+                        });
+                    }
+                    let _ = c.flush();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    let in_doubt = || {
+        ermia_telemetry::parse_exposition(&db.telemetry().render_prometheus())
+            .unwrap()
+            .value("ermia_shard_in_doubt")
+            .unwrap()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let st = srv.stats();
+        if st.active_sessions == 0 && in_doubt() == 0.0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "sessions failed to retire: {} active, {} in doubt",
+            st.active_sessions,
+            in_doubt()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let pool = srv.worker_pool();
+    assert_eq!(pool.outstanding(), 0, "every pooled worker returned");
+    assert_eq!(pool.idle(), pool.created(), "idle set equals created set");
+    assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
+    assert_eq!(in_doubt(), 0.0, "every parked commit reached a verdict");
+    let cross = ermia_telemetry::parse_exposition(&db.telemetry().render_prometheus())
+        .unwrap()
+        .value("ermia_shard_cross_txns_total")
+        .unwrap();
+    assert!(cross > 0.0, "the torture actually parked cross-shard commits");
+    let st = srv.stats();
+    assert_eq!(st.sessions_opened, st.sessions_closed, "every session retired");
+
+    srv.shutdown();
+    assert_eq!(db.tid_slots_in_use(), 0);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

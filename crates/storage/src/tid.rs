@@ -23,8 +23,10 @@
 //! observes `ACTIVE`, the owner's eventual commit stamp must be larger
 //! than the reader's begin timestamp, so "invisible" is the consistent
 //! verdict. Observing `PENDING`/`PRECOMMIT` with a possibly-smaller stamp
-//! tells the reader to spin briefly for the outcome (the window spans no
-//! I/O — just the SSN test and log-buffer copy).
+//! tells the reader (and a writer that would overwrite the version) to
+//! wait for the outcome. For a single-shard commit the window is the SSN
+//! test and a log-buffer copy; a prepared cross-shard participant stays
+//! in `PRECOMMIT` through its coordinator's durability rounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
