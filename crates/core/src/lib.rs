@@ -64,7 +64,7 @@ pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
 pub use pool::{PooledWorker, WorkerPool};
 pub use profile::Breakdown;
-pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats};
+pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
     shard_of_key, DeferredCommit, IndexRouting, PooledShardedWorker, RoutedDdl, ShardPolicy,
     ShardRecoveryStats, ShardedCommitToken, ShardedDb, ShardedTransaction, ShardedWorker,

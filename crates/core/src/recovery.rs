@@ -71,14 +71,17 @@ pub struct RecoveryStats {
     pub in_doubt: u64,
 }
 
-/// A 2PC prepare found in the log without a local verdict: validated,
-/// durable, and waiting on the coordinator's decision. Produced by
-/// [`Database::recover_outcome`]; the sharded recovery pass either
-/// applies it (a commit decide exists in the coordinator's log) or drops
-/// it (presumed abort).
+/// A 2PC prepare found in the log without a local verdict. Produced by
+/// [`Database::recover_outcome`]; the sharded recovery pass applies it if
+/// any participant's log holds a commit verdict, or — no verdict anywhere
+/// — if all `participants` prepares of the transaction are there, and
+/// drops it otherwise.
 pub struct InDoubtTxn {
     /// Shard that coordinated the global transaction.
     pub coord_shard: u32,
+    /// How many shards prepared for it, from the prepare marker; 0 in a
+    /// log written before markers carried the count.
+    pub participants: u32,
     /// Raw LSN of the coordinator's prepare block (with `coord_shard`,
     /// the global transaction id).
     pub gtid_lsn: u64,
@@ -94,12 +97,53 @@ pub struct InDoubtTxn {
 }
 
 /// Everything one shard's log scan produced: replay counters, unresolved
-/// prepares, and every 2PC verdict found (keyed by global transaction
-/// id) for resolving *other* shards' in-doubt prepares.
+/// prepares, and every 2PC verdict found, for resolving *other* shards'
+/// in-doubt prepares.
 pub struct RecoveryOutcome {
     pub stats: RecoveryStats,
     pub in_doubt: Vec<InDoubtTxn>,
-    pub decides: HashMap<(u32, u64), bool>,
+    pub decides: VerdictSet,
+}
+
+/// The 2PC verdict records one log holds, by global transaction id
+/// `(coord_shard, gtid_lsn)`.
+///
+/// Verdict records are appended unforced to every participant's log, so
+/// no log's copy is authoritative: a shard that resolved its own prepare
+/// from its own copy must still answer for a shard whose copy was lost,
+/// and every verdict is kept. That is one entry per cross-shard commit in
+/// the log, hence the shape: per coordinator, one sorted `Vec<u64>` of
+/// `gtid_lsn << 1 | commit` (a raw LSN never has its top bit set) — 8
+/// bytes a verdict, where a hash-map entry costs four times that. Gtids
+/// are prepare stamps and verdicts follow their prepares closely, so
+/// records arrive almost in order and an insert is a push, or a shift of
+/// the last few entries.
+#[derive(Default)]
+pub struct VerdictSet {
+    by_coord: Vec<(u32, Vec<u64>)>,
+}
+
+impl VerdictSet {
+    fn insert(&mut self, d: &DecideRecord) {
+        let code = d.gtid_lsn << 1 | d.commit as u64;
+        let at = self.by_coord.iter().position(|(c, _)| *c == d.coord_shard).unwrap_or_else(|| {
+            self.by_coord.push((d.coord_shard, Vec::new()));
+            self.by_coord.len() - 1
+        });
+        let codes = &mut self.by_coord[at].1;
+        if codes.last().is_none_or(|&last| last < code) {
+            codes.push(code);
+        } else if let Err(pos) = codes.binary_search(&code) {
+            codes.insert(pos, code);
+        }
+    }
+
+    /// The verdict recorded for global transaction `key`, if any.
+    pub fn get(&self, key: (u32, u64)) -> Option<bool> {
+        let codes = &self.by_coord.iter().find(|(c, _)| *c == key.0)?.1;
+        let code = key.1 << 1;
+        [true, false].into_iter().find(|&c| codes.binary_search(&(code | c as u64)).is_ok())
+    }
 }
 
 /// Incremental log replay: the one-shot recovery scan generalized so a
@@ -116,7 +160,7 @@ pub struct RecoveryOutcome {
 pub struct LogApplier {
     applied: u64,
     pending: HashMap<(u32, u64), InDoubtTxn>,
-    decides: HashMap<(u32, u64), bool>,
+    decides: VerdictSet,
     stats: RecoveryStats,
 }
 
@@ -127,7 +171,7 @@ impl LogApplier {
         LogApplier {
             applied: from,
             pending: HashMap::new(),
-            decides: HashMap::new(),
+            decides: VerdictSet::default(),
             stats: RecoveryStats::default(),
         }
     }
@@ -176,6 +220,7 @@ impl LogApplier {
                     };
                     let txn = InDoubtTxn {
                         coord_shard: marker.coord_shard,
+                        participants: marker.participants,
                         gtid_lsn,
                         cstamp,
                         trace_hi: marker.trace_hi,
@@ -186,18 +231,10 @@ impl LogApplier {
                 }
                 ermia_log::BlockKind::TxnDecide => {
                     let Some(d) = DecideRecord::decode(&block.payload) else { continue };
-                    let key = (d.coord_shard, d.gtid_lsn);
-                    let resolved = self.pending.remove(&key);
-                    // Verdicts are remembered for *other* shards' in-doubt
-                    // prepares, and only the coordinator's record (the
-                    // one whose own prepare stamp is the gtid) is theirs
-                    // to ask for. A participant's best-effort copy has
-                    // done its one job once it resolved the prepare it
-                    // follows; keeping every copy would grow the map by
-                    // an entry per cross-shard commit in the log.
-                    if resolved.as_ref().is_none_or(|txn| txn.cstamp.raw() == d.gtid_lsn) {
-                        self.decides.insert(key, d.commit);
-                    }
+                    // Kept even when it resolves this log's own prepare:
+                    // another participant's copy may not have survived.
+                    self.decides.insert(&d);
+                    let resolved = self.pending.remove(&(d.coord_shard, d.gtid_lsn));
                     if let Some(txn) = resolved.filter(|_| d.commit) {
                         rounds += 1;
                         self.stats.replayed_blocks += 1;
@@ -210,10 +247,9 @@ impl LogApplier {
         Ok(rounds)
     }
 
-    /// Every 2PC verdict seen so far, keyed by global transaction id.
-    /// A multi-shard replica resolves other shards' pending prepares
-    /// against these (the coordinator's log is authoritative).
-    pub fn decides(&self) -> &HashMap<(u32, u64), bool> {
+    /// Every 2PC verdict seen so far. A multi-shard replica resolves
+    /// other shards' pending prepares against these.
+    pub fn decides(&self) -> &VerdictSet {
         &self.decides
     }
 
@@ -381,8 +417,8 @@ impl Database {
     /// 2PC prepares whose verdict is not in this log are *presumed
     /// aborted* (counted in [`RecoveryStats::in_doubt`]). Sharded
     /// deployments recover through `ShardedDb::recover`, which uses
-    /// [`Database::recover_outcome`] to resolve them against the
-    /// coordinator's log instead.
+    /// [`Database::recover_outcome`] to resolve them against every
+    /// participant's log instead.
     pub fn recover(&self) -> std::io::Result<RecoveryStats> {
         self.recover_outcome().map(|o| o.stats)
     }

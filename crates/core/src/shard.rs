@@ -18,37 +18,57 @@
 //! `S = 1` even that disappears: routing is constant and commit is a
 //! direct pass-through.
 //!
-//! **Cross-shard transactions** commit with two-phase commit layered on
-//! the existing commit/durability split:
+//! **Cross-shard transactions** commit in one durability round, layered
+//! on the existing commit/durability split:
 //!
 //! 1. *Prepare* — every writer shard runs its full commit protocol
 //!    (SSN exclusion test, node-set validation, log space allocation)
 //!    but serializes its block as [`BlockKind::TxnPrepare`] carrying the
-//!    coordinator's identity. The coordinator is the lowest writer
-//!    shard and prepares first; its prepare cstamp becomes the global
-//!    transaction id (gtid).
-//! 2. *Decide* — once **all** prepares are durable, the coordinator
-//!    appends a [`BlockKind::TxnDecide`] record to its own log and
-//!    waits for it. The decide record is the commit point: durable
-//!    decide ⇒ the transaction is committed on every shard.
+//!    coordinator's identity and the number of participants. The
+//!    coordinator is the lowest writer shard and prepares first; its
+//!    prepare cstamp becomes the global transaction id (gtid).
+//! 2. *Commit point* — **every participant's prepare block is durable.**
+//!    Nothing else is waited for: every shard's log lives in this
+//!    process and recovery reads them all, so "all prepares are on disk"
+//!    is a fact recovery can establish by itself.
 //! 3. *Finalize* — participants flip their TID slots to committed and
-//!    publish versions in memory; matching decide records are appended
-//!    best-effort to the other writers' logs so their standalone
-//!    recovery resolves locally in the common case.
+//!    publish versions in memory, and the caller is answered.
+//! 4. *Verdict* — only then a [`BlockKind::TxnDecide`] record is appended,
+//!    unforced, to every participant's log, where it rides whatever flush
+//!    comes next. It spares recovery (and a replica tailing the log) the
+//!    counting; it is never the commit.
 //!
 //! Between the steps nothing is needed but log offsets turning durable,
 //! so from "every writer prepared" on the commit is an owned state
 //! machine, [`StagedCommit`], whose participants are parked — detached
 //! from the worker, no epoch pinned. [`ShardedTransaction::commit`]
-//! drives it with blocking waits; the server parks it with a thread
+//! drives it with a blocking wait; the server parks it with a thread
 //! that waits on logs and gets its worker back at once.
 //!
-//! Recovery is presumed-abort: a prepare without a reachable commit
-//! verdict (in its own log or the coordinator's) rolls forward to
-//! nothing. [`ShardedDb::recover`] scans every shard, pools the decide
-//! verdicts, and applies each in-doubt prepare iff its coordinator's
-//! decide says commit — so an acked cross-shard commit is always
-//! either fully present or (unacked) fully absent after a crash.
+//! The failure side: a commit that gives up after its prepares are
+//! written (a stalled or poisoned log, a dropped [`StagedCommit`]) first
+//! appends an *abort* verdict behind the prepares on every participant
+//! that still accepts writes, then rolls back in memory, so a prepare
+//! that turns durable after all is followed on disk by its abort. The
+//! caller is told the outcome is indeterminate (`LogStalled`, or an abort
+//! for log failure), which is exact: if the power fails before any abort
+//! verdict is durable but after every prepare is, recovery commits.
+//!
+//! [`ShardedDb::recover`] scans every shard and resolves each prepare
+//! that has no verdict in its own log: a commit verdict in any
+//! participant's log commits it, an abort verdict in any aborts it, and
+//! with no verdict anywhere it commits iff as many shards hold a prepare
+//! for the gtid as the marker says took part — so an acknowledged
+//! cross-shard commit is always fully present after a crash, and one
+//! that is partly on disk fully absent.
+//!
+//! Invariants (each pinned by a test named in DESIGN.md §Sharding):
+//! 1. nothing is published or acknowledged before every prepare is
+//!    durable;
+//! 2. a commit verdict is written only after (1), an abort verdict only
+//!    by the failure path, never both for one gtid;
+//! 3. recovery never commits a gtid with fewer prepares than its marker's
+//!    count, and never aborts one whose commit was acknowledged.
 //!
 //! What sharding deliberately does *not* give: a global snapshot.
 //! Each shard's reads run against that shard's own LSN timeline, so a
@@ -58,6 +78,7 @@
 //! paper compares against (H-Store-style) rather than a globally
 //! serializable distributed engine; see DESIGN.md §Sharding.
 
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
@@ -67,8 +88,8 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, TableId, TxResult};
 use ermia_log::{
-    checksum32, BlockKind, DecideRecord, LogBlockHeader, PrepareMarker, BLOCK_HEADER_LEN,
-    DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
+    checksum32, BlockKind, DecideRecord, DurableWaker, LogBlockHeader, PrepareMarker,
+    BLOCK_HEADER_LEN, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
 };
 use ermia_telemetry::{
     EventKind, EventRing, FamilyDef, MetricDesc, MetricKind, Sample, Slab, SpanKind, SpanRing,
@@ -253,7 +274,7 @@ static TWOPC_FAMILY: FamilyDef = FamilyDef {
         },
         MetricDesc {
             name: "ermia_2pc_decide_ns",
-            help: "2PC decide phase latency (coordinator decide record durable), ns",
+            help: "2PC verdict append (unforced record on every participant's log), ns",
             kind: MetricKind::Counter,
             label: None,
         },
@@ -284,12 +305,12 @@ pub(crate) struct ShardedInner {
     /// with one relaxed load per transaction.
     routing_version: AtomicU64,
     /// Cross-shard transactions currently between first prepare and
-    /// durable decide (plus unresolved prepares during recovery).
+    /// verdict (plus unresolved prepares during recovery).
     in_doubt: AtomicU64,
-    /// Test hook: how long a cross-shard commit holds back its decide
-    /// record once all prepares are durable
-    /// (`ERMIA_2PC_PREPARE_DELAY_MS`, read once at open), widening the
-    /// window the chaos harness SIGKILLs into.
+    /// Test hook: how long a cross-shard commit holds back its publish
+    /// once all prepares are durable (`ERMIA_2PC_PREPARE_DELAY_MS`, read
+    /// once at open), widening the window the chaos harness SIGKILLs
+    /// into: committed on disk, unanswered, no verdict record yet.
     prepare_delay: Duration,
 }
 
@@ -645,42 +666,62 @@ impl ShardedDb {
     /// Recover every shard and resolve cross-shard in-doubt prepares.
     ///
     /// Each shard's scan yields (a) its replay stats, (b) prepares with
-    /// no local verdict, and (c) every decide verdict in its log. The
-    /// verdicts are pooled, then each in-doubt prepare commits iff the
-    /// pool holds a commit decide for its gtid — which, per the commit
-    /// protocol, is durable only after *every* participant's prepare is
-    /// durable, so resolution can never commit a partial transaction.
-    /// No verdict means the coordinator never decided: presumed abort.
+    /// no local verdict, and (c) every verdict record in its log. An
+    /// in-doubt prepare commits if any shard's log holds a commit verdict
+    /// for its gtid and aborts if any holds an abort verdict. With no
+    /// verdict anywhere it commits iff as many shards hold a prepare for
+    /// the gtid as its marker counts: a commit is only ever published or
+    /// acknowledged once every prepare is durable, so a missing prepare
+    /// proves nobody saw it, and a full set with no abort verdict proves
+    /// nobody who durably committed afterwards saw it rolled back. A
+    /// marker without a count (a log older than this rule) needs the
+    /// explicit commit verdict it was written under.
+    ///
+    /// Every resolution is then appended to the shard's log as a verdict
+    /// record, so a replica tailing the log — and the next recovery,
+    /// whatever has been truncated by then — goes by the same answer.
     pub fn recover(&self) -> io::Result<ShardRecoveryStats> {
         let inner = &self.inner;
         let mut outcomes = Vec::with_capacity(inner.dbs.len());
         for db in &inner.dbs {
             outcomes.push(db.recover_outcome()?);
         }
-        // The verdict pool stays the per-shard maps it arrived as: only
-        // the in-doubt few are ever looked up, and merging would copy an
-        // entry per cross-shard commit in the logs.
-        let decides: Vec<_> = outcomes.iter_mut().map(|o| std::mem::take(&mut o.decides)).collect();
-        let total_in_doubt: u64 = outcomes.iter().map(|o| o.in_doubt.len() as u64).sum();
-        inner.in_doubt.store(total_in_doubt, Relaxed);
+        // The verdicts stay the per-shard sets they arrived as: only the
+        // in-doubt few are ever looked up.
+        let verdicts: Vec<_> =
+            outcomes.iter_mut().map(|o| std::mem::take(&mut o.decides)).collect();
+        let mut holders: HashMap<(u32, u64), u32> = HashMap::new();
+        for txn in outcomes.iter().flat_map(|o| &o.in_doubt) {
+            *holders.entry((txn.coord_shard, txn.gtid_lsn)).or_default() += 1;
+        }
+        inner.in_doubt.store(holders.values().map(|&n| n as u64).sum(), Relaxed);
         let mut stats = ShardRecoveryStats {
             per_shard: Vec::with_capacity(outcomes.len()),
             resolved_commits: 0,
             resolved_aborts: 0,
+            resolved_implicit: 0,
         };
         let ring = &inner.dbs[0].inner.svc_ring;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             for txn in &outcome.in_doubt {
-                // A commit verdict wins over a stale best-effort copy.
                 let key = (txn.coord_shard, txn.gtid_lsn);
-                let commit = decides.iter().any(|d| d.get(&key) == Some(&true));
+                let recorded = |commit| verdicts.iter().any(|v| v.get(key) == Some(commit));
+                let implicit = !recorded(true) && !recorded(false);
+                let commit = if implicit {
+                    txn.participants != 0 && holders[&key] == txn.participants
+                } else {
+                    recorded(true)
+                };
                 if commit {
                     inner.dbs[shard].apply_in_doubt(txn)?;
                     stats.resolved_commits += 1;
                 } else {
                     stats.resolved_aborts += 1;
                 }
-                ring.record(EventKind::TwoPcResolve, txn.gtid_lsn, commit as u64);
+                stats.resolved_implicit += implicit as u64;
+                let rec = DecideRecord { gtid_lsn: key.1, coord_shard: key.0, commit };
+                write_decide(&inner.dbs[shard], rec)?;
+                ring.record(EventKind::TwoPcResolve, key.1, commit as u64 | (implicit as u64) << 1);
                 inner.in_doubt.fetch_sub(1, Relaxed);
             }
             stats.per_shard.push(outcome.stats);
@@ -694,10 +735,14 @@ impl ShardedDb {
 pub struct ShardRecoveryStats {
     /// Per-shard replay stats, in shard order.
     pub per_shard: Vec<RecoveryStats>,
-    /// In-doubt prepares rolled forward (a commit decide was found).
+    /// In-doubt prepares rolled forward.
     pub resolved_commits: u64,
-    /// In-doubt prepares dropped (presumed abort).
+    /// In-doubt prepares dropped.
     pub resolved_aborts: u64,
+    /// Of the two above, those no verdict record decided: committed
+    /// because every participant's prepare was found, aborted because
+    /// one was not.
+    pub resolved_implicit: u64,
 }
 
 /// Register the shard-level collector on shard 0's registry: shard
@@ -1274,10 +1319,10 @@ impl<'w> ShardedTransaction<'w> {
     /// Commit without waiting for durability. A transaction that wrote
     /// on at most one shard is committed in memory when this returns, and
     /// the token names the shard whose log backs it. One that wrote on
-    /// several is only *prepared* on each: the decide record is the
-    /// commit, and it cannot be written before every prepare is durable —
-    /// so the caller gets the [`StagedCommit`] to drive (or hand to
-    /// whoever waits on logs) and its worker back at once.
+    /// several is only *prepared* on each, and committed once every
+    /// prepare is durable — so the caller gets the [`StagedCommit`] to
+    /// drive (or hand to whoever waits on logs) and its worker back at
+    /// once.
     pub fn commit_deferred(self) -> TxResult<DeferredCommit> {
         // Same Vec-free fast path as `commit` for the one-shard case.
         if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
@@ -1443,20 +1488,19 @@ struct Participant {
     durable: bool,
 }
 
-/// Where a [`StagedCommit`] stands. A durable decide moves
-/// `DecideWritten` to `Finalized` in one step: nothing is waited for in
-/// between.
+/// Where a [`StagedCommit`] stands.
 enum Stage {
     /// Every writer shard holds a parked prepare; waiting for their
     /// prepare blocks to be durable.
     Prepared,
-    /// All prepares durable: the decide may be written.
+    /// All prepares durable: the commit point. Recovery would commit it
+    /// from here on; only the `ERMIA_2PC_PREPARE_DELAY_MS` window is left
+    /// to sit out.
     PreparesDurable,
-    /// The decide record (the commit point) is in the coordinator's log
-    /// up to `end`; waiting for it to be durable.
-    DecideWritten { end: u64, since: Instant },
-    /// The verdict was delivered to every participant.
-    Finalized,
+    /// The verdict was delivered to every participant; after a commit,
+    /// its record is owed to the logs until
+    /// [`StagedCommit::write_verdict`].
+    Finalized { verdict_owed: bool },
 }
 
 /// The trace of a staged commit. The spans of its later stages are
@@ -1470,28 +1514,27 @@ struct StagedTrace {
     t0: u64,
 }
 
-/// A cross-shard commit between prepare and verdict: two-phase commit
-/// across ≥2 writer shards as an owned state machine.
+/// A cross-shard commit between prepare and verdict, across ≥2 writer
+/// shards, as an owned state machine.
 ///
 /// ```text
-/// prepared ─► prepares-durable ─► decide-written ─► decide-durable ─► finalized
-///     └──────────────┴── abort ──────────────────────────────────────────┘
-///                        (after the decide is written: in memory only;
-///                         recovery goes by the record)
+/// prepared ─► prepares-durable ─► finalized ─► (verdict record appended)
+///     └──────────────┴── abort: abort verdict appended, then rolled back
 /// ```
 ///
 /// It borrows nothing: every participant is a [`ParkedPrepare`], so the
-/// worker that ran the transaction is free, and no epoch is pinned. Each
-/// stage waits only on log offsets ([`StagedCommit::waits`]);
+/// worker that ran the transaction is free, and no epoch is pinned. It
+/// waits only on log offsets ([`StagedCommit::waits`]);
 /// [`StagedCommit::poll`] moves it as far as durability allows without
 /// blocking, so one thread can carry any number of them through the same
-/// few flushes. Every durability wait happens before any in-memory
-/// publish: the decide record is the single commit point.
+/// flush. Every prepare being durable is the commit point: nothing is
+/// published or answered before it (invariant 1), and the verdict record
+/// is owed to the logs only after ([`StagedCommit::write_verdict`]).
 ///
 /// A thread that executes transactions may wait on a prepared head, so a
 /// staged commit must not be left for that same thread to resolve later.
 ///
-/// Dropped unresolved, it aborts in memory (presumed abort).
+/// Dropped unresolved, it aborts like [`StagedCommit::abort`].
 pub struct StagedCommit {
     db: ShardedDb,
     /// Writer participants in shard order; the first coordinates.
@@ -1499,10 +1542,10 @@ pub struct StagedCommit {
     /// The coordinator's prepare cstamp: the global transaction id.
     gtid_lsn: u64,
     stage: Stage,
-    /// The decide is not written before this instant (the
+    /// Nothing is published before this instant (the
     /// `ERMIA_2PC_PREPARE_DELAY_MS` window, opened when the prepares turn
     /// durable).
-    decide_not_before: Option<Instant>,
+    not_before: Option<Instant>,
     prepare_start: Instant,
     trace: Option<StagedTrace>,
 }
@@ -1525,7 +1568,7 @@ impl StagedCommit {
             parts: Vec::with_capacity(writers.len()),
             gtid_lsn: 0,
             stage: Stage::Prepared,
-            decide_not_before: None,
+            not_before: None,
             prepare_start: Instant::now(),
             trace: trace.map(|tr| StagedTrace {
                 ctx: tr.ctx,
@@ -1541,6 +1584,9 @@ impl StagedCommit {
             trace.map(|t| (t.ctx.trace_hi, t.ctx.trace_lo)).unwrap_or((0, 0));
         let now = || trace.map(|tr| tr.ring.now_ns()).unwrap_or(0);
         let coord = writers[0].0;
+        // A participant that fails to prepare leaves the others' blocks
+        // one short of this count: recovery aborts them.
+        let participants = writers.len() as u32;
         let mut prepared: Vec<(usize, PreparedTransaction<'w>)> =
             Vec::with_capacity(writers.len());
         let mut rest = writers.into_iter();
@@ -1548,8 +1594,13 @@ impl StagedCommit {
             let t0 = now();
             let coord_lsn =
                 if i == coord { PrepareMarker::COORD_SELF } else { staged.gtid_lsn };
-            let marker =
-                PrepareMarker { coord_shard: coord as u32, coord_lsn, trace_hi, trace_lo };
+            let marker = PrepareMarker {
+                coord_shard: coord as u32,
+                participants,
+                coord_lsn,
+                trace_hi,
+                trace_lo,
+            };
             match t.prepare(marker) {
                 Ok(p) => {
                     if i == coord {
@@ -1589,125 +1640,116 @@ impl StagedCommit {
     }
 
     /// The log offsets this commit is waiting on now, as (shard, end
-    /// offset) pairs: every prepare block not yet seen durable, or the
-    /// decide record.
+    /// offset) pairs: every prepare block not yet seen durable.
     pub fn waits(&self) -> Vec<(usize, u64)> {
-        match self.stage {
-            Stage::Prepared => {
-                let pending = self.parts.iter().filter(|p| !p.durable);
-                pending.map(|p| (p.shard, p.end_offset)).collect()
-            }
-            Stage::DecideWritten { end, .. } => vec![(self.parts[0].shard, end)],
-            Stage::PreparesDurable | Stage::Finalized => Vec::new(),
-        }
+        let pending = self.parts.iter().filter(|p| !p.durable);
+        pending.map(|p| (p.shard, p.end_offset)).collect()
     }
 
     /// The instant before which [`StagedCommit::poll`] cannot move even
     /// though nothing is waited on (the prepare-delay test window).
     pub fn not_before(&self) -> Option<Instant> {
-        match self.stage {
-            Stage::PreparesDurable => self.decide_not_before,
-            _ => None,
-        }
-    }
-
-    /// Whether the decide record has been written: from then on recovery
-    /// may find it, whatever is decided in memory.
-    pub fn decide_written(&self) -> bool {
-        matches!(self.stage, Stage::DecideWritten { .. } | Stage::Finalized)
+        self.not_before.filter(|_| matches!(self.stage, Stage::PreparesDurable))
     }
 
     /// Move as far as durability allows, without blocking. `None` while
     /// a wait is outstanding; otherwise the verdict, delivered to every
     /// participant on `resolver` (any worker of this engine not running a
-    /// transaction): its epoch pins, its counters, its span ring.
+    /// transaction): its epoch pins, its counters, its span ring. After a
+    /// commit verdict the caller answers whoever waits for it, then calls
+    /// [`StagedCommit::write_verdict`].
     pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<ShardedCommitToken>> {
         let inner = Arc::clone(&self.db.inner);
         let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
-        let now = || ring.as_ref().map(|r| r.now_ns()).unwrap_or(0);
-        loop {
-            match self.stage {
-                Stage::Prepared => {
-                    // All prepares must be durable before the decide may
-                    // exist: a durable decide with a lost prepare would
-                    // commit a partial transaction at recovery.
-                    for i in 0..self.parts.len() {
-                        let p = &self.parts[i];
-                        if p.durable {
-                            continue;
-                        }
-                        match inner.dbs[p.shard].inner.log.durable_status(p.end_offset) {
-                            Ok(true) => {
-                                self.parts[i].durable = true;
-                                // One span per participant, each starting
-                                // where the previous one landed, so
-                                // concurrent waits are not counted twice.
-                                let shard = self.parts[i].shard as u64;
-                                self.span(&ring, SpanKind::DurabilityWait, shard, 0);
-                            }
-                            Ok(false) => {}
-                            Err(_) => return self.fail(resolver),
-                        }
-                    }
-                    if self.parts.iter().any(|p| !p.durable) {
-                        return None;
-                    }
-                    if let Some(t) = &resolver.twopc {
-                        t.slab
-                            .hist(TWOPC_PREPARE_HIST)
-                            .record(self.prepare_start.elapsed().as_nanos() as u64);
-                    }
-                    if !inner.prepare_delay.is_zero() {
-                        self.decide_not_before = Some(Instant::now() + inner.prepare_delay);
-                    }
-                    self.stage = Stage::PreparesDurable;
+        if matches!(self.stage, Stage::Prepared) {
+            // Invariant 1: every prepare durable before anything is
+            // published — a published half whose sibling's prepare is
+            // lost would be a partial transaction after a crash.
+            for i in 0..self.parts.len() {
+                let p = &self.parts[i];
+                if p.durable {
+                    continue;
                 }
-                Stage::PreparesDurable => {
-                    if self.decide_not_before.is_some_and(|t| Instant::now() < t) {
-                        return None;
+                match inner.dbs[p.shard].inner.log.durable_status(p.end_offset) {
+                    Ok(true) => {
+                        self.parts[i].durable = true;
+                        // One span per participant, each starting where
+                        // the previous one landed, so concurrent waits
+                        // are not counted twice.
+                        let shard = self.parts[i].shard as u64;
+                        self.span(&ring, SpanKind::DurabilityWait, shard, 0);
                     }
-                    // Phase 2: the decide record on the coordinator's log
-                    // is the commit point.
-                    if let Some(tr) = &mut self.trace {
-                        tr.t0 = now();
-                    }
-                    match write_decide(&inner.dbs[self.parts[0].shard], self.decide_record()) {
-                        Ok(end) => {
-                            self.stage = Stage::DecideWritten { end, since: Instant::now() }
-                        }
-                        Err(_) => return self.fail(resolver),
+                    Ok(false) => {}
+                    Err(_) => {
+                        self.abort(resolver);
+                        return Some(Err(AbortReason::LogFailure));
                     }
                 }
-                Stage::DecideWritten { end, since } => {
-                    let coord = self.parts[0].shard;
-                    match inner.dbs[coord].inner.log.durable_status(end) {
-                        Ok(true) => {}
-                        Ok(false) => return None,
-                        // The decide may or may not reach disk; either
-                        // way the outcome is atomic — recovery commits
-                        // all participants iff it finds the decide. In
-                        // memory we must pick one answer now, and without
-                        // a durable decide that answer is abort.
-                        Err(_) => return self.fail(resolver),
-                    }
-                    self.span(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
-                    if let Some(t) = &resolver.twopc {
-                        t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
-                        t.slab.add(TWOPC_CROSS, 1);
-                        t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
-                    }
-                    return Some(Ok(self.finalize(resolver, &ring)));
-                }
-                Stage::Finalized => panic!("staged commit polled after its verdict"),
             }
+            if self.parts.iter().any(|p| !p.durable) {
+                return None;
+            }
+            if let Some(t) = &resolver.twopc {
+                t.slab
+                    .hist(TWOPC_PREPARE_HIST)
+                    .record(self.prepare_start.elapsed().as_nanos() as u64);
+            }
+            if !inner.prepare_delay.is_zero() {
+                self.not_before = Some(Instant::now() + inner.prepare_delay);
+            }
+            self.stage = Stage::PreparesDurable;
+        }
+        assert!(matches!(self.stage, Stage::PreparesDurable), "polled after its verdict");
+        if self.not_before.is_some_and(|t| Instant::now() < t) {
+            return None;
+        }
+        // Committed: publish every participant in memory.
+        let mut coord_token = None;
+        for p in &mut self.parts {
+            let prepare = p.prepare.take().expect("no verdict yet");
+            let token = prepare.attach(&mut resolver.workers[p.shard]).finish_commit();
+            coord_token.get_or_insert(token);
+        }
+        self.span(&ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
+        if let Some(t) = &resolver.twopc {
+            t.slab.add(TWOPC_CROSS, 1);
+        }
+        self.stage = Stage::Finalized { verdict_owed: true };
+        Some(Ok(ShardedCommitToken {
+            shard: self.parts[0].shard as u32,
+            token: coord_token.expect("a staged commit has participants"),
+        }))
+    }
+
+    /// Append the commit verdict record this commit owes the logs since
+    /// [`StagedCommit::poll`] published it (invariant 2: not before). It
+    /// is forced nowhere and waited for by nobody.
+    pub fn write_verdict(&mut self, resolver: &mut ShardedWorker) {
+        if !matches!(self.stage, Stage::Finalized { verdict_owed: true }) {
+            return;
+        }
+        self.stage = Stage::Finalized { verdict_owed: false };
+        let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
+        if let (Some(tr), Some(ring)) = (&mut self.trace, &ring) {
+            tr.t0 = ring.now_ns();
+        }
+        let since = Instant::now();
+        self.append_verdict(true);
+        self.span(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
+        if let Some(t) = &resolver.twopc {
+            t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
+            t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
         }
     }
 
-    fn decide_record(&self) -> DecideRecord {
-        DecideRecord {
-            gtid_lsn: self.gtid_lsn,
-            coord_shard: self.parts[0].shard as u32,
-            commit: true,
+    /// Append the verdict record to every participant's log. A log that
+    /// accepts no more writes goes without: any other copy, or the count
+    /// of prepares, speaks for it at recovery.
+    fn append_verdict(&self, commit: bool) {
+        let coord_shard = self.parts[0].shard as u32;
+        let rec = DecideRecord { gtid_lsn: self.gtid_lsn, coord_shard, commit };
+        for p in &self.parts {
+            let _ = write_decide(&self.db.inner.dbs[p.shard], rec);
         }
     }
 
@@ -1721,66 +1763,57 @@ impl StagedCommit {
         }
     }
 
-    /// Finalize: publish every participant in memory, then drop
-    /// best-effort decide copies on the other writers' logs so their
-    /// standalone recovery resolves without consulting the coordinator.
-    fn finalize(
-        &mut self,
-        resolver: &mut ShardedWorker,
-        ring: &Option<Arc<SpanRing>>,
-    ) -> ShardedCommitToken {
-        let mut coord_token = None;
+    /// Give up (a no-op once finalized): the abort verdict goes behind
+    /// the prepares on every participant first, and only then is each
+    /// half rolled back on `resolver`. In that order, whatever commits on
+    /// a shard after seeing the rollback lies behind the verdict in that
+    /// shard's log, so it cannot be durable and the verdict not — and one
+    /// durable abort verdict aborts the transaction at recovery, however
+    /// many of its prepares made it to disk. Until one is durable the
+    /// outcome is open: a crash may still commit it.
+    pub fn abort(&mut self, resolver: &mut ShardedWorker) {
+        if matches!(self.stage, Stage::Finalized { .. }) {
+            return;
+        }
+        self.append_verdict(false);
+        if let Some(t) = &resolver.twopc {
+            t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 0);
+        }
         for p in &mut self.parts {
             let prepare = p.prepare.take().expect("no verdict yet");
-            let token = prepare.attach(&mut resolver.workers[p.shard]).finish_commit();
-            coord_token.get_or_insert(token);
+            prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);
         }
-        let rec = self.decide_record();
-        for p in &self.parts[1..] {
-            let _ = write_decide(&self.db.inner.dbs[p.shard], rec);
-        }
-        self.span(ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
-        self.stage = Stage::Finalized;
-        ShardedCommitToken {
-            shard: self.parts[0].shard as u32,
-            token: coord_token.expect("a staged commit has participants"),
-        }
+        self.stage = Stage::Finalized { verdict_owed: false };
     }
 
-    /// Give up: roll every participant back in memory, on `resolver`.
-    /// Before the decide is written that settles it (recovery presumes
-    /// abort); after, recovery still commits iff the record reached disk.
-    pub fn abort(&mut self, resolver: &mut ShardedWorker) {
-        for p in &mut self.parts {
-            if let Some(prepare) = p.prepare.take() {
-                prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);
-            }
-        }
-        self.stage = Stage::Finalized;
-    }
-
-    /// A log this commit waits on failed it.
-    fn fail(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<ShardedCommitToken>> {
-        self.abort(resolver);
-        Some(Err(AbortReason::LogFailure))
-    }
-
-    /// Drive to the verdict with blocking waits, each bounded by its
-    /// log's `wait_durable_timeout`.
+    /// Drive to the verdict, blocking on every participant's log at once
+    /// — one wake-up cell subscribed on all outstanding offsets, so each
+    /// flusher sees the demand now rather than at its next timer tick —
+    /// for at most the coordinator log's `wait_durable_timeout`.
     pub fn wait(mut self, resolver: &mut ShardedWorker) -> TxResult<ShardedCommitToken> {
+        let db = self.db.clone();
+        let log = |shard: usize| &db.inner.dbs[shard].inner.log;
+        let deadline = Instant::now() + log(self.parts[0].shard).config().wait_durable_timeout;
+        let waker = DurableWaker::default();
         loop {
             if let Some(verdict) = self.poll(resolver) {
+                self.write_verdict(resolver);
                 return verdict;
             }
+            let now = Instant::now();
             if let Some(t) = self.not_before() {
-                std::thread::sleep(t.saturating_duration_since(Instant::now()));
-            }
-            // Block on one outstanding offset; the next poll sorts out
-            // the rest.
-            if let Some(&(shard, end)) = self.waits().first() {
-                if self.db.inner.dbs[shard].inner.log.wait_durable(end).is_err() {
-                    self.abort(resolver);
-                    return Err(AbortReason::LogFailure);
+                std::thread::sleep(t.saturating_duration_since(now));
+            } else if now >= deadline {
+                self.abort(resolver);
+                return Err(AbortReason::LogFailure);
+            } else {
+                let waits = self.waits();
+                let subs: Vec<_> =
+                    waits.iter().map(|&(s, end)| log(s).subscribe_durable(end, &waker)).collect();
+                // No subscription: that offset landed (or its log failed)
+                // meanwhile — poll again instead of sleeping.
+                if subs.iter().all(Option::is_some) {
+                    waker.wait(Some(deadline - now));
                 }
             }
         }
@@ -1797,8 +1830,17 @@ impl StagedCommit {
 
 impl Drop for StagedCommit {
     fn drop(&mut self) {
-        // The in-doubt window closes on every exit path; participants
-        // still parked abort as they drop.
+        match self.stage {
+            // Pay the commit verdict nobody came back to write.
+            Stage::Finalized { verdict_owed: true } => self.append_verdict(true),
+            Stage::Finalized { verdict_owed: false } => {}
+            // Unresolved: the abort verdict first, as `abort` orders it;
+            // then the participants still parked abort as they drop.
+            _ if !self.parts.is_empty() => self.append_verdict(false),
+            // Never got past preparing: nothing to overrule.
+            _ => {}
+        }
+        // The in-doubt window closes on every exit path.
         self.db.inner.in_doubt.fetch_sub(1, Relaxed);
         // Tail-based capture for engine-sampled traces: the server owns
         // it for wire-traced requests (it knows the opcode and key).
@@ -2142,166 +2184,121 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Crash between prepare and decide: recovery must presume abort.
-    #[test]
-    fn in_doubt_without_decide_resolves_to_abort() {
-        let dir = tmpdir("2pc-presume-abort");
-        let (ka, kb) = cross_pair(2);
-        {
-            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-            let t = db.create_table("kv");
-            let sa = shard_of_key(&ka, 2);
-            let sb = 1 - sa;
-            let mut wa = db.shard(sa).register_worker();
-            let mut wb = db.shard(sb).register_worker();
-            let mut ta = wa.begin(IsolationLevel::Snapshot);
-            ta.insert(t, &ka, b"va").unwrap();
-            let mut tb = wb.begin(IsolationLevel::Snapshot);
-            tb.insert(t, &kb, b"vb").unwrap();
-            let pa = ta
-                .prepare(PrepareMarker {
-                    coord_shard: sa as u32,
-                    coord_lsn: PrepareMarker::COORD_SELF,
-                    trace_hi: 0,
-                    trace_lo: 0,
-                })
-                .unwrap();
-            let pb = tb
-                .prepare(PrepareMarker {
-                    coord_shard: sa as u32,
-                    coord_lsn: pa.cstamp().raw(),
-                    trace_hi: 0,
-                    trace_lo: 0,
-                })
-                .unwrap();
-            db.shard(sa).log().wait_durable(pa.end_offset()).unwrap();
-            db.shard(sb).log().wait_durable(pb.end_offset()).unwrap();
-            // Simulated crash: no decide record, drop without finalize.
-        }
-        let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-        let t = db.create_table("kv");
-        let stats = db.recover().unwrap();
-        assert_eq!(stats.resolved_aborts, 2, "both prepares presumed aborted");
-        assert_eq!(stats.resolved_commits, 0);
-        let mut w = db.register_worker();
-        let mut tx = w.begin(IsolationLevel::Snapshot);
-        assert!(tx.read(t, &ka, |_| ()).unwrap().is_none());
-        assert!(tx.read(t, &kb, |_| ()).unwrap().is_none());
-        tx.commit().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+    /// What reaches disk of one two-shard transaction before the crash,
+    /// and what recovery must make of it.
+    struct CrashCase {
+        name: &'static str,
+        /// The count both markers carry (0: a log older than the rule).
+        participants: u32,
+        /// Whether the non-coordinator's prepare was written at all.
+        second_prepare: bool,
+        /// Verdict records on disk: (on the coordinator's log?, commit?).
+        verdicts: &'static [(bool, bool)],
+        commit: bool,
+        /// `resolved_commits`, `resolved_aborts`, `resolved_implicit`.
+        resolved: (u64, u64, u64),
     }
 
-    /// Crash after the coordinator's decide is durable but before any
-    /// finalize: recovery must roll the whole transaction forward.
+    /// The recovery rule, case by case (invariant 3). Each case is
+    /// recovered twice: the first recovery writes its resolutions down,
+    /// so the second finds nothing in doubt and the same rows.
     #[test]
-    fn in_doubt_with_durable_decide_resolves_to_commit() {
-        let dir = tmpdir("2pc-resolve-commit");
+    fn recovery_resolves_in_doubt_prepares_by_verdict_then_by_count() {
+        let cases = [
+            CrashCase {
+                name: "all prepares, no verdict: committed",
+                participants: 2,
+                second_prepare: true,
+                verdicts: &[],
+                commit: true,
+                resolved: (2, 0, 2),
+            },
+            CrashCase {
+                name: "one prepare missing: aborted",
+                participants: 2,
+                second_prepare: false,
+                verdicts: &[],
+                commit: false,
+                resolved: (0, 1, 1),
+            },
+            CrashCase {
+                name: "abort verdict on one shard only: aborted everywhere",
+                participants: 2,
+                second_prepare: true,
+                verdicts: &[(true, false)],
+                commit: false,
+                resolved: (0, 1, 0),
+            },
+            CrashCase {
+                name: "commit verdict only on the non-coordinator: committed everywhere",
+                participants: 0,
+                second_prepare: true,
+                verdicts: &[(false, true)],
+                commit: true,
+                resolved: (1, 0, 0),
+            },
+            CrashCase {
+                name: "legacy marker, no verdict: aborted",
+                participants: 0,
+                second_prepare: true,
+                verdicts: &[],
+                commit: false,
+                resolved: (0, 2, 2),
+            },
+        ];
         let (ka, kb) = cross_pair(2);
-        {
-            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-            let t = db.create_table("kv");
-            let sa = shard_of_key(&ka, 2);
-            let sb = 1 - sa;
-            let mut wa = db.shard(sa).register_worker();
-            let mut wb = db.shard(sb).register_worker();
-            let mut ta = wa.begin(IsolationLevel::Snapshot);
-            ta.insert(t, &ka, b"va").unwrap();
-            let mut tb = wb.begin(IsolationLevel::Snapshot);
-            tb.insert(t, &kb, b"vb").unwrap();
-            let pa = ta
-                .prepare(PrepareMarker {
-                    coord_shard: sa as u32,
-                    coord_lsn: PrepareMarker::COORD_SELF,
-                    trace_hi: 0,
-                    trace_lo: 0,
-                })
-                .unwrap();
-            let gtid = pa.cstamp().raw();
-            let pb = tb
-                .prepare(PrepareMarker {
-                    coord_shard: sa as u32,
-                    coord_lsn: gtid,
-                    trace_hi: 0,
-                    trace_lo: 0,
-                })
-                .unwrap();
-            db.shard(sa).log().wait_durable(pa.end_offset()).unwrap();
-            db.shard(sb).log().wait_durable(pb.end_offset()).unwrap();
-            let rec = DecideRecord { gtid_lsn: gtid, coord_shard: sa as u32, commit: true };
-            let end = write_decide(db.shard(sa), rec).unwrap();
-            db.shard(sa).log().wait_durable(end).unwrap();
-            // Simulated crash before finalize: drop the prepared txns.
-        }
-        let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-        let t = db.create_table("kv");
-        let stats = db.recover().unwrap();
-        // The coordinator resolves its own prepare locally (decide in
-        // the same log); only the participant crosses shards.
-        assert_eq!(stats.resolved_commits, 1, "decide is the commit point");
-        assert_eq!(stats.resolved_aborts, 0);
-        let mut w = db.register_worker();
-        let mut tx = w.begin(IsolationLevel::Snapshot);
-        assert_eq!(tx.read(t, &ka, |v| v.to_vec()).unwrap().as_deref(), Some(&b"va"[..]));
-        assert_eq!(tx.read(t, &kb, |v| v.to_vec()).unwrap().as_deref(), Some(&b"vb"[..]));
-        tx.commit().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Repeated seeded cycles: a prepared pair either commits on both
-    /// shards or on neither, deterministically per decide presence.
-    #[test]
-    fn in_doubt_resolution_is_deterministic_across_cycles() {
-        for cycle in 0u32..6 {
-            let with_decide = cycle % 2 == 0;
-            let dir = tmpdir(&format!("2pc-cycle-{cycle}"));
-            let (ka, kb) = cross_pair(2);
+        let (sa, sb) = (shard_of_key(&ka, 2), shard_of_key(&kb, 2));
+        for (i, case) in cases.iter().enumerate() {
+            let dir = tmpdir(&format!("2pc-matrix-{i}"));
             {
                 let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
                 let t = db.create_table("kv");
-                let sa = shard_of_key(&ka, 2);
-                let sb = 1 - sa;
                 let mut wa = db.shard(sa).register_worker();
                 let mut wb = db.shard(sb).register_worker();
                 let mut ta = wa.begin(IsolationLevel::Snapshot);
                 ta.insert(t, &ka, b"va").unwrap();
                 let mut tb = wb.begin(IsolationLevel::Snapshot);
                 tb.insert(t, &kb, b"vb").unwrap();
-                let pa = ta
-                    .prepare(PrepareMarker {
-                        coord_shard: sa as u32,
-                        coord_lsn: PrepareMarker::COORD_SELF,
-                        trace_hi: 0,
-                        trace_lo: 0,
-                    })
-                    .unwrap();
-                let gtid = pa.cstamp().raw();
-                let pb = tb
-                    .prepare(PrepareMarker {
-                        coord_shard: sa as u32,
-                        coord_lsn: gtid,
-                        trace_hi: 0,
-                        trace_lo: 0,
-                    })
-                    .unwrap();
-                db.shard(sa).log().wait_durable(pa.end_offset()).unwrap();
-                db.shard(sb).log().wait_durable(pb.end_offset()).unwrap();
-                if with_decide {
-                    let rec =
-                        DecideRecord { gtid_lsn: gtid, coord_shard: sa as u32, commit: true };
-                    let end = write_decide(db.shard(sa), rec).unwrap();
-                    db.shard(sa).log().wait_durable(end).unwrap();
+                let marker = |coord_lsn| PrepareMarker {
+                    coord_shard: sa as u32,
+                    participants: case.participants,
+                    coord_lsn,
+                    trace_hi: 0,
+                    trace_lo: 0,
+                };
+                let pa = ta.prepare(marker(PrepareMarker::COORD_SELF)).unwrap();
+                let gtid_lsn = pa.cstamp().raw();
+                let _pb = if case.second_prepare {
+                    Some(tb.prepare(marker(gtid_lsn)).unwrap())
+                } else {
+                    tb.abort();
+                    None
+                };
+                for &(on_coord, commit) in case.verdicts {
+                    let rec = DecideRecord { gtid_lsn, coord_shard: sa as u32, commit };
+                    write_decide(db.shard(if on_coord { sa } else { sb }), rec).unwrap();
                 }
+                for shard in 0..2 {
+                    db.shard(shard).log().sync().unwrap();
+                }
+                // Simulated crash: the prepared halves drop unresolved.
             }
-            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-            let t = db.create_table("kv");
-            db.recover().unwrap();
-            let mut w = db.register_worker();
-            let mut tx = w.begin(IsolationLevel::Snapshot);
-            let a = tx.read(t, &ka, |_| ()).unwrap().is_some();
-            let b = tx.read(t, &kb, |_| ()).unwrap().is_some();
-            tx.commit().unwrap();
-            assert_eq!(a, b, "cycle {cycle}: fractured resolution");
-            assert_eq!(a, with_decide, "cycle {cycle}: wrong verdict");
+            for round in 0..2 {
+                let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+                let t = db.create_table("kv");
+                let stats = db.recover().unwrap();
+                let got = (stats.resolved_commits, stats.resolved_aborts, stats.resolved_implicit);
+                let want = if round == 0 { case.resolved } else { (0, 0, 0) };
+                assert_eq!(got, want, "{}, recovery {round}", case.name);
+                assert_eq!(db.inner.in_doubt.load(Relaxed), 0, "{}", case.name);
+                let mut w = db.register_worker();
+                let mut tx = w.begin(IsolationLevel::Snapshot);
+                for key in [&ka, &kb] {
+                    let present = tx.read(t, key, |_| ()).unwrap().is_some();
+                    assert_eq!(present, case.commit, "{}, recovery {round}", case.name);
+                }
+                tx.commit().unwrap();
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -1012,10 +1012,9 @@ impl<'w> Transaction<'w> {
     /// wait for it — no conflicting transaction can commit around a
     /// prepared one.
     ///
-    /// The caller must wait for the returned block to become durable
-    /// before the coordinator decides, then call
-    /// [`PreparedTransaction::finish_commit`] or
-    /// [`PreparedTransaction::abort`] — directly, or after a
+    /// The caller must see the returned block, and every sibling's,
+    /// durable before it calls [`PreparedTransaction::finish_commit`]
+    /// (or else [`PreparedTransaction::abort`]) — directly, or after a
     /// [`PreparedTransaction::park`] that frees this worker meanwhile.
     pub(crate) fn prepare(
         mut self,
@@ -1252,9 +1251,11 @@ fn verdict_backoff(spins: &mut u32) {
 }
 
 /// A transaction that passed [`Transaction::prepare`]: CC-validated, its
-/// prepare block filled in the log, awaiting the coordinator's verdict.
-/// Dropping it without a verdict aborts in memory — matching recovery's
-/// presumed-abort reading of a prepare without a decide record.
+/// prepare block filled in the log, awaiting the verdict. Dropping it
+/// without one aborts in memory only: recovery still commits the
+/// transaction if every participant's prepare is on disk and no abort
+/// verdict is, so whoever drops it after all have prepared owes the logs
+/// that verdict first (`StagedCommit` does).
 pub struct PreparedTransaction<'w> {
     txn: Transaction<'w>,
     cstamp: Lsn,
@@ -1267,23 +1268,17 @@ impl<'w> PreparedTransaction<'w> {
         self.cstamp
     }
 
-    /// Exclusive end offset of the prepare block.
-    #[cfg(test)]
-    pub fn end_offset(&self) -> u64 {
-        self.end_offset
-    }
-
     /// 2PC phase two, commit verdict: make the updates visible atomically
-    /// and run post-commit stamping. The caller must already have made
-    /// the decide record durable.
+    /// and run post-commit stamping. The caller must already have seen
+    /// every participant's prepare block durable.
     pub fn finish_commit(mut self) -> CommitToken {
         self.txn.publish(self.cstamp);
         CommitToken { lsn: self.cstamp, end_offset: Some(self.end_offset) }
     }
 
     /// 2PC phase two, abort verdict: roll back the in-memory effects.
-    /// The prepare block stays in the log; recovery's in-doubt resolution
-    /// presumes abort when no commit decide record exists.
+    /// The prepare block stays in the log: recovery aborts it by an abort
+    /// verdict record, or for want of a sibling's prepare.
     pub fn abort(mut self, reason: AbortReason) {
         self.txn.doomed = Some(reason);
         self.txn.do_abort();
@@ -1366,8 +1361,8 @@ pub struct ParkedPrepare {
 unsafe impl Send for ParkedPrepare {}
 
 impl ParkedPrepare {
-    /// Exclusive end offset of the prepare block; the coordinator must
-    /// see this durable before writing its decision.
+    /// Exclusive end offset of the prepare block; it must be durable, and
+    /// every sibling's, before anything is published.
     pub fn end_offset(&self) -> u64 {
         self.end_offset
     }
@@ -1426,8 +1421,8 @@ impl ParkedPrepare {
 impl Drop for ParkedPrepare {
     fn drop(&mut self) {
         if !self.attached {
-            // Nobody delivered a verdict: presumed abort, on a worker
-            // registered for just this.
+            // Nobody delivered a verdict: abort, on a worker registered
+            // for just this.
             let mut worker = self.db.register_worker();
             self.attach_to(&mut worker).abort(AbortReason::UserRequested);
         }

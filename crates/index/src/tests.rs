@@ -263,6 +263,47 @@ fn concurrent_disjoint_inserts() {
     assert_eq!(count, THREADS * PER);
 }
 
+/// A descent that loaded the root pointer, then waited out a root
+/// split's lock, must notice that the node it holds is no longer the
+/// root: otherwise it inserts a key at or above the new separator into
+/// the left half, where no lookup of that key ever goes. Each round
+/// starts two inserts on a tree whose root is one insert short of
+/// splitting; without the re-check in `BTree::stable_root` some round
+/// loses a key (three to a hundred rounds on the 2-vCPU host, debug or
+/// release).
+#[test]
+fn concurrent_inserts_racing_a_root_split_stay_findable() {
+    const ROUNDS: u64 = 3_000;
+    let mgr = EpochManager::new("root-split");
+    for round in 0..ROUNDS {
+        let t = BTree::new();
+        let h = mgr.register();
+        {
+            let g = h.pin();
+            for i in 0..crate::node::MAX_KEYS as u64 {
+                assert_eq!(t.insert(&g, &key(10 * i), i), InsertOutcome::Inserted);
+            }
+        }
+        // Two keys that belong in the right half once the root splits.
+        let late = [10 * crate::node::MAX_KEYS as u64, 10 * crate::node::MAX_KEYS as u64 + 1];
+        let start = std::sync::Barrier::new(late.len());
+        std::thread::scope(|s| {
+            for &k in &late {
+                let (t, mgr, start) = (&t, &mgr, &start);
+                s.spawn(move || {
+                    let h = mgr.register();
+                    start.wait();
+                    assert_eq!(t.insert(&h.pin(), &key(k), k), InsertOutcome::Inserted);
+                });
+            }
+        });
+        let g = h.pin();
+        for &k in &late {
+            assert_eq!(t.get(&g, &key(k)).0, Some(k), "round {round}: no lookup reaches key {k}");
+        }
+    }
+}
+
 #[test]
 fn concurrent_readers_during_writes() {
     const N: u64 = 8_000;

@@ -107,8 +107,7 @@ impl BTree {
         'restart: loop {
             let mut parent: *mut InnerNode = std::ptr::null_mut();
             let mut pv = 0u64;
-            let mut node = self.root.load(Ordering::Acquire);
-            let mut v = unsafe { (*node).read_lock() };
+            let (mut node, mut v) = self.stable_root();
             loop {
                 let hdr = unsafe { &*node };
                 if !hdr.is_leaf {
@@ -321,11 +320,30 @@ impl BTree {
         snap.version = hdr.read_lock();
     }
 
+    /// The root and a stable version of it: where every descent starts.
+    ///
+    /// A root split publishes the new root *before* it unlocks the old
+    /// one. A descent that loaded the old pointer and then waited out the
+    /// lock would hold a valid version of what is now only the left half
+    /// of the tree, and route every key at or above the new separator
+    /// into the wrong subtree — an insert lands in a leaf no lookup of
+    /// that key will visit. So the pointer is read again once the version
+    /// is in hand; a split after that has to lock this node, which the
+    /// descent's own version checks catch.
+    fn stable_root(&self) -> (*mut NodeHdr, u64) {
+        loop {
+            let node = self.root.load(Ordering::Acquire);
+            let v = unsafe { (*node).read_lock() };
+            if self.root.load(Ordering::Acquire) == node {
+                return (node, v);
+            }
+        }
+    }
+
     /// Optimistic descent to the leaf that would contain `key`.
     /// Returns `None` to signal a restart.
     fn find_leaf(&self, key: &[u8]) -> Option<(*mut LeafNode, u64)> {
-        let mut node = self.root.load(Ordering::Acquire);
-        let mut v = unsafe { (*node).read_lock() };
+        let (mut node, mut v) = self.stable_root();
         loop {
             let hdr = unsafe { &*node };
             if hdr.is_leaf {

@@ -36,13 +36,15 @@ pub enum BlockKind {
     CheckpointEnd = 4,
     /// A cross-shard transaction's updates, written at 2PC *prepare*.
     /// The payload starts with a [`PrepareMarker`] naming the
-    /// coordinator, then carries ordinary records. The updates are not
-    /// committed until a matching [`BlockKind::TxnDecide`] (on the
-    /// coordinator's log) says so.
+    /// coordinator and the number of participants, then carries ordinary
+    /// records. The transaction is committed once *every* participant's
+    /// prepare block is durable, unless a [`BlockKind::TxnDecide`] in any
+    /// participant's log says abort.
     TxnPrepare = 5,
-    /// A 2PC decision record (payload: [`DecideRecord`]). Written on the
-    /// coordinator's log once every participant's prepare is durable;
-    /// mirrored best-effort on participant logs to shortcut recovery.
+    /// A 2PC verdict record (payload: [`DecideRecord`]). Appended,
+    /// unforced, to every participant's log after the outcome is settled
+    /// in memory: a commit verdict spares recovery the counting of
+    /// prepares, an abort verdict overrides it.
     TxnDecide = 6,
 }
 
@@ -65,20 +67,28 @@ pub const PREPARE_MARKER_LEN: usize = 32;
 pub const DECIDE_RECORD_LEN: usize = 16;
 
 /// First 32 bytes of a [`BlockKind::TxnPrepare`] payload: which shard
-/// coordinates this global transaction, where the coordinator's own
-/// prepare block lives, and the distributed-tracing id of the client
-/// operation that wrote it (zero when untraced). The global
+/// coordinates this global transaction, how many shards prepared for it,
+/// where the coordinator's own prepare block lives, and the
+/// distributed-tracing id of the client operation that wrote it (zero
+/// when untraced). The global
 /// transaction id is `(coord_shard, coord_lsn)`; the *coordinator's
 /// own* prepare block stores [`PrepareMarker::COORD_SELF`] (its gtid
 /// LSN is its own `cstamp`, which is not known until the log
 /// reservation is made, and raw 0 is a real LSN — the first block of a
 /// fresh log).
 ///
-/// Layout (little-endian): `coord_shard u32, pad u32, coord_lsn u64,
-/// trace_hi u64, trace_lo u64`.
+/// Layout (little-endian): `coord_shard u32, participants u32,
+/// coord_lsn u64, trace_hi u64, trace_lo u64`. The `participants` word
+/// was zero padding before the all-prepared commit rule existed, so a
+/// marker that reads 0 comes from an older log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrepareMarker {
     pub coord_shard: u32,
+    /// Number of shards that write a prepare block for this transaction.
+    /// Recovery commits an undecided transaction iff it finds this many
+    /// prepares; 0 (an older log) means only an explicit commit verdict
+    /// commits.
+    pub participants: u32,
     /// Raw LSN of the coordinator's prepare block;
     /// [`PrepareMarker::COORD_SELF`] on the coordinator's own prepare.
     pub coord_lsn: u64,
@@ -99,7 +109,7 @@ impl PrepareMarker {
     pub fn encode_into(&self, out: &mut [u8]) {
         assert!(out.len() >= PREPARE_MARKER_LEN);
         out[0..4].copy_from_slice(&self.coord_shard.to_le_bytes());
-        out[4..8].copy_from_slice(&0u32.to_le_bytes());
+        out[4..8].copy_from_slice(&self.participants.to_le_bytes());
         out[8..16].copy_from_slice(&self.coord_lsn.to_le_bytes());
         out[16..24].copy_from_slice(&self.trace_hi.to_le_bytes());
         out[24..32].copy_from_slice(&self.trace_lo.to_le_bytes());
@@ -111,6 +121,7 @@ impl PrepareMarker {
         }
         Some(PrepareMarker {
             coord_shard: u32::from_le_bytes(buf[0..4].try_into().unwrap()),
+            participants: u32::from_le_bytes(buf[4..8].try_into().unwrap()),
             coord_lsn: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
             trace_hi: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
             trace_lo: u64::from_le_bytes(buf[24..32].try_into().unwrap()),

@@ -271,8 +271,13 @@ mod tests {
         let mut b = TxLogBuffer::new();
         b.add_insert(TableId(4), Oid(40), b"gamma", b"CCCC");
         let cstamp = Lsn::from_parts(0x77, 1);
-        let marker =
-            PrepareMarker { coord_shard: 3, coord_lsn: 0xDEAD_BEEF, trace_hi: 0, trace_lo: 0 };
+        let marker = PrepareMarker {
+            coord_shard: 3,
+            participants: 2,
+            coord_lsn: 0xDEAD_BEEF,
+            trace_hi: 0,
+            trace_lo: 0,
+        };
         let bytes = b.serialize_prepare(cstamp, marker).to_vec();
         assert_eq!(bytes.len(), b.prepare_block_len());
         assert!(b.prepare_block_len() >= b.block_len());

@@ -596,16 +596,15 @@ impl Replica {
         }
     }
 
-    /// Apply decide records shipped on one shard to prepared-but-
+    /// Apply verdict records shipped on one shard to prepared-but-
     /// undecided cross-shard transactions pending on another. A replica
-    /// only makes a 2PC write visible once the coordinator's decision
-    /// has shipped — mirroring crash recovery's in-doubt resolution.
+    /// only makes a 2PC write visible once a verdict record for it has
+    /// shipped on some shard (every participant's log gets one).
     fn resolve_cross_shard(&mut self) -> ReplResult<u64> {
         let mut todo: Vec<(usize, (u32, u64), bool)> = Vec::new();
         for (i, sh) in self.shards.iter().enumerate() {
             for key in sh.applier.pending_keys() {
-                if let Some(&commit) =
-                    self.shards.iter().find_map(|s| s.applier.decides().get(&key))
+                if let Some(commit) = self.shards.iter().find_map(|s| s.applier.decides().get(key))
                 {
                     todo.push((i, key, commit));
                 }

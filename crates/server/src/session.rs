@@ -33,7 +33,7 @@
 //! `commit_deferred` yields a [`DeferredCommit`]: for a transaction
 //! that wrote on one engine shard, a token naming the log offset that
 //! makes it durable; for one that wrote on several, a [`StagedCommit`] —
-//! prepared on each, committed only once its decide record is durable.
+//! prepared on each, committed once every prepare block is durable.
 //! Either way the connection queues an in-order placeholder reply and
 //! the job goes to the shard's durability parker: a sync token after two
 //! zero-patience probes (inline, then at the end of the loop turn) have
@@ -45,20 +45,20 @@
 //! Each job subscribes the parker's wake-up cell on every log offset it
 //! currently waits on (all participants of a cross-shard commit at once,
 //! so every flusher sees the demand immediately); each wake polls every
-//! job, advancing staged commits through prepares-durable →
-//! decide-written → finalized and writing all decides that are ready
-//! before asking any flusher for them, so they share a flush. Verdicts
-//! are delivered on a worker the parker registers for itself: a parked
-//! commit holds no pooled worker and no epoch pin. Finished frames go
-//! back through the shard's completion mailbox + wake fd. Deadlines are
-//! absolute (enqueue time + `sync_wait`, so concurrent stalls share one
-//! window): a stalled log parks sessions, not threads, and the client
-//! gets the typed [`ErrorCode::LogStalled`] when the window lapses — for
-//! a staged commit whose decide is not yet written that also aborts both
-//! halves; once it is written the answer is an in-memory abort with a
-//! log-failure reason, and recovery goes by the record. A connection
-//! that closes leaves its parked jobs running to their verdicts; their
-//! completions are dropped.
+//! job. A cross-shard commit whose prepares have all landed is published
+//! and answered in that pass — one durability round — and the verdict
+//! records it owes its participants' logs are appended, unforced, once
+//! its reply is in the completion mailbox. Verdicts are delivered on a
+//! worker the parker registers for itself: a parked commit holds no
+//! pooled worker and no epoch pin. Finished frames go back through the
+//! shard's completion mailbox + wake fd. Deadlines are absolute (enqueue
+//! time + `sync_wait`, so concurrent stalls share one window): a stalled
+//! log parks sessions, not threads, and the client gets the typed
+//! [`ErrorCode::LogStalled`] when the window lapses — a staged commit
+//! first appends an abort verdict behind its prepares and rolls both
+//! halves back ("indeterminate": a crash before that verdict is durable
+//! may still commit it). A connection that closes leaves its parked jobs
+//! running to their verdicts; their completions are dropped.
 //!
 //! # Shutdown
 //!
@@ -114,7 +114,7 @@ pub(crate) enum ParkWork {
     /// A commit already visible in memory: one log offset.
     Token(ShardedCommitToken),
     /// A cross-shard commit between prepare and verdict: a log offset
-    /// per participant, then the decide record's.
+    /// per participant.
     Staged(Box<StagedCommit>),
 }
 
@@ -1022,8 +1022,8 @@ fn settle_commit(
                 finish_trace(state, &handle.trace_ring, &tr);
             }
         }
-        // A cross-shard commit is not even committed before its decide
-        // record is durable, sync or not. It goes straight to the parker,
+        // A cross-shard commit is not even committed before its prepares
+        // are durable, sync or not. It goes straight to the parker,
         // past the end-of-turn tier: this thread may yet wait on one of
         // its prepared heads (a later frame touching the same key), so
         // the job must already be with a thread that can resolve it.
@@ -1547,19 +1547,13 @@ impl Parked {
                 Some(Ok(token)) => Some(Response::Committed { lsn: token.lsn().raw() }),
                 Some(Err(reason)) => Some(aborted(reason)),
                 None if lapsed => {
-                    // Before the decide is written, giving up settles it:
-                    // the prepared halves abort, recovery presumes the
-                    // same. After, memory and log may part ways until
-                    // restart, as with any failed decide wait.
-                    let written = staged.decide_written();
+                    // Giving up writes the abort verdict behind the
+                    // prepares before it rolls the halves back; until
+                    // that is durable a crash can still commit them.
                     staged.abort(resolver);
-                    if written {
-                        Some(aborted(ermia_common::AbortReason::LogFailure))
-                    } else {
-                        let waited = state.cfg.sync_wait.as_millis() as u64;
-                        record_log_incident(state, EventKind::LogStall, waited);
-                        Some(log_stalled())
-                    }
+                    let waited = state.cfg.sync_wait.as_millis() as u64;
+                    record_log_incident(state, EventKind::LogStall, waited);
+                    Some(log_stalled())
                 }
                 None => None,
             },
@@ -1574,12 +1568,11 @@ impl Parked {
 /// Stage-aware, not FIFO: every job subscribes its wake-up cell on
 /// *every* log it waits on at once — so a cross-shard commit's
 /// participants all see the flush demand immediately — and each wake
-/// (a flusher's, the event loop's, a deadline's) polls all jobs. Jobs
-/// are polled before any is (re)subscribed, so the decide records a
-/// pass writes are all in the coordinator's buffer before the first
-/// subscription asks its flusher for them: they share that flush.
-/// Verdicts of cross-shard commits are delivered on a worker the parker
-/// registers for itself, never a pooled one.
+/// (a flusher's, the event loop's, a deadline's) polls all jobs. The
+/// verdict records of the cross-shard commits a pass answered are
+/// appended after its completions are in the mailbox and ride the next
+/// flush; no reply waits for them. Verdicts are delivered on a worker the
+/// parker registers for itself, never a pooled one.
 ///
 /// Exits when the shard closes the intake at cutoff and every job has
 /// resolved — each within `sync_wait` of being parked.
@@ -1598,6 +1591,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             intake.open
         };
         let mut done = Vec::new();
+        let mut answered: Vec<Box<StagedCommit>> = Vec::new();
         let mut i = 0;
         while i < parked.len() {
             let Some(outcome) = parked[i].poll(&state, &mut resolver) else {
@@ -1622,11 +1616,19 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             );
             let bytes = frame_bytes(&job.reply.with(outcome));
             done.push(Completion { conn: job.conn, seq: job.seq, bytes });
+            if let ParkWork::Staged(staged) = job.work {
+                answered.push(staged);
+            }
         }
         // One flush batch typically resolves a whole run of parked
-        // commits at once: a single wake for the lot.
+        // commits at once: a single wake for the lot. Verdict records go
+        // out once the replies are queued; before the wake, so a client
+        // that asks for its trace next finds the `2pc-decide` span.
         if !done.is_empty() {
             handle.completions.lock().extend(done);
+            for mut staged in answered {
+                staged.write_verdict(&mut resolver);
+            }
             handle.wake.wake();
         }
         if !open && parked.is_empty() {

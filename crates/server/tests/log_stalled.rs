@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig, ShardedDb};
 use ermia_log::{
-    FaultInjector, FaultPlan, FileBackend, LogConfig, SegmentIo, SegmentIoFactory,
+    BlockKind, DecideRecord, FaultInjector, FaultPlan, FileBackend, LogConfig, LogScanner,
+    SegmentIo, SegmentIoFactory,
 };
 use ermia_server::{
     BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
@@ -252,10 +253,9 @@ impl SegmentIoFactory for Gate {
     }
 }
 
-/// A two-shard engine whose shard `i` logs through `gates[i]`, a table,
-/// and a pair of keys living on shard 0 and shard 1.
-fn gated_pair(tag: &str) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
-    let dir = tmpdir(tag);
+/// A two-shard engine under `dir` whose shard `i` logs through
+/// `gates[i]`, with a table.
+fn gated_pair(dir: &std::path::Path) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
     let gates = [Gate::new(), Gate::new()];
     let shards = gates
         .iter()
@@ -336,7 +336,7 @@ fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
 /// when the logs move again they all commit, in order.
 #[test]
 fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
-    let (db, gates, _open) = gated_pair("parked");
+    let (db, gates, _open) = gated_pair(&tmpdir("parked"));
     let cfg = ServerConfig {
         shards: 1,
         worker_capacity: 2,
@@ -393,12 +393,15 @@ fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
     srv.shutdown();
 }
 
-/// Patience running out *before* the decide record is written settles
-/// the commit: both prepared halves abort, the client gets the typed
-/// `LogStalled`, and nothing stays behind.
+/// Patience running out on a prepare that cannot turn durable: the client
+/// gets the typed `LogStalled`, both halves are rolled back, nothing stays
+/// behind — and the abort verdict is in both logs behind the prepares, so
+/// when the stalled prepare reaches disk after all, a restart finds it
+/// aborted instead of counting two prepares and committing.
 #[test]
 fn stalled_prepare_aborts_both_halves_with_logstalled() {
-    let (db, gates, _open) = gated_pair("stalled-prepare");
+    let dir = tmpdir("stalled-prepare");
+    let (db, gates, open) = gated_pair(&dir);
     let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
@@ -409,8 +412,7 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
         other => panic!("healthy baseline must commit: {other:?}"),
     }
 
-    // Only the participant's log stalls: the coordinator's prepare turns
-    // durable, the decide still may not be written.
+    // Only shard 1's log stalls: shard 0's prepare turns durable.
     gates[1].allow(0);
     let started = Instant::now();
     match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"new")).unwrap()) {
@@ -427,47 +429,39 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
     assert!(c.dump_events(0).unwrap().contains("log-stall"));
     assert_nothing_leaked(&srv, &db);
 
+    // The log moves again: the stalled prepare and the abort verdict
+    // behind it reach disk. Clean restart.
     gates[1].allow(OPEN);
+    drop(c);
+    srv.shutdown();
+    drop(srv);
+    drop(db);
+    drop(open);
+    let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+    db.create_table("kv");
+    let stats = db.recover().unwrap();
+    // Each log holds the prepare and, behind it, its own abort verdict.
+    assert_eq!((stats.resolved_commits, stats.resolved_aborts), (0, 0), "{stats:?}");
+    for shard in 0..2 {
+        let mut scanner = LogScanner::new(db.shard(shard).log().segments(), 0);
+        let mut tail = Vec::new();
+        while let Some(block) = scanner.next_block().unwrap() {
+            tail.push(block);
+        }
+        let [.., prepare, verdict] = &tail[..] else { panic!("shard {shard}: log too short") };
+        assert_eq!(prepare.header.kind, BlockKind::TxnPrepare, "shard {shard}");
+        assert_eq!(verdict.header.kind, BlockKind::TxnDecide, "shard {shard}");
+        assert!(!DecideRecord::decode(&verdict.payload).unwrap().commit, "shard {shard}");
+    }
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
+    assert_eq!(c.get(t, &on1[0]).unwrap().as_deref(), Some(&b"old"[..]));
     match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"newer")).unwrap()) {
         Response::Committed { .. } => {}
         other => panic!("the pair must be writable again: {other:?}"),
     }
-    srv.shutdown();
-}
-
-/// Patience running out *after* the decide record is written cannot
-/// settle the commit — the record may yet reach disk. The answer is the
-/// one a failed decide wait always had: abort in memory, report a log
-/// failure, let recovery go by the record.
-#[test]
-fn stalled_decide_aborts_in_memory_with_log_failure() {
-    let (db, gates, _open) = gated_pair("stalled-decide");
-    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
-    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
-    let mut c = Client::connect(srv.local_addr()).unwrap();
-    let t = c.open_table("kv").unwrap();
-    let [on0, on1] = keys_on_both_shards("decide", 1);
-    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"old")).unwrap()) {
-        Response::Committed { .. } => {}
-        other => panic!("healthy baseline must commit: {other:?}"),
-    }
-    for i in 0..2 {
-        db.shard(i).log().sync().unwrap();
-    }
-
-    // The coordinator (shard 0) gets one more flush — its prepare — and
-    // then stalls under the decide record.
-    gates[0].allow(1);
-    match batch_outcome(c.call(&cross_batch(t, &on0[0], &on1[0], b"new")).unwrap()) {
-        Response::Error { code: ErrorCode::TxnAborted(reason), .. } => {
-            assert_eq!(reason.label(), "log-failure");
-        }
-        other => panic!("expected a log-failure abort, got {other:?}"),
-    }
-    assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
-    assert_eq!(c.get(t, &on1[0]).unwrap().as_deref(), Some(&b"old"[..]));
-    assert_nothing_leaked(&srv, &db);
-    gates[0].allow(OPEN);
     srv.shutdown();
 }
 
@@ -476,7 +470,7 @@ fn stalled_decide_aborts_in_memory_with_log_failure() {
 /// within its bound with nothing left behind.
 #[test]
 fn shutdown_resolves_parked_cross_shard_commits() {
-    let (db, gates, _open) = gated_pair("shutdown");
+    let (db, gates, _open) = gated_pair(&tmpdir("shutdown"));
     let cfg = ServerConfig {
         sync_wait: Duration::from_millis(300),
         shutdown_poll: Duration::from_millis(5),

@@ -54,11 +54,12 @@ pub enum EventKind {
     /// A cross-shard transaction's participant filled its prepare block
     /// (`a` = participant shard, `b` = prepare cstamp).
     TwoPcPrepare,
-    /// The coordinator's decision record was written (`a` = gtid lsn,
-    /// `b` = 1 commit / 0 abort).
+    /// A cross-shard transaction's verdict records were appended to its
+    /// participants' logs (`a` = gtid lsn, `b` = 1 commit / 0 abort).
     TwoPcDecide,
     /// Recovery resolved an in-doubt prepared transaction (`a` = gtid
-    /// lsn, `b` = 1 committed / 0 presumed abort).
+    /// lsn; `b` bit 0 = committed, bit 1 = no verdict record was found
+    /// and the count of prepares decided).
     TwoPcResolve,
     /// The backup shipper served a log chunk to a subscriber (`a` =
     /// chunk start offset, `b` = bytes shipped).
@@ -337,7 +338,9 @@ fn describe(e: &Event) -> String {
             format!("gtid={:#x} {}", e.a, if e.b == 1 { "commit" } else { "abort" })
         }
         EventKind::TwoPcResolve => {
-            format!("gtid={:#x} {}", e.a, if e.b == 1 { "committed" } else { "presumed-abort" })
+            let verdict = if e.b & 1 == 1 { "committed" } else { "aborted" };
+            let by = if e.b & 2 == 0 { "verdict record" } else { "prepare count" };
+            format!("gtid={:#x} {verdict} by {by}", e.a)
         }
         EventKind::ReplSegmentShipped => format!("offset={:#x} bytes={}", e.a, e.b),
         EventKind::ReplApplied => format!("applied={:#x} blocks={}", e.a, e.b),

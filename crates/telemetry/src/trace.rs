@@ -105,9 +105,11 @@ pub enum SpanKind {
     /// One participant's 2PC prepare incl. its durability wait
     /// (`a` = participant shard, `b` = prepare cstamp).
     TwoPcPrepare,
-    /// The coordinator's decide write + durability (`a` = gtid lsn).
+    /// The unforced verdict-record append on every participant's log,
+    /// after the commit was published and answered (`a` = gtid lsn).
     TwoPcDecide,
-    /// Post-decide publish on every participant (`a` = shard count).
+    /// In-memory publish on every participant, once all prepares are
+    /// durable (`a` = shard count).
     TwoPcFinalize,
     /// Replica-side shipping round (`a` = bytes, `b` = shard).
     ReplShip,
