@@ -34,7 +34,7 @@ use ermia_workloads::driver::{run, run_loaded, BenchResult, LatencyHistogram, Ru
 use ermia_workloads::engine::Engine;
 use ermia_workloads::micro::{MicroConfig, MicroWorkload, PartMicroConfig, PartMicroWorkload};
 use ermia_workloads::tpcc::TpccWorkload;
-use ermia_workloads::{ErmiaEngine, ShardedErmiaEngine};
+use ermia_workloads::ErmiaEngine;
 
 /// One measured point of a (workload, engine) series.
 struct Point {
@@ -122,10 +122,10 @@ fn series<E, W>(
     json.push_str(if last { "\n" } else { ",\n" });
 }
 
-/// A fresh ERMIA engine with synchronous commit against a durable,
-/// fsynced log in a unique temp directory (removed by
-/// [`cleanup_scaling_dirs`] at exit).
-fn fresh_durable(serializable: bool) -> ErmiaEngine {
+/// A fresh `shards`-shard ERMIA engine with synchronous commit, each
+/// shard against its own durable, fsynced log under a unique temp
+/// directory (removed by [`cleanup_scaling_dirs`] at exit).
+fn fresh_durable(shards: usize, serializable: bool) -> ErmiaEngine {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -144,36 +144,12 @@ fn fresh_durable(serializable: bool) -> ErmiaEngine {
         synchronous_commit: true,
         ..DbConfig::default()
     };
-    let db = Database::open(cfg).expect("open durable ermia");
+    let db = ShardedDb::open(cfg, shards).expect("open durable ermia");
     if serializable {
         ErmiaEngine::ssn(db)
     } else {
         ErmiaEngine::si(db)
     }
-}
-
-/// A fresh S-shard engine, each shard with its own durable fsynced log
-/// under a unique temp directory, synchronous commit.
-fn fresh_durable_sharded(shards: usize) -> ShardedErmiaEngine {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-scaling-{}-s{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = DbConfig {
-        log: LogConfig {
-            dir: Some(dir),
-            segment_size: 64 << 20,
-            fsync: true,
-            ..LogConfig::default()
-        },
-        synchronous_commit: true,
-        ..DbConfig::default()
-    };
-    ShardedErmiaEngine::si(ShardedDb::open(cfg, shards).expect("open sharded ermia"))
 }
 
 /// The sharded-engine sweep: S ∈ {1, 2, 4} shard domains × cross-shard
@@ -224,7 +200,7 @@ fn sharded_sweep(quick: bool, secs: f64, json: &mut String) {
         let label = format!("S={s}");
         let _ = writeln!(json, "        {{\"engine\": \"ERMIA-shard {label}\", \"points\": [");
         for (ci, &cross) in CROSS.iter().enumerate() {
-            let engine = fresh_durable_sharded(s);
+            let engine = fresh_durable(s, false);
             let workload = PartMicroWorkload::new(PartMicroConfig {
                 partitions: threads as u32,
                 shards: s,
@@ -256,7 +232,7 @@ fn sharded_sweep(quick: bool, secs: f64, json: &mut String) {
         let label = format!("S={s}");
         let _ = writeln!(json, "        {{\"engine\": \"ERMIA-shard {label}\", \"points\": [");
         for (ci, &cross) in CROSS.iter().enumerate() {
-            let engine = fresh_durable_sharded(s);
+            let engine = fresh_durable(s, false);
             let mut cfg = ermia_workloads::tpcc::TpccConfig::small(threads as u32);
             cfg.remote_neworder_pct = cross;
             cfg.remote_payment_pct = cross;
@@ -288,7 +264,7 @@ fn sharded_sweep(quick: bool, secs: f64, json: &mut String) {
     let mut ratio = if t1 > 0.0 { t4 / t1 } else { 0.0 };
     if ratio < required {
         let rerun = |s: usize| {
-            let engine = fresh_durable_sharded(s);
+            let engine = fresh_durable(s, false);
             let workload = PartMicroWorkload::new(PartMicroConfig {
                 partitions: threads as u32,
                 shards: s,
@@ -534,26 +510,6 @@ fn ab_gate(
     );
 }
 
-/// A/B the shard routing layer: the same microbenchmark on a plain
-/// `Database` vs a one-shard `ShardedDb`. Every operation takes the
-/// single-shard fast path, so the measured delta is pure routing cost
-/// (hash + policy lookup + slot indirection) — gated at ≤2% like the
-/// telemetry layer, with the same CPU-tick methodology.
-fn sharded_routing_overhead(secs: f64, rows: u64, json: &mut String) {
-    let micro = MicroConfig { rows, reads: 100, write_ratio: 0.01 };
-    let one = |sharded: bool| -> f64 {
-        let workload = MicroWorkload::new(micro.clone());
-        if sharded {
-            let db = ShardedDb::open(DbConfig::default(), 1).expect("open sharded ermia");
-            run_cpu_tps(&ShardedErmiaEngine::si(db), &workload, secs)
-        } else {
-            let db = Database::open(DbConfig::default()).expect("open ermia");
-            run_cpu_tps(&ErmiaEngine::si(db), &workload, secs)
-        }
-    };
-    ab_gate("shard routing overhead", "sharded_routing_overhead", one, 0.98, json);
-}
-
 fn cleanup_scaling_dirs() {
     let prefix = format!("ermia-scaling-{}-", std::process::id());
     if let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) {
@@ -638,9 +594,6 @@ fn main() {
     // -- telemetry on/off A/B (the overhead acceptance gate) --------------
     telemetry_overhead(secs.max(1.0), micro_rows, &mut json);
 
-    // -- shard-routing A/B (one-shard ShardedDb vs plain Database) --------
-    sharded_routing_overhead(secs.max(1.0), micro_rows, &mut json);
-
     // -- tracing A/B (armed-but-cold and 1/64-sampled vs off) -------------
     tracing_overhead(secs.max(1.0), micro_rows, &mut json);
 
@@ -661,7 +614,7 @@ fn main() {
             "ERMIA-SI",
             "micro",
             &sweep,
-            || fresh_durable(false),
+            || fresh_durable(1, false),
             mk(sync_micro.clone()),
             &mut json,
             false,
@@ -670,7 +623,7 @@ fn main() {
             "ERMIA-SSN",
             "micro",
             &sweep,
-            || fresh_durable(true),
+            || fresh_durable(1, true),
             mk(sync_micro.clone()),
             &mut json,
             true,

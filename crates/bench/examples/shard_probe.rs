@@ -10,7 +10,7 @@ use ermia::{DbConfig, ShardedDb};
 use ermia_log::LogConfig;
 use ermia_workloads::driver::{run, RunConfig};
 use ermia_workloads::micro::{PartMicroConfig, PartMicroWorkload};
-use ermia_workloads::ShardedErmiaEngine;
+use ermia_workloads::ErmiaEngine;
 
 fn envu(k: &str, d: u64) -> u64 {
     std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d)
@@ -41,7 +41,7 @@ fn main() {
             ..DbConfig::default()
         }
     };
-    let engine = ShardedErmiaEngine::si(ShardedDb::open(cfg, shards).unwrap());
+    let engine = ErmiaEngine::si(ShardedDb::open(cfg, shards).unwrap());
     let wl = PartMicroWorkload::new(PartMicroConfig {
         partitions: threads as u32,
         shards,

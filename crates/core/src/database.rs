@@ -521,7 +521,7 @@ impl Database {
 
     /// Number of tables in the catalog. Table ids are dense, so an id is
     /// valid iff it is below this count — front-ends use this to validate
-    /// untrusted ids before calling [`Transaction`] operations, which
+    /// untrusted ids before calling [`Transaction`](crate::Transaction) operations, which
     /// index the catalog directly.
     pub fn table_count(&self) -> usize {
         self.inner.catalog.read().tables.len()

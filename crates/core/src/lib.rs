@@ -62,13 +62,12 @@ mod worker;
 
 pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
-pub use pool::{PooledWorker, WorkerPool};
+pub use pool::{PooledWorker, RegisterWorker, WorkerPool};
 pub use profile::Breakdown;
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
-    shard_of_key, DeferredCommit, IndexRouting, PooledShardedWorker, RoutedDdl, ShardPolicy,
-    ShardRecoveryStats, ShardedCommitToken, ShardedDb, ShardedTransaction, ShardedWorker,
-    ShardedWorkerPool, StagedCommit,
+    shard_of_key, DeferredCommit, IndexRouting, RoutedDdl, ShardPolicy, ShardRecoveryStats,
+    ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
 };
 pub use transaction::{CommitToken, Transaction};
 pub use worker::Worker;

@@ -19,12 +19,39 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::database::Database;
+use crate::shard::{ShardedDb, ShardedWorker};
 use crate::worker::Worker;
 
-struct PoolInner {
-    db: Database,
+/// An engine a [`WorkerPool`] can draw workers from: a [`Database`]
+/// (one [`Worker`]) or a [`ShardedDb`] (a [`ShardedWorker`] — a worker on
+/// *every* shard, so the pool's capacity bounds total engine concurrency
+/// however sessions spread across shards).
+pub trait RegisterWorker: Clone {
+    type Worker;
+
+    fn register_worker(&self) -> Self::Worker;
+}
+
+impl RegisterWorker for Database {
+    type Worker = Worker;
+
+    fn register_worker(&self) -> Worker {
+        Database::register_worker(self)
+    }
+}
+
+impl RegisterWorker for ShardedDb {
+    type Worker = ShardedWorker;
+
+    fn register_worker(&self) -> ShardedWorker {
+        ShardedDb::register_worker(self)
+    }
+}
+
+struct PoolInner<D: RegisterWorker> {
+    db: D,
     capacity: usize,
-    idle: Mutex<Vec<Worker>>,
+    idle: Mutex<Vec<D::Worker>>,
     /// Workers created so far (monotonic, ≤ capacity).
     created: AtomicUsize,
     /// Workers currently checked out.
@@ -32,18 +59,18 @@ struct PoolInner {
     returned: Condvar,
 }
 
-/// A bounded pool of engine [`Worker`]s shared by many sessions.
+/// A bounded pool of engine workers shared by many sessions.
 ///
 /// Cloning shares the pool.
 #[derive(Clone)]
-pub struct WorkerPool {
-    inner: Arc<PoolInner>,
+pub struct WorkerPool<D: RegisterWorker> {
+    inner: Arc<PoolInner<D>>,
 }
 
-impl WorkerPool {
+impl<D: RegisterWorker> WorkerPool<D> {
     /// Create a pool of at most `capacity` workers on `db`. Workers are
     /// created on first use, not up front.
-    pub fn new(db: &Database, capacity: usize) -> WorkerPool {
+    pub fn new(db: &D, capacity: usize) -> WorkerPool<D> {
         assert!(capacity > 0, "worker pool needs capacity >= 1");
         WorkerPool {
             inner: Arc::new(PoolInner {
@@ -59,7 +86,7 @@ impl WorkerPool {
 
     /// Check out a worker if one is idle or capacity remains; `None` when
     /// the pool is exhausted. Never blocks.
-    pub fn try_checkout(&self) -> Option<PooledWorker> {
+    pub fn try_checkout(&self) -> Option<PooledWorker<D>> {
         let inner = &self.inner;
         let mut idle = inner.idle.lock();
         if let Some(w) = idle.pop() {
@@ -80,7 +107,7 @@ impl WorkerPool {
     }
 
     /// Check out a worker, waiting up to `timeout` for one to come back.
-    pub fn checkout_timeout(&self, timeout: Duration) -> Option<PooledWorker> {
+    pub fn checkout_timeout(&self, timeout: Duration) -> Option<PooledWorker<D>> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(w) = self.try_checkout() {
@@ -121,28 +148,28 @@ impl WorkerPool {
     }
 }
 
-/// A checked-out [`Worker`]; derefs to it and returns it to the pool on
-/// drop (including on unwind, so a panicking session cannot leak one).
-pub struct PooledWorker {
-    worker: Option<Worker>,
-    pool: Arc<PoolInner>,
+/// A checked-out worker; derefs to it and returns it to the pool on drop
+/// (including on unwind, so a panicking session cannot leak one).
+pub struct PooledWorker<D: RegisterWorker> {
+    worker: Option<D::Worker>,
+    pool: Arc<PoolInner<D>>,
 }
 
-impl std::ops::Deref for PooledWorker {
-    type Target = Worker;
+impl<D: RegisterWorker> std::ops::Deref for PooledWorker<D> {
+    type Target = D::Worker;
 
-    fn deref(&self) -> &Worker {
+    fn deref(&self) -> &D::Worker {
         self.worker.as_ref().expect("present until drop")
     }
 }
 
-impl std::ops::DerefMut for PooledWorker {
-    fn deref_mut(&mut self) -> &mut Worker {
+impl<D: RegisterWorker> std::ops::DerefMut for PooledWorker<D> {
+    fn deref_mut(&mut self) -> &mut D::Worker {
         self.worker.as_mut().expect("present until drop")
     }
 }
 
-impl Drop for PooledWorker {
+impl<D: RegisterWorker> Drop for PooledWorker<D> {
     fn drop(&mut self) {
         let w = self.worker.take().expect("returned exactly once");
         self.pool.idle.lock().push(w);
@@ -156,64 +183,67 @@ mod tests {
     use super::*;
     use crate::config::{DbConfig, IsolationLevel};
 
-    #[test]
-    fn checkout_is_bounded_and_returns_on_drop() {
-        let db = Database::open(DbConfig::in_memory()).unwrap();
-        let pool = WorkerPool::new(&db, 2);
-        let a = pool.try_checkout().expect("first");
-        let b = pool.try_checkout().expect("second");
-        assert!(pool.try_checkout().is_none(), "capacity 2 must bound checkouts");
-        assert_eq!(pool.outstanding(), 2);
-        drop(a);
-        assert_eq!(pool.outstanding(), 1);
-        assert_eq!(pool.idle(), 1);
-        let c = pool.try_checkout().expect("recycled");
-        drop(b);
-        drop(c);
-        assert_eq!(pool.idle(), 2);
-        assert_eq!(pool.created(), 2);
-        assert_eq!(pool.outstanding(), 0);
+    /// One body for both engines a pool is instantiated over.
+    macro_rules! pool_contract {
+        ($name:ident, $open:expr) => {
+            #[test]
+            fn $name() {
+                let db = $open;
+                let t = db.create_table("kv");
+
+                // Checkout is bounded, and a drop returns the worker.
+                let pool = WorkerPool::new(&db, 2);
+                let mut a = pool.try_checkout().expect("first");
+                let b = pool.try_checkout().expect("second");
+                assert!(pool.try_checkout().is_none(), "capacity 2 must bound checkouts");
+                assert_eq!(pool.outstanding(), 2);
+                let mut tx = a.begin(IsolationLevel::Snapshot);
+                tx.insert(t, b"k", b"v").unwrap();
+                tx.commit().unwrap();
+                drop(a);
+                assert_eq!(pool.outstanding(), 1);
+                assert_eq!(pool.idle(), 1);
+                let c = pool.try_checkout().expect("recycled");
+                drop(b);
+                drop(c);
+                assert_eq!(pool.idle(), 2);
+                assert_eq!(pool.created(), 2);
+                assert_eq!(pool.outstanding(), 0);
+
+                // The same worker serves the next checkout, possibly from
+                // another thread.
+                let pool = WorkerPool::new(&db, 1);
+                drop(pool.try_checkout().unwrap());
+                let pool2 = pool.clone();
+                std::thread::spawn(move || {
+                    let mut w = pool2.try_checkout().unwrap();
+                    let mut tx = w.begin(IsolationLevel::Snapshot);
+                    let v = tx.read(t, b"k", |v| v.to_vec()).unwrap();
+                    assert_eq!(v.as_deref(), Some(&b"v"[..]));
+                    tx.commit().unwrap();
+                })
+                .join()
+                .unwrap();
+                assert_eq!(pool.created(), 1);
+
+                // A timed checkout waits for a return.
+                let held = pool.try_checkout().unwrap();
+                assert!(pool.checkout_timeout(Duration::from_millis(20)).is_none());
+                let pool2 = pool.clone();
+                let h = std::thread::spawn(move || {
+                    pool2.checkout_timeout(Duration::from_secs(5)).expect("worker returned in time")
+                });
+                std::thread::sleep(Duration::from_millis(30));
+                drop(held);
+                drop(h.join().unwrap());
+                assert_eq!(pool.outstanding(), 0);
+            }
+        };
     }
 
-    #[test]
-    fn pooled_worker_runs_transactions() {
-        let db = Database::open(DbConfig::in_memory()).unwrap();
-        let t = db.create_table("kv");
-        let pool = WorkerPool::new(&db, 1);
-        let mut w = pool.try_checkout().unwrap();
-        let mut tx = w.begin(IsolationLevel::Snapshot);
-        tx.insert(t, b"k", b"v").unwrap();
-        tx.commit().unwrap();
-        drop(w);
-        // The same worker serves the next checkout, possibly from another
-        // thread.
-        let pool2 = pool.clone();
-        std::thread::spawn(move || {
-            let mut w = pool2.try_checkout().unwrap();
-            let mut tx = w.begin(IsolationLevel::Snapshot);
-            let v = tx.read(t, b"k", |v| v.to_vec()).unwrap();
-            assert_eq!(v.as_deref(), Some(&b"v"[..]));
-            tx.commit().unwrap();
-        })
-        .join()
-        .unwrap();
-        assert_eq!(pool.created(), 1);
-    }
-
-    #[test]
-    fn checkout_timeout_waits_for_a_return() {
-        let db = Database::open(DbConfig::in_memory()).unwrap();
-        let pool = WorkerPool::new(&db, 1);
-        let held = pool.try_checkout().unwrap();
-        assert!(pool.checkout_timeout(Duration::from_millis(20)).is_none());
-        let pool2 = pool.clone();
-        let h = std::thread::spawn(move || {
-            pool2.checkout_timeout(Duration::from_secs(5)).expect("worker returned in time")
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        drop(held);
-        let w = h.join().unwrap();
-        drop(w);
-        assert_eq!(pool.outstanding(), 0);
-    }
+    pool_contract!(pool_contract_on_one_database, Database::open(DbConfig::in_memory()).unwrap());
+    pool_contract!(
+        pool_contract_on_a_sharded_engine,
+        ShardedDb::open(DbConfig::in_memory(), 2).unwrap()
+    );
 }

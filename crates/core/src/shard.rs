@@ -16,14 +16,17 @@
 //! and commit through the unmodified single-database path — no extra
 //! log writes, no coordination, overhead is one hash per operation. At
 //! `S = 1` even that disappears: routing is constant and commit is a
-//! direct pass-through.
+//! direct pass-through. One shard is the degenerate shard set, so the
+//! server, the worker pool and the workload adapters run on a
+//! `ShardedDb` only ([`ShardedDb::single`] wraps a [`Database`]).
 //!
 //! **Cross-shard transactions** commit in one durability round, layered
 //! on the existing commit/durability split:
 //!
-//! 1. *Prepare* — every writer shard runs its full commit protocol
-//!    (SSN exclusion test, node-set validation, log space allocation)
-//!    but serializes its block as [`BlockKind::TxnPrepare`] carrying the
+//! 1. *Prepare* — every writer shard runs the one pre-commit pipeline
+//!    every commit runs (`Transaction::precommit`: log space allocation,
+//!    SSN exclusion test, node-set validation, block fill), with its
+//!    block serialized as [`BlockKind::TxnPrepare`] carrying the
 //!    coordinator's identity and the number of participants. The
 //!    coordinator is the lowest writer shard and prepares first; its
 //!    prepare cstamp becomes the global transaction id (gtid).
@@ -84,9 +87,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
-use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, TableId, TxResult};
+use ermia_common::{AbortReason, IndexId, LogError, Lsn, Oid, OpResult, TableId, TxResult};
 use ermia_log::{
     checksum32, BlockKind, DecideRecord, DurableWaker, LogBlockHeader, PrepareMarker,
     BLOCK_HEADER_LEN, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
@@ -330,6 +333,13 @@ fn prepare_delay_from_env() -> Duration {
         .unwrap_or(Duration::ZERO)
 }
 
+/// A plain database is the one-shard engine ([`ShardedDb::single`]).
+impl From<Database> for ShardedDb {
+    fn from(db: Database) -> ShardedDb {
+        ShardedDb::single(db)
+    }
+}
+
 impl ShardedDb {
     /// Open `shards` databases from one config. With a durable config,
     /// shard `i` logs under `<dir>/shard-<i>`; in-memory configs stay
@@ -346,14 +356,14 @@ impl ShardedDb {
             }
             dbs.push(Database::open(c)?);
         }
-        Ok(ShardedDb::from_dbs(dbs))
+        Ok(ShardedDb::from_shards(dbs))
     }
 
     /// Wrap an already-open database as a one-shard `ShardedDb`. Routing
     /// is picked up from its catalog; every operation passes straight
     /// through to the inner engine.
     pub fn single(db: Database) -> ShardedDb {
-        ShardedDb::from_dbs(vec![db])
+        ShardedDb::from_shards(vec![db])
     }
 
     /// Wrap already-open per-shard handles (e.g. a replica's snapshot
@@ -366,7 +376,16 @@ impl ShardedDb {
     /// shard.
     pub fn from_shards(dbs: Vec<Database>) -> ShardedDb {
         assert!(!dbs.is_empty(), "need at least one shard");
-        ShardedDb::from_dbs(dbs)
+        let routing = Routing::from_catalog(&dbs[0]);
+        let inner = Arc::new(ShardedInner {
+            dbs,
+            routing: RwLock::new(Arc::new(routing)),
+            routing_version: AtomicU64::new(1),
+            in_doubt: AtomicU64::new(0),
+            prepare_delay: prepare_delay_from_env(),
+        });
+        register_shard_collectors(&inner);
+        ShardedDb { inner }
     }
 
     /// Rebuild the routing snapshot from shard 0's current catalog (all
@@ -438,19 +457,6 @@ impl ShardedDb {
                 RoutedDdl { entry, route_tag: route.0, route_arg: route.1 }
             })
             .collect()
-    }
-
-    fn from_dbs(dbs: Vec<Database>) -> ShardedDb {
-        let routing = Routing::from_catalog(&dbs[0]);
-        let inner = Arc::new(ShardedInner {
-            dbs,
-            routing: RwLock::new(Arc::new(routing)),
-            routing_version: AtomicU64::new(1),
-            in_doubt: AtomicU64::new(0),
-            prepare_delay: prepare_delay_from_env(),
-        });
-        register_shard_collectors(&inner);
-        ShardedDb { inner }
     }
 
     /// Number of shards.
@@ -933,13 +939,6 @@ impl<'w> Slots<'w> {
             Slots::Many(v) => &mut v[i],
         }
     }
-
-    fn into_vec(self) -> Vec<TxSlot<'w>> {
-        match self {
-            Slots::One(s) => vec![s],
-            Slots::Many(v) => v,
-        }
-    }
 }
 
 /// A transaction over the sharded namespace. Routes each operation to
@@ -969,17 +968,6 @@ struct ActiveTrace<'w> {
     /// opcode/table/key attribution only that layer has.
     sampled: bool,
 }
-
-/// What [`ShardedTransaction::into_active`] destructures into: the
-/// engine, the optional 2PC telemetry and trace, the live participants
-/// as (shard, transaction) pairs, and the blocking-commit resolver slot.
-type ActiveParts<'w> = (
-    &'w ShardedDb,
-    Option<&'w TwoPcTelemetry>,
-    Option<ActiveTrace<'w>>,
-    Vec<(usize, Transaction<'w>)>,
-    &'w mut Option<Box<ShardedWorker>>,
-);
 
 /// Pack a (shard, oid) pair into the opaque row handle inserts return.
 fn pack_handle(shard: usize, oid: Oid) -> u64 {
@@ -1269,45 +1257,16 @@ impl<'w> ShardedTransaction<'w> {
         }
     }
 
-    /// Abort every participant.
-    pub fn abort(self) {
-        for slot in self.slots.into_vec() {
-            if let TxSlot::Active(t) = slot {
-                t.abort();
-            }
-        }
-    }
-
-    fn into_active(self) -> ActiveParts<'w> {
-        let ShardedTransaction { db, twopc, trace, slots, resolver, .. } = self;
-        let mut active = Vec::new();
-        for (i, slot) in slots.into_vec().into_iter().enumerate() {
-            if let TxSlot::Active(t) = slot {
-                active.push((i, t));
-            }
-        }
-        (db, twopc, trace, active, resolver)
-    }
+    /// Abort every participant, as dropping the transaction does.
+    pub fn abort(self) {}
 
     /// Commit and wait for durability (on a synchronous-commit
     /// database). Returns the commit LSN — the coordinator's cstamp for
     /// a cross-shard transaction, whose [`StagedCommit`] this drives to
     /// its verdict with blocking waits.
     pub fn commit(self) -> TxResult<Lsn> {
-        // Fast path: one shard, one active transaction — the inner
-        // commit verbatim (plus span recording when traced), with no
-        // slot Vec materialized. Sampled commits must stay on the
-        // allocation-free path (see tests/alloc_free.rs).
-        if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
-            let ShardedTransaction { db, trace, slots, .. } = self;
-            let Slots::One(TxSlot::Active(t)) = slots else { unreachable!("matched above") };
-            if trace.is_none() {
-                return t.commit();
-            }
-            return commit_one(db, trace, 0, t, true).map(|tok| tok.lsn());
-        }
-        let (db, twopc, trace, active, resolver) = self.into_active();
-        match commit_active(db, twopc, trace, active, true)? {
+        let ShardedTransaction { db, twopc, trace, slots, resolver, .. } = self;
+        match commit_slots(db, twopc, trace, slots, true)? {
             DeferredCommit::Committed(token) => Ok(token.lsn()),
             DeferredCommit::Staged(staged) => {
                 let resolver = resolver.get_or_insert_with(|| Box::new(db.register_worker()));
@@ -1324,109 +1283,141 @@ impl<'w> ShardedTransaction<'w> {
     /// drive (or hand to whoever waits on logs) and its worker back at
     /// once.
     pub fn commit_deferred(self) -> TxResult<DeferredCommit> {
-        // Same Vec-free fast path as `commit` for the one-shard case.
-        if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
-            let ShardedTransaction { db, trace, slots, .. } = self;
-            let Slots::One(TxSlot::Active(t)) = slots else { unreachable!("matched above") };
-            return commit_one(db, trace, 0, t, false).map(DeferredCommit::Committed);
-        }
-        let (db, twopc, trace, active, _) = self.into_active();
-        commit_active(db, twopc, trace, active, false)
+        let ShardedTransaction { db, twopc, trace, slots, .. } = self;
+        commit_slots(db, twopc, trace, slots, false)
     }
 }
 
-/// What [`ShardedTransaction::commit_deferred`] leaves the caller with.
+/// The one handle on a commit in flight, whatever it still waits for.
+///
+/// Either way it waits only on log offsets ([`DeferredCommit::waits`]),
+/// and [`DeferredCommit::poll`] reports how far durability has carried
+/// it, so whoever holds one — the server's durability parker holds
+/// hundreds — drives both cases with the same calls.
 pub enum DeferredCommit {
-    /// Committed in memory; the token names the log offset to await.
-    Committed(ShardedCommitToken),
+    /// Committed in memory: the already-finalized case, with at most one
+    /// log offset to await and no verdict record owed.
+    Committed(CommitToken),
     /// Prepared on every writer shard; the verdict is still to come.
     Staged(Box<StagedCommit>),
 }
 
-/// Commit token carrying the backing shard.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedCommitToken {
-    shard: u32,
-    token: CommitToken,
-}
-
-impl ShardedCommitToken {
-    /// The commit timestamp (on the backing shard's timeline).
-    pub fn lsn(&self) -> Lsn {
-        self.token.lsn()
+impl DeferredCommit {
+    /// The receipt, if the commit was published in memory before
+    /// [`ShardedTransaction::commit_deferred`] returned. A staged commit
+    /// has none until [`DeferredCommit::poll`] delivers its verdict, and
+    /// must not be left with a thread that executes transactions: one of
+    /// them may wait on its prepared heads.
+    pub fn published(&self) -> Option<CommitToken> {
+        match self {
+            DeferredCommit::Committed(token) => Some(*token),
+            DeferredCommit::Staged(_) => None,
+        }
     }
 
-    /// The shard whose log durability backs this commit.
-    pub fn shard(&self) -> u32 {
-        self.shard
+    /// The log offsets awaited now, as (shard, end offset) pairs.
+    pub fn waits(&self) -> Vec<(usize, u64)> {
+        match self {
+            DeferredCommit::Committed(token) => {
+                token.end_offset().map(|end| (token.shard() as usize, end)).into_iter().collect()
+            }
+            DeferredCommit::Staged(staged) => staged.waits(),
+        }
     }
 
-    /// The commit block's end offset in the backing shard's log, or
-    /// `None` when trivially durable.
-    pub fn end_offset(&self) -> Option<u64> {
-        self.token.end_offset()
+    /// See [`StagedCommit::not_before`].
+    pub fn not_before(&self) -> Option<Instant> {
+        match self {
+            DeferredCommit::Committed(_) => None,
+            DeferredCommit::Staged(staged) => staged.not_before(),
+        }
     }
 
-    /// Block until the commit is durable (or `timeout` expires).
-    pub fn wait_durable(
-        &self,
-        db: &ShardedDb,
-        timeout: Duration,
-    ) -> Result<(), ermia_common::LogError> {
-        self.token.wait_durable(&db.inner.dbs[self.shard as usize], timeout)
+    /// Move as far as durability allows, without blocking. `None` while
+    /// a wait is outstanding; then `Ok` of the transaction's verdict (a
+    /// staged commit's is delivered on `resolver`, see
+    /// [`StagedCommit::poll`]) — or `Err` when the log failed under a
+    /// commit that is already published: it is not rolled back, and its
+    /// on-disk fate is indeterminate until restart recovery.
+    pub fn poll(
+        &mut self,
+        resolver: &mut ShardedWorker,
+    ) -> Option<Result<TxResult<CommitToken>, LogError>> {
+        match self {
+            DeferredCommit::Committed(token) => {
+                // A token without an offset occupied no log space.
+                let status = token.end_offset().map_or(Ok(true), |end| {
+                    resolver.db.inner.dbs[token.shard() as usize].inner.log.durable_status(end)
+                });
+                match status {
+                    Ok(true) => Some(Ok(Ok(*token))),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                }
+            }
+            DeferredCommit::Staged(staged) => staged.poll(resolver).map(Ok),
+        }
+    }
+
+    /// Give up waiting. A staged commit aborts ([`StagedCommit::abort`]);
+    /// a published one stands.
+    pub fn abort(&mut self, resolver: &mut ShardedWorker) {
+        if let DeferredCommit::Staged(staged) = self {
+            staged.abort(resolver);
+        }
+    }
+
+    /// Pay the verdict record a staged commit owes the logs since `poll`
+    /// published it ([`StagedCommit::write_verdict`]).
+    pub fn write_verdict(&mut self, resolver: &mut ShardedWorker) {
+        if let DeferredCommit::Staged(staged) = self {
+            staged.write_verdict(resolver);
+        }
     }
 }
 
 /// Shared commit tail for [`ShardedTransaction::commit`] (sync) and
-/// [`ShardedTransaction::commit_deferred`].
-fn commit_active<'w>(
+/// [`ShardedTransaction::commit_deferred`]: read-only participants
+/// commit first, then the writers — none, one (the plain single-database
+/// commit), or several (2PC).
+fn commit_slots<'w>(
     db: &ShardedDb,
     twopc: Option<&TwoPcTelemetry>,
     trace: Option<ActiveTrace<'_>>,
-    active: Vec<(usize, Transaction<'w>)>,
+    slots: Slots<'w>,
     sync: bool,
 ) -> TxResult<DeferredCommit> {
+    let slots = match slots {
+        // One shard, one participant: no slot Vec materialized. Sampled
+        // commits must stay on the allocation-free path (see
+        // tests/alloc_free.rs).
+        Slots::One(TxSlot::Active(t)) => {
+            return commit_one(db, trace, 0, t, sync).map(DeferredCommit::Committed)
+        }
+        Slots::One(slot) => vec![slot],
+        Slots::Many(slots) => slots,
+    };
     let mut readonly: Vec<(usize, Transaction<'w>)> = Vec::new();
     let mut writers: Vec<(usize, Transaction<'w>)> = Vec::new();
-    for (i, t) in active {
-        if t.has_writes() {
-            writers.push((i, t));
-        } else {
-            readonly.push((i, t));
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot {
+            TxSlot::Active(t) if t.has_writes() => writers.push((i, t)),
+            TxSlot::Active(t) => readonly.push((i, t)),
+            _ => {}
         }
     }
     // Read-only participants first: they publish nothing, so a failure
-    // here (doomed by SSN read validation) can still abort the writers.
-    let mut ro_token: Option<ShardedCommitToken> = None;
-    let mut readonly = readonly.into_iter();
-    while let Some((i, t)) = readonly.next() {
-        match t.commit_deferred() {
-            Ok(tok) => ro_token = Some(ShardedCommitToken { shard: i as u32, token: tok }),
-            Err(r) => {
-                for (_, t) in readonly {
-                    t.abort();
-                }
-                for (_, t) in writers {
-                    t.abort();
-                }
-                return Err(r);
-            }
-        }
+    // here (doomed by SSN read validation) can still abort the writers,
+    // which it does as they drop.
+    let mut token = CommitToken::readonly_at(db.inner.dbs[0].now_lsn());
+    for (i, t) in readonly {
+        token = t.commit_deferred()?.on_shard(i);
     }
     match writers.len() {
         0 => {
-            // Tail-based capture for engine-sampled traces, as in
-            // `commit_one`.
-            if let Some(tr) = trace.filter(|tr| tr.sampled) {
-                let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-                db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
-            }
-            Ok(DeferredCommit::Committed(ro_token.unwrap_or(ShardedCommitToken {
-                shard: 0,
-                token: CommitToken::readonly_at(db.inner.dbs[0].now_lsn()),
-            })))
+            capture_slow(db, trace);
+            Ok(DeferredCommit::Committed(token))
         }
-        // `commit_one` records the span and runs tail capture itself.
         1 => {
             let (i, t) = writers.pop().expect("len checked");
             commit_one(db, trace, i, t, sync).map(DeferredCommit::Committed)
@@ -1447,32 +1438,28 @@ fn commit_one(
     i: usize,
     t: Transaction<'_>,
     sync: bool,
-) -> TxResult<ShardedCommitToken> {
-    let sp = trace.map(|tr| (tr, tr.ring.now_ns()));
-    let token = if sync {
-        // For a sync commit the inner call is dominated by the
-        // group-commit wait, which is what the span names.
-        let lsn = t.commit()?;
-        if let Some((tr, t0)) = sp {
-            tr.ring.record(&tr.ctx, SpanKind::DurabilityWait, t0, tr.ring.now_ns(), i as u64, 0);
-        }
-        CommitToken::readonly_at(lsn)
-    } else {
-        let tok = t.commit_deferred()?;
-        if let Some((tr, t0)) = sp {
-            tr.ring.record(&tr.ctx, SpanKind::CommitDeferred, t0, tr.ring.now_ns(), i as u64, 0);
-        }
-        tok
-    };
-    // Tail-based capture for engine-sampled traces: the server owns it
-    // for wire-traced requests (it knows the opcode and key).
+) -> TxResult<CommitToken> {
+    // A commit waits for its block only on a synchronous-commit
+    // database; the inner call is then dominated by the group-commit
+    // wait, which is what the span names.
+    let wait = sync && db.inner.dbs[i].inner.cfg.synchronous_commit;
+    let t0 = trace.map_or(0, |tr| tr.ring.now_ns());
+    let token = t.commit_impl(wait)?.on_shard(i);
     if let Some(tr) = trace {
-        if tr.sampled {
-            let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-            db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
-        }
+        let kind = if wait { SpanKind::DurabilityWait } else { SpanKind::CommitDeferred };
+        tr.ring.record(&tr.ctx, kind, t0, tr.ring.now_ns(), i as u64, 0);
     }
-    Ok(ShardedCommitToken { shard: i as u32, token })
+    capture_slow(db, trace);
+    Ok(token)
+}
+
+/// Tail-based slow-op capture for engine-sampled traces: the server owns
+/// it for wire-traced requests (it knows the opcode and key).
+fn capture_slow(db: &ShardedDb, trace: Option<ActiveTrace<'_>>) {
+    if let Some(tr) = trace.filter(|tr| tr.sampled) {
+        let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
+        db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
+    }
 }
 
 // --- Staged two-phase commit --------------------------------------------
@@ -1589,8 +1576,7 @@ impl StagedCommit {
         let participants = writers.len() as u32;
         let mut prepared: Vec<(usize, PreparedTransaction<'w>)> =
             Vec::with_capacity(writers.len());
-        let mut rest = writers.into_iter();
-        while let Some((i, t)) = rest.next() {
+        for (i, t) in writers {
             let t0 = now();
             let coord_lsn =
                 if i == coord { PrepareMarker::COORD_SELF } else { staged.gtid_lsn };
@@ -1601,7 +1587,7 @@ impl StagedCommit {
                 trace_hi,
                 trace_lo,
             };
-            match t.prepare(marker) {
+            match t.precommit(Some(marker)) {
                 Ok(p) => {
                     if i == coord {
                         staged.gtid_lsn = p.cstamp().raw();
@@ -1613,11 +1599,9 @@ impl StagedCommit {
                     prepared.push((i, p));
                 }
                 Err(r) => {
+                    // The writers not yet prepared abort as they drop.
                     for (_, p) in prepared {
                         p.abort(r);
-                    }
-                    for (_, t) in rest {
-                        t.abort();
                     }
                     return Err(r);
                 }
@@ -1658,7 +1642,7 @@ impl StagedCommit {
     /// transaction): its epoch pins, its counters, its span ring. After a
     /// commit verdict the caller answers whoever waits for it, then calls
     /// [`StagedCommit::write_verdict`].
-    pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<ShardedCommitToken>> {
+    pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<CommitToken>> {
         let inner = Arc::clone(&self.db.inner);
         let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
         if matches!(self.stage, Stage::Prepared) {
@@ -1715,10 +1699,8 @@ impl StagedCommit {
             t.slab.add(TWOPC_CROSS, 1);
         }
         self.stage = Stage::Finalized { verdict_owed: true };
-        Some(Ok(ShardedCommitToken {
-            shard: self.parts[0].shard as u32,
-            token: coord_token.expect("a staged commit has participants"),
-        }))
+        let coord_token = coord_token.expect("a staged commit has participants");
+        Some(Ok(coord_token.on_shard(self.parts[0].shard)))
     }
 
     /// Append the commit verdict record this commit owes the logs since
@@ -1790,7 +1772,7 @@ impl StagedCommit {
     /// — one wake-up cell subscribed on all outstanding offsets, so each
     /// flusher sees the demand now rather than at its next timer tick —
     /// for at most the coordinator log's `wait_durable_timeout`.
-    pub fn wait(mut self, resolver: &mut ShardedWorker) -> TxResult<ShardedCommitToken> {
+    pub fn wait(mut self, resolver: &mut ShardedWorker) -> TxResult<CommitToken> {
         let db = self.db.clone();
         let log = |shard: usize| &db.inner.dbs[shard].inner.log;
         let deadline = Instant::now() + log(self.parts[0].shard).config().wait_durable_timeout;
@@ -1849,136 +1831,6 @@ impl Drop for StagedCommit {
             let total = tracer.now_ns().saturating_sub(tr.start_ns);
             tracer.maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
         }
-    }
-}
-
-// --- ShardedWorkerPool --------------------------------------------------
-
-struct ShardedPoolInner {
-    db: ShardedDb,
-    capacity: usize,
-    idle: Mutex<Vec<ShardedWorker>>,
-    created: std::sync::atomic::AtomicUsize,
-    outstanding: std::sync::atomic::AtomicUsize,
-    returned: Condvar,
-}
-
-/// A bounded pool of [`ShardedWorker`]s — the sharded analogue of
-/// [`WorkerPool`](crate::WorkerPool). One pooled unit holds a worker on
-/// *every* shard, so `capacity` bounds total engine concurrency no
-/// matter how sessions spread across shards: admission control stays a
-/// single global bound.
-#[derive(Clone)]
-pub struct ShardedWorkerPool {
-    inner: Arc<ShardedPoolInner>,
-}
-
-impl ShardedWorkerPool {
-    /// Create a pool of at most `capacity` sharded workers. Workers are
-    /// created on first use, not up front.
-    pub fn new(db: &ShardedDb, capacity: usize) -> ShardedWorkerPool {
-        assert!(capacity > 0, "worker pool needs capacity >= 1");
-        ShardedWorkerPool {
-            inner: Arc::new(ShardedPoolInner {
-                db: db.clone(),
-                capacity,
-                idle: Mutex::new(Vec::with_capacity(capacity)),
-                created: std::sync::atomic::AtomicUsize::new(0),
-                outstanding: std::sync::atomic::AtomicUsize::new(0),
-                returned: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Check out a worker if one is idle or capacity remains; `None`
-    /// when the pool is exhausted. Never blocks.
-    pub fn try_checkout(&self) -> Option<PooledShardedWorker> {
-        let inner = &self.inner;
-        let mut idle = inner.idle.lock();
-        if let Some(w) = idle.pop() {
-            drop(idle);
-            inner.outstanding.fetch_add(1, Relaxed);
-            return Some(PooledShardedWorker { worker: Some(w), pool: Arc::clone(inner) });
-        }
-        // `created` is only bumped under the idle lock, so the capacity
-        // check cannot race.
-        if inner.created.load(Relaxed) < inner.capacity {
-            inner.created.fetch_add(1, Relaxed);
-            drop(idle);
-            let w = inner.db.register_worker();
-            inner.outstanding.fetch_add(1, Relaxed);
-            return Some(PooledShardedWorker { worker: Some(w), pool: Arc::clone(inner) });
-        }
-        None
-    }
-
-    /// Check out a worker, waiting up to `timeout` for one to return.
-    pub fn checkout_timeout(&self, timeout: Duration) -> Option<PooledShardedWorker> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_checkout() {
-                return Some(w);
-            }
-            let mut idle = self.inner.idle.lock();
-            if !idle.is_empty() {
-                continue; // a return won the race; retry the fast path
-            }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            if self.inner.returned.wait_for(&mut idle, left).timed_out() {
-                drop(idle);
-                return self.try_checkout();
-            }
-        }
-    }
-
-    /// Pool capacity (the bound).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Workers currently checked out.
-    pub fn outstanding(&self) -> usize {
-        self.inner.outstanding.load(Relaxed)
-    }
-
-    /// Workers parked in the pool right now.
-    pub fn idle(&self) -> usize {
-        self.inner.idle.lock().len()
-    }
-
-    /// Workers created so far (≤ capacity).
-    pub fn created(&self) -> usize {
-        self.inner.created.load(Relaxed)
-    }
-}
-
-/// A checked-out [`ShardedWorker`]; derefs to it and returns it on drop
-/// (including on unwind, so a panicking session cannot leak one).
-pub struct PooledShardedWorker {
-    worker: Option<ShardedWorker>,
-    pool: Arc<ShardedPoolInner>,
-}
-
-impl std::ops::Deref for PooledShardedWorker {
-    type Target = ShardedWorker;
-
-    fn deref(&self) -> &ShardedWorker {
-        self.worker.as_ref().expect("present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledShardedWorker {
-    fn deref_mut(&mut self) -> &mut ShardedWorker {
-        self.worker.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledShardedWorker {
-    fn drop(&mut self) {
-        let w = self.worker.take().expect("returned exactly once");
-        self.pool.idle.lock().push(w);
-        self.pool.outstanding.fetch_sub(1, Relaxed);
-        self.pool.returned.notify_one();
     }
 }
 
@@ -2266,10 +2118,10 @@ mod tests {
                     trace_hi: 0,
                     trace_lo: 0,
                 };
-                let pa = ta.prepare(marker(PrepareMarker::COORD_SELF)).unwrap();
+                let pa = ta.precommit(Some(marker(PrepareMarker::COORD_SELF))).unwrap();
                 let gtid_lsn = pa.cstamp().raw();
                 let _pb = if case.second_prepare {
-                    Some(tb.prepare(marker(gtid_lsn)).unwrap())
+                    Some(tb.precommit(Some(marker(gtid_lsn))).unwrap())
                 } else {
                     tb.abort();
                     None
@@ -2424,28 +2276,6 @@ mod tests {
             }
         }
         tx.commit().unwrap();
-    }
-
-    #[test]
-    fn sharded_pool_bounds_total_concurrency() {
-        let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
-        let t = db.create_table("kv");
-        let pool = ShardedWorkerPool::new(&db, 2);
-        let mut a = pool.try_checkout().expect("first");
-        let b = pool.try_checkout().expect("second");
-        assert!(pool.try_checkout().is_none(), "capacity 2 must bound checkouts");
-        assert_eq!(pool.outstanding(), 2);
-        // A pooled worker runs transactions on any shard.
-        let mut tx = a.begin(IsolationLevel::Snapshot);
-        tx.insert(t, b"k", b"v").unwrap();
-        tx.commit().unwrap();
-        drop(a);
-        assert_eq!(pool.idle(), 1);
-        let c = pool.try_checkout().expect("recycled");
-        drop(b);
-        drop(c);
-        assert_eq!(pool.created(), 2);
-        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

@@ -1123,3 +1123,206 @@ fn snapshot_cut_is_durable_and_transaction_consistent() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// One commit pipeline, four exits
+// ---------------------------------------------------------------------
+
+/// How a transaction leaves [`crate::Transaction::precommit`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Exit {
+    /// `commit()` on a synchronous-commit database: publish after the
+    /// block is durable.
+    Sync,
+    /// `commit_deferred()`: publish at once.
+    Deferred,
+    /// A 2PC participant: pre-commit with a marker, then the verdict.
+    Prepare,
+    /// A transaction that wrote nothing.
+    ReadOnly,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Scenario {
+    Clean,
+    /// The subject reads `r` as written by Z and `x` as overwritten by U,
+    /// where U read `r` from before Z: U →rw Z →wr subject →rw U.
+    Exclusion,
+    /// A key the subject found missing is inserted under it.
+    Phantom,
+    /// The log poisons between the subject's writes and its commit.
+    PoisonedLog,
+}
+
+/// What one run left behind, for comparison across exits.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    verdict: Result<(), AbortReason>,
+    /// `ermia_txn_aborts_total`, in `AbortReason::ALL` order.
+    aborts: Vec<u64>,
+    /// (cstamp, records) of every transaction block on disk, whatever
+    /// its kind and marker. `None` once the storage is gone.
+    blocks: Option<Vec<(u64, Vec<ermia_log::LogRecord>)>>,
+    /// The subject's worker accounted log time.
+    timed_log: bool,
+}
+
+fn run_exit(scenario: Scenario, exit: Exit) -> Outcome {
+    use ermia_log::{FaultInjector, FaultPlan, LogScanner, PrepareMarker};
+
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ermia-exits-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let injector = FaultInjector::new(FaultPlan::default());
+    let mut cfg = DbConfig::durable(&dir);
+    cfg.synchronous_commit = exit == Exit::Sync;
+    cfg.profile = true;
+    cfg.log.io_factory = std::sync::Arc::new(injector.clone());
+    let db = Database::open(cfg).unwrap();
+    let t = db.create_table("t");
+    let (mut wt, mut wu, mut wz) =
+        (db.register_worker(), db.register_worker(), db.register_worker());
+    let put = |w: &mut crate::Worker, key: &[u8], value: &[u8]| {
+        let mut tx = w.begin(SI);
+        if !tx.update(t, key, value).unwrap() {
+            tx.insert(t, key, value).unwrap();
+        }
+        tx.commit_deferred().unwrap();
+    };
+    put(&mut wz, b"r", b"r0");
+    put(&mut wz, b"x", b"x0");
+
+    // U must begin before Z commits, the subject after.
+    let mut u = wu.begin(SSN);
+    if matches!(scenario, Scenario::Exclusion) {
+        put(&mut wz, b"r", b"r1");
+        assert_eq!(get(&mut u, t, b"r").as_deref(), Some(&b"r0"[..]));
+        assert!(u.update(t, b"x", b"x1").unwrap());
+    }
+    let mut subject = wt.begin(SSN);
+    if exit != Exit::ReadOnly {
+        subject.insert(t, b"own", b"seeded").unwrap();
+    }
+    assert!(get(&mut subject, t, b"r").is_some());
+    assert_eq!(get(&mut subject, t, b"x").as_deref(), Some(&b"x0"[..]));
+    assert!(get(&mut subject, t, b"ghost").is_none());
+    match scenario {
+        Scenario::Clean => u.abort(),
+        Scenario::Exclusion => {
+            u.commit().unwrap();
+        }
+        Scenario::Phantom => {
+            u.abort();
+            put(&mut wz, b"ghost", b"boo");
+        }
+        Scenario::PoisonedLog => {
+            u.abort();
+            injector.crash_now();
+            put(&mut wz, b"x", b"never durable");
+            db.log().sync().expect_err("the storage is gone");
+            assert!(db.log().is_poisoned());
+        }
+    }
+
+    assert_eq!(subject.has_writes(), exit != Exit::ReadOnly);
+    let verdict = match exit {
+        Exit::Sync | Exit::ReadOnly => subject.commit().map(|_| ()),
+        Exit::Deferred => subject.commit_deferred().map(|_| ()),
+        Exit::Prepare => {
+            let marker = PrepareMarker {
+                coord_shard: 0,
+                participants: 1,
+                coord_lsn: PrepareMarker::COORD_SELF,
+                trace_hi: 0,
+                trace_lo: 0,
+            };
+            subject.precommit(Some(marker)).map(|prepared| {
+                prepared.finish_commit();
+            })
+        }
+    };
+    let timed_log = wt.breakdown().log_ns > 0;
+    drop((wt, wu, wz));
+    assert_eq!(db.tid_slots_in_use(), 0, "{scenario:?} via {exit:?}");
+
+    let exposition =
+        ermia_telemetry::parse_exposition(&db.telemetry().render_prometheus()).unwrap();
+    let aborts = AbortReason::ALL
+        .iter()
+        .map(|r| {
+            exposition.value_with("ermia_txn_aborts_total", "reason", r.label()).unwrap() as u64
+        })
+        .collect();
+    let blocks = (!db.log().is_poisoned()).then(|| {
+        db.log().sync().unwrap();
+        let mut scanner = LogScanner::new(db.log().segments(), 0);
+        let mut blocks = Vec::new();
+        while let Some(b) = scanner.next_block().unwrap() {
+            blocks.push((b.header.cstamp.raw(), b.records()));
+        }
+        blocks
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    Outcome { verdict, aborts, blocks, timed_log }
+}
+
+/// The same seeded scenarios through every exit of the one pre-commit
+/// pipeline: the verdict, the per-reason abort counters and what reaches
+/// the log must not depend on the exit taken.
+#[test]
+fn every_commit_exit_reaches_the_same_verdict() {
+    // (scenario, a writer's verdict, a read-only transaction's).
+    let table = [
+        (Scenario::Clean, Ok(()), Ok(())),
+        (Scenario::Exclusion, Err(AbortReason::SsnExclusion), Err(AbortReason::SsnExclusion)),
+        (Scenario::Phantom, Err(AbortReason::Phantom), Err(AbortReason::Phantom)),
+        // A read-only commit needs no log.
+        (Scenario::PoisonedLog, Err(AbortReason::LogFailure), Ok(())),
+    ];
+    for (scenario, writer, readonly) in table {
+        // U's explicit abort in the scenarios where it has no part.
+        let bystander = !matches!(scenario, Scenario::Exclusion) as u64;
+        let counters = |verdict: Result<(), AbortReason>| -> Vec<u64> {
+            let expected = |r: &AbortReason| match verdict {
+                Err(reason) if reason == *r => 1,
+                _ if *r == AbortReason::UserRequested => bystander,
+                _ => 0,
+            };
+            AbortReason::ALL.iter().map(expected).collect()
+        };
+        let sync = run_exit(scenario, Exit::Sync);
+        assert_eq!(sync.verdict, writer, "{scenario:?}");
+        assert_eq!(sync.aborts, counters(writer), "{scenario:?}");
+        // Log time is accounted from the reservation on: by every exit
+        // that got one.
+        assert_eq!(sync.timed_log, !matches!(scenario, Scenario::PoisonedLog), "{scenario:?}");
+        for exit in [Exit::Deferred, Exit::Prepare] {
+            assert_eq!(run_exit(scenario, exit), sync, "{scenario:?} via {exit:?}");
+        }
+
+        let ro = run_exit(scenario, Exit::ReadOnly);
+        assert_eq!(ro.verdict, readonly, "{scenario:?} read-only");
+        assert_eq!(ro.aborts, counters(readonly), "{scenario:?} read-only");
+        assert!(!ro.timed_log, "{scenario:?}: a read-only commit touched the log");
+        // On disk a read-only run is a writer's minus the subject's block
+        // (and the OID its insert took).
+        if let (Some(ro), Some(mut rw)) = (ro.blocks, sync.blocks) {
+            if writer.is_ok() {
+                let own = rw.iter().position(|(_, recs)| recs.iter().any(|r| r.key == b"own"));
+                rw.remove(own.expect("a committed writer's block is in the log"));
+            }
+            let rows = |blocks: Vec<(u64, Vec<ermia_log::LogRecord>)>| -> Vec<_> {
+                let sans_oid = |recs: Vec<ermia_log::LogRecord>| -> Vec<_> {
+                    recs.into_iter().map(|r| (r.kind, r.key, r.value)).collect()
+                };
+                blocks.into_iter().map(|(cstamp, recs)| (cstamp, sans_oid(recs))).collect()
+            };
+            assert_eq!(rows(ro), rows(rw), "{scenario:?} read-only");
+        }
+    }
+}

@@ -27,6 +27,7 @@ use crate::metrics::{
     IDX_INDEX, IDX_INDIRECTION, IDX_LOG, IDX_TXNS, TXN_ABORT_BASE, TXN_CHAIN_HIST, TXN_COMMITS,
 };
 use crate::profile::Timed;
+use crate::shard::ShardedDb;
 use crate::worker::{Scratch, Worker};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -800,6 +801,14 @@ impl<'w> Transaction<'w> {
     // ------------------------------------------------------------------
     // Commit pipeline (§3.1, §3.6; SSN Algorithm 1)
     // ------------------------------------------------------------------
+    //
+    // One pipeline, three exits. [`Transaction::precommit`] certifies the
+    // transaction and puts its block in the log; what differs is only
+    // what happens to the [`PreparedTransaction`] it returns:
+    //
+    //   commit_deferred   precommit(None) ─► finish_commit
+    //   commit (sync db)  precommit(None) ─► wait own block ─► finish_commit | abort
+    //   2PC participant   precommit(Some(marker)) ─► park … attach ─► finish_commit | abort
 
     /// Commit. On success returns the commit LSN.
     ///
@@ -828,31 +837,76 @@ impl<'w> Transaction<'w> {
         self.commit_impl(false)
     }
 
-    fn commit_impl(mut self, wait_durable: bool) -> TxResult<CommitToken> {
+    /// Pre-commit, then publish — at once, or with `wait_durable` only
+    /// after the commit block is durable.
+    pub(crate) fn commit_impl(self, wait_durable: bool) -> TxResult<CommitToken> {
+        let prepared = self.precommit(None)?;
+        if let (true, Some(end)) = (wait_durable, prepared.end_offset) {
+            let txn = &prepared.txn;
+            let timer = Timed::start(txn.db.inner.cfg.profile);
+            let durable = txn.db.inner.log.wait_durable(end);
+            Timed::stop(timer, txn.scratch.breakdown.counter(IDX_LOG));
+            if durable.is_err() {
+                // The commit block never became durable (poisoned log) or
+                // its fate is unknown (timeout). Roll back in memory and
+                // surface the failure; restart recovery truncates at the
+                // first hole, so an unacknowledged block can never
+                // resurrect past one.
+                prepared.abort(AbortReason::LogFailure);
+                return Err(AbortReason::LogFailure);
+            }
+        }
+        Ok(prepared.finish_commit())
+    }
+
+    /// The pre-commit pipeline, the one every commit passes through:
+    /// fix the global order and reserve log space with the single atomic
+    /// fetch-and-add, certify against that stamp (SSN exclusion window,
+    /// node-set validation), and fill the reserved block. It stops
+    /// *before* the in-memory commit: the transaction stays in the
+    /// `Precommit` TID state, so its uncommitted head versions keep acting
+    /// as write locks, and readers and writers that depend on the verdict
+    /// wait for it — no conflicting transaction can commit around it.
+    ///
+    /// With a `marker` this is 2PC phase one: the block is published as a
+    /// [`ermia_log::BlockKind::TxnPrepare`] carrying it, and the caller
+    /// must see that block, and every sibling's, durable before it calls
+    /// [`PreparedTransaction::finish_commit`] (or else
+    /// [`PreparedTransaction::abort`]) — directly, or after a
+    /// [`PreparedTransaction::park`] that frees this worker meanwhile.
+    ///
+    /// A transaction that wrote nothing occupies no log space. Under SSN
+    /// it still needs a commit stamp for the exclusion test and for
+    /// registering itself on read versions; it uses the current log tail
+    /// (monotonic, possibly shared — a documented approximation that can
+    /// only add false positives, never lost dependencies).
+    pub(crate) fn precommit(
+        mut self,
+        marker: Option<ermia_log::PrepareMarker>,
+    ) -> TxResult<PreparedTransaction<'w>> {
         if let Some(r) = self.doomed {
-            self.do_abort();
-            return Err(r);
+            return Err(self.fail(r));
         }
-        if self.writes.is_empty() && self.secondary.is_empty() {
-            return self.commit_readonly();
-        }
+        debug_assert!(
+            marker.is_none() || self.has_writes(),
+            "read-only participants never prepare"
+        );
         let db = self.db;
         let profile = db.inner.cfg.profile;
         let ctx = db.inner.tid.ctx(self.tid);
 
-        // --- Pre-commit ------------------------------------------------
-        // Publish intent, then fix our global order and reserve log space
-        // with the single atomic fetch-and-add.
+        // Publish intent, then take the commit stamp.
         ctx.enter_pending();
-        let timer = Timed::start(profile);
-        self.stage_log_records();
-        let reservation = match db.inner.log.allocate(self.scratch.logbuf.block_len()) {
-            Ok(r) => r,
-            Err(_) => {
+        let reservation = if self.has_writes() {
+            let timer = Timed::start(profile);
+            self.stage_log_records();
+            let len = match marker {
+                Some(_) => self.scratch.logbuf.prepare_block_len(),
+                None => self.scratch.logbuf.block_len(),
+            };
+            let Ok(reservation) = db.inner.log.allocate(len) else {
                 // A poisoned log rejects all allocations until restart;
-                // anything else is transient resource pressure. Decide
-                // (and doom) before release so the abort is attributed to
-                // the right reason.
+                // anything else is transient resource pressure.
                 let reason = if db.inner.log.is_poisoned() {
                     if let Some(t) = &self.scratch.telemetry {
                         t.ring.record(EventKind::LogPoison, 1, 0);
@@ -861,71 +915,71 @@ impl<'w> Transaction<'w> {
                 } else {
                     AbortReason::ResourceExhausted
                 };
-                self.doomed = Some(reason);
-                ctx.abort();
-                self.rollback();
-                self.release(false);
-                return Err(reason);
-            }
+                return Err(self.fail(reason));
+            };
+            Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
+            Some(reservation)
+        } else {
+            None
         };
-        let cstamp = reservation.lsn();
+        let cstamp = reservation.as_ref().map_or_else(|| db.inner.log.tail_lsn(), |r| r.lsn());
         ctx.enter_precommit(cstamp);
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
 
-        // --- CC commit protocol (SSN exclusion-window test) -------------
-        if self.serializable() {
-            for w in &self.writes {
-                if !w.prev.is_null() {
-                    let p = unsafe { &*w.prev };
-                    self.pstamp = self.pstamp.max(p.pstamp.load(Ordering::Acquire));
-                }
-            }
-            self.sstamp = self.sstamp.min(cstamp.raw());
-            for &r in &self.reads {
-                let vs = unsafe { (*r).sstamp.load(Ordering::Acquire) };
-                self.sstamp = self.sstamp.min(vs);
-            }
-            if self.sstamp <= self.pstamp {
-                drop(reservation); // becomes a skip record
-                self.doomed = Some(AbortReason::SsnExclusion);
-                ctx.abort();
-                self.rollback();
-                self.release(false);
-                return Err(AbortReason::SsnExclusion);
-            }
-            // Phantom protection: node-set validation (§3.6.2).
-            for (tree, snap) in &self.node_set {
-                if !tree.validate(snap) {
-                    drop(reservation);
-                    self.doomed = Some(AbortReason::Phantom);
-                    ctx.abort();
-                    self.rollback();
-                    self.release(false);
-                    return Err(AbortReason::Phantom);
-                }
-            }
+        if let Err(reason) = self.certify(cstamp) {
+            drop(reservation); // becomes a skip record
+            return Err(self.fail(reason));
         }
 
-        // --- Populate the centralized log buffer -----------------------
-        let timer = Timed::start(profile);
-        let end_offset = reservation.end_offset();
-        let block = self.scratch.logbuf.serialize(cstamp);
-        reservation.fill(block);
-        if wait_durable && db.inner.log.wait_durable(end_offset).is_err() {
-            // The commit block never became durable (poisoned log) or its
-            // fate is unknown (timeout). Roll back in memory and surface
-            // the failure; restart recovery truncates at the first hole,
-            // so an unacknowledged block can never resurrect past one.
-            self.doomed = Some(AbortReason::LogFailure);
-            ctx.abort();
-            self.rollback();
-            self.release(false);
-            return Err(AbortReason::LogFailure);
-        }
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
+        // Populate the centralized log buffer.
+        let end_offset = reservation.map(|reservation| {
+            let timer = Timed::start(profile);
+            let end_offset = reservation.end_offset();
+            let block = match marker {
+                Some(marker) => self.scratch.logbuf.serialize_prepare(cstamp, marker),
+                None => self.scratch.logbuf.serialize(cstamp),
+            };
+            reservation.fill(block);
+            Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
+            end_offset
+        });
+        Ok(PreparedTransaction { txn: self, cstamp, end_offset })
+    }
 
-        self.publish(cstamp);
-        Ok(CommitToken { lsn: cstamp, end_offset: Some(end_offset) })
+    /// The CC commit protocol against commit stamp `cstamp`: the SSN
+    /// exclusion-window test, then phantom protection by node-set
+    /// validation (§3.6.2). Snapshot isolation certifies nothing here —
+    /// its write-write conflicts were caught at install time.
+    fn certify(&mut self, cstamp: Lsn) -> Result<(), AbortReason> {
+        if !self.serializable() {
+            return Ok(());
+        }
+        for w in &self.writes {
+            if !w.prev.is_null() {
+                let p = unsafe { &*w.prev };
+                self.pstamp = self.pstamp.max(p.pstamp.load(Ordering::Acquire));
+            }
+        }
+        self.sstamp = self.sstamp.min(cstamp.raw());
+        for &r in &self.reads {
+            let vs = unsafe { (*r).sstamp.load(Ordering::Acquire) };
+            self.sstamp = self.sstamp.min(vs);
+        }
+        if self.sstamp <= self.pstamp {
+            return Err(AbortReason::SsnExclusion);
+        }
+        if self.node_set.iter().all(|(tree, snap)| tree.validate(snap)) {
+            Ok(())
+        } else {
+            Err(AbortReason::Phantom)
+        }
+    }
+
+    /// The one failure exit: record why (so the abort is attributed to
+    /// the right reason), then abort, roll back and release.
+    fn fail(&mut self, reason: AbortReason) -> AbortReason {
+        self.doomed = Some(reason);
+        self.do_abort();
+        reason
     }
 
     /// The in-memory commit point and post-commit: the tail of a
@@ -1001,135 +1055,6 @@ impl<'w> Transaction<'w> {
     /// i.e. it must participate in 2PC as a writer when cross-shard.
     pub(crate) fn has_writes(&self) -> bool {
         !self.writes.is_empty() || !self.secondary.is_empty()
-    }
-
-    /// 2PC phase one: run the full pre-commit pipeline (CC validation,
-    /// log-space reservation, block fill) but publish the block as a
-    /// [`ermia_log::BlockKind::TxnPrepare`] carrying `marker`, and stop
-    /// *before* the in-memory commit. The transaction stays in the
-    /// `Precommit` TID state, so its uncommitted head versions keep acting
-    /// as write locks, and readers and writers that depend on the verdict
-    /// wait for it — no conflicting transaction can commit around a
-    /// prepared one.
-    ///
-    /// The caller must see the returned block, and every sibling's,
-    /// durable before it calls [`PreparedTransaction::finish_commit`]
-    /// (or else [`PreparedTransaction::abort`]) — directly, or after a
-    /// [`PreparedTransaction::park`] that frees this worker meanwhile.
-    pub(crate) fn prepare(
-        mut self,
-        marker: ermia_log::PrepareMarker,
-    ) -> TxResult<PreparedTransaction<'w>> {
-        if let Some(r) = self.doomed {
-            self.do_abort();
-            return Err(r);
-        }
-        debug_assert!(self.has_writes(), "read-only participants never prepare");
-        let db = self.db;
-        let ctx = db.inner.tid.ctx(self.tid);
-
-        ctx.enter_pending();
-        self.stage_log_records();
-        let reservation = match db.inner.log.allocate(self.scratch.logbuf.prepare_block_len()) {
-            Ok(r) => r,
-            Err(_) => {
-                let reason = if db.inner.log.is_poisoned() {
-                    if let Some(t) = &self.scratch.telemetry {
-                        t.ring.record(EventKind::LogPoison, 1, 0);
-                    }
-                    AbortReason::LogFailure
-                } else {
-                    AbortReason::ResourceExhausted
-                };
-                self.doomed = Some(reason);
-                ctx.abort();
-                self.rollback();
-                self.release(false);
-                return Err(reason);
-            }
-        };
-        let cstamp = reservation.lsn();
-        ctx.enter_precommit(cstamp);
-
-        if self.serializable() {
-            for w in &self.writes {
-                if !w.prev.is_null() {
-                    let p = unsafe { &*w.prev };
-                    self.pstamp = self.pstamp.max(p.pstamp.load(Ordering::Acquire));
-                }
-            }
-            self.sstamp = self.sstamp.min(cstamp.raw());
-            for &r in &self.reads {
-                let vs = unsafe { (*r).sstamp.load(Ordering::Acquire) };
-                self.sstamp = self.sstamp.min(vs);
-            }
-            if self.sstamp <= self.pstamp {
-                drop(reservation); // becomes a skip record
-                self.doomed = Some(AbortReason::SsnExclusion);
-                ctx.abort();
-                self.rollback();
-                self.release(false);
-                return Err(AbortReason::SsnExclusion);
-            }
-            for (tree, snap) in &self.node_set {
-                if !tree.validate(snap) {
-                    drop(reservation);
-                    self.doomed = Some(AbortReason::Phantom);
-                    ctx.abort();
-                    self.rollback();
-                    self.release(false);
-                    return Err(AbortReason::Phantom);
-                }
-            }
-        }
-
-        let end_offset = reservation.end_offset();
-        let block = self.scratch.logbuf.serialize_prepare(cstamp, marker);
-        reservation.fill(block);
-        Ok(PreparedTransaction { txn: self, cstamp, end_offset })
-    }
-
-    /// Read-only commit: no log space needed. Under SSN the transaction
-    /// still needs a commit stamp for the exclusion test and for
-    /// registering itself on read versions; we use the current log tail
-    /// (monotonic, possibly shared — a documented approximation that can
-    /// only add false positives, never lost dependencies).
-    fn commit_readonly(mut self) -> TxResult<CommitToken> {
-        let db = self.db;
-        let ctx = db.inner.tid.ctx(self.tid);
-        let cstamp = db.inner.log.tail_lsn();
-        if self.serializable() {
-            self.sstamp = self.sstamp.min(cstamp.raw());
-            for &r in &self.reads {
-                let vs = unsafe { (*r).sstamp.load(Ordering::Acquire) };
-                self.sstamp = self.sstamp.min(vs);
-            }
-            if self.sstamp <= self.pstamp {
-                self.doomed = Some(AbortReason::SsnExclusion);
-                ctx.abort();
-                self.release(false);
-                return Err(AbortReason::SsnExclusion);
-            }
-            for (tree, snap) in &self.node_set {
-                if !tree.validate(snap) {
-                    self.doomed = Some(AbortReason::Phantom);
-                    ctx.abort();
-                    self.release(false);
-                    return Err(AbortReason::Phantom);
-                }
-            }
-            for &r in &self.reads {
-                unsafe { (*r).raise_pstamp(cstamp.raw()) };
-            }
-        }
-        ctx.enter_pending();
-        ctx.enter_precommit(cstamp);
-        ctx.commit(cstamp);
-        if let Some(t) = &self.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
-        }
-        self.release(true);
-        Ok(CommitToken { lsn: cstamp, end_offset: None })
     }
 
     /// Abort explicitly.
@@ -1250,38 +1175,39 @@ fn verdict_backoff(spins: &mut u32) {
     }
 }
 
-/// A transaction that passed [`Transaction::prepare`]: CC-validated, its
-/// prepare block filled in the log, awaiting the verdict. Dropping it
-/// without one aborts in memory only: recovery still commits the
-/// transaction if every participant's prepare is on disk and no abort
-/// verdict is, so whoever drops it after all have prepared owes the logs
-/// that verdict first (`StagedCommit` does).
+/// A transaction that passed [`Transaction::precommit`]: CC-validated,
+/// its block (if it wrote anything) filled in the log, awaiting the
+/// verdict. Dropping it without one aborts in memory only: recovery still
+/// commits a 2PC participant if every participant's prepare is on disk
+/// and no abort verdict is, so whoever drops it after all have prepared
+/// owes the logs that verdict first (`StagedCommit` does).
 pub struct PreparedTransaction<'w> {
     txn: Transaction<'w>,
     cstamp: Lsn,
-    end_offset: u64,
+    /// Exclusive end offset of the block; `None` when nothing was written.
+    end_offset: Option<u64>,
 }
 
 impl<'w> PreparedTransaction<'w> {
-    /// The commit stamp reserved at prepare (becomes the commit LSN).
+    /// The commit stamp taken at pre-commit (becomes the commit LSN).
     pub fn cstamp(&self) -> Lsn {
         self.cstamp
     }
 
-    /// 2PC phase two, commit verdict: make the updates visible atomically
-    /// and run post-commit stamping. The caller must already have seen
-    /// every participant's prepare block durable.
+    /// The commit verdict: make the updates visible atomically and run
+    /// post-commit stamping. A 2PC participant's caller must already have
+    /// seen every participant's prepare block durable.
     pub fn finish_commit(mut self) -> CommitToken {
         self.txn.publish(self.cstamp);
-        CommitToken { lsn: self.cstamp, end_offset: Some(self.end_offset) }
+        CommitToken { lsn: self.cstamp, end_offset: self.end_offset, shard: 0 }
     }
 
-    /// 2PC phase two, abort verdict: roll back the in-memory effects.
-    /// The prepare block stays in the log: recovery aborts it by an abort
-    /// verdict record, or for want of a sibling's prepare.
+    /// The abort verdict: roll back the in-memory effects. The block
+    /// stays in the log: recovery drops a commit block behind the first
+    /// hole, and aborts a prepare by an abort verdict record or for want
+    /// of a sibling's prepare.
     pub fn abort(mut self, reason: AbortReason) {
-        self.txn.doomed = Some(reason);
-        self.txn.do_abort();
+        self.txn.fail(reason);
     }
 
     /// Detach from the worker, which is free for its next transaction
@@ -1295,7 +1221,7 @@ impl<'w> PreparedTransaction<'w> {
             isolation: txn.isolation,
             sstamp: txn.sstamp,
             cstamp,
-            end_offset,
+            end_offset: end_offset.expect("only a writer parks: its verdict waits on its block"),
             chain_walked: txn.chain_walked,
             reads: std::mem::take(&mut txn.reads),
             writes: std::mem::take(&mut txn.writes),
@@ -1303,7 +1229,7 @@ impl<'w> PreparedTransaction<'w> {
             keys: std::mem::take(&mut txn.scratch.keys),
             attached: false,
         };
-        // The node set has served (validation ran at prepare) and goes
+        // The node set has served (validation ran at pre-commit) and goes
         // straight back; the epoch pin drops with `txn`. The TID slot
         // stays claimed — it is the parked prepare's now.
         txn.node_set.clear();
@@ -1400,7 +1326,7 @@ impl ParkedPrepare {
             doomed: None,
             finished: false,
         };
-        PreparedTransaction { txn, cstamp: self.cstamp, end_offset: self.end_offset }
+        PreparedTransaction { txn, cstamp: self.cstamp, end_offset: Some(self.end_offset) }
     }
 }
 
@@ -1429,8 +1355,9 @@ impl Drop for ParkedPrepare {
     }
 }
 
-/// Receipt of a [`Transaction::commit_deferred`]: the commit LSN plus the
-/// log offset whose durability implies the commit block is on disk.
+/// Receipt of a commit that is visible in memory: the commit LSN plus
+/// the log offset whose durability implies the commit block is on disk,
+/// and the shard whose log that is.
 ///
 /// Tokens are plain data — they do not borrow the worker, so the worker
 /// can serve the next transaction while somebody else awaits durability.
@@ -1440,22 +1367,34 @@ pub struct CommitToken {
     /// `None` for read-only commits, which occupy no log space and are
     /// trivially durable.
     end_offset: Option<u64>,
+    /// 0 until a [`ShardedTransaction`](crate::ShardedTransaction) names
+    /// the participant the token came from.
+    shard: u32,
 }
 
 impl CommitToken {
     /// A token for a commit that occupied no log space (read-only or
     /// empty transactions) — trivially durable.
     pub(crate) fn readonly_at(lsn: Lsn) -> CommitToken {
-        CommitToken { lsn, end_offset: None }
+        CommitToken { lsn, end_offset: None, shard: 0 }
     }
 
-    /// The commit timestamp.
+    pub(crate) fn on_shard(self, shard: usize) -> CommitToken {
+        CommitToken { shard: shard as u32, ..self }
+    }
+
+    /// The commit timestamp (on the backing shard's timeline).
     pub fn lsn(&self) -> Lsn {
         self.lsn
     }
 
-    /// The exclusive end offset of the commit block in the log's logical
-    /// offset space, or `None` for read-only commits.
+    /// The shard whose log durability backs this commit.
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
+
+    /// The exclusive end offset of the commit block in the backing
+    /// shard's log, or `None` for read-only commits.
     pub fn end_offset(&self) -> Option<u64> {
         self.end_offset
     }
@@ -1464,11 +1403,11 @@ impl CommitToken {
     /// read-only commit returns immediately.
     pub fn wait_durable(
         &self,
-        db: &Database,
+        db: &ShardedDb,
         timeout: std::time::Duration,
     ) -> Result<(), ermia_common::LogError> {
         match self.end_offset {
-            Some(end) => db.inner.log.wait_durable_for(end, timeout),
+            Some(end) => db.shard(self.shard as usize).inner.log.wait_durable_for(end, timeout),
             None => Ok(()),
         }
     }

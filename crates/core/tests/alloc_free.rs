@@ -198,4 +198,9 @@ fn fully_sampled_tracing_stays_alloc_free() {
     // spans from the measured window.
     let spans = db.telemetry().tracer().dump_spans(4096);
     assert!(!spans.is_empty(), "tracing was armed but recorded no spans");
+    // `commit()` on a database without synchronous commit waits for
+    // nothing, and its span must say so.
+    use ermia_telemetry::SpanKind;
+    assert!(spans.iter().any(|s| s.kind == SpanKind::CommitDeferred));
+    assert!(spans.iter().all(|s| s.kind != SpanKind::DurabilityWait));
 }

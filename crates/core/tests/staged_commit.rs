@@ -74,10 +74,7 @@ fn stage(
 }
 
 /// Poll until the commit verdict (the logs are healthy: it comes).
-fn commit_now(
-    staged: &mut StagedCommit,
-    resolver: &mut ShardedWorker,
-) -> ermia::ShardedCommitToken {
+fn commit_now(staged: &mut StagedCommit, resolver: &mut ShardedWorker) -> ermia::CommitToken {
     loop {
         if let Some(verdict) = staged.poll(resolver) {
             return verdict.expect("healthy logs commit");

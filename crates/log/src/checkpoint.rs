@@ -40,7 +40,7 @@ impl CheckpointStore {
         CheckpointStore::with_backend(dir, Arc::new(FileBackend))
     }
 
-    /// Open the store with an injectable write backend ([`FaultInjector`]
+    /// Open the store with an injectable write backend ([`crate::FaultInjector`]
     /// (crate::FaultInjector) in crash tests). Only the *write* path goes
     /// through the backend; reads use plain `std::fs`, since a recovery
     /// read never needs fault coverage beyond what corrupt files provide.

@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use ermia::{IsolationLevel, PooledShardedWorker, ShardedTransaction};
+use ermia::{IsolationLevel, PooledWorker, ShardedDb, ShardedTransaction};
 use ermia_common::{AbortReason, TableId};
 use ermia_telemetry::TraceContext;
 
@@ -102,7 +102,7 @@ pub(crate) struct ReplConnState {
 ///
 /// `ShardedTransaction<'w>` borrows its worker, so carrying one across
 /// loop iterations needs the worker at a stable address with an erased
-/// lifetime: the `PooledShardedWorker` is boxed onto the heap and held
+/// lifetime: the `PooledWorker` is boxed onto the heap and held
 /// as a raw pointer (not a `Box`, which would assert unique access it no
 /// longer has while the transaction borrows through it). Drop order
 /// restores the invariant the blocking server got from scoping:
@@ -110,7 +110,7 @@ pub(crate) struct ReplConnState {
 /// returning the worker to the pool.
 pub(crate) struct OpenTxn {
     txn: Option<ShardedTransaction<'static>>,
-    worker: *mut PooledShardedWorker,
+    worker: *mut PooledWorker<ShardedDb>,
     /// The begin frame's trace, held open across the whole interactive
     /// transaction: its `request` span is recorded at commit/abort, so a
     /// traced `Begin` yields one span covering begin → durable.
@@ -119,7 +119,7 @@ pub(crate) struct OpenTxn {
 
 impl OpenTxn {
     pub fn begin(
-        worker: PooledShardedWorker,
+        worker: PooledWorker<ShardedDb>,
         isolation: IsolationLevel,
         trace: Option<TraceReq>,
     ) -> OpenTxn {

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia::{Database, ShardedDb, ShardedWorkerPool};
+use ermia::{Database, ShardedDb, WorkerPool};
 use ermia_log::DurableWaker;
 use ermia_telemetry::{EventRing, Sample, SpanRing};
 use parking_lot::Mutex;
@@ -148,7 +148,7 @@ pub(crate) struct ShardHandle {
 pub(crate) struct ServerState {
     pub db: ShardedDb,
     pub cfg: ServerConfig,
-    pub pool: ShardedWorkerPool,
+    pub pool: WorkerPool<ShardedDb>,
     pub shutdown: AtomicBool,
     pub stats: Stats,
     pub shards: Vec<ShardHandle>,
@@ -201,7 +201,7 @@ impl Server {
         let telemetry_group = db.telemetry().registry().group();
         let state = Arc::new(ServerState {
             db: db.clone(),
-            pool: ShardedWorkerPool::new(db, cfg.worker_capacity),
+            pool: WorkerPool::new(db, cfg.worker_capacity),
             cfg,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
@@ -243,7 +243,7 @@ impl Server {
     }
 
     /// The shared worker pool (leak checks, sizing introspection).
-    pub fn worker_pool(&self) -> &ShardedWorkerPool {
+    pub fn worker_pool(&self) -> &WorkerPool<ShardedDb> {
         &self.state.pool
     }
 

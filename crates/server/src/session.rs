@@ -30,16 +30,19 @@
 //! # Durability parker
 //!
 //! A commit must not pin a thread while group commit fsyncs.
-//! `commit_deferred` yields a [`DeferredCommit`]: for a transaction
-//! that wrote on one engine shard, a token naming the log offset that
-//! makes it durable; for one that wrote on several, a [`StagedCommit`] —
-//! prepared on each, committed once every prepare block is durable.
+//! `commit_deferred` yields a [`DeferredCommit`], the one handle this
+//! layer holds on a commit in flight: it names the log offsets still
+//! awaited (`waits`) and reports how far durability has carried it
+//! (`poll`). A transaction that wrote on one engine shard is already
+//! published and awaits one offset; one that wrote on several is
+//! prepared on each and commits once every prepare block is durable.
 //! Either way the connection queues an in-order placeholder reply and
-//! the job goes to the shard's durability parker: a sync token after two
-//! zero-patience probes (inline, then at the end of the loop turn) have
-//! missed; a staged commit straight away, whatever its `sync` flag,
-//! because this thread may wait on one of its prepared heads in a later
-//! frame and must never be the only thread able to resolve it.
+//! the job goes to the shard's durability parker: a published sync
+//! commit after two zero-patience probes (inline, then at the end of the
+//! loop turn) have missed; an unpublished one straight away, whatever
+//! its `sync` flag, because this thread may wait on one of its prepared
+//! heads in a later frame and must never be the only thread able to
+//! resolve it.
 //!
 //! The parker — one thread per shard — is stage-aware rather than FIFO.
 //! Each job subscribes the parker's wake-up cell on every log offset it
@@ -79,8 +82,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ermia::{
-    DeferredCommit, IsolationLevel, NodeRole, PooledShardedWorker, ShardedCommitToken, ShardedWorker,
-    StagedCommit,
+    CommitToken, DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker,
 };
 use ermia_common::LogError;
 use ermia_log::{DurableSub, DurableWaker};
@@ -109,15 +111,6 @@ const TOK_WAKE: u64 = 0;
 const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// What a parked commit waits on.
-pub(crate) enum ParkWork {
-    /// A commit already visible in memory: one log offset.
-    Token(ShardedCommitToken),
-    /// A cross-shard commit between prepare and verdict: a log offset
-    /// per participant.
-    Staged(Box<StagedCommit>),
-}
-
 /// The reply a parked commit turns into once its outcome is known.
 pub(crate) enum Reply {
     /// An interactive `Commit`: the outcome itself.
@@ -144,7 +137,8 @@ impl Reply {
 pub(crate) struct ParkJob {
     pub conn: u64,
     pub seq: u64,
-    pub work: ParkWork,
+    /// The commit, and through it the log offsets it waits on.
+    pub work: DeferredCommit,
     pub reply: Reply,
     pub enqueued: Instant,
     /// Trace of the committing request; resolution records the
@@ -907,7 +901,7 @@ fn start_work(
     handle: &ShardHandle,
     conn: &mut Conn,
     work: PendingWork,
-    w: PooledShardedWorker,
+    w: PooledWorker<ShardedDb>,
     trace: Option<TraceReq>,
 ) {
     match work {
@@ -935,13 +929,12 @@ fn start_work(
                     resp
                 } else {
                     match txn.commit_deferred() {
-                        // An autocommitted write crosses shards only on
-                        // a replicated table.
-                        Ok(commit @ DeferredCommit::Staged(_)) => {
+                        // Answered at once unless the write crossed
+                        // shards, as one on a replicated table does.
+                        Ok(commit) => {
                             let reply = Reply::Auto(resp);
                             return settle_commit(state, handle, conn, commit, false, reply, trace);
                         }
-                        Ok(DeferredCommit::Committed(_)) => resp,
                         Err(reason) => aborted(reason),
                     }
                 }
@@ -961,7 +954,7 @@ fn run_batch(
     state: &Arc<ServerState>,
     handle: &ShardHandle,
     conn: &mut Conn,
-    mut w: PooledShardedWorker,
+    mut w: PooledWorker<ShardedDb>,
     isolation: IsolationLevel,
     sync: bool,
     ops: &[BatchOp],
@@ -1012,42 +1005,61 @@ fn settle_commit(
     reply: Reply,
     trace: Option<TraceReq>,
 ) {
-    match commit {
-        DeferredCommit::Committed(token) if sync && token.end_offset().is_some() => {
-            park_commit(state, handle, conn, token, reply, trace)
-        }
-        DeferredCommit::Committed(token) => {
-            conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
-            if let Some(tr) = trace {
-                finish_trace(state, &handle.trace_ring, &tr);
+    let Some(token) = commit.published() else {
+        // Not even committed before its prepares are durable, sync or
+        // not. It goes straight to the parker, past the end-of-turn tier:
+        // this thread may yet wait on one of its prepared heads (a later
+        // frame touching the same key), so the job must already be with a
+        // thread that can resolve it.
+        let job = new_job(state, conn, commit, reply, trace);
+        for job in send_to_parker(handle, vec![job]) {
+            // Parker already gone (shutdown race): the commit aborts as
+            // it drops; the reply slot must not wedge.
+            if let Some(tr) = &job.trace {
+                finish_trace(state, &handle.trace_ring, tr);
             }
+            conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
         }
-        // A cross-shard commit is not even committed before its prepares
-        // are durable, sync or not. It goes straight to the parker,
-        // past the end-of-turn tier: this thread may yet wait on one of
-        // its prepared heads (a later frame touching the same key), so
-        // the job must already be with a thread that can resolve it.
-        DeferredCommit::Staged(staged) => {
-            let seq = conn.push_pending(state);
-            state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
-            let job = ParkJob {
-                conn: conn.token,
-                seq,
-                work: ParkWork::Staged(staged),
-                reply,
-                enqueued: Instant::now(),
-                trace,
-            };
-            for job in send_to_parker(handle, vec![job]) {
-                // Parker already gone (shutdown race): the staged commit
-                // aborts as it drops; the reply slot must not wedge.
-                if let Some(tr) = &job.trace {
-                    finish_trace(state, &handle.trace_ring, tr);
-                }
-                conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
-            }
+        return;
+    };
+    // Published. If the client asked to wait for a block: group commit
+    // means it is often already durable by the time the reply is built,
+    // so probe with zero patience before paying the parker round trip
+    // (cross-thread handoff, eventfd wake, an extra event-loop turn). The
+    // probe also surfaces a poisoned log inline.
+    let wait = sync && token.end_offset().is_some();
+    let t_probe = if wait && trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
+    let outcome = if !wait {
+        Response::Committed { lsn: token.lsn().raw() }
+    } else if let Some(outcome) = probe(state, token) {
+        outcome
+    } else {
+        // Not yet durable: the end-of-turn tier probes once more.
+        let job = new_job(state, conn, commit, reply, trace);
+        return handle.deferred.lock().push(job);
+    };
+    let waited = wait && matches!(outcome, Response::Committed { .. });
+    conn.push(state, reply.with(outcome));
+    if let Some(tr) = trace {
+        let ring = &handle.trace_ring;
+        if waited {
+            ring.record(&tr.child(), SpanKind::DurabilityWait, t_probe, ring.now_ns(), 0, 0);
         }
+        finish_trace(state, ring, &tr);
     }
+}
+
+/// Reserve the in-order reply slot of a commit that has to wait.
+fn new_job(
+    state: &Arc<ServerState>,
+    conn: &mut Conn,
+    work: DeferredCommit,
+    reply: Reply,
+    trace: Option<TraceReq>,
+) -> ParkJob {
+    let seq = conn.push_pending(state);
+    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
+    ParkJob { conn: conn.token, seq, work, reply, enqueued: Instant::now(), trace }
 }
 
 /// Post jobs to the shard's parker; hands them back if the intake has
@@ -1074,48 +1086,23 @@ fn log_stalled() -> Response {
     }
 }
 
-/// Hand a sync commit to the shard's durability parker, reserving its
-/// in-order reply slot.
-fn park_commit(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conn: &mut Conn,
-    token: ShardedCommitToken,
-    reply: Reply,
-    trace: Option<TraceReq>,
-) {
-    // Group commit means the target is often already durable by the time
-    // the reply is built: probe with zero patience before paying the
-    // parker round trip (cross-thread handoff, eventfd wake, an extra
-    // event-loop turn). The probe also surfaces a poisoned log inline.
-    let t_probe = if trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
+/// Probe a published commit's log offset with zero patience. This is a
+/// wait, however short: it registers with the log, so a block that is
+/// filled but not yet picked up gets its flusher kick. `None` while the
+/// block is still in flight.
+fn probe(state: &ServerState, token: CommitToken) -> Option<Response> {
     match token.wait_durable(&state.db, Duration::ZERO) {
-        Ok(()) => {
-            conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
-            if let Some(tr) = trace {
-                let ring = &handle.trace_ring;
-                ring.record(&tr.child(), SpanKind::DurabilityWait, t_probe, ring.now_ns(), 0, 0);
-                finish_trace(state, ring, &tr);
-            }
-            return;
-        }
-        Err(LogError::Timeout) => {} // not yet durable: park for real
-        Err(e @ LogError::Poisoned { .. }) => {
-            record_log_incident(state, EventKind::LogPoison, 1);
-            let outcome = Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
-            conn.push(state, reply.with(outcome));
-            if let Some(tr) = trace {
-                finish_trace(state, &handle.trace_ring, &tr);
-            }
-            return;
-        }
+        Ok(()) => Some(Response::Committed { lsn: token.lsn().raw() }),
+        Err(LogError::Timeout) => None,
+        Err(e @ LogError::Poisoned { .. }) => Some(log_failed(state, &e)),
     }
+}
 
-    let seq = conn.push_pending(state);
-    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
-    let work = ParkWork::Token(token);
-    let job = ParkJob { conn: conn.token, seq, work, reply, enqueued: Instant::now(), trace };
-    handle.deferred.lock().push(job);
+/// The reply to a commit whose log failed under it, once published: the
+/// incident is recorded here too.
+fn log_failed(state: &ServerState, e: &LogError) -> Response {
+    record_log_incident(state, EventKind::LogPoison, 1);
+    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
 }
 
 /// Record the durability-wait span for a parked commit resolving now
@@ -1145,18 +1132,10 @@ fn drain_deferred(
     let mut resolved: Vec<(ParkJob, Response)> = Vec::new();
     let mut stragglers: Vec<ParkJob> = Vec::new();
     for job in jobs {
-        let ParkWork::Token(token) = job.work else {
-            unreachable!("staged commits skip the end-of-turn tier")
-        };
-        match token.wait_durable(&state.db, Duration::ZERO) {
-            Ok(()) => resolved.push((job, Response::Committed { lsn: token.lsn().raw() })),
-            Err(LogError::Timeout) => stragglers.push(job), // still in flight
-            Err(e @ LogError::Poisoned { .. }) => {
-                record_log_incident(state, EventKind::LogPoison, 1);
-                let outcome =
-                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
-                resolved.push((job, outcome));
-            }
+        let token = job.work.published().expect("only a published commit takes this tier");
+        match probe(state, token) {
+            Some(outcome) => resolved.push((job, outcome)),
+            None => stragglers.push(job),
         }
     }
     // The parker owns the stragglers from here — one handoff, one wake
@@ -1479,21 +1458,11 @@ struct Parked {
 }
 
 impl Parked {
-    /// The log offsets the job waits on now.
-    fn waits(&self) -> Vec<(usize, u64)> {
-        match &self.job.work {
-            ParkWork::Token(token) => {
-                token.end_offset().map(|end| (token.shard() as usize, end)).into_iter().collect()
-            }
-            ParkWork::Staged(staged) => staged.waits(),
-        }
-    }
-
     /// Keep one subscription per awaited offset. False if an offset
     /// needs none — it landed (or its log failed) in the meantime — so
     /// the job wants another poll, not a sleep.
     fn subscribe(&mut self, state: &ServerState, waker: &DurableWaker) -> bool {
-        let waits = self.waits();
+        let waits = self.job.work.waits();
         self.subs.retain(|(shard, end, _)| waits.contains(&(*shard, *end)));
         let mut all = true;
         for (shard, end) in waits {
@@ -1511,52 +1480,28 @@ impl Parked {
     /// When the parker must look at this job again even if no log
     /// wakes it.
     fn wake_at(&self) -> Instant {
-        match &self.job.work {
-            ParkWork::Staged(staged) => {
-                staged.not_before().map_or(self.deadline, |t| t.min(self.deadline))
-            }
-            ParkWork::Token(_) => self.deadline,
-        }
+        self.job.work.not_before().map_or(self.deadline, |t| t.min(self.deadline))
     }
 
     /// Advance the job as far as its logs allow. `Some(outcome)` once it
     /// has one: durable, failed, or out of patience.
     fn poll(&mut self, state: &ServerState, resolver: &mut ShardedWorker) -> Option<Response> {
         let lapsed = Instant::now() >= self.deadline;
-        match &mut self.job.work {
-            ParkWork::Token(token) => {
-                // A token without an offset occupied no log space.
-                let status = token.end_offset().map_or(Ok(true), |end| {
-                    state.db.shard(token.shard() as usize).log().durable_status(end)
-                });
-                match status {
-                    Ok(true) => Some(Response::Committed { lsn: token.lsn().raw() }),
-                    Ok(false) if lapsed => {
-                        let waited = state.cfg.sync_wait.as_millis() as u64;
-                        record_log_incident(state, EventKind::LogStall, waited);
-                        Some(log_stalled())
-                    }
-                    Ok(false) => None,
-                    Err(e) => {
-                        record_log_incident(state, EventKind::LogPoison, 1);
-                        Some(Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() })
-                    }
-                }
+        match self.job.work.poll(resolver) {
+            Some(Ok(Ok(token))) => Some(Response::Committed { lsn: token.lsn().raw() }),
+            Some(Ok(Err(reason))) => Some(aborted(reason)),
+            Some(Err(e)) => Some(log_failed(state, &e)),
+            None if lapsed => {
+                // Giving up on a commit still prepared writes the abort
+                // verdict behind the prepares before it rolls the halves
+                // back; until that is durable a crash can still commit
+                // them. One already published stands.
+                self.job.work.abort(resolver);
+                let waited = state.cfg.sync_wait.as_millis() as u64;
+                record_log_incident(state, EventKind::LogStall, waited);
+                Some(log_stalled())
             }
-            ParkWork::Staged(staged) => match staged.poll(resolver) {
-                Some(Ok(token)) => Some(Response::Committed { lsn: token.lsn().raw() }),
-                Some(Err(reason)) => Some(aborted(reason)),
-                None if lapsed => {
-                    // Giving up writes the abort verdict behind the
-                    // prepares before it rolls the halves back; until
-                    // that is durable a crash can still commit them.
-                    staged.abort(resolver);
-                    let waited = state.cfg.sync_wait.as_millis() as u64;
-                    record_log_incident(state, EventKind::LogStall, waited);
-                    Some(log_stalled())
-                }
-                None => None,
-            },
+            None => None,
         }
     }
 }
@@ -1581,6 +1526,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
     let waker = &handle.park_waker;
     let mut resolver = state.db.register_worker();
     let mut parked: Vec<Parked> = Vec::new();
+    let mut answered: Vec<DeferredCommit> = Vec::new();
     loop {
         let open = {
             let mut intake = handle.park_in.lock();
@@ -1591,7 +1537,6 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             intake.open
         };
         let mut done = Vec::new();
-        let mut answered: Vec<Box<StagedCommit>> = Vec::new();
         let mut i = 0;
         while i < parked.len() {
             let Some(outcome) = parked[i].poll(&state, &mut resolver) else {
@@ -1600,13 +1545,12 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             };
             let Parked { job, .. } = parked.swap_remove(i);
             if let Some(tr) = &job.trace {
-                match job.work {
+                if job.work.published().is_some() {
+                    finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr)
+                } else {
                     // The engine recorded a staged commit's waits, stage
                     // by stage; only the request is left to close.
-                    ParkWork::Staged(_) => finish_trace(&state, &handle.parker_ring, tr),
-                    ParkWork::Token(_) => {
-                        finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr)
-                    }
+                    finish_trace(&state, &handle.parker_ring, tr)
                 }
             }
             state.svc_ring.record(
@@ -1616,9 +1560,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             );
             let bytes = frame_bytes(&job.reply.with(outcome));
             done.push(Completion { conn: job.conn, seq: job.seq, bytes });
-            if let ParkWork::Staged(staged) = job.work {
-                answered.push(staged);
-            }
+            answered.push(job.work);
         }
         // One flush batch typically resolves a whole run of parked
         // commits at once: a single wake for the lot. Verdict records go
@@ -1626,8 +1568,8 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
         // that asks for its trace next finds the `2pc-decide` span.
         if !done.is_empty() {
             handle.completions.lock().extend(done);
-            for mut staged in answered {
-                staged.write_verdict(&mut resolver);
+            for mut commit in answered.drain(..) {
+                commit.write_verdict(&mut resolver);
             }
             handle.wake.wake();
         }

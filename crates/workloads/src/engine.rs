@@ -66,121 +66,6 @@ pub trait EngineTxn {
 // ERMIA adapter (SI or SSN, chosen at construction)
 // ---------------------------------------------------------------------
 
-/// ERMIA under a fixed isolation level (ERMIA-SI / ERMIA-SSN).
-#[derive(Clone)]
-pub struct ErmiaEngine {
-    pub db: ermia::Database,
-    pub isolation: ermia::IsolationLevel,
-    name: &'static str,
-}
-
-impl ErmiaEngine {
-    pub fn si(db: ermia::Database) -> ErmiaEngine {
-        ErmiaEngine { db, isolation: ermia::IsolationLevel::Snapshot, name: "ERMIA-SI" }
-    }
-
-    pub fn ssn(db: ermia::Database) -> ErmiaEngine {
-        ErmiaEngine { db, isolation: ermia::IsolationLevel::Serializable, name: "ERMIA-SSN" }
-    }
-}
-
-impl Engine for ErmiaEngine {
-    type Worker = ErmiaWorkerAdapter;
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn create_table(&self, name: &str) -> TableId {
-        self.db.create_table(name)
-    }
-
-    fn create_secondary_index(&self, table: TableId, name: &str) -> IndexId {
-        self.db.create_secondary_index(table, name)
-    }
-
-    fn primary_index(&self, table: TableId) -> IndexId {
-        self.db.primary_index(table)
-    }
-
-    fn register_worker(&self) -> ErmiaWorkerAdapter {
-        ErmiaWorkerAdapter { worker: self.db.register_worker(), isolation: self.isolation }
-    }
-
-    fn txn_counts(&self) -> (u64, u64) {
-        self.db.txn_counts()
-    }
-}
-
-pub struct ErmiaWorkerAdapter {
-    worker: ermia::Worker,
-    isolation: ermia::IsolationLevel,
-}
-
-impl EngineWorker for ErmiaWorkerAdapter {
-    type Txn<'a> = ermia::Transaction<'a>;
-
-    fn begin(&mut self, _profile: TxnProfile) -> ermia::Transaction<'_> {
-        // ERMIA needs no read-only declaration: SI serves all readers
-        // from consistent snapshots.
-        self.worker.begin(self.isolation)
-    }
-}
-
-impl EngineTxn for ermia::Transaction<'_> {
-    fn read(&mut self, table: TableId, key: &[u8], out: &mut dyn FnMut(&[u8])) -> OpResult<bool> {
-        ermia::Transaction::read(self, table, key, |v| out(v)).map(|o| o.is_some())
-    }
-
-    fn read_secondary(
-        &mut self,
-        index: IndexId,
-        key: &[u8],
-        out: &mut dyn FnMut(&[u8]),
-    ) -> OpResult<bool> {
-        ermia::Transaction::read_secondary(self, index, key, |v| out(v)).map(|o| o.is_some())
-    }
-
-    fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
-        ermia::Transaction::update(self, table, key, value)
-    }
-
-    fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<u64> {
-        ermia::Transaction::insert(self, table, key, value).map(|oid| oid.0 as u64)
-    }
-
-    fn insert_secondary(&mut self, index: IndexId, key: &[u8], handle: u64) -> OpResult<()> {
-        ermia::Transaction::insert_secondary(self, index, key, ermia_common::Oid(handle as u32))
-    }
-
-    fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
-        ermia::Transaction::delete(self, table, key)
-    }
-
-    fn scan(
-        &mut self,
-        index: IndexId,
-        low: &[u8],
-        high: &[u8],
-        limit: Option<usize>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> OpResult<usize> {
-        ermia::Transaction::scan(self, index, low, high, limit, |k, v| f(k, v))
-    }
-
-    fn commit(self) -> TxResult<()> {
-        ermia::Transaction::commit(self).map(|_| ())
-    }
-
-    fn abort(self) {
-        ermia::Transaction::abort(self)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded ERMIA adapter
-// ---------------------------------------------------------------------
-
 /// Shard placement policy for a workload table, by name.
 ///
 /// TPC-C keys lead with the 4-byte big-endian warehouse id, so hashing
@@ -209,31 +94,36 @@ pub fn index_routing(name: &str) -> ermia::IndexRouting {
     }
 }
 
-/// Sharded ERMIA: N independent log/epoch/TID domains behind one
-/// namespace, cross-shard transactions committing via 2PC.
+/// ERMIA under a fixed isolation level (ERMIA-SI / ERMIA-SSN), over any
+/// number of shards: a plain [`ermia::Database`] (the paper's figures)
+/// converts into the one-shard engine, whose routing is constant and
+/// whose commit is the single-database commit; with more shards
+/// (`ShardedDb::open(cfg, n)`) there are N independent log/epoch/TID
+/// domains behind one namespace and cross-shard transactions commit via
+/// 2PC.
 #[derive(Clone)]
-pub struct ShardedErmiaEngine {
+pub struct ErmiaEngine {
     pub db: ermia::ShardedDb,
     pub isolation: ermia::IsolationLevel,
     name: &'static str,
 }
 
-impl ShardedErmiaEngine {
-    pub fn si(db: ermia::ShardedDb) -> ShardedErmiaEngine {
-        ShardedErmiaEngine { db, isolation: ermia::IsolationLevel::Snapshot, name: "ERMIA-shard" }
+impl ErmiaEngine {
+    pub fn si(db: impl Into<ermia::ShardedDb>) -> ErmiaEngine {
+        ErmiaEngine { db: db.into(), isolation: ermia::IsolationLevel::Snapshot, name: "ERMIA-SI" }
     }
 
-    pub fn ssn(db: ermia::ShardedDb) -> ShardedErmiaEngine {
-        ShardedErmiaEngine {
-            db,
+    pub fn ssn(db: impl Into<ermia::ShardedDb>) -> ErmiaEngine {
+        ErmiaEngine {
+            db: db.into(),
             isolation: ermia::IsolationLevel::Serializable,
-            name: "ERMIA-shard-SSN",
+            name: "ERMIA-SSN",
         }
     }
 }
 
-impl Engine for ShardedErmiaEngine {
-    type Worker = ShardedErmiaWorkerAdapter;
+impl Engine for ErmiaEngine {
+    type Worker = ErmiaWorkerAdapter;
 
     fn name(&self) -> &'static str {
         self.name
@@ -251,8 +141,8 @@ impl Engine for ShardedErmiaEngine {
         self.db.primary_index(table)
     }
 
-    fn register_worker(&self) -> ShardedErmiaWorkerAdapter {
-        ShardedErmiaWorkerAdapter { worker: self.db.register_worker(), isolation: self.isolation }
+    fn register_worker(&self) -> ErmiaWorkerAdapter {
+        ErmiaWorkerAdapter { worker: self.db.register_worker(), isolation: self.isolation }
     }
 
     fn txn_counts(&self) -> (u64, u64) {
@@ -260,15 +150,17 @@ impl Engine for ShardedErmiaEngine {
     }
 }
 
-pub struct ShardedErmiaWorkerAdapter {
+pub struct ErmiaWorkerAdapter {
     worker: ermia::ShardedWorker,
     isolation: ermia::IsolationLevel,
 }
 
-impl EngineWorker for ShardedErmiaWorkerAdapter {
+impl EngineWorker for ErmiaWorkerAdapter {
     type Txn<'a> = ermia::ShardedTransaction<'a>;
 
     fn begin(&mut self, _profile: TxnProfile) -> ermia::ShardedTransaction<'_> {
+        // ERMIA needs no read-only declaration: SI serves all readers
+        // from consistent snapshots.
         self.worker.begin(self.isolation)
     }
 }

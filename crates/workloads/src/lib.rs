@@ -30,8 +30,8 @@ pub mod tpce_hybrid;
 
 pub use driver::{run, BenchResult, RunConfig, TypeStats};
 pub use engine::{
-    index_routing, table_policy, Engine, EngineTxn, EngineWorker, ErmiaEngine, ShardedErmiaEngine,
-    SiloEngine, TxnProfile,
+    index_routing, table_policy, Engine, EngineTxn, EngineWorker, ErmiaEngine, SiloEngine,
+    TxnProfile,
 };
 
 pub use ermia_common::{AbortReason, IndexId, OpResult, TableId, TxResult};

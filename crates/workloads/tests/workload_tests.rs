@@ -10,14 +10,14 @@ use ermia_workloads::tpcc::{check_consistency, TpccConfig, TpccWorkload};
 use ermia_workloads::tpcc_hybrid::TpccHybridWorkload;
 use ermia_workloads::tpce::{TpceConfig, TpceWorkload};
 use ermia_workloads::tpce_hybrid::TpceHybridWorkload;
-use ermia_workloads::{Engine, ErmiaEngine, ShardedErmiaEngine, SiloEngine};
+use ermia_workloads::{Engine, ErmiaEngine, SiloEngine};
 
 fn ermia_si() -> ErmiaEngine {
     ErmiaEngine::si(ermia::Database::open(ermia::DbConfig::in_memory()).unwrap())
 }
 
-fn ermia_sharded(shards: usize) -> ShardedErmiaEngine {
-    ShardedErmiaEngine::si(ermia::ShardedDb::open(ermia::DbConfig::in_memory(), shards).unwrap())
+fn ermia_sharded(shards: usize) -> ErmiaEngine {
+    ErmiaEngine::si(ermia::ShardedDb::open(ermia::DbConfig::in_memory(), shards).unwrap())
 }
 
 fn ermia_ssn() -> ErmiaEngine {

@@ -3,41 +3,98 @@
 //! ```sh
 //! cargo run --release --example server -- 127.0.0.1:7878
 //! cargo run --release --example server -- 127.0.0.1:7878 --shards 4
+//! cargo run --release --example server -- 127.0.0.1:0 --data-dir /var/tmp/ermia --table chaos
 //! ```
 //!
-//! `--shards N` partitions the engine into N independent shard domains
-//! (log, epochs, TID space); keys hash-route to a home shard and
+//! `--shards N` (or `ERMIA_SHARDS`) partitions the engine into N
+//! independent shard domains (log, epochs, TID space; shard `i` logs
+//! under `<dir>/shard-<i>`); keys hash-route to a home shard and
 //! transactions that touch several shards commit with two-phase commit.
 //!
-//! Then talk to it with the client example (`--example client`) or any
+//! `--data-dir DIR` (or `ERMIA_DATA_DIR`) names the durable directory.
+//! It is reused across restarts: every start recovers what the previous
+//! incarnation made durable, for the tables re-declared with `--table
+//! NAME` (the schema is the application's to declare; clients may open
+//! further tables over the wire).
+//!
+//! The first line on stdout is a machine-readable `PORT <n>`, so an
+//! orchestrator can bind port 0, read the line, hammer the server and
+//! SIGKILL it — the protocol of the in-tree chaos harness
+//! (`crates/server/tests/chaos.rs`), which makes this binary a target
+//! for external chaos tooling too:
+//!
+//! * `ERMIA_FAULT_PLAN` injects storage faults for degraded-mode drills:
+//!   `enospc:<bytes>` (fail writes past a byte budget) or `fsync:<n>`
+//!   (fail the nth fsync) — pair with the `Resume` wire frame after
+//!   clearing the fault;
+//! * `ERMIA_CKPT_MS=<ms>` runs a background checkpointer so kills can
+//!   land mid-checkpoint;
+//! * `ERMIA_2PC_PREPARE_DELAY_MS` (read by the engine) widens the window
+//!   between a cross-shard commit's durable prepares and its verdict.
+//!
+//! Talk to it with the client example (`--example client`) or any
 //! program speaking the framed wire protocol (`ermia_server::protocol`).
-//! Stop it with Ctrl-C (or, here, by pressing Enter).
+//! Stop it with Ctrl-C, a SIGKILL, or — for a graceful drain — Enter or
+//! closing its stdin.
 
+use std::io::Write;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ermia::{DbConfig, ShardedDb};
+use ermia_log::{FaultInjector, FaultPlan};
 use ermia_server::{Server, ServerConfig};
 
+fn fault_plan() -> FaultPlan {
+    let mut plan = FaultPlan::default();
+    let fault = std::env::var("ERMIA_FAULT_PLAN").unwrap_or_default();
+    if let Some(bytes) = fault.strip_prefix("enospc:") {
+        plan.enospc_after_bytes = Some(bytes.parse().expect("enospc byte budget"));
+    } else if let Some(n) = fault.strip_prefix("fsync:") {
+        plan.fail_sync_at = Some(n.parse().expect("fsync call index"));
+    } else if fault != "none" && !fault.is_empty() {
+        panic!("unknown ERMIA_FAULT_PLAN {fault:?} (want enospc:<bytes> or fsync:<n>)");
+    }
+    plan
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--shards" {
-            shards = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&s| s >= 1)
-                .expect("--shards needs a positive integer");
-        } else {
-            addr = a.clone();
+    let mut shards = std::env::var("ERMIA_SHARDS").ok();
+    let mut dir = std::env::var("ERMIA_DATA_DIR").ok();
+    let mut tables = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--shards" => shards = Some(args.next().expect("--shards needs a value")),
+            "--data-dir" => dir = Some(args.next().expect("--data-dir needs a path")),
+            "--table" => tables.push(args.next().expect("--table needs a name")),
+            _ => addr = a,
         }
     }
+    let shards: usize = shards.map_or(1, |s| s.parse().expect("shard count"));
+    let dir = dir.map_or_else(|| std::env::temp_dir().join("ermia-server-example"), Into::into);
 
     // Durable engine: the log goes to disk, sync commits really wait.
-    let dir = std::env::temp_dir().join("ermia-server-example");
-    let db = ShardedDb::open(DbConfig::durable(&dir), shards).expect("open database");
+    let mut cfg = DbConfig::durable(&dir);
+    cfg.log.io_factory = Arc::new(FaultInjector::new(fault_plan()));
+    let db = ShardedDb::open(cfg, shards)
+        .expect("open database (is the data dir locked by a live server?)");
+    for table in &tables {
+        db.create_table(table);
+    }
+    let recovered = db.recover().expect("recovery");
+
+    if let Some(ms) =
+        std::env::var("ERMIA_CKPT_MS").ok().and_then(|v| v.parse::<u64>().ok()).filter(|&ms| ms > 0)
+    {
+        let ckpt_db = db.clone();
+        std::thread::spawn(move || loop {
+            std::thread::sleep(Duration::from_millis(ms));
+            // Checkpoints may fail while the log is faulted.
+            let _ = ckpt_db.checkpoint();
+        });
+    }
 
     let cfg = ServerConfig {
         max_sessions: 256,
@@ -46,9 +103,11 @@ fn main() {
         ..ServerConfig::default()
     };
     let srv = Server::start_sharded(&db, &addr, cfg).expect("bind");
+    println!("PORT {}", srv.local_addr().port());
     println!("ermia-server listening on {} ({} shard(s))", srv.local_addr(), db.shards());
-    println!("log dir: {}", dir.display());
+    println!("data dir: {} (recovered: {recovered:?})", dir.display());
     println!("press Enter to shut down gracefully");
+    let _ = std::io::stdout().flush();
 
     let mut line = String::new();
     let _ = std::io::stdin().read_line(&mut line);

@@ -161,17 +161,17 @@ impl<T: EngineTxn> Shim<T> {
     }
 }
 
-impl EngineWorkerLike for ermia::Worker {
-    type T<'a> = ermia::Transaction<'a>;
-    fn begin_rw(&mut self) -> Shim<ermia::Transaction<'_>> {
+impl EngineWorkerLike for ermia::ShardedWorker {
+    type T<'a> = ermia::ShardedTransaction<'a>;
+    fn begin_rw(&mut self) -> Shim<ermia::ShardedTransaction<'_>> {
         Shim(Some(self.begin(ermia::IsolationLevel::Serializable)))
     }
 }
 
-struct SiWorker(ermia::Worker);
+struct SiWorker(ermia::ShardedWorker);
 impl EngineWorkerLike for SiWorker {
-    type T<'a> = ermia::Transaction<'a>;
-    fn begin_rw(&mut self) -> Shim<ermia::Transaction<'_>> {
+    type T<'a> = ermia::ShardedTransaction<'a>;
+    fn begin_rw(&mut self) -> Shim<ermia::ShardedTransaction<'_>> {
         Shim(Some(self.0.begin(ermia::IsolationLevel::Snapshot)))
     }
 }
@@ -188,14 +188,14 @@ proptest! {
 
     #[test]
     fn ermia_ssn_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        let db = ermia::Database::open(ermia::DbConfig::in_memory()).unwrap();
+        let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
         db.create_table("t");
         check_engine(db.register_worker(), &plans)?;
     }
 
     #[test]
     fn ermia_si_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        let db = ermia::Database::open(ermia::DbConfig::in_memory()).unwrap();
+        let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
         db.create_table("t");
         check_engine(SiWorker(db.register_worker()), &plans)?;
     }
