@@ -376,6 +376,7 @@ impl Database {
             cfg,
         });
         crate::metrics::register_db_collectors(&inner);
+        crate::metrics::observe_log_syncs(&inner);
         {
             // Degrade to read-only the instant the flusher poisons the
             // log: reads keep committing off the snapshot, writes are

@@ -10,6 +10,10 @@
 //!   (index / indirection / log / other nanoseconds), registered only
 //!   when `DbConfig::profile` is on.
 //!
+//! [`LOG_FAMILY`] holds the one log metric that is a distribution: the
+//! flusher thread records every device sync's latency into it
+//! ([`observe_log_syncs`]), once per sync, off every transaction's path.
+//!
 //! Everything else (log, GC, epoch, TID, pool) already keeps its own
 //! atomics; [`register_db_collectors`] exposes those through read-side
 //! collector closures that capture a `Weak<DbInner>` — no reference
@@ -153,6 +157,24 @@ pub(crate) static PROFILE_FAMILY: FamilyDef = FamilyDef {
     hists: &[],
 };
 
+/// The log's one histogram; a single slab per database, written by the
+/// flusher thread alone.
+pub(crate) static LOG_FAMILY: FamilyDef = FamilyDef {
+    counters: &[],
+    hists: &[MetricDesc {
+        name: "ermia_log_sync_ns",
+        help: "Device sync latency per group-commit batch, ns (what the flusher paces overlapped syncs by)",
+        kind: MetricKind::Counter,
+        label: None,
+    }],
+};
+
+/// Route the log's per-sync latency reports into [`LOG_FAMILY`].
+pub(crate) fn observe_log_syncs(inner: &DbInner) {
+    let slab = inner.telemetry.registry().register_slab(&LOG_FAMILY);
+    inner.log.set_sync_observer(move |ns| slab.hist(0).record(ns));
+}
+
 /// Register the read-side collectors that expose the database's existing
 /// subsystem atomics (log, GC, epoch, TID, pool). The closures capture a
 /// `Weak<DbInner>` so the registry (owned by `DbInner`) never keeps its
@@ -247,6 +269,11 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "ermia_log_last_batch_bytes",
         "Size of the most recent group-commit flush batch",
         s.last_batch_bytes.load(Relaxed) as f64,
+    ));
+    out.push(Sample::gauge(
+        "ermia_log_syncs_in_flight",
+        "Device syncs issued and not yet published (the flusher's queue depth)",
+        s.syncs_in_flight.load(Relaxed) as f64,
     ));
 
     // Garbage collector (database-owned stats survive GC restarts on DDL).

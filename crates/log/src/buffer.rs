@@ -69,6 +69,13 @@ use crate::records::MIN_BLOCK_LEN;
 /// Bytes tracked per availability-ring slot.
 const SLOT: u64 = MIN_BLOCK_LEN as u64;
 
+/// The consumer sleeps until fills matter to it (a fill below the
+/// demand, a quarter of the ring accumulated), a kick, or its timeout.
+const PARKED_FOR_FILLS: u32 = 1;
+/// The consumer sleeps through fills: only [`RingBuffer::kick_consumer`]
+/// or its timeout ends the sleep.
+const PARKED_DEAF: u32 = 2;
+
 pub struct RingBuffer {
     cap: u64,
     data: Box<[u8]>,
@@ -90,8 +97,9 @@ pub struct RingBuffer {
     /// Set when the flusher dies on an unrecoverable I/O error: space
     /// will never free up again, so waiters must give up.
     poisoned: AtomicBool,
-    /// 1 while the consumer is parked on `filled_cv`. Writers check it
-    /// (after a `SeqCst` fence) before touching the mutex.
+    /// How the consumer is parked on `filled_cv`, if it is:
+    /// [`PARKED_FOR_FILLS`] or [`PARKED_DEAF`]; 0 while it runs. Wakers
+    /// check it (after a `SeqCst` fence) before touching the mutex.
     consumer_parked: AtomicU32,
     /// Number of writers parked on `space_cv`.
     space_waiters: AtomicU32,
@@ -205,12 +213,28 @@ impl RingBuffer {
         }
     }
 
-    /// Notify the consumer if (and only if) it is parked. Callers must
-    /// have published the state the consumer will re-check *before* a
-    /// `SeqCst` fence that precedes this call.
+    /// Notify the consumer if (and only if) it is parked *for fills*.
+    /// Callers must have published the state the consumer will re-check
+    /// *before* a `SeqCst` fence that precedes this call.
     fn wake_consumer(&self) {
-        if self.consumer_parked.load(Ordering::Relaxed) != 0 {
+        if self.consumer_parked.load(Ordering::Relaxed) == PARKED_FOR_FILLS {
             let _guard = self.wake_mx.lock();
+            self.filled_cv.notify_one();
+        }
+    }
+
+    /// Wake the consumer for something that is not a fill (a device
+    /// sync it handed off has completed), however it is parked. The
+    /// caller publishes what the consumer's `kicked` closure reads
+    /// *before* this call; the fence here and the one in the park path
+    /// are the same Dekker handshake fills use.
+    pub fn kick_consumer(&self) {
+        fence(Ordering::SeqCst);
+        if self.consumer_parked.load(Ordering::Relaxed) != 0 {
+            // Passing through the mutex is what orders this wake after
+            // the consumer's re-check; notifying once it is released
+            // spares the woken consumer a second sleep on the mutex.
+            drop(self.wake_mx.lock());
             self.filled_cv.notify_one();
         }
     }
@@ -440,30 +464,52 @@ impl RingBuffer {
         cur
     }
 
-    /// Consumer side: wait until the watermark scan passes `from` or the
-    /// timeout elapses; returns the current filled watermark.
-    pub fn wait_filled(&self, from: u64, timeout: Duration) -> u64 {
+    /// Consumer side: wait until the watermark scan passes `from`,
+    /// `kicked()` turns true (see [`RingBuffer::kick_consumer`]) or the
+    /// timeout elapses (`None`: no limit); returns the current filled
+    /// watermark. One sleep at most — the caller loops.
+    pub fn wait_filled(
+        &self,
+        from: u64,
+        timeout: Option<Duration>,
+        kicked: impl Fn() -> bool,
+    ) -> u64 {
         let cur = self.advance_filled();
         if cur > from {
             return cur;
         }
-        let mut guard = self.wake_mx.lock();
-        self.consumer_parked.store(1, Ordering::Relaxed);
-        // Dekker handshake with `mark_filled`: publish that we are
-        // parked, then re-scan. Either the re-scan sees the stamps of
-        // any fill whose wake-check preceded our registration, or the
-        // filler sees `consumer_parked == 1` and notifies under the
-        // mutex we hold.
-        fence(Ordering::SeqCst);
-        let cur = self.advance_filled();
-        if cur > from {
-            self.consumer_parked.store(0, Ordering::Relaxed);
-            return cur;
-        }
-        self.filled_cv.wait_for(&mut guard, timeout);
-        self.consumer_parked.store(0, Ordering::Relaxed);
-        drop(guard);
+        self.park(PARKED_FOR_FILLS, timeout, || self.advance_filled() > from || kicked());
         self.advance_filled()
+    }
+
+    /// Consumer side: sleep *through* fills — however many land, and
+    /// whatever the demand — until `kicked()` turns true or the timeout
+    /// elapses. For a consumer that has already decided not to drain
+    /// before some instant: every fill-side wake it is spared is a
+    /// context switch a committer does not pay for.
+    pub fn sleep_through_fills(&self, timeout: Option<Duration>, kicked: impl Fn() -> bool) {
+        self.assert_single_consumer();
+        self.park(PARKED_DEAF, timeout, kicked);
+    }
+
+    fn park(&self, mode: u32, timeout: Option<Duration>, ready: impl Fn() -> bool) {
+        let mut guard = self.wake_mx.lock();
+        self.consumer_parked.store(mode, Ordering::Relaxed);
+        // Dekker handshake with `mark_filled` and `kick_consumer`:
+        // publish that we are parked, then re-check. Either the re-check
+        // sees what a waker published before its own fence, or the waker
+        // sees `consumer_parked != 0` and notifies under the mutex we
+        // hold.
+        fence(Ordering::SeqCst);
+        if !ready() {
+            match timeout {
+                Some(t) => {
+                    self.filled_cv.wait_for(&mut guard, t);
+                }
+                None => self.filled_cv.wait(&mut guard),
+            }
+        }
+        self.consumer_parked.store(0, Ordering::Relaxed);
     }
 
     /// Flusher side: hand the bytes of `range` (all below the filled
@@ -658,7 +704,7 @@ mod tests {
     #[test]
     fn wait_filled_times_out() {
         let rb = RingBuffer::new(64, 0);
-        let got = rb.wait_filled(0, Duration::from_millis(5));
+        let got = rb.wait_filled(0, Some(Duration::from_millis(5)), || false);
         assert_eq!(got, 0);
     }
 
@@ -708,7 +754,7 @@ mod tests {
             rb.set_demand(32);
             let rb2 = std::sync::Arc::clone(&rb);
             let t = std::thread::spawn(move || {
-                let got = rb2.wait_filled(0, Duration::from_secs(5));
+                let got = rb2.wait_filled(0, Some(Duration::from_secs(5)), || false);
                 (got, std::time::Instant::now())
             });
             // Let the consumer park.
@@ -735,7 +781,7 @@ mod tests {
         let rb2 = std::sync::Arc::clone(&rb);
         let t = std::thread::spawn(move || {
             let start = std::time::Instant::now();
-            let got = rb2.wait_filled(0, Duration::from_millis(80));
+            let got = rb2.wait_filled(0, Some(Duration::from_millis(80)), || false);
             (got, start.elapsed())
         });
         std::thread::sleep(Duration::from_millis(5));
@@ -746,6 +792,33 @@ mod tests {
             waited >= Duration::from_millis(60),
             "consumer woke after {waited:?}: an idle fill should not have notified"
         );
+    }
+
+    #[test]
+    fn deaf_consumer_sleeps_through_fills_until_kicked() {
+        // A consumer that has decided not to drain yet must not pay a
+        // wake-up per demand-covering fill; a kick (whose cause the
+        // `kicked` closure can see) ends the sleep at once.
+        let rb = std::sync::Arc::new(RingBuffer::new(1024, 0));
+        rb.set_demand(32);
+        let kicked = std::sync::Arc::new(AtomicBool::new(false));
+        let (rb2, kicked2) = (std::sync::Arc::clone(&rb), std::sync::Arc::clone(&kicked));
+        let t = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            rb2.sleep_through_fills(Some(Duration::from_secs(5)), || {
+                kicked2.load(Ordering::Acquire)
+            });
+            start.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        rb.mark_filled(0, 32); // below the demand: would wake a consumer parked for fills
+        rb.kick_if_filled(32);
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(!t.is_finished(), "a fill woke a consumer sleeping through fills");
+        kicked.store(true, Ordering::Release);
+        rb.kick_consumer();
+        let slept = t.join().unwrap();
+        assert!(slept < Duration::from_secs(4), "the kick did not end the sleep ({slept:?})");
     }
 
     #[test]

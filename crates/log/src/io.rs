@@ -76,6 +76,14 @@ impl SegmentIoFactory for FileBackend {
 
 /// What the [`FaultInjector`] should break, counted across every segment
 /// it opens (write/sync indices are 0-based and global).
+///
+/// Write indices are deterministic for a given history: every segment
+/// write comes from the flusher thread, in offset order, however many
+/// syncs are in flight. Sync indices count `sync_data` calls in the
+/// order the device sees them, which is the order the flusher issued
+/// them in (one per batch; they are handed out first-in first-out)
+/// except that two overlapped syncs issued microseconds apart may reach
+/// the device in either order.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultPlan {
     /// Fail the Nth write call without persisting anything.

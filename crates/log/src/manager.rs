@@ -3,7 +3,7 @@
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -82,6 +82,9 @@ pub struct LogStats {
     /// Bytes of the most recent flush batch — the instantaneous
     /// group-commit batch size (flusher-owned, telemetry gauge).
     pub last_batch_bytes: AtomicU64,
+    /// Device syncs handed off and not yet published: the flusher's
+    /// queue depth at the device (flusher-owned, telemetry gauge).
+    pub syncs_in_flight: AtomicU64,
 }
 
 /// One parked durability waiter. Thread-local and reused across waits, so
@@ -203,6 +206,9 @@ pub(crate) struct LogInner {
     /// Highest `hi` of any resume gap (0 = none): one load keeps the
     /// common `wait_durable` path off the gap lock entirely.
     pub(crate) resume_gap_hi: AtomicU64,
+    /// Told the latency of every completed device sync, on the flusher
+    /// thread ([`LogManager::set_sync_observer`]).
+    pub(crate) sync_observer: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
 impl LogInner {
@@ -229,10 +235,10 @@ impl LogInner {
 
     /// Flusher side: pop every waiter whose target the new durable
     /// watermark covers and wake exactly those (no thundering herd).
-    pub(crate) fn notify_durable(&self, durable: u64) {
-        let ready: Vec<Arc<WaiterSlot>> = {
+    /// `ready` is the flusher's scratch list, left empty.
+    pub(crate) fn notify_durable(&self, durable: u64, ready: &mut Vec<Arc<WaiterSlot>>) {
+        {
             let mut map = self.waiters.map.lock();
-            let mut ready = Vec::new();
             while let Some((&key, _)) = map.first_key_value() {
                 if key.0 > durable {
                     break;
@@ -241,17 +247,17 @@ impl LogInner {
             }
             let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
             self.buffer.set_demand(lowest);
-            ready
-        };
+        }
         // A subscriber with several targets in this batch appears once
         // per target, in a row when it is the only one: one wake each.
         let mut last: Option<&Arc<WaiterSlot>> = None;
-        for slot in &ready {
+        for slot in ready.iter() {
             if !last.is_some_and(|l| Arc::ptr_eq(l, slot)) {
                 slot.wake();
             }
             last = Some(slot);
         }
+        ready.clear();
     }
 
     /// Poison side: wake *every* parked waiter so it can observe the
@@ -315,6 +321,7 @@ impl LogManager {
             poison_hook: Mutex::new(None),
             resume_gaps: Mutex::new(Vec::new()),
             resume_gap_hi: AtomicU64::new(0),
+            sync_observer: OnceLock::new(),
             cfg,
         });
         let flusher = flusher::spawn(Arc::clone(&inner));
@@ -469,15 +476,8 @@ impl LogManager {
                     off = stop;
                 }
                 None => {
-                    let next_start = inner
-                        .segments
-                        .all()
-                        .iter()
-                        .map(|s| s.start)
-                        .filter(|&s| s > off)
-                        .min()
-                        .unwrap_or(end)
-                        .min(end);
+                    let next_start =
+                        inner.segments.next_start_after(off).map_or(end, |s| s.min(end));
                     // Dead zones are stamped like any other fill, so the
                     // ring's generation invariant applies: the space
                     // window must cover the range before its slots are
@@ -667,6 +667,14 @@ impl LogManager {
         *self.inner.poison_hook.lock() = Some(Box::new(hook));
     }
 
+    /// Register the callback told how long each device sync took, in
+    /// nanoseconds — the measurement the flusher paces overlapped syncs
+    /// by. It runs on the flusher thread, once per completed sync, in
+    /// issue order. Only the first registration counts.
+    pub fn set_sync_observer(&self, observer: impl Fn(u64) + Send + Sync + 'static) {
+        let _ = self.inner.sync_observer.set(Box::new(observer));
+    }
+
     /// Set the poison flag and cause *without* waking any waiter or
     /// stopping the ring — a test seam for racing durability timeouts
     /// against a concurrent poisoning.
@@ -681,11 +689,16 @@ impl LogManager {
     /// read-only mode. No-op on a healthy log.
     ///
     /// The poisoned flusher froze the durable watermark at some offset
-    /// `D` while the allocation frontier `next` kept (briefly) moving;
-    /// the range `[D, next)` holds blocks that never reached disk and
-    /// must never be reported durable. Resume:
+    /// `D` — the end of the in-order completed prefix of its syncs —
+    /// while the allocation frontier `next` kept (briefly) moving; the
+    /// range `[D, next)` holds blocks that were never acknowledged and
+    /// must never be reported durable, whether they never reached disk
+    /// or were written, even synced, behind a sync that failed. Resume:
     ///
-    /// 1. reaps the dead flusher thread;
+    /// 1. reaps the dead flusher thread, which does not exit before
+    ///    every sync it had in flight has returned and every helper
+    ///    thread is joined — nothing of the old incarnation touches the
+    ///    files from here on;
     /// 2. quiesces: waits for the outstanding-reservation set to drain
     ///    while the poison flag is still up, which freezes `next` (any
     ///    new allocator observes the poison before touching it);
@@ -776,15 +789,7 @@ impl LogManager {
                     off = stop;
                 }
                 None => {
-                    off = inner
-                        .segments
-                        .all()
-                        .iter()
-                        .map(|s| s.start)
-                        .filter(|&s| s > off)
-                        .min()
-                        .unwrap_or(hi)
-                        .min(hi);
+                    off = inner.segments.next_start_after(off).map_or(hi, |s| s.min(hi));
                 }
             }
         }
@@ -866,8 +871,10 @@ impl LogManager {
     }
 
     /// Stop and join the flusher thread without touching the rest of the
-    /// log state. Test hook: lets durability waits run against a log
-    /// whose flusher is gone (they must time out, not hang).
+    /// log state. Like `Drop`, it returns only after everything filled
+    /// so far is written and every sync that covers it is published.
+    /// Test hook: lets durability waits run against a log whose flusher
+    /// is gone (they must time out, not hang).
     #[doc(hidden)]
     pub fn halt_flusher_for_test(&self) {
         self.inner.stop.store(true, Ordering::Release);
@@ -898,6 +905,8 @@ fn poisoned_error(inner: &LogInner) -> io::Error {
 }
 
 impl Drop for LogManager {
+    /// Stops the flusher, which first drains what is filled, waits for
+    /// every sync in flight, publishes them and joins its helpers.
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
         if let Some(handle) = self.flusher.lock().take() {

@@ -182,6 +182,13 @@ impl SegmentTable {
         (offset < seg.end).then(|| Arc::clone(seg))
     }
 
+    /// Start of the first segment beginning above `offset`: where a walk
+    /// standing in a dead zone lands next. `None` past the last segment.
+    pub fn next_start_after(&self, offset: u64) -> Option<u64> {
+        let history = self.history.lock();
+        history.get(history.partition_point(|s| s.start <= offset)).map(|s| s.start)
+    }
+
     /// All segments, oldest first.
     pub fn all(&self) -> Vec<Arc<Segment>> {
         self.history.lock().clone()
@@ -304,6 +311,8 @@ mod tests {
 
         assert!(t.lookup(100).is_some());
         assert!(t.lookup(1500).is_none()); // dead zone
+        assert_eq!(t.next_start_after(1500), Some(2048));
+        assert_eq!(t.next_start_after(2048), None);
         assert_eq!(t.lookup(2100).unwrap().index, 1);
         assert!(t.lookup(5000).is_none());
     }

@@ -1,0 +1,621 @@
+//! Overlapped group commit: several device syncs in flight, one durable
+//! watermark that advances only over the in-order completed prefix.
+//!
+//! The scripted tests drive a [`Scripted`] device whose `sync_data`
+//! calls block until the test lets each one go, in whatever order and
+//! with whatever result it chooses — so "a later sync finishes first"
+//! and "the second of three fails" are forced, not hoped for. The
+//! sleeping-device tests observe the in-flight gauge under a device that
+//! simply takes 2 ms per sync, like the ledger's. All of them are
+//! sensitive to thread interleavings inside the flusher; the nightly CI
+//! job runs this file a hundred times in fresh processes.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, OnceLock, Weak};
+use std::time::{Duration, Instant};
+
+use ermia_common::{LogError, Oid, TableId};
+use ermia_log::{
+    DurableWaker, FileBackend, LogConfig, LogManager, LogScanner, SegmentIo, SegmentIoFactory,
+    TxLogBuffer,
+};
+
+const LONG: Duration = Duration::from_secs(10);
+
+fn tmpdir(tag: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ermia-overlap-{}-{}-{}",
+        tag,
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn cfg(dir: &Path, device: Arc<dyn SegmentIoFactory>) -> LogConfig {
+    LogConfig {
+        dir: Some(dir.to_path_buf()),
+        segment_size: 1 << 20,
+        buffer_size: 64 << 10,
+        fsync: true,
+        flush_interval: Duration::from_micros(200),
+        io_factory: device,
+        wait_durable_timeout: LONG,
+    }
+}
+
+/// Append one single-update transaction; returns its end offset.
+fn append(log: &LogManager, id: u64) -> u64 {
+    let mut tx = TxLogBuffer::new();
+    tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), b"overlap");
+    let res = log.allocate(tx.block_len()).expect("healthy log allocates");
+    let end = res.end_offset();
+    let block = tx.serialize(res.lsn());
+    res.fill(block);
+    end
+}
+
+/// Ids of the transactions a restart would recover from `dir`.
+fn recovered_ids(dir: &Path) -> Vec<u64> {
+    let log = LogManager::open(LogConfig { fsync: false, ..cfg(dir, Arc::new(FileBackend)) })
+        .expect("reopen");
+    let mut scanner = LogScanner::new(log.segments(), 0);
+    let mut ids = Vec::new();
+    while let Some(block) = scanner.next_block().expect("scan") {
+        for rec in block.records() {
+            ids.push(u64::from_be_bytes(rec.key[..8].try_into().unwrap()));
+        }
+    }
+    ids
+}
+
+// --- a device whose sync is whatever the test says -------------------------
+
+type SyncHook = Arc<dyn Fn() -> std::io::Result<()> + Send + Sync>;
+
+/// Real files behind [`FileBackend`]; every `sync_data` runs the hook.
+#[derive(Clone)]
+struct Hooked {
+    file: Option<Arc<dyn SegmentIo>>,
+    on_sync: SyncHook,
+}
+
+/// The factory for a log whose syncs run `on_sync`.
+fn hooked(on_sync: impl Fn() -> std::io::Result<()> + Send + Sync + 'static) -> Arc<Hooked> {
+    Arc::new(Hooked { file: None, on_sync: Arc::new(on_sync) })
+}
+
+impl std::fmt::Debug for Hooked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hooked").field("file", &self.file).finish_non_exhaustive()
+    }
+}
+
+impl SegmentIoFactory for Hooked {
+    fn open(&self, path: &Path) -> std::io::Result<Arc<dyn SegmentIo>> {
+        Ok(Arc::new(Hooked { file: Some(FileBackend.open(path)?), ..self.clone() }))
+    }
+}
+
+impl Hooked {
+    fn file(&self) -> &dyn SegmentIo {
+        &**self.file.as_ref().expect("an opened segment")
+    }
+}
+
+impl SegmentIo for Hooked {
+    fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        self.file().write_all_at(buf, offset)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.file().read_exact_at(buf, offset)
+    }
+
+    fn sync_data(&self) -> std::io::Result<()> {
+        (self.on_sync)()
+    }
+
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.file().set_len(len)
+    }
+}
+
+// --- the scripted device -------------------------------------------------
+
+#[derive(Debug, Default)]
+struct Script {
+    /// Unarmed, syncs return `Ok` at once and are not numbered.
+    armed: bool,
+    /// Armed syncs that have entered `sync_data`: ids `0..started`, in
+    /// the order the device saw them.
+    started: usize,
+    /// Per id: the result the test released it with.
+    released: Vec<Option<bool>>,
+    /// Per id: `sync_data` is about to return.
+    returned: Vec<bool>,
+}
+
+/// Scripted syncs (on real files, see [`Hooked`]). Clones share the script.
+#[derive(Clone, Debug, Default)]
+struct Scripted(Arc<(Mutex<Script>, Condvar)>);
+
+impl Scripted {
+    fn with<R>(&self, f: impl FnOnce(&mut Script) -> R) -> R {
+        let r = f(&mut self.0 .0.lock().unwrap());
+        self.0 .1.notify_all();
+        r
+    }
+
+    fn wait_until(&self, what: &str, cond: impl Fn(&Script) -> bool) {
+        let (mx, cv) = &*self.0;
+        let (_guard, timeout) =
+            cv.wait_timeout_while(mx.lock().unwrap(), LONG, |s| !cond(s)).unwrap();
+        assert!(!timeout.timed_out(), "timed out waiting for {what}");
+    }
+
+    /// From now on every sync is numbered and blocks until released.
+    fn arm(&self) {
+        self.with(|s| s.armed = true);
+    }
+
+    /// New syncs pass again; the ones already blocked stay blocked.
+    fn disarm(&self) {
+        self.with(|s| s.armed = false);
+    }
+
+    /// Block until `n` armed syncs are inside the device.
+    fn wait_started(&self, n: usize) {
+        self.wait_until(&format!("sync #{n} to reach the device"), |s| s.started >= n);
+    }
+
+    /// Let sync `id` return — `Ok` or an error — and wait until it has.
+    fn release(&self, id: usize, ok: bool) {
+        self.with(|s| s.released[id] = Some(ok));
+        self.wait_until(&format!("sync {id} to return"), |s| s.returned[id]);
+    }
+}
+
+/// Lets every blocked sync go when dropped. Declared (or, as a field,
+/// placed) so that it drops before the log: a failed assertion then
+/// unwinds into a log that can shut down, instead of hanging the test.
+struct Unblock(Scripted);
+
+impl Drop for Unblock {
+    fn drop(&mut self) {
+        self.0.with(|s| {
+            s.armed = false;
+            s.released.iter_mut().for_each(|r| *r = r.or(Some(true)));
+        });
+    }
+}
+
+impl Scripted {
+    fn factory(&self) -> Arc<dyn SegmentIoFactory> {
+        let dev = self.clone();
+        hooked(move || dev.sync())
+    }
+
+    fn sync(&self) -> std::io::Result<()> {
+        let (mx, cv) = &*self.0;
+        let mut s = mx.lock().unwrap();
+        if !s.armed {
+            return Ok(());
+        }
+        let id = s.started;
+        s.started += 1;
+        s.released.push(None);
+        s.returned.push(false);
+        cv.notify_all();
+        s = cv.wait_while(s, |s| s.released[id].is_none()).unwrap();
+        s.returned[id] = true;
+        cv.notify_all();
+        if s.released[id] == Some(true) {
+            Ok(())
+        } else {
+            Err(std::io::Error::other(format!("scripted failure of sync {id}")))
+        }
+    }
+}
+
+/// A log on a scripted device with `n` tickets in the device at once:
+/// ticket `i` covers exactly transaction `i` and ends at `ends[i]`.
+struct Overlapped {
+    _unblock: Unblock,
+    dir: PathBuf,
+    dev: Scripted,
+    log: Arc<LogManager>,
+    /// The durable watermark before any ticket.
+    base: u64,
+    ends: Vec<u64>,
+    /// One blocking `wait_durable(ends[i])` per ticket; each reports
+    /// `(i, result)` when it returns.
+    verdicts: mpsc::Receiver<(usize, Result<(), LogError>)>,
+    waiters: Vec<std::thread::JoinHandle<()>>,
+}
+
+fn overlapped(tag: &str, n: usize) -> Overlapped {
+    let dir = tmpdir(tag);
+    let dev = Scripted::default();
+    let log = Arc::new(LogManager::open(cfg(&dir, dev.factory())).unwrap());
+    log.sync().unwrap();
+    let base = log.durable_offset();
+    dev.arm();
+    let (tx, verdicts) = mpsc::channel();
+    let mut ends = Vec::new();
+    let mut waiters = Vec::new();
+    for i in 0..n {
+        let end = append(&log, i as u64);
+        ends.push(end);
+        let (log, tx) = (Arc::clone(&log), tx.clone());
+        // The waiter's demand is what makes the flusher write this
+        // block and issue its ticket now — behind the syncs already in
+        // the device, none of which has returned.
+        waiters.push(std::thread::spawn(move || {
+            let _ = tx.send((i, log.wait_durable(end)));
+        }));
+        dev.wait_started(i + 1);
+    }
+    assert_eq!(log.stats().syncs_in_flight.load(Ordering::Relaxed), n as u64);
+    Overlapped { _unblock: Unblock(dev.clone()), dir, dev, log, base, ends, verdicts, waiters }
+}
+
+impl Overlapped {
+    /// End of the longest prefix of tickets that have all completed.
+    fn prefix_end(&self, completed: &[bool]) -> (usize, u64) {
+        let k = completed.iter().take_while(|&&c| c).count();
+        (k, if k == 0 { self.base } else { self.ends[k - 1] })
+    }
+
+    /// The watermark must never pass `expected`, and must reach it.
+    fn settle(&self, expected: u64) {
+        // A flusher that published on *any* completion would overshoot
+        // within microseconds of the release; hold long enough to see it.
+        let hold = Instant::now() + Duration::from_millis(5);
+        let deadline = Instant::now() + LONG;
+        loop {
+            let durable = self.log.durable_offset();
+            assert!(
+                durable <= expected,
+                "durable watermark {durable:#x} passed {expected:#x}, the end of the \
+                 in-order completed prefix"
+            );
+            let now = Instant::now();
+            if durable == expected && now >= hold {
+                return;
+            }
+            assert!(now < deadline, "durable watermark stuck at {durable:#x} below {expected:#x}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Join the waiters and shut the log down; the directory is ready
+    /// to be recovered.
+    fn finish(mut self) -> PathBuf {
+        for w in self.waiters.drain(..) {
+            w.join().unwrap();
+        }
+        self.dir.clone()
+    }
+}
+
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    fn go(rest: &mut Vec<usize>, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if rest.is_empty() {
+            out.push(cur.clone());
+        }
+        for i in 0..rest.len() {
+            let x = rest.remove(i);
+            cur.push(x);
+            go(rest, cur, out);
+            cur.pop();
+            rest.insert(i, x);
+        }
+    }
+    let mut out = Vec::new();
+    go(&mut (0..n).collect(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// The durability invariant: for every completion order of up to four
+/// overlapping tickets, at every step, no interface reports an offset
+/// durable while its own or any earlier sync is still pending.
+#[test]
+fn watermark_follows_the_in_order_completed_prefix() {
+    for n in 1..=4 {
+        for order in permutations(n) {
+            let o = overlapped("order", n);
+            let waker = DurableWaker::default();
+            let mut completed = vec![false; n];
+            let mut reported = vec![false; n];
+            o.settle(o.base);
+            for &id in &order {
+                o.dev.release(id, true);
+                completed[id] = true;
+                let (k, expected) = o.prefix_end(&completed);
+                o.settle(expected);
+                for (i, &end) in o.ends.iter().enumerate() {
+                    let ctx = format!("order {order:?}, after sync {id}: ticket {i}");
+                    if i < k {
+                        assert_eq!(o.log.durable_status(end), Ok(true), "{ctx}");
+                        assert_eq!(o.log.wait_durable_for(end, Duration::ZERO), Ok(()), "{ctx}");
+                        assert!(o.log.subscribe_durable(end, &waker).is_none(), "{ctx}");
+                    } else {
+                        assert_eq!(o.log.durable_status(end), Ok(false), "{ctx}");
+                        assert_eq!(
+                            o.log.wait_durable_for(end, Duration::ZERO),
+                            Err(LogError::Timeout),
+                            "{ctx}"
+                        );
+                        assert!(o.log.subscribe_durable(end, &waker).is_some(), "{ctx}");
+                    }
+                }
+                // Blocked waiters: exactly the prefix has been let go.
+                while reported.iter().filter(|&&r| r).count() < k {
+                    let (i, verdict) =
+                        o.verdicts.recv_timeout(LONG).expect("a prefix waiter returns");
+                    assert_eq!(verdict, Ok(()), "order {order:?}: waiter {i}");
+                    reported[i] = true;
+                }
+                assert!(
+                    o.verdicts.try_recv().is_err(),
+                    "order {order:?}: a waiter above the prefix returned"
+                );
+                assert!(reported[..k].iter().all(|&r| r) && reported[k..].iter().all(|&r| !r));
+            }
+            assert_eq!(o.log.stats().syncs_in_flight.load(Ordering::Relaxed), 0);
+            let dir = o.finish();
+            assert_eq!(recovered_ids(&dir), (0..n as u64).collect::<Vec<_>>());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// Fail the second of three overlapping syncs — after the third has
+/// already returned `Ok`: the watermark freezes at the end of the first
+/// ticket, waiters above it are poisoned, the one below is acknowledged;
+/// `resume()` restores service and the gap stays lost.
+#[test]
+fn failed_sync_freezes_the_watermark_below_it() {
+    let o = overlapped("fail-2nd", 3);
+    o.dev.release(2, true);
+    o.settle(o.base);
+    o.dev.release(0, true);
+    o.settle(o.ends[0]);
+    o.dev.release(1, false);
+    let mut verdicts: Vec<_> = (0..3).map(|_| o.verdicts.recv_timeout(LONG).unwrap()).collect();
+    verdicts.sort_by_key(|v| v.0);
+    assert_eq!(verdicts[0].1, Ok(()));
+    for (i, verdict) in &verdicts[1..] {
+        assert!(matches!(verdict, Err(LogError::Poisoned { .. })), "waiter {i}: {verdict:?}");
+    }
+    assert!(o.log.is_poisoned());
+    assert_eq!(
+        o.log.durable_offset(),
+        o.ends[0],
+        "frozen below every byte the failed sync covered"
+    );
+    assert!(o.log.allocate(64).is_err());
+
+    o.dev.disarm();
+    o.log.resume().expect("resume on a repaired device");
+    assert!(!o.log.is_poisoned());
+    assert_eq!(o.log.stats().syncs_in_flight.load(Ordering::Relaxed), 0);
+    for id in 10..13 {
+        let end = append(&o.log, id);
+        o.log.wait_durable(end).expect("post-resume commit");
+    }
+    assert_eq!(o.log.durable_status(o.ends[0]), Ok(true));
+    for &end in &o.ends[1..] {
+        // Ticket 2's bytes were written and even synced, but never
+        // acknowledged: they are part of the gap all the same.
+        assert!(matches!(o.log.durable_status(end), Err(LogError::Poisoned { .. })));
+        assert!(matches!(o.log.wait_durable(end), Err(LogError::Poisoned { .. })));
+    }
+    let dir = o.finish();
+    assert_eq!(recovered_ids(&dir), vec![0, 10, 11, 12]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sync fails while a later one is still in the device: the log
+/// poisons at once, but `resume()` does not touch the files before that
+/// sync has returned and its helper is gone.
+#[test]
+fn resume_reaps_syncs_still_in_flight() {
+    let o = overlapped("reap", 3);
+    o.dev.release(0, true);
+    o.dev.release(1, false);
+    // All three waiters hear at once; nobody waits for sync 2.
+    for _ in 0..3 {
+        let (i, verdict) = o.verdicts.recv_timeout(LONG).unwrap();
+        assert_eq!(verdict.is_ok(), i == 0, "waiter {i}: {verdict:?}");
+    }
+    assert!(o.log.is_poisoned());
+    assert_eq!(o.log.durable_offset(), o.ends[0]);
+
+    o.dev.disarm();
+    let resumed = {
+        let log = Arc::clone(&o.log);
+        std::thread::spawn(move || log.resume())
+    };
+    // Cannot fail on a correct build: resume is stuck behind sync 2.
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(!resumed.is_finished() && o.log.is_poisoned(), "resume ran past a sync in flight");
+    o.dev.release(2, true);
+    resumed.join().unwrap().expect("resume once the last sync is back");
+    assert_eq!(o.log.durable_status(o.ends[0]), Ok(true));
+    assert!(o.log.durable_status(o.ends[2]).is_err(), "synced late, acknowledged never");
+    let end = append(&o.log, 10);
+    o.log.wait_durable(end).unwrap();
+    let dir = o.finish();
+    assert_eq!(recovered_ids(&dir), vec![0, 10]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ROADMAP 3 (e): an unforced record flushed alone by the idle timer
+/// must not make the next demanded commit wait out that sync before its
+/// own can start.
+#[test]
+fn demanded_commit_overlaps_an_idle_timer_sync() {
+    let dir = tmpdir("idle-timer");
+    let dev = Scripted::default();
+    let log = LogManager::open(cfg(&dir, dev.factory())).unwrap();
+    let _unblock = Unblock(dev.clone());
+    log.sync().unwrap();
+    dev.arm();
+    // Nobody waits for this one: the 200 µs idle timer flushes it.
+    let unforced = append(&log, 0);
+    dev.wait_started(1);
+    let waker = DurableWaker::default();
+    let demanded = append(&log, 1);
+    let _sub = log.subscribe_durable(demanded, &waker).expect("not durable yet");
+    // The serial flusher sat in sync 0 here and never got this far.
+    dev.wait_started(2);
+    assert_eq!(log.stats().syncs_in_flight.load(Ordering::Relaxed), 2);
+    dev.release(1, true);
+    assert_eq!(log.durable_status(demanded), Ok(false), "its predecessor's sync is still out");
+    dev.release(0, true);
+    log.wait_durable(demanded).unwrap();
+    assert_eq!(log.durable_status(unforced), Ok(true));
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- the sleeping device ---------------------------------------------------
+
+/// `sync_data` is a fixed sleep that first samples the log's in-flight
+/// gauge.
+struct Sleepy {
+    latency: Duration,
+    log: OnceLock<Weak<LogManager>>,
+    syncs: AtomicU64,
+    max_in_flight: AtomicU64,
+}
+
+impl Sleepy {
+    fn sync(&self) -> std::io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
+        if let Some(log) = self.log.get().and_then(Weak::upgrade) {
+            let gauge = log.stats().syncs_in_flight.load(Ordering::Relaxed);
+            self.max_in_flight.fetch_max(gauge, Ordering::Relaxed);
+        }
+        std::thread::sleep(self.latency);
+        Ok(())
+    }
+}
+
+fn sleepy_log(tag: &str, latency: Duration) -> (PathBuf, Arc<Sleepy>, Arc<LogManager>) {
+    let dir = tmpdir(tag);
+    let dev = Arc::new(Sleepy {
+        latency,
+        log: OnceLock::new(),
+        syncs: AtomicU64::new(0),
+        max_in_flight: AtomicU64::new(0),
+    });
+    let device = Arc::clone(&dev);
+    let log = Arc::new(LogManager::open(cfg(&dir, hooked(move || device.sync()))).unwrap());
+    dev.log.set(Arc::downgrade(&log)).unwrap();
+    // The open-time skip block gets its sync — and the flusher its first
+    // latency measurement — before anything is observed.
+    log.sync().unwrap();
+    dev.max_in_flight.store(0, Ordering::Relaxed);
+    (dir, dev, log)
+}
+
+/// One request outstanding is the serial flusher: exactly one sync in
+/// flight, one sync per commit.
+#[test]
+fn single_waiter_never_overlaps() {
+    let (dir, dev, log) = sleepy_log("single", Duration::from_millis(2));
+    let before = dev.syncs.load(Ordering::SeqCst);
+    for id in 0..20 {
+        let end = append(&log, id);
+        log.wait_durable(end).unwrap();
+    }
+    assert_eq!(dev.max_in_flight.load(Ordering::Relaxed), 1);
+    assert_eq!(dev.syncs.load(Ordering::SeqCst) - before, 20, "one sync per commit");
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sixteen committers arriving 100 µs apart against a 2 ms device: the
+/// later ones' sync starts while the first one's is still in flight.
+#[test]
+fn staggered_waiters_overlap_syncs() {
+    let (dir, dev, log) = sleepy_log("staggered", Duration::from_millis(2));
+    // A window can miss (the host stalls this process for 2 ms and the
+    // sixteen arrive as one burst behind a finished sync); twenty cannot.
+    for window in 0..20u64 {
+        let barrier = Barrier::new(16);
+        std::thread::scope(|s| {
+            for i in 0..16u64 {
+                let (log, barrier) = (&log, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_micros(100 * i));
+                    let end = append(log, window * 16 + i);
+                    log.wait_durable(end).unwrap();
+                });
+            }
+        });
+        if dev.max_in_flight.load(Ordering::Relaxed) >= 2 {
+            break;
+        }
+    }
+    let max = dev.max_in_flight.load(Ordering::Relaxed);
+    assert!(max >= 2, "never more than {max} sync in flight under sixteen staggered waiters");
+    assert_eq!(log.stats().syncs_in_flight.load(Ordering::Relaxed), 0);
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ROADMAP 3 (e), on the clock: with an idle-timer sync in flight, a
+/// demanded commit is durable after about one sync latency plus one
+/// stagger gap — not two latencies.
+#[test]
+fn demanded_commit_behind_an_idle_sync_waits_one_latency() {
+    const LATENCY: Duration = Duration::from_millis(20);
+    let (dir, dev, log) = sleepy_log("idle-latency", LATENCY);
+    let mut best = Duration::MAX;
+    for attempt in 0..5u64 {
+        log.sync().unwrap();
+        let syncs = dev.syncs.load(Ordering::SeqCst);
+        append(&log, 2 * attempt);
+        while dev.syncs.load(Ordering::SeqCst) == syncs {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        let end = append(&log, 2 * attempt + 1);
+        log.wait_durable(end).unwrap();
+        best = best.min(start.elapsed());
+        // Serial: what is left of the idle sync, then a whole one.
+        if best < LATENCY * 17 / 10 {
+            break;
+        }
+    }
+    assert!(
+        best < LATENCY * 17 / 10,
+        "a demanded commit behind an idle-timer sync took {best:?} against a {LATENCY:?} device"
+    );
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A backend that panics inside `sync_data` poisons the log like one
+/// that returns an error; neither the waiter nor `Drop` hangs on a
+/// helper that died.
+#[test]
+fn panicking_backend_poisons_the_log() {
+    let dir = tmpdir("panicky");
+    let log =
+        LogManager::open(cfg(&dir, hooked(|| panic!("scripted panic in sync_data")))).unwrap();
+    // The skip block `open` burns offset 0 with is the first thing synced.
+    let end = log.next_offset();
+    assert!(matches!(log.wait_durable(end), Err(LogError::Poisoned { .. })));
+    assert_eq!(log.durable_offset(), 0);
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -66,6 +66,8 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_log_ring_capacity_bytes",
         "ermia_log_space_waits_total",
         "ermia_log_last_batch_bytes",
+        "ermia_log_syncs_in_flight",
+        "ermia_log_sync_ns",
         "ermia_log_poisoned",
         // gc / storage
         "ermia_gc_passes_total",
@@ -102,6 +104,8 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
     assert_eq!(exp.kind("ermia_txn_aborts_total"), Some("counter"));
     assert_eq!(exp.kind("ermia_txn_chain_length"), Some("histogram"));
     assert_eq!(exp.kind("ermia_log_durable_lag_bytes"), Some("gauge"));
+    assert_eq!(exp.kind("ermia_log_syncs_in_flight"), Some("gauge"));
+    assert_eq!(exp.kind("ermia_log_sync_ns"), Some("histogram"));
     assert_eq!(exp.kind("ermia_server_active_sessions"), Some("gauge"));
     assert_eq!(exp.kind("ermia_server_shards"), Some("gauge"));
     assert_eq!(exp.kind("ermia_server_epoll_wakeups_total"), Some("counter"));

@@ -28,6 +28,7 @@ const ROWS: &[Row] = &[
     ("log bytes/s", "ermia_log_flushed_bytes_total", None, true),
     ("log durable lag (B)", "ermia_log_durable_lag_bytes", None, false),
     ("log ring occupancy (B)", "ermia_log_ring_occupancy_bytes", None, false),
+    ("log syncs in flight", "ermia_log_syncs_in_flight", None, false),
     ("log space waits/s", "ermia_log_space_waits_total", None, true),
     ("gc passes/s", "ermia_gc_passes_total", None, true),
     ("gc reclaimed/s", "ermia_gc_reclaimed_versions_total", None, true),
