@@ -10,7 +10,9 @@ use ermia_common::{IndexId, Lsn, TableId};
 use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
 use ermia_log::{CheckpointStore, LogManager};
-use ermia_storage::{GarbageCollector, GcPassHook, GcStats, OidArray, TidManager, VersionPool};
+use ermia_storage::{
+    GarbageCollector, GcPassHook, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
+};
 use ermia_telemetry::{EventKind, EventRing, Telemetry};
 use parking_lot::{Mutex, RwLock};
 
@@ -270,9 +272,13 @@ pub(crate) struct DbInner {
     /// Workers write their own slabs with relaxed adds; locks guard only
     /// registration, retirement, and reads, never the transaction path.
     pub telemetry: Arc<Telemetry>,
-    /// GC statistics, owned here (not by the collector) so counts
-    /// survive the GC restarts that DDL triggers.
+    /// GC statistics (shared with [`DbInner::retired`], which counts its
+    /// own backlog into them).
     pub gc_stats: Arc<GcStats>,
+    /// The hand-off to the collector: every site that links a version
+    /// above a committed one names the chain here (see
+    /// [`DbInner::retire`]), and the collector visits only those.
+    pub retired: Arc<RetireQueue>,
     /// Flight-recorder ring for background services (GC passes,
     /// checkpoints, epoch advances); workers get their own rings.
     pub svc_ring: Arc<EventRing>,
@@ -321,7 +327,54 @@ pub struct Database {
 
 struct Services {
     _tickers: Vec<Ticker>,
-    _gc: parking_lot::Mutex<Option<GarbageCollector>>,
+    _gc: Option<GarbageCollector>,
+}
+
+/// Start the collector. It runs for the life of the database: retire-
+/// queue entries name their table, so DDL has nothing to tell it.
+fn start_gc(inner: &Arc<DbInner>) -> GarbageCollector {
+    let (db, catalog) = (Arc::clone(inner), Arc::clone(inner));
+    let on_pass: Option<GcPassHook> = inner.cfg.telemetry.then(|| {
+        let ring = Arc::clone(&inner.svc_ring);
+        Box::new(move |reclaimed: u64, passes: u64| {
+            ring.record(EventKind::GcPass, reclaimed, passes);
+        }) as GcPassHook
+    });
+    GarbageCollector::start(
+        Arc::clone(&inner.retired),
+        inner.epoch.clone(),
+        move || db.gc_horizon(),
+        move |t| catalog.catalog.read().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids)),
+        inner.cfg.gc_interval,
+        Some(Arc::clone(&inner.versions)),
+        on_pass,
+    )
+}
+
+impl DbInner {
+    /// The reclamation horizon, as the collector is about to use it.
+    /// Versions below every active transaction's begin stamp are
+    /// reclaimable; fall back to the log tail when idle. Live snapshot
+    /// views (forks, replica serving handles) clamp the horizon so
+    /// versions their cut can still read stay linked even while no view
+    /// transaction is in flight.
+    fn gc_horizon(&self) -> Lsn {
+        let h = self.tid.min_active_begin(self.log.tail_lsn());
+        // Clamp by live pins and publish the result under the pin-table
+        // lock, so fork() can bound what any in-flight pass might still
+        // be sweeping with.
+        Lsn::from_raw(self.gc_pins.fold_and_publish(h.raw(), &self.gc_horizon_used))
+    }
+
+    /// Tell the collector that each entry's chain now has a committed
+    /// version stacked on a committed one (already stamped with
+    /// `cstamp`). Every such site must call this: the collector sweeps
+    /// no chain it was not told about.
+    pub(crate) fn retire(&self, lane: usize, entries: &[Retired]) {
+        if self.cfg.enable_gc {
+            self.retired.retire(lane, entries);
+        }
+    }
 }
 
 impl Database {
@@ -347,6 +400,7 @@ impl Database {
         let telemetry = Arc::new(Telemetry::new());
         telemetry.tracer().set_slow_threshold_ns(cfg.trace_slow_us.saturating_mul(1_000));
         let svc_ring = telemetry.flight().ring();
+        let gc_stats = Arc::new(GcStats::default());
         let inner = Arc::new(DbInner {
             log,
             tid: TidManager::new(),
@@ -363,7 +417,8 @@ impl Database {
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             telemetry,
-            gc_stats: Arc::new(GcStats::default()),
+            retired: Arc::new(RetireQueue::new(Arc::clone(&gc_stats))),
+            gc_stats,
             svc_ring,
             state: AtomicU8::new(DbState::Active as u8),
             role: AtomicU8::new(NodeRole::Primary as u8),
@@ -411,49 +466,9 @@ impl Database {
         let tick = cfg.rcu_epoch_interval.min(Duration::from_millis(1));
         let mut tickers = vec![Ticker::start(inner.epoch.clone(), tick)];
         tickers.shrink_to_fit();
-        let services = Arc::new(Services { _tickers: tickers, _gc: parking_lot::Mutex::new(None) });
-        let db = Database { inner, _services: services, view: None };
-        if db.inner.cfg.enable_gc {
-            db.start_gc();
-        }
-        Ok(db)
-    }
-
-    fn start_gc(&self) {
-        let inner = Arc::clone(&self.inner);
-        let horizon = move || {
-            // Versions below every active transaction's begin stamp are
-            // reclaimable; fall back to the log tail when idle. Live
-            // snapshot views (forks, replica serving handles) clamp the
-            // horizon so versions their cut can still read stay linked
-            // even while no view transaction is in flight.
-            let tail = inner.log.tail_lsn();
-            let h = inner.tid.min_active_begin(tail);
-            // Clamp by live pins and publish the result under the
-            // pin-table lock, so fork() can bound what any in-flight
-            // pass might still be sweeping with.
-            Lsn::from_raw(inner.gc_pins.fold_and_publish(h.raw(), &inner.gc_horizon_used))
-        };
-        // The GC sweeps whatever tables exist at each pass; re-arm when
-        // tables are created (cheap: GC restart on DDL).
-        let arrays: Vec<Arc<OidArray>> =
-            self.inner.catalog.read().tables.iter().map(|t| Arc::clone(&t.oids)).collect();
-        let on_pass: Option<GcPassHook> = self.inner.cfg.telemetry.then(|| {
-            let ring = Arc::clone(&self.inner.svc_ring);
-            Box::new(move |reclaimed: u64, passes: u64| {
-                ring.record(EventKind::GcPass, reclaimed, passes);
-            }) as GcPassHook
-        });
-        let gc = GarbageCollector::start_with(
-            arrays,
-            self.inner.epoch.clone(),
-            horizon,
-            self.inner.cfg.gc_interval,
-            Some(Arc::clone(&self.inner.versions)),
-            Arc::clone(&self.inner.gc_stats),
-            on_pass,
-        );
-        *self._services._gc.lock() = Some(gc);
+        let gc = inner.cfg.enable_gc.then(|| start_gc(&inner));
+        let services = Arc::new(Services { _tickers: tickers, _gc: gc });
+        Ok(Database { inner, _services: services, view: None })
     }
 
     /// Create (or look up, by name) a table with its primary index.
@@ -487,10 +502,6 @@ impl Database {
         }));
         catalog.table_names.insert(name.to_owned(), id);
         catalog.tables.push(table);
-        drop(catalog);
-        if self.inner.cfg.enable_gc {
-            self.start_gc(); // re-arm with the new array
-        }
         id
     }
 
@@ -590,6 +601,30 @@ impl Database {
     /// retire through one timeline).
     pub fn epoch_stats(&self) -> ermia_epoch::EpochStats {
         self.inner.epoch.stats()
+    }
+
+    /// Collector counters: passes, versions reclaimed, chains visited and
+    /// the retire-queue backlog.
+    pub fn gc_stats(&self) -> &GcStats {
+        &self.inner.gc_stats
+    }
+
+    /// Audit the collector: sweep every indirection array in full — the
+    /// paper's pass — at the horizon the collector would use now, and
+    /// return how many versions that reclaimed. The collector visits only
+    /// the chains committers and replay hand it, so once
+    /// `gc_stats().retire_backlog` has drained on a quiet database this is
+    /// 0; anything else is a chain somebody forgot to retire.
+    pub fn gc_audit(&self) -> u64 {
+        let inner = &self.inner;
+        let tables = inner.catalog.read().tables.clone();
+        let horizon = inner.gc_horizon();
+        let handle = inner.epoch.register();
+        let guard = handle.pin();
+        tables
+            .iter()
+            .map(|t| inner.retired.audit(&t.oids, horizon, &guard, Some(&inner.versions)))
+            .sum()
     }
 
     /// Version nodes currently parked in the reuse pool.

@@ -72,6 +72,8 @@ pub use shard::{
 pub use transaction::{CommitToken, Transaction};
 pub use worker::Worker;
 
+pub use ermia_storage::GcStats;
+
 pub use ermia_common::{AbortReason, IndexId, KeyWriter, Lsn, OpResult, TableId, TxResult};
 
 #[cfg(test)]

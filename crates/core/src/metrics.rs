@@ -276,17 +276,28 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         s.syncs_in_flight.load(Relaxed) as f64,
     ));
 
-    // Garbage collector (database-owned stats survive GC restarts on DDL).
+    // Garbage collector. visited ÷ reclaimed is what a reclaimed version
+    // costs in chain visits; the backlog is what a pinned horizon holds.
     let gc = &db.gc_stats;
     out.push(Sample::counter(
         "ermia_gc_passes_total",
-        "Full GC passes over the indirection arrays",
+        "Collector ticks (one per gc_interval, whether or not anything was due)",
         gc.passes.load(Relaxed),
     ));
     out.push(Sample::counter(
         "ermia_gc_reclaimed_versions_total",
         "Versions unlinked and retired by the GC",
         gc.reclaimed.load(Relaxed),
+    ));
+    out.push(Sample::counter(
+        "ermia_gc_chains_visited_total",
+        "Version chains the GC visited, one per retire-queue entry popped",
+        gc.chains_visited.load(Relaxed),
+    ));
+    out.push(Sample::gauge(
+        "ermia_gc_retire_backlog",
+        "Retire-queue entries not yet visited (superseded versions the horizon still protects)",
+        gc.retire_backlog.load(Relaxed) as f64,
     ));
 
     // Unified epoch manager (one timeline for the paper's 3 timescales).

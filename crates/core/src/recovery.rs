@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering;
 
 use ermia_common::{Lsn, Oid, Stamp};
 use ermia_log::{CheckpointMeta, DecideRecord, LogRecord, LogRecordKind, LogScanner, PrepareMarker};
-use ermia_storage::Version;
+use ermia_storage::{Retired, Version};
 use ermia_telemetry::{SpanKind, TraceContext};
 
 use crate::database::Database;
@@ -588,7 +588,7 @@ impl Database {
         let Some(table) = catalog.tables.get(table_raw as usize) else {
             return false; // table not re-declared: skip (documented contract)
         };
-        let table = std::sync::Arc::clone(table);
+        let (table_id, table) = (table.id, std::sync::Arc::clone(table));
         drop(catalog);
 
         table.oids.ensure_allocated(oid);
@@ -602,6 +602,11 @@ impl Database {
         let new = Version::alloc(Stamp::from_lsn(cstamp), value, tombstone);
         unsafe { (*new).next.store(head, Ordering::Relaxed) };
         table.oids.store_head(oid, new);
+        if !head.is_null() {
+            // Replay stacks versions exactly as the commits did; without
+            // this the collector would never hear of them. (Any lane.)
+            self.inner.retire(0, &[Retired { cstamp, table: table_id, oid }]);
+        }
         // Index the key (idempotent: Duplicate means it's already there).
         let mgr = &self.inner.epoch;
         let h = mgr.register();

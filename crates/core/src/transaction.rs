@@ -8,7 +8,8 @@
 //! nodes themselves are all recycled through the worker's
 //! [`Scratch`]: the sets are *taken* at begin (a pointer move), cleared
 //! and returned at release, key bytes are bump-copied into a reused
-//! arena, and new versions come from a per-worker cache fed by the GC.
+//! arena, new versions come from a per-worker cache fed by the GC, and
+//! the overwritten ones are named to the GC through a reused buffer.
 //! After warmup, begin + execute + commit of a read/write transaction
 //! touches the allocator zero times.
 
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, Stamp, TableId, Tid, TxResult};
 use ermia_epoch::Guard;
 use ermia_index::{BTree, InsertOutcome, LeafSnapshot, ScanControl};
-use ermia_storage::{defer_release, OidArray, TidStatus, TxContext, Version};
+use ermia_storage::{defer_release, OidArray, Retired, TidStatus, TxContext, Version};
 use ermia_telemetry::EventKind;
 
 use crate::config::IsolationLevel;
@@ -1005,7 +1006,15 @@ impl<'w> Transaction<'w> {
             // Replace the TID stamp with the commit LSN so readers can
             // check visibility without consulting our context.
             new.clsn.store(Stamp::from_lsn(cstamp).raw(), Ordering::Release);
+            if !w.prev.is_null() {
+                // `prev` is garbage once the horizon passes `cstamp`.
+                self.scratch.retired.push(Retired { cstamp, table: w.table.id, oid: w.oid });
+            }
         }
+        // One hand-off per transaction, after every version it names is
+        // stamped.
+        self.db.inner.retire(self.scratch.retire_lane, &self.scratch.retired);
+        self.scratch.retired.clear();
         if self.serializable() {
             for &r in &self.reads {
                 unsafe { (*r).raise_pstamp(cstamp.raw()) };

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
 use ermia_log::TxLogBuffer;
-use ermia_storage::{Version, VersionCache};
+use ermia_storage::{Retired, Version, VersionCache};
 use ermia_telemetry::{EventRing, Slab};
 
 use crate::config::IsolationLevel;
@@ -68,6 +68,11 @@ pub(crate) struct Scratch {
     pub keys: Vec<u8>,
     /// Per-worker cache over the database's shared version pool.
     pub versions: VersionCache,
+    /// The chains a committing transaction stacked a version on, gathered
+    /// during post-commit and handed to the collector in one call.
+    pub retired: Vec<Retired>,
+    /// This worker's lane of the collector's hand-off buffer.
+    pub retire_lane: usize,
 }
 
 // SAFETY: the raw `Version` pointers held here are only dereferenced by
@@ -88,6 +93,7 @@ impl Worker {
             (h.finish() as usize) % ermia_common::ids::TID_TABLE_CAPACITY
         };
         let versions = VersionCache::new(Arc::clone(&db.inner.versions));
+        let retire_lane = db.inner.retired.lane();
         let registry = db.inner.telemetry.registry();
         // The breakdown slab always exists (the transaction path bumps it
         // unconditionally — cheaper than a branch), but it only joins the
@@ -116,6 +122,8 @@ impl Worker {
                 valid_idx: Vec::new(),
                 keys: Vec::new(),
                 versions,
+                retired: Vec::new(),
+                retire_lane,
             },
         }
     }

@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::Ordering::Relaxed;
 
 use ermia::{Database, DbConfig, IsolationLevel, ShardedDb};
 
@@ -203,4 +204,82 @@ fn fully_sampled_tracing_stays_alloc_free() {
     use ermia_telemetry::SpanKind;
     assert!(spans.iter().any(|s| s.kind == SpanKind::CommitDeferred));
     assert!(spans.iter().all(|s| s.kind != SpanKind::DurabilityWait));
+}
+
+/// The hand-off to the collector is part of the hot path: every update
+/// names its chain to the GC at post-commit. Run long enough, with the
+/// collector ticking every millisecond, that entries are produced,
+/// consumed and their buffers handed back many times over — the window
+/// must still not touch the allocator, with telemetry on and off.
+#[test]
+fn handing_overwritten_versions_to_the_gc_stays_alloc_free() {
+    const ROWS: u8 = 8;
+    for telemetry in [true, false] {
+        let cfg = DbConfig {
+            telemetry,
+            gc_interval: std::time::Duration::from_millis(1),
+            ..DbConfig::in_memory()
+        };
+        let db = Database::open(cfg).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        for row in 0..ROWS {
+            tx.insert(t, &[row], b"initial").unwrap();
+        }
+        tx.commit().unwrap();
+
+        // A burst of updates, then a pause for the collector.
+        let rounds = |w: &mut ermia::Worker, n: u32| {
+            for round in 0..n {
+                for i in 0..16u8 {
+                    let mut tx = w.begin(IsolationLevel::Snapshot);
+                    for row in [i % ROWS, (i + 3) % ROWS] {
+                        assert!(tx.update(t, &[row], &[round as u8; 24]).unwrap());
+                    }
+                    tx.commit().unwrap();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        // Warm-up: grow every buffer on both sides of the hand-off. Then
+        // stock the version pool with more nodes than the measured window
+        // overwrites, so a collector that falls behind for a while (the
+        // tests of this file share two cores) cannot make the window
+        // allocate versions — the claim here is about the hand-off. Under
+        // a pinned horizon nothing is recycled, so every overwrite is a
+        // fresh node, and all of them reach the pool once the pin goes.
+        const MEASURED: u32 = 40;
+        const STOCK: usize = 32 * MEASURED as usize + 256;
+        rounds(&mut w, MEASURED);
+        let mut pinner = db.register_worker();
+        let pin = pinner.begin(IsolationLevel::Snapshot);
+        for i in 0..2 * STOCK {
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            // (Payloads as large as the measured ones: a recycled node
+            // keeps its payload capacity and grows it otherwise.)
+            assert!(tx.update(t, &[i as u8 % ROWS], &[0; 24]).unwrap());
+            tx.commit().unwrap();
+        }
+        pin.commit().unwrap();
+        let stocked = (0..500).any(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            db.version_pool_size() >= STOCK
+        });
+        assert!(stocked, "GC never stocked the version pool (pooled: {})", db.version_pool_size());
+        rounds(&mut w, MEASURED);
+
+        let (visited, reused) = (db.gc_stats().chains_visited.load(Relaxed), w.versions_reused());
+        let before = alloc_calls();
+        TRAP.with(|t| t.set(true));
+        rounds(&mut w, MEASURED);
+        TRAP.with(|t| t.set(false));
+        let allocs = alloc_calls() - before;
+        assert_eq!(allocs, 0, "telemetry {telemetry}: {allocs} allocations over 640 transactions");
+        assert!(
+            db.gc_stats().chains_visited.load(Relaxed) > visited,
+            "the collector consumed no hand-off inside the measured window"
+        );
+        assert!(w.versions_reused() >= reused + 1280, "the window was not on the reuse path");
+    }
 }

@@ -72,6 +72,8 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         // gc / storage
         "ermia_gc_passes_total",
         "ermia_gc_reclaimed_versions_total",
+        "ermia_gc_chains_visited_total",
+        "ermia_gc_retire_backlog",
         "ermia_version_pool_size",
         // epoch + tid
         "ermia_epoch_current",

@@ -16,17 +16,18 @@
 //!   in-flight, ended (with the end stamp), or stale generation (caller
 //!   re-reads the version, which is then guaranteed to carry an LSN).
 //!
-//! The [`gc`] module implements the background garbage collector that
-//! "periodically goes over all indirection arrays to remove versions that
-//! are not needed by any transaction", retiring them through the epoch
-//! manager.
+//! The [`gc`] module implements the background garbage collector, which
+//! removes "versions that are not needed by any transaction" and retires
+//! them through the epoch manager. Unlike the paper's it does not go over
+//! all indirection arrays: the sites that supersede a version hand its
+//! chain to a [`RetireQueue`], and the collector visits only those.
 
 pub mod gc;
 pub mod oid_array;
 pub mod tid;
 pub mod version;
 
-pub use gc::{GarbageCollector, GcPassHook, GcStats};
+pub use gc::{GarbageCollector, GcPassHook, GcStats, RetireQueue, Retired};
 pub use oid_array::OidArray;
 pub use tid::{TidManager, TidStatus, TxContext};
 pub use version::{defer_release, Version, VersionCache, VersionPool};

@@ -1,11 +1,13 @@
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::{Lsn, Oid, Stamp, Tid};
+use ermia_common::{Lsn, Oid, Stamp, TableId, Tid};
 use ermia_epoch::EpochManager;
 
-use crate::{GarbageCollector, OidArray, TidManager, TidStatus, Version};
+use crate::{
+    GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, TidStatus, Version,
+};
 
 #[test]
 fn oid_allocation_is_unique_and_dense() {
@@ -104,8 +106,7 @@ fn stale_generation_detected() {
     let (tid1, ctx) = mgr.acquire(Lsn::from_parts(1, 0), &mut hint);
     ctx.abort();
     mgr.release(tid1);
-    // Force reuse of the same slot.
-    hint = tid1.slot().wrapping_sub(1);
+    // The cursor comes back to the slot it released.
     let (tid2, _) = mgr.acquire(Lsn::from_parts(2, 0), &mut hint);
     assert_eq!(tid2.slot(), tid1.slot());
     assert_eq!(tid2.generation(), tid1.generation() + 1);
@@ -128,6 +129,35 @@ fn min_active_begin_tracks_oldest() {
     assert_eq!(mgr.min_active_begin(fallback), Lsn::from_parts(20, 0));
     mgr.ctx(t2).abort();
     mgr.release(t2);
+}
+
+#[test]
+fn tid_scans_see_claims_anywhere_in_the_table() {
+    // The scans skip blocks no claim ever touched; a claim in any block,
+    // or one that wrapped past the end of the table, must still count.
+    let mgr = TidManager::new();
+    let fallback = Lsn::from_parts(1000, 0);
+    let last = ermia_common::ids::TID_TABLE_CAPACITY - 1;
+    let mut held = Vec::new();
+    for (i, start) in [0usize, 40_000, last, last].into_iter().enumerate() {
+        let mut hint = start;
+        let (tid, ctx) = mgr.acquire(Lsn::from_parts(500 - i as u64, 0), &mut hint);
+        ctx.enter_pending();
+        ctx.enter_precommit(Lsn::from_parts(600 + i as u64, 0));
+        held.push(tid);
+        assert_eq!(mgr.in_use(), i + 1);
+        assert_eq!(mgr.min_active_begin(fallback), Lsn::from_parts(500 - i as u64, 0));
+        assert_eq!(mgr.min_commit_low_water(fallback), Lsn::from_parts(600, 0));
+    }
+    // The second claim at the last slot found it held and wrapped to 1
+    // (slot 0 went to the first claim).
+    assert_eq!(held.iter().map(|t| t.slot()).collect::<Vec<_>>(), [0, 40_000, last, 1]);
+    for tid in held {
+        mgr.ctx(tid).abort();
+        mgr.release(tid);
+    }
+    assert_eq!(mgr.in_use(), 0);
+    assert_eq!(mgr.min_active_begin(fallback), fallback);
 }
 
 #[test]
@@ -231,23 +261,114 @@ fn gc_skips_inflight_heads() {
     assert_eq!(arr.head(oid), inflight);
 }
 
-#[test]
-fn background_collector_runs() {
-    let arr = Arc::new(OidArray::new());
-    let epoch = EpochManager::new("gc-bg");
-    let oid = arr.allocate();
-    make_chain(&arr, oid, &[1, 2, 3, 4, 5, 6, 7, 8]);
+/// A collector over `arr` as table 0, its horizon read from `horizon`
+/// (an LSN offset), ticking every millisecond.
+fn start_collector(
+    arr: &Arc<OidArray>,
+    epoch: &EpochManager,
+    horizon: &Arc<AtomicU64>,
+) -> (Arc<RetireQueue>, GarbageCollector) {
+    let queue = Arc::new(RetireQueue::new(Arc::default()));
+    let (arr, horizon) = (Arc::clone(arr), Arc::clone(horizon));
     let gc = GarbageCollector::start(
-        vec![Arc::clone(&arr)],
+        Arc::clone(&queue),
         epoch.clone(),
-        || Lsn::from_parts(1000, 0),
+        move || Lsn::from_parts(horizon.load(Ordering::Acquire), 0),
+        move |t| (t.0 == 0).then(|| Arc::clone(&arr)),
         Duration::from_millis(1),
         None,
+        None,
     );
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(gc.stats().passes.load(Ordering::Relaxed) > 0);
-    assert_eq!(gc.stats().reclaimed.load(Ordering::Relaxed), 7);
+    (queue, gc)
+}
+
+fn retired(stamp: u64, oid: Oid) -> Retired {
+    Retired { cstamp: Lsn::from_parts(stamp, 0), table: TableId(0), oid }
+}
+
+/// Block until the collector has finished `n` more passes.
+fn wait_passes(stats: &GcStats, n: u64) {
+    let target = stats.passes.load(Ordering::Acquire) + n;
+    while stats.passes.load(Ordering::Acquire) < target {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn collector_visits_exactly_the_retired_chains() {
+    let arr = Arc::new(OidArray::new());
+    let epoch = EpochManager::new("gc-bg");
+    let (told, untold) = (arr.allocate(), arr.allocate());
+    make_chain(&arr, told, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    make_chain(&arr, untold, &[1, 2, 3]);
+    let (queue, gc) = start_collector(&arr, &epoch, &Arc::new(AtomicU64::new(1000)));
+    let stats = Arc::clone(queue.stats());
+    // An entry for a table nobody declared is dropped, not waited on.
+    queue.retire(0, &[retired(8, told), Retired { table: TableId(9), ..retired(8, told) }]);
+    wait_passes(&stats, 2);
+    assert_eq!(stats.reclaimed.load(Ordering::Relaxed), 7);
+    assert_eq!(stats.chains_visited.load(Ordering::Relaxed), 2);
+    assert_eq!(stats.retire_backlog.load(Ordering::Relaxed), 0);
+    // Idle passes visit nothing: the chain nobody retired keeps its
+    // garbage, which is what the full-sweep audit exists to catch.
+    wait_passes(&stats, 5);
+    assert_eq!(stats.chains_visited.load(Ordering::Relaxed), 2);
     drop(gc);
+    let handle = epoch.register();
+    let reclaimed = crate::gc::sweep_array(&arr, Lsn::from_parts(1000, 0), &handle.pin(), None);
+    assert_eq!(reclaimed, 2);
+}
+
+#[test]
+fn retired_entries_wait_for_the_horizon_in_any_order() {
+    let arr = Arc::new(OidArray::new());
+    let epoch = EpochManager::new("gc-pinned");
+    let oids: Vec<Oid> = (0..4).map(|_| arr.allocate()).collect();
+    // Chain i holds stamps 10·(i+1) and 10·(i+1)+5: its lower version
+    // dies when the horizon passes the upper one's stamp.
+    for (i, &oid) in oids.iter().enumerate() {
+        let s = 10 * (i as u64 + 1);
+        make_chain(&arr, oid, &[s, s + 5]);
+    }
+    let horizon = Arc::new(AtomicU64::new(0));
+    let (queue, _gc) = start_collector(&arr, &epoch, &horizon);
+    let stats = Arc::clone(queue.stats());
+    // Handed off newest first, each through a lane of its own.
+    for (i, &oid) in oids.iter().enumerate().rev() {
+        queue.retire(queue.lane(), &[retired(10 * (i as u64 + 1) + 5, oid)]);
+    }
+    wait_passes(&stats, 3);
+    assert_eq!(stats.chains_visited.load(Ordering::Relaxed), 0, "horizon 0 releases nothing");
+    assert_eq!(stats.retire_backlog.load(Ordering::Relaxed), 4);
+    // Strict comparison: an entry stamped exactly at the horizon stays.
+    horizon.store(25, Ordering::Release);
+    wait_passes(&stats, 3);
+    assert_eq!(stats.chains_visited.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.reclaimed.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.retire_backlog.load(Ordering::Relaxed), 3);
+    horizon.store(1000, Ordering::Release);
+    wait_passes(&stats, 3);
+    assert_eq!(stats.chains_visited.load(Ordering::Relaxed), 4);
+    assert_eq!(stats.reclaimed.load(Ordering::Relaxed), 4);
+    assert_eq!(stats.retire_backlog.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn dropping_the_collector_does_not_wait_out_its_interval() {
+    let queue = Arc::new(RetireQueue::new(Arc::default()));
+    let gc = GarbageCollector::start(
+        Arc::clone(&queue),
+        EpochManager::new("gc-drop"),
+        || Lsn::NULL,
+        |_| None,
+        Duration::from_secs(3600),
+        None,
+        None,
+    );
+    wait_passes(queue.stats(), 1);
+    let t0 = std::time::Instant::now();
+    drop(gc);
+    assert!(t0.elapsed() < Duration::from_secs(5), "drop slept through the interval");
 }
 
 #[test]

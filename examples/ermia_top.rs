@@ -32,6 +32,8 @@ const ROWS: &[Row] = &[
     ("log space waits/s", "ermia_log_space_waits_total", None, true),
     ("gc passes/s", "ermia_gc_passes_total", None, true),
     ("gc reclaimed/s", "ermia_gc_reclaimed_versions_total", None, true),
+    ("gc chains visited/s", "ermia_gc_chains_visited_total", None, true),
+    ("gc retire backlog", "ermia_gc_retire_backlog", None, false),
     ("tid slots in use", "ermia_tid_slots_in_use", None, false),
     ("version pool size", "ermia_version_pool_size", None, false),
     ("active sessions", "ermia_server_active_sessions", None, false),
