@@ -370,9 +370,9 @@ impl DbInner {
     /// version stacked on a committed one (already stamped with
     /// `cstamp`). Every such site must call this: the collector sweeps
     /// no chain it was not told about.
-    pub(crate) fn retire(&self, lane: usize, entries: &[Retired]) {
+    pub(crate) fn retire(&self, entries: &[Retired]) {
         if self.cfg.enable_gc {
-            self.retired.retire(lane, entries);
+            self.retired.retire(entries);
         }
     }
 }

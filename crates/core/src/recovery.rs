@@ -604,8 +604,8 @@ impl Database {
         table.oids.store_head(oid, new);
         if !head.is_null() {
             // Replay stacks versions exactly as the commits did; without
-            // this the collector would never hear of them. (Any lane.)
-            self.inner.retire(0, &[Retired { cstamp, table: table_id, oid }]);
+            // this the collector would never hear of them.
+            self.inner.retire(&[Retired { cstamp, table: table_id, oid }]);
         }
         // Index the key (idempotent: Duplicate means it's already there).
         let mgr = &self.inner.epoch;

@@ -1013,7 +1013,7 @@ impl<'w> Transaction<'w> {
         }
         // One hand-off per transaction, after every version it names is
         // stamped.
-        self.db.inner.retire(self.scratch.retire_lane, &self.scratch.retired);
+        self.db.inner.retire(&self.scratch.retired);
         self.scratch.retired.clear();
         if self.serializable() {
             for &r in &self.reads {

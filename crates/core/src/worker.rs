@@ -71,8 +71,6 @@ pub(crate) struct Scratch {
     /// The chains a committing transaction stacked a version on, gathered
     /// during post-commit and handed to the collector in one call.
     pub retired: Vec<Retired>,
-    /// This worker's lane of the collector's hand-off buffer.
-    pub retire_lane: usize,
 }
 
 // SAFETY: the raw `Version` pointers held here are only dereferenced by
@@ -93,7 +91,6 @@ impl Worker {
             (h.finish() as usize) % ermia_common::ids::TID_TABLE_CAPACITY
         };
         let versions = VersionCache::new(Arc::clone(&db.inner.versions));
-        let retire_lane = db.inner.retired.lane();
         let registry = db.inner.telemetry.registry();
         // The breakdown slab always exists (the transaction path bumps it
         // unconditionally — cheaper than a branch), but it only joins the
@@ -123,7 +120,6 @@ impl Worker {
                 keys: Vec::new(),
                 versions,
                 retired: Vec::new(),
-                retire_lane,
             },
         }
     }

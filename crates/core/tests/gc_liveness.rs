@@ -225,6 +225,10 @@ fn collector_work_is_proportional_to_garbage_not_to_rows() {
 fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
     const HOT: u32 = 8;
     const UPDATES: u64 = 400;
+    // More than the collector visits under one epoch pin (4 096), twice
+    // over: the drain on release takes several batches, with an epoch
+    // advance between them.
+    const MANY: u64 = 10_000;
     // The churn runs on shard 0 of two; the second shard is there for the
     // parked prepare.
     let sharded = ShardedDb::open(config(None, Duration::from_millis(1)), 2).unwrap();
@@ -238,13 +242,13 @@ fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
     tx.commit().unwrap();
     let stats = db.gc_stats();
 
-    // Each pin: how many versions it supersedes itself, and the hold.
+    // Each pin: how many versions are superseded under it, and the hold.
     let mut pins: Vec<(u64, Box<dyn FnOnce()>)> = Vec::new();
     // A long reader…
     let mut reader_worker = db.register_worker();
     let reader_db = db.clone();
     pins.push((
-        0,
+        UPDATES,
         Box::new(move || {
             let mut reader = reader_worker.begin(SI);
             let read =
@@ -259,10 +263,10 @@ fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
     // …a fork, which pins without any transaction in flight…
     let fork_db = db.clone();
     pins.push((
-        0,
+        MANY,
         Box::new(move || {
             let fork = fork_db.fork();
-            churn_under_pin(&fork_db, t, HOT, UPDATES);
+            churn_under_pin(&fork_db, t, HOT, MANY);
             drop(fork);
         }),
     ));
@@ -270,7 +274,7 @@ fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
     // holds a TID slot, and with it the horizon, on both shards.
     let (parked_db, churn_db) = (sharded.clone(), db.clone());
     pins.push((
-        1,
+        UPDATES + 1,
         Box::new(move || {
             let on = |shard| {
                 let mut keys = (0u32..).map(|i| format!("parked-{i}").into_bytes());
@@ -294,15 +298,15 @@ fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
         }),
     ));
 
-    for (own, hold) in pins {
+    for (superseded, hold) in pins {
         let (visited0, reclaimed0) =
             (stats.chains_visited.load(Relaxed), stats.reclaimed.load(Relaxed));
         hold();
         audit(&sharded, "after the pin was released");
-        assert_eq!(stats.chains_visited.load(Relaxed), visited0 + UPDATES + own);
+        assert_eq!(stats.chains_visited.load(Relaxed), visited0 + superseded);
         assert_eq!(
             stats.reclaimed.load(Relaxed),
-            reclaimed0 + UPDATES + own,
+            reclaimed0 + superseded,
             "chains back to length 1"
         );
     }

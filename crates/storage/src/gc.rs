@@ -20,10 +20,11 @@
 //!
 //! Safety needs no new argument: truncating a chain behind its horizon
 //! version is safe on any chain at any time, and the queue only decides
-//! *which* chains are visited. Liveness is the queue's burden — every site that stacks a version on a
-//! committed one must enqueue — and the paper's full pass stays as
-//! [`RetireQueue::audit`], which checks it: after the queue drains, a
-//! full sweep at the same horizon must find nothing.
+//! *which* chains are visited. Liveness is the queue's burden — every
+//! site that stacks a version on a committed one must enqueue — and the
+//! paper's full pass stays as [`RetireQueue::audit`], which checks it:
+//! after the queue drains, a full sweep at the same horizon must find
+//! nothing.
 //!
 //! Reclamation is two-phase: the collector unlinks the dead suffix of a
 //! chain (making it unreachable to new traversals) and retires each node
@@ -34,7 +35,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,22 +71,17 @@ pub struct Retired {
     pub oid: Oid,
 }
 
-/// Lanes of the hand-off buffer. A committer takes one lane's lock once
-/// per transaction; lanes keep that lock uncontended as workers scale.
-const RETIRE_LANES: usize = 8;
-
 /// Pin at most this many chain visits under one epoch guard, so a large
 /// drain (a long reader just left) retires through the epoch manager as
 /// it goes instead of stacking every deferred node behind one pin.
 const VISIT_BATCH: u64 = 4096;
 
 /// The hand-off from the sites that create garbage to the collector that
-/// reclaims it. Producers append under a lane lock; the collector swaps
-/// a lane's buffer for its own drained one of at least that capacity, so
-/// the steady state allocates on neither side.
+/// reclaims it. Producers append under the lock, once per transaction;
+/// the collector swaps the buffer for its own drained one of at least
+/// that capacity, so the steady state allocates on neither side.
 pub struct RetireQueue {
-    lanes: [Mutex<Vec<Retired>>; RETIRE_LANES],
-    next_lane: AtomicUsize,
+    handed: Mutex<Vec<Retired>>,
     /// Held while truncating chains. Two sweepers on one chain could
     /// each detach — and retire — the same suffix, so the collector and
     /// an [audit](RetireQueue::audit) take turns.
@@ -95,30 +91,19 @@ pub struct RetireQueue {
 
 impl RetireQueue {
     pub fn new(stats: Arc<GcStats>) -> RetireQueue {
-        RetireQueue {
-            lanes: Default::default(),
-            next_lane: AtomicUsize::new(0),
-            sweeper: Mutex::new(()),
-            stats,
-        }
+        RetireQueue { handed: Mutex::new(Vec::new()), sweeper: Mutex::new(()), stats }
     }
 
-    /// A lane for one producer to keep (handed out round-robin).
-    pub fn lane(&self) -> usize {
-        self.next_lane.fetch_add(1, Ordering::Relaxed) % RETIRE_LANES
-    }
-
-    /// Hand `entries` to the collector through `lane` (the caller's own,
-    /// from [`RetireQueue::lane`]). Call only after the superseding
+    /// Hand `entries` to the collector. Call only after the superseding
     /// versions carry their commit stamp: the collector expects to find
     /// them stamped when it visits.
-    pub fn retire(&self, lane: usize, entries: &[Retired]) {
+    pub fn retire(&self, entries: &[Retired]) {
         if entries.is_empty() {
             return;
         }
         // Counted before it can be popped: the gauge never dips below 0.
         self.stats.retire_backlog.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        self.lanes[lane].lock().extend_from_slice(entries);
+        self.handed.lock().extend_from_slice(entries);
     }
 
     pub fn stats(&self) -> &Arc<GcStats> {
@@ -213,7 +198,7 @@ struct Collector<H, A> {
     /// arrive only roughly in stamp order, and a pinned horizon parks any
     /// number of them here.
     waiting: BinaryHeap<Reverse<Retired>>,
-    /// The drained buffer traded for a lane's full one.
+    /// The drained buffer traded for the queue's full one.
     incoming: Vec<Retired>,
     /// Indirection arrays by table id, as far as entries have named them.
     arrays: Vec<Arc<OidArray>>,
@@ -223,19 +208,16 @@ impl<H: Fn() -> Lsn, A: Fn(TableId) -> Option<Arc<OidArray>>> Collector<H, A> {
     /// One tick: take what was handed off, visit every chain whose entry
     /// the horizon has passed. Returns the versions reclaimed.
     fn pass(&mut self) -> u64 {
-        for lane in &self.queue.lanes {
-            let mut lane = lane.lock();
-            if lane.is_empty() {
-                continue;
-            }
+        let mut handed = self.queue.handed.lock();
+        if !handed.is_empty() {
             // Leave a drained buffer at least as roomy as the one taken:
             // growth is paid here, once, not by committers a few entries
             // at a time.
-            self.incoming.reserve(lane.capacity());
-            std::mem::swap(&mut *lane, &mut self.incoming);
-            drop(lane);
-            self.waiting.extend(self.incoming.drain(..).map(Reverse));
+            self.incoming.reserve(handed.capacity());
+            std::mem::swap(&mut *handed, &mut self.incoming);
         }
+        drop(handed);
+        self.waiting.extend(self.incoming.drain(..).map(Reverse));
         if self.waiting.is_empty() {
             // Asking for the horizon scans the transaction table: not
             // worth it on a tick with nothing waiting for it.

@@ -28,7 +28,7 @@
 //! test and a log-buffer copy; a prepared cross-shard participant stays
 //! in `PRECOMMIT` through its coordinator's durability rounds.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ermia_common::ids::TID_TABLE_CAPACITY;
 use ermia_common::{Lsn, Tid};
@@ -139,19 +139,9 @@ fn decode(word: u64) -> TidStatus {
     }
 }
 
-/// Slots per entry of [`TidManager::touched`].
-const BLOCK: usize = 64;
-
 /// The lock-free transaction context table.
 pub struct TidManager {
     slots: Box<[TxContext]>,
-    /// `touched[b]`: a slot of block `b` has been claimed at some point.
-    /// A worker claims the first free slot from its home, so of the
-    /// table's 64K slots a handful of blocks are ever in play, and the
-    /// scans (the GC horizon every collector tick, the checkpoint
-    /// frontier) read only those. Set before the claiming CAS and never cleared, so a scan
-    /// that reads `false` skipped no transaction that had registered.
-    touched: Box<[AtomicBool]>,
 }
 
 impl Default for TidManager {
@@ -171,28 +161,19 @@ impl TidManager {
                 sstamp: AtomicU64::new(Lsn::MAX.raw()),
             })
             .collect();
-        let touched = (0..TID_TABLE_CAPACITY / BLOCK).map(|_| AtomicBool::new(false)).collect();
-        TidManager { slots: slots.into_boxed_slice(), touched }
+        TidManager { slots: slots.into_boxed_slice() }
     }
 
     /// Claim a context for a transaction beginning at `begin`.
     ///
-    /// `hint` is the caller's home slot: every claim probes from it, so a
-    /// worker keeps coming back to the slot it released (one CAS) and
-    /// takes a neighbour only while the home is held, e.g. by its own
-    /// parked prepares. It is not moved — a cursor that followed the
-    /// claims would walk on through the table whenever prepares are
-    /// parked, and the scans below would be back to reading all of it.
+    /// `hint` is a per-worker probe cursor: successive claims from one
+    /// thread walk disjoint regions, so the common case is one CAS.
     pub fn acquire(&self, begin: Lsn, hint: &mut usize) -> (Tid, &TxContext) {
-        for probe in 0..TID_TABLE_CAPACITY {
-            let slot = (*hint + probe) % TID_TABLE_CAPACITY;
-            let ctx = &self.slots[slot];
+        for _ in 0..TID_TABLE_CAPACITY {
+            *hint = (*hint + 1) % TID_TABLE_CAPACITY;
+            let ctx = &self.slots[*hint];
             if ctx.word.load(Ordering::Relaxed) != TAG_FREE {
                 continue;
-            }
-            let touched = &self.touched[slot / BLOCK];
-            if !touched.load(Ordering::Relaxed) {
-                touched.store(true, Ordering::SeqCst);
             }
             if ctx
                 .word
@@ -203,7 +184,7 @@ impl TidManager {
             }
             // We own the slot: advance the generation, publish begin.
             let old = ctx.owner.load(Ordering::Relaxed);
-            let tid = Tid::new(Tid::from_raw(old).generation() + 1, slot);
+            let tid = Tid::new(Tid::from_raw(old).generation() + 1, *hint);
             ctx.begin.store(begin.raw(), Ordering::Relaxed);
             ctx.pstamp.store(0, Ordering::Relaxed);
             ctx.sstamp.store(Lsn::MAX.raw(), Ordering::Relaxed);
@@ -249,7 +230,7 @@ impl TidManager {
     /// `fallback` if none — the GC's reclamation horizon.
     pub fn min_active_begin(&self, fallback: Lsn) -> Lsn {
         let mut min = fallback;
-        for ctx in self.touched_slots() {
+        for ctx in self.slots.iter() {
             let w = ctx.word.load(Ordering::Acquire);
             match w & TAG_MASK {
                 TAG_ACTIVE | TAG_PENDING | TAG_PRECOMMIT => {
@@ -278,7 +259,7 @@ impl TidManager {
     /// tail-derived fallback captured before this scan.
     pub fn min_commit_low_water(&self, fallback: Lsn) -> Lsn {
         let mut min = fallback;
-        for ctx in self.touched_slots() {
+        for ctx in self.slots.iter() {
             let w = ctx.word.load(Ordering::Acquire);
             match w & TAG_MASK {
                 TAG_PRECOMMIT | TAG_COMMITTED => {
@@ -295,15 +276,6 @@ impl TidManager {
 
     /// Number of currently claimed slots (tests / stats).
     pub fn in_use(&self) -> usize {
-        self.touched_slots().filter(|c| c.word.load(Ordering::Relaxed) != TAG_FREE).count()
-    }
-
-    /// Every slot that can hold a transaction: those of touched blocks.
-    fn touched_slots(&self) -> impl Iterator<Item = &TxContext> {
-        self.slots
-            .chunks(BLOCK)
-            .zip(self.touched.iter())
-            .filter(|(_, touched)| touched.load(Ordering::SeqCst))
-            .flat_map(|(block, _)| block)
+        self.slots.iter().filter(|c| c.word.load(Ordering::Relaxed) != TAG_FREE).count()
     }
 }
