@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use ermia_workloads::driver::{format_result, run, BenchResult, RunConfig, Workload};
+use ermia_workloads::driver::{run, BenchResult, RunConfig, Workload};
 use ermia_workloads::{ErmiaEngine, SiloEngine};
 
 /// Harness settings derived from CLI args / environment.
@@ -153,13 +153,6 @@ pub fn banner(figure: &str, description: &str, h: &Harness) {
         h.threads
     );
     println!("================================================================");
-}
-
-/// Print full per-type tables for a set of results.
-pub fn print_details(results: &[BenchResult]) {
-    for r in results {
-        println!("{}", format_result(r));
-    }
 }
 
 /// Format a kTps value like the paper's axes (adaptive precision so

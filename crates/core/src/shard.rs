@@ -983,11 +983,6 @@ impl<'w> ShardedTransaction<'w> {
         self.db.inner.dbs.len()
     }
 
-    /// The wire context this transaction runs under, if traced.
-    pub fn trace_ctx(&self) -> Option<TraceContext> {
-        self.trace.as_ref().map(|t| t.ctx)
-    }
-
     /// Tracing hook: `(ring, ctx, now_ns)` for a traced transaction,
     /// `None` (one branch, nothing else) otherwise. The returned
     /// borrows are free of `self`, so callers can record after a

@@ -158,11 +158,6 @@ impl<'w> Transaction<'w> {
         self.tid
     }
 
-    /// The begin timestamp (snapshot point).
-    pub fn begin_lsn(&self) -> Lsn {
-        self.begin
-    }
-
     /// True once a CC violation doomed the transaction: further data
     /// operations fail fast with the original reason — the paper's early
     /// detection of transactions destined to abort.

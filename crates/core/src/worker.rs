@@ -135,16 +135,6 @@ impl Worker {
         crate::profile::breakdown_from_counters(&self.scratch.breakdown.counter_snapshot())
     }
 
-    /// Zero this worker's breakdown counters. The slab is the same one
-    /// [`Database::breakdown`] aggregates while the worker is live, so a
-    /// worker-level reset also removes this worker's not-yet-retired
-    /// share from the database-wide breakdown (counts already folded in
-    /// by retired workers are unaffected). Benchmarks rely on this to
-    /// discard warm-up measurements from both views at once.
-    pub fn reset_breakdown(&mut self) {
-        self.scratch.breakdown.reset();
-    }
-
     /// Versions served from the worker's reuse cache instead of the
     /// allocator (steady-state write paths should climb this).
     pub fn versions_reused(&self) -> u64 {

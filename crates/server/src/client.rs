@@ -133,6 +133,18 @@ impl RetryPolicy {
     }
 }
 
+/// The body of a typed helper: send `$req` and wait, turn `Error`/`Busy`
+/// into errors, take the one expected kind of reply apart — and call any
+/// other kind [`ClientError::Unexpected`].
+macro_rules! reply {
+    ($client:ident, $req:expr, $reply:pat => $out:expr) => {
+        match Client::expect_ok($client.call(&$req)?)? {
+            $reply => Ok($out),
+            other => Err(ClientError::Unexpected(other)),
+        }
+    };
+}
+
 /// One connection to an ERMIA server.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -346,62 +358,40 @@ impl Client {
     }
 
     pub fn ping(&mut self) -> ClientResult<()> {
-        match Self::expect_ok(self.call(&Request::Ping)?)? {
-            Response::Pong => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Ping, Response::Pong => ())
     }
 
     /// Create (or look up) a table, returning its id.
     pub fn open_table(&mut self, name: &str) -> ClientResult<u32> {
         let req = Request::OpenTable { name: name.as_bytes().to_vec() };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::TableId { id } => Ok(id),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::TableId { id } => id)
     }
 
     /// Begin an interactive transaction on this connection.
     pub fn begin(&mut self, isolation: WireIsolation) -> ClientResult<()> {
-        match Self::expect_ok(self.call(&Request::Begin { isolation })?)? {
-            Response::Begun => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Begin { isolation }, Response::Begun => ())
     }
 
     pub fn get(&mut self, table: u32, key: &[u8]) -> ClientResult<Option<Vec<u8>>> {
-        let req = Request::Get { table, key: key.to_vec() };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::Value { value } => Ok(value),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Get { table, key: key.to_vec() }, Response::Value { value } => value)
     }
 
     /// Upsert; returns whether the key already existed.
     pub fn put(&mut self, table: u32, key: &[u8], value: &[u8]) -> ClientResult<bool> {
         let req = Request::Put { table, key: key.to_vec(), value: value.to_vec() };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::Done { existed } => Ok(existed),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::Done { existed } => existed)
     }
 
     /// Insert; fails if the key exists. Returns the record's OID.
     pub fn insert(&mut self, table: u32, key: &[u8], value: &[u8]) -> ClientResult<u64> {
         let req = Request::Insert { table, key: key.to_vec(), value: value.to_vec() };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::Inserted { oid } => Ok(oid),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::Inserted { oid } => oid)
     }
 
     /// Delete; returns whether the key existed.
     pub fn delete(&mut self, table: u32, key: &[u8]) -> ClientResult<bool> {
         let req = Request::Delete { table, key: key.to_vec() };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::Done { existed } => Ok(existed),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::Done { existed } => existed)
     }
 
     /// Inclusive range scan; `limit` 0 means unlimited. Returns the rows
@@ -414,45 +404,30 @@ impl Client {
         limit: u32,
     ) -> ClientResult<(ScanRows, bool)> {
         let req = Request::Scan { table, low: low.to_vec(), high: high.to_vec(), limit };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::Rows { truncated, rows } => Ok((rows, truncated)),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::Rows { truncated, rows } => (rows, truncated))
     }
 
     /// Commit the open transaction; `sync` waits for durability. Returns
     /// the commit LSN.
     pub fn commit(&mut self, sync: bool) -> ClientResult<u64> {
-        match Self::expect_ok(self.call(&Request::Commit { sync })?)? {
-            Response::Committed { lsn } => Ok(lsn),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Commit { sync }, Response::Committed { lsn } => lsn)
     }
 
     pub fn abort(&mut self) -> ClientResult<()> {
-        match Self::expect_ok(self.call(&Request::Abort)?)? {
-            Response::Aborted => Ok(()),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Abort, Response::Aborted => ())
     }
 
     /// Fetch the server's metrics in Prometheus text exposition format.
     /// Parse with [`ermia_telemetry::parse_exposition`] or point any
     /// Prometheus-compatible tooling at `GET /metrics` on the same port.
     pub fn metrics(&mut self) -> ClientResult<String> {
-        match Self::expect_ok(self.call(&Request::Metrics)?)? {
-            Response::Metrics { text } => Ok(text),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Metrics, Response::Metrics { text } => text)
     }
 
     /// Fetch a human-readable flight-recorder dump of the most recent
     /// `max` events (`0` = server default).
     pub fn dump_events(&mut self, max: u32) -> ClientResult<String> {
-        match Self::expect_ok(self.call(&Request::DumpEvents { max })?)? {
-            Response::Events { text } => Ok(text),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::DumpEvents { max }, Response::Events { text } => text)
     }
 
     /// Fetch the server's span dump: one span per line, parseable with
@@ -460,21 +435,14 @@ impl Client {
     /// `trace_event` JSON via [`ermia_telemetry::chrome_trace_json`]
     /// (`0` = server default span cap).
     pub fn dump_traces(&mut self, max: u32) -> ClientResult<String> {
-        match Self::expect_ok(self.call(&Request::DumpTraces { max })?)? {
-            Response::Traces { text } => Ok(text),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::DumpTraces { max }, Response::Traces { text } => text)
     }
 
     /// Probe the database service state: degraded flag, node role, the
     /// durable log frontier, and (on a replica) the applied offset.
     pub fn health(&mut self) -> ClientResult<HealthInfo> {
-        match Self::expect_ok(self.call(&Request::Health)?)? {
-            Response::Health { state, role, durable_lsn, applied_lsn } => {
-                Ok(HealthInfo { degraded: state != 0, role, durable_lsn, applied_lsn })
-            }
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Health, Response::Health { state, role, durable_lsn, applied_lsn } =>
+            HealthInfo { degraded: state != 0, role, durable_lsn, applied_lsn })
     }
 
     /// Ask the server to leave degraded read-only mode (after the
@@ -482,21 +450,14 @@ impl Client {
     /// Fails with [`ErrorCode::DegradedReadOnly`] if the backend re-probe
     /// still fails.
     pub fn resume(&mut self) -> ClientResult<HealthInfo> {
-        match Self::expect_ok(self.call(&Request::Resume)?)? {
-            Response::Health { state, role, durable_lsn, applied_lsn } => {
-                Ok(HealthInfo { degraded: state != 0, role, durable_lsn, applied_lsn })
-            }
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Resume, Response::Health { state, role, durable_lsn, applied_lsn } =>
+            HealthInfo { degraded: state != 0, role, durable_lsn, applied_lsn })
     }
 
     /// Subscribe to (or refresh) log shipping on `shard`, pinning the
     /// primary's log from `from` onward. Returns the shipping status.
     pub fn subscribe(&mut self, shard: u32, from: u64) -> ClientResult<ReplStatus> {
-        match Self::expect_ok(self.call(&Request::Subscribe { shard, from })?)? {
-            Response::ReplStatus(s) => Ok(s),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, Request::Subscribe { shard, from }, Response::ReplStatus(s) => s)
     }
 
     /// Fetch up to `len` shipped bytes at `offset` from the subscribed
@@ -509,10 +470,8 @@ impl Client {
         offset: u64,
         len: u32,
     ) -> ClientResult<Vec<u8>> {
-        match Self::expect_ok(self.call(&Request::FetchChunk { shard, source, offset, len })?)? {
-            Response::SegmentChunk { data, .. } => Ok(data),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        let req = Request::FetchChunk { shard, source, offset, len };
+        reply!(self, req, Response::SegmentChunk { data, .. } => data)
     }
 
     /// Run `ops` as one transaction in a single round trip. Returns the
@@ -524,10 +483,7 @@ impl Client {
         ops: Vec<BatchOp>,
     ) -> ClientResult<(Vec<Response>, Response)> {
         let req = Request::Batch { isolation, sync, ops };
-        match Self::expect_ok(self.call(&req)?)? {
-            Response::BatchDone { results, outcome } => Ok((results, *outcome)),
-            other => Err(ClientError::Unexpected(other)),
-        }
+        reply!(self, req, Response::BatchDone { results, outcome } => (results, *outcome))
     }
 }
 

@@ -18,7 +18,7 @@ use ermia_common::{AbortReason, TableId};
 use ermia_telemetry::TraceContext;
 
 use crate::poll::Interest;
-use crate::protocol::{crc32, BatchOp, ErrorCode, FrameAssembler, Request, Response};
+use crate::protocol::{crc32, BatchOp, ErrorCode, FrameAssembler, Response, WireIsolation};
 use crate::server::{ServerState, ShardStats};
 
 /// Accumulation cap for a sniffed HTTP request head.
@@ -47,10 +47,24 @@ pub(crate) enum Mode {
 /// A request that decoded cleanly but found no idle engine worker; the
 /// shard retries until a worker frees up or the admission window closes.
 pub(crate) enum PendingWork {
-    Begin { isolation: IsolationLevel },
-    Batch { isolation: IsolationLevel, sync: bool, ops: Vec<BatchOp> },
-    /// An autocommit data operation.
-    Auto { req: Request },
+    Begin {
+        isolation: IsolationLevel,
+    },
+    /// A transaction that begins, runs and commits within one request.
+    OneShot {
+        isolation: IsolationLevel,
+        sync: bool,
+        ops: Ops,
+    },
+}
+
+/// What a one-shot transaction runs, and so how it is answered.
+pub(crate) enum Ops {
+    /// A `Batch`: every op's reply, then the outcome.
+    Batch(Vec<BatchOp>),
+    /// An autocommitted data operation — a one-op batch answered with the
+    /// op's own reply.
+    Auto(BatchOp),
 }
 
 pub(crate) struct Waiting {
@@ -368,10 +382,10 @@ pub(crate) fn frame_bytes(resp: &Response) -> Vec<u8> {
 // Data operations (shared by autocommit, interactive, and batch paths)
 // ---------------------------------------------------------------------
 
-pub(crate) fn engine_isolation(iso: crate::protocol::WireIsolation) -> IsolationLevel {
+pub(crate) fn engine_isolation(iso: WireIsolation) -> IsolationLevel {
     match iso {
-        crate::protocol::WireIsolation::Snapshot => IsolationLevel::Snapshot,
-        crate::protocol::WireIsolation::Serializable => IsolationLevel::Serializable,
+        WireIsolation::Snapshot => IsolationLevel::Snapshot,
+        WireIsolation::Serializable => IsolationLevel::Serializable,
     }
 }
 
@@ -386,116 +400,57 @@ pub(crate) fn aborted(reason: AbortReason) -> Response {
     Response::Error { code, detail: reason.label().into() }
 }
 
-fn table(state: &ServerState, table: u32) -> Result<TableId, Response> {
-    if (table as usize) < state.db.table_count() {
-        Ok(TableId(table))
-    } else {
-        Err(Response::Error { code: ErrorCode::UnknownTable, detail: format!("table {table}") })
+/// Table and leading key of a data operation.
+pub(crate) fn op_target(op: &BatchOp) -> (u32, &[u8]) {
+    match op {
+        BatchOp::Get { table, key }
+        | BatchOp::Put { table, key, .. }
+        | BatchOp::Delete { table, key }
+        | BatchOp::Insert { table, key, .. } => (*table, key),
+        BatchOp::Scan { table, low, .. } => (*table, low),
     }
 }
 
-pub(crate) fn exec_request_op(
-    state: &ServerState,
-    txn: &mut ShardedTransaction<'_>,
-    req: &Request,
-) -> Response {
-    match req {
-        Request::Get { table, key } => exec_get(state, txn, *table, key),
-        Request::Put { table, key, value } => exec_put(state, txn, *table, key, value),
-        Request::Delete { table, key } => exec_delete(state, txn, *table, key),
-        Request::Scan { table, low, high, limit } => exec_scan(state, txn, *table, low, high, *limit),
-        Request::Insert { table, key, value } => exec_insert(state, txn, *table, key, value),
-        _ => Response::Error { code: ErrorCode::BadState, detail: "not a data op".into() },
-    }
-}
-
-pub(crate) fn exec_batch_op(
+/// Run one data operation inside `txn`. A failure comes back as a
+/// `Response::Error`; the caller decides what becomes of the transaction.
+pub(crate) fn exec_op(
     state: &ServerState,
     txn: &mut ShardedTransaction<'_>,
     op: &BatchOp,
 ) -> Response {
-    match op {
-        BatchOp::Get { table, key } => exec_get(state, txn, *table, key),
-        BatchOp::Put { table, key, value } => exec_put(state, txn, *table, key, value),
-        BatchOp::Delete { table, key } => exec_delete(state, txn, *table, key),
-        BatchOp::Scan { table, low, high, limit } => exec_scan(state, txn, *table, low, high, *limit),
-        BatchOp::Insert { table, key, value } => exec_insert(state, txn, *table, key, value),
+    let (table, _) = op_target(op);
+    if table as usize >= state.db.table_count() {
+        return Response::Error { code: ErrorCode::UnknownTable, detail: format!("table {table}") };
     }
-}
-
-fn exec_get(state: &ServerState, txn: &mut ShardedTransaction<'_>, t: u32, key: &[u8]) -> Response {
-    let t = match table(state, t) {
-        Ok(t) => t,
-        Err(e) => return e,
+    let t = TableId(table);
+    let done = match op {
+        BatchOp::Get { key, .. } => {
+            txn.read(t, key, |v| v.to_vec()).map(|value| Response::Value { value })
+        }
+        // Upsert: update if present in this snapshot, insert otherwise.
+        BatchOp::Put { key, value, .. } => txn.update(t, key, value).and_then(|existed| {
+            if !existed {
+                txn.insert(t, key, value)?;
+            }
+            Ok(Response::Done { existed })
+        }),
+        BatchOp::Delete { key, .. } => txn.delete(t, key).map(|existed| Response::Done { existed }),
+        BatchOp::Insert { key, value, .. } => {
+            txn.insert(t, key, value).map(|oid| Response::Inserted { oid })
+        }
+        BatchOp::Scan { low, high, limit, .. } => scan(state, txn, t, low, high, *limit),
     };
-    match txn.read(t, key, |v| v.to_vec()) {
-        Ok(value) => Response::Value { value },
-        Err(r) => aborted(r),
-    }
+    done.unwrap_or_else(aborted)
 }
 
-/// Upsert: update if present in this snapshot, insert otherwise.
-fn exec_put(
+fn scan(
     state: &ServerState,
     txn: &mut ShardedTransaction<'_>,
-    t: u32,
-    key: &[u8],
-    value: &[u8],
-) -> Response {
-    let t = match table(state, t) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    match txn.update(t, key, value) {
-        Ok(true) => Response::Done { existed: true },
-        Ok(false) => match txn.insert(t, key, value) {
-            Ok(_) => Response::Done { existed: false },
-            Err(r) => aborted(r),
-        },
-        Err(r) => aborted(r),
-    }
-}
-
-fn exec_delete(state: &ServerState, txn: &mut ShardedTransaction<'_>, t: u32, key: &[u8]) -> Response {
-    let t = match table(state, t) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    match txn.delete(t, key) {
-        Ok(existed) => Response::Done { existed },
-        Err(r) => aborted(r),
-    }
-}
-
-fn exec_insert(
-    state: &ServerState,
-    txn: &mut ShardedTransaction<'_>,
-    t: u32,
-    key: &[u8],
-    value: &[u8],
-) -> Response {
-    let t = match table(state, t) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    match txn.insert(t, key, value) {
-        Ok(handle) => Response::Inserted { oid: handle },
-        Err(r) => aborted(r),
-    }
-}
-
-fn exec_scan(
-    state: &ServerState,
-    txn: &mut ShardedTransaction<'_>,
-    t: u32,
+    t: TableId,
     low: &[u8],
     high: &[u8],
     limit: u32,
-) -> Response {
-    let t = match table(state, t) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
+) -> Result<Response, AbortReason> {
     let index = state.db.primary_index(t);
     // Stay well inside one reply frame: stop collecting before the
     // encoded response could exceed the frame cap.
@@ -504,7 +459,7 @@ fn exec_scan(
     let mut truncated = false;
     let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let limit = if limit == 0 { None } else { Some(limit as usize) };
-    let r = txn.scan(index, low, high, limit, |k, v| {
+    txn.scan(index, low, high, limit, |k, v| {
         bytes += k.len() + v.len() + 16;
         if bytes > byte_cap {
             truncated = true;
@@ -512,9 +467,6 @@ fn exec_scan(
         }
         rows.push((k.to_vec(), v.to_vec()));
         true
-    });
-    match r {
-        Ok(_) => Response::Rows { truncated, rows },
-        Err(r) => aborted(r),
-    }
+    })?;
+    Ok(Response::Rows { truncated, rows })
 }

@@ -15,38 +15,30 @@
 //! and closes the connection — it never panics and never desynchronizes
 //! silently.
 //!
-//! # Requests
+//! # The frame table
+//!
+//! What each frame is — opcode, fields in wire order, label, and the
+//! session states it is legal in — is written down once, as a row of the
+//! tables at [`Request`] (`0x01`–`0x13`) and [`Response`] (`0x81`–`0x92`)
+//! below. A body is its row's fields back to back, each in the one wire
+//! form of its type (the `Wire` impls): integers little-endian, `bool` and
+//! the `Option` marker one byte (0 = false/absent), byte strings and text
+//! as `bytes`, a list as `n:u32` and `n` elements under a per-type cap.
+//! Both enums, both codecs, [`Request::name`], the legality the session
+//! dispatcher enforces and the opcode list the sample corpus
+//! ([`Request::samples`], [`Response::samples`]) must cover all come from
+//! the rows; adding a frame is one row, one handler arm and one sample.
+//!
+//! A batch `op` is `kind:u8` (the request opcode of Get/Put/Delete/
+//! Scan/Insert) followed by that request's body — the five are declared
+//! once, for [`Request`] and [`BatchOp`] both; the whole transaction —
+//! begin, every op, commit — rides one frame and one reply frame.
 //!
 //! ```text
-//! Ping                                        0x01
-//! OpenTable  name:bytes                       0x02   create-or-lookup
-//! Begin      iso:u8                           0x03   0 = SI, 1 = SSN
-//! Get        table:u32 key:bytes              0x04
-//! Put        table:u32 key:bytes val:bytes    0x05   upsert
-//! Delete     table:u32 key:bytes              0x06
-//! Scan       table:u32 lo:bytes hi:bytes      0x07   inclusive bounds,
-//!            limit:u32                               limit 0 = unlimited
-//! Commit     sync:u8                          0x08
-//! Abort                                       0x09
-//! Batch      iso:u8 sync:u8 n:u32 op*n        0x0A   one-shot transaction
-//! Insert     table:u32 key:bytes val:bytes    0x0B   duplicate key aborts
-//! Metrics                                     0x0C   Prometheus exposition
-//! DumpEvents max:u32                          0x0D   flight-recorder dump,
-//!                                                    max 0 = server default
-//! Health                                      0x0E   service-state probe
-//! Resume                                      0x0F   leave degraded mode
-//! Subscribe  shard:u32 from:u64               0x10   pin the log for
-//!                                                    shipping from `from`
-//! FetchChunk shard:u32 source:u8 offset:u64   0x11   read shipped bytes;
-//!            len:u32                                 source 0 = checkpoint
-//!                                                    payload, 1 = log,
-//!                                                    2 = blob store
 //! Traced     hi:u64 lo:u64 parent:u64 inner   0x12   envelope: `inner` is a
 //!                                                    complete request payload
 //!                                                    to run under the given
 //!                                                    trace context
-//! DumpTraces max:u32                          0x13   span dump, max 0 =
-//!                                                    server default
 //! ```
 //!
 //! The `Traced` envelope is the protocol-versioning seam for trace
@@ -54,40 +46,6 @@
 //! rejects it like any unknown opcode, while every un-enveloped request
 //! decodes exactly as before (absent = untraced). The trace id must be
 //! nonzero and the envelope must not nest.
-//!
-//! A batch `op` is `kind:u8` (the request opcode of Get/Put/Delete/
-//! Scan/Insert) followed by that request's body; the whole transaction —
-//! begin, every op, commit — rides one frame and one reply frame.
-//!
-//! # Responses
-//!
-//! ```text
-//! Pong                                        0x81
-//! TableId    id:u32                           0x82
-//! Begun                                       0x83
-//! Value      present:u8 [val:bytes]           0x84
-//! Done       existed:u8                       0x85
-//! Rows       truncated:u8 n:u32 (k:bytes      0x86
-//!            v:bytes)*n
-//! Committed  lsn:u64                          0x87
-//! Aborted                                     0x88
-//! Error      code:u8 detail:bytes             0x89
-//! Busy                                        0x8A   load shed, try later
-//! Inserted   oid:u64                          0x8B
-//! BatchDone  n:u32 (len:u32 resp)*n           0x8C   per-op replies, then
-//!            outcome:(len:u32 resp)                  Committed/Error
-//! Metrics    text:bytes                       0x8D   Prometheus 0.0.4 text
-//! Events     text:bytes                       0x8E   flight-recorder dump
-//! Health     state:u8 role:u8 durable:u64     0x8F   state 0 = active, 1 =
-//!            applied:u64                             degraded; role 0 =
-//!                                                    primary, 1 = replica
-//! ReplStatus role:u8 state:u8 durable:u64     0x90   shipping status +
-//!            earliest:u64 segsize:u64                checkpoint/segment
-//!            ckpt? segs* schema*                     catalog + schema DDL
-//! SegChunk   offset:u64 data:bytes            0x91   raw shipped bytes
-//! Traces     text:bytes                       0x92   span dump (one span
-//!                                                    per line)
-//! ```
 
 use std::io::{self, Read, Write};
 
@@ -235,15 +193,6 @@ impl FrameAssembler {
         self.buf.len() - self.pos
     }
 
-    /// Take the unconsumed bytes out of the assembler (used when a
-    /// connection switches modes, e.g. the HTTP sniff path).
-    pub fn take_buffered(&mut self) -> Vec<u8> {
-        let rest = self.buf[self.pos..].to_vec();
-        self.buf.clear();
-        self.pos = 0;
-        rest
-    }
-
     /// Whether [`FrameAssembler::next_frame`] would make progress right
     /// now — a complete frame is buffered, or an error is detectable.
     pub fn has_frame(&self) -> bool {
@@ -285,44 +234,21 @@ impl FrameAssembler {
 }
 
 // ---------------------------------------------------------------------
-// Primitive (de)serialization
+// Field codecs
 // ---------------------------------------------------------------------
 
-pub(crate) struct Enc {
-    pub buf: Vec<u8>,
-}
-
-impl Enc {
-    pub fn new(opcode: u8) -> Enc {
-        Enc { buf: vec![opcode] }
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-}
-
+/// A cursor over a frame payload being decoded.
 pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Set while decoding a reply carried inside a `BatchDone`, which
+    /// must not carry a `BatchDone` of its own.
+    nested: bool,
 }
 
 impl<'a> Dec<'a> {
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec { buf, pos: 0, nested: false }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
@@ -335,134 +261,377 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
-        let n = self.u32()? as usize;
+    fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
+        let n = u32::get(self)? as usize;
         self.take(n)
     }
 
-    pub fn finish(&self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(FrameError::Malformed("trailing bytes"))
+    /// The whole of what is left: one value, then nothing.
+    fn whole<T: Wire>(mut self) -> Result<T, FrameError> {
+        let v = T::get(&mut self)?;
+        if self.pos != self.buf.len() {
+            return Err(FrameError::Malformed("trailing bytes"));
+        }
+        Ok(v)
+    }
+}
+
+/// A value with exactly one wire form. Every field type of the frame
+/// table implements it, and a frame's body is its fields' forms back to
+/// back — so a new frame needs no codec of its own.
+pub(crate) trait Wire: Sized {
+    fn put(&self, e: &mut Vec<u8>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, FrameError>;
+}
+
+fn encode_payload(v: &impl Wire) -> Vec<u8> {
+    let mut e = Vec::new();
+    v.put(&mut e);
+    e
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, e: &mut Vec<u8>) {
+                e.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<$t, FrameError> {
+                let raw = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("take returns the length asked")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+impl Wire for bool {
+    fn put(&self, e: &mut Vec<u8>) {
+        e.push(*self as u8);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<bool, FrameError> {
+        Ok(u8::get(d)? != 0)
+    }
+}
+
+/// `bytes`: the length is checked against what is left of the payload
+/// before anything is copied.
+impl Wire for Vec<u8> {
+    fn put(&self, e: &mut Vec<u8>) {
+        (self.len() as u32).put(e);
+        e.extend_from_slice(self);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Vec<u8>, FrameError> {
+        Ok(d.bytes()?.to_vec())
+    }
+}
+
+/// Text is `bytes`; a peer's invalid UTF-8 is replaced, never refused.
+impl Wire for String {
+    fn put(&self, e: &mut Vec<u8>) {
+        (self.len() as u32).put(e);
+        e.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<String, FrameError> {
+        Ok(String::from_utf8_lossy(d.bytes()?).into_owned())
+    }
+}
+
+/// `present:u8 [value]`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Vec<u8>) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
         }
     }
+
+    fn get(d: &mut Dec<'_>) -> Result<Option<T>, FrameError> {
+        Ok(if bool::get(d)? { Some(T::get(d)?) } else { None })
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($T:ident $i:tt),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            fn put(&self, e: &mut Vec<u8>) {
+                $(self.$i.put(e);)+
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, FrameError> {
+                Ok(($($T::get(d)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// A struct whose wire form is the named fields, in the order named.
+macro_rules! wire_struct {
+    ($T:ident { $($f:ident),+ }) => {
+        impl Wire for $T {
+            fn put(&self, e: &mut Vec<u8>) {
+                $(self.$f.put(e);)+
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<$T, FrameError> {
+                Ok($T { $($f: Wire::get(d)?),+ })
+            }
+        }
+    };
+}
+
+/// An element a frame may carry a list of. `Vec<Self>` is `n:u32` then
+/// `n` elements; a count above `CAP` is refused before the decoder
+/// allocates or loops for it.
+pub(crate) trait Listed: Wire {
+    const CAP: u32;
+    /// The `Malformed` text of a count above the cap.
+    const OVER: &'static str;
+}
+
+impl<T: Listed> Wire for Vec<T> {
+    fn put(&self, e: &mut Vec<u8>) {
+        (self.len() as u32).put(e);
+        for item in self {
+            item.put(e);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Vec<T>, FrameError> {
+        let n = u32::get(d)?;
+        if n > T::CAP {
+            return Err(FrameError::Malformed(T::OVER));
+        }
+        let mut items = Vec::with_capacity(n.min(1024) as usize);
+        for _ in 0..n {
+            items.push(T::get(d)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Cap on ops per batch frame: a bound the session enforces before doing
+/// any work, so a hostile frame cannot make one transaction arbitrarily
+/// large.
+pub const MAX_BATCH_OPS: u32 = 10_000;
+
+/// Cap on segment (and schema) entries in one `ReplStatus` frame.
+const MAX_REPL_SEGMENTS: u32 = 1 << 20;
+
+impl Listed for BatchOp {
+    const CAP: u32 = MAX_BATCH_OPS;
+    const OVER: &'static str = "batch too large";
+}
+
+/// A scan row, `(key, value)`.
+impl Listed for (Vec<u8>, Vec<u8>) {
+    const CAP: u32 = MAX_FRAME_LEN / 8;
+    const OVER: &'static str = "row count";
+}
+
+impl Listed for WireSegment {
+    const CAP: u32 = MAX_REPL_SEGMENTS;
+    const OVER: &'static str = "segment count";
+}
+
+impl Listed for WireDdl {
+    const CAP: u32 = MAX_REPL_SEGMENTS;
+    const OVER: &'static str = "schema count";
 }
 
 // ---------------------------------------------------------------------
-// Messages
+// The frame table
 // ---------------------------------------------------------------------
 
-/// Requested isolation level on the wire.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WireIsolation {
-    Snapshot,
-    Serializable,
+/// Builds a message enum from its rows, `opcode Variant { field: Type,
+/// .. };` — the enum itself, its codec (the opcode byte, then every field
+/// in row order in its [`Wire`] form) and the list of its opcodes. A row
+/// written `opcode Variant(name: Type);` is a one-field tuple variant,
+/// for a body that is a struct of its own (see `wire_struct!`).
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        enum $Enum:ident, else $unknown:literal;
+        $(
+            $(#[$vmeta:meta])*
+            $op:literal $Var:ident $({ $($f:ident: $t:ty),* })? $(($b:ident: $bt:ty))?;
+        )*
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum $Enum {
+            $($(#[$vmeta])* $Var $({ $($f: $t),* })? $(($bt))?,)*
+        }
+
+        impl $Enum {
+            /// Every opcode in the table, in row order.
+            #[cfg(test)]
+            const OPCODES: &'static [u8] = &[$($op),*];
+        }
+
+        impl Wire for $Enum {
+            fn put(&self, e: &mut Vec<u8>) {
+                match self {$(
+                    Self::$Var { $($($f),*)? $(0: $b)? } => {
+                        e.push($op);
+                        $($($f.put(e);)*)?
+                        $($b.put(e);)?
+                    }
+                )*}
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, FrameError> {
+                Ok(match u8::get(d)? {
+                    $($op => Self::$Var { $($($f: Wire::get(d)?),*)? $(0: <$bt>::get(d)?)? },)*
+                    _ => return Err(FrameError::Malformed($unknown)),
+                })
+            }
+        }
+    };
 }
 
-impl WireIsolation {
-    fn encode(self) -> u8 {
-        match self {
-            WireIsolation::Snapshot => 0,
-            WireIsolation::Serializable => 1,
+/// The session states a request is legal in. This column *is* the
+/// session state machine for every frame but `Begin`, `Commit` and
+/// `Abort`, which move a session between the two states; the text is the
+/// [`ErrorCode::BadState`] refusal sent in the other state.
+pub(crate) enum Legal {
+    Always,
+    /// Only between transactions.
+    Idle(&'static str),
+    /// Only inside `Begin` … `Commit`/`Abort`.
+    InTxn(&'static str),
+}
+
+/// The request table: `opcode Variant { fields }: label, legality;`. The
+/// `ops` rows are the data operations — requests in their own right
+/// (autocommitted between transactions, run in the open one otherwise,
+/// so always legal) and, with the same opcode and body, the ops of a
+/// `Batch`.
+macro_rules! requests {
+    (
+        $(#[$ometa:meta])*
+        ops $Op:ident {$(
+            $(#[$dmeta:meta])*
+            $dop:literal $DVar:ident { $($df:ident: $dt:ty),* }: $dlabel:literal;
+        )*}
+        $(#[$rmeta:meta])*
+        enum $Req:ident {$(
+            $(#[$vmeta:meta])*
+            $op:literal $Var:ident $({ $($f:ident: $t:ty),* })?: $label:literal, $legal:expr;
+        )*}
+    ) => {
+        frames! {
+            $(#[$ometa])*
+            enum $Op, else "batch op kind";
+            $($(#[$dmeta])* $dop $DVar { $($df: $dt),* };)*
         }
+
+        frames! {
+            $(#[$rmeta])*
+            enum $Req, else "unknown request opcode";
+            $($(#[$dmeta])* $dop $DVar { $($df: $dt),* };)*
+            $($(#[$vmeta])* $op $Var $({ $($f: $t),* })?;)*
+        }
+
+        impl $Req {
+            /// The frame's label: the `op` of trace spans and of the
+            /// slow-op log.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Self::$DVar { .. } => $dlabel,)*
+                    $(Self::$Var { .. } => $label,)*
+                }
+            }
+
+            pub(crate) fn legal(&self) -> Legal {
+                use Legal::*;
+                match self {
+                    $(Self::$DVar { .. } => Always,)*
+                    $(Self::$Var { .. } => $legal,)*
+                }
+            }
+
+            /// The data operation this request is, or the request back.
+            pub(crate) fn into_op(self) -> Result<$Op, $Req> {
+                match self {
+                    $(Self::$DVar { $($df),* } => Ok($Op::$DVar { $($df),* }),)*
+                    other => Err(other),
+                }
+            }
+        }
+    };
+}
+
+requests! {
+    /// One operation inside a [`Request::Batch`].
+    ops BatchOp {
+        0x04 Get { table: u32, key: Vec<u8> }: "get";
+        /// Upsert.
+        0x05 Put { table: u32, key: Vec<u8>, value: Vec<u8> }: "put";
+        0x06 Delete { table: u32, key: Vec<u8> }: "delete";
+        /// Inclusive bounds; `limit` 0 = unlimited.
+        0x07 Scan { table: u32, low: Vec<u8>, high: Vec<u8>, limit: u32 }: "scan";
+        /// A duplicate key aborts.
+        0x0B Insert { table: u32, key: Vec<u8>, value: Vec<u8> }: "insert";
     }
 
-    fn decode(v: u8) -> Result<WireIsolation, FrameError> {
-        match v {
-            0 => Ok(WireIsolation::Snapshot),
-            1 => Ok(WireIsolation::Serializable),
-            _ => Err(FrameError::Malformed("isolation level")),
-        }
+    /// A client → server message.
+    enum Request {
+        0x01 Ping: "ping", Always;
+        /// Create-or-lookup.
+        0x02 OpenTable { name: Vec<u8> }: "open_table", Always;
+        0x03 Begin { isolation: WireIsolation }: "begin", Idle("nested begin");
+        0x08 Commit { sync: bool }: "commit", InTxn("no open txn");
+        0x09 Abort: "abort", InTxn("no open txn");
+        /// A one-shot transaction: begin, every op, commit.
+        0x0A Batch { isolation: WireIsolation, sync: bool, ops: Vec<BatchOp> }:
+            "batch", Idle("batch inside open txn");
+        /// Scrape the server's telemetry registry (Prometheus text
+        /// format). Telemetry reads are legal mid-transaction (and
+        /// useful: scrape while a stall is in progress).
+        0x0C Metrics: "metrics", Always;
+        /// Dump the flight recorder's most recent events; `max` 0 means the
+        /// server default cap.
+        0x0D DumpEvents { max: u32 }: "dump_events", Always;
+        /// Probe the database service state (active vs. degraded read-only)
+        /// and the durable log frontier. Legal at any point in a session,
+        /// including mid-transaction — a client whose writes start
+        /// bouncing wants to ask why without abandoning its transaction.
+        0x0E Health: "health", Always;
+        /// Operator request: leave degraded read-only mode by re-probing the
+        /// storage backend and re-arming the flusher. Replies with a fresh
+        /// `Health` frame on success, `DegradedReadOnly` on failure.
+        0x0F Resume: "resume", Always;
+        /// Start (or refresh) a log-shipping subscription on `shard`. Pins
+        /// the primary's log against truncation from `from` onward and
+        /// replies with a [`Response::ReplStatus`] describing what can be
+        /// fetched. Doubles as the per-round status poll: re-sending with a
+        /// higher `from` advances the retention pin.
+        0x10 Subscribe { shard: u32, from: u64 }:
+            "subscribe", Idle("log shipping inside open txn");
+        /// Read `len` bytes at `offset` from the subscribed shard's shipped
+        /// store: `source` 0 = the pinned checkpoint payload, 1 = the log,
+        /// 2 = the blob store (large-object side file — shipped so indirect
+        /// records resolve during replica replay).
+        /// Replies with a [`Response::SegmentChunk`].
+        0x11 FetchChunk { shard: u32, source: u8, offset: u64, len: u32 }:
+            "fetch_chunk", Idle("log shipping inside open txn");
+        /// Dump recent spans from the tracing rings (plus the slow-op
+        /// retention buffers); `max` 0 means the server default cap.
+        /// Replies with a [`Response::Traces`].
+        0x13 DumpTraces { max: u32 }: "dump_traces", Always;
     }
 }
 
-/// One operation inside a [`Request::Batch`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchOp {
-    Get { table: u32, key: Vec<u8> },
-    Put { table: u32, key: Vec<u8>, value: Vec<u8> },
-    Delete { table: u32, key: Vec<u8> },
-    Scan { table: u32, low: Vec<u8>, high: Vec<u8>, limit: u32 },
-    Insert { table: u32, key: Vec<u8>, value: Vec<u8> },
-}
-
-/// A client → server message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    Ping,
-    OpenTable { name: Vec<u8> },
-    Begin { isolation: WireIsolation },
-    Get { table: u32, key: Vec<u8> },
-    Put { table: u32, key: Vec<u8>, value: Vec<u8> },
-    Delete { table: u32, key: Vec<u8> },
-    Scan { table: u32, low: Vec<u8>, high: Vec<u8>, limit: u32 },
-    Commit { sync: bool },
-    Abort,
-    Batch { isolation: WireIsolation, sync: bool, ops: Vec<BatchOp> },
-    Insert { table: u32, key: Vec<u8>, value: Vec<u8> },
-    /// Scrape the server's telemetry registry (Prometheus text format).
-    Metrics,
-    /// Dump the flight recorder's most recent events; `max` 0 means the
-    /// server default cap.
-    DumpEvents { max: u32 },
-    /// Probe the database service state (active vs. degraded read-only)
-    /// and the durable log frontier. Legal at any point in a session,
-    /// including mid-transaction.
-    Health,
-    /// Operator request: leave degraded read-only mode by re-probing the
-    /// storage backend and re-arming the flusher. Replies with a fresh
-    /// `Health` frame on success, `DegradedReadOnly` on failure.
-    Resume,
-    /// Start (or refresh) a log-shipping subscription on `shard`. Pins
-    /// the primary's log against truncation from `from` onward and
-    /// replies with a [`Response::ReplStatus`] describing what can be
-    /// fetched. Doubles as the per-round status poll: re-sending with a
-    /// higher `from` advances the retention pin.
-    Subscribe { shard: u32, from: u64 },
-    /// Read `len` bytes at `offset` from the subscribed shard's shipped
-    /// store: `source` 0 = the pinned checkpoint payload, 1 = the log,
-    /// 2 = the blob store (large-object side file — shipped so indirect
-    /// records resolve during replica replay).
-    /// Replies with a [`Response::SegmentChunk`].
-    FetchChunk { shard: u32, source: u8, offset: u64, len: u32 },
-    /// Dump recent spans from the tracing rings (plus the slow-op
-    /// retention buffers); `max` 0 means the server default cap.
-    /// Replies with a [`Response::Traces`].
-    DumpTraces { max: u32 },
-}
-
-const OP_PING: u8 = 0x01;
-const OP_OPEN_TABLE: u8 = 0x02;
-const OP_BEGIN: u8 = 0x03;
-const OP_GET: u8 = 0x04;
-const OP_PUT: u8 = 0x05;
-const OP_DELETE: u8 = 0x06;
-const OP_SCAN: u8 = 0x07;
-const OP_COMMIT: u8 = 0x08;
-const OP_ABORT: u8 = 0x09;
-const OP_BATCH: u8 = 0x0A;
-const OP_INSERT: u8 = 0x0B;
-const OP_METRICS: u8 = 0x0C;
-const OP_DUMP_EVENTS: u8 = 0x0D;
-const OP_HEALTH: u8 = 0x0E;
-const OP_RESUME: u8 = 0x0F;
-const OP_SUBSCRIBE: u8 = 0x10;
-const OP_FETCH_CHUNK: u8 = 0x11;
+/// Opcode of the trace envelope — not a request of its own (it has no
+/// row), so it is kept out of the table's opcodes by a test.
 const OP_TRACED: u8 = 0x12;
-const OP_DUMP_TRACES: u8 = 0x13;
 
 /// Whether a frame payload starts with the trace envelope. A cheap peek
 /// the dispatcher uses to skip the clock read on untraced frames.
@@ -470,164 +639,10 @@ pub(crate) fn is_traced_frame(payload: &[u8]) -> bool {
     payload.first() == Some(&OP_TRACED)
 }
 
-///// Cap on ops per batch frame: a bound the session enforces before doing
-/// any work, so a hostile frame cannot make one transaction arbitrarily
-/// large.
-pub const MAX_BATCH_OPS: u32 = 10_000;
-
-impl BatchOp {
-    fn encode_into(&self, e: &mut Enc) {
-        match self {
-            BatchOp::Get { table, key } => {
-                e.u8(OP_GET);
-                e.u32(*table);
-                e.bytes(key);
-            }
-            BatchOp::Put { table, key, value } => {
-                e.u8(OP_PUT);
-                e.u32(*table);
-                e.bytes(key);
-                e.bytes(value);
-            }
-            BatchOp::Delete { table, key } => {
-                e.u8(OP_DELETE);
-                e.u32(*table);
-                e.bytes(key);
-            }
-            BatchOp::Scan { table, low, high, limit } => {
-                e.u8(OP_SCAN);
-                e.u32(*table);
-                e.bytes(low);
-                e.bytes(high);
-                e.u32(*limit);
-            }
-            BatchOp::Insert { table, key, value } => {
-                e.u8(OP_INSERT);
-                e.u32(*table);
-                e.bytes(key);
-                e.bytes(value);
-            }
-        }
-    }
-
-    fn decode_from(d: &mut Dec<'_>) -> Result<BatchOp, FrameError> {
-        match d.u8()? {
-            OP_GET => Ok(BatchOp::Get { table: d.u32()?, key: d.bytes()?.to_vec() }),
-            OP_PUT => Ok(BatchOp::Put {
-                table: d.u32()?,
-                key: d.bytes()?.to_vec(),
-                value: d.bytes()?.to_vec(),
-            }),
-            OP_DELETE => Ok(BatchOp::Delete { table: d.u32()?, key: d.bytes()?.to_vec() }),
-            OP_SCAN => Ok(BatchOp::Scan {
-                table: d.u32()?,
-                low: d.bytes()?.to_vec(),
-                high: d.bytes()?.to_vec(),
-                limit: d.u32()?,
-            }),
-            OP_INSERT => Ok(BatchOp::Insert {
-                table: d.u32()?,
-                key: d.bytes()?.to_vec(),
-                value: d.bytes()?.to_vec(),
-            }),
-            _ => Err(FrameError::Malformed("batch op kind")),
-        }
-    }
-}
-
 impl Request {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Ping => Enc::new(OP_PING).buf,
-            Request::OpenTable { name } => {
-                let mut e = Enc::new(OP_OPEN_TABLE);
-                e.bytes(name);
-                e.buf
-            }
-            Request::Begin { isolation } => {
-                let mut e = Enc::new(OP_BEGIN);
-                e.u8(isolation.encode());
-                e.buf
-            }
-            Request::Get { table, key } => {
-                let mut e = Enc::new(OP_GET);
-                e.u32(*table);
-                e.bytes(key);
-                e.buf
-            }
-            Request::Put { table, key, value } => {
-                let mut e = Enc::new(OP_PUT);
-                e.u32(*table);
-                e.bytes(key);
-                e.bytes(value);
-                e.buf
-            }
-            Request::Delete { table, key } => {
-                let mut e = Enc::new(OP_DELETE);
-                e.u32(*table);
-                e.bytes(key);
-                e.buf
-            }
-            Request::Scan { table, low, high, limit } => {
-                let mut e = Enc::new(OP_SCAN);
-                e.u32(*table);
-                e.bytes(low);
-                e.bytes(high);
-                e.u32(*limit);
-                e.buf
-            }
-            Request::Commit { sync } => {
-                let mut e = Enc::new(OP_COMMIT);
-                e.u8(*sync as u8);
-                e.buf
-            }
-            Request::Abort => Enc::new(OP_ABORT).buf,
-            Request::Batch { isolation, sync, ops } => {
-                let mut e = Enc::new(OP_BATCH);
-                e.u8(isolation.encode());
-                e.u8(*sync as u8);
-                e.u32(ops.len() as u32);
-                for op in ops {
-                    op.encode_into(&mut e);
-                }
-                e.buf
-            }
-            Request::Insert { table, key, value } => {
-                let mut e = Enc::new(OP_INSERT);
-                e.u32(*table);
-                e.bytes(key);
-                e.bytes(value);
-                e.buf
-            }
-            Request::Metrics => Enc::new(OP_METRICS).buf,
-            Request::DumpEvents { max } => {
-                let mut e = Enc::new(OP_DUMP_EVENTS);
-                e.u32(*max);
-                e.buf
-            }
-            Request::Health => Enc::new(OP_HEALTH).buf,
-            Request::Resume => Enc::new(OP_RESUME).buf,
-            Request::Subscribe { shard, from } => {
-                let mut e = Enc::new(OP_SUBSCRIBE);
-                e.u32(*shard);
-                e.u64(*from);
-                e.buf
-            }
-            Request::FetchChunk { shard, source, offset, len } => {
-                let mut e = Enc::new(OP_FETCH_CHUNK);
-                e.u32(*shard);
-                e.u8(*source);
-                e.u64(*offset);
-                e.u32(*len);
-                e.buf
-            }
-            Request::DumpTraces { max } => {
-                let mut e = Enc::new(OP_DUMP_TRACES);
-                e.u32(*max);
-                e.buf
-            }
-        }
+        encode_payload(self)
     }
 
     /// Serialize with a [`TraceContext`] envelope (opcode `0x12`): the
@@ -639,12 +654,10 @@ impl Request {
         if !ctx.is_traced() {
             return self.encode();
         }
-        let mut e = Enc::new(OP_TRACED);
-        e.u64(ctx.trace_hi);
-        e.u64(ctx.trace_lo);
-        e.u64(ctx.parent);
-        e.buf.extend_from_slice(&self.encode());
-        e.buf
+        let mut e = vec![OP_TRACED];
+        (ctx.trace_hi, ctx.trace_lo, ctx.parent).put(&mut e);
+        self.put(&mut e);
+        e
     }
 
     /// Decode a frame payload that may carry the trace envelope. Bare
@@ -652,16 +665,17 @@ impl Request {
     /// no context; an envelope yields the inner request plus its
     /// context. A zero trace id or a nested envelope is malformed.
     pub fn decode_traced(payload: &[u8]) -> Result<(Request, Option<TraceContext>), FrameError> {
-        if payload.first() != Some(&OP_TRACED) {
+        if !is_traced_frame(payload) {
             return Ok((Request::decode(payload)?, None));
         }
         let mut d = Dec::new(&payload[1..]);
-        let ctx = TraceContext { trace_hi: d.u64()?, trace_lo: d.u64()?, parent: d.u64()? };
+        let (trace_hi, trace_lo, parent) = Wire::get(&mut d)?;
+        let ctx = TraceContext { trace_hi, trace_lo, parent };
         if !ctx.is_traced() {
             return Err(FrameError::Malformed("zero trace id"));
         }
         let inner = &payload[1 + 24..];
-        if inner.first() == Some(&OP_TRACED) {
+        if is_traced_frame(inner) {
             return Err(FrameError::Malformed("nested trace envelope"));
         }
         Ok((Request::decode(inner)?, Some(ctx)))
@@ -670,60 +684,65 @@ impl Request {
     /// Decode a frame payload. Rejects unknown opcodes, truncated bodies,
     /// oversized batches, and trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Request, FrameError> {
-        let mut d = Dec::new(payload);
-        let req = match d.u8()? {
-            OP_PING => Request::Ping,
-            OP_OPEN_TABLE => Request::OpenTable { name: d.bytes()?.to_vec() },
-            OP_BEGIN => Request::Begin { isolation: WireIsolation::decode(d.u8()?)? },
-            OP_GET => Request::Get { table: d.u32()?, key: d.bytes()?.to_vec() },
-            OP_PUT => Request::Put {
-                table: d.u32()?,
-                key: d.bytes()?.to_vec(),
-                value: d.bytes()?.to_vec(),
-            },
-            OP_DELETE => Request::Delete { table: d.u32()?, key: d.bytes()?.to_vec() },
-            OP_SCAN => Request::Scan {
-                table: d.u32()?,
-                low: d.bytes()?.to_vec(),
-                high: d.bytes()?.to_vec(),
-                limit: d.u32()?,
-            },
-            OP_COMMIT => Request::Commit { sync: d.u8()? != 0 },
-            OP_ABORT => Request::Abort,
-            OP_BATCH => {
-                let isolation = WireIsolation::decode(d.u8()?)?;
-                let sync = d.u8()? != 0;
-                let n = d.u32()?;
-                if n > MAX_BATCH_OPS {
-                    return Err(FrameError::Malformed("batch too large"));
-                }
-                let mut ops = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    ops.push(BatchOp::decode_from(&mut d)?);
-                }
-                Request::Batch { isolation, sync, ops }
-            }
-            OP_INSERT => Request::Insert {
-                table: d.u32()?,
-                key: d.bytes()?.to_vec(),
-                value: d.bytes()?.to_vec(),
-            },
-            OP_METRICS => Request::Metrics,
-            OP_DUMP_EVENTS => Request::DumpEvents { max: d.u32()? },
-            OP_HEALTH => Request::Health,
-            OP_RESUME => Request::Resume,
-            OP_SUBSCRIBE => Request::Subscribe { shard: d.u32()?, from: d.u64()? },
-            OP_FETCH_CHUNK => Request::FetchChunk {
-                shard: d.u32()?,
-                source: d.u8()?,
-                offset: d.u64()?,
-                len: d.u32()?,
-            },
-            OP_DUMP_TRACES => Request::DumpTraces { max: d.u32()? },
-            _ => return Err(FrameError::Malformed("unknown request opcode")),
-        };
-        d.finish()?;
-        Ok(req)
+        Dec::new(payload).whole()
+    }
+
+    /// At least one request per row of the table (a test holds it to
+    /// that): the corpus the roundtrip, truncation and corruption tests
+    /// iterate, so a new frame is fuzzed once it has a sample here.
+    pub fn samples() -> Vec<Request> {
+        let ops = vec![
+            BatchOp::Get { table: 1, key: b"a".to_vec() },
+            BatchOp::Put { table: 1, key: b"b".to_vec(), value: b"1".to_vec() },
+            BatchOp::Delete { table: 2, key: b"c".to_vec() },
+            BatchOp::Scan { table: 1, low: vec![], high: vec![0xFF], limit: 0 },
+            BatchOp::Insert { table: 3, key: b"d".to_vec(), value: b"2".to_vec() },
+        ];
+        vec![
+            Request::Ping,
+            Request::OpenTable { name: b"fuzz".to_vec() },
+            Request::Begin { isolation: WireIsolation::Serializable },
+            Request::Get { table: 0, key: b"k".to_vec() },
+            Request::Put { table: 0, key: vec![], value: vec![0xFF; 40] },
+            Request::Delete { table: 9, key: b"x".to_vec() },
+            Request::Scan { table: 0, low: b"a".to_vec(), high: b"z".to_vec(), limit: 5 },
+            Request::Commit { sync: true },
+            Request::Commit { sync: false },
+            Request::Abort,
+            Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops },
+            Request::Insert { table: 2, key: b"k".to_vec(), value: b"v".to_vec() },
+            Request::Metrics,
+            Request::DumpEvents { max: 256 },
+            Request::Health,
+            Request::Resume,
+            Request::Subscribe { shard: 3, from: 0xDEAD_BEEF },
+            Request::FetchChunk { shard: 0, source: 1, offset: 1 << 40, len: 65536 },
+            Request::DumpTraces { max: 0 },
+        ]
+    }
+}
+
+/// Requested isolation level on the wire: 0 = SI, 1 = SSN.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum WireIsolation {
+    Snapshot,
+    Serializable,
+}
+
+impl Wire for WireIsolation {
+    fn put(&self, e: &mut Vec<u8>) {
+        e.push(match self {
+            WireIsolation::Snapshot => 0,
+            WireIsolation::Serializable => 1,
+        });
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<WireIsolation, FrameError> {
+        match u8::get(d)? {
+            0 => Ok(WireIsolation::Snapshot),
+            1 => Ok(WireIsolation::Serializable),
+            _ => Err(FrameError::Malformed("isolation level")),
+        }
     }
 }
 
@@ -756,52 +775,37 @@ pub enum ErrorCode {
     TxnAborted(AbortReason),
 }
 
-impl ErrorCode {
-    fn encode(self) -> u8 {
-        match self {
-            ErrorCode::Protocol => 1,
-            ErrorCode::BadState => 2,
-            ErrorCode::UnknownTable => 3,
-            ErrorCode::ShuttingDown => 4,
-            ErrorCode::LogStalled => 5,
-            ErrorCode::LogFailed => 6,
-            ErrorCode::DegradedReadOnly => 7,
-            ErrorCode::TxnAborted(r) => {
-                16 + match r {
-                    AbortReason::WriteWriteConflict => 0,
-                    AbortReason::SsnExclusion => 1,
-                    AbortReason::ReadValidation => 2,
-                    AbortReason::Phantom => 3,
-                    AbortReason::DuplicateKey => 4,
-                    AbortReason::UserRequested => 5,
-                    AbortReason::ResourceExhausted => 6,
-                    AbortReason::LogFailure => 7,
-                    AbortReason::ReadOnlyMode => 8,
-                }
-            }
-        }
+/// Every error code with its wire byte; 16 and up carry the engine's
+/// abort reason. (A test holds the table to every [`AbortReason`].)
+const ERROR_CODES: [(u8, ErrorCode); 16] = [
+    (1, ErrorCode::Protocol),
+    (2, ErrorCode::BadState),
+    (3, ErrorCode::UnknownTable),
+    (4, ErrorCode::ShuttingDown),
+    (5, ErrorCode::LogStalled),
+    (6, ErrorCode::LogFailed),
+    (7, ErrorCode::DegradedReadOnly),
+    (16, ErrorCode::TxnAborted(AbortReason::WriteWriteConflict)),
+    (17, ErrorCode::TxnAborted(AbortReason::SsnExclusion)),
+    (18, ErrorCode::TxnAborted(AbortReason::ReadValidation)),
+    (19, ErrorCode::TxnAborted(AbortReason::Phantom)),
+    (20, ErrorCode::TxnAborted(AbortReason::DuplicateKey)),
+    (21, ErrorCode::TxnAborted(AbortReason::UserRequested)),
+    (22, ErrorCode::TxnAborted(AbortReason::ResourceExhausted)),
+    (23, ErrorCode::TxnAborted(AbortReason::LogFailure)),
+    (24, ErrorCode::TxnAborted(AbortReason::ReadOnlyMode)),
+];
+
+impl Wire for ErrorCode {
+    fn put(&self, e: &mut Vec<u8>) {
+        let row = ERROR_CODES.iter().find(|(_, code)| code == self);
+        e.push(row.expect("every error code has a row in ERROR_CODES").0);
     }
 
-    fn decode(v: u8) -> Result<ErrorCode, FrameError> {
-        Ok(match v {
-            1 => ErrorCode::Protocol,
-            2 => ErrorCode::BadState,
-            3 => ErrorCode::UnknownTable,
-            4 => ErrorCode::ShuttingDown,
-            5 => ErrorCode::LogStalled,
-            6 => ErrorCode::LogFailed,
-            7 => ErrorCode::DegradedReadOnly,
-            16 => ErrorCode::TxnAborted(AbortReason::WriteWriteConflict),
-            17 => ErrorCode::TxnAborted(AbortReason::SsnExclusion),
-            18 => ErrorCode::TxnAborted(AbortReason::ReadValidation),
-            19 => ErrorCode::TxnAborted(AbortReason::Phantom),
-            20 => ErrorCode::TxnAborted(AbortReason::DuplicateKey),
-            21 => ErrorCode::TxnAborted(AbortReason::UserRequested),
-            22 => ErrorCode::TxnAborted(AbortReason::ResourceExhausted),
-            23 => ErrorCode::TxnAborted(AbortReason::LogFailure),
-            24 => ErrorCode::TxnAborted(AbortReason::ReadOnlyMode),
-            _ => return Err(FrameError::Malformed("error code")),
-        })
+    fn get(d: &mut Dec<'_>) -> Result<ErrorCode, FrameError> {
+        let byte = u8::get(d)?;
+        let row = ERROR_CODES.iter().find(|(b, _)| *b == byte);
+        row.map(|(_, code)| *code).ok_or(FrameError::Malformed("error code"))
     }
 }
 
@@ -822,13 +826,15 @@ pub struct WireDdl {
     pub route_arg: u64,
 }
 
+wire_struct!(WireDdl { table, secondary, route_tag, route_arg });
+
 /// One sealed-or-open log segment visible to a subscriber:
 /// `(index, start, end)` where `end` is exclusive and clamped to the
 /// durable frontier on the open segment.
 pub type WireSegment = (u64, u64, u64);
 
 /// The reply to [`Request::Subscribe`]: everything a replica needs to
-/// plan its next fetch round.
+/// plan its next fetch round. On the wire, the fields in this order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplStatus {
     /// Node role: 0 = primary, 1 = replica.
@@ -854,309 +860,181 @@ pub struct ReplStatus {
     pub schema: Vec<WireDdl>,
 }
 
-/// A server → client message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    Pong,
-    TableId { id: u32 },
-    Begun,
-    Value { value: Option<Vec<u8>> },
-    Done { existed: bool },
-    Rows { truncated: bool, rows: Vec<(Vec<u8>, Vec<u8>)> },
-    Committed { lsn: u64 },
-    Aborted,
-    Error { code: ErrorCode, detail: String },
-    Busy,
-    Inserted { oid: u64 },
-    BatchDone { results: Vec<Response>, outcome: Box<Response> },
+wire_struct!(ReplStatus {
+    role,
+    state,
+    durable_lsn,
+    earliest,
+    segment_size,
+    checkpoint,
+    segments,
+    schema
+});
+
+frames! {
+    /// A server → client message.
+    enum Response, else "unknown response opcode";
+    0x81 Pong;
+    0x82 TableId { id: u32 };
+    0x83 Begun;
+    0x84 Value { value: Option<Vec<u8>> };
+    0x85 Done { existed: bool };
+    0x86 Rows { truncated: bool, rows: Vec<(Vec<u8>, Vec<u8>)> };
+    0x87 Committed { lsn: u64 };
+    0x88 Aborted;
+    0x89 Error { code: ErrorCode, detail: String };
+    /// Load shed, try later.
+    0x8A Busy;
+    0x8B Inserted { oid: u64 };
+    /// Per-op replies, then the outcome (`Committed` or `Error`), each
+    /// as `len:u32` and a complete reply payload.
+    0x8C BatchDone { results: Vec<Response>, outcome: Box<Response> };
     /// Prometheus text exposition (version 0.0.4).
-    Metrics { text: String },
+    0x8D Metrics { text: String };
     /// Human-readable flight-recorder dump.
-    Events { text: String },
+    0x8E Events { text: String };
     /// Service-state probe reply: `state` 0 = active, 1 = degraded
     /// read-only; `role` 0 = primary, 1 = replica; `durable_lsn` is the
     /// durable log frontier; `applied_lsn` is the replica's applied log
     /// offset (0 on a primary).
-    Health { state: u8, role: u8, durable_lsn: u64, applied_lsn: u64 },
+    0x8F Health { state: u8, role: u8, durable_lsn: u64, applied_lsn: u64 };
     /// Subscription status (reply to [`Request::Subscribe`]).
-    ReplStatus(ReplStatus),
+    0x90 ReplStatus(status: ReplStatus);
     /// Raw shipped bytes (reply to [`Request::FetchChunk`]). `data` may
     /// be shorter than the requested length at the durable frontier or
     /// a segment/payload boundary; empty means nothing available there.
-    SegmentChunk { offset: u64, data: Vec<u8> },
+    0x91 SegmentChunk { offset: u64, data: Vec<u8> };
     /// Serialized span dump (reply to [`Request::DumpTraces`]); one
     /// span per line, parseable by `ermia_telemetry::parse_spans`.
-    Traces { text: String },
+    0x92 Traces { text: String };
 }
 
-const RE_PONG: u8 = 0x81;
-const RE_TABLE_ID: u8 = 0x82;
-const RE_BEGUN: u8 = 0x83;
-const RE_VALUE: u8 = 0x84;
-const RE_DONE: u8 = 0x85;
-const RE_ROWS: u8 = 0x86;
-const RE_COMMITTED: u8 = 0x87;
-const RE_ABORTED: u8 = 0x88;
-const RE_ERROR: u8 = 0x89;
-const RE_BUSY: u8 = 0x8A;
-const RE_INSERTED: u8 = 0x8B;
-const RE_BATCH_DONE: u8 = 0x8C;
-const RE_METRICS: u8 = 0x8D;
-const RE_EVENTS: u8 = 0x8E;
-const RE_HEALTH: u8 = 0x8F;
-const RE_REPL_STATUS: u8 = 0x90;
-const RE_SEGMENT_CHUNK: u8 = 0x91;
-const RE_TRACES: u8 = 0x92;
+/// A reply carried inside a `BatchDone`: `len:u32` and a complete reply
+/// payload of its own.
+fn put_nested(resp: &Response, e: &mut Vec<u8>) {
+    let at = e.len();
+    e.extend_from_slice(&[0; 4]);
+    resp.put(e);
+    let len = (e.len() - at - 4) as u32;
+    e[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
 
-/// Cap on segment entries in one `ReplStatus` frame, enforced before
-/// the decoder allocates for them.
-const MAX_REPL_SEGMENTS: u32 = 1 << 20;
+fn get_nested(d: &mut Dec<'_>) -> Result<Response, FrameError> {
+    Dec { buf: d.bytes()?, pos: 0, nested: true }.whole()
+}
+
+/// The per-op replies of a `BatchDone`. The server never nests one
+/// `BatchDone` in another, and a decoder that followed a peer's nesting
+/// would recurse once per nine bytes of frame until its stack ran out —
+/// so a nested reply that starts a list of its own is malformed.
+impl Wire for Vec<Response> {
+    fn put(&self, e: &mut Vec<u8>) {
+        (self.len() as u32).put(e);
+        for resp in self {
+            put_nested(resp, e);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Vec<Response>, FrameError> {
+        if d.nested {
+            return Err(FrameError::Malformed("nested batch reply"));
+        }
+        let n = u32::get(d)?;
+        if n > MAX_BATCH_OPS {
+            return Err(FrameError::Malformed("batch result count"));
+        }
+        let mut results = Vec::with_capacity(n.min(1024) as usize);
+        for _ in 0..n {
+            results.push(get_nested(d)?);
+        }
+        Ok(results)
+    }
+}
+
+/// The outcome of a `BatchDone`.
+impl Wire for Box<Response> {
+    fn put(&self, e: &mut Vec<u8>) {
+        put_nested(self, e);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Box<Response>, FrameError> {
+        get_nested(d).map(Box::new)
+    }
+}
 
 impl Response {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Response::Pong => Enc::new(RE_PONG).buf,
-            Response::TableId { id } => {
-                let mut e = Enc::new(RE_TABLE_ID);
-                e.u32(*id);
-                e.buf
-            }
-            Response::Begun => Enc::new(RE_BEGUN).buf,
-            Response::Value { value } => {
-                let mut e = Enc::new(RE_VALUE);
-                match value {
-                    Some(v) => {
-                        e.u8(1);
-                        e.bytes(v);
-                    }
-                    None => e.u8(0),
-                }
-                e.buf
-            }
-            Response::Done { existed } => {
-                let mut e = Enc::new(RE_DONE);
-                e.u8(*existed as u8);
-                e.buf
-            }
-            Response::Rows { truncated, rows } => {
-                let mut e = Enc::new(RE_ROWS);
-                e.u8(*truncated as u8);
-                e.u32(rows.len() as u32);
-                for (k, v) in rows {
-                    e.bytes(k);
-                    e.bytes(v);
-                }
-                e.buf
-            }
-            Response::Committed { lsn } => {
-                let mut e = Enc::new(RE_COMMITTED);
-                e.u64(*lsn);
-                e.buf
-            }
-            Response::Aborted => Enc::new(RE_ABORTED).buf,
-            Response::Error { code, detail } => {
-                let mut e = Enc::new(RE_ERROR);
-                e.u8(code.encode());
-                e.bytes(detail.as_bytes());
-                e.buf
-            }
-            Response::Busy => Enc::new(RE_BUSY).buf,
-            Response::Inserted { oid } => {
-                let mut e = Enc::new(RE_INSERTED);
-                e.u64(*oid);
-                e.buf
-            }
-            Response::BatchDone { results, outcome } => {
-                let mut e = Enc::new(RE_BATCH_DONE);
-                e.u32(results.len() as u32);
-                for r in results {
-                    e.bytes(&r.encode());
-                }
-                e.bytes(&outcome.encode());
-                e.buf
-            }
-            Response::Metrics { text } => {
-                let mut e = Enc::new(RE_METRICS);
-                e.bytes(text.as_bytes());
-                e.buf
-            }
-            Response::Traces { text } => {
-                let mut e = Enc::new(RE_TRACES);
-                e.bytes(text.as_bytes());
-                e.buf
-            }
-            Response::Events { text } => {
-                let mut e = Enc::new(RE_EVENTS);
-                e.bytes(text.as_bytes());
-                e.buf
-            }
-            Response::Health { state, role, durable_lsn, applied_lsn } => {
-                let mut e = Enc::new(RE_HEALTH);
-                e.u8(*state);
-                e.u8(*role);
-                e.u64(*durable_lsn);
-                e.u64(*applied_lsn);
-                e.buf
-            }
-            Response::ReplStatus(s) => {
-                let mut e = Enc::new(RE_REPL_STATUS);
-                e.u8(s.role);
-                e.u8(s.state);
-                e.u64(s.durable_lsn);
-                e.u64(s.earliest);
-                e.u64(s.segment_size);
-                match s.checkpoint {
-                    Some((begin, len)) => {
-                        e.u8(1);
-                        e.u64(begin);
-                        e.u64(len);
-                    }
-                    None => e.u8(0),
-                }
-                e.u32(s.segments.len() as u32);
-                for (index, start, end) in &s.segments {
-                    e.u64(*index);
-                    e.u64(*start);
-                    e.u64(*end);
-                }
-                e.u32(s.schema.len() as u32);
-                for ddl in &s.schema {
-                    e.bytes(ddl.table.as_bytes());
-                    match &ddl.secondary {
-                        Some(name) => {
-                            e.u8(1);
-                            e.bytes(name.as_bytes());
-                        }
-                        None => e.u8(0),
-                    }
-                    e.u8(ddl.route_tag);
-                    e.u64(ddl.route_arg);
-                }
-                e.buf
-            }
-            Response::SegmentChunk { offset, data } => {
-                let mut e = Enc::new(RE_SEGMENT_CHUNK);
-                e.u64(*offset);
-                e.bytes(data);
-                e.buf
-            }
-        }
+        encode_payload(self)
     }
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, FrameError> {
-        let mut d = Dec::new(payload);
-        let resp = Response::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(resp)
+        Dec::new(payload).whole()
     }
 
-    fn decode_from(d: &mut Dec<'_>) -> Result<Response, FrameError> {
-        Ok(match d.u8()? {
-            RE_PONG => Response::Pong,
-            RE_TABLE_ID => Response::TableId { id: d.u32()? },
-            RE_BEGUN => Response::Begun,
-            RE_VALUE => {
-                let present = d.u8()? != 0;
-                Response::Value { value: if present { Some(d.bytes()?.to_vec()) } else { None } }
-            }
-            RE_DONE => Response::Done { existed: d.u8()? != 0 },
-            RE_ROWS => {
-                let truncated = d.u8()? != 0;
-                let n = d.u32()?;
-                if n > MAX_FRAME_LEN / 8 {
-                    return Err(FrameError::Malformed("row count"));
-                }
-                let mut rows = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    rows.push((d.bytes()?.to_vec(), d.bytes()?.to_vec()));
-                }
-                Response::Rows { truncated, rows }
-            }
-            RE_COMMITTED => Response::Committed { lsn: d.u64()? },
-            RE_ABORTED => Response::Aborted,
-            RE_ERROR => Response::Error {
-                code: ErrorCode::decode(d.u8()?)?,
-                detail: String::from_utf8_lossy(d.bytes()?).into_owned(),
+    /// At least one reply per row of the table, and an `Error` per error
+    /// code; see [`Request::samples`].
+    pub fn samples() -> Vec<Response> {
+        let ddl = |secondary: Option<&str>, route_arg| WireDdl {
+            table: "accounts".into(),
+            secondary: secondary.map(String::from),
+            route_tag: 1,
+            route_arg,
+        };
+        let mut samples = vec![
+            Response::Pong,
+            Response::TableId { id: 7 },
+            Response::Begun,
+            Response::Value { value: None },
+            Response::Value { value: Some(b"payload".to_vec()) },
+            Response::Done { existed: true },
+            Response::Rows {
+                truncated: false,
+                rows: vec![(b"k1".to_vec(), b"v1".to_vec()), (b"k2".to_vec(), vec![])],
             },
-            RE_BUSY => Response::Busy,
-            RE_INSERTED => Response::Inserted { oid: d.u64()? },
-            RE_BATCH_DONE => {
-                let n = d.u32()?;
-                if n > MAX_BATCH_OPS {
-                    return Err(FrameError::Malformed("batch result count"));
-                }
-                let mut results = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    results.push(Response::decode(d.bytes()?)?);
-                }
-                let outcome = Box::new(Response::decode(d.bytes()?)?);
-                Response::BatchDone { results, outcome }
-            }
-            RE_METRICS => {
-                Response::Metrics { text: String::from_utf8_lossy(d.bytes()?).into_owned() }
-            }
-            RE_EVENTS => {
-                Response::Events { text: String::from_utf8_lossy(d.bytes()?).into_owned() }
-            }
-            RE_TRACES => {
-                Response::Traces { text: String::from_utf8_lossy(d.bytes()?).into_owned() }
-            }
-            RE_HEALTH => Response::Health {
-                state: d.u8()?,
-                role: d.u8()?,
-                durable_lsn: d.u64()?,
-                applied_lsn: d.u64()?,
+            Response::Committed { lsn: u64::MAX >> 1 },
+            Response::Aborted,
+            Response::Busy,
+            Response::Inserted { oid: 42 },
+            Response::BatchDone {
+                results: vec![
+                    Response::Value { value: Some(b"x".to_vec()) },
+                    Response::Done { existed: false },
+                ],
+                outcome: Box::new(Response::Committed { lsn: 99 }),
             },
-            RE_REPL_STATUS => {
-                let role = d.u8()?;
-                let state = d.u8()?;
-                let durable_lsn = d.u64()?;
-                let earliest = d.u64()?;
-                let segment_size = d.u64()?;
-                let checkpoint =
-                    if d.u8()? != 0 { Some((d.u64()?, d.u64()?)) } else { None };
-                let nseg = d.u32()?;
-                if nseg > MAX_REPL_SEGMENTS {
-                    return Err(FrameError::Malformed("segment count"));
-                }
-                let mut segments = Vec::with_capacity(nseg.min(1024) as usize);
-                for _ in 0..nseg {
-                    segments.push((d.u64()?, d.u64()?, d.u64()?));
-                }
-                let nddl = d.u32()?;
-                if nddl > MAX_REPL_SEGMENTS {
-                    return Err(FrameError::Malformed("schema count"));
-                }
-                let mut schema = Vec::with_capacity(nddl.min(1024) as usize);
-                for _ in 0..nddl {
-                    let table = String::from_utf8_lossy(d.bytes()?).into_owned();
-                    let secondary = if d.u8()? != 0 {
-                        Some(String::from_utf8_lossy(d.bytes()?).into_owned())
-                    } else {
-                        None
-                    };
-                    let route_tag = d.u8()?;
-                    let route_arg = d.u64()?;
-                    schema.push(WireDdl { table, secondary, route_tag, route_arg });
-                }
-                Response::ReplStatus(ReplStatus {
-                    role,
-                    state,
-                    durable_lsn,
-                    earliest,
-                    segment_size,
-                    checkpoint,
-                    segments,
-                    schema,
-                })
-            }
-            RE_SEGMENT_CHUNK => {
-                Response::SegmentChunk { offset: d.u64()?, data: d.bytes()?.to_vec() }
-            }
-            _ => return Err(FrameError::Malformed("unknown response opcode")),
-        })
+            Response::Metrics { text: "# TYPE ermia_x counter\nermia_x 1\n".into() },
+            Response::Events { text: "flight-recorder dump: 0 event(s)".into() },
+            Response::Health { state: 1, role: 1, durable_lsn: u64::MAX >> 8, applied_lsn: 9 },
+            Response::ReplStatus(ReplStatus {
+                role: 0,
+                state: 0,
+                durable_lsn: 1 << 30,
+                earliest: 4096,
+                segment_size: 1 << 26,
+                checkpoint: Some((0x1234_5670, 8888)),
+                segments: vec![(0, 0, 1 << 26), (1, 1 << 26, (1 << 26) + 512)],
+                schema: vec![ddl(None, 4), ddl(Some("by_owner"), 8)],
+            }),
+            Response::ReplStatus(ReplStatus {
+                role: 1,
+                state: 1,
+                durable_lsn: 0,
+                earliest: 0,
+                segment_size: 1 << 20,
+                checkpoint: None,
+                segments: vec![],
+                schema: vec![],
+            }),
+            Response::SegmentChunk { offset: 0, data: vec![] },
+            Response::SegmentChunk { offset: 77, data: vec![0xA5; 300] },
+            Response::Traces { text: "span trace=0000000000000001:0000000000000002\n".into() },
+        ];
+        samples.extend(
+            ERROR_CODES.iter().map(|&(_, code)| Response::Error { code, detail: "why".into() }),
+        );
+        samples
     }
 }
 
@@ -1171,140 +1049,85 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn roundtrip_req(req: Request) {
-        let enc = req.encode();
-        assert_eq!(Request::decode(&enc).unwrap(), req);
-    }
-
-    fn roundtrip_resp(resp: Response) {
-        let enc = resp.encode();
-        assert_eq!(Response::decode(&enc).unwrap(), resp);
-    }
-
     #[test]
-    fn requests_roundtrip() {
-        roundtrip_req(Request::Ping);
-        roundtrip_req(Request::OpenTable { name: b"accounts".to_vec() });
-        roundtrip_req(Request::Begin { isolation: WireIsolation::Serializable });
-        roundtrip_req(Request::Get { table: 3, key: b"k1".to_vec() });
-        roundtrip_req(Request::Put { table: 0, key: vec![], value: vec![0xFF; 100] });
-        roundtrip_req(Request::Delete { table: 9, key: b"x".to_vec() });
-        roundtrip_req(Request::Scan {
-            table: 1,
-            low: b"a".to_vec(),
-            high: b"z".to_vec(),
-            limit: 10,
-        });
-        roundtrip_req(Request::Commit { sync: true });
-        roundtrip_req(Request::Commit { sync: false });
-        roundtrip_req(Request::Abort);
-        roundtrip_req(Request::Metrics);
-        roundtrip_req(Request::DumpEvents { max: 0 });
-        roundtrip_req(Request::DumpEvents { max: 256 });
-        roundtrip_req(Request::Health);
-        roundtrip_req(Request::Resume);
-        roundtrip_req(Request::Subscribe { shard: 3, from: 0xDEAD_BEEF });
-        roundtrip_req(Request::FetchChunk { shard: 0, source: 1, offset: 1 << 40, len: 65536 });
-        roundtrip_req(Request::DumpTraces { max: 0 });
-        roundtrip_req(Request::DumpTraces { max: 4096 });
-        roundtrip_req(Request::Insert { table: 2, key: b"k".to_vec(), value: b"v".to_vec() });
-        roundtrip_req(Request::Batch {
-            isolation: WireIsolation::Snapshot,
-            sync: true,
-            ops: vec![
-                BatchOp::Get { table: 1, key: b"a".to_vec() },
-                BatchOp::Put { table: 1, key: b"b".to_vec(), value: b"1".to_vec() },
-                BatchOp::Delete { table: 2, key: b"c".to_vec() },
-                BatchOp::Scan { table: 1, low: vec![], high: vec![0xFF], limit: 0 },
-                BatchOp::Insert { table: 3, key: b"d".to_vec(), value: b"2".to_vec() },
-            ],
-        });
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        roundtrip_resp(Response::Pong);
-        roundtrip_resp(Response::TableId { id: 7 });
-        roundtrip_resp(Response::Begun);
-        roundtrip_resp(Response::Value { value: None });
-        roundtrip_resp(Response::Value { value: Some(b"payload".to_vec()) });
-        roundtrip_resp(Response::Done { existed: true });
-        roundtrip_resp(Response::Rows {
-            truncated: false,
-            rows: vec![(b"k1".to_vec(), b"v1".to_vec()), (b"k2".to_vec(), vec![])],
-        });
-        roundtrip_resp(Response::Committed { lsn: u64::MAX >> 1 });
-        roundtrip_resp(Response::Aborted);
-        roundtrip_resp(Response::Busy);
-        roundtrip_resp(Response::Inserted { oid: 42 });
-        for code in [
-            ErrorCode::Protocol,
-            ErrorCode::BadState,
-            ErrorCode::UnknownTable,
-            ErrorCode::ShuttingDown,
-            ErrorCode::LogStalled,
-            ErrorCode::LogFailed,
-            ErrorCode::DegradedReadOnly,
-            ErrorCode::TxnAborted(AbortReason::WriteWriteConflict),
-            ErrorCode::TxnAborted(AbortReason::SsnExclusion),
-            ErrorCode::TxnAborted(AbortReason::DuplicateKey),
-            ErrorCode::TxnAborted(AbortReason::LogFailure),
-            ErrorCode::TxnAborted(AbortReason::ReadOnlyMode),
-        ] {
-            roundtrip_resp(Response::Error { code, detail: "why".into() });
+    fn every_sample_roundtrips() {
+        for req in Request::samples() {
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+            // Every pre-envelope frame must pass through decode_traced
+            // unchanged — this is the compatibility seam.
+            assert_eq!(Request::decode_traced(&req.encode()).unwrap(), (req, None));
         }
-        roundtrip_resp(Response::BatchDone {
-            results: vec![
-                Response::Value { value: Some(b"x".to_vec()) },
-                Response::Done { existed: false },
-            ],
-            outcome: Box::new(Response::Committed { lsn: 99 }),
+        for resp in Response::samples() {
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    /// A row added to a table without a sample fails here, and with a
+    /// sample it is in every roundtrip, truncation and corruption test.
+    #[test]
+    fn samples_cover_every_row_of_the_tables() {
+        let first_bytes = |payloads: Vec<Vec<u8>>| {
+            let mut ops: Vec<u8> = payloads.iter().map(|p| p[0]).collect();
+            ops.sort_unstable();
+            ops.dedup();
+            ops
+        };
+        let sorted = |ops: &[u8]| {
+            let mut ops = ops.to_vec();
+            ops.sort_unstable();
+            ops
+        };
+        let reqs = Request::samples();
+        assert_eq!(
+            first_bytes(reqs.iter().map(Request::encode).collect()),
+            sorted(Request::OPCODES)
+        );
+        assert_eq!(
+            first_bytes(Response::samples().iter().map(Response::encode).collect()),
+            sorted(Response::OPCODES)
+        );
+        let batch_ops = reqs.iter().find_map(|r| match r {
+            Request::Batch { ops, .. } => Some(ops.iter().map(encode_payload).collect()),
+            _ => None,
         });
-        roundtrip_resp(Response::Metrics {
-            text: "# HELP ermia_x x\n# TYPE ermia_x counter\nermia_x 1\n".into(),
-        });
-        roundtrip_resp(Response::Events { text: "flight-recorder dump: 0 event(s)".into() });
-        roundtrip_resp(Response::Traces { text: String::new() });
-        roundtrip_resp(Response::Traces {
-            text: "span trace=0000000000000001:0000000000000002\n".into(),
-        });
-        roundtrip_resp(Response::Health { state: 0, role: 0, durable_lsn: 0, applied_lsn: 0 });
-        roundtrip_resp(Response::Health {
-            state: 1,
-            role: 1,
-            durable_lsn: u64::MAX >> 8,
-            applied_lsn: u64::MAX >> 9,
-        });
-        roundtrip_resp(Response::ReplStatus(ReplStatus {
-            role: 0,
-            state: 0,
-            durable_lsn: 1 << 30,
-            earliest: 4096,
-            segment_size: 1 << 26,
-            checkpoint: Some((0x1234_5670, 8888)),
-            segments: vec![(0, 0, 1 << 26), (1, 1 << 26, (1 << 26) + 512)],
-            schema: vec![
-                WireDdl { table: "accounts".into(), secondary: None, route_tag: 1, route_arg: 4 },
-                WireDdl {
-                    table: "accounts".into(),
-                    secondary: Some("by_owner".into()),
-                    route_tag: 1,
-                    route_arg: 8,
-                },
-            ],
-        }));
-        roundtrip_resp(Response::ReplStatus(ReplStatus {
-            role: 1,
-            state: 1,
-            durable_lsn: 0,
-            earliest: 0,
-            segment_size: 1 << 20,
-            checkpoint: None,
-            segments: vec![],
-            schema: vec![],
-        }));
-        roundtrip_resp(Response::SegmentChunk { offset: 0, data: vec![] });
-        roundtrip_resp(Response::SegmentChunk { offset: 77, data: vec![0xA5; 300] });
+        assert_eq!(first_bytes(batch_ops.expect("a Batch sample")), sorted(BatchOp::OPCODES));
+        // The envelope's opcode must stay free, and no two rows may share
+        // one (the later row would be unreachable in the decoder).
+        assert!(!Request::OPCODES.contains(&OP_TRACED));
+        for table in [Request::OPCODES, Response::OPCODES] {
+            let mut distinct = sorted(table);
+            distinct.dedup();
+            assert_eq!(distinct.len(), table.len(), "an opcode appears in two rows");
+        }
+    }
+
+    #[test]
+    fn every_abort_reason_has_an_error_code_row() {
+        for reason in AbortReason::ALL {
+            let resp =
+                Response::Error { code: ErrorCode::TxnAborted(reason), detail: String::new() };
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+        let mut bytes: Vec<u8> = ERROR_CODES.iter().map(|(b, _)| *b).collect();
+        bytes.dedup();
+        assert_eq!(bytes.len(), ERROR_CODES.len(), "a byte names two error codes");
+    }
+
+    #[test]
+    fn a_batch_reply_inside_a_batch_reply_is_malformed() {
+        let flat = Response::BatchDone {
+            results: vec![Response::Done { existed: true }],
+            outcome: Box::new(Response::Committed { lsn: 1 }),
+        };
+        for nested in [
+            Response::BatchDone { results: vec![flat.clone()], outcome: Box::new(Response::Pong) },
+            Response::BatchDone { results: vec![], outcome: Box::new(flat.clone()) },
+        ] {
+            match Response::decode(&nested.encode()) {
+                Err(FrameError::Malformed("nested batch reply")) => {}
+                other => panic!("nesting not refused: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1420,11 +1243,11 @@ mod tests {
         assert!(matches!(Request::decode(&[0xF0]), Err(FrameError::Malformed(_))));
         assert!(matches!(Request::decode(&[]), Err(FrameError::Malformed(_))));
         // A batch claiming 4 billion ops must not allocate for them.
-        let mut e = Enc::new(OP_BATCH);
-        e.u8(0);
-        e.u8(0);
-        e.u32(u32::MAX);
-        assert!(matches!(Request::decode(&e.buf), Err(FrameError::Malformed(_))));
+        let mut e = Request::Batch { isolation: WireIsolation::Snapshot, sync: false, ops: vec![] }
+            .encode();
+        let n = e.len();
+        e[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(Request::decode(&e), Err(FrameError::Malformed("batch too large"))));
     }
 
     #[test]
@@ -1449,23 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn old_frames_decode_through_decode_traced() {
-        // Every pre-envelope frame must pass through decode_traced
-        // unchanged — this is the compatibility seam.
-        for req in [
-            Request::Ping,
-            Request::Begin { isolation: WireIsolation::Snapshot },
-            Request::Get { table: 1, key: b"k".to_vec() },
-            Request::Metrics,
-            Request::DumpTraces { max: 64 },
-        ] {
-            let (back, ctx) = Request::decode_traced(&req.encode()).unwrap();
-            assert_eq!(back, req);
-            assert_eq!(ctx, None);
-        }
-    }
-
-    #[test]
     fn plain_decode_rejects_trace_envelope() {
         // Old servers (no envelope support) treat 0x12 as an unknown
         // opcode; the new plain decoder must keep doing the same.
@@ -1478,6 +1284,12 @@ mod tests {
     fn corrupt_trace_envelopes_are_malformed() {
         let ctx = TraceContext { trace_hi: 9, trace_lo: 9, parent: 9 };
         let good = Request::Ping.encode_traced(&ctx);
+        let envelope = |hi: u64, lo: u64, inner: &[u8]| {
+            let mut e = vec![OP_TRACED];
+            (hi, lo, 0u64).put(&mut e);
+            e.extend_from_slice(inner);
+            e
+        };
 
         // Truncated context words.
         for cut in 1..25 {
@@ -1486,27 +1298,15 @@ mod tests {
 
         // Zero trace id inside an envelope is malformed: absence of the
         // envelope is the only untraced representation.
-        let mut e = Enc::new(OP_TRACED);
-        e.u64(0);
-        e.u64(0);
-        e.u64(0);
-        e.buf.extend_from_slice(&Request::Ping.encode());
-        assert!(matches!(Request::decode_traced(&e.buf), Err(FrameError::Malformed(_))));
+        let zero = envelope(0, 0, &Request::Ping.encode());
+        assert!(matches!(Request::decode_traced(&zero), Err(FrameError::Malformed(_))));
 
         // Nested envelopes must not recurse.
-        let mut e = Enc::new(OP_TRACED);
-        e.u64(1);
-        e.u64(1);
-        e.u64(0);
-        e.buf.extend_from_slice(&Request::Ping.encode_traced(&ctx));
-        assert!(matches!(Request::decode_traced(&e.buf), Err(FrameError::Malformed(_))));
+        let nested = envelope(1, 1, &good);
+        assert!(matches!(Request::decode_traced(&nested), Err(FrameError::Malformed(_))));
 
         // Envelope with no inner request at all.
-        let mut e = Enc::new(OP_TRACED);
-        e.u64(1);
-        e.u64(1);
-        e.u64(0);
-        assert!(Request::decode_traced(&e.buf).is_err());
+        assert!(Request::decode_traced(&envelope(1, 1, &[])).is_err());
 
         // Trailing garbage after the inner request still fails.
         let mut bad = good.clone();

@@ -13,6 +13,20 @@
 //! listener; admission control happens at accept and connections are
 //! handed round-robin to the other shards through a mailbox + wake fd.
 //!
+//! # Dispatch and the session state machine
+//!
+//! A session is in one of two states — between transactions, or inside
+//! `Begin` … `Commit`/`Abort` — and which frames each state admits is
+//! the legality column of the frame table in [`crate::protocol`], not
+//! code here: `dispatch` refuses a frame illegal in the current state
+//! with `BadState` and the column's text, and otherwise runs the frame's
+//! one handler arm. The column is the whole state machine for every
+//! frame but `Begin`, `Commit` and `Abort`, which move the session
+//! between the two states. Every transaction this layer ends — an
+//! interactive `Commit`, a `Batch`, an autocommitted operation (a one-op
+//! batch answered with the op's own reply) — ends in `conclude`, the one
+//! place a commit is counted and handed to the durability tiers below.
+//!
 //! # Workers and the run queue
 //!
 //! Workers are checked out per *transaction* (`Begin`…`Commit`/`Abort`,
@@ -89,12 +103,12 @@ use ermia_log::{DurableSub, DurableWaker};
 use ermia_telemetry::{render_spans, EventKind, Span, SpanKind, SpanRing};
 
 use crate::conn::{
-    aborted, engine_isolation, exec_batch_op, exec_request_op, frame_bytes, Conn, FlushState,
-    Mode, OpenTxn, Out, PendingWork, ReplConnState, TraceReq, Waiting, MAX_HTTP_HEAD,
+    aborted, engine_isolation, exec_op, frame_bytes, op_target, Conn, FlushState, Mode, OpenTxn,
+    Ops, Out, PendingWork, ReplConnState, TraceReq, Waiting, MAX_HTTP_HEAD,
 };
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
-    is_traced_frame, write_frame, BatchOp, ErrorCode, ReplStatus, Request, Response, WireDdl,
+    is_traced_frame, write_frame, ErrorCode, Legal, ReplStatus, Request, Response, WireDdl,
 };
 use crate::server::{ServerState, ShardHandle};
 
@@ -122,6 +136,17 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
+    /// The failed op that ends the transaction without a commit: the
+    /// last reply so far, if it is an error.
+    fn failure(&self) -> Option<Response> {
+        let last = match self {
+            Reply::Commit => None,
+            Reply::Batch(results) => results.last(),
+            Reply::Auto(resp) => Some(resp),
+        };
+        last.filter(|r| matches!(r, Response::Error { .. })).cloned()
+    }
+
     fn with(self, outcome: Response) -> Response {
         match self {
             Reply::Commit => outcome,
@@ -573,10 +598,14 @@ fn service(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn) -> b
                 worked
             }
         };
+        let queued = conn.out.len();
         if matches!(conn.flush(state, &handle.stats), FlushState::Dead) {
             return true;
         }
-        if worked == 0 {
+        // A flush that made room in the reply queue goes round again:
+        // frames the queue's cap held back are already read into the
+        // assembler, so no readiness event would come back for them.
+        if worked == 0 && conn.out.len() == queued {
             break;
         }
     }
@@ -662,6 +691,10 @@ fn process_http(state: &Arc<ServerState>, conn: &mut Conn) -> bool {
 // Request dispatch
 // ---------------------------------------------------------------------
 
+/// The one dispatcher. Whether a frame may run in the session's current
+/// state — between transactions, or inside `Begin` … `Commit`/`Abort` —
+/// is the legality column of the frame table ([`Request::legal`]); what
+/// is left to decide here is what a legal frame does.
 fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, payload: &[u8]) {
     // One branch on the first payload byte is the whole cost tracing
     // adds to an untraced frame; the clock is read only past it.
@@ -676,18 +709,98 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
         }
     };
     state.stats.frames_processed.fetch_add(1, Ordering::Relaxed);
+    let (op, legal) = (req.name(), req.legal());
+    let req = req.into_op();
     let trace = ctx.map(|ctx| {
         let ring = &handle.trace_ring;
         let span_id = ring.alloc_span_id();
-        let (table, key) = op_attribution(&req);
-        let tr = TraceReq { ctx, span_id, t0, op: op_name(&req), table, key };
+        // Table and key-prefix attribution for the slow-op log.
+        let (table, key) = req.as_ref().map_or((0, &[][..]), op_target);
+        let key = key[..key.len().min(12)].to_vec();
+        let tr = TraceReq { ctx, span_id, t0, op, table, key };
         ring.record(&tr.child(), SpanKind::FrameDecode, t0, ring.now_ns(), payload.len() as u64, 0);
         tr
     });
-    if conn.txn.is_some() {
-        dispatch_in_txn(state, handle, conn, req, trace);
-    } else {
-        dispatch_top(state, handle, conn, req, trace);
+    let refusal = match (legal, conn.txn.is_some()) {
+        (Legal::Idle(why), true) | (Legal::InTxn(why), false) => Some(why),
+        _ => None,
+    };
+    match (refusal, req) {
+        (Some(why), _) => conn.push_err(state, ErrorCode::BadState, why),
+        (None, Ok(op)) => {
+            let Some(open) = conn.txn.as_mut() else {
+                // Autocommit: a one-operation transaction, answered at once
+                // unless the write crossed shards, as one on a replicated
+                // table does.
+                let work = PendingWork::OneShot {
+                    isolation: IsolationLevel::Snapshot,
+                    sync: false,
+                    ops: Ops::Auto(op),
+                };
+                return need_worker(state, handle, conn, work, trace);
+            };
+            let resp = exec_op(state, open.txn(), &op);
+            conn.push(state, resp);
+        }
+        (None, Err(req)) => match req {
+            Request::Ping => conn.push(state, Response::Pong),
+            Request::Metrics => {
+                let text = state.db.telemetry().render_prometheus();
+                conn.push(state, Response::Metrics { text })
+            }
+            Request::DumpEvents { max } => {
+                let max = if max == 0 { DEFAULT_DUMP_EVENTS } else { max as usize };
+                conn.push(state, Response::Events { text: state.db.telemetry().dump_events(max) })
+            }
+            Request::DumpTraces { max } => push_traces(state, conn, max),
+            Request::Health => push_health(state, conn),
+            Request::Resume => do_resume(state, conn),
+            Request::OpenTable { name } => open_table(state, conn, &name),
+            Request::Subscribe { shard, from } => do_subscribe(state, conn, shard, from),
+            Request::FetchChunk { shard, source, offset, len } => {
+                do_fetch_chunk(state, conn, shard, source, offset, len)
+            }
+            Request::Begin { isolation } => {
+                let work = PendingWork::Begin { isolation: engine_isolation(isolation) };
+                return need_worker(state, handle, conn, work, trace);
+            }
+            Request::Batch { isolation, sync, ops } => {
+                let isolation = engine_isolation(isolation);
+                let work = PendingWork::OneShot { isolation, sync, ops: Ops::Batch(ops) };
+                return need_worker(state, handle, conn, work, trace);
+            }
+            Request::Abort => {
+                let mut open = conn.txn.take().expect("legal only inside a transaction");
+                let txn_trace = open.trace.take();
+                open.finish(|t| t.abort());
+                conn.push(state, Response::Aborted);
+                if let Some(tr) = txn_trace {
+                    finish_trace(state, &handle.trace_ring, &tr);
+                }
+            }
+            Request::Commit { sync } => {
+                let mut open = conn.txn.take().expect("legal only inside a transaction");
+                // Prefer the begin frame's trace for the commit outcome —
+                // its request span covers the whole interactive transaction,
+                // begin through durable — over the commit frame's own.
+                let mut txn_trace = open.trace.take();
+                match (&txn_trace, trace) {
+                    (None, frame) => txn_trace = frame,
+                    (Some(_), Some(frame)) => finish_trace(state, &handle.trace_ring, &frame),
+                    (Some(_), None) => {}
+                }
+                let commit = open.finish(|t| t.commit_deferred()).map_err(aborted);
+                return conclude(state, handle, conn, commit, sync, Reply::Commit, txn_trace);
+            }
+            Request::Get { .. }
+            | Request::Put { .. }
+            | Request::Delete { .. }
+            | Request::Scan { .. }
+            | Request::Insert { .. } => unreachable!("`into_op` takes every data operation"),
+        },
+    }
+    if let Some(tr) = trace {
+        finish_trace(state, &handle.trace_ring, &tr);
     }
 }
 
@@ -703,168 +816,6 @@ fn finish_trace(state: &ServerState, ring: &SpanRing, tr: &TraceReq) {
         &tr.key,
         now.saturating_sub(tr.t0),
     );
-}
-
-fn op_name(req: &Request) -> &'static str {
-    match req {
-        Request::Ping => "ping",
-        Request::OpenTable { .. } => "open_table",
-        Request::Begin { .. } => "begin",
-        Request::Get { .. } => "get",
-        Request::Put { .. } => "put",
-        Request::Delete { .. } => "delete",
-        Request::Scan { .. } => "scan",
-        Request::Insert { .. } => "insert",
-        Request::Commit { .. } => "commit",
-        Request::Abort => "abort",
-        Request::Batch { .. } => "batch",
-        Request::Metrics => "metrics",
-        Request::DumpEvents { .. } => "dump_events",
-        Request::DumpTraces { .. } => "dump_traces",
-        Request::Health => "health",
-        Request::Resume => "resume",
-        Request::Subscribe { .. } => "subscribe",
-        Request::FetchChunk { .. } => "fetch_chunk",
-    }
-}
-
-/// Table and key-prefix attribution for the slow-op log.
-fn op_attribution(req: &Request) -> (u32, Vec<u8>) {
-    let (table, key) = match req {
-        Request::Get { table, key }
-        | Request::Put { table, key, .. }
-        | Request::Delete { table, key }
-        | Request::Insert { table, key, .. } => (*table, &key[..]),
-        Request::Scan { table, low, .. } => (*table, &low[..]),
-        _ => return (0, Vec::new()),
-    };
-    (table, key[..key.len().min(12)].to_vec())
-}
-
-/// Between transactions.
-fn dispatch_top(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conn: &mut Conn,
-    req: Request,
-    trace: Option<TraceReq>,
-) {
-    match req {
-        Request::Ping => conn.push(state, Response::Pong),
-        Request::Metrics => push_metrics(state, conn),
-        Request::DumpEvents { max } => push_events(state, conn, max),
-        Request::DumpTraces { max } => push_traces(state, conn, max),
-        Request::Health => push_health(state, conn),
-        Request::Resume => do_resume(state, conn),
-        Request::OpenTable { name } => open_table(state, conn, &name),
-        Request::Subscribe { shard, from } => do_subscribe(state, conn, shard, from),
-        Request::FetchChunk { shard, source, offset, len } => {
-            do_fetch_chunk(state, conn, shard, source, offset, len)
-        }
-        Request::Commit { .. } | Request::Abort => {
-            conn.push_err(state, ErrorCode::BadState, "no open txn")
-        }
-        Request::Begin { isolation } => {
-            return need_worker(
-                state,
-                handle,
-                conn,
-                PendingWork::Begin { isolation: engine_isolation(isolation) },
-                trace,
-            )
-        }
-        Request::Batch { isolation, sync, ops } => {
-            return need_worker(
-                state,
-                handle,
-                conn,
-                PendingWork::Batch { isolation: engine_isolation(isolation), sync, ops },
-                trace,
-            )
-        }
-        // Autocommit: a one-operation transaction.
-        req @ (Request::Get { .. }
-        | Request::Put { .. }
-        | Request::Delete { .. }
-        | Request::Scan { .. }
-        | Request::Insert { .. }) => {
-            return need_worker(state, handle, conn, PendingWork::Auto { req }, trace)
-        }
-    }
-    if let Some(tr) = trace {
-        finish_trace(state, &handle.trace_ring, &tr);
-    }
-}
-
-/// Inside `Begin` … `Commit`/`Abort`.
-fn dispatch_in_txn(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conn: &mut Conn,
-    req: Request,
-    trace: Option<TraceReq>,
-) {
-    match req {
-        Request::Ping => conn.push(state, Response::Pong),
-        // Telemetry reads are legal mid-transaction (and useful: scrape
-        // while a stall is in progress). So is the health probe — a
-        // client whose writes start bouncing wants to ask why without
-        // abandoning its transaction.
-        Request::Metrics => push_metrics(state, conn),
-        Request::DumpEvents { max } => push_events(state, conn, max),
-        Request::DumpTraces { max } => push_traces(state, conn, max),
-        Request::Health => push_health(state, conn),
-        Request::Resume => do_resume(state, conn),
-        Request::OpenTable { name } => open_table(state, conn, &name),
-        Request::Begin { .. } => conn.push_err(state, ErrorCode::BadState, "nested begin"),
-        Request::Batch { .. } => {
-            conn.push_err(state, ErrorCode::BadState, "batch inside open txn")
-        }
-        Request::Subscribe { .. } | Request::FetchChunk { .. } => {
-            conn.push_err(state, ErrorCode::BadState, "log shipping inside open txn")
-        }
-        Request::Abort => {
-            let mut open = conn.txn.take().expect("open txn");
-            let txn_trace = open.trace.take();
-            open.finish(|t| t.abort());
-            conn.push(state, Response::Aborted);
-            if let Some(tr) = txn_trace {
-                finish_trace(state, &handle.trace_ring, &tr);
-            }
-        }
-        Request::Commit { sync } => {
-            let mut open = conn.txn.take().expect("open txn");
-            // Prefer the begin frame's trace for the commit outcome —
-            // its request span covers the whole interactive transaction,
-            // begin through durable — over the commit frame's own.
-            let mut txn_trace = open.trace.take();
-            match (&txn_trace, trace) {
-                (None, frame) => txn_trace = frame,
-                (Some(_), Some(frame)) => finish_trace(state, &handle.trace_ring, &frame),
-                (Some(_), None) => {}
-            }
-            match open.finish(|t| t.commit_deferred()) {
-                Ok(commit) => {
-                    state.stats.commits.fetch_add(1, Ordering::Relaxed);
-                    settle_commit(state, handle, conn, commit, sync, Reply::Commit, txn_trace);
-                }
-                Err(reason) => {
-                    conn.push(state, aborted(reason));
-                    if let Some(tr) = txn_trace {
-                        finish_trace(state, &handle.trace_ring, &tr);
-                    }
-                }
-            }
-            return;
-        }
-        op => {
-            let resp = exec_request_op(state, conn.txn.as_mut().expect("open txn").txn(), &op);
-            conn.push(state, resp);
-        }
-    }
-    if let Some(tr) = trace {
-        finish_trace(state, &handle.trace_ring, &tr);
-    }
 }
 
 /// A request that needs an engine worker: take one now, or park on the
@@ -901,10 +852,10 @@ fn start_work(
     handle: &ShardHandle,
     conn: &mut Conn,
     work: PendingWork,
-    w: PooledWorker<ShardedDb>,
+    mut w: PooledWorker<ShardedDb>,
     trace: Option<TraceReq>,
 ) {
-    match work {
+    let (isolation, sync, ops) = match work {
         PendingWork::Begin { isolation } => {
             conn.push(state, Response::Begun);
             // The begin trace stays open on the transaction: its request
@@ -914,79 +865,57 @@ fn start_work(
                 tr
             });
             conn.txn = Some(OpenTxn::begin(w, isolation, trace));
+            return;
         }
-        PendingWork::Batch { isolation, sync, ops } => {
-            run_batch(state, handle, conn, w, isolation, sync, &ops, trace)
-        }
-        PendingWork::Auto { req } => {
-            let mut w = w;
-            let resp = {
-                let mut txn =
-                    w.begin_traced(IsolationLevel::Snapshot, trace.as_ref().map(|t| t.child()));
-                let resp = exec_request_op(state, &mut txn, &req);
-                if matches!(resp, Response::Error { .. }) {
-                    txn.abort();
-                    resp
-                } else {
-                    match txn.commit_deferred() {
-                        // Answered at once unless the write crossed
-                        // shards, as one on a replicated table does.
-                        Ok(commit) => {
-                            let reply = Reply::Auto(resp);
-                            return settle_commit(state, handle, conn, commit, false, reply, trace);
-                        }
-                        Err(reason) => aborted(reason),
-                    }
+        PendingWork::OneShot { isolation, sync, ops } => (isolation, sync, ops),
+    };
+    // One-shot transaction: begin, run every op, commit — one request
+    // frame, one reply frame. Stops at the first failed op.
+    let mut txn = w.begin_traced(isolation, trace.as_ref().map(|t| t.child()));
+    let reply = match &ops {
+        Ops::Auto(op) => Reply::Auto(exec_op(state, &mut txn, op)),
+        Ops::Batch(ops) => {
+            let mut results = Vec::with_capacity(ops.len());
+            for op in ops {
+                results.push(exec_op(state, &mut txn, op));
+                if matches!(results.last(), Some(Response::Error { .. })) {
+                    break;
                 }
-            };
-            conn.push(state, resp);
-            if let Some(tr) = trace {
-                finish_trace(state, &handle.trace_ring, &tr);
             }
+            Reply::Batch(results)
         }
-    }
+    };
+    let commit = match reply.failure() {
+        Some(failure) => {
+            txn.abort();
+            Err(failure)
+        }
+        None => txn.commit_deferred().map_err(aborted),
+    };
+    conclude(state, handle, conn, commit, sync, reply, trace)
 }
 
-/// One-shot batched transaction: begin, run every op, commit — one
-/// request frame, one reply frame. Stops at the first failed op.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
+/// The one commit epilogue, for an interactive `Commit`, a `Batch` and an
+/// autocommitted operation alike: `commit` is what `commit_deferred`
+/// said, or the failed op that kept it from being asked. A transaction
+/// that committed is counted and settled; one that did not is answered
+/// with why, and its trace closed.
+fn conclude(
     state: &Arc<ServerState>,
     handle: &ShardHandle,
     conn: &mut Conn,
-    mut w: PooledWorker<ShardedDb>,
-    isolation: IsolationLevel,
+    commit: Result<DeferredCommit, Response>,
     sync: bool,
-    ops: &[BatchOp],
+    reply: Reply,
     trace: Option<TraceReq>,
 ) {
-    let mut results = Vec::with_capacity(ops.len());
-    let mut txn = w.begin_traced(isolation, trace.as_ref().map(|t| t.child()));
-    let mut failure: Option<Response> = None;
-    for op in ops {
-        let resp = exec_batch_op(state, &mut txn, op);
-        let failed = matches!(resp, Response::Error { .. });
-        results.push(resp.clone());
-        if failed {
-            failure = Some(resp);
-            break;
-        }
-    }
-    if let Some(err) = failure {
-        txn.abort();
-        conn.push(state, Reply::Batch(results).with(err));
-        if let Some(tr) = trace {
-            finish_trace(state, &handle.trace_ring, &tr);
-        }
-        return;
-    }
-    match txn.commit_deferred() {
+    match commit {
         Ok(commit) => {
             state.stats.commits.fetch_add(1, Ordering::Relaxed);
-            settle_commit(state, handle, conn, commit, sync, Reply::Batch(results), trace);
+            settle_commit(state, handle, conn, commit, sync, reply, trace);
         }
-        Err(reason) => {
-            conn.push(state, Reply::Batch(results).with(aborted(reason)));
+        Err(outcome) => {
+            conn.push(state, reply.with(outcome));
             if let Some(tr) = trace {
                 finish_trace(state, &handle.trace_ring, &tr);
             }
@@ -1164,15 +1093,6 @@ fn drain_deferred(
 // ---------------------------------------------------------------------
 // Service frames
 // ---------------------------------------------------------------------
-
-fn push_metrics(state: &Arc<ServerState>, conn: &mut Conn) {
-    conn.push(state, Response::Metrics { text: state.db.telemetry().render_prometheus() });
-}
-
-fn push_events(state: &Arc<ServerState>, conn: &mut Conn, max: u32) {
-    let max = if max == 0 { DEFAULT_DUMP_EVENTS } else { max as usize };
-    conn.push(state, Response::Events { text: state.db.telemetry().dump_events(max) });
-}
 
 /// Merge span dumps from every shard's tracer (worker and service rings
 /// register on shard 0; recovery/replica apply spans land on the shard

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use ermia::{Database, DbConfig};
-use ermia_server::{Client, Server, ServerConfig, WireIsolation};
+use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::parse_exposition;
 
 /// Must match `AbortReason::ALL` order — the exposition labels.
@@ -223,4 +223,72 @@ fn dump_events_frame_returns_recent_transaction_events() {
     assert!(dump.contains("txn-begin"), "begin events missing:\n{dump}");
     assert!(dump.contains("txn-commit"), "commit events missing:\n{dump}");
     srv.shutdown();
+}
+
+fn server_commits(c: &mut Client) -> f64 {
+    let exp = parse_exposition(&c.metrics().unwrap()).unwrap();
+    exp.value("ermia_server_commits_total").unwrap()
+}
+
+/// The one commit epilogue answers the same `Put` in the shape of the
+/// frame that carried it: autocommitted — the op's own reply; as a one-op
+/// `Batch` — `BatchDone` around it; as `Begin`/`Put`/`Commit` — `Begun`,
+/// the reply, `Committed`. Waiting for the log or not changes no shape,
+/// and "transactions committed on behalf of clients" counts each way as
+/// exactly one commit — and a failed op as none.
+#[test]
+fn one_put_three_ways_is_answered_in_the_shape_of_its_frame_and_counted_once() {
+    let dir = std::env::temp_dir().join(format!("ermia-server-put3-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let committed = |r: &Response| matches!(r, Response::Committed { lsn } if *lsn > 0);
+
+    let mut commits = 0.0;
+    let mut one_more = |c: &mut Client, how: &str| {
+        commits += 1.0;
+        assert_eq!(server_commits(c), commits, "{how} is one commit");
+    };
+    for (i, sync) in [(0u8, false), (1, true)] {
+        let put = |key: &[u8]| Request::Put { table: t, key: key.to_vec(), value: vec![i] };
+        let done = Response::Done { existed: i == 1 };
+
+        assert_eq!(c.call(&put(b"auto")).unwrap(), done);
+        one_more(&mut c, "an autocommitted Put");
+
+        let op = BatchOp::Put { table: t, key: b"batch".to_vec(), value: vec![i] };
+        let (results, outcome) = c.batch(WireIsolation::Snapshot, sync, vec![op]).unwrap();
+        assert_eq!(results, vec![done.clone()]);
+        assert!(committed(&outcome), "{outcome:?}");
+        one_more(&mut c, "a Batch");
+
+        let begin = Request::Begin { isolation: WireIsolation::Snapshot };
+        assert_eq!(c.call(&begin).unwrap(), Response::Begun);
+        assert_eq!(c.call(&put(b"txn")).unwrap(), done);
+        let outcome = c.call(&Request::Commit { sync }).unwrap();
+        assert!(committed(&outcome), "{outcome:?}");
+        one_more(&mut c, "Begin … Commit");
+    }
+    // A failed op is answered with its error in each shape, and commits
+    // nothing: bare, inside `BatchDone` (as the last result and as the
+    // outcome), and — the transaction staying open — before an `Abort`.
+    let bad = Request::Put { table: t + 100, key: b"k".to_vec(), value: vec![] };
+    let err = c.call(&bad).unwrap();
+    assert!(matches!(err, Response::Error { .. }), "{err:?}");
+    c.insert(t, b"auto", b"again").expect_err("duplicate key");
+    let op = BatchOp::Put { table: t + 100, key: b"k".to_vec(), value: vec![] };
+    let batch = Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops: vec![op] };
+    assert_eq!(
+        c.call(&batch).unwrap(),
+        Response::BatchDone { results: vec![err.clone()], outcome: Box::new(err.clone()) }
+    );
+    c.begin(WireIsolation::Snapshot).unwrap();
+    assert_eq!(c.call(&bad).unwrap(), err);
+    c.abort().unwrap();
+    assert_eq!(server_commits(&mut c), 6.0, "a failed op commits nothing");
+    srv.shutdown();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use ermia::{Database, DbConfig};
 use ermia_server::protocol::{crc32, read_frame, write_frame, FrameAssembler, MAX_FRAME_LEN};
-use ermia_server::{Client, Request, Server, ServerConfig, TraceContext, WireIsolation};
+use ermia_server::{Client, FrameError, Request, Response, Server, ServerConfig, TraceContext};
 
 use proptest::prelude::*;
 
@@ -72,29 +72,23 @@ fn sample_trace() -> TraceContext {
     TraceContext { trace_hi: 0xdead_beef_cafe_f00d, trace_lo: 0x0123_4567_89ab_cdef, parent: 7 }
 }
 
-/// The same request wrapped in a trace-context envelope.
-fn traced_frame(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &req.encode_traced(&sample_trace())).unwrap();
-    buf
-}
-
-fn sample_requests() -> Vec<Request> {
-    vec![
-        Request::Ping,
-        Request::OpenTable { name: b"fuzz".to_vec() },
-        Request::Begin { isolation: WireIsolation::Serializable },
-        Request::Get { table: 0, key: b"k".to_vec() },
-        Request::Put { table: 0, key: b"k".to_vec(), value: b"v".to_vec() },
-        Request::Scan { table: 0, low: b"a".to_vec(), high: b"z".to_vec(), limit: 5 },
-        Request::Commit { sync: true },
-    ]
+/// The corpus — `Request::samples()`: at least one request per row of the
+/// frame table (a unit test in `protocol.rs` holds it to that), a five-op
+/// `Batch` among them — as frames, bare and inside the trace envelope.
+fn sample_frames() -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    for req in Request::samples() {
+        frames.push(valid_frame(&req));
+        let mut traced = Vec::new();
+        write_frame(&mut traced, &req.encode_traced(&sample_trace())).unwrap();
+        frames.push(traced);
+    }
+    frames
 }
 
 #[test]
 fn truncation_at_every_cut_point_is_survived() {
-    for req in sample_requests() {
-        let frame = valid_frame(&req);
+    for frame in sample_frames() {
         for cut in 0..frame.len() {
             poke(&frame[..cut]);
         }
@@ -104,36 +98,12 @@ fn truncation_at_every_cut_point_is_survived() {
 
 #[test]
 fn corruption_at_every_byte_is_survived() {
-    for req in sample_requests() {
-        let frame = valid_frame(&req);
-        for i in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[i] ^= 0x40;
-            poke(&bad);
-        }
-    }
-    assert_alive();
-}
-
-#[test]
-fn traced_truncation_at_every_cut_point_is_survived() {
-    for req in sample_requests() {
-        let frame = traced_frame(&req);
-        for cut in 0..frame.len() {
-            poke(&frame[..cut]);
-        }
-    }
-    assert_alive();
-}
-
-#[test]
-fn traced_corruption_at_every_byte_is_survived() {
-    // Bit flips landing anywhere — in the envelope opcode, the trace
-    // words, or the inner request — must never wedge the server. This
-    // includes the flip that zeroes part of the trace id (a malformed
-    // envelope) and the one that turns the envelope into a nested one.
-    for req in sample_requests() {
-        let frame = traced_frame(&req);
+    // Bit flips landing anywhere — in the length, the envelope opcode,
+    // the trace words, the request, the checksum — must never wedge the
+    // server. This includes the flip that zeroes part of the trace id (a
+    // malformed envelope) and the one that turns the envelope into a
+    // nested one.
+    for frame in sample_frames() {
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x40;
@@ -175,7 +145,7 @@ fn checksum_must_cover_the_payload_actually_sent() {
 /// what the one-shot blocking reader sees.
 #[test]
 fn every_two_way_split_decodes_identically_to_one_shot() {
-    for req in sample_requests() {
+    for req in Request::samples() {
         let frame = valid_frame(&req);
         let one_shot = read_frame(&mut &frame[..], MAX_FRAME_LEN).unwrap();
         for cut in 0..=frame.len() {
@@ -216,18 +186,66 @@ fn byte_at_a_time_delivery_is_served_identically() {
     assert_eq!(reply_a, reply_b, "dribbled delivery changed the reply");
 }
 
+/// Every `Client` — and so every replica's shipper connection and
+/// `ermia_top` — decodes what its peer sends. A `BatchDone` whose outcome
+/// is a `BatchDone`, 200 000 levels deep, is 1.8 MB: far under the frame
+/// cap, and one stack frame per level to a decoder that follows it.
+#[test]
+fn a_deeply_nested_batch_reply_is_refused_not_followed() {
+    const LEVELS: usize = 200_000;
+    let mut payload = Vec::with_capacity(9 * LEVELS + 1);
+    for level in (0..LEVELS).rev() {
+        // BatchDone, no results, then the outcome: `len:u32` and the
+        // `9 * level + 1` bytes of every level inside this one.
+        payload.push(0x8C);
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&((9 * level + 1) as u32).to_le_bytes());
+    }
+    payload.extend_from_slice(&Response::Pong.encode());
+    let decoder = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Response::decode(&payload))
+        .unwrap();
+    match decoder.join().expect("the decoder must not run out of stack") {
+        Err(FrameError::Malformed(why)) => assert_eq!(why, "nested batch reply"),
+        other => panic!("nesting not refused: {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The client side of the hardening: whatever bytes a peer frames as
+    /// a reply decode to a reply or to an error — no panic, no allocation
+    /// sized by a count the payload does not back. Half the cases start
+    /// from a sample with one byte changed, so the decoder is reached
+    /// past the opcode.
+    #[test]
+    fn reply_decoding_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        pick in any::<u16>(),
+        pos in any::<u16>(),
+        mask in any::<u8>(),
+    ) {
+        let _ = Response::decode(&bytes);
+        let samples = Response::samples();
+        let mut payload = samples[pick as usize % samples.len()].encode();
+        let pos = pos as usize % payload.len();
+        payload[pos] ^= mask;
+        if let Ok(resp) = Response::decode(&payload) {
+            prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
 
     /// Randomized generalization of the exhaustive split test: a stream
     /// of several frames, carved into arbitrary chunks fed one readiness
     /// event at a time, decodes to the same sequence as one-shot reads.
     #[test]
     fn arbitrary_chunking_preserves_the_frame_stream(
-        picks in proptest::collection::vec(0usize..7, 1..5),
+        picks in proptest::collection::vec(0usize..Request::samples().len(), 1..5),
         cuts in proptest::collection::vec(any::<u16>(), 0..16),
     ) {
-        let reqs = sample_requests();
+        let reqs = Request::samples();
         let mut stream = Vec::new();
         let mut expect = Vec::new();
         for &p in &picks {
@@ -265,12 +283,12 @@ proptest! {
     /// envelopes the way an old server would an unknown opcode.
     #[test]
     fn trace_envelope_roundtrips_under_random_contexts(
-        p in 0usize..7,
+        p in 0usize..Request::samples().len(),
         hi in any::<u64>(),
         lo in any::<u64>(),
         parent in any::<u64>(),
     ) {
-        let req = sample_requests().remove(p);
+        let req = Request::samples().remove(p);
         let ctx = TraceContext { trace_hi: hi, trace_lo: lo, parent };
         let bytes = req.encode_traced(&ctx);
         let (got, got_ctx) = Request::decode_traced(&bytes).unwrap();
@@ -295,11 +313,11 @@ proptest! {
     /// seeing it on the wire.
     #[test]
     fn corrupt_trace_envelopes_never_panic(
-        p in 0usize..7,
+        p in 0usize..Request::samples().len(),
         pos in any::<u16>(),
         mask in 1u8..=255,
     ) {
-        let req = sample_requests().remove(p);
+        let req = Request::samples().remove(p);
         let mut bytes = req.encode_traced(&sample_trace());
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= mask;

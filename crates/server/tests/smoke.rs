@@ -109,7 +109,7 @@ fn metrics_frame_agrees_with_server_stats() {
         Some(stats.protocol_errors as f64)
     );
     assert!(stats.frames_processed >= 6, "every request above is a frame");
-    assert_eq!(stats.commits, 1, "only the interactive commit counts as a server commit");
+    assert_eq!(stats.commits, 2, "the autocommitted put and the interactive commit");
     srv.shutdown();
 }
 
@@ -226,6 +226,40 @@ fn shutdown_latency_is_bounded_by_the_wake_fd_not_polling() {
         "idle shutdown took {took:?}; the wake fd should rouse every shard immediately"
     );
     assert_eq!(srv.stats().active_sessions, 0);
+}
+
+/// More sync commits in flight on one connection than its reply queue
+/// holds: the queue's cap stops the session taking frames it has already
+/// read, and once the parked commits resolve and flush, the frames still
+/// in the assembler must run — no readiness event will announce them.
+#[test]
+fn pipelining_past_the_reply_queue_cap_does_not_wedge_the_session() {
+    let dir = std::env::temp_dir().join(format!("ermia-server-smoke-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let cfg = ServerConfig { reply_queue_depth: 8, ..ServerConfig::default() };
+    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    c.set_reply_timeout(Some(Duration::from_secs(20))).unwrap();
+
+    const WINDOW: usize = 100;
+    for i in 0..WINDOW {
+        let key = format!("k{i}").into_bytes();
+        let ops = vec![BatchOp::Put { table: t, key, value: b"v".to_vec() }];
+        c.send(&Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops }).unwrap();
+    }
+    for i in 0..WINDOW {
+        match c.recv().unwrap_or_else(|e| panic!("reply {i} of {WINDOW} never came: {e}")) {
+            Response::BatchDone { outcome, .. } => {
+                assert!(matches!(*outcome, Response::Committed { .. }), "{outcome:?}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    srv.shutdown();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -254,10 +254,6 @@ impl SiloDb {
     pub fn current_epoch(&self) -> u64 {
         self.inner.global_epoch.load(Ordering::Acquire)
     }
-
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.inner.snap_epoch.load(Ordering::Acquire)
-    }
 }
 
 /// Per-thread handle.

@@ -5,30 +5,17 @@
 //! stall/poison, GC pass, checkpoint, epoch advance) with nanosecond
 //! timestamps relative to a shared epoch. Writers never allocate,
 //! never lock, and never wait: a record is a position `fetch_add` and
-//! five relaxed/release stores. All the expensive work (merging rings,
-//! sorting, formatting) happens on the reader side when a dump is
-//! requested — on demand via the `DumpEvents` wire frame, or
+//! six relaxed/release stores — the slot protocol of [`crate::ring`],
+//! with `{ts, kind, a, b}` as the payload words. All the expensive work
+//! (merging rings, sorting, formatting) happens on the reader side when
+//! a dump is requested — on demand via the `DumpEvents` wire frame, or
 //! automatically when the log stalls or poisons, so a torture-test
 //! failure arrives with its own trace.
-//!
-//! ## Slot protocol (per-slot seqlock)
-//!
-//! A slot is `{seq, ts, kind, a, b}`. The writer stores `seq = 0`
-//! (release), writes the payload fields (relaxed), then stores
-//! `seq = pos + 1` (release). A reader loads `seq` (acquire), skips
-//! the slot if it is 0, reads the payload, then re-loads `seq`; the
-//! event is taken only if both loads agree. A writer lapping a reader
-//! therefore can't hand out a half-written event: the leading `seq = 0`
-//! store is release-ordered after the previous payload and the reader's
-//! second load catches any overlap. Two *writers* can only collide on
-//! one slot if one of them stalls for a full ring lap inside the ~20ns
-//! write section; with ≥256 slots this is astronomically unlikely, and
-//! the worst case is one garbled (not unsafe) event — an accepted
-//! trade for a zero-coordination hot path.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::ring::{RingSet, SeqRing};
 
 /// What happened. Codes are stable (they appear in dumps and tests).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -148,90 +135,36 @@ pub struct Event {
     pub b: u64,
 }
 
-struct Slot {
-    /// 0 = empty/being written, else position + 1.
-    seq: AtomicU64,
-    ts: AtomicU64,
-    kind: AtomicU32,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            kind: AtomicU32::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One writer's ring. Safe for concurrent readers; intended for a
-/// single writer (see the slot-protocol note above for why a second
-/// writer is tolerated but not encouraged).
+/// One writer's ring of events: a `SeqRing` whose slots are
+/// `{ts, kind, a, b}`.
 pub struct EventRing {
-    epoch: Instant,
-    mask: usize,
-    pos: AtomicU64,
-    slots: Box<[Slot]>,
+    ring: SeqRing<4>,
 }
 
 impl EventRing {
-    fn new(epoch: Instant, cap: usize) -> EventRing {
-        let cap = cap.next_power_of_two().max(8);
-        EventRing {
-            epoch,
-            mask: cap - 1,
-            pos: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-        }
-    }
-
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Append an event. Allocation-free, lock-free, wait-free.
     #[inline]
     pub fn record(&self, kind: EventKind, a: u64, b: u64) {
-        let ts = self.epoch.elapsed().as_nanos() as u64;
-        let pos = self.pos.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[pos as usize & self.mask];
-        slot.seq.store(0, Ordering::Release);
-        slot.ts.store(ts, Ordering::Relaxed);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(pos + 1, Ordering::Release);
+        self.ring.push([self.ring.now_ns(), kind.code() as u64, a, b]);
     }
 
     /// Events written so far (monotonic, may exceed capacity).
     pub fn written(&self) -> u64 {
-        self.pos.load(Ordering::Relaxed)
+        self.ring.written()
     }
 
     /// Copy out every currently-valid event. Torn slots (mid-write)
     /// are skipped, never misread.
     pub fn snapshot(&self, out: &mut Vec<Event>) {
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 {
-                continue;
+        self.ring.snapshot(|[ts_ns, kind, a, b]| {
+            if let Some(kind) = EventKind::from_code(kind as u32) {
+                out.push(Event { ts_ns, kind, a, b });
             }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 != s2 {
-                continue; // raced a writer; drop the torn slot
-            }
-            let Some(kind) = EventKind::from_code(kind) else { continue };
-            out.push(Event { ts_ns: ts, kind, a, b });
-        }
+        });
     }
 }
 
@@ -240,7 +173,7 @@ impl EventRing {
 pub struct FlightRecorder {
     epoch: Instant,
     ring_cap: usize,
-    rings: Mutex<Vec<Arc<EventRing>>>,
+    rings: RingSet<EventRing>,
     last_dump: Mutex<Option<String>>,
 }
 
@@ -249,7 +182,7 @@ impl FlightRecorder {
         FlightRecorder {
             epoch: Instant::now(),
             ring_cap,
-            rings: Mutex::new(Vec::new()),
+            rings: RingSet::new(),
             last_dump: Mutex::new(None),
         }
     }
@@ -257,35 +190,30 @@ impl FlightRecorder {
     /// Create and register a ring for one writer (a worker thread or a
     /// background service).
     pub fn ring(&self) -> Arc<EventRing> {
-        let ring = Arc::new(EventRing::new(self.epoch, self.ring_cap));
-        self.rings.lock().unwrap().push(ring.clone());
-        ring
+        self.rings.register(EventRing { ring: SeqRing::new(self.epoch, self.ring_cap) })
     }
 
     /// Drop a ring from the dump set (its events are no longer
     /// reachable; counters, unlike events, are retained on retire —
     /// a trace is about *recent live* activity).
     pub fn retire(&self, ring: &Arc<EventRing>) {
-        self.rings.lock().unwrap().retain(|r| !Arc::ptr_eq(r, ring));
+        self.rings.retire(ring);
     }
 
     pub fn ring_count(&self) -> usize {
-        self.rings.lock().unwrap().len()
+        self.rings.len()
     }
 
     /// Merge every ring, sort by timestamp, and format the most recent
     /// `max_events` as a bounded human-readable report.
     pub fn dump(&self, max_events: usize) -> String {
         let mut events: Vec<(usize, Event)> = Vec::new();
-        {
-            let rings = self.rings.lock().unwrap();
-            let mut buf = Vec::new();
-            for (i, ring) in rings.iter().enumerate() {
-                buf.clear();
-                ring.snapshot(&mut buf);
-                events.extend(buf.iter().map(|e| (i, *e)));
-            }
-        }
+        let mut buf = Vec::new();
+        self.rings.for_each(|i, ring| {
+            buf.clear();
+            ring.snapshot(&mut buf);
+            events.extend(buf.iter().map(|e| (i, *e)));
+        });
         events.sort_by_key(|(_, e)| e.ts_ns);
         let skipped = events.len().saturating_sub(max_events);
         let shown = &events[skipped..];
@@ -350,84 +278,6 @@ fn describe(e: &Event) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wraparound_keeps_the_most_recent_events() {
-        let fr = FlightRecorder::new(16);
-        let ring = fr.ring();
-        let cap = ring.capacity() as u64;
-        for i in 0..cap * 3 {
-            ring.record(EventKind::TxnCommit, i, 0);
-        }
-        let mut out = Vec::new();
-        ring.snapshot(&mut out);
-        assert_eq!(out.len(), cap as usize, "full ring after 3 laps");
-        let mut tids: Vec<u64> = out.iter().map(|e| e.a).collect();
-        tids.sort_unstable();
-        let expect: Vec<u64> = (cap * 2..cap * 3).collect();
-        assert_eq!(tids, expect, "only the last lap survives");
-        // Timestamps are monotone non-decreasing once sorted by ts.
-        let mut by_ts = out.clone();
-        by_ts.sort_by_key(|e| e.ts_ns);
-        let tid_order: Vec<u64> = by_ts.iter().map(|e| e.a).collect();
-        let mut sorted = tid_order.clone();
-        sorted.sort_unstable();
-        assert_eq!(tid_order, sorted, "ts order matches write order for one writer");
-    }
-
-    #[test]
-    fn concurrent_writers_and_readers_never_see_torn_events() {
-        let fr = Arc::new(FlightRecorder::new(64));
-        let writers = 4;
-        let per = 20_000u64;
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        // Readers hammer snapshots while writers append; payload is
-        // self-checking (b == a ^ MARK), so a torn read is detectable.
-        const MARK: u64 = 0xDEAD_BEEF_F11E_0000;
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let fr = Arc::clone(&fr);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut checked = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let dump = fr.dump(256);
-                        assert!(dump.starts_with("flight-recorder dump"));
-                        checked += 1;
-                    }
-                    checked
-                })
-            })
-            .collect();
-        let hs: Vec<_> = (0..writers)
-            .map(|w| {
-                let fr = Arc::clone(&fr);
-                std::thread::spawn(move || {
-                    let ring = fr.ring();
-                    for i in 0..per {
-                        let a = (w as u64) << 32 | i;
-                        ring.record(EventKind::TxnBegin, a, a ^ MARK);
-                    }
-                    ring
-                })
-            })
-            .collect();
-        let rings: Vec<_> = hs.into_iter().map(|h| h.join().unwrap()).collect();
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().unwrap() > 0);
-        }
-        let mut out = Vec::new();
-        for ring in &rings {
-            let before = out.len();
-            ring.snapshot(&mut out);
-            assert_eq!(out.len() - before, ring.capacity(), "ring is full");
-        }
-        for e in &out {
-            assert_eq!(e.b, e.a ^ MARK, "payload words must be from the same write");
-            assert_eq!(e.kind, EventKind::TxnBegin);
-        }
-    }
 
     #[test]
     fn dump_is_bounded_and_readable() {

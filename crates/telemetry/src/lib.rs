@@ -13,9 +13,13 @@
 //! * [`flight`] — the flight recorder: fixed-size per-worker event
 //!   rings with nanosecond timestamps, merged into a bounded
 //!   human-readable dump on demand or when the log stalls.
-//! * [`trace`] — distributed tracing: per-worker span rings with the
-//!   same seqlock discipline, 128-bit wire-propagated trace ids, a
-//!   worst-K slow-op log, and a Chrome `trace_event` exporter.
+//! * [`trace`] — distributed tracing: per-worker span rings, 128-bit
+//!   wire-propagated trace ids, a worst-K slow-op log, and a Chrome
+//!   `trace_event` exporter.
+//!
+//! Events and spans are recorded into the same single-writer seqlock
+//! ring (`ring.rs`), four payload words wide for the one and nine for
+//! the other.
 //!
 //! [`Telemetry`] bundles one registry, one flight recorder, and one
 //! tracer; the database owns one instance and every layer hangs its
@@ -25,6 +29,7 @@ mod flight;
 mod hist;
 mod prom;
 mod registry;
+mod ring;
 mod trace;
 
 pub use flight::{Event, EventKind, EventRing, FlightRecorder};

@@ -12,13 +12,11 @@
 //!
 //! ## Write side: the flight-recorder discipline
 //!
-//! Spans land in [`SpanRing`]s with exactly the per-slot seqlock
-//! protocol of [`crate::flight`]: the writer stores `seq = 0`
-//! (release), the payload words (relaxed), then `seq = pos + 1`
-//! (release); a reader takes a slot only if two acquire loads of `seq`
-//! agree. Writers never allocate, never lock, never wait. Each ring is
-//! single-writer (one per worker / shard thread / parker); a reader
-//! racing a lap sees a torn slot and skips it.
+//! Spans land in [`SpanRing`]s — the seqlock ring of [`crate::ring`],
+//! the flight recorder's, with nine payload words to its four. Writers
+//! never allocate, never lock, never wait. Each ring is single-writer
+//! (one per worker / shard thread / parker); a reader racing a lap sees
+//! a torn slot and skips it.
 //!
 //! ## Sampling and retention
 //!
@@ -35,9 +33,11 @@
 //!   tracing analog of the flight recorder's auto-capture on
 //!   `LogStalled`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::ring::{RingSet, SeqRing};
 
 /// Default number of slots in each span ring.
 pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
@@ -213,65 +213,26 @@ impl Span {
 
 const RING_ID_SHIFT: u32 = 48;
 
-struct SpanSlot {
-    /// 0 = empty/being written, else position + 1.
-    seq: AtomicU64,
-    trace_hi: AtomicU64,
-    trace_lo: AtomicU64,
-    span_id: AtomicU64,
-    parent: AtomicU64,
-    kind: AtomicU32,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl SpanSlot {
-    fn new() -> SpanSlot {
-        SpanSlot {
-            seq: AtomicU64::new(0),
-            trace_hi: AtomicU64::new(0),
-            trace_lo: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            parent: AtomicU64::new(0),
-            kind: AtomicU32::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One writer's span ring: same seqlock slot protocol as
-/// [`crate::EventRing`], wider payload. Safe for concurrent readers;
-/// intended for a single writer.
+/// One writer's span ring: a `SeqRing` whose slots are a [`Span`]'s
+/// nine words, plus the ring's share of the span-id space.
 pub struct SpanRing {
-    epoch: Instant,
-    mask: usize,
-    pos: AtomicU64,
+    ring: SeqRing<9>,
     /// `ring_number << 48`; ors with a local counter to make span ids.
     id_base: u64,
     next_id: AtomicU64,
-    slots: Box<[SpanSlot]>,
 }
 
 impl SpanRing {
     fn new(epoch: Instant, cap: usize, ring_number: u64) -> SpanRing {
-        let cap = cap.next_power_of_two().max(8);
         SpanRing {
-            epoch,
-            mask: cap - 1,
-            pos: AtomicU64::new(0),
+            ring: SeqRing::new(epoch, cap),
             id_base: ring_number << RING_ID_SHIFT,
             next_id: AtomicU64::new(1),
-            slots: (0..cap).map(|_| SpanSlot::new()).collect(),
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Nanoseconds since the tracer epoch — the span timebase. Every
@@ -279,7 +240,7 @@ impl SpanRing {
     /// threads land on one comparable timeline.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.ring.now_ns()
     }
 
     /// Allocate a span id (to parent children under before the span
@@ -304,19 +265,19 @@ impl SpanRing {
         a: u64,
         b: u64,
     ) {
-        let pos = self.pos.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[pos as usize & self.mask];
-        slot.seq.store(0, Ordering::Release);
-        slot.trace_hi.store(ctx.trace_hi, Ordering::Relaxed);
-        slot.trace_lo.store(ctx.trace_lo, Ordering::Relaxed);
-        slot.span_id.store(span_id, Ordering::Relaxed);
-        slot.parent.store(ctx.parent, Ordering::Relaxed);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(end_ns.saturating_sub(start_ns), Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(pos + 1, Ordering::Release);
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        let kind = kind.code() as u64;
+        self.ring.push([
+            ctx.trace_hi,
+            ctx.trace_lo,
+            span_id,
+            ctx.parent,
+            kind,
+            start_ns,
+            dur_ns,
+            a,
+            b,
+        ]);
     }
 
     /// Record a completed span, allocating its id. Returns the id.
@@ -337,37 +298,27 @@ impl SpanRing {
 
     /// Spans written so far (monotonic, may exceed capacity).
     pub fn written(&self) -> u64 {
-        self.pos.load(Ordering::Relaxed)
+        self.ring.written()
     }
 
     /// Copy out every currently-valid span. Torn slots are skipped,
     /// never misread (seqlock double-read).
     pub fn snapshot(&self, out: &mut Vec<Span>) {
-        for slot in self.slots.iter() {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 {
-                continue;
+        self.ring.snapshot(|[trace_hi, trace_lo, span_id, parent, kind, start_ns, dur_ns, a, b]| {
+            if let Some(kind) = SpanKind::from_code(kind as u32) {
+                out.push(Span {
+                    trace_hi,
+                    trace_lo,
+                    span_id,
+                    parent,
+                    kind,
+                    start_ns,
+                    dur_ns,
+                    a,
+                    b,
+                });
             }
-            let span = Span {
-                trace_hi: slot.trace_hi.load(Ordering::Relaxed),
-                trace_lo: slot.trace_lo.load(Ordering::Relaxed),
-                span_id: slot.span_id.load(Ordering::Relaxed),
-                parent: slot.parent.load(Ordering::Relaxed),
-                kind: match SpanKind::from_code(slot.kind.load(Ordering::Relaxed)) {
-                    Some(k) => k,
-                    None => continue,
-                },
-                start_ns: slot.start_ns.load(Ordering::Relaxed),
-                dur_ns: slot.dur_ns.load(Ordering::Relaxed),
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
-            };
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 != s2 {
-                continue; // raced a writer; drop the torn slot
-            }
-            out.push(span);
-        }
+        });
     }
 }
 
@@ -428,7 +379,7 @@ fn hex(bytes: &[u8]) -> String {
 pub struct Tracer {
     epoch: Instant,
     ring_cap: usize,
-    rings: Mutex<Vec<Arc<SpanRing>>>,
+    rings: RingSet<SpanRing>,
     next_ring: AtomicU64,
     id_seed: AtomicU64,
     /// Tail-capture threshold; 0 disables retention.
@@ -443,11 +394,12 @@ pub struct Tracer {
 impl Tracer {
     pub fn new(ring_cap: usize) -> Tracer {
         let epoch = Instant::now();
-        let svc = Arc::new(SpanRing::new(epoch, ring_cap, 1));
+        let rings = RingSet::new();
+        let svc = rings.register(SpanRing::new(epoch, ring_cap, 1));
         Tracer {
             epoch,
             ring_cap,
-            rings: Mutex::new(vec![Arc::clone(&svc)]),
+            rings,
             next_ring: AtomicU64::new(2),
             id_seed: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
             slow_threshold_ns: AtomicU64::new(0),
@@ -465,9 +417,7 @@ impl Tracer {
     /// Register a ring for a new single-writer owner.
     pub fn ring(&self) -> Arc<SpanRing> {
         let n = self.next_ring.fetch_add(1, Ordering::Relaxed);
-        let ring = Arc::new(SpanRing::new(self.epoch, self.ring_cap, n));
-        self.rings.lock().unwrap().push(Arc::clone(&ring));
-        ring
+        self.rings.register(SpanRing::new(self.epoch, self.ring_cap, n))
     }
 
     /// The shared service ring for infra spans.
@@ -479,7 +429,7 @@ impl Tracer {
     /// spans disappear with it — acceptable for a debugging ring, and
     /// slow-op retention already copied anything that mattered.
     pub fn retire(&self, ring: &Arc<SpanRing>) {
-        self.rings.lock().unwrap().retain(|r| !Arc::ptr_eq(r, ring));
+        self.rings.retire(ring);
     }
 
     /// Mint a fresh non-zero 128-bit trace id (head sampling and traced
@@ -550,9 +500,7 @@ impl Tracer {
     /// Every span currently in any ring carrying the given trace id.
     pub fn capture_trace(&self, trace_hi: u64, trace_lo: u64) -> Vec<Span> {
         let mut out = Vec::new();
-        for ring in self.rings.lock().unwrap().iter() {
-            ring.snapshot(&mut out);
-        }
+        self.rings.for_each(|_, ring| ring.snapshot(&mut out));
         out.retain(|s| s.trace_hi == trace_hi && s.trace_lo == trace_lo);
         out.sort_by_key(|s| (s.start_ns, s.span_id));
         out
@@ -567,9 +515,7 @@ impl Tracer {
     /// time-sorted bounded span list (newest kept when over `max`).
     pub fn dump_spans(&self, max: usize) -> Vec<Span> {
         let mut out = Vec::new();
-        for ring in self.rings.lock().unwrap().iter() {
-            ring.snapshot(&mut out);
-        }
+        self.rings.for_each(|_, ring| ring.snapshot(&mut out));
         for op in self.slow.lock().unwrap().iter() {
             out.extend_from_slice(&op.spans);
         }
@@ -716,20 +662,6 @@ mod tests {
         assert_eq!(s.kind, SpanKind::TxnRead);
         assert_eq!(s.dur_ns, 100);
         assert_eq!((s.a, s.b), (4, 2));
-    }
-
-    #[test]
-    fn ring_wraps_and_keeps_newest() {
-        let tr = Tracer::new(8);
-        let ring = tr.ring();
-        let c = ctx(1, 1, 0);
-        for i in 0..20u64 {
-            ring.record(&c, SpanKind::TxnWrite, i, i + 1, i, 0);
-        }
-        let mut out = Vec::new();
-        ring.snapshot(&mut out);
-        assert_eq!(out.len(), ring.capacity());
-        assert!(out.iter().all(|s| s.a >= 20 - ring.capacity() as u64));
     }
 
     #[test]
@@ -880,37 +812,5 @@ mod tests {
         assert!(s.contains("t7"), "{s}");
         assert!(s.contains("abcd"), "{s}");
         assert!(s.contains("durability-wait=3.0ms"), "{s}");
-    }
-
-    #[test]
-    fn concurrent_writers_and_readers_never_tear() {
-        let tr = Arc::new(Tracer::new(64));
-        let stop = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for w in 0..3u64 {
-            let tr = Arc::clone(&tr);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let ring = tr.ring();
-                let c = ctx(w + 1, w + 1, 0);
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let t = ring.now_ns();
-                    ring.record(&c, SpanKind::TxnWrite, t, t + w, w, w);
-                }
-            }));
-        }
-        for _ in 0..200 {
-            for s in tr.dump_spans(10_000) {
-                // Payload consistency: trace id words always match and
-                // a/b carry the writer tag — a torn read would break it.
-                assert_eq!(s.trace_hi, s.trace_lo);
-                assert_eq!(s.a, s.b);
-                assert_eq!(s.dur_ns, s.a);
-            }
-        }
-        stop.store(1, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }
