@@ -275,6 +275,16 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "Device syncs issued and not yet published (the flusher's queue depth)",
         s.syncs_in_flight.load(Relaxed) as f64,
     ));
+    for cause in ermia_log::SyncCause::ALL {
+        out.push(
+            Sample::counter(
+                "ermia_log_sync_starts_total",
+                "Device syncs started, by why the flusher started them when it did",
+                s.sync_starts(cause),
+            )
+            .labeled("cause", cause.label()),
+        );
+    }
 
     // Garbage collector. visited ÷ reclaimed is what a reclaimed version
     // costs in chain visits; the backlog is what a pinned horizon holds.

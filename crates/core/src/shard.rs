@@ -1311,13 +1311,13 @@ impl DeferredCommit {
     }
 
     /// The log offsets awaited now, as (shard, end offset) pairs.
-    pub fn waits(&self) -> Vec<(usize, u64)> {
-        match self {
-            DeferredCommit::Committed(token) => {
-                token.end_offset().map(|end| (token.shard() as usize, end)).into_iter().collect()
-            }
-            DeferredCommit::Staged(staged) => staged.waits(),
-        }
+    pub fn waits(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (token, staged) = match self {
+            DeferredCommit::Committed(token) => (Some(token), None),
+            DeferredCommit::Staged(staged) => (None, Some(staged)),
+        };
+        let own = token.and_then(|t| t.end_offset().map(|end| (t.shard() as usize, end)));
+        own.into_iter().chain(staged.into_iter().flat_map(|s| s.pending()))
     }
 
     /// See [`StagedCommit::not_before`].
@@ -1621,8 +1621,11 @@ impl StagedCommit {
     /// The log offsets this commit is waiting on now, as (shard, end
     /// offset) pairs: every prepare block not yet seen durable.
     pub fn waits(&self) -> Vec<(usize, u64)> {
-        let pending = self.parts.iter().filter(|p| !p.durable);
-        pending.map(|p| (p.shard, p.end_offset)).collect()
+        self.pending().collect()
+    }
+
+    fn pending(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.parts.iter().filter(|p| !p.durable).map(|p| (p.shard, p.end_offset))
     }
 
     /// The instant before which [`StagedCommit::poll`] cannot move even

@@ -75,6 +75,9 @@ const PARKED_FOR_FILLS: u32 = 1;
 /// The consumer sleeps through fills: only [`RingBuffer::kick_consumer`]
 /// or its timeout ends the sleep.
 const PARKED_DEAF: u32 = 2;
+/// The consumer sleeps through fills but listens for a settled demand:
+/// [`RingBuffer::urge`] ends the sleep too.
+const PARKED_PACED: u32 = 3;
 
 pub struct RingBuffer {
     cap: u64,
@@ -94,11 +97,24 @@ pub struct RingBuffer {
     /// waiter registry; `mark_filled` wakes the flusher the moment a
     /// fill lands below it, regardless of batch size.
     demand: AtomicU64,
+    /// Highest offset a durability waiter has ever registered for:
+    /// together with `written` it tells the consumer whether anybody
+    /// waits for bytes no flush has taken yet.
+    demand_hi: AtomicU64,
+    /// Highest offset of a *settled* demand ([`RingBuffer::urge`]): its
+    /// caller has filled everything it will fill before it next waits,
+    /// so holding the bytes back buys no larger batch.
+    urged: AtomicU64,
+    /// End of the prefix the consumer has handed to storage — every byte
+    /// below it is covered by a flush already started. Consumer-owned;
+    /// trails `filled`, leads `flushed`.
+    written: AtomicU64,
     /// Set when the flusher dies on an unrecoverable I/O error: space
     /// will never free up again, so waiters must give up.
     poisoned: AtomicBool,
     /// How the consumer is parked on `filled_cv`, if it is:
-    /// [`PARKED_FOR_FILLS`] or [`PARKED_DEAF`]; 0 while it runs. Wakers
+    /// [`PARKED_FOR_FILLS`], [`PARKED_DEAF`] or [`PARKED_PACED`]; 0 while
+    /// it runs. Wakers
     /// check it (after a `SeqCst` fence) before touching the mutex.
     consumer_parked: AtomicU32,
     /// Number of writers parked on `space_cv`.
@@ -140,6 +156,9 @@ impl RingBuffer {
             filled: AtomicU64::new(start),
             flushed: AtomicU64::new(start),
             demand: AtomicU64::new(u64::MAX),
+            demand_hi: AtomicU64::new(0),
+            urged: AtomicU64::new(0),
+            written: AtomicU64::new(start),
             poisoned: AtomicBool::new(false),
             consumer_parked: AtomicU32::new(0),
             space_waiters: AtomicU32::new(0),
@@ -198,18 +217,70 @@ impl RingBuffer {
         self.demand.store(lowest_target, Ordering::Release);
     }
 
+    /// A durability waiter registered for `target`. Release, for the
+    /// consumer's Acquire load in [`RingBuffer::demanded`]; the waiter's
+    /// [`RingBuffer::kick_if_unwritten`] fences before it looks for a
+    /// parked consumer.
+    #[inline]
+    pub fn note_target(&self, target: u64) {
+        self.demand_hi.fetch_max(target, Ordering::Release);
+    }
+
+    /// Consumer side: the end of the prefix handed to storage moved.
+    #[inline]
+    pub fn set_written(&self, to: u64) {
+        self.written.store(to, Ordering::Release);
+    }
+
+    /// Consumer side: does anybody wait — registered or by a settled
+    /// demand — for bytes above the written prefix?
+    #[inline]
+    pub fn demanded(&self) -> bool {
+        let written = self.written.load(Ordering::Relaxed);
+        self.demand_hi.load(Ordering::Acquire) > written || self.urged() > written
+    }
+
+    /// Consumer side: is a settled demand outstanding above the written
+    /// prefix?
+    #[inline]
+    pub fn is_urged(&self) -> bool {
+        self.urged() > self.written.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn urged(&self) -> u64 {
+        self.urged.load(Ordering::Acquire)
+    }
+
     /// Wake the consumer on behalf of a durability waiter whose target
-    /// the watermark has not yet covered. A waiter calls this right
-    /// after registering its demand: the fills that should satisfy it
+    /// no flush has taken yet. A waiter calls this right after
+    /// registering its demand: the fills that should satisfy it
     /// (typically the waiter's own, completed just before) may have
     /// happened before the demand was visible, in which case
-    /// `mark_filled` stayed quiet. If `filled` already covers the
-    /// target, the consumer has scanned past it and the flush covering
-    /// it is already underway — no wake needed.
-    pub fn kick_if_filled(&self, target: u64) {
+    /// `mark_filled` stayed quiet — and the consumer may have *scanned*
+    /// them since and, with nobody waiting for them then, left them
+    /// unwritten. Only a target below the written offset is certain to be
+    /// covered by a flush already underway.
+    pub fn kick_if_unwritten(&self, target: u64) {
         fence(Ordering::SeqCst);
-        if self.filled.load(Ordering::Acquire) < target {
+        if self.written.load(Ordering::Acquire) < target {
             self.wake_consumer();
+        }
+    }
+
+    /// A settled demand for everything below `upto`: whoever filled it
+    /// fills nothing more before it waits. Unless a flush has already
+    /// taken the bytes, wakes a consumer parked for fills — and one
+    /// pacing its next flush by the clock, if it said it would listen
+    /// ([`RingBuffer::sleep_through_fills`]): this is the one demand that
+    /// can move that instant.
+    pub fn urge(&self, upto: u64) {
+        self.urged.fetch_max(upto, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if self.written.load(Ordering::Acquire) < upto
+            && !matches!(self.consumer_parked.load(Ordering::Relaxed), 0 | PARKED_DEAF)
+        {
+            self.notify_parked_consumer();
         }
     }
 
@@ -231,12 +302,16 @@ impl RingBuffer {
     pub fn kick_consumer(&self) {
         fence(Ordering::SeqCst);
         if self.consumer_parked.load(Ordering::Relaxed) != 0 {
-            // Passing through the mutex is what orders this wake after
-            // the consumer's re-check; notifying once it is released
-            // spares the woken consumer a second sleep on the mutex.
-            drop(self.wake_mx.lock());
-            self.filled_cv.notify_one();
+            self.notify_parked_consumer();
         }
+    }
+
+    fn notify_parked_consumer(&self) {
+        // Passing through the mutex is what orders this wake after the
+        // consumer's re-check; notifying once it is released spares the
+        // woken consumer a second sleep on the mutex.
+        drop(self.wake_mx.lock());
+        self.filled_cv.notify_one();
     }
 
     /// Block until the ring can hold bytes up to logical offset `end`
@@ -341,6 +416,9 @@ impl RingBuffer {
         self.filled.store(start, Ordering::Release);
         self.flushed.store(start, Ordering::Release);
         self.demand.store(u64::MAX, Ordering::Release);
+        self.demand_hi.store(0, Ordering::Release);
+        self.urged.store(0, Ordering::Release);
+        self.written.store(start, Ordering::Release);
         self.poisoned.store(false, Ordering::Release);
         // The next flusher incarnation is a fresh thread; let it claim
         // the single-consumer role.
@@ -409,7 +487,9 @@ impl RingBuffer {
         // parked on a range this fill may complete, and every
         // microsecond of flusher sleep is added commit latency. (Any
         // fill at or above the target cannot be the one that completes
-        // the contiguous prefix up to it.) Without demand, wake only
+        // the contiguous prefix up to it.) Likewise a fill below a
+        // settled demand: it closes a hole under bytes whose owner has
+        // already asked for their flush. Without demand, wake only
         // when a meaningful batch accumulated — the periodic timeout
         // drains the idle tail (group commit); a wake per commit would
         // cost a scheduler round trip per transaction.
@@ -417,6 +497,7 @@ impl RingBuffer {
         let end = offset + len;
         let demand = self.demand.load(Ordering::Relaxed);
         if (demand != u64::MAX && offset < demand)
+            || offset < self.urged.load(Ordering::Relaxed)
             || end.saturating_sub(self.flushed.load(Ordering::Relaxed)) >= self.cap / 4
         {
             self.wake_consumer();
@@ -483,13 +564,24 @@ impl RingBuffer {
     }
 
     /// Consumer side: sleep *through* fills — however many land, and
-    /// whatever the demand — until `kicked()` turns true or the timeout
-    /// elapses. For a consumer that has already decided not to drain
-    /// before some instant: every fill-side wake it is spared is a
-    /// context switch a committer does not pay for.
-    pub fn sleep_through_fills(&self, timeout: Option<Duration>, kicked: impl Fn() -> bool) {
+    /// whatever the registered demand — until `kicked()` turns true or
+    /// the timeout elapses. For a consumer that has already decided not
+    /// to drain before some instant: every fill-side wake it is spared
+    /// is a context switch a committer does not pay for. With `urgeable`
+    /// a settled demand above the written prefix ([`RingBuffer::urge`])
+    /// ends the sleep as well.
+    pub fn sleep_through_fills(
+        &self,
+        timeout: Option<Duration>,
+        urgeable: bool,
+        kicked: impl Fn() -> bool,
+    ) {
         self.assert_single_consumer();
-        self.park(PARKED_DEAF, timeout, kicked);
+        if urgeable {
+            self.park(PARKED_PACED, timeout, || kicked() || self.is_urged());
+        } else {
+            self.park(PARKED_DEAF, timeout, kicked);
+        }
     }
 
     fn park(&self, mode: u32, timeout: Option<Duration>, ready: impl Fn() -> bool) {
@@ -805,14 +897,14 @@ mod tests {
         let (rb2, kicked2) = (std::sync::Arc::clone(&rb), std::sync::Arc::clone(&kicked));
         let t = std::thread::spawn(move || {
             let start = std::time::Instant::now();
-            rb2.sleep_through_fills(Some(Duration::from_secs(5)), || {
+            rb2.sleep_through_fills(Some(Duration::from_secs(5)), false, || {
                 kicked2.load(Ordering::Acquire)
             });
             start.elapsed()
         });
         std::thread::sleep(Duration::from_millis(5));
         rb.mark_filled(0, 32); // below the demand: would wake a consumer parked for fills
-        rb.kick_if_filled(32);
+        rb.kick_if_unwritten(32);
         std::thread::sleep(Duration::from_millis(60));
         assert!(!t.is_finished(), "a fill woke a consumer sleeping through fills");
         kicked.store(true, Ordering::Release);

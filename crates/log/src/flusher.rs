@@ -48,41 +48,72 @@
 //! case of the same loop. Helpers are spawned when a sync first needs
 //! one, never in [`crate::LogManager::open`].
 //!
-//! # When a sync starts: demand, then a self-clocked stagger
+//! # When a sync starts: when somebody who has finished filling asks
 //!
-//! The flusher is woken two ways: by `mark_filled` once a quarter of the
-//! ring has accumulated (throughput batching when nobody is waiting), or
-//! *immediately* when the filled watermark covers the lowest registered
-//! durability target (latency when someone is). With no sync in flight a
-//! wake-up drains the whole filled prefix and starts its sync at once:
-//! one request outstanding costs one sync and waits for nothing else.
+//! Three things can ask for a sync, and the rule below is all there is —
+//! no option selects among them:
 //!
-//! With syncs in flight, the next ticket starts once
-//! `last measured sync latency ÷ MAX_SYNCS_IN_FLIGHT` has passed since
-//! the previous start, and takes the *whole* filled prefix. Starts are
-//! thus evenly staggered across one device latency: a burst of commits
-//! is not shredded into one-commit syncs that exhaust the slots and
-//! leave the rest of the burst waiting a full latency for a free one; a
-//! slow or serialising device stretches the gap by itself; and there is
-//! nothing to configure. While the next start is not yet due the flusher
-//! sleeps *through* fills to that instant — a commit's demand kick that
-//! cannot start a sync would only buy a context switch.
+//! * a **registered target**: a durability waiter
+//!   ([`crate::LogManager::wait_durable`],
+//!   [`crate::LogManager::subscribe_durable`]) whose offset lies above
+//!   the written prefix. It says "I wait for these bytes" and nothing
+//!   about whether more are coming;
+//! * a **settled demand** ([`crate::LogManager::demand_flush`]): its
+//!   caller — the server's event loop at the end of a turn — has filled
+//!   everything it will fill before it next waits. Holding the bytes back
+//!   can no longer make the batch larger;
+//! * **nobody**: records appended unforced (2PC verdicts, asynchronous
+//!   commits), or a quarter of the ring accumulated — which counts as a
+//!   demand, a writer is about to wait for space.
 //!
-//! A sixteen-commit window (opener at 0, fifteen followers executing
-//! until ≈ 1 ms) against a 2 ms device, before and after:
+//! | in flight | what asks | the sync starts | `cause` |
+//! |---|---|---|---|
+//! | none | a target or a settled demand | at once, over the whole filled prefix: one request outstanding costs one sync and waits for nothing else | `idle` |
+//! | none | nobody | when the flusher thread next sees the bytes: within `flush_interval` of the append (the timeout an idle flusher sleeps with; unforced fills do not wake it), or on its way back from the completion that left the log idle, for bytes that sat out the syncs in flight | `timer` |
+//! | ≥ 1 | nobody | not at all: bytes nobody waits for start no sync of their own. They ride the next one somebody asks for, or go when the log is idle again | — |
+//! | ≥ 1, two slots free | a settled demand | at once, over the whole filled prefix | `demand` |
+//! | ≥ 1 | a target only, or a settled demand for the last free slot | one `last measured sync latency ÷ MAX_SYNCS_IN_FLIGHT` after the previous start; until a latency has been measured, after a completion | `clock` |
+//!
+//! The clock is what is left of the self-clocked stagger: it spaces the
+//! starts of demands that may still grow (sixteen threads blocking in
+//! `wait_durable` one after another should not get a sync each) and it
+//! keeps the *last* slot from a stream of one-commit turns, which would
+//! otherwise shred into one-commit syncs that exhaust the slots and leave
+//! everything behind them a whole latency from a free one. While a start
+//! is not yet due the flusher sleeps *through* fills and registrations to
+//! that instant — a kick that cannot start a sync would only buy a
+//! context switch — and wakes for a completion or, while two slots are
+//! free, a settled demand.
+//!
+//! One sixteen-commit window of the ledger's `wire_sync_write` (2 ms
+//! device, opener at 0, fifteen followers sent 100 µs later, one CPU;
+//! µs from the opener's send, EXPERIMENTS.md "Ledger, PR 20"), by the
+//! stagger clock alone and by this rule:
 //!
 //! ```text
-//!  t (ms)    0         1         2         3         4
-//!  serial    |=== sync 1: opener ===|=== sync 2: the other 15 ===|
-//!  overlap   |=== sync 1: opener ===|
-//!                 |=== sync 2 =========|        one start per 2 ms ÷ 4, each
-//!                      |=== sync 3 =========|   taking what is filled by then
+//!  t (µs)     0        500       1000      1500      2000      2500      3000
+//!  followers  ··executing··|parked 523
+//!  clock      |= sync 1: opener, 71 ================ 2159|
+//!                               |= sync 2: the fifteen, 742 ========== 2858| 2966 last reply
+//!  followers  ··executing·|parked 482, turn ends 503
+//!  demand     |= sync 1: opener, 68 ================ 2171|
+//!                          |= sync 2: the fifteen, 517 ======== 2647| 2810 last reply
 //! ```
 //!
-//! The same overlap bounds what an unforced record costs its successor:
-//! a verdict flushed alone by the idle timer no longer makes the next
-//! commit wait out that sync before its own can start — it starts one
-//! stagger gap later at most.
+//! On `wire_2pc` the same clock cost more: the unforced verdict of one
+//! request was flushed alone at a stagger boundary or by the timer, and
+//! the next request's prepares waited out the gap behind that 64-byte
+//! sync. Now a verdict starts nothing while a sync is in flight: the
+//! opener's, appended behind the followers' sync, goes when that
+//! completes and the log is idle, and the fifteen appended after it ride
+//! the next window's first sync — which a settled demand starts at once
+//! whatever is in flight.
+//!
+//! A scanned block is therefore not necessarily on its way to the device:
+//! a waiter that registers for one the flusher has already seen — and
+//! left in the ring because nobody wanted it then — kicks the flusher if
+//! its target lies above the *written* offset
+//! ([`crate::buffer::RingBuffer::kick_if_unwritten`]).
 //!
 //! After each published ticket, exactly the waiters whose targets the
 //! new durable watermark covers are woken — each on its own condvar, no
@@ -135,7 +166,7 @@ use std::time::{Duration, Instant};
 use ermia_common::LogError;
 use parking_lot::{Condvar, Mutex};
 
-use crate::manager::{LogInner, WaiterSlot};
+use crate::manager::{LogInner, SyncCause, WaiterSlot};
 use crate::segment::Segment;
 
 /// Device syncs one log keeps in flight at most; also the divisor of the
@@ -174,6 +205,19 @@ fn run(inner: Arc<LogInner>) {
 
 /// The segments one batch of writes touched; recycled between tickets.
 type Touched = Vec<Arc<Segment>>;
+
+/// What the writer does next with the filled prefix.
+enum Next {
+    /// Write it and start its sync now.
+    Start(SyncCause),
+    /// Somebody waits for it, but not before this much time has passed
+    /// (`None`: not before a completion) — or a settled demand arrives
+    /// that may start one.
+    Pace(Option<Duration>),
+    /// Nothing is filled, or nothing anybody waits for while a sync is
+    /// in flight: wait for fills, waiters or a completion.
+    Wait,
+}
 
 /// A batch that is written and owes a device sync — or owed none.
 struct Ticket {
@@ -279,9 +323,9 @@ struct Flusher {
     board: Arc<SyncBoard>,
     helpers: Vec<JoinHandle<()>>,
     /// The self-clock: when the last sync was handed off, and how long
-    /// the last completed one took.
+    /// the last completed one took (`None` until one has).
     last_start: Instant,
-    last_sync_ns: u64,
+    last_sync_ns: Option<u64>,
     /// Scratch, reused batch after batch: the segments the batch being
     /// written touches, spare lists for later ones, the waiters a
     /// publish wakes.
@@ -315,7 +359,7 @@ impl Flusher {
             }),
             helpers: Vec::new(),
             last_start: Instant::now(),
-            last_sync_ns: 0,
+            last_sync_ns: None,
             touched: Vec::new(),
             spare: Vec::new(),
             ready: Vec::new(),
@@ -327,55 +371,97 @@ impl Flusher {
     /// do (`Ok`), or until a write or a sync fails.
     fn pump(&mut self) -> io::Result<()> {
         let (inner, board) = (Arc::clone(&self.inner), Arc::clone(&self.board));
+        let buffer = &inner.buffer;
         loop {
             self.publish_completed()?;
             let collected = self.collected;
             let completion_posted = || board.posted.load(Ordering::Acquire) != collected;
-            if self.tickets.len() == MAX_SYNCS_IN_FLIGHT {
-                inner.buffer.sleep_through_fills(None, completion_posted);
-                continue;
-            }
-            // With a sync in flight its completion ends the wait, and
-            // what fills meanwhile without demand rides the next ticket;
-            // idle, the interval timer drains the unforced tail.
-            let timeout = (self.in_flight == 0).then_some(inner.cfg.flush_interval);
-            let hi = inner.buffer.wait_filled(self.written, timeout, completion_posted);
-            if hi > self.written {
-                let wait = self.until_next_start();
-                if !wait.is_zero() {
-                    inner.buffer.sleep_through_fills(Some(wait), completion_posted);
-                    continue;
+            let hi = buffer.advance_filled();
+            match self.next_start(hi) {
+                Next::Start(cause) => {
+                    self.write(hi)?;
+                    self.issue(hi, cause);
                 }
-                self.write(hi)?;
-                self.issue(hi);
-            } else if self.in_flight == 0 {
-                // Re-scan on the way out: fills stamped after the wait's
-                // last scan must still be drained — and their syncs
-                // published — before shutdown.
-                if inner.stop.load(Ordering::Acquire) && inner.buffer.advance_filled() == hi {
-                    return Ok(());
+                Next::Pace(wait) => {
+                    // Asleep *through* fills and plain demand kicks: they
+                    // cannot move the instant. A settled demand can.
+                    buffer.sleep_through_fills(wait, self.urgeable(), completion_posted);
                 }
-                // A reservation parked for space needs every durable
-                // byte now, chunk boundary or not.
-                let durable = inner.durable.load(Ordering::Relaxed);
-                if self.released < durable && inner.buffer.has_space_waiters() {
-                    inner.buffer.mark_flushed(durable);
-                    self.released = durable;
+                Next::Wait => {
+                    // With a sync in flight its completion ends the wait
+                    // (or somebody starting to wait for what is filled);
+                    // idle, nothing is filled, and the interval timer
+                    // comes round for what is appended unforced.
+                    let idle = self.in_flight == 0;
+                    let unwritten = hi > self.written;
+                    let timeout = idle.then_some(inner.cfg.flush_interval);
+                    let filled = buffer.wait_filled(hi, timeout, || {
+                        completion_posted() || (unwritten && buffer.demanded())
+                    });
+                    if !idle || filled > hi {
+                        continue;
+                    }
+                    // Re-scan on the way out: fills stamped after the
+                    // wait's last scan must still be drained — and their
+                    // syncs published — before shutdown.
+                    if inner.stop.load(Ordering::Acquire) && buffer.advance_filled() == hi {
+                        return Ok(());
+                    }
+                    // A reservation parked for space needs every durable
+                    // byte now, chunk boundary or not.
+                    let durable = inner.durable.load(Ordering::Relaxed);
+                    if self.released < durable && buffer.has_space_waiters() {
+                        buffer.mark_flushed(durable);
+                        self.released = durable;
+                    }
                 }
             }
         }
     }
 
-    /// The self-clock: how long until the next sync may start. Nothing
-    /// in flight: now. Otherwise starts are spaced one
-    /// [`MAX_SYNCS_IN_FLIGHT`]-th of the last measured sync latency
-    /// apart.
-    fn until_next_start(&self) -> Duration {
-        if self.in_flight == 0 {
-            return Duration::ZERO;
+    /// A settled demand may start a sync only while it leaves a slot
+    /// free: the last one stays on the clock.
+    fn urgeable(&self) -> bool {
+        self.tickets.len() + 2 <= MAX_SYNCS_IN_FLIGHT
+    }
+
+    /// The start rule (module docs, "When a sync starts"), for the
+    /// filled prefix `[written, hi)`.
+    fn next_start(&self, hi: u64) -> Next {
+        let buffer = &self.inner.buffer;
+        if hi == self.written {
+            return Next::Wait;
         }
-        let gap = Duration::from_nanos(self.last_sync_ns / MAX_SYNCS_IN_FLIGHT as u64);
-        (self.last_start + gap).saturating_duration_since(Instant::now())
+        if self.tickets.len() == MAX_SYNCS_IN_FLIGHT {
+            return Next::Pace(None);
+        }
+        // A quarter of the ring unflushed is demand too — a writer is
+        // about to wait for space — and it is the threshold above which
+        // `mark_filled` wakes this thread on every fill.
+        let demanded = buffer.demanded() || hi - buffer.flushed() >= buffer.capacity() / 4;
+        if !demanded {
+            // Bytes nobody waits for start no sync while one is in
+            // flight. Idle, they go as soon as this thread sees them:
+            // when the interval timer wakes it, or on its way back from
+            // the completion that left the log idle.
+            let idle = self.in_flight == 0;
+            return if idle { Next::Start(SyncCause::Timer) } else { Next::Wait };
+        }
+        if self.in_flight == 0 {
+            return Next::Start(SyncCause::Idle);
+        }
+        if buffer.is_urged() && self.urgeable() {
+            return Next::Start(SyncCause::Demand);
+        }
+        // The self-clock: starts one [`MAX_SYNCS_IN_FLIGHT`]-th of the
+        // last measured sync latency apart. Until one has been measured
+        // there is no gap to keep, so no second sync either.
+        let Some(sync_ns) = self.last_sync_ns else { return Next::Pace(None) };
+        let due = self.last_start + Duration::from_nanos(sync_ns / MAX_SYNCS_IN_FLIGHT as u64);
+        match due.saturating_duration_since(Instant::now()) {
+            Duration::ZERO => Next::Start(SyncCause::Clock),
+            wait => Next::Pace(Some(wait)),
+        }
     }
 
     /// Write `[written, hi)` to the segment files, collecting the
@@ -414,10 +500,11 @@ impl Flusher {
 
     /// Turn the batch just written into a ticket: its sync goes to a
     /// helper, or — nothing to sync — it is complete as it stands.
-    fn issue(&mut self, hi: u64) {
+    fn issue(&mut self, hi: u64, cause: SyncCause) {
         let slot = (self.issued % MAX_SYNCS_IN_FLIGHT as u64) as usize;
         self.issued += 1;
         let lo = std::mem::replace(&mut self.written, hi);
+        self.inner.buffer.set_written(hi);
         let done = self.touched.is_empty().then_some((Ok(()), None));
         self.tickets.push_back(Ticket { lo, hi, slot, done });
         if self.touched.is_empty() {
@@ -426,6 +513,7 @@ impl Flusher {
         let touched = std::mem::replace(&mut self.touched, self.spare.pop().unwrap_or_default());
         self.in_flight += 1;
         self.inner.stats.syncs_in_flight.store(self.in_flight as u64, Ordering::Relaxed);
+        self.inner.stats.sync_starts[cause as usize].fetch_add(1, Ordering::Relaxed);
         self.last_start = Instant::now();
         let short_of_helpers = {
             let mut state = self.board.state.lock();
@@ -472,7 +560,7 @@ impl Flusher {
             if let Some(ns) = sync_ns {
                 self.in_flight -= 1;
                 self.inner.stats.syncs_in_flight.store(self.in_flight as u64, Ordering::Relaxed);
-                self.last_sync_ns = ns;
+                self.last_sync_ns = Some(ns);
                 if let Some(observe) = self.inner.sync_observer.get() {
                     observe(ns);
                 }
@@ -514,9 +602,9 @@ impl Flusher {
                 break;
             }
             let (board, collected) = (&*self.board, self.collected);
-            self.inner
-                .buffer
-                .sleep_through_fills(None, || board.posted.load(Ordering::Acquire) != collected);
+            self.inner.buffer.sleep_through_fills(None, false, || {
+                board.posted.load(Ordering::Acquire) != collected
+            });
         }
         self.inner.stats.syncs_in_flight.store(0, Ordering::Relaxed);
         self.board.state.lock().shutdown = true;

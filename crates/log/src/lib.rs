@@ -63,7 +63,9 @@ mod txlog;
 pub use blob::{BlobRef, BlobStore};
 pub use checkpoint::{CheckpointMeta, CheckpointStore};
 pub use io::{FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite};
-pub use manager::{DurableSub, DurableWaker, LogConfig, LogManager, LogStats, Reservation};
+pub use manager::{
+    DurableSub, DurableWaker, LogConfig, LogManager, LogStats, Reservation, SyncCause,
+};
 pub use records::{
     checksum32, checksum64, BlockKind, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind,
     PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,

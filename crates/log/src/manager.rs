@@ -85,6 +85,50 @@ pub struct LogStats {
     /// Device syncs handed off and not yet published: the flusher's
     /// queue depth at the device (flusher-owned, telemetry gauge).
     pub syncs_in_flight: AtomicU64,
+    /// Device syncs started, by what started them: indexed by
+    /// [`SyncCause`] (flusher-owned).
+    pub sync_starts: [AtomicU64; SyncCause::ALL.len()],
+}
+
+/// Why the flusher started a device sync when it did (see the flusher's
+/// module docs, "When a sync starts").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyncCause {
+    /// Somebody waited for the bytes — or a quarter of the ring had
+    /// filled up — and nothing was in flight.
+    Idle,
+    /// A settled demand ([`LogManager::demand_flush`]) with syncs in
+    /// flight and at least two slots free.
+    Demand,
+    /// Somebody waited, syncs were in flight, and the stagger clock came
+    /// due.
+    Clock,
+    /// Nobody waited: the unforced tail of an idle log, drained by the
+    /// [`LogConfig::flush_interval`] timer — or, if it had sat out the
+    /// syncs in flight, the moment the last of them completed.
+    Timer,
+}
+
+impl SyncCause {
+    pub const ALL: [SyncCause; 4] =
+        [SyncCause::Idle, SyncCause::Demand, SyncCause::Clock, SyncCause::Timer];
+
+    /// The `cause` label of `ermia_log_sync_starts_total`.
+    pub fn label(self) -> &'static str {
+        match self {
+            SyncCause::Idle => "idle",
+            SyncCause::Demand => "demand",
+            SyncCause::Clock => "clock",
+            SyncCause::Timer => "timer",
+        }
+    }
+}
+
+impl LogStats {
+    /// Syncs started for `cause`, ever.
+    pub fn sync_starts(&self, cause: SyncCause) -> u64 {
+        self.sync_starts[cause as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// One parked durability waiter. Thread-local and reused across waits, so
@@ -221,6 +265,7 @@ impl LogInner {
         map.insert(key, Arc::clone(slot));
         let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
         self.buffer.set_demand(lowest);
+        self.buffer.note_target(target);
         key
     }
 
@@ -546,7 +591,7 @@ impl LogManager {
         }
         // Likewise the fill covering our target may have happened before
         // our demand was published; wake the flusher ourselves then.
-        inner.buffer.kick_if_filled(end);
+        inner.buffer.kick_if_unwritten(end);
         let mut woken = slot.woken.lock();
         loop {
             if inner.durable.load(Ordering::Acquire) >= end {
@@ -627,8 +672,37 @@ impl LogManager {
         {
             return None;
         }
-        inner.buffer.kick_if_filled(end);
+        inner.buffer.kick_if_unwritten(end);
         Some(sub)
+    }
+
+    /// A *settled* flush demand for the block ending at `end` and
+    /// everything below it. The caller's contract: everything it will
+    /// fill before it next waits is filled — an event loop at the end of
+    /// a turn, say, with every frame it read executed. The flusher then
+    /// has nothing to gain by holding the bytes back for a larger batch:
+    /// with nothing in flight it starts their sync at once (as any
+    /// demand does), and with syncs in flight it starts one over the
+    /// whole filled prefix now, where a plain demand waits for the
+    /// stagger clock — as long as two sync slots are free; the last one
+    /// stays on the clock (see the flusher's module docs).
+    ///
+    /// It neither blocks nor registers anything: whoever wants to hear
+    /// of the outcome subscribes ([`Self::subscribe_durable`]) or probes
+    /// ([`Self::durable_status`]). A waiter that blocks instead —
+    /// [`Self::wait_durable`] with patience, a synchronous
+    /// `Transaction::commit` — makes no such promise on behalf of the
+    /// other committers and keeps the clock-paced behaviour.
+    pub fn demand_flush(&self, end: u64) {
+        self.inner.buffer.urge(end);
+    }
+
+    /// Durability waiters ever registered (blocking waits, zero-patience
+    /// probes and subscriptions alike): a test seam for "this path costs
+    /// no registry round trip".
+    #[doc(hidden)]
+    pub fn waiter_registrations(&self) -> u64 {
+        self.inner.waiters.seq.load(Ordering::Relaxed)
     }
 
     /// True once the log has entered the terminal poisoned state.

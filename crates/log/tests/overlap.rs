@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ermia_common::{LogError, Oid, TableId};
 use ermia_log::{
     DurableWaker, FileBackend, LogConfig, LogManager, LogScanner, SegmentIo, SegmentIoFactory,
-    TxLogBuffer,
+    SyncCause, TxLogBuffer,
 };
 
 const LONG: Duration = Duration::from_secs(10);
@@ -484,6 +484,117 @@ fn demanded_commit_overlaps_an_idle_timer_sync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Hold long enough for a sync that should not start to have started
+/// (the parent's stagger gap after a sub-microsecond sync, and the 200 µs
+/// interval timer, are both far below this), then check none did.
+fn stays_at(dev: &Scripted, started: usize, why: &str) {
+    std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(dev.with(|s| s.started), started, "{why}");
+}
+
+/// The stagger clock of a cold log: until a sync latency has been
+/// measured there is no gap to keep, and a burst must not go out as one
+/// sync per commit until the slots run out, with the rest of the burst a
+/// whole latency behind a free one.
+#[test]
+fn cold_burst_is_not_shredded() {
+    let dir = tmpdir("cold-burst");
+    let dev = Scripted::default();
+    dev.arm();
+    let log = LogManager::open(cfg(&dir, dev.factory())).unwrap();
+    let _unblock = Unblock(dev.clone());
+    // The skip block `open` burns offset 0 with, flushed by the interval
+    // timer: the log's first sync, in the device for the whole burst.
+    dev.wait_started(1);
+    let waker = DurableWaker::default();
+    let ends: Vec<u64> = (0..16).map(|id| append(&log, id)).collect();
+    let subs: Vec<_> = ends.iter().map(|&end| log.subscribe_durable(end, &waker)).collect();
+    assert!(subs.iter().all(Option::is_some));
+    stays_at(&dev, 1, "a sync was started on a clock that has measured nothing");
+    dev.release(0, true);
+    dev.wait_started(2);
+    stays_at(&dev, 2, "the burst was cut");
+    dev.release(1, true);
+    log.wait_durable(ends[15]).unwrap();
+    assert_eq!(dev.with(|s| s.started), 2, "sixteen appends, one ticket behind the open sync");
+    drop((subs, log));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Piece (2): bytes nobody waits for start no sync of their own while
+/// one is in flight; once the log is idle the interval timer drains them.
+#[test]
+fn unforced_appends_start_no_sync_behind_one_in_flight() {
+    let dir = tmpdir("unforced");
+    let dev = Scripted::default();
+    let log = LogManager::open(cfg(&dir, dev.factory())).unwrap();
+    let _unblock = Unblock(dev.clone());
+    log.sync().unwrap();
+    dev.arm();
+    let waker = DurableWaker::default();
+    let demanded = append(&log, 0);
+    let _sub = log.subscribe_durable(demanded, &waker).expect("not durable yet");
+    dev.wait_started(1);
+    let unforced: Vec<u64> = (1..4).map(|id| append(&log, id)).collect();
+    stays_at(&dev, 1, "an unforced record got a sync of its own behind one in flight");
+    let freed = Instant::now();
+    dev.release(0, true);
+    dev.wait_started(2);
+    let waited = freed.elapsed();
+    dev.release(1, true);
+    log.wait_durable(unforced[2]).unwrap();
+    assert!(
+        waited < Duration::from_millis(50),
+        "the idle log's 200 µs timer took {waited:?} to start the unforced tail"
+    );
+    assert_eq!(dev.with(|s| s.started), 2, "three unforced appends, one timer sync");
+    assert_eq!(log.stats().sync_starts(SyncCause::Timer), 1);
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The other half of piece (2): the flusher may have *scanned* a block
+/// and left it unwritten because nobody waited for it then. Somebody who
+/// starts to must get the flusher's attention — "filled, so its flush is
+/// underway" no longer holds — and not wait for an unrelated completion.
+#[test]
+fn late_subscription_to_a_scanned_block_gets_its_flush() {
+    let dir = tmpdir("late-sub");
+    let dev = Scripted::default();
+    let log = LogManager::open(cfg(&dir, dev.factory())).unwrap();
+    let _unblock = Unblock(dev.clone());
+    log.sync().unwrap();
+    let base = log.durable_offset();
+    dev.arm();
+    let waker = DurableWaker::default();
+    let first = append(&log, 0);
+    let _sub0 = log.subscribe_durable(first, &waker).expect("not durable yet");
+    dev.wait_started(1);
+    let second = append(&log, 1);
+    let _sub1 = log.subscribe_durable(second, &waker).expect("not durable yet");
+    dev.wait_started(2);
+    let unforced = append(&log, 2);
+    // The second sync returns first: it publishes nothing, but it wakes
+    // the flusher, which scans the unforced block and — a sync still in
+    // flight, nobody waiting — leaves it in the ring.
+    dev.release(1, true);
+    let deadline = Instant::now() + LONG;
+    while log.ring_occupancy() < unforced - base {
+        assert!(Instant::now() < deadline, "the flusher never scanned the unforced block");
+        std::thread::yield_now();
+    }
+    stays_at(&dev, 2, "an unforced record got a sync of its own behind one in flight");
+    let _sub2 = log.subscribe_durable(unforced, &waker).expect("not durable yet");
+    // Sync 0 is still in the device and stays there.
+    dev.wait_started(3);
+    dev.release(2, true);
+    assert_eq!(log.durable_status(unforced), Ok(false));
+    dev.release(0, true);
+    log.wait_durable(unforced).unwrap();
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --- the sleeping device ---------------------------------------------------
 
 /// `sync_data` is a fixed sleep that first samples the log's in-flight
@@ -493,10 +604,13 @@ struct Sleepy {
     log: OnceLock<Weak<LogManager>>,
     syncs: AtomicU64,
     max_in_flight: AtomicU64,
+    /// When each sync reached the device.
+    starts: Mutex<Vec<Instant>>,
 }
 
 impl Sleepy {
     fn sync(&self) -> std::io::Result<()> {
+        self.starts.lock().unwrap().push(Instant::now());
         self.syncs.fetch_add(1, Ordering::SeqCst);
         if let Some(log) = self.log.get().and_then(Weak::upgrade) {
             let gauge = log.stats().syncs_in_flight.load(Ordering::Relaxed);
@@ -514,6 +628,7 @@ fn sleepy_log(tag: &str, latency: Duration) -> (PathBuf, Arc<Sleepy>, Arc<LogMan
         log: OnceLock::new(),
         syncs: AtomicU64::new(0),
         max_in_flight: AtomicU64::new(0),
+        starts: Mutex::new(Vec::new()),
     });
     let device = Arc::clone(&dev);
     let log = Arc::new(LogManager::open(cfg(&dir, hooked(move || device.sync()))).unwrap());
@@ -522,7 +637,122 @@ fn sleepy_log(tag: &str, latency: Duration) -> (PathBuf, Arc<Sleepy>, Arc<LogMan
     // latency measurement — before anything is observed.
     log.sync().unwrap();
     dev.max_in_flight.store(0, Ordering::Relaxed);
+    dev.starts.lock().unwrap().clear();
     (dir, dev, log)
+}
+
+impl Sleepy {
+    /// Block until `n` syncs have reached the device since the log was
+    /// handed out; their start instants.
+    fn wait_starts(&self, n: usize) -> Vec<Instant> {
+        let deadline = Instant::now() + LONG;
+        loop {
+            let starts = self.starts.lock().unwrap().clone();
+            if starts.len() >= n {
+                return starts;
+            }
+            assert!(Instant::now() < deadline, "timed out waiting for sync #{n} to start");
+            std::thread::yield_now();
+        }
+    }
+}
+
+fn starts_by_cause(log: &LogManager) -> [u64; 4] {
+    SyncCause::ALL.map(|cause| log.stats().sync_starts(cause))
+}
+
+/// `[idle, demand, clock, timer]` sync starts since `before`.
+fn starts_since(log: &LogManager, before: [u64; 4]) -> [u64; 4] {
+    let now = starts_by_cause(log);
+    [0, 1, 2, 3].map(|i| now[i] - before[i])
+}
+
+/// Piece (1): with a sync in flight, a settled demand starts the next
+/// one at once — the stagger clock is for demands that may still grow.
+#[test]
+fn settled_demand_starts_before_the_stagger_instant() {
+    const LATENCY: Duration = Duration::from_millis(100);
+    let (dir, dev, log) = sleepy_log("settled", LATENCY);
+    let before = starts_by_cause(&log);
+    let waker = DurableWaker::default();
+    let first = append(&log, 0);
+    let _sub0 = log.subscribe_durable(first, &waker).expect("not durable yet");
+    dev.wait_starts(1);
+    let second = append(&log, 1);
+    // A plain demand: the flusher now sleeps to the stagger instant.
+    let _sub1 = log.subscribe_durable(second, &waker).expect("not durable yet");
+    log.demand_flush(second);
+    let starts = dev.wait_starts(2);
+    let gap = starts[1] - starts[0];
+    assert!(
+        gap < LATENCY / 4,
+        "the settled demand's sync started {gap:?} after its predecessor, at the stagger instant"
+    );
+    assert_eq!(starts_since(&log, before), [1, 1, 0, 0], "[idle, demand, clock, timer]");
+    log.wait_durable(second).unwrap();
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shredding stays impossible: a stream of one-commit turns, each a
+/// settled demand, gets a sync each only while two slots are free. The
+/// last slot goes by the clock and takes everything filled by then.
+///
+/// Paced by what the device has seen, not by the wall clock: each of the
+/// first three demands is raised once its predecessor's sync has started,
+/// so which rule starts which sync does not depend on how soon the
+/// flusher thread gets a CPU. Only the bound on the last commit's wait is
+/// a matter of time, and a host that stalls the process gets a second and
+/// a third try at it.
+#[test]
+fn one_commit_demands_leave_the_last_slot_to_the_clock() {
+    const LATENCY: Duration = Duration::from_millis(100);
+    let mut best = Duration::MAX;
+    for attempt in 0..3 {
+        let (dir, dev, log) = sleepy_log("one-commit-turns", LATENCY);
+        let before = starts_by_cause(&log);
+        for id in 0..3 {
+            log.demand_flush(append(&log, id));
+            dev.wait_starts(id as usize + 1);
+        }
+        assert_eq!(starts_since(&log, before), [1, 2, 0, 0], "[idle, demand, clock, timer]");
+        // Three in flight. Thirteen more one-commit turns, all well
+        // inside the stagger gap (a quarter of the latency): none may
+        // take the last slot.
+        let mut last = (0, Instant::now());
+        for id in 3..16 {
+            let end = append(&log, id);
+            log.demand_flush(end);
+            last = (end, Instant::now());
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let starts = dev.wait_starts(4);
+        let gap = starts[3] - starts[2];
+        assert!(
+            gap >= LATENCY / 5,
+            "the last slot went {gap:?} after the third start: to a demand, not to the clock"
+        );
+        log.wait_durable(last.0).unwrap();
+        best = best.min(last.1.elapsed());
+        let [idle, demand, clock, timer] = starts_since(&log, before);
+        assert_eq!(
+            (idle + demand, timer),
+            (3, 0),
+            "[{idle}, {demand}, {clock}, {timer}] starts: one-commit demands took the last slot"
+        );
+        assert!(clock >= 1, "nothing started by the clock: [{idle}, {demand}, {clock}, {timer}]");
+        assert!(dev.max_in_flight.load(Ordering::Relaxed) <= 4);
+        drop(log);
+        let _ = std::fs::remove_dir_all(&dir);
+        if best < LATENCY * 3 / 2 {
+            break;
+        }
+        eprintln!("attempt {attempt}: the burst's last commit took {best:?}; the host stalled?");
+    }
+    assert!(
+        best < LATENCY * 3 / 2,
+        "the burst's last commit took {best:?} against a {LATENCY:?} device"
+    );
 }
 
 /// One request outstanding is the serial flusher: exactly one sync in

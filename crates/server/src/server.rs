@@ -135,6 +135,11 @@ pub(crate) struct ShardHandle {
     /// re-probes them at the end of the loop turn (one group-commit
     /// flush usually lands in between) before paying the parker handoff.
     pub deferred: Mutex<Vec<ParkJob>>,
+    /// Per engine shard, the highest log offset a commit handed to the
+    /// parker this turn waits on (0: none); the event loop raises it as
+    /// one settled flush demand per log when the turn ends. Written and
+    /// read by the shard's own thread only, hence `Relaxed` throughout.
+    pub flush_demand: Box<[AtomicU64]>,
     /// Span ring for service-layer spans recorded on the shard thread
     /// (frame decode, run-queue wait, worker checkout, request).
     pub trace_ring: Arc<SpanRing>,
@@ -193,6 +198,7 @@ impl Server {
                 park_in: Mutex::new(ParkIntake { jobs: Vec::new(), open: true }),
                 park_waker: DurableWaker::default(),
                 deferred: Mutex::new(Vec::new()),
+                flush_demand: (0..db.shards()).map(|_| AtomicU64::new(0)).collect(),
                 trace_ring: db.telemetry().tracer().ring(),
                 parker_ring: db.telemetry().tracer().ring(),
                 stats: ShardStats::default(),

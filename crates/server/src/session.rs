@@ -52,11 +52,22 @@
 //! prepared on each and commits once every prepare block is durable.
 //! Either way the connection queues an in-order placeholder reply and
 //! the job goes to the shard's durability parker: a published sync
-//! commit after two zero-patience probes (inline, then at the end of the
-//! loop turn) have missed; an unpublished one straight away, whatever
-//! its `sync` flag, because this thread may wait on one of its prepared
-//! heads in a later frame and must never be the only thread able to
-//! resolve it.
+//! commit after two probes (inline, then at the end of the loop turn)
+//! have missed; an unpublished one straight away, whatever its `sync`
+//! flag, because this thread may wait on one of its prepared heads in a
+//! later frame and must never be the only thread able to resolve it. A
+//! probe is a read of the log's durable watermark (`durable_status`): it
+//! registers nothing and wakes nobody.
+//!
+//! What gets the parked commits their flush is raised once per turn: when
+//! the turn's last frame has executed and the stragglers are with the
+//! parker, the event loop tells each log a commit parked this turn waits
+//! on that the demand has *settled* (`LogManager::demand_flush`, up to
+//! the highest offset `DeferredCommit::waits` named) — nothing more will
+//! be filled before this thread sleeps, so that log starts a sync over
+//! everything filled now rather than at its next stagger instant. The
+//! parker's subscriptions, which arrive a thread wake-up later, find the
+//! bytes already on their way.
 //!
 //! The parker — one thread per shard — is stage-aware rather than FIFO.
 //! Each job subscribes the parker's wake-up cell on every log offset it
@@ -220,6 +231,10 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     let mut rr = 0usize; // round-robin accept target (shard 0 only)
     let mut events: Vec<Event> = Vec::new();
     let mut phase = Phase::Running;
+    // Per-turn scratch, cleared and reused.
+    let mut touched: Vec<u64> = Vec::new();
+    let mut to_close: Vec<u64> = Vec::new();
+    let mut drain = DrainScratch::default();
 
     loop {
         let now = Instant::now();
@@ -242,9 +257,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         };
         let _ = poller.wait(&mut events, timeout);
         handle.stats.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
-
-        let mut touched: Vec<u64> = Vec::new();
-        let mut to_close: Vec<u64> = Vec::new();
 
         for &ev in &events {
             match ev.token {
@@ -346,16 +358,21 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         // misses to the parker, so this terminates and the loop never
         // sleeps on an unforwarded job.
         loop {
-            drain_deferred(&state, handle, &mut conns, &mut touched, &mut to_close);
+            drain_deferred(&state, handle, &mut conns, &mut touched, &mut to_close, &mut drain);
             if handle.deferred.lock().is_empty() {
                 break;
             }
         }
+        // The turn has ended: every frame read is executed and every
+        // commit that waits is with the parker. Nothing more will be
+        // filled before this thread sleeps, so the logs those commits
+        // wait on gain nothing by holding their syncs back.
+        raise_flush_demand(&state, handle);
 
         to_close.sort_unstable();
         to_close.dedup();
-        for t in &to_close {
-            if let Some(c) = conns.remove(t) {
+        for t in to_close.drain(..) {
+            if let Some(c) = conns.remove(&t) {
                 close_conn(&state, handle, &poller, c);
             }
         }
@@ -363,7 +380,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         // Re-arm interest for everything we touched and kept.
         touched.sort_unstable();
         touched.dedup();
-        for t in touched {
+        for t in touched.drain(..) {
             let Some(conn) = conns.get_mut(&t) else { continue };
             let blocked = matches!(conn.out.front(), Some(Out::Bytes(_)));
             let want = conn.desired_interest(blocked, state.cfg.reply_queue_depth);
@@ -941,7 +958,7 @@ fn settle_commit(
         // frame touching the same key), so the job must already be with a
         // thread that can resolve it.
         let job = new_job(state, conn, commit, reply, trace);
-        for job in send_to_parker(handle, vec![job]) {
+        if let Some(job) = send_to_parker(handle, job) {
             // Parker already gone (shutdown race): the commit aborts as
             // it drops; the reply slot must not wedge.
             if let Some(tr) = &job.trace {
@@ -953,9 +970,9 @@ fn settle_commit(
     };
     // Published. If the client asked to wait for a block: group commit
     // means it is often already durable by the time the reply is built,
-    // so probe with zero patience before paying the parker round trip
-    // (cross-thread handoff, eventfd wake, an extra event-loop turn). The
-    // probe also surfaces a poisoned log inline.
+    // so probe before paying the parker round trip (cross-thread handoff,
+    // eventfd wake, an extra event-loop turn). The probe also surfaces a
+    // poisoned log inline.
     let wait = sync && token.end_offset().is_some();
     let t_probe = if wait && trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
     let outcome = if !wait {
@@ -991,20 +1008,46 @@ fn new_job(
     ParkJob { conn: conn.token, seq, work, reply, enqueued: Instant::now(), trace }
 }
 
-/// Post jobs to the shard's parker; hands them back if the intake has
-/// closed (shutdown race).
-fn send_to_parker(handle: &ShardHandle, mut jobs: Vec<ParkJob>) -> Vec<ParkJob> {
-    if jobs.is_empty() {
-        return jobs;
-    }
+/// Post one job to the shard's parker, without a list to carry it;
+/// hands it back if the intake has closed (shutdown race).
+fn send_to_parker(handle: &ShardHandle, job: ParkJob) -> Option<ParkJob> {
+    let mut one = Some(job);
+    post_to_parker(handle, |intake| intake.extend(one.take()));
+    one
+}
+
+/// Let `post` add jobs to the parker's intake — unless it has closed
+/// (shutdown race), and then `post` does not run — and wake the parker
+/// once for the lot. The log offsets the posted jobs wait on join the
+/// flush demand this turn raises when it ends ([`raise_flush_demand`]).
+fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<ParkJob>)) {
     let mut intake = handle.park_in.lock();
     if !intake.open {
-        return jobs;
+        return;
     }
-    intake.jobs.append(&mut jobs);
+    let first = intake.jobs.len();
+    post(&mut intake.jobs);
+    if intake.jobs.len() == first {
+        return;
+    }
+    for (shard, end) in intake.jobs[first..].iter().flat_map(|job| job.work.waits()) {
+        handle.flush_demand[shard].fetch_max(end, Ordering::Relaxed);
+    }
     drop(intake);
     handle.park_waker.wake();
-    jobs
+}
+
+/// End of the turn: tell each log a commit parked this turn waits on
+/// that the demand has settled ([`ermia_log::LogManager::demand_flush`]).
+/// One call per log and turn, however many commits parked; a turn that
+/// parked nothing calls nothing.
+fn raise_flush_demand(state: &ServerState, handle: &ShardHandle) {
+    for (shard, demand) in handle.flush_demand.iter().enumerate() {
+        // A plain load first: most turns park nothing.
+        if demand.load(Ordering::Relaxed) != 0 {
+            state.db.shard(shard).log().demand_flush(demand.swap(0, Ordering::Relaxed));
+        }
+    }
 }
 
 /// The reply to a commit whose durability wait outlasted `sync_wait`.
@@ -1015,15 +1058,16 @@ fn log_stalled() -> Response {
     }
 }
 
-/// Probe a published commit's log offset with zero patience. This is a
-/// wait, however short: it registers with the log, so a block that is
-/// filled but not yet picked up gets its flusher kick. `None` while the
-/// block is still in flight.
+/// Probe a published commit's log offset: a read of the durable
+/// watermark, nothing registered, nobody woken — the end-of-turn flush
+/// demand is what gets a block that is filled but not yet picked up its
+/// flush. `None` while the block is still in flight.
 fn probe(state: &ServerState, token: CommitToken) -> Option<Response> {
-    match token.wait_durable(&state.db, Duration::ZERO) {
-        Ok(()) => Some(Response::Committed { lsn: token.lsn().raw() }),
-        Err(LogError::Timeout) => None,
-        Err(e @ LogError::Poisoned { .. }) => Some(log_failed(state, &e)),
+    let end = token.end_offset()?;
+    match state.db.shard(token.shard() as usize).log().durable_status(end) {
+        Ok(true) => Some(Response::Committed { lsn: token.lsn().raw() }),
+        Ok(false) => None,
+        Err(e) => Some(log_failed(state, &e)),
     }
 }
 
@@ -1043,24 +1087,28 @@ fn finish_parked_trace(state: &ServerState, ring: &SpanRing, job_enqueued: Insta
     finish_trace(state, ring, tr);
 }
 
+/// [`drain_deferred`]'s working lists, kept across turns.
+#[derive(Default)]
+struct DrainScratch {
+    jobs: Vec<ParkJob>,
+    resolved: Vec<(ParkJob, Response)>,
+    stragglers: Vec<ParkJob>,
+}
+
 /// End-of-turn second chance for commits whose inline probe missed:
-/// re-probe with zero patience (the flusher usually landed a batch while
-/// the rest of the turn ran) and hand only genuine stragglers to the
-/// parker thread.
+/// probe again (the flusher usually landed a batch while the rest of the
+/// turn ran) and hand only genuine stragglers to the parker thread.
 fn drain_deferred(
     state: &Arc<ServerState>,
     handle: &ShardHandle,
     conns: &mut HashMap<u64, Conn>,
     touched: &mut Vec<u64>,
     to_close: &mut Vec<u64>,
+    scratch: &mut DrainScratch,
 ) {
-    let jobs: Vec<ParkJob> = {
-        let mut d = handle.deferred.lock();
-        if d.is_empty() { Vec::new() } else { std::mem::take(&mut *d) }
-    };
-    let mut resolved: Vec<(ParkJob, Response)> = Vec::new();
-    let mut stragglers: Vec<ParkJob> = Vec::new();
-    for job in jobs {
+    let DrainScratch { jobs, resolved, stragglers } = scratch;
+    std::mem::swap(jobs, &mut *handle.deferred.lock());
+    for job in jobs.drain(..) {
         let token = job.work.published().expect("only a published commit takes this tier");
         match probe(state, token) {
             Some(outcome) => resolved.push((job, outcome)),
@@ -1070,8 +1118,9 @@ fn drain_deferred(
     // The parker owns the stragglers from here — one handoff, one wake
     // for the lot — unless it is already gone (shutdown race), and then
     // their reply slots must not wedge.
-    resolved.extend(send_to_parker(handle, stragglers).into_iter().map(|job| (job, log_stalled())));
-    for (job, outcome) in resolved {
+    post_to_parker(handle, |intake| intake.append(stragglers));
+    resolved.extend(stragglers.drain(..).map(|job| (job, log_stalled())));
+    for (job, outcome) in resolved.drain(..) {
         if let Some(tr) = &job.trace {
             finish_parked_trace(state, &handle.trace_ring, job.enqueued, tr);
         }
@@ -1382,10 +1431,10 @@ impl Parked {
     /// needs none — it landed (or its log failed) in the meantime — so
     /// the job wants another poll, not a sleep.
     fn subscribe(&mut self, state: &ServerState, waker: &DurableWaker) -> bool {
-        let waits = self.job.work.waits();
-        self.subs.retain(|(shard, end, _)| waits.contains(&(*shard, *end)));
+        let work = &self.job.work;
+        self.subs.retain(|(shard, end, _)| work.waits().any(|w| w == (*shard, *end)));
         let mut all = true;
-        for (shard, end) in waits {
+        for (shard, end) in work.waits() {
             if self.subs.iter().any(|(s, e, _)| (*s, *e) == (shard, end)) {
                 continue;
             }

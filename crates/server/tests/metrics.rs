@@ -68,6 +68,7 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_log_last_batch_bytes",
         "ermia_log_syncs_in_flight",
         "ermia_log_sync_ns",
+        "ermia_log_sync_starts_total",
         "ermia_log_poisoned",
         // gc / storage
         "ermia_gc_passes_total",
@@ -108,6 +109,13 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
     assert_eq!(exp.kind("ermia_log_durable_lag_bytes"), Some("gauge"));
     assert_eq!(exp.kind("ermia_log_syncs_in_flight"), Some("gauge"));
     assert_eq!(exp.kind("ermia_log_sync_ns"), Some("histogram"));
+    assert_eq!(exp.kind("ermia_log_sync_starts_total"), Some("counter"));
+    for cause in ["idle", "demand", "clock", "timer"] {
+        assert!(
+            exp.value_with("ermia_log_sync_starts_total", "cause", cause).is_some(),
+            "missing cause label {cause}:\n{text}"
+        );
+    }
     assert_eq!(exp.kind("ermia_server_active_sessions"), Some("gauge"));
     assert_eq!(exp.kind("ermia_server_shards"), Some("gauge"));
     assert_eq!(exp.kind("ermia_server_epoll_wakeups_total"), Some("counter"));

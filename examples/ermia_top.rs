@@ -29,6 +29,10 @@ const ROWS: &[Row] = &[
     ("log durable lag (B)", "ermia_log_durable_lag_bytes", None, false),
     ("log ring occupancy (B)", "ermia_log_ring_occupancy_bytes", None, false),
     ("log syncs in flight", "ermia_log_syncs_in_flight", None, false),
+    ("log syncs/s: idle", "ermia_log_sync_starts_total", Some(("cause", "idle")), true),
+    ("log syncs/s: demand", "ermia_log_sync_starts_total", Some(("cause", "demand")), true),
+    ("log syncs/s: clock", "ermia_log_sync_starts_total", Some(("cause", "clock")), true),
+    ("log syncs/s: timer", "ermia_log_sync_starts_total", Some(("cause", "timer")), true),
     ("log space waits/s", "ermia_log_space_waits_total", None, true),
     ("gc passes/s", "ermia_gc_passes_total", None, true),
     ("gc reclaimed/s", "ermia_gc_reclaimed_versions_total", None, true),
