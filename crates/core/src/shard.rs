@@ -1317,7 +1317,7 @@ impl DeferredCommit {
             DeferredCommit::Staged(staged) => (None, Some(staged)),
         };
         let own = token.and_then(|t| t.end_offset().map(|end| (t.shard() as usize, end)));
-        own.into_iter().chain(staged.into_iter().flat_map(|s| s.pending()))
+        own.into_iter().chain(staged.into_iter().flat_map(|s| s.waits()))
     }
 
     /// See [`StagedCommit::not_before`].
@@ -1620,11 +1620,7 @@ impl StagedCommit {
 
     /// The log offsets this commit is waiting on now, as (shard, end
     /// offset) pairs: every prepare block not yet seen durable.
-    pub fn waits(&self) -> Vec<(usize, u64)> {
-        self.pending().collect()
-    }
-
-    fn pending(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub fn waits(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.parts.iter().filter(|p| !p.durable).map(|p| (p.shard, p.end_offset))
     }
 
@@ -1787,9 +1783,8 @@ impl StagedCommit {
                 self.abort(resolver);
                 return Err(AbortReason::LogFailure);
             } else {
-                let waits = self.waits();
                 let subs: Vec<_> =
-                    waits.iter().map(|&(s, end)| log(s).subscribe_durable(end, &waker)).collect();
+                    self.waits().map(|(s, end)| log(s).subscribe_durable(end, &waker)).collect();
                 // No subscription: that offset landed (or its log failed)
                 // meanwhile — poll again instead of sleeping.
                 if subs.iter().all(Option::is_some) {

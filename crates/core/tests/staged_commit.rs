@@ -95,7 +95,7 @@ fn a_parked_prepare_holds_a_slot_per_shard_and_nothing_else() {
     let mut staged = stage(&mut w, IsolationLevel::Snapshot, t, [&a, &b], b"new");
     assert_eq!(gauge(&db, "ermia_shard_in_doubt"), 1.0);
     assert_eq!(db.tid_slots_in_use(), 2, "the write locks: one TID slot per participant");
-    let shards: Vec<usize> = staged.waits().iter().map(|&(shard, _)| shard).collect();
+    let shards: Vec<usize> = staged.waits().map(|(shard, _)| shard).collect();
     assert_eq!(shards, [0, 1], "waits on both participants' logs at once");
 
     // The worker that ran it is free: it runs other transactions while
@@ -287,12 +287,12 @@ fn verdict_records_follow_the_outcome_and_nothing_precedes_durable_prepares() {
     // and writes no verdict.
     db.shard(1).log().halt_flusher_for_test();
     let mut staged = stage(&mut w, IsolationLevel::Snapshot, t, [&a, &b], b"newer");
-    let end0 = staged.waits()[0].1;
+    let end0 = staged.waits().next().unwrap().1;
     db.shard(0).log().wait_durable(end0).unwrap();
     for _ in 0..100 {
         assert!(staged.poll(&mut w).is_none(), "committed with a prepare still volatile");
     }
-    assert!(matches!(staged.waits()[..], [(1, _)]));
+    assert!(matches!(staged.waits().collect::<Vec<_>>()[..], [(1, _)]));
     assert_eq!(db.tid_slots_in_use(), 2, "both halves still locked and unpublished");
     db.shard(0).log().sync().unwrap();
     assert_eq!(verdicts(0).len(), 1, "no verdict for a commit that has not happened");
@@ -413,7 +413,8 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
                 let commit = kind != 1;
                 let [a, b] = &keys[pair];
                 let mut staged = stage(&mut w, IsolationLevel::Snapshot, t, [a, b], &value);
-                let prepares = [staged.waits()[0].1, staged.waits()[1].1];
+                let prepares: Vec<u64> = staged.waits().map(|(_, end)| end).collect();
+                let prepares: [u64; 2] = prepares.try_into().unwrap();
                 if !commit {
                     staged.abort(&mut w);
                 } else {

@@ -183,6 +183,22 @@ fn ticker_advances_in_background() {
 }
 
 #[test]
+fn dropping_the_ticker_does_not_wait_out_its_interval() {
+    let mgr = EpochManager::new("t-drop");
+    let before = mgr.current_epoch();
+    let interval = Duration::from_secs(1);
+    let ticker = Ticker::start(mgr.clone(), interval);
+    // The first tick is done: the thread is in, or on its way into, the
+    // interval.
+    while mgr.current_epoch() == before {
+        std::thread::yield_now();
+    }
+    let t0 = std::time::Instant::now();
+    drop(ticker);
+    assert!(t0.elapsed() < interval / 2, "drop slept through the interval");
+}
+
+#[test]
 fn concurrent_defer_and_collect_stress() {
     // Shared counter balance: every deferred increment must run exactly once.
     const THREADS: usize = 4;

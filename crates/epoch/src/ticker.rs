@@ -27,7 +27,9 @@ impl Ticker {
             .spawn(move || {
                 while !stop2.load(Ordering::Acquire) {
                     manager.advance_and_collect();
-                    std::thread::sleep(interval);
+                    // `Drop` unparks; a spurious wake-up is only an early
+                    // tick.
+                    std::thread::park_timeout(interval);
                 }
                 // Final sweeps so shutdown doesn't strand garbage.
                 manager.advance_and_collect();
@@ -42,6 +44,7 @@ impl Drop for Ticker {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }

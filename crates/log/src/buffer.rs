@@ -237,19 +237,20 @@ impl RingBuffer {
     #[inline]
     pub fn demanded(&self) -> bool {
         let written = self.written.load(Ordering::Relaxed);
-        self.demand_hi.load(Ordering::Acquire) > written || self.urged() > written
+        self.demand_hi() > written || self.urged() > written
     }
 
-    /// Consumer side: is a settled demand outstanding above the written
-    /// prefix?
+    /// Consumer side: the highest offset of a settled demand so far.
     #[inline]
-    pub fn is_urged(&self) -> bool {
-        self.urged() > self.written.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn urged(&self) -> u64 {
+    pub fn urged(&self) -> u64 {
         self.urged.load(Ordering::Acquire)
+    }
+
+    /// Consumer side: the highest offset a durability waiter has
+    /// registered for so far.
+    #[inline]
+    pub fn demand_hi(&self) -> u64 {
+        self.demand_hi.load(Ordering::Acquire)
     }
 
     /// Wake the consumer on behalf of a durability waiter whose target
@@ -578,7 +579,8 @@ impl RingBuffer {
     ) {
         self.assert_single_consumer();
         if urgeable {
-            self.park(PARKED_PACED, timeout, || kicked() || self.is_urged());
+            let written = self.written.load(Ordering::Relaxed);
+            self.park(PARKED_PACED, timeout, || kicked() || self.urged() > written);
         } else {
             self.park(PARKED_DEAF, timeout, kicked);
         }

@@ -32,8 +32,15 @@
 //!   of tickets: the durable watermark, ring-space release, the
 //!   `flush_batches`/`flushed_bytes` accounting (one batch = one
 //!   completed ticket) and the waiter wake-ups advance to `hi_k` when
-//!   tickets `1..=k` have all returned `Ok`. A later sync that finishes
-//!   first acknowledges nothing early.
+//!   tickets `1..=k` have all returned `Ok`.
+//!
+//! # What a completion publishes
+//!
+//! | completes | with | published |
+//! |---|---|---|
+//! | the oldest ticket outstanding | `Ok` | it, and every completed ticket behind it, in issue order |
+//! | a later ticket | `Ok` | nothing, until every ticket before it has completed |
+//! | any ticket | an error | what completed `Ok` before it, then nothing more, whatever the tickets behind it report |
 //!
 //! Acknowledging a prefix is enough, and it is all recovery can use:
 //! stamp order was fixed at reservation, and the recovery scan stops at
@@ -47,6 +54,19 @@
 //! asked for one sync at a time — is the serial flusher, as the depth-1
 //! case of the same loop. Helpers are spawned when a sync first needs
 //! one, never in [`crate::LogManager::open`].
+//!
+//! # A decision and a driver
+//!
+//! Which prefix a completion publishes, and when the next sync starts,
+//! are decided by `plan::Plan`: a state machine over plain numbers that
+//! touches no clock, atomic, lock or thread. This file is its driver:
+//! once per turn of `Flusher::pump` it reads the ring and the clock into
+//! one snapshot, asks the plan, and does what it is told — scan, `pwrite`,
+//! hand a sync to a helper, publish, or sleep (for fills, to an instant,
+//! or for a completion). The two tables in these docs are the plan's unit
+//! tests, case by case, with numbers for time (`plan::tests`, which fail
+//! if a row here and a case there drift apart); what is tested on real
+//! threads (`tests/overlap.rs`) is safety only.
 //!
 //! # When a sync starts: when somebody who has finished filling asks
 //!
@@ -73,6 +93,7 @@
 //! | ≥ 1 | nobody | not at all: bytes nobody waits for start no sync of their own. They ride the next one somebody asks for, or go when the log is idle again | — |
 //! | ≥ 1, two slots free | a settled demand | at once, over the whole filled prefix | `demand` |
 //! | ≥ 1 | a target only, or a settled demand for the last free slot | one `last measured sync latency ÷ MAX_SYNCS_IN_FLIGHT` after the previous start; until a latency has been measured, after a completion | `clock` |
+//! | `MAX_SYNCS_IN_FLIGHT` | anybody | not before a completion | — |
 //!
 //! The clock is what is left of the self-clocked stagger: it spaces the
 //! starts of demands that may still grow (sixteen threads blocking in
@@ -167,16 +188,8 @@ use ermia_common::LogError;
 use parking_lot::{Condvar, Mutex};
 
 use crate::manager::{LogInner, SyncCause, WaiterSlot};
+use crate::plan::{Failed, Next, Plan, Published, Snapshot, MAX_SYNCS_IN_FLIGHT};
 use crate::segment::Segment;
-
-/// Device syncs one log keeps in flight at most; also the divisor of the
-/// stagger gap. Swept once at 2 / 4 / 8 on the ledger's gated workloads
-/// (EXPERIMENTS.md, "Ledger, PR 17"): the finer the stagger, the sooner
-/// the last commits of a burst get their sync started, and the more
-/// batches — one `pwrite` and one sync each — a burst is cut into. At 2
-/// a burst that outlasts the one free slot waits a whole latency for the
-/// next; 8 buys 2–7 % over 4 for a third more write syscalls.
-const MAX_SYNCS_IN_FLIGHT: usize = 4;
 
 /// Rings at least this large return drained memory to the operating
 /// system, [`RELEASE_CHUNK`] bytes at a time; smaller ones (tests, the
@@ -205,31 +218,6 @@ fn run(inner: Arc<LogInner>) {
 
 /// The segments one batch of writes touched; recycled between tickets.
 type Touched = Vec<Arc<Segment>>;
-
-/// What the writer does next with the filled prefix.
-enum Next {
-    /// Write it and start its sync now.
-    Start(SyncCause),
-    /// Somebody waits for it, but not before this much time has passed
-    /// (`None`: not before a completion) — or a settled demand arrives
-    /// that may start one.
-    Pace(Option<Duration>),
-    /// Nothing is filled, or nothing anybody waits for while a sync is
-    /// in flight: wait for fills, waiters or a completion.
-    Wait,
-}
-
-/// A batch that is written and owes a device sync — or owed none.
-struct Ticket {
-    lo: u64,
-    hi: u64,
-    /// The board cell a helper posts this ticket's result to: unique
-    /// among the tickets outstanding.
-    slot: usize,
-    /// `Some` once the sync has returned (at once, when there was
-    /// nothing to sync): its result, and how long it took if it ran.
-    done: Option<(io::Result<()>, Option<u64>)>,
-}
 
 /// A sync handed to a helper. `slot` names the board cell its result
 /// goes to; `touched` travels with it and comes back for reuse.
@@ -299,33 +287,26 @@ fn helper(inner: &LogInner, board: &SyncBoard) {
     }
 }
 
-/// The flusher thread's state: the writer's position, the tickets in
-/// issue order, and the in-order published prefix.
+/// The flusher thread's state: the plan it drives, and what the plan
+/// does not need to know — the ring's space watermark, the helpers, the
+/// errors of failed syncs, scratch.
 struct Flusher {
     inner: Arc<LogInner>,
-    /// End of the prefix handed to the segment files.
-    written: u64,
+    plan: Plan,
+    /// What the plan's nanoseconds count from.
+    epoch: Instant,
     /// The ring's published space watermark: trails the durable one by
     /// less than `chunk` on rings that release memory (see the module
     /// docs).
     released: u64,
     chunk: u64,
-    /// Issued and not yet published, oldest first; never more than
-    /// [`MAX_SYNCS_IN_FLIGHT`].
-    tickets: VecDeque<Ticket>,
-    /// Tickets ever issued; `issued % MAX_SYNCS_IN_FLIGHT` is the next
-    /// ticket's board slot.
-    issued: u64,
-    /// Tickets whose sync is with a helper and not yet published.
-    in_flight: usize,
     /// Helper results taken off the board, ever.
     collected: u64,
+    /// Per board slot: what a failed sync returned, until the plan
+    /// reaches its ticket.
+    errors: [Option<io::Error>; MAX_SYNCS_IN_FLIGHT],
     board: Arc<SyncBoard>,
     helpers: Vec<JoinHandle<()>>,
-    /// The self-clock: when the last sync was handed off, and how long
-    /// the last completed one took (`None` until one has).
-    last_start: Instant,
-    last_sync_ns: Option<u64>,
     /// Scratch, reused batch after batch: the segments the batch being
     /// written touches, spare lists for later ones, the waiters a
     /// publish wakes.
@@ -340,13 +321,12 @@ impl Flusher {
         // Large rings give drained memory back a chunk at a time.
         let chunk = if inner.buffer.capacity() >= MIN_RELEASING_RING { RELEASE_CHUNK } else { 1 };
         Flusher {
-            written: flushed,
+            plan: Plan::new(flushed),
+            epoch: Instant::now(),
             released: flushed,
             chunk,
-            tickets: VecDeque::with_capacity(MAX_SYNCS_IN_FLIGHT),
-            issued: 0,
-            in_flight: 0,
             collected: 0,
+            errors: std::array::from_fn(|_| None),
             board: Arc::new(SyncBoard {
                 state: Mutex::new(BoardState {
                     jobs: VecDeque::new(),
@@ -358,8 +338,6 @@ impl Flusher {
                 posted: AtomicU64::new(0),
             }),
             helpers: Vec::new(),
-            last_start: Instant::now(),
-            last_sync_ns: None,
             touched: Vec::new(),
             spare: Vec::new(),
             ready: Vec::new(),
@@ -377,23 +355,32 @@ impl Flusher {
             let collected = self.collected;
             let completion_posted = || board.posted.load(Ordering::Acquire) != collected;
             let hi = buffer.advance_filled();
-            match self.next_start(hi) {
+            let now_ns = self.epoch.elapsed().as_nanos() as u64;
+            let snapshot = Snapshot {
+                now_ns,
+                filled: hi,
+                flushed: buffer.flushed(),
+                capacity: buffer.capacity(),
+                demand_hi: buffer.demand_hi(),
+                urged: buffer.urged(),
+            };
+            match self.plan.next(snapshot) {
                 Next::Start(cause) => {
                     self.write(hi)?;
                     self.issue(hi, cause);
                 }
-                Next::Pace(wait) => {
+                Next::Pace(until, urgeable) => {
                     // Asleep *through* fills and plain demand kicks: they
                     // cannot move the instant. A settled demand can.
-                    buffer.sleep_through_fills(wait, self.urgeable(), completion_posted);
+                    let wait = until.map(|due| Duration::from_nanos(due - now_ns));
+                    buffer.sleep_through_fills(wait, urgeable, completion_posted);
                 }
-                Next::Wait => {
+                Next::Wait(idle) => {
                     // With a sync in flight its completion ends the wait
                     // (or somebody starting to wait for what is filled);
                     // idle, nothing is filled, and the interval timer
                     // comes round for what is appended unforced.
-                    let idle = self.in_flight == 0;
-                    let unwritten = hi > self.written;
+                    let unwritten = hi > self.plan.written();
                     let timeout = idle.then_some(inner.cfg.flush_interval);
                     let filled = buffer.wait_filled(hi, timeout, || {
                         completion_posted() || (unwritten && buffer.demanded())
@@ -419,58 +406,13 @@ impl Flusher {
         }
     }
 
-    /// A settled demand may start a sync only while it leaves a slot
-    /// free: the last one stays on the clock.
-    fn urgeable(&self) -> bool {
-        self.tickets.len() + 2 <= MAX_SYNCS_IN_FLIGHT
-    }
-
-    /// The start rule (module docs, "When a sync starts"), for the
-    /// filled prefix `[written, hi)`.
-    fn next_start(&self, hi: u64) -> Next {
-        let buffer = &self.inner.buffer;
-        if hi == self.written {
-            return Next::Wait;
-        }
-        if self.tickets.len() == MAX_SYNCS_IN_FLIGHT {
-            return Next::Pace(None);
-        }
-        // A quarter of the ring unflushed is demand too — a writer is
-        // about to wait for space — and it is the threshold above which
-        // `mark_filled` wakes this thread on every fill.
-        let demanded = buffer.demanded() || hi - buffer.flushed() >= buffer.capacity() / 4;
-        if !demanded {
-            // Bytes nobody waits for start no sync while one is in
-            // flight. Idle, they go as soon as this thread sees them:
-            // when the interval timer wakes it, or on its way back from
-            // the completion that left the log idle.
-            let idle = self.in_flight == 0;
-            return if idle { Next::Start(SyncCause::Timer) } else { Next::Wait };
-        }
-        if self.in_flight == 0 {
-            return Next::Start(SyncCause::Idle);
-        }
-        if buffer.is_urged() && self.urgeable() {
-            return Next::Start(SyncCause::Demand);
-        }
-        // The self-clock: starts one [`MAX_SYNCS_IN_FLIGHT`]-th of the
-        // last measured sync latency apart. Until one has been measured
-        // there is no gap to keep, so no second sync either.
-        let Some(sync_ns) = self.last_sync_ns else { return Next::Pace(None) };
-        let due = self.last_start + Duration::from_nanos(sync_ns / MAX_SYNCS_IN_FLIGHT as u64);
-        match due.saturating_duration_since(Instant::now()) {
-            Duration::ZERO => Next::Start(SyncCause::Clock),
-            wait => Next::Pace(Some(wait)),
-        }
-    }
-
     /// Write `[written, hi)` to the segment files, collecting the
     /// segments that need a sync in `self.touched`. Dead zones map to no
     /// file and are skipped; in-memory segments (no backend) are drained
     /// without I/O.
     fn write(&mut self, hi: u64) -> io::Result<()> {
         let inner = &*self.inner;
-        let mut pos = self.written;
+        let mut pos = self.plan.written();
         while pos < hi {
             let Some(seg) = inner.segments.lookup(pos) else {
                 // Dead zone: hop to the next segment start (or the end
@@ -501,20 +443,15 @@ impl Flusher {
     /// Turn the batch just written into a ticket: its sync goes to a
     /// helper, or — nothing to sync — it is complete as it stands.
     fn issue(&mut self, hi: u64, cause: SyncCause) {
-        let slot = (self.issued % MAX_SYNCS_IN_FLIGHT as u64) as usize;
-        self.issued += 1;
-        let lo = std::mem::replace(&mut self.written, hi);
+        let synced = !self.touched.is_empty();
+        let slot = self.plan.issue(hi, synced, self.epoch.elapsed().as_nanos() as u64);
         self.inner.buffer.set_written(hi);
-        let done = self.touched.is_empty().then_some((Ok(()), None));
-        self.tickets.push_back(Ticket { lo, hi, slot, done });
-        if self.touched.is_empty() {
+        if !synced {
             return;
         }
         let touched = std::mem::replace(&mut self.touched, self.spare.pop().unwrap_or_default());
-        self.in_flight += 1;
-        self.inner.stats.syncs_in_flight.store(self.in_flight as u64, Ordering::Relaxed);
+        self.inner.stats.syncs_in_flight.store(self.plan.in_flight() as u64, Ordering::Relaxed);
         self.inner.stats.sync_starts[cause as usize].fetch_add(1, Ordering::Relaxed);
-        self.last_start = Instant::now();
         let short_of_helpers = {
             let mut state = self.board.state.lock();
             state.jobs.push_back(SyncJob { slot, touched });
@@ -533,15 +470,16 @@ impl Flusher {
         }
     }
 
-    /// Take what helpers have posted off the board.
+    /// Take what helpers have posted off the board and tell the plan.
     fn collect(&mut self) {
         if self.board.posted.load(Ordering::Acquire) == self.collected {
             return;
         }
         let mut state = self.board.state.lock();
-        for ticket in self.tickets.iter_mut() {
-            if let Some(SyncDone { result, ns, mut touched }) = state.done[ticket.slot].take() {
-                ticket.done = Some((result, Some(ns)));
+        for (slot, posted) in state.done.iter_mut().enumerate() {
+            if let Some(SyncDone { result, ns, mut touched }) = posted.take() {
+                self.plan.complete(slot, result.is_ok(), ns);
+                self.errors[slot] = result.err();
                 touched.clear();
                 self.spare.push(touched);
                 self.collected += 1;
@@ -549,24 +487,25 @@ impl Flusher {
         }
     }
 
-    /// Publish the in-order completed prefix of tickets: each one, in
-    /// issue order, for as long as the oldest outstanding ticket is
-    /// complete. `Err` is the first failed sync; nothing at or above it
-    /// is published.
+    /// Publish what the plan says is publishable: the in-order completed
+    /// prefix of tickets. `Err` is the first failed sync; nothing at or
+    /// above it is published.
     fn publish_completed(&mut self) -> io::Result<()> {
         self.collect();
-        while let Some((result, sync_ns)) = self.tickets.front_mut().and_then(|t| t.done.take()) {
-            let Ticket { lo, hi, .. } = self.tickets.pop_front().expect("front was just read");
+        while let Some(Published { sync_ns, range }) = self.plan.publish_next() {
             if let Some(ns) = sync_ns {
-                self.in_flight -= 1;
-                self.inner.stats.syncs_in_flight.store(self.in_flight as u64, Ordering::Relaxed);
-                self.last_sync_ns = Some(ns);
+                let in_flight = self.plan.in_flight() as u64;
+                self.inner.stats.syncs_in_flight.store(in_flight, Ordering::Relaxed);
                 if let Some(observe) = self.inner.sync_observer.get() {
                     observe(ns);
                 }
             }
-            result?;
-            self.publish(lo, hi);
+            match range {
+                Ok((lo, hi)) => self.publish(lo, hi),
+                Err(Failed(slot)) => {
+                    return Err(self.errors[slot].take().expect("a failed sync left its error"))
+                }
+            }
         }
         Ok(())
     }
@@ -598,7 +537,7 @@ impl Flusher {
     fn reap(&mut self) {
         loop {
             self.collect();
-            if self.tickets.iter().all(|t| t.done.is_some()) {
+            if !self.plan.awaits_completion() {
                 break;
             }
             let (board, collected) = (&*self.board, self.collected);

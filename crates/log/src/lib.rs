@@ -55,6 +55,7 @@ mod checkpoint;
 mod flusher;
 mod io;
 mod manager;
+mod plan;
 mod records;
 mod recovery;
 mod segment;

@@ -131,20 +131,17 @@ impl LogStats {
     }
 }
 
-/// One parked durability waiter. Thread-local and reused across waits, so
-/// the synchronous-commit path allocates it once per thread, ever.
+/// The cell behind a [`DurableWaker`]: what the waiter registry holds and
+/// the flusher wakes.
+#[derive(Default)]
 pub(crate) struct WaiterSlot {
     /// `true` once a flusher batch (or poison) decided this waiter's fate
-    /// and notified it. Written under `mx` so the wake cannot be missed.
+    /// and notified it. Written under the lock so the wake cannot be missed.
     woken: Mutex<bool>,
     cv: Condvar,
 }
 
 impl WaiterSlot {
-    fn new() -> WaiterSlot {
-        WaiterSlot { woken: Mutex::new(false), cv: Condvar::new() }
-    }
-
     fn wake(&self) {
         *self.woken.lock() = true;
         self.cv.notify_one();
@@ -157,14 +154,8 @@ impl WaiterSlot {
 /// — where [`LogManager::wait_durable`] can block on only one. The wake
 /// is a level, not an edge: one that arrives before [`DurableWaker::wait`]
 /// is consumed by it, so "check state, then wait" loses nothing.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct DurableWaker(Arc<WaiterSlot>);
-
-impl Default for DurableWaker {
-    fn default() -> DurableWaker {
-        DurableWaker(Arc::new(WaiterSlot::new()))
-    }
-}
 
 impl DurableWaker {
     /// Wake the waiting thread (or make its next wait return at once).
@@ -202,9 +193,9 @@ impl Drop for DurableSub {
 }
 
 thread_local! {
-    /// Reused waiter slot: registering for durability is allocation-free
+    /// Reused wake-up cell: a blocking durability wait is allocation-free
     /// after a thread's first synchronous commit.
-    static WAITER_SLOT: Arc<WaiterSlot> = Arc::new(WaiterSlot::new());
+    static WAITER: DurableWaker = DurableWaker::default();
 }
 
 /// Registry of parked durability waiters, min-ordered by target offset.
@@ -553,13 +544,9 @@ impl LogManager {
     /// Block until the block ending at logical offset `end` is durable
     /// (group commit), up to the configured `wait_durable_timeout`.
     ///
-    /// Demand-driven: the waiter registers its target in the min-ordered
-    /// waiter registry (which republishes the lowest target to the ring
-    /// buffer so `mark_filled` wakes the flusher the moment the target is
-    /// in the buffer), kicks the flusher if the target is already filled,
-    /// and then parks on its own private condvar. It is woken precisely —
-    /// by the flush batch whose durable watermark covers its target, or by
-    /// poison — instead of polling a shared condvar in 10ms steps.
+    /// Demand-driven ([`Self::subscribe_durable`]): the flusher sees the
+    /// target at once, and the waiter, parked on its own condvar, is woken
+    /// by the flush batch whose durable watermark covers it, or by poison.
     ///
     /// Fails with [`LogError::Poisoned`] when the flusher has died on an
     /// unrecoverable I/O error (all pending waiters are woken immediately
@@ -569,58 +556,27 @@ impl LogManager {
         self.wait_durable_for(end, self.inner.cfg.wait_durable_timeout)
     }
 
-    /// [`Self::wait_durable`] with an explicit overall timeout.
+    /// [`Self::wait_durable`] with an explicit overall timeout: a
+    /// [`Self::subscribe_durable`] on this thread's own wake-up cell, and
+    /// a sleep per wake until the verdict is in or the time is up.
     pub fn wait_durable_for(&self, end: u64, timeout: Duration) -> Result<(), LogError> {
-        let inner = &*self.inner;
         let deadline = std::time::Instant::now() + timeout;
-        if self.durable_status(end)? {
-            return Ok(());
-        }
-        let slot = WAITER_SLOT.with(Arc::clone);
-        // A wake left over from this thread's previous wait is stale.
-        *slot.woken.lock() = false;
-        let key = inner.register_waiter(end, &slot);
-        // Ordering handshake: the flusher stores `durable` *before* it
-        // locks the registry to pop ready waiters, so after inserting
-        // ourselves a re-check of the watermark catches any batch that
-        // completed concurrently — either we see it durable here, or the
-        // flusher saw our registration and will wake us.
-        if inner.durable.load(Ordering::Acquire) >= end {
-            inner.deregister_waiter(key);
-            return Ok(());
-        }
-        // Likewise the fill covering our target may have happened before
-        // our demand was published; wake the flusher ourselves then.
-        inner.buffer.kick_if_unwritten(end);
-        let mut woken = slot.woken.lock();
+        let waker = WAITER.with(DurableWaker::clone);
+        // A wake left over from this thread's previous wait costs one
+        // turn of the loop.
+        let _sub = self.subscribe_durable(end, &waker);
         loop {
-            if inner.durable.load(Ordering::Acquire) >= end {
-                drop(woken);
-                inner.deregister_waiter(key);
+            // The clock first: a poison that lands before the probe below
+            // must win over `Timeout`, which claims the commit's fate is
+            // indeterminate — a poisoned log has settled it.
+            let now = std::time::Instant::now();
+            if self.durable_status(end)? {
                 return Ok(());
             }
-            if inner.poisoned.load(Ordering::Acquire) {
-                drop(woken);
-                inner.deregister_waiter(key);
-                return Err(self.poison_cause_or_default());
-            }
-            let now = std::time::Instant::now();
             if now >= deadline {
-                drop(woken);
-                inner.deregister_waiter(key);
-                // A poison landing between the loop's check above and this
-                // exit must still win: `Timeout` claims the commit's fate
-                // is indeterminate, but a poisoned log has settled it —
-                // the block will never become durable.
-                if inner.poisoned.load(Ordering::Acquire) {
-                    return Err(self.poison_cause_or_default());
-                }
                 return Err(LogError::Timeout);
             }
-            // A stale wake from a previous registration on this reused
-            // slot re-arms and keeps waiting; real wakes re-check above.
-            *woken = false;
-            slot.cv.wait_for(&mut woken, deadline - now);
+            waker.wait(Some(deadline - now));
         }
     }
 
@@ -663,11 +619,13 @@ impl LogManager {
         }
         let sub =
             DurableSub { inner: Arc::clone(inner), key: inner.register_waiter(end, &waker.0) };
-        // The same handshakes as `wait_durable_for`: a batch (or a
+        // Ordering handshake: the flusher stores `durable` *before* it
+        // locks the registry to pop ready waiters, so a batch (or a
         // poisoning) that completed while we registered is caught by the
         // re-check — either we see it here, or the flusher saw our
-        // registration and will wake us — and a fill that preceded our
-        // demand gets its flusher kick from us.
+        // registration and will wake us. Likewise the fill covering our
+        // target may have happened before our demand was published; the
+        // flusher gets its kick from us then.
         if inner.durable.load(Ordering::Acquire) >= end || inner.poisoned.load(Ordering::Acquire)
         {
             return None;

@@ -436,32 +436,3 @@ fn sync_commit_latency_is_demand_driven_not_interval_driven() {
         );
     }
 }
-
-#[test]
-fn idle_batching_preserved_when_nobody_waits() {
-    // Without a registered durability target the flusher keeps its lazy
-    // group-commit cadence: a small fill does not force an eager flush.
-    let cfg = LogConfig {
-        flush_interval: std::time::Duration::from_millis(200),
-        ..LogConfig::in_memory()
-    };
-    let log = LogManager::open(cfg).unwrap();
-    let mut tx = TxLogBuffer::new();
-    tx.add_update(TableId(1), Oid(1), b"key", b"value");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
-    // Immediately after the fill the watermark should (almost certainly)
-    // still be behind: nobody demanded durability, so the flusher is
-    // parked on its interval. Allow a scheduling-noise grace window.
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    let eager = log.durable_offset() >= end;
-    if eager {
-        // A flush this early is only legitimate right after open (the
-        // flusher's first pass) — tolerate it rather than flake, but the
-        // demand-driven test above is the one that guards the contract.
-        eprintln!("note: flusher drained without demand (startup pass)");
-    }
-    log.wait_durable(end).unwrap();
-}

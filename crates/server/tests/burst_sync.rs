@@ -1,14 +1,17 @@
 //! What a burst of sync commits costs the device, end to end: the event
 //! loop raises one settled flush demand per turn, so a burst that
 //! arrives behind a sync already in flight gets exactly one more — over
-//! all of it, started when the turn ends and not at the next stagger
-//! instant — and the durability probes on the way register nothing with
-//! the log.
+//! all of it, started while the first is still in the device — and the
+//! durability probes on the way register nothing with the log.
 //!
 //! The device is a real file backend whose `sync_data` sleeps and keeps
-//! the interval of every call, per engine shard. The assertions depend
-//! on how event loop, parker, flusher and sync helpers interleave; the
-//! nightly CI job runs this file in fifty fresh processes.
+//! the interval of every call, per engine shard. Everything asserted is a
+//! count the device paces: syncs per log, bytes per sync, registrations,
+//! and whether two intervals overlap. *Which* rule started a sync, and
+//! when, is the flusher's plan table (`crates/log/src/plan.rs`): the
+//! followers' sync is row "≥ 1, two slots free / a settled demand", a
+//! verdict-only tail that starts nothing behind a sync in flight is
+//! "≥ 1 / nobody", and its start once the log is idle is "none / nobody".
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig, ShardedDb};
-use ermia_log::{FileBackend, LogManager, SegmentIo, SegmentIoFactory, SyncCause};
+use ermia_log::{FileBackend, LogManager, SegmentIo, SegmentIoFactory};
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
 
 const LATENCY: Duration = Duration::from_millis(50);
@@ -127,7 +130,6 @@ fn quiesce(log: &LogManager) {
 /// What a log has done so far, to subtract from what it has done later.
 struct Mark {
     syncs: usize,
-    starts: [u64; 4],
     flushed_bytes: u64,
     registrations: u64,
 }
@@ -136,16 +138,9 @@ fn mark(log: &LogManager, syncs: &Syncs, shard: usize) -> Mark {
     quiesce(log);
     Mark {
         syncs: syncs.count(shard),
-        starts: SyncCause::ALL.map(|cause| log.stats().sync_starts(cause)),
         flushed_bytes: log.stats().flushed_bytes.load(Ordering::Relaxed),
         registrations: log.waiter_registrations(),
     }
-}
-
-/// `[idle, demand, clock, timer]` sync starts since `mark`.
-fn starts_since(log: &LogManager, mark: &Mark) -> [u64; 4] {
-    let now = SyncCause::ALL.map(|cause| log.stats().sync_starts(cause));
-    [0, 1, 2, 3].map(|i| now[i] - mark.starts[i])
 }
 
 fn sync_batch(table: u32, keys: &[Vec<u8>]) -> Request {
@@ -208,10 +203,6 @@ fn burst_behind_an_opener_is_two_syncs() {
     let seen = syncs.since(0, before.syncs);
     assert_eq!(seen.len(), 2, "sixteen sync commits, the opener's sync and one more: {seen:?}");
     assert!(seen[1].0 < seen[0].1, "the followers' sync waited for the opener's to complete");
-    // The opener's sync is the interval timer's when the idle flusher's
-    // timeout falls between its fill and the end of its turn.
-    let [idle, demand, clock, timer] = starts_since(log, &before);
-    assert_eq!([idle + timer, demand, clock], [1, 1, 0], "[{idle}, {demand}, {clock}, {timer}]");
     // Equal transactions, equal blocks: the second batch is 15 ÷ 16 of
     // the bytes.
     let flushed = log.stats().flushed_bytes.load(Ordering::Relaxed) - before.flushed_bytes;
@@ -252,9 +243,6 @@ fn burst_in_one_turn_is_at_most_two_syncs() {
     let seen = syncs.since(0, before.syncs);
     assert!(matches!(seen.len(), 1 | 2), "{seen:?}");
     assert!(seen.iter().all(|s| s.0 < seen[0].1), "a sync waited for the first to complete");
-    let [idle, demand, clock, timer] = starts_since(log, &before);
-    assert_eq!([idle + timer, clock], [1, 0], "[{idle}, {demand}, {clock}, {timer}]");
-    assert_eq!(demand as usize, seen.len() - 1, "[{idle}, {demand}, {clock}, {timer}]");
     assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
 
     srv.shutdown();
@@ -302,9 +290,6 @@ fn cross_shard_burst_is_two_syncs_per_log() {
             let busy_until = seen[..k].iter().map(|s| s.1).max().unwrap();
             assert!(tail.0 >= busy_until, "shard {shard}: verdict-only sync {k} overlaps");
         }
-        let [idle, demand, clock, timer] = starts_since(log, before);
-        assert_eq!([demand, clock], [1, 0], "shard {shard}: [{idle}, {demand}, {clock}, {timer}]");
-        assert_eq!((idle + timer) as usize, seen.len() - 1, "shard {shard}");
     }
 
     srv.shutdown();

@@ -163,13 +163,6 @@ impl AtomicHistogram {
         h.sum = self.sum.load(Relaxed);
         h
     }
-
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-        self.sum.store(0, Relaxed);
-    }
 }
 
 /// Exact percentile over a **sorted** slice of latencies — the shared
@@ -248,8 +241,6 @@ mod tests {
         assert_eq!(s.buckets(), p.buckets());
         assert_eq!(s.count(), p.count());
         assert_eq!(s.sum(), p.sum());
-        a.reset();
-        assert!(a.snapshot().is_empty());
     }
 
     #[test]

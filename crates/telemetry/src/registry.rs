@@ -118,17 +118,6 @@ impl Slab {
     pub fn counter_snapshot(&self) -> Vec<u64> {
         self.counters.iter().map(|c| c.load(Relaxed)).collect()
     }
-
-    /// Zero every counter and histogram (the owner's reset; racing
-    /// increments may survive, which is inherent to relaxed reset).
-    pub fn reset(&self) {
-        for c in self.counters.iter() {
-            c.store(0, Relaxed);
-        }
-        for h in self.hists.iter() {
-            h.reset();
-        }
-    }
 }
 
 /// One rendered data point from a collector.

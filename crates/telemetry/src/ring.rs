@@ -173,7 +173,9 @@ mod tests {
                 let (set, stop) = (Arc::clone(&set), Arc::clone(&stop));
                 std::thread::spawn(move || {
                     let mut seen = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
+                    // On two cores the writers can be done before a
+                    // reader first runs: the full rings are still there.
+                    while stop.load(Ordering::Relaxed) == 0 || seen == 0 {
                         set.for_each(|_, ring| {
                             ring.snapshot(|words| {
                                 check(words);

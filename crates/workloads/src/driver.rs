@@ -136,17 +136,6 @@ impl TypeStats {
         }
     }
 
-    /// `p`-th percentile committed latency in milliseconds.
-    pub fn latency_pct_ms(&self, p: f64) -> f64 {
-        self.latency.percentile_ns(p) / 1e6
-    }
-
-    /// 99.9th-percentile committed latency in milliseconds (the SLO
-    /// tail every bench table reports alongside p50/p99).
-    pub fn latency_p999_ms(&self) -> f64 {
-        self.latency.p999_ns() / 1e6
-    }
-
     /// Abort counts keyed by reason, in [`AbortReason::ALL`] order and
     /// zero-filled — a stable shape for tables and JSON regardless of
     /// which reasons actually fired.
@@ -282,60 +271,6 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
     BenchResult { engine: engine.name(), threads: cfg.threads, duration: cfg.duration, per_type }
 }
 
-/// Render a result as an aligned table (used by the figure binaries).
-pub fn format_result(r: &BenchResult) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} | {} threads | {:.1}s | {:.0} tps total ({} commits, {} aborts)",
-        r.engine,
-        r.threads,
-        r.duration.as_secs_f64(),
-        r.tps(),
-        r.total_commits(),
-        r.total_aborts()
-    );
-    let _ = writeln!(
-        out,
-        "  {:<14} {:>10} {:>10} {:>9} {:>12} {:>12} {:>12} {:>14} {:>12}",
-        "type",
-        "commits",
-        "aborts",
-        "abort%",
-        "avg-lat(ms)",
-        "p50-lat(ms)",
-        "p99-lat(ms)",
-        "p99.9-lat(ms)",
-        "max-lat(ms)"
-    );
-    for t in &r.per_type {
-        let _ = writeln!(
-            out,
-            "  {:<14} {:>10} {:>10} {:>8.1}% {:>12.3} {:>12.3} {:>12.3} {:>14.3} {:>12.3}",
-            t.name,
-            t.commits,
-            t.aborts,
-            t.abort_ratio(),
-            t.latency_avg_ms(),
-            t.latency_pct_ms(50.0),
-            t.latency_pct_ms(99.0),
-            t.latency_p999_ms(),
-            t.latency_max_ns as f64 / 1e6
-        );
-        if t.aborts > 0 {
-            let mut reasons = String::new();
-            for (label, n) in t.abort_breakdown() {
-                if n > 0 {
-                    let _ = write!(reasons, " {label}={n}");
-                }
-            }
-            let _ = writeln!(out, "  {:<14}   aborts by reason:{}", "", reasons);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +306,6 @@ mod tests {
         let s = TypeStats::default();
         assert_eq!(s.abort_ratio(), 0.0);
         assert_eq!(s.latency_avg_ms(), 0.0);
-        assert_eq!(s.latency_pct_ms(50.0), 0.0);
     }
 
     #[test]
