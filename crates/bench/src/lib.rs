@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` regenerates one table or figure from the
 //! paper's evaluation (§4): it builds fresh engines, loads the workload,
 //! runs the paper's parameter sweep, and prints the same rows/series the
-//! paper reports. Run with `--quick` (or `ERMIA_BENCH_QUICK=1`) for a
-//! fast smoke pass; default settings give more stable numbers.
+//! paper reports. Run with `--quick` for a fast smoke pass; default
+//! settings give more stable numbers.
 //!
 //! **Environment note.** The paper's testbed was a 4-socket, 24-thread
 //! Xeon. This harness runs wherever it is pointed — on few-core machines
@@ -34,8 +34,7 @@ impl Harness {
     /// Parse from `std::env` (`--quick`, `--secs N`, `--threads a,b,c`).
     pub fn from_args() -> Harness {
         let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick")
-            || std::env::var("ERMIA_BENCH_QUICK").is_ok_and(|v| v == "1");
+        let quick = args.iter().any(|a| a == "--quick");
         let mut secs = if quick { 0.5 } else { 5.0 };
         let mut thread_sweep = if quick { vec![1, 2] } else { vec![1, 2, 4, 8] };
         let mut threads = if quick { 2 } else { 4 };

@@ -23,23 +23,14 @@ pub struct DbConfig {
     pub log: LogConfig,
     /// Wait for the group-commit flusher before reporting commit.
     pub synchronous_commit: bool,
-    /// Run the background version garbage collector.
-    pub enable_gc: bool,
     /// GC sweep interval.
     pub gc_interval: Duration,
-    /// Epoch ticker interval for the RCU timescale (tree/version memory).
-    pub rcu_epoch_interval: Duration,
     /// Emulate traditional per-operation logging: every update takes its
     /// own round trip to the centralized log buffer instead of one block
     /// per transaction (the Fig. 10 ablation).
     pub per_op_logging: bool,
     /// Collect per-component time breakdowns in each worker (Fig. 11).
     pub profile: bool,
-    /// Maintain per-transaction telemetry (commit/abort counters by
-    /// reason, chain-length samples, flight-recorder events). The write
-    /// side is a handful of relaxed increments per transaction; disable
-    /// only to measure its cost (the scaling bench's A/B run).
-    pub telemetry: bool,
     /// Values at or above this size are diverted to the large-object
     /// (blob) store at commit; the log carries only an indirect pointer
     /// (§3.3, log feature 4). `usize::MAX` disables diversion.
@@ -63,12 +54,9 @@ impl Default for DbConfig {
         DbConfig {
             log: LogConfig::default(),
             synchronous_commit: false,
-            enable_gc: true,
             gc_interval: Duration::from_millis(20),
-            rcu_epoch_interval: Duration::from_millis(2),
             per_op_logging: false,
             profile: false,
-            telemetry: true,
             large_value_threshold: usize::MAX,
             trace_sample_n: 0,
             trace_slow_us: 10_000,

@@ -11,7 +11,7 @@ use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
 use ermia_log::{CheckpointStore, LogManager};
 use ermia_storage::{
-    GarbageCollector, GcPassHook, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
+    GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
 };
 use ermia_telemetry::{EventKind, EventRing, Telemetry};
 use parking_lot::{Mutex, RwLock};
@@ -325,21 +325,20 @@ pub struct Database {
     pub(crate) view: Option<Arc<ViewState>>,
 }
 
+/// Period of the one ticker that drives the unified epoch timeline: the
+/// fastest of the old per-timescale cadences (the tid valve's).
+const EPOCH_TICK: Duration = Duration::from_millis(1);
+
 struct Services {
-    _tickers: Vec<Ticker>,
-    _gc: Option<GarbageCollector>,
+    _ticker: Ticker,
+    _gc: GarbageCollector,
 }
 
 /// Start the collector. It runs for the life of the database: retire-
 /// queue entries name their table, so DDL has nothing to tell it.
 fn start_gc(inner: &Arc<DbInner>) -> GarbageCollector {
     let (db, catalog) = (Arc::clone(inner), Arc::clone(inner));
-    let on_pass: Option<GcPassHook> = inner.cfg.telemetry.then(|| {
-        let ring = Arc::clone(&inner.svc_ring);
-        Box::new(move |reclaimed: u64, passes: u64| {
-            ring.record(EventKind::GcPass, reclaimed, passes);
-        }) as GcPassHook
-    });
+    let ring = Arc::clone(&inner.svc_ring);
     GarbageCollector::start(
         Arc::clone(&inner.retired),
         inner.epoch.clone(),
@@ -347,7 +346,7 @@ fn start_gc(inner: &Arc<DbInner>) -> GarbageCollector {
         move |t| catalog.catalog.read().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids)),
         inner.cfg.gc_interval,
         Some(Arc::clone(&inner.versions)),
-        on_pass,
+        move |reclaimed, passes| ring.record(EventKind::GcPass, reclaimed, passes),
     )
 }
 
@@ -371,9 +370,7 @@ impl DbInner {
     /// `cstamp`). Every such site must call this: the collector sweeps
     /// no chain it was not told about.
     pub(crate) fn retire(&self, entries: &[Retired]) {
-        if self.cfg.enable_gc {
-            self.retired.retire(entries);
-        }
+        self.retired.retire(entries);
     }
 }
 
@@ -448,7 +445,7 @@ impl Database {
                 }
             });
         }
-        if inner.cfg.telemetry {
+        {
             // Record epoch transitions in the service ring. The hook runs
             // after the advance, outside the epoch manager's locks; the
             // Weak keeps the manager (owned by DbInner) from keeping its
@@ -460,14 +457,10 @@ impl Database {
                 }
             });
         }
-        let cfg = &inner.cfg;
-        // One ticker drives the unified timeline at the fastest of the
-        // old per-timescale cadences (the tid valve's 1ms).
-        let tick = cfg.rcu_epoch_interval.min(Duration::from_millis(1));
-        let mut tickers = vec![Ticker::start(inner.epoch.clone(), tick)];
-        tickers.shrink_to_fit();
-        let gc = inner.cfg.enable_gc.then(|| start_gc(&inner));
-        let services = Arc::new(Services { _tickers: tickers, _gc: gc });
+        let services = Arc::new(Services {
+            _ticker: Ticker::start(inner.epoch.clone(), EPOCH_TICK),
+            _gc: start_gc(&inner),
+        });
         Ok(Database { inner, _services: services, view: None })
     }
 
@@ -659,9 +652,7 @@ impl Database {
             cut = cut.min(pin);
         }
         let removed = self.inner.log.truncate_before(cut)?;
-        if self.inner.cfg.telemetry {
-            self.inner.svc_ring.record(EventKind::Checkpoint, cut, removed as u64);
-        }
+        self.inner.svc_ring.record(EventKind::Checkpoint, cut, removed as u64);
         Ok(removed)
     }
 

@@ -552,15 +552,15 @@ impl ShardedDb {
         let inner = &self.inner;
         let workers = inner.dbs.iter().map(|d| d.register_worker()).collect();
         let db0 = &inner.dbs[0];
-        let twopc = db0.inner.cfg.telemetry.then(|| TwoPcTelemetry {
+        let twopc = TwoPcTelemetry {
             slab: db0.telemetry().registry().register_slab(&TWOPC_FAMILY),
             ring: db0.telemetry().flight().ring(),
-        });
-        let trace = db0.inner.cfg.telemetry.then(|| WorkerTrace {
+        };
+        let trace = WorkerTrace {
             ring: db0.telemetry().tracer().ring(),
             sample_n: db0.inner.cfg.trace_sample_n,
             count: 0,
-        });
+        };
         ShardedWorker {
             db: self.clone(),
             workers,
@@ -818,8 +818,8 @@ pub struct ShardedWorker {
     workers: Vec<Worker>,
     routing: Arc<Routing>,
     routing_version: u64,
-    twopc: Option<TwoPcTelemetry>,
-    trace: Option<WorkerTrace>,
+    twopc: TwoPcTelemetry,
+    trace: WorkerTrace,
     /// The worker a blocking cross-shard [`ShardedTransaction::commit`]
     /// resolves its [`StagedCommit`] on (this one is still borrowed by
     /// the transaction then). Registered by the first such commit.
@@ -851,66 +851,43 @@ impl ShardedWorker {
         }
         // Resolve the active context before splitting the borrows: wire
         // context wins; otherwise head sampling every Nth begin.
-        let active = match &mut self.trace {
-            Some(t) => match ctx {
-                Some(c) if c.is_traced() => Some((c, false)),
-                _ if t.sample_n != 0 => {
-                    t.count += 1;
-                    if t.count >= t.sample_n {
-                        t.count = 0;
-                        let (hi, lo) = self.db.inner.dbs[0].telemetry().tracer().new_trace_id();
-                        Some((TraceContext { trace_hi: hi, trace_lo: lo, parent: 0 }, true))
-                    } else {
-                        None
-                    }
+        let t = &mut self.trace;
+        let active = match ctx {
+            Some(c) if c.is_traced() => Some((c, false)),
+            _ if t.sample_n != 0 => {
+                t.count += 1;
+                if t.count >= t.sample_n {
+                    t.count = 0;
+                    let (hi, lo) = self.db.inner.dbs[0].telemetry().tracer().new_trace_id();
+                    Some((TraceContext { trace_hi: hi, trace_lo: lo, parent: 0 }, true))
+                } else {
+                    None
                 }
-                _ => None,
-            },
-            None => None,
+            }
+            _ => None,
         };
         let ShardedWorker { db, workers, routing, twopc, trace, resolver, .. } = self;
-        let trace = active.and_then(|(ctx, sampled)| {
-            trace.as_ref().map(|t| ActiveTrace {
-                ctx,
-                ring: &t.ring,
-                start_ns: t.ring.now_ns(),
-                sampled,
-            })
+        let trace = active.map(|(ctx, sampled)| ActiveTrace {
+            ctx,
+            ring: &trace.ring,
+            start_ns: trace.ring.now_ns(),
+            sampled,
         });
         let slots = if workers.len() == 1 {
             Slots::One(TxSlot::Idle(&mut workers[0]))
         } else {
             Slots::Many(workers.iter_mut().map(TxSlot::Idle).collect())
         };
-        ShardedTransaction {
-            db: &*db,
-            routing,
-            twopc: twopc.as_ref(),
-            isolation,
-            slots,
-            trace,
-            resolver,
-        }
-    }
-
-    /// This worker's span ring, if telemetry is on. The server threads
-    /// wire-traced request spans through here so they land next to the
-    /// engine spans of the same worker.
-    pub fn span_ring(&self) -> Option<&Arc<SpanRing>> {
-        self.trace.as_ref().map(|t| &t.ring)
+        ShardedTransaction { db: &*db, routing, twopc, isolation, slots, trace, resolver }
     }
 }
 
 impl Drop for ShardedWorker {
     fn drop(&mut self) {
         let tel = self.db.inner.dbs[0].telemetry();
-        if let Some(t) = self.twopc.take() {
-            tel.registry().retire_slab(&TWOPC_FAMILY, &t.slab);
-            tel.flight().retire(&t.ring);
-        }
-        if let Some(t) = self.trace.take() {
-            tel.tracer().retire(&t.ring);
-        }
+        tel.registry().retire_slab(&TWOPC_FAMILY, &self.twopc.slab);
+        tel.flight().retire(&self.twopc.ring);
+        tel.tracer().retire(&self.trace.ring);
     }
 }
 
@@ -947,7 +924,7 @@ impl<'w> Slots<'w> {
 pub struct ShardedTransaction<'w> {
     db: &'w ShardedDb,
     routing: &'w Routing,
-    twopc: Option<&'w TwoPcTelemetry>,
+    twopc: &'w TwoPcTelemetry,
     isolation: IsolationLevel,
     slots: Slots<'w>,
     trace: Option<ActiveTrace<'w>>,
@@ -1377,7 +1354,7 @@ impl DeferredCommit {
 /// commit), or several (2PC).
 fn commit_slots<'w>(
     db: &ShardedDb,
-    twopc: Option<&TwoPcTelemetry>,
+    twopc: &TwoPcTelemetry,
     trace: Option<ActiveTrace<'_>>,
     slots: Slots<'w>,
     sync: bool,
@@ -1538,7 +1515,7 @@ impl StagedCommit {
     /// and park the prepares.
     fn prepare<'w>(
         db: &ShardedDb,
-        twopc: Option<&TwoPcTelemetry>,
+        twopc: &TwoPcTelemetry,
         trace: Option<ActiveTrace<'_>>,
         writers: Vec<(usize, Transaction<'w>)>,
     ) -> TxResult<Box<StagedCommit>> {
@@ -1602,10 +1579,8 @@ impl StagedCommit {
                 }
             }
         }
-        if let Some(t) = twopc {
-            for (i, p) in &prepared {
-                t.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
-            }
+        for (i, p) in &prepared {
+            twopc.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
         }
         if let Some(tr) = &mut staged.trace {
             tr.t0 = now();
@@ -1638,7 +1613,7 @@ impl StagedCommit {
     /// [`StagedCommit::write_verdict`].
     pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<CommitToken>> {
         let inner = Arc::clone(&self.db.inner);
-        let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
+        let ring = Arc::clone(&resolver.trace.ring);
         if matches!(self.stage, Stage::Prepared) {
             // Invariant 1: every prepare durable before anything is
             // published — a published half whose sibling's prepare is
@@ -1667,11 +1642,11 @@ impl StagedCommit {
             if self.parts.iter().any(|p| !p.durable) {
                 return None;
             }
-            if let Some(t) = &resolver.twopc {
-                t.slab
-                    .hist(TWOPC_PREPARE_HIST)
-                    .record(self.prepare_start.elapsed().as_nanos() as u64);
-            }
+            resolver
+                .twopc
+                .slab
+                .hist(TWOPC_PREPARE_HIST)
+                .record(self.prepare_start.elapsed().as_nanos() as u64);
             if !inner.prepare_delay.is_zero() {
                 self.not_before = Some(Instant::now() + inner.prepare_delay);
             }
@@ -1689,9 +1664,7 @@ impl StagedCommit {
             coord_token.get_or_insert(token);
         }
         self.span(&ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
-        if let Some(t) = &resolver.twopc {
-            t.slab.add(TWOPC_CROSS, 1);
-        }
+        resolver.twopc.slab.add(TWOPC_CROSS, 1);
         self.stage = Stage::Finalized { verdict_owed: true };
         let coord_token = coord_token.expect("a staged commit has participants");
         Some(Ok(coord_token.on_shard(self.parts[0].shard)))
@@ -1705,17 +1678,16 @@ impl StagedCommit {
             return;
         }
         self.stage = Stage::Finalized { verdict_owed: false };
-        let ring = resolver.trace.as_ref().map(|t| Arc::clone(&t.ring));
-        if let (Some(tr), Some(ring)) = (&mut self.trace, &ring) {
+        let ring = Arc::clone(&resolver.trace.ring);
+        if let Some(tr) = &mut self.trace {
             tr.t0 = ring.now_ns();
         }
         let since = Instant::now();
         self.append_verdict(true);
         self.span(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
-        if let Some(t) = &resolver.twopc {
-            t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
-            t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
-        }
+        let t = &resolver.twopc;
+        t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
+        t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
     }
 
     /// Append the verdict record to every participant's log. A log that
@@ -1731,8 +1703,8 @@ impl StagedCommit {
 
     /// Record a span from the trace's running timestamp to now, and
     /// restart the timestamp.
-    fn span(&mut self, ring: &Option<Arc<SpanRing>>, kind: SpanKind, a: u64, b: u64) {
-        if let (Some(tr), Some(ring)) = (&mut self.trace, ring) {
+    fn span(&mut self, ring: &SpanRing, kind: SpanKind, a: u64, b: u64) {
+        if let Some(tr) = &mut self.trace {
             let now = ring.now_ns();
             ring.record(&tr.ctx, kind, tr.t0, now, a, b);
             tr.t0 = now;
@@ -1752,9 +1724,7 @@ impl StagedCommit {
             return;
         }
         self.append_verdict(false);
-        if let Some(t) = &resolver.twopc {
-            t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 0);
-        }
+        resolver.twopc.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 0);
         for p in &mut self.parts {
             let prepare = p.prepare.take().expect("no verdict yet");
             prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);
@@ -2177,7 +2147,6 @@ mod tests {
     fn parked_prepares_keep_their_versions_through_churn_gc_and_epoch_advances() {
         let mut cfg = DbConfig::in_memory();
         cfg.gc_interval = Duration::from_millis(1);
-        cfg.rcu_epoch_interval = Duration::from_millis(1);
         let db = ShardedDb::open(cfg, 2).unwrap();
         let t = db.create_table("kv");
         const PARKED: usize = 48;

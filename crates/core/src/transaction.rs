@@ -129,9 +129,7 @@ impl<'w> Transaction<'w> {
         // consistent cut; everything else reads at the live log tail.
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
         let (tid, _ctx) = db.inner.tid.acquire(begin, &mut scratch.tid_hint);
-        if let Some(t) = &scratch.telemetry {
-            t.ring.record(EventKind::TxnBegin, tid.raw(), 0);
-        }
+        scratch.telemetry.ring.record(EventKind::TxnBegin, tid.raw(), 0);
         scratch.logbuf.clear();
         scratch.keys.clear();
         Transaction {
@@ -904,9 +902,7 @@ impl<'w> Transaction<'w> {
                 // A poisoned log rejects all allocations until restart;
                 // anything else is transient resource pressure.
                 let reason = if db.inner.log.is_poisoned() {
-                    if let Some(t) = &self.scratch.telemetry {
-                        t.ring.record(EventKind::LogPoison, 1, 0);
-                    }
+                    self.scratch.telemetry.ring.record(EventKind::LogPoison, 1, 0);
                     AbortReason::LogFailure
                 } else {
                     AbortReason::ResourceExhausted
@@ -983,9 +979,7 @@ impl<'w> Transaction<'w> {
     fn publish(&mut self, cstamp: Lsn) {
         // All updates become visible atomically at this store.
         self.ctx().commit(cstamp);
-        if let Some(t) = &self.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
-        }
+        self.scratch.telemetry.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
 
         // --- Post-commit ------------------------------------------------
         let sstamp_final = self.sstamp;
@@ -1121,19 +1115,18 @@ impl<'w> Transaction<'w> {
         } else {
             self.db.inner.aborts.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(t) = &self.scratch.telemetry {
-            // Chain nodes this transaction walked, accumulated read by
-            // read in `fetch_visible` and recorded once here.
-            t.slab.hist(TXN_CHAIN_HIST).record(self.chain_walked);
-            if committed {
-                t.slab.add(TXN_COMMITS, 1);
-            } else {
-                // Every abort path records its reason in `doomed` before
-                // releasing; an explicit `abort()` call has none.
-                let reason = self.doomed.unwrap_or(AbortReason::UserRequested);
-                t.slab.add(TXN_ABORT_BASE + reason.idx(), 1);
-                t.ring.record(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
-            }
+        let t = &self.scratch.telemetry;
+        // Chain nodes this transaction walked, accumulated read by
+        // read in `fetch_visible` and recorded once here.
+        t.slab.hist(TXN_CHAIN_HIST).record(self.chain_walked);
+        if committed {
+            t.slab.add(TXN_COMMITS, 1);
+        } else {
+            // Every abort path records its reason in `doomed` before
+            // releasing; an explicit `abort()` call has none.
+            let reason = self.doomed.unwrap_or(AbortReason::UserRequested);
+            t.slab.add(TXN_ABORT_BASE + reason.idx(), 1);
+            t.ring.record(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
         }
         self.scratch.breakdown.add(IDX_TXNS, 1);
         self.reads.clear();

@@ -31,9 +31,9 @@ pub struct Worker {
 
 /// This worker's share of the telemetry layer: a [`TXN_FAMILY`] slab for
 /// outcome counters and the chain-length histogram, plus a flight-recorder
-/// event ring. Present iff `cfg.telemetry`; every hot-path touch is one
-/// relaxed increment (or one seqlock-protected slot write for events)
-/// against memory only this thread writes.
+/// event ring. Every hot-path touch is one relaxed increment (or one
+/// seqlock-protected slot write for events) against memory only this
+/// thread writes.
 pub(crate) struct WorkerTelemetry {
     pub slab: Arc<Slab>,
     pub ring: Arc<EventRing>,
@@ -56,8 +56,8 @@ pub(crate) struct Scratch {
     /// registry for counters nobody reads. Written only by this thread,
     /// so profiling never takes a lock on the transaction path.
     pub breakdown: Arc<Slab>,
-    /// Txn outcome counters + flight ring, when `cfg.telemetry`.
-    pub telemetry: Option<WorkerTelemetry>,
+    /// Txn outcome counters + flight ring.
+    pub telemetry: WorkerTelemetry,
     pub reads: Vec<*mut Version>,
     pub writes: Vec<WriteEntry>,
     pub secondary: Vec<SecondaryEntry>,
@@ -100,10 +100,10 @@ impl Worker {
         } else {
             Arc::new(Slab::new(&PROFILE_FAMILY))
         };
-        let telemetry = db.inner.cfg.telemetry.then(|| WorkerTelemetry {
+        let telemetry = WorkerTelemetry {
             slab: registry.register_slab(&TXN_FAMILY),
             ring: db.inner.telemetry.flight().ring(),
-        });
+        };
         Worker {
             db,
             epoch_handle,
@@ -156,9 +156,8 @@ impl Drop for Worker {
         if self.db.inner.cfg.profile {
             registry.retire_slab(&PROFILE_FAMILY, &self.scratch.breakdown);
         }
-        if let Some(t) = &self.scratch.telemetry {
-            registry.retire_slab(&TXN_FAMILY, &t.slab);
-            self.db.inner.telemetry.flight().retire(&t.ring);
-        }
+        let t = &self.scratch.telemetry;
+        registry.retire_slab(&TXN_FAMILY, &t.slab);
+        self.db.inner.telemetry.flight().retire(&t.ring);
     }
 }

@@ -104,6 +104,7 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
         replica.applied_lsn() > applied_before,
         "resubscribe must resume applying past the disconnect point"
     );
+    assert_eq!(replica.stats().lag_bytes(), 0, "post-load catch-up must drain the lag");
 
     // Serve the replica and interrogate it over the unchanged protocol.
     let rsrv = replica.serve("127.0.0.1:0", ServerConfig::default()).unwrap();

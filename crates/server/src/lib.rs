@@ -6,9 +6,6 @@
 //!   payload + CRC-32), request/response codecs, an incremental
 //!   [`FrameAssembler`](protocol::FrameAssembler) for non-blocking
 //!   transports, and hardening against malformed input.
-//! * [`poll`] — a std-only epoll shim (raw syscalls against the libc
-//!   std already links): readiness poller, cross-thread wake fd, and an
-//!   `RLIMIT_NOFILE` helper for high-fan-in harnesses.
 //! * [`Server`] — an event-driven TCP front end: N epoll shards each
 //!   multiplexing thousands of non-blocking sessions, a bounded
 //!   [`WorkerPool`](ermia::WorkerPool) mapping requests to engine
@@ -25,10 +22,10 @@
 //! engine, not the front end, is meant to be the bottleneck.
 
 pub mod client;
-pub mod poll;
 pub mod protocol;
 
 mod conn;
+mod poll;
 mod server;
 mod session;
 mod sys;

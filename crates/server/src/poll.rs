@@ -1,5 +1,5 @@
 //! Minimal epoll-based readiness poller used by the server's event-loop
-//! shards (and by `net_bench`'s open-loop client driver).
+//! shards.
 //!
 //! Wraps the raw bindings in [`crate::sys`] with owned-fd types so every
 //! descriptor is closed on drop. Registration is level-triggered by
@@ -25,7 +25,6 @@ pub struct Interest {
 
 impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false, edge: false };
-    pub const WRITE: Interest = Interest { readable: false, writable: true, edge: false };
 
     pub fn rw(readable: bool, writable: bool) -> Interest {
         Interest { readable, writable, edge: false }
@@ -170,34 +169,6 @@ impl WakeFd {
 impl AsRawFd for WakeFd {
     fn as_raw_fd(&self) -> RawFd {
         self.f.as_raw_fd()
-    }
-}
-
-/// Try to raise `RLIMIT_NOFILE` to at least `want` descriptors; returns
-/// the resulting soft limit. Needs privilege (or headroom in the hard
-/// limit); callers scale their fd appetite to the returned value.
-pub fn raise_nofile_limit(want: u64) -> u64 {
-    unsafe {
-        let mut cur = sys::rlimit { rlim_cur: 0, rlim_max: 0 };
-        if sys::getrlimit(sys::RLIMIT_NOFILE, &mut cur).is_negative() {
-            return 0;
-        }
-        if cur.rlim_cur >= want {
-            return cur.rlim_cur;
-        }
-        let try_max = cur.rlim_max.max(want);
-        let attempt = sys::rlimit { rlim_cur: want, rlim_max: try_max };
-        if sys::setrlimit(sys::RLIMIT_NOFILE, &attempt) == 0 {
-            return want;
-        }
-        // No privilege to raise the hard limit: settle for it.
-        if cur.rlim_max > cur.rlim_cur {
-            let attempt = sys::rlimit { rlim_cur: cur.rlim_max, rlim_max: cur.rlim_max };
-            if sys::setrlimit(sys::RLIMIT_NOFILE, &attempt) == 0 {
-                return cur.rlim_max;
-            }
-        }
-        cur.rlim_cur
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The workspace is std-only — no `libc` crate — but std already links
 //! the platform C library, so the handful of symbols the event loop
-//! needs (`epoll_*`, `eventfd`, `setrlimit`) are declared here directly
-//! and wrapped in safe, `std::os::fd`-based types by [`crate::poll`].
+//! needs (`epoll_*`, `eventfd`) are declared here directly and wrapped
+//! in safe, `std::os::fd`-based types by [`crate::poll`].
 //! Everything is Linux-specific; the server crate does not build
 //! elsewhere (matching CI and the deployment target).
 
@@ -40,15 +40,7 @@ pub(crate) struct epoll_event {
     pub data: u64,
 }
 
-// -- rlimit -----------------------------------------------------------
-
-pub(crate) const RLIMIT_NOFILE: c_int = 7;
-
-#[repr(C)]
-pub(crate) struct rlimit {
-    pub rlim_cur: u64,
-    pub rlim_max: u64,
-}
+// -- eventfd ----------------------------------------------------------
 
 pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
 pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
@@ -69,8 +61,6 @@ extern "C" {
         timeout: c_int,
     ) -> c_int;
     pub(crate) fn eventfd(initval: u32, flags: c_int) -> c_int;
-    pub(crate) fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
-    pub(crate) fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
 }
 
 #[cfg(not(target_os = "linux"))]

@@ -5,14 +5,24 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig};
-use ermia_server::protocol::{write_frame, Request};
+use ermia_server::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN};
 use ermia_server::{BatchOp, Client, Server, ServerConfig, WireIsolation};
 
 const CLIENTS: usize = 5000;
 const WAVE: usize = 250;
+
+/// The herd test reads the process's thread count and, like the waves
+/// of doomed clients, spends a large share of the default fd budget:
+/// the tests of this file run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Connect, get partway into some transactional work, and vanish.
 fn die_midway(addr: std::net::SocketAddr, table: u32, variant: usize) {
@@ -63,6 +73,7 @@ fn die_midway(addr: std::net::SocketAddr, table: u32, variant: usize) {
 
 #[test]
 fn thousand_disconnects_leak_nothing() {
+    let _serial = serial();
     let db = Database::open(DbConfig::in_memory()).unwrap();
     let cfg = ServerConfig {
         max_sessions: 2 * WAVE,
@@ -146,6 +157,7 @@ fn thousand_disconnects_leak_nothing() {
 /// full socket (reply-queue backpressure) must still tear down cleanly.
 #[test]
 fn disconnect_under_reply_backpressure_leaks_nothing() {
+    let _serial = serial();
     let db = Database::open(DbConfig::in_memory()).unwrap();
     let cfg = ServerConfig {
         reply_queue_depth: 4,
@@ -197,6 +209,7 @@ fn disconnect_under_reply_backpressure_leaks_nothing() {
 /// — plus nothing left in doubt.
 #[test]
 fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("ermia-teardown-2pc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = ermia::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
@@ -283,4 +296,45 @@ fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
     assert_eq!(db.tid_slots_in_use(), 0);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// Threads scale with shards + workers, never with connections: a herd
+/// of served, then idle, sessions adds no OS thread. Sized to the
+/// default `RLIMIT_NOFILE` of 1024 (two fds per loopback connection).
+#[test]
+fn os_threads_do_not_grow_with_connections() {
+    let _serial = serial();
+    const HERD: usize = 400;
+    let db = Database::open(DbConfig::in_memory()).unwrap();
+    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = srv.local_addr();
+    let mut setup = Client::connect(addr).unwrap();
+    let table = setup.open_table("herd").unwrap();
+    setup.put(table, b"k", b"v").unwrap();
+
+    let threads_before = os_threads();
+    let get = Request::Get { table, key: b"k".to_vec() }.encode();
+    let herd: Vec<TcpStream> = (0..HERD)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            write_frame(&mut s, &get).unwrap();
+            let reply = read_frame(&mut s, MAX_FRAME_LEN).unwrap();
+            assert!(matches!(Response::decode(&reply), Ok(Response::Value { value: Some(_) })));
+            s
+        })
+        .collect();
+    assert_eq!(srv.stats().active_sessions, HERD + 1, "the herd is connected all at once");
+    let threads_after = os_threads();
+    assert!(
+        threads_after.saturating_sub(threads_before) <= 16,
+        "thread count grew with connections: {threads_before} -> {threads_after}"
+    );
+    drop((setup, herd));
+    srv.shutdown();
 }

@@ -126,10 +126,6 @@ impl RetireQueue {
     }
 }
 
-/// Observer invoked after each pass with `(reclaimed_this_pass,
-/// total_passes)` — telemetry's flight-recorder hook.
-pub type GcPassHook = Box<dyn Fn(u64, u64) + Send>;
-
 /// Background garbage collector draining a [`RetireQueue`].
 pub struct GarbageCollector {
     stop: Arc<AtomicBool>,
@@ -143,7 +139,8 @@ impl GarbageCollector {
     /// asked once per table, tables never go away; `epoch` is the epoch
     /// manager versions are retired through; `pool`, when present,
     /// receives quiesced nodes for worker reuse instead of freeing them;
-    /// `on_pass` observes each pass.
+    /// `on_pass` observes each pass with `(reclaimed_this_pass,
+    /// total_passes)` — telemetry's flight-recorder hook.
     pub fn start(
         queue: Arc<RetireQueue>,
         epoch: EpochManager,
@@ -151,7 +148,7 @@ impl GarbageCollector {
         array: impl Fn(TableId) -> Option<Arc<OidArray>> + Send + 'static,
         interval: Duration,
         pool: Option<Arc<VersionPool>>,
-        on_pass: Option<GcPassHook>,
+        on_pass: impl Fn(u64, u64) + Send + 'static,
     ) -> GarbageCollector {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -173,9 +170,7 @@ impl GarbageCollector {
                 while !stop2.load(Ordering::Acquire) {
                     let reclaimed = collector.pass();
                     let passes = stats.passes.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(hook) = &on_pass {
-                        hook(reclaimed, passes);
-                    }
+                    on_pass(reclaimed, passes);
                     // `Drop` unparks; a spurious wake-up is only an early
                     // pass.
                     std::thread::park_timeout(interval);

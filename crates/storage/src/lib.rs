@@ -27,7 +27,7 @@ pub mod oid_array;
 pub mod tid;
 pub mod version;
 
-pub use gc::{GarbageCollector, GcPassHook, GcStats, RetireQueue, Retired};
+pub use gc::{GarbageCollector, GcStats, RetireQueue, Retired};
 pub use oid_array::OidArray;
 pub use tid::{TidManager, TidStatus, TxContext};
 pub use version::{defer_release, Version, VersionCache, VersionPool};

@@ -249,7 +249,7 @@ fn start_collector(
         move |t| (t.0 == 0).then(|| Arc::clone(&arr)),
         Duration::from_millis(1),
         None,
-        None,
+        |_, _| {},
     );
     (queue, gc)
 }
@@ -335,7 +335,7 @@ fn dropping_the_collector_does_not_wait_out_its_interval() {
         |_| None,
         Duration::from_secs(3600),
         None,
-        None,
+        |_, _| {},
     );
     // The first pass, whenever it happened: the next is an hour away.
     while queue.stats().passes.load(Ordering::Acquire) == 0 {

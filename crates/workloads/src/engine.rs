@@ -72,13 +72,11 @@ pub trait EngineTxn {
 /// that prefix keeps a warehouse's rows (and its single-warehouse
 /// transactions) on one shard — the paper's partitioning. The read-only
 /// catalog tables (`item`, `supplier`) replicate so NewOrder's item
-/// lookups never leave the home shard. The partitioned microbenchmark
-/// uses the same 4-byte-prefix scheme.
+/// lookups never leave the home shard.
 pub fn table_policy(name: &str) -> ermia::ShardPolicy {
     match name {
         "tpcc.item" | "tpcc.supplier" => ermia::ShardPolicy::Replicated,
         n if n.starts_with("tpcc.") => ermia::ShardPolicy::Hash { prefix: Some(4) },
-        "micro.stock_part" => ermia::ShardPolicy::Hash { prefix: Some(4) },
         _ => ermia::ShardPolicy::Hash { prefix: None },
     }
 }

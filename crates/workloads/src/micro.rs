@@ -57,183 +57,6 @@ pub struct MicroState {
     key: KeyWriter,
 }
 
-/// Configuration of the partition-aware microbenchmark variant.
-#[derive(Clone, Debug)]
-pub struct PartMicroConfig {
-    /// Number of key-space partitions; keys are `(partition: u32 BE,
-    /// row: u64 BE)` so a 4-byte hash prefix shards whole partitions.
-    /// Partition prefixes are chosen so partition `i` lands on shard
-    /// `i % shards` of a `shards`-way engine (see
-    /// [`ermia::shard_of_key`]) — `cross_pct` then translates directly
-    /// into the cross-shard transaction fraction.
-    pub partitions: u32,
-    /// Shard count of the engine under test (1 for the unsharded
-    /// baseline).
-    pub shards: usize,
-    pub rows_per_partition: u64,
-    /// Records read per transaction; the first read is always updated,
-    /// so every transaction writes its home partition.
-    pub reads: usize,
-    /// Fraction of the remaining reads that are also updated.
-    pub write_ratio: f64,
-    /// Percent (0–100) of transactions that also read **and update**
-    /// one row of a partition on a *different shard* — a cross-shard
-    /// two-phase commit on a sharded engine. Ignored when `shards == 1`.
-    pub cross_pct: u32,
-}
-
-/// The microbenchmark with a partitioned key space: workers stick to a
-/// home partition and a configurable fraction of transactions touch a
-/// second partition on another shard. The sharded-scaling series sweeps
-/// `cross_pct` over the paper's TPC-C cross-partition rates (0/1/15%).
-pub struct PartMicroWorkload {
-    pub cfg: PartMicroConfig,
-    table: OnceLock<TableId>,
-    /// Partition id → key prefix, precomputed so partition `i` hashes
-    /// to shard `i % shards`.
-    prefixes: Vec<u32>,
-}
-
-impl PartMicroWorkload {
-    pub fn new(cfg: PartMicroConfig) -> PartMicroWorkload {
-        assert!(cfg.partitions >= 1 && cfg.shards >= 1 && cfg.reads >= 1);
-        let prefixes = (0..cfg.partitions)
-            .map(|i| {
-                let want = i as usize % cfg.shards;
-                // The (i / shards)-th distinct u32 hashing to the target
-                // shard, so same-shard partitions get distinct prefixes.
-                (0u32..)
-                    .filter(|p| ermia::shard_of_key(&p.to_be_bytes(), cfg.shards) == want)
-                    .nth(i as usize / cfg.shards)
-                    .expect("u32 space covers every shard")
-            })
-            .collect();
-        PartMicroWorkload { cfg, table: OnceLock::new(), prefixes }
-    }
-
-    fn table(&self) -> TableId {
-        *self.table.get().expect("load() must run first")
-    }
-
-    fn key<'k>(&self, kw: &'k mut KeyWriter, partition: u32, row: u64) -> &'k [u8] {
-        kw.reset().u32(self.prefixes[partition as usize]).u64(row).as_bytes()
-    }
-}
-
-pub struct PartMicroState {
-    rng: StdRng,
-    key: KeyWriter,
-    home: u32,
-}
-
-impl<E: Engine> Workload<E> for PartMicroWorkload {
-    type WorkerState = PartMicroState;
-
-    fn types(&self) -> Vec<&'static str> {
-        vec!["ReadUpdate"]
-    }
-
-    fn load(&self, engine: &E) {
-        let t = engine.create_table("micro.stock_part");
-        let _ = self.table.set(t);
-        let mut worker = engine.register_worker();
-        let mut rng = worker_rng(0xFEED);
-        let payload: Vec<u8> = (0..ROW_BYTES).map(|i| i as u8).collect();
-        let mut key = KeyWriter::new();
-        for partition in 0..self.cfg.partitions {
-            let mut row = 0;
-            while row < self.cfg.rows_per_partition {
-                let mut tx = worker.begin(TxnProfile::ReadWrite);
-                let hi = (row + 1_000).min(self.cfg.rows_per_partition);
-                for r in row..hi {
-                    let mut value = payload.clone();
-                    value[0..8].copy_from_slice(&rng.random::<u64>().to_le_bytes());
-                    let k = self.key(&mut key, partition, r);
-                    tx.insert(t, k, &value).expect("load insert");
-                }
-                tx.commit().expect("load commit");
-                row = hi;
-            }
-        }
-    }
-
-    fn worker_state(&self, worker_id: usize, _nthreads: usize) -> PartMicroState {
-        PartMicroState {
-            rng: worker_rng(worker_id as u64),
-            key: KeyWriter::new(),
-            home: worker_id as u32 % self.cfg.partitions,
-        }
-    }
-
-    fn next_type(&self, _ws: &mut PartMicroState) -> usize {
-        0
-    }
-
-    fn execute(
-        &self,
-        worker: &mut E::Worker,
-        ws: &mut PartMicroState,
-        _ty: usize,
-    ) -> Result<(), AbortReason> {
-        let t = self.table();
-        let cfg = &self.cfg;
-        // Decide up front whether this transaction crosses shards: pick
-        // a partition whose home shard differs from ours.
-        let remote: Option<u32> = if cfg.shards > 1
-            && cfg.cross_pct > 0
-            && ws.rng.random_range(0u32..100) < cfg.cross_pct
-        {
-            let home_shard = ws.home as usize % cfg.shards;
-            let step = 1 + ws.rng.random_range(0..cfg.partitions.saturating_sub(1).max(1));
-            (0..cfg.partitions)
-                .map(|i| (ws.home + step + i) % cfg.partitions)
-                .find(|&p| p as usize % cfg.shards != home_shard)
-        } else {
-            None
-        };
-
-        let mut tx = worker.begin(TxnProfile::ReadWrite);
-        let rmw = |tx: &mut <E::Worker as crate::engine::EngineWorker>::Txn<'_>,
-                       ws: &mut PartMicroState,
-                       partition: u32,
-                       write: bool|
-         -> Result<(), AbortReason> {
-            let row = ws.rng.random_range(0..cfg.rows_per_partition);
-            self.key(&mut ws.key, partition, row);
-            let mut snapshot: u64 = 0;
-            let found = tx.read(t, ws.key.as_bytes(), &mut |v| {
-                snapshot = u64::from_le_bytes(v[0..8].try_into().unwrap());
-            })?;
-            if write && found {
-                let mut value = vec![0u8; ROW_BYTES];
-                value[0..8].copy_from_slice(&snapshot.wrapping_add(1).to_le_bytes());
-                tx.update(t, ws.key.as_bytes(), &value)?;
-            }
-            Ok(())
-        };
-        let body = (|tx: &mut <E::Worker as crate::engine::EngineWorker>::Txn<'_>, ws: &mut PartMicroState| {
-            // First access always writes home, so a cross transaction
-            // has two writing participants (a real two-phase commit).
-            rmw(tx, ws, ws.home, true)?;
-            for _ in 1..cfg.reads {
-                let write = ws.rng.random_bool(cfg.write_ratio);
-                rmw(tx, ws, ws.home, write)?;
-            }
-            if let Some(r) = remote {
-                rmw(tx, ws, r, true)?;
-            }
-            Ok(())
-        })(&mut tx, ws);
-        match body {
-            Ok(()) => tx.commit(),
-            Err(r) => {
-                tx.abort();
-                Err(r)
-            }
-        }
-    }
-}
-
 impl<E: Engine> Workload<E> for MicroWorkload {
     type WorkerState = MicroState;
 

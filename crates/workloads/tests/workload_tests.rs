@@ -4,13 +4,13 @@
 
 use std::time::Duration;
 
-use ermia_workloads::driver::{run, RunConfig};
-use ermia_workloads::micro::{MicroConfig, MicroWorkload, PartMicroConfig, PartMicroWorkload};
+use ermia_workloads::driver::{run, run_loaded, RunConfig, Workload};
+use ermia_workloads::micro::{MicroConfig, MicroWorkload};
 use ermia_workloads::tpcc::{check_consistency, TpccConfig, TpccWorkload};
 use ermia_workloads::tpcc_hybrid::TpccHybridWorkload;
 use ermia_workloads::tpce::{TpceConfig, TpceWorkload};
 use ermia_workloads::tpce_hybrid::TpceHybridWorkload;
-use ermia_workloads::{Engine, ErmiaEngine, SiloEngine};
+use ermia_workloads::{BenchResult, Engine, ErmiaEngine, SiloEngine};
 
 fn ermia_si() -> ErmiaEngine {
     ErmiaEngine::si(ermia::Database::open(ermia::DbConfig::in_memory()).unwrap())
@@ -49,15 +49,19 @@ fn micro_runs_on_all_engines() {
     micro_on(silo());
 }
 
-fn tpcc_on<E: Engine>(engine: E) {
-    let wl = TpccWorkload::new(TpccConfig::small(2));
-    let r = run(&engine, &wl, &short());
+fn tpcc_ran_and_is_consistent<E: Engine>(engine: &E, wl: &TpccWorkload, r: &BenchResult) {
     assert!(r.total_commits() > 50, "{}: too few commits: {}", engine.name(), r.total_commits());
     // Every transaction type must have executed.
     for ty in &r.per_type {
         assert!(ty.executions() > 0, "{}: {} never ran", engine.name(), ty.name);
     }
-    check_consistency(&engine, &wl);
+    check_consistency(engine, wl);
+}
+
+fn tpcc_on<E: Engine>(engine: E) {
+    let wl = TpccWorkload::new(TpccConfig::small(2));
+    let r = run(&engine, &wl, &short());
+    tpcc_ran_and_is_consistent(&engine, &wl, &r);
 }
 
 #[test]
@@ -80,33 +84,23 @@ fn tpcc_runs_and_stays_consistent_sharded() {
     // 3 shards, 2 warehouses: cross-partition NewOrder/Payment become
     // cross-shard two-phase commits; consistency conditions must still
     // hold over the merged namespace.
-    tpcc_on(ermia_sharded(3));
+    let engine = ermia_sharded(3);
+    let cross_txns = || {
+        ermia_telemetry::parse_exposition(&engine.db.telemetry().render_prometheus())
+            .unwrap()
+            .value("ermia_shard_cross_txns_total")
+            .unwrap()
+    };
+    let wl = TpccWorkload::new(TpccConfig::small(2));
+    Workload::<ErmiaEngine>::load(&wl, &engine);
+    // (Loading the replicated tables already commits on every shard.)
+    let loaded = cross_txns();
+    let r = run_loaded(&engine, &wl, &short());
+    tpcc_ran_and_is_consistent(&engine, &wl, &r);
+    assert!(cross_txns() > loaded, "no TPC-C transaction committed on two shards");
 }
 
-#[test]
-fn part_micro_crosses_shards_and_commits() {
-    let engine = ermia_sharded(2);
-    let wl = PartMicroWorkload::new(PartMicroConfig {
-        partitions: 4,
-        shards: 2,
-        rows_per_partition: 500,
-        reads: 10,
-        write_ratio: 0.2,
-        cross_pct: 50,
-    });
-    let r = run(&engine, &wl, &short());
-    assert!(r.total_commits() > 0, "no commits");
-    // Half the transactions write two shards: 2PC must actually fire.
-    let cross = engine.db.telemetry().render_prometheus();
-    let line = cross
-        .lines()
-        .find(|l| l.starts_with("ermia_shard_cross_txns_total"))
-        .expect("cross-shard counter exported");
-    let n: f64 = line.split_whitespace().last().unwrap().parse().unwrap();
-    assert!(n > 0.0, "expected cross-shard commits, counter: {line}");
-}
-
-fn tpcc_hybrid_on<E: Engine>(engine: E) -> ermia_workloads::BenchResult {
+fn tpcc_hybrid_on<E: Engine>(engine: E) -> BenchResult {
     let wl = TpccHybridWorkload::new(TpccConfig::small(2), 20);
     let r = run(&engine, &wl, &short());
     assert!(r.total_commits() > 0, "{}: no commits", engine.name());

@@ -10,6 +10,8 @@
 //! independent shard domains (log, epochs, TID space; shard `i` logs
 //! under `<dir>/shard-<i>`); keys hash-route to a home shard and
 //! transactions that touch several shards commit with two-phase commit.
+//! The default is one shard: N logs have not beaten one group-committed
+//! log on the hosts measured so far (EXPERIMENTS.md, "One log or N").
 //!
 //! `--data-dir DIR` (or `ERMIA_DATA_DIR`) names the durable directory.
 //! It is reused across restarts: every start recovers what the previous
