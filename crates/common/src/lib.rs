@@ -5,7 +5,8 @@
 //! object/table/transaction identifiers ([`Oid`], [`TableId`], [`Tid`]),
 //! creation-stamp words ([`Stamp`]) that hold either an LSN or a TID,
 //! the transaction abort taxonomy ([`AbortReason`]), and order-preserving
-//! key encoding ([`KeyWriter`]).
+//! key encoding ([`KeyWriter`]) — plus the two small utilities every
+//! crate would otherwise copy: [`CachePadded`] and, for tests, [`TestDir`].
 //!
 //! Nothing in here allocates on hot paths or takes locks; the types are
 //! plain newtypes over machine words so they can live inside atomics.
@@ -14,10 +15,14 @@ pub mod error;
 pub mod ids;
 pub mod key;
 pub mod lsn;
+mod pad;
 pub mod stamp;
+mod testdir;
 
 pub use error::{AbortReason, LogError, OpResult, TxResult};
 pub use ids::{IndexId, Oid, TableId, Tid};
 pub use key::{decode_u32_at, decode_u64_at, KeyWriter};
 pub use lsn::Lsn;
+pub use pad::CachePadded;
 pub use stamp::Stamp;
+pub use testdir::TestDir;

@@ -5,8 +5,8 @@
 //! and a version cache, so the right shape is a small pool sized near the
 //! core count that sessions *check out* for the duration of one
 //! transaction and return at commit/abort. The pool is strictly bounded —
-//! when every worker is out, checkout fails (or times out) and the caller
-//! sheds load instead of queueing unboundedly.
+//! when every worker is out, checkout fails and the caller retries on its
+//! own clock or sheds load instead of queueing unboundedly.
 //!
 //! Workers are created lazily up to capacity and live for the pool's
 //! lifetime; [`EpochHandle`](ermia_epoch::EpochHandle) is `Send`, so a
@@ -14,9 +14,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::database::Database;
 use crate::shard::{ShardedDb, ShardedWorker};
@@ -56,7 +55,6 @@ struct PoolInner<D: RegisterWorker> {
     created: AtomicUsize,
     /// Workers currently checked out.
     outstanding: AtomicUsize,
-    returned: Condvar,
 }
 
 /// A bounded pool of engine workers shared by many sessions.
@@ -79,7 +77,6 @@ impl<D: RegisterWorker> WorkerPool<D> {
                 idle: Mutex::new(Vec::with_capacity(capacity)),
                 created: AtomicUsize::new(0),
                 outstanding: AtomicUsize::new(0),
-                returned: Condvar::new(),
             }),
         }
     }
@@ -104,27 +101,6 @@ impl<D: RegisterWorker> WorkerPool<D> {
             return Some(PooledWorker { worker: Some(w), pool: Arc::clone(inner) });
         }
         None
-    }
-
-    /// Check out a worker, waiting up to `timeout` for one to come back.
-    pub fn checkout_timeout(&self, timeout: Duration) -> Option<PooledWorker<D>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_checkout() {
-                return Some(w);
-            }
-            let mut idle = self.inner.idle.lock();
-            if !idle.is_empty() {
-                continue; // a return won the race; retry the fast path
-            }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            if self.inner.returned.wait_for(&mut idle, left).timed_out() {
-                drop(idle);
-                // One last try: a worker may have come back exactly at
-                // the deadline.
-                return self.try_checkout();
-            }
-        }
     }
 
     /// Pool capacity (the bound).
@@ -174,7 +150,6 @@ impl<D: RegisterWorker> Drop for PooledWorker<D> {
         let w = self.worker.take().expect("returned exactly once");
         self.pool.idle.lock().push(w);
         self.pool.outstanding.fetch_sub(1, Ordering::Relaxed);
-        self.pool.returned.notify_one();
     }
 }
 
@@ -225,18 +200,6 @@ mod tests {
                 .join()
                 .unwrap();
                 assert_eq!(pool.created(), 1);
-
-                // A timed checkout waits for a return.
-                let held = pool.try_checkout().unwrap();
-                assert!(pool.checkout_timeout(Duration::from_millis(20)).is_none());
-                let pool2 = pool.clone();
-                let h = std::thread::spawn(move || {
-                    pool2.checkout_timeout(Duration::from_secs(5)).expect("worker returned in time")
-                });
-                std::thread::sleep(Duration::from_millis(30));
-                drop(held);
-                drop(h.join().unwrap());
-                assert_eq!(pool.outstanding(), 0);
             }
         };
     }

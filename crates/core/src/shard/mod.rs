@@ -1,0 +1,720 @@
+//! Sharded engine: N independent log/epoch/TID domains, one namespace.
+//!
+//! The centralized log gives ERMIA a totally ordered commit timestamp
+//! from one `fetch_add` — scalable on one socket, but still one cache
+//! line every committer must touch, one flusher thread, one TID space.
+//! [`ShardedDb`] multiplies the engine instead of the log: it hash-
+//! partitions every table across `S` full [`Database`] instances, each
+//! with its own log directory, group-commit flusher, epoch manager, GC
+//! and TID space. The namespace stays unified — tables and indexes are
+//! created on every shard in the same order, so a `TableId` or
+//! `IndexId` means the same thing everywhere and callers route by key,
+//! never by shard.
+//!
+//! **Single-shard transactions** (the common case: the TPC-C partition
+//! argument, §6 of the paper) touch exactly one inner [`Transaction`]
+//! and commit through the unmodified single-database path — no extra
+//! log writes, no coordination, overhead is one hash per operation. At
+//! `S = 1` even that disappears: routing is constant and commit is a
+//! direct pass-through. One shard is the degenerate shard set, so the
+//! server, the worker pool and the workload adapters run on a
+//! `ShardedDb` only ([`ShardedDb::single`] wraps a [`Database`]).
+//!
+//! The module is its three concerns: `routing` (key → shard), `staged`
+//! (the commit handle and the two-phase state machine behind it) and the
+//! facade — [`ShardedDb`] with recovery here, [`ShardedWorker`] and
+//! [`ShardedTransaction`] in `txn`.
+//!
+//! **Cross-shard transactions** commit in one durability round, layered
+//! on the existing commit/durability split:
+//!
+//! 1. *Prepare* — every writer shard runs the one pre-commit pipeline
+//!    every commit runs (`Transaction::precommit`: log space allocation,
+//!    SSN exclusion test, node-set validation, block fill), with its
+//!    block serialized as [`BlockKind::TxnPrepare`] carrying the
+//!    coordinator's identity and the number of participants. The
+//!    coordinator is the lowest writer shard and prepares first; its
+//!    prepare cstamp becomes the global transaction id (gtid).
+//! 2. *Commit point* — **every participant's prepare block is durable.**
+//!    Nothing else is waited for: every shard's log lives in this
+//!    process and recovery reads them all, so "all prepares are on disk"
+//!    is a fact recovery can establish by itself.
+//! 3. *Finalize* — participants flip their TID slots to committed and
+//!    publish versions in memory, and the caller is answered.
+//! 4. *Verdict* — only then a [`BlockKind::TxnDecide`] record is appended,
+//!    unforced, to every participant's log, where it rides whatever flush
+//!    comes next. It spares recovery (and a replica tailing the log) the
+//!    counting; it is never the commit.
+//!
+//! Between the steps nothing is needed but log offsets turning durable,
+//! so from "every writer prepared" on the commit is an owned state
+//! machine (prepared → finalized), [`StagedCommit`], whose participants
+//! are parked — detached from the worker, no epoch pinned.
+//! [`ShardedTransaction::commit`] drives it with a blocking wait; the
+//! server parks it with a thread that waits on logs and gets its worker
+//! back at once.
+//!
+//! The failure side: a commit that gives up after its prepares are
+//! written (a stalled or poisoned log, a dropped [`StagedCommit`]) first
+//! appends an *abort* verdict behind the prepares on every participant
+//! that still accepts writes, then rolls back in memory, so a prepare
+//! that turns durable after all is followed on disk by its abort. The
+//! caller is told the outcome is indeterminate (`LogStalled`, or an abort
+//! for log failure), which is exact: if the power fails before any abort
+//! verdict is durable but after every prepare is, recovery commits.
+//!
+//! [`ShardedDb::recover`] scans every shard and resolves each prepare
+//! that has no verdict in its own log: a commit verdict in any
+//! participant's log commits it, an abort verdict in any aborts it, and
+//! with no verdict anywhere it commits iff as many shards hold a prepare
+//! for the gtid as the marker says took part — so an acknowledged
+//! cross-shard commit is always fully present after a crash, and one
+//! that is partly on disk fully absent.
+//!
+//! Invariants (each pinned by a test named in DESIGN.md §Sharding):
+//! 1. nothing is published or acknowledged before every prepare is
+//!    durable;
+//! 2. a commit verdict is written only after (1), an abort verdict only
+//!    by the failure path, never both for one gtid;
+//! 3. recovery never commits a gtid with fewer prepares than its marker's
+//!    count, and never aborts one whose commit was acknowledged.
+//!
+//! What sharding deliberately does *not* give: a global snapshot.
+//! Each shard's reads run against that shard's own LSN timeline, so a
+//! cross-shard reader can observe shard A after a transaction T and
+//! shard B before T (a fractured read), and SSN certifies dependency
+//! cycles per shard only. This matches the partitioned deployments the
+//! paper compares against (H-Store-style) rather than a globally
+//! serializable distributed engine; see DESIGN.md §Sharding.
+
+mod routing;
+mod staged;
+mod txn;
+
+use std::collections::HashMap;
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Weak};
+
+use parking_lot::RwLock;
+
+use ermia_common::{IndexId, Lsn, TableId};
+use ermia_log::DecideRecord;
+use ermia_telemetry::{EventKind, Sample};
+
+use crate::config::DbConfig;
+use crate::database::{Database, DbState, DdlEntry, NodeRole};
+use crate::recovery::RecoveryStats;
+
+use routing::{set_at, IndexRoute, Routing};
+pub use routing::{shard_of_key, IndexRouting, RoutedDdl, ShardPolicy};
+use staged::write_decide;
+pub use staged::{DeferredCommit, StagedCommit};
+pub use txn::{ShardedTransaction, ShardedWorker};
+
+pub(crate) struct ShardedInner {
+    dbs: Vec<Database>,
+    routing: RwLock<Arc<Routing>>,
+    /// Bumped on every DDL so workers revalidate their routing cache
+    /// with one relaxed load per transaction.
+    routing_version: AtomicU64,
+    /// Cross-shard transactions currently between first prepare and
+    /// verdict (plus unresolved prepares during recovery).
+    in_doubt: AtomicU64,
+}
+
+impl ShardedInner {
+    /// Replace the routing snapshot with an edited copy and make every
+    /// worker re-read it at its next begin.
+    fn edit_routing(&self, edit: impl FnOnce(&mut Routing)) {
+        let mut guard = self.routing.write();
+        let mut routing = Routing::clone(&guard);
+        edit(&mut routing);
+        *guard = Arc::new(routing);
+        self.routing_version.fetch_add(1, Relaxed);
+    }
+}
+
+/// `S` independent [`Database`] instances behind one namespace.
+///
+/// Cheap to clone and share across threads, like [`Database`].
+#[derive(Clone)]
+pub struct ShardedDb {
+    pub(crate) inner: Arc<ShardedInner>,
+}
+
+/// A plain database is the one-shard engine ([`ShardedDb::single`]).
+impl From<Database> for ShardedDb {
+    fn from(db: Database) -> ShardedDb {
+        ShardedDb::single(db)
+    }
+}
+
+impl ShardedDb {
+    /// Open `shards` databases from one config. With a durable config,
+    /// shard `i` logs under `<dir>/shard-<i>`; in-memory configs stay
+    /// in-memory. All shards share the remaining tuning knobs.
+    pub fn open(cfg: DbConfig, shards: usize) -> io::Result<ShardedDb> {
+        assert!(shards >= 1, "need at least one shard");
+        let mut dbs = Vec::with_capacity(shards);
+        for i in 0..shards {
+            let mut c = cfg.clone();
+            if let Some(dir) = &cfg.log.dir {
+                let d = dir.join(format!("shard-{i}"));
+                std::fs::create_dir_all(&d)?;
+                c.log.dir = Some(d);
+            }
+            dbs.push(Database::open(c)?);
+        }
+        Ok(ShardedDb::from_shards(dbs))
+    }
+
+    /// Wrap an already-open database as a one-shard `ShardedDb`. Routing
+    /// is picked up from its catalog; every operation passes straight
+    /// through to the inner engine.
+    pub fn single(db: Database) -> ShardedDb {
+        ShardedDb::from_shards(vec![db])
+    }
+
+    /// Wrap already-open per-shard handles (e.g. a replica's snapshot
+    /// views) as one `ShardedDb`. Shard catalogs must be identical, as
+    /// they are when every shard replayed the same DDL. Routing starts
+    /// on the default hash policy; a replica of a primary with explicit
+    /// policies must install them with
+    /// [`ShardedDb::refresh_routing_with`] (the shipped schema carries
+    /// them), or reads of co-located keys would route to the wrong
+    /// shard.
+    pub fn from_shards(dbs: Vec<Database>) -> ShardedDb {
+        assert!(!dbs.is_empty(), "need at least one shard");
+        let routing = Routing::from_catalog(&dbs[0]);
+        let inner = Arc::new(ShardedInner {
+            dbs,
+            routing: RwLock::new(Arc::new(routing)),
+            routing_version: AtomicU64::new(1),
+            in_doubt: AtomicU64::new(0),
+        });
+        register_shard_collectors(&inner);
+        ShardedDb { inner }
+    }
+
+    /// Rebuild the routing snapshot from shard 0's current catalog (all
+    /// tables on the default hash policy) and force workers to re-read
+    /// it. A replica calls this after replaying newly shipped DDL so
+    /// reads route to tables created since the wrapper was built.
+    pub fn refresh_routing(&self) {
+        self.refresh_routing_with(&[], &[]);
+    }
+
+    /// [`ShardedDb::refresh_routing`] with explicit per-table policies
+    /// and per-secondary-index routing rules layered on top of the
+    /// catalog defaults. A replica passes the policies shipped with the
+    /// primary's schema so its reads route exactly like the primary's.
+    /// Out-of-range ids are ignored (a policy for a table whose DDL has
+    /// not replayed yet applies on the next refresh).
+    pub fn refresh_routing_with(
+        &self,
+        policies: &[(TableId, ShardPolicy)],
+        secondaries: &[(IndexId, IndexRouting)],
+    ) {
+        self.inner.edit_routing(|routing| {
+            *routing = Routing::from_catalog(&self.inner.dbs[0]);
+            for &(table, policy) in policies {
+                if let Some(slot) = routing.tables.get_mut(table.0 as usize) {
+                    *slot = policy;
+                }
+            }
+            for &(index, rule) in secondaries {
+                if let Some(slot @ IndexRoute::Secondary(_)) =
+                    routing.indexes.get_mut(index.0 as usize)
+                {
+                    *slot = IndexRoute::Secondary(rule);
+                }
+            }
+        });
+    }
+
+    /// The schema DDL (creation order, as [`Database::schema_ddl`]) with
+    /// each entry's routing attached: the table's [`ShardPolicy`] for
+    /// table entries, the [`IndexRouting`] for secondary entries. This
+    /// is what ships to a replica, which must reproduce not only the
+    /// dense ids but the routing that placed every key.
+    pub fn schema_ddl_routed(&self) -> Vec<RoutedDdl> {
+        let routing = self.inner.routing.read().clone();
+        let db = &self.inner.dbs[0];
+        let cat = db.inner.catalog.read();
+        cat.indexes
+            .iter()
+            .enumerate()
+            .map(|(i, ix)| {
+                let entry = DdlEntry {
+                    table: cat.tables[ix.table.0 as usize].name.clone(),
+                    secondary: (!ix.is_primary).then(|| ix.name.clone()),
+                };
+                let route = if ix.is_primary {
+                    routing.table_policy(ix.table).to_wire()
+                } else {
+                    match routing.indexes.get(i) {
+                        Some(&IndexRoute::Secondary(rule)) => rule.to_wire(),
+                        _ => IndexRouting::Probe.to_wire(),
+                    }
+                };
+                RoutedDdl { entry, route_tag: route.0, route_arg: route.1 }
+            })
+            .collect()
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.inner.dbs.len()
+    }
+
+    /// Direct access to one shard's engine (tests, benchmarks, stats).
+    pub fn shard(&self, i: usize) -> &Database {
+        &self.inner.dbs[i]
+    }
+
+    /// Create a table on every shard with the default hash policy (or
+    /// return the existing id). Ids are dense and identical across
+    /// shards because all DDL goes through this namespace.
+    pub fn create_table(&self, name: &str) -> TableId {
+        self.create_table_inner(name, None)
+    }
+
+    /// Create a table with an explicit [`ShardPolicy`] (also updates the
+    /// policy of an existing table).
+    pub fn create_table_with_policy(&self, name: &str, policy: ShardPolicy) -> TableId {
+        self.create_table_inner(name, Some(policy))
+    }
+
+    fn create_table_inner(&self, name: &str, policy: Option<ShardPolicy>) -> TableId {
+        let inner = &self.inner;
+        let mut ids = inner.dbs.iter().map(|d| d.create_table(name));
+        let id = ids.next().expect("at least one shard");
+        for other in ids {
+            assert_eq!(other, id, "shard catalogs diverged for table {name:?}");
+        }
+        let primary = inner.dbs[0].primary_index(id);
+        inner.edit_routing(|routing| {
+            // `None` keeps the policy the table already has.
+            let policy = policy.unwrap_or_else(|| routing.table_policy(id));
+            set_at(&mut routing.tables, id.0 as usize, ShardPolicy::default(), policy);
+            let route = IndexRoute::Primary(id);
+            set_at(&mut routing.indexes, primary.0 as usize, route, route);
+        });
+        id
+    }
+
+    /// Create a secondary index on every shard with an explicit routing
+    /// rule. Panics on [`ShardPolicy::Replicated`] tables: their OIDs
+    /// differ per shard, so one secondary entry cannot name all copies.
+    pub fn create_secondary_index(
+        &self,
+        table: TableId,
+        name: &str,
+        routing: IndexRouting,
+    ) -> IndexId {
+        let inner = &self.inner;
+        assert!(
+            inner.routing.read().table_policy(table) != ShardPolicy::Replicated,
+            "replicated tables cannot carry secondary indexes"
+        );
+        let mut ids = inner.dbs.iter().map(|d| d.create_secondary_index(table, name));
+        let id = ids.next().expect("at least one shard");
+        for other in ids {
+            assert_eq!(other, id, "shard catalogs diverged for index {name:?}");
+        }
+        let route = IndexRoute::Secondary(routing);
+        inner.edit_routing(|new| set_at(&mut new.indexes, id.0 as usize, route, route));
+        id
+    }
+
+    /// Number of tables (identical on every shard).
+    pub fn table_count(&self) -> usize {
+        self.inner.dbs[0].table_count()
+    }
+
+    /// Look up a table id by name.
+    pub fn table_id(&self, name: &str) -> Option<TableId> {
+        self.inner.dbs[0].table_id(name)
+    }
+
+    /// Look up an index id by name.
+    pub fn index_id(&self, name: &str) -> Option<IndexId> {
+        self.inner.dbs[0].index_id(name)
+    }
+
+    /// A table's primary index id (identical on every shard).
+    pub fn primary_index(&self, table: TableId) -> IndexId {
+        self.inner.dbs[0].primary_index(table)
+    }
+
+    /// Shard 0's telemetry layer — where the shard collectors, 2PC
+    /// metric slabs and cross-shard flight events land.
+    pub fn telemetry(&self) -> &ermia_telemetry::Telemetry {
+        self.inner.dbs[0].telemetry()
+    }
+
+    /// Degraded if *any* shard is degraded: a cross-shard writer cannot
+    /// make progress with one poisoned participant log.
+    pub fn state(&self) -> DbState {
+        if self.inner.dbs.iter().any(|d| d.state() == DbState::Degraded) {
+            DbState::Degraded
+        } else {
+            DbState::Active
+        }
+    }
+
+    /// Resume every shard from degraded read-only mode.
+    pub fn resume(&self) -> io::Result<()> {
+        for db in &self.inner.dbs {
+            db.resume()?;
+        }
+        Ok(())
+    }
+
+    /// Summed (commits, aborts) across shards. A cross-shard commit
+    /// counts once per participant, which is what per-shard throughput
+    /// accounting wants.
+    pub fn txn_counts(&self) -> (u64, u64) {
+        let mut c = 0;
+        let mut a = 0;
+        for db in &self.inner.dbs {
+            let (dc, da) = db.txn_counts();
+            c += dc;
+            a += da;
+        }
+        (c, a)
+    }
+
+    /// Summed in-flight TID slots across shards.
+    pub fn tid_slots_in_use(&self) -> usize {
+        self.inner.dbs.iter().map(|d| d.tid_slots_in_use()).sum()
+    }
+
+    /// The *minimum* durable offset across shards — the conservative
+    /// answer to "is everything up to my offset durable" for callers
+    /// that only track one number.
+    pub fn log_durable_offset(&self) -> u64 {
+        self.inner.dbs.iter().map(|d| d.log().durable_offset()).min().unwrap_or(0)
+    }
+
+    /// This node's replication role (shard 0 speaks for all: a replica
+    /// marks every shard).
+    pub fn role(&self) -> NodeRole {
+        self.inner.dbs[0].role()
+    }
+
+    /// The *minimum* applied offset across shards (0 on a primary) —
+    /// the conservative catch-up point for lag reporting.
+    pub fn applied_lsn(&self) -> u64 {
+        self.inner.dbs.iter().map(|d| d.applied_lsn()).min().unwrap_or(0)
+    }
+
+    /// Checkpoint every shard; returns the per-shard begin LSNs.
+    pub fn checkpoint(&self) -> io::Result<Vec<Lsn>> {
+        self.inner.dbs.iter().map(|d| d.checkpoint()).collect()
+    }
+
+    /// Truncate every shard's log below its checkpoint; returns the
+    /// total number of retired segments.
+    pub fn truncate_log(&self) -> io::Result<usize> {
+        let mut n = 0;
+        for db in &self.inner.dbs {
+            n += db.truncate_log()?;
+        }
+        Ok(n)
+    }
+
+    /// Recover every shard and resolve cross-shard in-doubt prepares.
+    ///
+    /// Each shard's scan yields (a) its replay stats, (b) prepares with
+    /// no local verdict, and (c) every verdict record in its log. An
+    /// in-doubt prepare commits if any shard's log holds a commit verdict
+    /// for its gtid and aborts if any holds an abort verdict. With no
+    /// verdict anywhere it commits iff as many shards hold a prepare for
+    /// the gtid as its marker counts: a commit is only ever published or
+    /// acknowledged once every prepare is durable, so a missing prepare
+    /// proves nobody saw it, and a full set with no abort verdict proves
+    /// nobody who durably committed afterwards saw it rolled back. A
+    /// marker without a count (a log older than this rule) needs the
+    /// explicit commit verdict it was written under.
+    ///
+    /// Every resolution is then appended to the shard's log as a verdict
+    /// record, so a replica tailing the log — and the next recovery,
+    /// whatever has been truncated by then — goes by the same answer.
+    pub fn recover(&self) -> io::Result<ShardRecoveryStats> {
+        let inner = &self.inner;
+        let mut outcomes = Vec::with_capacity(inner.dbs.len());
+        for db in &inner.dbs {
+            outcomes.push(db.recover_outcome()?);
+        }
+        // The verdicts stay the per-shard sets they arrived as: only the
+        // in-doubt few are ever looked up.
+        let verdicts: Vec<_> =
+            outcomes.iter_mut().map(|o| std::mem::take(&mut o.decides)).collect();
+        let mut holders: HashMap<(u32, u64), u32> = HashMap::new();
+        for txn in outcomes.iter().flat_map(|o| &o.in_doubt) {
+            *holders.entry((txn.coord_shard, txn.gtid_lsn)).or_default() += 1;
+        }
+        inner.in_doubt.store(holders.values().map(|&n| n as u64).sum(), Relaxed);
+        let mut stats = ShardRecoveryStats {
+            per_shard: Vec::with_capacity(outcomes.len()),
+            resolved_commits: 0,
+            resolved_aborts: 0,
+            resolved_implicit: 0,
+        };
+        let ring = &inner.dbs[0].inner.svc_ring;
+        for (shard, outcome) in outcomes.into_iter().enumerate() {
+            for txn in &outcome.in_doubt {
+                let key = (txn.coord_shard, txn.gtid_lsn);
+                let recorded = |commit| verdicts.iter().any(|v| v.get(key) == Some(commit));
+                let implicit = !recorded(true) && !recorded(false);
+                let commit = if implicit {
+                    txn.participants != 0 && holders[&key] == txn.participants
+                } else {
+                    recorded(true)
+                };
+                if commit {
+                    inner.dbs[shard].apply_in_doubt(txn)?;
+                    stats.resolved_commits += 1;
+                } else {
+                    stats.resolved_aborts += 1;
+                }
+                stats.resolved_implicit += implicit as u64;
+                let rec = DecideRecord { gtid_lsn: key.1, coord_shard: key.0, commit };
+                write_decide(&inner.dbs[shard], rec)?;
+                ring.record(EventKind::TwoPcResolve, key.1, commit as u64 | (implicit as u64) << 1);
+                inner.in_doubt.fetch_sub(1, Relaxed);
+            }
+            stats.per_shard.push(outcome.stats);
+        }
+        Ok(stats)
+    }
+}
+
+/// What [`ShardedDb::recover`] did.
+#[derive(Debug)]
+pub struct ShardRecoveryStats {
+    /// Per-shard replay stats, in shard order.
+    pub per_shard: Vec<RecoveryStats>,
+    /// In-doubt prepares rolled forward.
+    pub resolved_commits: u64,
+    /// In-doubt prepares dropped.
+    pub resolved_aborts: u64,
+    /// Of the two above, those no verdict record decided: committed
+    /// because every participant's prepare was found, aborted because
+    /// one was not.
+    pub resolved_implicit: u64,
+}
+
+/// Register the shard-level collector on shard 0's registry: shard
+/// count, per-shard transaction counters, and the in-doubt gauge. The
+/// closure holds a `Weak` so the registry never keeps the sharded
+/// wrapper alive.
+fn register_shard_collectors(inner: &Arc<ShardedInner>) {
+    let registry = inner.dbs[0].telemetry().registry();
+    let group = registry.group();
+    let weak: Weak<ShardedInner> = Arc::downgrade(inner);
+    registry.register_collector(group, move |out| {
+        let Some(sd) = weak.upgrade() else { return };
+        out.push(Sample::gauge("ermia_shard_count", "Engine shards", sd.dbs.len() as f64));
+        out.push(Sample::gauge(
+            "ermia_shard_in_doubt",
+            "Cross-shard transactions prepared but not yet decided",
+            sd.in_doubt.load(Relaxed) as f64,
+        ));
+        for (i, db) in sd.dbs.iter().enumerate() {
+            let (c, a) = db.txn_counts();
+            out.push(
+                Sample::counter(
+                    "ermia_shard_txns_total",
+                    "Transactions finished per shard (commits + aborts)",
+                    c + a,
+                )
+                .labeled("shard", i.to_string()),
+            );
+        }
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use ermia_common::TestDir;
+    use ermia_log::PrepareMarker;
+
+    use super::routing::cross_pair;
+    use super::*;
+    use crate::config::IsolationLevel;
+
+    #[test]
+    fn cross_shard_commit_survives_restart() {
+        let dir = TestDir::new("shard-2pc-restart");
+        let (ka, kb) = cross_pair(2);
+        {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let t = db.create_table("kv");
+            let mut w = db.register_worker();
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            tx.insert(t, &ka, b"va").unwrap();
+            tx.insert(t, &kb, b"vb").unwrap();
+            tx.commit().unwrap();
+        }
+        let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+        let t = db.create_table("kv");
+        let stats = db.recover().unwrap();
+        // Finalized on both shards before the drop: participants hold
+        // prepare + decide, so nothing stays in doubt.
+        assert_eq!(
+            stats.per_shard.iter().map(|s| s.in_doubt).sum::<u64>(),
+            0,
+            "finalized 2PC must not reopen in doubt"
+        );
+        let mut w = db.register_worker();
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        assert_eq!(tx.read(t, &ka, |v| v.to_vec()).unwrap().as_deref(), Some(&b"va"[..]));
+        assert_eq!(tx.read(t, &kb, |v| v.to_vec()).unwrap().as_deref(), Some(&b"vb"[..]));
+        tx.commit().unwrap();
+    }
+
+    /// What reaches disk of one two-shard transaction before the crash,
+    /// and what recovery must make of it.
+    struct CrashCase {
+        name: &'static str,
+        /// The count both markers carry (0: a log older than the rule).
+        participants: u32,
+        /// Whether the non-coordinator's prepare was written at all.
+        second_prepare: bool,
+        /// Verdict records on disk: (on the coordinator's log?, commit?).
+        verdicts: &'static [(bool, bool)],
+        commit: bool,
+        /// `resolved_commits`, `resolved_aborts`, `resolved_implicit`.
+        resolved: (u64, u64, u64),
+    }
+
+    /// The recovery rule, case by case (invariant 3). Each case is
+    /// recovered twice: the first recovery writes its resolutions down,
+    /// so the second finds nothing in doubt and the same rows.
+    #[test]
+    fn recovery_resolves_in_doubt_prepares_by_verdict_then_by_count() {
+        let cases = [
+            CrashCase {
+                name: "all prepares, no verdict: committed",
+                participants: 2,
+                second_prepare: true,
+                verdicts: &[],
+                commit: true,
+                resolved: (2, 0, 2),
+            },
+            CrashCase {
+                name: "one prepare missing: aborted",
+                participants: 2,
+                second_prepare: false,
+                verdicts: &[],
+                commit: false,
+                resolved: (0, 1, 1),
+            },
+            CrashCase {
+                name: "abort verdict on one shard only: aborted everywhere",
+                participants: 2,
+                second_prepare: true,
+                verdicts: &[(true, false)],
+                commit: false,
+                resolved: (0, 1, 0),
+            },
+            CrashCase {
+                name: "commit verdict only on the non-coordinator: committed everywhere",
+                participants: 0,
+                second_prepare: true,
+                verdicts: &[(false, true)],
+                commit: true,
+                resolved: (1, 0, 0),
+            },
+            CrashCase {
+                name: "legacy marker, no verdict: aborted",
+                participants: 0,
+                second_prepare: true,
+                verdicts: &[],
+                commit: false,
+                resolved: (0, 2, 2),
+            },
+        ];
+        let (ka, kb) = cross_pair(2);
+        let (sa, sb) = (shard_of_key(&ka, 2), shard_of_key(&kb, 2));
+        for (i, case) in cases.iter().enumerate() {
+            let dir = TestDir::new(&format!("shard-2pc-matrix-{i}"));
+            {
+                let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+                let t = db.create_table("kv");
+                let mut wa = db.shard(sa).register_worker();
+                let mut wb = db.shard(sb).register_worker();
+                let mut ta = wa.begin(IsolationLevel::Snapshot);
+                ta.insert(t, &ka, b"va").unwrap();
+                let mut tb = wb.begin(IsolationLevel::Snapshot);
+                tb.insert(t, &kb, b"vb").unwrap();
+                let marker = |coord_lsn| PrepareMarker {
+                    coord_shard: sa as u32,
+                    participants: case.participants,
+                    coord_lsn,
+                    trace_hi: 0,
+                    trace_lo: 0,
+                };
+                let pa = ta.precommit(Some(marker(PrepareMarker::COORD_SELF))).unwrap();
+                let gtid_lsn = pa.cstamp().raw();
+                let _pb = if case.second_prepare {
+                    Some(tb.precommit(Some(marker(gtid_lsn))).unwrap())
+                } else {
+                    tb.abort();
+                    None
+                };
+                for &(on_coord, commit) in case.verdicts {
+                    let rec = DecideRecord { gtid_lsn, coord_shard: sa as u32, commit };
+                    write_decide(db.shard(if on_coord { sa } else { sb }), rec).unwrap();
+                }
+                for shard in 0..2 {
+                    db.shard(shard).log().sync().unwrap();
+                }
+                // Simulated crash: the prepared halves drop unresolved.
+            }
+            for round in 0..2 {
+                let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+                let t = db.create_table("kv");
+                let stats = db.recover().unwrap();
+                let got = (stats.resolved_commits, stats.resolved_aborts, stats.resolved_implicit);
+                let want = if round == 0 { case.resolved } else { (0, 0, 0) };
+                assert_eq!(got, want, "{}, recovery {round}", case.name);
+                assert_eq!(db.inner.in_doubt.load(Relaxed), 0, "{}", case.name);
+                let mut w = db.register_worker();
+                let mut tx = w.begin(IsolationLevel::Snapshot);
+                for key in [&ka, &kb] {
+                    let present = tx.read(t, key, |_| ()).unwrap().is_some();
+                    assert_eq!(present, case.commit, "{}, recovery {round}", case.name);
+                }
+                tx.commit().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn shard_metrics_are_exposed() {
+        let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
+        let t = db.create_table("kv");
+        let (ka, kb) = cross_pair(2);
+        let mut w = db.register_worker();
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        tx.insert(t, &ka, b"a").unwrap();
+        tx.insert(t, &kb, b"b").unwrap();
+        tx.commit().unwrap();
+        let text = db.telemetry().render_prometheus();
+        for name in [
+            "ermia_shard_count",
+            "ermia_shard_in_doubt",
+            "ermia_shard_txns_total",
+            "ermia_shard_cross_txns_total",
+            "ermia_2pc_prepare_ns",
+            "ermia_2pc_decide_ns",
+        ] {
+            assert!(text.contains(name), "missing metric {name} in exposition");
+        }
+        assert!(text.contains("shard=\"1\""), "per-shard label missing");
+    }
+}

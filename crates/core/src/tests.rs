@@ -1,6 +1,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ermia_common::AbortReason;
+use ermia_common::{AbortReason, TestDir};
 
 use crate::{Database, DbConfig, IsolationLevel};
 
@@ -369,12 +369,12 @@ fn long_reader_survives_concurrent_writers() {
     setup.commit().unwrap();
 
     let stop = AtomicU64::new(0);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Writers hammer the range.
         for _ in 0..2 {
             let db = db.clone();
             let stop = &stop;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut i = 0u32;
                 while stop.load(Ordering::Relaxed) == 0 {
@@ -392,7 +392,7 @@ fn long_reader_survives_concurrent_writers() {
         // succeed and see a consistent snapshot.
         let dbr = db.clone();
         let stopr = &stop;
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut w = dbr.register_worker();
             for _ in 0..30 {
                 let mut tx = w.begin(SI);
@@ -407,8 +407,7 @@ fn long_reader_survives_concurrent_writers() {
             }
             stopr.store(1, Ordering::Relaxed);
         });
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -425,10 +424,10 @@ fn concurrent_transfers_preserve_invariant() {
     }
     setup.commit().unwrap();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tidx in 0..3u64 {
             let db = db.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut state = tidx.wrapping_mul(0x9E3779B97F4A7C15) | 1;
                 let mut done = 0;
@@ -466,8 +465,7 @@ fn concurrent_transfers_preserve_invariant() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let mut check = w.begin(SI);
     let mut total = 0i64;
@@ -519,8 +517,7 @@ fn per_op_logging_mode() {
 
 #[test]
 fn checkpoint_and_recovery_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("ermia-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("recovery");
     let schema = |db: &Database| {
         let t = db.create_table("t");
         let idx = db.create_secondary_index(t, "t.sec");
@@ -569,13 +566,11 @@ fn checkpoint_and_recovery_roundtrip() {
         assert_eq!(via_sec.as_deref(), Some(&b"val-3"[..]));
         tx.commit().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn recovery_without_checkpoint_replays_whole_log() {
-    let dir = std::env::temp_dir().join(format!("ermia-recovery-nochk-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("recovery-nochk");
     {
         let db = Database::open(DbConfig::durable(&dir)).unwrap();
         let t = db.create_table("t");
@@ -598,7 +593,6 @@ fn recovery_without_checkpoint_replays_whole_log() {
         assert_eq!(get(&mut tx, t, b"b").as_deref(), Some(&b"2"[..]));
         tx.commit().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -813,8 +807,7 @@ fn epoch_stats_visible_through_database() {
 
 #[test]
 fn large_values_divert_to_blobs_and_recover() {
-    let dir = std::env::temp_dir().join(format!("ermia-blob-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("blob-recovery");
     let big = vec![0xCDu8; 32 * 1024];
     {
         let mut cfg = DbConfig::durable(&dir);
@@ -842,13 +835,11 @@ fn large_values_divert_to_blobs_and_recover() {
         assert_eq!(get(&mut tx, t, b"large"), Some(big));
         tx.commit().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn log_truncation_after_checkpoint() {
-    let dir = std::env::temp_dir().join(format!("ermia-truncate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("truncate");
     {
         let mut cfg = DbConfig::durable(&dir);
         cfg.log.segment_size = 8192; // force frequent rotations
@@ -887,7 +878,6 @@ fn log_truncation_after_checkpoint() {
         assert_eq!(get(&mut tx, t, b"after").as_deref(), Some(&b"x"[..]));
         tx.commit().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -997,8 +987,7 @@ fn breakdown_survives_worker_churn_without_growing_registry() {
 fn log_retention_handle_clamps_truncation_until_dropped() {
     // A backup shipper pins the log; truncation must stall behind the
     // pin and resume — retiring the same segments — once it drops.
-    let dir = std::env::temp_dir().join(format!("ermia-retention-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("retention");
     let mut cfg = DbConfig::durable(&dir);
     cfg.log.segment_size = 8192;
     let db = Database::open(cfg).unwrap();
@@ -1039,7 +1028,6 @@ fn log_retention_handle_clamps_truncation_until_dropped() {
     assert_eq!(get(&mut tx, t, &0u32.to_be_bytes()).as_deref(), Some(&[0xCD_u8; 128][..]));
     tx.commit().unwrap();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1103,8 +1091,7 @@ fn fork_is_a_frozen_consistent_cut() {
 
 #[test]
 fn snapshot_cut_is_durable_and_transaction_consistent() {
-    let dir = std::env::temp_dir().join(format!("ermia-cut-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("cut");
     let db = Database::open(DbConfig::durable(&dir)).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
@@ -1121,7 +1108,6 @@ fn snapshot_cut_is_durable_and_transaction_consistent() {
         "the log must be durable through the cut"
     );
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -1170,13 +1156,7 @@ struct Outcome {
 fn run_exit(scenario: Scenario, exit: Exit) -> Outcome {
     use ermia_log::{FaultInjector, FaultPlan, LogScanner, PrepareMarker};
 
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-exits-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("exits");
     let injector = FaultInjector::new(FaultPlan::default());
     let mut cfg = DbConfig::durable(&dir);
     cfg.synchronous_commit = exit == Exit::Sync;
@@ -1270,7 +1250,6 @@ fn run_exit(scenario: Scenario, exit: Exit) -> Outcome {
         blocks
     });
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
     Outcome { verdict, aborts, blocks, timed_log }
 }
 

@@ -15,24 +15,12 @@
 //!   to the acknowledged frontier.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ermia_common::TestDir;
 use ermia::{AbortReason, Database, DbConfig, DbState, IsolationLevel};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-degraded-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn faulty_cfg(dir: PathBuf, injector: &FaultInjector) -> DbConfig {
     let mut cfg = DbConfig::durable(dir);
@@ -90,12 +78,12 @@ impl UpsertOr for ermia::Transaction<'_> {
 /// durable across a restart.
 #[test]
 fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
-    let dir = tmpdir("live");
+    let dir = TestDir::new("live");
     let injector = FaultInjector::new(FaultPlan {
         enospc_after_bytes: Some(4096),
         ..FaultPlan::default()
     });
-    let db = Database::open(faulty_cfg(dir.clone(), &injector)).unwrap();
+    let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
     let table = db.create_table("kv");
 
     // Load until the byte budget poisons the log.
@@ -174,7 +162,7 @@ fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
     // Restart: acked pre-poison keys (unless later overwritten) and all
     // post-resume keys must survive; the degrade window lost nothing
     // that was acknowledged.
-    let db = Database::open(clean_cfg(dir.clone())).unwrap();
+    let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
     let table = db.create_table("kv");
     db.recover().expect("recovery after resume lifecycle");
     let mut w = db.register_worker();
@@ -185,7 +173,6 @@ fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
         assert_eq!(got.as_deref(), Some(want), "key {key} lost or stale after restart");
     }
     tx.commit().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Restart on a dirty directory: stale lockfile from a dead pid plus
@@ -193,9 +180,9 @@ fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
 /// must hold zero transaction slots and keep advancing epochs.
 #[test]
 fn dirty_dir_restart_recovers_with_clean_runtime_state() {
-    let dir = tmpdir("dirty");
+    let dir = TestDir::new("dirty");
     {
-        let db = Database::open(clean_cfg(dir.clone())).unwrap();
+        let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
         let table = db.create_table("kv");
         for key in 0..20u64 {
             put(&db, table, key, "v").unwrap();
@@ -209,7 +196,7 @@ fn dirty_dir_restart_recovers_with_clean_runtime_state() {
     std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
     std::fs::write(dir.join("checkpoints").join("chk-tmp"), b"torn checkpoint image").unwrap();
 
-    let db = Database::open(clean_cfg(dir.clone())).unwrap();
+    let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
     let table = db.create_table("kv");
     db.recover().expect("recovery on a dirty directory");
     let mut w = db.register_worker();
@@ -229,27 +216,25 @@ fn dirty_dir_restart_recovers_with_clean_runtime_state() {
         db.epoch_stats().advances > advances_before,
         "epoch timeline must stay live after a dirty-dir recovery"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A live foreign owner must be refused; our own pid must not be.
 #[test]
 fn live_foreign_lock_refused_same_pid_allowed() {
-    let dir = tmpdir("lock");
+    let dir = TestDir::new("lock");
     std::fs::create_dir_all(&dir).unwrap();
     // Pid 1 is always alive.
     std::fs::write(dir.join("ermia.lock"), "1\n").unwrap();
-    let err = match Database::open(clean_cfg(dir.clone())) {
+    let err = match Database::open(clean_cfg(dir.to_path_buf())) {
         Ok(_) => panic!("open must refuse a directory locked by a live process"),
         Err(e) => e,
     };
     assert!(err.to_string().contains("locked by live process"), "got: {err}");
 
     std::fs::write(dir.join("ermia.lock"), format!("{}\n", std::process::id())).unwrap();
-    let db = Database::open(clean_cfg(dir.clone())).expect("same-pid reopen is allowed");
+    let db = Database::open(clean_cfg(dir.to_path_buf())).expect("same-pid reopen is allowed");
     drop(db);
     assert!(!dir.join("ermia.lock").exists(), "lockfile removed on clean shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Corrupting the newest checkpoint must push recovery back to the
@@ -257,9 +242,9 @@ fn live_foreign_lock_refused_same_pid_allowed() {
 /// frontier — no acknowledged commit is lost to a torn checkpoint.
 #[test]
 fn torn_checkpoint_falls_back_and_replays_to_acked_frontier() {
-    let dir = tmpdir("chk");
+    let dir = TestDir::new("chk");
     {
-        let db = Database::open(clean_cfg(dir.clone())).unwrap();
+        let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
         let table = db.create_table("kv");
         for key in 0..10u64 {
             put(&db, table, key, "batch-a").unwrap();
@@ -290,7 +275,7 @@ fn torn_checkpoint_falls_back_and_replays_to_acked_frontier() {
     bytes[mid + 1] ^= 0xFF;
     std::fs::write(newest, bytes).unwrap();
 
-    let db = Database::open(clean_cfg(dir.clone())).unwrap();
+    let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
     let table = db.create_table("kv");
     db.recover().expect("recovery falls back past the torn checkpoint");
     let mut w = db.register_worker();
@@ -310,7 +295,6 @@ fn torn_checkpoint_falls_back_and_replays_to_acked_frontier() {
         );
     }
     tx.commit().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A fuzzy checkpoint must never *publish* committed-but-not-yet-durable
@@ -326,8 +310,8 @@ fn torn_checkpoint_falls_back_and_replays_to_acked_frontier() {
 /// the log cannot catch up it fails without publishing a marker.
 #[test]
 fn checkpoint_withholds_nondurable_tail_so_acked_writes_survive_crash() {
-    let dir = tmpdir("ckpt-durable");
-    let mut cfg = clean_cfg(dir.clone());
+    let dir = TestDir::new("ckpt-durable");
+    let mut cfg = clean_cfg(dir.to_path_buf());
     // The durability barrier must give up quickly once the tail is stuck.
     cfg.log.wait_durable_timeout = Duration::from_millis(200);
     let db = Database::open(cfg).unwrap();
@@ -357,7 +341,7 @@ fn checkpoint_withholds_nondurable_tail_so_acked_writes_survive_crash() {
     db.checkpoint().expect_err("checkpoint must not publish an unbackable snapshot");
     drop(db); // flusher already gone: the unflushed tail dies with us
 
-    let db = Database::open(clean_cfg(dir.clone())).unwrap();
+    let db = Database::open(clean_cfg(dir.to_path_buf())).unwrap();
     let table = db.create_table("kv");
     db.recover().expect("recovery");
     let mut w = db.register_worker();
@@ -370,5 +354,4 @@ fn checkpoint_withholds_nondurable_tail_so_acked_writes_survive_crash() {
     tx.commit().unwrap();
     drop(w);
     assert_eq!(db.tid_slots_in_use(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,10 +9,11 @@
 //! on a quiet database, `Database::gc_audit` — a full sweep of every
 //! indirection array at the same horizon — must reclaim nothing.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::path::Path;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
+use ermia_common::TestDir;
 use ermia::{Database, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, StagedCommit, TableId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,18 +22,6 @@ const SI: IsolationLevel = IsolationLevel::Snapshot;
 const TABLES: [&str; 2] = ["a", "b"];
 const KEYS: u32 = 48;
 const ROUNDS: u32 = 1500;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-gc-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config(dir: Option<&Path>, gc_interval: Duration) -> DbConfig {
     let cfg = dir.map_or_else(DbConfig::in_memory, DbConfig::durable);
@@ -154,7 +143,7 @@ fn storm(db: &ShardedDb, seed: u64) {
 /// The storm, then the same history twice more: replayed by recovery and
 /// (in `crates/repl/tests/gc_liveness.rs`) tailed by a replica.
 fn storm_then_recover(shards: usize, seed: u64) {
-    let dir = tmpdir(&format!("storm-{shards}"));
+    let dir = TestDir::new(&format!("storm-{shards}"));
     let cfg = config(Some(&dir), Duration::from_millis(1));
     {
         let db = ShardedDb::open(cfg.clone(), shards).unwrap();
@@ -173,7 +162,6 @@ fn storm_then_recover(shards: usize, seed: u64) {
     audit(&db, "after recovery");
     assert!(reclaimed(&db) > 0, "replay stacked no version on another");
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -2,27 +2,15 @@
 //! not hold, who waits for its verdict, and what each verdict leaves.
 
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use ermia_common::TestDir;
 use ermia::{
     shard_of_key, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, StagedCommit,
     TableId,
 };
 use ermia_log::{BlockKind, DecideRecord, LogScanner, PrepareMarker};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-staged-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The `i`-th key with this prefix that lives on `shard` of two.
 fn key_on(shard: usize, prefix: &str, i: usize) -> Vec<u8> {
@@ -255,7 +243,7 @@ fn sync_logs(db: &ShardedDb) {
 /// puts its verdict in the log before it releases anything.
 #[test]
 fn verdict_records_follow_the_outcome_and_nothing_precedes_durable_prepares() {
-    let dir = tmpdir("order");
+    let dir = TestDir::new("order");
     let (a, b) = (key_on(0, "k", 0), key_on(1, "k", 0));
     let db = ShardedDb::open(small_log(&dir), 2).unwrap();
     let t = db.create_table("kv");
@@ -309,7 +297,6 @@ fn verdict_records_follow_the_outcome_and_nothing_precedes_durable_prepares() {
         [Block::Prepare { gtid: p }, Block::Verdict { gtid: v, commit: false }] => assert_eq!(p, v),
         ref tail => panic!("shard 0's log must end prepare, abort verdict: {tail:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An abort after every prepare is durable would be overruled by the
@@ -318,7 +305,7 @@ fn verdict_records_follow_the_outcome_and_nothing_precedes_durable_prepares() {
 /// lost with its log's tail.
 #[test]
 fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
-    let dir = tmpdir("abort");
+    let dir = TestDir::new("abort");
     let (a, b) = (key_on(0, "k", 0), key_on(1, "k", 0));
     let db = ShardedDb::open(small_log(&dir), 2).unwrap();
     let t = db.create_table("kv");
@@ -339,7 +326,7 @@ fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
     assert_eq!(db.tid_slots_in_use(), 0);
     db.shard(0).log().sync().unwrap();
 
-    let crashed = tmpdir("abort-crashed");
+    let crashed = TestDir::new("abort-crashed");
     copy_dir(&dir, &crashed);
     let recovered = ShardedDb::open(small_log(&crashed), 2).unwrap();
     let t = recovered.create_table("kv");
@@ -349,8 +336,6 @@ fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
     let mut w = recovered.register_worker();
     assert_eq!(read(&mut w, t, &a).as_deref(), Some(&b"old"[..]));
     assert_eq!(read(&mut w, t, &b).as_deref(), Some(&b"old"[..]));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&crashed);
 }
 
 /// A step of the prefix-pair history, with the log offsets that decide
@@ -375,7 +360,7 @@ enum Step {
 #[test]
 fn every_pair_of_log_prefixes_recovers_atomically() {
     const PAIRS: usize = 3;
-    let dir = tmpdir("prefix");
+    let dir = TestDir::new("prefix");
     let db = ShardedDb::open(small_log(&dir), 2).unwrap();
     let t = db.create_table("kv");
     let mut w = db.register_worker();
@@ -473,7 +458,6 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
         let ends = logs[shard].iter().map(|(end, _)| *end);
         ends.filter(|&end| end >= loaded[shard]).collect::<Vec<u64>>()
     });
-    let scratch = tmpdir("prefix-cut");
     let (mut recovered, mut skipped) = (0, 0);
     for &cut0 in &cuts[0] {
         for &cut1 in &cuts[1] {
@@ -505,7 +489,7 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
                     Step::Single { .. } => {}
                 }
             }
-            let _ = std::fs::remove_dir_all(&scratch);
+            let scratch = TestDir::new("prefix-cut");
             copy_dir(&dir, &scratch);
             for (shard, &at) in cut.iter().enumerate() {
                 cut_log(&scratch.join(format!("shard-{shard}")), at);
@@ -532,8 +516,6 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
         recovered > 100 && skipped > 0,
         "{recovered} prefix pairs recovered, {skipped} skipped"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// What a power cut at logical offset `cut` leaves of the one-segment

@@ -13,10 +13,10 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ermia_common::TestDir;
 use ermia::{AbortReason, Database, DbConfig, IsolationLevel};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig, TornWrite};
 
@@ -35,18 +35,6 @@ impl Rng {
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound.max(1)
     }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-core-torture-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 const KEYS: u64 = 32;
@@ -188,10 +176,10 @@ fn recover_state(dir: PathBuf) -> Model {
 }
 
 fn check_seed(tag: &str, seed: u64, plan: FaultPlan) {
-    let dir = tmpdir(tag);
+    let dir = TestDir::new(tag);
     let injector = FaultInjector::new(plan);
-    let run = run_faulty_life(dir.clone(), &injector, seed, 120);
-    let recovered = recover_state(dir.clone());
+    let run = run_faulty_life(dir.to_path_buf(), &injector, seed, 120);
+    let recovered = recover_state(dir.to_path_buf());
     let matches_acked = recovered == run.acked_model;
     let matches_inflight = run.inflight_model.as_ref() == Some(&recovered);
     assert!(
@@ -202,7 +190,6 @@ fn check_seed(tag: &str, seed: u64, plan: FaultPlan) {
         run.acked_model,
         run.inflight_model
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Crash the storage after a seed-chosen number of writes; the recovered
@@ -249,12 +236,11 @@ fn fsync_failure_recovers_acked_prefix() {
 /// the final model.
 #[test]
 fn clean_run_recovers_everything() {
-    let dir = tmpdir("clean");
+    let dir = TestDir::new("clean");
     let injector = FaultInjector::new(FaultPlan::default());
-    let run = run_faulty_life(dir.clone(), &injector, 42, 80);
+    let run = run_faulty_life(dir.to_path_buf(), &injector, 42, 80);
     assert_eq!(run.acked, 80, "fault-free run acks every txn");
     assert!(run.inflight_model.is_none());
-    let recovered = recover_state(dir.clone());
+    let recovered = recover_state(dir.to_path_buf());
     assert_eq!(recovered, run.acked_model);
-    let _ = std::fs::remove_dir_all(&dir);
 }

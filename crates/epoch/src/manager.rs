@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
+use ermia_common::CachePadded;
 use parking_lot::Mutex;
 
 /// Sentinel slot value meaning "thread is quiescent" (holds no references

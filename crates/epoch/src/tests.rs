@@ -206,11 +206,11 @@ fn concurrent_defer_and_collect_stress() {
     let mgr = EpochManager::new("stress");
     let ran = Arc::new(AtomicUsize::new(0));
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
             let mgr = mgr.clone();
             let ran = Arc::clone(&ran);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let h = mgr.register();
                 for i in 0..OPS {
                     let g = h.pin();
@@ -226,14 +226,13 @@ fn concurrent_defer_and_collect_stress() {
             });
         }
         let mgr2 = mgr.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             for _ in 0..200 {
                 mgr2.advance_and_collect();
                 std::thread::yield_now();
             }
         });
-    })
-    .unwrap();
+    });
 
     for _ in 0..4 {
         mgr.advance_and_collect();

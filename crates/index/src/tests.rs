@@ -232,11 +232,11 @@ fn concurrent_disjoint_inserts() {
     const PER: u64 = 3_000;
     let t = BTree::new();
     let mgr = EpochManager::new("stress");
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..THREADS {
             let t = &t;
             let mgr = mgr.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let h = mgr.register();
                 for i in 0..PER {
                     let g = h.pin();
@@ -245,8 +245,7 @@ fn concurrent_disjoint_inserts() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let h = mgr.register();
     let g = h.pin();
     let mut count = 0u64;
@@ -310,12 +309,12 @@ fn concurrent_readers_during_writes() {
     let t = BTree::new();
     let mgr = EpochManager::new("rw-stress");
     let ticker = ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Writer inserts ascending keys, removing every third behind itself.
         {
             let t = &t;
             let mgr = mgr.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let h = mgr.register();
                 for i in 0..N {
                     let g = h.pin();
@@ -331,7 +330,7 @@ fn concurrent_readers_during_writes() {
         for _ in 0..2 {
             let t = &t;
             let mgr = mgr.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let h = mgr.register();
                 let mut state = 7u64;
                 for _ in 0..20_000 {
@@ -351,7 +350,6 @@ fn concurrent_readers_during_writes() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     drop(ticker);
 }

@@ -116,6 +116,8 @@ impl BlobStore {
 
 #[cfg(test)]
 mod tests {
+    use ermia_common::TestDir;
+
     use super::*;
 
     #[test]
@@ -137,9 +139,7 @@ mod tests {
 
     #[test]
     fn file_append_read_reopen() {
-        let dir = std::env::temp_dir().join(format!("ermia-blob-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("blob");
         let first;
         {
             let store = BlobStore::open(&dir).unwrap();
@@ -152,16 +152,15 @@ mod tests {
             let second = store.append(b"more").unwrap();
             assert_eq!(second.offset, first.offset + first.len as u64);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_appends_are_disjoint() {
         let store = std::sync::Arc::new(BlobStore::in_memory());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u8 {
                 let store = std::sync::Arc::clone(&store);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..100 {
                         let payload = vec![t.wrapping_mul(31).wrapping_add(i); 64];
                         let r = store.append(&payload).unwrap();
@@ -169,8 +168,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(store.size(), 4 * 100 * 64);
     }
 }

@@ -156,17 +156,13 @@ impl CheckpointStore {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ermia_common::TestDir;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ermia-chk-{}-{}", tag, std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use super::*;
 
     #[test]
     fn write_then_latest() {
-        let dir = tmpdir("roundtrip");
+        let dir = TestDir::new("roundtrip");
         let store = CheckpointStore::new(&dir).unwrap();
         assert!(store.latest().unwrap().is_none());
         store.write(CheckpointMeta { begin: Lsn::from_parts(100, 0) }, b"snapshot-a").unwrap();
@@ -174,12 +170,11 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(200, 0));
         assert_eq!(payload, b"snapshot-b");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_newest_falls_back_to_older() {
-        let dir = tmpdir("corrupt");
+        let dir = TestDir::new("corrupt");
         let store = CheckpointStore::new(&dir).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(100, 0) }, b"good-old").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(200, 0) }, b"bad-new").unwrap();
@@ -192,12 +187,11 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(100, 0), "must fall back past the corrupt one");
         assert_eq!(payload, b"good-old");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncated_or_missing_payload_falls_back() {
-        let dir = tmpdir("truncated");
+        let dir = TestDir::new("truncated");
         let store = CheckpointStore::new(&dir).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(10, 0) }, b"intact").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(20, 0) }, b"torn-payload").unwrap();
@@ -211,34 +205,31 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(10, 0));
         assert_eq!(payload, b"intact");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn all_checkpoints_corrupt_means_none() {
-        let dir = tmpdir("allbad");
+        let dir = TestDir::new("allbad");
         let store = CheckpointStore::new(&dir).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(5, 0) }, b"x").unwrap();
         std::fs::write(store.payload_path(Lsn::from_parts(5, 0)), b"junk").unwrap();
         assert!(store.latest().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn stale_tmp_is_cleaned_on_open() {
-        let dir = tmpdir("tmpclean");
+        let dir = TestDir::new("tmpclean");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("chk-tmp"), b"half-written checkpoint").unwrap();
         let store = CheckpointStore::new(&dir).unwrap();
         assert!(!dir.join("chk-tmp").exists(), "stale tmp must be removed");
         assert!(store.latest().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_checkpoint_write_fails_and_falls_back() {
         use crate::io::{FaultInjector, FaultPlan, TornWrite};
-        let dir = tmpdir("chk-torn");
+        let dir = TestDir::new("chk-torn");
         // A good checkpoint first, through the plain backend.
         CheckpointStore::new(&dir)
             .unwrap()
@@ -262,13 +253,12 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(10, 0));
         assert_eq!(payload, b"good");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn silently_torn_checkpoint_with_marker_falls_back() {
         use crate::io::{FaultInjector, FaultPlan, TornWrite};
-        let dir = tmpdir("chk-silent");
+        let dir = TestDir::new("chk-silent");
         CheckpointStore::new(&dir)
             .unwrap()
             .write(CheckpointMeta { begin: Lsn::from_parts(10, 0) }, b"good")
@@ -288,24 +278,22 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(10, 0), "corrupt-but-marked must be skipped");
         assert_eq!(payload, b"good");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpoint_fsync_failure_surfaces_before_any_rename() {
         use crate::io::{FaultInjector, FaultPlan};
-        let dir = tmpdir("chk-sync");
+        let dir = TestDir::new("chk-sync");
         let inj =
             FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
         let store = CheckpointStore::with_backend(&dir, Arc::new(inj)).unwrap();
         assert!(store.write(CheckpointMeta { begin: Lsn::from_parts(5, 0) }, b"x").is_err());
         assert!(store.latest().unwrap().is_none(), "nothing was published");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn prune_keeps_latest() {
-        let dir = tmpdir("prune");
+        let dir = TestDir::new("prune");
         let store = CheckpointStore::new(&dir).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(1, 0) }, b"a").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(2, 0) }, b"b").unwrap();
@@ -314,6 +302,5 @@ mod tests {
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(2, 0));
         assert_eq!(payload, b"b");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,9 +4,10 @@
 //! reads/writes plus `sync_data`. Production uses [`FileBackend`]
 //! (ordinary files, positional I/O); tests use [`FaultInjector`], a
 //! deterministic wrapper that executes a [`FaultPlan`] — fail the Nth
-//! write, tear a write after K bytes, fail an fsync, run out of space,
-//! or "crash" (all subsequent I/O errors) — so crash-recovery behavior
-//! can be exercised without real hardware faults.
+//! write, tear a write after K bytes, fail an fsync, hold a finished
+//! fsync's return back, run out of space, or "crash" (all subsequent I/O
+//! errors) — so crash-recovery behavior can be exercised without real
+//! hardware faults.
 //!
 //! A [`SegmentIoFactory`] travels in [`crate::LogConfig`] and opens one
 //! `SegmentIo` per segment file; injector state is shared across all
@@ -19,6 +20,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Positional I/O on one log segment file.
 ///
@@ -102,6 +104,11 @@ pub struct FaultPlan {
     pub silent_torn_write: Option<TornWrite>,
     /// Fail the Nth `sync_data` call (fsync errors are never retried).
     pub fail_sync_at: Option<u64>,
+    /// Every successful `sync_data` returns this much later than it
+    /// finished: the bytes are on the device and nobody has been told.
+    /// It is the window a kill must land in to leave recovery a commit
+    /// that was durable but never acknowledged.
+    pub sync_linger: Option<Duration>,
     /// Total byte budget; writes that would exceed it fail with
     /// `StorageFull` (ENOSPC). Partial chunks are not written.
     pub enospc_after_bytes: Option<u64>,
@@ -109,6 +116,31 @@ pub struct FaultPlan {
     /// read, write, and sync fails — the silent-stop model of a machine
     /// losing power mid-run.
     pub crash_after_writes: Option<u64>,
+}
+
+/// The operator's spelling of a one-fault plan, as the server example and
+/// the chaos harness take it from the environment: `none` (or nothing),
+/// `enospc:<bytes>`, `fsync:<n>`, `linger:<ms>`.
+impl std::str::FromStr for FaultPlan {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::default();
+        let (kind, arg) = s.split_once(':').unwrap_or((s, ""));
+        let n = || arg.parse::<u64>().map_err(|e| format!("fault plan {s:?}: {e}"));
+        match kind {
+            "" | "none" => {}
+            "enospc" => plan.enospc_after_bytes = Some(n()?),
+            "fsync" => plan.fail_sync_at = Some(n()?),
+            "linger" => plan.sync_linger = Some(Duration::from_millis(n()?)),
+            _ => {
+                return Err(format!(
+                    "unknown fault plan {s:?} (want none, enospc:<bytes>, fsync:<n> or linger:<ms>)"
+                ))
+            }
+        }
+        Ok(plan)
+    }
 }
 
 /// Parameters of an injected torn write.
@@ -282,10 +314,15 @@ impl SegmentIo for FaultyIo {
             return Err(crash_error());
         }
         let s = state.syncs.fetch_add(1, Ordering::AcqRel);
-        if state.plan.fail_sync_at == Some(s) && !state.disarmed.load(Ordering::Acquire) {
+        let armed = !state.disarmed.load(Ordering::Acquire);
+        if state.plan.fail_sync_at == Some(s) && armed {
             return Err(self.inject(io::Error::other("injected fsync failure")));
         }
-        self.file.sync_data()
+        self.file.sync_data()?;
+        if let Some(linger) = state.plan.sync_linger.filter(|_| armed) {
+            std::thread::sleep(linger);
+        }
+        Ok(())
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -298,17 +335,14 @@ impl SegmentIo for FaultyIo {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ermia_common::TestDir;
 
-    fn tmpfile(tag: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("ermia-io-{}-{}", tag, std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use super::*;
 
     #[test]
     fn file_backend_roundtrip() {
-        let path = tmpfile("file");
+        let dir = TestDir::new("io-file");
+        let path = dir.join("segment");
         let io = FileBackend.open(&path).unwrap();
         io.set_len(64).unwrap();
         io.write_all_at(b"hello", 10).unwrap();
@@ -316,12 +350,12 @@ mod tests {
         let mut buf = [0u8; 5];
         io.read_exact_at(&mut buf, 10).unwrap();
         assert_eq!(&buf, b"hello");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn nth_write_fails_once() {
-        let path = tmpfile("nth");
+        let dir = TestDir::new("io-nth");
+        let path = dir.join("segment");
         let inj = FaultInjector::new(FaultPlan {
             fail_write_at: Some(1),
             write_error_kind: Some(io::ErrorKind::Interrupted),
@@ -333,12 +367,12 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         io.write_all_at(b"b", 1).unwrap(); // retry (write 2) succeeds
         assert_eq!(inj.faults_injected(), 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_write_persists_prefix_then_crashes() {
-        let path = tmpfile("torn");
+        let dir = TestDir::new("io-torn");
+        let path = dir.join("segment");
         let inj = FaultInjector::new(FaultPlan {
             torn_write: Some(TornWrite { at_write: 0, keep_bytes: 3 }),
             ..FaultPlan::default()
@@ -352,24 +386,24 @@ mod tests {
         // The prefix made it to the file; verify via a direct read.
         let data = std::fs::read(&path).unwrap();
         assert_eq!(&data[..6], b"abc\0\0\0");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn enospc_budget_is_enforced() {
-        let path = tmpfile("enospc");
+        let dir = TestDir::new("io-enospc");
+        let path = dir.join("segment");
         let inj =
             FaultInjector::new(FaultPlan { enospc_after_bytes: Some(8), ..FaultPlan::default() });
         let io = inj.open(&path).unwrap();
         io.write_all_at(b"12345678", 0).unwrap();
         let err = io.write_all_at(b"9", 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn sync_failure_and_crash_point() {
-        let path = tmpfile("sync");
+        let dir = TestDir::new("io-sync");
+        let path = dir.join("segment");
         let inj = FaultInjector::new(FaultPlan {
             fail_sync_at: Some(0),
             crash_after_writes: Some(2),
@@ -383,6 +417,5 @@ mod tests {
         assert!(inj.crashed());
         assert!(io.write_all_at(b"c", 2).is_err());
         assert!(inj.open(&path).is_err(), "factory refuses to open after crash");
-        std::fs::remove_file(&path).unwrap();
     }
 }

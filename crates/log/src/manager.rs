@@ -6,8 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crossbeam::utils::CachePadded;
-use ermia_common::{LogError, Lsn};
+use ermia_common::{CachePadded, LogError, Lsn};
 use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::RingBuffer;

@@ -275,6 +275,8 @@ const _: () = assert!(SEGMENT_BITS == 4);
 
 #[cfg(test)]
 mod tests {
+    use ermia_common::TestDir;
+
     use super::*;
     use crate::io::FileBackend;
 
@@ -330,8 +332,7 @@ mod tests {
 
     #[test]
     fn reopen_reconstructs_table() {
-        let dir = std::env::temp_dir().join(format!("ermia-seg-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("seg-test");
         {
             let t = SegmentTable::create(Some(&dir), files(), 4096, 0).unwrap();
             let cur = t.current();
@@ -343,6 +344,5 @@ mod tests {
         assert_eq!(all[0].start, 0);
         assert_eq!(all[1].start, 4096);
         assert_eq!(t.current().index, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

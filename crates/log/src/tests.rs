@@ -1,23 +1,11 @@
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use ermia_common::{Oid, TableId};
+use ermia_common::{Oid, TableId, TestDir};
 
 use crate::{
     BlockKind, LogConfig, LogManager, LogScanner, TxLogBuffer, MIN_BLOCK_LEN,
 };
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-log-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn small_cfg(dir: Option<PathBuf>) -> LogConfig {
     LogConfig {
@@ -42,8 +30,8 @@ fn commit_block(log: &LogManager, table: u32, oid: u32, val: &[u8]) -> ermia_com
 
 #[test]
 fn allocate_fill_scan_roundtrip() {
-    let dir = tmpdir("roundtrip");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("roundtrip");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     let l1 = commit_block(&log, 1, 10, b"hello");
     let l2 = commit_block(&log, 2, 20, b"world");
     assert!(l1 < l2);
@@ -61,13 +49,12 @@ fn allocate_fill_scan_roundtrip() {
     assert_eq!(b2.records()[0].value, b"world");
     assert!(scanner.next_block().unwrap().is_none());
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn dropped_reservation_becomes_skip() {
-    let dir = tmpdir("skip");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("skip");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     let l1 = commit_block(&log, 1, 1, b"a");
     {
         let _res = log.allocate(64).unwrap();
@@ -83,13 +70,12 @@ fn dropped_reservation_becomes_skip() {
         .collect();
     assert_eq!(vals, vec![b"a".to_vec(), b"b".to_vec()]);
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn segment_rotation_preserves_blocks() {
-    let dir = tmpdir("rotate");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("rotate");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     // Each block is ~64 bytes; a 4 KiB segment rotates every ~60 commits.
     let n = 400;
     let mut lsns = Vec::new();
@@ -113,20 +99,19 @@ fn segment_rotation_preserves_blocks() {
     // LSNs are strictly increasing.
     assert!(lsns.windows(2).all(|w| w[0] < w[1]));
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn reopen_resumes_after_tail() {
-    let dir = tmpdir("reopen");
+    let dir = TestDir::new("reopen");
     {
-        let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+        let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
         for i in 0..50 {
             commit_block(&log, 1, i, b"first-run");
         }
         log.sync().unwrap();
     }
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     let resumed_tail = log.tail_lsn();
     assert!(resumed_tail.offset() > 0, "tail must resume after existing blocks");
     commit_block(&log, 1, 999, b"second-run");
@@ -142,13 +127,12 @@ fn reopen_resumes_after_tail() {
     assert_eq!(count, 51);
     assert_eq!(last.unwrap(), b"second-run");
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn wait_durable_blocks_until_flushed() {
-    let dir = tmpdir("durable");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("durable");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     let mut tx = TxLogBuffer::new();
     tx.add_insert(TableId(1), Oid(1), b"k", b"v");
     let res = log.allocate(tx.block_len()).unwrap();
@@ -158,13 +142,12 @@ fn wait_durable_blocks_until_flushed() {
     log.wait_durable(end).unwrap();
     assert!(log.durable_offset() >= end);
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn lsn_to_file_validates_segment_number() {
-    let dir = tmpdir("lookup");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("lookup");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
     let lsn = commit_block(&log, 1, 1, b"x");
     let (seg, pos) = log.lsn_to_file(lsn).expect("valid lsn");
     assert_eq!(seg.segno(), lsn.segment());
@@ -173,7 +156,6 @@ fn lsn_to_file_validates_segment_number() {
     let bogus = ermia_common::Lsn::from_parts(lsn.offset(), (lsn.segment() + 1) % 16);
     assert!(log.lsn_to_file(bogus).is_none());
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -196,21 +178,20 @@ fn in_memory_mode_allocates_and_recycles_buffer() {
 fn concurrent_commits_all_recovered_in_order() {
     const THREADS: u32 = 4;
     const PER_THREAD: u32 = 300;
-    let dir = tmpdir("concurrent");
-    let log = LogManager::open(small_cfg(Some(dir.clone()))).unwrap();
+    let dir = TestDir::new("concurrent");
+    let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let log = &log;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let payload = format!("t{t}-i{i}");
                     commit_block(log, t, i, payload.as_bytes());
                 }
             });
         }
-    })
-    .unwrap();
+    });
     log.sync().unwrap();
 
     let mut scanner = LogScanner::new(log.segments(), 0);
@@ -227,7 +208,6 @@ fn concurrent_commits_all_recovered_in_order() {
     }
     assert_eq!(seen.len(), (THREADS * PER_THREAD) as usize);
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -241,19 +221,19 @@ fn releasing_ring_loses_nothing_across_wraps() {
     const THREADS: u32 = 4;
     const PER_THREAD: u32 = 1500;
     const PAYLOAD: usize = 12 << 10;
-    let dir = tmpdir("release");
+    let dir = TestDir::new("release");
     let log = LogManager::open(LogConfig {
-        dir: Some(dir.clone()),
+        dir: Some(dir.to_path_buf()),
         segment_size: 64 << 20,
         buffer_size: 16 << 20, // the smallest ring that releases
         flush_interval: std::time::Duration::from_micros(100),
         ..LogConfig::default()
     })
     .unwrap();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let log = &log;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let byte = (t * 31 + i) as u8;
                     let mut tx = TxLogBuffer::new();
@@ -268,8 +248,7 @@ fn releasing_ring_loses_nothing_across_wraps() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     log.sync().unwrap();
     let written = log.tail_lsn().offset();
     assert!(written > 4 * (16 << 20), "only {written} bytes: the ring never wrapped enough");
@@ -286,7 +265,6 @@ fn releasing_ring_loses_nothing_across_wraps() {
     }
     assert_eq!(seen, THREADS * PER_THREAD);
     drop(log);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -311,10 +289,10 @@ fn rotation_with_full_ring_converges() {
         ..LogConfig::default()
     })
     .unwrap();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let log = &log;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let mut tx = TxLogBuffer::new();
                     tx.add_update(TableId(t), Oid(i), b"key", b"rotation-payload");
@@ -330,8 +308,7 @@ fn rotation_with_full_ring_converges() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     log.sync().unwrap();
     let rotations = log.stats().rotations.load(Ordering::Relaxed);
     assert!(rotations >= 8, "only {rotations} rotations: the hammer missed its target");
@@ -435,4 +412,42 @@ fn sync_commit_latency_is_demand_driven_not_interval_driven() {
             "commit {i} took {elapsed:?}: flusher is sleeping through demand"
         );
     }
+}
+
+/// The fault plan's `sync_linger`: the sync has finished and its return
+/// is held back, so the block is on the device — a fresh scanner reads
+/// it, as recovery after a kill would — while the log has told nobody:
+/// the durable watermark stands where it stood.
+#[test]
+fn a_lingering_sync_is_on_disk_and_unannounced() {
+    use crate::{FaultInjector, FaultPlan};
+    const LINGER: std::time::Duration = std::time::Duration::from_millis(300);
+    let dir = TestDir::new("linger");
+    let plan = FaultPlan { sync_linger: Some(LINGER), ..FaultPlan::default() };
+    let log = LogManager::open(LogConfig {
+        fsync: true,
+        io_factory: std::sync::Arc::new(FaultInjector::new(plan)),
+        ..small_cfg(Some(dir.to_path_buf()))
+    })
+    .unwrap();
+    let before = log.durable_offset();
+    let started = std::time::Instant::now();
+    let lsn = commit_block(&log, 1, 10, b"lingering");
+    let end = log.next_offset();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| log.wait_durable(end));
+        let deadline = started + std::time::Duration::from_secs(10);
+        loop {
+            let read = LogScanner::new(log.segments(), 0).next_block();
+            if matches!(&read, Ok(Some(block)) if block.lsn == lsn) {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "the block never reached the file");
+            std::thread::yield_now();
+        }
+        assert_eq!(log.durable_offset(), before, "told somebody before the sync returned");
+        waiter.join().unwrap().unwrap();
+    });
+    assert!(started.elapsed() >= LINGER, "the sync's return was not held back");
+    assert!(log.durable_offset() >= end);
 }

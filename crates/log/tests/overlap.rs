@@ -19,30 +19,18 @@
 //! every test that did and left this file, the row or property that now
 //! holds what it checked.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ermia_common::{LogError, Oid, TableId};
+use ermia_common::{LogError, Oid, TableId, TestDir};
 use ermia_log::{
     DurableWaker, FileBackend, LogConfig, LogManager, LogScanner, SegmentIo, SegmentIoFactory,
     TxLogBuffer,
 };
 
 const LONG: Duration = Duration::from_secs(10);
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-overlap-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn cfg(dir: &Path, device: Arc<dyn SegmentIoFactory>) -> LogConfig {
     LogConfig {
@@ -238,7 +226,7 @@ impl Scripted {
 /// ticket `i` covers exactly transaction `i` and ends at `ends[i]`.
 struct Overlapped {
     _unblock: Unblock,
-    dir: PathBuf,
+    dir: TestDir,
     dev: Scripted,
     log: Arc<LogManager>,
     /// The durable watermark before any ticket.
@@ -251,7 +239,7 @@ struct Overlapped {
 }
 
 fn overlapped(tag: &str, n: usize) -> Overlapped {
-    let dir = tmpdir(tag);
+    let dir = TestDir::new(tag);
     let dev = Scripted::default();
     let log = Arc::new(LogManager::open(cfg(&dir, dev.factory())).unwrap());
     log.sync().unwrap();
@@ -307,11 +295,11 @@ impl Overlapped {
 
     /// Join the waiters and shut the log down; the directory is ready
     /// to be recovered.
-    fn finish(mut self) -> PathBuf {
+    fn finish(mut self) -> TestDir {
         for w in self.waiters.drain(..) {
             w.join().unwrap();
         }
-        self.dir.clone()
+        self.dir
     }
 }
 
@@ -382,7 +370,6 @@ fn watermark_follows_the_in_order_completed_prefix() {
             assert_eq!(o.log.stats().syncs_in_flight.load(Ordering::Relaxed), 0);
             let dir = o.finish();
             assert_eq!(recovered_ids(&dir), (0..n as u64).collect::<Vec<_>>());
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -430,7 +417,6 @@ fn failed_sync_freezes_the_watermark_below_it() {
     }
     let dir = o.finish();
     assert_eq!(recovered_ids(&dir), vec![0, 10, 11, 12]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A sync fails while a later one is still in the device: the log
@@ -465,7 +451,6 @@ fn resume_reaps_syncs_still_in_flight() {
     o.log.wait_durable(end).unwrap();
     let dir = o.finish();
     assert_eq!(recovered_ids(&dir), vec![0, 10]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Bytes nobody waits for start no sync behind one in flight, so the
@@ -475,7 +460,7 @@ fn resume_reaps_syncs_still_in_flight() {
 /// unrelated completion.
 #[test]
 fn late_subscription_to_a_scanned_block_gets_its_flush() {
-    let dir = tmpdir("late-sub");
+    let dir = TestDir::new("late-sub");
     let dev = Scripted::default();
     let log = LogManager::open(cfg(&dir, dev.factory())).unwrap();
     let _unblock = Unblock(dev.clone());
@@ -507,7 +492,6 @@ fn late_subscription_to_a_scanned_block_gets_its_flush() {
     dev.release(0, true);
     log.wait_durable(unforced).unwrap();
     drop(log);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The slots are a bound, whoever asks: with four syncs in the device a
@@ -534,7 +518,6 @@ fn a_fifth_sync_waits_for_a_slot() {
     assert_eq!(o.dev.with(|s| s.max_inside), 4);
     let dir = o.finish();
     assert_eq!(recovered_ids(&dir), (0..5).collect::<Vec<_>>());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A backend that panics inside `sync_data` poisons the log like one
@@ -542,7 +525,7 @@ fn a_fifth_sync_waits_for_a_slot() {
 /// helper that died.
 #[test]
 fn panicking_backend_poisons_the_log() {
-    let dir = tmpdir("panicky");
+    let dir = TestDir::new("panicky");
     let log =
         LogManager::open(cfg(&dir, hooked(|| panic!("scripted panic in sync_data")))).unwrap();
     // The skip block `open` burns offset 0 with is the first thing synced.
@@ -550,5 +533,4 @@ fn panicking_backend_poisons_the_log() {
     assert!(matches!(log.wait_durable(end), Err(LogError::Poisoned { .. })));
     assert_eq!(log.durable_offset(), 0);
     drop(log);
-    let _ = std::fs::remove_dir_all(&dir);
 }

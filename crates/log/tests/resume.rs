@@ -11,26 +11,14 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::{LogError, Oid, TableId};
+use ermia_common::{LogError, Oid, TableId, TestDir};
 use ermia_log::{
     FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner, TxLogBuffer,
 };
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-resume-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn cfg_with(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
     LogConfig {
@@ -87,12 +75,12 @@ fn recover(dir: PathBuf) -> HashMap<u64, Vec<u8>> {
 /// recovers exactly the acknowledged history with the gap skipped.
 #[test]
 fn resume_after_enospc_restores_service_and_history() {
-    let dir = tmpdir("enospc");
+    let dir = TestDir::new("enospc");
     let injector = FaultInjector::new(FaultPlan {
         enospc_after_bytes: Some(2048),
         ..FaultPlan::default()
     });
-    let log = LogManager::open(cfg_with(dir.clone(), &injector)).unwrap();
+    let log = LogManager::open(cfg_with(dir.to_path_buf(), &injector)).unwrap();
 
     let mut acked_pre = Vec::new();
     let mut poisoned_end = None;
@@ -141,14 +129,13 @@ fn resume_after_enospc_restores_service_and_history() {
 
     // Restart: recovery must see every acknowledged commit from both
     // sides of the degraded window and hop the skip-papered gap.
-    let recovered = recover(dir.clone());
+    let recovered = recover(dir.to_path_buf());
     for id in &acked_pre {
         assert!(recovered.contains_key(id), "pre-poison acked commit {id} lost");
     }
     for id in &acked_post {
         assert!(recovered.contains_key(id), "post-resume acked commit {id} lost");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Resume on a healthy log is a no-op.

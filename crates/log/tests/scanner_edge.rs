@@ -5,23 +5,11 @@
 //! truncates cleanly at the damage instead of erroring or misreading.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use ermia_common::{Oid, TableId};
+use ermia_common::{Oid, TableId, TestDir};
 use ermia_log::{LogConfig, LogManager, LogScanner, TxLogBuffer, BLOCK_HEADER_LEN};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-scanedge-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn cfg(dir: PathBuf) -> LogConfig {
     LogConfig {
@@ -89,47 +77,43 @@ fn patch(path: &Path, pos: u64, bytes: &[u8]) {
 /// hole: the scanner stops there, keeping everything before it.
 #[test]
 fn corrupt_len_field_truncates_scan() {
-    let dir = tmpdir("len");
+    let dir = TestDir::new("len");
     let offsets = write_blocks(&dir, 3);
     // len lives at header offset 8 (see records.rs layout).
     patch(&first_segment_file(&dir), offsets[1] + 8, &u32::MAX.to_le_bytes());
     assert_eq!(scan_oids(&dir), vec![0], "scan keeps block 0, stops at the wild len");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A `len` smaller than a header is equally a hole.
 #[test]
 fn undersized_len_field_truncates_scan() {
-    let dir = tmpdir("shortlen");
+    let dir = TestDir::new("shortlen");
     let offsets = write_blocks(&dir, 3);
     patch(&first_segment_file(&dir), offsets[2] + 8, &4u32.to_le_bytes());
     assert_eq!(scan_oids(&dir), vec![0, 1]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A flipped payload bit fails the Txn checksum: that block and
 /// everything after it are truncated; blocks before it survive.
 #[test]
 fn checksum_mismatch_truncates_scan() {
-    let dir = tmpdir("sum");
+    let dir = TestDir::new("sum");
     let offsets = write_blocks(&dir, 4);
     let mid_payload = offsets[2] + BLOCK_HEADER_LEN as u64 + 20;
     patch(&first_segment_file(&dir), mid_payload, &[0xFF]);
     assert_eq!(scan_oids(&dir), vec![0, 1]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Garbage bytes where the next header should sit (the classic torn
 /// tail) end the scan without error.
 #[test]
 fn garbage_at_tail_is_a_hole() {
-    let dir = tmpdir("tail");
+    let dir = TestDir::new("tail");
     let offsets = write_blocks(&dir, 2);
     let block_len = offsets[1] - offsets[0];
     let tail = offsets[1] + block_len;
     patch(&first_segment_file(&dir), tail, b"\xde\xad\xbe\xef torn partial head");
     assert_eq!(scan_oids(&dir), vec![0, 1]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fill segments until rotation: the flusher closes each full segment
@@ -137,7 +121,7 @@ fn garbage_at_tail_is_a_hole() {
 /// hop the skip into the next segment without losing a block.
 #[test]
 fn skip_block_filling_segment_tail_is_hopped() {
-    let dir = tmpdir("rotate");
+    let dir = TestDir::new("rotate");
     // Enough blocks to cross several 4 KiB segment boundaries.
     let n = 120u64;
     {
@@ -159,7 +143,6 @@ fn skip_block_filling_segment_tail_is_hopped() {
     }
     let oids = scan_oids(&dir);
     assert_eq!(oids, (0..n as u32).collect::<Vec<_>>(), "no block lost across rotations");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tear the header sitting at a segment boundary (the closing skip of a
@@ -167,7 +150,7 @@ fn skip_block_filling_segment_tail_is_hopped() {
 /// later segments — past the hole — are not resurrected.
 #[test]
 fn torn_header_at_segment_boundary_truncates() {
-    let dir = tmpdir("boundary");
+    let dir = TestDir::new("boundary");
     let n = 120u64;
     let mut offsets = Vec::new();
     {
@@ -215,5 +198,4 @@ fn torn_header_at_segment_boundary_truncates() {
         let oids = scan_oids(&dir);
         assert_eq!(oids, (0..in_first_seg as u32).collect::<Vec<_>>());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

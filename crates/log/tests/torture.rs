@@ -18,11 +18,10 @@
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::{Oid, TableId};
+use ermia_common::{Oid, TableId, TestDir};
 use ermia_log::{
     FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner, TornWrite,
     TxLogBuffer,
@@ -43,18 +42,6 @@ impl Rng {
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound.max(1)
     }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-torture-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn torture_cfg(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
@@ -217,12 +204,11 @@ fn plan_for(seed: u64) -> FaultPlan {
 }
 
 fn torture_one(tag: &str, seed: u64, plan: FaultPlan) {
-    let dir = tmpdir(tag);
+    let dir = TestDir::new(tag);
     let injector = FaultInjector::new(plan);
-    let outcome = run_workload(dir.clone(), &injector, seed, 300);
-    let recovered = recover(dir.clone());
+    let outcome = run_workload(dir.to_path_buf(), &injector, seed, 300);
+    let recovered = recover(dir.to_path_buf());
     assert_durable_prefix(seed, &outcome, &recovered);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Acceptance criterion: the torn-write-at-tail case is deterministic for
@@ -243,9 +229,9 @@ fn torn_write_at_tail_all_seeds() {
             }),
             ..FaultPlan::default()
         };
-        let dir = tmpdir("torn-tail");
+        let dir = TestDir::new("torn-tail");
         let injector = FaultInjector::new(plan);
-        let outcome = run_workload(dir.clone(), &injector, seed, 300);
+        let outcome = run_workload(dir.to_path_buf(), &injector, seed, 300);
         assert_eq!(injector.faults_injected(), 1, "seed {seed}: torn write must fire");
         assert!(injector.crashed(), "seed {seed}: torn write crashes the store");
         // The transaction whose flush was torn can never be acknowledged.
@@ -253,9 +239,8 @@ fn torn_write_at_tail_all_seeds() {
             outcome.acked.len() < outcome.attempted.len(),
             "seed {seed}: the torn txn must not ack"
         );
-        let recovered = recover(dir.clone());
+        let recovered = recover(dir.to_path_buf());
         assert_durable_prefix(seed, &outcome, &recovered);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -284,31 +269,29 @@ fn torture_env_seed_round() {
 /// A fault-free run through the injector must ack and recover everything.
 #[test]
 fn no_fault_plan_recovers_everything() {
-    let dir = tmpdir("clean");
+    let dir = TestDir::new("clean");
     let injector = FaultInjector::new(FaultPlan::default());
-    let outcome = run_workload(dir.clone(), &injector, 7, 150);
+    let outcome = run_workload(dir.to_path_buf(), &injector, 7, 150);
     assert_eq!(outcome.acked.len(), 150);
-    let recovered = recover(dir.clone());
+    let recovered = recover(dir.to_path_buf());
     assert_eq!(recovered.len(), 150);
     assert_durable_prefix(7, &outcome, &recovered);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Transient write errors must be retried through, not poison the log.
 #[test]
 fn transient_write_errors_are_absorbed() {
-    let dir = tmpdir("transient");
+    let dir = TestDir::new("transient");
     let injector = FaultInjector::new(FaultPlan {
         fail_write_at: Some(3),
         write_error_kind: Some(ErrorKind::Interrupted),
         ..FaultPlan::default()
     });
-    let outcome = run_workload(dir.clone(), &injector, 11, 100);
+    let outcome = run_workload(dir.to_path_buf(), &injector, 11, 100);
     assert_eq!(outcome.acked.len(), 100, "one transient error must not stop the log");
     assert_eq!(injector.faults_injected(), 1);
-    let recovered = recover(dir.clone());
+    let recovered = recover(dir.to_path_buf());
     assert_durable_prefix(11, &outcome, &recovered);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Concurrent committers racing a crash point: every acked transaction
@@ -317,10 +300,10 @@ fn transient_write_errors_are_absorbed() {
 #[test]
 fn concurrent_commits_survive_crash_point() {
     const THREADS: u64 = 4;
-    let dir = tmpdir("concurrent");
+    let dir = TestDir::new("concurrent");
     let injector =
         FaultInjector::new(FaultPlan { crash_after_writes: Some(60), ..FaultPlan::default() });
-    let log = LogManager::open(torture_cfg(dir.clone(), &injector)).unwrap();
+    let log = LogManager::open(torture_cfg(dir.to_path_buf(), &injector)).unwrap();
     let acked = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -349,7 +332,7 @@ fn concurrent_commits_survive_crash_point() {
         }
     });
     drop(log);
-    let recovered = recover(dir.clone());
+    let recovered = recover(dir.to_path_buf());
     for &id in acked.lock().unwrap().iter() {
         assert_eq!(
             recovered.get(&id),
@@ -357,7 +340,6 @@ fn concurrent_commits_survive_crash_point() {
             "acked txn {id} lost or corrupted after crash"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// After the flusher poisons the log, waiters already blocked in
@@ -365,9 +347,9 @@ fn concurrent_commits_survive_crash_point() {
 /// fail fast.
 #[test]
 fn poison_wakes_waiters_and_blocks_allocation() {
-    let dir = tmpdir("poison");
+    let dir = TestDir::new("poison");
     let injector = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
-    let log = LogManager::open(torture_cfg(dir.clone(), &injector)).unwrap();
+    let log = LogManager::open(torture_cfg(dir.to_path_buf(), &injector)).unwrap();
     let mut tx = TxLogBuffer::new();
     tx.add_update(TableId(1), Oid(1), b"k8bytes!", b"v");
     let res = log.allocate(tx.block_len()).unwrap();
@@ -380,5 +362,4 @@ fn poison_wakes_waiters_and_blocks_allocation() {
     assert!(log.poison_cause().is_some());
     assert!(log.allocate(64).is_err(), "poisoned log must reject allocations");
     drop(log);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,10 +8,10 @@
 //! is told about, so replay must tell it — and once the replica has caught
 //! up and the collector gone quiet, the full-sweep audit must find nothing.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
+use ermia_common::TestDir;
 use ermia::{DbConfig, IsolationLevel, ShardedDb, TableId};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Server, ServerConfig};
@@ -19,18 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const KEYS: u32 = 48;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-repl-gc-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn key(i: u32) -> Vec<u8> {
     format!("k{i:03}").into_bytes()
@@ -63,7 +51,7 @@ fn churn(db: &ShardedDb, t: TableId, rng: &mut StdRng, rounds: u32) {
 
 #[test]
 fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
-    let primary_dir = tmpdir("primary");
+    let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 16 << 10; // ship across rotations
     cfg.gc_interval = Duration::from_millis(1);
@@ -79,7 +67,7 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
     tx.commit().unwrap();
     churn(&db, t, &mut rng, 400);
 
-    let replica_dir = tmpdir("replica");
+    let replica_dir = TestDir::new("replica");
     let mut rcfg = ReplicaConfig::new(srv.local_addr().to_string(), &replica_dir);
     rcfg.shards = 2;
     let mut replica = Replica::bootstrap(rcfg).unwrap();
@@ -122,6 +110,4 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
 
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }

@@ -3,29 +3,16 @@
 //! the right kinds, and the flight recorders on both sides must record
 //! the shipping events.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use ermia_common::TestDir;
 use ermia::{Database, DbConfig};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::parse_exposition;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-repl-metrics-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn replica_metrics_expose_the_repl_families() {
-    let primary_dir = tmpdir("primary");
+    let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 8192;
     let db = Database::open(cfg).unwrap();
@@ -39,7 +26,7 @@ fn replica_metrics_expose_the_repl_families() {
         c.commit(true).unwrap();
     }
 
-    let replica_dir = tmpdir("replica");
+    let replica_dir = TestDir::new("replica");
     let mut replica = Replica::bootstrap(ReplicaConfig::new(addr, &replica_dir)).unwrap();
     replica.catch_up().unwrap();
     let stats = replica.stats();
@@ -77,6 +64,4 @@ fn replica_metrics_expose_the_repl_families() {
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }

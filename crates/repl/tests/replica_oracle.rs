@@ -9,24 +9,11 @@
 //! gaps or repeats.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use ermia_common::TestDir;
 use ermia::{Database, DbConfig, IsolationLevel};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-repl-oracle-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Sync-committed write: the ack means the commit block is durable on
 /// the primary, which is exactly the contract the replica must honor.
@@ -42,7 +29,7 @@ fn key(i: u32) -> Vec<u8> {
 
 #[test]
 fn replica_oracle_exact_agreement_with_acked_writes() {
-    let primary_dir = tmpdir("primary");
+    let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 8192; // force rotations while shipping
     cfg.large_value_threshold = 4096; // exercise the blob side file
@@ -83,7 +70,7 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
     journal.insert(b"big-log".to_vec(), big2);
 
     // Bootstrap the replica: checkpoint + segments + blobs over the wire.
-    let replica_dir = tmpdir("replica");
+    let replica_dir = TestDir::new("replica");
     let mut replica = Replica::bootstrap(ReplicaConfig::new(addr.clone(), &replica_dir)).unwrap();
     replica.catch_up().unwrap();
     assert!(replica.applied_lsn() > 0);
@@ -165,8 +152,6 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 /// Same oracle against a 2-shard primary: per-shard shipping, replayed
@@ -174,7 +159,7 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
 /// cross-shard write once the decide record shipped).
 #[test]
 fn sharded_replica_replicates_cross_shard_commits() {
-    let primary_dir = tmpdir("sharded-primary");
+    let primary_dir = TestDir::new("sharded-primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 16 << 10;
     let db = ermia::ShardedDb::open(cfg, 2).unwrap();
@@ -197,7 +182,7 @@ fn sharded_replica_replicates_cross_shard_commits() {
         c.commit(true).unwrap();
     }
 
-    let replica_dir = tmpdir("sharded-replica");
+    let replica_dir = TestDir::new("sharded-replica");
     let mut rcfg = ReplicaConfig::new(addr, &replica_dir);
     rcfg.shards = 2;
     let mut replica = Replica::bootstrap(rcfg).unwrap();
@@ -220,8 +205,6 @@ fn sharded_replica_replicates_cross_shard_commits() {
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 #[test]
@@ -230,7 +213,7 @@ fn replica_routes_with_shipped_shard_policies() {
     // on one shard. The full-key default would scatter the same keys,
     // so a replica that fell back to the default policy would look on
     // the wrong shard and return not-found for most of them.
-    let primary_dir = tmpdir("policy-primary");
+    let primary_dir = TestDir::new("policy-primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 16 << 10;
     let db = ermia::ShardedDb::open(cfg, 2).unwrap();
@@ -269,7 +252,7 @@ fn replica_routes_with_shipped_shard_policies() {
     );
     drop(probe);
 
-    let replica_dir = tmpdir("policy-replica");
+    let replica_dir = TestDir::new("policy-replica");
     let mut rcfg = ReplicaConfig::new(addr, &replica_dir);
     rcfg.shards = 2;
     let mut replica = Replica::bootstrap(rcfg).unwrap();
@@ -291,8 +274,6 @@ fn replica_routes_with_shipped_shard_policies() {
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 #[test]
@@ -300,7 +281,7 @@ fn replica_open_table_is_lookup_only() {
     // OpenTable on a replica must never allocate: a locally created
     // table would take a dense id the primary later assigns to a
     // different table, silently corrupting log replay.
-    let primary_dir = tmpdir("roddl-primary");
+    let primary_dir = TestDir::new("roddl-primary");
     let db = Database::open(DbConfig::durable(&primary_dir)).unwrap();
     let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
@@ -308,7 +289,7 @@ fn replica_open_table_is_lookup_only() {
     let t = c.open_table("kv").unwrap();
     sync_put(&mut c, t, b"k", b"v");
 
-    let replica_dir = tmpdir("roddl-replica");
+    let replica_dir = TestDir::new("roddl-replica");
     let mut replica = Replica::bootstrap(ReplicaConfig::new(addr.clone(), &replica_dir)).unwrap();
     replica.catch_up().unwrap();
     let rsrv = replica.serve("127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -334,8 +315,6 @@ fn replica_open_table_is_lookup_only() {
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 #[test]
@@ -343,7 +322,7 @@ fn fetch_chunk_edge_offsets_and_tiny_frames_do_not_panic() {
     // Offsets near u64::MAX exercised the `offset + len` sum; a frame
     // limit below the 4 KiB reply headroom exercised the
     // `max_frame_len - 4096` clamp. Both used to overflow in debug.
-    let dir = tmpdir("fetch-edge");
+    let dir = TestDir::new("fetch-edge");
     let db = Database::open(DbConfig::durable(&dir)).unwrap();
     let tiny = ServerConfig { max_frame_len: 2048, ..ServerConfig::default() };
     let srv = Server::start(&db, "127.0.0.1:0", tiny).unwrap();
@@ -363,5 +342,4 @@ fn fetch_chunk_edge_offsets_and_tiny_frames_do_not_panic() {
 
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -131,10 +131,10 @@ pub(crate) struct ShardHandle {
     /// Wakes the parker: rung by the event loop after posting to the
     /// intake, and by every log flusher a parked commit subscribed it to.
     pub park_waker: DurableWaker,
-    /// Sync commits whose inline durability probe missed; the shard
-    /// re-probes them at the end of the loop turn (one group-commit
-    /// flush usually lands in between) before paying the parker handoff.
-    pub deferred: Mutex<Vec<ParkJob>>,
+    /// Published commits of the turn in progress that wait for their log
+    /// block; the shard posts them to the parker in one handoff when the
+    /// turn ends. Filled and emptied by the shard's own thread only.
+    pub outbox: Mutex<Vec<ParkJob>>,
     /// Per engine shard, the highest log offset a commit handed to the
     /// parker this turn waits on (0: none); the event loop raises it as
     /// one settled flush demand per log when the turn ends. Written and
@@ -197,7 +197,7 @@ impl Server {
                 completions: Mutex::new(Vec::new()),
                 park_in: Mutex::new(ParkIntake { jobs: Vec::new(), open: true }),
                 park_waker: DurableWaker::default(),
-                deferred: Mutex::new(Vec::new()),
+                outbox: Mutex::new(Vec::new()),
                 flush_demand: (0..db.shards()).map(|_| AtomicU64::new(0)).collect(),
                 trace_ring: db.telemetry().tracer().ring(),
                 parker_ring: db.telemetry().tracer().ring(),

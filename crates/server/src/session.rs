@@ -25,7 +25,7 @@
 //! between the two states. Every transaction this layer ends — an
 //! interactive `Commit`, a `Batch`, an autocommitted operation (a one-op
 //! batch answered with the op's own reply) — ends in `conclude`, the one
-//! place a commit is counted and handed to the durability tiers below.
+//! place a commit is counted and handed on to its reply (below).
 //!
 //! # Workers and the run queue
 //!
@@ -50,24 +50,29 @@
 //! (`poll`). A transaction that wrote on one engine shard is already
 //! published and awaits one offset; one that wrote on several is
 //! prepared on each and commits once every prepare block is durable.
-//! Either way the connection queues an in-order placeholder reply and
-//! the job goes to the shard's durability parker: a published sync
-//! commit after two probes (inline, then at the end of the loop turn)
-//! have missed; an unpublished one straight away, whatever its `sync`
-//! flag, because this thread may wait on one of its prepared heads in a
-//! later frame and must never be the only thread able to resolve it. A
-//! probe is a read of the log's durable watermark (`durable_status`): it
-//! registers nothing and wakes nobody.
+//!
+//! From there one road leads to the reply. A commit with nothing to wait
+//! for — it is published and the client did not ask (`sync: false`), or
+//! it occupies no log block — is answered at once. Every other one gets
+//! an in-order placeholder reply and a [`ParkJob`], and the job goes to
+//! the shard's durability parker: an unpublished one straight away,
+//! whatever its `sync` flag, because this thread may wait on one of its
+//! prepared heads in a later frame and must never be the only thread able
+//! to resolve it; a published one with the rest of its turn's, in one post
+//! when the turn ends. The event loop never reads a log's durable
+//! watermark: a commit that waits, waits on log offsets with the parker
+//! and on nothing else, and a poisoned log is what the parker's first
+//! poll finds.
 //!
 //! What gets the parked commits their flush is raised once per turn: when
-//! the turn's last frame has executed and the stragglers are with the
-//! parker, the event loop tells each log a commit parked this turn waits
-//! on that the demand has *settled* (`LogManager::demand_flush`, up to
-//! the highest offset `DeferredCommit::waits` named) — nothing more will
-//! be filled before this thread sleeps, so that log starts a sync over
-//! everything filled now rather than at its next stagger instant. The
-//! parker's subscriptions, which arrive a thread wake-up later, find the
-//! bytes already on their way.
+//! the turn's last frame has executed and its jobs are with the parker,
+//! the event loop tells each log a commit parked this turn waits on that
+//! the demand has *settled* (`LogManager::demand_flush`, up to the highest
+//! offset `DeferredCommit::waits` named) — nothing more will be filled
+//! before this thread sleeps, so that log starts a sync over everything
+//! filled now rather than at its next stagger instant. The parker's
+//! subscriptions, which arrive a thread wake-up later, find the bytes
+//! already on their way.
 //!
 //! The parker — one thread per shard — is stage-aware rather than FIFO.
 //! Each job subscribes the parker's wake-up cell on every log offset it
@@ -106,9 +111,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ermia::{
-    CommitToken, DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker,
-};
+use ermia::{DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker};
 use ermia_common::LogError;
 use ermia_log::{DurableSub, DurableWaker};
 use ermia_telemetry::{render_spans, EventKind, Span, SpanKind, SpanRing};
@@ -234,7 +237,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     // Per-turn scratch, cleared and reused.
     let mut touched: Vec<u64> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
-    let mut drain = DrainScratch::default();
 
     loop {
         let now = Instant::now();
@@ -352,21 +354,11 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             }
         }
 
-        // Second-chance durability probes for this turn's sync commits.
-        // Serving a resolved commit can unblock further frames that park
-        // again, so drain until empty — later passes forward their
-        // misses to the parker, so this terminates and the loop never
-        // sleeps on an unforwarded job.
-        loop {
-            drain_deferred(&state, handle, &mut conns, &mut touched, &mut to_close, &mut drain);
-            if handle.deferred.lock().is_empty() {
-                break;
-            }
-        }
-        // The turn has ended: every frame read is executed and every
-        // commit that waits is with the parker. Nothing more will be
-        // filled before this thread sleeps, so the logs those commits
-        // wait on gain nothing by holding their syncs back.
+        // The turn has ended: every frame read is executed. Its commits
+        // that wait go to the parker in one post, and since nothing more
+        // will be filled before this thread sleeps, the logs they wait on
+        // gain nothing by holding their syncs back.
+        post_outbox(&state, handle, &mut conns, &mut touched);
         raise_flush_demand(&state, handle);
 
         to_close.sort_unstable();
@@ -940,8 +932,9 @@ fn conclude(
     }
 }
 
-/// Answer a successful `commit_deferred`: reply at once, or reserve the
-/// in-order reply slot and park until the logs have caught up.
+/// Answer a successful `commit_deferred`: at once if it has nothing to
+/// wait for, else reserve the in-order reply slot and hand the commit to
+/// the parker until the logs have caught up.
 fn settle_commit(
     state: &Arc<ServerState>,
     handle: &ShardHandle,
@@ -951,69 +944,61 @@ fn settle_commit(
     reply: Reply,
     trace: Option<TraceReq>,
 ) {
-    let Some(token) = commit.published() else {
-        // Not even committed before its prepares are durable, sync or
-        // not. It goes straight to the parker, past the end-of-turn tier:
-        // this thread may yet wait on one of its prepared heads (a later
-        // frame touching the same key), so the job must already be with a
-        // thread that can resolve it.
-        let job = new_job(state, conn, commit, reply, trace);
-        if let Some(job) = send_to_parker(handle, job) {
-            // Parker already gone (shutdown race): the commit aborts as
-            // it drops; the reply slot must not wedge.
-            if let Some(tr) = &job.trace {
-                finish_trace(state, &handle.trace_ring, tr);
-            }
-            conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
+    let published = commit.published();
+    if let Some(token) = published.filter(|t| !sync || t.end_offset().is_none()) {
+        conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
+        if let Some(tr) = trace {
+            finish_trace(state, &handle.trace_ring, &tr);
         }
         return;
-    };
-    // Published. If the client asked to wait for a block: group commit
-    // means it is often already durable by the time the reply is built,
-    // so probe before paying the parker round trip (cross-thread handoff,
-    // eventfd wake, an extra event-loop turn). The probe also surfaces a
-    // poisoned log inline.
-    let wait = sync && token.end_offset().is_some();
-    let t_probe = if wait && trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
-    let outcome = if !wait {
-        Response::Committed { lsn: token.lsn().raw() }
-    } else if let Some(outcome) = probe(state, token) {
-        outcome
-    } else {
-        // Not yet durable: the end-of-turn tier probes once more.
-        let job = new_job(state, conn, commit, reply, trace);
-        return handle.deferred.lock().push(job);
-    };
-    let waited = wait && matches!(outcome, Response::Committed { .. });
-    conn.push(state, reply.with(outcome));
-    if let Some(tr) = trace {
-        let ring = &handle.trace_ring;
-        if waited {
-            ring.record(&tr.child(), SpanKind::DurabilityWait, t_probe, ring.now_ns(), 0, 0);
-        }
-        finish_trace(state, ring, &tr);
+    }
+    let seq = conn.push_pending(state);
+    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
+    let enqueued = Instant::now();
+    let job = ParkJob { conn: conn.token, seq, work: commit, reply, enqueued, trace };
+    if published.is_some() {
+        // With the rest of this turn's, when the turn ends.
+        return handle.outbox.lock().push(job);
+    }
+    // Not even committed before its prepares are durable, sync or not.
+    // It goes to the parker now: this thread may yet wait on one of its
+    // prepared heads (a later frame touching the same key), so the job
+    // must already be with a thread that can resolve it.
+    let mut one = Some(job);
+    post_to_parker(handle, |intake| intake.extend(one.take()));
+    if let Some(job) = one {
+        refuse(state, handle, conn, job);
     }
 }
 
-/// Reserve the in-order reply slot of a commit that has to wait.
-fn new_job(
-    state: &Arc<ServerState>,
-    conn: &mut Conn,
-    work: DeferredCommit,
-    reply: Reply,
-    trace: Option<TraceReq>,
-) -> ParkJob {
-    let seq = conn.push_pending(state);
-    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
-    ParkJob { conn: conn.token, seq, work, reply, enqueued: Instant::now(), trace }
+/// The parker is already gone (shutdown race): the commit is dropped — a
+/// staged one aborts as it drops — and its reply slot must not wedge.
+fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, job: ParkJob) {
+    if let Some(tr) = &job.trace {
+        finish_trace(state, &handle.trace_ring, tr);
+    }
+    conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
 }
 
-/// Post one job to the shard's parker, without a list to carry it;
-/// hands it back if the intake has closed (shutdown race).
-fn send_to_parker(handle: &ShardHandle, job: ParkJob) -> Option<ParkJob> {
-    let mut one = Some(job);
-    post_to_parker(handle, |intake| intake.extend(one.take()));
-    one
+/// End of the turn: the published commits that wait go to the parker —
+/// one handoff, one wake for the lot.
+fn post_outbox(
+    state: &ServerState,
+    handle: &ShardHandle,
+    conns: &mut HashMap<u64, Conn>,
+    touched: &mut Vec<u64>,
+) {
+    let mut outbox = handle.outbox.lock();
+    if outbox.is_empty() {
+        return;
+    }
+    post_to_parker(handle, |intake| intake.append(&mut outbox));
+    for job in outbox.drain(..) {
+        let Some(conn) = conns.get_mut(&job.conn) else { continue };
+        refuse(state, handle, conn, job);
+        let _ = conn.flush(state, &handle.stats);
+        touched.push(conn.token);
+    }
 }
 
 /// Let `post` add jobs to the parker's intake — unless it has closed
@@ -1058,85 +1043,11 @@ fn log_stalled() -> Response {
     }
 }
 
-/// Probe a published commit's log offset: a read of the durable
-/// watermark, nothing registered, nobody woken — the end-of-turn flush
-/// demand is what gets a block that is filled but not yet picked up its
-/// flush. `None` while the block is still in flight.
-fn probe(state: &ServerState, token: CommitToken) -> Option<Response> {
-    let end = token.end_offset()?;
-    match state.db.shard(token.shard() as usize).log().durable_status(end) {
-        Ok(true) => Some(Response::Committed { lsn: token.lsn().raw() }),
-        Ok(false) => None,
-        Err(e) => Some(log_failed(state, &e)),
-    }
-}
-
 /// The reply to a commit whose log failed under it, once published: the
 /// incident is recorded here too.
 fn log_failed(state: &ServerState, e: &LogError) -> Response {
     record_log_incident(state, EventKind::LogPoison, 1);
     Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
-}
-
-/// Record the durability-wait span for a parked commit resolving now
-/// (wait measured from park time) and close its request span.
-fn finish_parked_trace(state: &ServerState, ring: &SpanRing, job_enqueued: Instant, tr: &TraceReq) {
-    let now = ring.now_ns();
-    let start = now.saturating_sub(job_enqueued.elapsed().as_nanos() as u64);
-    ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
-    finish_trace(state, ring, tr);
-}
-
-/// [`drain_deferred`]'s working lists, kept across turns.
-#[derive(Default)]
-struct DrainScratch {
-    jobs: Vec<ParkJob>,
-    resolved: Vec<(ParkJob, Response)>,
-    stragglers: Vec<ParkJob>,
-}
-
-/// End-of-turn second chance for commits whose inline probe missed:
-/// probe again (the flusher usually landed a batch while the rest of the
-/// turn ran) and hand only genuine stragglers to the parker thread.
-fn drain_deferred(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conns: &mut HashMap<u64, Conn>,
-    touched: &mut Vec<u64>,
-    to_close: &mut Vec<u64>,
-    scratch: &mut DrainScratch,
-) {
-    let DrainScratch { jobs, resolved, stragglers } = scratch;
-    std::mem::swap(jobs, &mut *handle.deferred.lock());
-    for job in jobs.drain(..) {
-        let token = job.work.published().expect("only a published commit takes this tier");
-        match probe(state, token) {
-            Some(outcome) => resolved.push((job, outcome)),
-            None => stragglers.push(job),
-        }
-    }
-    // The parker owns the stragglers from here — one handoff, one wake
-    // for the lot — unless it is already gone (shutdown race), and then
-    // their reply slots must not wedge.
-    post_to_parker(handle, |intake| intake.append(stragglers));
-    resolved.extend(stragglers.drain(..).map(|job| (job, log_stalled())));
-    for (job, outcome) in resolved.drain(..) {
-        if let Some(tr) = &job.trace {
-            finish_parked_trace(state, &handle.trace_ring, job.enqueued, tr);
-        }
-        state.svc_ring.record(
-            EventKind::SessionResumed,
-            job.conn,
-            job.enqueued.elapsed().as_micros() as u64,
-        );
-        if let Some(conn) = conns.get_mut(&job.conn) {
-            conn.complete(job.seq, frame_bytes(&job.reply.with(outcome)));
-            touched.push(job.conn);
-            if service(state, handle, conn) {
-                to_close.push(job.conn);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1446,12 +1357,6 @@ impl Parked {
         all
     }
 
-    /// When the parker must look at this job again even if no log
-    /// wakes it.
-    fn wake_at(&self) -> Instant {
-        self.job.work.not_before().map_or(self.deadline, |t| t.min(self.deadline))
-    }
-
     /// Advance the job as far as its logs allow. `Some(outcome)` once it
     /// has one: durable, failed, or out of patience.
     fn poll(&mut self, state: &ServerState, resolver: &mut ShardedWorker) -> Option<Response> {
@@ -1482,11 +1387,11 @@ impl Parked {
 /// Stage-aware, not FIFO: every job subscribes its wake-up cell on
 /// *every* log it waits on at once — so a cross-shard commit's
 /// participants all see the flush demand immediately — and each wake
-/// (a flusher's, the event loop's, a deadline's) polls all jobs. The
-/// verdict records of the cross-shard commits a pass answered are
-/// appended after its completions are in the mailbox and ride the next
-/// flush; no reply waits for them. Verdicts are delivered on a worker the
-/// parker registers for itself, never a pooled one.
+/// (a flusher's, the event loop's, the earliest `sync_wait` deadline's)
+/// polls all jobs. The verdict records of the cross-shard commits a pass
+/// answered are appended after its completions are in the mailbox and ride
+/// the next flush; no reply waits for them. Verdicts are delivered on a
+/// worker the parker registers for itself, never a pooled one.
 ///
 /// Exits when the shard closes the intake at cutoff and every job has
 /// resolved — each within `sync_wait` of being parked.
@@ -1514,13 +1419,16 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             };
             let Parked { job, .. } = parked.swap_remove(i);
             if let Some(tr) = &job.trace {
+                let ring = &handle.parker_ring;
+                // The wait of a published commit, measured from park
+                // time; the engine recorded a staged commit's waits
+                // itself, participant by participant.
                 if job.work.published().is_some() {
-                    finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr)
-                } else {
-                    // The engine recorded a staged commit's waits, stage
-                    // by stage; only the request is left to close.
-                    finish_trace(&state, &handle.parker_ring, tr)
+                    let now = ring.now_ns();
+                    let start = now.saturating_sub(job.enqueued.elapsed().as_nanos() as u64);
+                    ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
                 }
+                finish_trace(&state, ring, tr);
             }
             state.svc_ring.record(
                 EventKind::SessionResumed,
@@ -1550,7 +1458,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
             settled &= p.subscribe(&state, waker);
         }
         if settled {
-            let until = parked.iter().map(Parked::wake_at).min();
+            let until = parked.iter().map(|p| p.deadline).min();
             waker.wait(until.map(|t| t.saturating_duration_since(Instant::now())));
         }
     }

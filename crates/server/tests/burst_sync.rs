@@ -1,8 +1,9 @@
 //! What a burst of sync commits costs the device, end to end: the event
 //! loop raises one settled flush demand per turn, so a burst that
 //! arrives behind a sync already in flight gets exactly one more — over
-//! all of it, started while the first is still in the device — and the
-//! durability probes on the way register nothing with the log.
+//! all of it, started while the first is still in the device — and every
+//! sync commit is parked exactly once: one reply slot, one subscription
+//! with the log, resumed by the parker and by nobody else.
 //!
 //! The device is a real file backend whose `sync_data` sleeps and keeps
 //! the interval of every call, per engine shard. Everything asserted is a
@@ -13,34 +14,27 @@
 //! verdict-only tail that starts nothing behind a sync in flight is
 //! "≥ 1 / nobody", and its start once the log is idle is "none / nobody".
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_log::{FileBackend, LogManager, SegmentIo, SegmentIoFactory};
-use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
+use ermia_server::{
+    BatchOp, Client, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
+};
+use ermia_telemetry::{EventKind, Telemetry};
 
 const LATENCY: Duration = Duration::from_millis(50);
 const LONG: Duration = Duration::from_secs(10);
 const BURST: usize = 16;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-server-burst-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// `(start, end)` of every `sync_data`, per engine shard.
+/// `(start, end)` of every `sync_data`, per engine shard; and whether
+/// the device has broken (every `sync_data` from then on fails).
 #[derive(Debug, Default)]
-struct Syncs(Mutex<[Vec<(Instant, Instant)>; 2]>);
+struct Syncs(Mutex<[Vec<(Instant, Instant)>; 2]>, AtomicBool);
 
 #[derive(Clone, Debug)]
 struct Device {
@@ -74,6 +68,9 @@ impl SegmentIo for Device {
     }
 
     fn sync_data(&self) -> std::io::Result<()> {
+        if self.syncs.1.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("the device broke"));
+        }
         let start = Instant::now();
         let at = {
             let mut syncs = self.syncs.0.lock().unwrap();
@@ -143,6 +140,13 @@ fn mark(log: &LogManager, syncs: &Syncs, shard: usize) -> Mark {
     }
 }
 
+/// `SessionParked` and `SessionResumed` events recorded so far.
+fn parked_and_resumed(telemetry: &Telemetry) -> [usize; 2] {
+    let dump = telemetry.dump_events(usize::MAX);
+    [EventKind::SessionParked, EventKind::SessionResumed]
+        .map(|kind| dump.lines().filter(|l| l.contains(&format!(" {} ", kind.label()))).count())
+}
+
 fn sync_batch(table: u32, keys: &[Vec<u8>]) -> Request {
     Request::Batch {
         isolation: WireIsolation::Snapshot,
@@ -186,7 +190,7 @@ fn single_key(i: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn burst_behind_an_opener_is_two_syncs() {
-    let dir = tmpdir("two-syncs");
+    let dir = TestDir::new("two-syncs");
     let syncs = Arc::new(Syncs::default());
     let db = Database::open(config(&dir, &syncs)).unwrap();
     db.create_table("kv");
@@ -208,22 +212,23 @@ fn burst_behind_an_opener_is_two_syncs() {
     let flushed = log.stats().flushed_bytes.load(Ordering::Relaxed) - before.flushed_bytes;
     let last = log.stats().last_batch_bytes.load(Ordering::Relaxed);
     assert_eq!(last * 16, flushed * 15, "the second sync did not cover the fifteen followers");
-    // One subscription per parked commit, by the parker. The inline
-    // probe and the end-of-turn probe of each commit register nothing.
+    // Every commit went one road: parked once, subscribed once (by the
+    // parker), resumed once.
     assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
+    assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
+    assert_eq!(srv.stats().commits, BURST as u64);
 
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sixteen frames in one segment are one turn and one demand: one sync
 /// over all of them — or two, when the idle flusher's interval timeout
 /// falls while the turn is still executing and takes what is filled by then.
-/// Never one per stagger gap.
+/// Never one per stagger gap. Then the device breaks under a seventeenth.
 #[test]
 fn burst_in_one_turn_is_at_most_two_syncs() {
-    let dir = tmpdir("one-turn");
+    let dir = TestDir::new("one-turn");
     let syncs = Arc::new(Syncs::default());
     let db = Database::open(config(&dir, &syncs)).unwrap();
     db.create_table("kv");
@@ -244,10 +249,24 @@ fn burst_in_one_turn_is_at_most_two_syncs() {
     assert!(matches!(seen.len(), 1 | 2), "{seen:?}");
     assert!(seen.iter().all(|s| s.0 < seen[0].1), "a sync waited for the first to complete");
     assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
+    assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
+
+    // A commit on a log that fails under it takes the same road: it is
+    // parked, and the parker's first look at the log answers `LogFailed`.
+    syncs.1.store(true, Ordering::Relaxed);
+    c.send(&sync_batch(t, &single_key(BURST))).unwrap();
+    c.flush().unwrap();
+    match c.recv().unwrap() {
+        Response::BatchDone { outcome, .. } => assert!(
+            matches!(*outcome, Response::Error { code: ErrorCode::LogFailed, .. }),
+            "{outcome:?}"
+        ),
+        other => panic!("expected BatchDone, got {other:?}"),
+    }
+    assert_eq!(parked_and_resumed(db.telemetry()), [BURST + 1; 2]);
 
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Keys `i` of two series that hash to different engine shards.
@@ -262,7 +281,7 @@ fn cross_pair(i: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn cross_shard_burst_is_two_syncs_per_log() {
-    let dir = tmpdir("cross");
+    let dir = TestDir::new("cross");
     let syncs = Arc::new(Syncs::default());
     let db = ShardedDb::open(config(&dir, &syncs), 2).unwrap();
     db.create_table("kv");
@@ -290,9 +309,12 @@ fn cross_shard_burst_is_two_syncs_per_log() {
             let busy_until = seen[..k].iter().map(|s| s.1).max().unwrap();
             assert!(tail.0 >= busy_until, "shard {shard}: verdict-only sync {k} overlaps");
         }
+        // One subscription per prepare block.
+        assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
     }
+    assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
+    assert_eq!(srv.stats().commits, BURST as u64);
 
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }

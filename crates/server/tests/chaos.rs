@@ -43,7 +43,7 @@ use ermia_server::{BatchOp, Client, ErrorCode, Request, Response, WireIsolation}
 /// No-op under a normal test run. With `ERMIA_CHAOS_CHILD=1` this *is*
 /// the server process the harness kills: it opens (and recovers) the
 /// database in `ERMIA_CHAOS_DIR`, applies the fault profile from
-/// `ERMIA_CHAOS_FAULT` (`none`, `enospc:<bytes>`, `fsync:<n>`), starts
+/// `ERMIA_CHAOS_FAULT` (`none`, `enospc:<bytes>`, `fsync:<n>`, `linger:<ms>`), starts
 /// an optional background checkpointer (`ERMIA_CHAOS_CKPT_MS`), prints
 /// `PORT <n>`, and parks on stdin until SIGKILLed.
 #[test]
@@ -55,18 +55,13 @@ fn chaos_child_server() {
     use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 
     let dir = PathBuf::from(std::env::var("ERMIA_CHAOS_DIR").expect("child needs a data dir"));
-    let fault = std::env::var("ERMIA_CHAOS_FAULT").unwrap_or_else(|_| "none".into());
+    let plan: FaultPlan =
+        std::env::var("ERMIA_CHAOS_FAULT").unwrap_or_default().parse().expect("child: fault plan");
     let shards: usize = std::env::var("ERMIA_CHAOS_SHARDS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&s| s >= 1)
         .unwrap_or(1);
-    let mut plan = FaultPlan::default();
-    if let Some(bytes) = fault.strip_prefix("enospc:") {
-        plan.enospc_after_bytes = Some(bytes.parse().expect("enospc byte budget"));
-    } else if let Some(n) = fault.strip_prefix("fsync:") {
-        plan.fail_sync_at = Some(n.parse().expect("fsync call index"));
-    }
 
     let mut cfg = DbConfig::durable(&dir);
     cfg.log = LogConfig {
@@ -162,21 +157,20 @@ fn merge(into: &mut Journal, from: Journal) {
 /// The returned `Child` is deliberately live: every caller ends it via
 /// `sigkill`, which kills and reaps it.
 fn spawn_server(dir: &Path, fault: &str, ckpt_ms: u64) -> (Child, u16) {
-    let (child, port, _) = spawn_server_with(dir, fault, ckpt_ms, 1, 0);
+    let (child, port, _) = spawn_server_with(dir, fault, ckpt_ms, 1);
     (child, port)
 }
 
-/// [`spawn_server`] with an explicit shard count and a 2PC
-/// prepare→decide delay (ms), both forwarded to the child. Additionally
-/// returns how many in-doubt prepared transactions the child's recovery
-/// had to resolve — the proof that a kill landed inside the window.
+/// [`spawn_server`] with an explicit shard count, forwarded to the
+/// child. Additionally returns how many in-doubt prepared transactions
+/// the child's recovery had to resolve — the proof that a kill landed
+/// inside the window.
 #[allow(clippy::zombie_processes)]
 fn spawn_server_with(
     dir: &Path,
     fault: &str,
     ckpt_ms: u64,
     shards: usize,
-    prepare_delay_ms: u64,
 ) -> (Child, u16, u64) {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = Command::new(exe)
@@ -188,7 +182,6 @@ fn spawn_server_with(
         .env("ERMIA_CHAOS_FAULT", fault)
         .env("ERMIA_CHAOS_CKPT_MS", ckpt_ms.to_string())
         .env("ERMIA_CHAOS_SHARDS", shards.to_string())
-        .env("ERMIA_2PC_PREPARE_DELAY_MS", prepare_delay_ms.to_string())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -370,43 +363,11 @@ fn shipper_traffic(port: u16, stop: &AtomicBool) -> u64 {
 /// journal. Panics with a written report on any violation.
 fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
     let (child, port) = spawn_server(dir, "none", 0);
-    let mut c = Client::connect(("127.0.0.1", port)).expect("oracle client connect");
-    c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
-    let table = c.open_table("chaos").unwrap();
-    let (rows, truncated) = c.scan(table, b"", &[0xFF], 0).expect("oracle scan");
-    assert!(!truncated, "oracle scan must fit one frame");
-    let recovered: HashMap<Vec<u8>, u64> = rows
-        .into_iter()
-        .map(|(k, v)| {
-            let seq = String::from_utf8_lossy(&v).parse().unwrap_or(u64::MAX);
-            (k, seq)
-        })
-        .collect();
-
+    let (mut c, recovered) = oracle_scan(port);
     let mut violations: Vec<String> = Vec::new();
     for (key, log) in journal {
         let name = String::from_utf8_lossy(key);
-        match (recovered.get(key), log.acked) {
-            (None, Some(a)) => {
-                violations.push(format!("{name}: acked seq {a} lost — key absent after recovery"))
-            }
-            (None, None) => {}
-            (Some(&r), acked) => {
-                if !log.issued.contains(&r) {
-                    violations.push(format!("{name}: recovered unissued value {r}"));
-                }
-                if log.denied.contains(&r) {
-                    violations.push(format!("{name}: recovered value {r} the server denied"));
-                }
-                if let Some(a) = acked {
-                    if r < a {
-                        violations.push(format!(
-                            "{name}: recovered {r} older than acked frontier {a}"
-                        ));
-                    }
-                }
-            }
-        }
+        check_recovered(&name, recovered.get(key).copied(), log, &mut violations);
     }
     for key in recovered.keys() {
         if !journal.contains_key(key) {
@@ -422,16 +383,55 @@ fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
         violations.push("transaction slots leaked across recovery".into());
     }
 
+    let title = format!("durability-oracle (cycle {cycle}, {} keys journaled)", journal.len());
+    conclude(dir, &title, &violations, &mut c, child);
+}
+
+/// Connect to a freshly recovered server and read table `chaos` back as
+/// key → sequence.
+fn oracle_scan(port: u16) -> (Client, HashMap<Vec<u8>, u64>) {
+    let mut c = Client::connect(("127.0.0.1", port)).expect("oracle client connect");
+    c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
+    let table = c.open_table("chaos").unwrap();
+    let (rows, truncated) = c.scan(table, b"", &[0xFF], 0).expect("oracle scan");
+    assert!(!truncated, "oracle scan must fit one frame");
+    let recovered = rows
+        .into_iter()
+        .map(|(k, v)| (k, String::from_utf8_lossy(&v).parse().unwrap_or(u64::MAX)))
+        .collect();
+    (c, recovered)
+}
+
+/// What the journal allows `name` to have recovered to: nothing only if
+/// nothing was acked; otherwise an issued, never denied sequence at or
+/// past the acked frontier.
+fn check_recovered(name: &str, recovered: Option<u64>, log: &KeyLog, violations: &mut Vec<String>) {
+    match (recovered, log.acked) {
+        (None, Some(a)) => violations.push(format!("{name}: acked seq {a} lost — absent")),
+        (None, None) => {}
+        (Some(r), acked) => {
+            if !log.issued.contains(&r) {
+                violations.push(format!("{name}: recovered unissued value {r}"));
+            }
+            if log.denied.contains(&r) {
+                violations.push(format!("{name}: recovered value {r} the server denied"));
+            }
+            if acked.is_some_and(|a| r < a) {
+                violations.push(format!("{name}: recovered {r}, older than acked {acked:?}"));
+            }
+        }
+    }
+}
+
+/// End one oracle pass: kill the server it ran against and, on any
+/// violation, leave `oracle-report.txt` and `flight-dump.txt` in `dir`
+/// and panic with their path.
+fn conclude(dir: &Path, title: &str, violations: &[String], c: &mut Client, child: Child) {
     if !violations.is_empty() {
         let report = dir.join("oracle-report.txt");
-        let mut out = format!(
-            "durability-oracle violations (cycle {cycle}, {} keys journaled):\n",
-            journal.len()
-        );
-        for v in &violations {
-            out.push_str("  - ");
-            out.push_str(v);
-            out.push('\n');
+        let mut out = format!("{title} violations:\n");
+        for v in violations {
+            out.push_str(&format!("  - {v}\n"));
         }
         let _ = std::fs::write(&report, &out);
         let dump = c.dump_events(256).unwrap_or_default();
@@ -586,12 +586,12 @@ fn pair_traffic(port: u16, cid: usize, stop: &AtomicBool, mut log: KeyLog, start
 
 /// Seeded 2PC crash-recovery torture (issue acceptance: ≥ 25 cycles).
 ///
-/// The child runs 2 shards with `ERMIA_2PC_PREPARE_DELAY_MS` stretching
-/// every cross-shard commit's prepare→decide window to ~25 ms, while
-/// clients hammer sync cross-shard pair-writes — so a seeded-random
-/// SIGKILL usually lands *between a participant's durable prepare and
-/// the coordinator's decide*. After each kill the oracle restarts the
-/// engine and checks, per pair:
+/// The child runs 2 shards on a device whose every finished fsync
+/// returns ~25 ms late (fault plan `linger:25`), while clients hammer
+/// sync cross-shard pair-writes — so a seeded-random SIGKILL usually
+/// lands where *the prepares are on disk and nobody has been told*: no
+/// participant published, no verdict record written. After each kill
+/// the oracle restarts the engine and checks, per pair:
 ///
 /// * **atomicity** — both keys recover to the *same* sequence (a 2PC
 ///   either applied on both shards or on neither);
@@ -616,7 +616,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0x2BC0_FFEE);
     let mut rng = Rng(seed);
-    const DELAY_MS: u64 = 25;
+    const LINGER: &str = "linger:25";
     const CLIENTS: usize = 3;
 
     let dir = std::env::temp_dir().join(format!("ermia-chaos2pc-{}-{seed:x}", std::process::id()));
@@ -629,7 +629,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
     for cycle in 0..cycles {
         let kill_after = Duration::from_millis(80 + rng.below(200));
         let (child, port, resolved) =
-            spawn_server_with(&dir, "none", 0, TWO_PC_SHARDS, DELAY_MS);
+            spawn_server_with(&dir, LINGER, 0, TWO_PC_SHARDS);
         in_doubt_resolved_total += resolved;
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -642,7 +642,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
             })
             .collect();
         std::thread::sleep(kill_after);
-        sigkill(child); // lands inside a ~25 ms prepare→decide window
+        sigkill(child); // lands inside a ~25 ms durable-but-untold window
         stop.store(true, Ordering::Relaxed);
         for (cid, w) in workers.into_iter().enumerate() {
             let (log, seq) = w.join().expect("2pc client");
@@ -653,22 +653,14 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
         // Restart and verify: the oracle server itself performs the
         // in-doubt resolution under test.
         let (vchild, vport, vresolved) =
-            spawn_server_with(&dir, "none", 0, TWO_PC_SHARDS, 0);
+            spawn_server_with(&dir, "none", 0, TWO_PC_SHARDS);
         in_doubt_resolved_total += vresolved;
         eprintln!(
             "2pc cycle {cycle}: kill_after={kill_after:?} resolved_in_doubt={vresolved} \
              acked={:?}",
             logs.iter().map(|l| l.acked).collect::<Vec<_>>()
         );
-        let mut c = Client::connect(("127.0.0.1", vport)).expect("2pc oracle connect");
-        c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
-        let table = c.open_table("chaos").unwrap();
-        let (rows, truncated) = c.scan(table, b"", &[0xFF], 0).expect("2pc oracle scan");
-        assert!(!truncated, "2pc oracle scan must fit one frame");
-        let recovered: HashMap<Vec<u8>, u64> = rows
-            .into_iter()
-            .map(|(k, v)| (k, String::from_utf8_lossy(&v).parse().unwrap_or(u64::MAX)))
-            .collect();
+        let (mut c, recovered) = oracle_scan(vport);
 
         let mut violations: Vec<String> = Vec::new();
         for (cid, log) in logs.iter().enumerate() {
@@ -680,27 +672,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
                 ));
                 continue;
             }
-            match (ra, log.acked) {
-                (None, Some(a)) => {
-                    violations.push(format!("pair {cid}: acked seq {a} lost — keys absent"))
-                }
-                (None, None) => {}
-                (Some(r), acked) => {
-                    if !log.issued.contains(&r) {
-                        violations.push(format!("pair {cid}: recovered unissued value {r}"));
-                    }
-                    if log.denied.contains(&r) {
-                        violations.push(format!("pair {cid}: recovered denied value {r}"));
-                    }
-                    if let Some(a) = acked {
-                        if r < a {
-                            violations.push(format!(
-                                "pair {cid}: recovered {r} older than acked frontier {a}"
-                            ));
-                        }
-                    }
-                }
-            }
+            check_recovered(&format!("pair {cid}"), ra, log, &mut violations);
         }
         // No in-doubt residue and no leaked slots after recovery.
         let metrics = c.metrics().expect("2pc oracle metrics");
@@ -712,21 +684,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
             violations.push("transaction slots leaked across 2PC recovery".into());
         }
 
-        if !violations.is_empty() {
-            let report = dir.join("oracle-report.txt");
-            let mut out = format!("2pc-oracle violations (cycle {cycle}):\n");
-            for v in &violations {
-                out.push_str("  - ");
-                out.push_str(v);
-                out.push('\n');
-            }
-            let _ = std::fs::write(&report, &out);
-            let dump = c.dump_events(256).unwrap_or_default();
-            let _ = std::fs::write(dir.join("flight-dump.txt"), dump);
-            sigkill(vchild);
-            panic!("{out}reports written to {}", report.display());
-        }
-        sigkill(vchild);
+        conclude(&dir, &format!("2pc-oracle (cycle {cycle})"), &violations, &mut c, vchild);
     }
     assert!(
         logs.iter().any(|l| l.acked.is_some()),
@@ -735,7 +693,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
     assert!(
         in_doubt_resolved_total > 0,
         "no kill ever landed between prepare and decide across {cycles} cycles — \
-         widen ERMIA_2PC_PREPARE_DELAY_MS or check the window instrumentation"
+         lengthen the sync linger or check the window instrumentation"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,25 +5,13 @@
 //! back with a `Resume` frame after repairing the fault.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ermia_common::TestDir;
 use ermia::{Database, DbConfig};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-degraded-svc-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn faulty_cfg(dir: PathBuf, injector: &FaultInjector) -> DbConfig {
     let mut cfg = DbConfig::durable(dir);
@@ -48,10 +36,10 @@ fn sync_put(c: &mut Client, t: u32, key: &[u8], value: &[u8]) -> Result<u64, Cli
 
 #[test]
 fn degraded_service_keeps_reads_alive_and_resume_restores_writes() {
-    let dir = tmpdir("live");
+    let dir = TestDir::new("live");
     let injector =
         FaultInjector::new(FaultPlan { enospc_after_bytes: Some(8192), ..FaultPlan::default() });
-    let db = Database::open(faulty_cfg(dir, &injector)).unwrap();
+    let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
     let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();

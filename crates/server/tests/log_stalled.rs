@@ -4,11 +4,10 @@
 //! generic close. Cross-shard commits park between prepare and verdict;
 //! their stalls must be as typed, and must leave nothing behind.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use ermia_common::TestDir;
 use ermia::{Database, DbConfig, ShardedDb};
 use ermia_log::{
     BlockKind, DecideRecord, FaultInjector, FaultPlan, FileBackend, LogConfig, LogScanner,
@@ -19,21 +18,10 @@ use ermia_server::{
     WireIsolation,
 };
 
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-server-logfault-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn halted_flusher_surfaces_logstalled_within_the_bound() {
-    let db = Database::open(DbConfig::durable(tmpdir("stall"))).unwrap();
+    let dir = TestDir::new("stall");
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
     let cfg = ServerConfig {
         sync_wait: Duration::from_millis(300),
         shutdown_poll: Duration::from_millis(5),
@@ -104,7 +92,8 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
         fail_sync_at: Some(0),
         ..FaultPlan::default()
     });
-    let mut cfg = DbConfig::durable(tmpdir("poison"));
+    let dir = TestDir::new("poison");
+    let mut cfg = DbConfig::durable(&dir);
     cfg.log = LogConfig {
         dir: cfg.log.dir.clone(),
         fsync: true,
@@ -336,7 +325,8 @@ fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
 /// when the logs move again they all commit, in order.
 #[test]
 fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
-    let (db, gates, _open) = gated_pair(&tmpdir("parked"));
+    let dir = TestDir::new("parked");
+    let (db, gates, _open) = gated_pair(&dir);
     let cfg = ServerConfig {
         shards: 1,
         worker_capacity: 2,
@@ -400,7 +390,7 @@ fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
 /// aborted instead of counting two prepares and committing.
 #[test]
 fn stalled_prepare_aborts_both_halves_with_logstalled() {
-    let dir = tmpdir("stalled-prepare");
+    let dir = TestDir::new("stalled-prepare");
     let (db, gates, open) = gated_pair(&dir);
     let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
@@ -470,7 +460,8 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
 /// within its bound with nothing left behind.
 #[test]
 fn shutdown_resolves_parked_cross_shard_commits() {
-    let (db, gates, _open) = gated_pair(&tmpdir("shutdown"));
+    let dir = TestDir::new("shutdown");
+    let (db, gates, _open) = gated_pair(&dir);
     let cfg = ServerConfig {
         sync_wait: Duration::from_millis(300),
         shutdown_poll: Duration::from_millis(5),

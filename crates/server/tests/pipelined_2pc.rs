@@ -3,23 +3,10 @@
 //! behind it, so a later frame can meet an earlier one's prepared head.
 //! It must wait for that verdict — not abort, and not read around it.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-server-pipelined2pc-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// One key on each of two shards.
 fn cross_pair() -> (Vec<u8>, Vec<u8>) {
@@ -44,8 +31,8 @@ fn pair_batch(table: u32, (a, b): &(Vec<u8>, Vec<u8>), value: &[u8]) -> Request 
 
 /// A durable two-shard server on one event loop, where a durability
 /// round takes long enough for the next frame to run inside it.
-fn server(tag: &str) -> (ShardedDb, Server, PathBuf) {
-    let dir = tmpdir(tag);
+fn server(tag: &str) -> (ShardedDb, Server, TestDir) {
+    let dir = TestDir::new(tag);
     let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
     db.create_table("kv");
     let cfg = ServerConfig { shards: 1, worker_capacity: 2, ..ServerConfig::default() };
@@ -55,7 +42,7 @@ fn server(tag: &str) -> (ShardedDb, Server, PathBuf) {
 
 #[test]
 fn same_pair_pipelined_batches_all_commit_in_order() {
-    let (db, srv, dir) = server("same-pair");
+    let (db, srv, _dir) = server("same-pair");
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     let pair = cross_pair();
@@ -90,12 +77,11 @@ fn same_pair_pipelined_batches_all_commit_in_order() {
     assert_eq!(db.tid_slots_in_use(), 0);
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn pipelined_get_behind_a_cross_shard_put_reads_the_new_value() {
-    let (db, srv, dir) = server("ryw");
+    let (db, srv, _dir) = server("ryw");
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     let pair = cross_pair();
@@ -128,7 +114,6 @@ fn pipelined_get_behind_a_cross_shard_put_reads_the_new_value() {
     assert_eq!(db.tid_slots_in_use(), 0);
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The one autocommitted operation that crosses shards: a write to a
@@ -136,7 +121,7 @@ fn pipelined_get_behind_a_cross_shard_put_reads_the_new_value() {
 /// cross-shard commit and answers with its own response.
 #[test]
 fn autocommitted_write_to_a_replicated_table_commits_on_every_shard() {
-    let (db, srv, dir) = server("replicated");
+    let (db, srv, _dir) = server("replicated");
     db.create_table_with_policy("dims", ermia::ShardPolicy::Replicated);
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("dims").unwrap();
@@ -153,5 +138,4 @@ fn autocommitted_write_to_a_replicated_table_commits_on_every_shard() {
     assert_eq!(db.tid_slots_in_use(), 0);
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }

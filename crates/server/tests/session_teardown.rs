@@ -9,6 +9,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig};
+use ermia_common::TestDir;
 use ermia_server::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN};
 use ermia_server::{BatchOp, Client, Server, ServerConfig, WireIsolation};
 
@@ -210,8 +211,7 @@ fn disconnect_under_reply_backpressure_leaks_nothing() {
 #[test]
 fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
     let _serial = serial();
-    let dir = std::env::temp_dir().join(format!("ermia-teardown-2pc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("teardown-2pc");
     let db = ermia::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
     let cfg = ServerConfig {
         worker_capacity: 2,
@@ -295,7 +295,6 @@ fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
     srv.shutdown();
     assert_eq!(db.tid_slots_in_use(), 0);
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn os_threads() -> usize {

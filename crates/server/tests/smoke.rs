@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use ermia::{Database, DbConfig};
+use ermia_common::TestDir;
 use ermia_server::{
     BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
     WireIsolation,
@@ -234,8 +235,7 @@ fn shutdown_latency_is_bounded_by_the_wake_fd_not_polling() {
 /// in the assembler must run — no readiness event will announce them.
 #[test]
 fn pipelining_past_the_reply_queue_cap_does_not_wedge_the_session() {
-    let dir = std::env::temp_dir().join(format!("ermia-server-smoke-cap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("server-smoke-cap");
     let db = Database::open(DbConfig::durable(&dir)).unwrap();
     let cfg = ServerConfig { reply_queue_depth: 8, ..ServerConfig::default() };
     let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
@@ -259,7 +259,6 @@ fn pipelining_past_the_reply_queue_cap_does_not_wedge_the_session() {
     }
     srv.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -281,10 +281,10 @@ fn concurrent_transfers_preserve_invariant() {
     }
     setup.commit().unwrap();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tidx in 0..3u64 {
             let db = db.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut state = tidx.wrapping_mul(0x9E3779B97F4A7C15) | 1;
                 let mut done = 0;
@@ -322,8 +322,7 @@ fn concurrent_transfers_preserve_invariant() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let mut check = w.begin(RW);
     let mut total = 0i64;

@@ -135,10 +135,10 @@ fn min_active_begin_tracks_oldest() {
 #[test]
 fn concurrent_tid_churn() {
     let mgr = Arc::new(TidManager::new());
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4usize {
             let mgr = Arc::clone(&mgr);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut hint = t * 1000;
                 for i in 0..5_000u64 {
                     let (tid, ctx) = mgr.acquire(Lsn::from_parts(i + 1, 0), &mut hint);
@@ -151,8 +151,7 @@ fn concurrent_tid_churn() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(mgr.in_use(), 0);
 }
 
@@ -376,10 +375,10 @@ fn oid_freelist_concurrent_churn_no_duplicates() {
         let o = arr.allocate();
         arr.recycle(o);
     }
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..4 {
             let arr = Arc::clone(&arr);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut batch = Vec::with_capacity(8);
                 for _ in 0..10_000 {
                     for _ in 0..8 {
@@ -395,8 +394,7 @@ fn oid_freelist_concurrent_churn_no_duplicates() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -454,12 +452,12 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
     make_chain(&arr, oid, &[10, 20, 30, 50]);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..3 {
             let arr = Arc::clone(&arr);
             let epoch = epoch.clone();
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let handle = epoch.register();
                 while !stop.load(Ordering::Acquire) {
                     let guard = handle.pin();
@@ -490,8 +488,7 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
             std::thread::sleep(Duration::from_millis(1));
         }
         stop.store(true, Ordering::Release);
-    })
-    .unwrap();
+    });
     // Readers are gone; drain whatever quiescence still held back.
     epoch.drain_all();
     assert_eq!(pool.pooled(), 2, "dead suffix must land in the pool");

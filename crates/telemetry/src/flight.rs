@@ -15,113 +15,45 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::ring::{RingSet, SeqRing};
+use crate::ring::{kinds, RingSet, SeqRing};
 
-/// What happened. Codes are stable (they appear in dumps and tests).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventKind {
-    TxnBegin,
-    TxnCommit,
-    TxnAbort,
-    LogStall,
-    LogPoison,
-    GcPass,
-    Checkpoint,
-    EpochAdvance,
-    /// The database entered degraded read-only mode (log poisoned).
-    DbDegraded,
-    /// The database resumed Active after an operator cleared the fault.
-    DbResumed,
-    /// A server session parked a sync-commit reply on the durability
-    /// parker (the reply slot waits for the log instead of a thread).
-    SessionParked,
-    /// A parked session's commit resolved; its reply slot was filled and
-    /// write interest re-armed.
-    SessionResumed,
-    /// A cross-shard transaction's participant filled its prepare block
-    /// (`a` = participant shard, `b` = prepare cstamp).
-    TwoPcPrepare,
-    /// A cross-shard transaction's verdict records were appended to its
-    /// participants' logs (`a` = gtid lsn, `b` = 1 commit / 0 abort).
-    TwoPcDecide,
-    /// Recovery resolved an in-doubt prepared transaction (`a` = gtid
-    /// lsn; `b` bit 0 = committed, bit 1 = no verdict record was found
-    /// and the count of prepares decided).
-    TwoPcResolve,
-    /// The backup shipper served a log chunk to a subscriber (`a` =
-    /// chunk start offset, `b` = bytes shipped).
-    ReplSegmentShipped,
-    /// A replica finished an apply round (`a` = applied-through offset,
-    /// `b` = blocks replayed this round).
-    ReplApplied,
-}
-
-impl EventKind {
-    fn code(self) -> u32 {
-        match self {
-            EventKind::TxnBegin => 1,
-            EventKind::TxnCommit => 2,
-            EventKind::TxnAbort => 3,
-            EventKind::LogStall => 4,
-            EventKind::LogPoison => 5,
-            EventKind::GcPass => 6,
-            EventKind::Checkpoint => 7,
-            EventKind::EpochAdvance => 8,
-            EventKind::DbDegraded => 9,
-            EventKind::DbResumed => 10,
-            EventKind::SessionParked => 11,
-            EventKind::SessionResumed => 12,
-            EventKind::TwoPcPrepare => 13,
-            EventKind::TwoPcDecide => 14,
-            EventKind::TwoPcResolve => 15,
-            EventKind::ReplSegmentShipped => 16,
-            EventKind::ReplApplied => 17,
-        }
-    }
-
-    fn from_code(c: u32) -> Option<EventKind> {
-        Some(match c {
-            1 => EventKind::TxnBegin,
-            2 => EventKind::TxnCommit,
-            3 => EventKind::TxnAbort,
-            4 => EventKind::LogStall,
-            5 => EventKind::LogPoison,
-            6 => EventKind::GcPass,
-            7 => EventKind::Checkpoint,
-            8 => EventKind::EpochAdvance,
-            9 => EventKind::DbDegraded,
-            10 => EventKind::DbResumed,
-            11 => EventKind::SessionParked,
-            12 => EventKind::SessionResumed,
-            13 => EventKind::TwoPcPrepare,
-            14 => EventKind::TwoPcDecide,
-            15 => EventKind::TwoPcResolve,
-            16 => EventKind::ReplSegmentShipped,
-            17 => EventKind::ReplApplied,
-            _ => return None,
-        })
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::TxnBegin => "txn-begin",
-            EventKind::TxnCommit => "txn-commit",
-            EventKind::TxnAbort => "txn-abort",
-            EventKind::LogStall => "log-stall",
-            EventKind::LogPoison => "log-poison",
-            EventKind::GcPass => "gc-pass",
-            EventKind::Checkpoint => "checkpoint",
-            EventKind::EpochAdvance => "epoch-advance",
-            EventKind::DbDegraded => "db-degraded",
-            EventKind::DbResumed => "db-resumed",
-            EventKind::SessionParked => "session-parked",
-            EventKind::SessionResumed => "session-resumed",
-            EventKind::TwoPcPrepare => "2pc-prepare",
-            EventKind::TwoPcDecide => "2pc-decide",
-            EventKind::TwoPcResolve => "2pc-resolve",
-            EventKind::ReplSegmentShipped => "repl-segment-shipped",
-            EventKind::ReplApplied => "repl-applied",
-        }
+kinds! {
+    /// What happened. Codes are stable (they appear in dumps and tests).
+    pub enum EventKind {
+        1 TxnBegin: "txn-begin";
+        2 TxnCommit: "txn-commit";
+        3 TxnAbort: "txn-abort";
+        4 LogStall: "log-stall";
+        5 LogPoison: "log-poison";
+        6 GcPass: "gc-pass";
+        7 Checkpoint: "checkpoint";
+        8 EpochAdvance: "epoch-advance";
+        /// The database entered degraded read-only mode (log poisoned).
+        9 DbDegraded: "db-degraded";
+        /// The database resumed Active after an operator cleared the fault.
+        10 DbResumed: "db-resumed";
+        /// A server session parked a sync-commit reply on the durability
+        /// parker (the reply slot waits for the log instead of a thread).
+        11 SessionParked: "session-parked";
+        /// A parked session's commit resolved; its reply slot was filled and
+        /// write interest re-armed.
+        12 SessionResumed: "session-resumed";
+        /// A cross-shard transaction's participant filled its prepare block
+        /// (`a` = participant shard, `b` = prepare cstamp).
+        13 TwoPcPrepare: "2pc-prepare";
+        /// A cross-shard transaction's verdict records were appended to its
+        /// participants' logs (`a` = gtid lsn, `b` = 1 commit / 0 abort).
+        14 TwoPcDecide: "2pc-decide";
+        /// Recovery resolved an in-doubt prepared transaction (`a` = gtid
+        /// lsn; `b` bit 0 = committed, bit 1 = no verdict record was found
+        /// and the count of prepares decided).
+        15 TwoPcResolve: "2pc-resolve";
+        /// The backup shipper served a log chunk to a subscriber (`a` =
+        /// chunk start offset, `b` = bytes shipped).
+        16 ReplSegmentShipped: "repl-segment-shipped";
+        /// A replica finished an apply round (`a` = applied-through offset,
+        /// `b` = blocks replayed this round).
+        17 ReplApplied: "repl-applied";
     }
 }
 

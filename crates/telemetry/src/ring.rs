@@ -21,6 +21,51 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// A taxonomy of ring entries, stated once: each row `code Variant:
+/// "label";` is a variant, the stable code word a slot stores for it and
+/// the label dumps print. Generates the enum, `ALL` (every kind, in row
+/// order), `code`/`from_code` and `label`/`from_label`.
+macro_rules! kinds {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $code:literal $variant:ident: $label:literal;)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Every kind, in code order.
+            pub const ALL: &'static [$name] = &[$($name::$variant,)*];
+
+            pub(crate) fn code(self) -> u32 {
+                match self {
+                    $($name::$variant => $code,)*
+                }
+            }
+
+            pub(crate) fn from_code(c: u32) -> Option<$name> {
+                match c {
+                    $($code => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
+            }
+
+            pub fn from_label(s: &str) -> Option<$name> {
+                $name::ALL.iter().copied().find(|k| k.label() == s)
+            }
+        }
+    };
+}
+pub(crate) use kinds;
+
 struct Slot<const W: usize> {
     /// 0 = empty/being written, else position + 1.
     seq: AtomicU64,
@@ -133,6 +178,28 @@ impl<R> RingSet<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EventKind, SpanKind};
+
+    /// The generated tables: codes and labels are distinct, dense from 1,
+    /// and each maps back to the kind it came from.
+    #[test]
+    fn every_kind_round_trips() {
+        macro_rules! check {
+            ($kind:ident) => {
+                for (i, &k) in $kind::ALL.iter().enumerate() {
+                    assert_eq!(k.code() as usize, i + 1, "{k:?}");
+                    assert_eq!($kind::from_code(k.code()), Some(k));
+                    assert_eq!($kind::from_label(k.label()), Some(k));
+                }
+                assert_eq!($kind::from_code(0), None);
+                assert_eq!($kind::from_code($kind::ALL.len() as u32 + 1), None);
+                assert_eq!($kind::from_label("no-such-kind"), None);
+            };
+        }
+        check!(SpanKind);
+        check!(EventKind);
+        assert_eq!((SpanKind::ALL.len(), EventKind::ALL.len()), (15, 17));
+    }
 
     fn drain<const W: usize>(ring: &SeqRing<W>) -> Vec<[u64; W]> {
         let mut out = Vec::new();

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::ring::{RingSet, SeqRing};
+use crate::ring::{kinds, RingSet, SeqRing};
 
 /// Default number of slots in each span ring.
 pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
@@ -79,108 +79,42 @@ impl TraceContext {
     }
 }
 
-/// Span taxonomy. Codes are stable: they appear in dumps and tests.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SpanKind {
-    /// A whole client request, decode to reply (`a` = opcode).
-    Request,
-    /// Wire-frame CRC check + request decode.
-    FrameDecode,
-    /// Waiting in a shard's run queue for a pooled worker.
-    RunQueue,
-    /// Worker checkout from the pool (usually ~0; nonzero = contention).
-    WorkerCheckout,
-    /// Transaction begin (snapshot acquisition).
-    TxnBegin,
-    /// One read (`a` = table, `b` = shard).
-    TxnRead,
-    /// One write — put/insert/delete (`a` = table, `b` = shard).
-    TxnWrite,
-    /// One range scan (`a` = index, `b` = rows returned).
-    TxnScan,
-    /// `commit_deferred`: log-block fill + CAS publish, no durability.
-    CommitDeferred,
-    /// Group-commit durability wait (`a` = shard).
-    DurabilityWait,
-    /// One participant's 2PC prepare incl. its durability wait
-    /// (`a` = participant shard, `b` = prepare cstamp).
-    TwoPcPrepare,
-    /// The unforced verdict-record append on every participant's log,
-    /// after the commit was published and answered (`a` = gtid lsn).
-    TwoPcDecide,
-    /// In-memory publish on every participant, once all prepares are
-    /// durable (`a` = shard count).
-    TwoPcFinalize,
-    /// Replica-side shipping round (`a` = bytes, `b` = shard).
-    ReplShip,
-    /// Replica log apply (`a` = blocks or cstamp, `b` = shard).
-    ReplApply,
-}
-
-impl SpanKind {
-    fn code(self) -> u32 {
-        match self {
-            SpanKind::Request => 1,
-            SpanKind::FrameDecode => 2,
-            SpanKind::RunQueue => 3,
-            SpanKind::WorkerCheckout => 4,
-            SpanKind::TxnBegin => 5,
-            SpanKind::TxnRead => 6,
-            SpanKind::TxnWrite => 7,
-            SpanKind::TxnScan => 8,
-            SpanKind::CommitDeferred => 9,
-            SpanKind::DurabilityWait => 10,
-            SpanKind::TwoPcPrepare => 11,
-            SpanKind::TwoPcDecide => 12,
-            SpanKind::TwoPcFinalize => 13,
-            SpanKind::ReplShip => 14,
-            SpanKind::ReplApply => 15,
-        }
-    }
-
-    fn from_code(c: u32) -> Option<SpanKind> {
-        Some(match c {
-            1 => SpanKind::Request,
-            2 => SpanKind::FrameDecode,
-            3 => SpanKind::RunQueue,
-            4 => SpanKind::WorkerCheckout,
-            5 => SpanKind::TxnBegin,
-            6 => SpanKind::TxnRead,
-            7 => SpanKind::TxnWrite,
-            8 => SpanKind::TxnScan,
-            9 => SpanKind::CommitDeferred,
-            10 => SpanKind::DurabilityWait,
-            11 => SpanKind::TwoPcPrepare,
-            12 => SpanKind::TwoPcDecide,
-            13 => SpanKind::TwoPcFinalize,
-            14 => SpanKind::ReplShip,
-            15 => SpanKind::ReplApply,
-            _ => return None,
-        })
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::Request => "request",
-            SpanKind::FrameDecode => "frame-decode",
-            SpanKind::RunQueue => "run-queue",
-            SpanKind::WorkerCheckout => "worker-checkout",
-            SpanKind::TxnBegin => "txn-begin",
-            SpanKind::TxnRead => "txn-read",
-            SpanKind::TxnWrite => "txn-write",
-            SpanKind::TxnScan => "txn-scan",
-            SpanKind::CommitDeferred => "commit-deferred",
-            SpanKind::DurabilityWait => "durability-wait",
-            SpanKind::TwoPcPrepare => "2pc-prepare",
-            SpanKind::TwoPcDecide => "2pc-decide",
-            SpanKind::TwoPcFinalize => "2pc-finalize",
-            SpanKind::ReplShip => "repl-ship",
-            SpanKind::ReplApply => "repl-apply",
-        }
-    }
-
-    pub fn from_label(s: &str) -> Option<SpanKind> {
-        (1..=15).filter_map(SpanKind::from_code).find(|k| k.label() == s)
+kinds! {
+    /// Span taxonomy. Codes are stable: they appear in dumps and tests.
+    pub enum SpanKind {
+        /// A whole client request, decode to reply (`a` = opcode).
+        1 Request: "request";
+        /// Wire-frame CRC check + request decode.
+        2 FrameDecode: "frame-decode";
+        /// Waiting in a shard's run queue for a pooled worker.
+        3 RunQueue: "run-queue";
+        /// Worker checkout from the pool (usually ~0; nonzero = contention).
+        4 WorkerCheckout: "worker-checkout";
+        /// Transaction begin (snapshot acquisition).
+        5 TxnBegin: "txn-begin";
+        /// One read (`a` = table, `b` = shard).
+        6 TxnRead: "txn-read";
+        /// One write — put/insert/delete (`a` = table, `b` = shard).
+        7 TxnWrite: "txn-write";
+        /// One range scan (`a` = index, `b` = rows returned).
+        8 TxnScan: "txn-scan";
+        /// `commit_deferred`: log-block fill + CAS publish, no durability.
+        9 CommitDeferred: "commit-deferred";
+        /// Group-commit durability wait (`a` = shard).
+        10 DurabilityWait: "durability-wait";
+        /// One participant's 2PC prepare incl. its durability wait
+        /// (`a` = participant shard, `b` = prepare cstamp).
+        11 TwoPcPrepare: "2pc-prepare";
+        /// The unforced verdict-record append on every participant's log,
+        /// after the commit was published and answered (`a` = gtid lsn).
+        12 TwoPcDecide: "2pc-decide";
+        /// In-memory publish on every participant, once all prepares are
+        /// durable (`a` = shard count).
+        13 TwoPcFinalize: "2pc-finalize";
+        /// Replica-side shipping round (`a` = bytes, `b` = shard).
+        14 ReplShip: "repl-ship";
+        /// Replica log apply (`a` = blocks or cstamp, `b` = shard).
+        15 ReplApply: "repl-apply";
     }
 }
 

@@ -214,14 +214,14 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
     let start_barrier = Barrier::new(cfg.threads + 1);
 
     let mut per_worker: Vec<Vec<TypeStats>> = Vec::new();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for worker_id in 0..cfg.threads {
             let engine = engine.clone();
             let stop = &stop;
             let start_barrier = &start_barrier;
             let names = names.clone();
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut eworker = engine.register_worker();
                 let mut ws = workload.worker_state(worker_id, cfg.threads);
                 let mut stats: Vec<TypeStats> = names
@@ -258,8 +258,7 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
         for h in handles {
             per_worker.push(h.join().expect("worker panicked"));
         }
-    })
-    .expect("driver scope");
+    });
 
     let mut per_type: Vec<TypeStats> =
         names.iter().map(|&name| TypeStats { name, ..TypeStats::default() }).collect();

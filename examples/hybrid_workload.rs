@@ -71,12 +71,12 @@ fn run_ermia() -> Outcome {
     let report_aborts = AtomicU64::new(0);
     let writer_commits = AtomicU64::new(0);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..2u64 {
             let db = db.clone();
             let stop = &stop;
             let writer_commits = &writer_commits;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
@@ -93,7 +93,7 @@ fn run_ermia() -> Outcome {
             let db = db.clone();
             let stop = &stop;
             let (rc, ra) = (&report_commits, &report_aborts);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut seq = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -118,8 +118,7 @@ fn run_ermia() -> Outcome {
         }
         std::thread::sleep(RUN);
         stop.store(true, Ordering::Relaxed);
-    })
-    .unwrap();
+    });
 
     Outcome {
         report_commits: report_commits.into_inner(),
@@ -145,12 +144,12 @@ fn run_silo() -> Outcome {
     let report_aborts = AtomicU64::new(0);
     let writer_commits = AtomicU64::new(0);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..2u64 {
             let db = db.clone();
             let stop = &stop;
             let writer_commits = &writer_commits;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
@@ -167,7 +166,7 @@ fn run_silo() -> Outcome {
             let db = db.clone();
             let stop = &stop;
             let (rc, ra) = (&report_commits, &report_aborts);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut w = db.register_worker();
                 let mut seq = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -195,8 +194,7 @@ fn run_silo() -> Outcome {
         }
         std::thread::sleep(RUN);
         stop.store(true, Ordering::Relaxed);
-    })
-    .unwrap();
+    });
 
     Outcome {
         report_commits: report_commits.into_inner(),

@@ -25,14 +25,15 @@
 //! (`crates/server/tests/chaos.rs`), which makes this binary a target
 //! for external chaos tooling too:
 //!
-//! * `ERMIA_FAULT_PLAN` injects storage faults for degraded-mode drills:
-//!   `enospc:<bytes>` (fail writes past a byte budget) or `fsync:<n>`
-//!   (fail the nth fsync) — pair with the `Resume` wire frame after
-//!   clearing the fault;
+//! * `ERMIA_FAULT_PLAN` injects storage faults (`ermia_log::FaultPlan`'s
+//!   `FromStr`): `enospc:<bytes>` (fail writes past a byte budget) or
+//!   `fsync:<n>` (fail the nth fsync) for degraded-mode drills — pair
+//!   with the `Resume` wire frame after clearing the fault — and
+//!   `linger:<ms>`, which holds back the return of every finished fsync,
+//!   so a kill lands where a commit is on disk and nobody has been told
+//!   (for a cross-shard commit: every prepare durable, no verdict yet);
 //! * `ERMIA_CKPT_MS=<ms>` runs a background checkpointer so kills can
-//!   land mid-checkpoint;
-//! * `ERMIA_2PC_PREPARE_DELAY_MS` (read by the engine) widens the window
-//!   between a cross-shard commit's durable prepares and its verdict.
+//!   land mid-checkpoint.
 //!
 //! Talk to it with the client example (`--example client`) or any
 //! program speaking the framed wire protocol (`ermia_server::protocol`).
@@ -46,19 +47,6 @@ use std::time::Duration;
 use ermia::{DbConfig, ShardedDb};
 use ermia_log::{FaultInjector, FaultPlan};
 use ermia_server::{Server, ServerConfig};
-
-fn fault_plan() -> FaultPlan {
-    let mut plan = FaultPlan::default();
-    let fault = std::env::var("ERMIA_FAULT_PLAN").unwrap_or_default();
-    if let Some(bytes) = fault.strip_prefix("enospc:") {
-        plan.enospc_after_bytes = Some(bytes.parse().expect("enospc byte budget"));
-    } else if let Some(n) = fault.strip_prefix("fsync:") {
-        plan.fail_sync_at = Some(n.parse().expect("fsync call index"));
-    } else if fault != "none" && !fault.is_empty() {
-        panic!("unknown ERMIA_FAULT_PLAN {fault:?} (want enospc:<bytes> or fsync:<n>)");
-    }
-    plan
-}
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
@@ -79,7 +67,9 @@ fn main() {
 
     // Durable engine: the log goes to disk, sync commits really wait.
     let mut cfg = DbConfig::durable(&dir);
-    cfg.log.io_factory = Arc::new(FaultInjector::new(fault_plan()));
+    let plan: FaultPlan =
+        std::env::var("ERMIA_FAULT_PLAN").unwrap_or_default().parse().expect("ERMIA_FAULT_PLAN");
+    cfg.log.io_factory = Arc::new(FaultInjector::new(plan));
     let db = ShardedDb::open(cfg, shards)
         .expect("open database (is the data dir locked by a live server?)");
     for table in &tables {

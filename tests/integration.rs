@@ -2,6 +2,7 @@
 //! log, recovery, both CC flavors, and the Silo baseline.
 
 use ermia::{Database, DbConfig, IsolationLevel};
+use ermia_common::TestDir;
 use ermia_repro::workloads::driver::{run, RunConfig};
 use ermia_repro::workloads::tpcc::{check_consistency, TpccConfig, TpccWorkload};
 use ermia_repro::workloads::{ErmiaEngine, SiloEngine};
@@ -12,9 +13,8 @@ use std::time::Duration;
 /// the recovered state.
 #[test]
 fn tpcc_survives_crash_recovery() {
-    let dir = std::env::temp_dir().join(format!("ermia-it-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
+    let dir = TestDir::new("it-crash");
+    
     let wl = TpccWorkload::new(TpccConfig::small(1));
     {
         let mut cfg = DbConfig::durable(&dir);
@@ -46,7 +46,6 @@ fn tpcc_survives_crash_recovery() {
         wl2.bind_tables(&engine);
         check_consistency(&engine, &wl2);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The same workload binary runs on both engines and the paper's

@@ -5,25 +5,12 @@
 //! the replica's apply spans for the same transaction. The exported
 //! Chrome `trace_event` rendering must be well-formed JSON.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::{chrome_trace_json, parse_spans, Span, SpanKind};
-
-fn tmpdir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ermia-trace-stitch-{}-{}-{}",
-        tag,
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Minimal structural JSON validation: balanced braces/brackets outside
 /// strings, string escapes honored, no trailing commas before a closer.
@@ -68,7 +55,7 @@ fn assert_valid_json(text: &str) {
 #[test]
 fn one_trace_id_covers_coordinator_participants_and_replica() {
     // Two-shard durable primary, served over the wire.
-    let dir = tmpdir("primary");
+    let dir = TestDir::new("primary");
     let cfg = DbConfig::durable(&dir);
     let db = ShardedDb::open(cfg, 2).unwrap();
     db.create_table("kv");
@@ -149,7 +136,7 @@ fn one_trace_id_covers_coordinator_participants_and_replica() {
     // Ship the log to a replica; applying the two prepared participant
     // transactions must stitch `repl-apply` spans onto the same trace id
     // (it rides the durable prepare markers).
-    let rdir = tmpdir("replica");
+    let rdir = TestDir::new("replica");
     let mut rcfg = ReplicaConfig::new(addr.clone(), &rdir);
     rcfg.shards = 2;
     let mut replica = Replica::bootstrap(rcfg).unwrap();
@@ -174,6 +161,4 @@ fn one_trace_id_covers_coordinator_participants_and_replica() {
 
     drop(replica);
     srv.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&rdir);
 }
