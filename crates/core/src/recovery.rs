@@ -23,7 +23,7 @@ use ermia_log::{CheckpointMeta, DecideRecord, LogRecord, LogRecordKind, LogScann
 use ermia_storage::{Retired, Version};
 use ermia_telemetry::{SpanKind, TraceContext};
 
-use crate::database::Database;
+use crate::database::{Database, Table};
 
 /// Replay one resolved 2PC prepare, stitching a `ReplApply` span onto
 /// the originating transaction's trace when the durable prepare marker
@@ -356,9 +356,9 @@ impl Database {
                         payload.extend_from_slice(&stamp.raw().to_le_bytes());
                         payload.push(v.tombstone as u8);
                         payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                        payload.extend_from_slice(&(v.data.len() as u32).to_le_bytes());
+                        payload.extend_from_slice(&(v.data().len() as u32).to_le_bytes());
                         payload.extend_from_slice(key);
-                        payload.extend_from_slice(&v.data);
+                        payload.extend_from_slice(v.data());
                         n += 1;
                         break;
                     }
@@ -467,6 +467,11 @@ impl Database {
                 last_per_oid.insert((rec.table.0, rec.oid.0), i);
             }
         }
+        // Paid once per block, not once per record: the epoch handle the
+        // index inserts run under, and the catalog lookup of the table.
+        let handle = self.inner.epoch.register();
+        let guard = handle.pin();
+        let mut table = None;
         for (i, rec) in recs.iter().enumerate() {
             stats.replayed_records += 1;
             match rec.kind {
@@ -486,14 +491,10 @@ impl Database {
                     } else {
                         &rec.value
                     };
-                    let applied = self.apply_record(
-                        rec.table.0,
-                        rec.oid,
-                        &rec.key,
-                        value,
-                        cstamp,
-                        rec.kind == LogRecordKind::Delete,
-                    );
+                    let tombstone = rec.kind == LogRecordKind::Delete;
+                    let applied = self.replay_table(&mut table, rec.table.0).is_some_and(|t| {
+                        self.apply_record(&guard, t, rec.oid, &rec.key, value, cstamp, tombstone)
+                    });
                     if !applied {
                         stats.skipped_stale += 1;
                     }
@@ -501,7 +502,7 @@ impl Database {
                 LogRecordKind::SecondaryInsert => {
                     let index_raw =
                         u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
-                    self.apply_secondary(index_raw, &rec.key, rec.oid);
+                    self.apply_secondary(&guard, index_raw, &rec.key, rec.oid);
                 }
             }
         }
@@ -538,10 +539,15 @@ impl Database {
             *p += 8;
             v
         };
+        let handle = self.inner.epoch.register();
         let ntables = rd_u32(&mut pos);
         for _ in 0..ntables {
             let table_id = rd_u32(&mut pos);
             let nrecords = rd_u32(&mut pos);
+            // One catalog lookup and one pin per table. A table that was
+            // not re-declared is skipped (documented contract).
+            let table = self.inner.catalog.read().tables.get(table_id as usize).cloned();
+            let guard = handle.pin();
             for _ in 0..nrecords {
                 let oid = rd_u32(&mut pos);
                 let clsn = rd_u64(&mut pos);
@@ -554,10 +560,21 @@ impl Database {
                 let val = &payload[pos..pos + val_len];
                 pos += val_len;
                 floor = floor.max(Lsn::from_raw(clsn));
-                self.apply_record(table_id, Oid(oid), key, val, Lsn::from_raw(clsn), tombstone);
+                if let Some(t) = &table {
+                    self.apply_record(
+                        &guard,
+                        t,
+                        Oid(oid),
+                        key,
+                        val,
+                        Lsn::from_raw(clsn),
+                        tombstone,
+                    );
+                }
                 restored += 1;
             }
         }
+        let guard = handle.pin();
         let nsecondary = rd_u32(&mut pos);
         for _ in 0..nsecondary {
             let nentries = rd_u32(&mut pos);
@@ -567,30 +584,41 @@ impl Database {
                 let key_len = rd_u16(&mut pos) as usize;
                 let key = &payload[pos..pos + key_len];
                 pos += key_len;
-                self.apply_secondary(index_raw, key, Oid(oid));
+                self.apply_secondary(&guard, index_raw, key, Oid(oid));
             }
         }
         Ok((restored, floor))
     }
 
+    /// The table a replayed record names, through a one-entry memo: the
+    /// catalog lock is taken when the table changes, not per record.
+    /// `None` if the table was not re-declared — its records are skipped
+    /// (documented contract).
+    fn replay_table<'m>(
+        &self,
+        memo: &'m mut Option<(u32, std::sync::Arc<Table>)>,
+        table_raw: u32,
+    ) -> Option<&'m Table> {
+        if memo.as_ref().is_none_or(|(raw, _)| *raw != table_raw) {
+            let catalog = self.inner.catalog.read();
+            *memo = catalog.tables.get(table_raw as usize).map(|t| (table_raw, t.clone()));
+        }
+        memo.as_ref().map(|(_, t)| &**t)
+    }
+
     /// Idempotently apply one record image: install iff newer than the
     /// current head (fuzzy checkpoints and replay may overlap).
+    #[allow(clippy::too_many_arguments)]
     fn apply_record(
         &self,
-        table_raw: u32,
+        guard: &ermia_epoch::Guard<'_>,
+        table: &Table,
         oid: Oid,
         key: &[u8],
         value: &[u8],
         cstamp: Lsn,
         tombstone: bool,
     ) -> bool {
-        let catalog = self.inner.catalog.read();
-        let Some(table) = catalog.tables.get(table_raw as usize) else {
-            return false; // table not re-declared: skip (documented contract)
-        };
-        let (table_id, table) = (table.id, std::sync::Arc::clone(table));
-        drop(catalog);
-
         table.oids.ensure_allocated(oid);
         let head = table.oids.head(oid);
         if !head.is_null() {
@@ -602,27 +630,32 @@ impl Database {
         let new = Version::alloc(Stamp::from_lsn(cstamp), value, tombstone);
         unsafe { (*new).next.store(head, Ordering::Relaxed) };
         table.oids.store_head(oid, new);
-        if !head.is_null() {
+        if head.is_null() {
+            // The record that creates an OID's chain indexes its key. A
+            // committed OID never changes key (a delete is a tombstone,
+            // and only never-committed inserts recycle their OID), so a
+            // later record of the same OID finds it indexed already.
+            let _ = table.primary.insert(guard, key, oid.0 as u64);
+        } else {
             // Replay stacks versions exactly as the commits did; without
             // this the collector would never hear of them.
-            self.inner.retire(&[Retired { cstamp, table: table_id, oid }]);
+            self.inner.retire(&[Retired { cstamp, table: table.id, oid }]);
         }
-        // Index the key (idempotent: Duplicate means it's already there).
-        let mgr = &self.inner.epoch;
-        let h = mgr.register();
-        let g = h.pin();
-        let _ = table.primary.insert(&g, key, oid.0 as u64);
         true
     }
 
-    fn apply_secondary(&self, index_raw: u32, key: &[u8], oid: Oid) {
+    fn apply_secondary(
+        &self,
+        guard: &ermia_epoch::Guard<'_>,
+        index_raw: u32,
+        key: &[u8],
+        oid: Oid,
+    ) {
         let catalog = self.inner.catalog.read();
         let Some(idx) = catalog.indexes.get(index_raw as usize) else { return };
         let idx = std::sync::Arc::clone(idx);
         drop(catalog);
-        let h = self.inner.epoch.register();
-        let g = h.pin();
-        let _ = idx.tree.insert(&g, key, oid.0 as u64);
+        let _ = idx.tree.insert(guard, key, oid.0 as u64);
     }
 }
 

@@ -383,7 +383,7 @@ impl<'w> Transaction<'w> {
         match vis {
             Some(vis) => {
                 self.register_read(&vis)?;
-                let data = unsafe { &(*vis.ptr).data };
+                let data = unsafe { (*vis.ptr).data() };
                 Ok(Some(f(data)))
             }
             None => Ok(None),
@@ -410,7 +410,7 @@ impl<'w> Transaction<'w> {
         match self.fetch_visible(&t.oids, Oid(oid as u32))? {
             Some(vis) => {
                 self.register_read(&vis)?;
-                let data = unsafe { &(*vis.ptr).data };
+                let data = unsafe { (*vis.ptr).data() };
                 Ok(Some(f(data)))
             }
             None => Ok(None),
@@ -588,7 +588,7 @@ impl<'w> Transaction<'w> {
         // it into the reuse pool.
         unsafe {
             (*head).clsn.store(Stamp::from_lsn(Lsn::MAX).raw(), Ordering::Release);
-            defer_release(&self.guard, &self.db.inner.versions, head);
+            defer_release(&self.guard, Some(&self.db.inner.versions), head);
         }
         let entry = self
             .writes
@@ -646,7 +646,7 @@ impl<'w> Transaction<'w> {
                     // through the array slot, so it must quiesce before
                     // reuse.
                     t.oids.store_head(oid, std::ptr::null_mut());
-                    unsafe { defer_release(&self.guard, &self.db.inner.versions, new) };
+                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), new) };
                     t.oids.recycle(oid);
                     let existing = Oid(existing as u32);
                     // Revive if the visible version is a tombstone.
@@ -754,7 +754,7 @@ impl<'w> Transaction<'w> {
                 let vis = self.fetch_visible(&t.oids, Oid(*oidval as u32))?;
                 if let Some(vis) = vis {
                     self.register_read(&vis)?;
-                    let data = unsafe { &(*vis.ptr).data };
+                    let data = unsafe { (*vis.ptr).data() };
                     delivered += 1;
                     if !f(k, data) || limit.is_some_and(|l| delivered >= l) {
                         stopped = true;
@@ -1018,7 +1018,7 @@ impl<'w> Transaction<'w> {
         let blob_threshold = self.db.inner.cfg.large_value_threshold;
         for w in &self.writes {
             let key = w.key.slice(&self.scratch.keys);
-            let (data, tombstone) = unsafe { (&(*w.new).data, (*w.new).tombstone) };
+            let (data, tombstone) = unsafe { ((*w.new).data(), (*w.new).tombstone) };
             // The entry coalesces every op this txn applied to the
             // record; what commits is the final version, so its tombstone
             // flag (not the entry kind) decides the record kind. An
@@ -1084,7 +1084,7 @@ impl<'w> Transaction<'w> {
                     // Remove the index entry, unpublish, recycle.
                     w.table.primary.remove(&self.guard, w.key.slice(&self.scratch.keys));
                     w.table.oids.store_head(w.oid, std::ptr::null_mut());
-                    unsafe { defer_release(&self.guard, &self.db.inner.versions, w.new) };
+                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), w.new) };
                     w.table.oids.recycle(w.oid);
                 }
                 WriteKind::Update | WriteKind::Delete => {
@@ -1093,7 +1093,7 @@ impl<'w> Transaction<'w> {
                         .oids
                         .cas_head(w.oid, w.new, w.prev)
                         .expect("uncommitted head owned by us");
-                    unsafe { defer_release(&self.guard, &self.db.inner.versions, w.new) };
+                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), w.new) };
                 }
             }
         }
@@ -1336,7 +1336,7 @@ impl ParkedPrepare {
         (self.reads.iter().copied().chain(prevs))
             // SAFETY: the very claim under test — these nodes are not
             // reclaimed while the TID slot is held (see the type docs).
-            .map(|v| unsafe { ((*v).clsn.load(Ordering::Acquire), (*v).data.clone()) })
+            .map(|v| unsafe { ((*v).clsn.load(Ordering::Acquire), (*v).data().to_vec()) })
             .collect()
     }
 }

@@ -83,13 +83,7 @@ unsafe impl Send for Scratch {}
 impl Worker {
     pub(crate) fn new(db: Database) -> Worker {
         let epoch_handle = db.inner.epoch.register();
-        // Scatter TID probe cursors across the table.
-        let tid_hint = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            (h.finish() as usize) % ermia_common::ids::TID_TABLE_CAPACITY
-        };
+        let tid_hint = db.inner.tid.home();
         let versions = VersionCache::new(Arc::clone(&db.inner.versions));
         let registry = db.inner.telemetry.registry();
         // The breakdown slab always exists (the transaction path bumps it

@@ -304,3 +304,43 @@ fn a_fork_allocates_metadata_not_data() {
         assert!(tx.read(t, &(rows - 1).to_be_bytes(), |v| v.len()).unwrap().is_some());
     }
 }
+
+/// The layout guard: what a row costs to hold. A version is one
+/// allocation (header, then payload), a key of up to 16 bytes lives in
+/// its index slot, and keys loaded in order leave their leaves full — so
+/// a row of a 16-byte key and a 64-byte value is one allocation plus its
+/// thirtieth of a leaf. (This test on the parent of the layouts: 4.20
+/// allocations and 198 requested bytes — version box, payload `Vec`, key
+/// box, key bytes, and a leaf per fifteen rows.) The allocation count is the
+/// primary guard: most of what four small chunks cost is the allocator's
+/// per-chunk overhead, which requested bytes do not show. The printed
+/// line is the trend CI keeps.
+#[test]
+fn loading_a_row_costs_one_allocation() {
+    const ROWS: u64 = 10_000;
+    let db = Database::open(DbConfig::in_memory()).unwrap();
+    let t = db.create_table("t");
+    let mut w = db.register_worker();
+    let key = |i: u64| {
+        let mut k = [0u8; 16];
+        k[..4].copy_from_slice(b"row-");
+        k[4..12].copy_from_slice(&i.to_be_bytes());
+        k
+    };
+    let mut load = |from: u64, to: u64| {
+        for i in from..to {
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            tx.insert(t, &key(i), &[0x51; 64]).unwrap();
+            tx.commit().unwrap();
+        }
+    };
+    // Scratch capacities, the first indirection-array page, the first leaf.
+    load(0, 64);
+    let (calls, bytes) = (alloc_calls(), alloc_bytes());
+    load(64, 64 + ROWS);
+    let per_row = |n: u64| n as f64 / ROWS as f64;
+    let (calls, bytes) = (per_row(alloc_calls() - calls), per_row(alloc_bytes() - bytes));
+    println!("layout guard: {calls:.3} allocations/row, {bytes:.1} requested bytes/row");
+    assert!(calls <= 1.1, "{calls:.3} allocations per loaded row");
+    assert!(bytes <= 160.0, "{bytes:.1} requested bytes per loaded row");
+}

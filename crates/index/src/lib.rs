@@ -21,13 +21,27 @@
 //! updates never touch the tree; in the Silo baseline it is a record
 //! pointer, which is likewise stable across updates.
 //!
-//! Memory reclamation: key buffers displaced by removals are retired
+//! Memory layout: a node's key slots carry the keys. A slot is the key's
+//! first 16 bytes as two big-endian words plus a tagged word — the key's
+//! length when the whole key fits the words (nothing on the heap, nothing
+//! to retire when it is removed), or a pointer to one allocation holding
+//! a longer key, followed only when the heads tie (`src/node.rs` has
+//! the diagram and the ordering rule). A search orders the probe against
+//! the node's own words — integer compares, binary search — so a lookup
+//! of a short key touches the nodes on its path and nothing else, and a
+//! scan hands such keys to its callback out of a stack buffer.
+//!
+//! Memory reclamation: a long key displaced by a removal is retired
 //! through an [`ermia_epoch::EpochManager`]; readers hold an epoch guard
 //! for the duration of an operation, so a pointer read from a slot is
-//! always dereferenceable even if it lost its slot concurrently. Interior
-//! nodes are never freed while the tree lives (there are no merges; empty
-//! leaves persist until the tree drops), which also makes node-set
-//! handles stable without pinning.
+//! always dereferenceable even if it lost its slot concurrently, and slot
+//! words torn by a concurrent writer are thrown away by the version
+//! check. Interior nodes are never freed while the tree lives (there are
+//! no merges; empty leaves persist until the tree drops), which also
+//! makes node-set handles stable without pinning. A split at the right
+//! edge of the tree keeps the old node full (keys arriving in order —
+//! every loader, and log replay — fill their leaves), any other split
+//! halves.
 
 mod node;
 mod tree;

@@ -305,6 +305,22 @@ fn concurrent_inserts_racing_a_root_split_stay_findable() {
 
 #[test]
 fn concurrent_readers_during_writes() {
+    readers_during_writes(key);
+}
+
+/// The same storm over 24-byte keys that share their 16-byte head: every
+/// comparison follows a slot's pointer to the heap, and every removal
+/// retires an allocation a reader may be looking at.
+#[test]
+fn concurrent_readers_during_writes_of_long_keys() {
+    readers_during_writes(long_key);
+}
+
+fn long_key(i: u64) -> Vec<u8> {
+    [&b"sixteen byte head"[..16], &i.to_be_bytes()].concat()
+}
+
+fn readers_during_writes(key: fn(u64) -> Vec<u8>) {
     const N: u64 = 8_000;
     let t = BTree::new();
     let mgr = EpochManager::new("rw-stress");
@@ -342,14 +358,117 @@ fn concurrent_readers_during_writes() {
                     }
                     if state.is_multiple_of(64) {
                         let lo = (state >> 33) % N;
-                        t.scan(&g, &key(lo), &key(lo + 50), |_| {}, |kb, v| {
-                            assert_eq!(kb, v.to_be_bytes());
-                            ScanControl::Continue
-                        });
+                        t.scan(
+                            &g,
+                            &key(lo),
+                            &key(lo + 50),
+                            |_| {},
+                            |kb, v| {
+                                assert_eq!(kb, key(v));
+                                ScanControl::Continue
+                            },
+                        );
                     }
                 }
             });
         }
     });
     drop(ticker);
+}
+
+/// Keys inserted in ascending order fill every leaf but the last: a split
+/// at the right edge moves nothing (`BTree::do_split`, append-aware).
+#[test]
+fn ascending_inserts_leave_leaves_full() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    const N: usize = 100_000;
+    for i in 0..N as u64 {
+        assert_eq!(t.insert(&g, &key(i), i), InsertOutcome::Inserted);
+    }
+    let leaves = t.leaf_count();
+    let full = N.div_ceil(crate::node::MAX_KEYS);
+    assert!(leaves * 100 <= full * 105, "{leaves} leaves for {N} ascending keys, {full} if full");
+    for i in (0..N as u64).step_by(997) {
+        assert_eq!(t.get(&g, &key(i)).0, Some(i));
+    }
+    // Long keys take the same path (the separator is a fresh allocation).
+    let (t, _) = setup();
+    for i in 0..3_000 {
+        assert_eq!(t.insert(&g, &long_key(i), i), InsertOutcome::Inserted);
+    }
+    assert!(t.leaf_count() * 100 <= 3_000usize.div_ceil(crate::node::MAX_KEYS) * 105);
+    assert_eq!(t.get(&g, &long_key(1_234)).0, Some(1_234));
+}
+
+/// Random-order fill is what halving splits give, ln 2 ≈ 69 %: the
+/// append rule does not fire away from the right edge.
+#[test]
+fn random_order_inserts_keep_the_halving_fill() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    const N: u64 = 100_000;
+    // Fisher–Yates under a fixed xorshift stream.
+    let mut keys: Vec<u64> = (0..N).collect();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..keys.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        keys.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    for k in keys {
+        assert_eq!(t.insert(&g, &key(k), k), InsertOutcome::Inserted);
+    }
+    let fill = N as f64 / (t.leaf_count() * crate::node::MAX_KEYS) as f64;
+    assert!((0.62..0.76).contains(&fill), "leaf fill {fill:.3}");
+}
+
+/// Keys that tie on the zero-padded head words: lengths, then tails.
+#[test]
+fn keys_that_tie_on_the_head_words_are_ordered_by_length_then_tail() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    let head = *b"0123456789abcdef";
+    let keys: Vec<Vec<u8>> = vec![
+        vec![],
+        vec![0],
+        vec![0, 0],
+        head[..15].to_vec(),
+        head.to_vec(),
+        [&head[..], &[0]].concat(),
+        [&head[..], &[0, 0]].concat(),
+        [&head[..], &[1]].concat(),
+        b"a".to_vec(),
+        b"a\0".to_vec(),
+    ];
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "listed in byte order");
+    for (i, k) in keys.iter().enumerate().rev() {
+        assert_eq!(t.insert(&g, k, i as u64), InsertOutcome::Inserted);
+    }
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(t.get(&g, k).0, Some(i as u64), "key {k:?}");
+        assert_eq!(t.insert(&g, k, 99), InsertOutcome::Duplicate(i as u64));
+    }
+    let mut got = Vec::new();
+    t.scan(
+        &g,
+        &[],
+        &[0xff; 20],
+        |_| {},
+        |k, v| {
+            got.push((k.to_vec(), v));
+            ScanControl::Continue
+        },
+    );
+    let expect: Vec<(Vec<u8>, u64)> = keys.iter().cloned().zip(0..).collect();
+    assert_eq!(got, expect);
+    assert_eq!(t.remove(&g, b"a"), Some(8));
+    assert_eq!(t.get(&g, b"a").0, None);
+    assert_eq!(t.get(&g, b"a\0").0, Some(9));
+    assert_eq!(t.remove(&g, &keys[5]), Some(5));
+    assert_eq!(t.get(&g, &keys[6]).0, Some(6));
 }

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 use ermia_epoch::Guard;
 
-use crate::node::{InnerNode, KeyBuf, LeafNode, NodeHdr, MAX_KEYS};
+use crate::node::{InnerNode, LeafNode, NodeHdr, Probe, Words, INLINE_KEY, MAX_KEYS};
 
 /// Result of an insert attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,30 +72,17 @@ impl BTree {
     /// position — needed even on a miss, so that a later insertion of
     /// this key by another transaction is caught as a phantom.
     pub fn get(&self, _g: &Guard<'_>, key: &[u8]) -> (Option<u64>, LeafSnapshot) {
+        let probe = Probe::new(key);
         loop {
-            let Some((leaf, v)) = self.find_leaf(key) else { continue };
+            let Some((leaf, v)) = self.find_leaf(&probe) else { continue };
             let leaf_ref = unsafe { &*leaf };
             let nk = leaf_ref.nkeys.load(Ordering::Acquire);
             if nk > MAX_KEYS {
                 continue;
             }
-            let mut found = None;
-            let mut ok = true;
-            for i in 0..nk {
-                let kptr = leaf_ref.keys[i].load(Ordering::Acquire);
-                if kptr.is_null() {
-                    ok = false;
-                    break;
-                }
-                // SAFETY: any pointer in a slot is live or retired-but-
-                // unfreed under our epoch guard.
-                let kb = unsafe { &(*kptr).bytes };
-                if kb.as_ref() == key {
-                    found = Some(leaf_ref.vals[i].load(Ordering::Acquire));
-                    break;
-                }
-            }
-            if !ok || !leaf_ref.hdr.check(v) {
+            let (i, hit) = probe.search(&leaf_ref.keys, nk);
+            let found = hit.then(|| leaf_ref.vals[i].load(Ordering::Relaxed));
+            if !leaf_ref.hdr.check(v) {
                 continue;
             }
             return (found, LeafSnapshot { leaf: leaf.cast(), version: v });
@@ -103,10 +90,14 @@ impl BTree {
     }
 
     /// Insert `key → val` if absent.
-    pub fn insert(&self, g: &Guard<'_>, key: &[u8], val: u64) -> InsertOutcome {
+    pub fn insert(&self, _g: &Guard<'_>, key: &[u8], val: u64) -> InsertOutcome {
+        let probe = Probe::new(key);
         'restart: loop {
             let mut parent: *mut InnerNode = std::ptr::null_mut();
             let mut pv = 0u64;
+            // Whether the descent took the last child all the way down: a
+            // full node met there is split for appending (see `do_split`).
+            let mut rightmost = true;
             let (mut node, mut v) = self.stable_root();
             loop {
                 let hdr = unsafe { &*node };
@@ -118,12 +109,10 @@ impl BTree {
                         continue 'restart;
                     }
                     if nk == MAX_KEYS {
-                        self.split_node(parent, pv, node, v, g);
+                        self.split_node(parent, pv, node, v, rightmost.then_some(&probe));
                         continue 'restart;
                     }
-                    let Some(idx) = Self::child_index(inner_ref, nk, key) else {
-                        continue 'restart;
-                    };
+                    let idx = probe.upper_bound(&inner_ref.keys, nk);
                     let child = inner_ref.children[idx].load(Ordering::Acquire);
                     if child.is_null() {
                         continue 'restart;
@@ -132,6 +121,7 @@ impl BTree {
                     if !hdr.check(v) {
                         continue 'restart;
                     }
+                    rightmost &= idx == nk;
                     parent = inner;
                     pv = v;
                     node = child;
@@ -144,7 +134,17 @@ impl BTree {
                         continue 'restart;
                     }
                     if nk == MAX_KEYS {
-                        self.split_node(parent, pv, node, v, g);
+                        // A full leaf that already holds the key answers
+                        // `Duplicate` without splitting for it.
+                        let (i, hit) = probe.search(&leaf_ref.keys, nk);
+                        let existing = leaf_ref.vals[i.min(MAX_KEYS - 1)].load(Ordering::Relaxed);
+                        if !hdr.check(v) {
+                            continue 'restart;
+                        }
+                        if hit {
+                            return InsertOutcome::Duplicate(existing);
+                        }
+                        self.split_node(parent, pv, node, v, rightmost.then_some(&probe));
                         continue 'restart;
                     }
                     if !hdr.try_lock(v) {
@@ -153,36 +153,21 @@ impl BTree {
                     // Locked: state is now stable.
                     let nk = leaf_ref.nkeys.load(Ordering::Relaxed);
                     debug_assert!(nk < MAX_KEYS);
-                    let mut pos = nk;
-                    for i in 0..nk {
-                        let kptr = leaf_ref.keys[i].load(Ordering::Relaxed);
-                        let kb = unsafe { (*kptr).bytes.as_ref() };
-                        match kb.cmp(key) {
-                            std::cmp::Ordering::Less => {}
-                            std::cmp::Ordering::Equal => {
-                                let existing = leaf_ref.vals[i].load(Ordering::Relaxed);
-                                // No modification: release without a
-                                // version bump so concurrent node sets
-                                // stay valid.
-                                hdr.unlock_unchanged(v);
-                                return InsertOutcome::Duplicate(existing);
-                            }
-                            std::cmp::Ordering::Greater => {
-                                pos = i;
-                                break;
-                            }
-                        }
+                    let (pos, hit) = probe.search(&leaf_ref.keys, nk);
+                    if hit {
+                        let existing = leaf_ref.vals[pos].load(Ordering::Relaxed);
+                        // No modification: release without a version bump
+                        // so concurrent node sets stay valid.
+                        hdr.unlock_unchanged(v);
+                        return InsertOutcome::Duplicate(existing);
                     }
                     // Shift right and place the new entry.
-                    let mut i = nk;
-                    while i > pos {
-                        let kp = leaf_ref.keys[i - 1].load(Ordering::Relaxed);
-                        let vv = leaf_ref.vals[i - 1].load(Ordering::Relaxed);
-                        leaf_ref.keys[i].store(kp, Ordering::Relaxed);
-                        leaf_ref.vals[i].store(vv, Ordering::Relaxed);
-                        i -= 1;
+                    for i in (pos..nk).rev() {
+                        leaf_ref.keys[i + 1].store(leaf_ref.keys[i].load());
+                        let vv = leaf_ref.vals[i].load(Ordering::Relaxed);
+                        leaf_ref.vals[i + 1].store(vv, Ordering::Relaxed);
                     }
-                    leaf_ref.keys[pos].store(KeyBuf::alloc(key), Ordering::Relaxed);
+                    leaf_ref.keys[pos].store(probe.to_words());
                     leaf_ref.vals[pos].store(val, Ordering::Relaxed);
                     leaf_ref.nkeys.store(nk + 1, Ordering::Release);
                     hdr.unlock();
@@ -192,41 +177,35 @@ impl BTree {
         }
     }
 
-    /// Remove a key, returning its value if present. The displaced key
-    /// buffer is retired through `g`, never freed in place.
+    /// Remove a key, returning its value if present. A key the slot held
+    /// inline is simply gone; a long key's allocation is retired through
+    /// `g`, never freed in place.
     pub fn remove(&self, g: &Guard<'_>, key: &[u8]) -> Option<u64> {
+        let probe = Probe::new(key);
         loop {
-            let Some((leaf, v)) = self.find_leaf(key) else { continue };
+            let Some((leaf, v)) = self.find_leaf(&probe) else { continue };
             let leaf_ref = unsafe { &*leaf };
             if !leaf_ref.hdr.try_lock(v) {
                 continue;
             }
             let nk = leaf_ref.nkeys.load(Ordering::Relaxed);
-            let mut hit = None;
-            for i in 0..nk {
-                let kptr = leaf_ref.keys[i].load(Ordering::Relaxed);
-                let kb = unsafe { (*kptr).bytes.as_ref() };
-                if kb == key {
-                    hit = Some((i, kptr));
-                    break;
-                }
-            }
-            let Some((pos, kptr)) = hit else {
+            let (pos, hit) = probe.search(&leaf_ref.keys, nk);
+            if !hit {
                 leaf_ref.hdr.unlock_unchanged(v);
                 return None;
-            };
+            }
+            let gone = leaf_ref.keys[pos].load();
             let val = leaf_ref.vals[pos].load(Ordering::Relaxed);
             for i in pos..nk - 1 {
-                let kp = leaf_ref.keys[i + 1].load(Ordering::Relaxed);
+                leaf_ref.keys[i].store(leaf_ref.keys[i + 1].load());
                 let vv = leaf_ref.vals[i + 1].load(Ordering::Relaxed);
-                leaf_ref.keys[i].store(kp, Ordering::Relaxed);
                 leaf_ref.vals[i].store(vv, Ordering::Relaxed);
             }
-            leaf_ref.keys[nk - 1].store(std::ptr::null_mut(), Ordering::Relaxed);
+            leaf_ref.keys[nk - 1].clear();
             leaf_ref.nkeys.store(nk - 1, Ordering::Release);
             leaf_ref.hdr.unlock();
-            // SAFETY: kptr is unlinked from the tree and uniquely owned.
-            unsafe { g.defer_drop(kptr) };
+            // SAFETY: the words are out of every live slot.
+            unsafe { gone.retire(g) };
             return Some(val);
         }
     }
@@ -235,7 +214,9 @@ impl BTree {
     ///
     /// `on_leaf` fires once per leaf visited (including leaves that
     /// contribute no items) — the caller's node set; `on_item` receives
-    /// each key/value and may stop the scan.
+    /// each key/value and may stop the scan. The scan allocates nothing:
+    /// a leaf's matching slots are copied to the stack, validated, and
+    /// handed over from there (an inline key out of a 16-byte buffer).
     pub fn scan(
         &self,
         _g: &Guard<'_>,
@@ -244,7 +225,13 @@ impl BTree {
         mut on_leaf: impl FnMut(LeafSnapshot),
         mut on_item: impl FnMut(&[u8], u64) -> ScanControl,
     ) {
-        let mut resume: Vec<u8> = low.to_vec();
+        let high = Probe::new(high);
+        // Where the scan (re)starts: at `low`, then strictly after the
+        // last key delivered (a long key behind that probe stays readable
+        // for the whole scan under the caller's guard).
+        let mut resume = Probe::new(low);
+        let mut delivered_any = false;
+        let mut items = [(Words::ZERO, 0u64); MAX_KEYS];
         'restart: loop {
             let Some((mut leaf, mut v)) = self.find_leaf(&resume) else { continue };
             loop {
@@ -253,46 +240,33 @@ impl BTree {
                 if nk > MAX_KEYS {
                     continue 'restart;
                 }
-                // Collect matching entries optimistically.
-                let mut items: Vec<(*mut KeyBuf, u64)> = Vec::with_capacity(nk);
-                let mut saw_past_high = false;
-                let mut ok = true;
-                for i in 0..nk {
-                    let kptr = leaf_ref.keys[i].load(Ordering::Acquire);
-                    if kptr.is_null() {
-                        ok = false;
-                        break;
-                    }
-                    let kb = unsafe { (*kptr).bytes.as_ref() };
-                    if kb > high {
-                        saw_past_high = true;
-                        break;
-                    }
-                    if kb >= resume.as_slice() {
-                        items.push((kptr, leaf_ref.vals[i].load(Ordering::Acquire)));
-                    }
+                // Copy the matching entries optimistically.
+                let (at, hit) = resume.search(&leaf_ref.keys, nk);
+                let start = at + (hit && delivered_any) as usize;
+                let end = high.upper_bound(&leaf_ref.keys, nk);
+                let n = end.saturating_sub(start);
+                for (item, i) in items.iter_mut().zip(start..end) {
+                    *item = (leaf_ref.keys[i].load(), leaf_ref.vals[i].load(Ordering::Relaxed));
                 }
                 let next = leaf_ref.next.load(Ordering::Acquire);
-                if !ok || !leaf_ref.hdr.check(v) {
+                if !leaf_ref.hdr.check(v) {
                     continue 'restart;
                 }
                 on_leaf(LeafSnapshot { leaf: leaf.cast(), version: v });
-                for (kptr, val) in &items {
-                    // SAFETY: validated above; buffers survive under the
-                    // caller's epoch guard.
-                    let kb = unsafe { (*(*kptr)).bytes.as_ref() };
-                    if on_item(kb, *val) == ScanControl::Stop {
+                let mut buf = [0u8; INLINE_KEY];
+                for (words, val) in &items[..n] {
+                    // SAFETY: validated above; a long key survives under
+                    // the caller's epoch guard.
+                    if on_item(unsafe { words.bytes(&mut buf) }, *val) == ScanControl::Stop {
                         return;
                     }
                 }
-                if let Some((kptr, _)) = items.last() {
-                    // Resume strictly after the last delivered key.
-                    let kb = unsafe { (*(*kptr)).bytes.as_ref() };
-                    resume.clear();
-                    resume.extend_from_slice(kb);
-                    resume.push(0);
+                if n > 0 {
+                    // SAFETY: as above.
+                    resume = unsafe { Probe::of(&items[n - 1].0) };
+                    delivered_any = true;
                 }
-                if saw_past_high || next.is_null() {
+                if end < nk || next.is_null() {
                     return;
                 }
                 let next_v = unsafe { (*next).hdr.read_lock() };
@@ -300,6 +274,18 @@ impl BTree {
                 v = next_v;
             }
         }
+    }
+
+    /// Leaves in the sibling chain (fill tests; quiescent tree only).
+    #[cfg(test)]
+    pub(crate) fn leaf_count(&self) -> usize {
+        let (mut leaf, _) = self.find_leaf(&Probe::new(&[])).expect("quiescent");
+        let mut n = 0;
+        while !leaf.is_null() {
+            n += 1;
+            leaf = unsafe { (*leaf).next.load(Ordering::Acquire) };
+        }
+        n
     }
 
     /// Re-check a node-set entry: true iff the leaf's version is
@@ -340,9 +326,9 @@ impl BTree {
         }
     }
 
-    /// Optimistic descent to the leaf that would contain `key`.
+    /// Optimistic descent to the leaf that would contain the probed key.
     /// Returns `None` to signal a restart.
-    fn find_leaf(&self, key: &[u8]) -> Option<(*mut LeafNode, u64)> {
+    fn find_leaf(&self, probe: &Probe<'_>) -> Option<(*mut LeafNode, u64)> {
         let (mut node, mut v) = self.stable_root();
         loop {
             let hdr = unsafe { &*node };
@@ -355,7 +341,9 @@ impl BTree {
             if nk > MAX_KEYS {
                 return None;
             }
-            let idx = Self::child_index(inner_ref, nk, key)?;
+            // The child to descend into is the one before the first
+            // separator greater than the key.
+            let idx = probe.upper_bound(&inner_ref.keys, nk);
             let child = inner_ref.children[idx].load(Ordering::Acquire);
             if child.is_null() {
                 return None;
@@ -369,32 +357,18 @@ impl BTree {
         }
     }
 
-    /// Index of the child to descend into: the first separator greater
-    /// than `key`, else the last child. `None` on a torn read.
-    fn child_index(inner: &InnerNode, nk: usize, key: &[u8]) -> Option<usize> {
-        for i in 0..nk {
-            let kptr = inner.keys[i].load(Ordering::Acquire);
-            if kptr.is_null() {
-                return None;
-            }
-            let kb = unsafe { (*kptr).bytes.as_ref() };
-            if key < kb {
-                return Some(i);
-            }
-        }
-        Some(nk)
-    }
-
     /// Split a full node (leaf or inner). `parent` is null when `node` is
     /// the root. Takes both locks (validating the observed versions),
     /// performs the split, and returns; the caller restarts its descent.
+    /// `append` is the key being inserted when the descent never left the
+    /// right edge of the tree.
     fn split_node(
         &self,
         parent: *mut InnerNode,
         pv: u64,
         node: *mut NodeHdr,
         v: u64,
-        _g: &Guard<'_>,
+        append: Option<&Probe<'_>>,
     ) {
         unsafe {
             if parent.is_null() {
@@ -406,9 +380,9 @@ impl BTree {
                     (*node).unlock_unchanged(v);
                     return;
                 }
-                let (sep, right) = self.do_split(node);
+                let (sep, right) = self.do_split(node, append);
                 let new_root = InnerNode::alloc();
-                (*new_root).keys[0].store(sep, Ordering::Relaxed);
+                (*new_root).keys[0].store(sep);
                 (*new_root).children[0].store(node, Ordering::Relaxed);
                 (*new_root).children[1].store(right, Ordering::Relaxed);
                 (*new_root).nkeys.store(1, Ordering::Release);
@@ -426,7 +400,7 @@ impl BTree {
                     (*parent).nkeys.load(Ordering::Relaxed) < MAX_KEYS,
                     "eager splitting keeps parents non-full"
                 );
-                let (sep, right) = self.do_split(node);
+                let (sep, right) = self.do_split(node, append);
                 Self::parent_insert(&*parent, sep, right);
                 (*node).unlock();
                 (*parent).hdr.unlock();
@@ -435,46 +409,63 @@ impl BTree {
     }
 
     /// Move the upper half of `node` into a fresh right sibling; returns
-    /// the separator key (owned by the parent) and the new node.
+    /// the separator (owned by the parent) and the new node.
+    ///
+    /// **Append-aware.** When the key that caused the split lies past the
+    /// node's last key (`append`, see [`BTree::split_node`]), nothing is
+    /// halved: a leaf stays full and the new, empty leaf opens at the
+    /// incoming key; an inner node gives up only its last child. Keys
+    /// loaded in ascending order therefore leave every leaf but the last
+    /// full instead of half full. Any split point is a correct split —
+    /// this one only decides the fill.
     ///
     /// # Safety
     /// `node` must be write-locked by the caller.
-    unsafe fn do_split(&self, node: *mut NodeHdr) -> (*mut KeyBuf, *mut NodeHdr) {
+    unsafe fn do_split(
+        &self,
+        node: *mut NodeHdr,
+        append: Option<&Probe<'_>>,
+    ) -> (Words, *mut NodeHdr) {
         unsafe {
             if (*node).is_leaf {
                 let left: *mut LeafNode = node.cast();
                 let nk = (*left).nkeys.load(Ordering::Relaxed);
-                let half = nk / 2;
                 let right = LeafNode::alloc();
+                let appended =
+                    append.filter(|p| p.cmp(&(*left).keys[nk - 1]) == std::cmp::Ordering::Greater);
+                let half = if appended.is_some() { nk } else { nk / 2 };
                 for i in half..nk {
-                    let kp = (*left).keys[i].load(Ordering::Relaxed);
+                    (*right).keys[i - half].store((*left).keys[i].load());
                     let vv = (*left).vals[i].load(Ordering::Relaxed);
-                    (*right).keys[i - half].store(kp, Ordering::Relaxed);
                     (*right).vals[i - half].store(vv, Ordering::Relaxed);
                     // Clear the stale slot so lagging readers fail fast.
-                    (*left).keys[i].store(std::ptr::null_mut(), Ordering::Relaxed);
+                    (*left).keys[i].clear();
                 }
                 (*right).nkeys.store(nk - half, Ordering::Relaxed);
                 (*right).next.store((*left).next.load(Ordering::Relaxed), Ordering::Relaxed);
                 (*left).next.store(right, Ordering::Release);
                 (*left).nkeys.store(half, Ordering::Release);
-                // The separator is a *copy* of the right node's first key.
-                let first = (*right).keys[0].load(Ordering::Relaxed);
-                let sep = KeyBuf::alloc((*first).bytes.as_ref());
+                // The separator is the incoming key, or a *copy* of the
+                // right node's first key.
+                let sep = match appended {
+                    Some(p) => p.to_words(),
+                    None => Probe::of(&(*right).keys[0].load()).to_words(),
+                };
                 (sep, LeafNode::as_hdr(right))
             } else {
                 let left: *mut InnerNode = node.cast();
                 let nk = (*left).nkeys.load(Ordering::Relaxed);
-                let mid = nk / 2;
+                let appended = append
+                    .is_some_and(|p| p.cmp(&(*left).keys[nk - 1]) != std::cmp::Ordering::Less);
+                let mid = if appended { nk - 1 } else { nk / 2 };
                 let right = InnerNode::alloc();
                 // The middle separator moves up to the parent.
-                let sep = (*left).keys[mid].load(Ordering::Relaxed);
+                let sep = (*left).keys[mid].load();
                 for i in mid + 1..nk {
-                    let kp = (*left).keys[i].load(Ordering::Relaxed);
-                    (*right).keys[i - mid - 1].store(kp, Ordering::Relaxed);
-                    (*left).keys[i].store(std::ptr::null_mut(), Ordering::Relaxed);
+                    (*right).keys[i - mid - 1].store((*left).keys[i].load());
+                    (*left).keys[i].clear();
                 }
-                (*left).keys[mid].store(std::ptr::null_mut(), Ordering::Relaxed);
+                (*left).keys[mid].clear();
                 for i in mid + 1..=nk {
                     let cp = (*left).children[i].load(Ordering::Relaxed);
                     (*right).children[i - mid - 1].store(cp, Ordering::Relaxed);
@@ -488,27 +479,16 @@ impl BTree {
     }
 
     /// Insert `(sep, right)` into a locked, non-full parent.
-    fn parent_insert(parent: &InnerNode, sep: *mut KeyBuf, right: *mut NodeHdr) {
+    fn parent_insert(parent: &InnerNode, sep: Words, right: *mut NodeHdr) {
         let nk = parent.nkeys.load(Ordering::Relaxed);
-        let sep_bytes = unsafe { (*sep).bytes.as_ref() };
-        let mut pos = nk;
-        for i in 0..nk {
-            let kptr = parent.keys[i].load(Ordering::Relaxed);
-            let kb = unsafe { (*kptr).bytes.as_ref() };
-            if sep_bytes < kb {
-                pos = i;
-                break;
-            }
+        // SAFETY: `sep` is owned by this call until it is stored below.
+        let pos = unsafe { Probe::of(&sep) }.upper_bound(&parent.keys, nk);
+        for i in (pos..nk).rev() {
+            parent.keys[i + 1].store(parent.keys[i].load());
+            let cp = parent.children[i + 1].load(Ordering::Relaxed);
+            parent.children[i + 2].store(cp, Ordering::Relaxed);
         }
-        let mut i = nk;
-        while i > pos {
-            let kp = parent.keys[i - 1].load(Ordering::Relaxed);
-            parent.keys[i].store(kp, Ordering::Relaxed);
-            let cp = parent.children[i].load(Ordering::Relaxed);
-            parent.children[i + 1].store(cp, Ordering::Relaxed);
-            i -= 1;
-        }
-        parent.keys[pos].store(sep, Ordering::Relaxed);
+        parent.keys[pos].store(sep);
         parent.children[pos + 1].store(right, Ordering::Relaxed);
         parent.nkeys.store(nk + 1, Ordering::Release);
     }
@@ -516,27 +496,21 @@ impl BTree {
 
 impl Drop for BTree {
     fn drop(&mut self) {
-        // Single-threaded teardown: free every node and key buffer.
+        // Single-threaded teardown: free every node and long key.
         unsafe fn free_node(node: *mut NodeHdr) {
             unsafe {
                 if (*node).is_leaf {
                     let leaf: *mut LeafNode = node.cast();
                     let nk = (*leaf).nkeys.load(Ordering::Relaxed);
-                    for i in 0..nk {
-                        let kp = (*leaf).keys[i].load(Ordering::Relaxed);
-                        if !kp.is_null() {
-                            drop(Box::from_raw(kp));
-                        }
+                    for slot in &(&(*leaf).keys)[..nk] {
+                        slot.load().free();
                     }
                     drop(Box::from_raw(leaf));
                 } else {
                     let inner: *mut InnerNode = node.cast();
                     let nk = (*inner).nkeys.load(Ordering::Relaxed);
-                    for i in 0..nk {
-                        let kp = (*inner).keys[i].load(Ordering::Relaxed);
-                        if !kp.is_null() {
-                            drop(Box::from_raw(kp));
-                        }
+                    for slot in &(&(*inner).keys)[..nk] {
+                        slot.load().free();
                     }
                     for i in 0..=nk {
                         let cp = (*inner).children[i].load(Ordering::Relaxed);

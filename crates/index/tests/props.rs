@@ -1,43 +1,102 @@
 //! Property test: the concurrent B+-tree, driven single-threaded by an
 //! arbitrary operation sequence, behaves exactly like `BTreeMap`.
+//!
+//! The keys are drawn to land on every branch of the slot comparison
+//! (`crates/index/src/node.rs`): lengths on both sides of the 16-byte
+//! inline limit (0, 1, 15, 16, 17, 40), keys that are prefixes of one
+//! another, keys that differ only in trailing `0x00` bytes (`"a"` vs
+//! `"a\0"`, which tie on the zero-padded head words), and long keys whose
+//! first 16 bytes are equal, so only the heap tail tells them apart.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use ermia_epoch::EpochManager;
 use ermia_index::{BTree, InsertOutcome, ScanControl};
 use proptest::prelude::*;
 
+type Key = Vec<u8>;
+
+/// A key named directly, or "the n-th key the model holds right now" —
+/// without the latter a 40-byte key would never be hit twice.
+#[derive(Clone, Debug)]
+enum KeyRef {
+    Fresh(Key),
+    Held(usize),
+}
+
 #[derive(Clone, Debug)]
 enum Op {
-    Insert(u16, u64),
-    Remove(u16),
-    Get(u16),
-    Scan(u16, u16),
+    Insert(Key, u64),
+    Remove(KeyRef),
+    Get(KeyRef),
+    Scan(KeyRef, KeyRef),
+}
+
+fn key_strategy() -> impl Strategy<Value = Key> {
+    let lengths = prop_oneof![Just(0usize), Just(1), Just(15), Just(16), Just(17), Just(40)];
+    prop_oneof![
+        // Any bytes, at the lengths that matter.
+        (lengths, proptest::collection::vec(any::<u8>(), 40..41)).prop_map(|(n, mut k)| {
+            k.truncate(n);
+            k
+        }),
+        // "a", "a\0", "a\0\0", …: prefixes of one another that differ only
+        // in trailing zeros, across the inline limit.
+        (0usize..20).prop_map(|zeros| {
+            let mut k = vec![b'a'];
+            k.resize(1 + zeros, 0);
+            k
+        }),
+        // One 16-byte head, a short tail from {0x00, 0x01, 0xff}: the head
+        // alone (inline), and long keys only their tails order.
+        proptest::collection::vec(prop_oneof![Just(0u8), Just(1u8), Just(0xffu8)], 0..4).prop_map(
+            |tail| {
+                let mut k = b"0123456789abcdef".to_vec();
+                k.extend_from_slice(&tail);
+                k
+            }
+        ),
+    ]
+}
+
+fn key_ref_strategy() -> impl Strategy<Value = KeyRef> {
+    prop_oneof![key_strategy().prop_map(KeyRef::Fresh), any::<usize>().prop_map(KeyRef::Held)]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    // Inserts twice over: the tree has to grow past a few splits.
     prop_oneof![
-        (any::<u16>(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        any::<u16>().prop_map(Op::Remove),
-        any::<u16>().prop_map(Op::Get),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
+        (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        key_ref_strategy().prop_map(Op::Remove),
+        key_ref_strategy().prop_map(Op::Get),
+        (key_ref_strategy(), key_ref_strategy()).prop_map(|(a, b)| Op::Scan(a, b)),
     ]
+}
+
+fn resolve(r: KeyRef, model: &BTreeMap<Key, u64>) -> Key {
+    match r {
+        KeyRef::Fresh(k) => k,
+        KeyRef::Held(_) if model.is_empty() => Vec::new(),
+        KeyRef::Held(n) => model.keys().nth(n % model.len()).expect("in range").clone(),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
     #[test]
-    fn tree_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+    fn tree_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..600)) {
         let tree = BTree::new();
         let mgr = EpochManager::new("prop");
         let handle = mgr.register();
         let g = handle.pin();
-        let mut model: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut model: BTreeMap<Key, u64> = BTreeMap::new();
 
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
-                    let got = tree.insert(&g, &k.to_be_bytes(), v);
+                    let got = tree.insert(&g, &k, v);
                     match model.get(&k) {
                         Some(&existing) => prop_assert_eq!(got, InsertOutcome::Duplicate(existing)),
                         None => {
@@ -47,30 +106,35 @@ proptest! {
                     }
                 }
                 Op::Remove(k) => {
-                    let got = tree.remove(&g, &k.to_be_bytes());
-                    prop_assert_eq!(got, model.remove(&k));
+                    let k = resolve(k, &model);
+                    prop_assert_eq!(tree.remove(&g, &k), model.remove(&k));
                 }
                 Op::Get(k) => {
-                    let (got, _) = tree.get(&g, &k.to_be_bytes());
-                    prop_assert_eq!(got, model.get(&k).copied());
+                    let k = resolve(k, &model);
+                    prop_assert_eq!(tree.get(&g, &k).0, model.get(&k).copied());
                 }
-                Op::Scan(lo, hi) => {
+                Op::Scan(a, b) => {
+                    let (a, b) = (resolve(a, &model), resolve(b, &model));
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let mut got = Vec::new();
-                    tree.scan(
-                        &g,
-                        &lo.to_be_bytes(),
-                        &hi.to_be_bytes(),
-                        |_| {},
-                        |k, v| {
-                            got.push((u16::from_be_bytes(k.try_into().unwrap()), v));
-                            ScanControl::Continue
-                        },
-                    );
-                    let expect: Vec<(u16, u64)> =
-                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                    tree.scan(&g, &lo, &hi, |_| {}, |k, v| {
+                        got.push((k.to_vec(), v));
+                        ScanControl::Continue
+                    });
+                    let expect: Vec<(Key, u64)> = model
+                        .range::<[u8], _>((Bound::Included(&lo[..]), Bound::Included(&hi[..])))
+                        .map(|(k, &v)| (k.clone(), v))
+                        .collect();
                     prop_assert_eq!(got, expect);
                 }
             }
         }
+        // Everything the model holds, in order, and nothing else.
+        let mut all = Vec::new();
+        tree.scan(&g, &[], &[0xff; 41], |_| {}, |k, v| {
+            all.push((k.to_vec(), v));
+            ScanControl::Continue
+        });
+        prop_assert_eq!(all, model.into_iter().collect::<Vec<_>>());
     }
 }

@@ -237,6 +237,9 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     // Per-turn scratch, cleared and reused.
     let mut touched: Vec<u64> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
+    // What every connection's socket is read into. Owned by the loop, so
+    // it is zeroed once here and not on every readiness event.
+    let mut read_buf = vec![0u8; READ_BUF_LEN];
 
     loop {
         let now = Instant::now();
@@ -271,7 +274,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 t => {
                     let Some(conn) = conns.get_mut(&t) else { continue };
                     touched.push(t);
-                    if handle_conn_event(&state, handle, conn, ev) {
+                    if handle_conn_event(&state, handle, conn, ev, &mut read_buf) {
                         to_close.push(t);
                     }
                 }
@@ -531,6 +534,7 @@ fn handle_conn_event(
     handle: &ShardHandle,
     conn: &mut Conn,
     ev: Event,
+    read_buf: &mut [u8],
 ) -> bool {
     if ev.error {
         return true;
@@ -538,18 +542,21 @@ fn handle_conn_event(
     if ev.writable && matches!(conn.flush(state, &handle.stats), FlushState::Dead) {
         return true;
     }
-    if (ev.readable || ev.hangup) && !conn.draining && !conn.read_shut && read_into(conn) {
+    let readable = (ev.readable || ev.hangup) && !conn.draining && !conn.read_shut;
+    if readable && read_into(conn, read_buf) {
         return true;
     }
     service(state, handle, conn)
 }
 
-/// Drain the socket into the connection's buffers. Returns true on a
-/// fatal transport error.
-fn read_into(conn: &mut Conn) -> bool {
-    let mut buf = [0u8; 16 * 1024];
+/// Bytes read from a socket per `read` call.
+const READ_BUF_LEN: usize = 16 * 1024;
+
+/// Drain the socket through `buf` (the event loop's) into the
+/// connection's buffers. Returns true on a fatal transport error.
+fn read_into(conn: &mut Conn, buf: &mut [u8]) -> bool {
     loop {
-        match (&conn.stream).read(&mut buf) {
+        match (&conn.stream).read(buf) {
             Ok(0) => {
                 conn.read_shut = true;
                 return false;

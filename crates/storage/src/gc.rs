@@ -309,10 +309,7 @@ fn sweep_chain(
         let next = unsafe { (*dead).next.load(Ordering::Acquire) };
         // SAFETY: unlinked above; traversals that already hold the
         // pointer are protected by their epoch pins.
-        match pool {
-            Some(p) => unsafe { defer_release(guard, p, dead) },
-            None => unsafe { guard.defer_drop(dead) },
-        }
+        unsafe { defer_release(guard, pool, dead) };
         dead = next;
         n += 1;
     }

@@ -285,7 +285,7 @@ impl Drop for OidArray {
                     let mut v = slot.load(Ordering::Relaxed) as *mut Version;
                     while !v.is_null() {
                         let next = (*v).next.load(Ordering::Relaxed);
-                        drop(Box::from_raw(v));
+                        Version::free(v);
                         v = next;
                     }
                 }

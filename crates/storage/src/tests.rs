@@ -1,3 +1,5 @@
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,6 +10,164 @@ use ermia_epoch::EpochManager;
 use crate::{
     GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, TidStatus, Version,
 };
+
+/// Bytes this thread has allocated and not freed, by the layouts it named:
+/// a `Version::free` that rebuilt the wrong layout from `cap` would leave
+/// the balance off by the difference.
+struct Balance;
+
+thread_local! {
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for Balance {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + layout.size() as i64));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() - layout.size() as i64));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size as i64 - layout.size() as i64;
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + grown));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static BALANCE: Balance = Balance;
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(|b| b.get())
+}
+
+fn payload(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 31 + len) as u8).collect()
+}
+
+#[test]
+fn version_round_trips_payloads_of_any_size() {
+    let before = live_bytes();
+    for len in [0usize, 1, 64, 65, 4096] {
+        let data = payload(len);
+        let stamp = Stamp::from_lsn(Lsn::from_parts(len as u64 + 1, 0));
+        let v = Version::alloc(stamp, &data, len == 1);
+        let vref = unsafe { &*v };
+        assert_eq!(vref.data(), &data[..]);
+        assert_eq!(vref.tombstone, len == 1);
+        assert_eq!(vref.stamp().as_lsn(), stamp.as_lsn());
+        assert_eq!(vref.pstamp.load(Ordering::Relaxed), 0);
+        assert!(!vref.is_overwritten());
+        assert!(vref.next.load(Ordering::Relaxed).is_null());
+        // One allocation: the payload sits right behind the header.
+        assert_eq!(vref.data().as_ptr() as usize, v as usize + std::mem::size_of::<Version>());
+        drop(data);
+        assert!(live_bytes() - before >= (std::mem::size_of::<Version>() + len) as i64);
+        unsafe { Version::free(v) };
+        assert_eq!(live_bytes(), before, "payload of {len} B");
+    }
+}
+
+#[test]
+fn pooled_node_is_reused_when_the_payload_fits_and_replaced_when_not() {
+    let before = live_bytes();
+    {
+        let pool = Arc::new(crate::VersionPool::new(8));
+        let mut cache = crate::VersionCache::new(Arc::clone(&pool));
+        let stamp = |n| Stamp::from_lsn(Lsn::from_parts(n, 0));
+        let v = cache.acquire(stamp(1), &payload(64), false);
+        unsafe { cache.release_unpublished(v) };
+        let held = live_bytes();
+        // Shorter, equal: the same node, nothing allocated or freed.
+        for len in [10usize, 0, 64] {
+            let data = payload(len);
+            let again = cache.acquire(stamp(2), &data, len == 0);
+            assert_eq!(again, v);
+            assert_eq!(unsafe { (*again).data() }, &data[..]);
+            assert_eq!(unsafe { (*again).tombstone }, len == 0);
+            drop(data);
+            assert_eq!(live_bytes(), held);
+            unsafe { cache.release_unpublished(again) };
+        }
+        assert_eq!(cache.reused(), 3);
+        // Longer: the pooled node is freed and a roomier one made.
+        let big = payload(65);
+        let roomier = cache.acquire(stamp(3), &big, false);
+        assert_eq!(cache.reused(), 3, "a replacement is not a reuse");
+        assert_eq!(unsafe { (*roomier).data() }, &big[..]);
+        drop(big);
+        assert!(live_bytes() > held);
+        // …which then absorbs the 64-byte payload too.
+        unsafe { cache.release_unpublished(roomier) };
+        assert_eq!(cache.acquire(stamp(4), &payload(64), false), roomier);
+        unsafe { cache.release_unpublished(roomier) };
+    }
+    assert_eq!(live_bytes(), before, "cache and pool free what they hold");
+}
+
+/// A chain whose versions differ in size is freed whole on each of the
+/// three roads a version takes to the allocator.
+#[test]
+fn chains_of_mixed_payload_sizes_are_freed_whole() {
+    fn chain(arr: &OidArray, oid: Oid) {
+        let mut prev: *mut Version = std::ptr::null_mut();
+        for (i, len) in [0usize, 1, 64, 65, 4096, 7].into_iter().enumerate() {
+            let stamp = Stamp::from_lsn(Lsn::from_parts(10 * (i as u64 + 1), 0));
+            let v = Version::alloc(stamp, &payload(len), len == 0);
+            unsafe { (*v).next.store(prev, Ordering::Relaxed) };
+            prev = v;
+        }
+        arr.store_head(oid, prev);
+    }
+    // Whatever the first use of these types sets up once is not a leak.
+    for measured in [false, true] {
+        let before = live_bytes();
+        let epoch = EpochManager::new("mixed-sizes");
+        {
+            // `OidArray::drop`.
+            let arr = OidArray::new();
+            for _ in 0..3 {
+                chain(&arr, arr.allocate());
+            }
+        }
+        {
+            // A pool-less sweep: everything under the newest goes through
+            // the epoch manager to `Version::free`.
+            let arr = OidArray::new();
+            chain(&arr, arr.allocate());
+            let handle = epoch.register();
+            let guard = handle.pin();
+            assert_eq!(crate::gc::sweep_array(&arr, Lsn::from_parts(1_000, 0), &guard, None), 5);
+            drop(guard);
+            drop(handle);
+            epoch.drain_all();
+        }
+        {
+            // The same sweep into a pool of two: the overflow is freed at
+            // once, the two pooled nodes when the pool drops.
+            let arr = OidArray::new();
+            chain(&arr, arr.allocate());
+            let pool = Arc::new(crate::VersionPool::new(2));
+            let handle = epoch.register();
+            let guard = handle.pin();
+            let swept =
+                crate::gc::sweep_array(&arr, Lsn::from_parts(1_000, 0), &guard, Some(&pool));
+            assert_eq!(swept, 5);
+            drop(guard);
+            drop(handle);
+            epoch.drain_all();
+            assert_eq!(pool.pooled(), 2);
+        }
+        drop(epoch);
+        if measured {
+            assert_eq!(live_bytes(), before);
+        }
+    }
+}
 
 #[test]
 fn oid_allocation_is_unique_and_dense() {
@@ -37,7 +197,7 @@ fn head_store_and_cas() {
     // Stale CAS fails and reports the current head.
     let v3 = Version::alloc(Stamp::from_lsn(Lsn::from_parts(3, 0)), b"v3", false);
     assert_eq!(arr.cas_head(oid, v1, v3).unwrap_err(), v2);
-    unsafe { drop(Box::from_raw(v3)) };
+    unsafe { Version::free(v3) };
 }
 
 #[test]
@@ -107,7 +267,7 @@ fn stale_generation_detected() {
     ctx.abort();
     mgr.release(tid1);
     // Force reuse of the same slot.
-    hint = tid1.slot().wrapping_sub(1);
+    hint = tid1.slot();
     let (tid2, _) = mgr.acquire(Lsn::from_parts(2, 0), &mut hint);
     assert_eq!(tid2.slot(), tid1.slot());
     assert_eq!(tid2.generation(), tid1.generation() + 1);
@@ -130,6 +290,48 @@ fn min_active_begin_tracks_oldest() {
     assert_eq!(mgr.min_active_begin(fallback), Lsn::from_parts(20, 0));
     mgr.ctx(t2).abort();
     mgr.release(t2);
+}
+
+/// A worker alternates between the two contexts of one pair, and only
+/// walks on while it holds several; the scans cover every slot a claim
+/// can be on.
+#[test]
+fn a_worker_reclaims_the_slots_it_released() {
+    let mgr = TidManager::new();
+    let (home_a, home_b) = (mgr.home(), mgr.home());
+    assert_ne!(home_a, home_b);
+    let mut hint = home_b;
+    let mut generations = [0u64; 2];
+    for i in 0..1_000u64 {
+        let (tid, ctx) = mgr.acquire(Lsn::from_parts(i + 1, 0), &mut hint);
+        let which = (i % 2) as usize;
+        assert_eq!(tid.slot(), home_b + which);
+        assert_eq!(tid.generation(), generations[which] + 1);
+        generations[which] = tid.generation();
+        ctx.abort();
+        mgr.release(tid);
+    }
+    // Holding both (parked prepares), the next claim walks on.
+    let (parked, _) = mgr.acquire(Lsn::from_parts(7, 0), &mut hint);
+    let (second, _) = mgr.acquire(Lsn::from_parts(8, 0), &mut hint);
+    let (third, _) = mgr.acquire(Lsn::from_parts(9, 0), &mut hint);
+    assert_eq!((parked.slot(), second.slot(), third.slot()), (home_b, home_b + 1, home_b + 2));
+    assert_eq!(mgr.in_use(), 3);
+    assert_eq!(mgr.min_active_begin(Lsn::from_parts(100, 0)), Lsn::from_parts(7, 0));
+    // A claim far past everything claimed so far is seen too.
+    let mut far = ermia_common::ids::TID_TABLE_CAPACITY - 1;
+    let (t, ctx) = mgr.acquire(Lsn::from_parts(3, 0), &mut far);
+    assert_eq!(t.slot(), ermia_common::ids::TID_TABLE_CAPACITY - 1);
+    assert_eq!(mgr.min_active_begin(Lsn::from_parts(100, 0)), Lsn::from_parts(3, 0));
+    ctx.enter_pending();
+    ctx.enter_precommit(Lsn::from_parts(50, 0));
+    assert_eq!(mgr.min_commit_low_water(Lsn::from_parts(100, 0)), Lsn::from_parts(50, 0));
+    assert_eq!(mgr.in_use(), 4);
+    for t in [parked, second, third, t] {
+        mgr.ctx(t).abort();
+        mgr.release(t);
+    }
+    assert_eq!(mgr.in_use(), 0);
 }
 
 #[test]
@@ -360,7 +562,7 @@ fn version_stamp_transitions() {
     vref.raise_pstamp(10);
     vref.raise_pstamp(5);
     assert_eq!(vref.pstamp.load(Ordering::Relaxed), 10);
-    unsafe { drop(Box::from_raw(v)) };
+    unsafe { Version::free(v) };
 }
 
 #[test]
@@ -432,10 +634,10 @@ fn version_pool_recycles_and_caps() {
     let vref = unsafe { &*v2 };
     assert_eq!(vref.stamp().as_lsn(), Lsn::from_parts(9, 1));
     assert!(vref.tombstone);
-    assert_eq!(&vref.data[..], b"zz");
+    assert_eq!(vref.data(), b"zz");
     assert!(!vref.is_overwritten());
     assert!(vref.next.load(Ordering::Acquire).is_null());
-    unsafe { drop(Box::from_raw(v2)) };
+    unsafe { Version::free(v2) };
     // Dropping the cache returns its local stash to the pool.
     drop(cache);
 }
@@ -465,7 +667,7 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
                     let mut sum = 0u64;
                     while !p.is_null() {
                         let v = unsafe { &*p };
-                        sum += v.data.len() as u64; // touch payload
+                        sum += v.data().len() as u64; // touch payload
                         p = v.next.load(Ordering::Acquire);
                     }
                     assert!(sum > 0);
@@ -497,5 +699,5 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
     let mut cache = crate::VersionCache::new(Arc::clone(&pool));
     let v = cache.acquire(Stamp::from_lsn(Lsn::from_parts(99, 0)), b"reborn", false);
     assert_eq!(cache.reused(), 1);
-    unsafe { drop(Box::from_raw(v)) };
+    unsafe { Version::free(v) };
 }

@@ -1,20 +1,28 @@
 //! Version chain nodes and their recycling pool.
 //!
-//! Versions are heap-allocated, linked newest-first from an indirection
-//! array slot, and reclaimed through the epoch manager once invisible to
-//! every active transaction. Instead of returning quiesced nodes to the
-//! global allocator, the GC seeds a [`VersionPool`]; workers draw from it
-//! through a per-worker [`VersionCache`] and reinitialize nodes in place,
-//! so the steady-state write path performs no heap allocation (the
-//! payload `Vec` keeps its capacity across reuses).
+//! A version is **one allocation**: a fixed header followed by the
+//! payload bytes (Hekaton's record layout — header, then payload), so
+//! the indirection array's pointer is the only hop between an OID and
+//! its newest bytes. Versions are linked newest-first from an
+//! indirection array slot and reclaimed through the epoch manager once
+//! invisible to every active transaction. Instead of returning quiesced
+//! nodes to the global allocator, the GC seeds a [`VersionPool`]; workers
+//! draw from it through a per-worker [`VersionCache`] and reinitialize a
+//! node in place whenever the new payload fits the node's capacity, so
+//! the steady-state write path performs no heap allocation.
 
+use std::alloc::{self, Layout};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ermia_common::{Lsn, Stamp};
 use parking_lot::Mutex;
 
-/// One version of a database record.
+/// One version of a database record: this header, then `cap` payload
+/// bytes in the same allocation (read them through [`Version::data`]).
+///
+/// A `Version` is only ever handled by pointer — [`Version::alloc`] makes
+/// one, [`Version::free`] is the one place that unmakes one.
 #[repr(C)]
 pub struct Version {
     /// Creation stamp: the creator's TID until post-commit, then the
@@ -28,45 +36,105 @@ pub struct Version {
     /// SSN π(V): the low watermark of the transaction that overwrote
     /// this version (∞ while unoverwritten).
     pub sstamp: AtomicU64,
+    /// Payload bytes in use.
+    len: u32,
+    /// Payload bytes allocated behind the header; the allocation's layout
+    /// is a function of this alone.
+    cap: u32,
     /// Tombstone marker — "delete is treated as an update with tombstone
     /// marking" (§3.2).
     pub tombstone: bool,
-    /// The record payload. A `Vec` (not `Box<[u8]>`) so a recycled node
-    /// can absorb a new payload without reallocating.
-    pub data: Vec<u8>,
 }
 
+/// Payload capacities are rounded up to this, so a recycled node absorbs
+/// a slightly longer payload and every allocation size is a multiple of
+/// the header's alignment.
+const CAP_ROUND: usize = 8;
+
 impl Version {
+    /// The allocation that holds a header and `cap` payload bytes.
+    #[inline]
+    fn layout(cap: u32) -> Layout {
+        let size = std::mem::size_of::<Version>() + cap as usize;
+        Layout::from_size_align(size, std::mem::align_of::<Version>()).expect("version layout")
+    }
+
     /// Allocate a version stamped with `stamp`, returning an owning raw
     /// pointer (managed by the caller / epoch GC thereafter).
     pub fn alloc(stamp: Stamp, data: &[u8], tombstone: bool) -> *mut Version {
-        Box::into_raw(Box::new(Version {
-            clsn: AtomicU64::new(stamp.raw()),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-            pstamp: AtomicU64::new(0),
-            sstamp: AtomicU64::new(Lsn::MAX.raw()),
-            tombstone,
-            data: data.to_vec(),
-        }))
+        let cap =
+            u32::try_from(data.len().next_multiple_of(CAP_ROUND)).expect("payload under 4 GiB");
+        let layout = Version::layout(cap);
+        // SAFETY: the layout is never zero-sized (the header alone is
+        // 48 bytes); the header is written before the pointer escapes.
+        unsafe {
+            let ptr = alloc::alloc(layout).cast::<Version>();
+            if ptr.is_null() {
+                alloc::handle_alloc_error(layout);
+            }
+            ptr.write(Version {
+                clsn: AtomicU64::new(0),
+                next: AtomicPtr::new(std::ptr::null_mut()),
+                pstamp: AtomicU64::new(0),
+                sstamp: AtomicU64::new(0),
+                len: 0,
+                cap,
+                tombstone: false,
+            });
+            Version::reinit(ptr, stamp, data, tombstone)
+        }
     }
 
-    /// Reinitialize a recycled node in place, reusing its payload
-    /// capacity. Plain stores suffice: publication to other threads
-    /// happens later via the indirection-array CAS (Release).
+    /// Free a version.
+    ///
+    /// # Safety
+    /// `ptr` must come from [`Version::alloc`] (directly or through a
+    /// [`VersionCache`]), be unreachable from every shared structure, and
+    /// not be freed or pooled by anyone else.
+    pub unsafe fn free(ptr: *mut Version) {
+        // SAFETY: `cap` was fixed by `alloc` and rebuilds its layout.
+        unsafe { alloc::dealloc(ptr.cast(), Version::layout((*ptr).cap)) };
+    }
+
+    /// Give a recycled node a new stamp and payload: in place when the
+    /// payload fits the node's capacity, in a fresh allocation (the old
+    /// one freed) when it does not. Returns the node to use. Plain
+    /// stores suffice: publication to other threads happens later via
+    /// the indirection-array CAS (Release).
     ///
     /// # Safety
     /// The caller must have exclusive ownership of `ptr` — a node fresh
     /// from the pool (epoch-quiesced) that is not yet reachable by any
     /// other thread.
-    pub unsafe fn reinit(ptr: *mut Version, stamp: Stamp, data: &[u8], tombstone: bool) {
+    pub unsafe fn reinit(
+        ptr: *mut Version,
+        stamp: Stamp,
+        data: &[u8],
+        tombstone: bool,
+    ) -> *mut Version {
         let v = unsafe { &mut *ptr };
+        if data.len() > v.cap as usize {
+            unsafe { Version::free(ptr) };
+            return Version::alloc(stamp, data, tombstone);
+        }
         v.clsn.store(stamp.raw(), Ordering::Relaxed);
         v.next.store(std::ptr::null_mut(), Ordering::Relaxed);
         v.pstamp.store(0, Ordering::Relaxed);
         v.sstamp.store(Lsn::MAX.raw(), Ordering::Relaxed);
         v.tombstone = tombstone;
-        v.data.clear();
-        v.data.extend_from_slice(data);
+        v.len = data.len() as u32;
+        // SAFETY: `cap >= len` bytes follow the header in this allocation.
+        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr.add(1).cast(), data.len()) };
+        ptr
+    }
+
+    /// The record payload.
+    #[inline]
+    pub fn data(&self) -> &[u8] {
+        // SAFETY: `len` initialized bytes follow the header (see `reinit`).
+        unsafe {
+            std::slice::from_raw_parts((self as *const Version).add(1).cast(), self.len as usize)
+        }
     }
 
     /// The current creation stamp.
@@ -130,9 +198,8 @@ impl VersionPool {
     /// the pool is full).
     ///
     /// # Safety
-    /// `ptr` must come from `Box::into_raw` (via [`Version::alloc`]), be
-    /// unreachable from every shared structure, and not be freed or
-    /// released by anyone else.
+    /// Same contract as [`Version::free`], which this becomes when the
+    /// pool is full.
     pub unsafe fn release(&self, ptr: *mut Version) {
         debug_assert!(!ptr.is_null());
         let mut free = self.free.lock();
@@ -140,7 +207,7 @@ impl VersionPool {
             free.push(ptr);
         } else {
             drop(free);
-            unsafe { drop(Box::from_raw(ptr)) };
+            unsafe { Version::free(ptr) };
         }
     }
 
@@ -163,7 +230,7 @@ impl Drop for VersionPool {
     fn drop(&mut self) {
         for ptr in self.free.get_mut().drain(..) {
             // SAFETY: the pool exclusively owns pooled nodes.
-            unsafe { drop(Box::from_raw(ptr)) };
+            unsafe { Version::free(ptr) };
         }
     }
 }
@@ -190,18 +257,17 @@ impl VersionCache {
     }
 
     /// Produce a version stamped with `stamp`: a recycled node
-    /// reinitialized in place when available, a fresh allocation
-    /// otherwise.
+    /// reinitialized in place when one is available and `data` fits it, a
+    /// fresh allocation otherwise.
     pub fn acquire(&mut self, stamp: Stamp, data: &[u8], tombstone: bool) -> *mut Version {
         if self.local.is_empty() && self.pool.fill(&mut self.local, CACHE_REFILL_BATCH) == 0 {
             return Version::alloc(stamp, data, tombstone);
         }
-        let ptr = self.local.pop().expect("non-empty after refill");
+        let pooled = self.local.pop().expect("non-empty after refill");
         // SAFETY: the node came from the pool (quiesced, exclusively
         // ours) and is not yet published anywhere.
-        unsafe { Version::reinit(ptr, stamp, data, tombstone) };
-        self.reused += 1;
-        ptr
+        self.reused += (data.len() <= unsafe { (*pooled).cap } as usize) as u64;
+        unsafe { Version::reinit(pooled, stamp, data, tombstone) }
     }
 
     /// Return a node this worker still exclusively owns — one that was
@@ -236,22 +302,26 @@ struct SendVersionPtr(*mut Version);
 // SAFETY: the deferred closure is the sole owner by the defer contract.
 unsafe impl Send for SendVersionPtr {}
 
-/// Retire `ptr` through the epoch `guard`, releasing it into `pool`
-/// (instead of freeing) once every thread active now has quiesced.
+/// Retire `ptr` through the epoch `guard`: once every thread active now
+/// has quiesced it is released into `pool` for reuse, or freed when there
+/// is no pool.
 ///
 /// # Safety
 /// Same contract as [`ermia_epoch::Guard::defer_drop`]: `ptr` must be
 /// unlinked from all shared structures and owned by no one else.
 pub unsafe fn defer_release(
     guard: &ermia_epoch::Guard<'_>,
-    pool: &Arc<VersionPool>,
+    pool: Option<&Arc<VersionPool>>,
     ptr: *mut Version,
 ) {
     let wrapped = SendVersionPtr(ptr);
-    let pool = Arc::clone(pool);
+    let pool = pool.cloned();
     guard.defer(move || {
         let wrapper = wrapped;
         // SAFETY: quiescence has passed and we are the sole owner.
-        unsafe { pool.release(wrapper.0) };
+        match pool {
+            Some(pool) => unsafe { pool.release(wrapper.0) },
+            None => unsafe { Version::free(wrapper.0) },
+        }
     });
 }
