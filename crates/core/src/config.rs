@@ -25,12 +25,6 @@ pub struct DbConfig {
     pub synchronous_commit: bool,
     /// GC sweep interval.
     pub gc_interval: Duration,
-    /// Emulate traditional per-operation logging: every update takes its
-    /// own round trip to the centralized log buffer instead of one block
-    /// per transaction (the Fig. 10 ablation).
-    pub per_op_logging: bool,
-    /// Collect per-component time breakdowns in each worker (Fig. 11).
-    pub profile: bool,
     /// Values at or above this size are diverted to the large-object
     /// (blob) store at commit; the log carries only an indirect pointer
     /// (§3.3, log feature 4). `usize::MAX` disables diversion.
@@ -55,8 +49,6 @@ impl Default for DbConfig {
             log: LogConfig::default(),
             synchronous_commit: false,
             gc_interval: Duration::from_millis(20),
-            per_op_logging: false,
-            profile: false,
             large_value_threshold: usize::MAX,
             trace_sample_n: 0,
             trace_slow_us: 10_000,

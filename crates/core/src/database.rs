@@ -267,8 +267,8 @@ pub(crate) struct DbInner {
     pub commits: AtomicU64,
     pub aborts: AtomicU64,
     /// The unified telemetry layer: per-worker metric slabs (txn
-    /// outcomes, the Fig. 11 breakdown), database-level collectors over
-    /// the subsystem atomics, and the flight-recorder event rings.
+    /// outcomes), database-level collectors over the subsystem atomics,
+    /// and the flight-recorder event rings.
     /// Workers write their own slabs with relaxed adds; locks guard only
     /// registration, retirement, and reads, never the transaction path.
     pub telemetry: Arc<Telemetry>,
@@ -855,14 +855,6 @@ impl Database {
                 self.create_secondary_index(table, name);
             }
         }
-    }
-
-    /// Aggregate per-component time breakdown, merged on read across
-    /// every worker's slab — live and retired (requires `cfg.profile`).
-    pub fn breakdown(&self) -> crate::profile::Breakdown {
-        crate::profile::breakdown_from_counters(
-            &self.inner.telemetry.registry().family_counters(&crate::metrics::PROFILE_FAMILY),
-        )
     }
 
     /// The database's telemetry layer: merged metric registry, Prometheus

@@ -54,7 +54,6 @@ mod config;
 mod database;
 mod metrics;
 mod pool;
-mod profile;
 mod recovery;
 mod shard;
 mod transaction;
@@ -63,7 +62,6 @@ mod worker;
 pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
 pub use pool::{PooledWorker, RegisterWorker, WorkerPool};
-pub use profile::Breakdown;
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
     shard_of_key, DeferredCommit, IndexRouting, RoutedDdl, ShardPolicy, ShardRecoveryStats,

@@ -1,14 +1,10 @@
 //! Metric-family definitions and the database-level collectors.
 //!
-//! Two slab families are written on the transaction hot path (one
-//! relaxed increment per metric, per the telemetry contract):
-//!
-//! * [`TXN_FAMILY`] — per-worker commit/abort outcome counters (aborts
-//!   fanned out by [`AbortReason`]) plus the version-chain-length
-//!   histogram sampled on every visible-version fetch.
-//! * [`PROFILE_FAMILY`] — the Fig. 11 per-component time breakdown
-//!   (index / indirection / log / other nanoseconds), registered only
-//!   when `DbConfig::profile` is on.
+//! One slab family is written on the transaction hot path (one relaxed
+//! increment per metric, per the telemetry contract): [`TXN_FAMILY`] —
+//! per-worker commit/abort outcome counters (aborts fanned out by
+//! [`AbortReason`]) plus the version-chain-length histogram sampled on
+//! every visible-version fetch.
 //!
 //! [`LOG_FAMILY`] holds the one log metric that is a distribution: the
 //! flusher thread records every device sync's latency into it
@@ -110,51 +106,6 @@ pub(crate) static TXN_FAMILY: FamilyDef = FamilyDef {
         kind: MetricKind::Counter,
         label: None,
     }],
-};
-
-// --- PROFILE_FAMILY indices ---------------------------------------------
-
-pub(crate) const IDX_INDEX: usize = 0;
-pub(crate) const IDX_INDIRECTION: usize = 1;
-pub(crate) const IDX_LOG: usize = 2;
-pub(crate) const IDX_OTHER: usize = 3;
-pub(crate) const IDX_TXNS: usize = 4;
-
-/// The Fig. 11 per-component time breakdown, in nanoseconds.
-pub(crate) static PROFILE_FAMILY: FamilyDef = FamilyDef {
-    counters: &[
-        MetricDesc {
-            name: "ermia_profile_index_ns_total",
-            help: "Nanoseconds in index (B+-tree) operations",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-        MetricDesc {
-            name: "ermia_profile_indirection_ns_total",
-            help: "Nanoseconds in indirection-array and version-chain work",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-        MetricDesc {
-            name: "ermia_profile_log_ns_total",
-            help: "Nanoseconds in log allocation, serialization and copy",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-        MetricDesc {
-            name: "ermia_profile_other_ns_total",
-            help: "Nanoseconds outside the instrumented components",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-        MetricDesc {
-            name: "ermia_profile_txns_total",
-            help: "Transactions measured by the profiler",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-    ],
-    hists: &[],
 };
 
 /// The log's one histogram; a single slab per database, written by the

@@ -24,10 +24,7 @@ use ermia_telemetry::EventKind;
 
 use crate::config::IsolationLevel;
 use crate::database::{Database, IndexInfo, Table};
-use crate::metrics::{
-    IDX_INDEX, IDX_INDIRECTION, IDX_LOG, IDX_TXNS, TXN_ABORT_BASE, TXN_CHAIN_HIST, TXN_COMMITS,
-};
-use crate::profile::Timed;
+use crate::metrics::{TXN_ABORT_BASE, TXN_CHAIN_HIST, TXN_COMMITS};
 use crate::shard::ShardedDb;
 use crate::worker::{Scratch, Worker};
 
@@ -367,20 +364,14 @@ impl<'w> Transaction<'w> {
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
         let t = self.db.table(table);
-        let profile = self.db.inner.cfg.profile;
-        let timer = Timed::start(profile);
         let (oid, snap) = t.primary.get(&self.guard, key);
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDEX));
         let Some(oid) = oid else {
             if self.serializable() {
                 self.node_set.push((Arc::clone(&t.primary), snap));
             }
             return Ok(None);
         };
-        let timer = Timed::start(profile);
-        let vis = self.fetch_visible(&t.oids, Oid(oid as u32))?;
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDIRECTION));
-        match vis {
+        match self.fetch_visible(&t.oids, Oid(oid as u32))? {
             Some(vis) => {
                 self.register_read(&vis)?;
                 let data = unsafe { (*vis.ptr).data() };
@@ -424,20 +415,14 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.db.table(table);
-        let profile = self.db.inner.cfg.profile;
-        let timer = Timed::start(profile);
         let (oid, snap) = t.primary.get(&self.guard, key);
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDEX));
         let Some(oid) = oid else {
             if self.serializable() {
                 self.node_set.push((Arc::clone(&t.primary), snap));
             }
             return Ok(false);
         };
-        let timer = Timed::start(profile);
-        let r = self.install_version(&t, Oid(oid as u32), key, value, WriteKind::Update);
-        Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDIRECTION));
-        r
+        self.install_version(&t, Oid(oid as u32), key, value, WriteKind::Update)
     }
 
     /// Delete a record (tombstone install, §3.2); returns false on miss.
@@ -538,7 +523,6 @@ impl<'w> Transaction<'w> {
             unsafe { (*new).next.store(head, Ordering::Relaxed) };
             match t.oids.cas_head(oid, head, new) {
                 Ok(()) => {
-                    self.log_op_if_per_op(t.id, oid, key, value, kind);
                     let kind = if kind == WriteKind::Insert { WriteKind::Update } else { kind };
                     let key = KeyRef::stash(&mut self.scratch.keys, key);
                     self.writes.push(WriteEntry {
@@ -615,7 +599,6 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.db.table(table);
-        let profile = self.db.inner.cfg.profile;
         loop {
             // Obtain a new OID and publish the version, then index it
             // (§3.2 Insert: contention-free).
@@ -623,13 +606,9 @@ impl<'w> Transaction<'w> {
             let new = self.scratch.versions.acquire(Stamp::from_tid(self.tid), value, false);
             t.oids.store_head(oid, new);
             self.capture_valid_node_entries(&t.primary);
-            let timer = Timed::start(profile);
-            let outcome = t.primary.insert(&self.guard, key, oid.0 as u64);
-            Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDEX));
-            match outcome {
+            match t.primary.insert(&self.guard, key, oid.0 as u64) {
                 InsertOutcome::Inserted => {
                     self.refresh_node_set();
-                    self.log_op_if_per_op(t.id, oid, key, value, WriteKind::Insert);
                     let key = KeyRef::stash(&mut self.scratch.keys, key);
                     self.writes.push(WriteEntry {
                         table: Arc::clone(&t),
@@ -709,7 +688,6 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         let idx = self.db.index(index);
         let t = self.db.table(idx.table);
-        let profile = self.db.inner.cfg.profile;
 
         let mut delivered = 0usize;
         let mut resume: Vec<u8> = low.to_vec();
@@ -720,7 +698,6 @@ impl<'w> Transaction<'w> {
             let cap = limit.map_or(usize::MAX, |l| (l - delivered) * 2 + 64);
             let mut items: Vec<(Vec<u8>, u64)> = Vec::new();
             let mut truncated = false;
-            let timer = Timed::start(profile);
             {
                 let node_set = &mut self.node_set;
                 let serializable = self.isolation == IsolationLevel::Serializable;
@@ -745,10 +722,8 @@ impl<'w> Transaction<'w> {
                     },
                 );
             }
-            Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDEX));
 
             // Phase 2: visibility + delivery.
-            let timer = Timed::start(profile);
             let mut stopped = false;
             for (k, oidval) in &items {
                 let vis = self.fetch_visible(&t.oids, Oid(*oidval as u32))?;
@@ -762,7 +737,6 @@ impl<'w> Transaction<'w> {
                     }
                 }
             }
-            Timed::stop(timer, self.scratch.breakdown.counter(IDX_INDIRECTION));
             if stopped || !truncated {
                 return Ok(delivered);
             }
@@ -772,24 +746,6 @@ impl<'w> Transaction<'w> {
             resume.extend_from_slice(last);
             resume.push(0);
         }
-    }
-
-    /// Fig. 10 emulation: "enforcing a log-buffer round trip for every
-    /// single update operation".
-    fn log_op_if_per_op(&mut self, table: TableId, oid: Oid, key: &[u8], value: &[u8], kind: WriteKind) {
-        if !self.db.inner.cfg.per_op_logging {
-            return;
-        }
-        let mut buf = ermia_log::TxLogBuffer::new();
-        match kind {
-            WriteKind::Insert => buf.add_insert(table, oid, key, value),
-            WriteKind::Update => buf.add_update(table, oid, key, value),
-            WriteKind::Delete => buf.add_delete(table, oid, key),
-        }
-        let res = self.db.inner.log.allocate(buf.block_len()).expect("log allocation");
-        let lsn = res.lsn();
-        let block = buf.serialize(lsn);
-        res.fill(block);
     }
 
     // ------------------------------------------------------------------
@@ -836,11 +792,7 @@ impl<'w> Transaction<'w> {
     pub(crate) fn commit_impl(self, wait_durable: bool) -> TxResult<CommitToken> {
         let prepared = self.precommit(None)?;
         if let (true, Some(end)) = (wait_durable, prepared.end_offset) {
-            let txn = &prepared.txn;
-            let timer = Timed::start(txn.db.inner.cfg.profile);
-            let durable = txn.db.inner.log.wait_durable(end);
-            Timed::stop(timer, txn.scratch.breakdown.counter(IDX_LOG));
-            if durable.is_err() {
+            if prepared.txn.db.inner.log.wait_durable(end).is_err() {
                 // The commit block never became durable (poisoned log) or
                 // its fate is unknown (timeout). Roll back in memory and
                 // surface the failure; restart recovery truncates at the
@@ -886,13 +838,11 @@ impl<'w> Transaction<'w> {
             "read-only participants never prepare"
         );
         let db = self.db;
-        let profile = db.inner.cfg.profile;
         let ctx = db.inner.tid.ctx(self.tid);
 
         // Publish intent, then take the commit stamp.
         ctx.enter_pending();
         let reservation = if self.has_writes() {
-            let timer = Timed::start(profile);
             self.stage_log_records();
             let len = match marker {
                 Some(_) => self.scratch.logbuf.prepare_block_len(),
@@ -909,7 +859,6 @@ impl<'w> Transaction<'w> {
                 };
                 return Err(self.fail(reason));
             };
-            Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
             Some(reservation)
         } else {
             None
@@ -924,14 +873,12 @@ impl<'w> Transaction<'w> {
 
         // Populate the centralized log buffer.
         let end_offset = reservation.map(|reservation| {
-            let timer = Timed::start(profile);
             let end_offset = reservation.end_offset();
             let block = match marker {
                 Some(marker) => self.scratch.logbuf.serialize_prepare(cstamp, marker),
                 None => self.scratch.logbuf.serialize(cstamp),
             };
             reservation.fill(block);
-            Timed::stop(timer, self.scratch.breakdown.counter(IDX_LOG));
             end_offset
         });
         Ok(PreparedTransaction { txn: self, cstamp, end_offset })
@@ -1128,7 +1075,6 @@ impl<'w> Transaction<'w> {
             t.slab.add(TXN_ABORT_BASE + reason.idx(), 1);
             t.ring.record(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
         }
-        self.scratch.breakdown.add(IDX_TXNS, 1);
         self.reads.clear();
         self.writes.clear();
         self.secondary.clear();

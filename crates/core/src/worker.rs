@@ -18,8 +18,7 @@ use ermia_telemetry::{EventRing, Slab};
 
 use crate::config::IsolationLevel;
 use crate::database::Database;
-use crate::metrics::{PROFILE_FAMILY, TXN_FAMILY};
-use crate::profile::Breakdown;
+use crate::metrics::TXN_FAMILY;
 use crate::transaction::{SecondaryEntry, Transaction, WriteEntry};
 
 /// Per-thread handle for running transactions against a [`Database`].
@@ -49,13 +48,6 @@ pub(crate) struct WorkerTelemetry {
 pub(crate) struct Scratch {
     pub tid_hint: usize,
     pub logbuf: TxLogBuffer,
-    /// This worker's Fig. 11 breakdown counters (the
-    /// [`PROFILE_FAMILY`] slab). Registered with the telemetry registry
-    /// (merged on read) only when profiling is on — otherwise a detached
-    /// slab, so a workload churning short-lived workers never grows the
-    /// registry for counters nobody reads. Written only by this thread,
-    /// so profiling never takes a lock on the transaction path.
-    pub breakdown: Arc<Slab>,
     /// Txn outcome counters + flight ring.
     pub telemetry: WorkerTelemetry,
     pub reads: Vec<*mut Version>,
@@ -86,14 +78,6 @@ impl Worker {
         let tid_hint = db.inner.tid.home();
         let versions = VersionCache::new(Arc::clone(&db.inner.versions));
         let registry = db.inner.telemetry.registry();
-        // The breakdown slab always exists (the transaction path bumps it
-        // unconditionally — cheaper than a branch), but it only joins the
-        // registry when profiling is on.
-        let breakdown = if db.inner.cfg.profile {
-            registry.register_slab(&PROFILE_FAMILY)
-        } else {
-            Arc::new(Slab::new(&PROFILE_FAMILY))
-        };
         let telemetry = WorkerTelemetry {
             slab: registry.register_slab(&TXN_FAMILY),
             ring: db.inner.telemetry.flight().ring(),
@@ -104,7 +88,6 @@ impl Worker {
             scratch: Scratch {
                 tid_hint,
                 logbuf: TxLogBuffer::new(),
-                breakdown,
                 telemetry,
                 reads: Vec::new(),
                 writes: Vec::new(),
@@ -121,12 +104,6 @@ impl Worker {
     /// Begin a transaction at the given isolation level.
     pub fn begin(&mut self, isolation: IsolationLevel) -> Transaction<'_> {
         Transaction::begin(self, isolation)
-    }
-
-    /// The accumulated per-component time breakdown (when
-    /// [`DbConfig::profile`](crate::DbConfig) is on).
-    pub fn breakdown(&self) -> Breakdown {
-        crate::profile::breakdown_from_counters(&self.scratch.breakdown.counter_snapshot())
     }
 
     /// Versions served from the worker's reuse cache instead of the
@@ -147,9 +124,6 @@ impl Drop for Worker {
         // retained aggregate (so database-wide totals stay complete) and
         // the live sets stop growing with every worker ever created.
         let registry = self.db.inner.telemetry.registry();
-        if self.db.inner.cfg.profile {
-            registry.retire_slab(&PROFILE_FAMILY, &self.scratch.breakdown);
-        }
         let t = &self.scratch.telemetry;
         registry.retire_slab(&TXN_FAMILY, &t.slab);
         self.db.inner.telemetry.flight().retire(&t.ring);

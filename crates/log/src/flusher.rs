@@ -108,7 +108,7 @@
 //!
 //! One sixteen-commit window of the ledger's `wire_sync_write` (2 ms
 //! device, opener at 0, fifteen followers sent 100 µs later, one CPU;
-//! µs from the opener's send, EXPERIMENTS.md "Ledger, PR 20"), by the
+//! µs from the opener's send, `results/ledger/PR-20.md`), by the
 //! stagger clock alone and by this rule:
 //!
 //! ```text

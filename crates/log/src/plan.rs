@@ -20,7 +20,7 @@ use crate::manager::SyncCause;
 
 /// Device syncs one log keeps in flight at most; also the divisor of the
 /// stagger gap. Swept once at 2 / 4 / 8 on the ledger's gated workloads
-/// (EXPERIMENTS.md, "Ledger, PR 17"): the finer the stagger, the sooner
+/// (`results/ledger/PR-17.md`): the finer the stagger, the sooner
 /// the last commits of a burst get their sync started, and the more
 /// batches — one `pwrite` and one sync each — a burst is cut into. At 2
 /// a burst that outlasts the one free slot waits a whole latency for the

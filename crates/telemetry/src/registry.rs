@@ -10,7 +10,7 @@
 //! [`AtomicHistogram`]s) indexed by descriptor position. The hot path
 //! is a single relaxed load+store on a line only that thread writes
 //! (single-writer, so no RMW is needed); the registry's mutex is
-//! touched only at worker create/retire and at scrape time. This generalizes the `BreakdownSlab` pattern: when a
+//! touched only at worker create/retire and at scrape time. When a
 //! worker drops, its slab's final snapshot is folded into a retained
 //! per-family aggregate and the `Arc` leaves the live list, so thread
 //! churn neither leaks slabs nor loses counts.
@@ -75,7 +75,7 @@ pub struct FamilyDef {
 }
 
 /// One thread's share of a family. 128-byte aligned so two slabs never
-/// share a cache line (matching `BreakdownSlab`).
+/// share a cache line.
 #[repr(align(128))]
 pub struct Slab {
     counters: Box<[AtomicU64]>,
@@ -103,20 +103,9 @@ impl Slab {
         c.store(c.load(Relaxed).wrapping_add(n), Relaxed);
     }
 
-    /// Direct access, for callers that pass the atomic around (e.g.
-    /// the profiling `Timed` guard).
-    #[inline]
-    pub fn counter(&self, idx: usize) -> &AtomicU64 {
-        &self.counters[idx]
-    }
-
     #[inline]
     pub fn hist(&self, idx: usize) -> &AtomicHistogram {
         &self.hists[idx]
-    }
-
-    pub fn counter_snapshot(&self) -> Vec<u64> {
-        self.counters.iter().map(|c| c.load(Relaxed)).collect()
     }
 }
 

@@ -47,69 +47,28 @@ pub trait Workload<E: Engine>: Send + Sync {
 pub struct RunConfig {
     pub threads: usize,
     pub duration: Duration,
+    /// Id of this run's first worker. Worker state — an RNG stream, a
+    /// range of fresh keys — derives from the id, so a later run on the
+    /// same loaded engine starts past the ids of the earlier ones.
+    pub first_worker: usize,
 }
 
 impl RunConfig {
     pub fn new(threads: usize, duration: Duration) -> RunConfig {
-        RunConfig { threads, duration }
-    }
-}
-
-/// Latency histogram for the driver tables: a façade over the shared
-/// telemetry [`Histogram`] (the log2-bucket implementation this one
-/// originated). The wrapper keeps the driver's historical f64-nanosecond
-/// percentile surface so figure JSON stays byte-identical; the bucketing
-/// and interpolation are the shared code.
-#[derive(Clone, Default)]
-pub struct LatencyHistogram(Histogram);
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LatencyHistogram(count={})", self.0.count())
-    }
-}
-
-impl LatencyHistogram {
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        self.0.record(ns);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.0.count()
-    }
-
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.0.merge(&other.0);
-    }
-
-    /// Tail shorthand used by the SLO tables: the 99.9th percentile in
-    /// nanoseconds. Server-side reply tails live here — one stalled
-    /// group-commit batch in a thousand shows up at p99.9 long before it
-    /// moves p99.
-    pub fn p999_ns(&self) -> f64 {
-        self.percentile_ns(99.9)
-    }
-
-    /// The `p`-th percentile (0..=100) in nanoseconds, interpolated
-    /// within the landing bucket; 0.0 when empty.
-    pub fn percentile_ns(&self, p: f64) -> f64 {
-        self.0.percentile(p)
+        RunConfig { threads, duration, first_worker: 0 }
     }
 }
 
 /// Per-transaction-type statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct TypeStats {
     pub name: &'static str,
     pub commits: u64,
     pub aborts: u64,
     pub abort_reasons: HashMap<&'static str, u64>,
-    pub latency_sum_ns: u64,
     pub latency_max_ns: u64,
-    /// Committed-execution latency distribution (p50/p99 for the
-    /// scaling curves; avg/max above stay for the older figures).
-    pub latency: LatencyHistogram,
+    /// Committed-execution latencies in nanoseconds (count = `commits`).
+    pub latency: Histogram,
 }
 
 impl TypeStats {
@@ -132,7 +91,7 @@ impl TypeStats {
         if self.commits == 0 {
             0.0
         } else {
-            self.latency_sum_ns as f64 / self.commits as f64 / 1e6
+            self.latency.sum() as f64 / self.commits as f64 / 1e6
         }
     }
 
@@ -149,7 +108,6 @@ impl TypeStats {
     fn merge(&mut self, other: &TypeStats) {
         self.commits += other.commits;
         self.aborts += other.aborts;
-        self.latency_sum_ns += other.latency_sum_ns;
         self.latency_max_ns = self.latency_max_ns.max(other.latency_max_ns);
         self.latency.merge(&other.latency);
         for (k, v) in &other.abort_reasons {
@@ -159,10 +117,13 @@ impl TypeStats {
 }
 
 /// Aggregated result of one run.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct BenchResult {
     pub engine: &'static str,
     pub threads: usize,
+    /// Measured, from the start barrier to the last worker's join: a
+    /// worker finishes (and counts) the transaction it is in when the run
+    /// is stopped, so rates divide by this and not by the time asked for.
     pub duration: Duration,
     pub per_type: Vec<TypeStats>,
 }
@@ -193,6 +154,14 @@ impl BenchResult {
     pub fn stats_of(&self, name: &str) -> Option<&TypeStats> {
         self.per_type.iter().find(|t| t.name == name)
     }
+
+    /// Fold in a later run of the same workload on the same engine.
+    pub fn absorb(&mut self, later: &BenchResult) {
+        self.duration += later.duration;
+        for (mine, theirs) in self.per_type.iter_mut().zip(&later.per_type) {
+            mine.merge(theirs);
+        }
+    }
 }
 
 /// Load `workload` into `engine` and run it for the configured duration.
@@ -201,8 +170,8 @@ pub fn run<E: Engine, W: Workload<E>>(engine: &E, workload: &W, cfg: &RunConfig)
     run_loaded(engine, workload, cfg)
 }
 
-/// Run against an already-loaded engine (parameter sweeps reuse loads
-/// only when the workload says it is safe; most figures reload).
+/// Run against an already-loaded engine. A second run on the same load
+/// sets [`RunConfig::first_worker`] past the first one's workers.
 pub fn run_loaded<E: Engine, W: Workload<E>>(
     engine: &E,
     workload: &W,
@@ -214,9 +183,9 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
     let start_barrier = Barrier::new(cfg.threads + 1);
 
     let mut per_worker: Vec<Vec<TypeStats>> = Vec::new();
-    std::thread::scope(|s| {
+    let duration = std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for worker_id in 0..cfg.threads {
+        for worker_id in cfg.first_worker..cfg.first_worker + cfg.threads {
             let engine = engine.clone();
             let stop = &stop;
             let start_barrier = &start_barrier;
@@ -239,7 +208,6 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
                     match outcome {
                         Ok(()) => {
                             st.commits += 1;
-                            st.latency_sum_ns += elapsed;
                             st.latency_max_ns = st.latency_max_ns.max(elapsed);
                             st.latency.record(elapsed);
                         }
@@ -253,11 +221,13 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
             }));
         }
         start_barrier.wait();
+        let started = Instant::now();
         std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             per_worker.push(h.join().expect("worker panicked"));
         }
+        started.elapsed()
     });
 
     let mut per_type: Vec<TypeStats> =
@@ -267,7 +237,7 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
             agg.merge(w);
         }
     }
-    BenchResult { engine: engine.name(), threads: cfg.threads, duration: cfg.duration, per_type }
+    BenchResult { engine: engine.name(), threads: cfg.threads, duration, per_type }
 }
 
 #[cfg(test)]
@@ -277,8 +247,9 @@ mod tests {
     #[test]
     fn type_stats_arithmetic() {
         let mut s = TypeStats { name: "x", commits: 8, aborts: 2, ..TypeStats::default() };
-        s.latency_sum_ns = 8_000_000; // 1 ms avg
-        s.latency_max_ns = 3_000_000;
+        for _ in 0..8 {
+            s.latency.record(1_000_000); // 1 ms avg
+        }
         assert_eq!(s.executions(), 10);
         assert!((s.abort_ratio() - 20.0).abs() < 1e-9);
         assert!((s.latency_avg_ms() - 1.0).abs() < 1e-9);
@@ -307,71 +278,42 @@ mod tests {
         assert_eq!(s.latency_avg_ms(), 0.0);
     }
 
-    #[test]
-    fn histogram_percentiles_land_in_the_right_bucket() {
-        let mut h = LatencyHistogram::default();
-        // 90 samples around 1µs, 10 around 1ms: p50 must sit in the
-        // microsecond bucket, p99 in the millisecond bucket.
-        for _ in 0..90 {
-            h.record(1_000);
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.percentile_ns(50.0);
-        assert!((512.0..2048.0).contains(&p50), "p50 {p50} outside the ~1µs bucket");
-        let p99 = h.percentile_ns(99.0);
-        assert!((524_288.0..2_097_152.0).contains(&p99), "p99 {p99} outside the ~1ms bucket");
-        // Percentiles are monotone and bounded by the top bucket edge.
-        assert!(h.percentile_ns(10.0) <= p50 && p50 <= p99);
-    }
+    /// One transaction type that sleeps and touches nothing.
+    struct Slow(Duration);
 
-    #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut both = LatencyHistogram::default();
-        for ns in [100u64, 5_000, 70_000, 1_000_000] {
-            a.record(ns);
-            both.record(ns);
+    impl Workload<crate::ErmiaEngine> for Slow {
+        type WorkerState = ();
+        fn types(&self) -> Vec<&'static str> {
+            vec!["slow"]
         }
-        for ns in [300u64, 9_000, 2_000_000] {
-            b.record(ns);
-            both.record(ns);
+        fn load(&self, _: &crate::ErmiaEngine) {}
+        fn worker_state(&self, _: usize, _: usize) {}
+        fn next_type(&self, _: &mut ()) -> usize {
+            0
         }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        for p in [1.0, 25.0, 50.0, 75.0, 99.0] {
-            assert_eq!(a.percentile_ns(p), both.percentile_ns(p));
+        fn execute(
+            &self,
+            _: &mut <crate::ErmiaEngine as Engine>::Worker,
+            _: &mut (),
+            _: usize,
+        ) -> Result<(), AbortReason> {
+            std::thread::sleep(self.0);
+            Ok(())
         }
     }
 
     #[test]
-    fn p999_separates_the_slo_tail_from_p99() {
-        let mut h = LatencyHistogram::default();
-        // 9989 fast samples, 11 slow ones (~0.1%): p99 stays in the fast
-        // bucket while p99.9 lands in the slow tail.
-        for _ in 0..9989 {
-            h.record(10_000); // ~10µs
-        }
-        for _ in 0..11 {
-            h.record(50_000_000); // 50ms stall
-        }
-        let p99 = h.percentile_ns(99.0);
-        let p999 = h.p999_ns();
-        assert!(p99 < 20_000.0, "p99 {p99} should still sit in the fast bucket");
-        assert!(p999 >= 8_192.0 * 1024.0, "p99.9 {p999} must reach the stall tail");
-        assert!(p999 >= p99);
-    }
-
-    #[test]
-    fn histogram_zero_latency_is_clamped_not_panicking() {
-        let mut h = LatencyHistogram::default();
-        h.record(0); // leading_zeros(0) would index out of range unclamped
-        h.record(1);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 3);
-        assert!(h.percentile_ns(100.0) >= (1u64 << 63) as f64);
+    fn a_transaction_that_outlives_the_run_is_not_counted_at_the_nominal_rate() {
+        // The run is stopped after 10 ms; each worker still finishes, and
+        // counts, the 60 ms transaction it is in.
+        let db = ermia::Database::open(ermia::DbConfig::in_memory()).unwrap();
+        let engine = crate::ErmiaEngine::si(db);
+        let txn = Duration::from_millis(60);
+        let r = run_loaded(&engine, &Slow(txn), &RunConfig::new(2, Duration::from_millis(10)));
+        assert_eq!(r.total_commits(), 2);
+        assert!(r.duration >= txn, "measured {:?}, the transactions took {txn:?}", r.duration);
+        let possible = 2.0 / txn.as_secs_f64();
+        assert!(r.tps() <= possible, "{} tps from two threads of {txn:?} transactions", r.tps());
+        assert!(r.tps_of("slow") <= possible);
     }
 }

@@ -29,7 +29,7 @@ pub trait EngineWorker: Send {
     type Txn<'a>: EngineTxn
     where
         Self: 'a;
-    fn begin(&mut self, profile: TxnProfile) -> Self::Txn<'_>;
+    fn begin(&mut self, hint: TxnProfile) -> Self::Txn<'_>;
 }
 
 /// The uniform transaction surface the workloads drive.
@@ -156,7 +156,7 @@ pub struct ErmiaWorkerAdapter {
 impl EngineWorker for ErmiaWorkerAdapter {
     type Txn<'a> = ermia::ShardedTransaction<'a>;
 
-    fn begin(&mut self, _profile: TxnProfile) -> ermia::ShardedTransaction<'_> {
+    fn begin(&mut self, _hint: TxnProfile) -> ermia::ShardedTransaction<'_> {
         // ERMIA needs no read-only declaration: SI serves all readers
         // from consistent snapshots.
         self.worker.begin(self.isolation)
@@ -260,8 +260,8 @@ impl Engine for SiloEngine {
 impl EngineWorker for silo_occ::SiloWorker {
     type Txn<'a> = silo_occ::SiloTxn<'a>;
 
-    fn begin(&mut self, profile: TxnProfile) -> silo_occ::SiloTxn<'_> {
-        let mode = match profile {
+    fn begin(&mut self, hint: TxnProfile) -> silo_occ::SiloTxn<'_> {
+        let mode = match hint {
             TxnProfile::ReadWrite => silo_occ::TxnMode::ReadWrite,
             TxnProfile::ReadOnly => silo_occ::TxnMode::ReadOnly,
         };

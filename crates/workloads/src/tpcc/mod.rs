@@ -717,11 +717,11 @@ impl<E: Engine> Workload<E> for TpccWorkload {
     ) -> Result<(), AbortReason> {
         let t = *self.tables();
         let w = self.pick_warehouse(ws);
-        let profile = match ty {
+        let hint = match ty {
             ORDERSTATUS | STOCKLEVEL => TxnProfile::ReadOnly,
             _ => TxnProfile::ReadWrite,
         };
-        let mut tx = worker.begin(profile);
+        let mut tx = worker.begin(hint);
         let body = match ty {
             NEWORDER => neworder(&mut tx, &t, &self.cfg, ws, w),
             PAYMENT => payment(&mut tx, &t, &self.cfg, ws, w),

@@ -142,12 +142,12 @@ impl<E: Engine> Workload<E> for TpccHybridWorkload {
         let t = *self.base.tables();
         let cfg = &self.base.cfg;
         let w = self.base.pick_warehouse(ws);
-        let profile = match ty {
+        let hint = match ty {
             H_ORDERSTATUS | H_STOCKLEVEL => TxnProfile::ReadOnly,
             // Q2* updates stock: it cannot use read-only snapshots.
             _ => TxnProfile::ReadWrite,
         };
-        let mut tx = worker.begin(profile);
+        let mut tx = worker.begin(hint);
         let body = match ty {
             H_NEWORDER => neworder(&mut tx, &t, cfg, ws, w),
             H_PAYMENT => payment(&mut tx, &t, cfg, ws, w),

@@ -744,11 +744,11 @@ impl<E: Engine> Workload<E> for TpceWorkload {
     ) -> Result<(), AbortReason> {
         let t = *self.tables();
         let cfg = &self.cfg;
-        let profile = match ty {
+        let hint = match ty {
             MARKET_FEED | TRADE_ORDER | TRADE_RESULT | TRADE_UPDATE => TxnProfile::ReadWrite,
             _ => TxnProfile::ReadOnly,
         };
-        let mut tx = worker.begin(profile);
+        let mut tx = worker.begin(hint);
         let body = dispatch(&mut tx, &t, cfg, ws, ty);
         match body {
             Ok(()) => tx.commit(),

@@ -119,7 +119,7 @@ impl<E: Engine> Workload<E> for TpceHybridWorkload {
     ) -> Result<(), AbortReason> {
         let t = *self.base.tables();
         let cfg = &self.base.cfg;
-        let profile = match ty {
+        let hint = match ty {
             // AssetEval inserts into AssetHistory: read-mostly, but a
             // writer — snapshots cannot save it under OCC.
             MARKET_FEED | TRADE_ORDER | TRADE_RESULT | TRADE_UPDATE | ASSET_EVAL => {
@@ -127,7 +127,7 @@ impl<E: Engine> Workload<E> for TpceHybridWorkload {
             }
             _ => TxnProfile::ReadOnly,
         };
-        let mut tx = worker.begin(profile);
+        let mut tx = worker.begin(hint);
         let body = if ty == ASSET_EVAL {
             asset_eval(&mut tx, &t, cfg, ws, self.asset_eval_pct)
         } else {
