@@ -142,7 +142,7 @@ pub struct Cell {
 /// Fresh in-memory ERMIA, loaded, tracing every `sample_n`-th transaction (0 = none).
 fn loaded_ermia<W: Workload<ErmiaEngine>>(ssn: bool, sample_n: u32, workload: &W) -> ErmiaEngine {
     let cfg = DbConfig { trace_sample_n: sample_n, trace_slow_us: 0, ..DbConfig::in_memory() };
-    let db = ermia::Database::open(cfg).expect("open ermia");
+    let db = ermia::ShardedDb::open(cfg, 1).expect("open ermia");
     let e = if ssn { ErmiaEngine::ssn(db) } else { ErmiaEngine::si(db) };
     workload.load(&e);
     e

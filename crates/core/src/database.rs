@@ -17,6 +17,7 @@ use ermia_telemetry::{EventKind, EventRing, Telemetry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::DbConfig;
+use crate::metrics::{TXN_ABORT_BASE, TXN_COMMITS, TXN_FAMILY};
 use crate::worker::Worker;
 
 /// Service state of a [`Database`].
@@ -263,9 +264,6 @@ pub(crate) struct DbInner {
     pub checkpoints: Option<CheckpointStore>,
     /// Large-object side storage (§3.3 feature 4).
     pub blobs: ermia_log::BlobStore,
-    /// Commits since the last checkpoint (stats).
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
     /// The unified telemetry layer: per-worker metric slabs (txn
     /// outcomes), database-level collectors over the subsystem atomics,
     /// and the flight-recorder event rings.
@@ -411,8 +409,6 @@ impl Database {
             versions: Arc::new(VersionPool::default()),
             checkpoints,
             blobs,
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
             telemetry,
             retired: Arc::new(RetireQueue::new(Arc::clone(&gc_stats))),
             gc_stats,
@@ -585,9 +581,12 @@ impl Database {
         Ok(())
     }
 
-    /// Committed / aborted transaction totals.
+    /// Committed / aborted transaction totals: the workers' outcome
+    /// counters merged (dropped workers included), aborts summed over
+    /// their reasons.
     pub fn txn_counts(&self) -> (u64, u64) {
-        (self.inner.commits.load(Ordering::Relaxed), self.inner.aborts.load(Ordering::Relaxed))
+        let counts = self.inner.telemetry.registry().family_counters(&TXN_FAMILY);
+        (counts[TXN_COMMITS], counts[TXN_ABORT_BASE..].iter().sum())
     }
 
     /// Statistics of the unified epoch manager (all resource timescales

@@ -313,18 +313,6 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "Version nodes parked in the reuse pool",
         db.versions.pooled() as f64,
     ));
-
-    // Database-level lifetime totals (mirror Database::txn_counts).
-    out.push(Sample::counter(
-        "ermia_db_commits_total",
-        "Committed transactions since open",
-        db.commits.load(Relaxed),
-    ));
-    out.push(Sample::counter(
-        "ermia_db_aborts_total",
-        "Aborted transactions since open",
-        db.aborts.load(Relaxed),
-    ));
 }
 
 #[cfg(test)]

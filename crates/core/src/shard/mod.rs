@@ -18,7 +18,7 @@
 //! `S = 1` even that disappears: routing is constant and commit is a
 //! direct pass-through. One shard is the degenerate shard set, so the
 //! server, the worker pool and the workload adapters run on a
-//! `ShardedDb` only ([`ShardedDb::single`] wraps a [`Database`]).
+//! `ShardedDb` only (`ShardedDb::open(cfg, 1)`).
 //!
 //! The module is its three concerns: `routing` (key → shard), `staged`
 //! (the commit handle and the two-phase state machine behind it) and the
@@ -143,13 +143,6 @@ pub struct ShardedDb {
     pub(crate) inner: Arc<ShardedInner>,
 }
 
-/// A plain database is the one-shard engine ([`ShardedDb::single`]).
-impl From<Database> for ShardedDb {
-    fn from(db: Database) -> ShardedDb {
-        ShardedDb::single(db)
-    }
-}
-
 impl ShardedDb {
     /// Open `shards` databases from one config. With a durable config,
     /// shard `i` logs under `<dir>/shard-<i>`; in-memory configs stay
@@ -167,13 +160,6 @@ impl ShardedDb {
             dbs.push(Database::open(c)?);
         }
         Ok(ShardedDb::from_shards(dbs))
-    }
-
-    /// Wrap an already-open database as a one-shard `ShardedDb`. Routing
-    /// is picked up from its catalog; every operation passes straight
-    /// through to the inner engine.
-    pub fn single(db: Database) -> ShardedDb {
-        ShardedDb::from_shards(vec![db])
     }
 
     /// Wrap already-open per-shard handles (e.g. a replica's snapshot

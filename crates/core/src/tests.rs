@@ -1288,3 +1288,39 @@ fn every_commit_exit_reaches_the_same_verdict() {
         }
     }
 }
+
+/// A transaction is counted once, in its worker's slab: `txn_counts()`
+/// is those slabs merged, and dropping the workers loses nothing.
+#[test]
+fn txn_counts_are_the_workers_counters_and_outlive_them() {
+    let db = db();
+    let t = db.create_table("t");
+    {
+        let mut w1 = db.register_worker();
+        let mut w2 = db.register_worker();
+        for k in [b"a", b"b", b"c"] {
+            let mut tx = w1.begin(SI);
+            tx.insert(t, k, b"0").unwrap();
+            tx.commit().unwrap();
+        }
+        // Three aborts, three reasons: a lost write-write race, a
+        // duplicate key, an explicit abort.
+        let mut t1 = w1.begin(SI);
+        let mut t2 = w2.begin(SI);
+        t1.update(t, b"a", b"1").unwrap();
+        assert!(t2.update(t, b"a", b"2").is_err());
+        assert_eq!(t2.commit().unwrap_err(), AbortReason::WriteWriteConflict);
+        t1.commit().unwrap();
+        let mut dup = w2.begin(SI);
+        assert!(dup.insert(t, b"b", b"again").is_err());
+        assert_eq!(dup.commit().unwrap_err(), AbortReason::DuplicateKey);
+        w2.begin(SI).abort();
+    }
+    assert_eq!(db.txn_counts(), (4, 3));
+    let exposition =
+        ermia_telemetry::parse_exposition(&db.telemetry().render_prometheus()).unwrap();
+    assert_eq!(exposition.value("ermia_txn_commits_total"), Some(4.0));
+    let by_reason = &exposition.metrics["ermia_txn_aborts_total"].samples;
+    assert_eq!(by_reason.iter().filter(|s| s.value == 1.0).count(), 3, "three reasons, one each");
+    assert_eq!(by_reason.iter().map(|s| s.value).sum::<f64>(), 3.0);
+}

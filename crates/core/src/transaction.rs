@@ -1057,11 +1057,6 @@ impl<'w> Transaction<'w> {
         // version has been re-stamped or unlinked (Stale inquiries then
         // re-read a proper stamp).
         self.db.inner.tid.release(self.tid);
-        if committed {
-            self.db.inner.commits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.db.inner.aborts.fetch_add(1, Ordering::Relaxed);
-        }
         let t = &self.scratch.telemetry;
         // Chain nodes this transaction walked, accumulated read by
         // read in `fetch_visible` and recorded once here.

@@ -198,7 +198,7 @@ fn collector_work_is_proportional_to_garbage_not_to_rows() {
         assert!(tx.update(t, &(i * 199).to_be_bytes(), b"new").unwrap());
         tx.commit().unwrap();
     }
-    audit(&ShardedDb::single(db.clone()), "after the updates");
+    audit(&ShardedDb::from_shards(vec![db.clone()]), "after the updates");
     assert_eq!(stats.reclaimed.load(Relaxed), UPDATES as u64);
     let visited = stats.chains_visited.load(Relaxed);
     assert!(visited <= UPDATES as u64 + 16, "{visited} chains visited for {UPDATES} updates");
@@ -352,6 +352,6 @@ fn tables_created_later_are_collected() {
         }
         tx.commit().unwrap();
     }
-    audit(&ShardedDb::single(db.clone()), "a table created after open");
+    audit(&ShardedDb::from_shards(vec![db.clone()]), "a table created after open");
     assert_eq!(db.gc_stats().reclaimed.load(Relaxed), 9);
 }

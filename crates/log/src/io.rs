@@ -118,9 +118,9 @@ pub struct FaultPlan {
     pub crash_after_writes: Option<u64>,
 }
 
-/// The operator's spelling of a one-fault plan, as the server example and
-/// the chaos harness take it from the environment: `none` (or nothing),
-/// `enospc:<bytes>`, `fsync:<n>`, `linger:<ms>`.
+/// The operator's spelling of a one-fault plan, as `ermia-server
+/// --fault-plan` takes it (and the chaos harness passes it): `none` (or
+/// nothing), `enospc:<bytes>`, `fsync:<n>`, `linger:<ms>`.
 impl std::str::FromStr for FaultPlan {
     type Err = String;
 

@@ -5,7 +5,7 @@
 
 
 use ermia_common::TestDir;
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::parse_exposition;
@@ -15,8 +15,8 @@ fn replica_metrics_expose_the_repl_families() {
     let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 8192;
-    let db = Database::open(cfg).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(cfg, 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
     let mut c = Client::connect(addr.as_str()).unwrap();
     let t = c.open_table("kv").unwrap();

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use ermia_common::TestDir;
-use ermia::{Database, DbConfig, IsolationLevel};
+use ermia::{DbConfig, IsolationLevel, ShardedDb};
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
 
@@ -33,8 +33,8 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 8192; // force rotations while shipping
     cfg.large_value_threshold = 4096; // exercise the blob side file
-    let db = Database::open(cfg).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(cfg, 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
     let mut c = Client::connect(addr.as_str()).unwrap();
     let t = c.open_table("kv").unwrap();
@@ -282,8 +282,8 @@ fn replica_open_table_is_lookup_only() {
     // table would take a dense id the primary later assigns to a
     // different table, silently corrupting log replay.
     let primary_dir = TestDir::new("roddl-primary");
-    let db = Database::open(DbConfig::durable(&primary_dir)).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(DbConfig::durable(&primary_dir), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
     let mut c = Client::connect(addr.as_str()).unwrap();
     let t = c.open_table("kv").unwrap();
@@ -323,9 +323,9 @@ fn fetch_chunk_edge_offsets_and_tiny_frames_do_not_panic() {
     // limit below the 4 KiB reply headroom exercised the
     // `max_frame_len - 4096` clamp. Both used to overflow in debug.
     let dir = TestDir::new("fetch-edge");
-    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
     let tiny = ServerConfig { max_frame_len: 2048, ..ServerConfig::default() };
-    let srv = Server::start(&db, "127.0.0.1:0", tiny).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", tiny).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     sync_put(&mut c, t, b"k", b"v");

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia::{Database, ShardedDb, WorkerPool};
+use ermia::{ShardedDb, WorkerPool};
 use ermia_log::DurableWaker;
 use ermia_telemetry::{EventRing, Sample, SpanRing};
 use parking_lot::Mutex;
@@ -176,15 +176,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// accepting connections against `db`, wrapped as a one-shard engine
-    /// (zero routing overhead).
-    pub fn start(db: &Database, addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::start_sharded(&ShardedDb::single(db.clone()), addr, cfg)
-    }
-
-    /// Bind `addr` and start accepting connections against a sharded
-    /// engine. Session requests route by key; the wire protocol is
-    /// identical to the single-database server.
+    /// accepting connections against `db`. Session requests route by
+    /// key; the wire protocol does not depend on the shard count.
     pub fn start_sharded(db: &ShardedDb, addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;

@@ -114,7 +114,9 @@ use std::time::{Duration, Instant};
 use ermia::{DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker};
 use ermia_common::LogError;
 use ermia_log::{DurableSub, DurableWaker};
-use ermia_telemetry::{render_spans, EventKind, Span, SpanKind, SpanRing};
+use ermia_telemetry::{
+    render_spans, EventKind, FlightRecorder, Registry, Span, SpanKind, SpanRing,
+};
 
 use crate::conn::{
     aborted, engine_isolation, exec_op, frame_bytes, op_target, Conn, FlushState, Mode, OpenTxn,
@@ -689,7 +691,7 @@ fn process_http(state: &Arc<ServerState>, conn: &mut Conn) -> bool {
         &head[..path_end] == b"/metrics"
     };
     let (status, body) = if is_metrics {
-        ("200 OK", state.db.telemetry().render_prometheus())
+        ("200 OK", render_metrics(&state.db))
     } else {
         ("404 Not Found", "not found; try /metrics\n".to_string())
     };
@@ -761,12 +763,11 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
         (None, Err(req)) => match req {
             Request::Ping => conn.push(state, Response::Pong),
             Request::Metrics => {
-                let text = state.db.telemetry().render_prometheus();
-                conn.push(state, Response::Metrics { text })
+                conn.push(state, Response::Metrics { text: render_metrics(&state.db) })
             }
             Request::DumpEvents { max } => {
                 let max = if max == 0 { DEFAULT_DUMP_EVENTS } else { max as usize };
-                conn.push(state, Response::Events { text: state.db.telemetry().dump_events(max) })
+                conn.push(state, Response::Events { text: dump_events(&state.db, max) })
             }
             Request::DumpTraces { max } => push_traces(state, conn, max),
             Request::Health => push_health(state, conn),
@@ -1060,6 +1061,21 @@ fn log_failed(state: &ServerState, e: &LogError) -> Response {
 // ---------------------------------------------------------------------
 // Service frames
 // ---------------------------------------------------------------------
+
+/// Every engine shard's registry as one exposition: what each shard
+/// keeps for itself (transactions, log, GC, epochs, TID table) carries
+/// `shard="i"` when there are several, as `ermia_shard_txns_total` does;
+/// one shard renders bare.
+fn render_metrics(db: &ShardedDb) -> String {
+    let registries: Vec<_> = (0..db.shards()).map(|i| db.shard(i).telemetry().registry()).collect();
+    Registry::render_merged(&registries, "shard")
+}
+
+/// Every engine shard's flight rings as one bounded, time-sorted dump.
+fn dump_events(db: &ShardedDb, max: usize) -> String {
+    let recorders: Vec<_> = (0..db.shards()).map(|i| db.shard(i).telemetry().flight()).collect();
+    FlightRecorder::dump_merged(&recorders, max)
+}
 
 /// Merge span dumps from every shard's tracer (worker and service rings
 /// register on shard 0; recovery/replica apply spans land on the shard
@@ -1478,8 +1494,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
 /// the incident.
 fn record_log_incident(state: &ServerState, kind: EventKind, a: u64) {
     state.svc_ring.record(kind, a, 0);
-    let telemetry = state.db.telemetry();
-    let dump = telemetry.dump_events(DEFAULT_DUMP_EVENTS);
-    telemetry.flight().store_last_dump(dump.clone());
+    let dump = dump_events(&state.db, DEFAULT_DUMP_EVENTS);
+    state.db.telemetry().flight().store_last_dump(dump.clone());
     eprintln!("{dump}");
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ermia::{Database, DbConfig, ShardedDb};
+use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
 use ermia_log::{FileBackend, LogManager, SegmentIo, SegmentIoFactory};
 use ermia_server::{
@@ -192,12 +192,12 @@ fn single_key(i: usize) -> Vec<Vec<u8>> {
 fn burst_behind_an_opener_is_two_syncs() {
     let dir = TestDir::new("two-syncs");
     let syncs = Arc::new(Syncs::default());
-    let db = Database::open(config(&dir, &syncs)).unwrap();
+    let db = ShardedDb::open(config(&dir, &syncs), 1).unwrap();
     db.create_table("kv");
-    let srv = Server::start(&db, "127.0.0.1:0", server_config()).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", server_config()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
-    let log = db.log();
+    let log = db.shard(0).log();
     let before = mark(log, &syncs, 0);
 
     let requests: Vec<Request> = (0..BURST).map(|i| sync_batch(t, &single_key(i))).collect();
@@ -230,12 +230,12 @@ fn burst_behind_an_opener_is_two_syncs() {
 fn burst_in_one_turn_is_at_most_two_syncs() {
     let dir = TestDir::new("one-turn");
     let syncs = Arc::new(Syncs::default());
-    let db = Database::open(config(&dir, &syncs)).unwrap();
+    let db = ShardedDb::open(config(&dir, &syncs), 1).unwrap();
     db.create_table("kv");
-    let srv = Server::start(&db, "127.0.0.1:0", server_config()).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", server_config()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
-    let log = db.log();
+    let log = db.shard(0).log();
     let before = mark(log, &syncs, 0);
 
     for i in 0..BURST {

@@ -15,10 +15,9 @@
 //! * **snapshot sanity** — reads taken while the server was live only
 //!   ever observe issued history.
 //!
-//! The server child is this same test binary re-executed with
-//! `ERMIA_CHAOS_CHILD=1` and filtered to [`chaos_child_server`], which
-//! turns from a no-op test into a server process that prints `PORT <n>`
-//! and parks until killed.
+//! The server child is the binary we ship, `ermia-server`, spawned with
+//! its settings as flags ([`spawn_server`]); it prints `INDOUBT <n>` and
+//! `PORT <n>` and serves until killed.
 //!
 //! Knobs (environment): `ERMIA_CHAOS_CYCLES` (default 3; the nightly
 //! profile runs ≥ 50), `ERMIA_CHAOS_SEED` (default 0xC0FFEE). On an
@@ -27,87 +26,14 @@
 //! paths.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ermia_server::{BatchOp, Client, ErrorCode, Request, Response, WireIsolation};
-
-// ---------------------------------------------------------------------
-// The child: a real server process, driven entirely by environment.
-// ---------------------------------------------------------------------
-
-/// No-op under a normal test run. With `ERMIA_CHAOS_CHILD=1` this *is*
-/// the server process the harness kills: it opens (and recovers) the
-/// database in `ERMIA_CHAOS_DIR`, applies the fault profile from
-/// `ERMIA_CHAOS_FAULT` (`none`, `enospc:<bytes>`, `fsync:<n>`, `linger:<ms>`), starts
-/// an optional background checkpointer (`ERMIA_CHAOS_CKPT_MS`), prints
-/// `PORT <n>`, and parks on stdin until SIGKILLed.
-#[test]
-fn chaos_child_server() {
-    if std::env::var("ERMIA_CHAOS_CHILD").is_err() {
-        return;
-    }
-    use ermia::{DbConfig, ShardedDb};
-    use ermia_log::{FaultInjector, FaultPlan, LogConfig};
-
-    let dir = PathBuf::from(std::env::var("ERMIA_CHAOS_DIR").expect("child needs a data dir"));
-    let plan: FaultPlan =
-        std::env::var("ERMIA_CHAOS_FAULT").unwrap_or_default().parse().expect("child: fault plan");
-    let shards: usize = std::env::var("ERMIA_CHAOS_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1);
-
-    let mut cfg = DbConfig::durable(&dir);
-    cfg.log = LogConfig {
-        dir: Some(dir),
-        segment_size: 32 << 10,
-        buffer_size: 256 << 10,
-        fsync: true,
-        flush_interval: Duration::from_micros(100),
-        io_factory: Arc::new(FaultInjector::new(plan)),
-        wait_durable_timeout: Duration::from_secs(2),
-    };
-    let db = ShardedDb::open(cfg, shards).expect("child: open database");
-    db.create_table("chaos");
-    let stats =
-        db.recover().expect("child: recovery must succeed on any crash-consistent dir");
-    // How many in-doubt (prepared, undecided-locally) transactions this
-    // recovery resolved — the 2PC harness asserts kills actually landed
-    // between prepare and decide.
-    println!("INDOUBT {}", stats.resolved_commits + stats.resolved_aborts);
-
-    let ckpt_ms: u64 = std::env::var("ERMIA_CHAOS_CKPT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    if ckpt_ms > 0 {
-        let ckpt_db = db.clone();
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(ckpt_ms));
-            // Checkpoints may fail while the log is faulted; the harness
-            // only cares that a kill can land mid-checkpoint.
-            let _ = ckpt_db.checkpoint();
-        });
-    }
-
-    let scfg = ermia_server::ServerConfig {
-        sync_wait: Duration::from_secs(2),
-        ..ermia_server::ServerConfig::default()
-    };
-    let srv = ermia_server::Server::start_sharded(&db, "127.0.0.1:0", scfg).expect("child: bind");
-    println!("PORT {}", srv.local_addr().port());
-    let _ = std::io::stdout().flush();
-
-    // Park until the harness kills us (or closes our stdin).
-    let mut line = String::new();
-    while std::io::stdin().read_line(&mut line).map(|n| n > 0).unwrap_or(false) {}
-}
 
 // ---------------------------------------------------------------------
 // Harness plumbing.
@@ -141,6 +67,31 @@ struct KeyLog {
     denied: BTreeSet<u64>,
 }
 
+impl KeyLog {
+    /// Fold the reply to the sync batch that carried sequence `seq`.
+    fn record(&mut self, seq: u64, resp: Response) {
+        match resp {
+            Response::BatchDone { outcome, .. } => match *outcome {
+                Response::Committed { .. } => self.acked = self.acked.max(Some(seq)),
+                // The durability wait failed but the write may still be
+                // on disk: indeterminate, not denied.
+                Response::Error { code: ErrorCode::LogStalled | ErrorCode::LogFailed, .. } => {}
+                // A typed abort or degraded bounce: the server promised
+                // this write did not happen.
+                Response::Error { .. } => {
+                    self.denied.insert(seq);
+                }
+                _ => {}
+            },
+            // Load-shed before anything ran.
+            Response::Busy => {
+                self.denied.insert(seq);
+            }
+            _ => {}
+        }
+    }
+}
+
 type Journal = HashMap<Vec<u8>, KeyLog>;
 
 fn merge(into: &mut Journal, from: Journal) {
@@ -152,36 +103,24 @@ fn merge(into: &mut Journal, from: Journal) {
     }
 }
 
-/// Spawn the server child on `dir` and wait for its `PORT` line.
+/// Spawn the shipped binary on `dir` and wait for its `PORT` line. Returns
+/// the child, its port, and how many in-doubt prepared transactions its
+/// recovery had to resolve — the proof that a kill landed inside the
+/// window. The log is the small, really-syncing one the harness has always
+/// killed: 32 KiB segments so kills land on rotations, device syncs on
+/// (the `fsync:`/`linger:` plans act on them), 2 s waits so a faulted
+/// cycle ends in a typed error well inside a client's reply timeout.
 ///
 /// The returned `Child` is deliberately live: every caller ends it via
 /// `sigkill`, which kills and reaps it.
-fn spawn_server(dir: &Path, fault: &str, ckpt_ms: u64) -> (Child, u16) {
-    let (child, port, _) = spawn_server_with(dir, fault, ckpt_ms, 1);
-    (child, port)
-}
-
-/// [`spawn_server`] with an explicit shard count, forwarded to the
-/// child. Additionally returns how many in-doubt prepared transactions
-/// the child's recovery had to resolve — the proof that a kill landed
-/// inside the window.
 #[allow(clippy::zombie_processes)]
-fn spawn_server_with(
-    dir: &Path,
-    fault: &str,
-    ckpt_ms: u64,
-    shards: usize,
-) -> (Child, u16, u64) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut child = Command::new(exe)
-        .arg("chaos_child_server")
-        .arg("--exact")
-        .arg("--nocapture")
-        .env("ERMIA_CHAOS_CHILD", "1")
-        .env("ERMIA_CHAOS_DIR", dir)
-        .env("ERMIA_CHAOS_FAULT", fault)
-        .env("ERMIA_CHAOS_CKPT_MS", ckpt_ms.to_string())
-        .env("ERMIA_CHAOS_SHARDS", shards.to_string())
+fn spawn_server(dir: &Path, fault: &str, ckpt_ms: u64, shards: usize) -> (Child, u16, u64) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ermia-server"))
+        .args(["127.0.0.1:0", "--table", "chaos", "--fsync", "--fault-plan", fault, "--data-dir"])
+        .arg(dir)
+        .args(["--shards", &shards.to_string(), "--checkpoint-ms", &ckpt_ms.to_string()])
+        .args(["--segment-size", "32768", "--buffer-size", "262144", "--flush-interval-us", "100"])
+        .args(["--wait-durable-ms", "2000", "--sync-wait-ms", "2000"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -192,13 +131,10 @@ fn spawn_server_with(
     let mut in_doubt = 0u64;
     for line in &mut lines {
         let line = line.expect("read child stdout");
-        // The libtest harness prints `test chaos_child_server ... ` on
-        // the same line before the child's own output, so the markers
-        // are not necessarily at line start.
-        if let Some((_, n)) = line.split_once("INDOUBT ") {
-            in_doubt = n.trim().parse().unwrap_or(0);
+        if let Some(n) = line.strip_prefix("INDOUBT ") {
+            in_doubt = n.trim().parse().expect("child in-doubt count");
         }
-        if let Some((_, port)) = line.split_once("PORT ") {
+        if let Some(port) = line.strip_prefix("PORT ") {
             let port = port.trim().parse().expect("child port");
             // Keep draining stdout in the background so the child never
             // blocks on a full pipe (the harness reads nothing else).
@@ -282,30 +218,7 @@ fn client_traffic(
 /// Fold one reply into the journal.
 fn resolve(journal: &mut Journal, sent: InFlight, resp: Response) {
     match sent {
-        InFlight::Put { key, seq } => {
-            let entry = journal.entry(key).or_default();
-            match resp {
-                Response::BatchDone { outcome, .. } => match *outcome {
-                    Response::Committed { .. } => entry.acked = entry.acked.max(Some(seq)),
-                    Response::Error { code, .. } => match code {
-                        // The durability wait failed but the write may
-                        // still be on disk: indeterminate, not denied.
-                        ErrorCode::LogStalled | ErrorCode::LogFailed => {}
-                        // A typed abort or degraded bounce: the server
-                        // promised this write did not happen.
-                        _ => {
-                            entry.denied.insert(seq);
-                        }
-                    },
-                    _ => {}
-                },
-                // Load-shed before anything ran.
-                Response::Busy => {
-                    entry.denied.insert(seq);
-                }
-                _ => {}
-            }
-        }
+        InFlight::Put { key, seq } => journal.entry(key).or_default().record(seq, resp),
         InFlight::Get { key } => {
             // Snapshot sanity: a live read may observe any *issued* write
             // (including one whose ack we have not received yet), never
@@ -362,7 +275,7 @@ fn shipper_traffic(port: u16, stop: &AtomicBool) -> u64 {
 /// Restart the server cleanly on `dir` and check every key against the
 /// journal. Panics with a written report on any violation.
 fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
-    let (child, port) = spawn_server(dir, "none", 0);
+    let (child, port, _) = spawn_server(dir, "none", 0, 1);
     let (mut c, recovered) = oracle_scan(port);
     let mut violations: Vec<String> = Vec::new();
     for (key, log) in journal {
@@ -379,7 +292,7 @@ fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
     // Liveness after recovery: no leaked transaction slots.
     let metrics = c.metrics().expect("oracle metrics scrape");
     let exposition = ermia_telemetry::parse_exposition(&metrics).expect("metrics parse");
-    if exposition.value("ermia_tid_slots_in_use") != Some(0.0) {
+    if exposition.sum("ermia_tid_slots_in_use", None) != Some(0.0) {
         violations.push("transaction slots leaked across recovery".into());
     }
 
@@ -443,6 +356,59 @@ fn conclude(dir: &Path, title: &str, violations: &[String], c: &mut Client, chil
 }
 
 // ---------------------------------------------------------------------
+// The command line the harness relies on.
+// ---------------------------------------------------------------------
+
+/// A fault plan given to the binary fires: with `--fsync --fault-plan
+/// fsync:2` one of the first sync commits is answered with the typed log
+/// failure and `Health` turns degraded. (A server whose log never syncs
+/// would ack every one of them.)
+#[test]
+fn server_binary_fault_plan_is_live() {
+    let dir = ermia_common::TestDir::new("binary-fault-plan");
+    let (child, port, _) = spawn_server(&dir, "fsync:2", 0, 1);
+    let mut c = Client::connect(("127.0.0.1", port)).expect("connect");
+    c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
+    let table = c.open_table("chaos").unwrap();
+    let failed = (0..8u32).find_map(|i| {
+        c.begin(WireIsolation::Snapshot).unwrap();
+        c.put(table, &i.to_be_bytes(), b"v").unwrap();
+        c.commit(true).err()
+    });
+    match failed {
+        Some(ermia_server::ClientError::Server { code: ErrorCode::LogFailed, .. }) => {}
+        other => panic!("the third device sync fails, so a commit must: got {other:?}"),
+    }
+    assert!(c.health().unwrap().degraded, "a poisoned log must surface on Health");
+    sigkill(child);
+}
+
+/// What the binary cannot serve it refuses, naming the flag: a plan that
+/// acts on device syncs without `--fsync` (it would never fire), and a
+/// flag it does not know (`--shard 4` is not an address).
+#[test]
+fn server_binary_refuses_what_it_cannot_serve() {
+    let dir = ermia_common::TestDir::new("binary-refusals");
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ermia-server"))
+            .args(["127.0.0.1:0", "--data-dir"])
+            .arg(&*dir)
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run ermia-server");
+        (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for plan in ["fsync:2", "linger:25"] {
+        let (ok, stderr) = run(&["--fault-plan", plan]);
+        assert!(!ok && stderr.contains("--fsync"), "{plan} without --fsync: {stderr}");
+    }
+    let (ok, stderr) = run(&["--shard", "4"]);
+    assert!(!ok && stderr.contains("unknown flag --shard"), "{stderr}");
+    assert!(stderr.contains("--shards <n>"), "the error lists the valid flags: {stderr}");
+}
+
+// ---------------------------------------------------------------------
 // The harness.
 // ---------------------------------------------------------------------
 
@@ -451,9 +417,6 @@ fn conclude(dir: &Path, title: &str, violations: &[String], c: &mut Client, chil
 /// cell) for the nightly profile.
 #[test]
 fn chaos_seeded_kill_restart_cycles() {
-    if std::env::var("ERMIA_CHAOS_CHILD").is_ok() {
-        return; // we are a child process; only chaos_child_server acts
-    }
     let cycles: usize =
         std::env::var("ERMIA_CHAOS_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
     let seed: u64 = std::env::var("ERMIA_CHAOS_SEED")
@@ -478,7 +441,7 @@ fn chaos_seeded_kill_restart_cycles() {
         let ckpt_ms = if rng.below(2) == 0 { 25 } else { 0 };
         let kill_after = Duration::from_millis(100 + rng.below(250));
 
-        let (child, port) = spawn_server(&dir, &fault, ckpt_ms);
+        let (child, port, _) = spawn_server(&dir, &fault, ckpt_ms, 1);
         let stop = Arc::new(AtomicBool::new(false));
         let workers: Vec<_> = (0..3)
             .map(|cid| {
@@ -562,22 +525,7 @@ fn pair_traffic(port: u16, cid: usize, stop: &AtomicBool, mut log: KeyLog, start
             break;
         }
         match c.recv() {
-            Ok(Response::BatchDone { outcome, .. }) => match *outcome {
-                Response::Committed { .. } => log.acked = log.acked.max(Some(s)),
-                Response::Error { code, .. } => match code {
-                    // Durability wait failed; the decide may still be on
-                    // disk. Indeterminate: neither acked nor denied.
-                    ErrorCode::LogStalled | ErrorCode::LogFailed => {}
-                    _ => {
-                        log.denied.insert(s);
-                    }
-                },
-                _ => {}
-            },
-            Ok(Response::Busy) => {
-                log.denied.insert(s);
-            }
-            Ok(_) => {}
+            Ok(resp) => log.record(s, resp),
             Err(_) => break, // killed mid-commit: indeterminate
         }
     }
@@ -604,9 +552,6 @@ fn pair_traffic(port: u16, cid: usize, stop: &AtomicBool, mut log: KeyLog, start
 /// an in-doubt prepare, proving the kills exercise the window.
 #[test]
 fn chaos_2pc_kill_between_prepare_and_decide() {
-    if std::env::var("ERMIA_CHAOS_CHILD").is_ok() {
-        return; // we are a child process; only chaos_child_server acts
-    }
     let cycles: usize = std::env::var("ERMIA_CHAOS_2PC_CYCLES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -628,8 +573,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
     let mut in_doubt_resolved_total = 0u64;
     for cycle in 0..cycles {
         let kill_after = Duration::from_millis(80 + rng.below(200));
-        let (child, port, resolved) =
-            spawn_server_with(&dir, LINGER, 0, TWO_PC_SHARDS);
+        let (child, port, resolved) = spawn_server(&dir, LINGER, 0, TWO_PC_SHARDS);
         in_doubt_resolved_total += resolved;
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -652,8 +596,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
 
         // Restart and verify: the oracle server itself performs the
         // in-doubt resolution under test.
-        let (vchild, vport, vresolved) =
-            spawn_server_with(&dir, "none", 0, TWO_PC_SHARDS);
+        let (vchild, vport, vresolved) = spawn_server(&dir, "none", 0, TWO_PC_SHARDS);
         in_doubt_resolved_total += vresolved;
         eprintln!(
             "2pc cycle {cycle}: kill_after={kill_after:?} resolved_in_doubt={vresolved} \
@@ -680,7 +623,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
         if exposition.value("ermia_shard_in_doubt") != Some(0.0) {
             violations.push("in-doubt transactions left unresolved after restart".into());
         }
-        if exposition.value("ermia_tid_slots_in_use") != Some(0.0) {
+        if exposition.sum("ermia_tid_slots_in_use", None) != Some(0.0) {
             violations.push("transaction slots leaked across 2PC recovery".into());
         }
 

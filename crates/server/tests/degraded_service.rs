@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia_common::TestDir;
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
 
@@ -39,8 +39,8 @@ fn degraded_service_keeps_reads_alive_and_resume_restores_writes() {
     let dir = TestDir::new("live");
     let injector =
         FaultInjector::new(FaultPlan { enospc_after_bytes: Some(8192), ..FaultPlan::default() });
-    let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(faulty_cfg(dir.to_path_buf(), &injector), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
     let t = c.open_table("kv").unwrap();

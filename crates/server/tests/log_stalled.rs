@@ -8,7 +8,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ermia_common::TestDir;
-use ermia::{Database, DbConfig, ShardedDb};
+use ermia::{DbConfig, ShardedDb};
 use ermia_log::{
     BlockKind, DecideRecord, FaultInjector, FaultPlan, FileBackend, LogConfig, LogScanner,
     SegmentIo, SegmentIoFactory,
@@ -21,13 +21,13 @@ use ermia_server::{
 #[test]
 fn halted_flusher_surfaces_logstalled_within_the_bound() {
     let dir = TestDir::new("stall");
-    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
     let cfg = ServerConfig {
         sync_wait: Duration::from_millis(300),
         shutdown_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
 
@@ -37,7 +37,7 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
     c.commit(true).unwrap();
 
     // Wedge the log: durability can no longer advance.
-    db.log().halt_flusher_for_test();
+    db.shard(0).log().halt_flusher_for_test();
 
     c.begin(WireIsolation::Snapshot).unwrap();
     c.put(t, b"after", b"v").unwrap();
@@ -100,8 +100,8 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
         io_factory: Arc::new(injector),
         ..LogConfig::default()
     };
-    let db = Database::open(cfg).unwrap();
-    let srv = Server::start(
+    let db = ShardedDb::open(cfg, 1).unwrap();
+    let srv = Server::start_sharded(
         &db,
         "127.0.0.1:0",
         ServerConfig { sync_wait: Duration::from_secs(10), ..ServerConfig::default() },
@@ -162,7 +162,7 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
         started.elapsed() < Duration::from_secs(9),
         "poison must fail the wait immediately, not ride out sync_wait"
     );
-    assert!(db.log().is_poisoned());
+    assert!(db.shard(0).log().is_poisoned());
     srv.shutdown();
 }
 
@@ -236,9 +236,15 @@ impl SegmentIo for GatedIo {
     }
 }
 
-impl SegmentIoFactory for Gate {
+/// Both shards' devices: `ShardedDb::open` puts shard `i`'s segments
+/// under `shard-<i>`, which is how a segment finds its gate.
+#[derive(Debug)]
+struct Gates([Gate; 2]);
+
+impl SegmentIoFactory for Gates {
     fn open(&self, path: &std::path::Path) -> std::io::Result<Arc<dyn SegmentIo>> {
-        Ok(Arc::new(GatedIo { inner: FileBackend.open(path)?, gate: self.clone() }))
+        let shard = path.components().any(|c| c.as_os_str() == "shard-1") as usize;
+        Ok(Arc::new(GatedIo { inner: FileBackend.open(path)?, gate: self.0[shard].clone() }))
     }
 }
 
@@ -246,21 +252,10 @@ impl SegmentIoFactory for Gate {
 /// `gates[i]`, with a table.
 fn gated_pair(dir: &std::path::Path) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
     let gates = [Gate::new(), Gate::new()];
-    let shards = gates
-        .iter()
-        .enumerate()
-        .map(|(i, gate)| {
-            let mut cfg = DbConfig::durable(dir.join(format!("shard-{i}")));
-            cfg.log = LogConfig {
-                dir: cfg.log.dir.clone(),
-                fsync: true,
-                io_factory: Arc::new(gate.clone()),
-                ..LogConfig::default()
-            };
-            Database::open(cfg).unwrap()
-        })
-        .collect();
-    let db = ShardedDb::from_shards(shards);
+    let mut cfg = DbConfig::durable(dir);
+    cfg.log.fsync = true;
+    cfg.log.io_factory = Arc::new(Gates(gates.clone()));
+    let db = ShardedDb::open(cfg, 2).unwrap();
     db.create_table("kv");
     let guard = OpenOnDrop(gates.to_vec());
     (db, gates, guard)

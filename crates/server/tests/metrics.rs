@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::parse_exposition;
 
@@ -36,8 +36,8 @@ fn scrape_http(addr: SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn metrics_frame_and_http_scrape_expose_the_full_surface() {
-    let db = Database::open(DbConfig::in_memory()).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
 
@@ -80,9 +80,7 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_epoch_current",
         "ermia_epoch_advances_total",
         "ermia_tid_slots_in_use",
-        // database aggregates
-        "ermia_db_commits_total",
-        "ermia_db_aborts_total",
+        // database state
         "ermia_db_state",
         "ermia_fork_count",
         // server + pool
@@ -166,7 +164,8 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
 /// Golden names for the engine-shard surface: a server on a 2-shard
 /// engine must expose the shard families, the per-shard labels, and —
 /// after one cross-shard commit over the wire — the 2PC latency
-/// histograms and in-doubt gauge.
+/// histograms and in-doubt gauge; and it must show shard 1, not only
+/// shard 0.
 #[test]
 fn sharded_engine_metrics_expose_per_shard_families() {
     let db = ermia::ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
@@ -212,13 +211,40 @@ fn sharded_engine_metrics_expose_per_shard_families() {
             "missing per-shard counter for shard {shard}:\n{text}"
         );
     }
+
+    // An operator sees every engine shard, not shard 0 alone: a commit
+    // that runs on shard 1 only is in the scraped counters of that
+    // shard's transactions and log, under `shard="1"`, and its flight
+    // events are in the `DumpEvents` text.
+    let on_one = if ermia::shard_of_key(&ka, 2) == 1 { &ka } else { &kb };
+    let scrape = |c: &mut Client| {
+        let exp = parse_exposition(&c.metrics().unwrap()).unwrap();
+        ["ermia_txn_commits_total", "ermia_log_allocations_total"].map(|name| {
+            ["0", "1"].map(|shard| {
+                exp.value_with(name, "shard", shard)
+                    .unwrap_or_else(|| panic!("{name} has no sample for shard {shard}"))
+            })
+        })
+    };
+    let before = scrape(&mut c);
+    c.begin(WireIsolation::Snapshot).unwrap();
+    c.put(t, on_one, b"2").unwrap();
+    c.commit(false).unwrap();
+    for (b, a) in before.iter().zip(&scrape(&mut c)) {
+        assert_eq!((a[0] - b[0], a[1] - b[1]), (0.0, 1.0), "one commit, one log block, on shard 1");
+    }
+    let dump = c.dump_events(64).unwrap();
+    assert!(
+        dump.lines().any(|l| l.contains(" s1r") && l.contains("txn-commit")),
+        "shard 1's commit event is missing:\n{dump}"
+    );
     srv.shutdown();
 }
 
 #[test]
 fn dump_events_frame_returns_recent_transaction_events() {
-    let db = Database::open(DbConfig::in_memory()).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     for i in 0..4u32 {
@@ -248,8 +274,8 @@ fn server_commits(c: &mut Client) -> f64 {
 fn one_put_three_ways_is_answered_in_the_shape_of_its_frame_and_counted_once() {
     let dir = std::env::temp_dir().join(format!("ermia-server-put3-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Database::open(DbConfig::durable(&dir)).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     let committed = |r: &Response| matches!(r, Response::Committed { lsn } if *lsn > 0);

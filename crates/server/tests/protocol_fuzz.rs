@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_server::protocol::{crc32, read_frame, write_frame, FrameAssembler, MAX_FRAME_LEN};
 use ermia_server::{Client, FrameError, Request, Response, Server, ServerConfig, TraceContext};
 
@@ -18,15 +18,15 @@ use proptest::prelude::*;
 /// One server shared by every case; if any hostile input kills it, the
 /// liveness probe of a later case fails loudly.
 fn server_addr() -> SocketAddr {
-    static SERVER: OnceLock<(Database, Server, u32)> = OnceLock::new();
+    static SERVER: OnceLock<(ShardedDb, Server, u32)> = OnceLock::new();
     let (_, srv, _) = SERVER.get_or_init(|| {
-        let db = Database::open(DbConfig::in_memory()).unwrap();
+        let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
         let cfg = ServerConfig {
             shutdown_poll: Duration::from_millis(5),
             checkout_wait: Duration::from_millis(100),
             ..ServerConfig::default()
         };
-        let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+        let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
         let mut c = Client::connect(srv.local_addr()).unwrap();
         let t = c.open_table("fuzz").unwrap();
         c.put(t, b"k", b"v").unwrap();

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
 use ermia_server::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN};
 use ermia_server::{BatchOp, Client, Server, ServerConfig, WireIsolation};
@@ -75,7 +75,7 @@ fn die_midway(addr: std::net::SocketAddr, table: u32, variant: usize) {
 #[test]
 fn thousand_disconnects_leak_nothing() {
     let _serial = serial();
-    let db = Database::open(DbConfig::in_memory()).unwrap();
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
     let cfg = ServerConfig {
         max_sessions: 2 * WAVE,
         worker_capacity: 8,
@@ -84,7 +84,7 @@ fn thousand_disconnects_leak_nothing() {
         shutdown_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let addr = srv.local_addr();
 
     // A table every doomed client writes into.
@@ -128,10 +128,10 @@ fn thousand_disconnects_leak_nothing() {
     assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
 
     // No epoch pin leaked: a stuck pin would freeze epoch advances.
-    let e0 = db.epoch_stats().epoch;
+    let e0 = db.shard(0).epoch_stats().epoch;
     let advance_deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if db.epoch_stats().epoch > e0 {
+        if db.shard(0).epoch_stats().epoch > e0 {
             break;
         }
         assert!(Instant::now() < advance_deadline, "epoch frozen: a pin leaked");
@@ -159,13 +159,13 @@ fn thousand_disconnects_leak_nothing() {
 #[test]
 fn disconnect_under_reply_backpressure_leaks_nothing() {
     let _serial = serial();
-    let db = Database::open(DbConfig::in_memory()).unwrap();
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
     let cfg = ServerConfig {
         reply_queue_depth: 4,
         shutdown_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
-    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let addr = srv.local_addr();
 
     let mut setup = Client::connect(addr).unwrap();
@@ -310,8 +310,8 @@ fn os_threads() -> usize {
 fn os_threads_do_not_grow_with_connections() {
     let _serial = serial();
     const HERD: usize = 400;
-    let db = Database::open(DbConfig::in_memory()).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr();
     let mut setup = Client::connect(addr).unwrap();
     let table = setup.open_table("herd").unwrap();

@@ -3,16 +3,16 @@
 
 use std::time::Duration;
 
-use ermia::{Database, DbConfig};
+use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
 use ermia_server::{
     BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
     WireIsolation,
 };
 
-fn server(cfg: ServerConfig) -> (Database, Server) {
-    let db = Database::open(DbConfig::in_memory()).unwrap();
-    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+fn server(cfg: ServerConfig) -> (ShardedDb, Server) {
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     (db, srv)
 }
 
@@ -236,9 +236,9 @@ fn shutdown_latency_is_bounded_by_the_wake_fd_not_polling() {
 #[test]
 fn pipelining_past_the_reply_queue_cap_does_not_wedge_the_session() {
     let dir = TestDir::new("server-smoke-cap");
-    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
     let cfg = ServerConfig { reply_queue_depth: 8, ..ServerConfig::default() };
-    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     c.set_reply_timeout(Some(Duration::from_secs(20))).unwrap();

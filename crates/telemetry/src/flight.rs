@@ -139,28 +139,40 @@ impl FlightRecorder {
     /// Merge every ring, sort by timestamp, and format the most recent
     /// `max_events` as a bounded human-readable report.
     pub fn dump(&self, max_events: usize) -> String {
-        let mut events: Vec<(usize, Event)> = Vec::new();
+        FlightRecorder::dump_merged(&[self], max_events)
+    }
+
+    /// [`FlightRecorder::dump`] over several recorders (one per engine
+    /// shard) as one report on the earliest recorder's clock; an event
+    /// then names its recorder before its ring (`s1r4`).
+    pub fn dump_merged(recorders: &[&FlightRecorder], max_events: usize) -> String {
+        let base = recorders.iter().map(|r| r.epoch).min().expect("at least one recorder");
+        let mut events: Vec<(usize, usize, Event)> = Vec::new();
         let mut buf = Vec::new();
-        self.rings.for_each(|i, ring| {
-            buf.clear();
-            ring.snapshot(&mut buf);
-            events.extend(buf.iter().map(|e| (i, *e)));
-        });
-        events.sort_by_key(|(_, e)| e.ts_ns);
+        for (s, rec) in recorders.iter().enumerate() {
+            let skew = rec.epoch.duration_since(base).as_nanos() as u64;
+            rec.rings.for_each(|i, ring| {
+                buf.clear();
+                ring.snapshot(&mut buf);
+                events.extend(buf.iter().map(|e| (s, i, Event { ts_ns: e.ts_ns + skew, ..*e })));
+            });
+        }
+        events.sort_by_key(|(_, _, e)| e.ts_ns);
         let skipped = events.len().saturating_sub(max_events);
         let shown = &events[skipped..];
         let mut out = String::with_capacity(64 + shown.len() * 48);
         out.push_str(&format!(
             "flight-recorder dump: {} event(s) across {} ring(s){}\n",
             shown.len(),
-            self.ring_count(),
+            recorders.iter().map(|r| r.ring_count()).sum::<usize>(),
             if skipped > 0 { format!(" ({skipped} older suppressed)") } else { String::new() }
         ));
-        for (ring_idx, e) in shown {
+        for (s, i, e) in shown {
+            let tag = if recorders.len() == 1 { format!("r{i}") } else { format!("s{s}r{i}") };
             let secs = e.ts_ns / 1_000_000_000;
             let frac = e.ts_ns % 1_000_000_000;
             out.push_str(&format!(
-                "  [+{secs:>5}.{frac:09}] r{ring_idx:<3} {:<13} {}\n",
+                "  [+{secs:>5}.{frac:09}] {tag:<4} {:<13} {}\n",
                 e.kind.label(),
                 describe(e)
             ));

@@ -11,7 +11,6 @@
 //! trivially mergeable).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Duration;
 
 pub const BUCKETS: usize = 64;
 
@@ -99,15 +98,6 @@ impl Histogram {
         }
         (1u64 << 63) as f64
     }
-
-    /// `percentile` rounded to a u64 — the driver-facing ns helper.
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        self.percentile(p) as u64
-    }
-
-    pub fn p999_ns(&self) -> u64 {
-        self.percentile_ns(99.9)
-    }
 }
 
 /// Concurrent flavor: same buckets as relaxed atomics, under the
@@ -165,16 +155,6 @@ impl AtomicHistogram {
     }
 }
 
-/// Exact percentile over a **sorted** slice of latencies — the shared
-/// form of the bench-table helpers (`percentile_us`, `percentile_ms`).
-/// Nearest-rank with round-half-up on the scaled index, matching the
-/// benches' historical output byte for byte.
-pub fn percentile_sorted(sorted: &[Duration], p: f64) -> Duration {
-    assert!(!sorted.is_empty(), "percentile of an empty set");
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +198,6 @@ mod tests {
     #[test]
     fn empty_percentile_is_zero() {
         assert_eq!(Histogram::new().percentile(99.0), 0.0);
-        assert_eq!(Histogram::new().p999_ns(), 0);
     }
 
     #[test]
@@ -241,15 +220,5 @@ mod tests {
         assert_eq!(s.buckets(), p.buckets());
         assert_eq!(s.count(), p.count());
         assert_eq!(s.sum(), p.sum());
-    }
-
-    #[test]
-    fn percentile_sorted_matches_legacy_rounding() {
-        let sorted: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        // Legacy: idx = round(99 * p / 100).
-        assert_eq!(percentile_sorted(&sorted, 50.0), Duration::from_micros(51));
-        assert_eq!(percentile_sorted(&sorted, 99.0), Duration::from_micros(99));
-        assert_eq!(percentile_sorted(&sorted, 100.0), Duration::from_micros(100));
-        assert_eq!(percentile_sorted(&sorted, 0.0), Duration::from_micros(1));
     }
 }

@@ -33,7 +33,7 @@ mod ring;
 mod trace;
 
 pub use flight::{Event, EventKind, EventRing, FlightRecorder};
-pub use hist::{percentile_sorted, AtomicHistogram, Histogram, BUCKETS};
+pub use hist::{AtomicHistogram, Histogram, BUCKETS};
 pub use prom::{parse_exposition, Exposition, ParsedMetric, SampleLine};
 pub use registry::{FamilyDef, MetricDesc, MetricKind, Registry, Sample, Slab};
 pub use trace::{
@@ -101,12 +101,6 @@ impl Telemetry {
 
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.tracer
-    }
-
-    /// Bounded span dump (all rings + slow-op retention) in the
-    /// `DumpTraces` text format.
-    pub fn dump_traces(&self, max_spans: usize) -> String {
-        render_spans(&self.tracer.dump_spans(max_spans))
     }
 
     /// Full Prometheus exposition of everything registered.

@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::Histogram;
-use crate::registry::{MetricDesc, Sample};
+use crate::registry::{HistSample, Sample};
 
 fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
@@ -29,10 +28,23 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Render samples plus histograms into exposition text. Samples
-/// sharing a name are grouped under one `# HELP`/`# TYPE` pair in
-/// first-seen order.
-pub fn render(samples: &[Sample], hists: &[(&MetricDesc, Histogram)]) -> String {
+/// `{k="v",…}` for a sample line (`le` first on a histogram bucket), or
+/// nothing when there is no label.
+fn label_set(le: Option<&str>, labels: &[(&'static str, String)]) -> String {
+    let pairs: Vec<String> = (le.map(|v| format!("le=\"{v}\"")).into_iter())
+        .chain(labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))))
+        .collect();
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
+    }
+}
+
+/// Render samples plus histograms into exposition text. Samples (and
+/// histograms) sharing a name are grouped under one `# HELP`/`# TYPE`
+/// pair in first-seen order.
+pub(crate) fn render(samples: &[Sample], hists: &[HistSample]) -> String {
     let mut out = String::with_capacity(1024);
     let mut order: Vec<&str> = Vec::new();
     let mut grouped: BTreeMap<&str, Vec<&Sample>> = BTreeMap::new();
@@ -48,35 +60,32 @@ pub fn render(samples: &[Sample], hists: &[(&MetricDesc, Histogram)]) -> String 
         let _ = writeln!(out, "# HELP {name} {}", escape_help(first.help));
         let _ = writeln!(out, "# TYPE {name} {}", first.kind.as_str());
         for s in group {
-            match &s.label {
-                Some((k, v)) => {
-                    let _ =
-                        writeln!(out, "{name}{{{k}=\"{}\"}} {}", escape_label(v), fmt_value(s.value));
-                }
-                None => {
-                    let _ = writeln!(out, "{name} {}", fmt_value(s.value));
-                }
-            }
+            let _ = writeln!(out, "{name}{} {}", label_set(None, &s.labels), fmt_value(s.value));
         }
     }
-    for (desc, h) in hists {
-        let name = desc.name;
-        let _ = writeln!(out, "# HELP {name} {}", escape_help(desc.help));
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cum = 0u64;
-        for (i, &n) in h.buckets().iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            cum += n;
-            // Bucket i covers [2^i, 2^(i+1)); the le bound is exclusive
-            // of the next bucket's floor.
-            let le = (1u128 << (i + 1)) as f64;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
+    for (i, first) in hists.iter().enumerate() {
+        let name = first.desc.name;
+        if hists[..i].iter().any(|h| h.desc.name == name) {
+            continue; // rendered with the first of its name
         }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-        let _ = writeln!(out, "{name}_sum {}", h.sum());
-        let _ = writeln!(out, "{name}_count {}", h.count());
+        let _ = writeln!(out, "# HELP {name} {}", escape_help(first.desc.help));
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for HistSample { labels, hist: h, .. } in hists.iter().filter(|h| h.desc.name == name) {
+            let mut cum = 0u64;
+            for (i, &n) in h.buckets().iter().enumerate() {
+                if n == 0 {
+                    continue;
+                }
+                cum += n;
+                // Bucket i covers [2^i, 2^(i+1)); the le bound is exclusive
+                // of the next bucket's floor.
+                let le = ((1u128 << (i + 1)) as f64).to_string();
+                let _ = writeln!(out, "{name}_bucket{} {cum}", label_set(Some(&le), labels));
+            }
+            let _ = writeln!(out, "{name}_bucket{} {}", label_set(Some("+Inf"), labels), h.count());
+            let _ = writeln!(out, "{name}_sum{} {}", label_set(None, labels), h.sum());
+            let _ = writeln!(out, "{name}_count{} {}", label_set(None, labels), h.count());
+        }
     }
     out
 }
@@ -126,6 +135,17 @@ impl Exposition {
             .iter()
             .find(|s| s.name == name && s.labels.iter().any(|(k, v)| k == key && v == val))
             .map(|s| s.value)
+    }
+
+    /// Sum over the samples of `name` (of those carrying `key="val"`,
+    /// given a selector): one number for a metric a server on several
+    /// engine shards fans out by `shard`, or an engine by `reason`.
+    pub fn sum(&self, name: &str, sel: Option<(&str, &str)>) -> Option<f64> {
+        let has = |s: &SampleLine, (k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v);
+        let samples = self.metrics.get(name)?.samples.iter().filter(|s| s.name == name);
+        let mut picked = samples.filter(|s| sel.is_none_or(|kv| has(s, kv))).peekable();
+        picked.peek()?;
+        Some(picked.map(|s| s.value).sum())
     }
 
     /// All values of the label `key` seen on samples of `name`.
@@ -308,7 +328,8 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{MetricKind, Sample};
+    use crate::hist::Histogram;
+    use crate::registry::{MetricDesc, MetricKind, Sample};
 
     #[test]
     fn render_then_parse_roundtrips() {
@@ -327,7 +348,7 @@ mod tests {
         let mut h = Histogram::new();
         h.record(3);
         h.record(700);
-        let text = render(&samples, &[(&HD, h)]);
+        let text = render(&samples, &[HistSample { desc: &HD, labels: Vec::new(), hist: h }]);
         let exp = parse_exposition(&text).expect("valid exposition");
         assert_eq!(exp.kind("ermia_x_total"), Some("counter"));
         assert_eq!(exp.value("ermia_x_total"), Some(42.0));

@@ -33,6 +33,7 @@
 //! a component with a shorter lifetime than the database (the TCP
 //! server) can unregister its closures on shutdown.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -114,27 +115,34 @@ pub struct Sample {
     pub name: &'static str,
     pub help: &'static str,
     pub kind: MetricKind,
-    /// Optional `key="value"` label; the value may be dynamic.
-    pub label: Option<(&'static str, String)>,
+    /// `key="value"` labels; the values may be dynamic.
+    pub labels: Vec<(&'static str, String)>,
     pub value: f64,
+}
+
+/// One rendered histogram from a slab family.
+pub(crate) struct HistSample {
+    pub desc: &'static MetricDesc,
+    pub labels: Vec<(&'static str, String)>,
+    pub hist: Histogram,
 }
 
 impl Sample {
     pub fn counter(name: &'static str, help: &'static str, value: u64) -> Sample {
-        Sample { name, help, kind: MetricKind::Counter, label: None, value: value as f64 }
+        Sample { name, help, kind: MetricKind::Counter, labels: Vec::new(), value: value as f64 }
     }
 
     pub fn gauge(name: &'static str, help: &'static str, value: f64) -> Sample {
-        Sample { name, help, kind: MetricKind::Gauge, label: None, value }
+        Sample { name, help, kind: MetricKind::Gauge, labels: Vec::new(), value }
     }
 
     pub fn labeled(mut self, key: &'static str, value: impl Into<String>) -> Sample {
-        self.label = Some((key, value.into()));
+        self.labels.push((key, value.into()));
         self
     }
 }
 
-type Collector = Box<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
+type Collector = Arc<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
 
 struct Family {
     def: &'static FamilyDef,
@@ -262,41 +270,75 @@ impl Registry {
         group: u64,
         f: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static,
     ) {
-        self.inner.lock().unwrap().collectors.push((group, Box::new(f)));
+        self.inner.lock().unwrap().collectors.push((group, Arc::new(f)));
     }
 
     pub fn unregister_group(&self, group: u64) {
         self.inner.lock().unwrap().collectors.retain(|(g, _)| *g != group);
     }
 
-    /// Render the whole registry as Prometheus text exposition
-    /// (version 0.0.4): slab families first, then collector samples,
-    /// grouped by metric name with one `# HELP`/`# TYPE` pair each.
-    pub fn render(&self) -> String {
+    /// Everything registered, as data: slab families merged, then the
+    /// collectors run — outside the lock, so a collector may read the
+    /// registry it is registered on.
+    fn scrape(&self) -> (Vec<Sample>, Vec<HistSample>) {
         let mut samples: Vec<Sample> = Vec::new();
-        let mut hist_out: Vec<(&'static MetricDesc, Histogram)> = Vec::new();
-        {
+        let mut hists: Vec<HistSample> = Vec::new();
+        let collectors: Vec<Collector> = {
             let inner = self.inner.lock().unwrap();
             for f in &inner.families {
-                let (counters, hists) = f.merged();
+                let (counters, merged) = f.merged();
                 for (d, v) in f.def.counters.iter().zip(counters) {
                     samples.push(Sample {
                         name: d.name,
                         help: d.help,
                         kind: d.kind,
-                        label: d.label.map(|(k, v)| (k, v.to_string())),
+                        labels: d.label.map(|(k, v)| (k, v.to_string())).into_iter().collect(),
                         value: v as f64,
                     });
                 }
-                for (d, h) in f.def.hists.iter().zip(hists) {
-                    hist_out.push((d, h));
+                for (desc, hist) in f.def.hists.iter().zip(merged) {
+                    hists.push(HistSample { desc, labels: Vec::new(), hist });
                 }
             }
-            for (_, c) in &inner.collectors {
-                c(&mut samples);
-            }
+            inner.collectors.iter().map(|(_, c)| Arc::clone(c)).collect()
+        };
+        for c in collectors {
+            c(&mut samples);
         }
-        crate::prom::render(&samples, &hist_out)
+        (samples, hists)
+    }
+
+    /// Render the whole registry as Prometheus text exposition
+    /// (version 0.0.4): slab families first, then collector samples,
+    /// grouped by metric name with one `# HELP`/`# TYPE` pair each.
+    pub fn render(&self) -> String {
+        Registry::render_merged(&[self], "")
+    }
+
+    /// Render several registries (one per engine shard, at least one) as
+    /// one exposition. A metric that a registry after the first yields is
+    /// one every registry has: its samples carry `key="<index>"`. What
+    /// only the first yields (it also hosts whatever is process-wide)
+    /// stays bare, as does everything when there is one registry.
+    pub fn render_merged(registries: &[&Registry], key: &'static str) -> String {
+        let scrapes: Vec<_> = registries.iter().map(|r| r.scrape()).collect();
+        let shared: HashSet<&str> = scrapes[1..]
+            .iter()
+            .flat_map(|(s, h)| s.iter().map(|s| s.name).chain(h.iter().map(|h| h.desc.name)))
+            .collect();
+        let mut samples = Vec::new();
+        let mut hists = Vec::new();
+        for (i, (mut s, mut h)) in scrapes.into_iter().enumerate() {
+            for s in s.iter_mut().filter(|s| shared.contains(s.name)) {
+                s.labels.push((key, i.to_string()));
+            }
+            for h in h.iter_mut().filter(|h| shared.contains(h.desc.name)) {
+                h.labels.push((key, i.to_string()));
+            }
+            samples.append(&mut s);
+            hists.append(&mut h);
+        }
+        crate::prom::render(&samples, &hists)
     }
 }
 
@@ -386,5 +428,27 @@ mod tests {
         assert!(reg.render().contains("test_g 1"));
         reg.unregister_group(g);
         assert!(!reg.render().contains("test_g"));
+    }
+
+    #[test]
+    fn merged_render_labels_what_every_registry_yields() {
+        let (first, second) = (Registry::new(), Registry::new());
+        first.register_slab(&TEST_FAMILY).add(0, 5);
+        let slab = second.register_slab(&TEST_FAMILY);
+        slab.add(1, 2);
+        slab.hist(0).record(9);
+        first.register_collector(0, |out| out.push(Sample::gauge("test_only_first", "g", 1.0)));
+        let text = Registry::render_merged(&[&first, &second], "shard");
+        let exp = crate::parse_exposition(&text).expect("one TYPE per metric");
+        assert_eq!(exp.value("test_only_first"), Some(1.0));
+        assert_eq!(exp.value_with("test_ops_total", "shard", "0"), Some(5.0));
+        assert_eq!(exp.sum("test_ops_total", None), Some(5.0));
+        assert_eq!(exp.sum("test_errs_total", Some(("kind", "io"))), Some(2.0));
+        assert!(text.contains("test_errs_total{kind=\"io\",shard=\"1\"} 2"), "{text}");
+        assert!(text.contains("test_lat_ns_bucket{le=\"16\",shard=\"1\"} 1"), "{text}");
+        assert!(text.contains("test_lat_ns_count{shard=\"0\"} 0"), "{text}");
+        // One registry renders bare.
+        let alone = Registry::render_merged(&[&second], "shard");
+        assert!(alone.contains("test_errs_total{kind=\"io\"} 2"), "{alone}");
     }
 }

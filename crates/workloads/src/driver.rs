@@ -306,7 +306,7 @@ mod tests {
     fn a_transaction_that_outlives_the_run_is_not_counted_at_the_nominal_rate() {
         // The run is stopped after 10 ms; each worker still finishes, and
         // counts, the 60 ms transaction it is in.
-        let db = ermia::Database::open(ermia::DbConfig::in_memory()).unwrap();
+        let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
         let engine = crate::ErmiaEngine::si(db);
         let txn = Duration::from_millis(60);
         let r = run_loaded(&engine, &Slow(txn), &RunConfig::new(2, Duration::from_millis(10)));

@@ -93,12 +93,10 @@ pub fn index_routing(name: &str) -> ermia::IndexRouting {
 }
 
 /// ERMIA under a fixed isolation level (ERMIA-SI / ERMIA-SSN), over any
-/// number of shards: a plain [`ermia::Database`] (the paper's figures)
-/// converts into the one-shard engine, whose routing is constant and
-/// whose commit is the single-database commit; with more shards
-/// (`ShardedDb::open(cfg, n)`) there are N independent log/epoch/TID
-/// domains behind one namespace and cross-shard transactions commit via
-/// 2PC.
+/// number of shards: at one (`ShardedDb::open(cfg, 1)`, the paper's
+/// figures) routing is constant and commit is the single-database
+/// commit; with more there are N independent log/epoch/TID domains
+/// behind one namespace and cross-shard transactions commit via 2PC.
 #[derive(Clone)]
 pub struct ErmiaEngine {
     pub db: ermia::ShardedDb,
@@ -107,16 +105,12 @@ pub struct ErmiaEngine {
 }
 
 impl ErmiaEngine {
-    pub fn si(db: impl Into<ermia::ShardedDb>) -> ErmiaEngine {
-        ErmiaEngine { db: db.into(), isolation: ermia::IsolationLevel::Snapshot, name: "ERMIA-SI" }
+    pub fn si(db: ermia::ShardedDb) -> ErmiaEngine {
+        ErmiaEngine { db, isolation: ermia::IsolationLevel::Snapshot, name: "ERMIA-SI" }
     }
 
-    pub fn ssn(db: impl Into<ermia::ShardedDb>) -> ErmiaEngine {
-        ErmiaEngine {
-            db: db.into(),
-            isolation: ermia::IsolationLevel::Serializable,
-            name: "ERMIA-SSN",
-        }
+    pub fn ssn(db: ermia::ShardedDb) -> ErmiaEngine {
+        ErmiaEngine { db, isolation: ermia::IsolationLevel::Serializable, name: "ERMIA-SSN" }
     }
 }
 

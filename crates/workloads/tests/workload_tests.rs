@@ -13,7 +13,7 @@ use ermia_workloads::tpce_hybrid::TpceHybridWorkload;
 use ermia_workloads::{BenchResult, Engine, ErmiaEngine, SiloEngine};
 
 fn ermia_si() -> ErmiaEngine {
-    ErmiaEngine::si(ermia::Database::open(ermia::DbConfig::in_memory()).unwrap())
+    ermia_sharded(1)
 }
 
 fn ermia_sharded(shards: usize) -> ErmiaEngine {
@@ -21,7 +21,7 @@ fn ermia_sharded(shards: usize) -> ErmiaEngine {
 }
 
 fn ermia_ssn() -> ErmiaEngine {
-    ErmiaEngine::ssn(ermia::Database::open(ermia::DbConfig::in_memory()).unwrap())
+    ErmiaEngine::ssn(ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap())
 }
 
 fn silo() -> SiloEngine {

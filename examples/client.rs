@@ -1,4 +1,4 @@
-//! Talk to a running ERMIA server (see `--example server`).
+//! Talk to a running ERMIA server (`crates/server/src/bin/ermia-server.rs`).
 //!
 //! ```sh
 //! cargo run --release --example client -- 127.0.0.1:7878

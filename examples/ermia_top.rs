@@ -2,8 +2,8 @@
 //! a small live dashboard of throughput, log health, and service load.
 //!
 //! ```sh
-//! cargo run --release --example server   -- 127.0.0.1:7878   # terminal 1
-//! cargo run --release --example ermia_top -- 127.0.0.1:7878  # terminal 2
+//! cargo run --release -p ermia-server --bin ermia-server -- 127.0.0.1:7878   # terminal 1
+//! cargo run --release --example ermia_top -- 127.0.0.1:7878                 # terminal 2
 //! ```
 //!
 //! Counters are shown as per-second rates (delta between polls);
@@ -18,12 +18,14 @@ use ermia_telemetry::{parse_exposition, Exposition};
 const POLL: Duration = Duration::from_secs(1);
 
 /// One dashboard row: (display label, metric name, optional label
-/// key/value selecting one sample, is_rate).
+/// key/value selecting samples, is_rate). A row shows the sum of the
+/// samples it selects — over reasons, and over the `shard` label of a
+/// server on several engine shards.
 type Row = (&'static str, &'static str, Option<(&'static str, &'static str)>, bool);
 
 const ROWS: &[Row] = &[
-    ("commits/s", "ermia_db_commits_total", None, true),
-    ("aborts/s", "ermia_db_aborts_total", None, true),
+    ("commits/s", "ermia_txn_commits_total", None, true),
+    ("aborts/s", "ermia_txn_aborts_total", None, true),
     ("log flushes/s", "ermia_log_flush_batches_total", None, true),
     ("log bytes/s", "ermia_log_flushed_bytes_total", None, true),
     ("log durable lag (B)", "ermia_log_durable_lag_bytes", None, false),
@@ -48,22 +50,15 @@ const ROWS: &[Row] = &[
     ("slow ops retained", "ermia_slow_ops", None, false),
 ];
 
-fn value(exp: &Exposition, name: &str, label: Option<(&str, &str)>) -> Option<f64> {
-    match label {
-        Some((k, v)) => exp.value_with(name, k, v),
-        None => exp.value(name),
-    }
-}
-
 fn render(now: &Exposition, prev: Option<(&Exposition, f64)>) {
     println!("{:<26} {:>14}", "metric", "value");
     for &(label, name, sel, is_rate) in ROWS {
-        let Some(v) = value(now, name, sel) else {
+        let Some(v) = now.sum(name, sel) else {
             println!("{label:<26} {:>14}", "-");
             continue;
         };
         let shown = if is_rate {
-            match prev.and_then(|(p, dt)| value(p, name, sel).map(|pv| (pv, dt))) {
+            match prev.and_then(|(p, dt)| p.sum(name, sel).map(|pv| (pv, dt))) {
                 Some((pv, dt)) if dt > 0.0 => (v - pv).max(0.0) / dt,
                 // First poll: no delta yet; show the raw total instead.
                 _ => v,
@@ -74,10 +69,12 @@ fn render(now: &Exposition, prev: Option<(&Exposition, f64)>) {
         println!("{label:<26} {shown:>14.1}");
     }
     // Abort mix: only the reasons that actually fired.
-    let reasons = now.label_values("ermia_txn_aborts_total", "reason");
+    let mut reasons = now.label_values("ermia_txn_aborts_total", "reason");
+    reasons.sort_unstable();
+    reasons.dedup(); // one per engine shard otherwise
     let mut mix = String::new();
     for r in reasons {
-        if let Some(n) = now.value_with("ermia_txn_aborts_total", "reason", r) {
+        if let Some(n) = now.sum("ermia_txn_aborts_total", Some(("reason", r))) {
             if n > 0.0 {
                 mix.push_str(&format!(" {r}={n:.0}"));
             }

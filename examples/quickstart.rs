@@ -5,12 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ermia::{Database, DbConfig, IsolationLevel};
+use ermia::{DbConfig, IsolationLevel, ShardedDb};
 
 fn main() {
-    // An in-memory database: the log lives in RAM, the engine is fully
-    // functional (MVCC, SSN, GC, epochs).
-    let db = Database::open(DbConfig::in_memory()).expect("open database");
+    // An in-memory database on one engine shard: the log lives in RAM,
+    // the engine is fully functional (MVCC, SSN, GC, epochs).
+    let db = ShardedDb::open(DbConfig::in_memory(), 1).expect("open database");
     let inventory = db.create_table("inventory");
     let pk = db.primary_index(inventory);
 

@@ -1,7 +1,7 @@
 //! Run a log-shipping read replica of a running ERMIA server.
 //!
 //! ```sh
-//! cargo run --release --example server  -- 127.0.0.1:7878    # terminal 1
+//! cargo run --release -p ermia-server --bin ermia-server -- 127.0.0.1:7878   # terminal 1
 //! cargo run --release --example replica -- 127.0.0.1:7878 127.0.0.1:7879
 //! ```
 //!
@@ -11,7 +11,7 @@
 //! read-only on the second address — point `--example client` or
 //! `ermia_top` at it. Writes bounce with `DegradedReadOnly`; the data
 //! directory it builds is a promotable backup (restart it standalone
-//! with `--example server` and it recovers like a crashed primary).
+//! with `ermia-server --data-dir` and it recovers like a crashed primary).
 //! Stop with Enter.
 
 use std::sync::atomic::{AtomicBool, Ordering};

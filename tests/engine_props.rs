@@ -5,7 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use ermia_repro::workloads::EngineTxn;
+use ermia_repro::workloads::{
+    Engine, EngineTxn, EngineWorker, ErmiaEngine, SiloEngine, TxnProfile,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -39,22 +41,21 @@ fn txn_strategy() -> impl Strategy<Value = TxnPlan> {
 /// Drive one engine through the plans, checking against the model.
 /// Duplicate inserts doom a transaction, so the model mirrors that:
 /// a doomed transaction's effects never apply.
-fn check_engine<W>(mut worker: W, plans: &[TxnPlan]) -> Result<(), TestCaseError>
-where
-    W: EngineWorkerLike,
-{
+fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCaseError> {
+    let t = engine.create_table("t");
+    let mut worker = engine.register_worker();
     let mut model: BTreeMap<u8, u64> = BTreeMap::new();
     for plan in plans {
         let mut staged = model.clone();
         let mut doomed = false;
-        let mut tx = worker.begin_rw();
+        let mut tx = worker.begin(TxnProfile::ReadWrite);
         for op in &plan.ops {
             if doomed {
                 break;
             }
             match *op {
                 Op::Insert(k, v) => {
-                    let r = tx.insert(ermia_common::TableId(0), &[k], &v.to_le_bytes());
+                    let r = tx.insert(t, &[k], &v.to_le_bytes());
                     if let std::collections::btree_map::Entry::Vacant(e) = staged.entry(k) {
                         prop_assert!(r.is_ok());
                         e.insert(v);
@@ -64,7 +65,7 @@ where
                     }
                 }
                 Op::Update(k, v) => {
-                    let r = tx.update(ermia_common::TableId(0), &[k], &v.to_le_bytes());
+                    let r = tx.update(t, &[k], &v.to_le_bytes());
                     match r {
                         Ok(found) => {
                             prop_assert_eq!(found, staged.contains_key(&k));
@@ -76,7 +77,7 @@ where
                     }
                 }
                 Op::Delete(k) => {
-                    let r = tx.delete(ermia_common::TableId(0), &[k]);
+                    let r = tx.delete(t, &[k]);
                     match r {
                         Ok(found) => {
                             prop_assert_eq!(found, staged.contains_key(&k));
@@ -87,7 +88,7 @@ where
                 }
                 Op::Read(k) => {
                     let mut got = None;
-                    let r = tx.read(ermia_common::TableId(0), &[k], &mut |v| {
+                    let r = tx.read(t, &[k], &mut |v| {
                         got = Some(u64::from_le_bytes(v.try_into().unwrap()));
                     });
                     match r {
@@ -101,86 +102,31 @@ where
             }
         }
         if plan.commit && !doomed {
-            if tx.commit_ok() {
+            if tx.commit().is_ok() {
                 model = staged;
             }
         } else {
-            tx.abort_self();
+            tx.abort();
         }
     }
     // Final state: read everything back in a fresh transaction.
-    let mut tx = worker.begin_rw();
+    let mut tx = worker.begin(TxnProfile::ReadWrite);
     for k in 0u8..=255 {
         let mut got = None;
         let found = tx
-            .read(ermia_common::TableId(0), &[k], &mut |v| {
+            .read(t, &[k], &mut |v| {
                 got = Some(u64::from_le_bytes(v.try_into().unwrap()));
             })
             .unwrap();
         prop_assert_eq!(found, model.contains_key(&k), "key {} presence", k);
         prop_assert_eq!(got, model.get(&k).copied());
     }
-    tx.abort_self();
+    tx.abort();
     Ok(())
 }
 
-/// Minimal object-safe-ish shim over the two engines' workers so the
-/// model checker is written once.
-trait EngineWorkerLike {
-    type T<'a>: EngineTxn
-    where
-        Self: 'a;
-    fn begin_rw(&mut self) -> Shim<Self::T<'_>>;
-}
-
-struct Shim<T: EngineTxn>(Option<T>);
-
-impl<T: EngineTxn> Shim<T> {
-    fn insert(&mut self, t: ermia_common::TableId, k: &[u8], v: &[u8]) -> Result<u64, ermia_common::AbortReason> {
-        self.0.as_mut().unwrap().insert(t, k, v)
-    }
-    fn update(&mut self, t: ermia_common::TableId, k: &[u8], v: &[u8]) -> Result<bool, ermia_common::AbortReason> {
-        self.0.as_mut().unwrap().update(t, k, v)
-    }
-    fn delete(&mut self, t: ermia_common::TableId, k: &[u8]) -> Result<bool, ermia_common::AbortReason> {
-        self.0.as_mut().unwrap().delete(t, k)
-    }
-    fn read(
-        &mut self,
-        t: ermia_common::TableId,
-        k: &[u8],
-        out: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool, ermia_common::AbortReason> {
-        self.0.as_mut().unwrap().read(t, k, out)
-    }
-    fn commit_ok(mut self) -> bool {
-        self.0.take().unwrap().commit().is_ok()
-    }
-    fn abort_self(mut self) {
-        self.0.take().unwrap().abort()
-    }
-}
-
-impl EngineWorkerLike for ermia::ShardedWorker {
-    type T<'a> = ermia::ShardedTransaction<'a>;
-    fn begin_rw(&mut self) -> Shim<ermia::ShardedTransaction<'_>> {
-        Shim(Some(self.begin(ermia::IsolationLevel::Serializable)))
-    }
-}
-
-struct SiWorker(ermia::ShardedWorker);
-impl EngineWorkerLike for SiWorker {
-    type T<'a> = ermia::ShardedTransaction<'a>;
-    fn begin_rw(&mut self) -> Shim<ermia::ShardedTransaction<'_>> {
-        Shim(Some(self.0.begin(ermia::IsolationLevel::Snapshot)))
-    }
-}
-
-impl EngineWorkerLike for silo_occ::SiloWorker {
-    type T<'a> = silo_occ::SiloTxn<'a>;
-    fn begin_rw(&mut self) -> Shim<silo_occ::SiloTxn<'_>> {
-        Shim(Some(self.begin(silo_occ::TxnMode::ReadWrite)))
-    }
+fn ermia_db() -> ermia::ShardedDb {
+    ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap()
 }
 
 proptest! {
@@ -188,22 +134,17 @@ proptest! {
 
     #[test]
     fn ermia_ssn_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
-        db.create_table("t");
-        check_engine(db.register_worker(), &plans)?;
+        check_engine(&ErmiaEngine::ssn(ermia_db()), &plans)?;
     }
 
     #[test]
     fn ermia_si_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
-        db.create_table("t");
-        check_engine(SiWorker(db.register_worker()), &plans)?;
+        check_engine(&ErmiaEngine::si(ermia_db()), &plans)?;
     }
 
     #[test]
     fn silo_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
         let db = silo_occ::SiloDb::open(silo_occ::SiloConfig::default());
-        db.create_table("t");
-        check_engine(db.register_worker(), &plans)?;
+        check_engine(&SiloEngine::new(db), &plans)?;
     }
 }
