@@ -1,6 +1,5 @@
 //! The `Database`: catalog, resource managers, lifecycle.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -9,7 +8,7 @@ use std::time::Duration;
 use ermia_common::{IndexId, Lsn, TableId};
 use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
-use ermia_log::{CheckpointStore, LogManager};
+use ermia_log::{CheckpointStore, DdlRecord, LogManager};
 use ermia_storage::{
     GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
 };
@@ -71,16 +70,6 @@ impl NodeRole {
             _ => NodeRole::Replica,
         }
     }
-}
-
-/// One schema-reproducing DDL statement (see [`Database::schema_ddl`]).
-/// `secondary: None` declares a table (with its primary index);
-/// `Some(name)` declares a secondary index on `table`. Replaying entries
-/// in order reproduces identical dense table/index ids.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DdlEntry {
-    pub table: String,
-    pub secondary: Option<String>,
 }
 
 /// A set of (id, offset) pins with O(n) minimum — n is the handful of
@@ -239,11 +228,73 @@ pub struct IndexInfo {
     pub is_primary: bool,
 }
 
+/// What recovery says of a log or checkpoint it cannot make sense of.
+pub(crate) fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
 pub(crate) struct Catalog {
     pub tables: Vec<Arc<Table>>,
     pub indexes: Vec<Arc<IndexInfo>>,
-    pub table_names: HashMap<String, TableId>,
-    pub index_names: HashMap<String, IndexId>,
+    /// The catalog as the log holds it, by index id: ids, names and each
+    /// entry's shard route.
+    pub entries: Vec<DdlRecord>,
+}
+
+impl Catalog {
+    /// The entry of table `table` or, given `secondary`, of the secondary
+    /// index of that name (whatever its table).
+    fn find(&self, table: &str, secondary: Option<&str>) -> Option<&DdlRecord> {
+        self.entries.iter().find(|e| match secondary {
+            None => e.secondary.is_none() && e.name == table,
+            Some(_) => e.secondary.as_deref() == secondary,
+        })
+    }
+
+    /// Create `rec`'s entry — its ids must be the next ones — or, when
+    /// the catalog holds it already, take its route. `Ok(false)`: it was
+    /// all there.
+    fn install(&mut self, rec: &DdlRecord) -> Result<bool, String> {
+        if let Some(have) = self.entries.get_mut(rec.index.0 as usize) {
+            if !have.same_entry(rec) {
+                return Err(format!("catalog entry {rec:?} collides with {have:?}"));
+            }
+            return Ok(std::mem::replace(&mut have.route, rec.route) != rec.route);
+        }
+        let fits = match rec.secondary {
+            None => rec.table.0 as usize == self.tables.len(),
+            Some(_) => self.tables.get(rec.table.0 as usize).is_some_and(|t| t.name == rec.name),
+        };
+        let taken = self.find(&rec.name, rec.secondary.as_deref()).is_some();
+        if rec.index.0 as usize != self.entries.len() || !fits || taken {
+            return Err(format!("catalog entry {rec:?} does not extend {:?}", self.entries));
+        }
+        let tree = Arc::new(BTree::new());
+        if rec.secondary.is_none() {
+            self.tables.push(Arc::new(Table {
+                id: rec.table,
+                name: rec.name.clone(),
+                oids: Arc::new(OidArray::new()),
+                primary: Arc::clone(&tree),
+                primary_index: rec.index,
+            }));
+        }
+        self.indexes.push(Arc::new(IndexInfo {
+            id: rec.index,
+            name: rec.secondary.clone().unwrap_or_else(|| format!("{}.primary", rec.name)),
+            table: rec.table,
+            tree,
+            is_primary: rec.secondary.is_none(),
+        }));
+        self.entries.push(rec.clone());
+        Ok(true)
+    }
+
+    /// Append every entry to `log`, unforced; returns the end offset of
+    /// the last block (0 for an empty catalog).
+    pub(crate) fn append_all(&self, log: &LogManager) -> std::io::Result<u64> {
+        self.entries.iter().try_fold(0, |_, rec| rec.append(log))
+    }
 }
 
 pub(crate) struct DbInner {
@@ -251,6 +302,9 @@ pub(crate) struct DbInner {
     pub log: LogManager,
     pub tid: TidManager,
     pub catalog: RwLock<Catalog>,
+    /// Bumped, under the catalog's write lock, by every change to it:
+    /// what a sharded worker compares its routing snapshot against.
+    pub catalog_version: AtomicU64,
     /// The unified epoch manager. The paper's three timescales (gc, rcu,
     /// tid) were tracked separately, but every transaction pinned all
     /// three in lockstep at the same boundaries, so one timeline is
@@ -370,11 +424,23 @@ impl DbInner {
     pub(crate) fn retire(&self, entries: &[Retired]) {
         self.retired.retire(entries);
     }
+
+    /// [`Catalog::install`] an entry the log holds: a restore at open, or
+    /// replay passing its block.
+    pub(crate) fn install_logged(&self, rec: &DdlRecord) -> std::io::Result<()> {
+        if self.catalog.write().install(rec).map_err(invalid)? {
+            self.catalog_version.fetch_add(1, Ordering::Release);
+        }
+        Ok(())
+    }
 }
 
 impl Database {
-    /// Open a database. If the log directory already contains segments,
-    /// call [`Database::recover`] after re-declaring the schema.
+    /// Open a database. A data directory is self-describing: its tables
+    /// and indexes come back, under the ids and shard routes they had,
+    /// from the catalog entries the log holds, so a `create_*` of a known
+    /// name is a lookup. If the directory already contains segments,
+    /// [`Database::recover`] then brings the rows back.
     pub fn open(cfg: DbConfig) -> std::io::Result<Database> {
         // Take the directory lock before touching any file in it: a live
         // foreign owner means refusing here, a dead one (SIGKILL) means
@@ -402,9 +468,9 @@ impl Database {
             catalog: RwLock::new(Catalog {
                 tables: Vec::new(),
                 indexes: Vec::new(),
-                table_names: HashMap::new(),
-                index_names: HashMap::new(),
+                entries: Vec::new(),
             }),
+            catalog_version: AtomicU64::new(0),
             epoch: EpochManager::new("unified"),
             versions: Arc::new(VersionPool::default()),
             checkpoints,
@@ -423,6 +489,9 @@ impl Database {
             _dir_lock: dir_lock,
             cfg,
         });
+        for rec in inner.log.catalog_at_open() {
+            inner.install_logged(rec)?;
+        }
         crate::metrics::register_db_collectors(&inner);
         crate::metrics::observe_log_syncs(&inner);
         {
@@ -462,62 +531,60 @@ impl Database {
 
     /// Create (or look up, by name) a table with its primary index.
     pub fn create_table(&self, name: &str) -> TableId {
-        {
-            let catalog = self.inner.catalog.read();
-            if let Some(&id) = catalog.table_names.get(name) {
-                return id;
-            }
-        }
-        let mut catalog = self.inner.catalog.write();
-        if let Some(&id) = catalog.table_names.get(name) {
-            return id;
-        }
-        let id = TableId(catalog.tables.len() as u32);
-        let index_id = IndexId(catalog.indexes.len() as u32);
-        let tree = Arc::new(BTree::new());
-        let table = Arc::new(Table {
-            id,
-            name: name.to_owned(),
-            oids: Arc::new(OidArray::new()),
-            primary: Arc::clone(&tree),
-            primary_index: index_id,
-        });
-        catalog.indexes.push(Arc::new(IndexInfo {
-            id: index_id,
-            name: format!("{name}.primary"),
-            table: id,
-            tree,
-            is_primary: true,
-        }));
-        catalog.table_names.insert(name.to_owned(), id);
-        catalog.tables.push(table);
-        id
+        self.declare(name, None, None).0
     }
 
     /// Create (or look up) a secondary index on `table`. Secondary keys
     /// must be immutable fields of the record: entries map to OIDs and
     /// are not versioned, so updates must never change them.
     pub fn create_secondary_index(&self, table: TableId, name: &str) -> IndexId {
+        let table = self.table(table);
+        self.declare(&table.name, Some(name), None).1
+    }
+
+    /// Look up or create the catalog entry of table `table`, or of its
+    /// secondary index `secondary`; `route: Some` also sets the entry's
+    /// shard route (a new entry otherwise takes the default, `(0, 0)`).
+    /// A new entry or route is appended to the log, unforced, under the
+    /// catalog's write lock: log order puts it ahead of every row that
+    /// names it, and the durable watermark moves in log order, so a
+    /// durable row implies a durable entry and nothing waits. A poisoned
+    /// log refuses the append; [`Database::resume`] makes up for it.
+    pub(crate) fn declare(
+        &self,
+        table: &str,
+        secondary: Option<&str>,
+        route: Option<(u8, u64)>,
+    ) -> (TableId, IndexId) {
+        let settled = |rec: &DdlRecord| route.is_none_or(|r| r == rec.route);
         {
             let catalog = self.inner.catalog.read();
-            if let Some(&id) = catalog.index_names.get(name) {
-                return id;
+            if let Some(rec) = catalog.find(table, secondary).filter(|rec| settled(rec)) {
+                return (rec.table, rec.index);
             }
         }
         let mut catalog = self.inner.catalog.write();
-        if let Some(&id) = catalog.index_names.get(name) {
-            return id;
-        }
-        let id = IndexId(catalog.indexes.len() as u32);
-        catalog.indexes.push(Arc::new(IndexInfo {
-            id,
-            name: name.to_owned(),
-            table,
-            tree: Arc::new(BTree::new()),
-            is_primary: false,
-        }));
-        catalog.index_names.insert(name.to_owned(), id);
-        id
+        let route = route.unwrap_or_default();
+        let rec = match catalog.find(table, secondary) {
+            Some(rec) if settled(rec) => return (rec.table, rec.index),
+            Some(rec) => DdlRecord { route, ..rec.clone() },
+            None => DdlRecord {
+                index: IndexId(catalog.entries.len() as u32),
+                table: match (secondary, catalog.find(table, None)) {
+                    (Some(_), Some(owner)) => owner.table,
+                    _ => TableId(catalog.tables.len() as u32),
+                },
+                name: table.to_owned(),
+                secondary: secondary.map(str::to_owned),
+                route,
+            },
+        };
+        let names_len = table.len() + secondary.map_or(0, str::len);
+        assert!(names_len <= DdlRecord::MAX_NAMES_LEN, "catalog name too long");
+        catalog.install(&rec).expect("a secondary index needs its table");
+        self.inner.catalog_version.fetch_add(1, Ordering::Release);
+        let _ = rec.append(&self.inner.log);
+        (rec.table, rec.index)
     }
 
     /// Number of tables in the catalog. Table ids are dense, so an id is
@@ -530,12 +597,12 @@ impl Database {
 
     /// Look up a table id by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.inner.catalog.read().table_names.get(name).copied()
+        self.inner.catalog.read().find(name, None).map(|e| e.table)
     }
 
     /// Look up a (secondary) index id by name.
     pub fn index_id(&self, name: &str) -> Option<IndexId> {
-        self.inner.catalog.read().index_names.get(name).copied()
+        self.inner.catalog.read().find("", Some(name)).map(|e| e.index)
     }
 
     /// The primary index id of a table.
@@ -574,8 +641,16 @@ impl Database {
     /// blocks, and re-arms the flusher — and returns the database to
     /// `Active` only if that succeeds. Safe to retry while the
     /// underlying fault persists, and a no-op on a healthy database.
+    ///
+    /// Before writes are admitted again the whole catalog is appended to
+    /// the log: an entry created during the outage was refused by the
+    /// poisoned log, and one appended just before it may lie in the gap.
     pub fn resume(&self) -> std::io::Result<()> {
+        let degraded = self.state() == DbState::Degraded;
         self.inner.log.resume()?;
+        if degraded {
+            self.inner.catalog.read().append_all(&self.inner.log)?;
+        }
         self.inner.state.store(DbState::Active as u8, Ordering::Release);
         self.inner.svc_ring.record(EventKind::DbResumed, self.inner.log.durable_offset(), 0);
         Ok(())
@@ -821,39 +896,6 @@ impl Database {
             return Ok(Vec::new());
         }
         self.inner.blobs.read(ermia_log::BlobRef { offset, len: (end - offset) as u32 })
-    }
-
-    /// The DDL statements (in creation order) that reproduce this
-    /// database's schema with identical dense table/index ids. A replica
-    /// replays these through [`Database::create_table`] /
-    /// [`Database::create_secondary_index`] (both idempotent by name)
-    /// before applying shipped log.
-    pub fn schema_ddl(&self) -> Vec<DdlEntry> {
-        let catalog = self.inner.catalog.read();
-        catalog
-            .indexes
-            .iter()
-            .map(|idx| {
-                let table = catalog.tables[idx.table.0 as usize].name.clone();
-                DdlEntry {
-                    table,
-                    secondary: (!idx.is_primary).then(|| idx.name.clone()),
-                }
-            })
-            .collect()
-    }
-
-    /// Apply one [`DdlEntry`] (idempotent; used by replicas).
-    pub fn apply_ddl(&self, entry: &DdlEntry) {
-        match &entry.secondary {
-            None => {
-                self.create_table(&entry.table);
-            }
-            Some(name) => {
-                let table = self.create_table(&entry.table);
-                self.create_secondary_index(table, name);
-            }
-        }
     }
 
     /// The database's telemetry layer: merged metric registry, Prometheus

@@ -60,11 +60,11 @@ mod transaction;
 mod worker;
 
 pub use config::{DbConfig, IsolationLevel};
-pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
+pub use database::{Database, DbState, IndexInfo, LogRetention, NodeRole, Table};
 pub use pool::{PooledWorker, RegisterWorker, WorkerPool};
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
-    shard_of_key, DeferredCommit, IndexRouting, RoutedDdl, ShardPolicy, ShardRecoveryStats,
+    shard_of_key, DeferredCommit, IndexRouting, ShardPolicy, ShardRecoveryStats,
     ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
 };
 pub use transaction::{CommitToken, Transaction};

@@ -19,11 +19,13 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use ermia_common::{Lsn, Oid, Stamp};
-use ermia_log::{CheckpointMeta, DecideRecord, LogRecord, LogRecordKind, LogScanner, PrepareMarker};
+use ermia_log::{
+    CheckpointMeta, DdlRecord, DecideRecord, LogRecord, LogRecordKind, LogScanner, PrepareMarker,
+};
 use ermia_storage::{Retired, Version};
 use ermia_telemetry::{SpanKind, TraceContext};
 
-use crate::database::{Database, Table};
+use crate::database::{invalid, Database, Table};
 
 /// Replay one resolved 2PC prepare, stitching a `ReplApply` span onto
 /// the originating transaction's trace when the durable prepare marker
@@ -62,8 +64,9 @@ pub struct RecoveryStats {
     pub replayed_blocks: u64,
     /// Individual log records applied.
     pub replayed_records: u64,
-    /// Records skipped because a newer version was already present
-    /// (fuzzy-checkpoint overlap).
+    /// Record images superseded by a newer one (fuzzy-checkpoint overlap,
+    /// or a later record of the same transaction). Nothing else is ever
+    /// skipped: a record naming an unknown table or index is an error.
     pub skipped_stale: u64,
     /// 2PC prepares whose verdict was not in this shard's own log. A
     /// standalone [`Database::recover`] presumes abort for these; a
@@ -201,8 +204,7 @@ impl LogApplier {
         let mut rounds = 0u64;
         let mut scanner = LogScanner::new(db.inner.log.segments(), self.applied);
         while let Some(block) = scanner.next_block()? {
-            // Only a decoded block certifies the bytes behind it; after
-            // `Ok(None)` the scanner's position may sit past a hole.
+            // Only a decoded block certifies the bytes behind it.
             self.applied = scanner.offset();
             match block.header.kind {
                 ermia_log::BlockKind::Txn => {
@@ -240,6 +242,14 @@ impl LogApplier {
                         self.stats.replayed_blocks += 1;
                         apply_traced(db, &txn, &mut self.stats)?;
                     }
+                }
+                ermia_log::BlockKind::Ddl => {
+                    // How a tailing replica learns of tables, in log order;
+                    // a recovery restored them at open and verifies here.
+                    let rec = DdlRecord::decode(&block.payload).ok_or_else(|| {
+                        invalid(format!("malformed catalog entry at LSN {:?}", block.lsn))
+                    })?;
+                    db.inner.install_logged(&rec)?;
                 }
                 _ => {}
             }
@@ -318,6 +328,11 @@ impl Database {
     ///   to every snapshot and hiding the acked version the checkpoint
     ///   no longer carries (the exact loss the chaos harness's
     ///   durability oracle caught).
+    ///
+    /// The whole catalog is appended to the log behind `begin`, and the
+    /// barrier covers it too: truncating below this checkpoint can then
+    /// never retire the only copy of an entry, and whoever mirrors the
+    /// segments from `begin` on finds every table the payload names.
     pub fn checkpoint(&self) -> std::io::Result<Lsn> {
         let store = self
             .inner
@@ -330,7 +345,10 @@ impl Database {
         let mut max_captured = Lsn::NULL;
         let mut payload: Vec<u8> = Vec::new();
 
+        // Under the lock the walk holds: a table created meanwhile waits,
+        // and logs its own entry above `begin`.
         let catalog = self.inner.catalog.read();
+        let catalog_end = catalog.append_all(&self.inner.log)?;
         payload.extend_from_slice(&(catalog.tables.len() as u32).to_le_bytes());
         for table in &catalog.tables {
             payload.extend_from_slice(&table.id.0.to_le_bytes());
@@ -396,23 +414,24 @@ impl Database {
         drop(catalog);
 
         // Durability barrier: publish nothing until the log durably backs
-        // every captured stamp. `durable` advancing past a block's start
-        // LSN means the whole block is on disk (it advances in block
-        // units), so `offset + 1` is the right group-commit target.
-        if !max_captured.is_null() {
-            self.inner
-                .log
-                .wait_durable(max_captured.offset() + 1)
-                .map_err(std::io::Error::other)?;
-        }
+        // every captured stamp and the catalog. `durable` advancing past
+        // a block's start LSN means the whole block is on disk (it
+        // advances in block units), so `offset + 1` is the right
+        // group-commit target.
+        let captured_end = if max_captured.is_null() { 0 } else { max_captured.offset() + 1 };
+        self.inner
+            .log
+            .wait_durable(catalog_end.max(captured_end))
+            .map_err(std::io::Error::other)?;
         store.write(CheckpointMeta { begin }, &payload)?;
         Ok(begin)
     }
 
     /// Recover: restore the latest checkpoint (if any), then replay the
-    /// log forward. The schema (tables and secondary indexes) must have
-    /// been re-declared — `create_table` / `create_secondary_index` are
-    /// idempotent by name, so applications simply run their DDL first.
+    /// log forward. The catalog came back with [`Database::open`]; only a
+    /// directory written before the log carried it needs its tables
+    /// declared first, in their original order — a row naming a table
+    /// the catalog does not hold is an `InvalidData` error.
     ///
     /// 2PC prepares whose verdict is not in this log are *presumed
     /// aborted* (counted in [`RecoveryStats::in_doubt`]). Sharded
@@ -492,17 +511,15 @@ impl Database {
                         &rec.value
                     };
                     let tombstone = rec.kind == LogRecordKind::Delete;
-                    let applied = self.replay_table(&mut table, rec.table.0).is_some_and(|t| {
-                        self.apply_record(&guard, t, rec.oid, &rec.key, value, cstamp, tombstone)
-                    });
-                    if !applied {
+                    let t = self.replay_table(&mut table, rec.table.0, cstamp)?;
+                    if !self.apply_record(&guard, t, rec.oid, &rec.key, value, cstamp, tombstone) {
                         stats.skipped_stale += 1;
                     }
                 }
                 LogRecordKind::SecondaryInsert => {
                     let index_raw =
                         u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
-                    self.apply_secondary(&guard, index_raw, &rec.key, rec.oid);
+                    self.apply_secondary(&guard, index_raw, &rec.key, rec.oid, cstamp)?;
                 }
             }
         }
@@ -544,9 +561,9 @@ impl Database {
         for _ in 0..ntables {
             let table_id = rd_u32(&mut pos);
             let nrecords = rd_u32(&mut pos);
-            // One catalog lookup and one pin per table. A table that was
-            // not re-declared is skipped (documented contract).
-            let table = self.inner.catalog.read().tables.get(table_id as usize).cloned();
+            // One catalog lookup and one pin per table.
+            let mut memo = None;
+            let table = self.replay_table(&mut memo, table_id, Lsn::NULL)?;
             let guard = handle.pin();
             for _ in 0..nrecords {
                 let oid = rd_u32(&mut pos);
@@ -560,17 +577,7 @@ impl Database {
                 let val = &payload[pos..pos + val_len];
                 pos += val_len;
                 floor = floor.max(Lsn::from_raw(clsn));
-                if let Some(t) = &table {
-                    self.apply_record(
-                        &guard,
-                        t,
-                        Oid(oid),
-                        key,
-                        val,
-                        Lsn::from_raw(clsn),
-                        tombstone,
-                    );
-                }
+                self.apply_record(&guard, table, Oid(oid), key, val, Lsn::from_raw(clsn), tombstone);
                 restored += 1;
             }
         }
@@ -584,26 +591,31 @@ impl Database {
                 let key_len = rd_u16(&mut pos) as usize;
                 let key = &payload[pos..pos + key_len];
                 pos += key_len;
-                self.apply_secondary(&guard, index_raw, key, Oid(oid));
+                self.apply_secondary(&guard, index_raw, key, Oid(oid), Lsn::NULL)?;
             }
         }
         Ok((restored, floor))
     }
 
     /// The table a replayed record names, through a one-entry memo: the
-    /// catalog lock is taken when the table changes, not per record.
-    /// `None` if the table was not re-declared — its records are skipped
-    /// (documented contract).
+    /// catalog lock is taken when the table changes, not per record. A
+    /// table the catalog does not hold is an error naming `at`, the LSN of
+    /// the block (null: the checkpoint) — a directory from before the log
+    /// carried the catalog whose table was not declared first, or
+    /// corruption.
     fn replay_table<'m>(
         &self,
         memo: &'m mut Option<(u32, std::sync::Arc<Table>)>,
         table_raw: u32,
-    ) -> Option<&'m Table> {
+        at: Lsn,
+    ) -> std::io::Result<&'m Table> {
         if memo.as_ref().is_none_or(|(raw, _)| *raw != table_raw) {
             let catalog = self.inner.catalog.read();
             *memo = catalog.tables.get(table_raw as usize).map(|t| (table_raw, t.clone()));
         }
-        memo.as_ref().map(|(_, t)| &**t)
+        memo.as_ref()
+            .map(|(_, t)| &**t)
+            .ok_or_else(|| invalid(format!("a row at LSN {at:?} names unknown table {table_raw}")))
     }
 
     /// Idempotently apply one record image: install iff newer than the
@@ -650,12 +662,14 @@ impl Database {
         index_raw: u32,
         key: &[u8],
         oid: Oid,
-    ) {
-        let catalog = self.inner.catalog.read();
-        let Some(idx) = catalog.indexes.get(index_raw as usize) else { return };
-        let idx = std::sync::Arc::clone(idx);
-        drop(catalog);
+        at: Lsn,
+    ) -> std::io::Result<()> {
+        let idx = self.inner.catalog.read().indexes.get(index_raw as usize).cloned();
+        let idx = idx.ok_or_else(|| {
+            invalid(format!("an index entry at LSN {at:?} names unknown index {index_raw}"))
+        })?;
         let _ = idx.tree.insert(guard, key, oid.0 as u64);
+        Ok(())
     }
 }
 

@@ -93,7 +93,7 @@ mod txn;
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
 
 use parking_lot::RwLock;
@@ -103,35 +103,42 @@ use ermia_log::DecideRecord;
 use ermia_telemetry::{EventKind, Sample};
 
 use crate::config::DbConfig;
-use crate::database::{Database, DbState, DdlEntry, NodeRole};
+use crate::database::{invalid, Database, DbState, NodeRole};
 use crate::recovery::RecoveryStats;
 
-use routing::{set_at, IndexRoute, Routing};
-pub use routing::{shard_of_key, IndexRouting, RoutedDdl, ShardPolicy};
+use routing::Routing;
+pub use routing::{shard_of_key, IndexRouting, ShardPolicy};
 use staged::write_decide;
 pub use staged::{DeferredCommit, StagedCommit};
 pub use txn::{ShardedTransaction, ShardedWorker};
 
 pub(crate) struct ShardedInner {
     dbs: Vec<Database>,
+    /// The routing snapshot — and, held for writing, the lock that
+    /// serializes DDL across the shards.
     routing: RwLock<Arc<Routing>>,
-    /// Bumped on every DDL so workers revalidate their routing cache
-    /// with one relaxed load per transaction.
-    routing_version: AtomicU64,
     /// Cross-shard transactions currently between first prepare and
     /// verdict (plus unresolved prepares during recovery).
     in_doubt: AtomicU64,
 }
 
 impl ShardedInner {
-    /// Replace the routing snapshot with an edited copy and make every
-    /// worker re-read it at its next begin.
-    fn edit_routing(&self, edit: impl FnOnce(&mut Routing)) {
-        let mut guard = self.routing.write();
-        let mut routing = Routing::clone(&guard);
-        edit(&mut routing);
-        *guard = Arc::new(routing);
-        self.routing_version.fetch_add(1, Relaxed);
+    /// The routing snapshot of shard 0's catalog as it is now, rebuilt
+    /// if the catalog has moved since — by DDL through this namespace,
+    /// or, under a replica's serving handle, by replay.
+    fn routing(&self) -> Arc<Routing> {
+        let version = &self.dbs[0].inner.catalog_version;
+        {
+            let routing = self.routing.read();
+            if routing.version == version.load(Acquire) {
+                return Arc::clone(&routing);
+            }
+        }
+        let mut routing = self.routing.write();
+        if routing.version != version.load(Acquire) {
+            *routing = Arc::new(Routing::from_catalog(&self.dbs[0]));
+        }
+        Arc::clone(&routing)
     }
 }
 
@@ -147,6 +154,11 @@ impl ShardedDb {
     /// Open `shards` databases from one config. With a durable config,
     /// shard `i` logs under `<dir>/shard-<i>`; in-memory configs stay
     /// in-memory. All shards share the remaining tuning knobs.
+    ///
+    /// Every shard restores its own catalog from its own log. They are
+    /// equal, or — a crash between two shards' appends — one is a prefix
+    /// of the other and is extended here, its log getting the entries;
+    /// anything else is an error naming both.
     pub fn open(cfg: DbConfig, shards: usize) -> io::Result<ShardedDb> {
         assert!(shards >= 1, "need at least one shard");
         let mut dbs = Vec::with_capacity(shards);
@@ -159,94 +171,37 @@ impl ShardedDb {
             }
             dbs.push(Database::open(c)?);
         }
+        let catalogs: Vec<_> = dbs.iter().map(|d| d.inner.catalog.read().entries.clone()).collect();
+        let (full, longest) =
+            catalogs.iter().enumerate().max_by_key(|(_, c)| c.len()).expect("at least one shard");
+        for (i, (db, catalog)) in dbs.iter().zip(&catalogs).enumerate() {
+            if !catalog.iter().zip(longest).all(|(a, b)| a.same_entry(b)) {
+                return Err(invalid(format!(
+                    "shard catalogs diverged: shard {i} holds {catalog:?}, which is neither \
+                     equal to nor a prefix of shard {full}'s {longest:?}"
+                )));
+            }
+            for rec in longest {
+                db.declare(&rec.name, rec.secondary.as_deref(), Some(rec.route));
+            }
+        }
         Ok(ShardedDb::from_shards(dbs))
     }
 
     /// Wrap already-open per-shard handles (e.g. a replica's snapshot
     /// views) as one `ShardedDb`. Shard catalogs must be identical, as
-    /// they are when every shard replayed the same DDL. Routing starts
-    /// on the default hash policy; a replica of a primary with explicit
-    /// policies must install them with
-    /// [`ShardedDb::refresh_routing_with`] (the shipped schema carries
-    /// them), or reads of co-located keys would route to the wrong
-    /// shard.
+    /// they are when every shard replayed the same entries; routing is
+    /// read off shard 0's.
     pub fn from_shards(dbs: Vec<Database>) -> ShardedDb {
         assert!(!dbs.is_empty(), "need at least one shard");
         let routing = Routing::from_catalog(&dbs[0]);
         let inner = Arc::new(ShardedInner {
             dbs,
             routing: RwLock::new(Arc::new(routing)),
-            routing_version: AtomicU64::new(1),
             in_doubt: AtomicU64::new(0),
         });
         register_shard_collectors(&inner);
         ShardedDb { inner }
-    }
-
-    /// Rebuild the routing snapshot from shard 0's current catalog (all
-    /// tables on the default hash policy) and force workers to re-read
-    /// it. A replica calls this after replaying newly shipped DDL so
-    /// reads route to tables created since the wrapper was built.
-    pub fn refresh_routing(&self) {
-        self.refresh_routing_with(&[], &[]);
-    }
-
-    /// [`ShardedDb::refresh_routing`] with explicit per-table policies
-    /// and per-secondary-index routing rules layered on top of the
-    /// catalog defaults. A replica passes the policies shipped with the
-    /// primary's schema so its reads route exactly like the primary's.
-    /// Out-of-range ids are ignored (a policy for a table whose DDL has
-    /// not replayed yet applies on the next refresh).
-    pub fn refresh_routing_with(
-        &self,
-        policies: &[(TableId, ShardPolicy)],
-        secondaries: &[(IndexId, IndexRouting)],
-    ) {
-        self.inner.edit_routing(|routing| {
-            *routing = Routing::from_catalog(&self.inner.dbs[0]);
-            for &(table, policy) in policies {
-                if let Some(slot) = routing.tables.get_mut(table.0 as usize) {
-                    *slot = policy;
-                }
-            }
-            for &(index, rule) in secondaries {
-                if let Some(slot @ IndexRoute::Secondary(_)) =
-                    routing.indexes.get_mut(index.0 as usize)
-                {
-                    *slot = IndexRoute::Secondary(rule);
-                }
-            }
-        });
-    }
-
-    /// The schema DDL (creation order, as [`Database::schema_ddl`]) with
-    /// each entry's routing attached: the table's [`ShardPolicy`] for
-    /// table entries, the [`IndexRouting`] for secondary entries. This
-    /// is what ships to a replica, which must reproduce not only the
-    /// dense ids but the routing that placed every key.
-    pub fn schema_ddl_routed(&self) -> Vec<RoutedDdl> {
-        let routing = self.inner.routing.read().clone();
-        let db = &self.inner.dbs[0];
-        let cat = db.inner.catalog.read();
-        cat.indexes
-            .iter()
-            .enumerate()
-            .map(|(i, ix)| {
-                let entry = DdlEntry {
-                    table: cat.tables[ix.table.0 as usize].name.clone(),
-                    secondary: (!ix.is_primary).then(|| ix.name.clone()),
-                };
-                let route = if ix.is_primary {
-                    routing.table_policy(ix.table).to_wire()
-                } else {
-                    match routing.indexes.get(i) {
-                        Some(&IndexRoute::Secondary(rule)) => rule.to_wire(),
-                        _ => IndexRouting::Probe.to_wire(),
-                    }
-                };
-                RoutedDdl { entry, route_tag: route.0, route_arg: route.1 }
-            })
-            .collect()
     }
 
     /// Number of shards.
@@ -263,31 +218,36 @@ impl ShardedDb {
     /// return the existing id). Ids are dense and identical across
     /// shards because all DDL goes through this namespace.
     pub fn create_table(&self, name: &str) -> TableId {
-        self.create_table_inner(name, None)
+        self.declare(name, None, None).0
     }
 
     /// Create a table with an explicit [`ShardPolicy`] (also updates the
     /// policy of an existing table).
     pub fn create_table_with_policy(&self, name: &str, policy: ShardPolicy) -> TableId {
-        self.create_table_inner(name, Some(policy))
+        self.declare(name, None, Some(policy.to_wire())).0
     }
 
-    fn create_table_inner(&self, name: &str, policy: Option<ShardPolicy>) -> TableId {
-        let inner = &self.inner;
-        let mut ids = inner.dbs.iter().map(|d| d.create_table(name));
-        let id = ids.next().expect("at least one shard");
-        for other in ids {
-            assert_eq!(other, id, "shard catalogs diverged for table {name:?}");
+    /// [`Database::declare`] on every shard, one DDL at a time: two
+    /// creates interleaving across the shards would hand one name two
+    /// ids. Panics if a shard answers with other ids than shard 0 — its
+    /// catalog was edited behind this namespace's back, which
+    /// [`ShardedDb::open`] would refuse.
+    fn declare(
+        &self,
+        table: &str,
+        secondary: Option<&str>,
+        route: Option<(u8, u64)>,
+    ) -> (TableId, IndexId) {
+        let dbs = &self.inner.dbs;
+        // Whoever sees shard 0's catalog move waits here for the others'
+        // (`ShardedInner::routing`), then reads the new routes off it.
+        let _ddl = self.inner.routing.write();
+        let ids = dbs[0].declare(table, secondary, route);
+        for (shard, db) in dbs.iter().enumerate().skip(1) {
+            let got = db.declare(table, secondary, route);
+            assert_eq!(got, ids, "shard {shard}'s catalog diverged from shard 0's at {table:?}");
         }
-        let primary = inner.dbs[0].primary_index(id);
-        inner.edit_routing(|routing| {
-            // `None` keeps the policy the table already has.
-            let policy = policy.unwrap_or_else(|| routing.table_policy(id));
-            set_at(&mut routing.tables, id.0 as usize, ShardPolicy::default(), policy);
-            let route = IndexRoute::Primary(id);
-            set_at(&mut routing.indexes, primary.0 as usize, route, route);
-        });
-        id
+        ids
     }
 
     /// Create a secondary index on every shard with an explicit routing
@@ -299,29 +259,23 @@ impl ShardedDb {
         name: &str,
         routing: IndexRouting,
     ) -> IndexId {
-        let inner = &self.inner;
         assert!(
-            inner.routing.read().table_policy(table) != ShardPolicy::Replicated,
+            self.inner.routing().table_policy(table) != ShardPolicy::Replicated,
             "replicated tables cannot carry secondary indexes"
         );
-        let mut ids = inner.dbs.iter().map(|d| d.create_secondary_index(table, name));
-        let id = ids.next().expect("at least one shard");
-        for other in ids {
-            assert_eq!(other, id, "shard catalogs diverged for index {name:?}");
-        }
-        let route = IndexRoute::Secondary(routing);
-        inner.edit_routing(|new| set_at(&mut new.indexes, id.0 as usize, route, route));
-        id
+        let table = self.inner.dbs[0].table(table);
+        self.declare(&table.name, Some(name), Some(routing.to_wire())).1
     }
 
-    /// Number of tables (identical on every shard).
+    /// Number of tables every shard holds. (A replica's shards learn of
+    /// a table one by one, as each one's replay passes its entry.)
     pub fn table_count(&self) -> usize {
-        self.inner.dbs[0].table_count()
+        self.inner.dbs.iter().map(|d| d.table_count()).min().unwrap_or(0)
     }
 
     /// Look up a table id by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.inner.dbs[0].table_id(name)
+        self.inner.dbs[0].table_id(name).filter(|id| (id.0 as usize) < self.table_count())
     }
 
     /// Look up an index id by name.
@@ -494,7 +448,8 @@ pub struct ShardRecoveryStats {
 }
 
 /// Register the shard-level collector on shard 0's registry: shard
-/// count, per-shard transaction counters, and the in-doubt gauge. The
+/// count and the in-doubt gauge (what a shard finished is its own
+/// `ermia_txn_*`, which a merged rendering labels `shard="i"`). The
 /// closure holds a `Weak` so the registry never keeps the sharded
 /// wrapper alive.
 fn register_shard_collectors(inner: &Arc<ShardedInner>) {
@@ -509,17 +464,6 @@ fn register_shard_collectors(inner: &Arc<ShardedInner>) {
             "Cross-shard transactions prepared but not yet decided",
             sd.in_doubt.load(Relaxed) as f64,
         ));
-        for (i, db) in sd.dbs.iter().enumerate() {
-            let (c, a) = db.txn_counts();
-            out.push(
-                Sample::counter(
-                    "ermia_shard_txns_total",
-                    "Transactions finished per shard (commits + aborts)",
-                    c + a,
-                )
-                .labeled("shard", i.to_string()),
-            );
-        }
     });
 }
 
@@ -680,6 +624,60 @@ mod tests {
         }
     }
 
+    /// DDL is one at a time across the shards: two threads creating
+    /// different names used to interleave (`a`=0, `b`=1 on shard 0;
+    /// `b`=0 on shard 1) and trip the divergence assert in round 0.
+    #[test]
+    fn concurrent_ddl_hands_every_name_one_id() {
+        for round in 0..25 {
+            let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let db = &db;
+                    s.spawn(move || {
+                        for i in 0..50 {
+                            db.create_table(&format!("t{t}-{i}"));
+                        }
+                    });
+                }
+            });
+            let entries = |i: usize| db.shard(i).inner.catalog.read().entries.clone();
+            assert_eq!(entries(0), entries(1), "round {round}");
+            assert_eq!(db.table_count(), 100, "round {round}");
+        }
+    }
+
+    /// A crash between two shards' catalog appends leaves one catalog a
+    /// prefix of the other: `open` extends the short one, in its log too.
+    /// Catalogs that disagree on an entry are refused, both named.
+    #[test]
+    fn open_extends_a_catalog_cut_short_and_refuses_a_diverged_one() {
+        let dir = TestDir::new("shard-catalog-reconcile");
+        let policy = ShardPolicy::Hash { prefix: Some(2) };
+        {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            db.create_table("a");
+            // What the crash leaves: shard 0 knows of `b`, shard 1 not yet.
+            db.shard(0).declare("b", None, Some(policy.to_wire()));
+        }
+        for reopen in 0..2 {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let b = db.table_id("b").expect("b survives");
+            assert_eq!(db.shard(1).table_id("b"), Some(b), "reopen {reopen}");
+            assert_eq!(db.inner.routing().table_policy(b), policy, "reopen {reopen}");
+            let logged = db.shard(1).log().catalog_at_open().iter().any(|rec| rec.name == "b");
+            assert_eq!(logged, reopen == 1, "the extension is in shard 1's log by the next open");
+            if reopen == 1 {
+                db.shard(0).create_table("c");
+                db.shard(1).create_table("d");
+            }
+        }
+        let err = ShardedDb::open(DbConfig::durable(&dir), 2).err().expect("diverged catalogs");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("\"c\"") && msg.contains("\"d\""), "{msg}");
+    }
+
     #[test]
     fn shard_metrics_are_exposed() {
         let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
@@ -694,13 +692,11 @@ mod tests {
         for name in [
             "ermia_shard_count",
             "ermia_shard_in_doubt",
-            "ermia_shard_txns_total",
             "ermia_shard_cross_txns_total",
             "ermia_2pc_prepare_ns",
             "ermia_2pc_decide_ns",
         ] {
             assert!(text.contains(name), "missing metric {name} in exposition");
         }
-        assert!(text.contains("shard=\"1\""), "per-shard label missing");
     }
 }

@@ -3,7 +3,9 @@
 
 use ermia_common::{IndexId, TableId};
 
-use crate::database::{Database, DdlEntry};
+use std::sync::atomic::Ordering::Acquire;
+
+use crate::database::Database;
 
 /// Deterministic key → shard map: FNV-1a over the routed key bytes,
 /// reduced mod `shards`. Exported so workload generators can partition
@@ -42,9 +44,9 @@ impl Default for ShardPolicy {
 }
 
 impl ShardPolicy {
-    /// Compact `(tag, arg)` form for the replication protocol: a replica
-    /// must route reads exactly like its primary, so table policies ship
-    /// with the schema DDL.
+    /// Compact `(tag, arg)` form, as the table's catalog entry carries it
+    /// in the log: a recovered database — and a replica — must route
+    /// exactly like the database that placed the keys.
     pub fn to_wire(self) -> (u8, u64) {
         match self {
             ShardPolicy::Hash { prefix: None } => (0, 0),
@@ -76,7 +78,7 @@ pub enum IndexRouting {
 }
 
 impl IndexRouting {
-    /// Compact `(tag, arg)` form for the replication protocol (see
+    /// Compact `(tag, arg)` form for the index's catalog entry (see
     /// [`ShardPolicy::to_wire`]).
     pub fn to_wire(self) -> (u8, u64) {
         match self {
@@ -95,16 +97,6 @@ impl IndexRouting {
     }
 }
 
-/// One schema entry with its routing, as shipped to a replica: the
-/// [`DdlEntry`] plus the wire form of the table's [`ShardPolicy`]
-/// (table entries) or the index's [`IndexRouting`] (secondary entries).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RoutedDdl {
-    pub entry: DdlEntry,
-    pub route_tag: u8,
-    pub route_arg: u64,
-}
-
 #[derive(Clone, Copy)]
 pub(super) enum IndexRoute {
     /// Primary index of a table: route by the table's policy.
@@ -114,42 +106,33 @@ pub(super) enum IndexRoute {
 }
 
 /// Immutable routing snapshot: per-table policies and per-index routes,
-/// indexed by the dense ids (identical on every shard). Replaced
-/// wholesale on DDL (`ShardedInner::edit_routing`); workers cache an
-/// `Arc` and revalidate against the routing version once per
-/// transaction.
-#[derive(Clone)]
+/// indexed by the dense ids (identical on every shard) — a function of
+/// shard 0's catalog, whose entries carry them. Workers cache an `Arc`
+/// and compare its `version` with the catalog's once per transaction.
 pub(super) struct Routing {
+    /// Shard 0's `catalog_version` when the snapshot was taken.
+    pub(super) version: u64,
     pub(super) tables: Vec<ShardPolicy>,
     pub(super) indexes: Vec<IndexRoute>,
 }
 
-/// `v[i] = value`, first growing `v` with `fill` if it is too short.
-pub(super) fn set_at<T: Clone>(v: &mut Vec<T>, i: usize, fill: T, value: T) {
-    if v.len() <= i {
-        v.resize(i + 1, fill);
-    }
-    v[i] = value;
-}
-
 impl Routing {
-    /// Every table on the default hash policy, every secondary on
-    /// `Probe`.
     pub(super) fn from_catalog(db: &Database) -> Routing {
         let cat = db.inner.catalog.read();
-        let tables = vec![ShardPolicy::default(); cat.tables.len()];
+        let version = db.inner.catalog_version.load(Acquire);
+        let mut tables = vec![ShardPolicy::default(); cat.tables.len()];
         let indexes = cat
-            .indexes
+            .entries
             .iter()
-            .map(|ix| {
-                if ix.is_primary {
-                    IndexRoute::Primary(ix.table)
-                } else {
-                    IndexRoute::Secondary(IndexRouting::Probe)
+            .map(|e| match e.secondary {
+                None => {
+                    tables[e.table.0 as usize] = ShardPolicy::from_wire(e.route.0, e.route.1);
+                    IndexRoute::Primary(e.table)
                 }
+                Some(_) => IndexRoute::Secondary(IndexRouting::from_wire(e.route.0, e.route.1)),
             })
             .collect();
-        Routing { tables, indexes }
+        Routing { version, tables, indexes }
     }
 
     pub(super) fn table_policy(&self, table: TableId) -> ShardPolicy {

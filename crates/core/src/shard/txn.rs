@@ -30,7 +30,6 @@ pub struct ShardedWorker {
     pub(super) db: ShardedDb,
     pub(super) workers: Vec<Worker>,
     routing: Arc<Routing>,
-    routing_version: u64,
     pub(super) twopc: TwoPcTelemetry,
     pub(super) trace: WorkerTrace,
     /// The worker a blocking cross-shard [`ShardedTransaction::commit`]
@@ -57,8 +56,7 @@ impl ShardedDb {
         ShardedWorker {
             db: self.clone(),
             workers,
-            routing: inner.routing.read().clone(),
-            routing_version: inner.routing_version.load(Relaxed),
+            routing: inner.routing(),
             twopc,
             trace,
             resolver: None,
@@ -84,10 +82,8 @@ impl ShardedWorker {
         isolation: IsolationLevel,
         ctx: Option<TraceContext>,
     ) -> ShardedTransaction<'_> {
-        let v = self.db.inner.routing_version.load(Relaxed);
-        if v != self.routing_version {
-            self.routing = self.db.inner.routing.read().clone();
-            self.routing_version = v;
+        if self.db.inner.dbs[0].inner.catalog_version.load(Relaxed) != self.routing.version {
+            self.routing = self.db.inner.routing();
         }
         // Resolve the active context before splitting the borrows: wire
         // context wins; otherwise head sampling every Nth begin.

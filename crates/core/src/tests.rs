@@ -546,7 +546,7 @@ fn checkpoint_and_recovery_roundtrip() {
         tx.commit().unwrap();
         db.log().sync().unwrap();
     }
-    // Reopen: re-declare schema, recover, verify.
+    // Reopen: look the schema up (the catalog came back with `open`), recover, verify.
     {
         let db = Database::open(DbConfig::durable(&dir)).unwrap();
         let (t, idx) = schema(&db);
@@ -595,6 +595,92 @@ fn recovery_without_checkpoint_replays_whole_log() {
         let mut tx = w.begin(SI);
         assert_eq!(get(&mut tx, t, b"a").as_deref(), Some(&b"1"[..]));
         assert_eq!(get(&mut tx, t, b"b").as_deref(), Some(&b"2"[..]));
+        tx.commit().unwrap();
+    }
+}
+
+/// The tentpole, on one shard: tables and indexes come back from the log
+/// alone — ids, in any creation order — and stay after a checkpoint has
+/// let truncation retire the segments their first entries were in.
+#[test]
+fn a_directory_reopens_as_the_database_it_was() {
+    let dir = TestDir::new("self-describing");
+    let open = || {
+        let mut cfg = DbConfig::durable(&dir);
+        cfg.log.segment_size = 8192;
+        Database::open(cfg).unwrap()
+    };
+    let (b, a, idx);
+    {
+        let db = open();
+        b = db.create_table("b");
+        a = db.create_table("a");
+        idx = db.create_secondary_index(a, "a.sec");
+        let mut w = db.register_worker();
+        for i in 0..100u32 {
+            let mut tx = w.begin(SI);
+            tx.insert(b, &i.to_be_bytes(), &[0xB0; 128]).unwrap();
+            let oid = tx.insert(a, &i.to_be_bytes(), &[0xA0; 128]).unwrap();
+            tx.insert_secondary(idx, &(1000 + i).to_be_bytes(), oid).unwrap();
+            tx.commit().unwrap();
+        }
+    }
+    for restart in 0..3 {
+        let db = open();
+        assert_eq!((db.table_id("b"), db.table_id("a")), (Some(b), Some(a)), "restart {restart}");
+        assert_eq!(db.index_id("a.sec"), Some(idx), "restart {restart}");
+        // A known name is a lookup: nothing is appended for it.
+        let tail = db.log().next_offset();
+        assert_eq!((db.create_table("a"), db.create_secondary_index(a, "a.sec")), (a, idx));
+        assert_eq!(db.log().next_offset(), tail, "restart {restart}");
+        db.recover().unwrap();
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        for i in [0u32, 57, 99] {
+            assert_eq!(get(&mut tx, b, &i.to_be_bytes()).as_deref(), Some(&[0xB0; 128][..]));
+            let via = tx.read_secondary(idx, &(1000 + i).to_be_bytes(), |v| v.to_vec()).unwrap();
+            assert_eq!(via.as_deref(), Some(&[0xA0; 128][..]), "restart {restart}");
+        }
+        tx.commit().unwrap();
+        if restart == 0 {
+            db.checkpoint().unwrap();
+            assert!(db.truncate_log().unwrap() > 0, "the first catalog entries' segment goes");
+        }
+    }
+}
+
+/// A directory from before the log carried the catalog (`Txn` blocks for
+/// table 0, no `Ddl` block) recovers exactly as it did when its table is
+/// declared first — and fails, naming the table and the block, when it is
+/// not: recovery no longer files such rows under `skipped_stale`.
+#[test]
+fn a_log_without_a_catalog_needs_its_tables_declared_and_says_so() {
+    use ermia_common::{Oid, TableId};
+    for declare in [true, false] {
+        let dir = TestDir::new("pre-catalog-log");
+        let cfg = DbConfig::durable(&dir);
+        {
+            let log = ermia_log::LogManager::open(cfg.log.clone()).unwrap();
+            let mut buf = ermia_log::TxLogBuffer::new();
+            buf.add_insert(TableId(0), Oid(0), b"k", b"v");
+            let res = log.allocate(buf.block_len()).unwrap();
+            let block = buf.serialize(res.lsn()).to_vec();
+            res.fill(&block);
+            log.sync().unwrap();
+        }
+        let db = Database::open(cfg).unwrap();
+        if !declare {
+            let err = db.recover().expect_err("a row of an unknown table");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("unknown table 0"), "{err}");
+            continue;
+        }
+        let t = db.create_table("t");
+        let stats = db.recover().unwrap();
+        assert_eq!((stats.replayed_blocks, stats.replayed_records, stats.skipped_stale), (1, 1, 0));
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        assert_eq!(get(&mut tx, t, b"k").as_deref(), Some(&b"v"[..]));
         tx.commit().unwrap();
     }
 }

@@ -2,21 +2,22 @@
 //! fault-injecting storage backend, checked against an in-memory model.
 //!
 //! Each seed drives a randomized single-threaded workload of committed
-//! transactions (upserts and deletes over a small key space) with
-//! `synchronous_commit` on, while a [`FaultPlan`] crashes the log at an
-//! arbitrary point. After the "crash" the database is reopened with the
-//! clean file backend and recovered, and the recovered state must equal
-//! the model after every acknowledged transaction — plus at most the one
-//! in-flight transaction whose commit failed, since its block may or may
-//! not have reached disk before the fault (but must apply atomically or
-//! not at all).
+//! transactions (upserts and deletes over a small key space, in tables
+//! the run creates as it goes) with `synchronous_commit` on, while a
+//! [`FaultPlan`] crashes the log at an arbitrary point. After the "crash"
+//! the database is reopened with the clean file backend and recovered —
+//! nothing is declared: the catalog has to come back from the log — and
+//! the recovered state must equal the model after every acknowledged
+//! transaction — plus at most the one in-flight transaction whose commit
+//! failed, since its block may or may not have reached disk before the
+//! fault (but must apply atomically or not at all).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::TestDir;
+use ermia_common::{TableId, TestDir};
 use ermia::{AbortReason, Database, DbConfig, IsolationLevel};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig, TornWrite};
 
@@ -38,7 +39,12 @@ impl Rng {
 }
 
 const KEYS: u64 = 32;
-const TABLE: &str = "torture";
+const MAX_TABLES: usize = 4;
+
+/// Name of the `n`th table a run creates.
+fn table_name(n: usize) -> String {
+    format!("torture-{n}")
+}
 
 fn faulty_cfg(dir: PathBuf, injector: &FaultInjector) -> DbConfig {
     let mut cfg = DbConfig::durable(dir);
@@ -63,7 +69,8 @@ fn clean_cfg(dir: PathBuf) -> DbConfig {
     cfg
 }
 
-type Model = BTreeMap<u64, Vec<u8>>;
+/// (ordinal of the table, key) → value.
+type Model = BTreeMap<(usize, u64), Vec<u8>>;
 
 enum Action {
     Insert(Vec<u8>),
@@ -76,16 +83,22 @@ enum Action {
 /// verb for each op (insert vs update vs delete) is decided against the
 /// *evolving* state, so delete-then-reinsert of one key within a single
 /// transaction is generated — the case that trips naive replay.
-fn mutate_model(rng: &mut Rng, seed: u64, txn: u64, model: &mut Model) -> Vec<(u64, Action)> {
+fn mutate_model(
+    rng: &mut Rng,
+    seed: u64,
+    txn: u64,
+    tables: usize,
+    model: &mut Model,
+) -> Vec<((usize, u64), Action)> {
     let nops = 1 + rng.below(4);
     let mut ops = Vec::new();
     for op in 0..nops {
-        let key = rng.below(KEYS);
+        let key = (rng.below(tables as u64) as usize, rng.below(KEYS));
         if model.contains_key(&key) && rng.below(4) == 0 {
             model.remove(&key);
             ops.push((key, Action::Delete));
         } else {
-            let value = format!("s{seed}-t{txn}-o{op}-k{key}").into_bytes();
+            let value = format!("s{seed}-t{txn}-o{op}-k{key:?}").into_bytes();
             let existed = model.insert(key, value.clone()).is_some();
             ops.push((key, if existed { Action::Update(value) } else { Action::Insert(value) }));
         }
@@ -100,25 +113,32 @@ struct TortureRun {
     /// also reached disk (None when the run ended cleanly).
     inflight_model: Option<Model>,
     acked: u64,
+    /// The id each created table got, by ordinal.
+    tables: Vec<TableId>,
 }
 
 /// First life: run the workload against the injector until the first
 /// commit failure (or `max_txns`), tracking the model in lockstep.
 fn run_faulty_life(dir: PathBuf, injector: &FaultInjector, seed: u64, max_txns: u64) -> TortureRun {
     let db = Database::open(faulty_cfg(dir, injector)).expect("first open is fault-free");
-    let table = db.create_table(TABLE);
+    let mut tables = vec![db.create_table(&table_name(0))];
     let mut w = db.register_worker();
     let mut rng = Rng(seed ^ 0xDB);
     let mut model = Model::new();
     let mut acked = 0u64;
     let mut inflight_model = None;
     for txn in 0..max_txns {
+        // The create-table step: its catalog entry is in the log ahead of
+        // any row it will ever hold, wherever the crash lands.
+        if tables.len() < MAX_TABLES && rng.below(8) == 0 {
+            tables.push(db.create_table(&table_name(tables.len())));
+        }
         let mut next = model.clone();
-        let ops = mutate_model(&mut rng, seed, txn, &mut next);
+        let ops = mutate_model(&mut rng, seed, txn, tables.len(), &mut next);
         let mut tx = w.begin(IsolationLevel::Snapshot);
         let mut op_failed = false;
-        for (key, action) in &ops {
-            let kb = key.to_be_bytes();
+        for ((table, key), action) in &ops {
+            let (table, kb) = (tables[*table], key.to_be_bytes());
             let ok = match action {
                 Action::Insert(v) => tx.insert(table, &kb, v).is_ok(),
                 Action::Update(v) => tx.update(table, &kb, v).is_ok(),
@@ -154,21 +174,27 @@ fn run_faulty_life(dir: PathBuf, injector: &FaultInjector, seed: u64, max_txns: 
             }
         }
     }
-    TortureRun { acked_model: model, inflight_model, acked }
+    TortureRun { acked_model: model, inflight_model, acked, tables }
 }
 
-/// Second life: reopen with the real file backend, recover, and read the
-/// whole key space back.
-fn recover_state(dir: PathBuf) -> Model {
+/// Second life: reopen with the real file backend, declare nothing,
+/// recover, and read the whole key space of every table that came back
+/// (under the id it had). A table that did not — its entry never turned
+/// durable — reads as empty, which is right exactly if no acknowledged
+/// row was ever in it.
+fn recover_state(dir: PathBuf, tables: &[TableId]) -> Model {
     let db = Database::open(clean_cfg(dir)).expect("reopen after crash");
-    let table = db.create_table(TABLE);
     db.recover().expect("recovery replays the durable prefix");
     let mut w = db.register_worker();
     let mut tx = w.begin(IsolationLevel::Snapshot);
     let mut state = Model::new();
-    for key in 0..KEYS {
-        if let Some(v) = tx.read(table, &key.to_be_bytes(), |v| v.to_vec()).expect("read") {
-            state.insert(key, v);
+    for (n, &id) in tables.iter().enumerate() {
+        let Some(table) = db.table_id(&table_name(n)) else { continue };
+        assert_eq!(table, id, "table {n} came back under another id");
+        for key in 0..KEYS {
+            if let Some(v) = tx.read(table, &key.to_be_bytes(), |v| v.to_vec()).expect("read") {
+                state.insert((n, key), v);
+            }
         }
     }
     tx.commit().expect("read-only txn commits");
@@ -179,7 +205,7 @@ fn check_seed(tag: &str, seed: u64, plan: FaultPlan) {
     let dir = TestDir::new(tag);
     let injector = FaultInjector::new(plan);
     let run = run_faulty_life(dir.to_path_buf(), &injector, seed, 120);
-    let recovered = recover_state(dir.to_path_buf());
+    let recovered = recover_state(dir.to_path_buf(), &run.tables);
     let matches_acked = recovered == run.acked_model;
     let matches_inflight = run.inflight_model.as_ref() == Some(&recovered);
     assert!(
@@ -241,6 +267,7 @@ fn clean_run_recovers_everything() {
     let run = run_faulty_life(dir.to_path_buf(), &injector, 42, 80);
     assert_eq!(run.acked, 80, "fault-free run acks every txn");
     assert!(run.inflight_model.is_none());
-    let recovered = recover_state(dir.to_path_buf());
+    assert_eq!(run.tables.len(), MAX_TABLES, "eighty chances in eight to create three more");
+    let recovered = recover_state(dir.to_path_buf(), &run.tables);
     assert_eq!(recovered, run.acked_model);
 }

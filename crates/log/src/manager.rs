@@ -12,7 +12,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::buffer::RingBuffer;
 use crate::flusher;
 use crate::io::{FileBackend, SegmentIoFactory};
-use crate::records::{BlockKind, LogBlockHeader, BLOCK_HEADER_LEN, MIN_BLOCK_LEN};
+use crate::records::{BlockKind, DdlRecord, LogBlockHeader, BLOCK_HEADER_LEN, MIN_BLOCK_LEN};
 use crate::segment::{Segment, SegmentTable};
 
 /// Log manager configuration.
@@ -318,6 +318,7 @@ impl LogInner {
 pub struct LogManager {
     inner: Arc<LogInner>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    catalog_at_open: Vec<DdlRecord>,
 }
 
 impl LogManager {
@@ -332,10 +333,12 @@ impl LogManager {
             std::fs::create_dir_all(dir)?;
         }
         let backend = Arc::clone(&cfg.io_factory);
+        let mut catalog = Vec::new();
         let (segments, start) = match &cfg.dir {
             Some(dir) => match SegmentTable::reopen(dir, Arc::clone(&backend), cfg.segment_size)? {
                 Some(table) => {
-                    let tail = crate::recovery::find_tail(&table)?;
+                    let tail;
+                    (tail, catalog) = crate::recovery::find_tail(&table)?;
                     (table, tail)
                 }
                 None => (SegmentTable::create(Some(dir), backend, cfg.segment_size, 0)?, 0),
@@ -360,7 +363,8 @@ impl LogManager {
             cfg,
         });
         let flusher = flusher::spawn(Arc::clone(&inner));
-        let mgr = LogManager { inner, flusher: Mutex::new(Some(flusher)) };
+        let mgr =
+            LogManager { inner, flusher: Mutex::new(Some(flusher)), catalog_at_open: catalog };
         if start == 0 {
             // Burn offset 0 with a skip block: LSN 0 stays the "null"
             // sentinel (begin stamps, SSN η initialization) and never
@@ -368,6 +372,13 @@ impl LogManager {
             mgr.allocate(MIN_BLOCK_LEN)?.fill_skip();
         }
         Ok(mgr)
+    }
+
+    /// The catalog the log held when it was opened — one entry per index
+    /// id, in id order, as its last copy in the log has it: what the
+    /// open-time walk that finds the tail passed on its way.
+    pub fn catalog_at_open(&self) -> &[DdlRecord] {
+        &self.catalog_at_open
     }
 
     /// Current tail of the LSN space, used as a begin timestamp: every

@@ -6,9 +6,15 @@
 //! a sequence of [`LogRecord`]s. Recovery examines only block headers to
 //! roll the OID arrays forward (§3.7) but the records carry full keys and
 //! payloads so the reproduction can rebuild the entire database from the
-//! log ("the log is the database").
+//! log ("the log is the database") — the schema included: every catalog
+//! entry is a [`BlockKind::Ddl`] block ahead of the first row that names
+//! it.
 
-use ermia_common::{Lsn, Oid, TableId};
+use std::io;
+
+use ermia_common::{IndexId, Lsn, Oid, TableId};
+
+use crate::manager::LogManager;
 
 /// Magic value identifying a block header ("ERML").
 pub const BLOCK_MAGIC: u32 = 0x4552_4d4c;
@@ -46,6 +52,13 @@ pub enum BlockKind {
     /// in memory: a commit verdict spares recovery the counting of
     /// prepares, an abort verdict overrides it.
     TxnDecide = 6,
+    /// One catalog entry (payload: [`DdlRecord`]): a table with its
+    /// primary index, or a secondary index. Appended, unforced, when the
+    /// entry is created or its route changes — log order puts it ahead of
+    /// every row that names it — and again, the whole catalog, behind
+    /// every checkpoint's begin, so truncation never retires the only
+    /// copy.
+    Ddl = 7,
 }
 
 impl BlockKind {
@@ -57,6 +70,7 @@ impl BlockKind {
             4 => Some(BlockKind::CheckpointEnd),
             5 => Some(BlockKind::TxnPrepare),
             6 => Some(BlockKind::TxnDecide),
+            7 => Some(BlockKind::Ddl),
             _ => None,
         }
     }
@@ -159,6 +173,87 @@ impl DecideRecord {
             gtid_lsn: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
             coord_shard: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
             commit: buf[12] != 0,
+        })
+    }
+}
+
+/// Payload of a [`BlockKind::Ddl`] block, and the catalog's entry in
+/// memory: ids are dense and handed out in creation order, one
+/// [`IndexId`] per entry, one [`TableId`] per table entry.
+///
+/// Layout (little-endian): `index u32, table u32, route.1 u64, route.0
+/// u8, is_secondary u8, name_len u16, secondary_len u16, pad [u8; 2]`
+/// (24 bytes), then the table name and the secondary-index name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DdlRecord {
+    pub index: IndexId,
+    /// The table the entry creates (`secondary: None`) or belongs to.
+    pub table: TableId,
+    /// Name of that table.
+    pub name: String,
+    /// `Some(index name)` when the entry is a secondary index.
+    pub secondary: Option<String>,
+    /// Shard routing as `(tag, arg)`: the table's policy on a table
+    /// entry, the index's rule on a secondary one; `(0, 0)` is the
+    /// default of both. The one field that changes over an entry's life.
+    pub route: (u8, u64),
+}
+
+const DDL_FIXED_LEN: usize = 24;
+
+impl DdlRecord {
+    /// Most bytes the two names may have together: the length fields are
+    /// u16, and a block must fit the smallest ring.
+    pub const MAX_NAMES_LEN: usize = 1024;
+
+    /// True if `other` names the same catalog entry, whatever its route.
+    pub fn same_entry(&self, other: &DdlRecord) -> bool {
+        (self.index, self.table, &self.name, &self.secondary)
+            == (other.index, other.table, &other.name, &other.secondary)
+    }
+
+    /// Append this entry to `log` as one unforced [`BlockKind::Ddl`]
+    /// block; returns the block's exclusive end offset.
+    pub fn append(&self, log: &LogManager) -> io::Result<u64> {
+        let secondary = self.secondary.as_deref().unwrap_or("");
+        let mut block = vec![0u8; BLOCK_HEADER_LEN];
+        block.extend_from_slice(&self.index.0.to_le_bytes());
+        block.extend_from_slice(&self.table.0.to_le_bytes());
+        block.extend_from_slice(&self.route.1.to_le_bytes());
+        block.extend_from_slice(&[self.route.0, self.secondary.is_some() as u8]);
+        block.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
+        block.extend_from_slice(&(secondary.len() as u16).to_le_bytes());
+        block.extend_from_slice(&[0; 2]);
+        block.extend_from_slice(self.name.as_bytes());
+        block.extend_from_slice(secondary.as_bytes());
+        block.resize(block.len().div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN, 0);
+        let res = log.allocate(block.len())?;
+        let header = LogBlockHeader {
+            kind: BlockKind::Ddl,
+            nrec: 0,
+            len: block.len() as u32,
+            checksum: checksum32(&block[BLOCK_HEADER_LEN..]),
+            cstamp: res.lsn(),
+            prev: 0,
+        };
+        header.encode_into(&mut block);
+        let end = res.end_offset();
+        res.fill(&block);
+        Ok(end)
+    }
+
+    pub fn decode(buf: &[u8]) -> Option<DdlRecord> {
+        let fixed = buf.get(..DDL_FIXED_LEN)?;
+        let len_at = |at| u16::from_le_bytes([fixed[at], fixed[at + 1]]) as usize;
+        let names = buf.get(DDL_FIXED_LEN..DDL_FIXED_LEN + len_at(18) + len_at(20))?;
+        let (name, secondary) = names.split_at(len_at(18));
+        let secondary = String::from_utf8(secondary.to_vec()).ok()?;
+        Some(DdlRecord {
+            index: IndexId(u32::from_le_bytes(fixed[0..4].try_into().unwrap())),
+            table: TableId(u32::from_le_bytes(fixed[4..8].try_into().unwrap())),
+            name: String::from_utf8(name.to_vec()).ok()?,
+            secondary: (fixed[17] != 0).then_some(secondary),
+            route: (fixed[16], u64::from_le_bytes(fixed[8..16].try_into().unwrap())),
         })
     }
 }

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use ermia_common::Lsn;
 
 use crate::records::{
-    BlockKind, LogBlockHeader, LogRecord, PrepareMarker, BLOCK_HEADER_LEN, PREPARE_MARKER_LEN,
+    BlockKind, DdlRecord, LogBlockHeader, LogRecord, PrepareMarker, BLOCK_HEADER_LEN,
+    PREPARE_MARKER_LEN,
 };
 use crate::segment::{Segment, SegmentTable};
 
@@ -65,9 +66,8 @@ impl LogScanner {
         LogScanner { segments: table.all(), offset: from }
     }
 
-    /// Current scan position. Only trustworthy as a resume point right
-    /// after [`LogScanner::next_block`] returned `Some` — on `Ok(None)`
-    /// the offset may already have advanced past a torn block.
+    /// Current scan position: just past the last block returned, or —
+    /// after `Ok(None)` — where the first hole begins.
     pub fn offset(&self) -> u64 {
         self.offset
     }
@@ -122,24 +122,17 @@ impl LogScanner {
             self.offset += len;
             match header.kind {
                 BlockKind::Skip => continue,
-                BlockKind::Txn
-                | BlockKind::TxnPrepare
-                | BlockKind::TxnDecide
-                | BlockKind::CheckpointBegin
-                | BlockKind::CheckpointEnd => {
+                kind => {
                     let mut payload = vec![0u8; header.len as usize - BLOCK_HEADER_LEN];
                     file.read_exact_at(
                         &mut payload,
                         seg.file_pos(block_offset) + BLOCK_HEADER_LEN as u64,
                     )?;
-                    if matches!(
-                        header.kind,
-                        BlockKind::Txn | BlockKind::TxnPrepare | BlockKind::TxnDecide
-                    ) {
-                        let sum = crate::records::checksum32(&payload);
-                        if sum != header.checksum {
-                            return Ok(None); // torn block: truncate
-                        }
+                    let marker = matches!(kind, BlockKind::CheckpointBegin | BlockKind::CheckpointEnd);
+                    if !marker && crate::records::checksum32(&payload) != header.checksum {
+                        // Torn block: truncate here; `find_tail` resumes over it.
+                        self.offset = block_offset;
+                        return Ok(None);
                     }
                     return Ok(Some(ScannedBlock { lsn, header, payload }));
                 }
@@ -150,13 +143,27 @@ impl LogScanner {
 
 /// Locate the logical tail of an existing log: the offset just past the
 /// last valid block. Used when reopening a log directory so allocation
-/// resumes without overwriting committed work.
-pub(crate) fn find_tail(table: &SegmentTable) -> io::Result<u64> {
+/// resumes without overwriting committed work. The walk reads every
+/// retained block anyway, so it also hands back the catalog it passed:
+/// one entry per index id, in id order, the last copy of each (an entry
+/// repeats once per checkpoint and route change).
+pub(crate) fn find_tail(table: &SegmentTable) -> io::Result<(u64, Vec<DdlRecord>)> {
     let segments = table.all();
-    let Some(first) = segments.first() else { return Ok(0) };
+    let Some(first) = segments.first() else { return Ok((0, Vec::new())) };
     let mut scanner = LogScanner::new(table, first.start);
+    let mut catalog = std::collections::BTreeMap::new();
     // Walk all blocks (including skips, which next_block consumes
     // internally); the scanner's offset after exhaustion is the tail.
-    while scanner.next_block()?.is_some() {}
-    Ok(scanner.offset)
+    while let Some(block) = scanner.next_block()? {
+        if block.header.kind != BlockKind::Ddl {
+            continue;
+        }
+        let Some(rec) = DdlRecord::decode(&block.payload) else { continue };
+        if let Some(old) = catalog.get(&rec.index).filter(|old: &&DdlRecord| !old.same_entry(&rec)) {
+            let msg = format!("catalog entries {old:?} and {rec:?} (LSN {:?}) collide", block.lsn);
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        catalog.insert(rec.index, rec);
+    }
+    Ok((scanner.offset, catalog.into_values().collect()))
 }

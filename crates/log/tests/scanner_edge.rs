@@ -104,6 +104,28 @@ fn checksum_mismatch_truncates_scan() {
     assert_eq!(scan_oids(&dir), vec![0, 1]);
 }
 
+/// The log reopened on a torn block resumes *over* it: what is committed
+/// from then on is found by the next scan. (The tail used to resume
+/// behind the torn block, where every later scan stopped short of it —
+/// each commit acknowledged after such a restart was lost by the next.)
+#[test]
+fn commits_after_reopening_on_a_torn_block_survive_the_next_reopen() {
+    let dir = TestDir::new("torn-resume");
+    let offsets = write_blocks(&dir, 3);
+    patch(&first_segment_file(&dir), offsets[2] + BLOCK_HEADER_LEN as u64 + 20, &[0xFF]);
+    {
+        let log = LogManager::open(cfg(dir.to_path_buf())).unwrap();
+        assert_eq!(log.next_offset(), offsets[2], "allocation resumes at the hole");
+        let mut tx = TxLogBuffer::new();
+        tx.add_update(TableId(1), Oid(7), b"after", b"the torn block");
+        let res = log.allocate(tx.block_len()).unwrap();
+        let (lsn, end) = (res.lsn(), res.end_offset());
+        res.fill(tx.serialize(lsn));
+        log.wait_durable(end).unwrap();
+    }
+    assert_eq!(scan_oids(&dir), vec![0, 1, 7]);
+}
+
 /// Garbage bytes where the next header should sit (the classic torn
 /// tail) end the scan without error.
 #[test]

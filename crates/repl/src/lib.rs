@@ -11,8 +11,10 @@
 //!   [`LogApplier`](ermia::LogApplier). The local directory is a
 //!   restartable backup at every point in time.
 //! * [`Replica::poll`] runs one shipping round per shard: re-pin at the
-//!   applied offset, mirror newly durable bytes, apply them, resolve
-//!   cross-shard 2PC outcomes, and advance the serving snapshot cut.
+//!   applied offset, mirror newly durable bytes, apply them (rows and
+//!   catalog entries alike: a table appears under the primary's id and
+//!   shard route, in log order), resolve cross-shard 2PC outcomes, and
+//!   advance the serving snapshot cut.
 //! * The serving handle ([`Replica::serving`]) is a sharded database of
 //!   read-only snapshot views: reads see a transaction-consistent,
 //!   monotonically advancing cut; writes abort with `ReadOnlyMode`
@@ -38,10 +40,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ermia::{Database, DbConfig, DdlEntry, IndexRouting, LogApplier, ShardPolicy, ShardedDb};
+use ermia::{Database, DbConfig, LogApplier, ShardedDb};
 use ermia_common::lsn::NUM_SEGMENTS;
 use ermia_common::Lsn;
-use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig, WireDdl};
+use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig};
 use ermia_telemetry::{EventKind, EventRing, Sample, SpanKind, SpanRing, TraceContext};
 
 /// Chunk source tags of the `FetchChunk` frame.
@@ -194,7 +196,7 @@ struct ShardState {
     shard: u32,
     client: Client,
     /// The applying handle: full read-write engine access, used only by
-    /// the shipping loop (replay, checkpoint install, DDL).
+    /// the shipping loop (replay, checkpoint install).
     db: Database,
     /// The serving handle: a snapshot view whose cut advances with
     /// replay. Cloned into the serving [`ShardedDb`].
@@ -209,10 +211,6 @@ struct ShardState {
     blob_shipped: u64,
     blob_file: fs::File,
     segment_size: u64,
-    /// The primary's schema listing as of the last status, DDL applied.
-    /// Routing (shard policies, secondary-index rules) rides along on
-    /// each entry and is re-installed whenever this changes.
-    schema: Vec<WireDdl>,
     ring: Arc<EventRing>,
     /// Service span ring of the applying database's tracer: shipping
     /// rounds record infra `repl-ship` spans here, alongside the
@@ -293,16 +291,13 @@ impl ShardState {
             blob_shipped += data.len() as u64;
         }
 
-        // Open the mirrored directory as a normal durable database and
-        // rebuild state: schema first (dense ids must match the
-        // primary's), then the checkpoint image, then log replay.
+        // Open the mirrored directory as a normal durable database (the
+        // catalog comes back from the mirrored log) and rebuild state:
+        // the checkpoint image, then log replay.
         let mut dbcfg = DbConfig::durable(&dir);
         dbcfg.log.segment_size = status.segment_size;
         let db = Database::open(dbcfg)?;
         db.set_role_replica();
-        for ddl in &status.schema {
-            db.apply_ddl(&to_ddl(ddl));
-        }
         let mut floor = Lsn::NULL;
         if let Some((begin, payload)) = &ckpt {
             db.store_checkpoint(*begin, payload)?;
@@ -329,7 +324,6 @@ impl ShardState {
             blob_shipped,
             blob_file,
             segment_size: status.segment_size,
-            schema: status.schema,
             ring,
             span_ring,
         })
@@ -368,13 +362,6 @@ impl ShardState {
                 earliest: status.earliest,
             });
         }
-        // New tables/indexes since the last round (idempotent by name;
-        // entries are in creation order so dense ids stay aligned).
-        for ddl in &status.schema {
-            self.db.apply_ddl(&to_ddl(ddl));
-        }
-        self.schema = status.schema.clone();
-
         let t0 = self.span_ring.now_ns();
         let mut shipped_bytes = self.ship_blobs(chunk_len)?;
         shipped_bytes += self.ship_log(&status, chunk_len, stats)?;
@@ -495,10 +482,6 @@ impl ShardState {
     }
 }
 
-fn to_ddl(w: &WireDdl) -> DdlEntry {
-    DdlEntry { table: w.table.clone(), secondary: w.secondary.clone() }
-}
-
 // ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
@@ -553,7 +536,6 @@ impl Replica {
 
         let mut replica =
             Replica { shards, serving, stats, chunk_len: cfg.chunk_len, telemetry_group };
-        replica.refresh_serving_routing();
         replica.resolve_cross_shard()?;
         replica.publish();
         Ok(replica)
@@ -564,9 +546,6 @@ impl Replica {
     /// advances atomically.
     pub fn poll(&mut self) -> ReplResult<ReplProgress> {
         let mut progress = ReplProgress::default();
-        // Full comparison, not a count: `create_table_with_policy` on an
-        // existing table changes routing without adding an entry.
-        let before_schema = self.shards.first().map(|s| s.schema.clone()).unwrap_or_default();
         for sh in &mut self.shards {
             let (shipped, blocks, lag) = sh.poll(self.chunk_len, &self.stats)?;
             progress.shipped_bytes += shipped;
@@ -575,9 +554,6 @@ impl Replica {
         }
         progress.resolved = self.resolve_cross_shard()?;
         self.publish();
-        if self.shards.first().map(|s| &s.schema) != Some(&before_schema) {
-            self.refresh_serving_routing();
-        }
         self.stats.lag_bytes.store(progress.lag_bytes, Ordering::Relaxed);
         self.stats.rounds.fetch_add(1, Ordering::Relaxed);
         Ok(progress)
@@ -626,34 +602,6 @@ impl Replica {
         }
         let applied = self.applied_lsn();
         self.stats.applied_lsn.store(applied, Ordering::Relaxed);
-    }
-
-    /// Rebuild the serving routing snapshot from the replayed catalog
-    /// plus the routing shipped with the schema, so reads route exactly
-    /// like the primary placed the keys (non-default policies included).
-    /// Schemas are identical across shards; shard 0's listing is used.
-    fn refresh_serving_routing(&self) {
-        let mut policies = Vec::new();
-        let mut secondaries = Vec::new();
-        if let Some(sh) = self.shards.first() {
-            for ddl in &sh.schema {
-                match &ddl.secondary {
-                    None => {
-                        if let Some(id) = self.serving.table_id(&ddl.table) {
-                            policies
-                                .push((id, ShardPolicy::from_wire(ddl.route_tag, ddl.route_arg)));
-                        }
-                    }
-                    Some(name) => {
-                        if let Some(id) = self.serving.index_id(name) {
-                            secondaries
-                                .push((id, IndexRouting::from_wire(ddl.route_tag, ddl.route_arg)));
-                        }
-                    }
-                }
-            }
-        }
-        self.serving.refresh_routing_with(&policies, &secondaries);
     }
 
     /// The read-only serving handle: snapshot views over every shard,

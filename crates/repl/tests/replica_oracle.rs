@@ -208,72 +208,75 @@ fn sharded_replica_replicates_cross_shard_commits() {
 }
 
 #[test]
-fn replica_routes_with_shipped_shard_policies() {
+fn replica_learns_tables_and_their_routes_from_the_log() {
     // A prefix-hash table colocates every key sharing a 4-byte prefix
     // on one shard. The full-key default would scatter the same keys,
     // so a replica that fell back to the default policy would look on
-    // the wrong shard and return not-found for most of them.
+    // the wrong shard and return not-found for most of them. The table
+    // is created *between* two polls: the shipped log is the only thing
+    // that can tell the replica of it, its id and its route.
     let primary_dir = TestDir::new("policy-primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 16 << 10;
     let db = ermia::ShardedDb::open(cfg, 2).unwrap();
-    let t = db.create_table_with_policy("orders", ermia::ShardPolicy::Hash { prefix: Some(4) });
-    db.create_secondary_index(t, "orders-by-owner", ermia::IndexRouting::OwnerPrefix(4));
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
     let mut c = Client::connect(addr.as_str()).unwrap();
-    let t_wire = c.open_table("orders").unwrap();
-    assert_eq!(t_wire, t.0);
-
-    let mut journal: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-    for group in 0..8u32 {
-        for item in 0..6u32 {
-            let k = format!("{group:04}-item-{item:02}").into_bytes();
-            let v = format!("val-{group}-{item}").into_bytes();
-            sync_put(&mut c, t_wire, &k, &v);
-            journal.insert(k, v);
-        }
-    }
-
-    // The shipped schema carries the routing descriptors on the wire.
-    let mut probe = Client::connect(addr.as_str()).unwrap();
-    let status = probe.subscribe(0, 0).unwrap();
-    let table_entry = status.schema.iter().find(|d| d.secondary.is_none()).unwrap();
-    assert_eq!(
-        (table_entry.route_tag, table_entry.route_arg),
-        (1, 4),
-        "table entry must ship Hash{{prefix: Some(4)}}"
-    );
-    let index_entry = status.schema.iter().find(|d| d.secondary.is_some()).unwrap();
-    assert_eq!(
-        (index_entry.route_tag, index_entry.route_arg),
-        (1, 4),
-        "secondary entry must ship OwnerPrefix(4)"
-    );
-    drop(probe);
+    let kv = c.open_table("kv").unwrap();
+    sync_put(&mut c, kv, b"before", b"bootstrap");
 
     let replica_dir = TestDir::new("policy-replica");
     let mut rcfg = ReplicaConfig::new(addr, &replica_dir);
     rcfg.shards = 2;
     let mut replica = Replica::bootstrap(rcfg).unwrap();
     replica.catch_up().unwrap();
-
     let rsrv = replica.serve("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut rc = Client::connect(rsrv.local_addr()).unwrap();
-    let rt = rc.open_table("orders").unwrap();
-    assert_eq!(rt, t_wire);
-    for (k, v) in &journal {
-        assert_eq!(
-            rc.get(rt, k).unwrap().as_deref(),
-            Some(&v[..]),
-            "prefix-routed key {:?} wrong or missing on replica",
-            String::from_utf8_lossy(k)
-        );
+    assert_eq!(rc.open_table("kv").unwrap(), kv);
+
+    let t = db.create_table_with_policy("orders", ermia::ShardPolicy::Hash { prefix: Some(4) });
+    let by_owner =
+        db.create_secondary_index(t, "orders-by-owner", ermia::IndexRouting::OwnerPrefix(4));
+    let mut journal: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    for group in 0..8u32 {
+        for item in 0..6u32 {
+            let k = format!("{group:04}-item-{item:02}").into_bytes();
+            let v = format!("val-{group}-{item}").into_bytes();
+            sync_put(&mut c, t.0, &k, &v);
+            journal.insert(k, v);
+        }
     }
+    replica.catch_up().unwrap();
+
+    let check = |rc: &mut Client, what: &str| {
+        assert_eq!(rc.open_table("orders").unwrap(), t.0, "{what}: the primary's id");
+        for (k, v) in &journal {
+            assert_eq!(
+                rc.get(t.0, k).unwrap().as_deref(),
+                Some(&v[..]),
+                "{what}: prefix-routed key {:?} wrong or missing",
+                String::from_utf8_lossy(k)
+            );
+        }
+        assert_eq!(rc.get(kv, b"before").unwrap().as_deref(), Some(&b"bootstrap"[..]));
+    };
+    check(&mut rc, "tailing replica");
+    assert_eq!(replica.serving().index_id("orders-by-owner"), Some(by_owner));
 
     rsrv.shutdown();
     srv.shutdown();
     drop(replica);
+
+    // The replica's directory is a database like any other: opened with
+    // no declaration at all, it serves the same rows.
+    let mut cfg = DbConfig::durable(&replica_dir);
+    cfg.log.segment_size = 16 << 10;
+    let backup = ermia::ShardedDb::open(cfg, 2).unwrap();
+    backup.recover().unwrap();
+    let bsrv = Server::start_sharded(&backup, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    check(&mut Client::connect(bsrv.local_addr()).unwrap(), "replica directory reopened");
+    assert_eq!(backup.index_id("orders-by-owner"), Some(by_owner));
+    bsrv.shutdown();
 }
 
 #[test]

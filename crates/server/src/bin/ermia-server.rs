@@ -3,7 +3,7 @@
 //! ```sh
 //! ermia-server 127.0.0.1:7878
 //! ermia-server 127.0.0.1:7878 --shards 4
-//! ermia-server 127.0.0.1:0 --data-dir /var/tmp/ermia --table chaos --fsync
+//! ermia-server 127.0.0.1:0 --data-dir /var/tmp/ermia --fsync
 //! ```
 //!
 //! `--shards N` partitions the engine into N independent shard domains
@@ -14,10 +14,9 @@
 //! (EXPERIMENTS.md, "One log or N").
 //!
 //! `--data-dir DIR` names the durable directory. It is reused across
-//! restarts: every start recovers what the previous incarnation made
-//! durable, for the tables re-declared with `--table NAME` (the schema
-//! is the application's to declare; clients may open further tables
-//! over the wire).
+//! restarts and describes itself: every start recovers what the previous
+//! incarnation made durable — the tables clients opened over the wire,
+//! under the ids they had, and every acknowledged row in them.
 //!
 //! Stdout starts with two machine-readable lines — `INDOUBT <n>`, the
 //! cross-shard prepares recovery had to resolve, then `PORT <n>` — so an
@@ -52,7 +51,7 @@ use ermia_log::{FaultInjector, FaultPlan};
 use ermia_server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: ermia-server [<addr>] [--data-dir <dir>] [--shards <n>] \
-[--table <name>]... [--fault-plan none|enospc:<bytes>|fsync:<n>|linger:<ms>] \
+[--fault-plan none|enospc:<bytes>|fsync:<n>|linger:<ms>] \
 [--checkpoint-ms <ms>] [--fsync] [--segment-size <bytes>] [--buffer-size <bytes>] \
 [--flush-interval-us <us>] [--wait-durable-ms <ms>] [--sync-wait-ms <ms>]";
 
@@ -80,7 +79,6 @@ where
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut shards = 1usize;
-    let mut tables: Vec<String> = Vec::new();
     let mut plan = FaultPlan::default();
     let mut checkpoint_ms = 0u64;
     // Durable engine: the log goes to disk, sync commits really wait.
@@ -93,7 +91,6 @@ fn main() {
         match a.as_str() {
             "--data-dir" => cfg.log.dir = Some(value(&a, args)),
             "--shards" => shards = value(&a, args),
-            "--table" => tables.push(value(&a, args)),
             "--fault-plan" => plan = value(&a, args),
             "--checkpoint-ms" => checkpoint_ms = value(&a, args),
             "--fsync" => cfg.log.fsync = true,
@@ -121,9 +118,6 @@ fn main() {
 
     let db = ShardedDb::open(cfg, shards)
         .unwrap_or_else(|e| die("open database (is the data dir locked by a live server?)", e));
-    for table in &tables {
-        db.create_table(table);
-    }
     let recovered = db.recover().unwrap_or_else(|e| die("recovery", e));
     println!("INDOUBT {}", recovered.resolved_commits + recovered.resolved_aborts);
 

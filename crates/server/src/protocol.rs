@@ -421,7 +421,7 @@ impl<T: Listed> Wire for Vec<T> {
 /// large.
 pub const MAX_BATCH_OPS: u32 = 10_000;
 
-/// Cap on segment (and schema) entries in one `ReplStatus` frame.
+/// Cap on segment entries in one `ReplStatus` frame.
 const MAX_REPL_SEGMENTS: u32 = 1 << 20;
 
 impl Listed for BatchOp {
@@ -438,11 +438,6 @@ impl Listed for (Vec<u8>, Vec<u8>) {
 impl Listed for WireSegment {
     const CAP: u32 = MAX_REPL_SEGMENTS;
     const OVER: &'static str = "segment count";
-}
-
-impl Listed for WireDdl {
-    const CAP: u32 = MAX_REPL_SEGMENTS;
-    const OVER: &'static str = "schema count";
 }
 
 // ---------------------------------------------------------------------
@@ -809,32 +804,14 @@ impl Wire for ErrorCode {
     }
 }
 
-/// One schema entry shipped to a replica: a table plus, when the entry
-/// describes a secondary index, that index's name. Replaying the
-/// entries in order reproduces the primary's dense table/index ids.
-///
-/// `route_tag`/`route_arg` carry the entry's shard routing (the wire
-/// form of `ShardPolicy::to_wire` for table entries,
-/// `IndexRouting::to_wire` for secondary entries), so a replica of a
-/// sharded primary routes reads exactly like the primary placed the
-/// keys. `(0, 0)` is the default policy for both kinds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireDdl {
-    pub table: String,
-    pub secondary: Option<String>,
-    pub route_tag: u8,
-    pub route_arg: u64,
-}
-
-wire_struct!(WireDdl { table, secondary, route_tag, route_arg });
-
 /// One sealed-or-open log segment visible to a subscriber:
 /// `(index, start, end)` where `end` is exclusive and clamped to the
 /// durable frontier on the open segment.
 pub type WireSegment = (u64, u64, u64);
 
 /// The reply to [`Request::Subscribe`]: everything a replica needs to
-/// plan its next fetch round. On the wire, the fields in this order.
+/// plan its next fetch round (the schema is in the log it fetches). On
+/// the wire, the fields in this order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplStatus {
     /// Node role: 0 = primary, 1 = replica.
@@ -856,8 +833,6 @@ pub struct ReplStatus {
     pub checkpoint: Option<(u64, u64)>,
     /// Segments holding `[earliest, durable_lsn)`, oldest first.
     pub segments: Vec<WireSegment>,
-    /// The shard's schema, in creation order.
-    pub schema: Vec<WireDdl>,
 }
 
 wire_struct!(ReplStatus {
@@ -867,8 +842,7 @@ wire_struct!(ReplStatus {
     earliest,
     segment_size,
     checkpoint,
-    segments,
-    schema
+    segments
 });
 
 frames! {
@@ -976,12 +950,6 @@ impl Response {
     /// At least one reply per row of the table, and an `Error` per error
     /// code; see [`Request::samples`].
     pub fn samples() -> Vec<Response> {
-        let ddl = |secondary: Option<&str>, route_arg| WireDdl {
-            table: "accounts".into(),
-            secondary: secondary.map(String::from),
-            route_tag: 1,
-            route_arg,
-        };
         let mut samples = vec![
             Response::Pong,
             Response::TableId { id: 7 },
@@ -1015,7 +983,6 @@ impl Response {
                 segment_size: 1 << 26,
                 checkpoint: Some((0x1234_5670, 8888)),
                 segments: vec![(0, 0, 1 << 26), (1, 1 << 26, (1 << 26) + 512)],
-                schema: vec![ddl(None, 4), ddl(Some("by_owner"), 8)],
             }),
             Response::ReplStatus(ReplStatus {
                 role: 1,
@@ -1025,7 +992,6 @@ impl Response {
                 segment_size: 1 << 20,
                 checkpoint: None,
                 segments: vec![],
-                schema: vec![],
             }),
             Response::SegmentChunk { offset: 0, data: vec![] },
             Response::SegmentChunk { offset: 77, data: vec![0xA5; 300] },

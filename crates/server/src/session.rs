@@ -111,7 +111,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ermia::{DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker};
+use ermia::{
+    DbState, DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker,
+};
 use ermia_common::LogError;
 use ermia_log::{DurableSub, DurableWaker};
 use ermia_telemetry::{
@@ -124,7 +126,7 @@ use crate::conn::{
 };
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
-    is_traced_frame, write_frame, ErrorCode, Legal, ReplStatus, Request, Response, WireDdl,
+    is_traced_frame, write_frame, ErrorCode, Legal, ReplStatus, Request, Response,
 };
 use crate::server::{ServerState, ShardHandle};
 
@@ -1064,8 +1066,7 @@ fn log_failed(state: &ServerState, e: &LogError) -> Response {
 
 /// Every engine shard's registry as one exposition: what each shard
 /// keeps for itself (transactions, log, GC, epochs, TID table) carries
-/// `shard="i"` when there are several, as `ermia_shard_txns_total` does;
-/// one shard renders bare.
+/// `shard="i"` when there are several; one shard renders bare.
 fn render_metrics(db: &ShardedDb) -> String {
     let registries: Vec<_> = (0..db.shards()).map(|i| db.shard(i).telemetry().registry()).collect();
     Registry::render_merged(&registries, "shard")
@@ -1131,9 +1132,7 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
         slot => *slot = Some(ReplConnState { shard: idx, retention: db.pin_log(from), checkpoint: None }),
     }
     let log = db.log();
-    let durable = log.durable_offset();
-    let segs = log.segments().all();
-    let earliest = segs.first().map_or(0, |s| s.start);
+    let earliest = log.segments().all().first().map_or(0, |s| s.start);
     let repl = conn.repl.as_mut().expect("subscription just installed");
     if from < earliest {
         // The resume point was truncated away: the subscriber must
@@ -1157,6 +1156,10 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
     } else {
         repl.checkpoint = None;
     }
+    // Read behind the pinned checkpoint: its barrier covered its copy of
+    // the catalog, so this frontier holds every table its payload names.
+    let durable = log.durable_offset();
+    let segs = log.segments().all();
     let status = ReplStatus {
         role: db.role() as u8,
         state: db.state() as u8,
@@ -1171,17 +1174,6 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
             .iter()
             .filter(|s| s.start < durable)
             .map(|s| (s.index, s.start, s.end.min(durable)))
-            .collect(),
-        schema: state
-            .db
-            .schema_ddl_routed()
-            .into_iter()
-            .map(|d| WireDdl {
-                table: d.entry.table,
-                secondary: d.entry.secondary,
-                route_tag: d.route_tag,
-                route_arg: d.route_arg,
-            })
             .collect(),
     };
     conn.push(state, Response::ReplStatus(status));
@@ -1278,20 +1270,26 @@ fn open_table(state: &Arc<ServerState>, conn: &mut Conn, name: &[u8]) {
     let Ok(name) = std::str::from_utf8(name) else {
         return conn.push_err(state, ErrorCode::BadState, "table name must be utf-8");
     };
-    // A replica's catalog is owned by shipped DDL replay: dense ids must
-    // come out identical to the primary's, and a locally allocated id
-    // would silently divert later log replay onto the wrong table. The
-    // same holds for any read-only snapshot view. Look up by name only.
+    if let Some(id) = state.db.table_id(name) {
+        return conn.push(state, Response::TableId { id: id.0 });
+    }
     let db0 = state.db.shard(0);
-    if db0.role() == NodeRole::Replica || db0.view_cut().is_some() {
-        return match state.db.table_id(name) {
-            Some(id) => conn.push(state, Response::TableId { id: id.0 }),
-            None => conn.push_err(
-                state,
-                ErrorCode::UnknownTable,
-                &format!("table {name:?} does not exist on this read-only replica"),
-            ),
-        };
+    let refused = if db0.role() == NodeRole::Replica || db0.view_cut().is_some() {
+        // A replica's catalog is owned by replay of the shipped log: a
+        // locally allocated id would silently divert later replay onto
+        // the wrong table. The same holds for any read-only view.
+        Some((ErrorCode::UnknownTable, "does not exist on this read-only replica"))
+    } else if state.db.state() == DbState::Degraded {
+        // A table cannot be created where it cannot be logged: the
+        // poisoned log would refuse the catalog entry its id stands for.
+        Some((ErrorCode::DegradedReadOnly, "cannot be created while the log is down"))
+    } else if name.len() > ermia_log::DdlRecord::MAX_NAMES_LEN {
+        Some((ErrorCode::BadState, "has too long a name for a catalog entry"))
+    } else {
+        None
+    };
+    if let Some((code, why)) = refused {
+        return conn.push_err(state, code, &format!("table {name:?} {why}"));
     }
     let id = state.db.create_table(name);
     conn.push(state, Response::TableId { id: id.0 });

@@ -17,7 +17,11 @@
 //!
 //! The server child is the binary we ship, `ermia-server`, spawned with
 //! its settings as flags ([`spawn_server`]); it prints `INDOUBT <n>` and
-//! `PORT <n>` and serves until killed.
+//! `PORT <n>` and serves until killed. No flag names a table: every
+//! client opens `chaos` over the wire like any client would, one of them
+//! opens a second table in the middle of each cycle, and the restarted
+//! server has to know both — ids included — from its data directory
+//! alone.
 //!
 //! Knobs (environment): `ERMIA_CHAOS_CYCLES` (default 3; the nightly
 //! profile runs ≥ 50), `ERMIA_CHAOS_SEED` (default 0xC0FFEE). On an
@@ -116,7 +120,7 @@ fn merge(into: &mut Journal, from: Journal) {
 #[allow(clippy::zombie_processes)]
 fn spawn_server(dir: &Path, fault: &str, ckpt_ms: u64, shards: usize) -> (Child, u16, u64) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ermia-server"))
-        .args(["127.0.0.1:0", "--table", "chaos", "--fsync", "--fault-plan", fault, "--data-dir"])
+        .args(["127.0.0.1:0", "--fsync", "--fault-plan", fault, "--data-dir"])
         .arg(dir)
         .args(["--shards", &shards.to_string(), "--checkpoint-ms", &ckpt_ms.to_string()])
         .args(["--segment-size", "32768", "--buffer-size", "262144", "--flush-interval-us", "100"])
@@ -172,15 +176,30 @@ fn client_traffic(
 ) -> Journal {
     let Ok(mut c) = Client::connect(("127.0.0.1", port)) else { return journal };
     let _ = c.set_reply_timeout(Some(Duration::from_secs(3)));
-    let Ok(table) = c.open_table("chaos") else { return journal };
+    let Ok(chaos) = c.open_table("chaos") else { return journal };
 
     let mut pending: VecDeque<InFlight> = VecDeque::new();
     let mut rng = Rng(0xA5A5_0000 ^ cid as u64);
     let mut alive = true;
+    // Client 0 opens a second table mid-cycle — once its pipeline has
+    // drained: `open_table` reads the next reply — and from then on
+    // sends every other request there. A refused open (degraded server)
+    // leaves it on the first table.
+    let mut late = None;
+    let mut opened = cid != 0;
+    let mut replies = 0u32;
     while alive && !stop.load(Ordering::Relaxed) {
+        if !opened && replies >= 16 && pending.is_empty() {
+            late = c.open_table(LATE_TABLE).ok();
+            opened = true;
+        }
         // Keep up to 4 requests on the wire.
-        while pending.len() < 4 {
-            let key = format!("c{cid}-k{:02}", rng.below(8)).into_bytes();
+        while (opened || replies < 16) && pending.len() < 4 {
+            let (table, key) = match late {
+                Some(late) if rng.below(2) == 0 => (late, format!("c{cid}-late-k{:02}", rng.below(8))),
+                _ => (chaos, format!("c{cid}-k{:02}", rng.below(8))),
+            };
+            let key = key.into_bytes();
             if rng.below(8) == 0 {
                 if c.send(&Request::Get { table, key: key.clone() }).is_err() {
                     alive = false;
@@ -209,6 +228,7 @@ fn client_traffic(
             Ok(resp) => resolve(&mut journal, pending.pop_front().expect("reply owed"), resp),
             Err(_) => alive = false, // killed mid-stream or timed out
         }
+        replies += 1;
     }
     // Whatever is still unanswered stays indeterminate: issued, not
     // acked, not denied — exactly what the oracle allows either way.
@@ -300,18 +320,25 @@ fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
     conclude(dir, &title, &violations, &mut c, child);
 }
 
-/// Connect to a freshly recovered server and read table `chaos` back as
+/// The table one client opens in the middle of a cycle; its keys carry
+/// `-late-`, so the two tables' rows journal side by side.
+const LATE_TABLE: &str = "chaos-late";
+
+/// Connect to a freshly recovered server and read both tables back as
 /// key → sequence.
 fn oracle_scan(port: u16) -> (Client, HashMap<Vec<u8>, u64>) {
     let mut c = Client::connect(("127.0.0.1", port)).expect("oracle client connect");
     c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
-    let table = c.open_table("chaos").unwrap();
-    let (rows, truncated) = c.scan(table, b"", &[0xFF], 0).expect("oracle scan");
-    assert!(!truncated, "oracle scan must fit one frame");
-    let recovered = rows
-        .into_iter()
-        .map(|(k, v)| (k, String::from_utf8_lossy(&v).parse().unwrap_or(u64::MAX)))
-        .collect();
+    let mut recovered = HashMap::new();
+    for name in ["chaos", LATE_TABLE] {
+        let table = c.open_table(name).unwrap();
+        let (rows, truncated) = c.scan(table, b"", &[0xFF], 0).expect("oracle scan");
+        assert!(!truncated, "oracle scan must fit one frame");
+        for (k, v) in rows {
+            assert_eq!(k.windows(6).any(|w| w == b"-late-"), name == LATE_TABLE, "{name}: {k:?}");
+            recovered.insert(k, String::from_utf8_lossy(&v).parse().unwrap_or(u64::MAX));
+        }
+    }
     (c, recovered)
 }
 

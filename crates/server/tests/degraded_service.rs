@@ -136,3 +136,56 @@ fn degraded_service_keeps_reads_alive_and_resume_restores_writes() {
 
     srv.shutdown();
 }
+
+/// A table cannot be created where it cannot be logged: while the log is
+/// down `OpenTable` of a new name bounces typed (a known name still
+/// resolves — readers need ids), and `Resume` re-appends the catalog
+/// before writes are admitted, so a table an embedded caller created
+/// during the outage is not lost either.
+#[test]
+fn a_table_opened_during_an_outage_bounces_and_survives_once_resumed() {
+    let dir = TestDir::new("late-table");
+    let injector =
+        FaultInjector::new(FaultPlan { enospc_after_bytes: Some(8192), ..FaultPlan::default() });
+    let db = ShardedDb::open(faulty_cfg(dir.to_path_buf(), &injector), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
+    let kv = c.open_table("kv").unwrap();
+    let mut i = 0u32;
+    while sync_put(&mut c, kv, &i.to_be_bytes(), b"pre").is_ok() {
+        i += 1;
+        assert!(i < 2000, "ENOSPC budget never fired");
+    }
+    let _ = c.abort();
+    while !c.health().unwrap().degraded {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    assert_eq!(c.open_table("kv").unwrap(), kv, "a known name is a lookup, outage or not");
+    match c.open_table("late") {
+        Err(ClientError::Server { code: ErrorCode::DegradedReadOnly, .. }) => {}
+        other => panic!("a table the log cannot hold must bounce typed, got {other:?}"),
+    }
+    let embedded = db.create_table("embedded").0;
+
+    injector.repair();
+    assert!(!c.resume().expect("resume after repair").degraded);
+    let late = c.open_table("late").unwrap();
+    sync_put(&mut c, late, b"k", b"late").unwrap();
+    sync_put(&mut c, embedded, b"k", b"embedded").unwrap();
+    srv.shutdown();
+    drop((c, db));
+
+    // Restart on a healthy device, nothing declared.
+    let db = ShardedDb::open(faulty_cfg(dir.to_path_buf(), &FaultInjector::new(FaultPlan::default())), 1)
+        .unwrap();
+    db.recover().unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    assert_eq!(c.open_table("late").unwrap(), late);
+    assert_eq!(c.open_table("embedded").unwrap(), embedded);
+    assert_eq!(c.get(late, b"k").unwrap().as_deref(), Some(&b"late"[..]));
+    assert_eq!(c.get(embedded, b"k").unwrap().as_deref(), Some(&b"embedded"[..]));
+    srv.shutdown();
+}

@@ -307,6 +307,53 @@ fn multiple_shards_serve_concurrent_sessions_consistently() {
     assert_eq!(srv.worker_pool().outstanding(), 0);
 }
 
+/// Two clients on different event loops opening different new tables on
+/// a two-shard engine used to interleave across the engine shards, trip
+/// the catalog-divergence assert and take an event loop — with every
+/// connection it owned — down. DDL is one at a time now: both finish,
+/// and every name has one id, the same on both shards.
+#[test]
+fn concurrent_open_table_on_a_sharded_engine_agrees_on_every_id() {
+    let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
+    let cfg = ServerConfig { shards: 2, ..ServerConfig::default() };
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let addr = srv.local_addr();
+    // Round-robin admission: consecutive connections, different loops.
+    let clients = [Client::connect(addr).unwrap(), Client::connect(addr).unwrap()];
+    let opened: Vec<Vec<(String, u32)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(c, mut client)| {
+                s.spawn(move || {
+                    // (A dead event loop answers nothing: fail, don't hang.)
+                    client.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
+                    // Pipelined, so the two loops really create at once.
+                    let names: Vec<_> = (0..100).map(|i| format!("c{c}-t{i}")).collect();
+                    for n in &names {
+                        client.send(&Request::OpenTable { name: n.clone().into_bytes() }).unwrap();
+                    }
+                    let id = |client: &mut Client| match client.recv().unwrap() {
+                        Response::TableId { id } => id,
+                        other => panic!("OpenTable answered {other:?}"),
+                    };
+                    names.into_iter().map(|n| (n, id(&mut client))).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut check = Client::connect(addr).unwrap();
+    for (name, id) in opened.iter().flatten() {
+        assert_eq!(check.open_table(name).unwrap(), *id, "{name}");
+        for shard in 0..2 {
+            assert_eq!(db.shard(shard).table_id(name).map(|t| t.0), Some(*id), "{name}");
+        }
+    }
+    assert_eq!(db.table_count(), 200);
+    srv.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_inflight_sync_commits_and_leaks_nothing() {
     let cfg = ServerConfig { shutdown_poll: Duration::from_millis(5), ..ServerConfig::default() };

@@ -4,11 +4,13 @@
 //! give its vector and decoding the vector must give the value back, so a
 //! change to the table that moves a byte fails here whichever side it
 //! breaks. The file uses only names both codecs export, so it runs
-//! unmodified against either.
+//! unmodified against either. (PR 28 took the `schema` list off the end
+//! of `ReplStatus` — the schema ships in the log — and its bytes off the
+//! end of the two vectors; nothing else moved.)
 
 use ermia_common::AbortReason;
 use ermia_server::{
-    BatchOp, ErrorCode, ReplStatus, Request, Response, TraceContext, WireDdl, WireIsolation,
+    BatchOp, ErrorCode, ReplStatus, Request, Response, TraceContext, WireIsolation,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -141,22 +143,8 @@ fn responses() -> Vec<(Response, &'static str)> {
                 segment_size: 1 << 26,
                 checkpoint: Some((0x1234_5670, 8888)),
                 segments: vec![(0, 0, 1 << 26), (1, 1 << 26, (1 << 26) + 512)],
-                schema: vec![
-                    WireDdl {
-                        table: "accounts".into(),
-                        secondary: None,
-                        route_tag: 1,
-                        route_arg: 4,
-                    },
-                    WireDdl {
-                        table: "accounts".into(),
-                        secondary: Some("by_owner".into()),
-                        route_tag: 1,
-                        route_arg: 8,
-                    },
-                ],
             }),
-            "900000000000400000000000100000000000000000000400000000017056341200000000b8220000000000000200000000000000000000000000000000000000000000040000000001000000000000000000000400000000000200040000000002000000080000006163636f756e747300010400000000000000080000006163636f756e7473010800000062795f6f776e6572010800000000000000",
+            "900000000000400000000000100000000000000000000400000000017056341200000000b82200000000000002000000000000000000000000000000000000000000000400000000010000000000000000000004000000000002000400000000",
         ),
         (
             Response::ReplStatus(ReplStatus {
@@ -167,9 +155,8 @@ fn responses() -> Vec<(Response, &'static str)> {
                 segment_size: 1 << 20,
                 checkpoint: None,
                 segments: vec![],
-                schema: vec![],
             }),
-            "900101000000000000000000000000000000000000100000000000000000000000000000",
+            "9001010000000000000000000000000000000000001000000000000000000000",
         ),
         (Response::SegmentChunk { offset: 77, data: vec![0xA5; 6] }, "914d0000000000000006000000a5a5a5a5a5a5"),
         (Response::Traces { text: "trace=0000000000000001 id=2\n".into() }, "921c00000074726163653d303030303030303030303030303030312069643d320a"),

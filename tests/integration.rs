@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: scenarios that span the engine, the
 //! log, recovery, both CC flavors, and the Silo baseline.
 
-use ermia::{DbConfig, IndexRouting, IsolationLevel, ShardedDb};
-use ermia_common::TestDir;
+use ermia::{shard_of_key, DbConfig, IndexRouting, IsolationLevel, ShardPolicy, ShardedDb};
+use ermia_common::{TableId, TestDir};
+use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_repro::workloads::driver::{run, RunConfig};
 use ermia_repro::workloads::tpcc::{check_consistency, TpccConfig, TpccWorkload};
 use ermia_repro::workloads::{ErmiaEngine, SiloEngine};
@@ -35,7 +36,7 @@ fn tpcc_survives_crash_recovery() {
     {
         let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
         let engine = ErmiaEngine::si(db.clone());
-        // Re-declare schema, then recover.
+        // Look the schema up (the catalog came back with `open`), then recover.
         let wl2 = TpccWorkload::new(TpccConfig::small(1));
         let _tables = ermia_repro::workloads::tpcc::TpccTables::create(&engine);
         let stats = db.recover().unwrap();
@@ -44,6 +45,76 @@ fn tpcc_survives_crash_recovery() {
         // already exist and log replay repopulated them.
         wl2.bind_tables(&engine);
         check_consistency(&engine, &wl2);
+    }
+}
+
+/// The log carries the schema too: tables a client opened over the wire
+/// (and one the embedder gave a shard policy) come back from the data
+/// directory alone — nothing is declared before `recover()` — under the
+/// ids they had, with every acknowledged row, routed as they were; and
+/// again once a checkpoint has let truncation retire the segments their
+/// first catalog entries were in.
+#[test]
+fn a_data_directory_reopens_as_the_database_it_was() {
+    for shards in [1, 2] {
+        let dir = TestDir::new(&format!("it-self-describing-{shards}"));
+        let open = || {
+            let mut cfg = DbConfig::durable(&dir);
+            cfg.log.segment_size = 8192;
+            ShardedDb::open(cfg, shards).unwrap()
+        };
+        let sync_put = |c: &mut Client, t: u32, key: &[u8], value: &[u8]| {
+            c.begin(WireIsolation::Snapshot).unwrap();
+            c.put(t, key, value).unwrap();
+            c.commit(true).unwrap();
+        };
+        let mut acked: Vec<(u32, Vec<u8>, Vec<u8>)> = Vec::new();
+        let (b, a, grouped);
+        {
+            let db = open();
+            let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+            let mut c = Client::connect(srv.local_addr()).unwrap();
+            b = c.open_table("b").unwrap();
+            a = c.open_table("a").unwrap();
+            grouped = db.create_table_with_policy("grouped", ShardPolicy::Hash { prefix: Some(4) }).0;
+            for i in 0..50u32 {
+                for (t, key) in [(b, format!("b{i}")), (a, format!("a{i}")), (grouped, format!("g007-{i}"))] {
+                    let value = format!("{key}={}", "x".repeat(200)).into_bytes();
+                    sync_put(&mut c, t, key.as_bytes(), &value);
+                    acked.push((t, key.into_bytes(), value));
+                }
+            }
+            // A crash as far as the engine can tell: nobody checkpoints,
+            // nobody says goodbye to the log.
+        }
+        for restart in 0..3 {
+            let db = open();
+            db.recover().unwrap();
+            let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+            let mut c = Client::connect(srv.local_addr()).unwrap();
+            let ids = ["b", "a", "grouped"].map(|name| c.open_table(name).unwrap());
+            assert_eq!(ids, [b, a, grouped], "{shards} shard(s), restart {restart}");
+            for (t, key, value) in &acked {
+                let got = c.get(*t, key).unwrap();
+                assert_eq!(got.as_deref(), Some(&value[..]), "{shards} shard(s), restart {restart}");
+            }
+            // The prefix policy came back with the table: its co-located
+            // keys are all where the prefix hashes to.
+            let home = db.shard(shard_of_key(b"g007", shards));
+            let mut w = home.register_worker();
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            for (_, key, _) in acked.iter().filter(|(t, ..)| *t == grouped) {
+                assert!(tx.read(TableId(grouped), key, |_| ()).unwrap().is_some(), "{shards} shard(s)");
+            }
+            tx.commit().unwrap();
+            if restart == 0 {
+                db.checkpoint().unwrap();
+                assert!(db.truncate_log().unwrap() > 0, "the first catalog entries' segments go");
+                let (key, value) = (b"after".to_vec(), b"the checkpoint".to_vec());
+                sync_put(&mut c, a, &key, &value);
+                acked.push((a, key, value));
+            }
+        }
     }
 }
 
