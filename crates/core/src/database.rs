@@ -356,6 +356,8 @@ pub(crate) struct DbInner {
     pub log_pins: PinSet,
     /// Live fork handles (gauge `ermia_fork_count`).
     pub fork_count: AtomicU64,
+    /// What the last offline recovery did (`ermia_recovery_*`).
+    pub recovered: Mutex<crate::recovery::RecoveryStats>,
     /// Pid lockfile on the data directory (`None` for in-memory
     /// databases); held only for its Drop, which removes the file.
     pub _dir_lock: Option<DirLock>,
@@ -486,6 +488,7 @@ impl Database {
             gc_horizon_used: AtomicU64::new(0),
             log_pins: PinSet::new(),
             fork_count: AtomicU64::new(0),
+            recovered: Mutex::default(),
             _dir_lock: dir_lock,
             cfg,
         });

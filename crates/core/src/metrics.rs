@@ -196,6 +196,17 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "Live copy-on-write snapshot forks pinning the GC horizon",
         db.fork_count.load(Relaxed) as f64,
     ));
+    let recovered = *db.recovered.lock();
+    out.push(Sample::gauge(
+        "ermia_recovery_seconds",
+        "Time the last offline recovery took to rebuild this database",
+        recovered.elapsed.as_secs_f64(),
+    ));
+    out.push(Sample::gauge(
+        "ermia_recovery_bytes",
+        "Checkpoint and log bytes the last offline recovery scanned",
+        recovered.scanned_bytes as f64,
+    ));
     out.push(Sample::gauge(
         "ermia_log_durable_lag_bytes",
         "Allocated-but-not-yet-durable log bytes (next - durable)",

@@ -8,70 +8,72 @@
 //! checkpoint. No undo is ever needed; the log truncates at the first
 //! hole without losing committed work.
 //!
-//! The paper stores only OID→log-address mappings and relies on
-//! anti-caching to load record bodies on demand; this reproduction has no
-//! buffer manager, so checkpoints carry record payloads inline and replay
-//! materializes versions directly. The *structure* of recovery (fuzzy
-//! snapshot + header-driven forward scan, idempotent by stamp
-//! comparison) matches the paper.
+//! **What matches §3.7.** Offline recovery ([`LogApplier::rebuild`])
+//! restores *indirection arrays*, not history. Step 1 scans the
+//! checkpoint and the log once and keeps, per table, a dense array of
+//! `OID → (commit stamp, address)` — the paper's OID array of log
+//! addresses, 16 bytes an OID — in which an image replaces the entry iff
+//! `(stamp, address)` is greater: stamps order transactions (and the
+//! fuzzy checkpoint against the log), addresses order the images one
+//! transaction wrote of the same OID. Step 2 passes over the same bytes
+//! again and builds the one image per OID the array names: a head
+//! installed once over null, a key indexed once. Nothing is stacked, so
+//! nothing is handed to the retire queue and the collector never hears
+//! of recovery: no snapshot older than the recovered tail can exist.
+//!
+//! **What still differs.** The paper's checkpoint stores OID → address
+//! only and anti-caching loads a record's body on first touch; this
+//! reproduction has no buffer manager, so a checkpoint carries keys and
+//! payloads inline (addresses into it are tagged [`CKPT`]) and step 2
+//! builds every live row eagerly before the database serves.
+//!
+//! The live tail ([`LogApplier::apply_available`] on a serving replica)
+//! *does* stack versions as the commits did, because snapshots below the
+//! applied cut exist there. Both paths share the block decoder, the 2PC
+//! in-doubt/verdict state machine and `apply_record`.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use ermia_common::{Lsn, Oid, Stamp};
+use ermia_common::{Lsn, Oid, Stamp, TableId};
+use ermia_epoch::Guard;
 use ermia_log::{
-    CheckpointMeta, DdlRecord, DecideRecord, LogRecord, LogRecordKind, LogScanner, PrepareMarker,
+    BlobRef, BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind,
+    LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
 };
 use ermia_storage::{Retired, Version};
-use ermia_telemetry::{SpanKind, TraceContext};
+use ermia_telemetry::{EventKind, SpanKind, TraceContext};
 
-use crate::database::{invalid, Database, Table};
+use crate::database::{invalid, Database, IndexInfo, Table};
 
-/// Replay one resolved 2PC prepare, stitching a `ReplApply` span onto
-/// the originating transaction's trace when the durable prepare marker
-/// carried a trace id. This is how a replica tailing the shipped log
-/// (and crash recovery) appears on the same timeline as the coordinator
-/// that ran the transaction; an untraced marker costs one comparison.
-fn apply_traced(
-    db: &Database,
-    txn: &InDoubtTxn,
-    stats: &mut RecoveryStats,
-) -> std::io::Result<()> {
-    if txn.trace_hi == 0 && txn.trace_lo == 0 {
-        return db.replay_records(&txn.records, txn.cstamp, stats);
-    }
-    let ring = db.telemetry().tracer().svc_ring().clone();
-    let t0 = ring.now_ns();
-    let r = db.replay_records(&txn.records, txn.cstamp, stats);
-    let ctx = TraceContext { trace_hi: txn.trace_hi, trace_lo: txn.trace_lo, parent: 0 };
-    ring.record(
-        &ctx,
-        SpanKind::ReplApply,
-        t0,
-        ring.now_ns(),
-        txn.cstamp.raw(),
-        txn.coord_shard as u64,
-    );
-    r
-}
-
-/// Counters reported by [`Database::recover`].
+/// Counters reported by [`Database::recover`] and kept by a
+/// [`LogApplier`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Records restored from the checkpoint snapshot.
+    /// Rows the checkpoint snapshot holds (scanned, not necessarily built).
     pub checkpoint_records: u64,
     /// Log blocks replayed after the checkpoint.
     pub replayed_blocks: u64,
-    /// Individual log records applied.
+    /// Log records *scanned* in those blocks.
     pub replayed_records: u64,
-    /// Record images superseded by a newer one (fuzzy-checkpoint overlap,
-    /// or a later record of the same transaction). Nothing else is ever
-    /// skipped: a record naming an unknown table or index is an error.
+    /// Row images scanned and *not built*: superseded by a newer one
+    /// (fuzzy-checkpoint overlap, a later transaction, or a later record
+    /// of the same transaction). Nothing else is ever skipped: a record
+    /// naming an unknown table or index is an error.
     pub skipped_stale: u64,
     /// 2PC prepares whose verdict was not in this shard's own log. A
     /// standalone [`Database::recover`] presumes abort for these; a
     /// sharded recovery resolves them against every participant's log.
     pub in_doubt: u64,
+    /// Versions built. After an offline recovery: one per live row (and
+    /// per tombstone still in the log).
+    pub built: u64,
+    /// Checkpoint and log bytes scanned.
+    pub scanned_bytes: u64,
+    /// Time the offline rebuild took.
+    pub elapsed: Duration,
 }
 
 /// A 2PC prepare found in the log without a local verdict. Produced by
@@ -88,15 +90,15 @@ pub struct InDoubtTxn {
     /// Raw LSN of the coordinator's prepare block (with `coord_shard`,
     /// the global transaction id).
     pub gtid_lsn: u64,
-    /// This participant's prepare cstamp — the commit LSN the records
-    /// take if the verdict is commit.
-    pub cstamp: Lsn,
     /// Trace id the coordinator stamped into the prepare marker
     /// ((0, 0) = untraced): applying this prepare records a `ReplApply`
     /// span under the originating transaction's trace.
     pub trace_hi: u64,
     pub trace_lo: u64,
-    records: Vec<LogRecord>,
+    /// The prepare block, as its bytes: its records are decoded in place
+    /// when a verdict admits them, at the block's own stamp (the commit
+    /// LSN they take) and their own addresses.
+    block: ScannedBlock,
 }
 
 /// Everything one shard's log scan produced: replay counters, unresolved
@@ -149,6 +151,172 @@ impl VerdictSet {
     }
 }
 
+/// The tag of an address into the checkpoint payload (a log address is
+/// the logical offset of a record header, which never has the bit).
+const CKPT: u64 = 1 << 63;
+
+/// An image's raw commit stamp and address; `(0, 0)` is no image (offset 0
+/// of every log is a skip block, so neither is ever 0).
+type Winner = (u64, u64);
+
+/// Step 1's result: per table, OID → the newest image seen, in pages of
+/// [`Winners::PAGE`] entries so the table costs its 16 bytes an OID and
+/// no more.
+#[derive(Default)]
+struct Winners {
+    by_table: Vec<Vec<Box<[Winner]>>>,
+}
+
+impl Winners {
+    const PAGE: usize = 4096;
+
+    fn offer(&mut self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) {
+        let (t, o) = (table.0 as usize, oid.0 as usize);
+        let (page, slot) = (o / Self::PAGE, o % Self::PAGE);
+        if self.by_table.len() <= t {
+            self.by_table.resize_with(t + 1, Vec::new);
+        }
+        let pages = &mut self.by_table[t];
+        if pages.len() <= page {
+            pages.resize_with(page + 1, || vec![(0, 0); Self::PAGE].into());
+        }
+        pages[page][slot] = pages[page][slot].max((stamp.raw(), addr));
+    }
+
+    fn holds(&self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
+        let pages = self.by_table.get(table.0 as usize);
+        let page = pages.and_then(|p| p.get(oid.0 as usize / Self::PAGE));
+        page.is_some_and(|p| p[oid.0 as usize % Self::PAGE] == (stamp.raw(), addr))
+    }
+}
+
+/// What a replay round applies records through: one epoch pin, and
+/// one-entry memos of the table and the index last named, so the catalog
+/// lock is taken when they change and not per record. Given `winners`
+/// (offline, step 1) a row image is offered to them instead of built.
+struct Replay<'a> {
+    db: &'a Database,
+    guard: &'a Guard<'a>,
+    table: Option<Arc<Table>>,
+    index: Option<Arc<IndexInfo>>,
+    winners: Option<&'a mut Winners>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(db: &'a Database, guard: &'a Guard<'a>, winners: Option<&'a mut Winners>) -> Self {
+        Replay { db, guard, table: None, index: None, winners }
+    }
+
+    /// The table a record names. One the catalog does not hold is an
+    /// error naming the record's commit stamp (the LSN of its block) — a
+    /// directory from before the log carried the catalog whose table was
+    /// not declared first, or corruption.
+    fn table(&mut self, raw: u32, at: Lsn) -> std::io::Result<&Table> {
+        if self.table.as_ref().is_none_or(|t| t.id.0 != raw) {
+            self.table = self.db.inner.catalog.read().tables.get(raw as usize).cloned();
+        }
+        self.table
+            .as_deref()
+            .ok_or_else(|| invalid(format!("a row at LSN {at:?} names unknown table {raw}")))
+    }
+
+    /// Admit one committed record, found at `addr` under commit `stamp`:
+    /// an index entry is inserted, a row image is built — or, offline,
+    /// offered to the winners.
+    fn admit(
+        &mut self,
+        rec: TxRecordView<'_>,
+        stamp: Lsn,
+        addr: u64,
+        stats: &mut RecoveryStats,
+    ) -> std::io::Result<()> {
+        if rec.kind == LogRecordKind::SecondaryInsert {
+            let raw = u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
+            if self.index.as_ref().is_none_or(|i| i.id.0 != raw) {
+                self.index = self.db.inner.catalog.read().indexes.get(raw as usize).cloned();
+            }
+            let idx = self.index.as_ref().ok_or_else(|| {
+                invalid(format!("an index entry at LSN {stamp:?} names unknown index {raw}"))
+            })?;
+            let _ = idx.tree.insert(self.guard, rec.key, rec.oid.0 as u64);
+            return Ok(());
+        }
+        stats.skipped_stale += 1; // until it is built
+        self.table(rec.table.0, stamp)?;
+        match &mut self.winners {
+            Some(winners) => winners.offer(rec.table, rec.oid, stamp, addr),
+            None => self.build(rec, stamp, stats)?,
+        }
+        Ok(())
+    }
+
+    /// Build one admitted row image, unless its OID holds a newer one.
+    fn build(
+        &mut self,
+        rec: TxRecordView<'_>,
+        stamp: Lsn,
+        stats: &mut RecoveryStats,
+    ) -> std::io::Result<()> {
+        let (db, guard) = (self.db, self.guard);
+        // Indirect values live in the blob store; the log record carries
+        // the reference.
+        let resolved;
+        let value = if rec.indirect {
+            let blob = BlobRef::decode(rec.value).expect("malformed blob reference in log");
+            resolved = db.inner.blobs.read(blob)?;
+            &resolved[..]
+        } else {
+            rec.value
+        };
+        let tombstone = rec.kind == LogRecordKind::Delete;
+        let table = self.table(rec.table.0, stamp)?;
+        if db.apply_record(guard, table, rec.oid, rec.key, value, stamp, tombstone) {
+            stats.skipped_stale -= 1;
+            stats.built += 1;
+        }
+        Ok(())
+    }
+
+    /// Admit every record of a committed transaction's block.
+    fn txn(&mut self, block: &BlockView<'_>, stats: &mut RecoveryStats) -> std::io::Result<()> {
+        stats.replayed_blocks += 1;
+        let in_order = self.winners.is_some() || block.header.nrec == 1;
+        let admit = |(addr, rec)| {
+            stats.replayed_records += 1;
+            self.admit(rec, block.header.cstamp, addr, stats)
+        };
+        if in_order {
+            return block.records().try_for_each(admit);
+        }
+        // Building as we go: the records of a block share its stamp, so the
+        // stamp check in `apply_record` cannot order several images of one
+        // OID (delete-then-reinsert of a key). Only the last is the
+        // committed outcome: build newest first, and the check drops the
+        // earlier ones.
+        block.records().collect::<Vec<_>>().into_iter().rev().try_for_each(admit)
+    }
+
+    /// [`Replay::txn`] for a 2PC prepare whose verdict is commit,
+    /// stitching a `ReplApply` span onto the originating transaction's
+    /// trace when the durable prepare marker carried a trace id. This is
+    /// how a replica tailing the shipped log (and crash recovery) appears
+    /// on the same timeline as the coordinator that ran the transaction;
+    /// an untraced marker costs one comparison.
+    fn prepare(&mut self, txn: &InDoubtTxn, stats: &mut RecoveryStats) -> std::io::Result<()> {
+        let block = txn.block.view();
+        if txn.trace_hi == 0 && txn.trace_lo == 0 {
+            return self.txn(&block, stats);
+        }
+        let ring = self.db.telemetry().tracer().svc_ring().clone();
+        let t0 = ring.now_ns();
+        let r = self.txn(&block, stats);
+        let ctx = TraceContext { trace_hi: txn.trace_hi, trace_lo: txn.trace_lo, parent: 0 };
+        let cstamp = block.header.cstamp.raw();
+        ring.record(&ctx, SpanKind::ReplApply, t0, ring.now_ns(), cstamp, txn.coord_shard as u64);
+        r
+    }
+}
+
 /// Incremental log replay: the one-shot recovery scan generalized so a
 /// replica can tail a growing log. Each [`LogApplier::apply_available`]
 /// round replays every complete block past the applied frontier;
@@ -179,6 +347,71 @@ impl LogApplier {
         }
     }
 
+    /// Offline replay of `db`'s log over `checkpoint` (its begin LSN and
+    /// payload), for a database nobody reads yet: choose each OID's
+    /// newest image, then build those (module docs). Returns the applier,
+    /// standing at the tail and ready to follow it, and the checkpoint's
+    /// *publish floor* — the maximum commit stamp the fuzzy walk
+    /// captured. A fuzzy checkpoint stores only the newest committed
+    /// version per record at walk time, so a version overwritten before
+    /// the walk (stamp below `begin`) whose overwriter landed after
+    /// `begin` exists in *neither* the payload *nor* replay-below-floor:
+    /// snapshots cut between `begin` and the floor could see the
+    /// overwriter's key but miss siblings the walk captured later. A
+    /// replica therefore must not serve a cut until replay has passed
+    /// the floor; from there on every cut is transaction-consistent.
+    pub fn rebuild(
+        db: &Database,
+        checkpoint: Option<(Lsn, &[u8])>,
+    ) -> std::io::Result<(LogApplier, Lsn)> {
+        let t0 = Instant::now();
+        let (from, payload) = checkpoint.map_or((0, &[][..]), |(begin, p)| (begin.offset(), p));
+        let mut applier = LogApplier::new(from);
+        let handle = db.inner.epoch.register();
+        let guard = handle.pin();
+
+        // Step 1, choose.
+        let mut winners = Winners::default();
+        let mut replay = Replay::new(db, &guard, Some(&mut winners));
+        let mut floor = Lsn::NULL;
+        let stats = &mut applier.stats;
+        walk_checkpoint(payload, |addr, stamp, rec| {
+            if rec.kind != LogRecordKind::SecondaryInsert {
+                stats.checkpoint_records += 1;
+                floor = floor.max(stamp);
+            }
+            replay.admit(rec, stamp, addr, stats)
+        })?;
+        applier.scan(&mut replay)?;
+
+        // Step 2, build: the same bytes again, in address order.
+        let mut replay = Replay::new(db, &guard, None);
+        let stats = &mut applier.stats;
+        let mut build = |addr, stamp, rec: TxRecordView<'_>| {
+            let image = rec.kind != LogRecordKind::SecondaryInsert;
+            if image && winners.holds(rec.table, rec.oid, stamp, addr) {
+                replay.build(rec, stamp, stats)?;
+            }
+            Ok(())
+        };
+        walk_checkpoint(payload, &mut build)?;
+        let end = applier.applied;
+        let mut scanner = LogScanner::new(db.inner.log.segments(), from).trusting(end);
+        while scanner.offset() < end {
+            let Some(block) = scanner.next_view()? else { break };
+            if matches!(block.header.kind, BlockKind::Txn | BlockKind::TxnPrepare) {
+                for (addr, rec) in block.records() {
+                    build(addr, block.header.cstamp, rec)?;
+                }
+            }
+        }
+        stats.scanned_bytes += payload.len() as u64;
+        stats.elapsed = t0.elapsed();
+        db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
+        *db.inner.recovered.lock() = *stats;
+        Ok((applier, floor))
+    }
+
     /// The offset replay has consumed through: every byte below it has
     /// been applied (or was a skip/dead zone), and it is a sound resume
     /// point for both this applier and a resubscribing shipper.
@@ -194,29 +427,39 @@ impl LogApplier {
     }
 
     /// Replay every complete block currently in `db`'s log past the
-    /// applied frontier. Returns the number of blocks replayed this
-    /// round. Prepared-but-undecided transactions are buffered across
-    /// rounds: first-updater-wins guarantees no conflicting commit
-    /// interleaves with a prepared transaction on the same record, and
-    /// replay is stamp-idempotent, so applying a decided prepare after
-    /// later Txn blocks is order-safe.
+    /// applied frontier, stacking each image on its chain as the commit
+    /// did. Returns the number of blocks replayed this round.
     pub fn apply_available(&mut self, db: &Database) -> std::io::Result<u64> {
+        let handle = db.inner.epoch.register();
+        let guard = handle.pin();
+        self.scan(&mut Replay::new(db, &guard, None))
+    }
+
+    /// One pass from the applied frontier to the first hole, admitting
+    /// through `replay` whatever is committed. Prepared-but-undecided
+    /// transactions are parked across rounds: first-updater-wins
+    /// guarantees no conflicting commit interleaves with a prepared
+    /// transaction on the same record, and a prepare is admitted under its
+    /// own stamp and addresses, so admitting it after later Txn blocks is
+    /// order-safe.
+    fn scan(&mut self, replay: &mut Replay<'_>) -> std::io::Result<u64> {
+        let db = replay.db;
+        let from = self.applied;
         let mut rounds = 0u64;
-        let mut scanner = LogScanner::new(db.inner.log.segments(), self.applied);
-        while let Some(block) = scanner.next_block()? {
+        let mut scanner = LogScanner::new(db.inner.log.segments(), from);
+        while let Some(block) = scanner.next_view()? {
             // Only a decoded block certifies the bytes behind it.
-            self.applied = scanner.offset();
+            self.applied = block.lsn.offset() + block.header.len as u64;
+            self.stats.scanned_bytes += block.header.len as u64;
             match block.header.kind {
-                ermia_log::BlockKind::Txn => {
+                BlockKind::Txn => {
                     rounds += 1;
-                    self.stats.replayed_blocks += 1;
-                    db.replay_records(&block.records(), block.header.cstamp, &mut self.stats)?;
+                    replay.txn(&block, &mut self.stats)?;
                 }
-                ermia_log::BlockKind::TxnPrepare => {
+                BlockKind::TxnPrepare => {
                     let Some(marker) = block.prepare_marker() else { continue };
-                    let cstamp = block.header.cstamp;
                     let gtid_lsn = if marker.coord_lsn == PrepareMarker::COORD_SELF {
-                        cstamp.raw()
+                        block.header.cstamp.raw()
                     } else {
                         marker.coord_lsn
                     };
@@ -224,29 +467,27 @@ impl LogApplier {
                         coord_shard: marker.coord_shard,
                         participants: marker.participants,
                         gtid_lsn,
-                        cstamp,
                         trace_hi: marker.trace_hi,
                         trace_lo: marker.trace_lo,
-                        records: block.records(),
+                        block: block.to_owned(),
                     };
                     self.pending.insert((marker.coord_shard, gtid_lsn), txn);
                 }
-                ermia_log::BlockKind::TxnDecide => {
-                    let Some(d) = DecideRecord::decode(&block.payload) else { continue };
+                BlockKind::TxnDecide => {
+                    let Some(d) = DecideRecord::decode(block.payload) else { continue };
                     // Kept even when it resolves this log's own prepare:
                     // another participant's copy may not have survived.
                     self.decides.insert(&d);
                     let resolved = self.pending.remove(&(d.coord_shard, d.gtid_lsn));
                     if let Some(txn) = resolved.filter(|_| d.commit) {
                         rounds += 1;
-                        self.stats.replayed_blocks += 1;
-                        apply_traced(db, &txn, &mut self.stats)?;
+                        replay.prepare(&txn, &mut self.stats)?;
                     }
                 }
-                ermia_log::BlockKind::Ddl => {
+                BlockKind::Ddl => {
                     // How a tailing replica learns of tables, in log order;
                     // a recovery restored them at open and verifies here.
-                    let rec = DdlRecord::decode(&block.payload).ok_or_else(|| {
+                    let rec = DdlRecord::decode(block.payload).ok_or_else(|| {
                         invalid(format!("malformed catalog entry at LSN {:?}", block.lsn))
                     })?;
                     db.inner.install_logged(&rec)?;
@@ -275,8 +516,7 @@ impl LogApplier {
     pub fn resolve(&mut self, db: &Database, key: (u32, u64), commit: bool) -> std::io::Result<bool> {
         let Some(txn) = self.pending.remove(&key) else { return Ok(false) };
         if commit {
-            self.stats.replayed_blocks += 1;
-            apply_traced(db, &txn, &mut self.stats)?;
+            db.apply_in_doubt(&txn)?;
         }
         Ok(true)
     }
@@ -289,6 +529,49 @@ impl LogApplier {
         stats.in_doubt = in_doubt.len() as u64;
         RecoveryOutcome { stats, in_doubt, decides: self.decides }
     }
+}
+
+/// Walk a checkpoint payload, handing `row` every entry as the log record
+/// it stands for — a row image as an `Insert` (`Delete` for a tombstone)
+/// under its version's stamp, then each secondary-index entry as a
+/// `SecondaryInsert` — with its [`CKPT`]-tagged address.
+fn walk_checkpoint<'p>(
+    payload: &'p [u8],
+    mut row: impl FnMut(u64, Lsn, TxRecordView<'p>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut pos = 0usize;
+    let mut take = |n: usize| {
+        pos += n;
+        (&payload[pos - n..pos], CKPT | (pos - n) as u64)
+    };
+    let u32_at = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().expect("four bytes"));
+    if payload.is_empty() {
+        return Ok(());
+    }
+    for _ in 0..u32_at(take(4).0) {
+        let table = TableId(u32_at(take(4).0));
+        for _ in 0..u32_at(take(4).0) {
+            let (head, addr) = take(19);
+            let stamp = u64::from_le_bytes(head[4..12].try_into().expect("eight bytes"));
+            let stamp = Lsn::from_raw(stamp);
+            let kind = if head[12] != 0 { LogRecordKind::Delete } else { LogRecordKind::Insert };
+            let key = take(u16::from_le_bytes([head[13], head[14]]) as usize).0;
+            let value = take(u32_at(&head[15..]) as usize).0;
+            let oid = Oid(u32_at(head));
+            row(addr, stamp, TxRecordView { kind, table, oid, indirect: false, key, value })?;
+        }
+    }
+    for _ in 0..u32_at(take(4).0) {
+        for _ in 0..u32_at(take(4).0) {
+            let (head, addr) = take(10);
+            let key = take(u16::from_le_bytes([head[8], head[9]]) as usize).0;
+            let (kind, oid) = (LogRecordKind::SecondaryInsert, Oid(u32_at(&head[4..])));
+            let table = TableId(0); // unused: the entry names its index, in `value`
+            let entry = TxRecordView { kind, table, oid, indirect: false, key, value: head };
+            row(addr, Lsn::NULL, entry)?;
+        }
+    }
+    Ok(())
 }
 
 // Checkpoint payload format (little-endian):
@@ -446,176 +729,22 @@ impl Database {
     /// resolution pass needs: this shard's unresolved prepares and every
     /// 2PC verdict its log contains.
     pub fn recover_outcome(&self) -> std::io::Result<RecoveryOutcome> {
-        let mut checkpoint_records = 0u64;
-        let mut from = 0u64;
-        if let Some(store) = &self.inner.checkpoints {
-            if let Some((meta, payload)) = store.latest()? {
-                (checkpoint_records, _) = self.install_checkpoint(&payload)?;
-                from = meta.begin.offset();
-            }
-        }
-        let mut applier = LogApplier::new(from);
-        applier.apply_available(self)?;
-        let mut outcome = applier.into_outcome();
-        outcome.stats.checkpoint_records = checkpoint_records;
-        Ok(outcome)
+        let checkpoint = match &self.inner.checkpoints {
+            Some(store) => store.latest()?,
+            None => None,
+        };
+        let checkpoint = checkpoint.as_ref().map(|(meta, payload)| (meta.begin, &payload[..]));
+        Ok(LogApplier::rebuild(self, checkpoint)?.0.into_outcome())
     }
 
     /// Apply a resolved in-doubt prepare (verdict: commit) produced by
-    /// [`Database::recover_outcome`] on this same database.
+    /// [`Database::recover_outcome`] on this same database. It comes after
+    /// the build, so it stacks on what its rows hold — and says so to the
+    /// collector — like any commit at the tail.
     pub fn apply_in_doubt(&self, txn: &InDoubtTxn) -> std::io::Result<()> {
-        let mut stats = RecoveryStats::default();
-        self.replay_records(&txn.records, txn.cstamp, &mut stats)
-    }
-
-    /// Replay one committed transaction's records at `cstamp`.
-    fn replay_records(
-        &self,
-        recs: &[LogRecord],
-        cstamp: Lsn,
-        stats: &mut RecoveryStats,
-    ) -> std::io::Result<()> {
-        // Every record in a block shares the commit stamp, so the
-        // stamp-based idempotency check in `apply_record` cannot order
-        // multiple ops on the same OID within one transaction (e.g.
-        // delete-then-reinsert of a key). Only the last image per OID
-        // is the committed outcome; apply that one alone.
-        let mut last_per_oid = std::collections::HashMap::new();
-        for (i, rec) in recs.iter().enumerate() {
-            if !matches!(rec.kind, LogRecordKind::SecondaryInsert) {
-                last_per_oid.insert((rec.table.0, rec.oid.0), i);
-            }
-        }
-        // Paid once per block, not once per record: the epoch handle the
-        // index inserts run under, and the catalog lookup of the table.
         let handle = self.inner.epoch.register();
         let guard = handle.pin();
-        let mut table = None;
-        for (i, rec) in recs.iter().enumerate() {
-            stats.replayed_records += 1;
-            match rec.kind {
-                LogRecordKind::Insert | LogRecordKind::Update | LogRecordKind::Delete => {
-                    if last_per_oid.get(&(rec.table.0, rec.oid.0)) != Some(&i) {
-                        stats.skipped_stale += 1;
-                        continue;
-                    }
-                    // Indirect values live in the blob store; the log
-                    // record carries the reference.
-                    let resolved;
-                    let value: &[u8] = if rec.indirect {
-                        let blob = ermia_log::BlobRef::decode(&rec.value)
-                            .expect("malformed blob reference in log");
-                        resolved = self.inner.blobs.read(blob)?;
-                        &resolved
-                    } else {
-                        &rec.value
-                    };
-                    let tombstone = rec.kind == LogRecordKind::Delete;
-                    let t = self.replay_table(&mut table, rec.table.0, cstamp)?;
-                    if !self.apply_record(&guard, t, rec.oid, &rec.key, value, cstamp, tombstone) {
-                        stats.skipped_stale += 1;
-                    }
-                }
-                LogRecordKind::SecondaryInsert => {
-                    let index_raw =
-                        u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
-                    self.apply_secondary(&guard, index_raw, &rec.key, rec.oid, cstamp)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Install a checkpoint payload into this database's (empty or
-    /// stale) in-memory state. Returns `(records installed, publish
-    /// floor)` — the floor is the maximum commit stamp the fuzzy walk
-    /// captured. A fuzzy checkpoint stores only the newest committed
-    /// version per record at walk time, so a version overwritten before
-    /// the walk (stamp below `begin`) whose overwriter landed after
-    /// `begin` exists in *neither* the payload *nor* replay-below-floor:
-    /// snapshots cut between `begin` and the floor could see the
-    /// overwriter's key but miss siblings the walk captured later. A
-    /// replica therefore must not serve a cut until replay has passed
-    /// the floor; from there on every cut is transaction-consistent.
-    pub fn install_checkpoint(&self, payload: &[u8]) -> std::io::Result<(u64, Lsn)> {
-        let mut pos = 0usize;
-        let mut restored = 0u64;
-        let mut floor = Lsn::NULL;
-        let rd_u16 = |p: &mut usize| {
-            let v = u16::from_le_bytes(payload[*p..*p + 2].try_into().unwrap());
-            *p += 2;
-            v
-        };
-        let rd_u32 = |p: &mut usize| {
-            let v = u32::from_le_bytes(payload[*p..*p + 4].try_into().unwrap());
-            *p += 4;
-            v
-        };
-        let rd_u64 = |p: &mut usize| {
-            let v = u64::from_le_bytes(payload[*p..*p + 8].try_into().unwrap());
-            *p += 8;
-            v
-        };
-        let handle = self.inner.epoch.register();
-        let ntables = rd_u32(&mut pos);
-        for _ in 0..ntables {
-            let table_id = rd_u32(&mut pos);
-            let nrecords = rd_u32(&mut pos);
-            // One catalog lookup and one pin per table.
-            let mut memo = None;
-            let table = self.replay_table(&mut memo, table_id, Lsn::NULL)?;
-            let guard = handle.pin();
-            for _ in 0..nrecords {
-                let oid = rd_u32(&mut pos);
-                let clsn = rd_u64(&mut pos);
-                let tombstone = payload[pos] != 0;
-                pos += 1;
-                let key_len = rd_u16(&mut pos) as usize;
-                let val_len = rd_u32(&mut pos) as usize;
-                let key = &payload[pos..pos + key_len];
-                pos += key_len;
-                let val = &payload[pos..pos + val_len];
-                pos += val_len;
-                floor = floor.max(Lsn::from_raw(clsn));
-                self.apply_record(&guard, table, Oid(oid), key, val, Lsn::from_raw(clsn), tombstone);
-                restored += 1;
-            }
-        }
-        let guard = handle.pin();
-        let nsecondary = rd_u32(&mut pos);
-        for _ in 0..nsecondary {
-            let nentries = rd_u32(&mut pos);
-            for _ in 0..nentries {
-                let index_raw = rd_u32(&mut pos);
-                let oid = rd_u32(&mut pos);
-                let key_len = rd_u16(&mut pos) as usize;
-                let key = &payload[pos..pos + key_len];
-                pos += key_len;
-                self.apply_secondary(&guard, index_raw, key, Oid(oid), Lsn::NULL)?;
-            }
-        }
-        Ok((restored, floor))
-    }
-
-    /// The table a replayed record names, through a one-entry memo: the
-    /// catalog lock is taken when the table changes, not per record. A
-    /// table the catalog does not hold is an error naming `at`, the LSN of
-    /// the block (null: the checkpoint) — a directory from before the log
-    /// carried the catalog whose table was not declared first, or
-    /// corruption.
-    fn replay_table<'m>(
-        &self,
-        memo: &'m mut Option<(u32, std::sync::Arc<Table>)>,
-        table_raw: u32,
-        at: Lsn,
-    ) -> std::io::Result<&'m Table> {
-        if memo.as_ref().is_none_or(|(raw, _)| *raw != table_raw) {
-            let catalog = self.inner.catalog.read();
-            *memo = catalog.tables.get(table_raw as usize).map(|t| (table_raw, t.clone()));
-        }
-        memo.as_ref()
-            .map(|(_, t)| &**t)
-            .ok_or_else(|| invalid(format!("a row at LSN {at:?} names unknown table {table_raw}")))
+        Replay::new(self, &guard, None).prepare(txn, &mut RecoveryStats::default())
     }
 
     /// Idempotently apply one record image: install iff newer than the
@@ -649,27 +778,12 @@ impl Database {
             // later record of the same OID finds it indexed already.
             let _ = table.primary.insert(guard, key, oid.0 as u64);
         } else {
-            // Replay stacks versions exactly as the commits did; without
-            // this the collector would never hear of them.
+            // The live tail stacks versions exactly as the commits did;
+            // without this the collector would never hear of them. (The
+            // offline build finds every head null and never gets here.)
             self.inner.retire(&[Retired { cstamp, table: table.id, oid }]);
         }
         true
-    }
-
-    fn apply_secondary(
-        &self,
-        guard: &ermia_epoch::Guard<'_>,
-        index_raw: u32,
-        key: &[u8],
-        oid: Oid,
-        at: Lsn,
-    ) -> std::io::Result<()> {
-        let idx = self.inner.catalog.read().indexes.get(index_raw as usize).cloned();
-        let idx = idx.ok_or_else(|| {
-            invalid(format!("an index entry at LSN {at:?} names unknown index {index_raw}"))
-        })?;
-        let _ = idx.tree.insert(guard, key, oid.0 as u64);
-        Ok(())
     }
 }
 

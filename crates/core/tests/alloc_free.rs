@@ -23,6 +23,10 @@ thread_local! {
     // allocator cannot itself allocate or recurse.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread holds (it frees what it allocated, in the one
+    // test that reads this) and their high-water mark.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
     static TRAP: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -34,10 +38,16 @@ fn alloc_bytes() -> u64 {
     ALLOC_BYTES.with(|b| b.get())
 }
 
+fn hold(delta: i64) {
+    let live = LIVE_BYTES.with(|l| l.replace(l.get() + delta)) + delta;
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.with(|c| c.set(c.get() + 1));
         ALLOC_BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        hold(layout.size() as i64);
         // Diagnostic tripwire: when armed, the first counted allocation
         // panics so `RUST_BACKTRACE=1` points straight at the code that
         // regressed the hot path (disarmed first — the panic machinery
@@ -52,10 +62,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.with(|c| c.set(c.get() + 1));
         ALLOC_BYTES.with(|b| b.set(b.get() + new_size as u64));
+        hold(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -343,4 +355,89 @@ fn loading_a_row_costs_one_allocation() {
     println!("layout guard: {calls:.3} allocations/row, {bytes:.1} requested bytes/row");
     assert!(calls <= 1.1, "{calls:.3} allocations per loaded row");
     assert!(bytes <= 160.0, "{bytes:.1} requested bytes per loaded row");
+}
+
+/// The memory guard of recovery: it builds what survives, not what
+/// happened. Ten records a row are in the log; recovering them costs what
+/// loading the rows cost — one allocation each, no more bytes, never more
+/// than 1.1 × the load at once — plus the 16-byte entry of the winner
+/// table per row and the reader's chunks (a constant), and leaves every
+/// chain one version long: nothing retired, nothing for the collector to
+/// find. (On the parent of this guard:
+/// a version, a payload copy, two key/value `Vec`s and a map entry per
+/// *record*, and nine of ten versions built only to be reclaimed.)
+#[test]
+fn recovering_a_row_costs_one_allocation() {
+    const ROWS: u64 = 20_000;
+    const OVERWRITES: u8 = 9;
+    // What the scanner reads into, twice over (choose, then build): a
+    // first chunk of 64 KiB, grown once to 1 MiB.
+    const READER: u64 = (1 << 20) + (1 << 16);
+    let key = |i: u64| {
+        let mut k = [0u8; 16];
+        k[..4].copy_from_slice(b"row-");
+        k[4..12].copy_from_slice(&i.to_be_bytes());
+        k
+    };
+    let dir = ermia_common::TestDir::new("recover-guard");
+    let loaded = {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut pass = |value: Option<u8>| {
+            for base in (0..ROWS).step_by(50) {
+                let mut tx = w.begin(IsolationLevel::Snapshot);
+                for i in base..base + 50 {
+                    match value {
+                        None => drop(tx.insert(t, &key(i), &[0x51; 64]).unwrap()),
+                        Some(v) => assert!(tx.update(t, &key(i), &[v; 64]).unwrap()),
+                    }
+                }
+                tx.commit().unwrap();
+            }
+        };
+        let before = alloc_bytes();
+        pass(None);
+        let loaded = alloc_bytes() - before;
+        (0..OVERWRITES).for_each(|v| pass(Some(v)));
+        db.log().sync().unwrap();
+        loaded
+        // Dropped without a shutdown: a crash.
+    };
+
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let (calls, bytes) = (alloc_calls(), alloc_bytes());
+    let held = LIVE_BYTES.with(|l| l.get());
+    PEAK_BYTES.with(|p| p.set(held));
+    let stats = db.recover().unwrap();
+    let (calls, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
+    let peak = (PEAK_BYTES.with(|p| p.get()) - held) as u64;
+    assert_eq!(stats.built, ROWS, "{stats:?}");
+    assert_eq!(stats.skipped_stale, ROWS * OVERWRITES as u64, "{stats:?}");
+    let per_row = |n: u64| n as f64 / ROWS as f64;
+    println!(
+        "recovery guard: {:.3} allocations/row, {:.1} requested bytes/row (the load: {:.1}), \
+         peak {:.2} x the load",
+        per_row(calls),
+        per_row(bytes - 2 * READER),
+        per_row(loaded),
+        peak as f64 / loaded as f64
+    );
+    assert!(per_row(calls) <= 1.1, "{:.3} allocations per recovered row", per_row(calls));
+    // 17: the 16-byte winner entry, in pages of 4096.
+    let budget = loaded + 17 * ROWS + 2 * READER;
+    assert!(bytes <= budget, "recovery requested {bytes} bytes; loading the rows took {loaded}");
+    let budget = loaded + loaded / 10 + 17 * ROWS + READER;
+    assert!(peak <= budget, "recovery held {peak} bytes at once; loading the rows took {loaded}");
+
+    // Every chain is one version long: nothing was retired, and a full
+    // sweep at the horizon of an idle database finds nothing to reclaim.
+    let gc = db.gc_stats();
+    assert_eq!(gc.retire_backlog.load(Relaxed), 0);
+    assert_eq!(db.gc_audit(), 0, "recovery stacked versions");
+    assert_eq!(gc.reclaimed.load(Relaxed), 0, "recovery built versions only to reclaim them");
+    let mut w = db.register_worker();
+    let mut tx = w.begin(IsolationLevel::Snapshot);
+    let last = tx.read(db.table_id("t").unwrap(), &key(ROWS - 1), |v| v.to_vec()).unwrap();
+    assert_eq!(last, Some(vec![OVERWRITES - 1; 64]));
 }

@@ -72,9 +72,9 @@ pub use records::{
     PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
     PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
-pub use recovery::{LogScanner, ScannedBlock};
+pub use recovery::{BlockView, LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};
-pub use txlog::TxLogBuffer;
+pub use txlog::{TxLogBuffer, TxRecordView};
 
 #[cfg(test)]
 mod ring_stress;

@@ -15,6 +15,7 @@ use std::io;
 use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::manager::LogManager;
+use crate::txlog::TxRecordView;
 
 /// Magic value identifying a block header ("ERML").
 pub const BLOCK_MAGIC: u32 = 0x4552_4d4c;
@@ -396,26 +397,41 @@ impl LogRecord {
         encode_record_into(out, self.kind, self.table, self.oid, self.indirect, &self.key, &self.value);
     }
 
-    /// Decode one record at `buf[pos..]`, returning it and the position of
-    /// the next record. `None` on malformed input.
+    /// [`TxRecordView::decode`], copied out.
     pub fn decode(buf: &[u8], pos: usize) -> Option<(LogRecord, usize)> {
-        if buf.len() < pos + RECORD_HEADER_LEN {
-            return None;
-        }
-        let b = &buf[pos..];
-        let kind = LogRecordKind::from_u8(b[0])?;
-        let indirect = b[1] & FLAG_INDIRECT != 0;
+        TxRecordView::decode(buf, pos).map(|(view, next)| (view.to_owned(), next))
+    }
+}
+
+impl<'a> TxRecordView<'a> {
+    /// Decode one record at `buf[pos..]` without copying it, returning it
+    /// and the position of the next record. `None` on malformed input.
+    pub fn decode(buf: &'a [u8], pos: usize) -> Option<(TxRecordView<'a>, usize)> {
+        let b = buf.get(pos..pos + RECORD_HEADER_LEN)?;
         let key_len = u16::from_le_bytes(b[2..4].try_into().unwrap()) as usize;
-        let table = TableId(u32::from_le_bytes(b[4..8].try_into().unwrap()));
-        let oid = Oid(u32::from_le_bytes(b[8..12].try_into().unwrap()));
         let val_len = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
         let body = pos + RECORD_HEADER_LEN;
-        if buf.len() < body + key_len + val_len {
-            return None;
+        let (key, value) = buf.get(body..body + key_len + val_len)?.split_at(key_len);
+        let view = TxRecordView {
+            kind: LogRecordKind::from_u8(b[0])?,
+            table: TableId(u32::from_le_bytes(b[4..8].try_into().unwrap())),
+            oid: Oid(u32::from_le_bytes(b[8..12].try_into().unwrap())),
+            indirect: b[1] & FLAG_INDIRECT != 0,
+            key,
+            value,
+        };
+        Some((view, body + key_len + val_len))
+    }
+
+    pub fn to_owned(&self) -> LogRecord {
+        LogRecord {
+            kind: self.kind,
+            table: self.table,
+            oid: self.oid,
+            key: self.key.to_vec(),
+            value: self.value.to_vec(),
+            indirect: self.indirect,
         }
-        let key = buf[body..body + key_len].to_vec();
-        let value = buf[body + key_len..body + key_len + val_len].to_vec();
-        Some((LogRecord { kind, table, oid, key, value, indirect }, body + key_len + val_len))
     }
 }
 

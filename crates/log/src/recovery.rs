@@ -16,8 +16,52 @@ use crate::records::{
     PREPARE_MARKER_LEN,
 };
 use crate::segment::{Segment, SegmentTable};
+use crate::txlog::TxRecordView;
 
-/// One block yielded by the scanner (skip blocks are filtered out).
+/// One block as the scanner's chunk holds it (skip blocks are filtered
+/// out): nothing is copied until somebody asks for an owned
+/// [`ScannedBlock`].
+#[derive(Clone, Copy, Debug)]
+pub struct BlockView<'a> {
+    pub lsn: Lsn,
+    pub header: LogBlockHeader,
+    /// Block payload (everything after the header).
+    pub payload: &'a [u8],
+}
+
+impl<'a> BlockView<'a> {
+    /// The transaction records of a Txn or TxnPrepare block (past the
+    /// prepare marker when present), each with its *address*: the
+    /// logical log offset of its record header. Stops at the first
+    /// malformed record.
+    pub fn records(&self) -> impl Iterator<Item = (u64, TxRecordView<'a>)> {
+        let payload = self.payload;
+        let base = self.lsn.offset() + BLOCK_HEADER_LEN as u64;
+        let mut pos =
+            if self.header.kind == BlockKind::TxnPrepare { PREPARE_MARKER_LEN } else { 0 };
+        (0..self.header.nrec).map_while(move |_| {
+            let (rec, next) = TxRecordView::decode(payload, pos)?;
+            let addr = base + pos as u64;
+            pos = next;
+            Some((addr, rec))
+        })
+    }
+
+    /// The coordinator marker of a TxnPrepare block, if this is one.
+    pub fn prepare_marker(&self) -> Option<PrepareMarker> {
+        if self.header.kind != BlockKind::TxnPrepare {
+            return None;
+        }
+        PrepareMarker::decode(self.payload)
+    }
+
+    pub fn to_owned(&self) -> ScannedBlock {
+        ScannedBlock { lsn: self.lsn, header: self.header, payload: self.payload.to_vec() }
+    }
+}
+
+/// A [`BlockView`] that owns its payload: what outlives the scanner's
+/// chunk (a parked 2PC prepare), and what tests inspect.
 #[derive(Debug)]
 pub struct ScannedBlock {
     pub lsn: Lsn,
@@ -27,43 +71,49 @@ pub struct ScannedBlock {
 }
 
 impl ScannedBlock {
-    /// Decode the transaction records in a Txn or TxnPrepare block
-    /// (skipping the prepare marker when present).
-    pub fn records(&self) -> Vec<LogRecord> {
-        let mut out = Vec::with_capacity(self.header.nrec as usize);
-        let mut pos =
-            if self.header.kind == BlockKind::TxnPrepare { PREPARE_MARKER_LEN } else { 0 };
-        for _ in 0..self.header.nrec {
-            match LogRecord::decode(&self.payload, pos) {
-                Some((rec, next)) => {
-                    out.push(rec);
-                    pos = next;
-                }
-                None => break,
-            }
-        }
-        out
+    pub fn view(&self) -> BlockView<'_> {
+        BlockView { lsn: self.lsn, header: self.header, payload: &self.payload }
     }
 
-    /// The coordinator marker of a TxnPrepare block, if this is one.
+    /// [`BlockView::records`], each copied out.
+    pub fn records(&self) -> Vec<LogRecord> {
+        self.view().records().map(|(_, rec)| rec.to_owned()).collect()
+    }
+
     pub fn prepare_marker(&self) -> Option<PrepareMarker> {
-        if self.header.kind != BlockKind::TxnPrepare {
-            return None;
-        }
-        PrepareMarker::decode(&self.payload)
+        self.view().prepare_marker()
     }
 }
 
-/// Sequential scanner over the durable log.
+/// Most segment bytes one read brings in. A scanner's first read is a
+/// sixteenth of it: a replica's tailing round usually finds a few blocks.
+const CHUNK: u64 = 1 << 20;
+
+/// Sequential scanner over the durable log. Segment bytes are read a
+/// chunk at a time and blocks are handed out as views into the chunk, so
+/// a scan costs one `pread` per `CHUNK`, not two per block.
 pub struct LogScanner {
     segments: Vec<Arc<Segment>>,
     offset: u64,
+    /// Segment bytes from logical offset `chunk_at` on.
+    chunk: Vec<u8>,
+    chunk_at: u64,
+    /// Blocks below this offset are not checksummed again.
+    trusted: u64,
 }
 
 impl LogScanner {
     /// Scan from logical offset `from` (e.g. the last checkpoint).
     pub fn new(table: &SegmentTable, from: u64) -> LogScanner {
-        LogScanner { segments: table.all(), offset: from }
+        let (chunk, chunk_at, trusted) = (Vec::new(), 0, 0);
+        LogScanner { segments: table.all(), offset: from, chunk, chunk_at, trusted }
+    }
+
+    /// For a second pass over bytes a scan has just verified: skip the
+    /// checksum of every block that lies below `offset`.
+    pub fn trusting(mut self, offset: u64) -> LogScanner {
+        self.trusted = offset;
+        self
     }
 
     /// Current scan position: just past the last block returned, or —
@@ -85,8 +135,45 @@ impl LogScanner {
         self.segments.iter().map(|s| s.start).find(|&s| s > offset)
     }
 
-    /// The next non-skip block, or `None` at the tail / first hole.
+    /// Make the chunk hold `seg`'s bytes `offset..offset + len` and return
+    /// where they start in it; `None` for an in-memory segment.
+    fn fill(&mut self, seg: &Segment, offset: u64, len: u64) -> io::Result<Option<usize>> {
+        let Some(file) = &seg.io else { return Ok(None) };
+        if offset < self.chunk_at || offset + len > self.chunk_at + self.chunk.len() as u64 {
+            let ahead = if self.chunk.is_empty() { CHUNK / 16 } else { CHUNK };
+            let want = len.max(ahead).min(seg.end - offset);
+            self.chunk.clear();
+            self.chunk.resize(want as usize, 0);
+            self.chunk_at = offset;
+            if let Err(e) = file.read_exact_at(&mut self.chunk, seg.file_pos(offset)) {
+                self.chunk.clear();
+                return Err(e);
+            }
+        }
+        Ok(Some((offset - self.chunk_at) as usize))
+    }
+
+    /// The next non-skip block, or `None` at the tail / first hole. A
+    /// `None` forgets the chunk, so asking again reads the device again.
+    pub fn next_view(&mut self) -> io::Result<Option<BlockView<'_>>> {
+        let found = self.advance();
+        if !matches!(found, Ok(Some(_))) {
+            self.chunk.clear();
+        }
+        Ok(found?.map(|(lsn, header, at)| {
+            let payload = &self.chunk[at + BLOCK_HEADER_LEN..at + header.len as usize];
+            BlockView { lsn, header, payload }
+        }))
+    }
+
+    /// [`LogScanner::next_view`], copied out of the chunk.
     pub fn next_block(&mut self) -> io::Result<Option<ScannedBlock>> {
+        Ok(self.next_view()?.map(|view| view.to_owned()))
+    }
+
+    /// Step over the next non-skip block: its LSN, header, and where it
+    /// starts in the chunk.
+    fn advance(&mut self) -> io::Result<Option<(Lsn, LogBlockHeader, usize)>> {
         loop {
             let seg = match self.segment_for(self.offset) {
                 Some(seg) => Arc::clone(seg),
@@ -105,38 +192,31 @@ impl LogScanner {
                 self.offset = seg.end;
                 continue;
             }
-            let Some(file) = &seg.io else {
+            let Some(at) = self.fill(&seg, self.offset, BLOCK_HEADER_LEN as u64)? else {
                 return Ok(None); // in-memory segments are not scannable
             };
-            let mut head = [0u8; BLOCK_HEADER_LEN];
-            file.read_exact_at(&mut head, seg.file_pos(self.offset))?;
-            let Some(header) = LogBlockHeader::decode(&head) else {
+            let Some(header) = LogBlockHeader::decode(&self.chunk[at..]) else {
                 return Ok(None); // first hole: the log is truncated here
             };
             let len = header.len as u64;
             if len < BLOCK_HEADER_LEN as u64 || self.offset + len > seg.end {
                 return Ok(None); // corrupt length: treat as a hole
             }
-            let lsn = seg.lsn(self.offset);
-            let block_offset = self.offset;
-            self.offset += len;
-            match header.kind {
-                BlockKind::Skip => continue,
-                kind => {
-                    let mut payload = vec![0u8; header.len as usize - BLOCK_HEADER_LEN];
-                    file.read_exact_at(
-                        &mut payload,
-                        seg.file_pos(block_offset) + BLOCK_HEADER_LEN as u64,
-                    )?;
-                    let marker = matches!(kind, BlockKind::CheckpointBegin | BlockKind::CheckpointEnd);
-                    if !marker && crate::records::checksum32(&payload) != header.checksum {
-                        // Torn block: truncate here; `find_tail` resumes over it.
-                        self.offset = block_offset;
-                        return Ok(None);
-                    }
-                    return Ok(Some(ScannedBlock { lsn, header, payload }));
-                }
+            if header.kind == BlockKind::Skip {
+                self.offset += len;
+                continue;
             }
+            let at = self.fill(&seg, self.offset, len)?.expect("the header came from a file");
+            let payload = &self.chunk[at + BLOCK_HEADER_LEN..at + len as usize];
+            let unchecked = self.offset < self.trusted
+                || matches!(header.kind, BlockKind::CheckpointBegin | BlockKind::CheckpointEnd);
+            if !unchecked && crate::records::checksum32(payload) != header.checksum {
+                // Torn block: truncate here; `find_tail` resumes over it.
+                return Ok(None);
+            }
+            let lsn = seg.lsn(self.offset);
+            self.offset += len;
+            return Ok(Some((lsn, header, at)));
         }
     }
 }
@@ -154,11 +234,11 @@ pub(crate) fn find_tail(table: &SegmentTable) -> io::Result<(u64, Vec<DdlRecord>
     let mut catalog = std::collections::BTreeMap::new();
     // Walk all blocks (including skips, which next_block consumes
     // internally); the scanner's offset after exhaustion is the tail.
-    while let Some(block) = scanner.next_block()? {
+    while let Some(block) = scanner.next_view()? {
         if block.header.kind != BlockKind::Ddl {
             continue;
         }
-        let Some(rec) = DdlRecord::decode(&block.payload) else { continue };
+        let Some(rec) = DdlRecord::decode(block.payload) else { continue };
         if let Some(old) = catalog.get(&rec.index).filter(|old: &&DdlRecord| !old.same_entry(&rec)) {
             let msg = format!("catalog entries {old:?} and {rec:?} (LSN {:?}) collide", block.lsn);
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));

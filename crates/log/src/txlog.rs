@@ -32,7 +32,8 @@ struct RecordMeta {
     val_len: u32,
 }
 
-/// A borrowed view of one buffered record (tests, post-commit walks).
+/// A borrowed view of one record: in a transaction's private buffer, or —
+/// decoded in place by a scan — in a log block.
 #[derive(Clone, Copy, Debug)]
 pub struct TxRecordView<'a> {
     pub kind: LogRecordKind,

@@ -221,3 +221,56 @@ fn torn_header_at_segment_boundary_truncates() {
         assert_eq!(oids, (0..in_first_seg as u32).collect::<Vec<_>>());
     }
 }
+
+fn view_of(n: u8, size: usize) -> ermia_log::LogRecord {
+    let (kind, table, oid) = (ermia_log::LogRecordKind::Insert, TableId(1), Oid(n as u32));
+    ermia_log::LogRecord { kind, table, oid, key: vec![n], value: vec![n; size], indirect: false }
+}
+
+/// The scanner reads the log a chunk at a time (64 KiB first, then 1 MiB)
+/// and hands out views into the chunk: blocks that straddle a chunk's end,
+/// a block larger than the first chunk, and one larger than any chunk all
+/// come back whole and in order, the owned and the borrowed way alike; and
+/// a scanner that stopped at the tail sees what is appended afterwards.
+#[test]
+fn blocks_come_back_whole_across_chunk_boundaries() {
+    let dir = TestDir::new("scan-chunks");
+    let wide = LogConfig { segment_size: 16 << 20, buffer_size: 4 << 20, ..cfg(dir.to_path_buf()) };
+    let log = LogManager::open(wide).unwrap();
+    // 7 MiB of blocks whose sizes share no factor with the chunk sizes.
+    let sizes = [40usize, 700, 70_000, 3_000, 9, 1_200_000, 500];
+    let append = |n: u8, size: usize| {
+        let mut buf = TxLogBuffer::new();
+        buf.add_insert(TableId(1), Oid(n as u32), &[n], &vec![n; size]);
+        let res = log.allocate(buf.block_len()).unwrap();
+        let bytes = buf.serialize(res.lsn()).to_vec();
+        res.fill(&bytes);
+        (n, size)
+    };
+    let written: Vec<_> =
+        (0..40u8).map(|n| append(n, sizes[n as usize % sizes.len()] + n as usize)).collect();
+    log.sync().unwrap();
+
+    let mut scanner = LogScanner::new(log.segments(), 0);
+    let mut seen = Vec::new();
+    while let Some(view) = scanner.next_view().unwrap() {
+        let (addr, rec) = view.records().next().expect("one record a block");
+        assert_eq!(addr, view.lsn.offset() + BLOCK_HEADER_LEN as u64);
+        assert!(rec.value.iter().all(|&b| b == rec.key[0]), "a view into the wrong bytes");
+        seen.push((rec.key[0], rec.value.len()));
+    }
+    assert_eq!(seen, written);
+    let mut owning = LogScanner::new(log.segments(), 0);
+    for (n, size) in &written {
+        let block = owning.next_block().unwrap().expect("every block, owned");
+        assert_eq!(block.records(), [view_of(*n, *size)]);
+    }
+
+    // The same scanner, asked again after more was written: a `None`
+    // forgot the chunk it was read from.
+    assert!(scanner.next_view().unwrap().is_none());
+    append(99, 123);
+    log.sync().unwrap();
+    let view = scanner.next_view().unwrap().expect("the appended block");
+    assert_eq!(view.records().next().unwrap().1.key, [99]);
+}

@@ -298,14 +298,14 @@ impl ShardState {
         dbcfg.log.segment_size = status.segment_size;
         let db = Database::open(dbcfg)?;
         db.set_role_replica();
-        let mut floor = Lsn::NULL;
         if let Some((begin, payload)) = &ckpt {
             db.store_checkpoint(*begin, payload)?;
-            let (_, f) = db.install_checkpoint(payload)?;
-            floor = f;
         }
-        let mut applier = LogApplier::new(from);
-        let blocks = applier.apply_available(&db)?;
+        // Nobody reads this database yet (the serving view is made below),
+        // so the first round builds only what survives.
+        let checkpoint = ckpt.as_ref().map(|(begin, payload)| (*begin, &payload[..]));
+        let (applier, floor) = LogApplier::rebuild(&db, checkpoint)?;
+        let blocks = applier.stats().replayed_blocks;
 
         let view = db.replica_view();
         let ring = db.telemetry().flight().ring();

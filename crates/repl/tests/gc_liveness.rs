@@ -78,13 +78,13 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
         replica.catch_up().unwrap();
     }
 
-    // A replica's horizon is its own log manager's tail, which is where
-    // the bootstrap left it: shipped bytes go to the segment files, not
-    // through the log manager. So what the bootstrap replay superseded
-    // is reclaimable and must be gone; what the tailing rounds
-    // superseded waits in the backlog (as it waited, unreclaimed and
-    // uncounted, under the full sweep), so this cannot wait for the
-    // backlog to reach 0.
+    // The bootstrap builds each row's newest image and nothing under it,
+    // so it leaves no garbage. A replica's horizon is its own log
+    // manager's tail, which is where the bootstrap left it: shipped bytes
+    // go to the segment files, not through the log manager. So what the
+    // tailing rounds superseded waits in the backlog (as it waited,
+    // unreclaimed and uncounted, under the full sweep), and this cannot
+    // wait for the backlog to reach 0.
     let serving = replica.serving();
     for s in 0..serving.shards() {
         let shard = serving.shard(s);
@@ -100,7 +100,8 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(stats.reclaimed.load(Relaxed) > 0, "replica shard {s}: replay made no garbage");
+        assert_eq!(stats.reclaimed.load(Relaxed), 0, "replica shard {s}: the bootstrap stacked");
+        assert!(stats.retire_backlog.load(Relaxed) > 0, "replica shard {s}: the tail told nobody");
         assert_eq!(
             shard.gc_audit(),
             0,

@@ -77,6 +77,7 @@ where
 }
 
 fn main() {
+    let started = std::time::Instant::now();
     let mut addr = "127.0.0.1:7878".to_string();
     let mut shards = 1usize;
     let mut plan = FaultPlan::default();
@@ -134,7 +135,16 @@ fn main() {
     let srv = Server::start_sharded(&db, &addr, scfg).unwrap_or_else(|e| die("bind", e));
     println!("PORT {}", srv.local_addr().port());
     println!("ermia-server listening on {} ({} shard(s))", srv.local_addr(), db.shards());
-    println!("data dir: {} (recovered: {recovered:?})", dir.display());
+    println!("data dir: {}", dir.display());
+    let shards = &recovered.per_shard;
+    println!(
+        "recovery built {} rows from {} bytes of checkpoint and log in {:.3} s; \
+         listening {:.3} s after start",
+        shards.iter().map(|s| s.built).sum::<u64>(),
+        shards.iter().map(|s| s.scanned_bytes).sum::<u64>(),
+        shards.iter().map(|s| s.elapsed).sum::<Duration>().as_secs_f64(),
+        started.elapsed().as_secs_f64(),
+    );
     println!("press Enter to shut down gracefully");
 
     let mut line = String::new();

@@ -80,7 +80,8 @@ pub(crate) struct Stats {
     pub sessions_opened: AtomicU64,
     pub sessions_closed: AtomicU64,
     pub active_sessions: AtomicUsize,
-    pub busy_rejects: AtomicU64,
+    /// `Busy` answers, by [`BusyReason`].
+    pub busy_rejects: [AtomicU64; BusyReason::LABELS.len()],
     pub protocol_errors: AtomicU64,
     pub frames_processed: AtomicU64,
     pub commits: AtomicU64,
@@ -88,6 +89,34 @@ pub(crate) struct Stats {
     /// Replies currently sitting in per-connection outbound queues
     /// (summed across sessions; the telemetry reply-queue-depth gauge).
     pub queued_replies: AtomicUsize,
+}
+
+/// Why a connection or a request was answered `Busy`.
+#[derive(Clone, Copy)]
+pub(crate) enum BusyReason {
+    /// `max_sessions` connections are open.
+    Sessions,
+    /// No engine worker came free within `checkout_wait`.
+    Checkout,
+    /// The request was parked for a worker when shutdown cut it off.
+    Shutdown,
+    /// The process is out of descriptors (`EMFILE`/`ENFILE`).
+    FdLimit,
+}
+
+impl BusyReason {
+    const LABELS: [&'static str; 4] = ["sessions", "checkout", "shutdown", "fd-limit"];
+}
+
+impl Stats {
+    /// Count one `Busy` answer; returns how many `why` has had.
+    pub fn busy(&self, why: BusyReason) -> u64 {
+        self.busy_rejects[why as usize].fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn busy_total(&self) -> u64 {
+        self.busy_rejects.iter().map(|n| n.load(Ordering::Relaxed)).sum()
+    }
 }
 
 /// A point-in-time copy of the server counters.
@@ -252,7 +281,7 @@ impl Server {
             sessions_opened: s.sessions_opened.load(Ordering::Relaxed),
             sessions_closed: s.sessions_closed.load(Ordering::Relaxed),
             active_sessions: s.active_sessions.load(Ordering::Relaxed),
-            busy_rejects: s.busy_rejects.load(Ordering::Relaxed),
+            busy_rejects: s.busy_total(),
             protocol_errors: s.protocol_errors.load(Ordering::Relaxed),
             frames_processed: s.frames_processed.load(Ordering::Relaxed),
             commits: s.commits.load(Ordering::Relaxed),
@@ -306,11 +335,15 @@ fn collect_server(state: &ServerState, out: &mut Vec<Sample>) {
         "Session threads that have finished.",
         &s.sessions_closed,
     ));
-    out.push(c(
+    out.push(Sample::counter(
         "ermia_server_busy_rejects_total",
         "Connections or requests shed by admission control.",
-        &s.busy_rejects,
+        s.busy_total(),
     ));
+    for (why, n) in BusyReason::LABELS.into_iter().zip(&s.busy_rejects) {
+        let help = "Connections or requests shed, by why.";
+        out.push(c("ermia_server_busy_by_reason_total", help, n).labeled("reason", why));
+    }
     out.push(c(
         "ermia_server_protocol_errors_total",
         "Malformed frames / protocol-state violations observed.",

@@ -104,6 +104,7 @@
 //! parker resolves (or aborts) within their `sync_wait` — and joins.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -128,7 +129,8 @@ use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
     is_traced_frame, write_frame, ErrorCode, Legal, ReplStatus, Request, Response,
 };
-use crate::server::{ServerState, ShardHandle};
+use crate::server::{BusyReason, ServerState, ShardHandle};
+use crate::sys;
 
 /// Events returned by a `DumpEvents` frame that asks for the server
 /// default (`max == 0`), and the size of the dump captured when a
@@ -236,6 +238,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut rr = 0usize; // round-robin accept target (shard 0 only)
+    let mut reserve = listener.as_ref().and_then(|_| File::open("/dev/null").ok());
     let mut events: Vec<Event> = Vec::new();
     let mut phase = Phase::Running;
     // Per-turn scratch, cleared and reused.
@@ -272,7 +275,8 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 TOK_WAKE => handle.wake.drain(),
                 TOK_LISTENER => {
                     if let Some(l) = &listener {
-                        accept_burst(&state, &poller, l, &mut conns, &mut next_token, &mut rr);
+                        let (reserve, token) = (&mut reserve, &mut next_token);
+                        accept_burst(&state, &poller, l, reserve, &mut conns, token, &mut rr);
                     }
                 }
                 t => {
@@ -331,7 +335,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 let deadline = conn.waiting.as_ref().expect("waiting").deadline;
                 let resolved = if now >= deadline {
                     let lapsed = conn.waiting.take().expect("waiting");
-                    state.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
+                    state.stats.busy(BusyReason::Checkout);
                     conn.push(&state, Response::Busy);
                     if let Some((tr, parked_ns)) = lapsed.trace {
                         let ring = &handle.trace_ring;
@@ -448,11 +452,13 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
 }
 
 /// Accept until `WouldBlock`, applying admission control, and hand the
-/// survivors round-robin across shards.
+/// survivors round-robin across shards. `reserve` is a descriptor held
+/// for nothing but being closed when the process has run out of them.
 fn accept_burst(
     state: &Arc<ServerState>,
     poller: &Poller,
     listener: &TcpListener,
+    reserve: &mut Option<File>,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     rr: &mut usize,
@@ -462,6 +468,31 @@ fn accept_burst(
             Ok((s, _)) => s,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.raw_os_error(), Some(sys::EMFILE | sys::ENFILE)) => {
+                // Out of descriptors (which `accept` says before it looks
+                // at the queue). A queued connection keeps the listener
+                // readable: left there, the loop spins and the client
+                // hangs. Spend the reserve on telling it `Busy`.
+                drop(reserve.take());
+                let queued = listener.accept();
+                if let Ok((stream, _)) = &queued {
+                    let shed = state.stats.busy(BusyReason::FdLimit);
+                    let errno = e.raw_os_error().unwrap_or(0) as u64;
+                    state.svc_ring.record(EventKind::AcceptShed, errno, shed);
+                    let _ = write_frame(&mut &*stream, &Response::Busy.encode());
+                }
+                let took = queued.map(drop);
+                *reserve = File::open("/dev/null").ok();
+                match took {
+                    Ok(()) => continue,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        // Somebody else took the freed slot: give them time.
+                        std::thread::sleep(Duration::from_millis(1));
+                        break;
+                    }
+                }
+            }
             Err(_) => break,
         };
         if state.shutdown.load(Ordering::Acquire) {
@@ -470,7 +501,7 @@ fn accept_burst(
         if state.stats.active_sessions.load(Ordering::Relaxed) >= state.cfg.max_sessions {
             // Shed load with an explicit frame; the stream is still
             // blocking here, and the frame fits any socket buffer.
-            state.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
+            state.stats.busy(BusyReason::Sessions);
             let _ = write_frame(&mut &stream, &Response::Busy.encode());
             continue;
         }
@@ -1326,7 +1357,7 @@ fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u6
     for conn in conns.values_mut() {
         if conn.waiting.take().is_some() {
             handle.stats.run_queue.fetch_sub(1, Ordering::Relaxed);
-            state.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
+            state.stats.busy(BusyReason::Shutdown);
             conn.push(state, Response::Busy);
         }
         if let Some(open) = conn.txn.take() {

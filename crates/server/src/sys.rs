@@ -14,6 +14,10 @@ use std::os::fd::RawFd;
 
 pub(crate) type c_int = i32;
 
+/// `accept(2)`: the process, or the system, is out of descriptors.
+pub(crate) const EMFILE: c_int = 24;
+pub(crate) const ENFILE: c_int = 23;
+
 // -- epoll ------------------------------------------------------------
 
 pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;

@@ -83,10 +83,14 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         // database state
         "ermia_db_state",
         "ermia_fork_count",
+        "ermia_recovery_seconds",
+        "ermia_recovery_bytes",
         // server + pool
         "ermia_server_sessions_opened_total",
         "ermia_server_active_sessions",
         "ermia_server_frames_processed_total",
+        "ermia_server_busy_rejects_total",
+        "ermia_server_busy_by_reason_total",
         "ermia_server_reply_queue_depth",
         // event-loop shards
         "ermia_server_shards",
@@ -112,6 +116,14 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         assert!(
             exp.value_with("ermia_log_sync_starts_total", "cause", cause).is_some(),
             "missing cause label {cause}:\n{text}"
+        );
+    }
+    assert_eq!(exp.kind("ermia_recovery_seconds"), Some("gauge"));
+    for why in ["sessions", "checkout", "shutdown", "fd-limit"] {
+        assert_eq!(
+            exp.value_with("ermia_server_busy_by_reason_total", "reason", why),
+            Some(0.0),
+            "reason label {why}:\n{text}"
         );
     }
     assert_eq!(exp.kind("ermia_server_active_sessions"), Some("gauge"));

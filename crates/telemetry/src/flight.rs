@@ -54,6 +54,13 @@ kinds! {
         /// A replica finished an apply round (`a` = applied-through offset,
         /// `b` = blocks replayed this round).
         17 ReplApplied: "repl-applied";
+        /// An offline recovery rebuilt the database (`a` = checkpoint and
+        /// log bytes scanned, `b` = versions built).
+        18 Recovery: "recovery";
+        /// The listener ran out of descriptors and a queued connection was
+        /// answered `Busy` through the reserve one (`a` = errno, `b` = how
+        /// many so far).
+        19 AcceptShed: "accept-shed";
     }
 }
 
@@ -216,6 +223,8 @@ fn describe(e: &Event) -> String {
         }
         EventKind::ReplSegmentShipped => format!("offset={:#x} bytes={}", e.a, e.b),
         EventKind::ReplApplied => format!("applied={:#x} blocks={}", e.a, e.b),
+        EventKind::Recovery => format!("scanned_bytes={} built={}", e.a, e.b),
+        EventKind::AcceptShed => format!("errno={} shed={}", e.a, e.b),
     }
 }
 

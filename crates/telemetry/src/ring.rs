@@ -198,7 +198,7 @@ mod tests {
         }
         check!(SpanKind);
         check!(EventKind);
-        assert_eq!((SpanKind::ALL.len(), EventKind::ALL.len()), (15, 17));
+        assert_eq!((SpanKind::ALL.len(), EventKind::ALL.len()), (15, 19));
     }
 
     fn drain<const W: usize>(ring: &SeqRing<W>) -> Vec<[u64; W]> {
