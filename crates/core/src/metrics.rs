@@ -222,6 +222,11 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "Centralized ring buffer capacity",
         log.ring_capacity() as f64,
     ));
+    out.push(Sample::gauge(
+        "ermia_log_ring_unreleased_bytes",
+        "Filled ring bytes not yet handed back to the operating system (what of the ring can be resident)",
+        log.ring_unreleased() as f64,
+    ));
     out.push(Sample::counter(
         "ermia_log_space_waits_total",
         "Reservations that blocked waiting for ring space",
@@ -318,6 +323,11 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "ermia_tid_slots_in_use",
         "Transaction-context slots currently held",
         db.tid.in_use() as f64,
+    ));
+    out.push(Sample::gauge(
+        "ermia_tid_high_water",
+        "One past the highest transaction-context slot ever claimed (what of the 64 K table has been touched)",
+        db.tid.high_water() as f64,
     ));
     out.push(Sample::gauge(
         "ermia_version_pool_size",

@@ -655,7 +655,7 @@ impl Database {
                         max_captured = max_captured.max(stamp.as_lsn());
                         payload.extend_from_slice(&oid.0.to_le_bytes());
                         payload.extend_from_slice(&stamp.raw().to_le_bytes());
-                        payload.push(v.tombstone as u8);
+                        payload.push(v.tombstone() as u8);
                         payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
                         payload.extend_from_slice(&(v.data().len() as u32).to_le_bytes());
                         payload.extend_from_slice(key);

@@ -448,8 +448,9 @@ pub struct ShardRecoveryStats {
 }
 
 /// Register the shard-level collector on shard 0's registry: shard
-/// count and the in-doubt gauge (what a shard finished is its own
-/// `ermia_txn_*`, which a merged rendering labels `shard="i"`). The
+/// count, the in-doubt gauge (what a shard finished is its own
+/// `ermia_txn_*`, which a merged rendering labels `shard="i"`) and what
+/// is the process's rather than any shard's — its resident size. The
 /// closure holds a `Weak` so the registry never keeps the sharded
 /// wrapper alive.
 fn register_shard_collectors(inner: &Arc<ShardedInner>) {
@@ -464,6 +465,18 @@ fn register_shard_collectors(inner: &Arc<ShardedInner>) {
             "Cross-shard transactions prepared but not yet decided",
             sd.in_doubt.load(Relaxed) as f64,
         ));
+        if let Some((resident, peak)) = ermia_telemetry::process_resident() {
+            out.push(Sample::gauge(
+                "ermia_process_resident_bytes",
+                "Resident set of the server process (VmRSS), read at scrape",
+                resident as f64,
+            ));
+            out.push(Sample::gauge(
+                "ermia_process_resident_peak_bytes",
+                "High-water mark of the resident set (VmHWM)",
+                peak as f64,
+            ));
+        }
     });
 }
 

@@ -276,7 +276,7 @@ impl<'w> Transaction<'w> {
         }
         match result {
             Some(vis) => {
-                if unsafe { (*vis.ptr).tombstone } {
+                if unsafe { (*vis.ptr).tombstone() } {
                     Ok(None)
                 } else {
                     Ok(Some(vis))
@@ -461,7 +461,7 @@ impl<'w> Transaction<'w> {
             if stamp.is_tid() {
                 let owner = stamp.as_tid();
                 if owner == self.tid {
-                    if hv.tombstone && kind != WriteKind::Insert {
+                    if hv.tombstone() && kind != WriteKind::Insert {
                         // We deleted it earlier in this transaction.
                         return Ok(false);
                     }
@@ -504,7 +504,7 @@ impl<'w> Transaction<'w> {
             if c.raw() >= self.begin.raw() {
                 return Err(self.doom(AbortReason::WriteWriteConflict));
             }
-            if hv.tombstone && kind != WriteKind::Insert {
+            if hv.tombstone() && kind != WriteKind::Insert {
                 // Deleted in our snapshot: nothing to update.
                 return Ok(false);
             }
@@ -965,7 +965,7 @@ impl<'w> Transaction<'w> {
         let blob_threshold = self.db.inner.cfg.large_value_threshold;
         for w in &self.writes {
             let key = w.key.slice(&self.scratch.keys);
-            let (data, tombstone) = unsafe { ((*w.new).data(), (*w.new).tombstone) };
+            let (data, tombstone) = unsafe { ((*w.new).data(), (*w.new).tombstone()) };
             // The entry coalesces every op this txn applied to the
             // record; what commits is the final version, so its tombstone
             // flag (not the entry kind) decides the record kind. An

@@ -354,7 +354,7 @@ fn loading_a_row_costs_one_allocation() {
     let (calls, bytes) = (per_row(alloc_calls() - calls), per_row(alloc_bytes() - bytes));
     println!("layout guard: {calls:.3} allocations/row, {bytes:.1} requested bytes/row");
     assert!(calls <= 1.1, "{calls:.3} allocations per loaded row");
-    assert!(bytes <= 160.0, "{bytes:.1} requested bytes per loaded row");
+    assert!(bytes <= 152.0, "{bytes:.1} requested bytes per loaded row");
 }
 
 /// The memory guard of recovery: it builds what survives, not what

@@ -1,0 +1,182 @@
+//! The residency guard: a shard costs its rows, not its capacities.
+//!
+//! The log ring (64 MiB), its availability stamps (8 MiB) and the TID
+//! context table (2.5 MiB) are *capacities*; what a process pays for is
+//! what it has touched. Each case below runs in a process of its own —
+//! resident size is a property of the process, and the second case is
+//! about what an earlier engine in the same process leaves behind — so
+//! this target has no libtest harness: run without `--case=` it re-runs
+//! itself once per case (positional arguments filter by name, as with
+//! libtest) and prints one trend line per case. Linux only: the figures
+//! are `VmRSS` from `/proc/self/status`; elsewhere it does nothing.
+
+use std::process::Command;
+
+use ermia::{DbConfig, IsolationLevel, ShardedDb};
+use ermia_common::{Oid, TableId, TestDir};
+use ermia_log::{LogConfig, LogManager, TxLogBuffer};
+
+const MIB: i64 = 1 << 20;
+const ROWS: u64 = 100_000;
+
+const CASES: &[(&str, fn())] = &[
+    ("open_costs_what_it_touches", open_costs_what_it_touches),
+    ("a_second_engine_costs_what_the_first_did", a_second_engine_costs_what_the_first_did),
+    ("a_wrapped_ring_stays_released", a_wrapped_ring_stays_released),
+    ("a_row_holds_148_heap_bytes", a_row_holds_148_heap_bytes),
+];
+
+fn main() {
+    if !cfg!(target_os = "linux") {
+        return;
+    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(case) = args.iter().find_map(|a| a.strip_prefix("--case=")) {
+        let (_, body) = CASES.iter().find(|(name, _)| *name == case).expect("a known case");
+        return body();
+    }
+    let filters: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+    let exe = std::env::current_exe().expect("own path");
+    let mut failed = Vec::new();
+    for (name, _) in CASES {
+        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
+            continue;
+        }
+        let status = Command::new(&exe).arg(format!("--case={name}")).status().expect("re-run");
+        println!("test {name} ... {}", if status.success() { "ok" } else { "FAILED" });
+        if !status.success() {
+            failed.push(*name);
+        }
+    }
+    assert!(failed.is_empty(), "residency guard failed: {failed:?}");
+}
+
+/// `VmRSS`, bytes.
+fn rss() -> i64 {
+    ermia_telemetry::process_resident().expect("/proc/self/status").0 as i64
+}
+
+fn open(dir: &TestDir) -> ShardedDb {
+    ShardedDb::open(DbConfig::durable(&**dir), 1).expect("open")
+}
+
+/// `ROWS` rows of a 16-byte key and a 64-byte value, a thousand to a
+/// transaction, durable before returning (the ledger's set-up).
+fn load(db: &ShardedDb) {
+    let t = db.create_table("rows");
+    let mut w = db.register_worker();
+    for base in (0..ROWS).step_by(1000) {
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        for i in base..base + 1000 {
+            let mut key = *b"row-........----";
+            key[4..12].copy_from_slice(&i.to_be_bytes());
+            tx.insert(t, &key, &[0x51; 64]).expect("insert");
+        }
+        tx.commit().expect("commit");
+    }
+}
+
+/// (a) Opening a durable shard touches a few pages of each table, not
+/// the tables (≈ 3.2 MB before they were regions; 10.9 MB once the heap
+/// is dirty).
+fn open_costs_what_it_touches() {
+    let dir = TestDir::new("resident-open");
+    let before = rss();
+    let db = open(&dir);
+    let cost = rss() - before;
+    println!("residency guard: open costs {} KiB resident", cost / 1024);
+    assert!(cost <= MIB + MIB / 2, "opening a shard made {cost} bytes resident");
+    drop(db);
+}
+
+/// (b) The case that sets the ledger's `rss_peak_mb`: the second engine
+/// of a process. The first one's rows, once freed, leave the heap dirty
+/// and glibc's mmap threshold raised, so tables built with `vec!` were
+/// cut from it and were resident whole (24.9 → 33.4 MB).
+fn a_second_engine_costs_what_the_first_did() {
+    let (one, two) = (TestDir::new("resident-first"), TestDir::new("resident-second"));
+    let db = open(&one);
+    load(&db);
+    let first = rss();
+    drop(db);
+    let db = open(&two);
+    load(&db);
+    let second = rss();
+    println!(
+        "residency guard: loaded {:.1} MiB resident, second engine {:+} KiB",
+        first as f64 / MIB as f64,
+        (second - first) / 1024
+    );
+    assert!(second <= first + MIB + MIB / 2, "first load {first}, second load {second} bytes");
+    drop(db);
+}
+
+/// (c) Two laps of a 64 MiB ring: the bytes *and their stamps* go back
+/// to the operating system a release chunk (2 MiB) at a time (the stamps
+/// stayed: + 8 MiB).
+fn a_wrapped_ring_stays_released() {
+    let dir = TestDir::new("resident-ring");
+    let log = LogManager::open(LogConfig { dir: Some(dir.to_path_buf()), ..LogConfig::default() })
+        .expect("log opens");
+    let value = [0x5Au8; 8000];
+    let mut tx = TxLogBuffer::new();
+    let mut push = |upto: u64| {
+        while log.next_offset() < upto {
+            tx.clear();
+            tx.add_update(TableId(1), Oid(1), b"key", &value);
+            let res = log.allocate(tx.block_len()).expect("allocate");
+            let block = tx.serialize(res.lsn());
+            res.fill(block);
+        }
+        log.sync().expect("sync");
+    };
+    // Scratch, segment file, the first chunk in flight.
+    push(4 * MIB as u64);
+    let before = rss();
+    push(2 * log.ring_capacity());
+    let grew = rss() - before;
+    println!("residency guard: two laps of the ring leave {:+} KiB resident", grew / 1024);
+    assert!(grew <= 2 * MIB + MIB, "the ring kept {grew} bytes after two laps");
+}
+
+/// (d) What the allocator holds per loaded row — a 104-byte request in a
+/// 112-byte chunk, plus the row's share of its leaf (164 with the
+/// 48-byte header, whose 112-byte request took a 128-byte chunk).
+fn a_row_holds_148_heap_bytes() {
+    #[cfg(target_env = "gnu")]
+    {
+        let dir = TestDir::new("resident-row");
+        let db = open(&dir);
+        let before = heap_in_use();
+        load(&db);
+        let per_row = (heap_in_use() - before) as f64 / ROWS as f64;
+        println!("residency guard: {per_row:.1} heap bytes in use per loaded row");
+        assert!(per_row <= 148.0, "{per_row:.1} heap bytes per loaded row");
+    }
+}
+
+/// Bytes of heap chunks glibc has handed out and not got back, chunk
+/// overhead included (`uordblks`; blocks it mapped one by one — the
+/// indirection array's 128 KiB pages — are not in it).
+#[cfg(target_env = "gnu")]
+fn heap_in_use() -> i64 {
+    #[repr(C)]
+    struct Mallinfo2 {
+        arena: usize,
+        ordblks: usize,
+        smblks: usize,
+        hblks: usize,
+        hblkhd: usize,
+        usmblks: usize,
+        fsmblks: usize,
+        uordblks: usize,
+        fordblks: usize,
+        keepcost: usize,
+    }
+    extern "C" {
+        fn mallinfo2() -> Mallinfo2;
+    }
+    // SAFETY: no preconditions; the struct is glibc's `struct mallinfo2`.
+    let info = unsafe { mallinfo2() };
+    info.uordblks as i64
+}

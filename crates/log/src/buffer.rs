@@ -43,7 +43,10 @@
 //! range implies the scan consumed the old stamp). A stamp is therefore
 //! written exactly once per generation — enforced by a debug assertion —
 //! and the scanner can never confuse generations: a stale stamp simply
-//! stops the scan.
+//! stops the scan. So does a zero one, which is what lets
+//! [`RingBuffer::release`] drop a drained range's stamp pages with its
+//! bytes: both arrays are [`Region`]s, resident where the log currently
+//! is and nowhere else.
 //!
 //! # Parked-waiter condvar protocol
 //!
@@ -62,12 +65,15 @@
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
+use ermia_common::Region;
 use parking_lot::{Condvar, Mutex};
 
 use crate::records::MIN_BLOCK_LEN;
 
 /// Bytes tracked per availability-ring slot.
 const SLOT: u64 = MIN_BLOCK_LEN as u64;
+/// Bytes of stamp per slot.
+const STAMP: u64 = std::mem::size_of::<AtomicU32>() as u64;
 
 /// The consumer sleeps until fills matter to it (a fill below the
 /// demand, a quarter of the ring accumulated), a kick, or its timeout.
@@ -81,10 +87,12 @@ const PARKED_PACED: u32 = 3;
 
 pub struct RingBuffer {
     cap: u64,
-    data: Box<[u8]>,
-    /// Per-slot fill stamps: slot `s % nslots` holds `s / nslots + 1`
-    /// once logical bytes `[s*SLOT, (s+1)*SLOT)` are filled.
-    slots: Box<[AtomicU32]>,
+    /// The first `cap` bytes are the ring.
+    data: Region,
+    /// Per-slot fill stamps, the first `nslots` [`AtomicU32`]s: slot
+    /// `s % nslots` holds `s / nslots + 1` once logical bytes
+    /// `[s*SLOT, (s+1)*SLOT)` are filled.
+    stamps: Region,
     nslots: u64,
     /// Contiguous prefix of the LSN space that has been filled.
     /// Advanced only by the consumer (the flusher) via the slot scan.
@@ -134,10 +142,10 @@ pub struct RingBuffer {
     consumer: Mutex<Option<std::thread::ThreadId>>,
 }
 
-// The data array is written through a raw pointer by concurrent writers
-// holding disjoint reservations and read by the flusher only below the
-// filled watermark; see `write_range` / `read_range` for the argument.
-unsafe impl Sync for RingBuffer {}
+// The ring is `Sync` through its fields. The data region is written
+// through its raw pointer by concurrent writers holding disjoint
+// reservations and read by the flusher only below the filled watermark;
+// see `write` / `read_range` for the argument.
 
 impl RingBuffer {
     /// `cap` bytes of buffer, beginning life with watermarks at `start`
@@ -147,11 +155,10 @@ impl RingBuffer {
         assert!(cap > 0 && cap.is_multiple_of(SLOT), "capacity must be a multiple of MIN_BLOCK_LEN");
         assert!(start.is_multiple_of(SLOT), "start offset must be block-aligned");
         let nslots = cap / SLOT;
-        let slots: Vec<AtomicU32> = (0..nslots).map(|_| AtomicU32::new(0)).collect();
         RingBuffer {
             cap,
-            data: vec![0u8; cap as usize].into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
+            data: Region::new(cap as usize),
+            stamps: Region::new((nslots * STAMP) as usize),
             nslots,
             filled: AtomicU64::new(start),
             flushed: AtomicU64::new(start),
@@ -364,7 +371,7 @@ impl RingBuffer {
         // publishes them via mark_filled (Release). So this region is
         // exclusively ours for the duration of the copy.
         unsafe {
-            let base = self.data.as_ptr() as *mut u8;
+            let base = self.data.as_ptr();
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), base.add(pos), first);
             if first < bytes.len() {
                 std::ptr::copy_nonoverlapping(bytes.as_ptr().add(first), base, bytes.len() - first);
@@ -391,7 +398,7 @@ impl RingBuffer {
         // SAFETY: same argument as `write` — the reservation owns this
         // range and nothing reads it until the mark_filled below.
         unsafe {
-            let base = self.data.as_ptr() as *mut u8;
+            let base = self.data.as_ptr();
             std::ptr::copy_nonoverlapping(header.as_ptr(), base.add(pos), first);
             if first < header.len() {
                 std::ptr::copy_nonoverlapping(
@@ -405,15 +412,13 @@ impl RingBuffer {
     }
 
     /// Reset the ring to begin a new life at logical offset `start`,
-    /// clearing the poison flag: every slot stamp is zeroed and both
-    /// watermarks jump to `start`. Only sound when fully quiesced — no
-    /// outstanding reservations, no running consumer (the resume path
-    /// joins the flusher and drains writers first).
+    /// clearing the poison flag: every slot stamp is zeroed (its pages
+    /// handed back) and both watermarks jump to `start`. Only sound when
+    /// fully quiesced — no outstanding reservations, no running consumer
+    /// (the resume path joins the flusher and drains writers first).
     pub fn reset(&self, start: u64) {
         assert!(start.is_multiple_of(SLOT), "reset offset must be block-aligned");
-        for s in self.slots.iter() {
-            s.store(0, Ordering::Relaxed);
-        }
+        self.stamps.release(0..self.stamps.len());
         self.filled.store(start, Ordering::Release);
         self.flushed.store(start, Ordering::Release);
         self.demand.store(u64::MAX, Ordering::Release);
@@ -473,14 +478,14 @@ impl RingBuffer {
                 // Double-fill detector: a slot is stamped exactly once
                 // per wrap generation (reservations are disjoint and the
                 // previous generation was flushed before ours started).
-                let prev = self.slots[idx].swap(stamp, Ordering::Release);
+                let prev = self.stamp(idx).swap(stamp, Ordering::Release);
                 debug_assert!(
                     prev < stamp,
                     "double fill at offset {:#x} (generation {stamp}, slot already {prev})",
                     s * SLOT
                 );
             } else {
-                self.slots[idx].store(stamp, Ordering::Release);
+                self.stamp(idx).store(stamp, Ordering::Release);
             }
         }
         // Wake the consumer *immediately* when this fill lands below a
@@ -517,7 +522,7 @@ impl RingBuffer {
             let s = cur / SLOT;
             let idx = (s % self.nslots) as usize;
             let stamp = (s / self.nslots + 1) as u32;
-            if self.slots[idx].load(Ordering::Acquire) != stamp {
+            if self.stamp(idx).load(Ordering::Acquire) != stamp {
                 break;
             }
             cur += SLOT;
@@ -538,7 +543,7 @@ impl RingBuffer {
             let s = cur / SLOT;
             let idx = (s % self.nslots) as usize;
             let stamp = (s / self.nslots + 1) as u32;
-            if self.slots[idx].load(Ordering::Acquire) != stamp {
+            if self.stamp(idx).load(Ordering::Acquire) != stamp {
                 break;
             }
             cur += SLOT;
@@ -641,23 +646,30 @@ impl RingBuffer {
     }
 
     /// Flusher side: hand the memory pages lying wholly inside logical
-    /// `[lo, hi)` back to the operating system (they read as zeros
-    /// until written again), so the ring's resident size follows what is
-    /// in flight rather than everything ever logged. A no-op off Linux.
+    /// `[lo, hi)` — of the bytes and of their stamps — back to the
+    /// operating system (they read as zeros until written again), so the
+    /// ring's resident size follows what is in flight rather than
+    /// everything ever logged. A zero stamp matches no generation, so the
+    /// watermark scan stops on it exactly as on the stale one it replaces.
     ///
     /// The range must be drained to storage and **not yet published**
     /// through [`RingBuffer::mark_flushed`]: below the published
     /// watermark the next wrap generation's writers are already admitted
-    /// and may be copying into these very pages.
+    /// and may be copying into, and stamping, these very pages.
     pub fn release(&self, lo: u64, hi: u64) {
-        debug_assert!(self.flushed() <= lo && hi <= self.filled() && hi - lo <= self.cap);
-        if lo == hi {
-            return;
-        }
-        let pos = (lo % self.cap) as usize;
-        let first = std::cmp::min((hi - lo) as usize, self.cap as usize - pos);
-        release_pages(&self.data[pos..pos + first]);
-        release_pages(&self.data[..(hi - lo) as usize - first]);
+        assert!(
+            self.flushed() <= lo && lo <= hi && hi <= self.filled() && hi - lo <= self.cap,
+            "release after publish, or of unfilled bytes: [{lo:#x}, {hi:#x}) with flushed {:#x}, filled {:#x}",
+            self.flushed(),
+            self.filled()
+        );
+        release_wrapped(&self.data, self.cap, lo, hi);
+        release_wrapped(&self.stamps, self.nslots * STAMP, lo / SLOT * STAMP, hi / SLOT * STAMP);
+    }
+
+    #[inline]
+    fn stamp(&self, idx: usize) -> &AtomicU32 {
+        &self.stamps.view::<AtomicU32>()[idx]
     }
 
     /// Flusher side: advance the flushed watermark and wake space
@@ -695,28 +707,14 @@ impl RingBuffer {
     }
 }
 
-/// `madvise(MADV_DONTNEED)` the whole pages inside `bytes`.
-#[cfg(target_os = "linux")]
-fn release_pages(bytes: &[u8]) {
-    const PAGE: usize = 4096;
-    const MADV_DONTNEED: i32 = 4;
-    extern "C" {
-        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
-    }
-    let start = (bytes.as_ptr() as usize).next_multiple_of(PAGE);
-    let end = (bytes.as_ptr() as usize + bytes.len()) / PAGE * PAGE;
-    if start < end {
-        // SAFETY: `[start, end)` lies inside `bytes`, private anonymous
-        // memory this ring owns, and the caller guarantees nobody reads
-        // or writes it now; dropping the pages only zeroes content no
-        // one needs. A refusal (a platform with larger pages) changes
-        // nothing, so the result is ignored.
-        unsafe { madvise(start as *mut std::ffi::c_void, end - start, MADV_DONTNEED) };
-    }
+/// Release logical `[lo, hi)` of a ring of `len` bytes laid over the
+/// front of `region`: at most two runs (the wrap).
+fn release_wrapped(region: &Region, len: u64, lo: u64, hi: u64) {
+    let pos = lo % len;
+    let first = std::cmp::min(hi - lo, len - pos);
+    region.release(pos as usize..(pos + first) as usize);
+    region.release(0..(hi - lo - first) as usize);
 }
-
-#[cfg(not(target_os = "linux"))]
-fn release_pages(_bytes: &[u8]) {}
 
 #[cfg(test)]
 mod tests {
@@ -936,6 +934,50 @@ mod tests {
         let rb = RingBuffer::new(1024, 0);
         rb.mark_filled(64, 32);
         rb.mark_filled(64, 32); // second stamp of the same generation
+    }
+
+    #[test]
+    fn released_stamps_stop_the_scan_and_take_the_next_generation() {
+        // Large enough that a lap covers whole stamp pages.
+        const CAP: u64 = 1 << 20;
+        let rb = RingBuffer::new(CAP, 0);
+        rb.write(0, &vec![7; CAP as usize]);
+        assert_eq!(rb.advance_filled(), CAP);
+        rb.release(0, CAP);
+        assert!(rb.stamps.view::<AtomicU32>()[..rb.nslots as usize]
+            .iter()
+            .all(|s| s.load(Ordering::Relaxed) == 0));
+        rb.mark_flushed(CAP);
+        // The scan stands on a zero stamp, not a generation-1 one.
+        assert_eq!(rb.advance_filled(), CAP);
+        assert_eq!(rb.scan_tip(), CAP);
+        rb.write(CAP, &[9; 64]);
+        assert_eq!(rb.advance_filled(), CAP + 64);
+        rb.read_range(CAP, CAP + 64, |s| assert!(s.iter().all(|&b| b == 9)));
+    }
+
+    #[test]
+    #[should_panic(expected = "release after publish")]
+    fn releasing_published_space_is_refused() {
+        // The mutation of `Flusher::publish` that swaps its two calls:
+        // below the published watermark the next generation is writing.
+        let rb = RingBuffer::new(1 << 20, 0);
+        rb.write(0, &[1; 4096]);
+        assert_eq!(rb.advance_filled(), 4096);
+        rb.mark_flushed(4096);
+        rb.release(0, 4096);
+    }
+
+    #[test]
+    fn reset_zeroes_every_stamp() {
+        let rb = RingBuffer::new(1024, 0);
+        rb.write(0, &[1; 1024]);
+        assert_eq!(rb.advance_filled(), 1024);
+        rb.mark_flushed(1024);
+        rb.reset(0);
+        assert_eq!(rb.advance_filled(), 0, "a generation-1 stamp survived the reset");
+        rb.write(0, &[2; 32]);
+        assert_eq!(rb.advance_filled(), 32);
     }
 
     #[test]

@@ -144,19 +144,25 @@
 //!
 //! A ring is touched from end to end as the log advances, so left alone
 //! its resident size grows with every byte ever logged until it equals
-//! the capacity — 64 MiB per log by default, for a buffer that only has
-//! to hold what accumulates during one flush. For rings of 16 MiB and up
-//! the flusher therefore hands drained memory back to the operating
-//! system in 2 MiB chunks ([`crate::buffer::RingBuffer::release`]), and
-//! the ring's resident size follows the bytes in flight. Pages can only
-//! be dropped *before* the space they occupy is published to writers
-//! (below the published watermark the next wrap generation is already
-//! admitted), so on such rings the *space* watermark advances a chunk at
-//! a time — released first, published second — and trails the durable
-//! watermark by less than a chunk, except that a reservation parked for
-//! space gets every durable byte at once. Space is released only over
-//! the in-order completed prefix, like everything else. The durable
-//! watermark, which is what committers wait on, is never delayed.
+//! the capacity — 64 MiB per log by default, plus 8 MiB of availability
+//! stamps (a `u32` per 32 bytes), for a buffer that only has to hold
+//! what accumulates during one flush. Both arrays are
+//! [`ermia_common::Region`]s — zero and not resident until written — and
+//! for rings of 16 MiB and up the flusher hands drained memory back to
+//! the operating system in 2 MiB chunks, bytes and stamps in the same
+//! call ([`crate::buffer::RingBuffer::release`]: 2 MiB of log is 256 KiB
+//! of stamps, and a zero stamp stops the watermark scan just as the
+//! stale one it replaces would), so what is resident of either follows
+//! the bytes in flight; a stamp page is faulted in again once per 32 KiB
+//! of log. Pages can only be dropped *before* the space they occupy is
+//! published to writers (below the published watermark the next wrap
+//! generation is already admitted), so on such rings the *space*
+//! watermark advances a chunk at a time — released first, published
+//! second — and trails the durable watermark by less than a chunk,
+//! except that a reservation parked for space gets every durable byte at
+//! once. Space is released only over the in-order completed prefix, like
+//! everything else. The durable watermark, which is what committers wait
+//! on, is never delayed.
 //!
 //! # Failure handling
 //!

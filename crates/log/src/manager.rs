@@ -875,6 +875,14 @@ impl LogManager {
         self.inner.buffer.filled().saturating_sub(self.durable_offset())
     }
 
+    /// Filled bytes above the ring's space watermark: what of the ring
+    /// the flusher has not handed back to the operating system, and so
+    /// can be resident (see `flusher.rs`, "Resident size of the ring").
+    #[inline]
+    pub fn ring_unreleased(&self) -> u64 {
+        self.inner.buffer.filled().saturating_sub(self.inner.buffer.flushed())
+    }
+
     /// Ring buffer capacity in bytes.
     #[inline]
     pub fn ring_capacity(&self) -> u64 {

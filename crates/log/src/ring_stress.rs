@@ -19,6 +19,17 @@ use std::time::Instant;
 
 use crate::buffer::RingBuffer;
 
+/// Held by the one test here that compares two timings and by the one
+/// that keeps five threads busy for a second: libtest runs them side by
+/// side otherwise, and on two cores the second starves whichever half of
+/// the first it overlaps.
+static MACHINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn machine() -> std::sync::MutexGuard<'static, ()> {
+    // A failed holder poisons nothing that matters here.
+    MACHINE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// One reservation in a precomputed layout: `dead` ranges are published
 /// without content (segment-rotation losers), the rest are written with
 /// a derivable pattern.
@@ -134,6 +145,95 @@ fn permuted_concurrent_fills_converge_across_wrap() {
     assert_eq!(rb.flushed(), TOTAL);
 }
 
+/// A ring that gives its memory back, run the way the flusher runs one:
+/// four seeded writers reserve with a shared `fetch_add`, wait for space
+/// and write; the consumer verifies every byte below the watermark, then
+/// releases the drained range — bytes and stamps — and only then
+/// publishes the space, a chunk at a time unless a writer is parked.
+/// Three and a half laps: every slot is stamped for generations 1 to 3
+/// over a stamp page that was dropped in between, and a stale or
+/// resurrected stamp, or a page dropped under a writer, shows as a wrong
+/// byte or a watermark that stops.
+#[test]
+fn a_releasing_ring_survives_its_wraps() {
+    let _alone = machine();
+    const WRITERS: u64 = 4;
+    const CAP: u64 = 16 << 20;
+    const TOTAL: u64 = 7 * CAP / 2;
+    const CHUNK: u64 = 2 << 20;
+    const SEED: u64 = 0x5EED_0030;
+
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    // What slot `s` of the logical offset space holds, in every byte.
+    let slot_byte = |s: u64| mix(SEED ^ s) as u8;
+
+    let rb = RingBuffer::new(CAP, 0);
+    let next = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for writer in 0..WRITERS {
+            let (rb, next) = (&rb, &next);
+            s.spawn(move || {
+                let mut rng = SEED ^ writer.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut buf = Vec::new();
+                loop {
+                    rng = mix(rng.wrapping_add(0x9E37_79B9_7F4A_7C15));
+                    // 32 B to 16 KiB, so blocks straddle stamp pages,
+                    // data pages and the wrap.
+                    let len = 32 * (1 + rng % 512);
+                    let offset = next.fetch_add(len, Ordering::Relaxed);
+                    if offset >= TOTAL {
+                        break;
+                    }
+                    assert!(rb.wait_for_space(offset + len), "the consumer gave up");
+                    buf.clear();
+                    for slot in offset / 32..(offset + len) / 32 {
+                        buf.extend_from_slice(&[slot_byte(slot); 32]);
+                    }
+                    rb.write(offset, &buf);
+                }
+            });
+        }
+
+        let (mut verified, mut released) = (0u64, 0u64);
+        let mut progressed = Instant::now();
+        while verified < TOTAL {
+            let filled = rb.advance_filled();
+            if filled == verified {
+                if progressed.elapsed().as_secs() >= 30 {
+                    rb.poison();
+                    panic!("the watermark stalled at {verified:#x}");
+                }
+                std::thread::yield_now();
+                continue;
+            }
+            progressed = Instant::now();
+            let mut slot = verified / 32;
+            rb.read_range(verified, filled, |bytes| {
+                for run in bytes.chunks_exact(32) {
+                    assert!(
+                        run.iter().all(|&b| b == slot_byte(slot)),
+                        "slot {slot} (offset {:#x}) drained as {run:?}",
+                        slot * 32
+                    );
+                    slot += 1;
+                }
+            });
+            verified = filled;
+            let space = if rb.has_space_waiters() { filled } else { filled / CHUNK * CHUNK };
+            if space > released {
+                rb.release(released, space);
+                rb.mark_flushed(space);
+                released = space;
+            }
+        }
+    });
+    assert!(next.load(Ordering::Relaxed) >= TOTAL && rb.filled() >= TOTAL);
+}
+
 /// Aggregate `mark_filled` throughput from N threads must not collapse
 /// against the single-thread rate. The old tracker funneled every call
 /// through a `Mutex<BTreeMap>` — under concurrent stamping that
@@ -141,6 +241,7 @@ fn permuted_concurrent_fills_converge_across_wrap() {
 /// release stores proceed independently.
 #[test]
 fn concurrent_mark_filled_has_no_serialization_collapse() {
+    let _alone = machine();
     const CAP: u64 = 1 << 20; // 32768 slots
     const THREADS: usize = 4;
     const ROUNDS: usize = 6;
@@ -160,18 +261,22 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
         n
     };
 
-    let mut single_ops = 0u64;
-    let single_start = Instant::now();
+    // Each side's best round: a round is a millisecond or two (a ring
+    // costs nothing to make and is not in the time), so a test that runs
+    // beside this one can take a whole round away from either side — a
+    // convoy on a shared lock slows every round.
+    let mut single_rate = 0f64;
     for _ in 0..ROUNDS {
         let rb = RingBuffer::new(CAP, 0);
-        single_ops += stamp_partition(&rb, 0, 1);
+        let start = Instant::now();
+        let done = stamp_partition(&rb, 0, 1);
+        single_rate = single_rate.max(done as f64 / start.elapsed().as_secs_f64());
     }
-    let single_rate = single_ops as f64 / single_start.elapsed().as_secs_f64();
 
-    let mut multi_ops = 0u64;
-    let multi_start = Instant::now();
+    let mut multi_rate = 0f64;
     for _ in 0..ROUNDS {
         let rb = Arc::new(RingBuffer::new(CAP, 0));
+        let start = Instant::now();
         let done: u64 = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|lane| {
@@ -181,10 +286,9 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
+        multi_rate = multi_rate.max(done as f64 / start.elapsed().as_secs_f64());
         assert_eq!(done, CAP / 32, "every slot stamped exactly once");
-        multi_ops += done;
     }
-    let multi_rate = multi_ops as f64 / multi_start.elapsed().as_secs_f64();
 
     eprintln!(
         "mark_filled throughput: 1 thread {:.1} Mops/s, {} threads aggregate {:.1} Mops/s",

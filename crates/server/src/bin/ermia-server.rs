@@ -120,6 +120,7 @@ fn main() {
     let db = ShardedDb::open(cfg, shards)
         .unwrap_or_else(|e| die("open database (is the data dir locked by a live server?)", e));
     let recovered = db.recover().unwrap_or_else(|e| die("recovery", e));
+    let resident = ermia_telemetry::process_resident().map_or(0, |(rss, _)| rss);
     println!("INDOUBT {}", recovered.resolved_commits + recovered.resolved_aborts);
 
     if checkpoint_ms > 0 {
@@ -138,11 +139,12 @@ fn main() {
     println!("data dir: {}", dir.display());
     let shards = &recovered.per_shard;
     println!(
-        "recovery built {} rows from {} bytes of checkpoint and log in {:.3} s; \
-         listening {:.3} s after start",
+        "recovery built {} rows from {} bytes of checkpoint and log in {:.3} s, \
+         {:.1} MiB resident after it; listening {:.3} s after start",
         shards.iter().map(|s| s.built).sum::<u64>(),
         shards.iter().map(|s| s.scanned_bytes).sum::<u64>(),
         shards.iter().map(|s| s.elapsed).sum::<Duration>().as_secs_f64(),
+        resident as f64 / (1 << 20) as f64,
         started.elapsed().as_secs_f64(),
     );
     println!("press Enter to shut down gracefully");

@@ -64,6 +64,7 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_log_durable_lag_bytes",
         "ermia_log_ring_occupancy_bytes",
         "ermia_log_ring_capacity_bytes",
+        "ermia_log_ring_unreleased_bytes",
         "ermia_log_space_waits_total",
         "ermia_log_last_batch_bytes",
         "ermia_log_syncs_in_flight",
@@ -80,6 +81,10 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_epoch_current",
         "ermia_epoch_advances_total",
         "ermia_tid_slots_in_use",
+        "ermia_tid_high_water",
+        // the process
+        "ermia_process_resident_bytes",
+        "ermia_process_resident_peak_bytes",
         // database state
         "ermia_db_state",
         "ermia_fork_count",
@@ -216,6 +221,17 @@ fn sharded_engine_metrics_expose_per_shard_families() {
     assert!(exp.value("ermia_shard_cross_txns_total").unwrap() >= 1.0);
     // Nothing is in flight once the commit returned.
     assert_eq!(exp.value("ermia_shard_in_doubt"), Some(0.0));
+    // Where the memory is: the process's figures are one sample each,
+    // the two capacity-sized tables report per shard.
+    let resident = exp.value("ermia_process_resident_bytes").expect("one bare sample");
+    let peak = exp.value("ermia_process_resident_peak_bytes").expect("one bare sample");
+    assert!(resident > 0.0 && peak >= resident, "resident {resident}, peak {peak}");
+    for shard in ["0", "1"] {
+        let high = exp.value_with("ermia_tid_high_water", "shard", shard).unwrap();
+        assert!((1.0..=4096.0).contains(&high), "shard {shard}: tid high water {high}");
+        let ring = exp.value_with("ermia_log_ring_unreleased_bytes", "shard", shard).unwrap();
+        assert!(ring <= (4 << 20) as f64, "shard {shard}: {ring} bytes of a 4 MiB ring");
+    }
 
     // An operator sees every engine shard, not shard 0 alone: a commit
     // that runs on shard 1 only is in the scraped counters of that

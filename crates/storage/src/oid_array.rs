@@ -13,9 +13,10 @@
 //! a 32-bit ABA tag with the top OID into one `AtomicU64`. Push and pop
 //! are single CAS loops — no mutex on the allocation path.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-use ermia_common::Oid;
+use ermia_common::{Oid, Zeroable};
 
 use crate::version::Version;
 
@@ -29,28 +30,24 @@ const PAGE_COUNT: usize = 1 << 14;
 /// as the empty-stack sentinel.
 const FREE_NIL: u32 = 0;
 
-struct Page {
-    slots: Box<[AtomicU64]>,
-}
+/// A page of chain heads (null until stored).
+type Page = [AtomicU64; PAGE_SIZE];
 
-impl Page {
-    fn alloc() -> *mut Page {
-        let slots: Vec<AtomicU64> = (0..PAGE_SIZE).map(|_| AtomicU64::new(0)).collect();
-        Box::into_raw(Box::new(Page { slots: slots.into_boxed_slice() }))
+/// A page of free-stack "next" links ([`FREE_NIL`] until stored),
+/// materialized the first time an OID in its range is recycled.
+type FreePage = [AtomicU32; PAGE_SIZE];
+
+/// A zeroed page straight from the allocator, to be freed as a `Box`.
+fn alloc_page<T: Zeroable>() -> *mut [T; PAGE_SIZE] {
+    const { assert!(std::mem::size_of::<T>() > 0) };
+    let layout = Layout::new::<[T; PAGE_SIZE]>();
+    // SAFETY: the layout is not zero-sized, and all-zero bytes are
+    // `PAGE_SIZE` valid `T`s (`Zeroable`).
+    let ptr = unsafe { alloc_zeroed(layout) };
+    if ptr.is_null() {
+        handle_alloc_error(layout);
     }
-}
-
-/// A page of free-stack "next" links, materialized the first time an OID
-/// in its range is recycled.
-struct FreePage {
-    next: Box<[AtomicU32]>,
-}
-
-impl FreePage {
-    fn alloc() -> *mut FreePage {
-        let next: Vec<AtomicU32> = (0..PAGE_SIZE).map(|_| AtomicU32::new(FREE_NIL)).collect();
-        Box::into_raw(Box::new(FreePage { next: next.into_boxed_slice() }))
-    }
+    ptr.cast()
 }
 
 /// One table's indirection array.
@@ -173,7 +170,7 @@ impl OidArray {
             return unsafe { &*ptr };
         }
         // Materialize the page; losers free their copy.
-        let fresh = Page::alloc();
+        let fresh = alloc_page::<AtomicU64>();
         match self.pages[pi].compare_exchange(
             std::ptr::null_mut(),
             fresh,
@@ -198,7 +195,7 @@ impl OidArray {
             // SAFETY: free pages are never freed while the array lives.
             unsafe { &*ptr }
         } else {
-            let fresh = FreePage::alloc();
+            let fresh = alloc_page::<AtomicU32>();
             match self.free_pages[pi].compare_exchange(
                 std::ptr::null_mut(),
                 fresh,
@@ -213,12 +210,12 @@ impl OidArray {
                 }
             }
         };
-        &page.next[oid.index() & (PAGE_SIZE - 1)]
+        &page[oid.index() & (PAGE_SIZE - 1)]
     }
 
     #[inline]
     fn slot(&self, oid: Oid) -> &AtomicU64 {
-        &self.page(oid).slots[oid.index() & (PAGE_SIZE - 1)]
+        &self.page(oid)[oid.index() & (PAGE_SIZE - 1)]
     }
 
     /// Load the version-chain head for `oid`.
@@ -261,8 +258,7 @@ impl OidArray {
             if page.is_null() {
                 continue;
             }
-            let head =
-                unsafe { (*page).slots[oid.index() & (PAGE_SIZE - 1)].load(Ordering::Acquire) };
+            let head = unsafe { (*page)[oid.index() & (PAGE_SIZE - 1)].load(Ordering::Acquire) };
             let head = head as *mut Version;
             if !head.is_null() {
                 f(oid, head);
@@ -281,7 +277,7 @@ impl Drop for OidArray {
                 continue;
             }
             unsafe {
-                for slot in (*page).slots.iter() {
+                for slot in (*page).iter() {
                     let mut v = slot.load(Ordering::Relaxed) as *mut Version;
                     while !v.is_null() {
                         let next = (*v).next.load(Ordering::Relaxed);

@@ -58,7 +58,7 @@ fn version_round_trips_payloads_of_any_size() {
         let v = Version::alloc(stamp, &data, len == 1);
         let vref = unsafe { &*v };
         assert_eq!(vref.data(), &data[..]);
-        assert_eq!(vref.tombstone, len == 1);
+        assert_eq!(vref.tombstone(), len == 1);
         assert_eq!(vref.stamp().as_lsn(), stamp.as_lsn());
         assert_eq!(vref.pstamp.load(Ordering::Relaxed), 0);
         assert!(!vref.is_overwritten());
@@ -88,7 +88,7 @@ fn pooled_node_is_reused_when_the_payload_fits_and_replaced_when_not() {
             let again = cache.acquire(stamp(2), &data, len == 0);
             assert_eq!(again, v);
             assert_eq!(unsafe { (*again).data() }, &data[..]);
-            assert_eq!(unsafe { (*again).tombstone }, len == 0);
+            assert_eq!(unsafe { (*again).tombstone() }, len == 0);
             drop(data);
             assert_eq!(live_bytes(), held);
             unsafe { cache.release_unpublished(again) };
@@ -633,7 +633,7 @@ fn version_pool_recycles_and_caps() {
     assert_eq!(cache.reused(), 1);
     let vref = unsafe { &*v2 };
     assert_eq!(vref.stamp().as_lsn(), Lsn::from_parts(9, 1));
-    assert!(vref.tombstone);
+    assert!(vref.tombstone());
     assert_eq!(vref.data(), b"zz");
     assert!(!vref.is_overwritten());
     assert!(vref.next.load(Ordering::Acquire).is_null());

@@ -5,6 +5,14 @@
 //! distinguishes it from other transactions that happened to use the same
 //! slot. Allocation, inquiry and release are all lock-free.
 //!
+//! The 64K entries are *capacity* — 2.5 MiB of address space in a
+//! [`Region`], resident by use. An all-zero context is a free one
+//! (`TAG_FREE` is 0, generation 0 is never issued, and
+//! [`TidManager::acquire`] stores `begin`, `pstamp` and `sstamp` on
+//! every claim), so the table is never initialised: only the pages under
+//! the workers' [homes](TidManager::home) are ever written, and every
+//! scan stops at the high-water mark.
+//!
 //! ## The commit word
 //!
 //! The context packs commit state and commit stamp into one atomic word
@@ -31,7 +39,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use ermia_common::ids::TID_TABLE_CAPACITY;
-use ermia_common::{Lsn, Tid};
+use ermia_common::{Lsn, Region, Tid, Zeroable};
 
 const TAG_BITS: u32 = 3;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
@@ -76,6 +84,10 @@ pub struct TxContext {
     /// SSN π(T): earliest successor stamp (∞ when none).
     pub sstamp: AtomicU64,
 }
+
+// SAFETY: five atomics, no drop glue; all-zero is a free slot whose
+// last owner had generation 0 (see the module docs).
+unsafe impl Zeroable for TxContext {}
 
 impl TxContext {
     /// Owner's begin timestamp.
@@ -141,7 +153,8 @@ fn decode(word: u64) -> TidStatus {
 
 /// The lock-free transaction context table.
 pub struct TidManager {
-    slots: Box<[TxContext]>,
+    /// [`TID_TABLE_CAPACITY`] [`TxContext`]s, zero until claimed.
+    table: Region,
     /// One past the highest slot ever claimed: every scan of the table
     /// stops here. Workers keep reclaiming the same pair of slots (see
     /// [`TidManager::acquire`]), so this stays near the number of workers
@@ -159,17 +172,8 @@ impl Default for TidManager {
 
 impl TidManager {
     pub fn new() -> TidManager {
-        let slots: Vec<TxContext> = (0..TID_TABLE_CAPACITY)
-            .map(|i| TxContext {
-                owner: AtomicU64::new(Tid::new(0, i).raw()),
-                word: AtomicU64::new(TAG_FREE),
-                begin: AtomicU64::new(0),
-                pstamp: AtomicU64::new(0),
-                sstamp: AtomicU64::new(Lsn::MAX.raw()),
-            })
-            .collect();
         TidManager {
-            slots: slots.into_boxed_slice(),
+            table: Region::new(TID_TABLE_CAPACITY * std::mem::size_of::<TxContext>()),
             high_water: AtomicUsize::new(0),
             homes: AtomicUsize::new(0),
         }
@@ -194,7 +198,7 @@ impl TidManager {
     pub fn acquire(&self, begin: Lsn, hint: &mut usize) -> (Tid, &TxContext) {
         for probe in 0..TID_TABLE_CAPACITY {
             let slot = (*hint + probe) % TID_TABLE_CAPACITY;
-            let ctx = &self.slots[slot];
+            let ctx = &self.slots()[slot];
             if ctx.word.load(Ordering::Relaxed) != TAG_FREE {
                 continue;
             }
@@ -228,12 +232,12 @@ impl TidManager {
     /// [`TidManager::inquire`].
     #[inline]
     pub fn ctx(&self, tid: Tid) -> &TxContext {
-        &self.slots[tid.slot()]
+        &self.slots()[tid.slot()]
     }
 
     /// Ask about another transaction's fate (§3.5).
     pub fn inquire(&self, tid: Tid) -> TidStatus {
-        let ctx = &self.slots[tid.slot()];
+        let ctx = &self.slots()[tid.slot()];
         if ctx.owner.load(Ordering::Acquire) != tid.raw() {
             return TidStatus::Stale;
         }
@@ -250,7 +254,7 @@ impl TidManager {
     /// — i.e. after every version stamped with this TID has been
     /// re-stamped or unlinked, so Stale inquiries can safely re-read.
     pub fn release(&self, tid: Tid) {
-        let ctx = &self.slots[tid.slot()];
+        let ctx = &self.slots()[tid.slot()];
         debug_assert_eq!(ctx.owner.load(Ordering::Relaxed), tid.raw());
         ctx.word.store(TAG_FREE, Ordering::Release);
     }
@@ -308,8 +312,70 @@ impl TidManager {
         self.claimed().iter().filter(|c| c.word.load(Ordering::Relaxed) != TAG_FREE).count()
     }
 
+    /// One past the highest slot ever claimed (telemetry): how much of
+    /// the table's capacity has been touched.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Acquire)
+    }
+
     /// The slots that have ever been claimed.
     fn claimed(&self) -> &[TxContext] {
-        &self.slots[..self.high_water.load(Ordering::Acquire)]
+        &self.slots()[..self.high_water()]
+    }
+
+    #[inline]
+    fn slots(&self) -> &[TxContext] {
+        self.table.view()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The table is never initialised, so an untouched slot has to be a
+    /// free slot in every way a caller can ask.
+    #[test]
+    fn an_untouched_slot_is_a_free_slot() {
+        let mgr = TidManager::new();
+        for slot in [0, 1, 63 * 64, TID_TABLE_CAPACITY - 1] {
+            // No TID of a never-claimed slot is live — not even the
+            // all-zero one, which an all-zero `owner` word equals.
+            for generation in 0..3 {
+                assert_eq!(mgr.inquire(Tid::new(generation, slot)), TidStatus::Stale);
+            }
+            let mut hint = slot;
+            let (tid, ctx) = mgr.acquire(Lsn::from_parts(7, 0), &mut hint);
+            assert_eq!((tid.generation(), tid.slot()), (1, slot));
+            assert_eq!(ctx.sstamp.load(Ordering::Relaxed), Lsn::MAX.raw(), "π starts at ∞");
+            assert_eq!(ctx.pstamp.load(Ordering::Relaxed), 0);
+            assert_eq!(mgr.inquire(tid), TidStatus::InFlight);
+            assert_eq!(mgr.inquire(Tid::new(0, slot)), TidStatus::Stale);
+            ctx.abort();
+            mgr.release(tid);
+            assert_eq!(mgr.inquire(tid), TidStatus::Stale);
+        }
+    }
+
+    /// Only the pages under claimed slots are written, and the scans stop
+    /// at the high-water mark: 64 K contexts are capacity, not residency.
+    #[test]
+    fn the_scans_touch_nothing_beyond_the_high_water_mark() {
+        let mgr = TidManager::new();
+        let Some(touched) = mgr.table.touched_pages() else { return };
+        assert!(touched.iter().all(|&t| !t), "a new table is untouched");
+        let mut hint = (0..4).map(|_| mgr.home()).last().expect("four homes");
+        assert_eq!(hint, 3 * 64);
+        let (tid, _) = mgr.acquire(Lsn::from_parts(9, 0), &mut hint);
+        assert_eq!(mgr.high_water(), 3 * 64 + 1);
+        assert_eq!(mgr.min_active_begin(Lsn::MAX), Lsn::from_parts(9, 0));
+        assert_eq!(mgr.min_commit_low_water(Lsn::MAX), Lsn::MAX);
+        assert_eq!(mgr.in_use(), 1);
+        let touched = mgr.table.touched_pages().expect("pagemap");
+        let scanned = (mgr.high_water() * std::mem::size_of::<TxContext>()).div_ceil(4096);
+        let last = touched.iter().rposition(|&t| t).expect("the claim wrote a page");
+        assert!(last < scanned, "page {last} touched, the scans end inside page {}", scanned - 1);
+        mgr.ctx(tid).abort();
+        mgr.release(tid);
     }
 }

@@ -36,15 +36,20 @@ pub struct Version {
     /// SSN π(V): the low watermark of the transaction that overwrote
     /// this version (∞ while unoverwritten).
     pub sstamp: AtomicU64,
-    /// Payload bytes in use.
+    /// Payload bytes in use, with [`TOMBSTONE`] in the top bit — "delete
+    /// is treated as an update with tombstone marking" (§3.2).
     len: u32,
     /// Payload bytes allocated behind the header; the allocation's layout
     /// is a function of this alone.
     cap: u32,
-    /// Tombstone marker — "delete is treated as an update with tombstone
-    /// marking" (§3.2).
-    pub tombstone: bool,
 }
+
+/// The tombstone flag in `Version::len`; payloads stay under 2 GiB.
+const TOMBSTONE: u32 = 1 << 31;
+
+// Five words and nothing the engine does not read: a 64-byte row asks
+// the allocator for 104 bytes.
+const _: () = assert!(std::mem::size_of::<Version>() == 40);
 
 /// Payload capacities are rounded up to this, so a recycled node absorbs
 /// a slightly longer payload and every allocation size is a multiple of
@@ -62,11 +67,13 @@ impl Version {
     /// Allocate a version stamped with `stamp`, returning an owning raw
     /// pointer (managed by the caller / epoch GC thereafter).
     pub fn alloc(stamp: Stamp, data: &[u8], tombstone: bool) -> *mut Version {
-        let cap =
-            u32::try_from(data.len().next_multiple_of(CAP_ROUND)).expect("payload under 4 GiB");
+        // So that every capacity, and with it every length a node is
+        // ever given, stays clear of the flag bit.
+        assert!(data.len() <= TOMBSTONE as usize - CAP_ROUND, "payload under 2 GiB");
+        let cap = data.len().next_multiple_of(CAP_ROUND) as u32;
         let layout = Version::layout(cap);
         // SAFETY: the layout is never zero-sized (the header alone is
-        // 48 bytes); the header is written before the pointer escapes.
+        // 40 bytes); the header is written before the pointer escapes.
         unsafe {
             let ptr = alloc::alloc(layout).cast::<Version>();
             if ptr.is_null() {
@@ -79,7 +86,6 @@ impl Version {
                 sstamp: AtomicU64::new(0),
                 len: 0,
                 cap,
-                tombstone: false,
             });
             Version::reinit(ptr, stamp, data, tombstone)
         }
@@ -121,8 +127,7 @@ impl Version {
         v.next.store(std::ptr::null_mut(), Ordering::Relaxed);
         v.pstamp.store(0, Ordering::Relaxed);
         v.sstamp.store(Lsn::MAX.raw(), Ordering::Relaxed);
-        v.tombstone = tombstone;
-        v.len = data.len() as u32;
+        v.len = data.len() as u32 | if tombstone { TOMBSTONE } else { 0 };
         // SAFETY: `cap >= len` bytes follow the header in this allocation.
         unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), ptr.add(1).cast(), data.len()) };
         ptr
@@ -133,8 +138,17 @@ impl Version {
     pub fn data(&self) -> &[u8] {
         // SAFETY: `len` initialized bytes follow the header (see `reinit`).
         unsafe {
-            std::slice::from_raw_parts((self as *const Version).add(1).cast(), self.len as usize)
+            std::slice::from_raw_parts(
+                (self as *const Version).add(1).cast(),
+                (self.len & !TOMBSTONE) as usize,
+            )
         }
+    }
+
+    /// True if this version marks its record deleted.
+    #[inline]
+    pub fn tombstone(&self) -> bool {
+        self.len & TOMBSTONE != 0
     }
 
     /// The current creation stamp.

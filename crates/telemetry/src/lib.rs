@@ -43,6 +43,18 @@ pub use trace::{
 
 use std::sync::Arc;
 
+/// The process's resident set and its high-water mark, in bytes (`VmRSS`
+/// and `VmHWM` of `/proc/self/status`); `None` where there is no such
+/// file. Read on demand — a scrape, a start-up line — never cached.
+pub fn process_resident() -> Option<(u64, u64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |name: &str| -> Option<u64> {
+        let rest = status.lines().find_map(|l| l.strip_prefix(name))?;
+        Some(rest.split_whitespace().next()?.parse::<u64>().ok()? * 1024)
+    };
+    Some((field("VmRSS:")?, field("VmHWM:")?))
+}
+
 /// Default number of slots in each flight-recorder ring.
 pub const DEFAULT_RING_CAP: usize = 512;
 

@@ -68,6 +68,16 @@ fn render(now: &Exposition, prev: Option<(&Exposition, f64)>) {
         };
         println!("{label:<26} {shown:>14.1}");
     }
+    // Where the memory is: the process, and the two capacity-sized
+    // tables whose residency follows use (summed over engine shards).
+    let mib = |name| now.sum(name, None).map_or("-".into(), |b| format!("{:.1}", b / 1048576.0));
+    println!(
+        "memory: {} MiB resident (peak {}), log ring {} MiB unreleased, tid high water {:.0}",
+        mib("ermia_process_resident_bytes"),
+        mib("ermia_process_resident_peak_bytes"),
+        mib("ermia_log_ring_unreleased_bytes"),
+        now.sum("ermia_tid_high_water", None).unwrap_or(0.0),
+    );
     // Abort mix: only the reasons that actually fired.
     let mut reasons = now.label_values("ermia_txn_aborts_total", "reason");
     reasons.sort_unstable();
