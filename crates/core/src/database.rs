@@ -505,11 +505,7 @@ impl Database {
             inner.log.set_poison_hook(move || {
                 if let Some(db) = weak.upgrade() {
                     db.state.store(DbState::Degraded as u8, Ordering::Release);
-                    db.svc_ring.record(
-                        EventKind::DbDegraded,
-                        db.log.durable_offset(),
-                        0,
-                    );
+                    db.svc_ring.record(EventKind::DbDegraded, db.log.durable_offset(), 0);
                 }
             });
         }

@@ -513,7 +513,12 @@ impl LogApplier {
     /// (from another shard's [`LogApplier::decides`]). Applies the
     /// transaction when the verdict is commit; drops it otherwise.
     /// Returns false if the key was not pending.
-    pub fn resolve(&mut self, db: &Database, key: (u32, u64), commit: bool) -> std::io::Result<bool> {
+    pub fn resolve(
+        &mut self,
+        db: &Database,
+        key: (u32, u64),
+        commit: bool,
+    ) -> std::io::Result<bool> {
         let Some(txn) = self.pending.remove(&key) else { return Ok(false) };
         if commit {
             db.apply_in_doubt(&txn)?;

@@ -432,7 +432,8 @@ fn concurrent_transfers_preserve_invariant() {
                 let mut state = tidx.wrapping_mul(0x9E3779B97F4A7C15) | 1;
                 let mut done = 0;
                 while done < TRANSFERS {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let from = (state >> 33) % ACCOUNTS;
                     let to = (state >> 13) % ACCOUNTS;
                     if from == to {
@@ -687,10 +688,8 @@ fn a_log_without_a_catalog_needs_its_tables_declared_and_says_so() {
 
 #[test]
 fn gc_reclaims_old_versions() {
-    let cfg = DbConfig {
-        gc_interval: std::time::Duration::from_millis(1),
-        ..DbConfig::in_memory()
-    };
+    let cfg =
+        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
     let db = Database::open(cfg).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
@@ -740,7 +739,8 @@ fn ssn_allows_serializable_histories() {
 #[test]
 fn long_reader_sees_stable_value_despite_gc() {
     // A reader's snapshot version must survive GC while the reader lives.
-    let cfg = DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
+    let cfg =
+        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
     let db = Database::open(cfg).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
@@ -1109,7 +1109,8 @@ fn fork_is_a_frozen_consistent_cut() {
     // A fork shares version chains with the primary: it must keep
     // serving the cut-time values while the primary overwrites them,
     // and it must refuse writes.
-    let cfg = DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
+    let cfg =
+        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
     let db = Database::open(cfg).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
@@ -1177,10 +1178,7 @@ fn snapshot_cut_is_durable_and_transaction_consistent() {
     }
     let cut = db.snapshot_cut().unwrap();
     assert!(cut.raw() > last.raw(), "the cut covers every finished commit");
-    assert!(
-        db.log().durable_offset() >= cut.offset(),
-        "the log must be durable through the cut"
-    );
+    assert!(db.log().durable_offset() >= cut.offset(), "the log must be durable through the cut");
     drop(db);
 }
 

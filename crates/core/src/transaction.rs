@@ -563,9 +563,7 @@ impl<'w> Transaction<'w> {
             kind == WriteKind::Delete,
         );
         unsafe { (*new).next.store(next, Ordering::Relaxed) };
-        t.oids
-            .cas_head(oid, head, new)
-            .expect("own uncommitted head cannot be displaced");
+        t.oids.cas_head(oid, head, new).expect("own uncommitted head cannot be displaced");
         // The old private version may still be referenced by concurrent
         // readers resolving visibility: mark it dead (+∞ stamp, so they
         // skip it rather than spin or misread it post-commit) and retire
@@ -1092,9 +1090,14 @@ impl Drop for Transaction<'_> {
 }
 
 enum Visibility {
-    Visible { cstamp: u64, own: bool },
+    Visible {
+        cstamp: u64,
+        own: bool,
+    },
     /// Committed, but after our snapshot.
-    SkipCommitted { cstamp: u64 },
+    SkipCommitted {
+        cstamp: u64,
+    },
     /// In flight or aborted.
     SkipUncommitted,
 }

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::TestDir;
 use ermia::{AbortReason, Database, DbConfig, DbState, IsolationLevel};
+use ermia_common::TestDir;
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 
 fn faulty_cfg(dir: PathBuf, injector: &FaultInjector) -> DbConfig {
@@ -53,8 +53,12 @@ fn put(db: &Database, table: ermia::TableId, key: u64, value: &str) -> Result<()
 
 /// Small helper trait so `put` reads naturally above.
 trait UpsertOr {
-    fn upsert_or(&mut self, table: ermia::TableId, key: u64, value: &str)
-        -> Result<(), AbortReason>;
+    fn upsert_or(
+        &mut self,
+        table: ermia::TableId,
+        key: u64,
+        value: &str,
+    ) -> Result<(), AbortReason>;
 }
 
 impl UpsertOr for ermia::Transaction<'_> {
@@ -79,10 +83,8 @@ impl UpsertOr for ermia::Transaction<'_> {
 #[test]
 fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
     let dir = TestDir::new("live");
-    let injector = FaultInjector::new(FaultPlan {
-        enospc_after_bytes: Some(4096),
-        ..FaultPlan::default()
-    });
+    let injector =
+        FaultInjector::new(FaultPlan { enospc_after_bytes: Some(4096), ..FaultPlan::default() });
     let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
     let table = db.create_table("kv");
 

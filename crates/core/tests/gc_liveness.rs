@@ -13,8 +13,8 @@ use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
-use ermia_common::TestDir;
 use ermia::{Database, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, StagedCommit, TableId};
+use ermia_common::TestDir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

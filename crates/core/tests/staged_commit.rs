@@ -5,11 +5,11 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use ermia_common::TestDir;
 use ermia::{
     shard_of_key, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, StagedCommit,
     TableId,
 };
+use ermia_common::TestDir;
 use ermia_log::{BlockKind, DecideRecord, LogScanner, PrepareMarker};
 
 /// The `i`-th key with this prefix that lives on `shard` of two.

@@ -16,8 +16,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::{TableId, TestDir};
 use ermia::{AbortReason, Database, DbConfig, IsolationLevel};
+use ermia_common::{TableId, TestDir};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig, TornWrite};
 
 mod history;

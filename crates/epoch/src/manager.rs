@@ -364,8 +364,11 @@ impl EpochHandle {
 
     fn defer_raw(&self, f: Deferred) {
         self.shared.deferred_total.fetch_add(1, Ordering::Relaxed);
-        let epoch =
-            if self.pin_depth.get() > 0 { self.pin_epoch.get() } else { self.shared.global.load(Ordering::SeqCst) };
+        let epoch = if self.pin_depth.get() > 0 {
+            self.pin_epoch.get()
+        } else {
+            self.shared.global.load(Ordering::SeqCst)
+        };
         let mut local = self.local.take();
         local.push((epoch, f));
         if local.len() >= LOCAL_BAG_FLUSH {

@@ -100,11 +100,17 @@ fn scan_returns_sorted_range() {
         t.insert(&g, &key(i * 2), i * 2); // even keys only
     }
     let mut got = Vec::new();
-    t.scan(&g, &key(100), &key(140), |_| {}, |k, v| {
-        assert_eq!(k, v.to_be_bytes());
-        got.push(v);
-        ScanControl::Continue
-    });
+    t.scan(
+        &g,
+        &key(100),
+        &key(140),
+        |_| {},
+        |k, v| {
+            assert_eq!(k, v.to_be_bytes());
+            got.push(v);
+            ScanControl::Continue
+        },
+    );
     let expect: Vec<u64> = (100..=140).filter(|x| x % 2 == 0).collect();
     assert_eq!(got, expect);
 }
@@ -118,10 +124,20 @@ fn scan_stop_early() {
         t.insert(&g, &key(i), i);
     }
     let mut got = Vec::new();
-    t.scan(&g, &key(0), &key(499), |_| {}, |_, v| {
-        got.push(v);
-        if got.len() == 10 { ScanControl::Stop } else { ScanControl::Continue }
-    });
+    t.scan(
+        &g,
+        &key(0),
+        &key(499),
+        |_| {},
+        |_, v| {
+            got.push(v);
+            if got.len() == 10 {
+                ScanControl::Stop
+            } else {
+                ScanControl::Continue
+            }
+        },
+    );
     assert_eq!(got, (0..10).collect::<Vec<u64>>());
 }
 
@@ -134,10 +150,16 @@ fn scan_empty_range() {
         t.insert(&g, &key(i), i);
     }
     let mut n = 0;
-    t.scan(&g, &key(200), &key(300), |_| {}, |_, _| {
-        n += 1;
-        ScanControl::Continue
-    });
+    t.scan(
+        &g,
+        &key(200),
+        &key(300),
+        |_| {},
+        |_, _| {
+            n += 1;
+            ScanControl::Continue
+        },
+    );
     assert_eq!(n, 0);
 }
 
@@ -218,10 +240,16 @@ fn matches_btreemap_reference() {
     }
     // Full scan equals reference iteration.
     let mut got = Vec::new();
-    t.scan(&g, &key(0), &key(u64::MAX), |_| {}, |_, v| {
-        got.push(v);
-        ScanControl::Continue
-    });
+    t.scan(
+        &g,
+        &key(0),
+        &key(u64::MAX),
+        |_| {},
+        |_, v| {
+            got.push(v);
+            ScanControl::Continue
+        },
+    );
     let expect: Vec<u64> = reference.values().copied().collect();
     assert_eq!(got, expect);
 }
@@ -250,15 +278,21 @@ fn concurrent_disjoint_inserts() {
     let g = h.pin();
     let mut count = 0u64;
     let mut prev: Option<Vec<u8>> = None;
-    t.scan(&g, &key(0), &key(u64::MAX), |_| {}, |k, v| {
-        if let Some(p) = &prev {
-            assert!(k > p.as_slice(), "scan order violated");
-        }
-        prev = Some(k.to_vec());
-        assert_eq!(k, v.to_be_bytes());
-        count += 1;
-        ScanControl::Continue
-    });
+    t.scan(
+        &g,
+        &key(0),
+        &key(u64::MAX),
+        |_| {},
+        |k, v| {
+            if let Some(p) = &prev {
+                assert!(k > p.as_slice(), "scan order violated");
+            }
+            prev = Some(k.to_vec());
+            assert_eq!(k, v.to_be_bytes());
+            count += 1;
+            ScanControl::Continue
+        },
+    );
     assert_eq!(count, THREADS * PER);
 }
 

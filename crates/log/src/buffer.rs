@@ -152,7 +152,10 @@ impl RingBuffer {
     /// (the initial LSN offset). Both must be multiples of
     /// [`MIN_BLOCK_LEN`], matching the alignment of every reservation.
     pub fn new(cap: u64, start: u64) -> RingBuffer {
-        assert!(cap > 0 && cap.is_multiple_of(SLOT), "capacity must be a multiple of MIN_BLOCK_LEN");
+        assert!(
+            cap > 0 && cap.is_multiple_of(SLOT),
+            "capacity must be a multiple of MIN_BLOCK_LEN"
+        );
         assert!(start.is_multiple_of(SLOT), "start offset must be block-aligned");
         let nslots = cap / SLOT;
         RingBuffer {
@@ -389,10 +392,7 @@ impl RingBuffer {
     /// skip header on disk whose advertised length was never covered.
     pub fn write_prefix_and_fill(&self, offset: u64, header: &[u8], len: u64) {
         debug_assert!(header.len() as u64 <= len && len <= self.cap);
-        debug_assert!(
-            offset + len <= self.flushed() + self.cap,
-            "writer skipped wait_for_space"
-        );
+        debug_assert!(offset + len <= self.flushed() + self.cap, "writer skipped wait_for_space");
         let pos = (offset % self.cap) as usize;
         let first = std::cmp::min(header.len(), self.cap as usize - pos);
         // SAFETY: same argument as `write` — the reservation owns this
@@ -447,7 +447,10 @@ impl RingBuffer {
     /// space window overwrites an unconsumed stamp and stalls the
     /// watermark permanently.
     pub fn mark_filled(&self, offset: u64, len: u64) {
-        debug_assert!(offset.is_multiple_of(SLOT) && len.is_multiple_of(SLOT), "fills are block-aligned");
+        debug_assert!(
+            offset.is_multiple_of(SLOT) && len.is_multiple_of(SLOT),
+            "fills are block-aligned"
+        );
         debug_assert!(len > 0 && len <= self.cap);
         // `flushed` only advances, so a writer that legitimately waited
         // can never trip this; a writer that skipped the wait almost

@@ -284,8 +284,7 @@ mod tests {
     fn checkpoint_fsync_failure_surfaces_before_any_rename() {
         use crate::io::{FaultInjector, FaultPlan};
         let dir = TestDir::new("chk-sync");
-        let inj =
-            FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
+        let inj = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
         let store = CheckpointStore::with_backend(&dir, Arc::new(inj)).unwrap();
         assert!(store.write(CheckpointMeta { begin: Lsn::from_parts(5, 0) }, b"x").is_err());
         assert!(store.latest().unwrap().is_none(), "nothing was published");

@@ -54,7 +54,12 @@ impl Default for LogConfig {
 impl LogConfig {
     /// In-memory log with small sizes, for tests.
     pub fn in_memory() -> LogConfig {
-        LogConfig { dir: None, segment_size: 16 << 20, buffer_size: 4 << 20, ..LogConfig::default() }
+        LogConfig {
+            dir: None,
+            segment_size: 16 << 20,
+            buffer_size: 4 << 20,
+            ..LogConfig::default()
+        }
     }
 }
 
@@ -636,8 +641,7 @@ impl LogManager {
         // registration and will wake us. Likewise the fill covering our
         // target may have happened before our demand was published; the
         // flusher gets its kick from us then.
-        if inner.durable.load(Ordering::Acquire) >= end || inner.poisoned.load(Ordering::Acquire)
-        {
+        if inner.durable.load(Ordering::Acquire) >= end || inner.poisoned.load(Ordering::Acquire) {
             return None;
         }
         inner.buffer.kick_if_unwritten(end);

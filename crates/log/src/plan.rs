@@ -313,8 +313,16 @@ mod tests {
     #[test]
     fn the_tables_hold_row_by_row() {
         let mut failed = Vec::new();
-        for &(row, case, (written, out, last_start, measured), [now_ns, filled, demand_hi, urged], want) in STARTS {
-            let snapshot = Snapshot { now_ns, filled, flushed: written, capacity: CAP, demand_hi, urged };
+        for &(
+            row,
+            case,
+            (written, out, last_start, measured),
+            [now_ns, filled, demand_hi, urged],
+            want,
+        ) in STARTS
+        {
+            let snapshot =
+                Snapshot { now_ns, filled, flushed: written, capacity: CAP, demand_hi, urged };
             let got = plan(written, out, last_start, measured).next(snapshot);
             if got != want {
                 failed.push(format!("row {row:?}, case \"{case}\": {got:?}, not {want:?}"));
@@ -380,7 +388,9 @@ mod tests {
                 match range {
                     _ if self.failed => return Err(format!("{range:?} behind a failed ticket")),
                     Ok((lo, hi)) if lo == self.ring.flushed && lo < hi => self.ring.flushed = hi,
-                    Ok(range) => return Err(format!("{range:?} published at {}", self.ring.flushed)),
+                    Ok(range) => {
+                        return Err(format!("{range:?} published at {}", self.ring.flushed))
+                    }
                     Err(Failed(_)) => self.failed = true,
                 }
             }
@@ -428,9 +438,9 @@ mod tests {
     fn run(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let (may_fail, steps) = (rng.random_range(0..3) == 0, rng.random_range(0..300u64));
-        let ring = Snapshot { now_ns: 0, filled: 0, flushed: 0, capacity: CAP, demand_hi: 0, urged: 0 };
-        let mut m =
-            Model { plan: Plan::new(0), rng, ring, in_device: Vec::new(), failed: false };
+        let ring =
+            Snapshot { now_ns: 0, filled: 0, flushed: 0, capacity: CAP, demand_hi: 0, urged: 0 };
+        let mut m = Model { plan: Plan::new(0), rng, ring, in_device: Vec::new(), failed: false };
         for step in 0..steps {
             let ring = &mut m.ring;
             match m.rng.random_range(0..5) {

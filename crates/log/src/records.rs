@@ -394,7 +394,15 @@ impl LogRecord {
     }
 
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_record_into(out, self.kind, self.table, self.oid, self.indirect, &self.key, &self.value);
+        encode_record_into(
+            out,
+            self.kind,
+            self.table,
+            self.oid,
+            self.indirect,
+            &self.key,
+            &self.value,
+        );
     }
 
     /// [`TxRecordView::decode`], copied out.

@@ -239,7 +239,8 @@ pub(crate) fn find_tail(table: &SegmentTable) -> io::Result<(u64, Vec<DdlRecord>
             continue;
         }
         let Some(rec) = DdlRecord::decode(block.payload) else { continue };
-        if let Some(old) = catalog.get(&rec.index).filter(|old: &&DdlRecord| !old.same_entry(&rec)) {
+        if let Some(old) = catalog.get(&rec.index).filter(|old: &&DdlRecord| !old.same_entry(&rec))
+        {
             let msg = format!("catalog entries {old:?} and {rec:?} (LSN {:?}) collide", block.lsn);
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }

@@ -3,9 +3,7 @@ use std::sync::atomic::Ordering;
 
 use ermia_common::{Oid, TableId, TestDir};
 
-use crate::{
-    BlockKind, LogConfig, LogManager, LogScanner, TxLogBuffer, MIN_BLOCK_LEN,
-};
+use crate::{BlockKind, LogConfig, LogManager, LogScanner, TxLogBuffer, MIN_BLOCK_LEN};
 
 fn small_cfg(dir: Option<PathBuf>) -> LogConfig {
     LogConfig {

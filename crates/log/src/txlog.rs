@@ -177,8 +177,7 @@ impl TxLogBuffer {
         cstamp: Lsn,
         marker: Option<PrepareMarker>,
     ) -> &[u8] {
-        let total =
-            if marker.is_some() { self.prepare_block_len() } else { self.block_len() };
+        let total = if marker.is_some() { self.prepare_block_len() } else { self.block_len() };
         self.scratch.clear();
         self.scratch.resize(BLOCK_HEADER_LEN, 0);
         if let Some(m) = marker {
@@ -294,8 +293,7 @@ mod tests {
         assert_eq!(got.coord_shard, 3);
         assert_eq!(got.coord_lsn, 0xDEAD_BEEF);
 
-        let (r, _) =
-            LogRecord::decode(&bytes, BLOCK_HEADER_LEN + PREPARE_MARKER_LEN).unwrap();
+        let (r, _) = LogRecord::decode(&bytes, BLOCK_HEADER_LEN + PREPARE_MARKER_LEN).unwrap();
         assert_eq!(r.kind, LogRecordKind::Insert);
         assert_eq!(r.key, b"gamma");
         assert_eq!(r.value, b"CCCC");

@@ -76,10 +76,8 @@ fn recover(dir: PathBuf) -> HashMap<u64, Vec<u8>> {
 #[test]
 fn resume_after_enospc_restores_service_and_history() {
     let dir = TestDir::new("enospc");
-    let injector = FaultInjector::new(FaultPlan {
-        enospc_after_bytes: Some(2048),
-        ..FaultPlan::default()
-    });
+    let injector =
+        FaultInjector::new(FaultPlan { enospc_after_bytes: Some(2048), ..FaultPlan::default() });
     let log = LogManager::open(cfg_with(dir.to_path_buf(), &injector)).unwrap();
 
     let mut acked_pre = Vec::new();

@@ -130,12 +130,7 @@ pub struct ReplicaConfig {
 
 impl ReplicaConfig {
     pub fn new(primary: impl Into<String>, dir: impl Into<PathBuf>) -> ReplicaConfig {
-        ReplicaConfig {
-            primary: primary.into(),
-            dir: dir.into(),
-            shards: 1,
-            chunk_len: 256 << 10,
-        }
+        ReplicaConfig { primary: primary.into(), dir: dir.into(), shards: 1, chunk_len: 256 << 10 }
     }
 }
 
@@ -231,8 +226,12 @@ impl ShardState {
         if let Some((begin_raw, len)) = status.checkpoint {
             let mut payload = Vec::with_capacity(len as usize);
             while (payload.len() as u64) < len {
-                let chunk =
-                    client.fetch_chunk(shard, SRC_CHECKPOINT, payload.len() as u64, cfg.chunk_len)?;
+                let chunk = client.fetch_chunk(
+                    shard,
+                    SRC_CHECKPOINT,
+                    payload.len() as u64,
+                    cfg.chunk_len,
+                )?;
                 if chunk.is_empty() {
                     return Err(ReplError::Protocol(format!(
                         "checkpoint truncated at {} of {len} bytes",
@@ -388,7 +387,8 @@ impl ShardState {
     fn ship_blobs(&mut self, chunk_len: u32) -> ReplResult<u64> {
         let start = self.blob_shipped;
         loop {
-            let data = self.client.fetch_chunk(self.shard, SRC_BLOB, self.blob_shipped, chunk_len)?;
+            let data =
+                self.client.fetch_chunk(self.shard, SRC_BLOB, self.blob_shipped, chunk_len)?;
             if data.is_empty() {
                 break;
             }

@@ -11,8 +11,8 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
-use ermia_common::TestDir;
 use ermia::{DbConfig, IsolationLevel, ShardedDb, TableId};
+use ermia_common::TestDir;
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Server, ServerConfig};
 use rand::rngs::StdRng;

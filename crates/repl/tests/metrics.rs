@@ -3,9 +3,8 @@
 //! the right kinds, and the flight recorders on both sides must record
 //! the shipping events.
 
-
-use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::parse_exposition;

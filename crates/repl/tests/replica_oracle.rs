@@ -10,8 +10,8 @@
 
 use std::collections::HashMap;
 
-use ermia_common::TestDir;
 use ermia::{DbConfig, IsolationLevel, ShardedDb};
+use ermia_common::TestDir;
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
 

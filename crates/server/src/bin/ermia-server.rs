@@ -37,7 +37,7 @@
 //!   land mid-checkpoint.
 //!
 //! The remaining flags set the `LogConfig` / `ServerConfig` field they
-//! are named after. Talk to the server with `examples/client.rs` or any
+//! are named after. Talk to the server with `ermia_server::Client` or any
 //! program speaking the framed wire protocol (`ermia_server::protocol`).
 //! Stop it with Ctrl-C, a SIGKILL, or — for a graceful drain — Enter or
 //! closing its stdin.

@@ -51,7 +51,10 @@ pub enum ClientError {
     /// The byte stream itself was malformed (bad frame, bad checksum).
     Frame(FrameError),
     /// The server replied with an [`Response::Error`] frame.
-    Server { code: ErrorCode, detail: String },
+    Server {
+        code: ErrorCode,
+        detail: String,
+    },
     /// The server shed this request ([`Response::Busy`]).
     Busy,
     /// A structurally valid reply of the wrong kind for this request.

@@ -162,7 +162,7 @@ impl OpenTxn {
 impl Drop for OpenTxn {
     fn drop(&mut self) {
         drop(self.txn.take()); // abort-on-drop, while the worker is alive
-        // SAFETY: created by Box::into_raw in `begin`, dropped once.
+                               // SAFETY: created by Box::into_raw in `begin`, dropped once.
         unsafe { drop(Box::from_raw(self.worker)) };
     }
 }

@@ -31,9 +31,7 @@ mod session;
 mod sys;
 
 pub use client::{Client, ClientError, ClientResult, HealthInfo, RetryPolicy};
-pub use protocol::{
-    BatchOp, ErrorCode, FrameError, ReplStatus, Request, Response, WireIsolation,
-};
+pub use protocol::{BatchOp, ErrorCode, FrameError, ReplStatus, Request, Response, WireIsolation};
 pub use server::{Server, ServerConfig, StatsSnapshot};
 // Clients mint and install these; re-exported so callers don't need a
 // direct ermia-telemetry dependency to trace a session.

@@ -835,15 +835,7 @@ pub struct ReplStatus {
     pub segments: Vec<WireSegment>,
 }
 
-wire_struct!(ReplStatus {
-    role,
-    state,
-    durable_lsn,
-    earliest,
-    segment_size,
-    checkpoint,
-    segments
-});
+wire_struct!(ReplStatus { role, state, durable_lsn, earliest, segment_size, checkpoint, segments });
 
 frames! {
     /// A server → client message.

@@ -214,9 +214,14 @@ enum Phase {
     /// (aborting their open transactions, which frees their workers for
     /// connections still working through a backlog); `hard` caps the
     /// window against a client that never stops sending.
-    Drain { soft: Instant, hard: Instant },
+    Drain {
+        soft: Instant,
+        hard: Instant,
+    },
     /// Reads cut off; flushing outbound queues (and parked commits).
-    Flush { deadline: Instant },
+    Flush {
+        deadline: Instant,
+    },
 }
 
 /// One shard's event loop. `listener` is `Some` only for shard 0.
@@ -292,7 +297,11 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         // Connections handed over from the accepting shard.
         let inbound: Vec<TcpStream> = {
             let mut inbox = handle.inbox.lock();
-            if inbox.is_empty() { Vec::new() } else { std::mem::take(&mut *inbox) }
+            if inbox.is_empty() {
+                Vec::new()
+            } else {
+                std::mem::take(&mut *inbox)
+            }
         };
         for stream in inbound {
             if matches!(phase, Phase::Running) {
@@ -310,7 +319,11 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         // Resolved durability waits.
         let comps: Vec<Completion> = {
             let mut c = handle.completions.lock();
-            if c.is_empty() { Vec::new() } else { std::mem::take(&mut *c) }
+            if c.is_empty() {
+                Vec::new()
+            } else {
+                std::mem::take(&mut *c)
+            }
         };
         for c in comps {
             let Some(conn) = conns.get_mut(&c.conn) else { continue };
@@ -325,11 +338,8 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         // turn lapsed admission windows into `Busy`.
         if handle.stats.run_queue.load(Ordering::Relaxed) > 0 {
             let now = Instant::now();
-            let waiters: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| c.waiting.is_some())
-                .map(|(t, _)| *t)
-                .collect();
+            let waiters: Vec<u64> =
+                conns.iter().filter(|(_, c)| c.waiting.is_some()).map(|(t, _)| *t).collect();
             for t in waiters {
                 let Some(conn) = conns.get_mut(&t) else { continue };
                 let deadline = conn.waiting.as_ref().expect("waiting").deadline;
@@ -339,7 +349,14 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     conn.push(&state, Response::Busy);
                     if let Some((tr, parked_ns)) = lapsed.trace {
                         let ring = &handle.trace_ring;
-                        ring.record(&tr.child(), SpanKind::RunQueue, parked_ns, ring.now_ns(), 0, 0);
+                        ring.record(
+                            &tr.child(),
+                            SpanKind::RunQueue,
+                            parked_ns,
+                            ring.now_ns(),
+                            0,
+                            0,
+                        );
                         finish_trace(&state, ring, &tr);
                     }
                     true
@@ -347,7 +364,14 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     let Waiting { work, trace, .. } = conn.waiting.take().expect("waiting");
                     let trace = trace.map(|(tr, parked_ns)| {
                         let ring = &handle.trace_ring;
-                        ring.record(&tr.child(), SpanKind::RunQueue, parked_ns, ring.now_ns(), 0, 0);
+                        ring.record(
+                            &tr.child(),
+                            SpanKind::RunQueue,
+                            parked_ns,
+                            ring.now_ns(),
+                            0,
+                            0,
+                        );
                         tr
                     });
                     start_work(&state, handle, conn, work, w, trace);
@@ -387,9 +411,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             let Some(conn) = conns.get_mut(&t) else { continue };
             let blocked = matches!(conn.out.front(), Some(Out::Bytes(_)));
             let want = conn.desired_interest(blocked, state.cfg.reply_queue_depth);
-            if want != conn.interest
-                && poller.modify(conn.stream.as_raw_fd(), t, want).is_ok()
-            {
+            if want != conn.interest && poller.modify(conn.stream.as_raw_fd(), t, want).is_ok() {
                 conn.interest = want;
             }
         }
@@ -1160,7 +1182,10 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
     // composed.
     match &mut conn.repl {
         Some(r) if r.shard == idx => r.retention.advance(from),
-        slot => *slot = Some(ReplConnState { shard: idx, retention: db.pin_log(from), checkpoint: None }),
+        slot => {
+            *slot =
+                Some(ReplConnState { shard: idx, retention: db.pin_log(from), checkpoint: None })
+        }
     }
     let log = db.log();
     let earliest = log.segments().all().first().map_or(0, |s| s.start);
@@ -1197,10 +1222,7 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
         durable_lsn: durable,
         earliest,
         segment_size: log.segments().segment_size(),
-        checkpoint: repl
-            .checkpoint
-            .as_ref()
-            .map(|(begin, payload)| (*begin, payload.len() as u64)),
+        checkpoint: repl.checkpoint.as_ref().map(|(begin, payload)| (*begin, payload.len() as u64)),
         segments: segs
             .iter()
             .filter(|s| s.start < durable)
@@ -1241,9 +1263,7 @@ fn do_fetch_chunk(
                 let hi = (offset as usize).saturating_add(len as usize).min(payload.len());
                 payload[lo..hi].to_vec()
             }
-            None => {
-                return conn.push_err(state, ErrorCode::BadState, "no checkpoint pinned")
-            }
+            None => return conn.push_err(state, ErrorCode::BadState, "no checkpoint pinned"),
         },
         1 => {
             let log = state.db.shard(idx).log();

@@ -52,12 +52,7 @@ pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
 #[cfg(target_os = "linux")]
 extern "C" {
     pub(crate) fn epoll_create1(flags: c_int) -> c_int;
-    pub(crate) fn epoll_ctl(
-        epfd: c_int,
-        op: c_int,
-        fd: c_int,
-        event: *mut epoll_event,
-    ) -> c_int;
+    pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     pub(crate) fn epoll_wait(
         epfd: c_int,
         events: *mut epoll_event,

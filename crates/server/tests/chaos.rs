@@ -196,7 +196,9 @@ fn client_traffic(
         // Keep up to 4 requests on the wire.
         while (opened || replies < 16) && pending.len() < 4 {
             let (table, key) = match late {
-                Some(late) if rng.below(2) == 0 => (late, format!("c{cid}-late-k{:02}", rng.below(8))),
+                Some(late) if rng.below(2) == 0 => {
+                    (late, format!("c{cid}-late-k{:02}", rng.below(8)))
+                }
                 _ => (chaos, format!("c{cid}-k{:02}", rng.below(8))),
             };
             let key = key.into_bytes();
@@ -215,8 +217,11 @@ fn client_traffic(
                 };
                 // Issued the moment bytes may leave: journal first.
                 journal.entry(key.clone()).or_default().issued.insert(s);
-                let batch =
-                    Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops: vec![put] };
+                let batch = Request::Batch {
+                    isolation: WireIsolation::Snapshot,
+                    sync: true,
+                    ops: vec![put],
+                };
                 if c.send(&batch).is_err() {
                     alive = false;
                     break;
@@ -446,10 +451,8 @@ fn server_binary_refuses_what_it_cannot_serve() {
 fn chaos_seeded_kill_restart_cycles() {
     let cycles: usize =
         std::env::var("ERMIA_CHAOS_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let seed: u64 = std::env::var("ERMIA_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xC0_FFEE);
+    let seed: u64 =
+        std::env::var("ERMIA_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0xC0_FFEE);
     let mut rng = Rng(seed);
 
     let dir = std::env::temp_dir().join(format!("ermia-chaos-{}-{seed:x}", std::process::id()));
@@ -533,7 +536,13 @@ fn cross_shard_pair(cid: usize) -> (Vec<u8>, Vec<u8>) {
 /// cross-shard pair with the same sequence value. Serial (not
 /// pipelined) so the pair's committed history is totally ordered and
 /// atomicity reduces to "both keys recover to the same value".
-fn pair_traffic(port: u16, cid: usize, stop: &AtomicBool, mut log: KeyLog, start: u64) -> (KeyLog, u64) {
+fn pair_traffic(
+    port: u16,
+    cid: usize,
+    stop: &AtomicBool,
+    mut log: KeyLog,
+    start: u64,
+) -> (KeyLog, u64) {
     let mut s = start;
     let Ok(mut c) = Client::connect(("127.0.0.1", port)) else { return (log, s) };
     let _ = c.set_reply_timeout(Some(Duration::from_secs(3)));
@@ -579,14 +588,10 @@ fn pair_traffic(port: u16, cid: usize, stop: &AtomicBool, mut log: KeyLog, start
 /// an in-doubt prepare, proving the kills exercise the window.
 #[test]
 fn chaos_2pc_kill_between_prepare_and_decide() {
-    let cycles: usize = std::env::var("ERMIA_CHAOS_2PC_CYCLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let seed: u64 = std::env::var("ERMIA_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0x2BC0_FFEE);
+    let cycles: usize =
+        std::env::var("ERMIA_CHAOS_2PC_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(25);
+    let seed: u64 =
+        std::env::var("ERMIA_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0x2BC0_FFEE);
     let mut rng = Rng(seed);
     const LINGER: &str = "linger:25";
     const CLIENTS: usize = 3;

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 use ermia_server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireIsolation};
 
@@ -178,8 +178,11 @@ fn a_table_opened_during_an_outage_bounces_and_survives_once_resumed() {
     drop((c, db));
 
     // Restart on a healthy device, nothing declared.
-    let db = ShardedDb::open(faulty_cfg(dir.to_path_buf(), &FaultInjector::new(FaultPlan::default())), 1)
-        .unwrap();
+    let db = ShardedDb::open(
+        faulty_cfg(dir.to_path_buf(), &FaultInjector::new(FaultPlan::default())),
+        1,
+    )
+    .unwrap();
     db.recover().unwrap();
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();

@@ -7,15 +7,14 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_log::{
     BlockKind, DecideRecord, FaultInjector, FaultPlan, FileBackend, LogConfig, LogScanner,
     SegmentIo, SegmentIoFactory,
 };
 use ermia_server::{
-    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
-    WireIsolation,
+    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
 
 #[test]
@@ -51,10 +50,7 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
         waited >= Duration::from_millis(250),
         "must actually wait for the bound, waited {waited:?}"
     );
-    assert!(
-        waited < Duration::from_secs(5),
-        "must time out near sync_wait, waited {waited:?}"
-    );
+    assert!(waited < Duration::from_secs(5), "must time out near sync_wait, waited {waited:?}");
 
     // The commit applied in memory (indeterminate durability, visible
     // data) and the connection keeps working.
@@ -88,10 +84,7 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
 #[test]
 fn poisoned_log_surfaces_logfailed_not_a_hang() {
     // An fsync error is never retried: the first flush poisons the log.
-    let injector = FaultInjector::new(FaultPlan {
-        fail_sync_at: Some(0),
-        ..FaultPlan::default()
-    });
+    let injector = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
     let dir = TestDir::new("poison");
     // The table is in the log before the doomed device is: on a fresh
     // directory the first sync is the one of the block `open` burns at
@@ -159,10 +152,7 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
             other => panic!("unexpected batch outcome {other:?}"),
         }
     }
-    assert!(
-        saw_log_failed || saw_fail_fast,
-        "poisoned log must surface a typed log failure"
-    );
+    assert!(saw_log_failed || saw_fail_fast, "poisoned log must surface a typed log failure");
     assert!(
         started.elapsed() < Duration::from_secs(9),
         "poison must fail the wait immediately, not ride out sync_wait"

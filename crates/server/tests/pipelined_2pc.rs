@@ -3,9 +3,8 @@
 //! behind it, so a later frame can meet an earlier one's prepared head.
 //! It must wait for that verdict — not abort, and not read around it.
 
-
-use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
 
 /// One key on each of two shards.

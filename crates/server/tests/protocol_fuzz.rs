@@ -49,9 +49,9 @@ fn poke(bytes: &[u8]) {
     let mut sink = [0u8; 4096];
     loop {
         match s.read(&mut sink) {
-            Ok(0) => break,             // server closed: fine
-            Ok(_) => continue,          // an error reply: fine
-            Err(_) => break,            // reset / timeout boundary: fine
+            Ok(0) => break,    // server closed: fine
+            Ok(_) => continue, // an error reply: fine
+            Err(_) => break,   // reset / timeout boundary: fine
         }
     }
 }

@@ -90,10 +90,8 @@ fn connect_refused_exhausts_the_attempt_budget() {
 fn terminal_errors_pass_through_without_retry() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let degraded = Response::Error {
-        code: ErrorCode::DegradedReadOnly,
-        detail: "read-only".into(),
-    };
+    let degraded =
+        Response::Error { code: ErrorCode::DegradedReadOnly, detail: "read-only".into() };
     // Exactly one scripted reply: a second (retried) request would hang
     // the test, so passing proves no retry happened.
     let srv = scripted_server(listener, vec![Some(degraded)]);

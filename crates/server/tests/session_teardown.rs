@@ -94,9 +94,7 @@ fn thousand_disconnects_leak_nothing() {
 
     for wave in 0..(CLIENTS / WAVE) {
         let handles: Vec<_> = (0..WAVE)
-            .map(|i| {
-                std::thread::spawn(move || die_midway(addr, table, wave * WAVE + i))
-            })
+            .map(|i| std::thread::spawn(move || die_midway(addr, table, wave * WAVE + i)))
             .collect();
         for h in handles {
             h.join().unwrap();
@@ -182,12 +180,7 @@ fn disconnect_under_reply_backpressure_leaks_nothing() {
         // then hang up: the writer thread must unblock and the session
         // must retire.
         for _ in 0..64 {
-            let req = Request::Scan {
-                table,
-                low: b"k".to_vec(),
-                high: b"l".to_vec(),
-                limit: 0,
-            };
+            let req = Request::Scan { table, low: b"k".to_vec(), high: b"l".to_vec(), limit: 0 };
             if write_frame(&mut s, &req.encode()).is_err() {
                 break;
             }

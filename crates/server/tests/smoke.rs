@@ -6,8 +6,7 @@ use std::time::Duration;
 use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
 use ermia_server::{
-    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig,
-    WireIsolation,
+    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
 
 fn server(cfg: ServerConfig) -> (ShardedDb, Server) {
@@ -34,10 +33,7 @@ fn full_op_surface_over_the_wire() {
     assert_eq!(c.get(t, b"missing").unwrap(), None);
     let (rows, truncated) = c.scan(t, b"a", b"z", 0).unwrap();
     assert!(!truncated);
-    assert_eq!(
-        rows,
-        vec![(b"a".to_vec(), b"2".to_vec()), (b"b".to_vec(), b"3".to_vec())]
-    );
+    assert_eq!(rows, vec![(b"a".to_vec(), b"2".to_vec()), (b"b".to_vec(), b"3".to_vec())]);
     assert!(c.delete(t, b"b").unwrap());
     assert!(!c.delete(t, b"b").unwrap());
 
@@ -65,7 +61,9 @@ fn full_op_surface_over_the_wire() {
         let (results, outcome) = c.batch(WireIsolation::Snapshot, sync, ops.clone()).unwrap();
         assert_eq!(results.len(), 3);
         assert!(matches!(outcome, Response::Committed { .. }), "got {outcome:?}");
-        assert!(matches!(results[1], Response::Value { ref value } if value.as_deref() == Some(b"1")));
+        assert!(
+            matches!(results[1], Response::Value { ref value } if value.as_deref() == Some(b"1"))
+        );
     }
 
     // Error surfaces: unknown table, commit outside a txn.
@@ -95,20 +93,14 @@ fn metrics_frame_agrees_with_server_stats() {
     // the exposition and ServerStats must agree exactly.
     let exp = ermia_telemetry::parse_exposition(&c.metrics().unwrap()).unwrap();
     let stats = srv.stats();
-    assert_eq!(
-        exp.value("ermia_server_sessions_opened_total"),
-        Some(stats.sessions_opened as f64)
-    );
+    assert_eq!(exp.value("ermia_server_sessions_opened_total"), Some(stats.sessions_opened as f64));
     assert_eq!(exp.value("ermia_server_active_sessions"), Some(stats.active_sessions as f64));
     assert_eq!(exp.value("ermia_server_commits_total"), Some(stats.commits as f64));
     assert_eq!(
         exp.value("ermia_server_frames_processed_total"),
         Some(stats.frames_processed as f64)
     );
-    assert_eq!(
-        exp.value("ermia_server_protocol_errors_total"),
-        Some(stats.protocol_errors as f64)
-    );
+    assert_eq!(exp.value("ermia_server_protocol_errors_total"), Some(stats.protocol_errors as f64));
     assert!(stats.frames_processed >= 6, "every request above is a frame");
     assert_eq!(stats.commits, 2, "the autocommitted put and the interactive commit");
     srv.shutdown();

@@ -160,8 +160,7 @@ impl SiloDb {
                     while !stop.load(Ordering::Acquire) {
                         std::thread::sleep(inner.cfg.epoch_interval);
                         inner.global_epoch.fetch_add(1, Ordering::SeqCst);
-                        if inner.cfg.snapshots
-                            && last_snap.elapsed() >= inner.cfg.snapshot_interval
+                        if inner.cfg.snapshots && last_snap.elapsed() >= inner.cfg.snapshot_interval
                         {
                             inner.snap_epoch.fetch_add(1, Ordering::SeqCst);
                             last_snap = std::time::Instant::now();
@@ -240,11 +239,7 @@ impl SiloDb {
 
     /// Register the calling thread.
     pub fn register_worker(&self) -> SiloWorker {
-        SiloWorker {
-            db: self.clone(),
-            rcu_handle: self.inner.rcu.register(),
-            last_tid: 0,
-        }
+        SiloWorker { db: self.clone(), rcu_handle: self.inner.rcu.register(), last_tid: 0 }
     }
 
     pub fn txn_counts(&self) -> (u64, u64) {

@@ -464,7 +464,9 @@ impl<'w> SiloTxn<'w> {
             self.do_abort();
             return Err(r);
         }
-        if self.snapshot_reads() || (self.writes.is_empty() && self.reads.is_empty() && self.node_set.is_empty()) {
+        if self.snapshot_reads()
+            || (self.writes.is_empty() && self.reads.is_empty() && self.node_set.is_empty())
+        {
             // Snapshot transactions commit without validation.
             self.db.inner.commits.fetch_add(1, Ordering::Relaxed);
             self.finish();
@@ -576,7 +578,13 @@ impl<'w> SiloTxn<'w> {
     /// (at most once per snapshot epoch); returns whether the chain took
     /// ownership of `old`. Also trims chain entries old enough that no
     /// reasonable snapshot reader needs them.
-    fn preserve_snapshot(&self, r: &Record, old: *mut DataBuf, snap_now: u64, enabled: bool) -> bool {
+    fn preserve_snapshot(
+        &self,
+        r: &Record,
+        old: *mut DataBuf,
+        snap_now: u64,
+        enabled: bool,
+    ) -> bool {
         if !enabled {
             return false;
         }
@@ -591,15 +599,7 @@ impl<'w> SiloTxn<'w> {
             // entry with snap_epoch < S. With horizon = the oldest
             // active read-only snapshot, everything strictly after the
             // first entry below the horizon is unreachable.
-            let horizon = self
-                .db
-                .inner
-                .ro_active
-                .lock()
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or(snap_now);
+            let horizon = self.db.inner.ro_active.lock().keys().next().copied().unwrap_or(snap_now);
             let mut cur = unsafe { &*entry }.next.load(Ordering::Acquire);
             let mut prev = entry;
             while !cur.is_null() {

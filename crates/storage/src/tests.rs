@@ -678,8 +678,7 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
         // GC thread: sweep with the pool attached, then quiesce.
         let handle = epoch.register();
         let guard = handle.pin();
-        let reclaimed =
-            crate::gc::sweep_array(&arr, Lsn::from_parts(35, 0), &guard, Some(&pool));
+        let reclaimed = crate::gc::sweep_array(&arr, Lsn::from_parts(35, 0), &guard, Some(&pool));
         drop(guard);
         assert_eq!(reclaimed, 2);
         for _ in 0..64 {

@@ -37,8 +37,8 @@ pub use hist::{AtomicHistogram, Histogram, BUCKETS};
 pub use prom::{parse_exposition, Exposition, ParsedMetric, SampleLine};
 pub use registry::{FamilyDef, MetricDesc, MetricKind, Registry, Sample, Slab};
 pub use trace::{
-    chrome_trace_json, parse_spans, render_spans, SlowOp, Span, SpanKind, SpanRing,
-    TraceContext, Tracer, DEFAULT_SPAN_RING_CAP, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
+    chrome_trace_json, parse_spans, render_spans, SlowOp, Span, SpanKind, SpanRing, TraceContext,
+    Tracer, DEFAULT_SPAN_RING_CAP, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
 };
 
 use std::sync::Arc;

@@ -299,9 +299,9 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
             "+Inf" => f64::INFINITY,
             "-Inf" => f64::NEG_INFINITY,
             "NaN" => f64::NAN,
-            v => v
-                .parse::<f64>()
-                .map_err(|_| format!("line {line_no}: bad value {value_str:?}"))?,
+            v => {
+                v.parse::<f64>().map_err(|_| format!("line {line_no}: bad value {value_str:?}"))?
+            }
         };
         // Attach to the declared base metric: a `_bucket`/`_sum`/`_count`
         // suffix belongs to its histogram only if one was declared.
@@ -361,12 +361,9 @@ mod tests {
         assert!(m.samples.iter().any(|s| s.name == "ermia_chain_len_count" && s.value == 2.0));
         assert!(m.samples.iter().any(|s| s.name == "ermia_chain_len_sum" && s.value == 703.0));
         // +Inf bucket equals count.
-        assert!(m
-            .samples
-            .iter()
-            .any(|s| s.name == "ermia_chain_len_bucket"
-                && s.labels.iter().any(|(k, v)| k == "le" && v == "+Inf")
-                && s.value == 2.0));
+        assert!(m.samples.iter().any(|s| s.name == "ermia_chain_len_bucket"
+            && s.labels.iter().any(|(k, v)| k == "le" && v == "+Inf")
+            && s.value == 2.0));
     }
 
     #[test]

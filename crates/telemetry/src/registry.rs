@@ -250,12 +250,7 @@ impl Registry {
     /// Number of live (unretired) slabs for a family.
     pub fn live_slabs(&self, def: &'static FamilyDef) -> usize {
         let inner = self.inner.lock().unwrap();
-        inner
-            .families
-            .iter()
-            .find(|f| std::ptr::eq(f.def, def))
-            .map(|f| f.live.len())
-            .unwrap_or(0)
+        inner.families.iter().find(|f| std::ptr::eq(f.def, def)).map(|f| f.live.len()).unwrap_or(0)
     }
 
     /// Allocate a collector group id (for later `unregister_group`).

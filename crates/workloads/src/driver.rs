@@ -193,10 +193,8 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
             handles.push(s.spawn(move || {
                 let mut eworker = engine.register_worker();
                 let mut ws = workload.worker_state(worker_id, cfg.threads);
-                let mut stats: Vec<TypeStats> = names
-                    .iter()
-                    .map(|&name| TypeStats { name, ..TypeStats::default() })
-                    .collect();
+                let mut stats: Vec<TypeStats> =
+                    names.iter().map(|&name| TypeStats { name, ..TypeStats::default() }).collect();
                 start_barrier.wait();
                 while !stop.load(Ordering::Relaxed) {
                     let ty = workload.next_type(&mut ws);

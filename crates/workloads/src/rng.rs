@@ -79,8 +79,7 @@ mod tests {
     fn skew_is_actually_skewed() {
         let mut rng = worker_rng(2);
         let n = 100;
-        let hot_hits =
-            (0..10_000).filter(|_| skew_80_20(&mut rng, n) < n / 5).count();
+        let hot_hits = (0..10_000).filter(|_| skew_80_20(&mut rng, n) < n / 5).count();
         assert!(hot_hits > 7_000, "expected ~80% hot hits, got {hot_hits}");
     }
 

@@ -299,11 +299,7 @@ impl TpccWorkload {
                     let row = Order {
                         c_id: c,
                         entry_d: 1,
-                        carrier_id: if delivered {
-                            uniform(&mut rng, 1, 10) as u32
-                        } else {
-                            0
-                        },
+                        carrier_id: if delivered { uniform(&mut rng, 1, 10) as u32 } else { 0 },
                         ol_cnt,
                         all_local: true,
                     };
@@ -432,10 +428,12 @@ pub fn neworder<T: EngineTxn>(
     let mut total = 0.0;
     for (ol, &(i_id, supply_w, qty)) in lines.iter().enumerate() {
         let item = read_row(tx, t.item, k_item(&mut ws.kw, i_id), Item::decode)?;
-        let mut stock =
-            read_row(tx, t.stock, k_stock(&mut ws.kw, supply_w, i_id), Stock::decode)?;
-        stock.quantity =
-            if stock.quantity >= qty as i64 + 10 { stock.quantity - qty as i64 } else { stock.quantity - qty as i64 + 91 };
+        let mut stock = read_row(tx, t.stock, k_stock(&mut ws.kw, supply_w, i_id), Stock::decode)?;
+        stock.quantity = if stock.quantity >= qty as i64 + 10 {
+            stock.quantity - qty as i64
+        } else {
+            stock.quantity - qty as i64 + 91
+        };
         stock.ytd += qty as f64;
         stock.order_cnt += 1;
         if supply_w != w {
@@ -498,17 +496,16 @@ pub fn payment<T: EngineTxn>(
     let amount = uniform(&mut ws.rng, 100, 500_000) as f64 / 100.0;
 
     // 15% of payments are for a customer of a remote warehouse.
-    let (c_w, c_d) = if cfg.warehouses > 1
-        && uniform(&mut ws.rng, 1, 100) <= cfg.remote_payment_pct as u64
-    {
-        let mut other = uniform(&mut ws.rng, 1, cfg.warehouses as u64) as u32;
-        if other == w {
-            other = other % cfg.warehouses + 1;
-        }
-        (other, uniform(&mut ws.rng, 1, cfg.districts as u64) as u8)
-    } else {
-        (w, d)
-    };
+    let (c_w, c_d) =
+        if cfg.warehouses > 1 && uniform(&mut ws.rng, 1, 100) <= cfg.remote_payment_pct as u64 {
+            let mut other = uniform(&mut ws.rng, 1, cfg.warehouses as u64) as u32;
+            if other == w {
+                other = other % cfg.warehouses + 1;
+            }
+            (other, uniform(&mut ws.rng, 1, cfg.districts as u64) as u8)
+        } else {
+            (w, d)
+        };
 
     let mut wh = read_row(tx, t.warehouse, k_warehouse(&mut ws.kw, w), Warehouse::decode)?;
     wh.ytd += amount;

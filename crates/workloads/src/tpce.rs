@@ -342,22 +342,17 @@ impl TpceWorkload {
             Ok(())
         });
         crate::tpcc::batch_load(&mut w, cfg.brokers(), 500, |tx, b| {
-            let row =
-                BrokerRow { name: astring(&mut rng, 10, 20), num_trades: 0, commission: 0.0 };
+            let row = BrokerRow { name: astring(&mut rng, 10, 20), num_trades: 0, commission: 0.0 };
             tx.insert(t.broker, k_u64(&mut kw, b), &row.encode())?;
             Ok(())
         });
         crate::tpcc::batch_load(&mut w, cfg.securities as u64, 500, |tx, s| {
             let s32 = s as u32;
-            let row = SecurityRow {
-                symbol: format!("SYM{s32:06}"),
-                name: astring(&mut rng, 20, 40),
-            };
+            let row =
+                SecurityRow { symbol: format!("SYM{s32:06}"), name: astring(&mut rng, 20, 40) };
             tx.insert(t.security, k_u32(&mut kw, s32), &row.encode())?;
-            let lt = LastTradeRow {
-                price: uniform(&mut rng, 2_000, 5_000) as f64 / 100.0,
-                volume: 0,
-            };
+            let lt =
+                LastTradeRow { price: uniform(&mut rng, 2_000, 5_000) as f64 / 100.0, volume: 0 };
             tx.insert(t.last_trade, k_u32(&mut kw, s32), &lt.encode())?;
             Ok(())
         });
@@ -371,8 +366,8 @@ impl TpceWorkload {
             tx.insert_secondary(t.account_customer, k_account_customer(&mut kw2, c_id, ca), h)?;
             for j in 0..cfg.holdings_per_account {
                 // Deterministic spread of securities per account.
-                let s = ((ca as u32).wrapping_mul(2_654_435_761).wrapping_add(j * 97))
-                    % cfg.securities;
+                let s =
+                    ((ca as u32).wrapping_mul(2_654_435_761).wrapping_add(j * 97)) % cfg.securities;
                 let hold = HoldingRow { qty: 100 };
                 // Duplicate (ca, s) pairs possible for tiny configs: skip.
                 let key = k_holding(&mut kw, ca, s).to_vec();

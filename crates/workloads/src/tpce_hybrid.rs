@@ -97,17 +97,17 @@ impl<E: Engine> Workload<E> for TpceHybridWorkload {
         // Per-mille: 49 / 80 / 10 / 130 / 140 / 80 / 101 / 100 / 90 / 20
         // / 200 (§4.2 revised mix).
         match uniform(&mut ws.rng, 1, 1000) {
-            1..=49 => 0,      // BrokerVolume
-            50..=129 => 1,    // CustomerPosition
-            130..=139 => 2,   // MarketFeed
-            140..=269 => 3,   // MarketWatch
-            270..=409 => 4,   // SecurityDetail
-            410..=489 => 5,   // TradeLookup
-            490..=590 => 6,   // TradeOrder
-            591..=690 => 7,   // TradeResult
-            691..=780 => 8,   // TradeStatus
-            781..=800 => 9,   // TradeUpdate
-            _ => ASSET_EVAL,  // 20%
+            1..=49 => 0,     // BrokerVolume
+            50..=129 => 1,   // CustomerPosition
+            130..=139 => 2,  // MarketFeed
+            140..=269 => 3,  // MarketWatch
+            270..=409 => 4,  // SecurityDetail
+            410..=489 => 5,  // TradeLookup
+            490..=590 => 6,  // TradeOrder
+            591..=690 => 7,  // TradeResult
+            691..=780 => 8,  // TradeStatus
+            781..=800 => 9,  // TradeUpdate
+            _ => ASSET_EVAL, // 20%
         }
     }
 

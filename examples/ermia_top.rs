@@ -132,10 +132,7 @@ fn main() {
             print!("\x1b[2J\x1b[H");
         }
         println!("ermia_top — {addr} ({} metrics)\n", exp.metrics.len());
-        render(
-            &exp,
-            prev.as_ref().map(|(p, t)| (p, at.duration_since(*t).as_secs_f64())),
-        );
+        render(&exp, prev.as_ref().map(|(p, t)| (p, at.duration_since(*t).as_secs_f64())));
         if once {
             return;
         }

@@ -5,9 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use ermia_repro::workloads::{
-    Engine, EngineTxn, EngineWorker, ErmiaEngine, SiloEngine, TxnProfile,
-};
+use ermia_workloads::{Engine, EngineTxn, EngineWorker, ErmiaEngine, SiloEngine, TxnProfile};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]

@@ -4,9 +4,10 @@
 use ermia::{shard_of_key, DbConfig, IndexRouting, IsolationLevel, ShardPolicy, ShardedDb};
 use ermia_common::{TableId, TestDir};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
-use ermia_repro::workloads::driver::{run, RunConfig};
-use ermia_repro::workloads::tpcc::{check_consistency, TpccConfig, TpccWorkload};
-use ermia_repro::workloads::{ErmiaEngine, SiloEngine};
+use ermia_workloads::driver::{run, run_loaded, RunConfig};
+use ermia_workloads::tpcc::{check_consistency, TpccConfig, TpccTables, TpccWorkload};
+use ermia_workloads::tpcc_hybrid::TpccHybridWorkload;
+use ermia_workloads::{ErmiaEngine, SiloEngine};
 use std::time::Duration;
 
 /// End-to-end: run TPC-C on a *durable* ERMIA database, checkpoint
@@ -25,11 +26,7 @@ fn tpcc_survives_crash_recovery() {
         assert!(r.total_commits() > 0);
         db.checkpoint().unwrap();
         // More work after the checkpoint, then "crash".
-        let r2 = ermia_repro::workloads::driver::run_loaded(
-            &engine,
-            &wl,
-            &RunConfig::new(2, Duration::from_millis(200)),
-        );
+        let r2 = run_loaded(&engine, &wl, &RunConfig::new(2, Duration::from_millis(200)));
         assert!(r2.total_commits() > 0);
         db.shard(0).log().sync().unwrap();
     }
@@ -38,7 +35,7 @@ fn tpcc_survives_crash_recovery() {
         let engine = ErmiaEngine::si(db.clone());
         // Look the schema up (the catalog came back with `open`), then recover.
         let wl2 = TpccWorkload::new(TpccConfig::small(1));
-        let _tables = ermia_repro::workloads::tpcc::TpccTables::create(&engine);
+        let _tables = TpccTables::create(&engine);
         let stats = db.recover().unwrap();
         assert!(stats.per_shard[0].checkpoint_records > 0);
         // Bind the workload's table handles without loading: the tables
@@ -76,9 +73,12 @@ fn a_data_directory_reopens_as_the_database_it_was() {
             let mut c = Client::connect(srv.local_addr()).unwrap();
             b = c.open_table("b").unwrap();
             a = c.open_table("a").unwrap();
-            grouped = db.create_table_with_policy("grouped", ShardPolicy::Hash { prefix: Some(4) }).0;
+            grouped =
+                db.create_table_with_policy("grouped", ShardPolicy::Hash { prefix: Some(4) }).0;
             for i in 0..50u32 {
-                for (t, key) in [(b, format!("b{i}")), (a, format!("a{i}")), (grouped, format!("g007-{i}"))] {
+                for (t, key) in
+                    [(b, format!("b{i}")), (a, format!("a{i}")), (grouped, format!("g007-{i}"))]
+                {
                     let value = format!("{key}={}", "x".repeat(200)).into_bytes();
                     sync_put(&mut c, t, key.as_bytes(), &value);
                     acked.push((t, key.into_bytes(), value));
@@ -96,7 +96,11 @@ fn a_data_directory_reopens_as_the_database_it_was() {
             assert_eq!(ids, [b, a, grouped], "{shards} shard(s), restart {restart}");
             for (t, key, value) in &acked {
                 let got = c.get(*t, key).unwrap();
-                assert_eq!(got.as_deref(), Some(&value[..]), "{shards} shard(s), restart {restart}");
+                assert_eq!(
+                    got.as_deref(),
+                    Some(&value[..]),
+                    "{shards} shard(s), restart {restart}"
+                );
             }
             // The prefix policy came back with the table: its co-located
             // keys are all where the prefix hashes to.
@@ -104,7 +108,10 @@ fn a_data_directory_reopens_as_the_database_it_was() {
             let mut w = home.register_worker();
             let mut tx = w.begin(IsolationLevel::Snapshot);
             for (_, key, _) in acked.iter().filter(|(t, ..)| *t == grouped) {
-                assert!(tx.read(TableId(grouped), key, |_| ()).unwrap().is_some(), "{shards} shard(s)");
+                assert!(
+                    tx.read(TableId(grouped), key, |_| ()).unwrap().is_some(),
+                    "{shards} shard(s)"
+                );
             }
             tx.commit().unwrap();
             if restart == 0 {
@@ -174,7 +181,6 @@ fn checkpoint_plus_log_tail_recovers_every_kind_of_write() {
 /// least Silo's.
 #[test]
 fn readers_fare_better_under_ermia() {
-    use ermia_repro::workloads::tpcc_hybrid::TpccHybridWorkload;
     let cfg = RunConfig::new(2, Duration::from_millis(600));
 
     let ermia_engine = ErmiaEngine::si(ShardedDb::open(DbConfig::in_memory(), 1).unwrap());
@@ -194,24 +200,4 @@ fn readers_fare_better_under_ermia() {
         e_q2.abort_ratio(),
         s_q2.abort_ratio()
     );
-}
-
-/// SSN serializability and SI write-skew side by side through the
-/// public facade.
-#[test]
-fn facade_reexports_work() {
-    let db = ermia_repro::ermia::ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
-    let t = db.create_table("t");
-    let mut w = db.register_worker();
-    let mut tx = w.begin(IsolationLevel::Serializable);
-    tx.insert(t, b"k", b"v").unwrap();
-    tx.commit().unwrap();
-
-    let lsn = ermia_repro::common::Lsn::from_parts(42, 3);
-    assert_eq!(lsn.segment(), 3);
-
-    let mgr = ermia_repro::epoch::EpochManager::new("facade");
-    let h = mgr.register();
-    let g = h.pin();
-    drop(g);
 }

@@ -5,9 +5,8 @@
 //! the replica's apply spans for the same transaction. The exported
 //! Chrome `trace_event` rendering must be well-formed JSON.
 
-
-use ermia_common::TestDir;
 use ermia::{DbConfig, ShardedDb};
+use ermia_common::TestDir;
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
 use ermia_telemetry::{chrome_trace_json, parse_spans, Span, SpanKind};
