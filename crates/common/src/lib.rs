@@ -7,11 +7,13 @@
 //! the transaction abort taxonomy ([`AbortReason`]), and order-preserving
 //! key encoding ([`KeyWriter`]) — plus the small utilities every crate
 //! would otherwise copy: [`CachePadded`], [`Region`] (zero-on-demand
-//! memory for capacity-sized tables) and, for tests, [`TestDir`].
+//! memory for capacity-sized tables), the checksums ([`crc`]) and, for
+//! tests, [`TestDir`].
 //!
 //! Nothing in here allocates on hot paths or takes locks; the types are
 //! plain newtypes over machine words so they can live inside atomics.
 
+pub mod crc;
 pub mod error;
 pub mod ids;
 pub mod key;

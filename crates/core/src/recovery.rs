@@ -209,8 +209,8 @@ impl<'a> Replay<'a> {
 
     /// The table a record names. One the catalog does not hold is an
     /// error naming the record's commit stamp (the LSN of its block) — a
-    /// directory from before the log carried the catalog whose table was
-    /// not declared first, or corruption.
+    /// log written without its catalog entries whose table was not
+    /// declared first, or corruption.
     fn table(&mut self, raw: u32, at: Lsn) -> std::io::Result<&Table> {
         if self.table.as_ref().is_none_or(|t| t.id.0 != raw) {
             self.table = self.db.inner.catalog.read().tables.get(raw as usize).cloned();
@@ -716,10 +716,9 @@ impl Database {
     }
 
     /// Recover: restore the latest checkpoint (if any), then replay the
-    /// log forward. The catalog came back with [`Database::open`]; only a
-    /// directory written before the log carried it needs its tables
-    /// declared first, in their original order — a row naming a table
-    /// the catalog does not hold is an `InvalidData` error.
+    /// log forward. The catalog came back with [`Database::open`]; a row
+    /// naming a table the catalog does not hold is an `InvalidData`
+    /// error.
     ///
     /// 2PC prepares whose verdict is not in this log are *presumed
     /// aborted* (counted in [`RecoveryStats::in_doubt`]). Sharded

@@ -6,10 +6,11 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ermia_common::crc::crc32c;
 use ermia_common::{AbortReason, LogError, TxResult};
 use ermia_log::{
-    checksum32, BlockKind, DecideRecord, DurableWaker, LogBlockHeader, PrepareMarker,
-    BLOCK_HEADER_LEN, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
+    BlockKind, DecideRecord, DurableWaker, LogBlockHeader, PrepareMarker, BLOCK_HEADER_LEN,
+    DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
 };
 use ermia_telemetry::{
     EventKind, EventRing, FamilyDef, MetricDesc, MetricKind, Slab, SpanKind, SpanRing, TraceContext,
@@ -70,7 +71,7 @@ pub(super) fn write_decide(db: &Database, rec: DecideRecord) -> io::Result<u64> 
         kind: BlockKind::TxnDecide,
         nrec: 0,
         len: DECIDE_BLOCK_LEN as u32,
-        checksum: checksum32(&block[BLOCK_HEADER_LEN..]),
+        checksum: crc32c(&block[BLOCK_HEADER_LEN..]),
         cstamp: lsn,
         prev: rec.gtid_lsn,
     };

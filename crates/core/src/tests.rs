@@ -650,10 +650,10 @@ fn a_directory_reopens_as_the_database_it_was() {
     }
 }
 
-/// A directory from before the log carried the catalog (`Txn` blocks for
-/// table 0, no `Ddl` block) recovers exactly as it did when its table is
-/// declared first — and fails, naming the table and the block, when it is
-/// not: recovery no longer files such rows under `skipped_stale`.
+/// A log written without catalog entries (`Txn` blocks for table 0
+/// straight through the log manager, no `Ddl` block) recovers when its
+/// table is declared first — and fails, naming the table and the block,
+/// when it is not: recovery files no such row under `skipped_stale`.
 #[test]
 fn a_log_without_a_catalog_needs_its_tables_declared_and_says_so() {
     use ermia_common::{Oid, TableId};

@@ -56,7 +56,9 @@ impl KeyRef {
 }
 
 pub(crate) struct WriteEntry {
-    table: Arc<Table>,
+    /// In the worker's table view (`Scratch::tables`), which holds it for
+    /// the worker's life.
+    table: *const Table,
     oid: Oid,
     key: KeyRef,
     /// The version we installed (TID-stamped until post-commit).
@@ -64,6 +66,14 @@ pub(crate) struct WriteEntry {
     /// The committed version we overwrote (null for inserts).
     prev: *mut Version,
     kind: WriteKind,
+}
+
+impl WriteEntry {
+    fn table(&self) -> &Table {
+        // SAFETY: the worker's table view keeps an `Arc` to every table a
+        // write entry names, and entries never outlive their worker.
+        unsafe { &*self.table }
+    }
 }
 
 pub(crate) struct SecondaryEntry {
@@ -163,6 +173,20 @@ impl<'w> Transaction<'w> {
     #[inline]
     fn ctx(&self) -> &TxContext {
         self.db.inner.tid.ctx(self.tid)
+    }
+
+    /// Table `id`, through the worker's table view: the catalog lock is
+    /// taken once per worker and table, not once per row.
+    fn table(&mut self, id: TableId) -> &'w Table {
+        let slot = id.0 as usize;
+        if self.scratch.tables.len() <= slot {
+            self.scratch.tables.resize(slot + 1, None);
+        }
+        let table = self.scratch.tables[slot].get_or_insert_with(|| self.db.table(id));
+        // SAFETY: the view only grows and lives as long as the worker the
+        // transaction borrows for `'w`; the `Arc` keeps the table in place
+        // when the view's vector moves.
+        unsafe { &*Arc::as_ptr(table) }
     }
 
     #[inline]
@@ -363,7 +387,7 @@ impl<'w> Transaction<'w> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
-        let t = self.db.table(table);
+        let t = self.table(table);
         let (oid, snap) = t.primary.get(&self.guard, key);
         let Some(oid) = oid else {
             if self.serializable() {
@@ -390,7 +414,7 @@ impl<'w> Transaction<'w> {
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
         let idx = self.db.index(index);
-        let t = self.db.table(idx.table);
+        let t = self.table(idx.table);
         let (oid, snap) = idx.tree.get(&self.guard, key);
         let Some(oid) = oid else {
             if self.serializable() {
@@ -414,7 +438,7 @@ impl<'w> Transaction<'w> {
     pub fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.db.table(table);
+        let t = self.table(table);
         let (oid, snap) = t.primary.get(&self.guard, key);
         let Some(oid) = oid else {
             if self.serializable() {
@@ -422,14 +446,14 @@ impl<'w> Transaction<'w> {
             }
             return Ok(false);
         };
-        self.install_version(&t, Oid(oid as u32), key, value, WriteKind::Update)
+        self.install_version(t, Oid(oid as u32), key, value, WriteKind::Update)
     }
 
     /// Delete a record (tombstone install, §3.2); returns false on miss.
     pub fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.db.table(table);
+        let t = self.table(table);
         let (oid, snap) = t.primary.get(&self.guard, key);
         let Some(oid) = oid else {
             if self.serializable() {
@@ -437,14 +461,14 @@ impl<'w> Transaction<'w> {
             }
             return Ok(false);
         };
-        self.install_version(&t, Oid(oid as u32), key, &[], WriteKind::Delete)
+        self.install_version(t, Oid(oid as u32), key, &[], WriteKind::Delete)
     }
 
     /// Install a new version behind `oid` with the first-updater-wins
     /// write-write conflict rule (§3.6.1).
     fn install_version(
         &mut self,
-        t: &Arc<Table>,
+        t: &Table,
         oid: Oid,
         key: &[u8],
         value: &[u8],
@@ -525,14 +549,7 @@ impl<'w> Transaction<'w> {
                 Ok(()) => {
                     let kind = if kind == WriteKind::Insert { WriteKind::Update } else { kind };
                     let key = KeyRef::stash(&mut self.scratch.keys, key);
-                    self.writes.push(WriteEntry {
-                        table: Arc::clone(t),
-                        oid,
-                        key,
-                        new,
-                        prev: head,
-                        kind,
-                    });
+                    self.writes.push(WriteEntry { table: t, oid, key, new, prev: head, kind });
                     return Ok(true);
                 }
                 Err(_) => {
@@ -550,7 +567,7 @@ impl<'w> Transaction<'w> {
     /// same record inside one transaction).
     fn replace_own_head(
         &mut self,
-        t: &Arc<Table>,
+        t: &Table,
         oid: Oid,
         head: *mut Version,
         value: &[u8],
@@ -575,7 +592,7 @@ impl<'w> Transaction<'w> {
         let entry = self
             .writes
             .iter_mut()
-            .find(|w| w.oid == oid && Arc::ptr_eq(&w.table, t))
+            .find(|w| w.oid == oid && std::ptr::eq(w.table, t))
             .expect("own head implies a write-set entry");
         entry.new = new;
         entry.kind = match (entry.kind, kind) {
@@ -596,7 +613,7 @@ impl<'w> Transaction<'w> {
     pub fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<Oid> {
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.db.table(table);
+        let t = self.table(table);
         loop {
             // Obtain a new OID and publish the version, then index it
             // (§3.2 Insert: contention-free).
@@ -609,7 +626,7 @@ impl<'w> Transaction<'w> {
                     self.refresh_node_set();
                     let key = KeyRef::stash(&mut self.scratch.keys, key);
                     self.writes.push(WriteEntry {
-                        table: Arc::clone(&t),
+                        table: t,
                         oid,
                         key,
                         new,
@@ -639,7 +656,7 @@ impl<'w> Transaction<'w> {
                     }
                     // Invisible or deleted: attempt a tombstone overwrite
                     // under first-updater-wins.
-                    match self.install_version(&t, existing, key, value, WriteKind::Insert) {
+                    match self.install_version(t, existing, key, value, WriteKind::Insert) {
                         Ok(true) => return Ok(existing),
                         Ok(false) => {
                             // Record vanished mid-flight (concurrent
@@ -685,7 +702,7 @@ impl<'w> Transaction<'w> {
     ) -> OpResult<usize> {
         self.check_doomed()?;
         let idx = self.db.index(index);
-        let t = self.db.table(idx.table);
+        let t = self.table(idx.table);
 
         let mut delivered = 0usize;
         let mut resume: Vec<u8> = low.to_vec();
@@ -942,7 +959,7 @@ impl<'w> Transaction<'w> {
             new.clsn.store(Stamp::from_lsn(cstamp).raw(), Ordering::Release);
             if !w.prev.is_null() {
                 // `prev` is garbage once the horizon passes `cstamp`.
-                self.scratch.retired.push(Retired { cstamp, table: w.table.id, oid: w.oid });
+                self.scratch.retired.push(Retired { cstamp, table: w.table().id, oid: w.oid });
             }
         }
         // One hand-off per transaction, after every version it names is
@@ -979,13 +996,14 @@ impl<'w> Transaction<'w> {
                     WriteKind::Insert => ermia_log::LogRecordKind::Insert,
                     _ => ermia_log::LogRecordKind::Update,
                 };
-                self.scratch.logbuf.add_indirect(kind, w.table.id, w.oid, key, &blob.encode());
+                self.scratch.logbuf.add_indirect(kind, w.table().id, w.oid, key, &blob.encode());
                 continue;
             }
+            let table = w.table().id;
             match kind {
-                WriteKind::Insert => self.scratch.logbuf.add_insert(w.table.id, w.oid, key, data),
-                WriteKind::Update => self.scratch.logbuf.add_update(w.table.id, w.oid, key, data),
-                WriteKind::Delete => self.scratch.logbuf.add_delete(w.table.id, w.oid, key),
+                WriteKind::Insert => self.scratch.logbuf.add_insert(table, w.oid, key, data),
+                WriteKind::Update => self.scratch.logbuf.add_update(table, w.oid, key, data),
+                WriteKind::Delete => self.scratch.logbuf.add_delete(table, w.oid, key),
             }
         }
         for s in &self.secondary {
@@ -1027,14 +1045,14 @@ impl<'w> Transaction<'w> {
             match w.kind {
                 WriteKind::Insert => {
                     // Remove the index entry, unpublish, recycle.
-                    w.table.primary.remove(&self.guard, w.key.slice(&self.scratch.keys));
-                    w.table.oids.store_head(w.oid, std::ptr::null_mut());
+                    w.table().primary.remove(&self.guard, w.key.slice(&self.scratch.keys));
+                    w.table().oids.store_head(w.oid, std::ptr::null_mut());
                     unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), w.new) };
-                    w.table.oids.recycle(w.oid);
+                    w.table().oids.recycle(w.oid);
                 }
                 WriteKind::Update | WriteKind::Delete => {
                     // Unlink our version from the chain head.
-                    w.table
+                    w.table()
                         .oids
                         .cas_head(w.oid, w.new, w.prev)
                         .expect("uncommitted head owned by us");

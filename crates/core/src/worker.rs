@@ -17,7 +17,7 @@ use ermia_storage::{Retired, Version, VersionCache};
 use ermia_telemetry::{EventRing, Slab};
 
 use crate::config::IsolationLevel;
-use crate::database::Database;
+use crate::database::{Database, Table};
 use crate::metrics::TXN_FAMILY;
 use crate::transaction::{SecondaryEntry, Transaction, WriteEntry};
 
@@ -63,12 +63,17 @@ pub(crate) struct Scratch {
     /// The chains a committing transaction stacked a version on, gathered
     /// during post-commit and handed to the collector in one call.
     pub retired: Vec<Retired>,
+    /// This worker's view of the catalog's tables, by id, each filled on
+    /// first use. Tables are never dropped, so a row operation takes no
+    /// catalog lock and clones no `Arc`: write entries point into here.
+    pub tables: Vec<Option<Arc<Table>>>,
 }
 
-// SAFETY: the raw `Version` pointers held here are only dereferenced by
-// the owning worker thread while its transaction is live (under an epoch
-// pin); between transactions every set is empty and the version cache
-// holds only quiesced nodes it exclusively owns. Moving the Worker to
+// SAFETY: the raw `Version` and `Table` pointers held here are only
+// dereferenced by the owning worker thread while its transaction is live
+// (under an epoch pin); between transactions every set is empty and the
+// version cache holds only quiesced nodes it exclusively owns (tables are
+// `Sync`, and the view owns an `Arc` to each). Moving the Worker to
 // another thread at rest therefore transfers sole ownership.
 unsafe impl Send for Scratch {}
 
@@ -97,6 +102,7 @@ impl Worker {
                 keys: Vec::new(),
                 versions,
                 retired: Vec::new(),
+                tables: Vec::new(),
             },
         }
     }

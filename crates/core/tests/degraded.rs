@@ -357,3 +357,23 @@ fn checkpoint_withholds_nondurable_tail_so_acked_writes_survive_crash() {
     drop(w);
     assert_eq!(db.tid_slots_in_use(), 0);
 }
+
+/// A log that poisons before `open` has installed its hook — on the sync
+/// of the block `open` burns at offset 0, about 200 µs in — still
+/// degrades its database: installing the hook on a poisoned log runs it.
+#[test]
+fn a_log_poisoned_during_open_degrades_its_database() {
+    let dir = TestDir::new("poisoned-open");
+    let injector = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
+    let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !(db.log().is_poisoned() && db.state() == DbState::Degraded) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "poisoned {} but {:?}",
+            db.log().is_poisoned(),
+            db.state()
+        );
+        std::thread::yield_now();
+    }
+}

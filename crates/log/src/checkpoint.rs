@@ -11,14 +11,20 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use ermia_common::crc::crc32c;
 use ermia_common::Lsn;
 
 use crate::io::{FileBackend, SegmentIoFactory};
-use crate::records::checksum32;
+use crate::records::legacy_format;
 
-/// Magic prefix of a checkpoint payload file.
-const CHECKPOINT_MAGIC: [u8; 4] = *b"ECHK";
-/// magic + u64 payload length + u32 checksum.
+/// Magic prefix of a checkpoint payload file ("ECKC": the payload carries
+/// CRC-32C).
+const CHECKPOINT_MAGIC: [u8; 4] = *b"ECKC";
+/// The magic of the frame before CRC-32C. Kept only so such a checkpoint
+/// is refused, not skipped: recovery would then replay a log that
+/// truncation has cut short.
+const LEGACY_CHECKPOINT_MAGIC: [u8; 4] = *b"ECHK";
+/// magic + u64 payload length + u32 CRC-32C.
 const CHECKPOINT_HEADER_LEN: usize = 4 + 8 + 4;
 
 /// Metadata identifying a checkpoint.
@@ -82,7 +88,7 @@ impl CheckpointStore {
             let mut framed = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len());
             framed.extend_from_slice(&CHECKPOINT_MAGIC);
             framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            framed.extend_from_slice(&checksum32(payload).to_le_bytes());
+            framed.extend_from_slice(&crc32c(payload).to_le_bytes());
             framed.extend_from_slice(payload);
             f.write_all_at(&framed, 0)?;
             f.sync_data()?;
@@ -93,24 +99,30 @@ impl CheckpointStore {
     }
 
     /// Decode and verify one framed payload file; `None` if the file is
-    /// missing, truncated, or fails its checksum.
-    fn read_verified(&self, begin: Lsn) -> Option<Vec<u8>> {
-        let raw = std::fs::read(self.payload_path(begin)).ok()?;
+    /// missing, truncated, or fails its checksum, `InvalidData` if it is
+    /// framed in the format before CRC-32C.
+    fn read_verified(&self, begin: Lsn) -> io::Result<Option<Vec<u8>>> {
+        let path = self.payload_path(begin);
+        let Ok(raw) = std::fs::read(&path) else { return Ok(None) };
+        if raw.starts_with(&LEGACY_CHECKPOINT_MAGIC) {
+            return Err(legacy_format(&format!("checkpoint {}", path.display())));
+        }
         if raw.len() < CHECKPOINT_HEADER_LEN || raw[..4] != CHECKPOINT_MAGIC {
-            return None;
+            return Ok(None);
         }
         let len = u64::from_le_bytes(raw[4..12].try_into().unwrap()) as usize;
         let sum = u32::from_le_bytes(raw[12..16].try_into().unwrap());
         let body = &raw[CHECKPOINT_HEADER_LEN..];
-        if body.len() != len || checksum32(body) != sum {
-            return None;
+        if body.len() != len || crc32c(body) != sum {
+            return Ok(None);
         }
-        Some(body.to_vec())
+        Ok(Some(body.to_vec()))
     }
 
     /// Find the most recent checkpoint whose payload verifies. A corrupt
     /// or incomplete newest checkpoint falls back to the next-older one —
-    /// recovery then simply replays more of the log.
+    /// recovery then simply replays more of the log; one in the frame
+    /// before CRC-32C fails the call with `InvalidData`.
     pub fn latest(&self) -> io::Result<Option<(CheckpointMeta, Vec<u8>)>> {
         let mut marked: Vec<Lsn> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
@@ -125,7 +137,7 @@ impl CheckpointStore {
         }
         marked.sort_unstable();
         for &begin in marked.iter().rev() {
-            if let Some(payload) = self.read_verified(begin) {
+            if let Some(payload) = self.read_verified(begin)? {
                 return Ok(Some((CheckpointMeta { begin }, payload)));
             }
         }

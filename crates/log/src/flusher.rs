@@ -572,9 +572,7 @@ fn poison(inner: &LogInner, err: &io::Error) {
     inner.notify_all_waiters();
     // Last, after every waiter can already observe the poison: let the
     // database layer flip itself into degraded read-only mode.
-    if let Some(hook) = &*inner.poison_hook.lock() {
-        hook();
-    }
+    inner.poison_hook.lock().fire();
 }
 
 fn is_transient(kind: io::ErrorKind) -> bool {

@@ -68,9 +68,9 @@ pub use manager::{
     DurableSub, DurableWaker, LogConfig, LogManager, LogStats, Reservation, SyncCause,
 };
 pub use records::{
-    checksum32, checksum64, BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord,
-    LogRecordKind, PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
-    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind, PrepareMarker,
+    BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN,
+    RECORD_HEADER_LEN,
 };
 pub use recovery::{BlockView, LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};

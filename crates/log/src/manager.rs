@@ -235,9 +235,11 @@ pub(crate) struct LogInner {
     /// observed the poison (and never touched `next`) or joined this set
     /// first, so an empty set with the poison flag raised freezes `next`.
     pub(crate) outstanding: AtomicU64,
-    /// Invoked from the flusher thread at the moment the log poisons; the
-    /// database layer hooks its transition to degraded read-only mode here.
-    pub(crate) poison_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// Invoked once per poisoning: by the flusher at the moment the log
+    /// poisons, or by [`LogManager::set_poison_hook`] on a log that
+    /// poisoned before the hook was there. The database layer hooks its
+    /// transition to degraded read-only mode here.
+    pub(crate) poison_hook: Mutex<PoisonHook>,
     /// Offset ranges `(lo, hi]` a degraded-mode resume overwrote with
     /// on-disk skip blocks. Durability targets inside them can never be
     /// honored even though the watermark has moved past them.
@@ -248,6 +250,25 @@ pub(crate) struct LogInner {
     /// Told the latency of every completed device sync, on the flusher
     /// thread ([`LogManager::set_sync_observer`]).
     pub(crate) sync_observer: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
+}
+
+/// The poison hook and whether it has run for the current poisoning;
+/// both are read and written under one mutex, so the flusher and an
+/// installer never both run it.
+#[derive(Default)]
+pub(crate) struct PoisonHook {
+    hook: Option<Box<dyn Fn() + Send + Sync>>,
+    ran: bool,
+}
+
+impl PoisonHook {
+    /// Run the hook unless it has run for this poisoning (or is missing).
+    pub(crate) fn fire(&mut self) {
+        if let (Some(hook), false) = (&self.hook, self.ran) {
+            hook();
+            self.ran = true;
+        }
+    }
 }
 
 impl LogInner {
@@ -361,7 +382,7 @@ impl LogManager {
             poisoned: AtomicBool::new(false),
             poison_cause: Mutex::new(None),
             outstanding: AtomicU64::new(0),
-            poison_hook: Mutex::new(None),
+            poison_hook: Mutex::default(),
             resume_gaps: Mutex::new(Vec::new()),
             resume_gap_hi: AtomicU64::new(0),
             sync_observer: OnceLock::new(),
@@ -706,11 +727,19 @@ impl LogManager {
         inner.resume_gaps.lock().iter().any(|&(lo, hi)| end > lo && end <= hi)
     }
 
-    /// Register a callback invoked — from the flusher thread, exactly
-    /// once per poisoning — at the moment the log poisons. The database
-    /// layer hooks its transition to degraded read-only mode here.
+    /// Register a callback invoked exactly once per poisoning: from the
+    /// flusher thread at the moment the log poisons, or — when the log
+    /// poisoned before this call, say on the block `open` burns at offset
+    /// 0 — from this call. The database layer hooks its transition to
+    /// degraded read-only mode here.
     pub fn set_poison_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        *self.inner.poison_hook.lock() = Some(Box::new(hook));
+        let mut slot = self.inner.poison_hook.lock();
+        slot.hook = Some(Box::new(hook));
+        // `poison` raises the flag before it takes this lock: whichever of
+        // the two takes it second sees the other's half.
+        if self.inner.poisoned.load(Ordering::Acquire) {
+            slot.fire();
+        }
     }
 
     /// Register the callback told how long each device sync took, in
@@ -797,6 +826,7 @@ impl LogManager {
         inner.durable.store(next, Ordering::Release);
         inner.buffer.reset(next);
         *inner.poison_cause.lock() = None;
+        inner.poison_hook.lock().ran = false;
         inner.stats.log_poisoned.store(0, Ordering::Release);
         inner.stop.store(false, Ordering::Release);
         *flusher = Some(flusher::spawn(Arc::clone(&self.inner)));

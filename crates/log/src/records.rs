@@ -12,13 +12,29 @@
 
 use std::io;
 
+use ermia_common::crc::crc32c;
 use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::manager::LogManager;
 use crate::txlog::TxRecordView;
 
-/// Magic value identifying a block header ("ERML").
-pub const BLOCK_MAGIC: u32 = 0x4552_4d4c;
+/// Magic value identifying a block header ("ERMC": payloads carry
+/// CRC-32C).
+pub const BLOCK_MAGIC: u32 = 0x4552_4d43;
+
+/// The block magic of the format before CRC-32C ("ERML", payloads carried
+/// a folded FNV-1a). Kept only so such a log is refused, not read as a
+/// hole and truncated.
+pub(crate) const LEGACY_BLOCK_MAGIC: u32 = 0x4552_4d4c;
+
+/// What a reader says of bytes in the format before CRC-32C.
+pub(crate) fn legacy_format(what: &str) -> io::Error {
+    let msg = format!(
+        "{what} is in the log format before CRC-32C (FNV-1a checksums), which this build \
+         refuses rather than truncates: open it with the build that wrote it"
+    );
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Serialized size of a block header in bytes.
 pub const BLOCK_HEADER_LEN: usize = 32;
@@ -233,7 +249,7 @@ impl DdlRecord {
             kind: BlockKind::Ddl,
             nrec: 0,
             len: block.len() as u32,
-            checksum: checksum32(&block[BLOCK_HEADER_LEN..]),
+            checksum: crc32c(&block[BLOCK_HEADER_LEN..]),
             cstamp: res.lsn(),
             prev: 0,
         };
@@ -268,7 +284,7 @@ impl DdlRecord {
 /// 5  (pad)      u8
 /// 6  nrec       u16     number of records in a Txn block
 /// 8  len        u32     total block length including header
-/// 12 checksum   u32     checksum64 of the payload, folded to 32 bits
+/// 12 checksum   u32     CRC-32C of the payload
 /// 16 cstamp     u64     committer's commit LSN (raw), 0 for skips
 /// 24 prev       u64     reserved: backward chain for overflow blocks
 /// ```
@@ -443,22 +459,6 @@ impl<'a> TxRecordView<'a> {
     }
 }
 
-/// FNV-1a over the payload; cheap and good enough to catch torn writes.
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Fold a 64-bit checksum into the header's 32-bit field.
-pub fn checksum32(bytes: &[u8]) -> u32 {
-    let h = checksum64(bytes);
-    (h ^ (h >> 32)) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,13 +520,5 @@ mod tests {
         let mut buf = Vec::new();
         r.encode_into(&mut buf);
         assert!(LogRecord::decode(&buf[..buf.len() - 1], 0).is_none());
-    }
-
-    #[test]
-    fn checksum_differs_on_flip() {
-        let a = checksum32(b"hello world");
-        let mut v = b"hello world".to_vec();
-        v[3] ^= 1;
-        assert_ne!(a, checksum32(&v));
     }
 }

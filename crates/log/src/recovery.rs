@@ -3,17 +3,20 @@
 //! Recovery is straightforward because the log contains only committed
 //! work: the scanner walks block headers from a start LSN, hops over
 //! skip records and dead zones using the segment table, verifies
-//! checksums, and truncates at the first hole — no undo, no redo of
-//! uncommitted state.
+//! checksums (CRC-32C), and truncates at the first hole — no undo, no
+//! redo of uncommitted state. A block in the format before CRC-32C is no
+//! hole: the scan fails `InvalidData` there, so such a log is refused
+//! whole instead of truncated to nothing.
 
 use std::io;
 use std::sync::Arc;
 
+use ermia_common::crc::crc32c;
 use ermia_common::Lsn;
 
 use crate::records::{
-    BlockKind, DdlRecord, LogBlockHeader, LogRecord, PrepareMarker, BLOCK_HEADER_LEN,
-    PREPARE_MARKER_LEN,
+    legacy_format, BlockKind, DdlRecord, LogBlockHeader, LogRecord, PrepareMarker,
+    BLOCK_HEADER_LEN, LEGACY_BLOCK_MAGIC, PREPARE_MARKER_LEN,
 };
 use crate::segment::{Segment, SegmentTable};
 use crate::txlog::TxRecordView;
@@ -196,6 +199,9 @@ impl LogScanner {
                 return Ok(None); // in-memory segments are not scannable
             };
             let Some(header) = LogBlockHeader::decode(&self.chunk[at..]) else {
+                if self.chunk[at..at + 4] == LEGACY_BLOCK_MAGIC.to_le_bytes() {
+                    return Err(legacy_format(&format!("the log block at offset {}", self.offset)));
+                }
                 return Ok(None); // first hole: the log is truncated here
             };
             let len = header.len as u64;
@@ -210,7 +216,7 @@ impl LogScanner {
             let payload = &self.chunk[at + BLOCK_HEADER_LEN..at + len as usize];
             let unchecked = self.offset < self.trusted
                 || matches!(header.kind, BlockKind::CheckpointBegin | BlockKind::CheckpointEnd);
-            if !unchecked && crate::records::checksum32(payload) != header.checksum {
+            if !unchecked && crc32c(payload) != header.checksum {
                 // Torn block: truncate here; `find_tail` resumes over it.
                 return Ok(None);
             }

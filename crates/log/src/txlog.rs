@@ -12,11 +12,12 @@
 //! the high-water capacity is reached (the previous design allocated two
 //! `Vec<u8>`s per logged record).
 
+use ermia_common::crc::crc32c;
 use ermia_common::{Lsn, Oid, TableId};
 
 use crate::records::{
-    checksum32, encode_record_into, BlockKind, LogBlockHeader, LogRecordKind, PrepareMarker,
-    BLOCK_HEADER_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    encode_record_into, BlockKind, LogBlockHeader, LogRecordKind, PrepareMarker, BLOCK_HEADER_LEN,
+    MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 
 /// Metadata for one buffered record; its key/value bytes live in the
@@ -199,7 +200,7 @@ impl TxLogBuffer {
             );
         }
         self.scratch.resize(total, 0); // zero pad to block granularity
-        let checksum = checksum32(&self.scratch[BLOCK_HEADER_LEN..]);
+        let checksum = crc32c(&self.scratch[BLOCK_HEADER_LEN..]);
         let header = LogBlockHeader {
             kind,
             nrec: self.metas.len() as u16,
@@ -250,7 +251,7 @@ mod tests {
         assert_eq!(header.nrec, 3);
         assert_eq!(header.len as usize, bytes.len());
         assert_eq!(header.cstamp, cstamp);
-        assert_eq!(header.checksum, checksum32(&bytes[BLOCK_HEADER_LEN..]));
+        assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
 
         let mut pos = BLOCK_HEADER_LEN;
         let (r1, p) = LogRecord::decode(&bytes, pos).unwrap();
@@ -287,7 +288,7 @@ mod tests {
         assert_eq!(header.nrec, 1);
         assert_eq!(header.len as usize, bytes.len());
         assert_eq!(header.cstamp, cstamp);
-        assert_eq!(header.checksum, checksum32(&bytes[BLOCK_HEADER_LEN..]));
+        assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
 
         let got = PrepareMarker::decode(&bytes[BLOCK_HEADER_LEN..]).unwrap();
         assert_eq!(got.coord_shard, 3);

@@ -1,11 +1,11 @@
 //! Property tests for the log formats: arbitrary records round-trip
-//! through serialization, blocks decode exactly, and checksums catch
-//! any single-byte corruption.
+//! through serialization, blocks decode exactly, and the CRC-32C a block
+//! carries fails on any single-byte corruption and on every single-bit
+//! flip of its payload.
 
+use ermia_common::crc::crc32c;
 use ermia_common::{Lsn, Oid, TableId};
-use ermia_log::{
-    checksum32, LogBlockHeader, LogRecord, LogRecordKind, TxLogBuffer, BLOCK_HEADER_LEN,
-};
+use ermia_log::{LogBlockHeader, LogRecord, LogRecordKind, TxLogBuffer, BLOCK_HEADER_LEN};
 use proptest::prelude::*;
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
@@ -70,7 +70,7 @@ proptest! {
         prop_assert_eq!(header.nrec as usize, recs.len());
         prop_assert_eq!(header.cstamp, cstamp);
         prop_assert_eq!(header.len as usize, bytes.len());
-        prop_assert_eq!(header.checksum, checksum32(&bytes[BLOCK_HEADER_LEN..]));
+        prop_assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
 
         let mut pos = BLOCK_HEADER_LEN;
         for orig in &recs {
@@ -98,10 +98,36 @@ proptest! {
         pos_seed: usize,
         flip in 1u8..=255,
     ) {
-        let sum = checksum32(&payload);
+        let sum = crc32c(&payload);
         let mut corrupted = payload.clone();
         let pos = pos_seed % corrupted.len();
         corrupted[pos] ^= flip;
-        prop_assert_ne!(sum, checksum32(&corrupted));
+        prop_assert_ne!(sum, crc32c(&corrupted));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Every single-bit flip of a serialized block's payload fails the
+    /// check the scanner makes. A CRC guarantees it for any length; the
+    /// FNV-1a the log carried before did not.
+    #[test]
+    fn every_single_bit_flip_fails_verification(
+        recs in proptest::collection::vec(record_strategy(), 1..3),
+    ) {
+        let mut txbuf = TxLogBuffer::new();
+        for r in &recs {
+            txbuf.add_update(r.table, r.oid, &r.key, &r.value);
+        }
+        let mut bytes = txbuf.serialize(Lsn::from_parts(64, 1)).to_vec();
+        let header = LogBlockHeader::decode(&bytes).expect("header decodes");
+        prop_assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
+        for bit in 0..(bytes.len() - BLOCK_HEADER_LEN) * 8 {
+            let (at, mask) = (BLOCK_HEADER_LEN + bit / 8, 1u8 << (bit % 8));
+            bytes[at] ^= mask;
+            prop_assert!(header.checksum != crc32c(&bytes[BLOCK_HEADER_LEN..]), "bit {} passed", bit);
+            bytes[at] ^= mask;
+        }
     }
 }

@@ -182,3 +182,27 @@ fn timed_out_waiter_reports_concurrent_poison() {
         other => panic!("expected Poisoned, got {other:?}"),
     }
 }
+
+/// A log that poisons before its hook is installed — here on the sync of
+/// the block `open` burns at offset 0 — runs the hook at installation,
+/// and only once: the flusher, which found no hook, does not run it
+/// again.
+#[test]
+fn a_hook_installed_after_the_poison_runs_once() {
+    let dir = TestDir::new("late-hook");
+    let injector = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
+    let log = LogManager::open(cfg_with(dir.to_path_buf(), &injector)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !log.is_poisoned() {
+        assert!(std::time::Instant::now() < deadline, "the first sync must poison the log");
+        std::thread::yield_now();
+    }
+    let runs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let counter = Arc::clone(&runs);
+    log.set_poison_hook(move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(runs.load(Ordering::Relaxed), 1, "installing on a poisoned log runs the hook");
+    drop(log); // joins the flusher: nothing can run the hook after this
+    assert_eq!(runs.load(Ordering::Relaxed), 1, "once per poisoning");
+}

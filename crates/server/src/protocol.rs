@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `len` counts the payload only (1 ..= `max_frame_len`); `crc` is CRC-32
-//! (IEEE, reflected) over the payload. A frame that fails the length
+//! (IEEE, reflected) over the payload ([`crc32`], from
+//! [`ermia_common::crc`]: the log's CRC-32C would change every wire
+//! byte clients of other builds check). A frame that fails the length
 //! bound, the checksum, or opcode/body decoding is a *protocol error*:
 //! the server replies [`Response::Error`] with [`ErrorCode::Protocol`]
 //! and closes the connection — it never panics and never desynchronizes
@@ -49,6 +51,7 @@
 
 use std::io::{self, Read, Write};
 
+pub use ermia_common::crc::crc32;
 use ermia_common::AbortReason;
 use ermia_telemetry::TraceContext;
 
@@ -58,36 +61,6 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Frame overhead besides the payload (length prefix + checksum).
 pub const FRAME_OVERHEAD: usize = 8;
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected). Table-driven, std-only.
-// ---------------------------------------------------------------------
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 over `data` (IEEE polynomial, reflected, init/final xor −1).
-pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = !0u32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------------------------------------------------------------------
 // Frame I/O
@@ -999,13 +972,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn every_sample_roundtrips() {
