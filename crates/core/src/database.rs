@@ -2,7 +2,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use ermia_common::{IndexId, Lsn, TableId};
@@ -13,7 +13,6 @@ use ermia_storage::{
     GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
 };
 use ermia_telemetry::{EventKind, EventRing, Telemetry};
-use parking_lot::{Mutex, RwLock};
 
 use crate::config::DbConfig;
 use crate::metrics::{TXN_ABORT_BASE, TXN_COMMITS, TXN_FAMILY};
@@ -86,23 +85,23 @@ impl PinSet {
 
     fn pin(&self, offset: u64) -> u64 {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.pins.lock().push((id, offset));
+        self.pins.lock().unwrap().push((id, offset));
         id
     }
 
     fn update(&self, id: u64, offset: u64) {
-        let mut pins = self.pins.lock();
+        let mut pins = self.pins.lock().unwrap();
         if let Some(p) = pins.iter_mut().find(|(i, _)| *i == id) {
             p.1 = offset;
         }
     }
 
     fn release(&self, id: u64) {
-        self.pins.lock().retain(|(i, _)| *i != id);
+        self.pins.lock().unwrap().retain(|(i, _)| *i != id);
     }
 
     fn min(&self) -> Option<u64> {
-        self.pins.lock().iter().map(|&(_, o)| o).min()
+        self.pins.lock().unwrap().iter().map(|&(_, o)| o).min()
     }
 
     /// Fold the minimum pinned offset into `h` and record the result in
@@ -112,7 +111,7 @@ impl PinSet {
     /// later horizon reads see the new pin. [`Database::fork`] relies on
     /// both halves of this ordering.
     fn fold_and_publish(&self, h: u64, used: &AtomicU64) -> u64 {
-        let pins = self.pins.lock();
+        let pins = self.pins.lock().unwrap();
         let h = pins.iter().map(|&(_, o)| o).min().map_or(h, |m| h.min(m));
         used.fetch_max(h, Ordering::AcqRel);
         h
@@ -397,7 +396,9 @@ fn start_gc(inner: &Arc<DbInner>) -> GarbageCollector {
         Arc::clone(&inner.retired),
         inner.epoch.clone(),
         move || db.gc_horizon(),
-        move |t| catalog.catalog.read().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids)),
+        move |t| {
+            catalog.catalog.read().unwrap().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids))
+        },
         inner.cfg.gc_interval,
         Some(Arc::clone(&inner.versions)),
         move |reclaimed, passes| ring.record(EventKind::GcPass, reclaimed, passes),
@@ -430,7 +431,7 @@ impl DbInner {
     /// [`Catalog::install`] an entry the log holds: a restore at open, or
     /// replay passing its block.
     pub(crate) fn install_logged(&self, rec: &DdlRecord) -> std::io::Result<()> {
-        if self.catalog.write().install(rec).map_err(invalid)? {
+        if self.catalog.write().unwrap().install(rec).map_err(invalid)? {
             self.catalog_version.fetch_add(1, Ordering::Release);
         }
         Ok(())
@@ -557,12 +558,12 @@ impl Database {
     ) -> (TableId, IndexId) {
         let settled = |rec: &DdlRecord| route.is_none_or(|r| r == rec.route);
         {
-            let catalog = self.inner.catalog.read();
+            let catalog = self.inner.catalog.read().unwrap();
             if let Some(rec) = catalog.find(table, secondary).filter(|rec| settled(rec)) {
                 return (rec.table, rec.index);
             }
         }
-        let mut catalog = self.inner.catalog.write();
+        let mut catalog = self.inner.catalog.write().unwrap();
         let route = route.unwrap_or_default();
         let rec = match catalog.find(table, secondary) {
             Some(rec) if settled(rec) => return (rec.table, rec.index),
@@ -591,30 +592,30 @@ impl Database {
     /// untrusted ids before calling [`Transaction`](crate::Transaction) operations, which
     /// index the catalog directly.
     pub fn table_count(&self) -> usize {
-        self.inner.catalog.read().tables.len()
+        self.inner.catalog.read().unwrap().tables.len()
     }
 
     /// Look up a table id by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.inner.catalog.read().find(name, None).map(|e| e.table)
+        self.inner.catalog.read().unwrap().find(name, None).map(|e| e.table)
     }
 
     /// Look up a (secondary) index id by name.
     pub fn index_id(&self, name: &str) -> Option<IndexId> {
-        self.inner.catalog.read().find("", Some(name)).map(|e| e.index)
+        self.inner.catalog.read().unwrap().find("", Some(name)).map(|e| e.index)
     }
 
     /// The primary index id of a table.
     pub fn primary_index(&self, table: TableId) -> IndexId {
-        self.inner.catalog.read().tables[table.0 as usize].primary_index
+        self.inner.catalog.read().unwrap().tables[table.0 as usize].primary_index
     }
 
     pub(crate) fn table(&self, id: TableId) -> Arc<Table> {
-        Arc::clone(&self.inner.catalog.read().tables[id.0 as usize])
+        Arc::clone(&self.inner.catalog.read().unwrap().tables[id.0 as usize])
     }
 
     pub(crate) fn index(&self, id: IndexId) -> Arc<IndexInfo> {
-        Arc::clone(&self.inner.catalog.read().indexes[id.0 as usize])
+        Arc::clone(&self.inner.catalog.read().unwrap().indexes[id.0 as usize])
     }
 
     /// Register the calling thread as a worker.
@@ -648,7 +649,7 @@ impl Database {
         let degraded = self.state() == DbState::Degraded;
         self.inner.log.resume()?;
         if degraded {
-            self.inner.catalog.read().append_all(&self.inner.log)?;
+            self.inner.catalog.read().unwrap().append_all(&self.inner.log)?;
         }
         self.inner.state.store(DbState::Active as u8, Ordering::Release);
         self.inner.svc_ring.record(EventKind::DbResumed, self.inner.log.durable_offset(), 0);
@@ -683,7 +684,7 @@ impl Database {
     /// 0; anything else is a chain somebody forgot to retire.
     pub fn gc_audit(&self) -> u64 {
         let inner = &self.inner;
-        let tables = inner.catalog.read().tables.clone();
+        let tables = inner.catalog.read().unwrap().tables.clone();
         let horizon = inner.gc_horizon();
         let handle = inner.epoch.register();
         let guard = handle.pin();

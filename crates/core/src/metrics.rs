@@ -196,7 +196,7 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
         "Live copy-on-write snapshot forks pinning the GC horizon",
         db.fork_count.load(Relaxed) as f64,
     ));
-    let recovered = *db.recovered.lock();
+    let recovered = *db.recovered.lock().unwrap();
     out.push(Sample::gauge(
         "ermia_recovery_seconds",
         "Time the last offline recovery took to rebuild this database",

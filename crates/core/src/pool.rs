@@ -13,9 +13,7 @@
 //! worker parked at a transaction boundary can resume on any thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::database::Database;
 use crate::shard::{ShardedDb, ShardedWorker};
@@ -85,7 +83,7 @@ impl<D: RegisterWorker> WorkerPool<D> {
     /// the pool is exhausted. Never blocks.
     pub fn try_checkout(&self) -> Option<PooledWorker<D>> {
         let inner = &self.inner;
-        let mut idle = inner.idle.lock();
+        let mut idle = inner.idle.lock().unwrap();
         if let Some(w) = idle.pop() {
             drop(idle);
             inner.outstanding.fetch_add(1, Ordering::Relaxed);
@@ -115,7 +113,7 @@ impl<D: RegisterWorker> WorkerPool<D> {
 
     /// Workers parked in the pool right now.
     pub fn idle(&self) -> usize {
-        self.inner.idle.lock().len()
+        self.inner.idle.lock().unwrap().len()
     }
 
     /// Workers created so far (≤ capacity).
@@ -148,7 +146,7 @@ impl<D: RegisterWorker> std::ops::DerefMut for PooledWorker<D> {
 impl<D: RegisterWorker> Drop for PooledWorker<D> {
     fn drop(&mut self) {
         let w = self.worker.take().expect("returned exactly once");
-        self.pool.idle.lock().push(w);
+        self.pool.idle.lock().unwrap().push(w);
         self.pool.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -213,7 +213,7 @@ impl<'a> Replay<'a> {
     /// declared first, or corruption.
     fn table(&mut self, raw: u32, at: Lsn) -> std::io::Result<&Table> {
         if self.table.as_ref().is_none_or(|t| t.id.0 != raw) {
-            self.table = self.db.inner.catalog.read().tables.get(raw as usize).cloned();
+            self.table = self.db.inner.catalog.read().unwrap().tables.get(raw as usize).cloned();
         }
         self.table
             .as_deref()
@@ -233,7 +233,8 @@ impl<'a> Replay<'a> {
         if rec.kind == LogRecordKind::SecondaryInsert {
             let raw = u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
             if self.index.as_ref().is_none_or(|i| i.id.0 != raw) {
-                self.index = self.db.inner.catalog.read().indexes.get(raw as usize).cloned();
+                self.index =
+                    self.db.inner.catalog.read().unwrap().indexes.get(raw as usize).cloned();
             }
             let idx = self.index.as_ref().ok_or_else(|| {
                 invalid(format!("an index entry at LSN {stamp:?} names unknown index {raw}"))
@@ -408,7 +409,7 @@ impl LogApplier {
         stats.scanned_bytes += payload.len() as u64;
         stats.elapsed = t0.elapsed();
         db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
-        *db.inner.recovered.lock() = *stats;
+        *db.inner.recovered.lock().unwrap() = *stats;
         Ok((applier, floor))
     }
 
@@ -635,7 +636,7 @@ impl Database {
 
         // Under the lock the walk holds: a table created meanwhile waits,
         // and logs its own entry above `begin`.
-        let catalog = self.inner.catalog.read();
+        let catalog = self.inner.catalog.read().unwrap();
         let catalog_end = catalog.append_all(&self.inner.log)?;
         payload.extend_from_slice(&(catalog.tables.len() as u32).to_le_bytes());
         for table in &catalog.tables {

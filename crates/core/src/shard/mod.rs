@@ -94,9 +94,7 @@ mod txn;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Relaxed};
-use std::sync::{Arc, Weak};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock, Weak};
 
 use ermia_common::{IndexId, Lsn, TableId};
 use ermia_log::DecideRecord;
@@ -129,12 +127,12 @@ impl ShardedInner {
     fn routing(&self) -> Arc<Routing> {
         let version = &self.dbs[0].inner.catalog_version;
         {
-            let routing = self.routing.read();
+            let routing = self.routing.read().unwrap();
             if routing.version == version.load(Acquire) {
                 return Arc::clone(&routing);
             }
         }
-        let mut routing = self.routing.write();
+        let mut routing = self.routing.write().unwrap();
         if routing.version != version.load(Acquire) {
             *routing = Arc::new(Routing::from_catalog(&self.dbs[0]));
         }
@@ -171,7 +169,8 @@ impl ShardedDb {
             }
             dbs.push(Database::open(c)?);
         }
-        let catalogs: Vec<_> = dbs.iter().map(|d| d.inner.catalog.read().entries.clone()).collect();
+        let catalogs: Vec<_> =
+            dbs.iter().map(|d| d.inner.catalog.read().unwrap().entries.clone()).collect();
         let (full, longest) =
             catalogs.iter().enumerate().max_by_key(|(_, c)| c.len()).expect("at least one shard");
         for (i, (db, catalog)) in dbs.iter().zip(&catalogs).enumerate() {
@@ -241,7 +240,7 @@ impl ShardedDb {
         let dbs = &self.inner.dbs;
         // Whoever sees shard 0's catalog move waits here for the others'
         // (`ShardedInner::routing`), then reads the new routes off it.
-        let _ddl = self.inner.routing.write();
+        let _ddl = self.inner.routing.write().unwrap();
         let ids = dbs[0].declare(table, secondary, route);
         for (shard, db) in dbs.iter().enumerate().skip(1) {
             let got = db.declare(table, secondary, route);
@@ -654,7 +653,7 @@ mod tests {
                     });
                 }
             });
-            let entries = |i: usize| db.shard(i).inner.catalog.read().entries.clone();
+            let entries = |i: usize| db.shard(i).inner.catalog.read().unwrap().entries.clone();
             assert_eq!(entries(0), entries(1), "round {round}");
             assert_eq!(db.table_count(), 100, "round {round}");
         }

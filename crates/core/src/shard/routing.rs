@@ -118,7 +118,7 @@ pub(super) struct Routing {
 
 impl Routing {
     pub(super) fn from_catalog(db: &Database) -> Routing {
-        let cat = db.inner.catalog.read();
+        let cat = db.inner.catalog.read().unwrap();
         let version = db.inner.catalog_version.load(Acquire);
         let mut tables = vec![ShardPolicy::default(); cat.tables.len()];
         let indexes = cat

@@ -3,10 +3,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ermia_common::CachePadded;
-use parking_lot::Mutex;
 
 /// Sentinel slot value meaning "thread is quiescent" (holds no references
 /// to epoch-managed resources).
@@ -129,7 +128,7 @@ impl EpochManager {
             state: CachePadded::new(AtomicU64::new(QUIESCENT)),
             retired: AtomicBool::new(false),
         });
-        self.shared.slots.lock().push(Arc::clone(&slot));
+        self.shared.slots.lock().unwrap().push(Arc::clone(&slot));
         EpochHandle {
             shared: Arc::clone(&self.shared),
             slot,
@@ -168,7 +167,7 @@ impl EpochManager {
     /// Returns the new open epoch on success.
     pub fn try_advance(&self) -> Option<u64> {
         let shared = &*self.shared;
-        let mut slots = shared.slots.lock();
+        let mut slots = shared.slots.lock().unwrap();
         let global = shared.global.load(Ordering::SeqCst);
         // Prune retired slots while we hold the lock anyway.
         slots.retain(|s| !s.retired.load(Ordering::Acquire));
@@ -185,7 +184,7 @@ impl EpochManager {
         // Notify outside the slots lock so a hook touching the manager
         // (or anything that pins) cannot deadlock against it.
         drop(slots);
-        if let Some(hook) = &*shared.advance_hook.lock() {
+        if let Some(hook) = &*shared.advance_hook.lock().unwrap() {
             hook(global + 1);
         }
         Some(global + 1)
@@ -196,7 +195,7 @@ impl EpochManager {
     /// whichever thread advanced, outside the manager's internal locks —
     /// keep it cheap (a relaxed store / ring event).
     pub fn set_advance_hook(&self, f: impl Fn(u64) + Send + Sync + 'static) {
-        *self.shared.advance_hook.lock() = Some(Box::new(f));
+        *self.shared.advance_hook.lock().unwrap() = Some(Box::new(f));
     }
 
     /// Run destructors whose retirement epoch is proven safe: every
@@ -210,7 +209,7 @@ impl EpochManager {
         // from now on enters an epoch >= the open epoch > r and pinned
         // *after* the resource became unreachable.
         let horizon = {
-            let slots = shared.slots.lock();
+            let slots = shared.slots.lock().unwrap();
             let global = shared.global.load(Ordering::SeqCst);
             slots
                 .iter()
@@ -222,7 +221,7 @@ impl EpochManager {
         };
         let mut ready: Vec<Bag> = Vec::new();
         {
-            let mut garbage = shared.garbage.lock();
+            let mut garbage = shared.garbage.lock().unwrap();
             while garbage.front().is_some_and(|b| b.epoch < horizon) {
                 ready.push(garbage.pop_front().expect("checked front"));
             }
@@ -249,7 +248,7 @@ impl EpochManager {
         let shared = &*self.shared;
         let global = shared.global.load(Ordering::SeqCst);
         let (threads, stragglers) = {
-            let slots = shared.slots.lock();
+            let slots = shared.slots.lock().unwrap();
             let live: Vec<_> =
                 slots.iter().filter(|s| !s.retired.load(Ordering::Acquire)).collect();
             let stragglers = live
@@ -279,7 +278,7 @@ impl EpochManager {
     /// can prove no thread holds references (e.g. single-threaded
     /// shutdown); used by `Drop` plumbing in the engines and by tests.
     pub fn drain_all(&self) -> usize {
-        let bags: Vec<Bag> = self.shared.garbage.lock().drain(..).collect();
+        let bags: Vec<Bag> = self.shared.garbage.lock().unwrap().drain(..).collect();
         let mut freed = 0;
         for bag in bags {
             freed += bag.items.len();
@@ -383,7 +382,7 @@ impl EpochHandle {
             self.local.set(local);
             return;
         }
-        let mut garbage = self.shared.garbage.lock();
+        let mut garbage = self.shared.garbage.lock().unwrap();
         for (epoch, item) in local {
             // Keep the queue sorted by epoch (it naturally is, since
             // epochs are monotonic; out-of-order items from long-pinned

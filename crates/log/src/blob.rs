@@ -10,8 +10,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// A pointer into the blob store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,7 +79,7 @@ impl BlobStore {
         match &self.backing {
             Backing::File(file) => file.write_all_at(bytes, offset)?,
             Backing::Memory(buf) => {
-                let mut buf = buf.lock();
+                let mut buf = buf.lock().unwrap();
                 let end = (offset + len) as usize;
                 if buf.len() < end {
                     buf.resize(end, 0);
@@ -97,7 +96,7 @@ impl BlobStore {
         match &self.backing {
             Backing::File(file) => file.read_exact_at(&mut out, blob.offset)?,
             Backing::Memory(buf) => {
-                let buf = buf.lock();
+                let buf = buf.lock().unwrap();
                 let end = blob.offset as usize + blob.len as usize;
                 if end > buf.len() {
                     return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "blob out of range"));

@@ -63,10 +63,10 @@
 //! `mark_filled` and `mark_flushed` never touch the mutex at all.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use ermia_common::Region;
-use parking_lot::{Condvar, Mutex};
 
 use crate::records::MIN_BLOCK_LEN;
 
@@ -209,7 +209,7 @@ impl RingBuffer {
     /// forever.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        let _guard = self.wake_mx.lock();
+        let _guard = self.wake_mx.lock().unwrap();
         self.space_cv.notify_all();
         self.filled_cv.notify_one();
     }
@@ -300,7 +300,7 @@ impl RingBuffer {
     /// *before* a `SeqCst` fence that precedes this call.
     fn wake_consumer(&self) {
         if self.consumer_parked.load(Ordering::Relaxed) == PARKED_FOR_FILLS {
-            let _guard = self.wake_mx.lock();
+            let _guard = self.wake_mx.lock().unwrap();
             self.filled_cv.notify_one();
         }
     }
@@ -321,7 +321,7 @@ impl RingBuffer {
         // Passing through the mutex is what orders this wake after the
         // consumer's re-check; notifying once it is released spares the
         // woken consumer a second sleep on the mutex.
-        drop(self.wake_mx.lock());
+        drop(self.wake_mx.lock().unwrap());
         self.filled_cv.notify_one();
     }
 
@@ -339,21 +339,18 @@ impl RingBuffer {
         if end.saturating_sub(self.flushed()) <= self.cap {
             return !self.is_poisoned();
         }
-        let mut guard = self.wake_mx.lock();
+        let guard = self.wake_mx.lock().unwrap();
         self.space_waiters.fetch_add(1, Ordering::Relaxed);
         self.space_waits.fetch_add(1, Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        let ok = loop {
-            if self.is_poisoned() {
-                break false;
-            }
-            if end.saturating_sub(self.flushed()) <= self.cap {
-                break true;
-            }
-            self.space_cv.wait(&mut guard);
-        };
+        let _guard = self
+            .space_cv
+            .wait_while(guard, |_| {
+                !self.is_poisoned() && end.saturating_sub(self.flushed()) > self.cap
+            })
+            .unwrap();
         self.space_waiters.fetch_sub(1, Ordering::Relaxed);
-        ok
+        !self.is_poisoned()
     }
 
     /// Copy `bytes` into the ring at logical offset `offset` and mark the
@@ -430,7 +427,7 @@ impl RingBuffer {
         // the single-consumer role.
         #[cfg(debug_assertions)]
         {
-            *self.consumer.lock() = None;
+            *self.consumer.lock().unwrap() = None;
         }
         fence(Ordering::SeqCst);
     }
@@ -595,7 +592,7 @@ impl RingBuffer {
     }
 
     fn park(&self, mode: u32, timeout: Option<Duration>, ready: impl Fn() -> bool) {
-        let mut guard = self.wake_mx.lock();
+        let guard = self.wake_mx.lock().unwrap();
         self.consumer_parked.store(mode, Ordering::Relaxed);
         // Dekker handshake with `mark_filled` and `kick_consumer`:
         // publish that we are parked, then re-check. Either the re-check
@@ -603,14 +600,13 @@ impl RingBuffer {
         // sees `consumer_parked != 0` and notifies under the mutex we
         // hold.
         fence(Ordering::SeqCst);
-        if !ready() {
-            match timeout {
-                Some(t) => {
-                    self.filled_cv.wait_for(&mut guard, t);
-                }
-                None => self.filled_cv.wait(&mut guard),
-            }
-        }
+        let _guard = if ready() {
+            guard
+        } else if let Some(t) = timeout {
+            self.filled_cv.wait_timeout(guard, t).unwrap().0
+        } else {
+            self.filled_cv.wait(guard).unwrap()
+        };
         self.consumer_parked.store(0, Ordering::Relaxed);
     }
 
@@ -685,7 +681,7 @@ impl RingBuffer {
         self.flushed.store(to, Ordering::Release);
         fence(Ordering::SeqCst);
         if self.space_waiters.load(Ordering::Relaxed) != 0 {
-            let _guard = self.wake_mx.lock();
+            let _guard = self.wake_mx.lock().unwrap();
             self.space_cv.notify_all();
         }
     }
@@ -698,7 +694,7 @@ impl RingBuffer {
         #[cfg(debug_assertions)]
         {
             let me = std::thread::current().id();
-            let mut owner = self.consumer.lock();
+            let mut owner = self.consumer.lock().unwrap();
             match *owner {
                 None => *owner = Some(me),
                 Some(t) => debug_assert_eq!(
@@ -726,6 +722,17 @@ mod tests {
     /// Test helper: scan, then report the watermark (the consumer role).
     fn filled_now(rb: &RingBuffer) -> u64 {
         rb.advance_filled()
+    }
+
+    /// Test helper: yield until `published` holds — a waiter publishes
+    /// that it is parked (`has_space_waiters`, `consumer_parked`) under
+    /// the mutex, just before it sleeps on the condvar.
+    fn spin_until(published: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !published() {
+            assert!(start.elapsed() < Duration::from_secs(10), "the waiter never parked");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -789,7 +796,7 @@ mod tests {
             assert!(rb2.wait_for_space(192)); // needs flushed >= 96
             rb2.write(96, &[2; 96]);
         });
-        std::thread::sleep(Duration::from_millis(20));
+        spin_until(|| rb.has_space_waiters());
         assert_eq!(rb.scan_tip(), 96, "writer must not proceed before flush");
         rb.mark_flushed(96);
         t.join().unwrap();
@@ -821,8 +828,7 @@ mod tests {
                 assert!(rb2.wait_for_space(192));
                 std::time::Instant::now()
             });
-            // Let the waiter park.
-            std::thread::sleep(Duration::from_millis(2));
+            spin_until(|| rb.has_space_waiters());
             let released = std::time::Instant::now();
             rb.mark_flushed(96);
             let woke = t.join().unwrap();
@@ -852,8 +858,7 @@ mod tests {
                 let got = rb2.wait_filled(0, Some(Duration::from_secs(5)), || false);
                 (got, std::time::Instant::now())
             });
-            // Let the consumer park.
-            std::thread::sleep(Duration::from_millis(2));
+            spin_until(|| rb.consumer_parked.load(Ordering::Relaxed) != 0);
             let released = std::time::Instant::now();
             rb.mark_filled(0, 32);
             let (got, woke) = t.join().unwrap();
@@ -879,7 +884,7 @@ mod tests {
             let got = rb2.wait_filled(0, Some(Duration::from_millis(80)), || false);
             (got, start.elapsed())
         });
-        std::thread::sleep(Duration::from_millis(5));
+        spin_until(|| rb.consumer_parked.load(Ordering::Relaxed) != 0);
         rb.mark_filled(0, 32); // 32 < cap/4, demand = MAX
         let (got, waited) = t.join().unwrap();
         assert_eq!(got, 32, "the timeout scan still observes the fill");
@@ -905,7 +910,7 @@ mod tests {
             });
             start.elapsed()
         });
-        std::thread::sleep(Duration::from_millis(5));
+        spin_until(|| rb.consumer_parked.load(Ordering::Relaxed) != 0);
         rb.mark_filled(0, 32); // below the demand: would wake a consumer parked for fills
         rb.kick_if_unwritten(32);
         std::thread::sleep(Duration::from_millis(60));
@@ -923,7 +928,7 @@ mod tests {
         rb.advance_filled();
         let rb2 = std::sync::Arc::clone(&rb);
         let t = std::thread::spawn(move || rb2.wait_for_space(192));
-        std::thread::sleep(Duration::from_millis(20));
+        spin_until(|| rb.has_space_waiters());
         rb.poison();
         assert!(!t.join().unwrap(), "poisoned wait must report failure");
         assert!(!rb.wait_for_space(128), "fast path also observes poison");

@@ -186,12 +186,11 @@ use std::collections::VecDeque;
 use std::io;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ermia_common::LogError;
-use parking_lot::{Condvar, Mutex};
 
 use crate::manager::{LogInner, SyncCause, WaiterSlot};
 use crate::plan::{Failed, Next, Plan, Published, Snapshot, MAX_SYNCS_IN_FLIGHT};
@@ -259,14 +258,14 @@ struct BoardState {
 }
 
 fn helper(inner: &LogInner, board: &SyncBoard) {
-    let mut state = board.state.lock();
+    let mut state = board.state.lock().unwrap();
     loop {
         let Some(SyncJob { slot, touched }) = state.jobs.pop_front() else {
             if state.shutdown {
                 return;
             }
             state.idle += 1;
-            board.work.wait(&mut state);
+            state = board.work.wait(state).unwrap();
             state.idle -= 1;
             continue;
         };
@@ -282,14 +281,14 @@ fn helper(inner: &LogInner, board: &SyncBoard) {
         }))
         .unwrap_or_else(|_| Err(io::Error::other("segment backend panicked in sync_data")));
         let ns = start.elapsed().as_nanos() as u64;
-        state = board.state.lock();
+        state = board.state.lock().unwrap();
         state.done[slot] = Some(SyncDone { result, ns, touched });
         // Release, for the flusher's Acquire loads of the count; the
         // result itself travels under the lock.
         board.posted.fetch_add(1, Ordering::Release);
         drop(state);
         inner.buffer.kick_consumer();
-        state = board.state.lock();
+        state = board.state.lock().unwrap();
     }
 }
 
@@ -459,7 +458,7 @@ impl Flusher {
         self.inner.stats.syncs_in_flight.store(self.plan.in_flight() as u64, Ordering::Relaxed);
         self.inner.stats.sync_starts[cause as usize].fetch_add(1, Ordering::Relaxed);
         let short_of_helpers = {
-            let mut state = self.board.state.lock();
+            let mut state = self.board.state.lock().unwrap();
             state.jobs.push_back(SyncJob { slot, touched });
             state.jobs.len() > state.idle
         };
@@ -481,7 +480,7 @@ impl Flusher {
         if self.board.posted.load(Ordering::Acquire) == self.collected {
             return;
         }
-        let mut state = self.board.state.lock();
+        let mut state = self.board.state.lock().unwrap();
         for (slot, posted) in state.done.iter_mut().enumerate() {
             if let Some(SyncDone { result, ns, mut touched }) = posted.take() {
                 self.plan.complete(slot, result.is_ok(), ns);
@@ -552,7 +551,7 @@ impl Flusher {
             });
         }
         self.inner.stats.syncs_in_flight.store(0, Ordering::Relaxed);
-        self.board.state.lock().shutdown = true;
+        self.board.state.lock().unwrap().shutdown = true;
         self.board.work.notify_all();
         for helper in self.helpers.drain(..) {
             let _ = helper.join();
@@ -564,7 +563,7 @@ impl Flusher {
 /// and wake every durability waiter so they observe the error instead of
 /// blocking until their timeout.
 fn poison(inner: &LogInner, err: &io::Error) {
-    *inner.poison_cause.lock() =
+    *inner.poison_cause.lock().unwrap() =
         Some(LogError::Poisoned { kind: err.kind(), detail: err.to_string() });
     inner.poisoned.store(true, Ordering::Release);
     inner.stats.log_poisoned.store(1, Ordering::Release);
@@ -572,7 +571,7 @@ fn poison(inner: &LogInner, err: &io::Error) {
     inner.notify_all_waiters();
     // Last, after every waiter can already observe the poison: let the
     // database layer flip itself into degraded read-only mode.
-    inner.poison_hook.lock().fire();
+    inner.poison_hook.lock().unwrap().fire();
 }
 
 fn is_transient(kind: io::ErrorKind) -> bool {

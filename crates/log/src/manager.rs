@@ -3,11 +3,10 @@
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use ermia_common::{CachePadded, LogError, Lsn};
-use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::RingBuffer;
 use crate::flusher;
@@ -147,7 +146,7 @@ pub(crate) struct WaiterSlot {
 
 impl WaiterSlot {
     fn wake(&self) {
-        *self.woken.lock() = true;
+        *self.woken.lock().unwrap() = true;
         self.cv.notify_one();
     }
 }
@@ -170,14 +169,12 @@ impl DurableWaker {
     /// Sleep until woken or until `timeout` passes (`None`: no limit),
     /// consuming the wake.
     pub fn wait(&self, timeout: Option<Duration>) {
-        let mut woken = self.0.woken.lock();
+        let mut woken = self.0.woken.lock().unwrap();
         if !*woken {
-            match timeout {
-                Some(t) => {
-                    self.0.cv.wait_for(&mut woken, t);
-                }
-                None => self.0.cv.wait(&mut woken),
-            }
+            woken = match timeout {
+                Some(t) => self.0.cv.wait_timeout(woken, t).unwrap().0,
+                None => self.0.cv.wait(woken).unwrap(),
+            };
         }
         *woken = false;
     }
@@ -277,7 +274,7 @@ impl LogInner {
     /// Republishes the lowest demand.
     fn register_waiter(&self, target: u64, slot: &Arc<WaiterSlot>) -> (u64, u64) {
         let key = (target, self.waiters.seq.fetch_add(1, Ordering::Relaxed));
-        let mut map = self.waiters.map.lock();
+        let mut map = self.waiters.map.lock().unwrap();
         map.insert(key, Arc::clone(slot));
         let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
         self.buffer.set_demand(lowest);
@@ -288,7 +285,7 @@ impl LogInner {
     /// Remove a registration (timeout / poison / fast-path exit). The
     /// flusher may already have popped it — that is fine.
     fn deregister_waiter(&self, key: (u64, u64)) {
-        let mut map = self.waiters.map.lock();
+        let mut map = self.waiters.map.lock().unwrap();
         map.remove(&key);
         let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
         self.buffer.set_demand(lowest);
@@ -299,7 +296,7 @@ impl LogInner {
     /// `ready` is the flusher's scratch list, left empty.
     pub(crate) fn notify_durable(&self, durable: u64, ready: &mut Vec<Arc<WaiterSlot>>) {
         {
-            let mut map = self.waiters.map.lock();
+            let mut map = self.waiters.map.lock().unwrap();
             while let Some((&key, _)) = map.first_key_value() {
                 if key.0 > durable {
                     break;
@@ -325,7 +322,7 @@ impl LogInner {
     /// terminal error instead of sleeping to its deadline.
     pub(crate) fn notify_all_waiters(&self) {
         let all: Vec<Arc<WaiterSlot>> = {
-            let mut map = self.waiters.map.lock();
+            let mut map = self.waiters.map.lock().unwrap();
             self.buffer.set_demand(u64::MAX);
             let drained = std::mem::take(&mut *map);
             drained.into_values().collect()
@@ -706,7 +703,7 @@ impl LogManager {
 
     /// The error that poisoned the log, if it is poisoned.
     pub fn poison_cause(&self) -> Option<LogError> {
-        self.inner.poison_cause.lock().clone()
+        self.inner.poison_cause.lock().unwrap().clone()
     }
 
     fn poison_cause_or_default(&self) -> LogError {
@@ -724,7 +721,7 @@ impl LogManager {
         if end > inner.resume_gap_hi.load(Ordering::Acquire) {
             return false;
         }
-        inner.resume_gaps.lock().iter().any(|&(lo, hi)| end > lo && end <= hi)
+        inner.resume_gaps.lock().unwrap().iter().any(|&(lo, hi)| end > lo && end <= hi)
     }
 
     /// Register a callback invoked exactly once per poisoning: from the
@@ -733,7 +730,7 @@ impl LogManager {
     /// 0 — from this call. The database layer hooks its transition to
     /// degraded read-only mode here.
     pub fn set_poison_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        let mut slot = self.inner.poison_hook.lock();
+        let mut slot = self.inner.poison_hook.lock().unwrap();
         slot.hook = Some(Box::new(hook));
         // `poison` raises the flag before it takes this lock: whichever of
         // the two takes it second sees the other's half.
@@ -755,7 +752,7 @@ impl LogManager {
     /// against a concurrent poisoning.
     #[doc(hidden)]
     pub fn poison_quietly_for_test(&self, cause: LogError) {
-        *self.inner.poison_cause.lock() = Some(cause);
+        *self.inner.poison_cause.lock().unwrap() = Some(cause);
         self.inner.poisoned.store(true, Ordering::Release);
     }
 
@@ -797,7 +794,7 @@ impl LogManager {
         let inner = &*self.inner;
         // Holding the flusher handle lock for the whole walk serializes
         // concurrent resumes.
-        let mut flusher = self.flusher.lock();
+        let mut flusher = self.flusher.lock().unwrap();
         if !inner.poisoned.load(Ordering::Acquire) {
             return Ok(());
         }
@@ -818,15 +815,15 @@ impl LogManager {
         let next = inner.next.load(Ordering::SeqCst);
         self.write_gap_skips(durable, next)?;
         if next > durable {
-            let mut gaps = inner.resume_gaps.lock();
+            let mut gaps = inner.resume_gaps.lock().unwrap();
             gaps.push((durable, next));
             let hi = gaps.iter().map(|&(_, hi)| hi).max().unwrap_or(0);
             inner.resume_gap_hi.store(hi, Ordering::Release);
         }
         inner.durable.store(next, Ordering::Release);
         inner.buffer.reset(next);
-        *inner.poison_cause.lock() = None;
-        inner.poison_hook.lock().ran = false;
+        *inner.poison_cause.lock().unwrap() = None;
+        inner.poison_hook.lock().unwrap().ran = false;
         inner.stats.log_poisoned.store(0, Ordering::Release);
         inner.stop.store(false, Ordering::Release);
         *flusher = Some(flusher::spawn(Arc::clone(&self.inner)));
@@ -962,7 +959,7 @@ impl LogManager {
     #[doc(hidden)]
     pub fn halt_flusher_for_test(&self) {
         self.inner.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.flusher.lock().take() {
+        if let Some(handle) = self.flusher.lock().unwrap().take() {
             let _ = handle.join();
         }
         self.inner.stop.store(false, Ordering::Release);
@@ -981,7 +978,7 @@ impl LogManager {
 
 /// The `io::Error` surfaced by [`LogManager::allocate`] on a poisoned log.
 fn poisoned_error(inner: &LogInner) -> io::Error {
-    let detail = match &*inner.poison_cause.lock() {
+    let detail = match &*inner.poison_cause.lock().unwrap() {
         Some(cause) => cause.to_string(),
         None => "log poisoned".to_string(),
     };
@@ -993,7 +990,7 @@ impl Drop for LogManager {
     /// every sync in flight, publishes them and joins its helpers.
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.flusher.lock().take() {
+        if let Some(handle) = self.flusher.lock().unwrap().take() {
             let _ = handle.join();
         }
     }

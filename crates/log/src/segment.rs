@@ -8,11 +8,10 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 use ermia_common::lsn::{NUM_SEGMENTS, SEGMENT_BITS};
 use ermia_common::Lsn;
-use parking_lot::{Mutex, RwLock};
 
 use crate::io::{SegmentIo, SegmentIoFactory};
 
@@ -136,7 +135,7 @@ impl SegmentTable {
     /// Snapshot of the segment currently accepting allocations.
     #[inline]
     pub fn current(&self) -> Arc<Segment> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read().unwrap())
     }
 
     pub fn segment_size(&self) -> u64 {
@@ -149,7 +148,7 @@ impl SegmentTable {
     /// winner and losers observe the rotation already done. Returns the
     /// now-current segment.
     pub fn open_next(&self, old_index: u64, new_start: u64) -> io::Result<Arc<Segment>> {
-        let _g = self.rotate.lock();
+        let _g = self.rotate.lock().unwrap();
         let cur = self.current();
         if cur.index != old_index {
             // Lost the race; the winner already rotated.
@@ -163,15 +162,15 @@ impl SegmentTable {
             new_start,
             new_start + self.segment_size,
         )?);
-        self.history.lock().push(Arc::clone(&next));
-        *self.current.write() = Arc::clone(&next);
+        self.history.lock().unwrap().push(Arc::clone(&next));
+        *self.current.write().unwrap() = Arc::clone(&next);
         Ok(next)
     }
 
     /// Find the segment that maps logical offset `offset`, if any (dead
     /// zones map to no segment).
     pub fn lookup(&self, offset: u64) -> Option<Arc<Segment>> {
-        let history = self.history.lock();
+        let history = self.history.lock().unwrap();
         // Segments are sorted by start; binary search the last with
         // start <= offset.
         let idx = history.partition_point(|s| s.start <= offset);
@@ -185,13 +184,13 @@ impl SegmentTable {
     /// Start of the first segment beginning above `offset`: where a walk
     /// standing in a dead zone lands next. `None` past the last segment.
     pub fn next_start_after(&self, offset: u64) -> Option<u64> {
-        let history = self.history.lock();
+        let history = self.history.lock().unwrap();
         history.get(history.partition_point(|s| s.start <= offset)).map(|s| s.start)
     }
 
     /// All segments, oldest first.
     pub fn all(&self) -> Vec<Arc<Segment>> {
-        self.history.lock().clone()
+        self.history.lock().unwrap().clone()
     }
 
     /// Drop (and delete the files of) all segments whose range lies
@@ -199,7 +198,7 @@ impl SegmentTable {
     /// The caller must guarantee no reader needs them (i.e. a checkpoint
     /// at or above `offset` exists and is durable).
     pub fn retire_below(&self, offset: u64) -> io::Result<usize> {
-        let mut history = self.history.lock();
+        let mut history = self.history.lock().unwrap();
         let mut retired = 0;
         history.retain(|seg| {
             if seg.end <= offset {

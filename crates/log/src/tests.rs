@@ -412,6 +412,41 @@ fn sync_commit_latency_is_demand_driven_not_interval_driven() {
     }
 }
 
+/// A `DurableWaker`'s wake is a level, not a count: one that lands before
+/// the wait is kept for it, one wait consumes it, and two wakes before a
+/// wait are one.
+#[test]
+fn durable_waker_wake_is_a_level_one_wait_consumes() {
+    use crate::DurableWaker;
+    use std::time::{Duration, Instant};
+    const WINDOW: Duration = Duration::from_millis(20);
+    let waker = DurableWaker::default();
+    let consumed = |waker: &DurableWaker| {
+        let start = Instant::now();
+        waker.wait(Some(WINDOW));
+        start.elapsed() >= WINDOW
+    };
+
+    // Woken first: the wait returns at once and takes the wake with it.
+    waker.wake();
+    waker.wait(None);
+    assert!(consumed(&waker), "a wait returned early on a wake already consumed");
+
+    // Woken by another thread while this one sleeps with no deadline.
+    std::thread::scope(|s| {
+        let other = waker.clone();
+        s.spawn(move || other.wake());
+        waker.wait(None);
+    });
+    assert!(consumed(&waker), "the cross-thread wake was left behind");
+
+    // Two wakes, one level: the first wait takes both.
+    waker.wake();
+    waker.wake();
+    waker.wait(None);
+    assert!(consumed(&waker), "a second wake was counted");
+}
+
 /// The fault plan's `sync_linger`: the sync has finished and its return
 /// is held back, so the block is on the device — a fresh scanner reads
 /// it, as recovery after a kill would — while the log has told nobody:

@@ -16,7 +16,7 @@
 //! * [`Client`] — a pipelined client library used by the loopback bench
 //!   harness and the examples.
 //!
-//! The layer is std-only (plus the workspace's vendored `parking_lot`):
+//! The layer is std-only:
 //! no async runtime, no serialization framework, no `libc` crate.
 //! Threads scale with shards + workers, never with connections — the
 //! engine, not the front end, is meant to be the bottleneck.

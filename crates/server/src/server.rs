@@ -22,13 +22,12 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ermia::{ShardedDb, WorkerPool};
 use ermia_log::DurableWaker;
 use ermia_telemetry::{EventRing, Sample, SpanRing};
-use parking_lot::Mutex;
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
@@ -306,7 +305,7 @@ impl Server {
         for shard in &self.state.shards {
             shard.wake.wake();
         }
-        if let Some(threads) = self.threads.lock().take() {
+        if let Some(threads) = self.threads.lock().unwrap().take() {
             for h in threads {
                 let _ = h.join();
             }

@@ -296,7 +296,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
 
         // Connections handed over from the accepting shard.
         let inbound: Vec<TcpStream> = {
-            let mut inbox = handle.inbox.lock();
+            let mut inbox = handle.inbox.lock().unwrap();
             if inbox.is_empty() {
                 Vec::new()
             } else {
@@ -318,7 +318,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
 
         // Resolved durability waits.
         let comps: Vec<Completion> = {
-            let mut c = handle.completions.lock();
+            let mut c = handle.completions.lock().unwrap();
             if c.is_empty() {
                 Vec::new()
             } else {
@@ -534,7 +534,7 @@ fn accept_burst(
         if target == 0 {
             admit(state, &state.shards[0], poller, conns, next_token, stream);
         } else {
-            state.shards[target].inbox.lock().push(stream);
+            state.shards[target].inbox.lock().unwrap().push(stream);
             state.shards[target].wake.wake();
         }
     }
@@ -1021,7 +1021,7 @@ fn settle_commit(
     let job = ParkJob { conn: conn.token, seq, work: commit, reply, enqueued, trace };
     if published.is_some() {
         // With the rest of this turn's, when the turn ends.
-        return handle.outbox.lock().push(job);
+        return handle.outbox.lock().unwrap().push(job);
     }
     // Not even committed before its prepares are durable, sync or not.
     // It goes to the parker now: this thread may yet wait on one of its
@@ -1051,7 +1051,7 @@ fn post_outbox(
     conns: &mut HashMap<u64, Conn>,
     touched: &mut Vec<u64>,
 ) {
-    let mut outbox = handle.outbox.lock();
+    let mut outbox = handle.outbox.lock().unwrap();
     if outbox.is_empty() {
         return;
     }
@@ -1069,7 +1069,7 @@ fn post_outbox(
 /// once for the lot. The log offsets the posted jobs wait on join the
 /// flush demand this turn raises when it ends ([`raise_flush_demand`]).
 fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<ParkJob>)) {
-    let mut intake = handle.park_in.lock();
+    let mut intake = handle.park_in.lock().unwrap();
     if !intake.open {
         return;
     }
@@ -1392,7 +1392,7 @@ fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u6
 
 /// Close the parker's intake: it resolves what it holds and exits.
 fn close_parker(handle: &ShardHandle) {
-    handle.park_in.lock().open = false;
+    handle.park_in.lock().unwrap().open = false;
     handle.park_waker.wake();
 }
 
@@ -1475,7 +1475,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
     let mut answered: Vec<DeferredCommit> = Vec::new();
     loop {
         let open = {
-            let mut intake = handle.park_in.lock();
+            let mut intake = handle.park_in.lock().unwrap();
             parked.extend(intake.jobs.drain(..).map(|job| {
                 let deadline = job.enqueued + state.cfg.sync_wait;
                 Parked { job, deadline, subs: Vec::new() }
@@ -1516,7 +1516,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
         // out once the replies are queued; before the wake, so a client
         // that asks for its trace next finds the `2pc-decide` span.
         if !done.is_empty() {
-            handle.completions.lock().extend(done);
+            handle.completions.lock().unwrap().extend(done);
             for mut commit in answered.drain(..) {
                 commit.write_verdict(&mut resolver);
             }

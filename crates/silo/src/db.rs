@@ -2,13 +2,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use ermia_common::{IndexId, TableId};
 use ermia_epoch::{EpochHandle, EpochManager, Ticker};
 use ermia_index::BTree;
-use parking_lot::RwLock;
 
 use crate::txn::{SiloTxn, TxnMode};
 
@@ -70,14 +69,14 @@ pub(crate) struct SiloInner {
     pub stop: AtomicBool,
     /// Active read-only snapshot epochs (snap → refcount): the snapshot
     /// chains may be trimmed only behind the oldest of these.
-    pub ro_active: parking_lot::Mutex<std::collections::BTreeMap<u64, u32>>,
+    pub ro_active: Mutex<std::collections::BTreeMap<u64, u32>>,
 }
 
 impl Drop for SiloInner {
     fn drop(&mut self) {
         // Free every record (data buffer + snapshot chain). Single
         // ownership at teardown; the trees free their own nodes/keys.
-        let catalog = self.catalog.get_mut();
+        let catalog = self.catalog.get_mut().unwrap();
         let mgr = EpochManager::new("silo-teardown");
         let h = mgr.register();
         let g = h.pin();
@@ -146,7 +145,7 @@ impl SiloDb {
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            ro_active: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
+            ro_active: Mutex::new(std::collections::BTreeMap::new()),
             cfg,
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -180,12 +179,12 @@ impl SiloDb {
     /// Create (or look up) a table.
     pub fn create_table(&self, name: &str) -> TableId {
         {
-            let c = self.inner.catalog.read();
+            let c = self.inner.catalog.read().unwrap();
             if let Some(&id) = c.table_names.get(name) {
                 return id;
             }
         }
-        let mut c = self.inner.catalog.write();
+        let mut c = self.inner.catalog.write().unwrap();
         if let Some(&id) = c.table_names.get(name) {
             return id;
         }
@@ -202,12 +201,12 @@ impl SiloDb {
     /// record pointer of the primary record; keys must be immutable).
     pub fn create_secondary_index(&self, _table: TableId, name: &str) -> IndexId {
         {
-            let c = self.inner.catalog.read();
+            let c = self.inner.catalog.read().unwrap();
             if let Some(&id) = c.index_names.get(name) {
                 return id;
             }
         }
-        let mut c = self.inner.catalog.write();
+        let mut c = self.inner.catalog.write().unwrap();
         if let Some(&id) = c.index_names.get(name) {
             return id;
         }
@@ -218,23 +217,23 @@ impl SiloDb {
     }
 
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.inner.catalog.read().table_names.get(name).copied()
+        self.inner.catalog.read().unwrap().table_names.get(name).copied()
     }
 
     pub fn index_id(&self, name: &str) -> Option<IndexId> {
-        self.inner.catalog.read().index_names.get(name).copied()
+        self.inner.catalog.read().unwrap().index_names.get(name).copied()
     }
 
     pub fn primary_index(&self, table: TableId) -> IndexId {
-        self.inner.catalog.read().tables[table.0 as usize].primary_index
+        self.inner.catalog.read().unwrap().tables[table.0 as usize].primary_index
     }
 
     pub(crate) fn table(&self, id: TableId) -> Arc<SiloTable> {
-        Arc::clone(&self.inner.catalog.read().tables[id.0 as usize])
+        Arc::clone(&self.inner.catalog.read().unwrap().tables[id.0 as usize])
     }
 
     pub(crate) fn index(&self, id: IndexId) -> Arc<SiloIndex> {
-        Arc::clone(&self.inner.catalog.read().indexes[id.0 as usize])
+        Arc::clone(&self.inner.catalog.read().unwrap().indexes[id.0 as usize])
     }
 
     /// Register the calling thread.

@@ -66,7 +66,7 @@ impl<'w> SiloTxn<'w> {
         let guard = rcu_handle.pin();
         let snap = db.inner.snap_epoch.load(Ordering::Acquire);
         if mode == TxnMode::ReadOnly && db.inner.cfg.snapshots {
-            *db.inner.ro_active.lock().entry(snap).or_insert(0) += 1;
+            *db.inner.ro_active.lock().unwrap().entry(snap).or_insert(0) += 1;
         }
         SiloTxn {
             db,
@@ -599,7 +599,8 @@ impl<'w> SiloTxn<'w> {
             // entry with snap_epoch < S. With horizon = the oldest
             // active read-only snapshot, everything strictly after the
             // first entry below the horizon is unreachable.
-            let horizon = self.db.inner.ro_active.lock().keys().next().copied().unwrap_or(snap_now);
+            let horizon =
+                self.db.inner.ro_active.lock().unwrap().keys().next().copied().unwrap_or(snap_now);
             let mut cur = unsafe { &*entry }.next.load(Ordering::Acquire);
             let mut prev = entry;
             while !cur.is_null() {
@@ -650,7 +651,7 @@ impl<'w> SiloTxn<'w> {
     fn finish(&mut self) {
         self.finished = true;
         if self.mode == TxnMode::ReadOnly && self.db.inner.cfg.snapshots {
-            let mut active = self.db.inner.ro_active.lock();
+            let mut active = self.db.inner.ro_active.lock().unwrap();
             if let Some(count) = active.get_mut(&self.snap) {
                 *count -= 1;
                 if *count == 0 {

@@ -36,12 +36,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ermia_common::{Lsn, Oid, Stamp, TableId};
 use ermia_epoch::EpochManager;
-use parking_lot::Mutex;
 
 use crate::oid_array::OidArray;
 use crate::version::{defer_release, Version, VersionPool};
@@ -103,7 +102,7 @@ impl RetireQueue {
         }
         // Counted before it can be popped: the gauge never dips below 0.
         self.stats.retire_backlog.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        self.handed.lock().extend_from_slice(entries);
+        self.handed.lock().unwrap().extend_from_slice(entries);
     }
 
     pub fn stats(&self) -> &Arc<GcStats> {
@@ -121,7 +120,7 @@ impl RetireQueue {
         guard: &ermia_epoch::Guard<'_>,
         pool: Option<&Arc<VersionPool>>,
     ) -> u64 {
-        let _turn = self.sweeper.lock();
+        let _turn = self.sweeper.lock().unwrap();
         sweep_array(arr, horizon, guard, pool)
     }
 }
@@ -203,7 +202,7 @@ impl<H: Fn() -> Lsn, A: Fn(TableId) -> Option<Arc<OidArray>>> Collector<H, A> {
     /// One tick: take what was handed off, visit every chain whose entry
     /// the horizon has passed. Returns the versions reclaimed.
     fn pass(&mut self) -> u64 {
-        let mut handed = self.queue.handed.lock();
+        let mut handed = self.queue.handed.lock().unwrap();
         if !handed.is_empty() {
             // Leave a drained buffer at least as roomy as the one taken:
             // growth is paid here, once, not by committers a few entries
@@ -221,7 +220,7 @@ impl<H: Fn() -> Lsn, A: Fn(TableId) -> Option<Arc<OidArray>>> Collector<H, A> {
         let h = (self.horizon)();
         let (mut reclaimed, mut visited) = (0, 0);
         while self.due(h) {
-            let turn = self.queue.sweeper.lock();
+            let turn = self.queue.sweeper.lock().unwrap();
             let guard = self.handle.pin();
             let batch_end = visited + VISIT_BATCH;
             while visited < batch_end && self.due(h) {

@@ -13,10 +13,9 @@
 
 use std::alloc::{self, Layout};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ermia_common::{Lsn, Stamp};
-use parking_lot::Mutex;
 
 /// One version of a database record: this header, then `cap` payload
 /// bytes in the same allocation (read them through [`Version::data`]).
@@ -216,7 +215,7 @@ impl VersionPool {
     /// pool is full.
     pub unsafe fn release(&self, ptr: *mut Version) {
         debug_assert!(!ptr.is_null());
-        let mut free = self.free.lock();
+        let mut free = self.free.lock().unwrap();
         if free.len() < self.cap {
             free.push(ptr);
         } else {
@@ -227,7 +226,7 @@ impl VersionPool {
 
     /// Pop up to `n` nodes into `out`. Returns how many were moved.
     fn fill(&self, out: &mut Vec<*mut Version>, n: usize) -> usize {
-        let mut free = self.free.lock();
+        let mut free = self.free.lock().unwrap();
         let take = n.min(free.len());
         let split = free.len() - take;
         out.extend(free.drain(split..));
@@ -236,13 +235,13 @@ impl VersionPool {
 
     /// Nodes currently pooled (tests/stats).
     pub fn pooled(&self) -> usize {
-        self.free.lock().len()
+        self.free.lock().unwrap().len()
     }
 }
 
 impl Drop for VersionPool {
     fn drop(&mut self) {
-        for ptr in self.free.get_mut().drain(..) {
+        for ptr in self.free.get_mut().unwrap().drain(..) {
             // SAFETY: the pool exclusively owns pooled nodes.
             unsafe { Version::free(ptr) };
         }
