@@ -15,7 +15,8 @@
 //! addresses, 16 bytes an OID — in which an image replaces the entry iff
 //! `(stamp, address)` is greater: stamps order transactions (and the
 //! fuzzy checkpoint against the log), addresses order the images one
-//! transaction wrote of the same OID. Step 2 passes over the same bytes
+//! transaction wrote of the same OID, and at equal stamps the log's
+//! record beats the checkpoint's image. Step 2 passes over the same bytes
 //! again and builds the one image per OID the array names: a head
 //! installed once over null, a key indexed once. Nothing is stacked, so
 //! nothing is handed to the retire queue and the collector never hears
@@ -26,6 +27,15 @@
 //! reproduction has no buffer manager, so a checkpoint carries keys and
 //! payloads inline (addresses into it are tagged [`CKPT`]) and step 2
 //! builds every live row eagerly before the database serves.
+//!
+//! **The walk.** [`Database::checkpoint`] walks each index once, in key
+//! order, over the whole key space: a primary index yields `(key, OID)`
+//! and the OID's head the newest committed version — that pair is a row —
+//! and a secondary index yields its entries. A rolled-back insert's long
+//! key and a collected chain are freed through the engine's epoch, so the
+//! walk pins it — per [`WALK_BATCH`] entries, resuming at the first key
+//! not yet written, since a pin held across the walk would hold back every
+//! deferred free as long. Step 1 is keyed by OID: row order is immaterial.
 //!
 //! The live tail ([`LogApplier::apply_available`] on a serving replica)
 //! *does* stack versions as the commits did, because snapshots below the
@@ -38,7 +48,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ermia_common::{Lsn, Oid, Stamp, TableId};
-use ermia_epoch::Guard;
+use ermia_epoch::{EpochHandle, Guard};
+use ermia_index::{BTree, ScanControl};
 use ermia_log::{
     BlobRef, BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind,
     LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
@@ -84,8 +95,7 @@ pub struct RecoveryStats {
 pub struct InDoubtTxn {
     /// Shard that coordinated the global transaction.
     pub coord_shard: u32,
-    /// How many shards prepared for it, from the prepare marker; 0 in a
-    /// log written before markers carried the count.
+    /// How many shards prepared for it, from the prepare marker.
     pub participants: u32,
     /// Raw LSN of the coordinator's prepare block (with `coord_shard`,
     /// the global transaction id).
@@ -155,13 +165,16 @@ impl VerdictSet {
 /// the logical offset of a record header, which never has the bit).
 const CKPT: u64 = 1 << 63;
 
-/// An image's raw commit stamp and address; `(0, 0)` is no image (offset 0
-/// of every log is a skip block, so neither is ever 0).
+/// An image's rank: its raw commit stamp, then its address with the
+/// [`CKPT`] tag flipped — at equal stamps the log's record, whose key is
+/// its transaction's own, beats the checkpoint's image, which the walk may
+/// have paired with the key of a rolled-back insert whose OID a later
+/// insert took. `(0, 0)` is no image: no stamp is 0 (a log opens with a
+/// skip block).
 type Winner = (u64, u64);
 
-/// Step 1's result: per table, OID → the newest image seen, in pages of
-/// [`Winners::PAGE`] entries so the table costs its 16 bytes an OID and
-/// no more.
+/// Step 1's result: per table, OID → the highest-ranked image seen, in
+/// pages of [`Winners::PAGE`] entries so the table costs its 16 bytes an OID.
 #[derive(Default)]
 struct Winners {
     by_table: Vec<Vec<Box<[Winner]>>>,
@@ -180,13 +193,13 @@ impl Winners {
         if pages.len() <= page {
             pages.resize_with(page + 1, || vec![(0, 0); Self::PAGE].into());
         }
-        pages[page][slot] = pages[page][slot].max((stamp.raw(), addr));
+        pages[page][slot] = pages[page][slot].max((stamp.raw(), addr ^ CKPT));
     }
 
     fn holds(&self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
         let pages = self.by_table.get(table.0 as usize);
         let page = pages.and_then(|p| p.get(oid.0 as usize / Self::PAGE));
-        page.is_some_and(|p| p[oid.0 as usize % Self::PAGE] == (stamp.raw(), addr))
+        page.is_some_and(|p| p[oid.0 as usize % Self::PAGE] == (stamp.raw(), addr ^ CKPT))
     }
 }
 
@@ -586,13 +599,58 @@ fn walk_checkpoint<'p>(
 //     per record: u32 oid, u64 clsn_raw, u8 tombstone,
 //                 u16 key_len, u32 val_len, key, val
 //   u32 nsecondary
+//   per secondary index: u32 nentries
 //     per entry: u32 index_id, u32 oid, u16 key_len, key
 
+/// Index entries the checkpoint walk handles under one pin of the
+/// engine's epoch (module docs, "The walk"): the pin costs nothing next to
+/// them, and a free deferred meanwhile waits for one batch, not the walk.
+const WALK_BATCH: usize = 1024;
+
+/// Append to `payload` a u32 count, then the rows `row` writes for the
+/// entries of `tree` in key order (it says whether it wrote one). `handle`
+/// is pinned for at most [`WALK_BATCH`] entries at a time, and the walk
+/// resumes at the first key not yet handed over; `row` runs under the pin,
+/// so what it reaches through the engine's epoch stays allocated.
+fn walk_index(
+    handle: &EpochHandle,
+    tree: &BTree,
+    payload: &mut Vec<u8>,
+    mut row: impl FnMut(&mut Vec<u8>, &[u8], u64) -> bool,
+) {
+    let (at, mut rows) = (payload.len(), 0u32);
+    payload.extend_from_slice(&[0; 4]);
+    let (mut from, mut next) = (Vec::new(), Vec::new());
+    loop {
+        let (mut room, mut more) = (WALK_BATCH, false);
+        let mut entry = |key: &[u8], value| {
+            if room == 0 {
+                next.extend_from_slice(key);
+                more = true;
+                return ScanControl::Stop;
+            }
+            room -= 1;
+            rows += row(payload, key, value) as u32;
+            ScanControl::Continue
+        };
+        tree.scan(&handle.pin(), &from, None, |_| {}, &mut entry);
+        if !more {
+            break;
+        }
+        std::mem::swap(&mut from, &mut next);
+        next.clear();
+    }
+    payload[at..at + 4].copy_from_slice(&rows.to_le_bytes());
+}
+
 impl Database {
-    /// Take a fuzzy checkpoint: walk every indirection array, serialize
-    /// the newest committed version of each record, wait for everything
-    /// captured to be durable in the log, then persist the snapshot with
-    /// a marker file. Returns the checkpoint's begin LSN.
+    /// Take a fuzzy checkpoint: walk every index once, in key order, and
+    /// serialize each primary key with the newest committed version behind
+    /// its OID, and every secondary entry; wait for everything captured to
+    /// be durable in the log, then persist the snapshot with a marker file.
+    /// Returns the checkpoint's begin LSN. The walk pins the engine's own
+    /// epoch — the keys and chains it reads are freed through it — a batch
+    /// at a time, so no deferred free waits for the whole walk.
     ///
     /// Two rules keep the fuzzy snapshot honest about crashes:
     ///
@@ -633,6 +691,7 @@ impl Database {
         let begin = self.inner.tid.min_commit_low_water(self.inner.log.tail_lsn());
         let mut max_captured = Lsn::NULL;
         let mut payload: Vec<u8> = Vec::new();
+        let handle = self.inner.epoch.register();
 
         // Under the lock the walk holds: a table created meanwhile waits,
         // and logs its own entry above `begin`.
@@ -641,66 +700,41 @@ impl Database {
         payload.extend_from_slice(&(catalog.tables.len() as u32).to_le_bytes());
         for table in &catalog.tables {
             payload.extend_from_slice(&table.id.0.to_le_bytes());
-            let count_pos = payload.len();
-            payload.extend_from_slice(&0u32.to_le_bytes());
-            let keys = primary_keys_of(table);
-            let mut n: u32 = 0;
-            table.oids.for_each(|oid, head| {
-                // Newest committed version at snapshot time; in-flight
-                // (TID-stamped) versions belong to the log, not the
-                // checkpoint.
-                let mut cur = head;
-                while !cur.is_null() {
-                    let v = unsafe { &*cur };
+            walk_index(&handle, &table.primary, &mut payload, |payload, key, oid| {
+                // The newest committed version: an in-flight (TID) or a
+                // rolled-back (+∞) one belongs to the log, not here.
+                let mut cur = table.oids.head(Oid(oid as u32));
+                // SAFETY: versions are freed through the pinned epoch.
+                while let Some(v) = unsafe { cur.as_ref() } {
                     let stamp = v.stamp();
-                    if !stamp.is_tid() {
-                        // A key can only be missing for an OID committed
-                        // after the reverse scan; its stamp is past
-                        // `begin`, so replay restores it from the log.
-                        let Some(key) = keys.get(&oid.0) else { break };
+                    if !stamp.is_tid() && stamp.as_lsn() != Lsn::MAX {
                         max_captured = max_captured.max(stamp.as_lsn());
-                        payload.extend_from_slice(&oid.0.to_le_bytes());
+                        payload.extend_from_slice(&(oid as u32).to_le_bytes());
                         payload.extend_from_slice(&stamp.raw().to_le_bytes());
                         payload.push(v.tombstone() as u8);
                         payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
                         payload.extend_from_slice(&(v.data().len() as u32).to_le_bytes());
                         payload.extend_from_slice(key);
                         payload.extend_from_slice(v.data());
-                        n += 1;
-                        break;
+                        return true;
                     }
                     cur = v.next.load(Ordering::Acquire);
                 }
+                false
             });
-            payload[count_pos..count_pos + 4].copy_from_slice(&n.to_le_bytes());
         }
-        // Secondary index entries.
-        let secondaries: Vec<_> = catalog.indexes.iter().filter(|i| !i.is_primary).collect();
-        payload.extend_from_slice(&(secondaries.len() as u32).to_le_bytes());
-        for idx in secondaries {
-            let entry_pos = payload.len();
-            payload.extend_from_slice(&0u32.to_le_bytes());
-            let mut n: u32 = 0;
-            let mgr = ermia_epoch::EpochManager::new("chk");
-            let h = mgr.register();
-            let g = h.pin();
-            idx.tree.scan(
-                &g,
-                &[],
-                &[0xFF; 64],
-                |_| {},
-                |k, oid| {
-                    payload.extend_from_slice(&idx.id.0.to_le_bytes());
-                    payload.extend_from_slice(&(oid as u32).to_le_bytes());
-                    payload.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    payload.extend_from_slice(k);
-                    n += 1;
-                    ermia_index::ScanControl::Continue
-                },
-            );
-            payload[entry_pos..entry_pos + 4].copy_from_slice(&n.to_le_bytes());
+        let secondaries = || catalog.indexes.iter().filter(|i| !i.is_primary);
+        payload.extend_from_slice(&(secondaries().count() as u32).to_le_bytes());
+        for idx in secondaries() {
+            walk_index(&handle, &idx.tree, &mut payload, |payload, key, oid| {
+                payload.extend_from_slice(&idx.id.0.to_le_bytes());
+                payload.extend_from_slice(&(oid as u32).to_le_bytes());
+                payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                payload.extend_from_slice(key);
+                true
+            });
         }
-        drop(catalog);
+        drop((catalog, handle));
 
         // Durability barrier: publish nothing until the log durably backs
         // every captured stamp and the catalog. `durable` advancing past
@@ -790,31 +824,4 @@ impl Database {
         }
         true
     }
-}
-
-/// Build the OID→primary-key reverse map for one checkpoint pass. Keys
-/// are not stored in versions, so the walk resolves them through this
-/// map; it is rebuilt on every checkpoint — a cached map would miss keys
-/// inserted since it was built and silently emit them keyless.
-///
-/// NOTE: building the reverse map per table per checkpoint is O(n); the
-/// paper's checkpoint stores OID→address only (keys live in the log).
-/// Payload-carrying checkpoints need the key; the map amortizes to one
-/// tree scan per table.
-fn primary_keys_of(table: &crate::database::Table) -> std::collections::HashMap<u32, Vec<u8>> {
-    let mut map = std::collections::HashMap::new();
-    let mgr = ermia_epoch::EpochManager::new("chk-key");
-    let h = mgr.register();
-    let g = h.pin();
-    table.primary.scan(
-        &g,
-        &[],
-        &[0xFF; 64],
-        |_| {},
-        |k, v| {
-            map.insert(v as u32, k.to_vec());
-            ermia_index::ScanControl::Continue
-        },
-    );
-    map
 }

@@ -374,9 +374,7 @@ impl ShardedDb {
     /// the gtid as its marker counts: a commit is only ever published or
     /// acknowledged once every prepare is durable, so a missing prepare
     /// proves nobody saw it, and a full set with no abort verdict proves
-    /// nobody who durably committed afterwards saw it rolled back. A
-    /// marker without a count (a log older than this rule) needs the
-    /// explicit commit verdict it was written under.
+    /// nobody who durably committed afterwards saw it rolled back.
     ///
     /// Every resolution is then appended to the shard's log as a verdict
     /// record, so a replica tailing the log — and the next recovery,
@@ -408,11 +406,8 @@ impl ShardedDb {
                 let key = (txn.coord_shard, txn.gtid_lsn);
                 let recorded = |commit| verdicts.iter().any(|v| v.get(key) == Some(commit));
                 let implicit = !recorded(true) && !recorded(false);
-                let commit = if implicit {
-                    txn.participants != 0 && holders[&key] == txn.participants
-                } else {
-                    recorded(true)
-                };
+                let commit =
+                    if implicit { holders[&key] == txn.participants } else { recorded(true) };
                 if commit {
                     inner.dbs[shard].apply_in_doubt(txn)?;
                     stats.resolved_commits += 1;
@@ -522,7 +517,7 @@ mod tests {
     /// and what recovery must make of it.
     struct CrashCase {
         name: &'static str,
-        /// The count both markers carry (0: a log older than the rule).
+        /// The count both markers carry.
         participants: u32,
         /// Whether the non-coordinator's prepare was written at all.
         second_prepare: bool,
@@ -565,19 +560,11 @@ mod tests {
             },
             CrashCase {
                 name: "commit verdict only on the non-coordinator: committed everywhere",
-                participants: 0,
+                participants: 2,
                 second_prepare: true,
                 verdicts: &[(false, true)],
                 commit: true,
                 resolved: (1, 0, 0),
-            },
-            CrashCase {
-                name: "legacy marker, no verdict: aborted",
-                participants: 0,
-                second_prepare: true,
-                verdicts: &[],
-                commit: false,
-                resolved: (0, 2, 2),
             },
         ];
         let (ka, kb) = cross_pair(2);

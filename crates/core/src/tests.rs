@@ -970,6 +970,219 @@ fn log_truncation_after_checkpoint() {
     }
 }
 
+/// A log record's key length is a u16: the engine refuses a longer key on
+/// entry, before it installs anything, and takes the longest that fits.
+#[test]
+fn a_key_longer_than_a_log_record_carries_is_refused_before_it_is_installed() {
+    let db = db();
+    let t = db.create_table("t");
+    let idx = db.create_secondary_index(t, "t.sec");
+    let long = vec![7u8; ermia_log::MAX_KEY_LEN + 1];
+    let mut w = db.register_worker();
+    let mut tx = w.begin(SI);
+    let oid = tx.insert(t, &long[1..], b"fits").unwrap();
+    for op in 0..4 {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
+            0 => drop(tx.insert(t, &long, b"v")),
+            1 => drop(tx.update(t, &long, b"v")),
+            2 => drop(tx.delete(t, &long)),
+            _ => drop(tx.insert_secondary(idx, &long, oid)),
+        }));
+        assert!(refused.is_err(), "operation {op} took a {}-byte key", long.len());
+    }
+    tx.commit().unwrap();
+    let mut tx = w.begin(SI);
+    assert_eq!(get(&mut tx, t, &long[1..]).as_deref(), Some(&b"fits"[..]));
+    assert_eq!(tx.scan(db.primary_index(t), &[], &long, None, |_, _| true).unwrap(), 1);
+    tx.commit().unwrap();
+}
+
+/// The checkpoint walks the whole key space: a row keyed above any fixed
+/// bound (65 bytes of 0xFF sort above `[0xFF; 64]`), and its secondary
+/// entry, come back from the checkpoint — replay starts past them — and
+/// again once truncation has retired the log they were committed in.
+#[test]
+fn keys_above_any_fixed_bound_survive_a_checkpoint_and_truncation() {
+    let dir = TestDir::new("high-keys");
+    let open = || {
+        let mut cfg = DbConfig::durable(&dir);
+        cfg.log.segment_size = 8192;
+        Database::open(cfg).unwrap()
+    };
+    let high = [0xFFu8; 65];
+    {
+        let db = open();
+        let t = db.create_table("t");
+        let idx = db.create_secondary_index(t, "t.sec");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        let oid = tx.insert(t, &high, b"above").unwrap();
+        tx.insert_secondary(idx, &high, oid).unwrap();
+        tx.commit().unwrap();
+        for i in 0..100u32 {
+            let mut tx = w.begin(SI);
+            tx.insert(t, &i.to_be_bytes(), &[0xAB; 128]).unwrap();
+            tx.commit().unwrap();
+        }
+        db.checkpoint().unwrap();
+    }
+    for round in 0..2 {
+        let db = open();
+        db.recover().unwrap();
+        let (t, idx) = (db.table_id("t").unwrap(), db.index_id("t.sec").unwrap());
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        assert_eq!(get(&mut tx, t, &high).as_deref(), Some(&b"above"[..]), "round {round}");
+        let via = tx.read_secondary(idx, &high, |v| v.to_vec()).unwrap();
+        assert_eq!(via.as_deref(), Some(&b"above"[..]), "round {round}");
+        tx.commit().unwrap();
+        if round == 0 {
+            assert!(db.truncate_log().unwrap() > 0, "the row's segment is retired");
+        }
+    }
+}
+
+/// A checkpoint image and a log record of one OID at one stamp: the log's
+/// wins. A walk can read key `k` for an OID, the insert that owned it roll
+/// back and recycle it, and another insert (`k2`) commit on it before the
+/// walk reads the head — the image then pairs `k` with `k2`'s version.
+#[test]
+fn at_equal_stamps_the_log_record_beats_the_checkpoint_image() {
+    let dir = TestDir::new("equal-stamps");
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        let oid = tx.insert(t, b"k2", b"v2").unwrap();
+        let stamp = tx.commit().unwrap();
+        db.log().sync().unwrap();
+        // One table, one row — (oid, stamp, live, "k", "v2") — and no
+        // secondary entries, in the checkpoint payload format.
+        let mut payload = Vec::new();
+        for word in [1, t.0, 1, oid.0] {
+            payload.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        payload.extend_from_slice(&stamp.raw().to_le_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&1u16.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(b"kv2");
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        db.store_checkpoint(stamp, &payload).unwrap();
+    }
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.checkpoint_records, stats.built), (1, 1), "{stats:?}");
+    let t = db.table_id("t").unwrap();
+    let mut w = db.register_worker();
+    let mut tx = w.begin(SI);
+    assert_eq!(get(&mut tx, t, b"k2").as_deref(), Some(&b"v2"[..]));
+    assert_eq!(get(&mut tx, t, b"k"), None);
+    tx.commit().unwrap();
+}
+
+/// Checkpoints taken in a loop while other threads churn recover to the
+/// model: inserts of 40-byte keys that roll back (each retiring its long
+/// key through the engine's epoch and recycling its OID), and committed
+/// updates, deletes and fresh inserts (which take those OIDs). The log
+/// below the last checkpoint — taken mid-churn — is truncated, so what
+/// comes back stands on what that walk wrote.
+#[test]
+fn checkpoints_taken_under_churn_recover_to_the_model() {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicBool;
+    const ROWS: u32 = 2_000;
+    let dir = TestDir::new("checkpoint-churn");
+    let open = || {
+        let mut cfg = DbConfig::durable(&dir);
+        cfg.gc_interval = std::time::Duration::from_millis(1);
+        cfg.log.segment_size = 1 << 16;
+        Database::open(cfg).unwrap()
+    };
+    let row = |i: u32| format!("row-{i:020}").into_bytes();
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = (0..ROWS).map(|i| (row(i), vec![0; 64])).collect();
+    {
+        let db = open();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        for chunk in model.keys().collect::<Vec<_>>().chunks(500) {
+            let mut tx = w.begin(SI);
+            for key in chunk {
+                tx.insert(t, key, &[0; 64]).unwrap();
+            }
+            tx.commit().unwrap();
+        }
+        let stop = AtomicBool::new(false);
+        let (rolled_back, committed) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut w = db.register_worker();
+                while !stop.load(Ordering::Relaxed) {
+                    let n = rolled_back.fetch_add(1, Ordering::Relaxed);
+                    let mut tx = w.begin(SI);
+                    tx.insert(t, format!("rolled-back-{n:028}").as_bytes(), &[1; 64]).unwrap();
+                    tx.abort();
+                }
+            });
+            let writer = s.spawn(|| {
+                let mut w = db.register_worker();
+                let (mut rng, mut fresh) = (0x9E37_79B9_7F4A_7C15u64, ROWS);
+                while !stop.load(Ordering::Relaxed) {
+                    committed.fetch_add(1, Ordering::Relaxed);
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let key = row((rng >> 33) as u32 % fresh);
+                    let value = rng.to_le_bytes().repeat(8);
+                    let mut tx = w.begin(SI);
+                    match rng % 3 {
+                        0 if tx.update(t, &key, &value).unwrap() => {
+                            model.insert(key, value);
+                        }
+                        1 if tx.delete(t, &key).unwrap() => {
+                            model.remove(&key);
+                        }
+                        2 => {
+                            tx.insert(t, &row(fresh), &value).unwrap();
+                            model.insert(row(fresh), value);
+                            fresh += 1;
+                        }
+                        _ => {}
+                    }
+                    tx.commit().unwrap();
+                }
+            });
+            // At least 25 checkpoints, and enough that the churn overlaps
+            // the walks.
+            for taken in 1.. {
+                db.checkpoint().unwrap();
+                let churned = |n: &AtomicU64| n.load(Ordering::Relaxed) >= 2_000;
+                if taken >= 25 && churned(&rolled_back) && churned(&committed) {
+                    break;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            writer.join().unwrap();
+        });
+        assert!(db.truncate_log().unwrap() > 0, "the churn's log below the checkpoint goes");
+        db.log().sync().unwrap();
+        // Dropped without a shutdown: a crash.
+    }
+    let db = open();
+    db.recover().unwrap();
+    let t = db.table_id("t").unwrap();
+    let mut w = db.register_worker();
+    let mut tx = w.begin(SI);
+    let mut got = BTreeMap::new();
+    tx.scan(db.primary_index(t), &[], &[0xFF; 41], None, |k, v| {
+        got.insert(k.to_vec(), v.to_vec());
+        true
+    })
+    .unwrap();
+    tx.commit().unwrap();
+    assert_eq!(got.len(), model.len(), "rows recovered vs committed");
+    assert!(got == model, "the recovered table differs from the committed model");
+}
+
 #[test]
 fn scratch_reuse_leaves_no_residue_across_transactions() {
     // All transactions below share one worker, so they recycle the same

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, Stamp, TableId, Tid, TxResult};
 use ermia_epoch::Guard;
 use ermia_index::{BTree, InsertOutcome, LeafSnapshot, ScanControl};
+use ermia_log::MAX_KEY_LEN;
 use ermia_storage::{defer_release, OidArray, Retired, TidStatus, TxContext, Version};
 use ermia_telemetry::EventKind;
 
@@ -217,6 +218,11 @@ impl<'w> Transaction<'w> {
             return Err(self.doom(AbortReason::ReadOnlyMode));
         }
         Ok(())
+    }
+
+    /// A written key must fit a log record; a longer one is the caller's bug.
+    fn check_key(key: &[u8]) {
+        assert!(key.len() <= MAX_KEY_LEN, "a {}-byte key exceeds MAX_KEY_LEN", key.len());
     }
 
     fn serializable(&self) -> bool {
@@ -436,6 +442,7 @@ impl<'w> Transaction<'w> {
     /// snapshot. First-updater-wins: a conflicting concurrent writer
     /// dooms this transaction immediately.
     pub fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
+        Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.table(table);
@@ -451,6 +458,7 @@ impl<'w> Transaction<'w> {
 
     /// Delete a record (tombstone install, §3.2); returns false on miss.
     pub fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
+        Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.table(table);
@@ -611,6 +619,7 @@ impl<'w> Transaction<'w> {
     /// visible version is a tombstone revives the record; inserting a
     /// live duplicate dooms the transaction.
     pub fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<Oid> {
+        Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.table(table);
@@ -674,6 +683,7 @@ impl<'w> Transaction<'w> {
     /// Add a secondary-index entry pointing at `oid` (obtained from
     /// [`Transaction::insert`]). Secondary keys must be immutable.
     pub fn insert_secondary(&mut self, index: IndexId, key: &[u8], oid: Oid) -> OpResult<()> {
+        Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
         let idx = self.db.index(index);

@@ -357,6 +357,43 @@ fn loading_a_row_costs_one_allocation() {
     assert!(bytes <= 152.0, "{bytes:.1} requested bytes per loaded row");
 }
 
+/// A checkpoint costs per walk, not per row: it reads each key out of the
+/// index in place, so checkpointing 100 000 rows allocates what 10 000
+/// did plus a few doublings of the payload buffer. (On the parent of the
+/// one-walk checkpoint: a key copy and a map entry per row.) The printed
+/// line is the trend CI keeps.
+#[test]
+fn a_checkpoint_allocates_per_walk_not_per_row() {
+    let dir = ermia_common::TestDir::new("checkpoint-guard");
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let t = db.create_table("t");
+    let mut w = db.register_worker();
+    let mut loaded = 0u64;
+    let mut allocs = Vec::new();
+    for rows in [10_000u64, 100_000] {
+        for base in (loaded..rows).step_by(100) {
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            for i in base..base + 100 {
+                let mut key = [0u8; 24];
+                key[..4].copy_from_slice(b"row-");
+                key[4..12].copy_from_slice(&i.to_be_bytes());
+                tx.insert(t, &key, &[0x51; 64]).unwrap();
+            }
+            tx.commit().unwrap();
+        }
+        loaded = rows;
+        let before = alloc_calls();
+        db.checkpoint().unwrap();
+        allocs.push(alloc_calls() - before);
+    }
+    println!(
+        "checkpoint guard: {} allocations at 10 000 rows, {} at 100 000",
+        allocs[0], allocs[1]
+    );
+    assert!(allocs.iter().all(|&n| n < 150), "checkpoint allocations: {allocs:?}");
+    assert!(allocs[1] <= allocs[0] + 10, "allocations grow with rows: {allocs:?}");
+}
+
 /// The memory guard of recovery: it builds what survives, not what
 /// happened. Ten records a row are in the log; recovering them costs what
 /// loading the rows cost — one allocation each, no more bytes, never more

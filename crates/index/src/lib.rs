@@ -46,7 +46,7 @@
 mod node;
 mod tree;
 
-pub use tree::{BTree, InsertOutcome, LeafSnapshot, ScanControl};
+pub use tree::{BTree, InsertOutcome, LeafSnapshot, ScanControl, ScanEnd};
 
 #[cfg(test)]
 mod tests;

@@ -163,6 +163,44 @@ fn scan_empty_range() {
     assert_eq!(n, 0);
 }
 
+/// No fixed key bounds the key space: an open upper end reaches keys of
+/// every length above `[0xFF; 64]`, across leaves.
+#[test]
+fn scan_without_an_upper_end_reaches_the_last_key() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    let mut want: Vec<Vec<u8>> = (0..100u64).map(key).collect();
+    want.extend((64..100).map(|n| vec![0xFF; n]));
+    for (i, k) in want.iter().enumerate() {
+        t.insert(&g, k, i as u64);
+    }
+    let mut got = Vec::new();
+    t.scan(
+        &g,
+        &[],
+        None,
+        |_| {},
+        |k, _| {
+            got.push(k.to_vec());
+            ScanControl::Continue
+        },
+    );
+    assert_eq!(got, want);
+    let mut bounded = 0;
+    t.scan(
+        &g,
+        &[],
+        &[0xFF; 64],
+        |_| {},
+        |_, _| {
+            bounded += 1;
+            ScanControl::Continue
+        },
+    );
+    assert_eq!(bounded, 101, "a bounded scan stops at its bound");
+}
+
 #[test]
 fn node_set_detects_phantom_insert() {
     let (t, mgr) = setup();

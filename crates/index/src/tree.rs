@@ -21,6 +21,24 @@ pub enum ScanControl {
     Stop,
 }
 
+/// The upper end of a [`BTree::scan`]: a key, inclusive — `&[u8]`,
+/// `&Vec<u8>`, `&[u8; N]` — or `None`, the end of the key space.
+pub trait ScanEnd<'k> {
+    fn key(self) -> Option<&'k [u8]>;
+}
+
+impl<'k, K: AsRef<[u8]> + ?Sized> ScanEnd<'k> for &'k K {
+    fn key(self) -> Option<&'k [u8]> {
+        Some(self.as_ref())
+    }
+}
+
+impl<'k> ScanEnd<'k> for Option<&'k [u8]> {
+    fn key(self) -> Option<&'k [u8]> {
+        self
+    }
+}
+
 /// A `(leaf, version)` pair for node-set phantom validation.
 ///
 /// The pointer is stable for the lifetime of the tree (nodes are never
@@ -37,14 +55,6 @@ pub struct LeafSnapshot {
 // which requires the owning tree; nodes outlive all snapshots.
 unsafe impl Send for LeafSnapshot {}
 unsafe impl Sync for LeafSnapshot {}
-
-impl LeafSnapshot {
-    /// Stable identity of the leaf (for node-set deduplication).
-    #[inline]
-    pub fn id(&self) -> usize {
-        self.leaf as usize
-    }
-}
 
 /// A concurrent B+-tree from byte-string keys to `u64` values.
 pub struct BTree {
@@ -210,22 +220,23 @@ impl BTree {
         }
     }
 
-    /// Ascending range scan over `[low, high]` (both inclusive).
+    /// Ascending range scan over `[low, high]` (both inclusive; a `high`
+    /// of `None` runs to the last key).
     ///
     /// `on_leaf` fires once per leaf visited (including leaves that
     /// contribute no items) — the caller's node set; `on_item` receives
     /// each key/value and may stop the scan. The scan allocates nothing:
     /// a leaf's matching slots are copied to the stack, validated, and
     /// handed over from there (an inline key out of a 16-byte buffer).
-    pub fn scan(
+    pub fn scan<'k>(
         &self,
         _g: &Guard<'_>,
         low: &[u8],
-        high: &[u8],
+        high: impl ScanEnd<'k>,
         mut on_leaf: impl FnMut(LeafSnapshot),
         mut on_item: impl FnMut(&[u8], u64) -> ScanControl,
     ) {
-        let high = Probe::new(high);
+        let high = high.key().map(Probe::new);
         // Where the scan (re)starts: at `low`, then strictly after the
         // last key delivered (a long key behind that probe stays readable
         // for the whole scan under the caller's guard).
@@ -243,7 +254,7 @@ impl BTree {
                 // Copy the matching entries optimistically.
                 let (at, hit) = resume.search(&leaf_ref.keys, nk);
                 let start = at + (hit && delivered_any) as usize;
-                let end = high.upper_bound(&leaf_ref.keys, nk);
+                let end = high.as_ref().map_or(nk, |h| h.upper_bound(&leaf_ref.keys, nk));
                 let n = end.saturating_sub(start);
                 for (item, i) in items.iter_mut().zip(start..end) {
                     *item = (leaf_ref.keys[i].load(), leaf_ref.vals[i].load(Ordering::Relaxed));

@@ -69,8 +69,8 @@ pub use manager::{
 };
 pub use records::{
     BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind, PrepareMarker,
-    BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN,
-    RECORD_HEADER_LEN,
+    BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MAX_KEY_LEN, MIN_BLOCK_LEN,
+    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 pub use recovery::{BlockView, LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};

@@ -53,10 +53,7 @@ pub enum BlockKind {
     /// Dead space: an aborted reservation or a segment-closing pad. The
     /// header's `len` covers the whole skipped range.
     Skip = 2,
-    /// Checkpoint begin marker (payload: none).
-    CheckpointBegin = 3,
-    /// Checkpoint end marker (payload: the checkpoint's metadata).
-    CheckpointEnd = 4,
+    // 3 and 4 are no kind: a header that says so is a hole.
     /// A cross-shard transaction's updates, written at 2PC *prepare*.
     /// The payload starts with a [`PrepareMarker`] naming the
     /// coordinator and the number of participants, then carries ordinary
@@ -83,8 +80,6 @@ impl BlockKind {
         match v {
             1 => Some(BlockKind::Txn),
             2 => Some(BlockKind::Skip),
-            3 => Some(BlockKind::CheckpointBegin),
-            4 => Some(BlockKind::CheckpointEnd),
             5 => Some(BlockKind::TxnPrepare),
             6 => Some(BlockKind::TxnDecide),
             7 => Some(BlockKind::Ddl),
@@ -109,16 +104,13 @@ pub const DECIDE_RECORD_LEN: usize = 16;
 /// fresh log).
 ///
 /// Layout (little-endian): `coord_shard u32, participants u32,
-/// coord_lsn u64, trace_hi u64, trace_lo u64`. The `participants` word
-/// was zero padding before the all-prepared commit rule existed, so a
-/// marker that reads 0 comes from an older log.
+/// coord_lsn u64, trace_hi u64, trace_lo u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrepareMarker {
     pub coord_shard: u32,
     /// Number of shards that write a prepare block for this transaction.
     /// Recovery commits an undecided transaction iff it finds this many
-    /// prepares; 0 (an older log) means only an explicit commit verdict
-    /// commits.
+    /// prepares.
     pub participants: u32,
     /// Raw LSN of the coordinator's prepare block;
     /// [`PrepareMarker::COORD_SELF`] on the coordinator's own prepare.
@@ -380,6 +372,10 @@ pub struct LogRecord {
 const FLAG_INDIRECT: u8 = 0b1;
 
 pub const RECORD_HEADER_LEN: usize = 16;
+
+/// The longest key a record (and a checkpoint row) can carry: its length
+/// is a u16. The engine refuses a longer one before it installs anything.
+pub const MAX_KEY_LEN: usize = u16::MAX as usize;
 
 /// Encode one record from its parts — the single definition of the wire
 /// format, shared by [`LogRecord::encode_into`] and the allocation-free

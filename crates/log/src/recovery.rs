@@ -214,9 +214,7 @@ impl LogScanner {
             }
             let at = self.fill(&seg, self.offset, len)?.expect("the header came from a file");
             let payload = &self.chunk[at + BLOCK_HEADER_LEN..at + len as usize];
-            let unchecked = self.offset < self.trusted
-                || matches!(header.kind, BlockKind::CheckpointBegin | BlockKind::CheckpointEnd);
-            if !unchecked && crc32c(payload) != header.checksum {
+            if self.offset >= self.trusted && crc32c(payload) != header.checksum {
                 // Torn block: truncate here; `find_tail` resumes over it.
                 return Ok(None);
             }

@@ -55,7 +55,9 @@ impl Segment {
         Lsn::from_parts(offset, self.segno())
     }
 
-    fn file_name(index: u64, start: u64, end: u64) -> String {
+    /// The name of segment `index`'s file, mapping `start..end`: the one
+    /// spelling of it, which [`Segment::parse_file_name`] reads back.
+    pub fn file_name(index: u64, start: u64, end: u64) -> String {
         format!("log-{:02x}-{:x}-{:x}", index % NUM_SEGMENTS, start, end)
     }
 

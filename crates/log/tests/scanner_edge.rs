@@ -126,6 +126,19 @@ fn commits_after_reopening_on_a_torn_block_survive_the_next_reopen() {
     assert_eq!(scan_oids(&dir), vec![0, 1, 7]);
 }
 
+/// A kind byte that names no kind is a hole, checksum or not: a block
+/// whose kind reads 3 (once a checkpoint marker nothing wrote, which
+/// the scan passed over unchecked) ends the scan, and the valid block
+/// behind it is not resurrected.
+#[test]
+fn unknown_block_kind_is_a_hole() {
+    let dir = TestDir::new("kind");
+    let offsets = write_blocks(&dir, 3);
+    // kind lives at header offset 4; the CRC covers the payload only.
+    patch(&first_segment_file(&dir), offsets[1] + 4, &[3]);
+    assert_eq!(scan_oids(&dir), vec![0], "scan keeps block 0, stops at the unknown kind");
+}
+
 /// Garbage bytes where the next header should sit (the classic torn
 /// tail) end the scan without error.
 #[test]

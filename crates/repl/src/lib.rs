@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ermia::{Database, DbConfig, LogApplier, ShardedDb};
-use ermia_common::lsn::NUM_SEGMENTS;
 use ermia_common::Lsn;
 use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig};
 use ermia_telemetry::{EventKind, EventRing, Sample, SpanKind, SpanRing, TraceContext};
@@ -253,7 +252,7 @@ impl ShardState {
         let mut shipped = from;
         for &(index, start, durable_end) in &status.segments {
             let full_end = start + status.segment_size;
-            let name = format!("log-{:02x}-{:x}-{:x}", index % NUM_SEGMENTS, start, full_end);
+            let name = ermia_log::Segment::file_name(index, start, full_end);
             let file = fs::File::create(dir.join(name))?;
             // Sparse full-size file: unwritten tail reads as zeros, which
             // is how the scanner detects the first hole.

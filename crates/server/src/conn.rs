@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use ermia::{IsolationLevel, PooledWorker, ShardedDb, ShardedTransaction};
 use ermia_common::{AbortReason, TableId};
+use ermia_log::MAX_KEY_LEN;
 use ermia_telemetry::TraceContext;
 
 use crate::poll::Interest;
@@ -418,9 +419,13 @@ pub(crate) fn exec_op(
     txn: &mut ShardedTransaction<'_>,
     op: &BatchOp,
 ) -> Response {
-    let (table, _) = op_target(op);
+    let (table, key) = op_target(op);
     if table as usize >= state.db.table_count() {
         return Response::Error { code: ErrorCode::UnknownTable, detail: format!("table {table}") };
+    }
+    if key.len() > MAX_KEY_LEN {
+        let detail = format!("a {}-byte key exceeds the {MAX_KEY_LEN}-byte limit", key.len());
+        return Response::Error { code: ErrorCode::BadState, detail };
     }
     let t = TableId(table);
     let done = match op {

@@ -721,7 +721,8 @@ pub enum ErrorCode {
     /// connection after sending this.
     Protocol,
     /// Request illegal in the current session state (e.g. `Commit`
-    /// without `Begin`).
+    /// without `Begin`), or one no state makes legal: a key longer than
+    /// `ermia_log::MAX_KEY_LEN`.
     BadState,
     /// Table id not in the catalog.
     UnknownTable,

@@ -79,6 +79,36 @@ fn full_op_surface_over_the_wire() {
     c.ping().unwrap();
 }
 
+/// A key longer than a log record can carry (its length is a u16) is
+/// refused with a typed error before the engine sees it — autocommitted,
+/// inside a transaction, in a batch — and nothing of it is installed.
+#[test]
+fn a_key_longer_than_a_log_record_carries_is_refused() {
+    let (_db, srv) = server(ServerConfig::default());
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let long = vec![b'k'; ermia_log::MAX_KEY_LEN + 1];
+    let refused = |r: Result<_, ClientError>| match r {
+        Err(ClientError::Server { code: ErrorCode::BadState, detail }) => {
+            assert!(detail.contains("65536-byte key"), "{detail}");
+        }
+        other => panic!("expected BadState, got {other:?}"),
+    };
+    refused(c.put(t, &long, b"v").map(drop));
+    refused(c.insert(t, &long, b"v").map(drop));
+    c.begin(WireIsolation::Snapshot).unwrap();
+    refused(c.put(t, &long, b"v").map(drop));
+    c.abort().unwrap();
+    let ops = vec![BatchOp::Put { table: t, key: long.clone(), value: b"v".to_vec() }];
+    let (results, _) = c.batch(WireIsolation::Snapshot, true, ops).unwrap();
+    assert!(matches!(results[..], [Response::Error { code: ErrorCode::BadState, .. }]));
+    // The longest key that fits is taken, and the session goes on.
+    let longest = &long[..ermia_log::MAX_KEY_LEN];
+    assert!(!c.put(t, longest, b"v").unwrap());
+    let (rows, _) = c.scan(t, b"", &long, 0).unwrap();
+    assert_eq!(rows, vec![(longest.to_vec(), b"v".to_vec())]);
+}
+
 #[test]
 fn metrics_frame_agrees_with_server_stats() {
     let (_db, srv) = server(ServerConfig::default());

@@ -35,27 +35,19 @@ impl Default for SiloConfig {
 }
 
 pub(crate) struct SiloTable {
-    #[allow(dead_code)]
-    pub id: TableId,
     pub primary: Arc<BTree>,
     pub primary_index: IndexId,
 }
 
-pub(crate) struct SiloIndex {
-    pub tree: Arc<BTree>,
-}
-
 pub(crate) struct SiloCatalog {
     pub tables: Vec<Arc<SiloTable>>,
-    pub indexes: Vec<Arc<SiloIndex>>,
+    pub indexes: Vec<Arc<BTree>>,
     pub table_names: HashMap<String, TableId>,
     pub index_names: HashMap<String, IndexId>,
 }
 
 pub(crate) struct SiloInner {
     pub cfg: SiloConfig,
-    // `stop` is reserved for cooperative shutdown of future background
-    // services; the epoch thread uses the Services-owned flag.
     pub catalog: RwLock<SiloCatalog>,
     /// Silo's global epoch (commit TID high bits).
     pub global_epoch: AtomicU64,
@@ -65,8 +57,6 @@ pub(crate) struct SiloInner {
     pub rcu: EpochManager,
     pub commits: AtomicU64,
     pub aborts: AtomicU64,
-    #[allow(dead_code)]
-    pub stop: AtomicBool,
     /// Active read-only snapshot epochs (snap → refcount): the snapshot
     /// chains may be trimmed only behind the oldest of these.
     pub ro_active: Mutex<std::collections::BTreeMap<u64, u32>>,
@@ -77,14 +67,13 @@ impl Drop for SiloInner {
         // Free every record (data buffer + snapshot chain). Single
         // ownership at teardown; the trees free their own nodes/keys.
         let catalog = self.catalog.get_mut().unwrap();
-        let mgr = EpochManager::new("silo-teardown");
-        let h = mgr.register();
+        let h = self.rcu.register();
         let g = h.pin();
         for table in &catalog.tables {
             table.primary.scan(
                 &g,
                 &[],
-                &[0xFF; 64],
+                None,
                 |_| {},
                 |_k, val| {
                     unsafe {
@@ -144,7 +133,6 @@ impl SiloDb {
             rcu: rcu.clone(),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             ro_active: Mutex::new(std::collections::BTreeMap::new()),
             cfg,
         });
@@ -191,8 +179,8 @@ impl SiloDb {
         let id = TableId(c.tables.len() as u32);
         let index_id = IndexId(c.indexes.len() as u32);
         let tree = Arc::new(BTree::new());
-        c.indexes.push(Arc::new(SiloIndex { tree: Arc::clone(&tree) }));
-        c.tables.push(Arc::new(SiloTable { id, primary: tree, primary_index: index_id }));
+        c.indexes.push(Arc::clone(&tree));
+        c.tables.push(Arc::new(SiloTable { primary: tree, primary_index: index_id }));
         c.table_names.insert(name.to_owned(), id);
         id
     }
@@ -211,7 +199,7 @@ impl SiloDb {
             return id;
         }
         let id = IndexId(c.indexes.len() as u32);
-        c.indexes.push(Arc::new(SiloIndex { tree: Arc::new(BTree::new()) }));
+        c.indexes.push(Arc::new(BTree::new()));
         c.index_names.insert(name.to_owned(), id);
         id
     }
@@ -232,7 +220,7 @@ impl SiloDb {
         Arc::clone(&self.inner.catalog.read().unwrap().tables[id.0 as usize])
     }
 
-    pub(crate) fn index(&self, id: IndexId) -> Arc<SiloIndex> {
+    pub(crate) fn index(&self, id: IndexId) -> Arc<BTree> {
         Arc::clone(&self.inner.catalog.read().unwrap().indexes[id.0 as usize])
     }
 

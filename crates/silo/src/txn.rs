@@ -150,8 +150,7 @@ impl<'w> SiloTxn<'w> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
-        let idx = self.db.index(index);
-        let tree = Arc::clone(&idx.tree);
+        let tree = self.db.index(index);
         self.read_via(&tree, key, f)
     }
 
@@ -351,14 +350,13 @@ impl<'w> SiloTxn<'w> {
     /// [`SiloTxn::insert`].
     pub fn insert_secondary(&mut self, index: IndexId, key: &[u8], handle: u64) -> OpResult<()> {
         self.check_doomed()?;
-        let idx = self.db.index(index);
-        let tree = Arc::clone(&idx.tree);
+        let tree = self.db.index(index);
         let valid_before = self.valid_node_entries(&tree);
         match tree.insert(&self.guard, key, handle) {
             InsertOutcome::Inserted => {
                 self.refresh_node_set(&valid_before);
                 self.secondary.push(SecondaryIns {
-                    tree: Arc::clone(&idx.tree),
+                    tree: Arc::clone(&tree),
                     key: key.to_vec().into_boxed_slice(),
                 });
                 Ok(())
@@ -377,8 +375,7 @@ impl<'w> SiloTxn<'w> {
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> OpResult<usize> {
         self.check_doomed()?;
-        let idx = self.db.index(index);
-        let tree = Arc::clone(&idx.tree);
+        let tree = self.db.index(index);
         let snapshot = self.snapshot_reads();
 
         let mut delivered = 0usize;

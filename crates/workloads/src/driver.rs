@@ -95,16 +95,6 @@ impl TypeStats {
         }
     }
 
-    /// Abort counts keyed by reason, in [`AbortReason::ALL`] order and
-    /// zero-filled — a stable shape for tables and JSON regardless of
-    /// which reasons actually fired.
-    pub fn abort_breakdown(&self) -> Vec<(&'static str, u64)> {
-        AbortReason::ALL
-            .iter()
-            .map(|r| (r.label(), self.abort_reasons.get(r.label()).copied().unwrap_or(0)))
-            .collect()
-    }
-
     fn merge(&mut self, other: &TypeStats) {
         self.commits += other.commits;
         self.aborts += other.aborts;
@@ -131,10 +121,6 @@ pub struct BenchResult {
 impl BenchResult {
     pub fn total_commits(&self) -> u64 {
         self.per_type.iter().map(|t| t.commits).sum()
-    }
-
-    pub fn total_aborts(&self) -> u64 {
-        self.per_type.iter().map(|t| t.aborts).sum()
     }
 
     /// Overall committed throughput in transactions per second.
