@@ -1,7 +1,8 @@
 //! Zero-on-demand memory for capacity-sized tables.
 //!
-//! The log ring, its availability stamps and the TID context table are
-//! sized by what they may one day hold, not by what they hold now. A
+//! The log ring, its availability stamps, the TID context table and the
+//! indirection arrays' page directories are sized by what they may one
+//! day hold, not by what they hold now. A
 //! [`Region`] gives such a table its own page-aligned anonymous mapping:
 //! every byte reads zero, a page becomes resident when it is first
 //! written, and [`Region::release`] hands pages back. The general
@@ -15,7 +16,7 @@
 
 use std::ops::Range;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8};
 
 /// Element types a [`Region`] can be viewed as.
 ///
@@ -29,6 +30,9 @@ pub unsafe trait Zeroable: Sync {}
 unsafe impl Zeroable for AtomicU8 {}
 unsafe impl Zeroable for AtomicU32 {}
 unsafe impl Zeroable for AtomicU64 {}
+// SAFETY: one atomic word, no drop glue (it does not own its pointee);
+// all-zero is the null pointer.
+unsafe impl<T> Zeroable for AtomicPtr<T> {}
 
 /// A private anonymous mapping of whole pages, zero until written.
 pub struct Region {

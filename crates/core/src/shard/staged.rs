@@ -624,4 +624,45 @@ mod tests {
         }
         tx.commit().unwrap();
     }
+
+    /// A worker that keeps sixteen prepares parked at a time claims only
+    /// in its home stretch: over 100 000 claims a shard's TID high-water
+    /// mark stays within the one home leased there (a cursor that walked
+    /// on past its parked contexts swept all 64 K slots).
+    #[test]
+    fn parked_prepares_keep_a_workers_claims_at_home() {
+        const WINDOW: usize = 16;
+        let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
+        let t = db.create_table("kv");
+        let pairs: Vec<[Vec<u8>; 2]> =
+            (0..WINDOW).map(|i| [key_on(0, "pair", i), key_on(1, "pair", i)]).collect();
+        let mut w = db.register_worker();
+        let mut parked = std::collections::VecDeque::new();
+        for i in 0..100_000 {
+            if parked.len() == WINDOW {
+                let mut staged: Box<StagedCommit> = parked.pop_front().unwrap();
+                // Half commit, half abort: both free the context.
+                if i % 2 == 0 {
+                    staged.wait(&mut w).expect("commits");
+                } else {
+                    staged.abort(&mut w);
+                }
+            }
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            for key in &pairs[i % WINDOW] {
+                if !tx.update(t, key, b"v").unwrap() {
+                    tx.insert(t, key, b"v").unwrap();
+                }
+            }
+            match tx.commit_deferred().unwrap() {
+                DeferredCommit::Staged(staged) => parked.push_back(staged),
+                DeferredCommit::Committed(_) => panic!("two writer shards must stage a 2PC"),
+            }
+        }
+        assert_eq!(db.tid_slots_in_use(), 2 * WINDOW);
+        for shard in 0..2 {
+            let high = db.shard(shard).inner.tid.high_water();
+            assert!(high <= 64, "shard {shard}: one home leased, high water {high}");
+        }
+    }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
 use ermia_log::TxLogBuffer;
-use ermia_storage::{Retired, Version, VersionCache};
+use ermia_storage::{Home, Retired, Version, VersionCache};
 use ermia_telemetry::{EventRing, Slab};
 
 use crate::config::IsolationLevel;
@@ -46,6 +46,9 @@ pub(crate) struct WorkerTelemetry {
 /// survives. Key bytes for the write set are bump-copied into `keys`,
 /// replacing a per-write boxed copy.
 pub(crate) struct Scratch {
+    /// This worker's TID-table stretch, leased until it drops, and the
+    /// probe cursor inside it.
+    pub home: Home,
     pub tid_hint: usize,
     pub logbuf: TxLogBuffer,
     /// Txn outcome counters + flight ring.
@@ -80,7 +83,7 @@ unsafe impl Send for Scratch {}
 impl Worker {
     pub(crate) fn new(db: Database) -> Worker {
         let epoch_handle = db.inner.epoch.register();
-        let tid_hint = db.inner.tid.home();
+        let home = db.inner.tid.home();
         let versions = VersionCache::new(Arc::clone(&db.inner.versions));
         let registry = db.inner.telemetry.registry();
         let telemetry = WorkerTelemetry {
@@ -91,7 +94,8 @@ impl Worker {
             db,
             epoch_handle,
             scratch: Scratch {
-                tid_hint,
+                home,
+                tid_hint: home.slot,
                 logbuf: TxLogBuffer::new(),
                 telemetry,
                 reads: Vec::new(),
@@ -133,5 +137,6 @@ impl Drop for Worker {
         let t = &self.scratch.telemetry;
         registry.retire_slab(&TXN_FAMILY, &t.slab);
         self.db.inner.telemetry.flight().retire(&t.ring);
+        self.db.inner.tid.vacate(self.scratch.home);
     }
 }

@@ -1,19 +1,25 @@
 //! The residency guard: a shard costs its rows, not its capacities.
 //!
-//! The log ring (64 MiB), its availability stamps (8 MiB) and the TID
-//! context table (2.5 MiB) are *capacities*; what a process pays for is
-//! what it has touched. Each case below runs in a process of its own —
-//! resident size is a property of the process, and the second case is
-//! about what an earlier engine in the same process leaves behind — so
-//! this target has no libtest harness: run without `--case=` it re-runs
-//! itself once per case (positional arguments filter by name, as with
-//! libtest) and prints one trend line per case. Linux only: the figures
-//! are `VmRSS` from `/proc/self/status`; elsewhere it does nothing.
+//! The log ring (64 MiB), its availability stamps (8 MiB), the TID
+//! context table (2.5 MiB) and each table's two indirection-array page
+//! directories (128 KiB apiece) are *capacities*; what a process pays for
+//! is what it has touched. Five figures, one per case: (a) opening a
+//! shard and creating eight tables, (b) a second engine in one process,
+//! (c) two laps of a ring, (d) heap bytes per loaded row, (e) what
+//! parked prepares leave in the TID tables and rings.
+//!
+//! Each case runs in a process of its own — resident size is a property
+//! of the process, and (b) is about what an earlier engine in the same
+//! process leaves behind — so this target has no libtest harness: run
+//! without `--case=` it re-runs itself once per case (positional
+//! arguments filter by name, as with libtest) and prints one trend line
+//! per case. Linux only: the figures are `VmRSS` from
+//! `/proc/self/status`; elsewhere it does nothing.
 
 use std::process::Command;
 
-use ermia::{DbConfig, IsolationLevel, ShardedDb};
-use ermia_common::{Oid, TableId, TestDir};
+use ermia::{DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, TableId};
+use ermia_common::{Oid, TestDir};
 use ermia_log::{LogConfig, LogManager, TxLogBuffer};
 
 const MIB: i64 = 1 << 20;
@@ -24,6 +30,10 @@ const CASES: &[(&str, fn())] = &[
     ("a_second_engine_costs_what_the_first_did", a_second_engine_costs_what_the_first_did),
     ("a_wrapped_ring_stays_released", a_wrapped_ring_stays_released),
     ("a_row_holds_148_heap_bytes", a_row_holds_148_heap_bytes),
+    (
+        "parked_prepares_leave_the_tid_table_as_it_was",
+        parked_prepares_leave_the_tid_table_as_it_was,
+    ),
 ];
 
 fn main() {
@@ -76,16 +86,27 @@ fn load(db: &ShardedDb) {
     }
 }
 
-/// (a) Opening a durable shard touches a few pages of each table, not
-/// the tables (≈ 3.2 MB before they were regions; 10.9 MB once the heap
-/// is dirty).
+/// (a) Opening a durable shard and creating eight tables touches a few
+/// pages of each capacity, not the capacities (≈ 3.2 MB before the ring
+/// and TID table were regions, 10.9 MB once the heap is dirty). The cost
+/// is what became resident plus the heap handed out, which is resident
+/// the moment it is cut from heap an earlier owner left dirty: each
+/// table's two 128 KiB page directories were heap blocks, + 2 MiB here.
 fn open_costs_what_it_touches() {
     let dir = TestDir::new("resident-open");
-    let before = rss();
+    let (before, heap) = (rss(), heap_held());
     let db = open(&dir);
-    let cost = rss() - before;
-    println!("residency guard: open costs {} KiB resident", cost / 1024);
-    assert!(cost <= MIB + MIB / 2, "opening a shard made {cost} bytes resident");
+    for i in 0..8 {
+        db.create_table(&format!("t{i}"));
+    }
+    let (resident, held) = (rss() - before, heap_held() - heap);
+    println!(
+        "residency guard: open and eight tables cost {} KiB resident + {} KiB of heap",
+        resident / 1024,
+        held / 1024
+    );
+    let cost = resident + held;
+    assert!(cost <= MIB + MIB / 2, "opening a shard and 8 tables cost {cost} bytes");
     drop(db);
 }
 
@@ -155,11 +176,79 @@ fn a_row_holds_148_heap_bytes() {
     }
 }
 
+/// (e) Parked prepares leave the TID tables as they were: on two shards,
+/// after a warm-up that laps both rings (in-memory ones, never released),
+/// 20 000 cross-shard commits in windows of sixteen, each window
+/// committed deferred before any is polled. A worker's claims stay in its
+/// home stretch, so nothing grows; a cursor that walked on past its
+/// parked contexts touched one 40-byte context per commit and shard.
+fn parked_prepares_leave_the_tid_table_as_it_was() {
+    const WINDOW: usize = 16;
+    let db = ShardedDb::open(DbConfig::in_memory(), 2).expect("open");
+    let t = db.create_table("kv");
+    let key_on = |shard: usize, i: usize| {
+        (0u32..)
+            .map(|j| format!("pair-{i}-{j}").into_bytes())
+            .find(|k| ermia::shard_of_key(k, 2) == shard)
+            .expect("keys hash to both shards")
+    };
+    let pairs: Vec<[Vec<u8>; 2]> = (0..WINDOW).map(|i| [key_on(0, i), key_on(1, i)]).collect();
+    let mut w = db.register_worker();
+    let lapped = |db: &ShardedDb| {
+        (0..2).all(|s| db.shard(s).log().next_offset() > db.shard(s).log().ring_capacity())
+    };
+    while !lapped(&db) {
+        commit_window(&mut w, t, &pairs);
+    }
+    let before = rss();
+    for _ in 0..20_000 / WINDOW {
+        commit_window(&mut w, t, &pairs);
+    }
+    let grew = rss() - before;
+    println!("residency guard: 20 000 parked-prepare commits leave {:+} KiB resident", grew / 1024);
+    assert!(grew <= MIB / 4, "20 000 cross-shard commits made {grew} more bytes resident");
+}
+
+/// One cross-shard commit per pair, all deferred, then each waited for.
+fn commit_window(w: &mut ShardedWorker, t: TableId, pairs: &[[Vec<u8>; 2]]) {
+    let mut parked = Vec::with_capacity(pairs.len());
+    for pair in pairs {
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        for key in pair {
+            if !tx.update(t, key, b"v").expect("update") {
+                tx.insert(t, key, b"v").expect("insert");
+            }
+        }
+        match tx.commit_deferred().expect("prepares") {
+            DeferredCommit::Staged(staged) => parked.push(staged),
+            DeferredCommit::Committed(_) => panic!("two writer shards must stage a 2PC"),
+        }
+    }
+    for staged in parked {
+        staged.wait(w).expect("commits");
+    }
+}
+
 /// Bytes of heap chunks glibc has handed out and not got back, chunk
 /// overhead included (`uordblks`; blocks it mapped one by one — the
 /// indirection array's 128 KiB pages — are not in it).
 #[cfg(target_env = "gnu")]
 fn heap_in_use() -> i64 {
+    mallinfo().0
+}
+
+/// [`heap_in_use`] plus the blocks glibc mapped one by one; 0 off glibc.
+fn heap_held() -> i64 {
+    #[cfg(target_env = "gnu")]
+    let (arena, mapped) = mallinfo();
+    #[cfg(not(target_env = "gnu"))]
+    let (arena, mapped) = (0, 0);
+    arena + mapped
+}
+
+/// glibc's `uordblks` and `hblkhd`.
+#[cfg(target_env = "gnu")]
+fn mallinfo() -> (i64, i64) {
     #[repr(C)]
     struct Mallinfo2 {
         arena: usize,
@@ -178,5 +267,5 @@ fn heap_in_use() -> i64 {
     }
     // SAFETY: no preconditions; the struct is glibc's `struct mallinfo2`.
     let info = unsafe { mallinfo2() };
-    info.uordblks as i64
+    (info.uordblks as i64, info.hblkhd as i64)
 }

@@ -228,7 +228,8 @@ fn sharded_engine_metrics_expose_per_shard_families() {
     assert!(resident > 0.0 && peak >= resident, "resident {resident}, peak {peak}");
     for shard in ["0", "1"] {
         let high = exp.value_with("ermia_tid_high_water", "shard", shard).unwrap();
-        assert!((1.0..=4096.0).contains(&high), "shard {shard}: tid high water {high}");
+        let workers = exp.value_with("ermia_epoch_threads", "shard", shard).unwrap();
+        assert!((1.0..=64.0 * workers).contains(&high), "shard {shard}: tid high water {high}");
         let ring = exp.value_with("ermia_log_ring_unreleased_bytes", "shard", shard).unwrap();
         assert!(ring <= (4 << 20) as f64, "shard {shard}: {ring} bytes of a 4 MiB ring");
     }

@@ -6,12 +6,13 @@
 use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
+use ermia_telemetry::parse_exposition;
 
-/// One key on each of two shards.
-fn cross_pair() -> (Vec<u8>, Vec<u8>) {
-    let a = b"pair-a".to_vec();
+/// The `i`-th pair: one key on each of two shards.
+fn cross_pair(i: usize) -> (Vec<u8>, Vec<u8>) {
+    let a = format!("pair-a{i}").into_bytes();
     let b = (0u32..)
-        .map(|j| format!("pair-b{j}").into_bytes())
+        .map(|j| format!("pair-b{i}-{j}").into_bytes())
         .find(|k| ermia::shard_of_key(k, 2) != ermia::shard_of_key(&a, 2))
         .expect("some key hashes to the other shard");
     (a, b)
@@ -44,7 +45,7 @@ fn same_pair_pipelined_batches_all_commit_in_order() {
     let (db, srv, _dir) = server("same-pair");
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
-    let pair = cross_pair();
+    let pair = cross_pair(0);
     const ROUNDS: usize = 50;
     const DEPTH: usize = 4;
     let mut last = 0;
@@ -83,7 +84,7 @@ fn pipelined_get_behind_a_cross_shard_put_reads_the_new_value() {
     let (db, srv, _dir) = server("ryw");
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
-    let pair = cross_pair();
+    let pair = cross_pair(0);
     for round in 0..100u32 {
         let value = round.to_be_bytes();
         c.send(&pair_batch(t, &pair, &value)).unwrap();
@@ -134,6 +135,53 @@ fn autocommitted_write_to_a_replicated_table_commits_on_every_shard() {
         assert_eq!(got.as_deref(), Some(&b"blue"[..]), "shard {shard} holds the row");
         tx.commit().unwrap();
     }
+    assert_eq!(db.tid_slots_in_use(), 0);
+    srv.shutdown();
+    drop(db);
+}
+
+/// A window of sixteen cross-shard commits, pipelined on one connection,
+/// parks sixteen prepares on the pooled worker at once. Their contexts
+/// stay in the worker's home stretch: each shard's TID high-water mark
+/// reads the same after 200 windows as after 2 000, and is at most 64 ×
+/// the workers registered there.
+#[test]
+fn pipelined_windows_leave_the_tid_high_water_where_it_was() {
+    const DEPTH: usize = 16;
+    let (db, srv, _dir) = server("high-water");
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let pairs: Vec<_> = (0..DEPTH).map(cross_pair).collect();
+    let windows = |c: &mut Client, n: usize| {
+        for round in 0..n {
+            for pair in &pairs {
+                c.send(&pair_batch(t, pair, &round.to_be_bytes())).unwrap();
+            }
+            c.flush().unwrap();
+            for i in 0..DEPTH {
+                match c.recv().unwrap() {
+                    Response::BatchDone { outcome, .. } => assert!(
+                        matches!(*outcome, Response::Committed { .. }),
+                        "round {round}, commit {i}: {outcome:?}"
+                    ),
+                    other => panic!("expected BatchDone, got {other:?}"),
+                }
+            }
+        }
+    };
+    let high_water = |c: &mut Client| {
+        let exp = parse_exposition(&c.metrics().unwrap()).unwrap();
+        ["0", "1"].map(|shard| {
+            let high = exp.value_with("ermia_tid_high_water", "shard", shard).unwrap();
+            let workers = exp.value_with("ermia_epoch_threads", "shard", shard).unwrap();
+            assert!(high <= 64.0 * workers, "shard {shard}: high water {high}, {workers} workers");
+            high
+        })
+    };
+    windows(&mut c, 200);
+    let early = high_water(&mut c);
+    windows(&mut c, 1_800);
+    assert_eq!(high_water(&mut c), early, "the high-water mark moved with the commit count");
     assert_eq!(db.tid_slots_in_use(), 0);
     srv.shutdown();
     drop(db);

@@ -29,7 +29,7 @@ pub mod version;
 
 pub use gc::{GarbageCollector, GcStats, RetireQueue, Retired};
 pub use oid_array::OidArray;
-pub use tid::{TidManager, TidStatus, TxContext};
+pub use tid::{Home, TidManager, TidStatus, TxContext};
 pub use version::{defer_release, Version, VersionCache, VersionPool};
 
 #[cfg(test)]

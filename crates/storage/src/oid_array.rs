@@ -16,7 +16,7 @@
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-use ermia_common::{Oid, Zeroable};
+use ermia_common::{Oid, Region, Zeroable};
 
 use crate::version::Version;
 
@@ -50,9 +50,10 @@ fn alloc_page<T: Zeroable>() -> *mut [T; PAGE_SIZE] {
     ptr.cast()
 }
 
-/// One table's indirection array.
+/// One table's indirection array. Its two page directories are
+/// [`Region`]s, resident only where a page pointer was stored.
 pub struct OidArray {
-    pages: Box<[AtomicPtr<Page>]>,
+    pages: Region,
     next_oid: AtomicU32,
     /// Head of the free stack: `(aba_tag << 32) | top_oid`. The tag
     /// increments on every successful update, so a pop's CAS cannot
@@ -60,7 +61,7 @@ pub struct OidArray {
     /// (the classic ABA interleaving that corrupts Treiber stacks).
     free_head: AtomicU64,
     /// Intrusive next links for the free stack, paged like `pages`.
-    free_pages: Box<[AtomicPtr<FreePage>]>,
+    free_pages: Region,
 }
 
 impl Default for OidArray {
@@ -81,17 +82,22 @@ fn unpack_head(head: u64) -> (u64, u32) {
 
 impl OidArray {
     pub fn new() -> OidArray {
-        let pages: Vec<AtomicPtr<Page>> =
-            (0..PAGE_COUNT).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect();
-        let free_pages: Vec<AtomicPtr<FreePage>> =
-            (0..PAGE_COUNT).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect();
+        let directory = || Region::new(PAGE_COUNT * std::mem::size_of::<AtomicPtr<Page>>());
         OidArray {
-            pages: pages.into_boxed_slice(),
+            pages: directory(),
             // OID 0 is reserved as "invalid".
             next_oid: AtomicU32::new(1),
             free_head: AtomicU64::new(pack_head(0, FREE_NIL)),
-            free_pages: free_pages.into_boxed_slice(),
+            free_pages: directory(),
         }
+    }
+
+    fn pages(&self) -> &[AtomicPtr<Page>] {
+        self.pages.view()
+    }
+
+    fn free_pages(&self) -> &[AtomicPtr<FreePage>] {
+        self.free_pages.view()
     }
 
     /// Allocate a fresh OID: pop the lock-free free stack, falling back
@@ -164,14 +170,14 @@ impl OidArray {
 
     fn page(&self, oid: Oid) -> &Page {
         let pi = oid.index() >> PAGE_SHIFT;
-        let ptr = self.pages[pi].load(Ordering::Acquire);
+        let ptr = self.pages()[pi].load(Ordering::Acquire);
         if !ptr.is_null() {
             // SAFETY: pages are never freed while the array lives.
             return unsafe { &*ptr };
         }
         // Materialize the page; losers free their copy.
         let fresh = alloc_page::<AtomicU64>();
-        match self.pages[pi].compare_exchange(
+        match self.pages()[pi].compare_exchange(
             std::ptr::null_mut(),
             fresh,
             Ordering::AcqRel,
@@ -190,13 +196,13 @@ impl OidArray {
     /// demand (same CAS protocol as the slot pages).
     fn free_slot(&self, oid: Oid) -> &AtomicU32 {
         let pi = oid.index() >> PAGE_SHIFT;
-        let ptr = self.free_pages[pi].load(Ordering::Acquire);
+        let ptr = self.free_pages()[pi].load(Ordering::Acquire);
         let page = if !ptr.is_null() {
             // SAFETY: free pages are never freed while the array lives.
             unsafe { &*ptr }
         } else {
             let fresh = alloc_page::<AtomicU32>();
-            match self.free_pages[pi].compare_exchange(
+            match self.free_pages()[pi].compare_exchange(
                 std::ptr::null_mut(),
                 fresh,
                 Ordering::AcqRel,
@@ -254,7 +260,7 @@ impl OidArray {
         for raw in 1..high {
             let oid = Oid(raw);
             let pi = oid.index() >> PAGE_SHIFT;
-            let page = self.pages[pi].load(Ordering::Acquire);
+            let page = self.pages()[pi].load(Ordering::Acquire);
             if page.is_null() {
                 continue;
             }
@@ -271,7 +277,7 @@ impl Drop for OidArray {
     fn drop(&mut self) {
         // Free remaining version chains, then the pages. Single-threaded
         // by &mut.
-        for page_ptr in self.pages.iter() {
+        for page_ptr in self.pages() {
             let page = page_ptr.load(Ordering::Relaxed);
             if page.is_null() {
                 continue;
@@ -288,7 +294,7 @@ impl Drop for OidArray {
                 drop(Box::from_raw(page));
             }
         }
-        for page_ptr in self.free_pages.iter() {
+        for page_ptr in self.free_pages() {
             let page = page_ptr.load(Ordering::Relaxed);
             if !page.is_null() {
                 unsafe { drop(Box::from_raw(page)) };

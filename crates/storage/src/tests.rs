@@ -298,7 +298,7 @@ fn min_active_begin_tracks_oldest() {
 #[test]
 fn a_worker_reclaims_the_slots_it_released() {
     let mgr = TidManager::new();
-    let (home_a, home_b) = (mgr.home(), mgr.home());
+    let (home_a, home_b) = (mgr.home().slot, mgr.home().slot);
     assert_ne!(home_a, home_b);
     let mut hint = home_b;
     let mut generations = [0u64; 2];

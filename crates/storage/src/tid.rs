@@ -9,9 +9,13 @@
 //! [`Region`], resident by use. An all-zero context is a free one
 //! (`TAG_FREE` is 0, generation 0 is never issued, and
 //! [`TidManager::acquire`] stores `begin`, `pstamp` and `sstamp` on
-//! every claim), so the table is never initialised: only the pages under
-//! the workers' [homes](TidManager::home) are ever written, and every
-//! scan stops at the high-water mark.
+//! every claim), so the table is never initialised.
+//!
+//! Each live worker leases a 64-slot home stretch, lowest free first
+//! ([`TidManager::home`]), and its claims stay inside it while it holds
+//! fewer than 64 contexts, parked prepares included. So the pages ever
+//! written, and the high-water mark every scan stops at, follow the
+//! workers live at once (`64 × w` contexts), not the transactions run.
 //!
 //! ## The commit word
 //!
@@ -40,6 +44,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use ermia_common::ids::TID_TABLE_CAPACITY;
 use ermia_common::{Lsn, Region, Tid, Zeroable};
+
+/// Slots in one home stretch; the table's first 64 stretches are homes.
+const STRETCH: usize = 64;
 
 const TAG_BITS: u32 = 3;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
@@ -156,12 +163,24 @@ pub struct TidManager {
     /// [`TID_TABLE_CAPACITY`] [`TxContext`]s, zero until claimed.
     table: Region,
     /// One past the highest slot ever claimed: every scan of the table
-    /// stops here. Workers keep reclaiming the same pair of slots (see
-    /// [`TidManager::acquire`]), so this stays near the number of workers
-    /// and a scan reads a few cache lines, not 2.6 MB.
+    /// stops here. Claims stay in their worker's home stretch and homes
+    /// are leased lowest first (see the module docs), so this stays at
+    /// most 64 × the most workers ever live at once, and a scan reads a
+    /// few cache lines, not 2.5 MiB.
     high_water: AtomicUsize,
-    /// Workers handed a [home](TidManager::home) so far.
-    homes: AtomicUsize,
+    /// The 64 home stretches, one bit each: set while a worker leases it.
+    leases: AtomicU64,
+    /// Homes handed out while all 64 were leased; these share stretches.
+    shared: AtomicUsize,
+}
+
+/// A worker's home stretch, the 64 slots its claims stay in; a leased one
+/// goes back with [`TidManager::vacate`].
+#[derive(Clone, Copy, Debug)]
+pub struct Home {
+    /// The stretch's first slot, where the worker's probe cursor starts.
+    pub slot: usize,
+    leased: bool,
 }
 
 impl Default for TidManager {
@@ -175,29 +194,49 @@ impl TidManager {
         TidManager {
             table: Region::new(TID_TABLE_CAPACITY * std::mem::size_of::<TxContext>()),
             high_water: AtomicUsize::new(0),
-            homes: AtomicUsize::new(0),
+            leases: AtomicU64::new(0),
+            shared: AtomicUsize::new(0),
         }
     }
 
-    /// Where a new worker's probe cursor starts: one of 64 homes, 64
-    /// slots apart (no two workers on one cache line, a run of parked
-    /// prepares stays inside its own stretch).
-    pub fn home(&self) -> usize {
-        (self.homes.fetch_add(1, Ordering::Relaxed) % 64) * 64
+    /// Lease a new worker's home: the lowest of the 64 stretches no live
+    /// worker holds. With all 64 leased, homes are shared round robin.
+    pub fn home(&self) -> Home {
+        // `l | (l + 1)` sets the lowest clear bit.
+        let lease = |l: u64| (l != u64::MAX).then(|| l | (l + 1));
+        match self.leases.fetch_update(Ordering::Relaxed, Ordering::Relaxed, lease) {
+            Ok(held) => Home { slot: held.trailing_ones() as usize * STRETCH, leased: true },
+            Err(_) => {
+                let stretch = self.shared.fetch_add(1, Ordering::Relaxed) % 64;
+                Home { slot: stretch * STRETCH, leased: false }
+            }
+        }
+    }
+
+    /// Hand a worker's home back. Contexts it left claimed there (parked
+    /// prepares) stay claimed; the next lessee's probes pass them.
+    pub fn vacate(&self, home: Home) {
+        if home.leased {
+            self.leases.fetch_and(!(1 << (home.slot / STRETCH)), Ordering::Relaxed);
+        }
     }
 
     /// Claim a context for a transaction beginning at `begin`.
     ///
-    /// `hint` is a per-worker probe cursor. The slot under it is probed
-    /// first and the cursor is left on the claimed slot's pair-neighbour
-    /// (`slot ^ 1`), so a worker alternates between two — cache-hot —
-    /// contexts with one CAS each, and only a worker holding several at
-    /// once (parked prepares) walks on. (Two rather than one: a locked
-    /// compare-exchange on the very word the previous release just stored
-    /// waits for that store, ≈ 1 ns in `storage.tid_acquire_release_ns`.)
+    /// `hint` is a per-worker probe cursor that starts at the worker's
+    /// [home](TidManager::home) and never leaves its stretch: the slot
+    /// under it is probed first, then the rest of the stretch, then — all
+    /// 64 held — the rest of the table. A claim at home leaves the cursor
+    /// on the claimed slot's pair-neighbour (`slot ^ 1`), so a worker
+    /// alternates between two cache-hot contexts with one CAS each. (Two:
+    /// a locked compare-exchange on the very word the previous release
+    /// just stored waits for that store, ≈ 1 ns in
+    /// `storage.tid_acquire_release_ns`.)
     pub fn acquire(&self, begin: Lsn, hint: &mut usize) -> (Tid, &TxContext) {
         for probe in 0..TID_TABLE_CAPACITY {
-            let slot = (*hint + probe) % TID_TABLE_CAPACITY;
+            // A bijection on the table whose first 64 probes flip only the
+            // low six bits: the home stretch, starting under the cursor.
+            let slot = *hint ^ probe;
             let ctx = &self.slots()[slot];
             if ctx.word.load(Ordering::Relaxed) != TAG_FREE {
                 continue;
@@ -215,7 +254,9 @@ impl TidManager {
                 continue;
             }
             // We own the slot: advance the generation, publish begin.
-            *hint = slot ^ 1;
+            if probe < STRETCH {
+                *hint = slot ^ 1;
+            }
             let old = ctx.owner.load(Ordering::Relaxed);
             let tid = Tid::new(Tid::from_raw(old).generation() + 1, slot);
             ctx.begin.store(begin.raw(), Ordering::Relaxed);
@@ -364,7 +405,7 @@ mod tests {
         let mgr = TidManager::new();
         let Some(touched) = mgr.table.touched_pages() else { return };
         assert!(touched.iter().all(|&t| !t), "a new table is untouched");
-        let mut hint = (0..4).map(|_| mgr.home()).last().expect("four homes");
+        let mut hint = (0..4).map(|_| mgr.home()).last().expect("four homes").slot;
         assert_eq!(hint, 3 * 64);
         let (tid, _) = mgr.acquire(Lsn::from_parts(9, 0), &mut hint);
         assert_eq!(mgr.high_water(), 3 * 64 + 1);
@@ -377,5 +418,37 @@ mod tests {
         assert!(last < scanned, "page {last} touched, the scans end inside page {}", scanned - 1);
         mgr.ctx(tid).abort();
         mgr.release(tid);
+    }
+
+    /// Homes are leased lowest first and shared once all 64 are; a worker
+    /// claims only in its stretch until it holds all 64 slots, spills past
+    /// it then, and comes home for the next claim.
+    #[test]
+    fn claims_stay_in_a_leased_home() {
+        let mgr = TidManager::new();
+        let homes: Vec<Home> = (0..64).map(|_| mgr.home()).collect();
+        assert!(homes.iter().enumerate().all(|(i, h)| h.slot == i * STRETCH && h.leased));
+        let shared = mgr.home();
+        assert!(!shared.leased, "all 64 leased: this one shares");
+        mgr.vacate(shared);
+        mgr.vacate(homes[5]);
+        mgr.vacate(homes[2]);
+        assert_eq!((mgr.home().slot, mgr.home().slot), (2 * STRETCH, 5 * STRETCH));
+
+        let mut hint = 5 * STRETCH + 17;
+        let stretch = 5 * STRETCH..6 * STRETCH;
+        let held: Vec<Tid> =
+            (0..64).map(|i| mgr.acquire(Lsn::from_parts(i + 1, 0), &mut hint).0).collect();
+        assert!(held.iter().all(|t| stretch.contains(&t.slot())));
+        assert_eq!(mgr.high_water(), 6 * STRETCH);
+        let before = hint;
+        let (spilled, _) = mgr.acquire(Lsn::from_parts(99, 0), &mut hint);
+        assert_eq!(spilled.slot(), before ^ STRETCH, "the first probe past the stretch");
+        assert_eq!(hint, before, "a spilled claim leaves the cursor at home");
+        mgr.ctx(held[40]).abort();
+        mgr.release(held[40]);
+        let (back, _) = mgr.acquire(Lsn::from_parts(100, 0), &mut hint);
+        assert_eq!(back.slot(), held[40].slot(), "the next claim starts at home");
+        assert_eq!(mgr.in_use(), 65);
     }
 }
