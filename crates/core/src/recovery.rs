@@ -22,11 +22,17 @@
 //! addresses, 16 bytes an OID — in which an image replaces the entry iff
 //! `(stamp, address)` is greater: stamps order transactions (every
 //! checkpoint image below every replayed record), addresses order the
-//! images one transaction wrote of the same OID. Step 2 passes over the
-//! same bytes again and builds the one image per OID the array names: a
-//! head installed once over null, a key indexed once. Nothing is stacked,
-//! so nothing is handed to the retire queue and the collector never hears
-//! of recovery: no snapshot older than the recovered tail can exist.
+//! images one transaction wrote of the same OID. An OID's first image (its
+//! insert, or its checkpoint row, walked in key order) indexes its key, as
+//! the live engine did; at the winning images, in the random order updates
+//! leave, the index takes 1.4 times the leaves. Step 2 passes over the same
+//! bytes again, builds the one image per OID the array names (a head
+//! installed once over null) and keeps the verdict records its caller asks
+//! for: none for [`Database::recover`], those an in-doubt prepare of any
+//! shard names for `ShardedDb::recover` (step 1 runs on every shard
+//! first), all for a replica. Nothing is stacked, so nothing is handed to
+//! the retire queue and the collector never hears of recovery: no snapshot
+//! older than the recovered tail can exist.
 //!
 //! **What still differs.** The paper's checkpoint stores OID → address
 //! only and anti-caching loads a record's body on first touch; this
@@ -95,8 +101,8 @@ pub struct RecoveryStats {
     pub elapsed: Duration,
 }
 
-/// A 2PC prepare found in the log without a local verdict. Produced by
-/// [`Database::recover_outcome`]; the sharded recovery pass applies it if
+/// A 2PC prepare found in the log without a local verdict. Left by
+/// recovery's step 1; the sharded recovery pass applies it if
 /// any participant's log holds a commit verdict, or — no verdict anywhere
 /// — if all `participants` prepares of the transaction are there, and
 /// drops it otherwise.
@@ -120,7 +126,7 @@ pub struct InDoubtTxn {
 }
 
 /// Everything one shard's log scan produced: replay counters, unresolved
-/// prepares, and every 2PC verdict found, for resolving *other* shards'
+/// prepares, and the 2PC verdicts kept for resolving *other* shards'
 /// in-doubt prepares.
 pub struct RecoveryOutcome {
     pub stats: RecoveryStats,
@@ -133,11 +139,11 @@ pub struct RecoveryOutcome {
 ///
 /// Verdict records are appended unforced to every participant's log, so
 /// no log's copy is authoritative: a shard that resolved its own prepare
-/// from its own copy must still answer for a shard whose copy was lost,
-/// and every verdict is kept. That is one entry per cross-shard commit in
-/// the log, hence the shape: per coordinator, one sorted `Vec<u64>` of
-/// `gtid_lsn << 1 | commit` (a raw LSN never has its top bit set) — 8
-/// bytes a verdict, where a hash-map entry costs four times that. Gtids
+/// from its own copy must still answer for a shard whose copy was lost. A
+/// replica keeps every verdict (recovery those an in-doubt prepare names):
+/// one per cross-shard commit, hence the shape: per coordinator, one sorted
+/// `Vec<u64>` of `gtid_lsn << 1 | commit` (a raw LSN never has its top bit
+/// set) — 8 bytes a verdict, where a hash-map entry costs four times that. Gtids
 /// are prepare stamps and verdicts follow their prepares closely, so
 /// records arrive almost in order and an insert is a push, or a shift of
 /// the last few entries.
@@ -186,7 +192,8 @@ struct Winners {
 impl Winners {
     const PAGE: usize = 4096;
 
-    fn offer(&mut self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) {
+    /// Offer an image; says whether it is the first of its OID.
+    fn offer(&mut self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
         let (t, o) = (table.0 as usize, oid.0 as usize);
         let (page, slot) = (o / Self::PAGE, o % Self::PAGE);
         if self.by_table.len() <= t {
@@ -196,7 +203,10 @@ impl Winners {
         if pages.len() <= page {
             pages.resize_with(page + 1, || vec![(0, 0); Self::PAGE].into());
         }
-        pages[page][slot] = pages[page][slot].max((stamp.raw(), addr));
+        let entry = &mut pages[page][slot];
+        let first = *entry == (0, 0);
+        *entry = (*entry).max((stamp.raw(), addr));
+        first
     }
 
     fn holds(&self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
@@ -261,17 +271,24 @@ impl<'a> Replay<'a> {
         stats.skipped_stale += 1; // until it is built
         self.table(rec.table.0, stamp)?;
         match &mut self.winners {
-            Some(winners) => winners.offer(rec.table, rec.oid, stamp, addr),
-            None => self.build(rec, stamp, stats)?,
+            Some(winners) => {
+                if winners.offer(rec.table, rec.oid, stamp, addr) {
+                    let table = self.table.as_deref().expect("looked up above");
+                    let _ = table.primary.insert(self.guard, rec.key, rec.oid.0 as u64);
+                }
+            }
+            None => self.build(rec, stamp, true, stats)?,
         }
         Ok(())
     }
 
-    /// Build one admitted row image, unless its OID holds a newer one.
+    /// Build one admitted row image, unless its OID holds a newer one; a
+    /// chain it creates indexes its key if `index` (offline, step 1 did).
     fn build(
         &mut self,
         rec: TxRecordView<'_>,
         stamp: Lsn,
+        index: bool,
         stats: &mut RecoveryStats,
     ) -> std::io::Result<()> {
         let (db, guard) = (self.db, self.guard);
@@ -287,7 +304,8 @@ impl<'a> Replay<'a> {
         };
         let tombstone = rec.kind == LogRecordKind::Delete;
         let table = self.table(rec.table.0, stamp)?;
-        if db.apply_record(guard, table, rec.oid, rec.key, value, stamp, tombstone) {
+        let key = index.then_some(rec.key);
+        if db.apply_record(guard, table, rec.oid, key, value, stamp, tombstone) {
             stats.skipped_stale -= 1;
             stats.built += 1;
         }
@@ -366,25 +384,35 @@ impl LogApplier {
 
     /// Offline replay of `db`'s log over `checkpoint` (its begin LSN and
     /// payload), for a database nobody reads yet: choose each OID's
-    /// newest image, then build those (module docs). Returns the applier,
-    /// standing at the tail and ready to follow it. The checkpoint was
-    /// taken at a cut, its `begin`, and replay starts there: a snapshot
-    /// at any offset replay has passed is transaction-consistent. An
-    /// image stamped at or above `begin` cannot have been written by
-    /// [`Database::checkpoint`] and is refused as corruption
-    /// (`InvalidData`, naming its table and OID).
-    pub fn rebuild(db: &Database, checkpoint: Option<(Lsn, &[u8])>) -> std::io::Result<LogApplier> {
+    /// newest image, then build those, keeping every verdict record (module
+    /// docs). Returns the applier, standing at the tail and ready to follow
+    /// it. The checkpoint was taken at a cut, its `begin`, and replay starts
+    /// there: a snapshot at any offset replay has passed is
+    /// transaction-consistent. An image stamped at or above `begin` cannot
+    /// have been written by [`Database::checkpoint`] and is refused as
+    /// corruption (`InvalidData`, naming its table and OID).
+    pub fn rebuild(
+        db: &Database,
+        checkpoint: Option<(Lsn, Vec<u8>)>,
+    ) -> std::io::Result<LogApplier> {
+        LogApplier::choose(db, checkpoint)?.build(|_| true)
+    }
+
+    /// Step 1 of [`LogApplier::rebuild`], choose: scan the checkpoint and
+    /// the log, index each key and rank each OID's images.
+    pub(crate) fn choose(
+        db: &Database,
+        checkpoint: Option<(Lsn, Vec<u8>)>,
+    ) -> std::io::Result<Chosen<'_>> {
         let t0 = Instant::now();
-        let (begin, payload) = checkpoint.unwrap_or((Lsn::NULL, &[]));
+        let (begin, payload) = checkpoint.unwrap_or((Lsn::NULL, Vec::new()));
         let mut applier = LogApplier::new(begin.offset());
+        let mut winners = Winners::default();
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
-
-        // Step 1, choose.
-        let mut winners = Winners::default();
         let mut replay = Replay::new(db, &guard, Some(&mut winners));
         let stats = &mut applier.stats;
-        walk_checkpoint(payload, |addr, stamp, rec| {
+        walk_checkpoint(&payload, |addr, stamp, rec| {
             if rec.kind != LogRecordKind::SecondaryInsert {
                 if stamp >= begin {
                     return Err(invalid(format!(
@@ -398,33 +426,8 @@ impl LogApplier {
             replay.admit(rec, stamp, addr, stats)
         })?;
         applier.scan(&mut replay)?;
-
-        // Step 2, build: the same bytes again, in address order.
-        let mut replay = Replay::new(db, &guard, None);
-        let stats = &mut applier.stats;
-        let mut build = |addr, stamp, rec: TxRecordView<'_>| {
-            let image = rec.kind != LogRecordKind::SecondaryInsert;
-            if image && winners.holds(rec.table, rec.oid, stamp, addr) {
-                replay.build(rec, stamp, stats)?;
-            }
-            Ok(())
-        };
-        walk_checkpoint(payload, &mut build)?;
-        let end = applier.applied;
-        let mut scanner = LogScanner::new(db.inner.log.segments(), begin.offset()).trusting(end);
-        while scanner.offset() < end {
-            let Some(block) = scanner.next_view()? else { break };
-            if matches!(block.header.kind, BlockKind::Txn | BlockKind::TxnPrepare) {
-                for (addr, rec) in block.records() {
-                    build(addr, block.header.cstamp, rec)?;
-                }
-            }
-        }
-        stats.scanned_bytes += payload.len() as u64;
-        stats.elapsed = t0.elapsed();
-        db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
-        *db.inner.recovered.lock().unwrap() = *stats;
-        Ok(applier)
+        applier.stats.elapsed = t0.elapsed();
+        Ok(Chosen { db, applier, winners, checkpoint: (begin, payload) })
     }
 
     /// The offset replay has consumed through: every byte below it has
@@ -490,9 +493,11 @@ impl LogApplier {
                 }
                 BlockKind::TxnDecide => {
                     let Some(d) = DecideRecord::decode(block.payload) else { continue };
-                    // Kept even when it resolves this log's own prepare:
-                    // another participant's copy may not have survived.
-                    self.decides.insert(&d);
+                    // Kept on the live tail even when it resolves this log's own
+                    // prepare: another participant's copy may be lost.
+                    if replay.winners.is_none() {
+                        self.decides.insert(&d);
+                    }
                     let resolved = self.pending.remove(&(d.coord_shard, d.gtid_lsn));
                     if let Some(txn) = resolved.filter(|_| d.commit) {
                         rounds += 1;
@@ -548,6 +553,60 @@ impl LogApplier {
         let in_doubt: Vec<InDoubtTxn> = self.pending.into_values().collect();
         stats.in_doubt = in_doubt.len() as u64;
         RecoveryOutcome { stats, in_doubt, decides: self.decides }
+    }
+}
+
+/// Step 1's result for one database: the applier at the tail, holding the
+/// prepares its own log left without a verdict, and the winners to build.
+pub(crate) struct Chosen<'a> {
+    db: &'a Database,
+    pub(crate) applier: LogApplier,
+    winners: Winners,
+    checkpoint: (Lsn, Vec<u8>),
+}
+
+impl Chosen<'_> {
+    /// Step 2, build: the same bytes again, in address order, building
+    /// each winner and keeping the verdict records `keep` names.
+    pub(crate) fn build(self, keep: impl Fn((u32, u64)) -> bool) -> std::io::Result<LogApplier> {
+        let t0 = Instant::now();
+        let Chosen { db, mut applier, winners, checkpoint: (begin, payload) } = self;
+        let handle = db.inner.epoch.register();
+        let guard = handle.pin();
+        let mut replay = Replay::new(db, &guard, None);
+        let stats = &mut applier.stats;
+        let mut build = |addr, stamp, rec: TxRecordView<'_>| {
+            let image = rec.kind != LogRecordKind::SecondaryInsert;
+            if image && winners.holds(rec.table, rec.oid, stamp, addr) {
+                replay.build(rec, stamp, false, stats)?;
+            }
+            Ok(())
+        };
+        walk_checkpoint(&payload, &mut build)?;
+        let end = applier.applied;
+        let mut scanner = LogScanner::new(db.inner.log.segments(), begin.offset()).trusting(end);
+        while scanner.offset() < end {
+            let Some(block) = scanner.next_view()? else { break };
+            match block.header.kind {
+                BlockKind::Txn | BlockKind::TxnPrepare => {
+                    for (addr, rec) in block.records() {
+                        build(addr, block.header.cstamp, rec)?;
+                    }
+                }
+                BlockKind::TxnDecide => {
+                    let d = DecideRecord::decode(block.payload);
+                    if let Some(d) = d.filter(|d| keep((d.coord_shard, d.gtid_lsn))) {
+                        applier.decides.insert(&d);
+                    }
+                }
+                _ => {}
+            }
+        }
+        stats.scanned_bytes += payload.len() as u64;
+        stats.elapsed += t0.elapsed();
+        db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
+        *db.inner.recovered.lock().unwrap() = *stats;
+        Ok(applier)
     }
 }
 
@@ -749,29 +808,16 @@ impl Database {
     ///
     /// 2PC prepares whose verdict is not in this log are *presumed
     /// aborted* (counted in [`RecoveryStats::in_doubt`]). Sharded
-    /// deployments recover through `ShardedDb::recover`, which uses
-    /// [`Database::recover_outcome`] to resolve them against every
-    /// participant's log instead.
+    /// deployments recover through `ShardedDb::recover`, which resolves
+    /// them against every participant's log instead.
     pub fn recover(&self) -> std::io::Result<RecoveryStats> {
-        self.recover_outcome().map(|o| o.stats)
+        Ok(LogApplier::choose(self, self.latest_checkpoint()?)?.build(|_| false)?.stats())
     }
 
-    /// [`Database::recover`] plus the raw material the sharded
-    /// resolution pass needs: this shard's unresolved prepares and every
-    /// 2PC verdict its log contains.
-    pub fn recover_outcome(&self) -> std::io::Result<RecoveryOutcome> {
-        let checkpoint = match &self.inner.checkpoints {
-            Some(store) => store.latest()?,
-            None => None,
-        };
-        let checkpoint = checkpoint.as_ref().map(|(meta, payload)| (meta.begin, &payload[..]));
-        Ok(LogApplier::rebuild(self, checkpoint)?.into_outcome())
-    }
-
-    /// Apply a resolved in-doubt prepare (verdict: commit) produced by
-    /// [`Database::recover_outcome`] on this same database. It comes after
-    /// the build, so it stacks on what its rows hold — and says so to the
-    /// collector — like any commit at the tail.
+    /// Apply a resolved in-doubt prepare (verdict: commit) that recovery
+    /// of this same database left. It comes after the build, so it stacks
+    /// on what its rows hold — and says so to the collector — like any
+    /// commit at the tail.
     pub fn apply_in_doubt(&self, txn: &InDoubtTxn) -> std::io::Result<()> {
         let handle = self.inner.epoch.register();
         let guard = handle.pin();
@@ -780,14 +826,15 @@ impl Database {
 
     /// Idempotently apply one record image: install iff newer than the
     /// current head (a block's records share its stamp and are built
-    /// newest first, see [`Replay::txn`]).
+    /// newest first, see [`Replay::txn`]). `key` is indexed if the image
+    /// creates its OID's chain; offline, step 1 indexed it (`None`).
     #[allow(clippy::too_many_arguments)]
     fn apply_record(
         &self,
         guard: &ermia_epoch::Guard<'_>,
         table: &Table,
         oid: Oid,
-        key: &[u8],
+        key: Option<&[u8]>,
         value: &[u8],
         cstamp: Lsn,
         tombstone: bool,
@@ -808,7 +855,9 @@ impl Database {
             // committed OID never changes key (a delete is a tombstone,
             // and only never-committed inserts recycle their OID), so a
             // later record of the same OID finds it indexed already.
-            let _ = table.primary.insert(guard, key, oid.0 as u64);
+            if let Some(key) = key {
+                let _ = table.primary.insert(guard, key, oid.0 as u64);
+            }
         } else {
             // The live tail stacks versions exactly as the commits did;
             // without this the collector would never hear of them. (The

@@ -91,7 +91,7 @@ mod routing;
 mod staged;
 mod txn;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Relaxed};
 use std::sync::{Arc, RwLock, Weak};
@@ -102,7 +102,7 @@ use ermia_telemetry::{EventKind, Sample};
 
 use crate::config::DbConfig;
 use crate::database::{invalid, Database, DbState, NodeRole};
-use crate::recovery::RecoveryStats;
+use crate::recovery::{LogApplier, RecoveryStats};
 
 use routing::Routing;
 pub use routing::{shard_of_key, IndexRouting, ShardPolicy};
@@ -366,8 +366,10 @@ impl ShardedDb {
 
     /// Recover every shard and resolve cross-shard in-doubt prepares.
     ///
-    /// Each shard's scan yields (a) its replay stats, (b) prepares with
-    /// no local verdict, and (c) every verdict record in its log. An
+    /// Step 1 of recovery runs on every shard first and leaves each one's
+    /// prepares with no verdict in its own log; step 2 then builds each
+    /// shard's rows and keeps the verdict records in its log that one of
+    /// those prepares, on any shard, names — not one per commit. An
     /// in-doubt prepare commits if any shard's log holds a commit verdict
     /// for its gtid and aborts if any holds an abort verdict. With no
     /// verdict anywhere it commits iff as many shards hold a prepare for
@@ -381,9 +383,14 @@ impl ShardedDb {
     /// whatever has been truncated by then — goes by the same answer.
     pub fn recover(&self) -> io::Result<ShardRecoveryStats> {
         let inner = &self.inner;
-        let mut outcomes = Vec::with_capacity(inner.dbs.len());
+        let mut chosen = Vec::with_capacity(inner.dbs.len());
         for db in &inner.dbs {
-            outcomes.push(db.recover_outcome()?);
+            chosen.push(LogApplier::choose(db, db.latest_checkpoint()?)?);
+        }
+        let wanted: HashSet<_> = chosen.iter().flat_map(|c| c.applier.pending_keys()).collect();
+        let mut outcomes = Vec::with_capacity(chosen.len());
+        for step in chosen {
+            outcomes.push(step.build(|key| wanted.contains(&key))?.into_outcome());
         }
         // The verdicts stay the per-shard sets they arrived as: only the
         // in-doubt few are ever looked up.

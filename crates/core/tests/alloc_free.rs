@@ -14,7 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::Ordering::Relaxed;
 
-use ermia::{Database, DbConfig, IsolationLevel, ShardedDb};
+use ermia::{Database, DbConfig, DeferredCommit, IsolationLevel, ShardedDb};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
@@ -400,11 +402,21 @@ fn a_checkpoint_allocates_per_walk_not_per_row() {
 /// than 1.1 × the load at once — plus the 16-byte entry of the winner
 /// table per row and the reader's chunks (a constant), and leaves every
 /// chain one version long: nothing retired, nothing for the collector to
-/// find. (On the parent of this guard:
-/// a version, a payload copy, two key/value `Vec`s and a map entry per
-/// *record*, and nine of ten versions built only to be reclaimed.)
+/// find. The rows are loaded in key order and overwritten either in key
+/// order or in a seeded shuffle: recovery indexes a key at its insert, so
+/// the index comes out as the load left it either way. (On the parent of
+/// this guard: a version, a payload copy, two key/value `Vec`s and a map
+/// entry per *record*, and nine of ten versions built only to be
+/// reclaimed. Indexing each key at its winning image instead left the
+/// shuffled input's leaves a third emptier: about 15 bytes a row over.)
 #[test]
 fn recovering_a_row_costs_one_allocation() {
+    for shuffled in [false, true] {
+        recover_rows(shuffled);
+    }
+}
+
+fn recover_rows(shuffled: bool) {
     const ROWS: u64 = 20_000;
     const OVERWRITES: u8 = 9;
     // What the scanner reads into, twice over (choose, then build): a
@@ -421,10 +433,17 @@ fn recovering_a_row_costs_one_allocation() {
         let db = Database::open(DbConfig::durable(&dir)).unwrap();
         let t = db.create_table("t");
         let mut w = db.register_worker();
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut order: Vec<u64> = (0..ROWS).collect();
         let mut pass = |value: Option<u8>| {
-            for base in (0..ROWS).step_by(50) {
+            if shuffled && value.is_some() {
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.random_range(0..=i));
+                }
+            }
+            for ids in order.chunks(50) {
                 let mut tx = w.begin(IsolationLevel::Snapshot);
-                for i in base..base + 50 {
+                for &i in ids {
                     match value {
                         None => drop(tx.insert(t, &key(i), &[0x51; 64]).unwrap()),
                         Some(v) => assert!(tx.update(t, &key(i), &[v; 64]).unwrap()),
@@ -453,8 +472,9 @@ fn recovering_a_row_costs_one_allocation() {
     assert_eq!(stats.skipped_stale, ROWS * OVERWRITES as u64, "{stats:?}");
     let per_row = |n: u64| n as f64 / ROWS as f64;
     println!(
-        "recovery guard: {:.3} allocations/row, {:.1} requested bytes/row (the load: {:.1}), \
-         peak {:.2} x the load",
+        "recovery guard ({}): {:.3} allocations/row, {:.1} requested bytes/row (the load: \
+         {:.1}), peak {:.2} x the load",
+        if shuffled { "shuffled overwrites" } else { "overwrites in key order" },
         per_row(calls),
         per_row(bytes - 2 * READER),
         per_row(loaded),
@@ -477,4 +497,70 @@ fn recovering_a_row_costs_one_allocation() {
     let mut tx = w.begin(IsolationLevel::Snapshot);
     let last = tx.read(db.table_id("t").unwrap(), &key(ROWS - 1), |v| v.to_vec()).unwrap();
     assert_eq!(last, Some(vec![OVERWRITES - 1; 64]));
+}
+
+/// Recovery's memory follows the rows, not the uptime: a two-shard engine
+/// whose 32 rows took 20 000 cross-shard commits, and one whose rows took
+/// 80 000, recover holding the same bytes at once, within 64 KiB. Only
+/// the verdicts an in-doubt prepare asks for are kept. (Keeping every
+/// verdict of every log, 8 bytes a commit and log, grew the second peak
+/// by about 1 MB.) The printed line is the trend CI keeps.
+#[test]
+fn recovery_holds_no_more_after_four_times_the_commits() {
+    const COMMITS: usize = 20_000;
+    const WINDOW: usize = 16;
+    let peaks: Vec<i64> = [COMMITS, 4 * COMMITS]
+        .into_iter()
+        .map(|commits| {
+            let dir = ermia_common::TestDir::new("recover-2pc-guard");
+            {
+                let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+                let t = db.create_table("t");
+                let key_on = |shard: usize, i: usize| {
+                    (0u32..)
+                        .map(|j| format!("pair-{i}-{j}").into_bytes())
+                        .find(|k| ermia::shard_of_key(k, 2) == shard)
+                        .unwrap()
+                };
+                let pairs: Vec<_> = (0..WINDOW).map(|i| [key_on(0, i), key_on(1, i)]).collect();
+                let mut w = db.register_worker();
+                for _ in 0..commits / WINDOW {
+                    // A window of commits deferred, then each waited for.
+                    let mut staged = Vec::with_capacity(WINDOW);
+                    for pair in &pairs {
+                        let mut tx = w.begin(IsolationLevel::Snapshot);
+                        for key in pair {
+                            if !tx.update(t, key, b"v").unwrap() {
+                                tx.insert(t, key, b"v").unwrap();
+                            }
+                        }
+                        match tx.commit_deferred().unwrap() {
+                            DeferredCommit::Staged(s) => staged.push(s),
+                            DeferredCommit::Committed(_) => panic!("two shards stage a 2PC"),
+                        }
+                    }
+                    for s in staged {
+                        s.wait(&mut w).unwrap();
+                    }
+                }
+                (0..2).for_each(|s| db.shard(s).log().sync().unwrap());
+            }
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let held = LIVE_BYTES.with(|l| l.get());
+            PEAK_BYTES.with(|p| p.set(held));
+            let stats = db.recover().unwrap();
+            let peak = PEAK_BYTES.with(|p| p.get()) - held;
+            assert_eq!(stats.per_shard.iter().map(|s| s.built).sum::<u64>(), 2 * WINDOW as u64);
+            peak
+        })
+        .collect();
+    println!(
+        "recovery guard (2 shards): peak {} KiB after {COMMITS} cross-shard commits, {} KiB \
+         after {}",
+        peaks[0] >> 10,
+        peaks[1] >> 10,
+        4 * COMMITS
+    );
+    let grew = peaks[1] - peaks[0];
+    assert!(grew.abs() <= 64 << 10, "recovery held {grew:+} bytes more after 4x the commits");
 }

@@ -149,18 +149,20 @@
 //! what accumulates during one flush. Both arrays are
 //! [`ermia_common::Region`]s — zero and not resident until written — and
 //! for rings of 16 MiB and up the flusher hands drained memory back to
-//! the operating system in 2 MiB chunks, bytes and stamps in the same
-//! call ([`crate::buffer::RingBuffer::release`]: 2 MiB of log is 256 KiB
+//! the operating system in 256 KiB chunks, bytes and stamps in the same
+//! call ([`crate::buffer::RingBuffer::release`]: 256 KiB of log is 32 KiB
 //! of stamps, and a zero stamp stops the watermark scan just as the
 //! stale one it replaces would), so what is resident of either follows
 //! the bytes in flight; a stamp page is faulted in again once per 32 KiB
-//! of log. Pages can only be dropped *before* the space they occupy is
-//! published to writers (below the published watermark the next wrap
-//! generation is already admitted), so on such rings the *space*
-//! watermark advances a chunk at a time — released first, published
-//! second — and trails the durable watermark by less than a chunk,
-//! except that a reservation parked for space gets every durable byte at
-//! once. Space is released only over the in-order completed prefix, like
+//! of log. A ring keeps up to a chunk of drained bytes, and an eighth of
+//! that in stamps, resident before its `madvise`; at a few MB/s of log a
+//! 256 KiB chunk is one 64-page call every 0.1–0.2 s. Pages can only be
+//! dropped *before* the space they occupy is published to writers (below
+//! the published watermark the next wrap generation is already admitted),
+//! so on such rings the *space* watermark advances a chunk at a time —
+//! released first, published second — and trails the durable watermark
+//! by less than a chunk, except that a reservation parked for space gets
+//! every durable byte at once. Space is released only over the in-order completed prefix, like
 //! everything else. The durable watermark, which is what committers wait
 //! on, is never delayed.
 //!
@@ -200,7 +202,7 @@ use crate::segment::Segment;
 /// system, [`RELEASE_CHUNK`] bytes at a time; smaller ones (tests, the
 /// in-memory configuration) are cheaper left resident.
 const MIN_RELEASING_RING: u64 = 16 << 20;
-const RELEASE_CHUNK: u64 = 2 << 20;
+const RELEASE_CHUNK: u64 = 256 << 10;
 
 /// Transient-error retry budget: 6 attempts, 100µs..=3.2ms backoff.
 const MAX_WRITE_RETRIES: u32 = 6;

@@ -145,7 +145,7 @@ impl LogScanner {
         if offset < self.chunk_at || offset + len > self.chunk_at + self.chunk.len() as u64 {
             let ahead = if self.chunk.is_empty() { CHUNK / 16 } else { CHUNK };
             let want = len.max(ahead).min(seg.end - offset);
-            self.chunk.clear();
+            // Only what the chunk grows by is zeroed: the read overwrites it.
             self.chunk.resize(want as usize, 0);
             self.chunk_at = offset;
             if let Err(e) = file.read_exact_at(&mut self.chunk, seg.file_pos(offset)) {

@@ -297,8 +297,7 @@ impl ShardState {
         }
         // Nobody reads this database yet (the serving view is made below),
         // so the first round builds only what survives.
-        let checkpoint = ckpt.as_ref().map(|(begin, payload)| (*begin, &payload[..]));
-        let applier = LogApplier::rebuild(&db, checkpoint)?;
+        let applier = LogApplier::rebuild(&db, ckpt)?;
         let blocks = applier.stats().replayed_blocks;
 
         let view = db.replica_view();
