@@ -17,22 +17,21 @@
 //!
 //! **What matches §3.7.** Offline recovery ([`LogApplier::rebuild`])
 //! restores *indirection arrays*, not history. Step 1 scans the
-//! checkpoint and the log once and keeps, per table, a dense array of
-//! `OID → (commit stamp, address)` — the paper's OID array of log
-//! addresses, 16 bytes an OID — in which an image replaces the entry iff
-//! `(stamp, address)` is greater: stamps order transactions (every
-//! checkpoint image below every replayed record), addresses order the
-//! images one transaction wrote of the same OID. An OID's first image (its
-//! insert, or its checkpoint row, walked in key order) indexes its key, as
-//! the live engine did; at the winning images, in the random order updates
-//! leave, the index takes 1.4 times the leaves. Step 2 passes over the same
-//! bytes again, builds the one image per OID the array names (a head
-//! installed once over null) and keeps the verdict records its caller asks
-//! for: none for [`Database::recover`], those an in-doubt prepare of any
-//! shard names for `ShardedDb::recover` (step 1 runs on every shard
-//! first), all for a replica. Nothing is stacked, so nothing is handed to
-//! the retire queue and the collector never hears of recovery: no snapshot
-//! older than the recovered tail can exist.
+//! checkpoint and the log once and ranks each OID's images in its own
+//! slot — the paper's OID array of log addresses — as *address words*
+//! (`OidArray::address_word`): every log image above every checkpoint
+//! image, then by address, which within one log is commit order (a
+//! block's LSN is its stamp). An OID's first image (its insert, or its
+//! checkpoint row, walked in key order) indexes its key, as the live
+//! engine did; at the winning images, in the random order updates leave,
+//! the index takes 1.4 times the leaves. Step 2 passes over the same bytes
+//! again, builds each image its slot's word names, over the word, and
+//! keeps the verdict records its caller asks for: none for
+//! [`Database::recover`], those an in-doubt prepare of any shard names
+//! for `ShardedDb::recover` (step 1 runs on every shard first), all for a
+//! replica. No word outlives step 2 (`Unbuilt`). Nothing is stacked, so
+//! nothing is handed to the retire queue and the collector never hears of
+//! recovery: no snapshot older than the recovered tail can exist.
 //!
 //! **What still differs.** The paper's checkpoint stores OID → address
 //! only and anti-caching loads a record's body on first touch; this
@@ -67,7 +66,7 @@ use ermia_log::{
     BlobRef, BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind,
     LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
 };
-use ermia_storage::{Retired, TidManager, Version};
+use ermia_storage::{OidArray, Retired, TidManager, Version};
 use ermia_telemetry::{EventKind, SpanKind, TraceContext};
 
 use crate::database::{invalid, Cut, Database, IndexInfo, Table};
@@ -175,62 +174,22 @@ impl VerdictSet {
     }
 }
 
-/// An image's rank: its raw commit stamp, then its address — a log
-/// record's offset, or a checkpoint image's offset in the payload. Every
-/// checkpoint image is stamped below every replayed record, so addresses
-/// only order the images of one transaction. `(0, 0)` is no image: no
-/// stamp is 0 (a log opens with a skip block).
-type Winner = (u64, u64);
-
-/// Step 1's result: per table, OID → the highest-ranked image seen, in
-/// pages of [`Winners::PAGE`] entries so the table costs its 16 bytes an OID.
-#[derive(Default)]
-struct Winners {
-    by_table: Vec<Vec<Box<[Winner]>>>,
-}
-
-impl Winners {
-    const PAGE: usize = 4096;
-
-    /// Offer an image; says whether it is the first of its OID.
-    fn offer(&mut self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
-        let (t, o) = (table.0 as usize, oid.0 as usize);
-        let (page, slot) = (o / Self::PAGE, o % Self::PAGE);
-        if self.by_table.len() <= t {
-            self.by_table.resize_with(t + 1, Vec::new);
-        }
-        let pages = &mut self.by_table[t];
-        if pages.len() <= page {
-            pages.resize_with(page + 1, || vec![(0, 0); Self::PAGE].into());
-        }
-        let entry = &mut pages[page][slot];
-        let first = *entry == (0, 0);
-        *entry = (*entry).max((stamp.raw(), addr));
-        first
-    }
-
-    fn holds(&self, table: TableId, oid: Oid, stamp: Lsn, addr: u64) -> bool {
-        let pages = self.by_table.get(table.0 as usize);
-        let page = pages.and_then(|p| p.get(oid.0 as usize / Self::PAGE));
-        page.is_some_and(|p| p[oid.0 as usize % Self::PAGE] == (stamp.raw(), addr))
-    }
-}
-
 /// What a replay round applies records through: one epoch pin, and
 /// one-entry memos of the table and the index last named, so the catalog
-/// lock is taken when they change and not per record. Given `winners`
-/// (offline, step 1) a row image is offered to them instead of built.
+/// lock is taken when they change and not per record. Given `ranking`
+/// (offline step 1: are the images the log's?) a row image is ranked in
+/// its slot instead of built.
 struct Replay<'a> {
     db: &'a Database,
     guard: &'a Guard<'a>,
     table: Option<Arc<Table>>,
     index: Option<Arc<IndexInfo>>,
-    winners: Option<&'a mut Winners>,
+    ranking: Option<bool>,
 }
 
 impl<'a> Replay<'a> {
-    fn new(db: &'a Database, guard: &'a Guard<'a>, winners: Option<&'a mut Winners>) -> Self {
-        Replay { db, guard, table: None, index: None, winners }
+    fn new(db: &'a Database, guard: &'a Guard<'a>, ranking: Option<bool>) -> Self {
+        Replay { db, guard, table: None, index: None, ranking }
     }
 
     /// The table a record names. One the catalog does not hold is an
@@ -248,7 +207,8 @@ impl<'a> Replay<'a> {
 
     /// Admit one committed record, found at `addr` under commit `stamp`:
     /// an index entry is inserted, a row image is built — or, offline,
-    /// offered to the winners.
+    /// ranked in its slot (one holding a version, recovered before, is
+    /// left alone).
     fn admit(
         &mut self,
         rec: TxRecordView<'_>,
@@ -269,15 +229,15 @@ impl<'a> Replay<'a> {
             return Ok(());
         }
         stats.skipped_stale += 1; // until it is built
-        self.table(rec.table.0, stamp)?;
-        match &mut self.winners {
-            Some(winners) => {
-                if winners.offer(rec.table, rec.oid, stamp, addr) {
-                    let table = self.table.as_deref().expect("looked up above");
-                    let _ = table.primary.insert(self.guard, rec.key, rec.oid.0 as u64);
-                }
-            }
-            None => self.build(rec, stamp, true, stats)?,
+        let Some(from_log) = self.ranking else { return self.build(rec, stamp, true, stats) };
+        let (guard, table) = (self.guard, self.table(rec.table.0, stamp)?);
+        let (head, word) = (table.oids.head(rec.oid), OidArray::address_word(from_log, addr));
+        if head.is_null() {
+            table.oids.ensure_allocated(rec.oid);
+            table.oids.store_head(rec.oid, word);
+            let _ = table.primary.insert(guard, rec.key, rec.oid.0 as u64);
+        } else if OidArray::is_address(head) && head < word {
+            table.oids.store_head(rec.oid, word);
         }
         Ok(())
     }
@@ -315,7 +275,7 @@ impl<'a> Replay<'a> {
     /// Admit every record of a committed transaction's block.
     fn txn(&mut self, block: &BlockView<'_>, stats: &mut RecoveryStats) -> std::io::Result<()> {
         stats.replayed_blocks += 1;
-        let in_order = self.winners.is_some() || block.header.nrec == 1;
+        let in_order = self.ranking.is_some() || block.header.nrec == 1;
         let admit = |(addr, rec)| {
             stats.replayed_records += 1;
             self.admit(rec, block.header.cstamp, addr, stats)
@@ -405,12 +365,12 @@ impl LogApplier {
         checkpoint: Option<(Lsn, Vec<u8>)>,
     ) -> std::io::Result<Chosen<'_>> {
         let t0 = Instant::now();
+        let unbuilt = Unbuilt(db);
         let (begin, payload) = checkpoint.unwrap_or((Lsn::NULL, Vec::new()));
         let mut applier = LogApplier::new(begin.offset());
-        let mut winners = Winners::default();
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
-        let mut replay = Replay::new(db, &guard, Some(&mut winners));
+        let mut replay = Replay::new(db, &guard, Some(false));
         let stats = &mut applier.stats;
         walk_checkpoint(&payload, |addr, stamp, rec| {
             if rec.kind != LogRecordKind::SecondaryInsert {
@@ -425,9 +385,10 @@ impl LogApplier {
             }
             replay.admit(rec, stamp, addr, stats)
         })?;
+        replay.ranking = Some(true);
         applier.scan(&mut replay)?;
         applier.stats.elapsed = t0.elapsed();
-        Ok(Chosen { db, applier, winners, checkpoint: (begin, payload) })
+        Ok(Chosen { unbuilt, applier, checkpoint: (begin, payload) })
     }
 
     /// The offset replay has consumed through: every byte below it has
@@ -495,7 +456,7 @@ impl LogApplier {
                     let Some(d) = DecideRecord::decode(block.payload) else { continue };
                     // Kept on the live tail even when it resolves this log's own
                     // prepare: another participant's copy may be lost.
-                    if replay.winners.is_none() {
+                    if replay.ranking.is_none() {
                         self.decides.insert(&d);
                     }
                     let resolved = self.pending.remove(&(d.coord_shard, d.gtid_lsn));
@@ -556,33 +517,65 @@ impl LogApplier {
     }
 }
 
+/// A database whose slots may hold address words: dropped before step 2
+/// finishes — an error on this shard or another, a [`Chosen`] never built
+/// — it clears them, so no reader, collector or array drop meets one.
+struct Unbuilt<'a>(&'a Database);
+
+impl Unbuilt<'_> {
+    /// Clear every address word left; the first one's table and OID.
+    fn clear(&self) -> Option<(TableId, Oid)> {
+        let mut left = None;
+        for table in &self.0.inner.catalog.read().unwrap().tables {
+            table.oids.for_each(|oid, head| {
+                if OidArray::is_address(head) {
+                    table.oids.store_head(oid, std::ptr::null_mut());
+                    left.get_or_insert((table.id, oid));
+                }
+            });
+        }
+        left
+    }
+}
+
+impl Drop for Unbuilt<'_> {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 /// Step 1's result for one database: the applier at the tail, holding the
-/// prepares its own log left without a verdict, and the winners to build.
+/// prepares its own log left without a verdict, and the words to build.
 pub(crate) struct Chosen<'a> {
-    db: &'a Database,
+    unbuilt: Unbuilt<'a>,
     pub(crate) applier: LogApplier,
-    winners: Winners,
     checkpoint: (Lsn, Vec<u8>),
 }
 
 impl Chosen<'_> {
     /// Step 2, build: the same bytes again, in address order, building
-    /// each winner and keeping the verdict records `keep` names.
+    /// each image its slot's word names and keeping the verdict records
+    /// `keep` names. A word left over is `InvalidData`.
     pub(crate) fn build(self, keep: impl Fn((u32, u64)) -> bool) -> std::io::Result<LogApplier> {
         let t0 = Instant::now();
-        let Chosen { db, mut applier, winners, checkpoint: (begin, payload) } = self;
+        let Chosen { unbuilt, mut applier, checkpoint: (begin, payload) } = self;
+        let db = unbuilt.0;
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
         let mut replay = Replay::new(db, &guard, None);
         let stats = &mut applier.stats;
-        let mut build = |addr, stamp, rec: TxRecordView<'_>| {
-            let image = rec.kind != LogRecordKind::SecondaryInsert;
-            if image && winners.holds(rec.table, rec.oid, stamp, addr) {
+        let mut build = |from_log, addr, stamp, rec: TxRecordView<'_>| {
+            if rec.kind == LogRecordKind::SecondaryInsert {
+                return Ok(());
+            }
+            let oids = &replay.table(rec.table.0, stamp)?.oids;
+            if oids.head(rec.oid) == OidArray::address_word(from_log, addr) {
+                oids.store_head(rec.oid, std::ptr::null_mut()); // built over null
                 replay.build(rec, stamp, false, stats)?;
             }
             Ok(())
         };
-        walk_checkpoint(&payload, &mut build)?;
+        walk_checkpoint(&payload, |addr, stamp, rec| build(false, addr, stamp, rec))?;
         let end = applier.applied;
         let mut scanner = LogScanner::new(db.inner.log.segments(), begin.offset()).trusting(end);
         while scanner.offset() < end {
@@ -590,7 +583,7 @@ impl Chosen<'_> {
             match block.header.kind {
                 BlockKind::Txn | BlockKind::TxnPrepare => {
                     for (addr, rec) in block.records() {
-                        build(addr, block.header.cstamp, rec)?;
+                        build(true, addr, block.header.cstamp, rec)?;
                     }
                 }
                 BlockKind::TxnDecide => {
@@ -601,6 +594,10 @@ impl Chosen<'_> {
                 }
                 _ => {}
             }
+        }
+        if let Some((table, oid)) = unbuilt.clear() {
+            let what = "ranked an image that its second pass did not find";
+            return Err(invalid(format!("recovery of table {} OID {} {what}", table.0, oid.0)));
         }
         stats.scanned_bytes += payload.len() as u64;
         stats.elapsed += t0.elapsed();

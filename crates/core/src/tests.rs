@@ -1058,19 +1058,7 @@ fn a_checkpoint_image_at_or_above_its_begin_is_refused() {
         let oid = tx.insert(t, b"k2", b"v2").unwrap();
         let stamp = tx.commit().unwrap();
         db.log().sync().unwrap();
-        // One table, one row — (oid, stamp, live, "k", "v2") — and no
-        // secondary entries, in the checkpoint payload format.
-        let mut payload = Vec::new();
-        for word in [1, t.0, 1, oid.0] {
-            payload.extend_from_slice(&u32::to_le_bytes(word));
-        }
-        payload.extend_from_slice(&stamp.raw().to_le_bytes());
-        payload.push(0);
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&2u32.to_le_bytes());
-        payload.extend_from_slice(b"kv2");
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        db.store_checkpoint(stamp, &payload).unwrap();
+        db.store_checkpoint(stamp, &image_at_begin(t, oid, stamp)).unwrap();
         oid
     };
     let db = Database::open(DbConfig::durable(&dir)).unwrap();
@@ -1078,6 +1066,128 @@ fn a_checkpoint_image_at_or_above_its_begin_is_refused() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     let (t, text) = (db.table_id("t").unwrap(), err.to_string());
     assert!(text.contains(&format!("table {} OID {}", t.0, oid.0)), "{text}");
+}
+
+/// Every log image outranks every checkpoint image, whatever their
+/// addresses: rows loaded a thousand to a transaction take fewer log bytes
+/// than checkpoint bytes (a 16-byte record head against a 19-byte image
+/// head), so the last row's offset in the payload lies above the log
+/// offset of the update that follows the checkpoint.
+#[test]
+fn a_log_image_outranks_every_checkpoint_image() {
+    let dir = TestDir::new("log-over-checkpoint");
+    let last = 9_999u32.to_be_bytes();
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        for base in (0..10_000u32).step_by(1000) {
+            let mut tx = w.begin(SI);
+            for i in base..base + 1000 {
+                tx.insert(t, &i.to_be_bytes(), b"c").unwrap();
+            }
+            tx.commit().unwrap();
+        }
+        db.checkpoint().unwrap();
+        let mut tx = w.begin(SI);
+        assert!(tx.update(t, &last, b"l").unwrap());
+        tx.commit().unwrap();
+        db.log().sync().unwrap();
+    }
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let stats = db.recover().unwrap();
+    assert_eq!((stats.checkpoint_records, stats.built), (10_000, 10_000), "{stats:?}");
+    let mut w = db.register_worker();
+    let mut tx = w.begin(SI);
+    assert_eq!(get(&mut tx, db.table_id("t").unwrap(), &last).as_deref(), Some(&b"l"[..]));
+    tx.commit().unwrap();
+}
+
+/// A checkpoint payload of one table and one row — (oid, stamp, live,
+/// "k", "v2") — and no secondary entries: stored under `stamp` as its
+/// begin, the image recovery refuses.
+fn image_at_begin(t: ermia_common::TableId, oid: ermia_common::Oid, stamp: crate::Lsn) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for word in [1, t.0, 1, oid.0] {
+        payload.extend_from_slice(&u32::to_le_bytes(word));
+    }
+    payload.extend_from_slice(&stamp.raw().to_le_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&1u16.to_le_bytes());
+    payload.extend_from_slice(&2u32.to_le_bytes());
+    payload.extend_from_slice(b"kv2");
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload
+}
+
+/// Recovery's step 1 ranks images as address words in the slots it
+/// rebuilds; no exit may leave one for a reader or a drop to follow. Here
+/// shard 1's step 1 refuses its checkpoint after shard 0's has written its
+/// words: the error comes back, every shard-0 slot is null or a version,
+/// and the engine drops cleanly.
+#[test]
+fn a_refused_shard_leaves_no_address_word_on_another() {
+    let dir = TestDir::new("refused-shard-words");
+    {
+        let db = crate::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        for i in 0..64u32 {
+            let mut tx = w.begin(SI);
+            tx.insert(t, &i.to_be_bytes(), b"v").unwrap();
+            tx.commit().unwrap();
+        }
+        let shard = db.shard(1);
+        let mut w = shard.register_worker();
+        let mut tx = w.begin(SI);
+        let oid = tx.insert(t, b"k2", b"v2").unwrap();
+        let stamp = tx.commit().unwrap();
+        (0..2).for_each(|s| db.shard(s).log().sync().unwrap());
+        shard.store_checkpoint(stamp, &image_at_begin(t, oid, stamp)).unwrap();
+    }
+    let db = crate::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+    let err = db.recover().expect_err("shard 1 holds an image at its checkpoint's begin");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let t = db.table_id("t").unwrap();
+    let table = db.shard(0).inner.catalog.read().unwrap().tables[t.0 as usize].clone();
+    assert!(table.oids.high_water() > 1, "shard 0's step 1 ranked its rows");
+    table.oids.for_each(|oid, head| {
+        assert!(!ermia_storage::OidArray::is_address(head), "shard 0 OID {} kept a word", oid.0);
+    });
+    drop(table);
+    drop(db);
+}
+
+/// An address word step 2 meets no image for is `InvalidData` naming its
+/// table and OID, and is cleared: the rows step 2 did build stay readable
+/// and the engine drops cleanly.
+#[test]
+fn an_address_word_step_2_cannot_meet_is_refused_and_cleared() {
+    let dir = TestDir::new("unmet-word");
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        tx.insert(t, b"k", b"v").unwrap();
+        tx.commit().unwrap();
+        db.log().sync().unwrap();
+    }
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let t = db.table_id("t").unwrap();
+    let table = db.inner.catalog.read().unwrap().tables[t.0 as usize].clone();
+    let chosen = crate::LogApplier::choose(&db, None).unwrap();
+    let planted = ermia_common::Oid(99);
+    table.oids.ensure_allocated(planted);
+    table.oids.store_head(planted, ermia_storage::OidArray::address_word(true, 1 << 40));
+    let err = chosen.build(|_| false).err().expect("a word no image meets");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(&format!("table {} OID 99", t.0)), "{err}");
+    assert!(table.oids.head(planted).is_null(), "the word is cleared");
+    let mut w = db.register_worker();
+    let mut tx = w.begin(SI);
+    assert_eq!(get(&mut tx, t, b"k").as_deref(), Some(&b"v"[..]));
+    tx.commit().unwrap();
 }
 
 /// The race a walk cannot see past: it reads key `k` for an OID, the

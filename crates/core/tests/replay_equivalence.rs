@@ -14,9 +14,11 @@
 //! recovers it both ways: offline (three times over), and by feeding a
 //! mirror of each shard's log to a stacking applier one block at a time.
 //!
-//! Mutations that turn this red (tried on `recovery.rs`): `Winners::offer`
-//! comparing by stamp alone; `Replay::prepare` admitting a prepare under
-//! its verdict block's stamp and address instead of its own.
+//! Mutations that turn this red (tried on `recovery.rs`): `Replay::admit`
+//! storing its address word over a slot that already holds a version
+//! (recovering again then changes something); `Replay::prepare` admitting
+//! a prepare under its verdict block's stamp and address instead of its
+//! own.
 
 use std::collections::BTreeMap;
 use std::os::unix::fs::FileExt;

@@ -17,10 +17,13 @@
 //! `/proc/self/status`; elsewhere it does nothing.
 
 use std::process::Command;
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::{Duration, Instant};
 
 use ermia::{DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, TableId};
 use ermia_common::{Oid, TestDir};
 use ermia_log::{LogConfig, LogManager, TxLogBuffer};
+use ermia_storage::version::DEFAULT_POOL_CAP as POOL_CAP;
 
 const MIB: i64 = 1 << 20;
 const ROWS: u64 = 100_000;
@@ -184,6 +187,14 @@ fn a_row_holds_148_heap_bytes() {
 /// committed deferred before any is polled. A worker's claims stay in its
 /// home stretch, so nothing grows; a cursor that walked on past its
 /// parked contexts touched one 40-byte context per commit and shard.
+///
+/// Both readings are [settled](settled_rss), with each shard's version
+/// pool full. Taken on the fly they swung from +0 to +424 KiB (+828 on a
+/// loaded host) with what was in flight to the collectors at that instant
+/// — superseded versions awaiting a pass or an epoch, a boxed destructor
+/// each, bags of them in blocks of up to 128 KiB that glibc maps one by
+/// one — with where glibc's heap top stood, and with how far a backlog
+/// had filled the pools (up to 4096 versions a shard kept for reuse).
 fn parked_prepares_leave_the_tid_table_as_it_was() {
     const WINDOW: usize = 16;
     let db = ShardedDb::open(DbConfig::in_memory(), 2).expect("open");
@@ -202,13 +213,59 @@ fn parked_prepares_leave_the_tid_table_as_it_was() {
     while !lapped(&db) {
         commit_window(&mut w, t, &pairs);
     }
-    let before = rss();
+    // Twice the version pools' capacity of commits under a snapshot that
+    // holds the collectors' horizon: once it ends, each pool fills to its
+    // cap, and the hand-off buffers have grown past any later backlog.
+    {
+        let mut reader = db.register_worker();
+        let mut snapshot = reader.begin(IsolationLevel::Snapshot);
+        for key in &pairs[0] {
+            snapshot.read(t, key, |_| ()).expect("read");
+        }
+        for _ in 0..2 * POOL_CAP / WINDOW {
+            commit_window(&mut w, t, &pairs);
+        }
+        snapshot.commit().expect("a reader commits");
+    }
+    let (before, in_use, held) = (settled_rss(&db), heap_in_use(), heap_held());
     for _ in 0..20_000 / WINDOW {
         commit_window(&mut w, t, &pairs);
     }
-    let grew = rss() - before;
-    println!("residency guard: 20 000 parked-prepare commits leave {:+} KiB resident", grew / 1024);
+    let grew = settled_rss(&db) - before;
+    println!(
+        "residency guard: 20 000 parked-prepare commits leave {:+} KiB resident (heap in use \
+         {:+} KiB, held {:+} KiB)",
+        grew / 1024,
+        (heap_in_use() - in_use) / 1024,
+        (heap_held() - held) / 1024
+    );
     assert!(grew <= MIB / 4, "20 000 cross-shard commits made {grew} more bytes resident");
+}
+
+/// `VmRSS` once every shard's collector has drained into a full version
+/// pool — nothing handed off, no destructor waiting for an epoch — and
+/// glibc has handed back the free pages at its heap's top and inside it.
+fn settled_rss(db: &ShardedDb) -> i64 {
+    let drained = |s: usize| {
+        let shard = db.shard(s);
+        shard.gc_stats().retire_backlog.load(Relaxed) == 0
+            && shard.epoch_stats().pending == 0
+            && shard.version_pool_size() == POOL_CAP
+    };
+    let since = Instant::now();
+    while !(0..db.shards()).all(drained) {
+        assert!(since.elapsed() < Duration::from_secs(10), "the collectors never drained");
+        std::thread::yield_now();
+    }
+    #[cfg(target_env = "gnu")]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: no preconditions.
+        unsafe { malloc_trim(0) };
+    }
+    rss()
 }
 
 /// One cross-shard commit per pair, all deferred, then each waited for.
@@ -233,10 +290,12 @@ fn commit_window(w: &mut ShardedWorker, t: TableId, pairs: &[[Vec<u8>; 2]]) {
 
 /// Bytes of heap chunks glibc has handed out and not got back, chunk
 /// overhead included (`uordblks`; blocks it mapped one by one — the
-/// indirection array's 128 KiB pages — are not in it).
-#[cfg(target_env = "gnu")]
+/// indirection array's 128 KiB pages — are not in it); 0 off glibc.
 fn heap_in_use() -> i64 {
-    mallinfo().0
+    #[cfg(target_env = "gnu")]
+    return mallinfo().0;
+    #[cfg(not(target_env = "gnu"))]
+    0
 }
 
 /// [`heap_in_use`] plus the blocks glibc mapped one by one; 0 off glibc.

@@ -90,7 +90,7 @@ impl ScannedBlock {
 
 /// Most segment bytes one read brings in. A scanner's first read is a
 /// sixteenth of it: a replica's tailing round usually finds a few blocks.
-const CHUNK: u64 = 1 << 20;
+const CHUNK: u64 = 1 << 18;
 
 /// Sequential scanner over the durable log. Segment bytes are read a
 /// chunk at a time and blocks are handed out as views into the chunk, so

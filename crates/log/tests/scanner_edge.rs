@@ -240,7 +240,7 @@ fn view_of(n: u8, size: usize) -> ermia_log::LogRecord {
     ermia_log::LogRecord { kind, table, oid, key: vec![n], value: vec![n; size], indirect: false }
 }
 
-/// The scanner reads the log a chunk at a time (64 KiB first, then 1 MiB)
+/// The scanner reads the log a chunk at a time (16 KiB first, then 256 KiB)
 /// and hands out views into the chunk: blocks that straddle a chunk's end,
 /// a block larger than the first chunk, and one larger than any chunk all
 /// come back whole and in order, the owned and the borrowed way alike; and

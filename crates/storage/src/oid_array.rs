@@ -50,6 +50,26 @@ fn alloc_page<T: Zeroable>() -> *mut [T; PAGE_SIZE] {
     ptr.cast()
 }
 
+/// The page a directory entry points at, materialized on first use: a
+/// zeroed page is installed with a CAS, and a loser frees its copy.
+fn materialize<T: Zeroable>(entry: &AtomicPtr<[T; PAGE_SIZE]>) -> &[T; PAGE_SIZE] {
+    let ptr = entry.load(Ordering::Acquire);
+    if !ptr.is_null() {
+        // SAFETY: pages are never freed while the array lives.
+        return unsafe { &*ptr };
+    }
+    let fresh = alloc_page::<T>();
+    let null = std::ptr::null_mut();
+    match entry.compare_exchange(null, fresh, Ordering::AcqRel, Ordering::Acquire) {
+        Ok(_) => unsafe { &*fresh },
+        Err(existing) => {
+            // SAFETY: `fresh` never escaped.
+            unsafe { drop(Box::from_raw(fresh)) };
+            unsafe { &*existing }
+        }
+    }
+}
+
 /// One table's indirection array. Its two page directories are
 /// [`Region`]s, resident only where a page pointer was stored.
 pub struct OidArray {
@@ -169,54 +189,13 @@ impl OidArray {
     }
 
     fn page(&self, oid: Oid) -> &Page {
-        let pi = oid.index() >> PAGE_SHIFT;
-        let ptr = self.pages()[pi].load(Ordering::Acquire);
-        if !ptr.is_null() {
-            // SAFETY: pages are never freed while the array lives.
-            return unsafe { &*ptr };
-        }
-        // Materialize the page; losers free their copy.
-        let fresh = alloc_page::<AtomicU64>();
-        match self.pages()[pi].compare_exchange(
-            std::ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => unsafe { &*fresh },
-            Err(existing) => {
-                // SAFETY: `fresh` never escaped.
-                unsafe { drop(Box::from_raw(fresh)) };
-                unsafe { &*existing }
-            }
-        }
+        materialize(&self.pages()[oid.index() >> PAGE_SHIFT])
     }
 
     /// The free-stack next link for `oid`, materializing its page on
-    /// demand (same CAS protocol as the slot pages).
+    /// demand.
     fn free_slot(&self, oid: Oid) -> &AtomicU32 {
-        let pi = oid.index() >> PAGE_SHIFT;
-        let ptr = self.free_pages()[pi].load(Ordering::Acquire);
-        let page = if !ptr.is_null() {
-            // SAFETY: free pages are never freed while the array lives.
-            unsafe { &*ptr }
-        } else {
-            let fresh = alloc_page::<AtomicU32>();
-            match self.free_pages()[pi].compare_exchange(
-                std::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => unsafe { &*fresh },
-                Err(existing) => {
-                    // SAFETY: `fresh` never escaped.
-                    unsafe { drop(Box::from_raw(fresh)) };
-                    unsafe { &*existing }
-                }
-            }
-        };
-        &page[oid.index() & (PAGE_SIZE - 1)]
+        &materialize(&self.free_pages()[oid.index() >> PAGE_SHIFT])[oid.index() & (PAGE_SIZE - 1)]
     }
 
     #[inline]
@@ -224,10 +203,25 @@ impl OidArray {
         &self.page(oid)[oid.index() & (PAGE_SIZE - 1)]
     }
 
-    /// Load the version-chain head for `oid`.
+    /// Load the version-chain head for `oid` (in recovery, an address word).
     #[inline]
     pub fn head(&self, oid: Oid) -> *mut Version {
         self.slot(oid).load(Ordering::Acquire) as *mut Version
+    }
+
+    /// Offline recovery's rank of an image, kept in its OID's slot until
+    /// the version is built: bit 0 set, which no 8-aligned `Version` has;
+    /// as integers, every log image's word above every checkpoint image's,
+    /// then by address.
+    #[inline]
+    pub fn address_word(from_log: bool, addr: u64) -> *mut Version {
+        ((from_log as u64) << 63 | addr << 1 | 1) as *mut Version
+    }
+
+    /// Whether a slot's `head` is an [`OidArray::address_word`].
+    #[inline]
+    pub fn is_address(head: *mut Version) -> bool {
+        head as u64 & 1 != 0
     }
 
     /// Install `new` as the head iff the head is still `expected` — the

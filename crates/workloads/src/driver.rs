@@ -182,6 +182,7 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
                 let mut stats: Vec<TypeStats> =
                     names.iter().map(|&name| TypeStats { name, ..TypeStats::default() }).collect();
                 start_barrier.wait();
+                let began = Instant::now();
                 while !stop.load(Ordering::Relaxed) {
                     let ty = workload.next_type(&mut ws);
                     debug_assert!(ty < ntypes);
@@ -201,15 +202,19 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
                         }
                     }
                 }
-                stats
+                (began, stats)
             }));
         }
         start_barrier.wait();
-        let started = Instant::now();
+        let mut started = Instant::now();
         std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Relaxed);
+        // The run began when its first worker did, which may be before
+        // this thread is scheduled again after the barrier.
         for h in handles {
-            per_worker.push(h.join().expect("worker panicked"));
+            let (began, stats) = h.join().expect("worker panicked");
+            started = started.min(began);
+            per_worker.push(stats);
         }
         started.elapsed()
     });
@@ -226,6 +231,8 @@ pub fn run_loaded<E: Engine, W: Workload<E>>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
     use super::*;
 
     #[test]
@@ -262,8 +269,9 @@ mod tests {
         assert_eq!(s.latency_avg_ms(), 0.0);
     }
 
-    /// One transaction type that sleeps and touches nothing.
-    struct Slow(Duration);
+    /// One transaction type that sleeps and touches nothing, and a count
+    /// of the transactions entered.
+    struct Slow(Duration, AtomicU64);
 
     impl Workload<crate::ErmiaEngine> for Slow {
         type WorkerState = ();
@@ -281,6 +289,7 @@ mod tests {
             _: &mut (),
             _: usize,
         ) -> Result<(), AbortReason> {
+            self.1.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.0);
             Ok(())
         }
@@ -289,12 +298,16 @@ mod tests {
     #[test]
     fn a_transaction_that_outlives_the_run_is_not_counted_at_the_nominal_rate() {
         // The run is stopped after 10 ms; each worker still finishes, and
-        // counts, the 60 ms transaction it is in.
+        // counts, the 60 ms transaction it is in. A worker first scheduled
+        // after the stop enters none, so the count is of those entered.
         let db = ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap();
         let engine = crate::ErmiaEngine::si(db);
         let txn = Duration::from_millis(60);
-        let r = run_loaded(&engine, &Slow(txn), &RunConfig::new(2, Duration::from_millis(10)));
-        assert_eq!(r.total_commits(), 2);
+        let slow = Slow(txn, AtomicU64::new(0));
+        let r = run_loaded(&engine, &slow, &RunConfig::new(2, Duration::from_millis(10)));
+        let entered = slow.1.load(Ordering::Relaxed);
+        assert!(entered >= 1, "no worker entered a transaction");
+        assert_eq!(r.total_commits(), entered);
         assert!(r.duration >= txn, "measured {:?}, the transactions took {txn:?}", r.duration);
         let possible = 2.0 / txn.as_secs_f64();
         assert!(r.tps() <= possible, "{} tps from two threads of {txn:?} transactions", r.tps());
