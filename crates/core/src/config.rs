@@ -20,9 +20,9 @@ pub enum IsolationLevel {
 #[derive(Clone, Debug)]
 pub struct DbConfig {
     /// Log manager configuration (directory, segment/buffer sizes, ...).
+    /// A log with a directory makes `commit()` wait for its block to be
+    /// durable; `commit_deferred()` never waits.
     pub log: LogConfig,
-    /// Wait for the group-commit flusher before reporting commit.
-    pub synchronous_commit: bool,
     /// GC sweep interval.
     pub gc_interval: Duration,
     /// Values at or above this size are diverted to the large-object
@@ -47,7 +47,6 @@ impl Default for DbConfig {
     fn default() -> DbConfig {
         DbConfig {
             log: LogConfig::default(),
-            synchronous_commit: false,
             gc_interval: Duration::from_millis(20),
             large_value_threshold: usize::MAX,
             trace_sample_n: 0,
@@ -67,8 +66,13 @@ impl DbConfig {
     pub fn durable(dir: impl Into<std::path::PathBuf>) -> DbConfig {
         DbConfig {
             log: LogConfig { dir: Some(dir.into()), ..LogConfig::default() },
-            synchronous_commit: true,
             ..DbConfig::default()
         }
+    }
+
+    /// Whether `commit()` waits for its block: iff the log has a
+    /// directory, so there is something to wait for.
+    pub(crate) fn commit_waits(&self) -> bool {
+        self.log.dir.is_some()
     }
 }

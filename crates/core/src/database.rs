@@ -1,4 +1,16 @@
 //! The `Database`: catalog, resource managers, lifecycle.
+//!
+//! The catalog lives in the log: each entry is one `BlockKind::Ddl`
+//! block, appended unforced under the catalog's write lock, and `open`
+//! restores the catalog from the entries the log's tail walk passes, so
+//! `recover()` replays rows only and a row naming an unknown table is
+//! `InvalidData`. Two invariants keep that sound: every table a durable
+//! row names has a durable entry at a lower LSN (log order and the
+//! in-order durable watermark; [`Database::resume`] re-appends the
+//! catalog before writes are admitted again), and every checkpoint's log
+//! suffix holds the whole catalog (`checkpoint` appends it above its cut
+//! and waits for it, so truncation never retires the only copy and a
+//! replica mirroring from the cut finds every table the payload names).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

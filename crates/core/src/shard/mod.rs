@@ -71,13 +71,55 @@
 //! cross-shard commit is always fully present after a crash, and one
 //! that is partly on disk fully absent.
 //!
-//! Invariants (each pinned by a test named in DESIGN.md §Sharding):
+//! Why counting is sound. A commit is acknowledged, or read by anyone,
+//! only after every prepare is durable, so an acknowledged commit shows
+//! its full set after any crash: never lost. A short set proves nobody
+//! saw the transaction: abort is safe. A full set with no verdict is a
+//! commit about to happen, or a rollback whose abort verdicts missed the
+//! disk — and then nothing that saw the rollback is on disk either,
+//! because each shard's abort verdict is appended *before* that shard's
+//! half is released and log prefixes are durable in order: commit is
+//! safe, and it is the "indeterminate" the client was told. The
+//! resolution is a pure function of the durable logs, the same on every
+//! shard and every time; `recover` appends it as a verdict record to the
+//! shard that asked, so truncation and replicas keep it.
+//!
+//! | at run time | client is told | on disk at a later crash | recovery |
+//! |---|---|---|---|
+//! | all prepares durable, published | committed | all prepares (± verdicts) | commit |
+//! | crash before all prepares durable | nothing | some prepares | abort (short) |
+//! | `sync_wait` lapses, or the log poisons | `LogStalled` / log-failure abort | prepares + abort verdicts | abort |
+//! | … and the crash beats every abort verdict | (indeterminate) | all prepares, no verdict | commit |
+//! | a participant fails to prepare | its abort reason | fewer prepares than the count | abort (short) |
+//!
+//! One hole remains: a shard that checkpoints and truncates past both
+//! its prepare and its verdict for a gtid cannot answer for a sibling
+//! whose verdict copy was lost; that sibling then finds a short set and
+//! aborts. Closing it means holding a checkpoint's begin below any gtid
+//! whose verdicts are not durable everywhere.
+//!
+//! Prepare cannot deadlock across shards: each shard's log, flusher and
+//! epochs are private, prepares take shard resources in ascending shard
+//! order, and a prepared transaction waits on log offsets only, never on
+//! another transaction — so every wait-for edge (a reader or writer
+//! waiting for a verdict) ends at a node with no outgoing edge. A stalled
+//! flusher delays a verdict by at most `wait_durable`'s timeout, or the
+//! server's `sync_wait`, and then surfaces as a typed error.
+//!
+//! Invariants, with the tests that pin them:
 //! 1. nothing is published or acknowledged before every prepare is
-//!    durable;
+//!    durable (`StagedCommit::poll`; `staged_commit.rs::
+//!    verdict_records_follow_the_outcome_and_nothing_precedes_durable_prepares`,
+//!    `log_stalled.rs::parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop`);
 //! 2. a commit verdict is written only after (1), an abort verdict only
-//!    by the failure path, never both for one gtid;
+//!    by the failure path, never both for one gtid (`write_verdict` and
+//!    `abort` exclude each other through the stage; the same test, and the
+//!    log audit of `staged_commit.rs::every_pair_of_log_prefixes_recovers_atomically`);
 //! 3. recovery never commits a gtid with fewer prepares than its marker's
-//!    count, and never aborts one whose commit was acknowledged.
+//!    count, and never aborts one whose commit was acknowledged
+//!    ([`ShardedDb::recover`]; `tests::recovery_resolves_in_doubt_prepares_by_verdict_then_by_count`,
+//!    the prefix-pair test, the ledger's power-cut check and
+//!    `chaos.rs::chaos_2pc_kill_between_prepare_and_decide`).
 //!
 //! What sharding deliberately does *not* give: a global snapshot.
 //! Each shard's reads run against that shard's own LSN timeline, so a
@@ -85,7 +127,7 @@
 //! shard B before T (a fractured read), and SSN certifies dependency
 //! cycles per shard only. This matches the partitioned deployments the
 //! paper compares against (H-Store-style) rather than a globally
-//! serializable distributed engine; see DESIGN.md §Sharding.
+//! serializable distributed engine.
 
 mod routing;
 mod staged;

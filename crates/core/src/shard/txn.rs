@@ -391,10 +391,12 @@ impl<'w> ShardedTransaction<'w> {
     /// Abort every participant, as dropping the transaction does.
     pub fn abort(self) {}
 
-    /// Commit and wait for durability (on a synchronous-commit
-    /// database). Returns the commit LSN — the coordinator's cstamp for
-    /// a cross-shard transaction, whose [`StagedCommit`] this drives to
-    /// its verdict with blocking waits.
+    /// Commit and wait for durability. A transaction that wrote on one
+    /// shard waits for its block when the database is durable (the log
+    /// has a directory); one that wrote on several always waits for every
+    /// prepare, because that is its commit point. Returns the commit LSN
+    /// — the coordinator's cstamp for a cross-shard transaction, whose
+    /// [`StagedCommit`] this drives to its verdict with blocking waits.
     pub fn commit(self) -> TxResult<Lsn> {
         let ShardedTransaction { db, twopc, trace, slots, resolver, .. } = self;
         match commit_slots(db, twopc, trace, slots, true)? {
@@ -482,10 +484,10 @@ fn commit_one(
     t: Transaction<'_>,
     sync: bool,
 ) -> TxResult<CommitToken> {
-    // A commit waits for its block only on a synchronous-commit
-    // database; the inner call is then dominated by the group-commit
-    // wait, which is what the span names.
-    let wait = sync && db.inner.dbs[i].inner.cfg.synchronous_commit;
+    // A commit waits for its block only on a durable database; the inner
+    // call is then dominated by the group-commit wait, which is what the
+    // span names.
+    let wait = sync && db.inner.dbs[i].inner.cfg.commit_waits();
     let t0 = trace.map_or(0, |tr| tr.ring.now_ns());
     let token = t.commit_impl(wait)?.on_shard(i);
     if let Some(tr) = trace {

@@ -520,6 +520,31 @@ fn a_committed_writer_makes_one_log_reservation() {
     }
 }
 
+/// `commit()` waits for its block iff the log has a directory: durable,
+/// it returns with the block durable; in memory, it registers no waiter.
+#[test]
+fn commit_waits_for_its_block_iff_the_log_has_a_directory() {
+    let dir = TestDir::new("commit-waits");
+    for durable in [true, false] {
+        let cfg = if durable { DbConfig::durable(&dir) } else { DbConfig::in_memory() };
+        let db = Database::open(cfg).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let registrations = db.log().waiter_registrations();
+        for i in 0..3u8 {
+            let mut tx = w.begin(SI);
+            tx.insert(t, &[i], b"v").unwrap();
+            tx.commit().unwrap();
+            if durable {
+                assert!(db.log().durable_offset() >= db.log().next_offset(), "commit {i}");
+            }
+        }
+        if !durable {
+            assert_eq!(db.log().waiter_registrations(), registrations);
+        }
+    }
+}
+
 #[test]
 fn checkpoint_and_recovery_roundtrip() {
     let dir = TestDir::new("recovery");
@@ -1654,8 +1679,8 @@ fn a_checkpoint_begins_above_every_finished_commit_on_a_durable_log() {
 /// How a transaction leaves [`crate::Transaction::precommit`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Exit {
-    /// `commit()` on a synchronous-commit database: publish after the
-    /// block is durable.
+    /// `commit()` on a durable database: publish after the block is
+    /// durable.
     Sync,
     /// `commit_deferred()`: publish at once.
     Deferred,
@@ -1694,7 +1719,6 @@ fn run_exit(scenario: Scenario, exit: Exit) -> Outcome {
     let dir = TestDir::new("exits");
     let injector = FaultInjector::new(FaultPlan::default());
     let mut cfg = DbConfig::durable(&dir);
-    cfg.synchronous_commit = exit == Exit::Sync;
     cfg.log.io_factory = std::sync::Arc::new(injector.clone());
     let db = Database::open(cfg).unwrap();
     let t = db.create_table("t");

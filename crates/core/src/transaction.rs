@@ -11,7 +11,9 @@
 //! arena, new versions come from a per-worker cache fed by the GC, and
 //! the overwritten ones are named to the GC through a reused buffer.
 //! After warmup, begin + execute + commit of a read/write transaction
-//! touches the allocator zero times.
+//! touches the allocator zero times. What still allocates, by design and
+//! off that path: a sync-commit waiter's first registration, scan result
+//! staging, blob-store appends and segment rotation.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -737,21 +739,20 @@ impl<'w> Transaction<'w> {
     // what happens to the [`PreparedTransaction`] it returns:
     //
     //   commit_deferred   precommit(None) ─► finish_commit
-    //   commit (sync db)  precommit(None) ─► wait own block ─► finish_commit | abort
+    //   commit (durable)  precommit(None) ─► wait own block ─► finish_commit | abort
     //   2PC participant   precommit(Some(marker)) ─► park … attach ─► finish_commit | abort
 
     /// Commit. On success returns the commit LSN.
     ///
-    /// Honors [`DbConfig::synchronous_commit`](crate::DbConfig): when set,
-    /// the call blocks until the commit block is durable and rolls back on
-    /// durability failure.
+    /// On a durable database (the log has a directory) the call blocks
+    /// until the commit block is durable and rolls back on durability
+    /// failure; in memory it publishes at once.
     pub fn commit(self) -> TxResult<Lsn> {
-        let sync = self.db.inner.cfg.synchronous_commit;
-        self.commit_impl(sync).map(|t| t.lsn)
+        let wait = self.db.inner.cfg.commit_waits();
+        self.commit_impl(wait).map(|t| t.lsn)
     }
 
-    /// Commit without waiting for durability, regardless of the
-    /// database-wide `synchronous_commit` setting.
+    /// Commit without waiting for durability, durable database or not.
     ///
     /// The transaction becomes visible to other transactions immediately;
     /// the returned [`CommitToken`] identifies the point in the log the

@@ -3,7 +3,7 @@
 //!
 //! Each seed drives a randomized single-threaded workload of committed
 //! transactions (upserts and deletes over a small key space, in tables
-//! the run creates as it goes) with `synchronous_commit` on, while a
+//! the run creates as it goes), each `commit()` waiting for its block, while a
 //! [`FaultPlan`] crashes the log at an arbitrary point. After the "crash"
 //! the database is reopened with the clean file backend and recovered —
 //! nothing is declared: the catalog has to come back from the log — and

@@ -48,6 +48,15 @@
 //! bytes: both arrays are [`Region`]s, resident where the log currently
 //! is and nowhere else.
 //!
+//! *Every* fill path — commit blocks, skip records and dead zones alike —
+//! waits for space over the whole range it will stamp before it stamps
+//! one slot. The global `fetch_add` precedes that wait, so a writer that
+//! lost a segment rotation can hold a claim far beyond `flushed + cap`
+//! while the ring is full; stamping any of it early would overwrite a
+//! stamp the scan has not consumed and stall the watermark for good.
+//! Debug builds assert the window (`end − flushed ≤ cap`) on every fill,
+//! and `rotation_with_full_ring_converges` drives that corner.
+//!
 //! # Parked-waiter condvar protocol
 //!
 //! The remaining mutex guards only the two condvars and is touched

@@ -15,7 +15,8 @@
 //! lets each one go, in whatever order and with whatever result it
 //! chooses — so "a later sync finishes first" and "the second of three
 //! fails" are forced, not hoped for. No test here asserts a cause, a
-//! start instant or a latency; EXPERIMENTS.md "Ledger, PR 21" names, for
+//! start instant or a latency; the ledger record of the change that moved
+//! the start rule into `plan.rs` (under `results/ledger/`) names, for
 //! every test that did and left this file, the row or property that now
 //! holds what it checked.
 

@@ -30,6 +30,13 @@
 //! fully replayed commit blocks: every version with a stamp below it is
 //! present, none above it is visible, and the snapshot is
 //! transaction-consistent at every published cut.
+//!
+//! Known gap: a replica's GC horizon falls back to its own log manager's
+//! tail, which stays where bootstrap left it (shipped bytes go to the
+//! segment files directly), so versions that tailed rounds supersede wait
+//! in `ermia_gc_retire_backlog` until restart. Advancing the horizon
+//! with the applied frontier first needs the view's read-cut-then-register
+//! race closed.
 
 use std::fmt;
 use std::fs;

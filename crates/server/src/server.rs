@@ -52,9 +52,6 @@ pub struct ServerConfig {
     pub sync_wait: Duration,
     /// Largest accepted frame (guards allocation on untrusted input).
     pub max_frame_len: u32,
-    /// Quiet-window granularity for the shutdown drain: the window
-    /// extends by this much each time in-flight frames keep arriving.
-    pub shutdown_poll: Duration,
 }
 
 impl Default for ServerConfig {
@@ -68,7 +65,6 @@ impl Default for ServerConfig {
             checkout_wait: Duration::from_millis(100),
             sync_wait: Duration::from_secs(5),
             max_frame_len: MAX_FRAME_LEN,
-            shutdown_poll: Duration::from_millis(25),
         }
     }
 }

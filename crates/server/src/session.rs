@@ -62,7 +62,8 @@
 //! when the turn ends. The event loop never reads a log's durable
 //! watermark: a commit that waits, waits on log offsets with the parker
 //! and on nothing else, and a poisoned log is what the parker's first
-//! poll finds.
+//! poll finds. (On a device with any latency a block filled this turn
+//! cannot be durable this turn, so a probe from the loop answers nothing.)
 //!
 //! What gets the parked commits their flush is raised once per turn: when
 //! the turn's last frame has executed and its jobs are with the parker,
@@ -140,6 +141,11 @@ const DEFAULT_DUMP_EVENTS: usize = 128;
 /// Spans returned by a `DumpTraces` frame that asks for the server
 /// default (`max == 0`).
 const DEFAULT_DUMP_TRACES: usize = 4096;
+
+/// Quiet-window granularity for the shutdown drain: the window opens at
+/// twice this and extends by this much each time in-flight frames keep
+/// arriving.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
 const TOK_WAKE: u64 = 0;
 const TOK_LISTENER: u64 = 1;
@@ -426,7 +432,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     }
                     // The quiet window gives frames a client flushed just
                     // before shutdown time to land and be served.
-                    let quiet = (state.cfg.shutdown_poll * 2).max(Duration::from_millis(50));
+                    let quiet = SHUTDOWN_POLL * 2;
                     let hard = now + (state.cfg.checkout_wait + Duration::from_secs(2));
                     phase = Phase::Drain { soft: now + quiet, hard };
                 }
@@ -447,7 +453,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     } else {
                         // Some connections still have frames or worker
                         // waits in flight: give them another tick.
-                        phase = Phase::Drain { soft: now + state.cfg.shutdown_poll, hard };
+                        phase = Phase::Drain { soft: now + SHUTDOWN_POLL, hard };
                     }
                 } else {
                     phase = Phase::Drain { soft, hard };

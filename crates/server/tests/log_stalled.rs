@@ -21,11 +21,7 @@ use ermia_server::{
 fn halted_flusher_surfaces_logstalled_within_the_bound() {
     let dir = TestDir::new("stall");
     let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
-    let cfg = ServerConfig {
-        sync_wait: Duration::from_millis(300),
-        shutdown_poll: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
@@ -452,11 +448,7 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
 fn shutdown_resolves_parked_cross_shard_commits() {
     let dir = TestDir::new("shutdown");
     let (db, gates, _open) = gated_pair(&dir);
-    let cfg = ServerConfig {
-        sync_wait: Duration::from_millis(300),
-        shutdown_poll: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();

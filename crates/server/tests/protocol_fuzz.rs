@@ -21,11 +21,8 @@ fn server_addr() -> SocketAddr {
     static SERVER: OnceLock<(ShardedDb, Server, u32)> = OnceLock::new();
     let (_, srv, _) = SERVER.get_or_init(|| {
         let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
-        let cfg = ServerConfig {
-            shutdown_poll: Duration::from_millis(5),
-            checkout_wait: Duration::from_millis(100),
-            ..ServerConfig::default()
-        };
+        let cfg =
+            ServerConfig { checkout_wait: Duration::from_millis(100), ..ServerConfig::default() };
         let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
         let mut c = Client::connect(srv.local_addr()).unwrap();
         let t = c.open_table("fuzz").unwrap();

@@ -81,7 +81,6 @@ fn thousand_disconnects_leak_nothing() {
         worker_capacity: 8,
         shards: 2,
         checkout_wait: Duration::from_millis(500),
-        shutdown_poll: Duration::from_millis(5),
         ..ServerConfig::default()
     };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
@@ -158,11 +157,7 @@ fn thousand_disconnects_leak_nothing() {
 fn disconnect_under_reply_backpressure_leaks_nothing() {
     let _serial = serial();
     let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
-    let cfg = ServerConfig {
-        reply_queue_depth: 4,
-        shutdown_poll: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { reply_queue_depth: 4, ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let addr = srv.local_addr();
 
@@ -206,12 +201,7 @@ fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
     let _serial = serial();
     let dir = TestDir::new("teardown-2pc");
     let db = ermia::ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
-    let cfg = ServerConfig {
-        worker_capacity: 2,
-        shards: 2,
-        shutdown_poll: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { worker_capacity: 2, shards: 2, ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let addr = srv.local_addr();
     let mut setup = Client::connect(addr).unwrap();

@@ -231,13 +231,7 @@ fn shutdown_latency_is_bounded_by_the_wake_fd_not_polling() {
     // event loop is woken by an eventfd instead: an idle server with an
     // idle session must shut down in a tight bound, not some multiple of
     // a poll interval.
-    let cfg = ServerConfig {
-        // Deliberately coarse: a poll-based shutdown would eat several of
-        // these; the wake fd makes the setting nearly irrelevant.
-        shutdown_poll: Duration::from_millis(50),
-        ..ServerConfig::default()
-    };
-    let (_db, srv) = server(cfg);
+    let (_db, srv) = server(ServerConfig::default());
     let mut idle = Client::connect(srv.local_addr()).unwrap();
     idle.ping().unwrap();
 
@@ -378,8 +372,7 @@ fn concurrent_open_table_on_a_sharded_engine_agrees_on_every_id() {
 
 #[test]
 fn graceful_shutdown_drains_inflight_sync_commits_and_leaks_nothing() {
-    let cfg = ServerConfig { shutdown_poll: Duration::from_millis(5), ..ServerConfig::default() };
-    let (db, srv) = server(cfg);
+    let (db, srv) = server(ServerConfig::default());
     let addr = srv.local_addr();
 
     // A few sessions mid-stream: some idle, one with an open transaction.

@@ -23,7 +23,9 @@
 //!
 //! [`Telemetry`] bundles one registry, one flight recorder, and one
 //! tracer; the database owns one instance and every layer hangs its
-//! instruments off it.
+//! instruments off it. It is always on — there is no switch — and
+//! `crates/core/tests/alloc_free.rs` holds the warm hot path at zero
+//! allocations with counters, flight recorder and sampled tracing live.
 
 mod flight;
 mod hist;

@@ -18,9 +18,7 @@ fn tpcc_survives_crash_recovery() {
     let dir = TestDir::new("it-crash");
     let wl = TpccWorkload::new(TpccConfig::small(1));
     {
-        let mut cfg = DbConfig::durable(&dir);
-        cfg.synchronous_commit = false;
-        let db = ShardedDb::open(cfg, 1).unwrap();
+        let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
         let engine = ErmiaEngine::si(db.clone());
         let r = run(&engine, &wl, &RunConfig::new(2, Duration::from_millis(400)));
         assert!(r.total_commits() > 0);
