@@ -71,12 +71,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// frame carries. In hardware when the CPU has SSE4.2, from the table
 /// otherwise; the two agree on every input.
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_append(0, bytes)
+}
+
+/// The CRC-32C of some bytes whose CRC-32C is `crc`, followed by `bytes`:
+/// how a checksum spans a block written in two pieces.
+pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("sse4.2") {
         // SAFETY: the CPU was just asked whether it has SSE4.2.
-        return !unsafe { sse42(!0, bytes) };
+        return !unsafe { sse42(!crc, bytes) };
     }
-    !sliced(&CASTAGNOLI, !0, bytes)
+    !sliced(&CASTAGNOLI, !crc, bytes)
 }
 
 /// [`crc32c`]'s register update with the `crc32` instruction: one per
@@ -123,6 +129,10 @@ mod tests {
         assert_eq!(!sliced(&CASTAGNOLI, !0, b"123456789"), 0xE306_9283);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32c(b""), 0);
+        for split in 0..=9 {
+            let (a, b) = b"123456789".split_at(split);
+            assert_eq!(crc32c_append(crc32c(a), b), 0xE306_9283, "split at {split}");
+        }
     }
 
     proptest! {

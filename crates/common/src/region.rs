@@ -2,7 +2,8 @@
 //!
 //! The log ring, its availability stamps, the TID context table and the
 //! indirection arrays' page directories are sized by what they may one
-//! day hold, not by what they hold now. A
+//! day hold, not by what they hold now, and the indirection arrays'
+//! pages come one at a time as OIDs are handed out. A
 //! [`Region`] gives such a table its own page-aligned anonymous mapping:
 //! every byte reads zero, a page becomes resident when it is first
 //! written, and [`Region::release`] hands pages back. The general
@@ -55,6 +56,23 @@ impl Region {
         assert!(len > 0, "an empty region");
         let len = len.next_multiple_of(page_size());
         Region { ptr: os::map(len), len }
+    }
+
+    /// Give up the mapping without unmapping it, for a table that keeps
+    /// the pointer itself; [`Region::from_raw`] takes it back.
+    pub fn into_raw(self) -> NonNull<u8> {
+        let ptr = self.ptr;
+        std::mem::forget(self);
+        ptr
+    }
+
+    /// The region [`Region::into_raw`] gave up.
+    ///
+    /// # Safety
+    /// `ptr` came from `into_raw` of a region made with `len` bytes, and
+    /// is taken back once.
+    pub unsafe fn from_raw(ptr: NonNull<u8>, len: usize) -> Region {
+        Region { ptr, len: len.next_multiple_of(page_size()) }
     }
 
     /// Size in bytes: a whole number of pages.

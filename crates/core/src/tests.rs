@@ -1897,3 +1897,250 @@ fn txn_counts_are_the_workers_counters_and_outlive_them() {
     assert_eq!(by_reason.iter().filter(|s| s.value == 1.0).count(), 3, "three reasons, one each");
     assert_eq!(by_reason.iter().map(|s| s.value).sum::<f64>(), 3.0);
 }
+
+/// A block header counts its records in 24 bits: one durable transaction
+/// of 65 535, 65 536 and 70 000 rows recovers every row (a 16-bit count
+/// recovered 0 of 65 536 and 4 464 of 70 000).
+#[test]
+fn a_transaction_of_more_than_65_535_rows_recovers_every_one() {
+    for rows in [65_535u32, 65_536, 70_000] {
+        let dir = TestDir::new("many-records");
+        {
+            let db = Database::open(DbConfig::durable(&dir)).unwrap();
+            let t = db.create_table("t");
+            let mut w = db.register_worker();
+            let mut tx = w.begin(SI);
+            for i in 0..rows {
+                tx.insert(t, &i.to_be_bytes(), &i.to_le_bytes()).unwrap();
+            }
+            tx.commit().unwrap();
+        }
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let stats = db.recover().unwrap();
+        assert_eq!(stats.replayed_records, rows as u64, "{rows} rows in one transaction");
+        let t = db.table_id("t").unwrap();
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        for i in [0, rows / 2, rows - 1] {
+            assert_eq!(get(&mut tx, t, &i.to_be_bytes()), Some(i.to_le_bytes().to_vec()));
+        }
+        tx.commit().unwrap();
+    }
+}
+
+/// A Serializable miss, or scan, past the last key records the
+/// rightmost leaf; another transaction's insert past it takes the
+/// index's append path and must still abort the reader as a phantom.
+/// The reader's own append past its miss does not.
+#[test]
+fn appends_past_the_last_key_are_phantoms_to_serializable_readers() {
+    let db = db();
+    let t = db.create_table("t");
+    let pk = db.primary_index(t);
+    let mut w1 = db.register_worker();
+    let mut w2 = db.register_worker();
+    let mut setup = w1.begin(SI);
+    for i in [10u8, 20, 30] {
+        setup.insert(t, &[i], &[i]).unwrap();
+    }
+    setup.commit().unwrap();
+
+    for scan in [false, true] {
+        let mut t1 = w1.begin(SSN);
+        if scan {
+            assert_eq!(t1.scan(pk, &[160], &[255], None, |_, _| true).unwrap(), 0);
+        } else {
+            assert_eq!(get(&mut t1, t, &[200]), None);
+        }
+        let mut t2 = w2.begin(SSN);
+        t2.insert(t, &[if scan { 180 } else { 150 }], b"appended").unwrap();
+        t2.commit().unwrap();
+        assert!(t1.update(t, &[10], b"x").unwrap());
+        assert_eq!(t1.commit().unwrap_err(), AbortReason::Phantom, "scan: {scan}");
+    }
+
+    let mut t1 = w1.begin(SSN);
+    assert_eq!(get(&mut t1, t, &[250]), None);
+    t1.insert(t, &[250], b"own").unwrap();
+    t1.commit().expect("an own append is no phantom");
+}
+
+/// The commit path encodes its block straight into the ring; the same
+/// write set through `TxLogBuffer` must give the same bytes. Seeded
+/// transactions of inserts, updates, deletes, inserts then deletes,
+/// revived tombstones, blob-diverted values and secondary entries, some
+/// committed as 2PC prepares, on a 4 KiB ring whose end many blocks wrap.
+#[test]
+fn commit_blocks_encode_as_the_standalone_builder_does() {
+    use std::collections::HashMap;
+
+    use ermia_common::{Oid, TableId};
+    use ermia_log::{
+        BlobRef, BlockKind, LogBlockHeader, LogRecordKind, LogScanner, PrepareMarker, TxLogBuffer,
+        BLOCK_HEADER_LEN,
+    };
+
+    const THRESHOLD: usize = 300;
+    const RING: u64 = 4096;
+    /// One record's worth of a write set: its final value, `None` once
+    /// deleted; `created` if this transaction made the OID, `was_live` if
+    /// the record was live before it.
+    struct Entry {
+        table: TableId,
+        key: Vec<u8>,
+        oid: Oid,
+        created: bool,
+        was_live: bool,
+        value: Option<Vec<u8>>,
+    }
+    struct Commit {
+        entries: Vec<Entry>,
+        secondary: Vec<(Oid, Vec<u8>)>,
+        marker: Option<PrepareMarker>,
+    }
+    // Blocks seen with: a revived tombstone, an insert then delete, a
+    // diverted value, a secondary entry, a prepare marker, a wrap.
+    let mut covered = [0usize; 6];
+    for seed in 1..=6u64 {
+        let dir = TestDir::new("one-encoder");
+        let mut cfg = DbConfig::durable(&dir);
+        cfg.log.buffer_size = RING;
+        cfg.large_value_threshold = THRESHOLD;
+        // No collection: a deleted key keeps its OID for a revive.
+        cfg.gc_interval = std::time::Duration::from_secs(3600);
+        let db = Database::open(cfg).unwrap();
+        let tables = [db.create_table("a"), db.create_table("b")];
+        let sec = db.create_secondary_index(tables[1], "b.sec");
+        let mut w = db.register_worker();
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        // Committed state: (table, key) → (oid, live).
+        let mut committed: HashMap<(TableId, Vec<u8>), (Oid, bool)> = HashMap::new();
+        let mut commits: HashMap<u64, Commit> = HashMap::new();
+        let mut sec_keys = 0u32;
+        for round in 0..40 {
+            let mut tx = w.begin(SI);
+            let mut entries: Vec<Entry> = Vec::new();
+            let mut secondary = Vec::new();
+            for _ in 0..1 + rand(6) {
+                let table = tables[rand(2) as usize];
+                let key = vec![b'k', rand(10) as u8];
+                let len = [0, 7, 64, 180, THRESHOLD, 700][rand(6) as usize];
+                let value = vec![round as u8 ^ len as u8; len];
+                let at = entries.iter().position(|e| e.table == table && e.key == key);
+                let known = committed.get(&(table, key.clone())).copied();
+                let live = at.map_or(known.is_some_and(|c| c.1), |i| entries[i].value.is_some());
+                let (oid, value) = if live {
+                    let value = (rand(3) != 0).then_some(value);
+                    match &value {
+                        Some(v) => assert!(tx.update(table, &key, v).unwrap()),
+                        None => assert!(tx.delete(table, &key).unwrap()),
+                    }
+                    (None, value)
+                } else {
+                    (Some(tx.insert(table, &key, &value).unwrap()), Some(value))
+                };
+                match at {
+                    Some(i) => entries[i].value = value,
+                    None => {
+                        let oid = match known {
+                            Some((known, _)) => {
+                                assert!(oid.is_none_or(|o| o == known), "a revive keeps its OID");
+                                known
+                            }
+                            None => oid.expect("a fresh key is inserted"),
+                        };
+                        let (created, was_live) = (known.is_none(), live);
+                        entries.push(Entry { table, key, oid, created, was_live, value });
+                    }
+                }
+                if rand(4) == 0 {
+                    if let Some(e) = entries.iter().find(|e| e.table == tables[1]) {
+                        sec_keys += 1;
+                        let skey = sec_keys.to_be_bytes().to_vec();
+                        tx.insert_secondary(sec, &skey, e.oid).unwrap();
+                        secondary.push((e.oid, skey));
+                    }
+                }
+            }
+            let marker = (rand(3) == 0).then_some(PrepareMarker {
+                coord_shard: 0,
+                participants: 1,
+                coord_lsn: PrepareMarker::COORD_SELF,
+                trace_hi: seed,
+                trace_lo: round,
+            });
+            let cstamp = match marker {
+                Some(m) => tx.precommit(Some(m)).unwrap().finish_commit().lsn(),
+                None => tx.commit().unwrap(),
+            };
+            for e in &entries {
+                committed.insert((e.table, e.key.clone()), (e.oid, e.value.is_some()));
+            }
+            commits.insert(cstamp.raw(), Commit { entries, secondary, marker });
+        }
+        db.log().sync().unwrap();
+
+        let mut scanner = LogScanner::new(db.log().segments(), 0);
+        let mut seen = 0;
+        while let Some(b) = scanner.next_view().unwrap() {
+            if !matches!(b.header.kind, BlockKind::Txn | BlockKind::TxnPrepare) {
+                continue;
+            }
+            // The standalone builder, fed the same write set; a diverted
+            // value's reference is taken from the block and read back.
+            let commit = &commits[&b.header.cstamp.raw()];
+            let mut refs = b.records().filter(|(_, r)| r.indirect).map(|(_, r)| r.value);
+            let mut buf = TxLogBuffer::new();
+            for e in &commit.entries {
+                let kind = if e.created { LogRecordKind::Insert } else { LogRecordKind::Update };
+                match &e.value {
+                    None => buf.add_delete(e.table, e.oid, &e.key),
+                    Some(v) if v.len() >= THRESHOLD => {
+                        let bytes = refs.next().expect("one reference per diverted value");
+                        let blob = BlobRef::decode(bytes).expect("a blob reference");
+                        assert_eq!(&db.inner.blobs.read(blob).unwrap(), v);
+                        buf.add_indirect(kind, e.table, e.oid, &e.key, bytes);
+                    }
+                    Some(v) if e.created => buf.add_insert(e.table, e.oid, &e.key, v),
+                    Some(v) => buf.add_update(e.table, e.oid, &e.key, v),
+                }
+            }
+            for (oid, skey) in &commit.secondary {
+                buf.add_secondary_insert(tables[1], sec.0, *oid, skey);
+            }
+            let block = match commit.marker {
+                Some(m) => buf.serialize_prepare(b.header.cstamp, m),
+                None => buf.serialize(b.header.cstamp),
+            };
+            let header = LogBlockHeader::decode(block).unwrap();
+            let at = b.lsn.offset();
+            assert_eq!(
+                (header.kind, header.nrec, header.len, header.checksum, header.prev),
+                (b.header.kind, b.header.nrec, b.header.len, b.header.checksum, b.header.prev),
+                "seed {seed}: the header of the block at {at}"
+            );
+            assert_eq!(&block[BLOCK_HEADER_LEN..], b.payload, "seed {seed}: the block at {at}");
+            let es = &commit.entries;
+            let kinds = [
+                es.iter().any(|e| !e.created && !e.was_live && e.value.is_some()),
+                es.iter().any(|e| e.created && e.value.is_none()),
+                es.iter().any(|e| e.value.as_ref().is_some_and(|v| v.len() >= THRESHOLD)),
+                !commit.secondary.is_empty(),
+                commit.marker.is_some(),
+                at % RING + header.len as u64 > RING,
+            ];
+            for (n, hit) in covered.iter_mut().zip(kinds) {
+                *n += hit as usize;
+            }
+            seen += 1;
+        }
+        assert_eq!(seen, commits.len(), "seed {seed}: every commit's block");
+    }
+    assert!(covered.iter().all(|&n| n >= 3), "too little of each case: {covered:?}");
+}

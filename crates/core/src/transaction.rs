@@ -4,8 +4,8 @@
 //! # Allocation-free hot path
 //!
 //! The transaction working sets (read set, write set, secondary set,
-//! node set), the write keys, the private log buffer, and the version
-//! nodes themselves are all recycled through the worker's
+//! node set), the write keys, and the version nodes themselves are all
+//! recycled through the worker's
 //! [`Scratch`]: the sets are *taken* at begin (a pointer move), cleared
 //! and returned at release, key bytes are bump-copied into a reused
 //! arena, new versions come from a per-worker cache fed by the GC, and
@@ -21,7 +21,10 @@ use std::sync::Arc;
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, Stamp, TableId, Tid, TxResult};
 use ermia_epoch::Guard;
 use ermia_index::{BTree, InsertOutcome, LeafSnapshot, ScanControl};
-use ermia_log::MAX_KEY_LEN;
+use ermia_log::{
+    BlobRef, BlockEncoder, BlockKind, LogRecordKind, BLOCK_HEADER_LEN, MAX_BLOCK_RECORDS,
+    MAX_KEY_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+};
 use ermia_storage::{defer_release, OidArray, Retired, TidManager, TidStatus, TxContext, Version};
 use ermia_telemetry::EventKind;
 
@@ -76,6 +79,22 @@ impl WriteEntry {
         // SAFETY: the worker's table view keeps an `Arc` to every table a
         // write entry names, and entries never outlive their worker.
         unsafe { &*self.table }
+    }
+
+    /// What the entry logs: a record kind and its payload. The entry
+    /// coalesces every op this txn applied to the record; what commits is
+    /// the final version, so its tombstone flag (not the entry kind)
+    /// decides — an insert-then-delete must log a delete, or replay would
+    /// resurrect the key with the tombstone's empty payload.
+    fn log_record(&self) -> (LogRecordKind, &[u8]) {
+        // SAFETY: the entry's own version lives until the txn releases.
+        let new = unsafe { &*self.new };
+        match self.kind {
+            _ if new.tombstone() => (LogRecordKind::Delete, &[]),
+            WriteKind::Insert => (LogRecordKind::Insert, new.data()),
+            WriteKind::Update => (LogRecordKind::Update, new.data()),
+            WriteKind::Delete => (LogRecordKind::Delete, &[]),
+        }
     }
 }
 
@@ -140,7 +159,6 @@ impl<'w> Transaction<'w> {
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
         let (tid, _ctx) = db.inner.tid.acquire(begin, &mut scratch.tid_hint);
         scratch.telemetry.ring.record(EventKind::TxnBegin, tid.raw(), 0);
-        scratch.logbuf.clear();
         scratch.keys.clear();
         Transaction {
             db,
@@ -824,11 +842,13 @@ impl<'w> Transaction<'w> {
         // Publish intent, then take the commit stamp.
         ctx.enter_pending();
         let reservation = if self.has_writes() {
-            self.stage_log_records();
-            let len = match marker {
-                Some(_) => self.scratch.logbuf.prepare_block_len(),
-                None => self.scratch.logbuf.block_len(),
-            };
+            let (payload, records) = self.size_log_block();
+            if records > MAX_BLOCK_RECORDS {
+                // More than one block header can count.
+                return Err(self.fail(AbortReason::ResourceExhausted));
+            }
+            let marker_len = if marker.is_some() { PREPARE_MARKER_LEN } else { 0 };
+            let len = BLOCK_HEADER_LEN + marker_len + payload;
             let Ok(reservation) = db.inner.log.allocate(len) else {
                 // A poisoned log rejects all allocations until restart;
                 // anything else is transient resource pressure.
@@ -852,14 +872,16 @@ impl<'w> Transaction<'w> {
             return Err(self.fail(reason));
         }
 
-        // Populate the centralized log buffer.
+        // Encode the block into the centralized log buffer.
         let end_offset = reservation.map(|reservation| {
             let end_offset = reservation.end_offset();
-            let block = match marker {
-                Some(marker) => self.scratch.logbuf.serialize_prepare(cstamp, marker),
-                None => self.scratch.logbuf.serialize(cstamp),
-            };
-            reservation.fill(block);
+            let kind = if marker.is_some() { BlockKind::TxnPrepare } else { BlockKind::Txn };
+            reservation.encode(kind, |enc| {
+                if let Some(marker) = &marker {
+                    enc.marker(marker);
+                }
+                self.encode_log_records(enc);
+            });
             end_offset
         });
         Ok(PreparedTransaction { txn: self, cstamp, end_offset })
@@ -940,41 +962,52 @@ impl<'w> Transaction<'w> {
         self.release(true);
     }
 
-    /// Fill the private log buffer from the write/secondary sets,
-    /// diverting large payloads to the blob store.
-    fn stage_log_records(&mut self) {
-        let blob_threshold = self.db.inner.cfg.large_value_threshold;
+    /// The log block's payload, sized from the write and secondary sets:
+    /// its length in bytes and its record count. Large payloads are
+    /// diverted to the blob store here, before the block is reserved
+    /// (§3.3 feature 4); their records carry only the reference, kept in
+    /// `scratch.blob_refs` for [`Transaction::encode_log_records`].
+    fn size_log_block(&mut self) -> (usize, usize) {
+        let threshold = self.db.inner.cfg.large_value_threshold;
+        self.scratch.blob_refs.clear();
+        let mut bytes = 0;
+        for w in &self.writes {
+            let (kind, data) = w.log_record();
+            let value_len = if kind != LogRecordKind::Delete && data.len() >= threshold {
+                self.scratch.blob_refs.push(self.db.inner.blobs.append(data).expect("blob append"));
+                BlobRef::ENCODED_LEN
+            } else {
+                data.len()
+            };
+            bytes += RECORD_HEADER_LEN + w.key.len as usize + value_len;
+        }
+        for s in &self.secondary {
+            bytes += RECORD_HEADER_LEN + s.key.len as usize + std::mem::size_of::<u32>();
+        }
+        (bytes, self.writes.len() + self.secondary.len())
+    }
+
+    /// Encode the records [`Transaction::size_log_block`] sized: each
+    /// written key and final version straight from the write set, then
+    /// the secondary entries.
+    fn encode_log_records(&self, enc: &mut BlockEncoder<'_>) {
+        let threshold = self.db.inner.cfg.large_value_threshold;
+        let mut blobs = self.scratch.blob_refs.iter();
         for w in &self.writes {
             let key = w.key.slice(&self.scratch.keys);
-            let (data, tombstone) = unsafe { ((*w.new).data(), (*w.new).tombstone()) };
-            // The entry coalesces every op this txn applied to the
-            // record; what commits is the final version, so its tombstone
-            // flag (not the entry kind) decides the record kind. An
-            // insert-then-delete must log a delete, or replay would
-            // resurrect the key with the tombstone's empty payload.
-            let kind = if tombstone { WriteKind::Delete } else { w.kind };
-            let indirect = kind != WriteKind::Delete && data.len() >= blob_threshold;
-            if indirect {
-                // Divert the payload to the blob store; the log record
-                // carries only the fixed-size reference (§3.3 feature 4).
-                let blob = self.db.inner.blobs.append(data).expect("blob append");
-                let kind = match kind {
-                    WriteKind::Insert => ermia_log::LogRecordKind::Insert,
-                    _ => ermia_log::LogRecordKind::Update,
-                };
-                self.scratch.logbuf.add_indirect(kind, w.table().id, w.oid, key, &blob.encode());
-                continue;
-            }
+            let (kind, data) = w.log_record();
             let table = w.table().id;
-            match kind {
-                WriteKind::Insert => self.scratch.logbuf.add_insert(table, w.oid, key, data),
-                WriteKind::Update => self.scratch.logbuf.add_update(table, w.oid, key, data),
-                WriteKind::Delete => self.scratch.logbuf.add_delete(table, w.oid, key),
+            if kind != LogRecordKind::Delete && data.len() >= threshold {
+                let blob = blobs.next().expect("sized with its blob reference").encode();
+                enc.record(kind, table, w.oid, true, key, &blob);
+            } else {
+                enc.record(kind, table, w.oid, false, key, data);
             }
         }
         for s in &self.secondary {
             let key = s.key.slice(&self.scratch.keys);
-            self.scratch.logbuf.add_secondary_insert(s.index.table, s.index.id.0, s.oid, key);
+            let index = s.index.id.0.to_le_bytes();
+            enc.record(LogRecordKind::SecondaryInsert, s.index.table, s.oid, false, key, &index);
         }
     }
 

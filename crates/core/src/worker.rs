@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
-use ermia_log::TxLogBuffer;
+use ermia_log::BlobRef;
 use ermia_storage::{Home, Retired, Version, VersionCache};
 use ermia_telemetry::{EventRing, Slab};
 
@@ -50,7 +50,9 @@ pub(crate) struct Scratch {
     /// probe cursor inside it.
     pub home: Home,
     pub tid_hint: usize,
-    pub logbuf: TxLogBuffer,
+    /// The blob references a committing transaction's large payloads
+    /// became, in write-set order, between sizing and encoding its block.
+    pub blob_refs: Vec<BlobRef>,
     /// Txn outcome counters + flight ring.
     pub telemetry: WorkerTelemetry,
     pub reads: Vec<*mut Version>,
@@ -96,7 +98,7 @@ impl Worker {
             scratch: Scratch {
                 home,
                 tid_hint: home.slot,
-                logbuf: TxLogBuffer::new(),
+                blob_refs: Vec::new(),
                 telemetry,
                 reads: Vec::new(),
                 writes: Vec::new(),

@@ -289,8 +289,9 @@ fn commit_window(w: &mut ShardedWorker, t: TableId, pairs: &[[Vec<u8>; 2]]) {
 }
 
 /// Bytes of heap chunks glibc has handed out and not got back, chunk
-/// overhead included (`uordblks`; blocks it mapped one by one — the
-/// indirection array's 128 KiB pages — are not in it); 0 off glibc.
+/// overhead included (`uordblks`; blocks it mapped one by one are not in
+/// it, nor are the indirection arrays' 128 KiB pages, which are
+/// `Region`s); 0 off glibc.
 fn heap_in_use() -> i64 {
     #[cfg(target_env = "gnu")]
     return mallinfo().0;

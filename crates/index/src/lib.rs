@@ -42,6 +42,18 @@
 //! edge of the tree keeps the old node full (keys arriving in order —
 //! every loader, and log replay — fill their leaves), any other split
 //! halves.
+//!
+//! The append path: an insert first tries the rightmost leaf, through a
+//! hint pointer every split of that leaf moves on. A key above the
+//! leaf's last key goes into its next free slot — one version read, one
+//! lock, no descent; anything else (a smaller key, an empty or full
+//! leaf, a leaf no longer rightmost, a writer in the way) descends as
+//! before. It is sound because leaves are never unlinked: the leaf with
+//! no right sibling owns every key from its lower separator up, and its
+//! last key is at or above that separator. Taking the lock validates
+//! what was read before it, and the unlock bumps the version like any
+//! insert, so a node set holding that leaf (a miss or a scan past the
+//! last key) still sees the phantom.
 
 mod node;
 mod tree;

@@ -544,3 +544,203 @@ fn keys_that_tie_on_the_head_words_are_ordered_by_length_then_tail() {
     assert_eq!(t.remove(&g, &keys[5]), Some(5));
     assert_eq!(t.get(&g, &keys[6]).0, Some(6));
 }
+
+/// A miss, and a scan, past the last key record the rightmost leaf; an
+/// insert of a larger key takes the append path into that leaf and must
+/// still invalidate both.
+#[test]
+fn appends_invalidate_node_sets_past_the_last_key() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    for i in 0..10u64 {
+        t.insert(&g, &key(i * 10), i);
+    }
+    let tail = t.tail.load(std::sync::atomic::Ordering::Acquire);
+    let (found, miss) = t.get(&g, &key(1_000));
+    assert_eq!(found, None);
+    let mut scanned = Vec::new();
+    t.scan(&g, &key(95), None, |s| scanned.push(s), |_, _| ScanControl::Continue);
+    assert!(t.validate(&miss) && scanned.iter().all(|s| t.validate(s)));
+
+    let version = unsafe { (*tail).hdr.stable_version() };
+    assert_eq!(t.insert(&g, &key(500), 500), InsertOutcome::Inserted);
+    assert_eq!(t.tail.load(std::sync::atomic::Ordering::Acquire), tail, "no split");
+    assert_ne!(unsafe { (*tail).hdr.stable_version() }, version, "the append bumped the leaf");
+    assert!(!t.validate(&miss), "an append past a missed key is a phantom");
+    assert!(scanned.iter().any(|s| !t.validate(s)), "an append inside a scanned range too");
+    assert_eq!(t.get(&g, &key(500)).0, Some(500));
+}
+
+/// The append hint follows the right edge through splits, and a key that
+/// is not past the last one (or an emptied rightmost leaf) takes the
+/// descent and lands where lookups find it.
+#[test]
+fn the_append_hint_follows_the_right_edge() {
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    for i in 0..1_000u64 {
+        assert_eq!(t.insert(&g, &key(i * 2), i * 2), InsertOutcome::Inserted);
+        let tail = t.tail.load(std::sync::atomic::Ordering::Acquire);
+        let tail = unsafe { &*tail };
+        assert!(tail.next.load(std::sync::atomic::Ordering::Acquire).is_null());
+    }
+    // Below the last key: the descent.
+    assert_eq!(t.insert(&g, &key(1_001), 1_001), InsertOutcome::Inserted);
+    assert_eq!(t.insert(&g, &key(1_998), 0), InsertOutcome::Duplicate(1_998));
+    // Empty the rightmost leaf, then append past what was there.
+    for i in (900..1_000u64).rev() {
+        assert_eq!(t.remove(&g, &key(i * 2)), Some(i * 2));
+    }
+    for k in [1_801u64, 5_000, 5_001, 1_799] {
+        assert_eq!(t.insert(&g, &key(k), k), InsertOutcome::Inserted);
+    }
+    let mut got = Vec::new();
+    t.scan(
+        &g,
+        &key(1_790),
+        None,
+        |_| {},
+        |_, v| {
+            got.push(v);
+            ScanControl::Continue
+        },
+    );
+    assert_eq!(got, [1_790, 1_792, 1_794, 1_796, 1_798, 1_799, 1_801, 5_000, 5_001]);
+}
+
+/// An appender that read the hint just before a halving split of the
+/// rightmost leaf holds a leaf that is no longer rightmost. The append
+/// path must refuse it (its `next` is set): a key past that leaf's last
+/// one but at or above the split's separator would otherwise land left of
+/// where every lookup goes.
+#[test]
+fn a_stale_append_hint_is_refused() {
+    use std::sync::atomic::Ordering;
+    let (t, mgr) = setup();
+    let h = mgr.register();
+    let g = h.pin();
+    for i in 0..crate::node::MAX_KEYS as u64 {
+        t.insert(&g, &key(2 * i), 2 * i);
+    }
+    let stale = t.tail.load(Ordering::Acquire);
+    // Not past the last key: the full leaf halves, the hint moves right.
+    t.insert(&g, &key(1), 1);
+    assert_ne!(t.tail.load(Ordering::Acquire), stale);
+    t.tail.store(stale, Ordering::Release);
+    let last = 2 * crate::node::MAX_KEYS as u64 - 1;
+    assert_eq!(t.insert(&g, &key(last), last), InsertOutcome::Inserted);
+    assert_eq!(t.get(&g, &key(last)).0, Some(last));
+}
+
+/// Two appenders racing at the right edge (their keys interleave, so
+/// each also meets keys not past the last one and descends), an inserter
+/// splitting leaves below it, a remover, and readers: every appended key
+/// is findable from the moment its insert returns, scans stay ordered,
+/// and nothing is lost.
+#[test]
+fn concurrent_appenders_race_splitters_and_readers() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const APPENDS: u64 = 10_000;
+    const BASE: u64 = 1_000_000;
+    let t = BTree::new();
+    let mgr = EpochManager::new("append-race");
+    let ticker = ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1));
+    // Appender `i` inserts `BASE + 2j + i` for ascending `j`, then
+    // publishes `j + 1`; the splitter's keys are odd and below `BASE`.
+    let landed = [AtomicU64::new(0), AtomicU64::new(0)];
+    let appended = |i: u64, j: u64| BASE + 2 * j + i;
+    std::thread::scope(|s| {
+        for i in 0..2u64 {
+            let (t, mgr, landed) = (&t, mgr.clone(), &landed);
+            s.spawn(move || {
+                let h = mgr.register();
+                for j in 0..APPENDS {
+                    let k = appended(i, j);
+                    assert_eq!(t.insert(&h.pin(), &key(k), k), InsertOutcome::Inserted);
+                    landed[i as usize].store(j + 1, Ordering::Release);
+                }
+            });
+        }
+        {
+            let (t, mgr) = (&t, mgr.clone());
+            s.spawn(move || {
+                let h = mgr.register();
+                let mut x = 0x2545_f491_4f6c_dd1du64;
+                for _ in 0..APPENDS {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = (x % (BASE / 2)) * 2 + 1;
+                    let g = h.pin();
+                    t.insert(&g, &key(k), k);
+                    if x.is_multiple_of(5) {
+                        t.remove(&g, &key(k));
+                    }
+                }
+            });
+        }
+        for r in 0..2u64 {
+            let (t, mgr, landed) = (&t, mgr.clone(), &landed);
+            s.spawn(move || {
+                let h = mgr.register();
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 + r;
+                for _ in 0..20_000 {
+                    let g = h.pin();
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let i = x & 1;
+                    let mark = landed[i as usize].load(Ordering::Acquire);
+                    if mark > 0 {
+                        let k = appended(i, (x >> 1) % mark);
+                        assert_eq!(t.get(&g, &key(k)).0, Some(k), "appended key {k} lost");
+                    }
+                    if x.is_multiple_of(16) {
+                        let low = BASE + (x >> 8) % (2 * APPENDS);
+                        let mut prev = None;
+                        t.scan(
+                            &g,
+                            &key(low),
+                            None,
+                            |_| {},
+                            |kb, v| {
+                                assert_eq!(kb, key(v));
+                                assert!(prev < Some(v), "scan order");
+                                prev = Some(v);
+                                if v > low + 200 {
+                                    ScanControl::Stop
+                                } else {
+                                    ScanControl::Continue
+                                }
+                            },
+                        );
+                    }
+                }
+            });
+        }
+    });
+    drop(ticker);
+    let h = mgr.register();
+    let g = h.pin();
+    let mut count = 0u64;
+    let mut prev = None;
+    t.scan(
+        &g,
+        &key(0),
+        None,
+        |_| {},
+        |kb, v| {
+            assert_eq!(kb, key(v));
+            assert!(prev < Some(v), "scan order");
+            prev = Some(v);
+            count += (v >= BASE) as u64;
+            ScanControl::Continue
+        },
+    );
+    assert_eq!(count, 2 * APPENDS);
+    for k in BASE..BASE + 2 * APPENDS {
+        assert_eq!(t.get(&g, &key(k)).0, Some(k));
+    }
+}

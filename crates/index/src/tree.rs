@@ -59,6 +59,9 @@ unsafe impl Sync for LeafSnapshot {}
 /// A concurrent B+-tree from byte-string keys to `u64` values.
 pub struct BTree {
     root: AtomicPtr<NodeHdr>,
+    /// The rightmost leaf, or one that was: a hint for the append path
+    /// ([`BTree::append`]), moved on by every split of the rightmost leaf.
+    pub(crate) tail: AtomicPtr<LeafNode>,
 }
 
 // SAFETY: all shared mutable state is in atomics; the OLC protocol plus
@@ -75,7 +78,7 @@ impl Default for BTree {
 impl BTree {
     pub fn new() -> BTree {
         let root = LeafNode::alloc();
-        BTree { root: AtomicPtr::new(LeafNode::as_hdr(root)) }
+        BTree { root: AtomicPtr::new(LeafNode::as_hdr(root)), tail: AtomicPtr::new(root) }
     }
 
     /// Point lookup. Also returns the leaf snapshot covering the key's
@@ -102,6 +105,9 @@ impl BTree {
     /// Insert `key → val` if absent.
     pub fn insert(&self, _g: &Guard<'_>, key: &[u8], val: u64) -> InsertOutcome {
         let probe = Probe::new(key);
+        if self.append(&probe, val) {
+            return InsertOutcome::Inserted;
+        }
         'restart: loop {
             let mut parent: *mut InnerNode = std::ptr::null_mut();
             let mut pv = 0u64;
@@ -185,6 +191,40 @@ impl BTree {
                 }
             }
         }
+    }
+
+    /// The append path: a key above every key of the rightmost leaf goes
+    /// straight into that leaf's next free slot, with no descent. True
+    /// if it did; false sends the caller down the tree (a key not past
+    /// the last one, an empty or full leaf, a leaf no longer rightmost,
+    /// or a writer in the way).
+    ///
+    /// Sound without the descent: a leaf whose `next` is null covers every
+    /// key from its lower separator up, and its last key is at or above
+    /// that separator, so a key past the last key belongs to it. The
+    /// reads are optimistic and `try_lock(v)` validates them: it succeeds
+    /// only if no writer touched the leaf since `v` was read (a split
+    /// sets `next` under the same lock). The unlock bumps the version as
+    /// any insert's does, so a node set that recorded this leaf — a miss
+    /// or a scan past the last key — still fails validation.
+    fn append(&self, probe: &Probe<'_>, val: u64) -> bool {
+        // SAFETY: leaves are freed only when the tree drops.
+        let leaf = unsafe { &*self.tail.load(Ordering::Acquire) };
+        let v = leaf.hdr.read_lock();
+        let nk = leaf.nkeys.load(Ordering::Acquire);
+        if nk == 0
+            || nk >= MAX_KEYS
+            || !leaf.next.load(Ordering::Acquire).is_null()
+            || probe.cmp(&leaf.keys[nk - 1]) != std::cmp::Ordering::Greater
+            || !leaf.hdr.try_lock(v)
+        {
+            return false;
+        }
+        leaf.keys[nk].store(probe.to_words());
+        leaf.vals[nk].store(val, Ordering::Relaxed);
+        leaf.nkeys.store(nk + 1, Ordering::Release);
+        leaf.hdr.unlock();
+        true
     }
 
     /// Remove a key, returning its value if present. A key the slot held
@@ -453,7 +493,12 @@ impl BTree {
                     (*left).keys[i].clear();
                 }
                 (*right).nkeys.store(nk - half, Ordering::Relaxed);
-                (*right).next.store((*left).next.load(Ordering::Relaxed), Ordering::Relaxed);
+                let next = (*left).next.load(Ordering::Relaxed);
+                if next.is_null() {
+                    // The new leaf is the rightmost: move the append hint.
+                    self.tail.store(right, Ordering::Release);
+                }
+                (*right).next.store(next, Ordering::Relaxed);
                 (*left).next.store(right, Ordering::Release);
                 (*left).nkeys.store(half, Ordering::Release);
                 // The separator is the incoming key, or a *copy* of the

@@ -7,6 +7,10 @@
 //! another, keys that differ only in trailing `0x00` bytes (`"a"` vs
 //! `"a\0"`, which tie on the zero-padded head words), and long keys whose
 //! first 16 bytes are equal, so only the heap tail tells them apart.
+//!
+//! Ascending runs past the largest key drive the append path (`BTree`'s
+//! rightmost-leaf shortcut) between random inserts, and removals of the
+//! largest keys empty the rightmost leaf under it.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -31,6 +35,22 @@ enum Op {
     Remove(KeyRef),
     Get(KeyRef),
     Scan(KeyRef, KeyRef),
+    /// Insert this many keys, each past the largest one held; `true`
+    /// grows the key by a byte, `false` bumps its last byte.
+    Append(Vec<bool>),
+    /// Remove this many of the largest keys.
+    TrimTail(usize),
+}
+
+/// A key above `k`: `k` plus a byte, or `k` with its last byte raised
+/// (plus a zero byte when that byte is already `0xff`).
+fn successor(k: &[u8], grow: bool) -> Key {
+    let mut k = k.to_vec();
+    match k.last_mut() {
+        Some(b) if !grow && *b < 0xff => *b += 1,
+        _ => k.push(if grow { 1 } else { 0 }),
+    }
+    k
 }
 
 fn key_strategy() -> impl Strategy<Value = Key> {
@@ -72,6 +92,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key_ref_strategy().prop_map(Op::Remove),
         key_ref_strategy().prop_map(Op::Get),
         (key_ref_strategy(), key_ref_strategy()).prop_map(|(a, b)| Op::Scan(a, b)),
+        proptest::collection::vec((0u8..10).prop_map(|x| x == 0), 1..80).prop_map(Op::Append),
+        (1usize..40).prop_map(Op::TrimTail),
     ]
 }
 
@@ -127,11 +149,26 @@ proptest! {
                         .collect();
                     prop_assert_eq!(got, expect);
                 }
+                Op::Append(steps) => {
+                    for grow in steps {
+                        let last = model.keys().next_back().cloned().unwrap_or_default();
+                        let k = successor(&last, grow);
+                        let v = model.len() as u64;
+                        prop_assert_eq!(tree.insert(&g, &k, v), InsertOutcome::Inserted);
+                        model.insert(k, v);
+                    }
+                }
+                Op::TrimTail(n) => {
+                    for _ in 0..n {
+                        let Some((k, v)) = model.pop_last() else { break };
+                        prop_assert_eq!(tree.remove(&g, &k), Some(v));
+                    }
+                }
             }
         }
         // Everything the model holds, in order, and nothing else.
         let mut all = Vec::new();
-        tree.scan(&g, &[], &[0xff; 41], |_| {}, |k, v| {
+        tree.scan(&g, &[], None, |_| {}, |k, v| {
             all.push((k.to_vec(), v));
             ScanControl::Continue
         });

@@ -3,11 +3,11 @@
 //! Logical LSN offsets map directly onto ring positions (`offset % cap`),
 //! so a reservation made with the global `fetch_add` already names its
 //! buffer space — no further coordination is needed to find where to
-//! copy. Writers copy their pre-serialized block and mark the range
-//! *filled*; the flusher merges out-of-order fills into a contiguous
-//! watermark it can drain. Dead-zone ranges (which map to no disk
-//! location) are marked filled without a copy so they never stall the
-//! watermark.
+//! write. Writers encode their block into its range (in two pieces when
+//! it wraps the ring's end) and mark the range *filled*; the flusher
+//! merges out-of-order fills into a contiguous watermark it can drain.
+//! Dead-zone ranges (which map to no disk location) are marked filled
+//! without a copy so they never stall the watermark.
 //!
 //! # Lock-free completion tracking (the availability ring)
 //!
@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use ermia_common::Region;
 
-use crate::records::MIN_BLOCK_LEN;
+use crate::records::{BlockEncoder, MIN_BLOCK_LEN};
 
 /// Bytes tracked per availability-ring slot.
 const SLOT: u64 = MIN_BLOCK_LEN as u64;
@@ -366,7 +366,16 @@ impl RingBuffer {
     /// range filled. The caller must own the reservation for
     /// `offset..offset+bytes.len()` and have waited for space.
     pub fn write(&self, offset: u64, bytes: &[u8]) {
-        let len = bytes.len() as u64;
+        self.fill_with(offset, bytes.len() as u64, |head, tail| {
+            BlockEncoder::new(head, tail).put(bytes)
+        });
+    }
+
+    /// Hand `encode` the ring bytes of `offset..offset+len` — one slice,
+    /// or two when the range wraps the ring's end — then mark the range
+    /// filled. The caller must own the reservation for that range and
+    /// have waited for space.
+    pub fn fill_with(&self, offset: u64, len: u64, encode: impl FnOnce(&mut [u8], &mut [u8])) {
         debug_assert!(len <= self.cap);
         debug_assert!(
             offset + len <= self.flushed() + self.cap,
@@ -374,18 +383,20 @@ impl RingBuffer {
              overwrites unflushed bytes"
         );
         let pos = (offset % self.cap) as usize;
-        let first = std::cmp::min(bytes.len(), self.cap as usize - pos);
+        let first = std::cmp::min(len, self.cap - pos as u64) as usize;
         // SAFETY: reservations hand out disjoint logical ranges, and a
         // range's ring bytes are not read by the flusher until the writer
-        // publishes them via mark_filled (Release). So this region is
-        // exclusively ours for the duration of the copy.
-        unsafe {
+        // publishes them via mark_filled (Release). So these bytes are
+        // exclusively ours until then, and the two slices do not overlap
+        // (`len <= cap`).
+        let (head, tail) = unsafe {
             let base = self.data.as_ptr();
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), base.add(pos), first);
-            if first < bytes.len() {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr().add(first), base, bytes.len() - first);
-            }
-        }
+            (
+                std::slice::from_raw_parts_mut(base.add(pos), first),
+                std::slice::from_raw_parts_mut(base, len as usize - first),
+            )
+        };
+        encode(head, tail);
         self.mark_filled(offset, len);
     }
 

@@ -7,9 +7,13 @@
 //! 1. **Sparse communication.** Most update transactions issue exactly one
 //!    global atomic `fetch_add` before committing — even across corner
 //!    cases such as a full log buffer or a log file rotation.
-//! 2. **Private log buffers.** Transactions maintain log records privately
-//!    while in flight ([`TxLogBuffer`]) and aggregate them into one large
-//!    block before inserting it into the centralized ring buffer.
+//! 2. **Private log buffers.** Transactions keep their updates privately
+//!    while in flight — the write set is the buffer — and write them as
+//!    one large block: sized from the write set, then encoded once,
+//!    straight into the ring bytes the reservation names
+//!    ([`Reservation::encode`], one [`BlockEncoder`] for every block).
+//!    [`TxLogBuffer`] builds the same block standalone, for the log's
+//!    tests and the benchmark's probes.
 //! 3. **Early commit LSNs.** A transaction acquires its commit LSN at the
 //!    start of pre-commit, so all committing transactions agree on their
 //!    relative commit order before any validation work happens.
@@ -68,9 +72,9 @@ pub use manager::{
     DurableSub, DurableWaker, LogConfig, LogManager, LogStats, Reservation, SyncCause,
 };
 pub use records::{
-    BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind, PrepareMarker,
-    BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MAX_KEY_LEN, MIN_BLOCK_LEN,
-    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    BlockEncoder, BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind,
+    PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MAX_BLOCK_RECORDS,
+    MAX_KEY_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 pub use recovery::{BlockView, LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};

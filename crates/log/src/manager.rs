@@ -11,7 +11,9 @@ use ermia_common::{CachePadded, LogError, Lsn};
 use crate::buffer::RingBuffer;
 use crate::flusher;
 use crate::io::{FileBackend, SegmentIoFactory};
-use crate::records::{BlockKind, DdlRecord, LogBlockHeader, BLOCK_HEADER_LEN, MIN_BLOCK_LEN};
+use crate::records::{
+    BlockEncoder, BlockKind, DdlRecord, LogBlockHeader, BLOCK_HEADER_LEN, MIN_BLOCK_LEN,
+};
 use crate::segment::{Segment, SegmentTable};
 
 /// Log manager configuration.
@@ -1039,6 +1041,21 @@ impl Reservation<'_> {
     pub fn fill(mut self, block: &[u8]) {
         assert_eq!(block.len(), self.len, "block length must match reservation");
         self.mgr.inner.buffer.write(self.offset, block);
+        self.filled = true;
+    }
+
+    /// Encode the block in place: `records` appends the payload to a
+    /// [`BlockEncoder`] over the reserved ring bytes (both pieces when
+    /// the reservation wraps the ring), and the block is closed as
+    /// `kind`, stamped with this reservation's LSN. The payload must fit
+    /// the reserved length; the rest is zeroed.
+    pub fn encode(mut self, kind: BlockKind, records: impl FnOnce(&mut BlockEncoder<'_>)) {
+        let lsn = self.lsn;
+        self.mgr.inner.buffer.fill_with(self.offset, self.len as u64, |head, tail| {
+            let mut enc = BlockEncoder::block(head, tail);
+            records(&mut enc);
+            enc.finish(kind, lsn);
+        });
         self.filled = true;
     }
 

@@ -12,7 +12,7 @@
 
 use std::io;
 
-use ermia_common::crc::crc32c;
+use ermia_common::crc::{crc32c, crc32c_append};
 use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::manager::LogManager;
@@ -225,29 +225,22 @@ impl DdlRecord {
     /// block; returns the block's exclusive end offset.
     pub fn append(&self, log: &LogManager) -> io::Result<u64> {
         let secondary = self.secondary.as_deref().unwrap_or("");
-        let mut block = vec![0u8; BLOCK_HEADER_LEN];
-        block.extend_from_slice(&self.index.0.to_le_bytes());
-        block.extend_from_slice(&self.table.0.to_le_bytes());
-        block.extend_from_slice(&self.route.1.to_le_bytes());
-        block.extend_from_slice(&[self.route.0, self.secondary.is_some() as u8]);
-        block.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
-        block.extend_from_slice(&(secondary.len() as u16).to_le_bytes());
-        block.extend_from_slice(&[0; 2]);
-        block.extend_from_slice(self.name.as_bytes());
-        block.extend_from_slice(secondary.as_bytes());
-        block.resize(block.len().div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN, 0);
-        let res = log.allocate(block.len())?;
-        let header = LogBlockHeader {
-            kind: BlockKind::Ddl,
-            nrec: 0,
-            len: block.len() as u32,
-            checksum: crc32c(&block[BLOCK_HEADER_LEN..]),
-            cstamp: res.lsn(),
-            prev: 0,
-        };
-        header.encode_into(&mut block);
+        let mut fixed = [0u8; DDL_FIXED_LEN];
+        fixed[0..4].copy_from_slice(&self.index.0.to_le_bytes());
+        fixed[4..8].copy_from_slice(&self.table.0.to_le_bytes());
+        fixed[8..16].copy_from_slice(&self.route.1.to_le_bytes());
+        fixed[16] = self.route.0;
+        fixed[17] = self.secondary.is_some() as u8;
+        fixed[18..20].copy_from_slice(&(self.name.len() as u16).to_le_bytes());
+        fixed[20..22].copy_from_slice(&(secondary.len() as u16).to_le_bytes());
+        let res =
+            log.allocate(BLOCK_HEADER_LEN + DDL_FIXED_LEN + self.name.len() + secondary.len())?;
         let end = res.end_offset();
-        res.fill(&block);
+        res.encode(BlockKind::Ddl, |enc| {
+            enc.put(&fixed);
+            enc.put(self.name.as_bytes());
+            enc.put(secondary.as_bytes());
+        });
         Ok(end)
     }
 
@@ -267,14 +260,18 @@ impl DdlRecord {
     }
 }
 
+/// Most records one block carries: the header holds the count in 24 bits.
+pub const MAX_BLOCK_RECORDS: usize = (1 << 24) - 1;
+
 /// Fixed-size header at the start of every log block.
 ///
 /// Layout (little-endian):
 /// ```text
 /// 0  magic      u32
 /// 4  kind       u8
-/// 5  (pad)      u8
-/// 6  nrec       u16     number of records in a Txn block
+/// 5  nrec_hi    u8      bits 16..24 of nrec (0 in every block of
+///                       fewer than 65 536 records, and in older logs)
+/// 6  nrec       u16     bits 0..16 of the number of records
 /// 8  len        u32     total block length including header
 /// 12 checksum   u32     CRC-32C of the payload
 /// 16 cstamp     u64     committer's commit LSN (raw), 0 for skips
@@ -283,7 +280,8 @@ impl DdlRecord {
 #[derive(Clone, Copy, Debug)]
 pub struct LogBlockHeader {
     pub kind: BlockKind,
-    pub nrec: u16,
+    /// Records in the block, at most [`MAX_BLOCK_RECORDS`].
+    pub nrec: u32,
     pub len: u32,
     pub checksum: u32,
     pub cstamp: Lsn,
@@ -294,9 +292,10 @@ impl LogBlockHeader {
     pub fn encode_into(&self, out: &mut [u8]) {
         assert!(out.len() >= BLOCK_HEADER_LEN);
         out[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
+        assert!(self.nrec as usize <= MAX_BLOCK_RECORDS, "{} records in one block", self.nrec);
         out[4] = self.kind as u8;
-        out[5] = 0;
-        out[6..8].copy_from_slice(&self.nrec.to_le_bytes());
+        out[5] = (self.nrec >> 16) as u8;
+        out[6..8].copy_from_slice(&(self.nrec as u16).to_le_bytes());
         out[8..12].copy_from_slice(&self.len.to_le_bytes());
         out[12..16].copy_from_slice(&self.checksum.to_le_bytes());
         out[16..24].copy_from_slice(&self.cstamp.raw().to_le_bytes());
@@ -315,7 +314,7 @@ impl LogBlockHeader {
         let kind = BlockKind::from_u8(buf[4])?;
         Some(LogBlockHeader {
             kind,
-            nrec: u16::from_le_bytes(buf[6..8].try_into().unwrap()),
+            nrec: u16::from_le_bytes(buf[6..8].try_into().unwrap()) as u32 | (buf[5] as u32) << 16,
             len: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
             checksum: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
             cstamp: Lsn::from_raw(u64::from_le_bytes(buf[16..24].try_into().unwrap())),
@@ -377,26 +376,127 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// is a u16. The engine refuses a longer one before it installs anything.
 pub const MAX_KEY_LEN: usize = u16::MAX as usize;
 
-/// Encode one record from its parts — the single definition of the wire
-/// format, shared by [`LogRecord::encode_into`] and the allocation-free
-/// [`crate::TxLogBuffer`] serializer.
-pub fn encode_record_into(
-    out: &mut Vec<u8>,
-    kind: LogRecordKind,
-    table: TableId,
-    oid: Oid,
-    indirect: bool,
-    key: &[u8],
-    value: &[u8],
-) {
-    out.push(kind as u8);
-    out.push(if indirect { FLAG_INDIRECT } else { 0 });
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&table.0.to_le_bytes());
-    out.extend_from_slice(&oid.0.to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
+/// The one encoder of log blocks and records: writes bytes in order into
+/// the space they go to — one slice, or the log ring's two halves when a
+/// reservation wraps its end — so a block is encoded once, where it will
+/// be read from.
+///
+/// A commit encodes its block straight into its reservation
+/// ([`crate::Reservation::encode`]); [`crate::TxLogBuffer`] encodes into
+/// its own buffer; [`crate::Reservation::fill`] copies finished bytes with
+/// [`BlockEncoder::put`]. Writing past the end of the space panics.
+pub struct BlockEncoder<'a> {
+    head: &'a mut [u8],
+    tail: &'a mut [u8],
+    pos: usize,
+    nrec: usize,
+}
+
+impl<'a> BlockEncoder<'a> {
+    /// An encoder at the start of `head`, then `tail`.
+    #[inline]
+    pub fn new(head: &'a mut [u8], tail: &'a mut [u8]) -> BlockEncoder<'a> {
+        BlockEncoder { head, tail, pos: 0, nrec: 0 }
+    }
+
+    /// An encoder for a whole block: the payload starts past the header,
+    /// which [`BlockEncoder::finish`] writes.
+    #[inline]
+    pub fn block(head: &'a mut [u8], tail: &'a mut [u8]) -> BlockEncoder<'a> {
+        BlockEncoder { pos: BLOCK_HEADER_LEN, ..BlockEncoder::new(head, tail) }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// Copy `bytes` to position `at`, across the two pieces if need be.
+    #[inline]
+    fn write_at(&mut self, at: usize, bytes: &[u8]) {
+        match self.head.get_mut(at..at + bytes.len()) {
+            Some(out) => out.copy_from_slice(bytes),
+            None => self.write_split(at, bytes),
+        }
+    }
+
+    /// [`BlockEncoder::write_at`] for bytes not wholly in the first piece.
+    #[cold]
+    fn write_split(&mut self, at: usize, bytes: &[u8]) {
+        let split = self.head.len();
+        if at >= split {
+            self.tail[at - split..at - split + bytes.len()].copy_from_slice(bytes);
+        } else {
+            let (first, rest) = bytes.split_at(split - at);
+            self.head[at..].copy_from_slice(first);
+            self.tail[..rest.len()].copy_from_slice(rest);
+        }
+    }
+
+    /// Append raw bytes.
+    #[inline]
+    pub fn put(&mut self, bytes: &[u8]) {
+        self.write_at(self.pos, bytes);
+        self.pos += bytes.len();
+    }
+
+    /// Append a 2PC prepare marker (it leads a [`BlockKind::TxnPrepare`]
+    /// payload).
+    #[inline]
+    pub fn marker(&mut self, marker: &PrepareMarker) {
+        let mut bytes = [0u8; PREPARE_MARKER_LEN];
+        marker.encode_into(&mut bytes);
+        self.put(&bytes);
+    }
+
+    /// Append one record (layout at [`LogRecord`]).
+    #[inline]
+    pub fn record(
+        &mut self,
+        kind: LogRecordKind,
+        table: TableId,
+        oid: Oid,
+        indirect: bool,
+        key: &[u8],
+        value: &[u8],
+    ) {
+        let mut h = [0u8; RECORD_HEADER_LEN];
+        h[0] = kind as u8;
+        h[1] = if indirect { FLAG_INDIRECT } else { 0 };
+        h[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
+        h[4..8].copy_from_slice(&table.0.to_le_bytes());
+        h[8..12].copy_from_slice(&oid.0.to_le_bytes());
+        h[12..16].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        self.put(&h);
+        self.put(key);
+        self.put(value);
+        self.nrec += 1;
+    }
+
+    /// Close a block begun with [`BlockEncoder::block`]: zero the rest of
+    /// the space, then write the header — `kind`, the records appended,
+    /// the whole space as the length, the payload's CRC-32C — in front.
+    #[inline]
+    pub fn finish(mut self, kind: BlockKind, cstamp: Lsn) {
+        let len = self.len();
+        let split = self.head.len().min(self.pos);
+        self.head[split..].fill(0);
+        let split = self.pos.saturating_sub(self.head.len());
+        self.tail[split..].fill(0);
+        let skip = BLOCK_HEADER_LEN.saturating_sub(self.head.len());
+        let head = self.head.get(BLOCK_HEADER_LEN..).unwrap_or_default();
+        let checksum = crc32c_append(crc32c(head), &self.tail[skip..]);
+        let header = LogBlockHeader {
+            kind,
+            nrec: self.nrec as u32,
+            len: len as u32,
+            checksum,
+            cstamp,
+            prev: 0,
+        };
+        let mut bytes = [0u8; BLOCK_HEADER_LEN];
+        header.encode_into(&mut bytes);
+        self.write_at(0, &bytes);
+    }
 }
 
 impl LogRecord {
@@ -406,8 +506,9 @@ impl LogRecord {
     }
 
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_record_into(
-            out,
+        let start = out.len();
+        out.resize(start + self.encoded_len(), 0);
+        BlockEncoder::new(&mut out[start..], &mut []).record(
             self.kind,
             self.table,
             self.oid,

@@ -1,23 +1,25 @@
-//! Private per-transaction log buffers (paper §3.1, §3.3 feature 2).
+//! The standalone log-block builder, and the borrowed record view.
 //!
-//! Each transaction accumulates the descriptors of its inserts, updates
-//! and deletes privately to avoid log-buffer contention, then serializes
-//! them as one block into the space reserved by its single commit-time
-//! `fetch_add`.
+//! A commit does not come through here: it sizes its block from its
+//! write set and encodes each record once, straight from the versions
+//! into the bytes its single `fetch_add` reserved in the ring
+//! ([`crate::Reservation::encode`]) — no private arena, no scratch block
+//! (§3.3 feature 2's private buffer is the write set itself).
+//! [`TxLogBuffer`] gathers records first and then encodes the same block
+//! with the same [`BlockEncoder`] into a buffer of its own; the log's
+//! tests build blocks with it, and the ledger's probes time it.
 //!
 //! The buffer is **allocation-free in the steady state**: record metadata
 //! lives in a reused `Vec<RecordMeta>` and key/value bytes are bump-
-//! copied into a reused flat arena, so a worker that recycles one
-//! `TxLogBuffer` across transactions stops touching the allocator once
-//! the high-water capacity is reached (the previous design allocated two
-//! `Vec<u8>`s per logged record).
+//! copied into a reused flat arena, so a caller that recycles one
+//! `TxLogBuffer` stops touching the allocator once the high-water
+//! capacity is reached.
 
-use ermia_common::crc::crc32c;
 use ermia_common::{Lsn, Oid, TableId};
 
 use crate::records::{
-    encode_record_into, BlockKind, LogBlockHeader, LogRecordKind, PrepareMarker, BLOCK_HEADER_LEN,
-    MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    BlockEncoder, BlockKind, LogRecordKind, PrepareMarker, BLOCK_HEADER_LEN, MIN_BLOCK_LEN,
+    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 
 /// Metadata for one buffered record; its key/value bytes live in the
@@ -179,39 +181,19 @@ impl TxLogBuffer {
         marker: Option<PrepareMarker>,
     ) -> &[u8] {
         let total = if marker.is_some() { self.prepare_block_len() } else { self.block_len() };
-        self.scratch.clear();
-        self.scratch.resize(BLOCK_HEADER_LEN, 0);
+        // The encoder writes every byte, padding included.
+        self.scratch.resize(total, 0);
+        let mut enc = BlockEncoder::block(&mut self.scratch, &mut []);
         if let Some(m) = marker {
-            let start = self.scratch.len();
-            self.scratch.resize(start + PREPARE_MARKER_LEN, 0);
-            m.encode_into(&mut self.scratch[start..]);
+            enc.marker(&m);
         }
         for m in &self.metas {
             let ks = m.key_start as usize;
             let vs = ks + m.key_len as usize;
-            encode_record_into(
-                &mut self.scratch,
-                m.kind,
-                m.table,
-                m.oid,
-                m.indirect,
-                &self.arena[ks..vs],
-                &self.arena[vs..vs + m.val_len as usize],
-            );
+            let (key, value) = (&self.arena[ks..vs], &self.arena[vs..vs + m.val_len as usize]);
+            enc.record(m.kind, m.table, m.oid, m.indirect, key, value);
         }
-        self.scratch.resize(total, 0); // zero pad to block granularity
-        let checksum = crc32c(&self.scratch[BLOCK_HEADER_LEN..]);
-        let header = LogBlockHeader {
-            kind,
-            nrec: self.metas.len() as u16,
-            len: total as u32,
-            checksum,
-            cstamp,
-            prev: 0,
-        };
-        let mut head = [0u8; BLOCK_HEADER_LEN];
-        header.encode_into(&mut head);
-        self.scratch[..BLOCK_HEADER_LEN].copy_from_slice(&head);
+        enc.finish(kind, cstamp);
         &self.scratch
     }
 
@@ -225,6 +207,8 @@ impl TxLogBuffer {
 
 #[cfg(test)]
 mod tests {
+    use ermia_common::crc::crc32c;
+
     use super::*;
     use crate::records::{LogBlockHeader, LogRecord};
 

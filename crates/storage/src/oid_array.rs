@@ -13,7 +13,7 @@
 //! a 32-bit ABA tag with the top OID into one `AtomicU64`. Push and pop
 //! are single CAS loops — no mutex on the allocation path.
 
-use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
 use ermia_common::{Oid, Region, Zeroable};
@@ -37,17 +37,24 @@ type Page = [AtomicU64; PAGE_SIZE];
 /// materialized the first time an OID in its range is recycled.
 type FreePage = [AtomicU32; PAGE_SIZE];
 
-/// A zeroed page straight from the allocator, to be freed as a `Box`.
+/// A zeroed page in a mapping of its own ([`Region`]): resident where
+/// it is written, never cut from heap an earlier owner left dirty, and
+/// never counted as heap — whether `malloc` would have mapped a 128 KiB
+/// block or cut it from free heap depends on what was freed before it.
 fn alloc_page<T: Zeroable>() -> *mut [T; PAGE_SIZE] {
     const { assert!(std::mem::size_of::<T>() > 0) };
-    let layout = Layout::new::<[T; PAGE_SIZE]>();
-    // SAFETY: the layout is not zero-sized, and all-zero bytes are
-    // `PAGE_SIZE` valid `T`s (`Zeroable`).
-    let ptr = unsafe { alloc_zeroed(layout) };
-    if ptr.is_null() {
-        handle_alloc_error(layout);
-    }
-    ptr.cast()
+    Region::new(std::mem::size_of::<[T; PAGE_SIZE]>()).into_raw().as_ptr().cast()
+}
+
+/// Unmap a page from [`alloc_page`].
+///
+/// # Safety
+/// `page` came from `alloc_page::<T>()`, is reachable no more, and is
+/// freed once.
+unsafe fn free_page<T>(page: *mut [T; PAGE_SIZE]) {
+    let len = std::mem::size_of::<[T; PAGE_SIZE]>();
+    // SAFETY: the caller's contract; `alloc_page` never returns null.
+    drop(unsafe { Region::from_raw(NonNull::new_unchecked(page.cast()), len) });
 }
 
 /// The page a directory entry points at, materialized on first use: a
@@ -64,7 +71,7 @@ fn materialize<T: Zeroable>(entry: &AtomicPtr<[T; PAGE_SIZE]>) -> &[T; PAGE_SIZE
         Ok(_) => unsafe { &*fresh },
         Err(existing) => {
             // SAFETY: `fresh` never escaped.
-            unsafe { drop(Box::from_raw(fresh)) };
+            unsafe { free_page(fresh) };
             unsafe { &*existing }
         }
     }
@@ -285,13 +292,13 @@ impl Drop for OidArray {
                         v = next;
                     }
                 }
-                drop(Box::from_raw(page));
+                free_page(page);
             }
         }
         for page_ptr in self.free_pages() {
             let page = page_ptr.load(Ordering::Relaxed);
             if !page.is_null() {
-                unsafe { drop(Box::from_raw(page)) };
+                unsafe { free_page(page) };
             }
         }
     }

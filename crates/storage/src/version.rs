@@ -12,7 +12,7 @@
 //! the steady-state write path performs no heap allocation.
 
 use std::alloc::{self, Layout};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ermia_common::{Lsn, Stamp};
@@ -186,6 +186,11 @@ pub const DEFAULT_POOL_CAP: usize = 4096;
 /// retained for reuse.
 pub struct VersionPool {
     free: Mutex<Vec<*mut Version>>,
+    /// `free`'s length, written under the lock: a cache finding the pool
+    /// empty does not take the lock to learn it. A stale zero costs one
+    /// fresh allocation — the load's inserts find the pool empty every
+    /// time, and never wait on the collector's releases for it.
+    pooled: AtomicUsize,
     cap: usize,
 }
 
@@ -204,7 +209,7 @@ impl Default for VersionPool {
 
 impl VersionPool {
     pub fn new(cap: usize) -> VersionPool {
-        VersionPool { free: Mutex::new(Vec::new()), cap }
+        VersionPool { free: Mutex::new(Vec::new()), pooled: AtomicUsize::new(0), cap }
     }
 
     /// Take ownership of a quiesced node for later reuse (or free it if
@@ -218,6 +223,7 @@ impl VersionPool {
         let mut free = self.free.lock().unwrap();
         if free.len() < self.cap {
             free.push(ptr);
+            self.pooled.store(free.len(), Ordering::Release);
         } else {
             drop(free);
             unsafe { Version::free(ptr) };
@@ -226,16 +232,20 @@ impl VersionPool {
 
     /// Pop up to `n` nodes into `out`. Returns how many were moved.
     fn fill(&self, out: &mut Vec<*mut Version>, n: usize) -> usize {
+        if self.pooled() == 0 {
+            return 0;
+        }
         let mut free = self.free.lock().unwrap();
         let take = n.min(free.len());
         let split = free.len() - take;
         out.extend(free.drain(split..));
+        self.pooled.store(free.len(), Ordering::Release);
         take
     }
 
     /// Nodes currently pooled (tests/stats).
     pub fn pooled(&self) -> usize {
-        self.free.lock().unwrap().len()
+        self.pooled.load(Ordering::Acquire)
     }
 }
 
@@ -252,7 +262,9 @@ impl Drop for VersionPool {
 ///
 /// Acquisition pops a local node (no synchronization); the local stash
 /// refills from the shared pool in batches. Only when both are empty
-/// does the worker touch the allocator.
+/// does the worker touch the allocator — and an empty pool is seen in
+/// one relaxed load, without its lock, so a load of fresh rows (nothing
+/// retired yet) pays no mutex per version.
 pub struct VersionCache {
     pool: Arc<VersionPool>,
     local: Vec<*mut Version>,
