@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use std::time::Duration;
-
 use ermia_log::LogConfig;
 
 /// Isolation level of a transaction.
@@ -23,8 +21,6 @@ pub struct DbConfig {
     /// A log with a directory makes `commit()` wait for its block to be
     /// durable; `commit_deferred()` never waits.
     pub log: LogConfig,
-    /// GC sweep interval.
-    pub gc_interval: Duration,
     /// Values at or above this size are diverted to the large-object
     /// (blob) store at commit; the log carries only an indirect pointer
     /// (§3.3, log feature 4). `usize::MAX` disables diversion.
@@ -47,7 +43,6 @@ impl Default for DbConfig {
     fn default() -> DbConfig {
         DbConfig {
             log: LogConfig::default(),
-            gc_interval: Duration::from_millis(20),
             large_value_threshold: usize::MAX,
             trace_sample_n: 0,
             trace_slow_us: 10_000,

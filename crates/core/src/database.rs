@@ -21,9 +21,7 @@ use ermia_common::{IndexId, Lsn, TableId};
 use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
 use ermia_log::{CheckpointStore, DdlRecord, LogManager};
-use ermia_storage::{
-    GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool,
-};
+use ermia_storage::{Collector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool};
 use ermia_telemetry::{EventKind, EventRing, Telemetry};
 
 use crate::config::DbConfig;
@@ -414,8 +412,9 @@ pub(crate) struct DbInner {
 #[derive(Clone)]
 pub struct Database {
     pub(crate) inner: Arc<DbInner>,
-    // Background services; dropped (stopped) with the last Database clone.
-    _services: Arc<Services>,
+    // The epoch ticker, which also runs the collector (see
+    // [`start_ticker`]); stopped with the last Database clone.
+    _ticker: Arc<Ticker>,
     /// When set, this handle is a read-only snapshot view: transactions
     /// begin at the view's cut instead of the log tail, and every write
     /// operation aborts with `ReadOnlyMode`.
@@ -423,30 +422,27 @@ pub struct Database {
 }
 
 /// Period of the one ticker that drives the unified epoch timeline: the
-/// fastest of the old per-timescale cadences (the tid valve's).
+/// fastest of the old per-timescale cadences (the tid valve's). Each tick
+/// also runs a collector pass.
 const EPOCH_TICK: Duration = Duration::from_millis(1);
 
-struct Services {
-    _ticker: Ticker,
-    _gc: GarbageCollector,
-}
-
-/// Start the collector. It runs for the life of the database: retire-
-/// queue entries name their table, so DDL has nothing to tell it.
-fn start_gc(inner: &Arc<DbInner>) -> GarbageCollector {
+/// Start the epoch ticker with the collector on its tick. It runs for the
+/// life of the database: retire-queue entries name their table, so DDL
+/// has nothing to tell it.
+fn start_ticker(inner: &Arc<DbInner>) -> Ticker {
     let (db, catalog) = (Arc::clone(inner), Arc::clone(inner));
     let ring = Arc::clone(&inner.svc_ring);
-    GarbageCollector::start(
+    let mut gc = Collector::new(
         Arc::clone(&inner.retired),
         inner.epoch.clone(),
         move || db.gc_horizon(),
         move |t| {
             catalog.catalog.read().unwrap().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids))
         },
-        inner.cfg.gc_interval,
         Some(Arc::clone(&inner.versions)),
         move |reclaimed, passes| ring.record(EventKind::GcPass, reclaimed, passes),
-    )
+    );
+    Ticker::start(inner.epoch.clone(), EPOCH_TICK, move || gc.pass())
 }
 
 impl DbInner {
@@ -566,11 +562,8 @@ impl Database {
                 }
             });
         }
-        let services = Arc::new(Services {
-            _ticker: Ticker::start(inner.epoch.clone(), EPOCH_TICK),
-            _gc: start_gc(&inner),
-        });
-        Ok(Database { inner, _services: services, view: None })
+        let ticker = Arc::new(start_ticker(&inner));
+        Ok(Database { inner, _ticker: ticker, view: None })
     }
 
     /// Create (or look up, by name) a table with its primary index.
@@ -842,7 +835,7 @@ impl Database {
         }
         Database {
             inner: Arc::clone(&self.inner),
-            _services: Arc::clone(&self._services),
+            _ticker: Arc::clone(&self._ticker),
             view: Some(Arc::new(ViewState { cut, counted })),
         }
     }

@@ -258,7 +258,7 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
     let gc = &db.gc_stats;
     out.push(Sample::counter(
         "ermia_gc_passes_total",
-        "Collector ticks (one per gc_interval, whether or not anything was due)",
+        "Collector passes (one per epoch tick, whether or not anything was due)",
         gc.passes.load(Relaxed),
     ));
     out.push(Sample::counter(

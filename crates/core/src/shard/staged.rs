@@ -6,11 +6,10 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ermia_common::crc::crc32c;
 use ermia_common::{AbortReason, LogError, TxResult};
 use ermia_log::{
-    BlockKind, DecideRecord, DurableWaker, LogBlockHeader, PrepareMarker, BLOCK_HEADER_LEN,
-    DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
+    BlockKind, DecideRecord, DurableWaker, PrepareMarker, BLOCK_HEADER_LEN, DECIDE_RECORD_LEN,
+    MIN_BLOCK_LEN,
 };
 use ermia_telemetry::{
     EventKind, EventRing, FamilyDef, MetricDesc, MetricKind, Slab, SpanKind, SpanRing, TraceContext,
@@ -63,20 +62,8 @@ const DECIDE_BLOCK_LEN: usize =
 /// exclusive end offset for durability waiting.
 pub(super) fn write_decide(db: &Database, rec: DecideRecord) -> io::Result<u64> {
     let res = db.inner.log.allocate(DECIDE_BLOCK_LEN)?;
-    let lsn = res.lsn();
     let end = res.end_offset();
-    let mut block = [0u8; DECIDE_BLOCK_LEN];
-    block[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + DECIDE_RECORD_LEN].copy_from_slice(&rec.encode());
-    let header = LogBlockHeader {
-        kind: BlockKind::TxnDecide,
-        nrec: 0,
-        len: DECIDE_BLOCK_LEN as u32,
-        checksum: crc32c(&block[BLOCK_HEADER_LEN..]),
-        cstamp: lsn,
-        prev: rec.gtid_lsn,
-    };
-    header.encode_into(&mut block);
-    res.fill(&block);
+    res.encode(BlockKind::TxnDecide, |block| block.put(&rec.encode()));
     Ok(end)
 }
 
@@ -530,9 +517,7 @@ mod tests {
     /// verdicts must land.
     #[test]
     fn parked_prepares_keep_their_versions_through_churn_gc_and_epoch_advances() {
-        let mut cfg = DbConfig::in_memory();
-        cfg.gc_interval = Duration::from_millis(1);
-        let db = ShardedDb::open(cfg, 2).unwrap();
+        let db = ShardedDb::open(DbConfig::in_memory(), 2).unwrap();
         let t = db.create_table("kv");
         const PARKED: usize = 48;
         let mut w = db.register_worker();

@@ -713,9 +713,7 @@ fn a_log_without_a_catalog_needs_its_tables_declared_and_says_so() {
 
 #[test]
 fn gc_reclaims_old_versions() {
-    let cfg =
-        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
-    let db = Database::open(cfg).unwrap();
+    let db = Database::open(DbConfig::in_memory()).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
     let mut tx = w.begin(SI);
@@ -764,9 +762,7 @@ fn ssn_allows_serializable_histories() {
 #[test]
 fn long_reader_sees_stable_value_despite_gc() {
     // A reader's snapshot version must survive GC while the reader lives.
-    let cfg =
-        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
-    let db = Database::open(cfg).unwrap();
+    let db = Database::open(DbConfig::in_memory()).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
     let mut w2 = db.register_worker();
@@ -1270,9 +1266,7 @@ fn a_checkpoint_holds_what_a_fork_at_its_cut_scans() {
     use std::sync::atomic::AtomicBool;
     const ROWS: u32 = 2_000;
     let dir = TestDir::new("cut-equivalence");
-    let mut cfg = DbConfig::durable(&dir);
-    cfg.gc_interval = std::time::Duration::from_millis(1);
-    let db = Database::open(cfg).unwrap();
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
     let t = db.create_table("t");
     let row = |i: u32| format!("row-{i:08}").into_bytes();
     let mut w = db.register_worker();
@@ -1372,7 +1366,6 @@ fn checkpoints_taken_under_churn_recover_to_the_model() {
     let dir = TestDir::new("checkpoint-churn");
     let open = || {
         let mut cfg = DbConfig::durable(&dir);
-        cfg.gc_interval = std::time::Duration::from_millis(1);
         cfg.log.segment_size = 1 << 16;
         Database::open(cfg).unwrap()
     };
@@ -1598,9 +1591,7 @@ fn fork_is_a_frozen_consistent_cut() {
     // A fork shares version chains with the primary: it must keep
     // serving the cut-time values while the primary overwrites them,
     // and it must refuse writes.
-    let cfg =
-        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
-    let db = Database::open(cfg).unwrap();
+    let db = Database::open(DbConfig::in_memory()).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
     for i in 0..50u32 {
@@ -2006,9 +1997,11 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
         let mut cfg = DbConfig::durable(&dir);
         cfg.log.buffer_size = RING;
         cfg.large_value_threshold = THRESHOLD;
-        // No collection: a deleted key keeps its OID for a revive.
-        cfg.gc_interval = std::time::Duration::from_secs(3600);
         let db = Database::open(cfg).unwrap();
+        // No collection: a deleted key keeps its OID for a revive. A fork
+        // taken before the first write pins the collector's horizon below
+        // every commit of the run, so no superseded version is ever due.
+        let _pin = db.fork();
         let tables = [db.create_table("a"), db.create_table("b")];
         let sec = db.create_secondary_index(tables[1], "b.sec");
         let mut w = db.register_worker();

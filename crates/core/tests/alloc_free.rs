@@ -227,9 +227,7 @@ fn fully_sampled_tracing_stays_alloc_free() {
 #[test]
 fn handing_overwritten_versions_to_the_gc_stays_alloc_free() {
     const ROWS: u8 = 8;
-    let cfg =
-        DbConfig { gc_interval: std::time::Duration::from_millis(1), ..DbConfig::in_memory() };
-    let db = Database::open(cfg).unwrap();
+    let db = Database::open(DbConfig::in_memory()).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
     let mut tx = w.begin(IsolationLevel::Snapshot);

@@ -23,9 +23,8 @@ const TABLES: [&str; 2] = ["a", "b"];
 const KEYS: u32 = 48;
 const ROUNDS: u32 = 1500;
 
-fn config(dir: Option<&Path>, gc_interval: Duration) -> DbConfig {
-    let cfg = dir.map_or_else(DbConfig::in_memory, DbConfig::durable);
-    DbConfig { gc_interval, ..cfg }
+fn config(dir: Option<&Path>) -> DbConfig {
+    dir.map_or_else(DbConfig::in_memory, DbConfig::durable)
 }
 
 fn key(i: u32) -> Vec<u8> {
@@ -145,7 +144,7 @@ fn storm(db: &ShardedDb, seed: u64) {
 /// `crates/repl/tests/gc_liveness.rs`) tailed by a replica.
 fn storm_then_recover(shards: usize, seed: u64) {
     let dir = TestDir::new(&format!("storm-{shards}"));
-    let cfg = config(Some(&dir), Duration::from_millis(1));
+    let cfg = config(Some(&dir));
     {
         let db = ShardedDb::open(cfg.clone(), shards).unwrap();
         storm(&db, seed);
@@ -186,7 +185,7 @@ fn nothing_reclaimable_is_left_behind_on_two_shards() {
 fn collector_work_is_proportional_to_garbage_not_to_rows() {
     const ROWS: u32 = 200_000;
     const UPDATES: u32 = 1_000;
-    let db = Database::open(config(None, Duration::from_millis(1))).unwrap();
+    let db = Database::open(config(None)).unwrap();
     let t = db.create_table("t");
     let mut w = db.register_worker();
     for base in (0..ROWS).step_by(1000) {
@@ -224,7 +223,7 @@ fn a_pinned_horizon_bounds_the_backlog_and_drains_on_release() {
     const MANY: u64 = 10_000;
     // The churn runs on shard 0 of two; the second shard is there for the
     // parked prepare.
-    let sharded = ShardedDb::open(config(None, Duration::from_millis(1)), 2).unwrap();
+    let sharded = ShardedDb::open(config(None), 2).unwrap();
     let t = sharded.create_table("t");
     let db = sharded.shard(0).clone();
     let mut w = db.register_worker();
@@ -325,19 +324,19 @@ fn churn_under_pin(db: &Database, t: TableId, hot: u32, updates: u64) {
 }
 
 /// DDL and shutdown do not pay for the collector: nothing restarts it,
-/// and dropping the database wakes it instead of sleeping out
-/// `gc_interval`.
+/// and dropping the database wakes the epoch ticker it runs on instead
+/// of sleeping out a tick.
 #[test]
 fn ddl_and_drop_do_not_wait_for_the_collector() {
     let t0 = Instant::now();
-    let db = Database::open(config(None, Duration::from_secs(1))).unwrap();
+    let db = Database::open(config(None)).unwrap();
     for i in 0..64 {
         db.create_table(&format!("t{i}"));
     }
     drop(db);
     assert!(
         t0.elapsed() < Duration::from_millis(500),
-        "64 create_table calls and the drop took {:?} against a 1 s gc_interval",
+        "64 create_table calls and the drop took {:?}",
         t0.elapsed()
     );
 }
@@ -346,7 +345,7 @@ fn ddl_and_drop_do_not_wait_for_the_collector() {
 /// too (the collector asks for a table's array the first time it is named).
 #[test]
 fn tables_created_later_are_collected() {
-    let db = Database::open(config(None, Duration::from_millis(1))).unwrap();
+    let db = Database::open(config(None)).unwrap();
     wait_passes(&db, 2);
     let t = db.create_table("late");
     let mut w = db.register_worker();

@@ -9,6 +9,7 @@ use ermia::{
     shard_of_key, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, StagedCommit,
     TableId,
 };
+use ermia_common::crc::crc32c;
 use ermia_common::TestDir;
 use ermia_log::{BlockKind, DecideRecord, LogScanner, PrepareMarker};
 
@@ -336,6 +337,19 @@ fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
     let mut w = recovered.register_worker();
     assert_eq!(read(&mut w, t, &a).as_deref(), Some(&b"old"[..]));
     assert_eq!(read(&mut w, t, &b).as_deref(), Some(&b"old"[..]));
+    // Shard 0's verdict came back as the block encoder wrote it: its
+    // checksum covers the payload, and the reserved `prev` is 0.
+    let mut scanner = LogScanner::new(recovered.shard(0).log().segments(), 0);
+    let mut verdicts = 0;
+    while let Some(v) = scanner.next_view().unwrap() {
+        if v.header.kind == BlockKind::TxnDecide {
+            assert_eq!(crc32c(v.payload), v.header.checksum);
+            assert_eq!((v.header.nrec, v.header.prev), (0, 0));
+            assert!(!DecideRecord::decode(v.payload).unwrap().commit);
+            verdicts += 1;
+        }
+    }
+    assert_eq!(verdicts, 1);
 }
 
 /// A step of the prefix-pair history, with the log offsets that decide

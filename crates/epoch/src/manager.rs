@@ -219,15 +219,15 @@ impl EpochManager {
                 .min()
                 .unwrap_or(global)
         };
-        let mut ready: Vec<Bag> = Vec::new();
-        {
+        // One bag at a time, run outside the lock: no list of ready bags
+        // to allocate on every tick that finds one.
+        let ready = || {
             let mut garbage = shared.garbage.lock().unwrap();
-            while garbage.front().is_some_and(|b| b.epoch < horizon) {
-                ready.push(garbage.pop_front().expect("checked front"));
-            }
-        }
+            let due = garbage.front().is_some_and(|b| b.epoch < horizon);
+            due.then(|| garbage.pop_front().expect("checked front"))
+        };
         let mut freed = 0;
-        for bag in ready {
+        while let Some(bag) = ready() {
             freed += bag.items.len();
             for item in bag.items {
                 item();
@@ -377,22 +377,29 @@ impl EpochHandle {
         }
     }
 
-    fn flush_local(&self, local: Vec<(u64, Deferred)>) {
-        if local.is_empty() {
-            self.local.set(local);
-            return;
-        }
-        let mut garbage = self.shared.garbage.lock().unwrap();
-        for (epoch, item) in local {
-            // Keep the queue sorted by epoch (it naturally is, since
-            // epochs are monotonic; out-of-order items from long-pinned
-            // threads fold into the back bag of the same epoch or a new
-            // one).
-            match garbage.back_mut() {
-                Some(bag) if bag.epoch >= epoch => bag.items.push(item),
-                _ => garbage.push_back(Bag { epoch, items: vec![item] }),
+    /// Move `local`'s items to the shared queue and keep its (emptied)
+    /// buffer for the next defers, so a steady deferrer allocates one
+    /// bag per flush and no buffer.
+    fn flush_local(&self, mut local: Vec<(u64, Deferred)>) {
+        if !local.is_empty() {
+            let mut garbage = self.shared.garbage.lock().unwrap();
+            let n = local.len();
+            for (i, (epoch, item)) in local.drain(..).enumerate() {
+                // Keep the queue sorted by epoch (it naturally is, since
+                // epochs are monotonic; out-of-order items from long-pinned
+                // threads fold into the back bag of the same epoch or a new
+                // one, sized for the rest of the flush).
+                match garbage.back_mut() {
+                    Some(bag) if bag.epoch >= epoch => bag.items.push(item),
+                    _ => {
+                        let mut items = Vec::with_capacity(n - i);
+                        items.push(item);
+                        garbage.push_back(Bag { epoch, items });
+                    }
+                }
             }
         }
+        self.local.set(local);
     }
 
     fn unpin(&self) {
@@ -401,12 +408,7 @@ impl EpochHandle {
         self.pin_depth.set(depth - 1);
         if depth == 1 {
             self.slot.state.store(QUIESCENT, Ordering::SeqCst);
-            let local = self.local.take();
-            if !local.is_empty() {
-                self.flush_local(local);
-            } else {
-                self.local.set(local);
-            }
+            self.flush_local(self.local.take());
         }
     }
 }
@@ -415,8 +417,7 @@ impl Drop for EpochHandle {
     fn drop(&mut self) {
         debug_assert_eq!(self.pin_depth.get(), 0, "EpochHandle dropped while pinned");
         self.slot.state.store(QUIESCENT, Ordering::SeqCst);
-        let local = self.local.take();
-        self.flush_local(local);
+        self.flush_local(self.local.take());
         self.slot.retired.store(true, Ordering::Release);
     }
 }

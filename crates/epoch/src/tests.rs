@@ -172,14 +172,26 @@ fn defer_drop_frees_heap_object() {
     assert_eq!(drops.load(Ordering::SeqCst), 1);
 }
 
+/// Each tick advances the epoch, then runs the owner's closure.
 #[test]
 fn ticker_advances_in_background() {
     let mgr = EpochManager::new("t");
     let before = mgr.current_epoch();
-    let ticker = Ticker::start(mgr.clone(), Duration::from_millis(1));
+    // What the closure sees: the epoch its tick just advanced to.
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ticker = {
+        let (mgr, seen) = (mgr.clone(), Arc::clone(&seen));
+        Ticker::start(mgr.clone(), Duration::from_millis(1), move || {
+            seen.lock().unwrap().push(mgr.current_epoch());
+        })
+    };
     std::thread::sleep(Duration::from_millis(30));
     drop(ticker);
     assert!(mgr.current_epoch() > before + 2);
+    let seen = seen.lock().unwrap();
+    assert!(seen.len() > 2, "the closure ran {} times", seen.len());
+    assert_eq!(seen[0], before + 1, "the first tick advances before its closure runs");
+    assert!(seen.windows(2).all(|w| w[1] == w[0] + 1), "one advance per tick: {seen:?}");
 }
 
 #[test]
@@ -187,7 +199,7 @@ fn dropping_the_ticker_does_not_wait_out_its_interval() {
     let mgr = EpochManager::new("t-drop");
     let before = mgr.current_epoch();
     let interval = Duration::from_secs(1);
-    let ticker = Ticker::start(mgr.clone(), interval);
+    let ticker = Ticker::start(mgr.clone(), interval, || {});
     // The first tick is done: the thread is in, or on its way into, the
     // interval.
     while mgr.current_epoch() == before {

@@ -1,7 +1,10 @@
-//! Background epoch ticker: advances a manager's timeline periodically.
+//! The epoch ticker: the clock of an engine's resource management.
 //!
 //! Each of ERMIA's epoch managers runs at its own time scale (§3.4); the
-//! ticker is the clock. Dropping the [`Ticker`] stops the thread.
+//! ticker is the clock. A tick advances the manager's timeline, then runs
+//! whatever the owner hangs on it — the engine's garbage-collector pass,
+//! Silo's global- and snapshot-epoch bumps — so an engine keeps one
+//! clock, not one per duty. Dropping the [`Ticker`] stops the thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,16 +13,21 @@ use std::time::Duration;
 
 use crate::EpochManager;
 
-/// Periodically calls [`EpochManager::advance_and_collect`] from a
-/// background thread until dropped.
+/// Every `interval`, calls [`EpochManager::advance_and_collect`] and then
+/// the owner's per-tick closure, from a background thread until dropped.
 pub struct Ticker {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Ticker {
-    /// Start ticking `manager` every `interval`.
-    pub fn start(manager: EpochManager, interval: Duration) -> Ticker {
+    /// Start ticking `manager` every `interval`, running `on_tick` after
+    /// each advance.
+    pub fn start(
+        manager: EpochManager,
+        interval: Duration,
+        mut on_tick: impl FnMut() + Send + 'static,
+    ) -> Ticker {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
@@ -27,6 +35,7 @@ impl Ticker {
             .spawn(move || {
                 while !stop2.load(Ordering::Acquire) {
                     manager.advance_and_collect();
+                    on_tick();
                     // `Drop` unparks; a spurious wake-up is only an early
                     // tick.
                     std::thread::park_timeout(interval);

@@ -396,7 +396,8 @@ fn readers_during_writes(key: fn(u64) -> Vec<u8>) {
     const N: u64 = 8_000;
     let t = BTree::new();
     let mgr = EpochManager::new("rw-stress");
-    let ticker = ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1));
+    let ticker =
+        ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1), || {});
     std::thread::scope(|s| {
         // Writer inserts ascending keys, removing every third behind itself.
         {
@@ -646,7 +647,8 @@ fn concurrent_appenders_race_splitters_and_readers() {
     const BASE: u64 = 1_000_000;
     let t = BTree::new();
     let mgr = EpochManager::new("append-race");
-    let ticker = ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1));
+    let ticker =
+        ermia_epoch::Ticker::start(mgr.clone(), std::time::Duration::from_millis(1), || {});
     // Appender `i` inserts `BASE + 2j + i` for ascending `j`, then
     // publishes `j + 1`; the splitter's keys are odd and below `BASE`.
     let landed = [AtomicU64::new(0), AtomicU64::new(0)];

@@ -251,6 +251,12 @@ impl SegmentTable {
                 ));
             }
             let io = backend.open(path)?;
+            // A crash between creating a file and sizing it leaves it
+            // short; size it as `open_segment` would have, so its missing
+            // bytes read as the zeros of a hole.
+            if std::fs::metadata(path)?.len() < end - start {
+                io.set_len(end - start)?;
+            }
             history.push(Arc::new(Segment {
                 index,
                 start: *start,

@@ -294,6 +294,44 @@ fn transient_write_errors_are_absorbed() {
     assert_durable_prefix(11, &outcome, &recovered);
 }
 
+/// A crash between creating a segment file and sizing it leaves a
+/// zero-length file under a valid name. Reopening reads it as the hole
+/// it is: the earlier segments' blocks come back, and the log goes on
+/// writing into that segment.
+#[test]
+fn a_zero_length_segment_file_reads_as_a_hole() {
+    let dir = TestDir::new("zero-length");
+    let outcome =
+        run_workload(dir.to_path_buf(), &FaultInjector::new(FaultPlan::default()), 13, 200);
+    // The segment with the highest start (`log-<segno>-<start>-<end>`, hex).
+    let start = |p: &PathBuf| {
+        let name = p.file_name()?.to_str()?.strip_prefix("log-")?.to_owned();
+        u64::from_str_radix(name.split('-').nth(1)?, 16).ok()
+    };
+    let newest = std::fs::read_dir(&*dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| start(p).is_some())
+        .max_by_key(start)
+        .unwrap();
+    std::fs::OpenOptions::new().write(true).open(&newest).unwrap().set_len(0).unwrap();
+    let recovered = recover(dir.to_path_buf());
+    // What the older segments held is a prefix of the acked sequence.
+    let kept = outcome.acked.iter().take_while(|id| recovered.contains_key(id)).count();
+    assert!(kept > 0 && kept < outcome.acked.len(), "kept {kept} of {}", outcome.acked.len());
+    assert_eq!(recovered.len(), kept, "nothing past the hole survives");
+    for id in &outcome.acked[..kept] {
+        assert_eq!(recovered[id], payload_for(13, *id), "txn {id} corrupted");
+    }
+    // The reopened log appends at the hole, and that survives a restart.
+    let more = run_workload(dir.to_path_buf(), &FaultInjector::new(FaultPlan::default()), 14, 5);
+    assert_eq!(more.acked.len(), 5);
+    let recovered = recover(dir.to_path_buf());
+    for id in &more.acked {
+        assert_eq!(recovered.get(id), Some(&payload_for(14, *id)), "txn {id} lost after the hole");
+    }
+}
+
 /// Concurrent committers racing a crash point: every acked transaction
 /// must be recovered (the prefix-shape assertion does not apply — ids
 /// interleave across threads).

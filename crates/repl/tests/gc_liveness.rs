@@ -54,7 +54,6 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
     let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
     cfg.log.segment_size = 16 << 10; // ship across rotations
-    cfg.gc_interval = Duration::from_millis(1);
     let db = ShardedDb::open(cfg, 2).unwrap();
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let t = db.create_table("kv");

@@ -1,9 +1,9 @@
 //! The Silo database: catalog, epoch advancement, snapshot epochs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ermia_common::{IndexId, TableId};
 use ermia_epoch::{EpochHandle, EpochManager, Ticker};
@@ -99,27 +99,33 @@ impl Drop for SiloInner {
 #[derive(Clone)]
 pub struct SiloDb {
     pub(crate) inner: Arc<SiloInner>,
-    _services: Arc<Services>,
+    // The RCU ticker, which also advances the global and snapshot epochs
+    // (see [`start_ticker`]); stopped with the last clone.
+    _ticker: Arc<Ticker>,
 }
 
-struct Services {
-    _rcu_ticker: Ticker,
-    _epoch_thread: Option<std::thread::JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl Drop for Services {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self._epoch_thread.take() {
-            let _ = t.join();
+/// Tick the RCU manager every `min(2 ms, epoch_interval)`; on the first
+/// tick past each `epoch_interval` bump the global epoch, and past each
+/// `snapshot_interval` the snapshot epoch.
+fn start_ticker(inner: &Arc<SiloInner>) -> Ticker {
+    let db = Arc::clone(inner);
+    let (mut last_epoch, mut last_snap) = (Instant::now(), Instant::now());
+    let period = inner.cfg.epoch_interval.min(Duration::from_millis(2));
+    Ticker::start(inner.rcu.clone(), period, move || {
+        let now = Instant::now();
+        if now - last_epoch >= db.cfg.epoch_interval {
+            db.global_epoch.fetch_add(1, Ordering::SeqCst);
+            last_epoch = now;
         }
-    }
+        if db.cfg.snapshots && now - last_snap >= db.cfg.snapshot_interval {
+            db.snap_epoch.fetch_add(1, Ordering::SeqCst);
+            last_snap = now;
+        }
+    })
 }
 
 impl SiloDb {
     pub fn open(cfg: SiloConfig) -> SiloDb {
-        let rcu = EpochManager::new("silo-rcu");
         let inner = Arc::new(SiloInner {
             catalog: RwLock::new(SiloCatalog {
                 tables: Vec::new(),
@@ -130,38 +136,14 @@ impl SiloDb {
             // Start at 1: epoch 0 means "never committed".
             global_epoch: AtomicU64::new(1),
             snap_epoch: AtomicU64::new(1),
-            rcu: rcu.clone(),
+            rcu: EpochManager::new("silo-rcu"),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             ro_active: Mutex::new(std::collections::BTreeMap::new()),
             cfg,
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let epoch_thread = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("silo-epochs".into())
-                .spawn(move || {
-                    let mut last_snap = std::time::Instant::now();
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(inner.cfg.epoch_interval);
-                        inner.global_epoch.fetch_add(1, Ordering::SeqCst);
-                        if inner.cfg.snapshots && last_snap.elapsed() >= inner.cfg.snapshot_interval
-                        {
-                            inner.snap_epoch.fetch_add(1, Ordering::SeqCst);
-                            last_snap = std::time::Instant::now();
-                        }
-                    }
-                })
-                .expect("spawn silo epoch thread")
-        };
-        let services = Arc::new(Services {
-            _rcu_ticker: Ticker::start(rcu, Duration::from_millis(2)),
-            _epoch_thread: Some(epoch_thread),
-            stop,
-        });
-        SiloDb { inner, _services: services }
+        let ticker = Arc::new(start_ticker(&inner));
+        SiloDb { inner, _ticker: ticker }
     }
 
     /// Create (or look up) a table.

@@ -14,9 +14,10 @@
 //! committed one — a committing transaction's post-commit, or log replay
 //! — knows the chain now holds garbage-to-be and hands
 //! `(cstamp, table, oid)` to the [`RetireQueue`]; the version beneath
-//! dies exactly when the horizon passes `cstamp`. Each tick the collector
-//! pops the entries below its horizon and truncates exactly those chains,
-//! so a pass costs O(versions superseded since the last one).
+//! dies exactly when the horizon passes `cstamp`. Each epoch tick the
+//! collector pops the entries below its horizon and truncates exactly
+//! those chains, so a pass costs O(versions superseded since the last
+//! one).
 //!
 //! Safety needs no new argument: truncating a chain behind its horizon
 //! version is safe on any chain at any time, and the queue only decides
@@ -35,9 +36,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use ermia_common::{Lsn, Oid, Stamp, TableId};
 use ermia_epoch::EpochManager;
@@ -50,7 +50,7 @@ use crate::version::{defer_release, Version, VersionPool};
 pub struct GcStats {
     /// Versions unlinked and retired.
     pub reclaimed: AtomicU64,
-    /// Collector ticks: one per `interval`, whether or not anything was
+    /// Collector passes: one per epoch tick, whether or not anything was
     /// due.
     pub passes: AtomicU64,
     /// Chains truncated-or-inspected, one per retire-queue entry popped.
@@ -125,69 +125,17 @@ impl RetireQueue {
     }
 }
 
-/// Background garbage collector draining a [`RetireQueue`].
-pub struct GarbageCollector {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl GarbageCollector {
-    /// Start collecting what `queue` is handed (its [`GcStats`] are the
-    /// collector's). `horizon` supplies the current reclamation horizon
-    /// (min active begin timestamp); `array` resolves an entry's table —
-    /// asked once per table, tables never go away; `epoch` is the epoch
-    /// manager versions are retired through; `pool`, when present,
-    /// receives quiesced nodes for worker reuse instead of freeing them;
-    /// `on_pass` observes each pass with `(reclaimed_this_pass,
-    /// total_passes)` — telemetry's flight-recorder hook.
-    pub fn start(
-        queue: Arc<RetireQueue>,
-        epoch: EpochManager,
-        horizon: impl Fn() -> Lsn + Send + 'static,
-        array: impl Fn(TableId) -> Option<Arc<OidArray>> + Send + 'static,
-        interval: Duration,
-        pool: Option<Arc<VersionPool>>,
-        on_pass: impl Fn(u64, u64) + Send + 'static,
-    ) -> GarbageCollector {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("ermia-gc".into())
-            .spawn(move || {
-                let stats = Arc::clone(&queue.stats);
-                let mut collector = Collector {
-                    handle: epoch.register(),
-                    queue,
-                    epoch,
-                    horizon,
-                    array,
-                    pool,
-                    waiting: BinaryHeap::new(),
-                    incoming: Vec::new(),
-                    arrays: Vec::new(),
-                };
-                while !stop2.load(Ordering::Acquire) {
-                    let reclaimed = collector.pass();
-                    let passes = stats.passes.fetch_add(1, Ordering::Relaxed) + 1;
-                    on_pass(reclaimed, passes);
-                    // `Drop` unparks; a spurious wake-up is only an early
-                    // pass.
-                    std::thread::park_timeout(interval);
-                }
-            })
-            .expect("spawn gc");
-        GarbageCollector { stop, thread: Some(thread) }
-    }
-}
-
-/// The collector thread's state.
-struct Collector<H, A> {
+/// The garbage collector draining a [`RetireQueue`]: a plain value whose
+/// [`pass`](Collector::pass) the owner's epoch tick calls (paper §3.4: the
+/// epoch manager drives collection). It has no thread or clock of its own.
+pub struct Collector {
     queue: Arc<RetireQueue>,
     epoch: EpochManager,
     handle: ermia_epoch::EpochHandle,
-    horizon: H,
-    array: A,
+    horizon: Box<dyn Fn() -> Lsn + Send>,
+    array: Box<dyn Fn(TableId) -> Option<Arc<OidArray>> + Send>,
     pool: Option<Arc<VersionPool>>,
+    on_pass: Box<dyn Fn(u64, u64) + Send>,
     /// Entries not yet below the horizon, earliest stamp first: hand-offs
     /// arrive only roughly in stamp order, and a pinned horizon parks any
     /// number of them here.
@@ -198,10 +146,47 @@ struct Collector<H, A> {
     arrays: Vec<Arc<OidArray>>,
 }
 
-impl<H: Fn() -> Lsn, A: Fn(TableId) -> Option<Arc<OidArray>>> Collector<H, A> {
+impl Collector {
+    /// A collector of what `queue` is handed (its [`GcStats`] are the
+    /// collector's). `horizon` supplies the current reclamation horizon
+    /// (min active begin timestamp); `array` resolves an entry's table —
+    /// asked once per table, tables never go away; `epoch` is the epoch
+    /// manager versions are retired through; `pool`, when present,
+    /// receives quiesced nodes for worker reuse instead of freeing them;
+    /// `on_pass` observes each pass with `(reclaimed_this_pass,
+    /// total_passes)` — telemetry's flight-recorder hook.
+    pub fn new(
+        queue: Arc<RetireQueue>,
+        epoch: EpochManager,
+        horizon: impl Fn() -> Lsn + Send + 'static,
+        array: impl Fn(TableId) -> Option<Arc<OidArray>> + Send + 'static,
+        pool: Option<Arc<VersionPool>>,
+        on_pass: impl Fn(u64, u64) + Send + 'static,
+    ) -> Collector {
+        Collector {
+            handle: epoch.register(),
+            queue,
+            epoch,
+            horizon: Box::new(horizon),
+            array: Box::new(array),
+            pool,
+            on_pass: Box::new(on_pass),
+            waiting: BinaryHeap::new(),
+            incoming: Vec::new(),
+            arrays: Vec::new(),
+        }
+    }
+
     /// One tick: take what was handed off, visit every chain whose entry
-    /// the horizon has passed. Returns the versions reclaimed.
-    fn pass(&mut self) -> u64 {
+    /// the horizon has passed, count the pass.
+    pub fn pass(&mut self) {
+        let reclaimed = self.collect();
+        let passes = self.queue.stats.passes.fetch_add(1, Ordering::Relaxed) + 1;
+        (self.on_pass)(reclaimed, passes);
+    }
+
+    /// The work of a pass; returns the versions reclaimed.
+    fn collect(&mut self) -> u64 {
         let mut handed = self.queue.handed.lock().unwrap();
         if !handed.is_empty() {
             // Leave a drained buffer at least as roomy as the one taken:
@@ -247,16 +232,6 @@ impl<H: Fn() -> Lsn, A: Fn(TableId) -> Option<Arc<OidArray>>> Collector<H, A> {
 
     fn due(&self, horizon: Lsn) -> bool {
         self.waiting.peek().is_some_and(|e| e.0.cstamp < horizon)
-    }
-}
-
-impl Drop for GarbageCollector {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            t.thread().unpark();
-            let _ = t.join();
-        }
     }
 }
 

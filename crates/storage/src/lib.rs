@@ -16,9 +16,9 @@
 //!   in-flight, ended (with the end stamp), or stale generation (caller
 //!   re-reads the version, which is then guaranteed to carry an LSN).
 //!
-//! The [`gc`] module implements the background garbage collector, which
-//! removes "versions that are not needed by any transaction" and retires
-//! them through the epoch manager. Unlike the paper's it does not go over
+//! The [`gc`] module implements the garbage collector, which removes
+//! "versions that are not needed by any transaction" and retires them
+//! through the epoch manager; the engine's epoch tick runs its pass. Unlike the paper's it does not go over
 //! all indirection arrays: the sites that supersede a version hand its
 //! chain to a [`RetireQueue`], and the collector visits only those.
 
@@ -27,7 +27,7 @@ pub mod oid_array;
 pub mod tid;
 pub mod version;
 
-pub use gc::{GarbageCollector, GcStats, RetireQueue, Retired};
+pub use gc::{Collector, GcStats, RetireQueue, Retired};
 pub use oid_array::OidArray;
 pub use tid::{Home, TidManager, TidStatus, TxContext};
 pub use version::{defer_release, Version, VersionCache, VersionPool};

@@ -5,11 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia_common::{Lsn, Oid, Stamp, TableId, Tid};
-use ermia_epoch::EpochManager;
+use ermia_epoch::{EpochManager, Ticker};
 
-use crate::{
-    GarbageCollector, GcStats, OidArray, RetireQueue, Retired, TidManager, TidStatus, Version,
-};
+use crate::{Collector, GcStats, OidArray, RetireQueue, Retired, TidManager, TidStatus, Version};
 
 /// Bytes this thread has allocated and not freed, by the layouts it named:
 /// a `Version::free` that rebuilt the wrong layout from `cap` would leave
@@ -435,24 +433,24 @@ fn gc_skips_inflight_heads() {
 }
 
 /// A collector over `arr` as table 0, its horizon read from `horizon`
-/// (an LSN offset), ticking every millisecond.
+/// (an LSN offset), passing on every tick of a 1 ms epoch ticker.
 fn start_collector(
     arr: &Arc<OidArray>,
     epoch: &EpochManager,
     horizon: &Arc<AtomicU64>,
-) -> (Arc<RetireQueue>, GarbageCollector) {
+) -> (Arc<RetireQueue>, Ticker) {
     let queue = Arc::new(RetireQueue::new(Arc::default()));
     let (arr, horizon) = (Arc::clone(arr), Arc::clone(horizon));
-    let gc = GarbageCollector::start(
+    let mut gc = Collector::new(
         Arc::clone(&queue),
         epoch.clone(),
         move || Lsn::from_parts(horizon.load(Ordering::Acquire), 0),
         move |t| (t.0 == 0).then(|| Arc::clone(&arr)),
-        Duration::from_millis(1),
         None,
         |_, _| {},
     );
-    (queue, gc)
+    let ticker = Ticker::start(epoch.clone(), Duration::from_millis(1), move || gc.pass());
+    (queue, ticker)
 }
 
 fn retired(stamp: u64, oid: Oid) -> Retired {
@@ -529,15 +527,10 @@ fn retired_entries_wait_for_the_horizon_in_any_order() {
 #[test]
 fn dropping_the_collector_does_not_wait_out_its_interval() {
     let queue = Arc::new(RetireQueue::new(Arc::default()));
-    let gc = GarbageCollector::start(
-        Arc::clone(&queue),
-        EpochManager::new("gc-drop"),
-        || Lsn::NULL,
-        |_| None,
-        Duration::from_secs(3600),
-        None,
-        |_, _| {},
-    );
+    let epoch = EpochManager::new("gc-drop");
+    let mut collector =
+        Collector::new(Arc::clone(&queue), epoch.clone(), || Lsn::NULL, |_| None, None, |_, _| {});
+    let gc = Ticker::start(epoch, Duration::from_secs(3600), move || collector.pass());
     // The first pass, whenever it happened: the next is an hour away.
     while queue.stats().passes.load(Ordering::Acquire) == 0 {
         std::thread::yield_now();
@@ -675,7 +668,7 @@ fn gc_seeded_pool_feeds_reuse_under_concurrent_readers() {
                 }
             });
         }
-        // GC thread: sweep with the pool attached, then quiesce.
+        // The sweeper: sweep with the pool attached, then quiesce.
         let handle = epoch.register();
         let guard = handle.pin();
         let reclaimed = crate::gc::sweep_array(&arr, Lsn::from_parts(35, 0), &guard, Some(&pool));
