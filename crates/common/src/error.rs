@@ -24,7 +24,8 @@ pub enum AbortReason {
     /// The application requested the abort (e.g. TPC-C NewOrder rollback).
     UserRequested,
     /// Internal resource pressure (log buffer wait exhausted, TID table
-    /// full). Rare; counted separately so it never masquerades as a
+    /// full), or a commit whose log block is longer than the log ring or
+    /// a segment. Rare; counted separately so it never masquerades as a
     /// CC-induced abort.
     ResourceExhausted,
     /// The commit could not be made durable: the log is poisoned after an

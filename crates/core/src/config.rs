@@ -21,10 +21,6 @@ pub struct DbConfig {
     /// A log with a directory makes `commit()` wait for its block to be
     /// durable; `commit_deferred()` never waits.
     pub log: LogConfig,
-    /// Values at or above this size are diverted to the large-object
-    /// (blob) store at commit; the log carries only an indirect pointer
-    /// (§3.3, log feature 4). `usize::MAX` disables diversion.
-    pub large_value_threshold: usize,
     /// Head-based trace sampling: a sharded worker traces every Nth
     /// transaction it begins without wire-supplied context (0 = off,
     /// the default — an untraced transaction's whole tracing cost is
@@ -41,12 +37,7 @@ pub struct DbConfig {
 
 impl Default for DbConfig {
     fn default() -> DbConfig {
-        DbConfig {
-            log: LogConfig::default(),
-            large_value_threshold: usize::MAX,
-            trace_sample_n: 0,
-            trace_slow_us: 10_000,
-        }
+        DbConfig { log: LogConfig::default(), trace_sample_n: 0, trace_slow_us: 10_000 }
     }
 }
 

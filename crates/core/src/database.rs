@@ -357,8 +357,6 @@ pub(crate) struct DbInner {
     /// write path off the allocator.
     pub versions: Arc<VersionPool>,
     pub checkpoints: Option<CheckpointStore>,
-    /// Large-object side storage (§3.3 feature 4).
-    pub blobs: ermia_log::BlobStore,
     /// The unified telemetry layer: per-worker metric slabs (txn
     /// outcomes), database-level collectors over the subsystem atomics,
     /// and the flight-recorder event rings.
@@ -497,10 +495,6 @@ impl Database {
             Some(dir) => Some(CheckpointStore::new(dir.join("checkpoints"))?),
             None => None,
         };
-        let blobs = match &cfg.log.dir {
-            Some(dir) => ermia_log::BlobStore::open(dir)?,
-            None => ermia_log::BlobStore::in_memory(),
-        };
         let telemetry = Arc::new(Telemetry::new());
         telemetry.tracer().set_slow_threshold_ns(cfg.trace_slow_us.saturating_mul(1_000));
         let svc_ring = telemetry.flight().ring();
@@ -517,7 +511,6 @@ impl Database {
             epoch: EpochManager::new("unified"),
             versions: Arc::new(VersionPool::default()),
             checkpoints,
-            blobs,
             telemetry,
             retired: Arc::new(RetireQueue::new(Arc::clone(&gc_stats))),
             gc_stats,
@@ -896,20 +889,6 @@ impl Database {
             .as_ref()
             .expect("storing a shipped checkpoint requires a durable configuration");
         store.write(ermia_log::CheckpointMeta { begin }, payload)
-    }
-
-    /// Raw blob-store bytes `[offset, offset + max_len)`, clamped to the
-    /// current end of `blobs.dat` (empty when `offset` is at or past
-    /// it). Large-object writes divert their payload here and log only a
-    /// fixed-size indirection, so a backup shipper must stream this file
-    /// alongside the segments for indirect records to resolve during
-    /// replica replay.
-    pub fn blob_bytes(&self, offset: u64, max_len: u32) -> std::io::Result<Vec<u8>> {
-        let end = self.inner.blobs.size().min(offset.saturating_add(max_len as u64));
-        if end <= offset {
-            return Ok(Vec::new());
-        }
-        self.inner.blobs.read(ermia_log::BlobRef { offset, len: (end - offset) as u32 })
     }
 
     /// The database's telemetry layer: merged metric registry, Prometheus

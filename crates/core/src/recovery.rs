@@ -29,9 +29,12 @@
 //! keeps the verdict records its caller asks for: none for
 //! [`Database::recover`], those an in-doubt prepare of any shard names
 //! for `ShardedDb::recover` (step 1 runs on every shard first), all for a
-//! replica. No word outlives step 2 (`Unbuilt`). Nothing is stacked, so
-//! nothing is handed to the retire queue and the collector never hears of
-//! recovery: no snapshot older than the recovered tail can exist.
+//! replica. The log is checksummed once: opening it walked every block to
+//! find the tail, so neither step checks a block below that tail again —
+//! step 1 still refuses one whose records do not decode. No word outlives
+//! step 2 (`Unbuilt`). Nothing is stacked, so nothing is handed to the
+//! retire queue and the collector never hears of recovery: no snapshot
+//! older than the recovered tail can exist.
 //!
 //! **What still differs.** The paper's checkpoint stores OID → address
 //! only and anti-caching loads a record's body on first touch; this
@@ -63,8 +66,8 @@ use ermia_common::{Lsn, Oid, Stamp, TableId};
 use ermia_epoch::{EpochHandle, Guard};
 use ermia_index::{BTree, ScanControl};
 use ermia_log::{
-    BlobRef, BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind,
-    LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
+    BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind, LogScanner,
+    PrepareMarker, ScannedBlock, TxRecordView,
 };
 use ermia_storage::{OidArray, Retired, TidManager, Version};
 use ermia_telemetry::{EventKind, SpanKind, TraceContext};
@@ -252,28 +255,20 @@ impl<'a> Replay<'a> {
         stats: &mut RecoveryStats,
     ) -> std::io::Result<()> {
         let (db, guard) = (self.db, self.guard);
-        // Indirect values live in the blob store; the log record carries
-        // the reference.
-        let resolved;
-        let value = if rec.indirect {
-            let blob = BlobRef::decode(rec.value).expect("malformed blob reference in log");
-            resolved = db.inner.blobs.read(blob)?;
-            &resolved[..]
-        } else {
-            rec.value
-        };
         let tombstone = rec.kind == LogRecordKind::Delete;
         let table = self.table(rec.table.0, stamp)?;
         let key = index.then_some(rec.key);
-        if db.apply_record(guard, table, rec.oid, key, value, stamp, tombstone) {
+        if db.apply_record(guard, table, rec.oid, key, rec.value, stamp, tombstone) {
             stats.skipped_stale -= 1;
             stats.built += 1;
         }
         Ok(())
     }
 
-    /// Admit every record of a committed transaction's block.
+    /// Admit every record of a committed transaction's block — none if
+    /// one of them is malformed.
     fn txn(&mut self, block: &BlockView<'_>, stats: &mut RecoveryStats) -> std::io::Result<()> {
+        block.check_records()?;
         stats.replayed_blocks += 1;
         let in_order = self.ranking.is_some() || block.header.nrec == 1;
         let admit = |(addr, rec)| {
@@ -386,7 +381,8 @@ impl LogApplier {
             replay.admit(rec, stamp, addr, stats)
         })?;
         replay.ranking = Some(true);
-        applier.scan(&mut replay)?;
+        // The open-time walk checksummed every block below its tail.
+        applier.scan(&mut replay, db.inner.log.tail_at_open())?;
         applier.stats.elapsed = t0.elapsed();
         Ok(Chosen { unbuilt, applier, checkpoint: (begin, payload) })
     }
@@ -411,7 +407,7 @@ impl LogApplier {
     pub fn apply_available(&mut self, db: &Database) -> std::io::Result<u64> {
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
-        self.scan(&mut Replay::new(db, &guard, None))
+        self.scan(&mut Replay::new(db, &guard, None), 0)
     }
 
     /// One pass from the applied frontier to the first hole, admitting
@@ -420,12 +416,12 @@ impl LogApplier {
     /// guarantees no conflicting commit interleaves with a prepared
     /// transaction on the same record, and a prepare is admitted under its
     /// own stamp and addresses, so admitting it after later Txn blocks is
-    /// order-safe.
-    fn scan(&mut self, replay: &mut Replay<'_>) -> std::io::Result<u64> {
+    /// order-safe. Blocks below `trusted` are not checksummed again.
+    fn scan(&mut self, replay: &mut Replay<'_>, trusted: u64) -> std::io::Result<u64> {
         let db = replay.db;
         let from = self.applied;
         let mut rounds = 0u64;
-        let mut scanner = LogScanner::new(db.inner.log.segments(), from);
+        let mut scanner = LogScanner::new(db.inner.log.segments(), from).trusting(trusted);
         while let Some(block) = scanner.next_view()? {
             // Only a decoded block certifies the bytes behind it.
             self.applied = block.lsn.offset() + block.header.len as u64;
@@ -634,7 +630,7 @@ pub(crate) fn walk_checkpoint<'p>(
             let key = take(u16::from_le_bytes([head[13], head[14]]) as usize).0;
             let value = take(u32_at(&head[15..]) as usize).0;
             let oid = Oid(u32_at(head));
-            row(addr, stamp, TxRecordView { kind, table, oid, indirect: false, key, value })?;
+            row(addr, stamp, TxRecordView { kind, table, oid, key, value })?;
         }
     }
     for _ in 0..u32_at(take(4).0) {
@@ -643,7 +639,7 @@ pub(crate) fn walk_checkpoint<'p>(
             let key = take(u16::from_le_bytes([head[8], head[9]]) as usize).0;
             let (kind, oid) = (LogRecordKind::SecondaryInsert, Oid(u32_at(&head[4..])));
             let table = TableId(0); // unused: the entry names its index, in `value`
-            let entry = TxRecordView { kind, table, oid, indirect: false, key, value: head };
+            let entry = TxRecordView { kind, table, oid, key, value: head };
             row(addr, Lsn::NULL, entry)?;
         }
     }

@@ -917,13 +917,11 @@ fn epoch_stats_visible_through_database() {
 }
 
 #[test]
-fn large_values_divert_to_blobs_and_recover() {
-    let dir = TestDir::new("blob-recovery");
+fn large_values_ride_the_log_and_recover() {
+    let dir = TestDir::new("large-value-recovery");
     let big = vec![0xCDu8; 32 * 1024];
     {
-        let mut cfg = DbConfig::durable(&dir);
-        cfg.large_value_threshold = 1024;
-        let db = Database::open(cfg).unwrap();
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
         let t = db.create_table("t");
         let mut w = db.register_worker();
         let mut tx = w.begin(SI);
@@ -931,10 +929,6 @@ fn large_values_divert_to_blobs_and_recover() {
         tx.insert(t, b"large", &big).unwrap();
         tx.commit().unwrap();
         db.log().sync().unwrap();
-        assert!(db.inner.blobs.size() >= big.len() as u64, "big value must hit the blob store");
-        // The log block must be small: it carries a 12-byte reference,
-        // not 32 KiB.
-        assert!(db.log().tail_lsn().offset() < 4096);
     }
     {
         let db = Database::open(DbConfig::durable(&dir)).unwrap();
@@ -944,6 +938,45 @@ fn large_values_divert_to_blobs_and_recover() {
         let mut tx = w.begin(SI);
         assert_eq!(get(&mut tx, t, b"small").as_deref(), Some(&b"tiny-value"[..]));
         assert_eq!(get(&mut tx, t, b"large"), Some(big));
+        tx.commit().unwrap();
+    }
+}
+
+/// A block longer than the ring can never be placed: its commit, plain or
+/// a 2PC prepare, is refused `ResourceExhausted` before it claims log
+/// space, and the worker goes on committing.
+#[test]
+fn a_commit_too_long_for_the_ring_aborts_resource_exhausted() {
+    let db = db();
+    let t = db.create_table("t");
+    let big = vec![0x5Au8; 5 << 20];
+    let mut w = db.register_worker();
+    for prepare in [false, true] {
+        let tail = db.log().next_offset();
+        let mut tx = w.begin(SI);
+        tx.insert(t, b"big", &big).unwrap();
+        let marker = ermia_log::PrepareMarker {
+            coord_shard: 0,
+            participants: 1,
+            coord_lsn: ermia_log::PrepareMarker::COORD_SELF,
+            trace_hi: 0,
+            trace_lo: 0,
+        };
+        let got = if prepare {
+            tx.precommit(Some(marker)).map(|p| p.finish_commit().lsn())
+        } else {
+            tx.commit()
+        };
+        assert_eq!(got, Err(AbortReason::ResourceExhausted), "prepare: {prepare}");
+        assert_eq!(db.log().next_offset(), tail, "the refused block claimed log space");
+
+        let small = format!("small-{prepare}");
+        let mut tx = w.begin(SI);
+        tx.insert(t, small.as_bytes(), b"v").unwrap();
+        tx.commit().unwrap();
+        let mut tx = w.begin(SI);
+        assert_eq!(get(&mut tx, t, b"big"), None);
+        assert_eq!(get(&mut tx, t, small.as_bytes()).as_deref(), Some(&b"v"[..]));
         tx.commit().unwrap();
     }
 }
@@ -1959,19 +1992,18 @@ fn appends_past_the_last_key_are_phantoms_to_serializable_readers() {
 /// The commit path encodes its block straight into the ring; the same
 /// write set through `TxLogBuffer` must give the same bytes. Seeded
 /// transactions of inserts, updates, deletes, inserts then deletes,
-/// revived tombstones, blob-diverted values and secondary entries, some
-/// committed as 2PC prepares, on a 4 KiB ring whose end many blocks wrap.
+/// revived tombstones, values of up to 700 bytes and secondary entries,
+/// some committed as 2PC prepares, on a 4 KiB ring whose end many blocks
+/// wrap.
 #[test]
 fn commit_blocks_encode_as_the_standalone_builder_does() {
     use std::collections::HashMap;
 
     use ermia_common::{Oid, TableId};
     use ermia_log::{
-        BlobRef, BlockKind, LogBlockHeader, LogRecordKind, LogScanner, PrepareMarker, TxLogBuffer,
-        BLOCK_HEADER_LEN,
+        BlockKind, LogBlockHeader, LogScanner, PrepareMarker, TxLogBuffer, BLOCK_HEADER_LEN,
     };
 
-    const THRESHOLD: usize = 300;
     const RING: u64 = 4096;
     /// One record's worth of a write set: its final value, `None` once
     /// deleted; `created` if this transaction made the OID, `was_live` if
@@ -1990,13 +2022,12 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
         marker: Option<PrepareMarker>,
     }
     // Blocks seen with: a revived tombstone, an insert then delete, a
-    // diverted value, a secondary entry, a prepare marker, a wrap.
-    let mut covered = [0usize; 6];
+    // secondary entry, a prepare marker, a wrap.
+    let mut covered = [0usize; 5];
     for seed in 1..=6u64 {
         let dir = TestDir::new("one-encoder");
         let mut cfg = DbConfig::durable(&dir);
         cfg.log.buffer_size = RING;
-        cfg.large_value_threshold = THRESHOLD;
         let db = Database::open(cfg).unwrap();
         // No collection: a deleted key keeps its OID for a revive. A fork
         // taken before the first write pins the collector's horizon below
@@ -2023,7 +2054,7 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
             for _ in 0..1 + rand(6) {
                 let table = tables[rand(2) as usize];
                 let key = vec![b'k', rand(10) as u8];
-                let len = [0, 7, 64, 180, THRESHOLD, 700][rand(6) as usize];
+                let len = [0, 7, 64, 180, 300, 700][rand(6) as usize];
                 let value = vec![round as u8 ^ len as u8; len];
                 let at = entries.iter().position(|e| e.table == table && e.key == key);
                 let known = committed.get(&(table, key.clone())).copied();
@@ -2085,21 +2116,12 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
             if !matches!(b.header.kind, BlockKind::Txn | BlockKind::TxnPrepare) {
                 continue;
             }
-            // The standalone builder, fed the same write set; a diverted
-            // value's reference is taken from the block and read back.
+            // The standalone builder, fed the same write set.
             let commit = &commits[&b.header.cstamp.raw()];
-            let mut refs = b.records().filter(|(_, r)| r.indirect).map(|(_, r)| r.value);
             let mut buf = TxLogBuffer::new();
             for e in &commit.entries {
-                let kind = if e.created { LogRecordKind::Insert } else { LogRecordKind::Update };
                 match &e.value {
                     None => buf.add_delete(e.table, e.oid, &e.key),
-                    Some(v) if v.len() >= THRESHOLD => {
-                        let bytes = refs.next().expect("one reference per diverted value");
-                        let blob = BlobRef::decode(bytes).expect("a blob reference");
-                        assert_eq!(&db.inner.blobs.read(blob).unwrap(), v);
-                        buf.add_indirect(kind, e.table, e.oid, &e.key, bytes);
-                    }
                     Some(v) if e.created => buf.add_insert(e.table, e.oid, &e.key, v),
                     Some(v) => buf.add_update(e.table, e.oid, &e.key, v),
                 }
@@ -2123,7 +2145,6 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
             let kinds = [
                 es.iter().any(|e| !e.created && !e.was_live && e.value.is_some()),
                 es.iter().any(|e| e.created && e.value.is_none()),
-                es.iter().any(|e| e.value.as_ref().is_some_and(|v| v.len() >= THRESHOLD)),
                 !commit.secondary.is_empty(),
                 commit.marker.is_some(),
                 at % RING + header.len as u64 > RING,

@@ -13,7 +13,7 @@
 //! After warmup, begin + execute + commit of a read/write transaction
 //! touches the allocator zero times. What still allocates, by design and
 //! off that path: a sync-commit waiter's first registration, scan result
-//! staging, blob-store appends and segment rotation.
+//! staging and segment rotation.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,8 +22,8 @@ use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, Stamp, TableId, Tid
 use ermia_epoch::Guard;
 use ermia_index::{BTree, InsertOutcome, LeafSnapshot, ScanControl};
 use ermia_log::{
-    BlobRef, BlockEncoder, BlockKind, LogRecordKind, BLOCK_HEADER_LEN, MAX_BLOCK_RECORDS,
-    MAX_KEY_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    BlockEncoder, BlockKind, LogRecordKind, BLOCK_HEADER_LEN, MAX_BLOCK_RECORDS, MAX_KEY_LEN,
+    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 use ermia_storage::{defer_release, OidArray, Retired, TidManager, TidStatus, TxContext, Version};
 use ermia_telemetry::EventKind;
@@ -963,23 +963,13 @@ impl<'w> Transaction<'w> {
     }
 
     /// The log block's payload, sized from the write and secondary sets:
-    /// its length in bytes and its record count. Large payloads are
-    /// diverted to the blob store here, before the block is reserved
-    /// (§3.3 feature 4); their records carry only the reference, kept in
-    /// `scratch.blob_refs` for [`Transaction::encode_log_records`].
-    fn size_log_block(&mut self) -> (usize, usize) {
-        let threshold = self.db.inner.cfg.large_value_threshold;
-        self.scratch.blob_refs.clear();
+    /// its length in bytes and its record count. Every value rides in the
+    /// block, however long; one too long for the ring is refused when the
+    /// block is reserved.
+    fn size_log_block(&self) -> (usize, usize) {
         let mut bytes = 0;
         for w in &self.writes {
-            let (kind, data) = w.log_record();
-            let value_len = if kind != LogRecordKind::Delete && data.len() >= threshold {
-                self.scratch.blob_refs.push(self.db.inner.blobs.append(data).expect("blob append"));
-                BlobRef::ENCODED_LEN
-            } else {
-                data.len()
-            };
-            bytes += RECORD_HEADER_LEN + w.key.len as usize + value_len;
+            bytes += RECORD_HEADER_LEN + w.key.len as usize + w.log_record().1.len();
         }
         for s in &self.secondary {
             bytes += RECORD_HEADER_LEN + s.key.len as usize + std::mem::size_of::<u32>();
@@ -991,23 +981,14 @@ impl<'w> Transaction<'w> {
     /// written key and final version straight from the write set, then
     /// the secondary entries.
     fn encode_log_records(&self, enc: &mut BlockEncoder<'_>) {
-        let threshold = self.db.inner.cfg.large_value_threshold;
-        let mut blobs = self.scratch.blob_refs.iter();
         for w in &self.writes {
-            let key = w.key.slice(&self.scratch.keys);
             let (kind, data) = w.log_record();
-            let table = w.table().id;
-            if kind != LogRecordKind::Delete && data.len() >= threshold {
-                let blob = blobs.next().expect("sized with its blob reference").encode();
-                enc.record(kind, table, w.oid, true, key, &blob);
-            } else {
-                enc.record(kind, table, w.oid, false, key, data);
-            }
+            enc.record(kind, w.table().id, w.oid, w.key.slice(&self.scratch.keys), data);
         }
         for s in &self.secondary {
             let key = s.key.slice(&self.scratch.keys);
             let index = s.index.id.0.to_le_bytes();
-            enc.record(LogRecordKind::SecondaryInsert, s.index.table, s.oid, false, key, &index);
+            enc.record(LogRecordKind::SecondaryInsert, s.index.table, s.oid, key, &index);
         }
     }
 

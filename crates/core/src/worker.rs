@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
-use ermia_log::BlobRef;
 use ermia_storage::{Home, Retired, Version, VersionCache};
 use ermia_telemetry::{EventRing, Slab};
 
@@ -50,9 +49,6 @@ pub(crate) struct Scratch {
     /// probe cursor inside it.
     pub home: Home,
     pub tid_hint: usize,
-    /// The blob references a committing transaction's large payloads
-    /// became, in write-set order, between sizing and encoding its block.
-    pub blob_refs: Vec<BlobRef>,
     /// Txn outcome counters + flight ring.
     pub telemetry: WorkerTelemetry,
     pub reads: Vec<*mut Version>,
@@ -98,7 +94,6 @@ impl Worker {
             scratch: Scratch {
                 home,
                 tid_hint: home.slot,
-                blob_refs: Vec::new(),
                 telemetry,
                 reads: Vec::new(),
                 writes: Vec::new(),

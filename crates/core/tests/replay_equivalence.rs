@@ -6,8 +6,8 @@
 //! did (`LogApplier::apply_available`). Both must end on the same
 //! database. Each seed writes one directory — inserts, updates, deletes,
 //! delete-then-reinsert inside one transaction (and, hand-written, as two
-//! records of one OID in one block), rows that end as tombstones, values
-//! diverted to the blob store, secondary-index entries, a
+//! records of one OID in one block), rows that end as tombstones, long
+//! values, secondary-index entries, a
 //! checkpoint taken over a parked prepare, cross-shard commits
 //! whose verdict record lands behind later transactions (on the same rows
 //! too), aborted prepares, and one prepare the crash leaves in doubt — and
@@ -40,8 +40,7 @@ const TABLES: [&str; 2] = ["left", "right"];
 const TXNS: u64 = 160;
 
 fn config(dir: &Path) -> DbConfig {
-    // Long values go to the blob store; the log carries their reference.
-    let mut cfg = DbConfig { large_value_threshold: 40, ..DbConfig::durable(dir) };
+    let mut cfg = DbConfig::durable(dir);
     cfg.log.segment_size = 1 << 20; // one segment, cheap to copy
     cfg
 }
@@ -124,8 +123,8 @@ fn write_history(seed: u64, dir: &Path, crashed: &Path) -> Model {
             let kb = key.to_be_bytes();
             if let Action::Insert(v) | Action::Update(v) = action {
                 if rng.below(4) == 0 {
-                    // A blob. (The model holds an op's value if it is the
-                    // transaction's last word on the key.)
+                    // A long value. (The model holds an op's value if it is
+                    // the transaction's last word on the key.)
                     let last = next.get_mut(&(*table, *key)).filter(|held| *held == v);
                     v.resize(96, b'+');
                     if let Some(held) = last {
@@ -248,7 +247,6 @@ fn replay_live(source: &Path, mirror: &Path) -> Vec<Dump> {
         let path = segment.path.as_ref().unwrap();
         let dir: PathBuf = mirror.join(format!("shard-{s}"));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::copy(path.with_file_name("blobs.dat"), dir.join("blobs.dat")).unwrap();
         let target = std::fs::File::create(dir.join(path.file_name().unwrap())).unwrap();
         target.set_len(segment.end - segment.start).unwrap();
         let db = Database::open(config(&dir)).unwrap();

@@ -53,7 +53,6 @@
 //! acknowledged commit survives recovery; unacknowledged blocks may or may
 //! not, but never past the first hole.
 
-mod blob;
 mod buffer;
 mod checkpoint;
 mod flusher;
@@ -65,7 +64,6 @@ mod recovery;
 mod segment;
 mod txlog;
 
-pub use blob::{BlobRef, BlobStore};
 pub use checkpoint::{CheckpointMeta, CheckpointStore};
 pub use io::{FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite};
 pub use manager::{

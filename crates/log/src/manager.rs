@@ -24,7 +24,8 @@ pub struct LogConfig {
     pub dir: Option<PathBuf>,
     /// Size of each segment file in bytes (multiple of 32).
     pub segment_size: u64,
-    /// Centralized ring buffer capacity in bytes.
+    /// Centralized ring buffer capacity in bytes. With `segment_size`,
+    /// the bound on one block, so on one commit's writes.
     pub buffer_size: u64,
     /// `fsync` segment files on every flush batch.
     pub fsync: bool,
@@ -344,6 +345,7 @@ pub struct LogManager {
     inner: Arc<LogInner>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     catalog_at_open: Vec<DdlRecord>,
+    tail_at_open: u64,
 }
 
 impl LogManager {
@@ -388,8 +390,8 @@ impl LogManager {
             cfg,
         });
         let flusher = flusher::spawn(Arc::clone(&inner));
-        let mgr =
-            LogManager { inner, flusher: Mutex::new(Some(flusher)), catalog_at_open: catalog };
+        let flusher = Mutex::new(Some(flusher));
+        let mgr = LogManager { inner, flusher, catalog_at_open: catalog, tail_at_open: start };
         if start == 0 {
             // Burn offset 0 with a skip block: LSN 0 stays the "null"
             // sentinel (begin stamps, SSN η initialization) and never
@@ -406,6 +408,13 @@ impl LogManager {
         &self.catalog_at_open
     }
 
+    /// The tail the open-time walk found: it checksummed every block below
+    /// this offset, so a recovery scan of them need not again
+    /// ([`crate::LogScanner::trusting`]).
+    pub fn tail_at_open(&self) -> u64 {
+        self.tail_at_open
+    }
+
     /// Current tail of the LSN space, used as a begin timestamp: every
     /// commit stamp allocated after this call compares greater.
     #[inline]
@@ -416,13 +425,18 @@ impl LogManager {
     /// Reserve `len` bytes of log space and acquire the corresponding
     /// totally-ordered LSN. One `fetch_add` in the common case; corner
     /// cases (segment full, between segments, buffer full) are handled
-    /// exactly as §3.3 describes.
+    /// exactly as §3.3 describes. A block longer than the ring or a
+    /// segment can never be placed: it is refused (`InvalidInput`) before
+    /// it claims any log space.
     pub fn allocate(&self, len: usize) -> io::Result<Reservation<'_>> {
         let inner = &*self.inner;
         let len = (len.max(BLOCK_HEADER_LEN)).div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN;
         let len64 = len as u64;
-        assert!(len64 <= inner.cfg.segment_size, "block exceeds segment size");
-        assert!(len64 <= inner.cfg.buffer_size, "block exceeds log buffer");
+        let room = inner.cfg.segment_size.min(inner.cfg.buffer_size);
+        if len64 > room {
+            let msg = format!("a {len}-byte block exceeds the log's {room}-byte ring or segment");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         // Join the outstanding set *before* checking for poison: resume
         // drains the set to zero while the poison flag is still raised, so
         // every allocator that touches `next` either saw a healthy log or

@@ -353,10 +353,12 @@ impl LogRecordKind {
 /// One logical update inside a transaction block.
 ///
 /// Record layout: `kind u8, flags u8, key_len u16, table u32, oid u32,
-/// val_len u32` (16 bytes) followed by key then value bytes. Flag bit 0
-/// marks an *indirect* value: the bytes are a [`crate::BlobRef`] into
-/// the large-object store rather than the payload itself (§3.3,
-/// "large object writes can be diverted to secondary storage").
+/// val_len u32` (16 bytes) followed by key then value bytes. Every value
+/// rides in the record, however long: a block is bounded by the ring
+/// ([`crate::LogManager::allocate`]). The flags byte is reserved and
+/// written as 0; a record with any other flags byte is malformed — which
+/// is how a log whose records pointed into a large-object side file is
+/// refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
     pub kind: LogRecordKind,
@@ -364,11 +366,7 @@ pub struct LogRecord {
     pub oid: Oid,
     pub key: Vec<u8>,
     pub value: Vec<u8>,
-    /// Value is a blob reference, not the payload.
-    pub indirect: bool,
 }
-
-const FLAG_INDIRECT: u8 = 0b1;
 
 pub const RECORD_HEADER_LEN: usize = 16;
 
@@ -455,13 +453,11 @@ impl<'a> BlockEncoder<'a> {
         kind: LogRecordKind,
         table: TableId,
         oid: Oid,
-        indirect: bool,
         key: &[u8],
         value: &[u8],
     ) {
         let mut h = [0u8; RECORD_HEADER_LEN];
         h[0] = kind as u8;
-        h[1] = if indirect { FLAG_INDIRECT } else { 0 };
         h[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
         h[4..8].copy_from_slice(&table.0.to_le_bytes());
         h[8..12].copy_from_slice(&oid.0.to_le_bytes());
@@ -512,7 +508,6 @@ impl LogRecord {
             self.kind,
             self.table,
             self.oid,
-            self.indirect,
             &self.key,
             &self.value,
         );
@@ -526,9 +521,13 @@ impl LogRecord {
 
 impl<'a> TxRecordView<'a> {
     /// Decode one record at `buf[pos..]` without copying it, returning it
-    /// and the position of the next record. `None` on malformed input.
+    /// and the position of the next record. `None` on malformed input: a
+    /// short record, an unknown kind or a nonzero flags byte.
     pub fn decode(buf: &'a [u8], pos: usize) -> Option<(TxRecordView<'a>, usize)> {
         let b = buf.get(pos..pos + RECORD_HEADER_LEN)?;
+        if b[1] != 0 {
+            return None;
+        }
         let key_len = u16::from_le_bytes(b[2..4].try_into().unwrap()) as usize;
         let val_len = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
         let body = pos + RECORD_HEADER_LEN;
@@ -537,7 +536,6 @@ impl<'a> TxRecordView<'a> {
             kind: LogRecordKind::from_u8(b[0])?,
             table: TableId(u32::from_le_bytes(b[4..8].try_into().unwrap())),
             oid: Oid(u32::from_le_bytes(b[8..12].try_into().unwrap())),
-            indirect: b[1] & FLAG_INDIRECT != 0,
             key,
             value,
         };
@@ -551,7 +549,6 @@ impl<'a> TxRecordView<'a> {
             oid: self.oid,
             key: self.key.to_vec(),
             value: self.value.to_vec(),
-            indirect: self.indirect,
         }
     }
 }
@@ -594,7 +591,6 @@ mod tests {
             oid: Oid(1234),
             key: b"key-1".to_vec(),
             value: vec![7; 100],
-            indirect: false,
         };
         let mut buf = Vec::new();
         r.encode_into(&mut buf);
@@ -605,17 +601,22 @@ mod tests {
     }
 
     #[test]
-    fn record_decode_rejects_truncation() {
+    fn record_decode_rejects_truncation_a_flags_byte_or_an_unknown_kind() {
         let r = LogRecord {
             kind: LogRecordKind::Insert,
             table: TableId(1),
             oid: Oid(1),
             key: b"k".to_vec(),
             value: b"v".to_vec(),
-            indirect: true,
         };
         let mut buf = Vec::new();
         r.encode_into(&mut buf);
         assert!(LogRecord::decode(&buf[..buf.len() - 1], 0).is_none());
+        assert_eq!(buf[1], 0, "the flags byte is written as 0");
+        for (at, byte) in [(1, 1), (1, 0x80), (0, 0), (0, 9)] {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            assert!(LogRecord::decode(&bad, 0).is_none(), "byte {at} = {byte}");
+        }
     }
 }

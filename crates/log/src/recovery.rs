@@ -36,7 +36,8 @@ impl<'a> BlockView<'a> {
     /// The transaction records of a Txn or TxnPrepare block (past the
     /// prepare marker when present), each with its *address*: the
     /// logical log offset of its record header. Stops at the first
-    /// malformed record.
+    /// malformed record: apply a block's records only after
+    /// [`BlockView::check_records`].
     pub fn records(&self) -> impl Iterator<Item = (u64, TxRecordView<'a>)> {
         let payload = self.payload;
         let base = self.lsn.offset() + BLOCK_HEADER_LEN as u64;
@@ -48,6 +49,21 @@ impl<'a> BlockView<'a> {
             pos = next;
             Some((addr, rec))
         })
+    }
+
+    /// Fail `InvalidData`, naming the block's LSN, unless all of its
+    /// `nrec` records decode. The checksum says the bytes are the ones
+    /// written; this says they are records, so a reader never applies a
+    /// prefix of a transaction.
+    pub fn check_records(&self) -> io::Result<()> {
+        let decoded = self.records().count();
+        if decoded == self.header.nrec as usize {
+            return Ok(());
+        }
+        let (lsn, nrec) = (self.lsn, self.header.nrec);
+        let what = format!("the block at LSN {lsn:?} holds {nrec} records");
+        let msg = format!("{what}, and the one at index {decoded} is malformed");
+        Err(io::Error::new(io::ErrorKind::InvalidData, msg))
     }
 
     /// The coordinator marker of a TxnPrepare block, if this is one.

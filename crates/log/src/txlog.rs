@@ -29,7 +29,6 @@ struct RecordMeta {
     kind: LogRecordKind,
     table: TableId,
     oid: Oid,
-    indirect: bool,
     key_start: u32,
     key_len: u32,
     val_len: u32,
@@ -42,7 +41,6 @@ pub struct TxRecordView<'a> {
     pub kind: LogRecordKind,
     pub table: TableId,
     pub oid: Oid,
-    pub indirect: bool,
     pub key: &'a [u8],
     pub value: &'a [u8],
 }
@@ -67,44 +65,23 @@ impl TxLogBuffer {
     }
 
     pub fn add_insert(&mut self, table: TableId, oid: Oid, key: &[u8], value: &[u8]) {
-        self.push(LogRecordKind::Insert, table, oid, key, value, false);
+        self.push(LogRecordKind::Insert, table, oid, key, value);
     }
 
     pub fn add_update(&mut self, table: TableId, oid: Oid, key: &[u8], value: &[u8]) {
-        self.push(LogRecordKind::Update, table, oid, key, value, false);
+        self.push(LogRecordKind::Update, table, oid, key, value);
     }
 
     pub fn add_delete(&mut self, table: TableId, oid: Oid, key: &[u8]) {
-        self.push(LogRecordKind::Delete, table, oid, key, &[], false);
+        self.push(LogRecordKind::Delete, table, oid, key, &[]);
     }
 
     /// Record a secondary-index entry so recovery can rebuild the index.
     pub fn add_secondary_insert(&mut self, table: TableId, index_raw: u32, oid: Oid, key: &[u8]) {
-        self.push(LogRecordKind::SecondaryInsert, table, oid, key, &index_raw.to_le_bytes(), false);
+        self.push(LogRecordKind::SecondaryInsert, table, oid, key, &index_raw.to_le_bytes());
     }
 
-    /// Log an insert/update whose value was diverted to the blob store;
-    /// `blob_ref` is the encoded [`crate::BlobRef`].
-    pub fn add_indirect(
-        &mut self,
-        kind: LogRecordKind,
-        table: TableId,
-        oid: Oid,
-        key: &[u8],
-        blob_ref: &[u8],
-    ) {
-        self.push(kind, table, oid, key, blob_ref, true);
-    }
-
-    fn push(
-        &mut self,
-        kind: LogRecordKind,
-        table: TableId,
-        oid: Oid,
-        key: &[u8],
-        value: &[u8],
-        indirect: bool,
-    ) {
+    fn push(&mut self, kind: LogRecordKind, table: TableId, oid: Oid, key: &[u8], value: &[u8]) {
         let key_start = self.arena.len() as u32;
         self.arena.extend_from_slice(key);
         self.arena.extend_from_slice(value);
@@ -112,7 +89,6 @@ impl TxLogBuffer {
             kind,
             table,
             oid,
-            indirect,
             key_start,
             key_len: key.len() as u32,
             val_len: value.len() as u32,
@@ -138,7 +114,6 @@ impl TxLogBuffer {
                 kind: m.kind,
                 table: m.table,
                 oid: m.oid,
-                indirect: m.indirect,
                 key: &self.arena[ks..vs],
                 value: &self.arena[vs..vs + m.val_len as usize],
             });
@@ -191,7 +166,7 @@ impl TxLogBuffer {
             let ks = m.key_start as usize;
             let vs = ks + m.key_len as usize;
             let (key, value) = (&self.arena[ks..vs], &self.arena[vs..vs + m.val_len as usize]);
-            enc.record(m.kind, m.table, m.oid, m.indirect, key, value);
+            enc.record(m.kind, m.table, m.oid, key, value);
         }
         enc.finish(kind, cstamp);
         &self.scratch
@@ -288,12 +263,12 @@ mod tests {
     fn record_views_expose_buffered_contents() {
         let mut b = TxLogBuffer::new();
         b.add_update(TableId(3), Oid(7), b"key7", b"val7");
-        b.add_indirect(LogRecordKind::Update, TableId(3), Oid(8), b"key8", b"blobref");
+        b.add_delete(TableId(3), Oid(8), b"key8");
         let mut seen = Vec::new();
-        b.for_each_record(|r| seen.push((r.oid, r.key.to_vec(), r.value.to_vec(), r.indirect)));
+        b.for_each_record(|r| seen.push((r.kind, r.oid, r.key.to_vec(), r.value.to_vec())));
         assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (Oid(7), b"key7".to_vec(), b"val7".to_vec(), false));
-        assert_eq!(seen[1], (Oid(8), b"key8".to_vec(), b"blobref".to_vec(), true));
+        assert_eq!(seen[0], (LogRecordKind::Update, Oid(7), b"key7".to_vec(), b"val7".to_vec()));
+        assert_eq!(seen[1], (LogRecordKind::Delete, Oid(8), b"key8".to_vec(), Vec::new()));
     }
 
     #[test]

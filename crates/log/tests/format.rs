@@ -5,7 +5,8 @@
 //! by `LogManager::open`, `Database::open` and `CheckpointStore::latest`
 //! alike — instead of being read as a hole at offset 0 and truncated to
 //! nothing. A refusal touches no byte of the directory. A fresh directory
-//! round-trips and a torn tail is still a hole.
+//! round-trips and a torn tail is still a hole. A block whose checksum
+//! holds but whose records do not decode is refused too.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -13,8 +14,12 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ermia::{Database, DbConfig, IsolationLevel};
+use ermia_common::crc::crc32c;
 use ermia_common::{Oid, TableId, TestDir};
-use ermia_log::{CheckpointMeta, CheckpointStore, LogConfig, LogManager, LogScanner, TxLogBuffer};
+use ermia_log::{
+    BlockKind, CheckpointMeta, CheckpointStore, LogConfig, LogManager, LogScanner, TxLogBuffer,
+    BLOCK_HEADER_LEN,
+};
 
 /// The block magic of the format before CRC-32C, as it sits on disk.
 const LEGACY_BLOCK_MAGIC: [u8; 4] = 0x4552_4d4c_u32.to_le_bytes();
@@ -198,4 +203,50 @@ fn a_torn_tail_is_still_a_hole() {
     assert_eq!(scan_oids(&dir), vec![0, 1]);
     let log = LogManager::open(log_cfg(&dir)).unwrap();
     assert_eq!(log.next_offset(), offsets[2], "allocation resumes at the hole");
+}
+
+/// A CRC-valid block whose records do not decode is corruption, not a
+/// shorter transaction: recovery fails `InvalidData`, naming the block's
+/// LSN, and applies none of its records. Each case patches one byte of
+/// the second record of a two-record commit and recomputes the block's
+/// CRC-32C: the flags byte (reserved, written as 0 — a record whose value
+/// lived in a side file had 1 there), then the kind byte.
+#[test]
+fn a_checksummed_block_whose_records_do_not_decode_is_refused() {
+    for (what, field, byte) in [("flags", 1, 1u8), ("kind", 0, 0x7F)] {
+        let dir = TestDir::new("malformed-record");
+        let (lsn, len, second) = {
+            let db = Database::open(db_cfg(&dir)).unwrap();
+            let table = db.create_table("kv");
+            let mut w = db.register_worker();
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            tx.insert(table, b"first", b"v").unwrap();
+            tx.insert(table, b"second", b"v").unwrap();
+            tx.commit().unwrap();
+            let mut scanner = LogScanner::new(db.log().segments(), 0);
+            let block = std::iter::from_fn(|| scanner.next_block().unwrap())
+                .find(|b| b.header.kind == BlockKind::Txn)
+                .expect("the commit's block");
+            let (second, _) = block.view().records().nth(1).expect("two records");
+            (block.lsn, block.header.len as usize, second)
+        };
+        let file = first_segment_file(&dir);
+        patch(&file, second + field, &[byte]);
+        let at = lsn.offset() as usize;
+        let payload = &std::fs::read(&file).unwrap()[at + BLOCK_HEADER_LEN..at + len];
+        patch(&file, lsn.offset() + 12, &crc32c(payload).to_le_bytes());
+
+        let db = Database::open(db_cfg(&dir)).unwrap();
+        match db.recover() {
+            Err(e) => {
+                assert_eq!(e.kind(), ErrorKind::InvalidData, "{what}: {e}");
+                assert!(e.to_string().contains(&format!("{lsn:?}")), "{what}: {e}");
+            }
+            Ok(stats) => panic!("{what}: a malformed record was recovered around: {stats:?}"),
+        }
+        let table = db.table_id("kv").expect("the catalog came back");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        assert_eq!(tx.read(table, b"first", |v| v.to_vec()).unwrap(), None, "{what}");
+    }
 }

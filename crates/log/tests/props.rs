@@ -27,7 +27,6 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
             oid: Oid(oid),
             key,
             value,
-            indirect: false,
         })
 }
 

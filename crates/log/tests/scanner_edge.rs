@@ -237,7 +237,7 @@ fn torn_header_at_segment_boundary_truncates() {
 
 fn view_of(n: u8, size: usize) -> ermia_log::LogRecord {
     let (kind, table, oid) = (ermia_log::LogRecordKind::Insert, TableId(1), Oid(n as u32));
-    ermia_log::LogRecord { kind, table, oid, key: vec![n], value: vec![n; size], indirect: false }
+    ermia_log::LogRecord { kind, table, oid, key: vec![n], value: vec![n; size] }
 }
 
 /// The scanner reads the log a chunk at a time (16 KiB first, then 256 KiB)

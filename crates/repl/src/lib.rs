@@ -5,11 +5,11 @@
 //! the engine and the server crate):
 //!
 //! * [`Replica::bootstrap`] connects to a primary, streams the latest
-//!   checkpoint plus every durable log segment (and the blob side file)
-//!   into a fresh local data directory laid out exactly like a
-//!   primary's, and replays it through the engine's incremental
-//!   [`LogApplier`](ermia::LogApplier). The local directory is a
-//!   restartable backup at every point in time.
+//!   checkpoint plus every durable log segment — every value rides in its
+//!   transaction's log block, so nothing else is shipped — into a fresh
+//!   local data directory laid out exactly like a primary's, and replays
+//!   it through the engine's incremental [`LogApplier`]. The local
+//!   directory is a restartable backup at every point in time.
 //! * [`Replica::poll`] runs one shipping round per shard: re-pin at the
 //!   applied offset, mirror newly durable bytes, apply them (rows and
 //!   catalog entries alike: a table appears under the primary's id and
@@ -54,7 +54,6 @@ use ermia_telemetry::{EventKind, EventRing, Sample, SpanKind, SpanRing, TraceCon
 /// Chunk source tags of the `FetchChunk` frame.
 const SRC_CHECKPOINT: u8 = 0;
 const SRC_LOG: u8 = 1;
-const SRC_BLOB: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -123,7 +122,7 @@ pub struct ReplicaConfig {
     pub primary: String,
     /// Fresh local data directory; one `shard-N` subdirectory per shard
     /// is created under it, each laid out exactly like a primary data
-    /// directory (segments, checkpoints, blobs) so it doubles as a
+    /// directory (segments, checkpoints) so it doubles as a
     /// promotable backup.
     pub dir: PathBuf,
     /// Shard count of the primary engine (1 for a plain server).
@@ -176,7 +175,7 @@ impl ReplStats {
 /// What one [`Replica::poll`] round accomplished.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplProgress {
-    /// Log + blob bytes mirrored this round (all shards).
+    /// Log bytes mirrored this round (all shards).
     pub shipped_bytes: u64,
     /// Commit blocks replayed this round (all shards).
     pub applied_blocks: u64,
@@ -204,9 +203,6 @@ struct ShardState {
     applier: LogApplier,
     /// Log bytes mirrored into local segment files so far.
     shipped: u64,
-    /// Blob side-file bytes mirrored so far.
-    blob_shipped: u64,
-    blob_file: fs::File,
     segment_size: u64,
     ring: Arc<EventRing>,
     /// Service span ring of the applying database's tracer: shipping
@@ -274,24 +270,6 @@ impl ShardState {
             stats.shipped_segments.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Mirror the blob side file: indirect (large-object) log records
-        // carry only a fixed-size pointer into it.
-        let blob_file = fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(dir.join("blobs.dat"))?;
-        let mut blob_shipped = 0u64;
-        loop {
-            let data = client.fetch_chunk(shard, SRC_BLOB, blob_shipped, cfg.chunk_len)?;
-            if data.is_empty() {
-                break;
-            }
-            blob_file.write_all_at(&data, blob_shipped)?;
-            blob_shipped += data.len() as u64;
-        }
-
         // Open the mirrored directory as a normal durable database (the
         // catalog comes back from the mirrored log) and rebuild state:
         // the checkpoint image, then log replay.
@@ -320,8 +298,6 @@ impl ShardState {
             view,
             applier,
             shipped,
-            blob_shipped,
-            blob_file,
             segment_size: status.segment_size,
             ring,
             span_ring,
@@ -344,7 +320,7 @@ impl ShardState {
         }
     }
 
-    /// One shipping round: mirror newly durable log + blob bytes, then
+    /// One shipping round: mirror newly durable log bytes, then
     /// replay them. Returns (shipped bytes, replayed blocks, lag).
     fn poll(&mut self, chunk_len: u32, stats: &ReplStats) -> ReplResult<(u64, u64, u64)> {
         let status = self.subscribe()?;
@@ -362,8 +338,7 @@ impl ShardState {
             });
         }
         let t0 = self.span_ring.now_ns();
-        let mut shipped_bytes = self.ship_blobs(chunk_len)?;
-        shipped_bytes += self.ship_log(&status, chunk_len, stats)?;
+        let shipped_bytes = self.ship_log(&status, chunk_len, stats)?;
         if shipped_bytes > 0 {
             // Infra span (no trace id): rounds that moved bytes show up
             // on the replica's timeline next to the stitched apply spans.
@@ -382,20 +357,6 @@ impl ShardState {
             self.ring.record(EventKind::ReplApplied, applied, blocks);
         }
         Ok((shipped_bytes, blocks, status.durable_lsn.saturating_sub(applied)))
-    }
-
-    fn ship_blobs(&mut self, chunk_len: u32) -> ReplResult<u64> {
-        let start = self.blob_shipped;
-        loop {
-            let data =
-                self.client.fetch_chunk(self.shard, SRC_BLOB, self.blob_shipped, chunk_len)?;
-            if data.is_empty() {
-                break;
-            }
-            self.blob_file.write_all_at(&data, self.blob_shipped)?;
-            self.blob_shipped += data.len() as u64;
-        }
-        Ok(self.blob_shipped - start)
     }
 
     fn ship_log(

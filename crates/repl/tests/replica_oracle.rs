@@ -39,8 +39,9 @@ fn pair_key(writer: u32, pair: u32, side: char) -> Vec<u8> {
 fn replica_oracle_exact_agreement_with_acked_writes() {
     let primary_dir = TestDir::new("primary");
     let mut cfg = DbConfig::durable(&primary_dir);
-    cfg.log.segment_size = 8192; // force rotations while shipping
-    cfg.large_value_threshold = 4096; // exercise the blob side file
+    // Force rotations while shipping; a segment still holds the 20 KiB
+    // value's block.
+    cfg.log.segment_size = 32 << 10;
     let db = ShardedDb::open(cfg, 1).unwrap();
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = srv.local_addr().to_string();
@@ -56,8 +57,8 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
         sync_put(&mut c, t, &key(i), &v);
         journal.insert(key(i), v);
     }
-    // One large value: diverted to the blob store, so the replica must
-    // ship blobs.dat for the indirect record to resolve.
+    // One large value: it rides in its block like any other, and reaches
+    // the replica in the checkpoint.
     let big = vec![0xB5u8; 16 << 10];
     sync_put(&mut c, t, b"big-ckpt", &big);
     journal.insert(b"big-ckpt".to_vec(), big);
@@ -117,7 +118,7 @@ fn replica_oracle_exact_agreement_with_acked_writes() {
     sync_put(&mut c, t, b"big-log", &big2);
     journal.insert(b"big-log".to_vec(), big2);
 
-    // Bootstrap the replica: checkpoint + segments + blobs over the wire.
+    // Bootstrap the replica: checkpoint + segments over the wire.
     let replica_dir = TestDir::new("replica");
     let mut replica = Replica::bootstrap(ReplicaConfig::new(addr.clone(), &replica_dir)).unwrap();
     // The first published cut: at or above the checkpoint's begin, and

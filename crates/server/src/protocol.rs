@@ -584,10 +584,9 @@ requests! {
         0x10 Subscribe { shard: u32, from: u64 }:
             "subscribe", Idle("log shipping inside open txn");
         /// Read `len` bytes at `offset` from the subscribed shard's shipped
-        /// store: `source` 0 = the pinned checkpoint payload, 1 = the log,
-        /// 2 = the blob store (large-object side file — shipped so indirect
-        /// records resolve during replica replay).
-        /// Replies with a [`Response::SegmentChunk`].
+        /// store: `source` 0 = the pinned checkpoint payload, 1 = the log
+        /// (every value rides in its transaction's block); any other
+        /// source is `BadState`. Replies with a [`Response::SegmentChunk`].
         0x11 FetchChunk { shard: u32, source: u8, offset: u64, len: u32 }:
             "fetch_chunk", Idle("log shipping inside open txn");
         /// Dump recent spans from the tracing rings (plus the slow-op

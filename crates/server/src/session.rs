@@ -1297,12 +1297,6 @@ fn do_fetch_chunk(
             }
             buf
         }
-        2 => match state.db.shard(idx).blob_bytes(offset, len as u32) {
-            Ok(buf) => buf,
-            Err(e) => {
-                return conn.push_err(state, ErrorCode::LogFailed, &format!("blob read: {e}"))
-            }
-        },
         _ => return conn.push_err(state, ErrorCode::BadState, "unknown chunk source"),
     };
     state.svc_ring.record(EventKind::ReplSegmentShipped, offset, data.len() as u64);

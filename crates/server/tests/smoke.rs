@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use ermia::{DbConfig, ShardedDb};
-use ermia_common::TestDir;
+use ermia_common::{AbortReason, TestDir};
 use ermia_server::{
     BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
@@ -107,6 +107,41 @@ fn a_key_longer_than_a_log_record_carries_is_refused() {
     assert!(!c.put(t, longest, b"v").unwrap());
     let (rows, _) = c.scan(t, b"", &long, 0).unwrap();
     assert_eq!(rows, vec![(longest.to_vec(), b"v".to_vec())]);
+}
+
+/// A commit whose log block cannot fit the engine's log ring (4 MiB in
+/// memory) is answered `TxnAborted(ResourceExhausted)`, whether one put
+/// is too long or an interactive transaction's puts are together; the
+/// session goes on, and the server takes new ones.
+#[test]
+fn a_commit_too_long_for_the_log_ring_aborts_and_the_server_goes_on() {
+    let (_db, srv) = server(ServerConfig::default());
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    let refused = |r: Result<_, ClientError>| match r {
+        Err(ClientError::Server {
+            code: ErrorCode::TxnAborted(AbortReason::ResourceExhausted),
+            ..
+        }) => {}
+        other => panic!("expected TxnAborted(ResourceExhausted), got {other:?}"),
+    };
+    refused(c.put(t, b"big", &vec![0xA5; 5 << 20]).map(drop));
+    assert!(!c.put(t, b"small", b"v").unwrap());
+
+    c.begin(WireIsolation::Snapshot).unwrap();
+    for key in [&b"half-1"[..], b"half-2"] {
+        c.put(t, key, &vec![0x5A; 3 << 20]).unwrap();
+    }
+    refused(c.commit(true).map(drop));
+    assert!(c.put(t, b"small", b"w").unwrap());
+
+    let mut fresh = Client::connect(srv.local_addr()).unwrap();
+    for key in [&b"big"[..], b"half-1", b"half-2"] {
+        assert_eq!(fresh.get(t, key).unwrap(), None);
+    }
+    assert_eq!(fresh.get(t, b"small").unwrap().as_deref(), Some(&b"w"[..]));
+    assert!(!fresh.put(t, b"fresh", b"x").unwrap());
+    assert_eq!(c.get(t, b"fresh").unwrap().as_deref(), Some(&b"x"[..]));
 }
 
 #[test]
