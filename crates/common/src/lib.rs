@@ -7,8 +7,8 @@
 //! the transaction abort taxonomy ([`AbortReason`]), and order-preserving
 //! key encoding ([`KeyWriter`]) — plus the small utilities every crate
 //! would otherwise copy: [`CachePadded`], [`Region`] (zero-on-demand
-//! memory for capacity-sized tables), the checksums ([`crc`]) and, for
-//! tests, [`TestDir`].
+//! memory for capacity-sized tables), the checksums ([`crc`]), the one
+//! seeded generator ([`rng`]) and, for tests, [`TestDir`].
 //!
 //! Nothing in here allocates on hot paths or takes locks; the types are
 //! plain newtypes over machine words so they can live inside atomics.
@@ -20,6 +20,7 @@ pub mod key;
 pub mod lsn;
 mod pad;
 mod region;
+pub mod rng;
 pub mod stamp;
 mod testdir;
 

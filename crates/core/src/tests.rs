@@ -1,5 +1,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_common::{AbortReason, TestDir};
 
 use crate::{Database, DbConfig, IsolationLevel};
@@ -429,13 +430,10 @@ fn concurrent_transfers_preserve_invariant() {
             let db = db.clone();
             s.spawn(move || {
                 let mut w = db.register_worker();
-                let mut state = tidx.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+                let mut rng = SplitMix64::new(tidx.wrapping_mul(GAMMA) | 1);
                 let mut done = 0;
                 while done < TRANSFERS {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let from = (state >> 33) % ACCOUNTS;
-                    let to = (state >> 13) % ACCOUNTS;
+                    let (from, to) = (rng.below(ACCOUNTS), rng.below(ACCOUNTS));
                     if from == to {
                         continue;
                     }
@@ -1314,13 +1312,13 @@ fn a_checkpoint_holds_what_a_fork_at_its_cut_scans() {
             let (db, stop, committed) = (&db, &stop, &committed);
             s.spawn(move || {
                 let mut w = db.register_worker();
-                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut rng = SplitMix64::new(seed.wrapping_mul(GAMMA));
                 let mut fresh = seed as u32 * 1_000_000;
                 while !stop.load(Ordering::Relaxed) {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let (key, value) = (row((rng >> 33) as u32 % ROWS), rng.to_le_bytes());
+                    let r = rng.next_u64();
+                    let (key, value) = (row((r >> 33) as u32 % ROWS), r.to_le_bytes());
                     let mut tx = w.begin(SI);
-                    let done = match rng % 4 {
+                    let done = match r % 4 {
                         // An update of a deleted row inserts it again.
                         0 => match tx.update(t, &key, &value) {
                             Ok(false) => tx.insert(t, &key, &value).map(drop),
@@ -1429,14 +1427,14 @@ fn checkpoints_taken_under_churn_recover_to_the_model() {
             });
             let writer = s.spawn(|| {
                 let mut w = db.register_worker();
-                let (mut rng, mut fresh) = (0x9E37_79B9_7F4A_7C15u64, ROWS);
+                let (mut rng, mut fresh) = (SplitMix64::new(GAMMA), ROWS);
                 while !stop.load(Ordering::Relaxed) {
                     committed.fetch_add(1, Ordering::Relaxed);
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let key = row((rng >> 33) as u32 % fresh);
-                    let value = rng.to_le_bytes().repeat(8);
+                    let r = rng.next_u64();
+                    let key = row((r >> 33) as u32 % fresh);
+                    let value = r.to_le_bytes().repeat(8);
                     let mut tx = w.begin(SI);
-                    match rng % 3 {
+                    match r % 3 {
                         0 if tx.update(t, &key, &value).unwrap() => {
                             model.insert(key, value);
                         }
@@ -2036,13 +2034,7 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
         let tables = [db.create_table("a"), db.create_table("b")];
         let sec = db.create_secondary_index(tables[1], "b.sec");
         let mut w = db.register_worker();
-        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut rand = move |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
+        let mut rng = SplitMix64::new(seed.wrapping_mul(GAMMA));
         // Committed state: (table, key) → (oid, live).
         let mut committed: HashMap<(TableId, Vec<u8>), (Oid, bool)> = HashMap::new();
         let mut commits: HashMap<u64, Commit> = HashMap::new();
@@ -2051,16 +2043,16 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
             let mut tx = w.begin(SI);
             let mut entries: Vec<Entry> = Vec::new();
             let mut secondary = Vec::new();
-            for _ in 0..1 + rand(6) {
-                let table = tables[rand(2) as usize];
-                let key = vec![b'k', rand(10) as u8];
-                let len = [0, 7, 64, 180, 300, 700][rand(6) as usize];
+            for _ in 0..1 + rng.below(6) {
+                let table = tables[rng.below(2) as usize];
+                let key = vec![b'k', rng.below(10) as u8];
+                let len = [0, 7, 64, 180, 300, 700][rng.below(6) as usize];
                 let value = vec![round as u8 ^ len as u8; len];
                 let at = entries.iter().position(|e| e.table == table && e.key == key);
                 let known = committed.get(&(table, key.clone())).copied();
                 let live = at.map_or(known.is_some_and(|c| c.1), |i| entries[i].value.is_some());
                 let (oid, value) = if live {
-                    let value = (rand(3) != 0).then_some(value);
+                    let value = (rng.below(3) != 0).then_some(value);
                     match &value {
                         Some(v) => assert!(tx.update(table, &key, v).unwrap()),
                         None => assert!(tx.delete(table, &key).unwrap()),
@@ -2083,7 +2075,7 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
                         entries.push(Entry { table, key, oid, created, was_live, value });
                     }
                 }
-                if rand(4) == 0 {
+                if rng.below(4) == 0 {
                     if let Some(e) = entries.iter().find(|e| e.table == tables[1]) {
                         sec_keys += 1;
                         let skey = sec_keys.to_be_bytes().to_vec();
@@ -2092,7 +2084,7 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
                     }
                 }
             }
-            let marker = (rand(3) == 0).then_some(PrepareMarker {
+            let marker = (rng.below(3) == 0).then_some(PrepareMarker {
                 coord_shard: 0,
                 participants: 1,
                 coord_lsn: PrepareMarker::COORD_SELF,

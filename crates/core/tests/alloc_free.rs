@@ -15,8 +15,6 @@ use std::cell::Cell;
 use std::sync::atomic::Ordering::Relaxed;
 
 use ermia::{Database, DbConfig, DeferredCommit, IsolationLevel, ShardedDb};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
@@ -434,12 +432,12 @@ fn recover_rows(shuffled: bool) {
         let db = Database::open(DbConfig::durable(&dir)).unwrap();
         let t = db.create_table("t");
         let mut w = db.register_worker();
-        let mut rng = StdRng::seed_from_u64(39);
+        let mut rng = ermia_common::rng::SplitMix64::new(39);
         let mut order: Vec<u64> = (0..ROWS).collect();
         let mut pass = |value: Option<u8>| {
             if shuffled && value.is_some() {
                 for i in (1..order.len()).rev() {
-                    order.swap(i, rng.random_range(0..=i));
+                    order.swap(i, rng.below(i as u64 + 1) as usize);
                 }
             }
             for ids in order.chunks(50) {

@@ -14,9 +14,8 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use ermia::{Database, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, StagedCommit, TableId};
+use ermia_common::rng::SplitMix64;
 use ermia_common::TestDir;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const SI: IsolationLevel = IsolationLevel::Snapshot;
 const TABLES: [&str; 2] = ["a", "b"];
@@ -74,7 +73,7 @@ fn reclaimed(db: &ShardedDb) -> u64 {
 /// given their verdict late, by another worker on another thread.
 fn storm(db: &ShardedDb, seed: u64) {
     let tables: Vec<TableId> = TABLES.iter().map(|n| db.create_table(n)).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut w = db.register_worker();
     let mut tx = w.begin(SI);
     for &t in &tables {
@@ -100,16 +99,16 @@ fn storm(db: &ShardedDb, seed: u64) {
         let mut forks: Vec<(u32, Database)> = Vec::new();
         for round in 0..ROUNDS {
             forks.retain(|(until, _)| *until > round);
-            let t = tables[rng.random_range(0..tables.len())];
-            let k = key(rng.random_range(0..KEYS));
-            let value = vec![round as u8; rng.random_range(8..64usize)];
+            let t = tables[rng.below(tables.len() as u64) as usize];
+            let k = key(rng.below(KEYS.into()) as u32);
+            let value = vec![round as u8; 8 + rng.below(56) as usize];
             let mut tx = w.begin(SI);
             // A failed operation (a conflict with a parked prepare, a
             // duplicate key) dooms the transaction; dropping it aborts.
-            let ok = match rng.random_range(0..100u32) {
-                0..=39 => (0..rng.random_range(1..4u32)).all(|_| {
-                    let t = tables[rng.random_range(0..tables.len())];
-                    tx.update(t, &key(rng.random_range(0..KEYS)), &value).is_ok()
+            let ok = match rng.below(100) {
+                0..=39 => (0..1 + rng.below(3)).all(|_| {
+                    let t = tables[rng.below(tables.len() as u64) as usize];
+                    tx.update(t, &key(rng.below(KEYS.into()) as u32), &value).is_ok()
                 }),
                 40..=51 => tx.delete(t, &k).is_ok(),
                 52..=63 => tx.insert(t, &k, &value).is_ok(),
@@ -120,8 +119,8 @@ fn storm(db: &ShardedDb, seed: u64) {
                 72..=81 => (0..3).all(|_| tx.update(t, &k, &value).is_ok()),
                 82..=89 => tx.delete(t, &k).is_ok() && tx.insert(t, &k, &value).is_ok(),
                 90..=93 => {
-                    let shard = rng.random_range(0..db.shards());
-                    forks.push((round + rng.random_range(1..200u32), db.shard(shard).fork()));
+                    let shard = rng.below(db.shards() as u64) as usize;
+                    forks.push((round + 1 + rng.below(199) as u32, db.shard(shard).fork()));
                     true
                 }
                 _ => tx.read(t, &k, |v| v.len()).is_ok(),

@@ -4,11 +4,12 @@
 //! then builds one version per live row (`LogApplier::rebuild`). The live
 //! tail of a replica does replay it, stacking every image as the commits
 //! did (`LogApplier::apply_available`). Both must end on the same
-//! database. Each seed writes one directory — inserts, updates, deletes,
-//! delete-then-reinsert inside one transaction (and, hand-written, as two
-//! records of one OID in one block), rows that end as tombstones, long
-//! values, secondary-index entries, a
-//! checkpoint taken over a parked prepare, cross-shard commits
+//! database. Each seed writes one directory — `crates/check`'s seeded
+//! history (`ermia_check::history`, shared with `torture.rs`): inserts,
+//! updates, deletes, delete-then-reinsert inside one transaction (and,
+//! hand-written, as two records of one OID in one block), rows that end as
+//! tombstones, long values, secondary-index entries, a checkpoint taken
+//! over a parked prepare, cross-shard commits
 //! whose verdict record lands behind later transactions (on the same rows
 //! too), aborted prepares, and one prepare the crash leaves in doubt — and
 //! recovers it both ways: offline (three times over), and by feeding a
@@ -28,11 +29,10 @@ use ermia::{
     Database, DbConfig, DeferredCommit, IndexRouting, IsolationLevel, LogApplier, ShardedDb,
     ShardedWorker, StagedCommit, TableId,
 };
+use ermia_check::history::{mutate_model, Action, Model, KEYS};
+use ermia_common::rng::SplitMix64;
 use ermia_common::{Lsn, Oid, TestDir};
 use ermia_log::LogScanner;
-
-mod history;
-use history::{mutate_model, Action, Model, Rng, KEYS};
 
 const SI: IsolationLevel = IsolationLevel::Snapshot;
 const SHARDS: usize = 2;
@@ -94,7 +94,7 @@ fn write_history(seed: u64, dir: &Path, crashed: &Path) -> Model {
     let tables: Vec<TableId> = TABLES.iter().map(|t| db.create_table(t)).collect();
     let by_writer = db.create_secondary_index(tables[0], "by-writer", IndexRouting::Probe);
     let mut w = db.register_worker();
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut model = Model::new();
     // Published commits whose verdict record is still owed, with the
     // transaction number that pays it.
@@ -111,7 +111,7 @@ fn write_history(seed: u64, dir: &Path, crashed: &Path) -> Model {
         let mut ops = mutate_model(&mut rng, seed, txn, TABLES.len(), &mut next);
         if rng.below(8) == 0 {
             // One key deleted and re-inserted by one transaction, for sure.
-            if let Some((&key, _)) = next.iter().nth(rng.below(next.len() as u64) as usize) {
+            if let Some((&key, _)) = next.iter().nth(rng.below(next.len().max(1) as u64) as usize) {
                 let value = format!("s{seed}-t{txn}-again").into_bytes();
                 next.insert(key, value.clone());
                 ops.push((key, Action::Delete));

@@ -10,6 +10,7 @@ use ermia::{
     TableId,
 };
 use ermia_common::crc::crc32c;
+use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_common::TestDir;
 use ermia_log::{BlockKind, DecideRecord, LogScanner, PrepareMarker};
 
@@ -388,17 +389,13 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
     let loaded = [0, 1].map(|shard| blocks(&db, shard).last().unwrap().0);
 
     // Seeded history: commits, aborts and single-shard overwrites.
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = |n: u64| {
-        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (rng >> 33) % n
-    };
+    let mut rng = SplitMix64::new(GAMMA);
     let mut steps = Vec::new();
     let mut owing = Vec::new();
     for i in 0..9u32 {
-        let pair = next(PAIRS as u64) as usize;
+        let pair = rng.below(PAIRS as u64) as usize;
         let value = format!("v{}", i + 1).into_bytes();
-        match next(4) {
+        match rng.below(4) {
             0 => {
                 let mut tx = w.begin(IsolationLevel::Snapshot);
                 assert!(tx.update(t, &keys[pair][0], &value).unwrap());
@@ -420,7 +417,7 @@ fn every_pair_of_log_prefixes_recovers_atomically() {
                     commit_now(&mut staged, &mut w);
                     // The verdict record is owed, not due: some are paid
                     // only when the history ends.
-                    if next(2) == 0 {
+                    if rng.below(2) == 0 {
                         staged.write_verdict(&mut w);
                     } else {
                         owing.push(staged);

@@ -1,5 +1,7 @@
 //! End-to-end crash-recovery torture: full database stack against the
-//! fault-injecting storage backend, checked against an in-memory model.
+//! fault-injecting storage backend, checked against `crates/check`'s
+//! seeded history model (`ermia_check::history`, shared with
+//! `replay_equivalence.rs`).
 //!
 //! Each seed drives a randomized single-threaded workload of committed
 //! transactions (upserts and deletes over a small key space, in tables
@@ -17,11 +19,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia::{AbortReason, Database, DbConfig, IsolationLevel};
+use ermia_check::history::{mutate_model, Action, Model, KEYS};
+use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_common::{TableId, TestDir};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig, TornWrite};
-
-mod history;
-use history::{mutate_model, Action, Model, Rng, KEYS};
 
 const MAX_TABLES: usize = 4;
 
@@ -70,7 +71,7 @@ fn run_faulty_life(dir: PathBuf, injector: &FaultInjector, seed: u64, max_txns: 
     let db = Database::open(faulty_cfg(dir, injector)).expect("first open is fault-free");
     let mut tables = vec![db.create_table(&table_name(0))];
     let mut w = db.register_worker();
-    let mut rng = Rng(seed ^ 0xDB);
+    let mut rng = SplitMix64::new(seed ^ 0xDB);
     let mut model = Model::new();
     let mut acked = 0u64;
     let mut inflight_model = None;
@@ -170,7 +171,7 @@ fn check_seed(tag: &str, seed: u64, plan: FaultPlan) {
 #[test]
 fn crash_point_recovers_model() {
     for seed in 0..8u64 {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let plan =
             FaultPlan { crash_after_writes: Some(2 + rng.below(80)), ..FaultPlan::default() };
         check_seed("crash", seed, plan);
@@ -182,7 +183,7 @@ fn crash_point_recovers_model() {
 #[test]
 fn torn_write_recovers_model() {
     for seed in 0..8u64 {
-        let mut rng = Rng(seed ^ 0x7EA1);
+        let mut rng = SplitMix64::new(seed ^ 0x7EA1);
         let plan = FaultPlan {
             torn_write: Some(TornWrite {
                 at_write: 2 + rng.below(60),
@@ -199,7 +200,7 @@ fn torn_write_recovers_model() {
 #[test]
 fn fsync_failure_recovers_acked_prefix() {
     for seed in 0..4u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let mut rng = SplitMix64::new(seed.wrapping_mul(GAMMA) | 1);
         let plan = FaultPlan { fail_sync_at: Some(1 + rng.below(40)), ..FaultPlan::default() };
         check_seed("fsync", seed, plan);
     }

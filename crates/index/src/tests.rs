@@ -1,5 +1,6 @@
 use std::collections::BTreeMap;
 
+use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_epoch::EpochManager;
 
 use crate::{BTree, InsertOutcome, ScanControl};
@@ -58,12 +59,9 @@ fn many_inserts_random_order() {
     keys.sort_unstable();
     keys.dedup();
     let mut shuffled = keys.clone();
-    // Simple LCG shuffle.
-    let mut state = 0x12345678u64;
+    let mut rng = SplitMix64::new(0x12345678);
     for i in (1..shuffled.len()).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        shuffled.swap(i, j);
+        shuffled.swap(i, rng.below(i as u64 + 1) as usize);
     }
     for &k in &shuffled {
         t.insert(&g, &key(k), k);
@@ -252,11 +250,9 @@ fn matches_btreemap_reference() {
     let h = mgr.register();
     let g = h.pin();
     let mut reference = BTreeMap::new();
-    let mut state = 42u64;
+    let mut rng = SplitMix64::new(42);
     for _ in 0..20_000 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let k = (state >> 40) % 2_000;
-        let op = (state >> 20) % 3;
+        let (k, op) = (rng.below(2_000), rng.below(3));
         match op {
             0 | 1 => {
                 let outcome = t.insert(&g, &key(k), k);
@@ -421,10 +417,10 @@ fn readers_during_writes(key: fn(u64) -> Vec<u8>) {
             let mgr = mgr.clone();
             s.spawn(move || {
                 let h = mgr.register();
-                let mut state = 7u64;
+                let mut rng = SplitMix64::new(7);
                 for _ in 0..20_000 {
                     let g = h.pin();
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let state = rng.next_u64();
                     let k = (state >> 33) % N;
                     if let (Some(v), _) = t.get(&g, &key(k)) {
                         assert_eq!(v, k);
@@ -483,14 +479,11 @@ fn random_order_inserts_keep_the_halving_fill() {
     let h = mgr.register();
     let g = h.pin();
     const N: u64 = 100_000;
-    // Fisher–Yates under a fixed xorshift stream.
+    // Fisher–Yates under a fixed stream.
     let mut keys: Vec<u64> = (0..N).collect();
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = SplitMix64::new(GAMMA);
     for i in (1..keys.len()).rev() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        keys.swap(i, (x % (i as u64 + 1)) as usize);
+        keys.swap(i, rng.below(i as u64 + 1) as usize);
     }
     for k in keys {
         assert_eq!(t.insert(&g, &key(k), k), InsertOutcome::Inserted);
@@ -669,11 +662,9 @@ fn concurrent_appenders_race_splitters_and_readers() {
             let (t, mgr) = (&t, mgr.clone());
             s.spawn(move || {
                 let h = mgr.register();
-                let mut x = 0x2545_f491_4f6c_dd1du64;
+                let mut rng = SplitMix64::new(0x2545_f491_4f6c_dd1d);
                 for _ in 0..APPENDS {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
+                    let x = rng.next_u64();
                     let k = (x % (BASE / 2)) * 2 + 1;
                     let g = h.pin();
                     t.insert(&g, &key(k), k);
@@ -687,12 +678,10 @@ fn concurrent_appenders_race_splitters_and_readers() {
             let (t, mgr, landed) = (&t, mgr.clone(), &landed);
             s.spawn(move || {
                 let h = mgr.register();
-                let mut x = 0x9e37_79b9_7f4a_7c15u64 + r;
+                let mut rng = SplitMix64::new(GAMMA + r);
                 for _ in 0..20_000 {
                     let g = h.pin();
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
+                    let x = rng.next_u64();
                     let i = x & 1;
                     let mark = landed[i as usize].load(Ordering::Acquire);
                     if mark > 0 {

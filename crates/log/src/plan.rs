@@ -224,8 +224,7 @@ impl Plan {
 mod tests {
     use std::collections::BTreeSet;
 
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use ermia_common::rng::SplitMix64;
 
     use super::*;
     use Next::{Pace, Start, Wait};
@@ -372,7 +371,7 @@ mod tests {
     /// A ring, a clock and a device around one plan.
     struct Model {
         plan: Plan,
-        rng: StdRng,
+        rng: SplitMix64,
         /// `flushed` is the end of the published prefix.
         ring: Snapshot,
         /// Board slots whose sync is in the device.
@@ -417,7 +416,7 @@ mod tests {
                 return Err(format!("Start({cause:?}) with {out} tickets out, asked {asked}"));
             }
             // Now and then a batch of dead zones only: nothing to sync.
-            let synced = self.rng.random_range(0..16) != 0;
+            let synced = self.rng.below(16) != 0;
             let slot = self.plan.issue(ring.filled, synced, ring.now_ns);
             if synced {
                 self.in_device.push(slot);
@@ -428,35 +427,35 @@ mod tests {
         /// Some sync in the device returns.
         fn complete(&mut self, ok: bool) {
             if !self.in_device.is_empty() {
-                let at = self.rng.random_range(0..self.in_device.len());
-                let ns = self.rng.random_range(0..2 * L);
+                let at = self.rng.below(self.in_device.len() as u64) as usize;
+                let ns = self.rng.below(2 * L);
                 self.plan.complete(self.in_device.swap_remove(at), ok, ns);
             }
         }
     }
 
     fn run(seed: u64) -> Result<(), String> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (may_fail, steps) = (rng.random_range(0..3) == 0, rng.random_range(0..300u64));
+        let mut rng = SplitMix64::new(seed);
+        let (may_fail, steps) = (rng.below(3) == 0, rng.below(300));
         let ring =
             Snapshot { now_ns: 0, filled: 0, flushed: 0, capacity: CAP, demand_hi: 0, urged: 0 };
         let mut m = Model { plan: Plan::new(0), rng, ring, in_device: Vec::new(), failed: false };
         for step in 0..steps {
             let ring = &mut m.ring;
-            match m.rng.random_range(0..5) {
+            match m.rng.below(5) {
                 0 => {
                     let room = ring.flushed + CAP - ring.filled;
-                    ring.filled += (32 * (1 + m.rng.random_range(0..CAP / 128))).min(room);
+                    ring.filled += (32 * (1 + m.rng.below(CAP / 128))).min(room);
                 }
                 // A waiter registers — for filled bytes, or for a block
                 // above a hole; a turn ends likewise.
-                1 => ring.demand_hi = ring.demand_hi.max(m.rng.random_range(0..ring.filled + 64)),
-                2 => ring.urged = ring.urged.max(m.rng.random_range(0..ring.filled + 64)),
+                1 => ring.demand_hi = ring.demand_hi.max(m.rng.below(ring.filled + 64)),
+                2 => ring.urged = ring.urged.max(m.rng.below(ring.filled + 64)),
                 3 => {
-                    let ok = !(may_fail && m.rng.random_range(0..8) == 0);
+                    let ok = !(may_fail && m.rng.below(8) == 0);
                     m.complete(ok);
                 }
-                _ => ring.now_ns += m.rng.random_range(0..L / 2),
+                _ => ring.now_ns += m.rng.below(L / 2),
             }
             m.turn().map_err(|why| format!("step {step}: {why}"))?;
         }

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ermia_common::rng::{mix64, SplitMix64, GAMMA};
+
 use crate::buffer::RingBuffer;
 
 /// Held by the one test here that compares two timings and by the one
@@ -163,13 +165,8 @@ fn a_releasing_ring_survives_its_wraps() {
     const CHUNK: u64 = 2 << 20;
     const SEED: u64 = 0x5EED_0030;
 
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     // What slot `s` of the logical offset space holds, in every byte.
-    let slot_byte = |s: u64| mix(SEED ^ s) as u8;
+    let slot_byte = |s: u64| mix64(SEED ^ s) as u8;
 
     let rb = RingBuffer::new(CAP, 0);
     let next = AtomicU64::new(0);
@@ -177,13 +174,12 @@ fn a_releasing_ring_survives_its_wraps() {
         for writer in 0..WRITERS {
             let (rb, next) = (&rb, &next);
             s.spawn(move || {
-                let mut rng = SEED ^ writer.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut rng = SplitMix64::new(SEED ^ writer.wrapping_mul(GAMMA));
                 let mut buf = Vec::new();
                 loop {
-                    rng = mix(rng.wrapping_add(0x9E37_79B9_7F4A_7C15));
                     // 32 B to 16 KiB, so blocks straddle stamp pages,
                     // data pages and the wrap.
-                    let len = 32 * (1 + rng % 512);
+                    let len = 32 * (1 + rng.below(512));
                     let offset = next.fetch_add(len, Ordering::Relaxed);
                     if offset >= TOTAL {
                         break;

@@ -21,28 +21,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ermia_common::rng::SplitMix64;
 use ermia_common::{Oid, TableId, TestDir};
 use ermia_log::{
     FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner, TornWrite,
     TxLogBuffer,
 };
-
-/// SplitMix64: deterministic per-seed randomness without external deps.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
 
 fn torture_cfg(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
     LogConfig {
@@ -59,12 +43,12 @@ fn torture_cfg(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
 /// The payload committed for transaction `id` under `seed` — recognizable
 /// and seed-dependent so recovery can verify bytes, not just presence.
 fn payload_for(seed: u64, id: u64) -> Vec<u8> {
-    let mut rng = Rng(seed ^ id.wrapping_mul(0xA076_1D64_78BD_642F));
+    let mut rng = SplitMix64::new(seed ^ id.wrapping_mul(0xA076_1D64_78BD_642F));
     let len = 8 + rng.below(48) as usize;
     let mut out = Vec::with_capacity(len + 8);
     out.extend_from_slice(&id.to_be_bytes());
     for _ in 0..len {
-        out.push(rng.next() as u8);
+        out.push(rng.next_u64() as u8);
     }
     out
 }
@@ -181,7 +165,7 @@ fn assert_durable_prefix(seed: u64, outcome: &WorkloadOutcome, recovered: &HashM
 /// Build a randomized fault plan from a seed: one of the five fault
 /// kinds, with seed-derived trigger points.
 fn plan_for(seed: u64) -> FaultPlan {
-    let mut rng = Rng(seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1));
+    let mut rng = SplitMix64::new(seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1));
     let mut plan = FaultPlan::default();
     match rng.below(5) {
         0 => {
@@ -218,7 +202,7 @@ fn torture_one(tag: &str, seed: u64, plan: FaultPlan) {
 #[test]
 fn torn_write_at_tail_all_seeds() {
     for seed in 0..12u64 {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let plan = FaultPlan {
             torn_write: Some(TornWrite {
                 // Tear an early-to-mid write so the run always reaches it.

@@ -12,11 +12,10 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use ermia::{DbConfig, IsolationLevel, ShardedDb, TableId};
+use ermia_common::rng::SplitMix64;
 use ermia_common::TestDir;
 use ermia_repl::{Replica, ReplicaConfig};
 use ermia_server::{Server, ServerConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const KEYS: u32 = 48;
 
@@ -26,14 +25,14 @@ fn key(i: u32) -> Vec<u8> {
 
 /// Updates, deletes and reviving inserts, most of them straddling both
 /// shards, so they ship as prepares and verdicts; durable when it returns.
-fn churn(db: &ShardedDb, t: TableId, rng: &mut StdRng, rounds: u32) {
+fn churn(db: &ShardedDb, t: TableId, rng: &mut SplitMix64, rounds: u32) {
     let mut w = db.register_worker();
     for round in 0..rounds {
         let mut tx = w.begin(IsolationLevel::Snapshot);
-        for _ in 0..rng.random_range(1..4u32) {
-            let k = key(rng.random_range(0..KEYS));
-            let value = vec![round as u8; rng.random_range(8..64usize)];
-            match rng.random_range(0..10u32) {
+        for _ in 0..1 + rng.below(3) {
+            let k = key(rng.below(KEYS.into()) as u32);
+            let value = vec![round as u8; 8 + rng.below(56) as usize];
+            match rng.below(10) {
                 0 => drop(tx.delete(t, &k).unwrap()),
                 _ => {
                     if !tx.update(t, &k, &value).unwrap() {
@@ -57,7 +56,7 @@ fn a_tailing_replica_leaves_nothing_reclaimable_behind() {
     let db = ShardedDb::open(cfg, 2).unwrap();
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let t = db.create_table("kv");
-    let mut rng = StdRng::seed_from_u64(0x5eed_0004);
+    let mut rng = SplitMix64::new(0x5eed_0004);
     let mut w = db.register_worker();
     let mut tx = w.begin(IsolationLevel::Snapshot);
     for i in 0..KEYS {

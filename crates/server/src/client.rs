@@ -24,6 +24,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use ermia_common::rng::SplitMix64;
 use ermia_telemetry::TraceContext;
 
 use crate::protocol::{
@@ -122,17 +123,10 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The jittered backoff before attempt `attempt + 1`.
-    fn delay(&self, attempt: u32, jitter: &mut u64) -> Duration {
+    fn delay(&self, attempt: u32, jitter: &mut SplitMix64) -> Duration {
         let exp = self.base_delay.saturating_mul(1u32 << attempt.min(16));
-        let capped = exp.min(self.max_delay);
-        // SplitMix64 step: cheap, seedable, no external crates.
-        *jitter = jitter.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let nanos = capped.as_nanos() as u64;
-        Duration::from_nanos(nanos - (z % (nanos / 2).max(1)))
+        let nanos = exp.min(self.max_delay).as_nanos() as u64;
+        Duration::from_nanos(nanos - jitter.below((nanos / 2).max(1)))
     }
 }
 
@@ -162,8 +156,8 @@ pub struct Client {
     /// While set, every sent request is wrapped in the wire trace
     /// envelope carrying this context.
     trace: Option<TraceContext>,
-    /// Client-side trace-id generator state (SplitMix64).
-    trace_seed: u64,
+    /// Client-side trace-id generator.
+    trace_ids: SplitMix64,
 }
 
 impl Client {
@@ -187,7 +181,7 @@ impl Client {
             reply_timeout: None,
             in_flight: 0,
             trace: None,
-            trace_seed: seed,
+            trace_ids: SplitMix64::new(seed),
         })
     }
 
@@ -226,14 +220,7 @@ impl Client {
     /// one distributed trace. Returns the context (its hex id keys
     /// `dump_traces` output).
     pub fn start_trace(&mut self) -> TraceContext {
-        let mut mix = || {
-            self.trace_seed = self.trace_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.trace_seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let (hi, lo) = (mix(), mix());
+        let (hi, lo) = (self.trace_ids.next_u64(), self.trace_ids.next_u64());
         let ctx = TraceContext { trace_hi: hi.max(1), trace_lo: lo, parent: 0 };
         self.trace = Some(ctx);
         ctx
@@ -318,9 +305,11 @@ impl Client {
         policy: &RetryPolicy,
     ) -> ClientResult<Response> {
         assert_eq!(self.in_flight, 0, "call_with_retry with pipelined requests in flight");
-        let mut jitter = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0x5EED, |d| d.subsec_nanos() as u64 ^ (self.addr.port() as u64) << 32);
+        let mut jitter = SplitMix64::new(
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0x5EED, |d| d.subsec_nanos() as u64 ^ (self.addr.port() as u64) << 32),
+        );
         let attempts = policy.max_attempts.max(1);
         let mut broken = false;
         let mut last: ClientResult<Response> = Err(ClientError::Busy);
@@ -502,4 +491,13 @@ fn io_severed(e: &std::io::Error) -> bool {
             | std::io::ErrorKind::UnexpectedEof
             | std::io::ErrorKind::NotConnected
     )
+}
+
+#[cfg(test)]
+#[test]
+fn the_retry_backoff_stream_is_pinned() {
+    let (policy, mut jitter) = (RetryPolicy::default(), SplitMix64::new(0x5EED));
+    let ns: Vec<u128> = (0..8).map(|a| policy.delay(a, &mut jitter).as_nanos()).collect();
+    let want = [8583948, 16953995, 27180109, 64658803, 154599307, 194306870, 462827632, 646153295];
+    assert_eq!(ns, want);
 }

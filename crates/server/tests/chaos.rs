@@ -5,15 +5,10 @@
 //! live pipelined client traffic — optionally while the storage backend
 //! is injecting ENOSPC/fsync faults and a background checkpointer is
 //! running. After every kill it restarts the server on the same data
-//! directory and checks the durability oracle:
-//!
-//! * **acked ⇒ durable** — every sync commit the client saw acknowledged
-//!   is present after recovery;
-//! * **no fabrication** — every recovered value was actually issued, and
-//!   never a write the server *definitively denied* (abort/degraded
-//!   bounce);
-//! * **snapshot sanity** — reads taken while the server was live only
-//!   ever observe issued history.
+//! directory and checks every key against the durability oracle of
+//! `crates/check` (`ermia_check::journal`: acked ⇒ durable, no
+//! fabrication), into whose journal this file turns each reply. Reads
+//! taken while the server was live may only observe issued history.
 //!
 //! The server child is the binary we ship, `ermia-server`, spawned with
 //! its settings as flags ([`spawn_server`]); it prints `INDOUBT <n>` and
@@ -29,7 +24,7 @@
 //! `flight-dump.txt` into the data directory and panics with their
 //! paths.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -37,73 +32,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ermia_check::journal::{check, merge, Journal, KeyLog};
+use ermia_common::rng::SplitMix64;
 use ermia_server::{BatchOp, Client, ErrorCode, Request, Response, WireIsolation};
 
 // ---------------------------------------------------------------------
 // Harness plumbing.
 // ---------------------------------------------------------------------
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// Everything the oracle knows about one key.
-#[derive(Default, Clone)]
-struct KeyLog {
-    /// Highest sequence acknowledged durable (sync commit `Committed`).
-    acked: Option<u64>,
-    /// Every sequence ever sent for this key.
-    issued: BTreeSet<u64>,
-    /// Sequences the server *definitively* refused (typed abort, Busy,
-    /// degraded bounce): they were never applied and must never surface.
-    denied: BTreeSet<u64>,
-}
-
-impl KeyLog {
-    /// Fold the reply to the sync batch that carried sequence `seq`.
-    fn record(&mut self, seq: u64, resp: Response) {
-        match resp {
-            Response::BatchDone { outcome, .. } => match *outcome {
-                Response::Committed { .. } => self.acked = self.acked.max(Some(seq)),
-                // The durability wait failed but the write may still be
-                // on disk: indeterminate, not denied.
-                Response::Error { code: ErrorCode::LogStalled | ErrorCode::LogFailed, .. } => {}
-                // A typed abort or degraded bounce: the server promised
-                // this write did not happen.
-                Response::Error { .. } => {
-                    self.denied.insert(seq);
-                }
-                _ => {}
-            },
-            // Load-shed before anything ran.
-            Response::Busy => {
-                self.denied.insert(seq);
-            }
+/// Fold the reply to the sync batch that carried sequence `seq`.
+fn record(log: &mut KeyLog, seq: u64, resp: Response) {
+    match resp {
+        Response::BatchDone { outcome, .. } => match *outcome {
+            Response::Committed { .. } => log.ack(seq),
+            // The durability wait failed but the write may still be on
+            // disk: indeterminate, not denied.
+            Response::Error { code: ErrorCode::LogStalled | ErrorCode::LogFailed, .. } => {}
+            // A typed abort or degraded bounce: the server promised this
+            // write did not happen.
+            Response::Error { .. } => log.deny(seq),
             _ => {}
-        }
-    }
-}
-
-type Journal = HashMap<Vec<u8>, KeyLog>;
-
-fn merge(into: &mut Journal, from: Journal) {
-    for (k, v) in from {
-        let e = into.entry(k).or_default();
-        e.acked = e.acked.max(v.acked);
-        e.issued.extend(v.issued);
-        e.denied.extend(v.denied);
+        },
+        // Load-shed before anything ran.
+        Response::Busy => log.deny(seq),
+        _ => {}
     }
 }
 
@@ -179,7 +131,7 @@ fn client_traffic(
     let Ok(chaos) = c.open_table("chaos") else { return journal };
 
     let mut pending: VecDeque<InFlight> = VecDeque::new();
-    let mut rng = Rng(0xA5A5_0000 ^ cid as u64);
+    let mut rng = SplitMix64::new(0xA5A5_0000 ^ cid as u64);
     let mut alive = true;
     // Client 0 opens a second table mid-cycle — once its pipeline has
     // drained: `open_table` reads the next reply — and from then on
@@ -216,7 +168,7 @@ fn client_traffic(
                     value: format!("{s:010}").into_bytes(),
                 };
                 // Issued the moment bytes may leave: journal first.
-                journal.entry(key.clone()).or_default().issued.insert(s);
+                journal.entry(key.clone()).or_default().issue(s);
                 let batch = Request::Batch {
                     isolation: WireIsolation::Snapshot,
                     sync: true,
@@ -243,7 +195,7 @@ fn client_traffic(
 /// Fold one reply into the journal.
 fn resolve(journal: &mut Journal, sent: InFlight, resp: Response) {
     match sent {
-        InFlight::Put { key, seq } => journal.entry(key).or_default().record(seq, resp),
+        InFlight::Put { key, seq } => record(journal.entry(key).or_default(), seq, resp),
         InFlight::Get { key } => {
             // Snapshot sanity: a live read may observe any *issued* write
             // (including one whose ack we have not received yet), never
@@ -305,7 +257,7 @@ fn verify_recovery(dir: &Path, journal: &Journal, cycle: usize) {
     let mut violations: Vec<String> = Vec::new();
     for (key, log) in journal {
         let name = String::from_utf8_lossy(key);
-        check_recovered(&name, recovered.get(key).copied(), log, &mut violations);
+        violations.extend(check(&name, recovered.get(key).copied(), log));
     }
     for key in recovered.keys() {
         if !journal.contains_key(key) {
@@ -345,27 +297,6 @@ fn oracle_scan(port: u16) -> (Client, HashMap<Vec<u8>, u64>) {
         }
     }
     (c, recovered)
-}
-
-/// What the journal allows `name` to have recovered to: nothing only if
-/// nothing was acked; otherwise an issued, never denied sequence at or
-/// past the acked frontier.
-fn check_recovered(name: &str, recovered: Option<u64>, log: &KeyLog, violations: &mut Vec<String>) {
-    match (recovered, log.acked) {
-        (None, Some(a)) => violations.push(format!("{name}: acked seq {a} lost — absent")),
-        (None, None) => {}
-        (Some(r), acked) => {
-            if !log.issued.contains(&r) {
-                violations.push(format!("{name}: recovered unissued value {r}"));
-            }
-            if log.denied.contains(&r) {
-                violations.push(format!("{name}: recovered value {r} the server denied"));
-            }
-            if acked.is_some_and(|a| r < a) {
-                violations.push(format!("{name}: recovered {r}, older than acked {acked:?}"));
-            }
-        }
-    }
 }
 
 /// End one oracle pass: kill the server it ran against and, on any
@@ -453,7 +384,7 @@ fn chaos_seeded_kill_restart_cycles() {
         std::env::var("ERMIA_CHAOS_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
     let seed: u64 =
         std::env::var("ERMIA_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0xC0_FFEE);
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
 
     let dir = std::env::temp_dir().join(format!("ermia-chaos-{}-{seed:x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -551,7 +482,7 @@ fn pair_traffic(
     while !stop.load(Ordering::Relaxed) {
         s += 1;
         let value = format!("{s:010}").into_bytes();
-        log.issued.insert(s);
+        log.issue(s);
         let ops = vec![
             BatchOp::Put { table, key: ka.clone(), value: value.clone() },
             BatchOp::Put { table, key: kb.clone(), value },
@@ -561,7 +492,7 @@ fn pair_traffic(
             break;
         }
         match c.recv() {
-            Ok(resp) => log.record(s, resp),
+            Ok(resp) => record(&mut log, s, resp),
             Err(_) => break, // killed mid-commit: indeterminate
         }
     }
@@ -592,7 +523,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
         std::env::var("ERMIA_CHAOS_2PC_CYCLES").ok().and_then(|v| v.parse().ok()).unwrap_or(25);
     let seed: u64 =
         std::env::var("ERMIA_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0x2BC0_FFEE);
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     const LINGER: &str = "linger:25";
     const CLIENTS: usize = 3;
 
@@ -647,7 +578,7 @@ fn chaos_2pc_kill_between_prepare_and_decide() {
                 ));
                 continue;
             }
-            check_recovered(&format!("pair {cid}"), ra, log, &mut violations);
+            violations.extend(check(&format!("pair {cid}"), ra, log));
         }
         // No in-doubt residue and no leaked slots after recovery.
         let metrics = c.metrics().expect("2pc oracle metrics");

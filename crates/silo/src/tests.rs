@@ -1,6 +1,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_common::AbortReason;
 
 use crate::{SiloConfig, SiloDb, TxnMode};
@@ -286,12 +287,10 @@ fn concurrent_transfers_preserve_invariant() {
             let db = db.clone();
             s.spawn(move || {
                 let mut w = db.register_worker();
-                let mut state = tidx.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+                let mut rng = SplitMix64::new(tidx.wrapping_mul(GAMMA) | 1);
                 let mut done = 0;
                 while done < TRANSFERS {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let from = (state >> 33) % ACCOUNTS;
-                    let to = (state >> 13) % ACCOUNTS;
+                    let (from, to) = (rng.below(ACCOUNTS), rng.below(ACCOUNTS));
                     if from == to {
                         continue;
                     }

@@ -37,6 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use ermia_common::rng::{SplitMix64, GAMMA};
+
 use crate::ring::{kinds, RingSet, SeqRing};
 
 /// Default number of slots in each span ring.
@@ -335,7 +337,7 @@ impl Tracer {
             ring_cap,
             rings,
             next_ring: AtomicU64::new(2),
-            id_seed: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
+            id_seed: AtomicU64::new(GAMMA),
             slow_threshold_ns: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             svc,
@@ -371,19 +373,9 @@ impl Tracer {
     /// perturbed by the clock: unique-enough for correlation, no global
     /// coordination.
     pub fn new_trace_id(&self) -> (u64, u64) {
-        let mut z = self
-            .id_seed
-            .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
-            .wrapping_add(self.now_ns());
-        let mut mix = || {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        };
-        let hi = mix();
-        let lo = mix();
+        let seed = self.id_seed.fetch_add(GAMMA, Ordering::Relaxed).wrapping_add(self.now_ns());
+        let mut ids = SplitMix64::new(seed);
+        let (hi, lo) = (ids.next_u64(), ids.next_u64());
         (hi.max(1), lo)
     }
 
