@@ -20,7 +20,7 @@ use std::time::Duration;
 use ermia_common::{IndexId, Lsn, TableId};
 use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
-use ermia_log::{CheckpointStore, DdlRecord, LogManager};
+use ermia_log::{create_dirs, CheckpointStore, DdlRecord, LogManager};
 use ermia_storage::{Collector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool};
 use ermia_telemetry::{EventKind, EventRing, Telemetry};
 
@@ -485,14 +485,20 @@ impl Database {
     pub fn open(cfg: DbConfig) -> std::io::Result<Database> {
         // Take the directory lock before touching any file in it: a live
         // foreign owner means refusing here, a dead one (SIGKILL) means
-        // this open *is* the restart-recovery path.
+        // this open *is* the restart-recovery path. The directory itself
+        // is created through the storage seam first, so that with `fsync`
+        // its entry is synced into its parent.
+        let io = &cfg.log.io_factory;
         let dir_lock = match &cfg.log.dir {
-            Some(dir) => Some(DirLock::acquire(dir)?),
+            Some(dir) => {
+                create_dirs(&**io, dir, cfg.log.fsync)?;
+                Some(DirLock::acquire(dir)?)
+            }
             None => None,
         };
         let log = LogManager::open(cfg.log.clone())?;
         let checkpoints = match &cfg.log.dir {
-            Some(dir) => Some(CheckpointStore::new(dir.join("checkpoints"))?),
+            Some(dir) => Some(CheckpointStore::new(dir.join("checkpoints"), Arc::clone(io))?),
             None => None,
         };
         let telemetry = Arc::new(Telemetry::new());

@@ -205,9 +205,7 @@ impl ShardedDb {
         for i in 0..shards {
             let mut c = cfg.clone();
             if let Some(dir) = &cfg.log.dir {
-                let d = dir.join(format!("shard-{i}"));
-                std::fs::create_dir_all(&d)?;
-                c.log.dir = Some(d);
+                c.log.dir = Some(dir.join(format!("shard-{i}")));
             }
             dbs.push(Database::open(c)?);
         }

@@ -299,6 +299,31 @@ fn torn_checkpoint_falls_back_and_replays_to_acked_frontier() {
     tx.commit().unwrap();
 }
 
+/// A checkpoint is written through the log's storage backend, not beside
+/// it: once the injector's storage is gone, `checkpoint()` fails with the
+/// injected error and publishes no marker. The catalog is empty, so the
+/// checkpoint appends nothing to the log and only its own I/O can fail.
+#[test]
+fn a_checkpoint_goes_through_the_configured_backend() {
+    let dir = TestDir::new("ckpt-backend");
+    let injector = FaultInjector::new(FaultPlan::default());
+    let db = Database::open(faulty_cfg(dir.to_path_buf(), &injector)).unwrap();
+    db.checkpoint().expect("a checkpoint while the storage works");
+    let markers = || {
+        std::fs::read_dir(dir.join("checkpoints"))
+            .unwrap()
+            .filter(|e| {
+                e.as_ref().unwrap().file_name().to_string_lossy().starts_with("chk-marker-")
+            })
+            .count()
+    };
+    assert_eq!(markers(), 1);
+    injector.crash_now();
+    let err = db.checkpoint().unwrap_err();
+    assert!(err.to_string().contains("injected crash"), "{err}");
+    assert_eq!(markers(), 1, "a failed checkpoint published a marker");
+}
+
 /// A checkpoint at a cut must never *publish* committed-but-not-yet-durable
 /// versions. Version stamps advance as soon as post-commit runs — before
 /// the log block reaches disk — so a cut can lie above commits the log

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use ermia_common::crc::crc32c;
 use ermia_common::Lsn;
 
-use crate::io::{FileBackend, SegmentIoFactory};
+use crate::io::{create_dirs, SegmentIoFactory};
 use crate::records::legacy_format;
 
 /// Magic prefix of a checkpoint payload file ("ECKC": the payload carries
@@ -35,32 +35,28 @@ pub struct CheckpointMeta {
     pub begin: Lsn,
 }
 
-/// Reads and writes checkpoint payloads + marker files in a directory.
+/// Reads and writes checkpoint payloads + marker files in a directory,
+/// every operation through one storage backend.
 pub struct CheckpointStore {
     dir: PathBuf,
     io: Arc<dyn SegmentIoFactory>,
 }
 
 impl CheckpointStore {
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<CheckpointStore> {
-        CheckpointStore::with_backend(dir, Arc::new(FileBackend))
-    }
-
-    /// Open the store with an injectable write backend ([`crate::FaultInjector`]
-    /// (crate::FaultInjector) in crash tests). Only the *write* path goes
-    /// through the backend; reads use plain `std::fs`, since a recovery
-    /// read never needs fault coverage beyond what corrupt files provide.
-    pub fn with_backend(
+    /// Open the store in `dir` on `io` (the log's [`crate::LogConfig::io_factory`];
+    /// a [`crate::FaultInjector`] in crash tests), creating the directory
+    /// — synced into its parent — if it is missing.
+    pub fn new(
         dir: impl Into<PathBuf>,
         io: Arc<dyn SegmentIoFactory>,
     ) -> io::Result<CheckpointStore> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        create_dirs(&*io, &dir, true)?;
         // A leftover `chk-tmp` means a checkpoint died mid-write (before
         // its rename); it is garbage from a previous incarnation.
-        let tmp = dir.join("chk-tmp");
-        if tmp.exists() {
-            std::fs::remove_file(&tmp)?;
+        match io.remove(&dir.join("chk-tmp")) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
         Ok(CheckpointStore { dir, io })
     }
@@ -75,7 +71,10 @@ impl CheckpointStore {
 
     /// Persist a checkpoint: payload first (framed with a magic, length
     /// and checksum so a torn or bit-rotted file is detectable), then the
-    /// marker (the marker's existence implies a complete payload).
+    /// marker (the marker's existence implies a complete payload). The
+    /// directory is synced after the rename and again after the marker:
+    /// recovery finds the checkpoint by the marker's name, and the log
+    /// below it is retired once this returns.
     pub fn write(&self, meta: CheckpointMeta, payload: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join("chk-tmp");
         {
@@ -93,9 +92,10 @@ impl CheckpointStore {
             f.write_all_at(&framed, 0)?;
             f.sync_data()?;
         }
-        std::fs::rename(&tmp, self.payload_path(meta.begin))?;
-        self.io.open(&self.marker_path(meta.begin))?.sync_data()?;
-        Ok(())
+        self.io.rename(&tmp, &self.payload_path(meta.begin))?;
+        self.io.sync_dir(&self.dir)?;
+        self.io.open(&self.marker_path(meta.begin))?;
+        self.io.sync_dir(&self.dir)
     }
 
     /// Decode and verify one framed payload file; `None` if the file is
@@ -103,7 +103,7 @@ impl CheckpointStore {
     /// framed in the format before CRC-32C.
     fn read_verified(&self, begin: Lsn) -> io::Result<Option<Vec<u8>>> {
         let path = self.payload_path(begin);
-        let Ok(raw) = std::fs::read(&path) else { return Ok(None) };
+        let Ok(raw) = self.io.read(&path) else { return Ok(None) };
         if raw.starts_with(&LEGACY_CHECKPOINT_MAGIC) {
             return Err(legacy_format(&format!("checkpoint {}", path.display())));
         }
@@ -125,10 +125,7 @@ impl CheckpointStore {
     /// before CRC-32C fails the call with `InvalidData`.
     pub fn latest(&self) -> io::Result<Option<(CheckpointMeta, Vec<u8>)>> {
         let mut marked: Vec<Lsn> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
+        for name in self.io.list(&self.dir)? {
             if let Some(hex) = name.strip_prefix("chk-marker-") {
                 if let Ok(raw) = u64::from_str_radix(hex, 16) {
                     marked.push(Lsn::from_raw(raw));
@@ -148,17 +145,14 @@ impl CheckpointStore {
     pub fn prune(&self) -> io::Result<usize> {
         let Some((latest, _)) = self.latest()? else { return Ok(0) };
         let mut removed = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
+        for name in self.io.list(&self.dir)? {
             let stale = name
                 .strip_prefix("chk-marker-")
                 .or_else(|| name.strip_prefix("chk-").map(|s| s.trim_end_matches(".bin")))
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
                 .is_some_and(|raw| Lsn::from_raw(raw) < latest.begin);
             if stale {
-                std::fs::remove_file(entry.path())?;
+                self.io.remove(&self.dir.join(name))?;
                 removed += 1;
             }
         }
@@ -171,11 +165,16 @@ mod tests {
     use ermia_common::TestDir;
 
     use super::*;
+    use crate::io::FileBackend;
+
+    fn files() -> Arc<dyn SegmentIoFactory> {
+        Arc::new(FileBackend)
+    }
 
     #[test]
     fn write_then_latest() {
         let dir = TestDir::new("roundtrip");
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         assert!(store.latest().unwrap().is_none());
         store.write(CheckpointMeta { begin: Lsn::from_parts(100, 0) }, b"snapshot-a").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(200, 0) }, b"snapshot-b").unwrap();
@@ -187,7 +186,7 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_older() {
         let dir = TestDir::new("corrupt");
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(100, 0) }, b"good-old").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(200, 0) }, b"bad-new").unwrap();
         // Flip a payload byte in the newest checkpoint: checksum mismatch.
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn truncated_or_missing_payload_falls_back() {
         let dir = TestDir::new("truncated");
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(10, 0) }, b"intact").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(20, 0) }, b"torn-payload").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(30, 0) }, b"gone").unwrap();
@@ -222,7 +221,7 @@ mod tests {
     #[test]
     fn all_checkpoints_corrupt_means_none() {
         let dir = TestDir::new("allbad");
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(5, 0) }, b"x").unwrap();
         std::fs::write(store.payload_path(Lsn::from_parts(5, 0)), b"junk").unwrap();
         assert!(store.latest().unwrap().is_none());
@@ -233,7 +232,7 @@ mod tests {
         let dir = TestDir::new("tmpclean");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("chk-tmp"), b"half-written checkpoint").unwrap();
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         assert!(!dir.join("chk-tmp").exists(), "stale tmp must be removed");
         assert!(store.latest().unwrap().is_none());
     }
@@ -243,7 +242,7 @@ mod tests {
         use crate::io::{FaultInjector, FaultPlan, TornWrite};
         let dir = TestDir::new("chk-torn");
         // A good checkpoint first, through the plain backend.
-        CheckpointStore::new(&dir)
+        CheckpointStore::new(&dir, files())
             .unwrap()
             .write(CheckpointMeta { begin: Lsn::from_parts(10, 0) }, b"good")
             .unwrap();
@@ -252,7 +251,7 @@ mod tests {
             torn_write: Some(TornWrite { at_write: 0, keep_bytes: 7 }),
             ..FaultPlan::default()
         });
-        let store = CheckpointStore::with_backend(&dir, Arc::new(inj.clone())).unwrap();
+        let store = CheckpointStore::new(&dir, Arc::new(inj.clone())).unwrap();
         let err =
             store.write(CheckpointMeta { begin: Lsn::from_parts(20, 0) }, b"newer").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
@@ -260,7 +259,7 @@ mod tests {
         // The torn image died as `chk-tmp`: no marker, no payload file.
         assert!(dir.join("chk-tmp").exists(), "torn image is left behind as tmp");
         // A restarted store cleans the tmp and still serves the old one.
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         assert!(!dir.join("chk-tmp").exists());
         let (meta, payload) = store.latest().unwrap().unwrap();
         assert_eq!(meta.begin, Lsn::from_parts(10, 0));
@@ -271,7 +270,7 @@ mod tests {
     fn silently_torn_checkpoint_with_marker_falls_back() {
         use crate::io::{FaultInjector, FaultPlan, TornWrite};
         let dir = TestDir::new("chk-silent");
-        CheckpointStore::new(&dir)
+        CheckpointStore::new(&dir, files())
             .unwrap()
             .write(CheckpointMeta { begin: Lsn::from_parts(10, 0) }, b"good")
             .unwrap();
@@ -282,7 +281,7 @@ mod tests {
             silent_torn_write: Some(TornWrite { at_write: 0, keep_bytes: 9 }),
             ..FaultPlan::default()
         });
-        let store = CheckpointStore::with_backend(&dir, Arc::new(inj.clone())).unwrap();
+        let store = CheckpointStore::new(&dir, Arc::new(inj.clone())).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(20, 0) }, b"newer").unwrap();
         assert_eq!(inj.faults_injected(), 1);
         assert!(store.marker_path(Lsn::from_parts(20, 0)).exists(), "marker exists");
@@ -297,7 +296,7 @@ mod tests {
         use crate::io::{FaultInjector, FaultPlan};
         let dir = TestDir::new("chk-sync");
         let inj = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
-        let store = CheckpointStore::with_backend(&dir, Arc::new(inj)).unwrap();
+        let store = CheckpointStore::new(&dir, Arc::new(inj)).unwrap();
         assert!(store.write(CheckpointMeta { begin: Lsn::from_parts(5, 0) }, b"x").is_err());
         assert!(store.latest().unwrap().is_none(), "nothing was published");
     }
@@ -305,7 +304,7 @@ mod tests {
     #[test]
     fn prune_keeps_latest() {
         let dir = TestDir::new("prune");
-        let store = CheckpointStore::new(&dir).unwrap();
+        let store = CheckpointStore::new(&dir, files()).unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(1, 0) }, b"a").unwrap();
         store.write(CheckpointMeta { begin: Lsn::from_parts(2, 0) }, b"b").unwrap();
         let removed = store.prune().unwrap();

@@ -1,17 +1,23 @@
-//! Pluggable segment storage backends.
+//! Pluggable storage backends: the one seam to the data directory.
 //!
-//! All log-segment I/O goes through the [`SegmentIo`] trait: positional
-//! reads/writes plus `sync_data`. Production uses [`FileBackend`]
-//! (ordinary files, positional I/O); tests use [`FaultInjector`], a
-//! deterministic wrapper that executes a [`FaultPlan`] — fail the Nth
-//! write, tear a write after K bytes, fail an fsync, hold a finished
-//! fsync's return back, run out of space, or "crash" (all subsequent I/O
-//! errors) — so crash-recovery behavior can be exercised without real
-//! hardware faults.
+//! Every data-directory operation goes through a [`SegmentIoFactory`]:
+//! `open` hands out one [`SegmentIo`] per file (positional reads/writes
+//! plus `sync_data`), and its provided methods create, list, read,
+//! measure, rename and remove files and sync directories. Production
+//! uses [`FileBackend`] (ordinary files, positional I/O); tests use
+//! [`FaultInjector`], a deterministic wrapper that executes a
+//! [`FaultPlan`] — fail the Nth write, tear a write after K bytes, fail
+//! an fsync, hold a finished fsync's return back, run out of space, or
+//! "crash" (all subsequent I/O, directory operations included, errors) —
+//! so crash-recovery behavior can be exercised without real hardware
+//! faults. Outside this file, `crates/log`, `crates/core` and
+//! `crates/repl` touch the file system directly only in the engine's
+//! directory lock.
 //!
-//! A [`SegmentIoFactory`] travels in [`crate::LogConfig`] and opens one
-//! `SegmentIo` per segment file; injector state is shared across all
-//! segments it opens, so fault counters are global to the log.
+//! A factory travels in [`crate::LogConfig`]; the log's segments and the
+//! checkpoint store open their files through it, and injector state is
+//! shared across all files it opens, so fault counters are global to
+//! the data directory.
 
 use std::fmt;
 use std::fs::OpenOptions;
@@ -37,9 +43,83 @@ pub trait SegmentIo: Send + Sync + fmt::Debug {
     fn set_len(&self, len: u64) -> io::Result<()>;
 }
 
-/// Opens the [`SegmentIo`] backend for each segment file.
+/// The data directory's storage: opens the [`SegmentIo`] of each file
+/// (segments, checkpoint images and markers) and performs every
+/// directory operation. Only `open` is required; the rest default to
+/// `std::fs`.
+///
+/// A directory entry — a file created, renamed or removed — is durable
+/// only once [`SegmentIoFactory::sync_dir`] of its directory returns.
 pub trait SegmentIoFactory: Send + Sync + fmt::Debug {
+    /// Open the file at `path`, creating it if missing, never truncating.
     fn open(&self, path: &Path) -> io::Result<Arc<dyn SegmentIo>>;
+
+    /// Create `dir` and every missing ancestor.
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)
+    }
+
+    /// The names of the entries of `dir` that are UTF-8, in no order.
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            if let Ok(name) = entry?.file_name().into_string() {
+                names.push(name);
+            }
+        }
+        Ok(names)
+    }
+
+    /// The whole content of the file at `path`.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
+    }
+
+    /// The length of the entry at `path`; `NotFound` if there is none.
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        Ok(std::fs::metadata(path)?.len())
+    }
+
+    /// Atomically point `to` at the file `from` names.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
+
+    /// Remove the file at `path`.
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)
+    }
+
+    /// Make the entries of `dir` durable: what was created, renamed or
+    /// removed in it survives a power cut once this returns.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        std::fs::File::open(dir)?.sync_all()
+    }
+}
+
+/// Create `dir` and its missing ancestors through `io`; with `sync`,
+/// sync the parent of each directory created, so its entry survives a
+/// power cut. A directory that already exists costs one `len`.
+pub fn create_dirs(io: &dyn SegmentIoFactory, dir: &Path, sync: bool) -> io::Result<()> {
+    let mut created = Vec::new();
+    for d in dir.ancestors().filter(|d| !d.as_os_str().is_empty()) {
+        match io.len(d) {
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => created.push(d),
+            Err(e) => return Err(e),
+        }
+    }
+    if created.is_empty() {
+        return Ok(());
+    }
+    io.create_dir_all(dir)?;
+    if sync {
+        for d in created.iter().rev() {
+            let parent = d.parent().filter(|p| !p.as_os_str().is_empty());
+            io.sync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
+    }
+    Ok(())
 }
 
 /// The production backend: one `std::fs::File` per segment, positional
@@ -216,16 +296,58 @@ impl FaultInjector {
     pub fn faults_injected(&self) -> u64 {
         self.state.faults_injected.load(Ordering::Acquire)
     }
-}
 
-impl SegmentIoFactory for FaultInjector {
-    fn open(&self, path: &Path) -> io::Result<Arc<dyn SegmentIo>> {
-        if self.state.crashed.load(Ordering::Acquire) {
+    fn alive(&self) -> io::Result<()> {
+        if self.crashed() {
             return Err(crash_error());
         }
+        Ok(())
+    }
+}
+
+/// Past the crash point every operation fails, a directory's as its
+/// files' do; directory operations never advance the write counter.
+impl SegmentIoFactory for FaultInjector {
+    fn open(&self, path: &Path) -> io::Result<Arc<dyn SegmentIo>> {
+        self.alive()?;
         let file =
             OpenOptions::new().create(true).truncate(false).read(true).write(true).open(path)?;
         Ok(Arc::new(FaultyIo { file, state: Arc::clone(&self.state) }))
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.alive()?;
+        FileBackend.create_dir_all(dir)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.alive()?;
+        FileBackend.list(dir)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.alive()?;
+        FileBackend.read(path)
+    }
+
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.alive()?;
+        FileBackend.len(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.alive()?;
+        FileBackend.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.alive()?;
+        FileBackend.remove(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.alive()?;
+        FileBackend.sync_dir(dir)
     }
 }
 
@@ -417,5 +539,30 @@ mod tests {
         assert!(inj.crashed());
         assert!(io.write_all_at(b"c", 2).is_err());
         assert!(inj.open(&path).is_err(), "factory refuses to open after crash");
+    }
+
+    #[test]
+    fn directory_operations_fail_after_the_crash_point_and_count_no_write() {
+        let dir = TestDir::new("io-dir");
+        let path = dir.join("segment");
+        let inj = FaultInjector::new(FaultPlan::default());
+        inj.open(&path).unwrap().write_all_at(b"a", 0).unwrap();
+        inj.create_dir_all(&dir.join("sub")).unwrap();
+        assert_eq!(inj.list(&dir).unwrap().len(), 2);
+        assert_eq!(inj.len(&path).unwrap(), 1);
+        inj.rename(&path, &dir.join("moved")).unwrap();
+        inj.sync_dir(&dir).unwrap();
+        assert_eq!(inj.read(&dir.join("moved")).unwrap(), b"a");
+        inj.crash_now();
+        let moved = dir.join("moved");
+        assert!(inj.create_dir_all(&dir.join("other")).is_err());
+        assert!(inj.list(&dir).is_err());
+        assert!(inj.read(&moved).is_err());
+        assert!(inj.len(&moved).is_err());
+        assert!(inj.rename(&moved, &path).is_err());
+        assert!(inj.remove(&moved).is_err());
+        assert!(inj.sync_dir(&dir).is_err());
+        assert!(moved.exists(), "nothing past the crash point reached the disk");
+        assert_eq!(inj.writes(), 1, "directory operations are not writes");
     }
 }

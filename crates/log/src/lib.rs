@@ -33,9 +33,11 @@
 //!
 //! # Storage backends and failure handling
 //!
-//! All segment I/O is routed through the [`SegmentIo`] trait (positional
-//! `write_all_at` / `read_exact_at` plus `sync_data`), opened per segment
-//! file by the [`SegmentIoFactory`] carried in [`LogConfig::io_factory`].
+//! All segment and checkpoint I/O is routed through the [`SegmentIo`]
+//! trait (positional `write_all_at` / `read_exact_at` plus `sync_data`),
+//! opened per file by the [`SegmentIoFactory`] carried in
+//! [`LogConfig::io_factory`], which also performs every directory
+//! operation (create, list, rename, remove, `sync_dir`).
 //! Production uses [`FileBackend`]; crash tests plug in [`FaultInjector`]
 //! with a deterministic [`FaultPlan`] (fail the Nth write, tear a write
 //! after K bytes, fail an fsync, exhaust a byte budget, or crash outright).
@@ -65,7 +67,9 @@ mod segment;
 mod txlog;
 
 pub use checkpoint::{CheckpointMeta, CheckpointStore};
-pub use io::{FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite};
+pub use io::{
+    create_dirs, FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite,
+};
 pub use manager::{
     DurableSub, DurableWaker, LogConfig, LogManager, LogStats, Reservation, SyncCause,
 };

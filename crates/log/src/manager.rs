@@ -10,7 +10,7 @@ use ermia_common::{CachePadded, LogError, Lsn};
 
 use crate::buffer::RingBuffer;
 use crate::flusher;
-use crate::io::{FileBackend, SegmentIoFactory};
+use crate::io::{create_dirs, FileBackend, SegmentIoFactory};
 use crate::records::{
     BlockEncoder, BlockKind, DdlRecord, LogBlockHeader, BLOCK_HEADER_LEN, MIN_BLOCK_LEN,
 };
@@ -356,21 +356,22 @@ impl LogManager {
         assert_eq!(cfg.segment_size % MIN_BLOCK_LEN as u64, 0, "segment size must be 32-aligned");
         assert_eq!(cfg.buffer_size % MIN_BLOCK_LEN as u64, 0, "buffer size must be 32-aligned");
         assert!(cfg.buffer_size >= 4096, "log buffer too small");
-        if let Some(dir) = &cfg.dir {
-            std::fs::create_dir_all(dir)?;
-        }
         let backend = Arc::clone(&cfg.io_factory);
+        let (size, fsync) = (cfg.segment_size, cfg.fsync);
         let mut catalog = Vec::new();
         let (segments, start) = match &cfg.dir {
-            Some(dir) => match SegmentTable::reopen(dir, Arc::clone(&backend), cfg.segment_size)? {
-                Some(table) => {
-                    let tail;
-                    (tail, catalog) = crate::recovery::find_tail(&table)?;
-                    (table, tail)
+            Some(dir) => {
+                create_dirs(&*backend, dir, fsync)?;
+                match SegmentTable::reopen(dir, Arc::clone(&backend), size, fsync)? {
+                    Some(table) => {
+                        let tail;
+                        (tail, catalog) = crate::recovery::find_tail(&table)?;
+                        (table, tail)
+                    }
+                    None => (SegmentTable::create(Some(dir), backend, size, 0, fsync)?, 0),
                 }
-                None => (SegmentTable::create(Some(dir), backend, cfg.segment_size, 0)?, 0),
-            },
-            None => (SegmentTable::create(None, backend, cfg.segment_size, 0)?, 0),
+            }
+            None => (SegmentTable::create(None, backend, size, 0, fsync)?, 0),
         };
         let inner = Arc::new(LogInner {
             next: CachePadded::new(AtomicU64::new(start)),

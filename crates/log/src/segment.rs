@@ -84,6 +84,9 @@ pub struct SegmentTable {
     dir: Option<PathBuf>,
     segment_size: u64,
     backend: Arc<dyn SegmentIoFactory>,
+    /// [`crate::LogConfig::fsync`]: sync the directory after a segment
+    /// file is created or a batch is retired.
+    fsync: bool,
     current: RwLock<Arc<Segment>>,
     history: Mutex<Vec<Arc<Segment>>>,
     /// Serializes segment rotation ("threads compete to open the next
@@ -100,21 +103,27 @@ impl SegmentTable {
         backend: Arc<dyn SegmentIoFactory>,
         segment_size: u64,
         start: u64,
+        fsync: bool,
     ) -> io::Result<SegmentTable> {
-        let first = Arc::new(Self::open_segment(dir, &*backend, 0, start, start + segment_size)?);
+        let first = Self::open_segment(dir, &*backend, fsync, 0, start, start + segment_size)?;
+        let first = Arc::new(first);
         Ok(SegmentTable {
             dir: dir.map(|d| d.to_owned()),
             segment_size,
             backend,
+            fsync,
             current: RwLock::new(Arc::clone(&first)),
             history: Mutex::new(vec![first]),
             rotate: Mutex::new(()),
         })
     }
 
+    /// Open segment `index`'s file; with `fsync`, its directory entry is
+    /// durable before any block in it can be acknowledged.
     fn open_segment(
         dir: Option<&Path>,
         backend: &dyn SegmentIoFactory,
+        fsync: bool,
         index: u64,
         start: u64,
         end: u64,
@@ -127,6 +136,9 @@ impl SegmentTable {
                 // read as zeros — a zero magic is how the scanner detects
                 // the first hole.
                 io.set_len(end - start)?;
+                if fsync {
+                    backend.sync_dir(dir)?;
+                }
                 (Some(io), Some(path))
             }
             None => (None, None),
@@ -160,6 +172,7 @@ impl SegmentTable {
         let next = Arc::new(Self::open_segment(
             self.dir.as_deref(),
             &*self.backend,
+            self.fsync,
             cur.index + 1,
             new_start,
             new_start + self.segment_size,
@@ -196,24 +209,35 @@ impl SegmentTable {
     }
 
     /// Drop (and delete the files of) all segments whose range lies
-    /// entirely below `offset`. Returns how many segments were retired.
-    /// The caller must guarantee no reader needs them (i.e. a checkpoint
-    /// at or above `offset` exists and is durable).
+    /// entirely below `offset`, oldest first, then (with `fsync`) sync
+    /// the directory: a retired segment that came back below a gap would
+    /// make [`SegmentTable::reopen`] refuse the directory. Returns how
+    /// many segments were retired, or the first failed removal's error;
+    /// that segment and every later one stay in the table. The caller
+    /// must guarantee no reader needs them (i.e. a checkpoint at or
+    /// above `offset` exists and is durable).
     pub fn retire_below(&self, offset: u64) -> io::Result<usize> {
-        let mut history = self.history.lock().unwrap();
         let mut retired = 0;
-        history.retain(|seg| {
-            if seg.end <= offset {
-                if let Some(path) = &seg.path {
-                    let _ = std::fs::remove_file(path);
-                }
-                retired += 1;
-                false
-            } else {
-                true
+        let mut failed = None;
+        self.history.lock().unwrap().retain(|seg| {
+            if seg.end > offset || failed.is_some() {
+                return true;
             }
+            if let Err(e) = seg.path.as_ref().map_or(Ok(()), |path| self.backend.remove(path)) {
+                failed = Some(e);
+                return true;
+            }
+            retired += 1;
+            false
         });
-        Ok(retired)
+        let synced = match &self.dir {
+            Some(dir) if self.fsync && retired > 0 => self.backend.sync_dir(dir),
+            _ => Ok(()),
+        };
+        match failed {
+            Some(e) => Err(e),
+            None => synced.map(|()| retired),
+        }
     }
 
     /// Rebuild a table by scanning `dir` for segment files (recovery /
@@ -223,14 +247,12 @@ impl SegmentTable {
         dir: &Path,
         backend: Arc<dyn SegmentIoFactory>,
         segment_size: u64,
+        fsync: bool,
     ) -> io::Result<Option<SegmentTable>> {
         let mut found: Vec<(u64, u64, u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some((segno, start, end)) = Segment::parse_file_name(name) {
-                found.push((segno, start, end, entry.path()));
+        for name in backend.list(dir)? {
+            if let Some((segno, start, end)) = Segment::parse_file_name(&name) {
+                found.push((segno, start, end, dir.join(name)));
             }
         }
         if found.is_empty() {
@@ -254,7 +276,7 @@ impl SegmentTable {
             // A crash between creating a file and sizing it leaves it
             // short; size it as `open_segment` would have, so its missing
             // bytes read as the zeros of a hole.
-            if std::fs::metadata(path)?.len() < end - start {
+            if backend.len(path)? < end - start {
                 io.set_len(end - start)?;
             }
             history.push(Arc::new(Segment {
@@ -270,6 +292,7 @@ impl SegmentTable {
             dir: Some(dir.to_owned()),
             segment_size,
             backend,
+            fsync,
             current: RwLock::new(current),
             history: Mutex::new(history),
             rotate: Mutex::new(()),
@@ -307,7 +330,7 @@ mod tests {
 
     #[test]
     fn rotation_and_lookup() {
-        let t = SegmentTable::create(None, files(), 1024, 0).unwrap();
+        let t = SegmentTable::create(None, files(), 1024, 0, false).unwrap();
         let first = t.current();
         assert_eq!(first.segno(), 0);
         assert!(first.contains(0, 1024));
@@ -328,7 +351,7 @@ mod tests {
 
     #[test]
     fn open_next_is_idempotent_for_losers() {
-        let t = SegmentTable::create(None, files(), 1024, 0).unwrap();
+        let t = SegmentTable::create(None, files(), 1024, 0, false).unwrap();
         let first = t.current();
         let a = t.open_next(first.index, 1024).unwrap();
         // Loser passes the stale index; gets the winner's segment back.
@@ -341,11 +364,11 @@ mod tests {
     fn reopen_reconstructs_table() {
         let dir = TestDir::new("seg-test");
         {
-            let t = SegmentTable::create(Some(&dir), files(), 4096, 0).unwrap();
+            let t = SegmentTable::create(Some(&dir), files(), 4096, 0, false).unwrap();
             let cur = t.current();
             t.open_next(cur.index, 4096).unwrap();
         }
-        let t = SegmentTable::reopen(&dir, files(), 4096).unwrap().expect("segments exist");
+        let t = SegmentTable::reopen(&dir, files(), 4096, false).unwrap().expect("segments exist");
         let all = t.all();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].start, 0);

@@ -11,14 +11,15 @@
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ermia::{Database, DbConfig, IsolationLevel};
 use ermia_common::crc::crc32c;
 use ermia_common::{Oid, TableId, TestDir};
 use ermia_log::{
-    BlockKind, CheckpointMeta, CheckpointStore, LogConfig, LogManager, LogScanner, TxLogBuffer,
-    BLOCK_HEADER_LEN,
+    BlockKind, CheckpointMeta, CheckpointStore, FileBackend, LogConfig, LogManager, LogScanner,
+    TxLogBuffer, BLOCK_HEADER_LEN,
 };
 
 /// The block magic of the format before CRC-32C, as it sits on disk.
@@ -148,7 +149,10 @@ fn a_checkpoint_in_the_legacy_frame_is_refused_untouched() {
         .expect("a checkpoint payload");
     patch(&payload, 0, b"ECHK");
     let before = snapshot(&dir);
-    assert_refused("CheckpointStore::latest", CheckpointStore::new(&chk).unwrap().latest());
+    assert_refused(
+        "CheckpointStore::latest",
+        CheckpointStore::new(&chk, Arc::new(FileBackend)).unwrap().latest(),
+    );
     assert_eq!(snapshot(&dir), before, "CheckpointStore::latest changed the directory");
     {
         let db = Database::open(db_cfg(&dir)).unwrap();
@@ -163,7 +167,7 @@ fn a_fresh_directory_round_trips() {
     write_blocks(&dir, 5);
     assert_eq!(scan_oids(&dir), vec![0, 1, 2, 3, 4]);
 
-    let store = CheckpointStore::new(dir.join("checkpoints")).unwrap();
+    let store = CheckpointStore::new(dir.join("checkpoints"), Arc::new(FileBackend)).unwrap();
     let begin = ermia_common::Lsn::from_parts(4096, 0);
     store.write(CheckpointMeta { begin }, b"a checkpoint payload").unwrap();
     let (meta, payload) = store.latest().unwrap().expect("the checkpoint verifies");

@@ -39,9 +39,7 @@
 //! race closed.
 
 use std::fmt;
-use std::fs;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -216,7 +214,12 @@ impl ShardState {
         let mut client = Client::connect(cfg.primary.as_str()).map_err(ReplError::Client)?;
         let status = client.subscribe(shard, 0)?;
         let dir = cfg.dir.join(format!("shard-{shard}"));
-        fs::create_dir_all(&dir)?;
+        // The mirror is written through the storage backend the local
+        // database opens it with.
+        let mut dbcfg = DbConfig::durable(&dir);
+        dbcfg.log.segment_size = status.segment_size;
+        let io = &*dbcfg.log.io_factory;
+        ermia_log::create_dirs(io, &dir, dbcfg.log.fsync)?;
 
         // Stream the checkpoint payload, if the primary has one.
         let mut from = 0u64;
@@ -252,9 +255,11 @@ impl ShardState {
         for &(index, start, durable_end) in &status.segments {
             let full_end = start + status.segment_size;
             let name = ermia_log::Segment::file_name(index, start, full_end);
-            let file = fs::File::create(dir.join(name))?;
+            let file = io.open(&dir.join(name))?;
             // Sparse full-size file: unwritten tail reads as zeros, which
-            // is how the scanner detects the first hole.
+            // is how the scanner detects the first hole. Truncate first:
+            // a file left by an earlier bootstrap must not keep its bytes.
+            file.set_len(0)?;
             file.set_len(full_end - start)?;
             let mut off = start;
             while off < durable_end {
@@ -269,12 +274,13 @@ impl ShardState {
             shipped = shipped.max(off);
             stats.shipped_segments.fetch_add(1, Ordering::Relaxed);
         }
+        // The files' entries are synced as their bytes are: the directory
+        // is a restartable backup from here on.
+        io.sync_dir(&dir)?;
 
         // Open the mirrored directory as a normal durable database (the
         // catalog comes back from the mirrored log) and rebuild state:
         // the checkpoint image, then log replay.
-        let mut dbcfg = DbConfig::durable(&dir);
-        dbcfg.log.segment_size = status.segment_size;
         let db = Database::open(dbcfg)?;
         db.set_role_replica();
         if let Some((begin, payload)) = &ckpt {
