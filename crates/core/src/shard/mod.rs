@@ -88,7 +88,7 @@
 //! |---|---|---|---|
 //! | all prepares durable, published | committed | all prepares (± verdicts) | commit |
 //! | crash before all prepares durable | nothing | some prepares | abort (short) |
-//! | `sync_wait` lapses, or the log poisons | `LogStalled` / log-failure abort | prepares + abort verdicts | abort |
+//! | `wait_durable_timeout` lapses, or the log poisons | `LogStalled` / log-failure abort | prepares + abort verdicts | abort |
 //! | … and the crash beats every abort verdict | (indeterminate) | all prepares, no verdict | commit |
 //! | a participant fails to prepare | its abort reason | fewer prepares than the count | abort (short) |
 //!
@@ -103,8 +103,9 @@
 //! order, and a prepared transaction waits on log offsets only, never on
 //! another transaction — so every wait-for edge (a reader or writer
 //! waiting for a verdict) ends at a node with no outgoing edge. A stalled
-//! flusher delays a verdict by at most `wait_durable`'s timeout, or the
-//! server's `sync_wait`, and then surfaces as a typed error.
+//! flusher delays a verdict by at most the log's one patience,
+//! `LogConfig::wait_durable_timeout` — a blocking wait's and the server
+//! parker's alike — and then surfaces as a typed error.
 //!
 //! Invariants, with the tests that pin them:
 //! 1. nothing is published or acknowledged before every prepare is

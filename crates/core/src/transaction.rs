@@ -31,7 +31,6 @@ use ermia_telemetry::EventKind;
 use crate::config::IsolationLevel;
 use crate::database::{Database, IndexInfo, Table};
 use crate::metrics::{TXN_ABORT_BASE, TXN_CHAIN_HIST, TXN_COMMITS};
-use crate::shard::ShardedDb;
 use crate::worker::{Scratch, Worker};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -774,13 +773,13 @@ impl<'w> Transaction<'w> {
     ///
     /// The transaction becomes visible to other transactions immediately;
     /// the returned [`CommitToken`] identifies the point in the log the
-    /// caller must wait on (`db.log().wait_durable_for(token.end_offset(),
-    /// …)`) before acknowledging the commit as durable. This is the
-    /// server's reply-path integration: the session thread can move on to
-    /// the next pipelined request while a writer thread awaits group
-    /// commit. If the durability wait later fails, the transaction is
-    /// *not* rolled back — its in-memory effects stand and its on-disk
-    /// fate is indeterminate until restart recovery (see
+    /// caller must wait on (`db.log().wait_durable(end)`, `end` from
+    /// [`CommitToken::end_offset`]) before acknowledging the commit as
+    /// durable. This is the server's reply-path integration: the session
+    /// thread can move on to the next pipelined request while another
+    /// thread awaits group commit. If the durability wait later fails, the
+    /// transaction is *not* rolled back — its in-memory effects stand and
+    /// its on-disk fate is indeterminate until restart recovery (see
     /// [`ermia_common::LogError`]).
     pub fn commit_deferred(self) -> TxResult<CommitToken> {
         self.commit_impl(false)
@@ -1368,18 +1367,5 @@ impl CommitToken {
     /// shard's log, or `None` for read-only commits.
     pub fn end_offset(&self) -> Option<u64> {
         self.end_offset
-    }
-
-    /// Block until this commit is durable (or `timeout` expires). A
-    /// read-only commit returns immediately.
-    pub fn wait_durable(
-        &self,
-        db: &ShardedDb,
-        timeout: std::time::Duration,
-    ) -> Result<(), ermia_common::LogError> {
-        match self.end_offset {
-            Some(end) => db.shard(self.shard as usize).inner.log.wait_durable_for(end, timeout),
-            None => Ok(()),
-        }
     }
 }

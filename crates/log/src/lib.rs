@@ -50,10 +50,11 @@
 //! recover — which truncates the log at the first hole — or degrade to
 //! read-only service and later call [`LogManager::resume`], which
 //! re-probes the backend, papers the never-durable gap with on-disk skip
-//! blocks, and re-arms a fresh flusher. `wait_durable` is bounded by
-//! [`LogConfig::wait_durable_timeout`]. The durability contract is: every
-//! acknowledged commit survives recovery; unacknowledged blocks may or may
-//! not, but never past the first hole.
+//! blocks, and re-arms a fresh flusher. [`LogConfig::wait_durable_timeout`]
+//! is the one bound on every durability wait, the engine's
+//! (`wait_durable`) and the server's (its parker's `LogStalled`). The
+//! durability contract is: every acknowledged commit survives recovery;
+//! unacknowledged blocks may or may not, but never past the first hole.
 
 mod buffer;
 mod checkpoint;

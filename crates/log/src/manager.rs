@@ -34,8 +34,11 @@ pub struct LogConfig {
     /// Storage backend opened for each segment file: [`FileBackend`] in
     /// production, a [`crate::io::FaultInjector`] in crash tests.
     pub io_factory: Arc<dyn SegmentIoFactory>,
-    /// Overall cap on how long [`LogManager::wait_durable`] blocks before
-    /// giving up with [`LogError::Timeout`].
+    /// The one bound on every wait for durability: how long
+    /// [`LogManager::wait_durable`] (so a synchronous commit, a staged
+    /// commit's `wait`, [`LogManager::sync`]) blocks before giving up with
+    /// [`LogError::Timeout`], and how long the server's parker holds a
+    /// commit before it answers `LogStalled`.
     pub wait_durable_timeout: Duration,
 }
 
@@ -48,7 +51,7 @@ impl Default for LogConfig {
             fsync: false,
             flush_interval: Duration::from_micros(200),
             io_factory: Arc::new(FileBackend),
-            wait_durable_timeout: Duration::from_secs(30),
+            wait_durable_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -592,25 +595,20 @@ impl LogManager {
     }
 
     /// Block until the block ending at logical offset `end` is durable
-    /// (group commit), up to the configured `wait_durable_timeout`.
+    /// (group commit), up to [`LogConfig::wait_durable_timeout`] — the
+    /// one patience: there is no wait with a bound of its own.
     ///
-    /// Demand-driven ([`Self::subscribe_durable`]): the flusher sees the
-    /// target at once, and the waiter, parked on its own condvar, is woken
-    /// by the flush batch whose durable watermark covers it, or by poison.
+    /// Demand-driven ([`Self::subscribe_durable`] on this thread's own
+    /// wake-up cell): the flusher sees the target at once, and the waiter
+    /// is woken by the flush batch whose durable watermark covers it, or
+    /// by poison.
     ///
     /// Fails with [`LogError::Poisoned`] when the flusher has died on an
     /// unrecoverable I/O error (all pending waiters are woken immediately
     /// when that happens) and [`LogError::Timeout`] if the watermark does
     /// not reach `end` in time.
     pub fn wait_durable(&self, end: u64) -> Result<(), LogError> {
-        self.wait_durable_for(end, self.inner.cfg.wait_durable_timeout)
-    }
-
-    /// [`Self::wait_durable`] with an explicit overall timeout: a
-    /// [`Self::subscribe_durable`] on this thread's own wake-up cell, and
-    /// a sleep per wake until the verdict is in or the time is up.
-    pub fn wait_durable_for(&self, end: u64, timeout: Duration) -> Result<(), LogError> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = std::time::Instant::now() + self.inner.cfg.wait_durable_timeout;
         let waker = WAITER.with(DurableWaker::clone);
         // A wake left over from this thread's previous wait costs one
         // turn of the loop.

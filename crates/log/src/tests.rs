@@ -346,9 +346,14 @@ fn block_len_rounding_matches_reservation() {
     res.fill(block);
 }
 
+/// A dead flusher: the wait gives up after the log's one patience,
+/// `wait_durable_timeout`, with `Timeout` — not a poisoned log.
 #[test]
 fn wait_durable_times_out_when_flusher_is_dead() {
-    let log = LogManager::open(LogConfig::in_memory()).unwrap();
+    let patience = std::time::Duration::from_millis(50);
+    let log =
+        LogManager::open(LogConfig { wait_durable_timeout: patience, ..LogConfig::in_memory() })
+            .unwrap();
     // Kill the flusher: durability can no longer advance.
     log.halt_flusher_for_test();
     let mut tx = TxLogBuffer::new();
@@ -358,30 +363,9 @@ fn wait_durable_times_out_when_flusher_is_dead() {
     let block = tx.serialize(res.lsn());
     res.fill(block);
     let start = std::time::Instant::now();
-    let err = log
-        .wait_durable_for(end, std::time::Duration::from_millis(50))
-        .expect_err("no flusher, no durability");
-    assert_eq!(err, ermia_common::LogError::Timeout);
-    assert!(start.elapsed() >= std::time::Duration::from_millis(50));
-    assert!(!log.is_poisoned(), "a timeout is not a poisoned log");
-}
-
-#[test]
-fn wait_durable_timeout_config_is_honored() {
-    let cfg = LogConfig {
-        wait_durable_timeout: std::time::Duration::from_millis(30),
-        ..LogConfig::in_memory()
-    };
-    let log = LogManager::open(cfg).unwrap();
-    log.halt_flusher_for_test();
-    let mut tx = TxLogBuffer::new();
-    tx.add_insert(TableId(1), Oid(2), b"key", b"value");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
-    // The default-entry wait_durable picks up the configured cap.
     assert_eq!(log.wait_durable(end), Err(ermia_common::LogError::Timeout));
+    assert!(start.elapsed() >= patience);
+    assert!(!log.is_poisoned(), "a timeout is not a poisoned log");
 }
 
 #[test]

@@ -155,7 +155,9 @@ fn resume_on_healthy_log_is_noop() {
 /// waiter discovers it only on its own deadline path.
 #[test]
 fn timed_out_waiter_reports_concurrent_poison() {
-    let log = Arc::new(LogManager::open(LogConfig::in_memory()).unwrap());
+    let cfg =
+        LogConfig { wait_durable_timeout: Duration::from_millis(60), ..LogConfig::in_memory() };
+    let log = Arc::new(LogManager::open(cfg).unwrap());
     // No flusher: nothing ever becomes durable and nobody wakes waiters.
     log.halt_flusher_for_test();
     let mut tx = TxLogBuffer::new();
@@ -167,7 +169,7 @@ fn timed_out_waiter_reports_concurrent_poison() {
 
     let waiter = {
         let log = Arc::clone(&log);
-        std::thread::spawn(move || log.wait_durable_for(end, Duration::from_millis(60)))
+        std::thread::spawn(move || log.wait_durable(end))
     };
     std::thread::sleep(Duration::from_millis(15));
     log.poison_quietly_for_test(LogError::Poisoned {

@@ -36,9 +36,11 @@
 //! * `--checkpoint-ms` running a background checkpointer so kills can
 //!   land mid-checkpoint.
 //!
-//! The remaining flags set the `LogConfig` / `ServerConfig` field they
-//! are named after. Talk to the server with `ermia_server::Client` or any
-//! program speaking the framed wire protocol (`ermia_server::protocol`).
+//! The remaining flags set the `LogConfig` field they are named after;
+//! `--wait-durable-ms` is the one patience of every durability wait, a
+//! sync commit's included (past it the client gets `LogStalled`). Talk
+//! to the server with `ermia_server::Client` or any program speaking the
+//! framed wire protocol (`ermia_server::protocol`).
 //! Stop it with Ctrl-C, a SIGKILL, or — for a graceful drain — Enter or
 //! closing its stdin.
 
@@ -53,7 +55,7 @@ use ermia_server::{Server, ServerConfig};
 const USAGE: &str = "usage: ermia-server [<addr>] [--data-dir <dir>] [--shards <n>] \
 [--fault-plan none|enospc:<bytes>|fsync:<n>|linger:<ms>] \
 [--checkpoint-ms <ms>] [--fsync] [--segment-size <bytes>] [--buffer-size <bytes>] \
-[--flush-interval-us <us>] [--wait-durable-ms <ms>] [--sync-wait-ms <ms>]";
+[--flush-interval-us <us>] [--wait-durable-ms <ms>]";
 
 /// A command line this binary cannot serve: say why, list the flags, exit 2.
 fn usage(why: &str) -> ! {
@@ -84,7 +86,6 @@ fn main() {
     let mut checkpoint_ms = 0u64;
     // Durable engine: the log goes to disk, sync commits really wait.
     let mut cfg = DbConfig::durable(std::env::temp_dir().join("ermia-server"));
-    let mut scfg = ServerConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -103,7 +104,6 @@ fn main() {
             "--wait-durable-ms" => {
                 cfg.log.wait_durable_timeout = Duration::from_millis(value(&a, args))
             }
-            "--sync-wait-ms" => scfg.sync_wait = Duration::from_millis(value(&a, args)),
             flag if flag.starts_with('-') => usage(&format!("unknown flag {flag}")),
             _ => addr = a,
         }
@@ -133,7 +133,8 @@ fn main() {
         });
     }
 
-    let srv = Server::start_sharded(&db, &addr, scfg).unwrap_or_else(|e| die("bind", e));
+    let srv = Server::start_sharded(&db, &addr, ServerConfig::default())
+        .unwrap_or_else(|e| die("bind", e));
     println!("PORT {}", srv.local_addr().port());
     println!("ermia-server listening on {} ({} shard(s))", srv.local_addr(), db.shards());
     println!("data dir: {}", dir.display());

@@ -47,9 +47,6 @@ pub struct ServerConfig {
     pub reply_queue_depth: usize,
     /// How long a request waits for a pooled worker before `Busy`.
     pub checkout_wait: Duration,
-    /// Ceiling on one durability wait; past it the client gets the typed
-    /// `LogStalled` error instead of blocking forever on a wedged log.
-    pub sync_wait: Duration,
     /// Largest accepted frame (guards allocation on untrusted input).
     pub max_frame_len: u32,
 }
@@ -63,7 +60,6 @@ impl Default for ServerConfig {
             worker_capacity: cores,
             reply_queue_depth: 128,
             checkout_wait: Duration::from_millis(100),
-            sync_wait: Duration::from_secs(5),
             max_frame_len: MAX_FRAME_LEN,
         }
     }
@@ -189,6 +185,16 @@ pub(crate) struct ServerState {
     /// Collector group in the database's registry; unregistered at
     /// shutdown.
     telemetry_group: u64,
+}
+
+impl ServerState {
+    /// How long a commit may wait for durability before its client is
+    /// told `LogStalled`: the engine logs' one patience,
+    /// `LogConfig::wait_durable_timeout` (every shard's log is opened
+    /// from the same config).
+    pub fn patience(&self) -> Duration {
+        self.db.shard(0).log().config().wait_durable_timeout
+    }
 }
 
 /// A running server; dropping it shuts it down.

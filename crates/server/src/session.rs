@@ -72,27 +72,30 @@
 //! offset `DeferredCommit::waits` named) — nothing more will be filled
 //! before this thread sleeps, so that log starts a sync over everything
 //! filled now rather than at its next stagger instant. The parker's
-//! subscriptions, which arrive a thread wake-up later, find the bytes
+//! registration, which arrives a thread wake-up later, finds the bytes
 //! already on their way.
 //!
 //! The parker — one thread per shard — is stage-aware rather than FIFO.
-//! Each job subscribes the parker's wake-up cell on every log offset it
-//! currently waits on (all participants of a cross-shard commit at once,
-//! so every flusher sees the demand immediately); each wake polls every
-//! job. A cross-shard commit whose prepares have all landed is published
+//! It holds one registration of its wake-up cell on each engine log any
+//! parked job waits on, at the lowest offset still awaited there — a
+//! log's durable watermark only rises, so no wait on that log ends before
+//! that offset lands — not one per job; each wake polls every job, then
+//! moves each registration to the lowest offset still awaited, or drops
+//! it. A cross-shard commit whose prepares have all landed is published
 //! and answered in that pass — one durability round — and the verdict
 //! records it owes its participants' logs are appended, unforced, once
 //! its reply is in the completion mailbox. Verdicts are delivered on a
 //! worker the parker registers for itself: a parked commit holds no
 //! pooled worker and no epoch pin. Finished frames go back through the
-//! shard's completion mailbox + wake fd. Deadlines are absolute (enqueue
-//! time + `sync_wait`, so concurrent stalls share one window): a stalled
-//! log parks sessions, not threads, and the client gets the typed
-//! [`ErrorCode::LogStalled`] when the window lapses — a staged commit
-//! first appends an abort verdict behind its prepares and rolls both
-//! halves back ("indeterminate": a crash before that verdict is durable
-//! may still commit it). A connection that closes leaves its parked jobs
-//! running to their verdicts; their completions are dropped.
+//! shard's completion mailbox + wake fd. Deadlines are absolute: enqueue
+//! time + the logs' one patience, `LogConfig::wait_durable_timeout` (the
+//! bound of every other durability wait too), so concurrent stalls share
+//! one window. A stalled log parks sessions, not threads, and the client
+//! gets the typed [`ErrorCode::LogStalled`] when the window lapses — a
+//! staged commit first appends an abort verdict behind its prepares and
+//! rolls both halves back ("indeterminate": a crash before that verdict
+//! is durable may still commit it). A connection that closes leaves its
+//! parked jobs running to their verdicts; their completions are dropped.
 //!
 //! # Shutdown
 //!
@@ -102,7 +105,7 @@
 //! already-flushed client frames still get served, aborts what remains
 //! (`ShuttingDown` frames to open transactions), closes the parker's
 //! intake, flushes outbound queues — including parked commits, which the
-//! parker resolves (or aborts) within their `sync_wait` — and joins.
+//! parker resolves (or aborts) within that patience — and joins.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -440,15 +443,14 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             Phase::Drain { soft, hard } => {
                 if now >= hard {
                     cutoff(&state, handle, &mut conns);
-                    phase = Phase::Flush {
-                        deadline: now + state.cfg.sync_wait + Duration::from_secs(1),
-                    };
+                    phase =
+                        Phase::Flush { deadline: now + state.patience() + Duration::from_secs(1) };
                 } else if now >= soft {
                     quiesce_idle(&state, handle, &mut conns);
                     if conns.values().all(|c| c.draining) {
                         close_parker(handle);
                         phase = Phase::Flush {
-                            deadline: now + state.cfg.sync_wait + Duration::from_secs(1),
+                            deadline: now + state.patience() + Duration::from_secs(1),
                         };
                     } else {
                         // Some connections still have frames or worker
@@ -1104,7 +1106,8 @@ fn raise_flush_demand(state: &ServerState, handle: &ShardHandle) {
     }
 }
 
-/// The reply to a commit whose durability wait outlasted `sync_wait`.
+/// The reply to a commit whose durability wait outlasted the logs' one
+/// patience, `LogConfig::wait_durable_timeout`.
 fn log_stalled() -> Response {
     Response::Error {
         code: ErrorCode::LogStalled,
@@ -1400,40 +1403,13 @@ fn close_parker(handle: &ShardHandle) {
 // Durability parker
 // ---------------------------------------------------------------------
 
-/// A job the parker holds, with its live durability subscriptions as
-/// (engine shard, end offset, registration).
-struct Parked {
-    job: ParkJob,
-    /// When patience runs out: `sync_wait` after the job was parked.
-    deadline: Instant,
-    subs: Vec<(usize, u64, DurableSub)>,
-}
-
-impl Parked {
-    /// Keep one subscription per awaited offset. False if an offset
-    /// needs none — it landed (or its log failed) in the meantime — so
-    /// the job wants another poll, not a sleep.
-    fn subscribe(&mut self, state: &ServerState, waker: &DurableWaker) -> bool {
-        let work = &self.job.work;
-        self.subs.retain(|(shard, end, _)| work.waits().any(|w| w == (*shard, *end)));
-        let mut all = true;
-        for (shard, end) in work.waits() {
-            if self.subs.iter().any(|(s, e, _)| (*s, *e) == (shard, end)) {
-                continue;
-            }
-            match state.db.shard(shard).log().subscribe_durable(end, waker) {
-                Some(sub) => self.subs.push((shard, end, sub)),
-                None => all = false,
-            }
-        }
-        all
-    }
-
+impl ParkJob {
     /// Advance the job as far as its logs allow. `Some(outcome)` once it
     /// has one: durable, failed, or out of patience.
     fn poll(&mut self, state: &ServerState, resolver: &mut ShardedWorker) -> Option<Response> {
-        let lapsed = Instant::now() >= self.deadline;
-        match self.job.work.poll(resolver) {
+        let patience = state.patience();
+        let lapsed = self.enqueued.elapsed() >= patience;
+        match self.work.poll(resolver) {
             Some(Ok(Ok(token))) => Some(Response::Committed { lsn: token.lsn().raw() }),
             Some(Ok(Err(reason))) => Some(aborted(reason)),
             Some(Err(e)) => Some(log_failed(state, &e)),
@@ -1442,9 +1418,8 @@ impl Parked {
                 // verdict behind the prepares before it rolls the halves
                 // back; until that is durable a crash can still commit
                 // them. One already published stands.
-                self.job.work.abort(resolver);
-                let waited = state.cfg.sync_wait.as_millis() as u64;
-                record_log_incident(state, EventKind::LogStall, waited);
+                self.work.abort(resolver);
+                record_log_incident(state, EventKind::LogStall, patience.as_millis() as u64);
                 Some(log_stalled())
             }
             None => None,
@@ -1452,34 +1427,68 @@ impl Parked {
     }
 }
 
+/// Keep the parker's one registration per engine log (`subs[shard]`,
+/// with the offset it is for) at the lowest offset any parked job still
+/// awaits there, and none where no job waits. False if a log needs none
+/// — that offset landed (or the log failed) since the jobs were polled —
+/// so the jobs want another poll, not a sleep.
+fn register(
+    state: &ServerState,
+    parked: &[ParkJob],
+    subs: &mut [Option<(u64, DurableSub)>],
+    waker: &DurableWaker,
+) -> bool {
+    let mut settled = true;
+    for (shard, sub) in subs.iter_mut().enumerate() {
+        let lowest = parked
+            .iter()
+            .flat_map(|job| job.work.waits())
+            .filter_map(|(s, end)| (s == shard).then_some(end))
+            .min();
+        if sub.as_ref().map(|(end, _)| *end) == lowest {
+            continue;
+        }
+        *sub = lowest.and_then(|end| {
+            let registered = state.db.shard(shard).log().subscribe_durable(end, waker);
+            settled &= registered.is_some();
+            registered.map(|r| (end, r))
+        });
+    }
+    settled
+}
+
 /// One per shard: carries parked commits to their outcome off the event
 /// loop and posts the finished frames back through the shard's
 /// completion mailbox.
 ///
-/// Stage-aware, not FIFO: every job subscribes its wake-up cell on
-/// *every* log it waits on at once — so a cross-shard commit's
-/// participants all see the flush demand immediately — and each wake
-/// (a flusher's, the event loop's, the earliest `sync_wait` deadline's)
-/// polls all jobs. The verdict records of the cross-shard commits a pass
-/// answered are appended after its completions are in the mailbox and ride
-/// the next flush; no reply waits for them. Verdicts are delivered on a
-/// worker the parker registers for itself, never a pooled one.
+/// Stage-aware, not FIFO: the parker holds one registration on each
+/// engine log it waits on, at the lowest offset a parked job still awaits
+/// there — that log's durable watermark only rises, so the registration
+/// that fires first is always the one that can answer somebody — and each
+/// wake (a flusher's, the event loop's, the earliest deadline's) polls
+/// all jobs, then moves each log's registration to the new lowest offset,
+/// or drops it. What starts the jobs' syncs is the event loop's settled
+/// demand at the end of the turn that parked them, not the registration.
+/// The verdict records of the cross-shard commits a pass answered are
+/// appended after its completions are in the mailbox and ride the next
+/// flush; no reply waits for them. Verdicts are delivered on a worker the
+/// parker registers for itself, never a pooled one.
 ///
 /// Exits when the shard closes the intake at cutoff and every job has
-/// resolved — each within `sync_wait` of being parked.
+/// resolved — each within the logs' one patience,
+/// `LogConfig::wait_durable_timeout`, of being parked.
 pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
     let handle = &state.shards[idx];
     let waker = &handle.park_waker;
+    let patience = state.patience();
     let mut resolver = state.db.register_worker();
-    let mut parked: Vec<Parked> = Vec::new();
+    let mut parked: Vec<ParkJob> = Vec::new();
+    let mut subs: Vec<Option<(u64, DurableSub)>> = (0..state.db.shards()).map(|_| None).collect();
     let mut answered: Vec<DeferredCommit> = Vec::new();
     loop {
         let open = {
             let mut intake = handle.park_in.lock().unwrap();
-            parked.extend(intake.jobs.drain(..).map(|job| {
-                let deadline = job.enqueued + state.cfg.sync_wait;
-                Parked { job, deadline, subs: Vec::new() }
-            }));
+            parked.append(&mut intake.jobs);
             intake.open
         };
         let mut done = Vec::new();
@@ -1489,7 +1498,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
                 i += 1;
                 continue;
             };
-            let Parked { job, .. } = parked.swap_remove(i);
+            let job = parked.swap_remove(i);
             if let Some(tr) = &job.trace {
                 let ring = &handle.parker_ring;
                 // The wait of a published commit, measured from park
@@ -1525,12 +1534,8 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
         if !open && parked.is_empty() {
             return;
         }
-        let mut settled = true;
-        for p in &mut parked {
-            settled &= p.subscribe(&state, waker);
-        }
-        if settled {
-            let until = parked.iter().map(|p| p.deadline).min();
+        if register(&state, &parked, &mut subs, waker) {
+            let until = parked.iter().map(|job| job.enqueued + patience).min();
             waker.wait(until.map(|t| t.saturating_duration_since(Instant::now())));
         }
     }

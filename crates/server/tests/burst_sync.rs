@@ -2,8 +2,10 @@
 //! loop raises one settled flush demand per turn, so a burst that
 //! arrives behind a sync already in flight gets exactly one more — over
 //! all of it, started while the first is still in the device — and every
-//! sync commit is parked exactly once: one reply slot, one subscription
-//! with the log, resumed by the parker and by nobody else.
+//! sync commit is parked exactly once: one reply slot, resumed by the
+//! parker and by nobody else. The parker registers with each log once per
+//! lowest offset awaited there, not once per commit: at most two
+//! registrations a burst on each log it touches.
 //!
 //! The device is a real file backend whose `sync_data` sleeps and keeps
 //! the interval of every call, per engine shard. Everything asserted is a
@@ -30,6 +32,9 @@ use ermia_telemetry::{EventKind, Telemetry};
 const LATENCY: Duration = Duration::from_millis(50);
 const LONG: Duration = Duration::from_secs(10);
 const BURST: usize = 16;
+/// The parker's registrations with one log in a burst: one at the lowest
+/// offset awaited there, and one more when that lands before the rest.
+const MAX_REGISTRATIONS: u64 = 2;
 
 /// `(start, end)` of every `sync_data`, per engine shard; and whether
 /// the device has broken (every `sync_data` from then on fails).
@@ -212,9 +217,11 @@ fn burst_behind_an_opener_is_two_syncs() {
     let flushed = log.stats().flushed_bytes.load(Ordering::Relaxed) - before.flushed_bytes;
     let last = log.stats().last_batch_bytes.load(Ordering::Relaxed);
     assert_eq!(last * 16, flushed * 15, "the second sync did not cover the fifteen followers");
-    // Every commit went one road: parked once, subscribed once (by the
-    // parker), resumed once.
-    assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
+    // Every commit went one road: parked once, resumed once. The parker
+    // registered with the log at the opener's offset, then at the lowest
+    // follower's — not once per commit.
+    let registrations = log.waiter_registrations() - before.registrations;
+    assert!(registrations <= MAX_REGISTRATIONS, "{registrations} registrations");
     assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
     assert_eq!(srv.stats().commits, BURST as u64);
 
@@ -248,7 +255,8 @@ fn burst_in_one_turn_is_at_most_two_syncs() {
     let seen = syncs.since(0, before.syncs);
     assert!(matches!(seen.len(), 1 | 2), "{seen:?}");
     assert!(seen.iter().all(|s| s.0 < seen[0].1), "a sync waited for the first to complete");
-    assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
+    let registrations = log.waiter_registrations() - before.registrations;
+    assert!(registrations <= MAX_REGISTRATIONS, "{registrations} registrations");
     assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
 
     // A commit on a log that fails under it takes the same road: it is
@@ -309,8 +317,9 @@ fn cross_shard_burst_is_two_syncs_per_log() {
             let busy_until = seen[..k].iter().map(|s| s.1).max().unwrap();
             assert!(tail.0 >= busy_until, "shard {shard}: verdict-only sync {k} overlaps");
         }
-        // One subscription per prepare block.
-        assert_eq!(log.waiter_registrations() - before.registrations, BURST as u64);
+        // The parker's registrations, not one per prepare block.
+        let registrations = log.waiter_registrations() - before.registrations;
+        assert!(registrations <= MAX_REGISTRATIONS, "shard {shard}: {registrations} registrations");
     }
     assert_eq!(parked_and_resumed(db.telemetry()), [BURST; 2]);
     assert_eq!(srv.stats().commits, BURST as u64);

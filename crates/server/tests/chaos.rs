@@ -64,8 +64,9 @@ fn record(log: &mut KeyLog, seq: u64, resp: Response) {
 /// recovery had to resolve — the proof that a kill landed inside the
 /// window. The log is the small, really-syncing one the harness has always
 /// killed: 32 KiB segments so kills land on rotations, device syncs on
-/// (the `fsync:`/`linger:` plans act on them), 2 s waits so a faulted
-/// cycle ends in a typed error well inside a client's reply timeout.
+/// (the `fsync:`/`linger:` plans act on them), 2 s durability waits (the
+/// log's one patience, server commits' included) so a faulted cycle ends
+/// in a typed error well inside a client's reply timeout.
 ///
 /// The returned `Child` is deliberately live: every caller ends it via
 /// `sigkill`, which kills and reaps it.
@@ -76,7 +77,7 @@ fn spawn_server(dir: &Path, fault: &str, ckpt_ms: u64, shards: usize) -> (Child,
         .arg(dir)
         .args(["--shards", &shards.to_string(), "--checkpoint-ms", &ckpt_ms.to_string()])
         .args(["--segment-size", "32768", "--buffer-size", "262144", "--flush-interval-us", "100"])
-        .args(["--wait-durable-ms", "2000", "--sync-wait-ms", "2000"])
+        .args(["--wait-durable-ms", "2000"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -352,6 +353,7 @@ fn server_binary_fault_plan_is_live() {
 #[test]
 fn server_binary_refuses_what_it_cannot_serve() {
     let dir = ermia_common::TestDir::new("binary-refusals");
+    // Every refusal is a usage error: exit status 2.
     let run = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_ermia-server"))
             .args(["127.0.0.1:0", "--data-dir"])
@@ -360,15 +362,20 @@ fn server_binary_refuses_what_it_cannot_serve() {
             .stdin(Stdio::null())
             .output()
             .expect("run ermia-server");
-        (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+        (out.status.code() == Some(2), String::from_utf8_lossy(&out.stderr).into_owned())
     };
     for plan in ["fsync:2", "linger:25"] {
-        let (ok, stderr) = run(&["--fault-plan", plan]);
-        assert!(!ok && stderr.contains("--fsync"), "{plan} without --fsync: {stderr}");
+        let (refused, stderr) = run(&["--fault-plan", plan]);
+        assert!(refused && stderr.contains("--fsync"), "{plan} without --fsync: {stderr}");
     }
-    let (ok, stderr) = run(&["--shard", "4"]);
-    assert!(!ok && stderr.contains("unknown flag --shard"), "{stderr}");
+    let (refused, stderr) = run(&["--shard", "4"]);
+    assert!(refused && stderr.contains("unknown flag --shard"), "{stderr}");
     assert!(stderr.contains("--shards <n>"), "the error lists the valid flags: {stderr}");
+    // A flag that is gone is refused like any unknown one. A durability
+    // wait has one patience, the log's (`--wait-durable-ms`).
+    let gone = "--sync-wait-ms";
+    let (refused, stderr) = run(&[gone, "10"]);
+    assert!(refused && stderr.contains(&format!("unknown flag {gone}")), "{stderr}");
 }
 
 // ---------------------------------------------------------------------

@@ -17,12 +17,15 @@ use ermia_server::{
     BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
 
+/// The bound is the log's one patience, `wait_durable_timeout`: the
+/// server has none of its own.
 #[test]
 fn halted_flusher_surfaces_logstalled_within_the_bound() {
     let dir = TestDir::new("stall");
-    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
-    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
-    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut cfg = DbConfig::durable(&dir);
+    cfg.log.wait_durable_timeout = Duration::from_millis(300);
+    let db = ShardedDb::open(cfg, 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
 
@@ -46,7 +49,10 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
         waited >= Duration::from_millis(250),
         "must actually wait for the bound, waited {waited:?}"
     );
-    assert!(waited < Duration::from_secs(5), "must time out near sync_wait, waited {waited:?}");
+    assert!(
+        waited < Duration::from_secs(2),
+        "must time out near the log's bound, waited {waited:?}"
+    );
 
     // The commit applied in memory (indeterminate durability, visible
     // data) and the connection keeps working.
@@ -92,21 +98,17 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
         dir: cfg.log.dir.clone(),
         fsync: true,
         io_factory: Arc::new(injector),
+        wait_durable_timeout: Duration::from_secs(10),
         ..LogConfig::default()
     };
     let db = ShardedDb::open(cfg, 1).unwrap();
-    let srv = Server::start_sharded(
-        &db,
-        "127.0.0.1:0",
-        ServerConfig { sync_wait: Duration::from_secs(10), ..ServerConfig::default() },
-    )
-    .unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
 
     // Sync commits against the doomed log: the first flush attempt fails
     // its fsync and poisons the log. The waiting commit must get the
-    // typed LogFailed error (well before the generous sync_wait), and
+    // typed LogFailed error (well before the generous patience), and
     // once poisoned, later transactions fail fast with a typed refusal —
     // a log-failure abort, or DegradedReadOnly once the poison hook has
     // flipped the database read-only (the hook runs on the flusher
@@ -151,7 +153,7 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
     assert!(saw_log_failed || saw_fail_fast, "poisoned log must surface a typed log failure");
     assert!(
         started.elapsed() < Duration::from_secs(9),
-        "poison must fail the wait immediately, not ride out sync_wait"
+        "poison must fail the wait immediately, not ride out the patience"
     );
     assert!(db.shard(0).log().is_poisoned());
     srv.shutdown();
@@ -240,11 +242,12 @@ impl SegmentIoFactory for Gates {
 }
 
 /// A two-shard engine under `dir` whose shard `i` logs through
-/// `gates[i]`, with a table.
-fn gated_pair(dir: &std::path::Path) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
+/// `gates[i]`, with a table, and whose durability waits last `patience`.
+fn gated_pair(dir: &std::path::Path, patience: Duration) -> (ShardedDb, [Gate; 2], OpenOnDrop) {
     let gates = [Gate::new(), Gate::new()];
     let mut cfg = DbConfig::durable(dir);
     cfg.log.fsync = true;
+    cfg.log.wait_durable_timeout = patience;
     cfg.log.io_factory = Arc::new(Gates(gates.clone()));
     let db = ShardedDb::open(cfg, 2).unwrap();
     db.create_table("kv");
@@ -312,13 +315,8 @@ fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
 #[test]
 fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
     let dir = TestDir::new("parked");
-    let (db, gates, _open) = gated_pair(&dir);
-    let cfg = ServerConfig {
-        shards: 1,
-        worker_capacity: 2,
-        sync_wait: Duration::from_secs(30),
-        ..ServerConfig::default()
-    };
+    let (db, gates, _open) = gated_pair(&dir, Duration::from_secs(30));
+    let cfg = ServerConfig { shards: 1, worker_capacity: 2, ..ServerConfig::default() };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
@@ -377,9 +375,8 @@ fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
 #[test]
 fn stalled_prepare_aborts_both_halves_with_logstalled() {
     let dir = TestDir::new("stalled-prepare");
-    let (db, gates, open) = gated_pair(&dir);
-    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
-    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let (db, gates, open) = gated_pair(&dir, Duration::from_millis(300));
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     let [on0, on1] = keys_on_both_shards("stall", 1);
@@ -397,7 +394,10 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
     }
     let waited = started.elapsed();
     assert!(waited >= Duration::from_millis(250), "must wait out the bound, waited {waited:?}");
-    assert!(waited < Duration::from_secs(5), "must time out near sync_wait, waited {waited:?}");
+    assert!(
+        waited < Duration::from_secs(5),
+        "must time out near the log's bound, waited {waited:?}"
+    );
 
     // Aborted on both shards, and the connection keeps working.
     assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
@@ -447,9 +447,8 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
 #[test]
 fn shutdown_resolves_parked_cross_shard_commits() {
     let dir = TestDir::new("shutdown");
-    let (db, gates, _open) = gated_pair(&dir);
-    let cfg = ServerConfig { sync_wait: Duration::from_millis(300), ..ServerConfig::default() };
-    let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
+    let (db, gates, _open) = gated_pair(&dir, Duration::from_millis(300));
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
     let [on0, on1] = keys_on_both_shards("shutdown", 4);
