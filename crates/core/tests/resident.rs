@@ -1,6 +1,6 @@
 //! The residency guard: a shard costs its rows, not its capacities.
 //!
-//! The log ring (64 MiB), its availability stamps (8 MiB), the TID
+//! The log ring (64 MiB), its availability stamps (16 MiB), the TID
 //! context table (2.5 MiB) and each table's two indirection-array page
 //! directories (128 KiB apiece) are *capacities*; what a process pays for
 //! is what it has touched. Five figures, one per case: (a) opening a
@@ -137,7 +137,8 @@ fn a_second_engine_costs_what_the_first_did() {
 
 /// (c) Two laps of a 64 MiB ring: the bytes *and their stamps* go back
 /// to the operating system a release chunk (256 KiB) at a time, so at most
-/// a chunk stays behind, plus 1 MiB of slack (the stamps stayed: + 8 MiB).
+/// a chunk stays behind, plus 1 MiB of slack (the stamps stayed, then
+/// a `u32` per slot: + 8 MiB).
 fn a_wrapped_ring_stays_released() {
     // The flusher's `RELEASE_CHUNK`.
     const RELEASE_CHUNK: i64 = 256 << 10;

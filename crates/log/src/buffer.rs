@@ -15,53 +15,60 @@
 //! one per skip record and dead zone — and must not serialize committing
 //! threads (§3.3: after the single `fetch_add`, a committer touches no
 //! shared latches). Completion is therefore tracked by a fixed array of
-//! per-slot atomic *generation stamps*, one [`u32`] per
-//! [`MIN_BLOCK_LEN`] bytes of capacity:
+//! atomic *stamp words*, one [`u64`] per [`MIN_BLOCK_LEN`]-byte slot of
+//! capacity, and a fill writes one of them:
 //!
 //! * Every reservation is a `MIN_BLOCK_LEN`-aligned range of the
 //!   monotonic logical offset space, so a fill covers an exact run of
 //!   slots. Logical slot number `s = offset / MIN_BLOCK_LEN` maps to
 //!   array index `s % nslots` and wrap generation `s / nslots`.
-//! * A writer marks its range filled by storing `generation + 1` into
-//!   each covered slot with `Release` ordering (`+ 1` so the initial
-//!   zero never matches). A handful of release stores — no lock, no
-//!   allocation, no shared cache-line writes beyond slots adjacent to
-//!   its own range.
+//! * A writer publishes its fill with one `Release` store into its first
+//!   slot: `(generation + 1) << 32 | slots`, its length beside its lap
+//!   (`+ 1` so the initial zero never matches) — no lock, no allocation,
+//!   no CAS, whatever the length.
 //! * The flusher (the only consumer) advances the contiguous `filled`
-//!   watermark by scanning forward from its last position while slot
-//!   stamps equal the expected generation ([`RingBuffer::advance_filled`]).
-//!   The `Acquire` load of a matching stamp synchronizes with the
-//!   writer's `Release` store, which in turn was program-ordered after
-//!   the byte copy — so everything below the watermark is safely
+//!   watermark by hopping from a fill's start to the next by the length
+//!   each start word carries, while each names the expected generation
+//!   ([`RingBuffer::advance_filled`]). The `Acquire` load of a matching
+//!   word synchronizes with the writer's `Release` store, program-ordered
+//!   after the byte copy — so everything below the watermark is safely
 //!   readable by [`RingBuffer::read_range`].
 //!
-//! Soundness of the single stamp word per slot rests on two invariants:
-//! reservations are disjoint (the `fetch_add` hands each offset out
-//! once), and a slot's previous generation is already *flushed* before a
-//! writer can stamp the next one (writers call
+//! One store makes a fill all-or-nothing to the scan: its word admits
+//! every byte of it or none. The filled (and hence durable) watermark
+//! stops only between fills, never inside a block, which the
+//! degraded-mode resume relies on when it writes skip blocks from the
+//! durable frontier.
+//!
+//! The scan reads only fill starts, and each is written once per
+//! generation: reservations are disjoint (the `fetch_add` hands each
+//! offset out once), and a slot's previous generation is *flushed* before
+//! a writer can stamp the next (writers call
 //! [`RingBuffer::wait_for_space`] first, and `flushed ≥` the slot's old
-//! range implies the scan consumed the old stamp). A stamp is therefore
-//! written exactly once per generation — enforced by a debug assertion —
-//! and the scanner can never confuse generations: a stale stamp simply
-//! stops the scan. So does a zero one, which is what lets
+//! range means the scan is past the old word). Whatever an older lap left
+//! in a start's slot — a start or an interior slot then — names an older
+//! generation and stops the scan; so does a zero word, which is what lets
 //! [`RingBuffer::release`] drop a drained range's stamp pages with its
-//! bytes: both arrays are [`Region`]s, resident where the log currently
-//! is and nowhere else.
+//! bytes: both arrays are [`Region`]s, resident where the log is. Release
+//! builds leave a fill's interior slots untouched; debug builds swap each
+//! for a zero-length word of its own generation (one the scan never lands
+//! on, and would stop at) and assert that every slot held an older one —
+//! the double-fill detector.
 //!
 //! *Every* fill path — commit blocks, skip records and dead zones alike —
-//! waits for space over the whole range it will stamp before it stamps
-//! one slot. The global `fetch_add` precedes that wait, so a writer that
-//! lost a segment rotation can hold a claim far beyond `flushed + cap`
-//! while the ring is full; stamping any of it early would overwrite a
-//! stamp the scan has not consumed and stall the watermark for good.
-//! Debug builds assert the window (`end − flushed ≤ cap`) on every fill,
-//! and `rotation_with_full_ring_converges` drives that corner.
+//! waits for space over its whole range before it stamps. The global
+//! `fetch_add` precedes that wait, so a writer that lost a segment
+//! rotation can hold a claim far beyond `flushed + cap` while the ring is
+//! full; stamping it early would overwrite a word the scan has not
+//! consumed and stall the watermark for good. Debug builds assert the
+//! window (`end − flushed ≤ cap`) on every fill, and
+//! `rotation_with_full_ring_converges` drives that corner.
 //!
 //! # Parked-waiter condvar protocol
 //!
 //! The remaining mutex guards only the two condvars and is touched
 //! *only when someone is actually parked*. Wakers run a Dekker-style
-//! handshake: publish state (slot stamps / `flushed`) with a `SeqCst`
+//! handshake: publish state (stamp words / `flushed`) with a `SeqCst`
 //! fence, then check an atomic waiter count and lock + notify only if it
 //! is non-zero. Sleepers register their count (and re-check the
 //! condition) while holding the mutex, separated from the re-check by a
@@ -82,7 +89,9 @@ use crate::records::{BlockEncoder, MIN_BLOCK_LEN};
 /// Bytes tracked per availability-ring slot.
 const SLOT: u64 = MIN_BLOCK_LEN as u64;
 /// Bytes of stamp per slot.
-const STAMP: u64 = std::mem::size_of::<AtomicU32>() as u64;
+const STAMP: u64 = std::mem::size_of::<AtomicU64>() as u64;
+/// A stamp word's low half: the fill's length in slots.
+const SLOTS_MASK: u64 = u32::MAX as u64;
 
 /// The consumer sleeps until fills matter to it (a fill below the
 /// demand, a quarter of the ring accumulated), a kick, or its timeout.
@@ -98,9 +107,9 @@ pub struct RingBuffer {
     cap: u64,
     /// The first `cap` bytes are the ring.
     data: Region,
-    /// Per-slot fill stamps, the first `nslots` [`AtomicU32`]s: slot
-    /// `s % nslots` holds `s / nslots + 1` once logical bytes
-    /// `[s*SLOT, (s+1)*SLOT)` are filled.
+    /// Per-slot stamp words, the first `nslots` [`AtomicU64`]s: once a
+    /// fill of `n` slots starting at logical slot `s` lands, slot
+    /// `s % nslots` holds `(s / nslots + 1) << 32 | n`.
     stamps: Region,
     nslots: u64,
     /// Contiguous prefix of the LSN space that has been filled.
@@ -167,6 +176,9 @@ impl RingBuffer {
         );
         assert!(start.is_multiple_of(SLOT), "start offset must be block-aligned");
         let nslots = cap / SLOT;
+        // A stamp word carries a whole fill's length — up to `nslots` —
+        // in its low half.
+        assert!(nslots <= SLOTS_MASK, "{nslots} slots do not fit a stamp word's 32-bit length");
         RingBuffer {
             cap,
             data: Region::new(cap as usize),
@@ -400,37 +412,10 @@ impl RingBuffer {
         self.mark_filled(offset, len);
     }
 
-    /// Copy `header` into the ring at logical offset `offset`, then mark
-    /// the whole `offset..offset+len` range filled in a *single* stamping
-    /// pass. Used for skip blocks: the bytes past the header are padding
-    /// nobody decodes, but header and padding must become visible to the
-    /// consumer atomically — a two-step fill would let the durable
-    /// watermark freeze between the header and its padding, leaving a
-    /// skip header on disk whose advertised length was never covered.
-    pub fn write_prefix_and_fill(&self, offset: u64, header: &[u8], len: u64) {
-        debug_assert!(header.len() as u64 <= len && len <= self.cap);
-        debug_assert!(offset + len <= self.flushed() + self.cap, "writer skipped wait_for_space");
-        let pos = (offset % self.cap) as usize;
-        let first = std::cmp::min(header.len(), self.cap as usize - pos);
-        // SAFETY: same argument as `write` — the reservation owns this
-        // range and nothing reads it until the mark_filled below.
-        unsafe {
-            let base = self.data.as_ptr();
-            std::ptr::copy_nonoverlapping(header.as_ptr(), base.add(pos), first);
-            if first < header.len() {
-                std::ptr::copy_nonoverlapping(
-                    header.as_ptr().add(first),
-                    base,
-                    header.len() - first,
-                );
-            }
-        }
-        self.mark_filled(offset, len);
-    }
-
     /// Reset the ring to begin a new life at logical offset `start`,
-    /// clearing the poison flag: every slot stamp is zeroed (its pages
-    /// handed back) and both watermarks jump to `start`. Only sound when
+    /// clearing the poison flag: every stamp word is zeroed (its pages
+    /// handed back), so no word of an earlier life matches the scan from
+    /// `start`, and both watermarks jump to `start`. Only sound when
     /// fully quiesced — no outstanding reservations, no running consumer
     /// (the resume path joins the flusher and drains writers first).
     pub fn reset(&self, start: u64) {
@@ -453,15 +438,16 @@ impl RingBuffer {
     }
 
     /// Mark `offset..offset+len` filled (without copying, for dead
-    /// zones). Lock-free: a release store per covered slot, one `SeqCst`
-    /// fence, and a mutex touch only when the consumer is parked *and*
-    /// this fill matters to it (a durability target lies at or above
-    /// `offset`, or a drain-worthy batch has accumulated).
+    /// zones). Lock-free: one release store of the fill's stamp word
+    /// into its first slot, one `SeqCst` fence, and a mutex touch only
+    /// when the consumer is parked *and* this fill matters to it (a
+    /// durability target lies at or above `offset`, or a drain-worthy
+    /// batch has accumulated).
     ///
     /// The caller must have won [`RingBuffer::wait_for_space`] for the
     /// *entire* range: a slot may carry generation `g+1` only after its
     /// generation-`g` occupant was flushed, so stamping outside the
-    /// space window overwrites an unconsumed stamp and stalls the
+    /// space window overwrites an unconsumed word and stalls the
     /// watermark permanently.
     pub fn mark_filled(&self, offset: u64, len: u64) {
         debug_assert!(
@@ -481,32 +467,26 @@ impl RingBuffer {
             self.cap
         );
         let first = offset / SLOT;
-        let last = (offset + len) / SLOT;
-        // Stamp in *reverse* order: the consumer's forward scan admits a
-        // range only once its first slot is stamped, and that stamp is
-        // release-ordered after every later slot's — so one fill call is
-        // all-or-nothing to the scan. The filled (and hence durable)
-        // watermark can therefore freeze only between fills, never
-        // inside a block, which the degraded-mode resume path relies on
-        // when it writes skip blocks from the durable frontier.
-        for s in (first..last).rev() {
-            let idx = (s % self.nslots) as usize;
-            let generation = s / self.nslots + 1;
-            debug_assert!(generation <= u64::from(u32::MAX), "slot generation overflow");
-            let stamp = generation as u32;
-            if cfg!(debug_assertions) {
-                // Double-fill detector: a slot is stamped exactly once
-                // per wrap generation (reservations are disjoint and the
-                // previous generation was flushed before ours started).
-                let prev = self.stamp(idx).swap(stamp, Ordering::Release);
+        let slots = len / SLOT;
+        if cfg!(debug_assertions) {
+            // Double-fill detector: every slot a fill covers is stamped
+            // once per wrap generation (reservations are disjoint, and the
+            // previous generation was flushed before ours started).
+            // Interior slots take a zero-length word, which the scan never
+            // lands on; the start goes last, publishing the fill.
+            for s in (first + 1..first + slots).chain([first]) {
+                let word = self.word(s, if s == first { slots } else { 0 });
+                let prev = self.slot(s).swap(word, Ordering::Release);
                 debug_assert!(
-                    prev < stamp,
-                    "double fill at offset {:#x} (generation {stamp}, slot already {prev})",
-                    s * SLOT
+                    prev >> 32 < word >> 32,
+                    "double fill at offset {:#x} (generation {}, slot already {})",
+                    s * SLOT,
+                    word >> 32,
+                    prev >> 32
                 );
-            } else {
-                self.stamp(idx).store(stamp, Ordering::Release);
             }
+        } else {
+            self.slot(first).store(self.word(first, slots), Ordering::Release);
         }
         // Wake the consumer *immediately* when this fill lands below a
         // registered durability target: a synchronous committer is
@@ -531,22 +511,13 @@ impl RingBuffer {
     }
 
     /// Consumer side: advance the contiguous `filled` watermark over
-    /// every slot stamped with its expected generation, starting from
-    /// the last position. Returns the (possibly unchanged) watermark.
+    /// every whole fill published since the last scan. Returns the
+    /// (possibly unchanged) watermark.
     pub fn advance_filled(&self) -> u64 {
         self.assert_single_consumer();
         // Relaxed: only the consumer stores `filled`.
         let start = self.filled.load(Ordering::Relaxed);
-        let mut cur = start;
-        loop {
-            let s = cur / SLOT;
-            let idx = (s % self.nslots) as usize;
-            let stamp = (s / self.nslots + 1) as u32;
-            if self.stamp(idx).load(Ordering::Acquire) != stamp {
-                break;
-            }
-            cur += SLOT;
-        }
+        let cur = self.scan(start);
         if cur != start {
             self.filled.store(cur, Ordering::Release);
         }
@@ -558,17 +529,23 @@ impl RingBuffer {
     /// (the consumer owns `filled`). Used by `LogManager::sync` to name
     /// "everything filled so far" without racing the flusher.
     pub fn scan_tip(&self) -> u64 {
-        let mut cur = self.filled.load(Ordering::Acquire);
+        self.scan(self.filled.load(Ordering::Acquire))
+    }
+
+    /// The end of the run of whole fills that begins at `cur`, a fill's
+    /// start: hop from each start to the next by the length its word
+    /// carries, and stop at a word of another generation (a stale or a
+    /// zero one) or of no length.
+    fn scan(&self, mut cur: u64) -> u64 {
         loop {
             let s = cur / SLOT;
-            let idx = (s % self.nslots) as usize;
-            let stamp = (s / self.nslots + 1) as u32;
-            if self.stamp(idx).load(Ordering::Acquire) != stamp {
-                break;
+            let word = self.slot(s).load(Ordering::Acquire);
+            let slots = word & SLOTS_MASK;
+            if word >> 32 != self.generation(s) || slots == 0 {
+                return cur;
             }
-            cur += SLOT;
+            cur += slots * SLOT;
         }
-        cur
     }
 
     /// Consumer side: wait until the watermark scan passes `from`,
@@ -647,8 +624,9 @@ impl RingBuffer {
         // SAFETY: below the filled watermark no writer touches these
         // bytes (reservations are monotonic and disjoint, and their next
         // wrap generation waits for `flushed` to pass this one), and the
-        // watermark scan's Acquire loads of the slot stamps synchronized
-        // with the writers' Release publication of the copied bytes.
+        // watermark scan's Acquire load of each fill's stamp word
+        // synchronized with its writer's Release publication of the
+        // copied bytes.
         unsafe {
             let base = self.data.as_ptr();
             sink(std::slice::from_raw_parts(base.add(pos), first));
@@ -668,7 +646,7 @@ impl RingBuffer {
     /// `[lo, hi)` — of the bytes and of their stamps — back to the
     /// operating system (they read as zeros until written again), so the
     /// ring's resident size follows what is in flight rather than
-    /// everything ever logged. A zero stamp matches no generation, so the
+    /// everything ever logged. A zero word matches no generation, so the
     /// watermark scan stops on it exactly as on the stale one it replaces.
     ///
     /// The range must be drained to storage and **not yet published**
@@ -686,9 +664,24 @@ impl RingBuffer {
         release_wrapped(&self.stamps, self.nslots * STAMP, lo / SLOT * STAMP, hi / SLOT * STAMP);
     }
 
+    /// The stamp word of logical slot `s`.
     #[inline]
-    fn stamp(&self, idx: usize) -> &AtomicU32 {
-        &self.stamps.view::<AtomicU32>()[idx]
+    fn slot(&self, s: u64) -> &AtomicU64 {
+        &self.stamps.view::<AtomicU64>()[(s % self.nslots) as usize]
+    }
+
+    /// The wrap generation of logical slot `s`, plus one.
+    #[inline]
+    fn generation(&self, s: u64) -> u64 {
+        s / self.nslots + 1
+    }
+
+    /// The word that publishes a fill of `slots` slots starting at
+    /// logical slot `s`: its generation above, its length below.
+    #[inline]
+    fn word(&self, s: u64, slots: u64) -> u64 {
+        debug_assert!(self.generation(s) <= SLOTS_MASK, "slot generation overflow");
+        self.generation(s) << 32 | slots
     }
 
     /// Flusher side: advance the flushed watermark and wake space
@@ -965,6 +958,69 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "do not fit")]
+    fn a_ring_longer_than_a_stamp_word_can_say_is_refused() {
+        // Refused before any memory is mapped.
+        RingBuffer::new(SLOT << 32, 0);
+    }
+
+    #[test]
+    fn the_scan_reads_fill_starts_only() {
+        let rb = RingBuffer::new(1 << 20, 0);
+        rb.write(0, &[4; 4096]);
+        // Older-generation words in every slot of the fill but its first:
+        // what a lap's earlier fills leave where this one has interior.
+        for s in 1..4096 / SLOT {
+            rb.slot(s).store(5, Ordering::Relaxed);
+        }
+        assert_eq!(rb.advance_filled(), 4096);
+        assert_eq!(rb.scan_tip(), 4096);
+    }
+
+    /// Release builds only: debug builds stamp every interior slot.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_fill_touches_the_stamp_pages_of_its_start_and_the_next() {
+        const LEN: u64 = 96 << 10;
+        let rb = RingBuffer::new(1 << 20, 0);
+        rb.write(0, &[6; LEN as usize]);
+        assert_eq!(rb.advance_filled(), LEN);
+        let Some(touched) = rb.stamps.touched_pages() else { return };
+        let pages = touched.iter().filter(|&&t| t).count();
+        // The start word written and the next start read: 96 KiB of log
+        // spans six stamp pages, all of which a store per slot would write.
+        assert!(pages <= 2, "one {LEN}-byte fill and a scan touched {pages} stamp pages");
+    }
+
+    #[test]
+    fn whole_ring_and_wrapping_fills_over_laps() {
+        // Fills of exactly the ring (a word of `nslots`, from the ring's
+        // start and from mid-ring) and fills that straddle the ring's end
+        // (the generation steps inside them), over ten laps, drained and
+        // released between fills.
+        const CAP: u64 = 64 << 10;
+        let rb = RingBuffer::new(CAP, 0);
+        let lens = [CAP, CAP / 2 + 64, CAP, CAP / 2 - 32, 96, CAP - 32, CAP];
+        let mut off = 0u64;
+        for (i, &len) in lens.iter().cycle().take(14).enumerate() {
+            let byte = i as u8 + 1;
+            assert!(rb.wait_for_space(off + len));
+            rb.write(off, &vec![byte; len as usize]);
+            assert_eq!(rb.advance_filled(), off + len, "fill {i} of {len} bytes at {off:#x}");
+            let mut read = 0;
+            rb.read_range(off, off + len, |s| {
+                assert!(s.iter().all(|&b| b == byte), "fill {i} read back wrong");
+                read += s.len() as u64;
+            });
+            assert_eq!(read, len);
+            rb.release(off, off + len);
+            rb.mark_flushed(off + len);
+            off += len;
+        }
+        assert!(off >= 3 * CAP, "{off} bytes are fewer than three laps");
+    }
+
+    #[test]
     fn released_stamps_stop_the_scan_and_take_the_next_generation() {
         // Large enough that a lap covers whole stamp pages.
         const CAP: u64 = 1 << 20;
@@ -972,7 +1028,7 @@ mod tests {
         rb.write(0, &vec![7; CAP as usize]);
         assert_eq!(rb.advance_filled(), CAP);
         rb.release(0, CAP);
-        assert!(rb.stamps.view::<AtomicU32>()[..rb.nslots as usize]
+        assert!(rb.stamps.view::<AtomicU64>()[..rb.nslots as usize]
             .iter()
             .all(|s| s.load(Ordering::Relaxed) == 0));
         rb.mark_flushed(CAP);

@@ -144,18 +144,19 @@
 //!
 //! A ring is touched from end to end as the log advances, so left alone
 //! its resident size grows with every byte ever logged until it equals
-//! the capacity — 64 MiB per log by default, plus 8 MiB of availability
-//! stamps (a `u32` per 32 bytes), for a buffer that only has to hold
+//! the capacity — 64 MiB per log by default, plus 16 MiB of availability
+//! stamps (a `u64` per 32 bytes), for a buffer that only has to hold
 //! what accumulates during one flush. Both arrays are
 //! [`ermia_common::Region`]s — zero and not resident until written — and
 //! for rings of 16 MiB and up the flusher hands drained memory back to
 //! the operating system in 256 KiB chunks, bytes and stamps in the same
-//! call ([`crate::buffer::RingBuffer::release`]: 256 KiB of log is 32 KiB
-//! of stamps, and a zero stamp stops the watermark scan just as the
+//! call ([`crate::buffer::RingBuffer::release`]: 256 KiB of log is 64 KiB
+//! of stamps, and a zero word stops the watermark scan just as the
 //! stale one it replaces would), so what is resident of either follows
-//! the bytes in flight; a stamp page is faulted in again once per 32 KiB
-//! of log. A ring keeps up to a chunk of drained bytes, and an eighth of
-//! that in stamps, resident before its `madvise`; at a few MB/s of log a
+//! the bytes in flight; a fill writes only its start's word, so a stamp
+//! page comes back at most once per 16 KiB of log. A ring keeps up to a
+//! chunk of drained bytes, and a quarter of that in stamps, resident
+//! before its `madvise`; at a few MB/s of log a
 //! 256 KiB chunk is one 64-page call every 0.1–0.2 s. Pages can only be
 //! dropped *before* the space they occupy is published to writers (below
 //! the published watermark the next wrap generation is already admitted),

@@ -537,11 +537,11 @@ impl LogManager {
         };
         let mut buf = [0u8; BLOCK_HEADER_LEN];
         header.encode_into(&mut buf);
-        // Header and padding are published in a single stamping pass
+        // Header and padding are one fill, published with one stamp
         // (bytes after a skip header are never examined, so only the
         // header is copied): the filled — and hence durable — watermark
         // can never freeze between a skip header and its padding.
-        inner.buffer.write_prefix_and_fill(off, &buf, pad);
+        inner.buffer.fill_with(off, pad, |head, tail| BlockEncoder::new(head, tail).put(&buf));
         inner.stats.skip_blocks.fetch_add(1, Ordering::Relaxed);
     }
 

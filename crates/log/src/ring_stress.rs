@@ -116,12 +116,20 @@ fn permuted_concurrent_fills_converge_across_wrap() {
         s.spawn(move || {
             let mut next = 0usize; // first chunk not yet verified
             let mut watermark = 0;
+            let mut progressed = Instant::now();
             while watermark < TOTAL {
                 let w = rb.advance_filled();
                 if w == watermark {
+                    // A stall fails the test instead of hanging it (and
+                    // the poison frees writers parked for space).
+                    if progressed.elapsed().as_secs() >= 30 {
+                        rb.poison();
+                        panic!("the watermark stalled at {watermark:#x}");
+                    }
                     std::thread::yield_now();
                     continue;
                 }
+                progressed = Instant::now();
                 while next < chunks.len() && chunks[next].offset + chunks[next].len <= w {
                     let c = chunks[next];
                     if !c.dead {
@@ -152,10 +160,10 @@ fn permuted_concurrent_fills_converge_across_wrap() {
 /// and write; the consumer verifies every byte below the watermark, then
 /// releases the drained range — bytes and stamps — and only then
 /// publishes the space, a chunk at a time unless a writer is parked.
-/// Three and a half laps: every slot is stamped for generations 1 to 3
-/// over a stamp page that was dropped in between, and a stale or
-/// resurrected stamp, or a page dropped under a writer, shows as a wrong
-/// byte or a watermark that stops.
+/// Three and a half laps: fills start on slots that held an older lap's
+/// start or interior, or lie on a stamp page dropped in between, and a
+/// stale or resurrected word, or a page dropped under a writer, shows as
+/// a wrong byte or a watermark that stops.
 #[test]
 fn a_releasing_ring_survives_its_wraps() {
     let _alone = machine();
