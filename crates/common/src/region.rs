@@ -1,9 +1,9 @@
 //! Zero-on-demand memory for capacity-sized tables.
 //!
-//! The log ring, its availability stamps, the TID context table and the
-//! indirection arrays' page directories are sized by what they may one
-//! day hold, not by what they hold now, and the indirection arrays'
-//! pages come one at a time as OIDs are handed out. A
+//! The log ring, the TID context table and the indirection arrays' page
+//! directories are sized by what they may one day hold, not by what they
+//! hold now, and the indirection arrays' pages come one at a time as OIDs
+//! are handed out. A
 //! [`Region`] gives such a table its own page-aligned anonymous mapping:
 //! every byte reads zero, a page becomes resident when it is first
 //! written, and [`Region::release`] hands pages back. The general
@@ -106,19 +106,22 @@ impl Region {
 
     /// Give the whole pages inside `bytes` back to the operating system:
     /// they read zero again and stop being resident. The partial pages at
-    /// either end of the range keep their contents.
+    /// either end of the range keep their contents. Returns the bytes
+    /// given back: empty, at the range's end, if it holds no whole page.
     ///
     /// The caller orders this against every other access to those pages:
     /// a store that races it may or may not survive.
-    pub fn release(&self, bytes: Range<usize>) {
+    pub fn release(&self, bytes: Range<usize>) -> Range<usize> {
         assert!(bytes.start <= bytes.end && bytes.end <= self.len, "release outside the region");
         let page = page_size();
         let lo = bytes.start.next_multiple_of(page);
         let hi = bytes.end / page * page;
-        if lo < hi {
-            // SAFETY: `[lo, hi)` is whole pages of this region's mapping.
-            unsafe { os::discard(self.ptr.as_ptr().add(lo), hi - lo) };
+        if lo >= hi {
+            return bytes.end..bytes.end;
         }
+        // SAFETY: `[lo, hi)` is whole pages of this region's mapping.
+        unsafe { os::discard(self.ptr.as_ptr().add(lo), hi - lo) };
+        lo..hi
     }
 
     /// For tests of what a table touches: per page, whether the process

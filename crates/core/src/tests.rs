@@ -680,15 +680,17 @@ fn a_directory_reopens_as_the_database_it_was() {
 #[test]
 fn a_log_without_a_catalog_needs_its_tables_declared_and_says_so() {
     use ermia_common::{Oid, TableId};
+    use ermia_log::{BlockEncoder, BlockKind, LogRecordKind, BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
     for declare in [true, false] {
         let dir = TestDir::new("pre-catalog-log");
         let cfg = DbConfig::durable(&dir);
         {
             let log = ermia_log::LogManager::open(cfg.log.clone()).unwrap();
-            let mut buf = ermia_log::TxLogBuffer::new();
-            buf.add_insert(TableId(0), Oid(0), b"k", b"v");
-            let res = log.allocate(buf.block_len()).unwrap();
-            let block = buf.serialize(res.lsn()).to_vec();
+            let res = log.allocate(BLOCK_HEADER_LEN + RECORD_HEADER_LEN + 2).unwrap();
+            let mut block = vec![0; res.len()];
+            let mut enc = BlockEncoder::block(&mut block, &mut []);
+            enc.record(LogRecordKind::Insert, TableId(0), Oid(0), b"k", b"v");
+            enc.finish(BlockKind::Txn, res.lsn());
             res.fill(&block);
             log.sync().unwrap();
         }
@@ -1987,8 +1989,9 @@ fn appends_past_the_last_key_are_phantoms_to_serializable_readers() {
     t1.commit().expect("an own append is no phantom");
 }
 
-/// The commit path encodes its block straight into the ring; the same
-/// write set through `TxLogBuffer` must give the same bytes. Seeded
+/// The commit path sizes its block from the write set and encodes it
+/// straight into the ring; the same write set encoded into a `Vec` must
+/// give the same bytes. Seeded
 /// transactions of inserts, updates, deletes, inserts then deletes,
 /// revived tombstones, values of up to 700 bytes and secondary entries,
 /// some committed as 2PC prepares, on a 4 KiB ring whose end many blocks
@@ -1999,10 +2002,13 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
 
     use ermia_common::{Oid, TableId};
     use ermia_log::{
-        BlockKind, LogBlockHeader, LogScanner, PrepareMarker, TxLogBuffer, BLOCK_HEADER_LEN,
+        BlockEncoder, BlockKind, LogBlockHeader, LogRecordKind, LogScanner, PrepareMarker,
+        BLOCK_HEADER_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
     };
 
     const RING: u64 = 4096;
+    /// A record to encode: kind, table, OID, key, value.
+    type Rec<'a> = (LogRecordKind, TableId, Oid, &'a [u8], &'a [u8]);
     /// One record's worth of a write set: its final value, `None` once
     /// deleted; `created` if this transaction made the OID, `was_live` if
     /// the record was live before it.
@@ -2108,27 +2114,41 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
             if !matches!(b.header.kind, BlockKind::Txn | BlockKind::TxnPrepare) {
                 continue;
             }
-            // The standalone builder, fed the same write set.
+            // The same write set, encoded standalone: one `BlockEncoder`
+            // over a `Vec` sized from the records.
             let commit = &commits[&b.header.cstamp.raw()];
-            let mut buf = TxLogBuffer::new();
+            let index = sec.0.to_le_bytes();
+            let mut records: Vec<Rec<'_>> = Vec::new();
             for e in &commit.entries {
-                match &e.value {
-                    None => buf.add_delete(e.table, e.oid, &e.key),
-                    Some(v) if e.created => buf.add_insert(e.table, e.oid, &e.key, v),
-                    Some(v) => buf.add_update(e.table, e.oid, &e.key, v),
-                }
+                let (kind, value) = match &e.value {
+                    None => (LogRecordKind::Delete, &[][..]),
+                    Some(v) if e.created => (LogRecordKind::Insert, &v[..]),
+                    Some(v) => (LogRecordKind::Update, &v[..]),
+                };
+                records.push((kind, e.table, e.oid, &e.key, value));
             }
             for (oid, skey) in &commit.secondary {
-                buf.add_secondary_insert(tables[1], sec.0, *oid, skey);
+                records.push((LogRecordKind::SecondaryInsert, tables[1], *oid, skey, &index));
             }
-            let block = match commit.marker {
-                Some(m) => buf.serialize_prepare(b.header.cstamp, m),
-                None => buf.serialize(b.header.cstamp),
-            };
-            let header = LogBlockHeader::decode(block).unwrap();
+            let marker = commit.marker.map_or(0, |_| PREPARE_MARKER_LEN);
+            let payload: usize =
+                records.iter().map(|r| RECORD_HEADER_LEN + r.3.len() + r.4.len()).sum();
+            let mut block =
+                vec![0; (BLOCK_HEADER_LEN + marker + payload).next_multiple_of(MIN_BLOCK_LEN)];
+            let mut enc = BlockEncoder::block(&mut block, &mut []);
+            if let Some(m) = &commit.marker {
+                enc.marker(m);
+            }
+            for &(kind, table, oid, key, value) in &records {
+                enc.record(kind, table, oid, key, value);
+            }
+            let kind = if marker > 0 { BlockKind::TxnPrepare } else { BlockKind::Txn };
+            enc.finish(kind, b.header.cstamp);
+            let header = LogBlockHeader::decode(&block).unwrap();
             let at = b.lsn.offset();
+            // In the log, `prev` is the ring's word: the block's offset | 1.
             assert_eq!(
-                (header.kind, header.nrec, header.len, header.checksum, header.prev),
+                (header.kind, header.nrec, header.len, header.checksum, at | 1),
                 (b.header.kind, b.header.nrec, b.header.len, b.header.checksum, b.header.prev),
                 "seed {seed}: the header of the block at {at}"
             );

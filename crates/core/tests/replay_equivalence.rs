@@ -32,7 +32,9 @@ use ermia::{
 use ermia_check::history::{mutate_model, Action, Model, KEYS};
 use ermia_common::rng::SplitMix64;
 use ermia_common::{Lsn, Oid, TestDir};
-use ermia_log::LogScanner;
+use ermia_log::{
+    BlockEncoder, BlockKind, LogRecordKind, LogScanner, BLOCK_HEADER_LEN, RECORD_HEADER_LEN,
+};
 
 const SI: IsolationLevel = IsolationLevel::Snapshot;
 const SHARDS: usize = 2;
@@ -189,12 +191,14 @@ fn write_history(seed: u64, dir: &Path, crashed: &Path) -> Model {
     // A block this engine no longer writes (a transaction logs one record
     // per OID) but the format allows and older logs hold: one OID deleted
     // and re-inserted under one stamp. The later record is the outcome.
-    let kb = (KEYS + 100).to_be_bytes();
-    let mut buf = ermia_log::TxLogBuffer::new();
-    buf.add_delete(tables[1], Oid(1000), &kb);
-    buf.add_insert(tables[1], Oid(1000), &kb, b"hand-written");
-    let res = db.shard(ermia::shard_of_key(&kb, SHARDS)).log().allocate(buf.block_len()).unwrap();
-    let block = buf.serialize(res.lsn()).to_vec();
+    let (kb, value) = ((KEYS + 100).to_be_bytes(), b"hand-written");
+    let len = BLOCK_HEADER_LEN + 2 * (RECORD_HEADER_LEN + kb.len()) + value.len();
+    let res = db.shard(ermia::shard_of_key(&kb, SHARDS)).log().allocate(len).unwrap();
+    let mut block = vec![0; res.len()];
+    let mut enc = BlockEncoder::block(&mut block, &mut []);
+    enc.record(LogRecordKind::Delete, tables[1], Oid(1000), &kb, &[]);
+    enc.record(LogRecordKind::Insert, tables[1], Oid(1000), &kb, value);
+    enc.finish(BlockKind::Txn, res.lsn());
     res.fill(&block);
     model.insert((1, KEYS + 100), b"hand-written".to_vec());
 

@@ -1,7 +1,7 @@
 //! The residency guard: a shard costs its rows, not its capacities.
 //!
-//! The log ring (64 MiB), its availability stamps (16 MiB), the TID
-//! context table (2.5 MiB) and each table's two indirection-array page
+//! The log ring (64 MiB, its own availability map), the TID context
+//! table (2.5 MiB) and each table's two indirection-array page
 //! directories (128 KiB apiece) are *capacities*; what a process pays for
 //! is what it has touched. Five figures, one per case: (a) opening a
 //! shard and creating eight tables, (b) a second engine in one process,
@@ -22,7 +22,10 @@ use std::time::{Duration, Instant};
 
 use ermia::{DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, TableId};
 use ermia_common::{Oid, TestDir};
-use ermia_log::{LogConfig, LogManager, TxLogBuffer};
+use ermia_log::{
+    BlockEncoder, BlockKind, LogConfig, LogManager, LogRecordKind, BLOCK_HEADER_LEN,
+    RECORD_HEADER_LEN,
+};
 use ermia_storage::version::DEFAULT_POOL_CAP as POOL_CAP;
 
 const MIB: i64 = 1 << 20;
@@ -135,25 +138,27 @@ fn a_second_engine_costs_what_the_first_did() {
     drop(db);
 }
 
-/// (c) Two laps of a 64 MiB ring: the bytes *and their stamps* go back
-/// to the operating system a release chunk (256 KiB) at a time, so at most
-/// a chunk stays behind, plus 1 MiB of slack (the stamps stayed, then
-/// a `u32` per slot: + 8 MiB).
+/// (c) Two laps of a 64 MiB ring: the drained bytes go back to the
+/// operating system a release chunk (256 KiB) at a time, so at most a
+/// chunk stays behind, plus 1 MiB of slack. Nothing lies beside the ring
+/// (availability stamps did, once; kept resident they added 8 MiB).
 fn a_wrapped_ring_stays_released() {
-    // The flusher's `RELEASE_CHUNK`.
+    // The ring's `RELEASE_CHUNK` (`crates/log/src/buffer.rs`).
     const RELEASE_CHUNK: i64 = 256 << 10;
     let dir = TestDir::new("resident-ring");
     let log = LogManager::open(LogConfig { dir: Some(dir.to_path_buf()), ..LogConfig::default() })
         .expect("log opens");
     let value = [0x5Au8; 8000];
-    let mut tx = TxLogBuffer::new();
+    let mut block = Vec::new();
     let mut push = |upto: u64| {
         while log.next_offset() < upto {
-            tx.clear();
-            tx.add_update(TableId(1), Oid(1), b"key", &value);
-            let res = log.allocate(tx.block_len()).expect("allocate");
-            let block = tx.serialize(res.lsn());
-            res.fill(block);
+            let len = BLOCK_HEADER_LEN + RECORD_HEADER_LEN + 3 + value.len();
+            let res = log.allocate(len).expect("allocate");
+            block.resize(res.len(), 0);
+            let mut enc = BlockEncoder::block(&mut block, &mut []);
+            enc.record(LogRecordKind::Update, TableId(1), Oid(1), b"key", &value);
+            enc.finish(BlockKind::Txn, res.lsn());
+            res.fill(&block);
         }
         log.sync().expect("sync");
     };

@@ -339,13 +339,13 @@ fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
     assert_eq!(read(&mut w, t, &a).as_deref(), Some(&b"old"[..]));
     assert_eq!(read(&mut w, t, &b).as_deref(), Some(&b"old"[..]));
     // Shard 0's verdict came back as the block encoder wrote it: its
-    // checksum covers the payload, and the reserved `prev` is 0.
+    // checksum covers the payload, and its `prev` names its own offset.
     let mut scanner = LogScanner::new(recovered.shard(0).log().segments(), 0);
     let mut verdicts = 0;
     while let Some(v) = scanner.next_view().unwrap() {
         if v.header.kind == BlockKind::TxnDecide {
             assert_eq!(crc32c(v.payload), v.header.checksum);
-            assert_eq!((v.header.nrec, v.header.prev), (0, 0));
+            assert_eq!((v.header.nrec, v.header.prev), (0, v.lsn.offset() | 1));
             assert!(!DecideRecord::decode(v.payload).unwrap().commit);
             verdicts += 1;
         }

@@ -1,74 +1,65 @@
 //! The centralized log ring buffer.
 //!
 //! Logical LSN offsets map directly onto ring positions (`offset % cap`),
-//! so a reservation made with the global `fetch_add` already names its
-//! buffer space — no further coordination is needed to find where to
-//! write. Writers encode their block into its range (in two pieces when
-//! it wraps the ring's end) and mark the range *filled*; the flusher
-//! merges out-of-order fills into a contiguous watermark it can drain.
-//! Dead-zone ranges (which map to no disk location) are marked filled
-//! without a copy so they never stall the watermark.
+//! so a reservation made with the global `fetch_add`
+//! ([`RingBuffer::reserve`]) already names its buffer space — no further
+//! coordination is needed to find where to write. Writers encode their
+//! block into its range (in two pieces when it wraps the ring's end) and
+//! publish it; the flusher merges out-of-order fills into a contiguous
+//! watermark it can drain. Skip records and dead zones (which map to no
+//! disk location) are published as a bare header, so they never stall
+//! the watermark.
 //!
-//! # Lock-free completion tracking (the availability ring)
+//! # The ring is its own availability map
 //!
-//! `mark_filled` is on the commit hot path — once per transaction, plus
-//! one per skip record and dead zone — and must not serialize committing
-//! threads (§3.3: after the single `fetch_add`, a committer touches no
-//! shared latches). Completion is therefore tracked by a fixed array of
-//! atomic *stamp words*, one [`u64`] per [`MIN_BLOCK_LEN`]-byte slot of
-//! capacity, and a fill writes one of them:
+//! Publishing is on the commit hot path — once per transaction, plus one
+//! per skip record and dead zone — and must not serialize committing
+//! threads (§3.3: after the single `fetch_add`, a committer touches
+//! nothing shared but its own block). Every fill opens with a 32-byte
+//! [`LogBlockHeader`] whose `len` covers the fill, and a writer publishes
+//! the fill with one `Release` store of `offset | 1` into the header's
+//! last word, `prev` — no lock, no allocation, no CAS, nothing outside
+//! the fill. No plain store ever touches that word:
+//! [`BlockEncoder::finish`] writes the header's first 24 bytes, and
+//! [`RingBuffer::write`] copies around it.
 //!
-//! * Every reservation is a `MIN_BLOCK_LEN`-aligned range of the
-//!   monotonic logical offset space, so a fill covers an exact run of
-//!   slots. Logical slot number `s = offset / MIN_BLOCK_LEN` maps to
-//!   array index `s % nslots` and wrap generation `s / nslots`.
-//! * A writer publishes its fill with one `Release` store into its first
-//!   slot: `(generation + 1) << 32 | slots`, its length beside its lap
-//!   (`+ 1` so the initial zero never matches) — no lock, no allocation,
-//!   no CAS, whatever the length.
-//! * The flusher (the only consumer) advances the contiguous `filled`
-//!   watermark by hopping from a fill's start to the next by the length
-//!   each start word carries, while each names the expected generation
-//!   ([`RingBuffer::advance_filled`]). The `Acquire` load of a matching
-//!   word synchronizes with the writer's `Release` store, program-ordered
-//!   after the byte copy — so everything below the watermark is safely
-//!   readable by [`RingBuffer::read_range`].
-//!
-//! One store makes a fill all-or-nothing to the scan: its word admits
-//! every byte of it or none. The filled (and hence durable) watermark
+//! The flusher (the only consumer) advances the contiguous `filled`
+//! watermark by loading the word at the next expected start: if it reads
+//! that start's `offset | 1`, the fill is whole, and its header's `len`
+//! is the hop to the next ([`RingBuffer::advance_filled`]). The `Acquire`
+//! load synchronizes with the writer's `Release` store, program-ordered
+//! after every byte of the fill — so everything below the watermark is
+//! safely readable by [`RingBuffer::read_range`]. One store makes a fill
+//! all-or-nothing to the scan: the filled (and hence durable) watermark
 //! stops only between fills, never inside a block, which the
 //! degraded-mode resume relies on when it writes skip blocks from the
 //! durable frontier.
 //!
-//! The scan reads only fill starts, and each is written once per
-//! generation: reservations are disjoint (the `fetch_add` hands each
-//! offset out once), and a slot's previous generation is *flushed* before
-//! a writer can stamp the next (writers call
-//! [`RingBuffer::wait_for_space`] first, and `flushed ≥` the slot's old
-//! range means the scan is past the old word). Whatever an older lap left
-//! in a start's slot — a start or an interior slot then — names an older
-//! generation and stops the scan; so does a zero word, which is what lets
-//! [`RingBuffer::release`] drop a drained range's stamp pages with its
-//! bytes: both arrays are [`Region`]s, resident where the log is. Release
-//! builds leave a fill's interior slots untouched; debug builds swap each
-//! for a zero-length word of its own generation (one the scan never lands
-//! on, and would stop at) and assert that every slot held an older one —
-//! the double-fill detector.
+//! Any other word stops the scan, and a start nobody has published reads
+//! zero: [`RingBuffer::mark_flushed`] zeroes the word of every 32-byte
+//! slot it hands to the next lap, and [`RingBuffer::reset`] the whole
+//! ring. So neither an older lap's header nor a payload that happens to
+//! hold the right bytes passes for a fill, and the `| 1` keeps a zero
+//! word from matching offset 0. The scan also stops at the reservation
+//! frontier, so it maps no page no claim covers, and at `flushed + cap`,
+//! where no fill starts yet and the word may be payload of the block
+//! `flushed` cuts. Debug builds keep a table of the lap each slot was
+//! last filled in and assert that every slot a fill covers was last
+//! filled in an older one — the double-fill detector.
 //!
 //! *Every* fill path — commit blocks, skip records and dead zones alike —
-//! waits for space over its whole range before it stamps. The global
+//! waits for space over its whole range before it writes. The global
 //! `fetch_add` precedes that wait, so a writer that lost a segment
 //! rotation can hold a claim far beyond `flushed + cap` while the ring is
-//! full; stamping it early would overwrite a word the scan has not
-//! consumed and stall the watermark for good. Debug builds assert the
-//! window (`end − flushed ≤ cap`) on every fill, and
-//! `rotation_with_full_ring_converges` drives that corner.
+//! full; filling it early would overwrite bytes the flusher has not
+//! drained. Debug builds assert the window (`end − flushed ≤ cap`) on
+//! every fill, and `rotation_with_full_ring_converges` drives that corner.
 //!
 //! # Parked-waiter condvar protocol
 //!
 //! The remaining mutex guards only the two condvars and is touched
 //! *only when someone is actually parked*. Wakers run a Dekker-style
-//! handshake: publish state (stamp words / `flushed`) with a `SeqCst`
+//! handshake: publish state (a fill's word / `flushed`) with a `SeqCst`
 //! fence, then check an atomic waiter count and lock + notify only if it
 //! is non-zero. Sleepers register their count (and re-check the
 //! condition) while holding the mutex, separated from the re-check by a
@@ -76,22 +67,28 @@
 //! notifies under the mutex (no lost wakeup: notification happens while
 //! the sleeper holds the mutex), or the sleeper's re-check observes the
 //! waker's published state and never sleeps. On the uncontended path,
-//! `mark_filled` and `mark_flushed` never touch the mutex at all.
+//! a fill and `mark_flushed` never touch the mutex at all.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use ermia_common::Region;
+use ermia_common::{CachePadded, Lsn, Region};
 
-use crate::records::{BlockEncoder, MIN_BLOCK_LEN};
+use crate::records::{
+    BlockEncoder, BlockKind, LogBlockHeader, BLOCK_HEADER_LEN, LEN_AT, MIN_BLOCK_LEN, PREV_AT,
+};
 
-/// Bytes tracked per availability-ring slot.
+/// Fills start on multiples of this, and so do the words that publish
+/// them.
 const SLOT: u64 = MIN_BLOCK_LEN as u64;
-/// Bytes of stamp per slot.
-const STAMP: u64 = std::mem::size_of::<AtomicU64>() as u64;
-/// A stamp word's low half: the fill's length in slots.
-const SLOTS_MASK: u64 = u32::MAX as u64;
+/// Rings at least this large hand drained memory back to the operating
+/// system ([`RingBuffer::mark_flushed`]); smaller ones (tests, the
+/// in-memory configuration) are cheaper left resident.
+const MIN_RELEASING_RING: u64 = 16 << 20;
+/// How far such a ring lets its space watermark trail the durable one,
+/// to batch the calls that give pages back ([`RingBuffer::free_space`]).
+const RELEASE_CHUNK: u64 = 256 << 10;
 
 /// The consumer sleeps until fills matter to it (a fill below the
 /// demand, a quarter of the ring accumulated), a kick, or its timeout.
@@ -107,21 +104,19 @@ pub struct RingBuffer {
     cap: u64,
     /// The first `cap` bytes are the ring.
     data: Region,
-    /// Per-slot stamp words, the first `nslots` [`AtomicU64`]s: once a
-    /// fill of `n` slots starting at logical slot `s` lands, slot
-    /// `s % nslots` holds `(s / nslots + 1) << 32 | n`.
-    stamps: Region,
-    nslots: u64,
+    /// The reservation frontier: one past the last byte claimed with
+    /// [`RingBuffer::reserve`], the log's single global `fetch_add`.
+    next: CachePadded<AtomicU64>,
     /// Contiguous prefix of the LSN space that has been filled.
-    /// Advanced only by the consumer (the flusher) via the slot scan.
+    /// Advanced only by the consumer (the flusher) via the scan.
     filled: AtomicU64,
     /// Prefix that the flusher has drained to stable storage (or
     /// discarded, for dead zones / in-memory logs).
     flushed: AtomicU64,
     /// Lowest logical offset a durability waiter is parked on
     /// (`u64::MAX` when nobody waits). Maintained by the log manager's
-    /// waiter registry; `mark_filled` wakes the flusher the moment a
-    /// fill lands below it, regardless of batch size.
+    /// waiter registry; a fill wakes the flusher the moment it lands
+    /// below it, regardless of batch size.
     demand: AtomicU64,
     /// Highest offset a durability waiter has ever registered for:
     /// together with `written` it tells the consumer whether anybody
@@ -155,6 +150,10 @@ pub struct RingBuffer {
     filled_cv: Condvar,
     /// Signaled when `flushed` advances (writers waiting for space).
     space_cv: Condvar,
+    /// Per 32-byte slot, one [`AtomicU64`]: the lap (plus one) that last
+    /// filled it — the double-fill detector (debug builds only).
+    #[cfg(debug_assertions)]
+    laps: Region,
     /// Single-consumer discipline check (debug builds only).
     #[cfg(debug_assertions)]
     consumer: Mutex<Option<std::thread::ThreadId>>,
@@ -163,27 +162,27 @@ pub struct RingBuffer {
 // The ring is `Sync` through its fields. The data region is written
 // through its raw pointer by concurrent writers holding disjoint
 // reservations and read by the flusher only below the filled watermark;
-// see `write` / `read_range` for the argument.
+// see `fill_with` / `read_range` for the argument.
 
 impl RingBuffer {
-    /// `cap` bytes of buffer, beginning life with watermarks at `start`
-    /// (the initial LSN offset). Both must be multiples of
-    /// [`MIN_BLOCK_LEN`], matching the alignment of every reservation.
+    /// `cap` bytes of buffer, beginning life with the frontier and the
+    /// watermarks at `start` (the initial LSN offset). Both must be
+    /// multiples of [`MIN_BLOCK_LEN`], matching the alignment of every
+    /// reservation.
+    ///
+    /// # Panics
+    /// Before mapping anything, on a capacity above `u32::MAX & !31`: a
+    /// fill may be as long as the ring, and its header says so in 32 bits.
     pub fn new(cap: u64, start: u64) -> RingBuffer {
         assert!(
-            cap > 0 && cap.is_multiple_of(SLOT),
-            "capacity must be a multiple of MIN_BLOCK_LEN"
+            cap.is_multiple_of(SLOT) && (SLOT..=u32::MAX as u64).contains(&cap),
+            "a {cap}-byte ring: a multiple of MIN_BLOCK_LEN, at most a header's 32-bit length"
         );
         assert!(start.is_multiple_of(SLOT), "start offset must be block-aligned");
-        let nslots = cap / SLOT;
-        // A stamp word carries a whole fill's length — up to `nslots` —
-        // in its low half.
-        assert!(nslots <= SLOTS_MASK, "{nslots} slots do not fit a stamp word's 32-bit length");
         RingBuffer {
             cap,
             data: Region::new(cap as usize),
-            stamps: Region::new((nslots * STAMP) as usize),
-            nslots,
+            next: CachePadded::new(AtomicU64::new(start)),
             filled: AtomicU64::new(start),
             flushed: AtomicU64::new(start),
             demand: AtomicU64::new(u64::MAX),
@@ -198,12 +197,27 @@ impl RingBuffer {
             filled_cv: Condvar::new(),
             space_cv: Condvar::new(),
             #[cfg(debug_assertions)]
+            laps: Region::new((cap / SLOT * 8) as usize),
+            #[cfg(debug_assertions)]
             consumer: Mutex::new(None),
         }
     }
 
     pub fn capacity(&self) -> u64 {
         self.cap
+    }
+
+    /// Claim `len` bytes of the logical offset space — the log's one
+    /// global `fetch_add` (§3.3) — and return where the claim starts.
+    #[inline]
+    pub fn reserve(&self, len: u64) -> u64 {
+        self.next.fetch_add(len, Ordering::SeqCst)
+    }
+
+    /// The reservation frontier: one past the last byte claimed.
+    #[inline]
+    pub fn frontier(&self) -> u64 {
+        self.next.load(Ordering::SeqCst)
     }
 
     /// Cumulative number of slow-path space waits (telemetry).
@@ -213,8 +227,8 @@ impl RingBuffer {
     }
 
     /// The contiguous filled watermark as last advanced by the consumer.
-    /// May lag freshly stamped fills until the consumer's next scan; see
-    /// [`RingBuffer::scan_tip`] for the stamp-inclusive view.
+    /// May lag freshly published fills until the consumer's next scan;
+    /// see [`RingBuffer::scan_tip`] for the view that includes them.
     #[inline]
     pub fn filled(&self) -> u64 {
         self.filled.load(Ordering::Acquire)
@@ -289,7 +303,7 @@ impl RingBuffer {
     /// registering its demand: the fills that should satisfy it
     /// (typically the waiter's own, completed just before) may have
     /// happened before the demand was visible, in which case
-    /// `mark_filled` stayed quiet — and the consumer may have *scanned*
+    /// the fill stayed quiet — and the consumer may have *scanned*
     /// them since and, with nobody waiting for them then, left them
     /// unwritten. Only a target below the written offset is certain to be
     /// covered by a flush already underway.
@@ -374,33 +388,68 @@ impl RingBuffer {
         !self.is_poisoned()
     }
 
-    /// Copy `bytes` into the ring at logical offset `offset` and mark the
-    /// range filled. The caller must own the reservation for
+    /// Copy `bytes`, a whole block, into the ring at logical offset
+    /// `offset` and publish it. The caller must own the reservation for
     /// `offset..offset+bytes.len()` and have waited for space.
+    ///
+    /// # Panics
+    /// If the block's header says another length: the scan hops by it.
     pub fn write(&self, offset: u64, bytes: &[u8]) {
+        let said = bytes.get(LEN_AT..LEN_AT + 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+        assert_eq!(said.map(|n| n as usize), Some(bytes.len()), "a header says another length");
         self.fill_with(offset, bytes.len() as u64, |head, tail| {
-            BlockEncoder::new(head, tail).put(bytes)
+            // Around the `prev` word: the publication stores it.
+            head[..PREV_AT].copy_from_slice(&bytes[..PREV_AT]);
+            BlockEncoder::new(&mut head[BLOCK_HEADER_LEN..], tail).put(&bytes[BLOCK_HEADER_LEN..]);
         });
     }
 
+    /// Publish `offset..offset+len` as a skip block: a bare header, the
+    /// bytes behind it never examined — a reservation given up, a
+    /// segment's closing pad, or a dead zone, which reaches no disk. The
+    /// caller must own the reservation for the range and have waited for
+    /// space.
+    pub fn mark_filled(&self, offset: u64, len: u64) {
+        let mut header = [0u8; BLOCK_HEADER_LEN];
+        let (kind, cstamp) = (BlockKind::Skip, Lsn::NULL);
+        let len32 = u32::try_from(len).expect("a fill is at most the ring");
+        LogBlockHeader { kind, nrec: 0, len: len32, checksum: 0, cstamp, prev: 0 }
+            .encode_into(&mut header);
+        self.fill_with(offset, len, |head, _| head[..PREV_AT].copy_from_slice(&header[..PREV_AT]));
+    }
+
     /// Hand `encode` the ring bytes of `offset..offset+len` — one slice,
-    /// or two when the range wraps the ring's end — then mark the range
-    /// filled. The caller must own the reservation for that range and
-    /// have waited for space.
+    /// or two when the range wraps the ring's end (the header is whole
+    /// in the first) — then publish the block it wrote: `encode` writes
+    /// the header's `len` and leaves its `prev` word alone. The caller
+    /// must own the reservation for the range and have waited for space.
+    /// Lock-free: one `Release` store, one `SeqCst` fence, and a mutex
+    /// touch only when the consumer is parked *and* this fill matters to
+    /// it (see below).
     pub fn fill_with(&self, offset: u64, len: u64, encode: impl FnOnce(&mut [u8], &mut [u8])) {
-        debug_assert!(len <= self.cap);
+        debug_assert!(
+            offset.is_multiple_of(SLOT) && len.is_multiple_of(SLOT) && len > 0 && len <= self.cap,
+            "fills are block-aligned and at most the ring"
+        );
+        // `flushed` only advances, so a writer that legitimately waited
+        // can never trip this; a writer that skipped the wait almost
+        // always will.
         debug_assert!(
             offset + len <= self.flushed() + self.cap,
-            "writer skipped wait_for_space: copying outside the space window \
-             overwrites unflushed bytes"
+            "a fill outside the space window: [{:#x}, {:#x}) with flushed {:#x}, cap {:#x}",
+            offset,
+            offset + len,
+            self.flushed(),
+            self.cap
         );
         let pos = (offset % self.cap) as usize;
         let first = std::cmp::min(len, self.cap - pos as u64) as usize;
-        // SAFETY: reservations hand out disjoint logical ranges, and a
-        // range's ring bytes are not read by the flusher until the writer
-        // publishes them via mark_filled (Release). So these bytes are
-        // exclusively ours until then, and the two slices do not overlap
-        // (`len <= cap`).
+        // SAFETY: reservations hand out disjoint logical ranges, and the
+        // flusher reads none of a range's ring bytes before its writer
+        // publishes them (Release) but the `prev` word, which it loads
+        // atomically and nobody but the publication writes. So these
+        // bytes are exclusively ours until then, and the two slices do
+        // not overlap (`len <= cap`).
         let (head, tail) = unsafe {
             let base = self.data.as_ptr();
             (
@@ -409,85 +458,9 @@ impl RingBuffer {
             )
         };
         encode(head, tail);
-        self.mark_filled(offset, len);
-    }
-
-    /// Reset the ring to begin a new life at logical offset `start`,
-    /// clearing the poison flag: every stamp word is zeroed (its pages
-    /// handed back), so no word of an earlier life matches the scan from
-    /// `start`, and both watermarks jump to `start`. Only sound when
-    /// fully quiesced — no outstanding reservations, no running consumer
-    /// (the resume path joins the flusher and drains writers first).
-    pub fn reset(&self, start: u64) {
-        assert!(start.is_multiple_of(SLOT), "reset offset must be block-aligned");
-        self.stamps.release(0..self.stamps.len());
-        self.filled.store(start, Ordering::Release);
-        self.flushed.store(start, Ordering::Release);
-        self.demand.store(u64::MAX, Ordering::Release);
-        self.demand_hi.store(0, Ordering::Release);
-        self.urged.store(0, Ordering::Release);
-        self.written.store(start, Ordering::Release);
-        self.poisoned.store(false, Ordering::Release);
-        // The next flusher incarnation is a fresh thread; let it claim
-        // the single-consumer role.
         #[cfg(debug_assertions)]
-        {
-            *self.consumer.lock().unwrap() = None;
-        }
-        fence(Ordering::SeqCst);
-    }
-
-    /// Mark `offset..offset+len` filled (without copying, for dead
-    /// zones). Lock-free: one release store of the fill's stamp word
-    /// into its first slot, one `SeqCst` fence, and a mutex touch only
-    /// when the consumer is parked *and* this fill matters to it (a
-    /// durability target lies at or above `offset`, or a drain-worthy
-    /// batch has accumulated).
-    ///
-    /// The caller must have won [`RingBuffer::wait_for_space`] for the
-    /// *entire* range: a slot may carry generation `g+1` only after its
-    /// generation-`g` occupant was flushed, so stamping outside the
-    /// space window overwrites an unconsumed word and stalls the
-    /// watermark permanently.
-    pub fn mark_filled(&self, offset: u64, len: u64) {
-        debug_assert!(
-            offset.is_multiple_of(SLOT) && len.is_multiple_of(SLOT),
-            "fills are block-aligned"
-        );
-        debug_assert!(len > 0 && len <= self.cap);
-        // `flushed` only advances, so a writer that legitimately waited
-        // can never trip this; a writer that skipped the wait almost
-        // always will.
-        debug_assert!(
-            offset + len <= self.flushed.load(Ordering::Relaxed) + self.cap,
-            "mark_filled outside the space window: [{:#x}, {:#x}) with flushed {:#x}, cap {:#x}",
-            offset,
-            offset + len,
-            self.flushed.load(Ordering::Relaxed),
-            self.cap
-        );
-        let first = offset / SLOT;
-        let slots = len / SLOT;
-        if cfg!(debug_assertions) {
-            // Double-fill detector: every slot a fill covers is stamped
-            // once per wrap generation (reservations are disjoint, and the
-            // previous generation was flushed before ours started).
-            // Interior slots take a zero-length word, which the scan never
-            // lands on; the start goes last, publishing the fill.
-            for s in (first + 1..first + slots).chain([first]) {
-                let word = self.word(s, if s == first { slots } else { 0 });
-                let prev = self.slot(s).swap(word, Ordering::Release);
-                debug_assert!(
-                    prev >> 32 < word >> 32,
-                    "double fill at offset {:#x} (generation {}, slot already {})",
-                    s * SLOT,
-                    word >> 32,
-                    prev >> 32
-                );
-            }
-        } else {
-            self.slot(first).store(self.word(first, slots), Ordering::Release);
-        }
+        self.check_fill(offset, len);
+        self.word(pos).store(offset | 1, Ordering::Release);
         // Wake the consumer *immediately* when this fill lands below a
         // registered durability target: a synchronous committer is
         // parked on a range this fill may complete, and every
@@ -510,6 +483,35 @@ impl RingBuffer {
         }
     }
 
+    /// Reset the ring to begin a new life at logical offset `start`,
+    /// clearing the poison flag: every byte is zeroed (its pages handed
+    /// back), so no fill of an earlier life — one published at or above
+    /// `start` included — passes for one of the new, and the frontier and
+    /// both watermarks jump to `start`. Only sound when fully quiesced —
+    /// no outstanding reservations, no running consumer (the resume path
+    /// joins the flusher and drains writers first).
+    pub fn reset(&self, start: u64) {
+        assert!(start.is_multiple_of(SLOT), "reset offset must be block-aligned");
+        self.data.release(0..self.data.len());
+        #[cfg(debug_assertions)]
+        self.laps.release(0..self.laps.len());
+        self.next.store(start, Ordering::Release);
+        self.filled.store(start, Ordering::Release);
+        self.flushed.store(start, Ordering::Release);
+        self.demand.store(u64::MAX, Ordering::Release);
+        self.demand_hi.store(0, Ordering::Release);
+        self.urged.store(0, Ordering::Release);
+        self.written.store(start, Ordering::Release);
+        self.poisoned.store(false, Ordering::Release);
+        // The next flusher incarnation is a fresh thread; let it claim
+        // the single-consumer role.
+        #[cfg(debug_assertions)]
+        {
+            *self.consumer.lock().unwrap() = None;
+        }
+        fence(Ordering::SeqCst);
+    }
+
     /// Consumer side: advance the contiguous `filled` watermark over
     /// every whole fill published since the last scan. Returns the
     /// (possibly unchanged) watermark.
@@ -524,28 +526,38 @@ impl RingBuffer {
         cur
     }
 
-    /// Stamp-inclusive watermark estimate for *non-consumer* threads: a
-    /// read-only scan from `filled` that does not publish its result
-    /// (the consumer owns `filled`). Used by `LogManager::sync` to name
-    /// "everything filled so far" without racing the flusher.
+    /// Watermark estimate for *non-consumer* threads that includes fills
+    /// published since the consumer's last scan: a read-only scan from
+    /// `filled` that does not publish its result (the consumer owns
+    /// `filled`). Used by `LogManager::sync` to name "everything filled
+    /// so far" without racing the flusher.
     pub fn scan_tip(&self) -> u64 {
         self.scan(self.filled.load(Ordering::Acquire))
     }
 
     /// The end of the run of whole fills that begins at `cur`, a fill's
-    /// start: hop from each start to the next by the length its word
-    /// carries, and stop at a word of another generation (a stale or a
-    /// zero one) or of no length.
+    /// start: while the word there says it is published, hop by its
+    /// header's `len`; stop at any other word, at the frontier, or at
+    /// `flushed + cap` (see the module docs). A `len` counts only if the
+    /// word still names `cur` after it, seqlock-style: a caller that is
+    /// not the consumer may stall while the fill is drained — its word
+    /// zeroed first — and a later lap writes a header over it.
     fn scan(&self, mut cur: u64) -> u64 {
-        loop {
-            let s = cur / SLOT;
-            let word = self.slot(s).load(Ordering::Acquire);
-            let slots = word & SLOTS_MASK;
-            if word >> 32 != self.generation(s) || slots == 0 {
-                return cur;
+        let bound = self.next.load(Ordering::Acquire).min(self.flushed() + self.cap);
+        while cur < bound {
+            let pos = (cur % self.cap) as usize;
+            let word = self.word(pos);
+            if word.load(Ordering::Acquire) != cur | 1 {
+                break;
             }
-            cur += slots * SLOT;
+            let len = self.len_at(pos);
+            fence(Ordering::Acquire);
+            if word.load(Ordering::Relaxed) != cur | 1 {
+                break;
+            }
+            cur += len;
         }
+        cur
     }
 
     /// Consumer side: wait until the watermark scan passes `from`,
@@ -591,7 +603,7 @@ impl RingBuffer {
     fn park(&self, mode: u32, timeout: Option<Duration>, ready: impl Fn() -> bool) {
         let guard = self.wake_mx.lock().unwrap();
         self.consumer_parked.store(mode, Ordering::Relaxed);
-        // Dekker handshake with `mark_filled` and `kick_consumer`:
+        // Dekker handshake with `fill_with` and `kick_consumer`:
         // publish that we are parked, then re-check. Either the re-check
         // sees what a waker published before its own fence, or the waker
         // sees `consumer_parked != 0` and notifies under the mutex we
@@ -622,11 +634,10 @@ impl RingBuffer {
         let len = (end - start) as usize;
         let first = std::cmp::min(len, self.cap as usize - pos);
         // SAFETY: below the filled watermark no writer touches these
-        // bytes (reservations are monotonic and disjoint, and their next
-        // wrap generation waits for `flushed` to pass this one), and the
-        // watermark scan's Acquire load of each fill's stamp word
-        // synchronized with its writer's Release publication of the
-        // copied bytes.
+        // bytes (reservations are monotonic and disjoint, and the next
+        // lap's writers wait for `flushed` to pass them), and the
+        // watermark scan's Acquire load of each fill's word synchronized
+        // with its writer's Release publication of the copied bytes.
         unsafe {
             let base = self.data.as_ptr();
             sink(std::slice::from_raw_parts(base.add(pos), first));
@@ -642,55 +653,34 @@ impl RingBuffer {
         self.space_waiters.load(Ordering::Relaxed) != 0
     }
 
-    /// Flusher side: hand the memory pages lying wholly inside logical
-    /// `[lo, hi)` — of the bytes and of their stamps — back to the
-    /// operating system (they read as zeros until written again), so the
-    /// ring's resident size follows what is in flight rather than
-    /// everything ever logged. A zero word matches no generation, so the
-    /// watermark scan stops on it exactly as on the stale one it replaces.
-    ///
-    /// The range must be drained to storage and **not yet published**
-    /// through [`RingBuffer::mark_flushed`]: below the published
-    /// watermark the next wrap generation's writers are already admitted
-    /// and may be copying into, and stamping, these very pages.
-    pub fn release(&self, lo: u64, hi: u64) {
-        assert!(
-            self.flushed() <= lo && lo <= hi && hi <= self.filled() && hi - lo <= self.cap,
-            "release after publish, or of unfilled bytes: [{lo:#x}, {hi:#x}) with flushed {:#x}, filled {:#x}",
-            self.flushed(),
-            self.filled()
-        );
-        release_wrapped(&self.data, self.cap, lo, hi);
-        release_wrapped(&self.stamps, self.nslots * STAMP, lo / SLOT * STAMP, hi / SLOT * STAMP);
+    /// Flusher side: everything below `durable` is on storage; hand its
+    /// space to the next lap's writers — on a releasing ring a
+    /// [`RELEASE_CHUNK`] at a time, unless a writer is parked for space.
+    pub fn free_space(&self, durable: u64) {
+        let batch = self.cap >= MIN_RELEASING_RING && !self.has_space_waiters();
+        let to = if batch { durable / RELEASE_CHUNK * RELEASE_CHUNK } else { durable };
+        // Relaxed: only the consumer stores `flushed`.
+        if to > self.flushed.load(Ordering::Relaxed) {
+            self.mark_flushed(to);
+        }
     }
 
-    /// The stamp word of logical slot `s`.
-    #[inline]
-    fn slot(&self, s: u64) -> &AtomicU64 {
-        &self.stamps.view::<AtomicU64>()[(s % self.nslots) as usize]
-    }
-
-    /// The wrap generation of logical slot `s`, plus one.
-    #[inline]
-    fn generation(&self, s: u64) -> u64 {
-        s / self.nslots + 1
-    }
-
-    /// The word that publishes a fill of `slots` slots starting at
-    /// logical slot `s`: its generation above, its length below.
-    #[inline]
-    fn word(&self, s: u64, slots: u64) -> u64 {
-        debug_assert!(self.generation(s) <= SLOTS_MASK, "slot generation overflow");
-        self.generation(s) << 32 | slots
-    }
-
-    /// Flusher side: advance the flushed watermark and wake space
-    /// waiters. Publishes the watermark, fences, then notifies only if a
-    /// waiter registered itself — the Dekker handshake mirrored in
-    /// [`RingBuffer::wait_for_space`] makes the wakeup precise without
-    /// an unconditional mutex acquisition per flush batch.
+    /// Flusher side: hand `[flushed, to)`, drained to storage, to the next
+    /// lap's writers. First its words go to zero, so none passes for a
+    /// fill of the next lap: a ring of [`MIN_RELEASING_RING`] bytes or more
+    /// gives the range's whole pages back to the operating system (its
+    /// resident size follows what is in flight), and the rest are stored.
+    /// Then the watermark is published, and space waiters are notified
+    /// only if one registered — the Dekker handshake of
+    /// [`RingBuffer::wait_for_space`].
     pub fn mark_flushed(&self, to: u64) {
-        debug_assert!(to <= self.filled());
+        // Relaxed: only the consumer stores `flushed`.
+        let from = self.flushed.load(Ordering::Relaxed);
+        debug_assert!(from <= to && to <= self.filled(), "flushed {from:#x} -> {to:#x}");
+        let pos = from % self.cap;
+        let first = std::cmp::min(to - from, self.cap - pos);
+        self.clear(pos..pos + first);
+        self.clear(0..to - from - first);
         self.flushed.store(to, Ordering::Release);
         fence(Ordering::SeqCst);
         if self.space_waiters.load(Ordering::Relaxed) != 0 {
@@ -699,9 +689,71 @@ impl RingBuffer {
         }
     }
 
+    /// Zero the words of ring positions `run`: the pages given back read
+    /// zero, the rest are stored.
+    fn clear(&self, run: std::ops::Range<u64>) {
+        let (lo, hi) = (run.start as usize, run.end as usize);
+        let given = if self.cap < MIN_RELEASING_RING { hi..hi } else { self.data.release(lo..hi) };
+        // The lap table goes back with the bytes (zero is an older lap).
+        #[cfg(debug_assertions)]
+        if self.cap >= MIN_RELEASING_RING {
+            self.laps.release(lo / 4..hi / 4);
+        }
+        for kept in [lo..given.start, given.end..hi] {
+            for pos in kept.step_by(MIN_BLOCK_LEN) {
+                self.word(pos).store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The `prev` word of the header at ring position `pos`, a fill's
+    /// start: where the fill is published.
+    #[inline]
+    fn word(&self, pos: usize) -> &AtomicU64 {
+        debug_assert!(pos.is_multiple_of(MIN_BLOCK_LEN) && (pos as u64) < self.cap);
+        let at = pos + PREV_AT;
+        // SAFETY: a header never wraps (fills and the capacity are
+        // 32-aligned), so `at` is 8-aligned inside the ring. No plain
+        // access to these bytes races an atomic one: encoders leave them
+        // alone, `read_range` reads below the watermark, and a later lap
+        // writes payload over them only after `mark_flushed` cleared them.
+        unsafe { AtomicU64::from_ptr(self.data.as_ptr().add(at).cast()) }
+    }
+
+    /// The `len` of the header at ring position `pos`, a fill's start —
+    /// atomic, for the scan's seqlock-style read.
+    #[inline]
+    fn len_at(&self, pos: usize) -> u64 {
+        // SAFETY: 4-aligned inside the ring, as above; the caller loaded
+        // the fill's word with `Acquire` first (or is its writer).
+        let len = unsafe { AtomicU32::from_ptr(self.data.as_ptr().add(pos + LEN_AT).cast()) };
+        u32::from_le(len.load(Ordering::Relaxed)).into()
+    }
+
+    /// The double-fill detector: every slot a fill covers was last filled
+    /// in an older lap. Also: the fill's header says its length, and its
+    /// word was cleared.
+    #[cfg(debug_assertions)]
+    fn check_fill(&self, offset: u64, len: u64) {
+        let nslots = self.cap / SLOT;
+        let laps = self.laps.view::<AtomicU64>();
+        for s in offset / SLOT..(offset + len) / SLOT {
+            let lap = s / nslots + 1;
+            let last = laps[(s % nslots) as usize].swap(lap, Ordering::Relaxed);
+            assert!(
+                last < lap,
+                "double fill at offset {:#x} (lap {lap}, already {last})",
+                s * SLOT
+            );
+        }
+        let pos = (offset % self.cap) as usize;
+        assert_eq!(self.len_at(pos), len, "the header at {offset:#x} says another length");
+        assert_eq!(self.word(pos).load(Ordering::Relaxed), 0, "a stale word at {offset:#x}");
+    }
+
     /// Debug check that exactly one thread ever consumes (advances the
-    /// watermark / parks on `filled_cv`): the availability ring's plain
-    /// `filled` store and the `notify_one` wake both assume it.
+    /// watermark / parks on `filled_cv`): the plain `filled` store and
+    /// the `notify_one` wake both assume it.
     #[inline]
     fn assert_single_consumer(&self) {
         #[cfg(debug_assertions)]
@@ -719,18 +771,10 @@ impl RingBuffer {
     }
 }
 
-/// Release logical `[lo, hi)` of a ring of `len` bytes laid over the
-/// front of `region`: at most two runs (the wrap).
-fn release_wrapped(region: &Region, len: u64, lo: u64, hi: u64) {
-    let pos = lo % len;
-    let first = std::cmp::min(hi - lo, len - pos);
-    region.release(pos as usize..(pos + first) as usize);
-    region.release(0..(hi - lo - first) as usize);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring_stress::{block, published, read};
 
     /// Test helper: scan, then report the watermark (the consumer role).
     fn filled_now(rb: &RingBuffer) -> u64 {
@@ -751,27 +795,30 @@ mod tests {
     #[test]
     fn in_order_fills_advance_watermark() {
         let rb = RingBuffer::new(1024, 0);
+        rb.reserve(160);
         assert_eq!(rb.capacity(), 1024);
-        rb.write(0, &[1; 96]);
+        rb.write(0, &block(96, 1));
         assert_eq!(filled_now(&rb), 96);
-        rb.write(96, &[2; 64]);
+        rb.write(96, &block(64, 2));
         assert_eq!(filled_now(&rb), 160);
     }
 
     #[test]
     fn out_of_order_fills_merge() {
         let rb = RingBuffer::new(1024, 0);
-        rb.write(96, &[2; 64]);
+        rb.reserve(192);
+        rb.write(96, &block(64, 2));
         assert_eq!(filled_now(&rb), 0);
         rb.mark_filled(160, 32); // dead zone, also pending
-        rb.write(0, &[1; 96]);
+        rb.write(0, &block(96, 1));
         assert_eq!(filled_now(&rb), 192);
     }
 
     #[test]
-    fn scan_tip_sees_stamps_without_publishing() {
+    fn scan_tip_sees_fills_without_publishing() {
         let rb = RingBuffer::new(1024, 0);
-        rb.write(0, &[3; 64]);
+        rb.reserve(64);
+        rb.write(0, &block(64, 3));
         assert_eq!(rb.scan_tip(), 64);
         // The consumer-owned watermark is untouched by the read-only scan.
         assert_eq!(rb.filled(), 0);
@@ -781,33 +828,30 @@ mod tests {
     #[test]
     fn read_range_sees_written_bytes_across_wrap() {
         let rb = RingBuffer::new(128, 0);
-        rb.write(0, &[7; 96]);
+        rb.reserve(192);
+        rb.write(0, &block(96, 7));
         assert_eq!(filled_now(&rb), 96);
-        rb.read_range(0, 96, |s| assert!(s.iter().all(|&b| b == 7)));
+        assert_eq!(read(&rb, 0, 96), (published(0, 96, 7), 1));
         rb.mark_flushed(96);
         // This write wraps: positions 96..128 then 0..64.
-        rb.write(96, &[9; 96]);
+        rb.write(96, &block(96, 9));
         assert_eq!(filled_now(&rb), 192);
-        let mut total = 0;
-        let mut chunks = 0;
-        rb.read_range(96, 192, |s| {
-            assert!(s.iter().all(|&b| b == 9));
-            total += s.len();
-            chunks += 1;
-        });
-        assert_eq!(total, 96);
+        let (bytes, chunks) = read(&rb, 96, 192);
+        assert_eq!(bytes, published(96, 96, 9));
+        assert_eq!(bytes.len(), 96);
         assert_eq!(chunks, 2);
     }
 
     #[test]
     fn wait_for_space_blocks_until_flush() {
         let rb = std::sync::Arc::new(RingBuffer::new(96, 0));
-        rb.write(0, &[1; 96]);
+        rb.reserve(192);
+        rb.write(0, &block(96, 1));
         assert_eq!(filled_now(&rb), 96);
         let rb2 = std::sync::Arc::clone(&rb);
         let t = std::thread::spawn(move || {
             assert!(rb2.wait_for_space(192)); // needs flushed >= 96
-            rb2.write(96, &[2; 96]);
+            rb2.write(96, &block(96, 2));
         });
         spin_until(|| rb.has_space_waiters());
         assert_eq!(rb.scan_tip(), 96, "writer must not proceed before flush");
@@ -834,7 +878,8 @@ mod tests {
         let mut latencies = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             let rb = std::sync::Arc::new(RingBuffer::new(96, 0));
-            rb.write(0, &[1; 96]);
+            rb.reserve(96);
+            rb.write(0, &block(96, 1));
             rb.advance_filled();
             let rb2 = std::sync::Arc::clone(&rb);
             let t = std::thread::spawn(move || {
@@ -865,6 +910,7 @@ mod tests {
         let mut latencies = Vec::with_capacity(ROUNDS);
         for round in 0..ROUNDS {
             let rb = std::sync::Arc::new(RingBuffer::new(1024, 0));
+            rb.reserve(32);
             rb.set_demand(32);
             let rb2 = std::sync::Arc::clone(&rb);
             let t = std::thread::spawn(move || {
@@ -891,6 +937,7 @@ mod tests {
         // Without demand and below the batch threshold, a fill leaves
         // the consumer parked until its timeout — group-commit batching.
         let rb = std::sync::Arc::new(RingBuffer::new(1024, 0));
+        rb.reserve(32);
         let rb2 = std::sync::Arc::clone(&rb);
         let t = std::thread::spawn(move || {
             let start = std::time::Instant::now();
@@ -937,7 +984,8 @@ mod tests {
     #[test]
     fn poison_unblocks_space_waiters() {
         let rb = std::sync::Arc::new(RingBuffer::new(96, 0));
-        rb.write(0, &[1; 96]);
+        rb.reserve(96);
+        rb.write(0, &block(96, 1));
         rb.advance_filled();
         let rb2 = std::sync::Arc::clone(&rb);
         let t = std::thread::spawn(move || rb2.wait_for_space(192));
@@ -954,66 +1002,147 @@ mod tests {
     fn double_fill_is_detected() {
         let rb = RingBuffer::new(1024, 0);
         rb.mark_filled(64, 32);
-        rb.mark_filled(64, 32); // second stamp of the same generation
+        rb.mark_filled(64, 32); // a second fill of the same lap
     }
 
     #[test]
-    #[should_panic(expected = "do not fit")]
-    fn a_ring_longer_than_a_stamp_word_can_say_is_refused() {
-        // Refused before any memory is mapped.
-        RingBuffer::new(SLOT << 32, 0);
+    #[should_panic(expected = "says another length")]
+    fn a_block_whose_header_lies_about_its_length_is_refused() {
+        let rb = RingBuffer::new(1024, 0);
+        rb.write(0, &[0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit length")]
+    fn a_ring_longer_than_a_header_can_say_is_refused() {
+        // A fill of 4 GiB + 32 bytes would say 32 in its header, and the
+        // log would end there on recovery. Refused before any memory is
+        // mapped.
+        RingBuffer::new((1 << 32) + SLOT, 0);
     }
 
     #[test]
     fn the_scan_reads_fill_starts_only() {
         let rb = RingBuffer::new(1 << 20, 0);
-        rb.write(0, &[4; 4096]);
-        // Older-generation words in every slot of the fill but its first:
-        // what a lap's earlier fills leave where this one has interior.
-        for s in 1..4096 / SLOT {
-            rb.slot(s).store(5, Ordering::Relaxed);
+        rb.reserve(1 << 20);
+        // A 4 KiB fill whose every interior slot looks like the start of
+        // a published 32-byte fill.
+        let mut bytes = block(4096, 4);
+        for at in (SLOT..4096).step_by(SLOT as usize) {
+            let slot = &mut bytes[at as usize..][..BLOCK_HEADER_LEN];
+            slot[LEN_AT..LEN_AT + 4].copy_from_slice(&32u32.to_le_bytes());
+            slot[PREV_AT..].copy_from_slice(&(at | 1).to_le_bytes());
         }
+        rb.write(0, &bytes);
         assert_eq!(rb.advance_filled(), 4096);
         assert_eq!(rb.scan_tip(), 4096);
     }
 
-    /// Release builds only: debug builds stamp every interior slot.
     #[test]
-    #[cfg(not(debug_assertions))]
-    fn a_fill_touches_the_stamp_pages_of_its_start_and_the_next() {
+    fn a_payload_that_looks_like_a_fill_passes_for_none() {
+        // A whole-ring block whose every interior slot forges the start
+        // of the next lap's fill there: a header of 32 bytes and the
+        // word that would publish it. Drained, its words are zeroed
+        // before the next lap may fill over them.
+        const CAP: u64 = 4096;
+        let rb = RingBuffer::new(CAP, 0);
+        let mut bytes = block(CAP, 5);
+        for at in (SLOT..CAP).step_by(SLOT as usize) {
+            let slot = &mut bytes[at as usize..][..BLOCK_HEADER_LEN];
+            slot[LEN_AT..LEN_AT + 4].copy_from_slice(&32u32.to_le_bytes());
+            slot[PREV_AT..].copy_from_slice(&((CAP + at) | 1).to_le_bytes());
+        }
+        rb.reserve(2 * CAP);
+        rb.write(0, &bytes);
+        assert_eq!(rb.advance_filled(), CAP);
+        rb.mark_flushed(CAP);
+        rb.write(CAP, &block(32, 6));
+        assert_eq!(rb.advance_filled(), CAP + 32, "a drained payload passed for a fill");
+    }
+
+    #[test]
+    fn the_scan_stops_at_flushed_plus_cap() {
+        // A releasing ring hands space back a chunk at a time, so
+        // `flushed` can cut a block, whose slot there is payload not yet
+        // drained. No fill can start at `flushed + cap`, where that slot
+        // is the next lap's: with one forged to say it does, the ring full
+        // up to it and a claim beyond it, the scan must stop there.
+        for cap in [64 << 10, MIN_RELEASING_RING] {
+            let rb = RingBuffer::new(cap, 0);
+            let (len, cut) = (4096, 1024);
+            let mut bytes = block(len, 3);
+            let slot = &mut bytes[cut as usize..][..BLOCK_HEADER_LEN];
+            slot[LEN_AT..LEN_AT + 4].copy_from_slice(&32u32.to_le_bytes());
+            slot[PREV_AT..].copy_from_slice(&((cut + cap) | 1).to_le_bytes());
+            rb.reserve(len);
+            rb.write(0, &bytes);
+            assert_eq!(rb.advance_filled(), len);
+            rb.mark_flushed(cut);
+            assert_eq!(rb.reserve(cut + cap - len), len);
+            assert!(rb.wait_for_space(cut + cap));
+            rb.write(len, &block(cut + cap - len, 4));
+            rb.reserve(64);
+            assert_eq!(rb.advance_filled(), cut + cap, "ring {cap}: a payload passed for a fill");
+            assert_eq!(rb.scan_tip(), cut + cap);
+        }
+    }
+
+    #[test]
+    fn free_space_hands_a_releasing_ring_back_a_chunk_at_a_time() {
+        // Durable up to a chunk and a half: a ring that keeps its memory
+        // frees all of it, a releasing one the whole chunk — and the rest
+        // once a writer parks for space.
+        let durable = 3 * RELEASE_CHUNK / 2;
+        for (cap, freed) in [(1 << 20, durable), (MIN_RELEASING_RING, RELEASE_CHUNK)] {
+            let rb = std::sync::Arc::new(RingBuffer::new(cap, 0));
+            rb.reserve(durable);
+            rb.mark_filled(0, durable);
+            assert_eq!(rb.advance_filled(), durable);
+            rb.free_space(durable);
+            assert_eq!(rb.flushed(), freed, "ring {cap}");
+            if freed < durable {
+                let rb2 = std::sync::Arc::clone(&rb);
+                let t = std::thread::spawn(move || rb2.wait_for_space(freed + cap + 32));
+                spin_until(|| rb.has_space_waiters());
+                rb.free_space(durable);
+                assert!(t.join().unwrap());
+                assert_eq!(rb.flushed(), durable, "ring {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fill_and_its_scan_touch_no_page_outside_it() {
         const LEN: u64 = 96 << 10;
         let rb = RingBuffer::new(1 << 20, 0);
-        rb.write(0, &[6; LEN as usize]);
+        rb.reserve(LEN);
+        rb.write(0, &block(LEN, 6));
         assert_eq!(rb.advance_filled(), LEN);
-        let Some(touched) = rb.stamps.touched_pages() else { return };
-        let pages = touched.iter().filter(|&&t| t).count();
-        // The start word written and the next start read: 96 KiB of log
-        // spans six stamp pages, all of which a store per slot would write.
-        assert!(pages <= 2, "one {LEN}-byte fill and a scan touched {pages} stamp pages");
+        let Some(touched) = rb.data.touched_pages() else { return };
+        let page = rb.data.len() / touched.len();
+        // The scan stops at the frontier: it reads no start past the fill.
+        let beyond = touched[(LEN as usize).div_ceil(page)..].iter().filter(|&&t| t).count();
+        assert_eq!(beyond, 0, "one {LEN}-byte fill and a scan touched {beyond} pages past it");
     }
 
     #[test]
     fn whole_ring_and_wrapping_fills_over_laps() {
-        // Fills of exactly the ring (a word of `nslots`, from the ring's
-        // start and from mid-ring) and fills that straddle the ring's end
-        // (the generation steps inside them), over ten laps, drained and
-        // released between fills.
+        // Fills of exactly the ring (from the ring's start and from
+        // mid-ring) and fills that straddle the ring's end, over ten
+        // laps, drained between fills.
         const CAP: u64 = 64 << 10;
         let rb = RingBuffer::new(CAP, 0);
         let lens = [CAP, CAP / 2 + 64, CAP, CAP / 2 - 32, 96, CAP - 32, CAP];
         let mut off = 0u64;
         for (i, &len) in lens.iter().cycle().take(14).enumerate() {
             let byte = i as u8 + 1;
+            assert_eq!(rb.reserve(len), off);
             assert!(rb.wait_for_space(off + len));
-            rb.write(off, &vec![byte; len as usize]);
+            rb.write(off, &block(len, byte));
             assert_eq!(rb.advance_filled(), off + len, "fill {i} of {len} bytes at {off:#x}");
-            let mut read = 0;
-            rb.read_range(off, off + len, |s| {
-                assert!(s.iter().all(|&b| b == byte), "fill {i} read back wrong");
-                read += s.len() as u64;
-            });
-            assert_eq!(read, len);
-            rb.release(off, off + len);
+            let (bytes, _) = read(&rb, off, off + len);
+            assert!(bytes == published(off, len, byte), "fill {i} read back wrong");
+            assert_eq!(bytes.len() as u64, len);
             rb.mark_flushed(off + len);
             off += len;
         }
@@ -1021,65 +1150,72 @@ mod tests {
     }
 
     #[test]
-    fn released_stamps_stop_the_scan_and_take_the_next_generation() {
-        // Large enough that a lap covers whole stamp pages.
-        const CAP: u64 = 1 << 20;
-        let rb = RingBuffer::new(CAP, 0);
-        rb.write(0, &vec![7; CAP as usize]);
-        assert_eq!(rb.advance_filled(), CAP);
-        rb.release(0, CAP);
-        assert!(rb.stamps.view::<AtomicU64>()[..rb.nslots as usize]
-            .iter()
-            .all(|s| s.load(Ordering::Relaxed) == 0));
-        rb.mark_flushed(CAP);
-        // The scan stands on a zero stamp, not a generation-1 one.
-        assert_eq!(rb.advance_filled(), CAP);
-        assert_eq!(rb.scan_tip(), CAP);
-        rb.write(CAP, &[9; 64]);
-        assert_eq!(rb.advance_filled(), CAP + 64);
-        rb.read_range(CAP, CAP + 64, |s| assert!(s.iter().all(|&b| b == 9)));
+    fn drained_words_read_zero_and_the_next_lap_fills_over_them() {
+        // A ring that keeps its memory stores zero into every drained
+        // word; one that hands it back does so on the pages it cannot
+        // give whole. Drained up to an offset on no page boundary.
+        for cap in [64 << 10, MIN_RELEASING_RING] {
+            let rb = RingBuffer::new(cap, 0);
+            let (len, n) = (3 * 4096 + 96, cap / 2 / (3 * 4096 + 96));
+            rb.reserve(n * len + 64);
+            for i in 0..n {
+                rb.write(i * len, &block(len, 7));
+            }
+            let to = rb.advance_filled();
+            assert_eq!(to, n * len);
+            rb.mark_flushed(to);
+            for at in (0..cap).step_by(SLOT as usize) {
+                let word = rb.word(at as usize).load(Ordering::Relaxed);
+                assert_eq!(word, 0, "ring {cap}, word {at:#x}");
+            }
+            // The scan stands on a zero word, and the next fill lands.
+            assert_eq!(rb.advance_filled(), to);
+            assert_eq!(rb.scan_tip(), to);
+            rb.write(to, &block(64, 9));
+            assert_eq!(rb.advance_filled(), to + 64);
+            assert_eq!(read(&rb, to, to + 64).0, published(to, 64, 9));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "release after publish")]
-    fn releasing_published_space_is_refused() {
-        // The mutation of `Flusher::publish` that swaps its two calls:
-        // below the published watermark the next generation is writing.
-        let rb = RingBuffer::new(1 << 20, 0);
-        rb.write(0, &[1; 4096]);
-        assert_eq!(rb.advance_filled(), 4096);
-        rb.mark_flushed(4096);
-        rb.release(0, 4096);
-    }
-
-    #[test]
-    fn reset_zeroes_every_stamp() {
+    fn reset_forgets_the_fills_of_its_earlier_life() {
+        // What a poisoned log leaves above its durable frontier: fills
+        // published, none drained. The reset must zero the ring, or the
+        // scan of the new life would pass over them.
         let rb = RingBuffer::new(1024, 0);
-        rb.write(0, &[1; 1024]);
-        assert_eq!(rb.advance_filled(), 1024);
-        rb.mark_flushed(1024);
-        rb.reset(0);
-        assert_eq!(rb.advance_filled(), 0, "a generation-1 stamp survived the reset");
-        rb.write(0, &[2; 32]);
-        assert_eq!(rb.advance_filled(), 32);
+        rb.reserve(512);
+        rb.write(0, &block(256, 1));
+        assert_eq!(rb.advance_filled(), 256);
+        rb.mark_flushed(256);
+        rb.write(256, &block(128, 2));
+        rb.write(384, &block(128, 3));
+        rb.reset(256);
+        assert_eq!(rb.reserve(256), 256);
+        assert_eq!(rb.advance_filled(), 256, "a fill of the earlier life survived the reset");
+        assert_eq!(rb.scan_tip(), 256);
+        rb.write(256, &block(32, 4));
+        assert_eq!(rb.advance_filled(), 288);
     }
 
     #[test]
-    fn generation_stamps_survive_many_wraps() {
+    fn fills_survive_many_wraps() {
         // Fill → drain the ring several times over; the watermark must
-        // keep advancing (wrap generations never collide) and bytes must
-        // read back correctly on the last lap.
+        // keep advancing (laps never collide) and bytes must read back
+        // correctly on the last lap.
         let rb = RingBuffer::new(128, 0);
         let mut off = 0u64;
         for lap in 0..9u8 {
             for _ in 0..4 {
+                assert_eq!(rb.reserve(32), off);
                 assert!(rb.wait_for_space(off + 32));
-                rb.write(off, &[lap; 32]);
+                rb.write(off, &block(32, lap));
                 off += 32;
             }
             assert_eq!(rb.advance_filled(), off);
             if lap == 8 {
-                rb.read_range(off - 128, off, |s| assert!(s.iter().all(|&b| b == 8)));
+                let want: Vec<u8> =
+                    (off - 128..off).step_by(32).flat_map(|at| published(at, 32, 8)).collect();
+                assert_eq!(read(&rb, off - 128, off).0, want);
             }
             rb.mark_flushed(off);
         }

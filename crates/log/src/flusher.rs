@@ -144,28 +144,25 @@
 //!
 //! A ring is touched from end to end as the log advances, so left alone
 //! its resident size grows with every byte ever logged until it equals
-//! the capacity — 64 MiB per log by default, plus 16 MiB of availability
-//! stamps (a `u64` per 32 bytes), for a buffer that only has to hold
-//! what accumulates during one flush. Both arrays are
-//! [`ermia_common::Region`]s — zero and not resident until written — and
-//! for rings of 16 MiB and up the flusher hands drained memory back to
-//! the operating system in 256 KiB chunks, bytes and stamps in the same
-//! call ([`crate::buffer::RingBuffer::release`]: 256 KiB of log is 64 KiB
-//! of stamps, and a zero word stops the watermark scan just as the
-//! stale one it replaces would), so what is resident of either follows
-//! the bytes in flight; a fill writes only its start's word, so a stamp
-//! page comes back at most once per 16 KiB of log. A ring keeps up to a
-//! chunk of drained bytes, and a quarter of that in stamps, resident
-//! before its `madvise`; at a few MB/s of log a
-//! 256 KiB chunk is one 64-page call every 0.1–0.2 s. Pages can only be
+//! the capacity — 64 MiB per log by default — for a buffer that only has
+//! to hold what accumulates during one flush. The ring is an
+//! [`ermia_common::Region`] — zero and not resident until written — and
+//! it is its own availability map (`buffer.rs`), so there is nothing
+//! beside it. After each publish the flusher hands the durable bytes'
+//! space back to the ring ([`crate::buffer::RingBuffer::free_space`]). A
+//! ring of 16 MiB and up gives drained memory back to the operating
+//! system as it publishes space (a page handed back reads zero, which is
+//! what the next lap's scan needs of every fill's start anyway), so what
+//! is resident follows the bytes in flight. To batch those calls such a
+//! ring advances its *space* watermark 256 KiB at a time (one 64-page
+//! `madvise` every 0.1–0.2 s at a few MB/s of log), so it trails the
+//! durable watermark by less than a chunk, except that a reservation
+//! parked for space gets every durable byte at once. Pages can only be
 //! dropped *before* the space they occupy is published to writers (below
-//! the published watermark the next wrap generation is already admitted),
-//! so on such rings the *space* watermark advances a chunk at a time —
-//! released first, published second — and trails the durable watermark
-//! by less than a chunk, except that a reservation parked for space gets
-//! every durable byte at once. Space is released only over the in-order completed prefix, like
-//! everything else. The durable watermark, which is what committers wait
-//! on, is never delayed.
+//! the published watermark the next lap is already admitted), which is
+//! why one call does both. Space is released only over the in-order
+//! completed prefix, like everything else. The durable watermark, which
+//! is what committers wait on, is never delayed.
 //!
 //! # Failure handling
 //!
@@ -198,12 +195,6 @@ use ermia_common::LogError;
 use crate::manager::{LogInner, SyncCause, WaiterSlot};
 use crate::plan::{Failed, Next, Plan, Published, Snapshot, MAX_SYNCS_IN_FLIGHT};
 use crate::segment::Segment;
-
-/// Rings at least this large return drained memory to the operating
-/// system, [`RELEASE_CHUNK`] bytes at a time; smaller ones (tests, the
-/// in-memory configuration) are cheaper left resident.
-const MIN_RELEASING_RING: u64 = 16 << 20;
-const RELEASE_CHUNK: u64 = 256 << 10;
 
 /// Transient-error retry budget: 6 attempts, 100µs..=3.2ms backoff.
 const MAX_WRITE_RETRIES: u32 = 6;
@@ -303,11 +294,6 @@ struct Flusher {
     plan: Plan,
     /// What the plan's nanoseconds count from.
     epoch: Instant,
-    /// The ring's published space watermark: trails the durable one by
-    /// less than `chunk` on rings that release memory (see the module
-    /// docs).
-    released: u64,
-    chunk: u64,
     /// Helper results taken off the board, ever.
     collected: u64,
     /// Per board slot: what a failed sync returned, until the plan
@@ -325,14 +311,9 @@ struct Flusher {
 
 impl Flusher {
     fn new(inner: Arc<LogInner>) -> Flusher {
-        let flushed = inner.buffer.flushed();
-        // Large rings give drained memory back a chunk at a time.
-        let chunk = if inner.buffer.capacity() >= MIN_RELEASING_RING { RELEASE_CHUNK } else { 1 };
         Flusher {
-            plan: Plan::new(flushed),
+            plan: Plan::new(inner.buffer.flushed()),
             epoch: Instant::now(),
-            released: flushed,
-            chunk,
             collected: 0,
             errors: std::array::from_fn(|_| None),
             board: Arc::new(SyncBoard {
@@ -396,7 +377,7 @@ impl Flusher {
                     if !idle || filled > hi {
                         continue;
                     }
-                    // Re-scan on the way out: fills stamped after the
+                    // Re-scan on the way out: fills published after the
                     // wait's last scan must still be drained — and their
                     // syncs published — before shutdown.
                     if inner.stop.load(Ordering::Acquire) && buffer.advance_filled() == hi {
@@ -404,11 +385,7 @@ impl Flusher {
                     }
                     // A reservation parked for space needs every durable
                     // byte now, chunk boundary or not.
-                    let durable = inner.durable.load(Ordering::Relaxed);
-                    if self.released < durable && buffer.has_space_waiters() {
-                        buffer.mark_flushed(durable);
-                        self.released = durable;
-                    }
+                    buffer.free_space(inner.durable.load(Ordering::Relaxed));
                 }
             }
         }
@@ -523,15 +500,7 @@ impl Flusher {
     /// batch, wake exactly the group-commit waiters it satisfied.
     fn publish(&mut self, lo: u64, hi: u64) {
         let inner = &*self.inner;
-        let space =
-            if inner.buffer.has_space_waiters() { hi } else { hi / self.chunk * self.chunk };
-        if space > self.released {
-            if self.chunk > 1 {
-                inner.buffer.release(self.released, space);
-            }
-            inner.buffer.mark_flushed(space);
-            self.released = space;
-        }
+        inner.buffer.free_space(hi);
         inner.durable.store(hi, Ordering::Release);
         inner.stats.flush_batches.fetch_add(1, Ordering::Relaxed);
         inner.stats.flushed_bytes.fetch_add(hi - lo, Ordering::Relaxed);

@@ -12,8 +12,8 @@
 //!    one large block: sized from the write set, then encoded once,
 //!    straight into the ring bytes the reservation names
 //!    ([`Reservation::encode`], one [`BlockEncoder`] for every block).
-//!    [`TxLogBuffer`] builds the same block standalone, for the log's
-//!    tests and the benchmark's probes.
+//!    [`TxLogBuffer`] builds the same block standalone, for the
+//!    benchmark's probes; tests encode over a `Vec`.
 //! 3. **Early commit LSNs.** A transaction acquires its commit LSN at the
 //!    start of pre-commit, so all committing transactions agree on their
 //!    relative commit order before any validation work happens.

@@ -210,8 +210,8 @@ thread_local! {
 /// The map key pairs the target with a unique sequence number so multiple
 /// waiters on the same offset coexist. The lowest target is mirrored into
 /// [`RingBuffer::set_demand`] whenever the front of the map changes, which
-/// is what lets `mark_filled` wake the flusher the instant a waiter's
-/// block is completely in the buffer.
+/// is what lets a fill wake the flusher the instant a waiter's block is
+/// completely in the buffer.
 #[derive(Default)]
 pub(crate) struct WaiterRegistry {
     map: Mutex<std::collections::BTreeMap<(u64, u64), Arc<WaiterSlot>>>,
@@ -220,9 +220,9 @@ pub(crate) struct WaiterRegistry {
 
 pub(crate) struct LogInner {
     pub(crate) cfg: LogConfig,
-    /// The single global allocation point: the logical LSN offset.
-    pub(crate) next: CachePadded<AtomicU64>,
     pub(crate) segments: SegmentTable,
+    /// The ring, and with it the single global allocation point: the
+    /// logical LSN offset ([`RingBuffer::reserve`]).
     pub(crate) buffer: RingBuffer,
     /// Offset up to which the log is durable (flusher-owned).
     pub(crate) durable: AtomicU64,
@@ -377,7 +377,6 @@ impl LogManager {
             None => (SegmentTable::create(None, backend, size, 0, fsync)?, 0),
         };
         let inner = Arc::new(LogInner {
-            next: CachePadded::new(AtomicU64::new(start)),
             buffer: RingBuffer::new(cfg.buffer_size, start),
             segments,
             durable: AtomicU64::new(start),
@@ -423,7 +422,7 @@ impl LogManager {
     /// commit stamp allocated after this call compares greater.
     #[inline]
     pub fn tail_lsn(&self) -> Lsn {
-        Lsn::from_parts(self.inner.next.load(Ordering::SeqCst), 0)
+        Lsn::from_parts(self.inner.buffer.frontier(), 0)
     }
 
     /// Reserve `len` bytes of log space and acquire the corresponding
@@ -460,7 +459,7 @@ impl LogManager {
         }
         inner.stats.allocations.fetch_add(1, Ordering::Relaxed);
         loop {
-            let off = inner.next.fetch_add(len64, Ordering::SeqCst);
+            let off = inner.buffer.reserve(len64);
             let seg = inner.segments.current();
             if seg.contains(off, len64) {
                 // Common case: the claimed block lies in the open segment.
@@ -483,9 +482,8 @@ impl LogManager {
                 // Our block straddles the end of the segment: it cannot be
                 // used; write a skip record to "close" the segment, then
                 // compete to open the next one.
-                let pad = seg.end - off;
-                self.write_skip(&seg, off, pad);
-                let new_start = inner.next.load(Ordering::SeqCst).max(seg.end);
+                self.write_skip(off, seg.end - off);
+                let new_start = inner.buffer.frontier().max(seg.end);
                 inner.segments.open_next(seg.index, new_start)?;
                 inner.stats.rotations.fetch_add(1, Ordering::Relaxed);
                 // The remainder of our claim lies beyond the old segment;
@@ -497,7 +495,7 @@ impl LogManager {
                 // Between segments: compete to open the next segment;
                 // blocks preceding the winner's start do not correspond to
                 // a valid location on disk and must be discarded.
-                let new_start = inner.next.load(Ordering::SeqCst).max(seg.end);
+                let new_start = inner.buffer.frontier().max(seg.end);
                 inner.segments.open_next(seg.index, new_start)?;
                 inner.stats.rotations.fetch_add(1, Ordering::Relaxed);
             }
@@ -507,16 +505,15 @@ impl LogManager {
         }
     }
 
-    /// Write a skip block at `off` covering `pad` bytes of `seg`.
-    fn write_skip(&self, seg: &Segment, off: u64, pad: u64) {
+    /// Write a skip block at `off` covering `pad` bytes of one segment.
+    fn write_skip(&self, off: u64, pad: u64) {
         debug_assert!(pad >= BLOCK_HEADER_LEN as u64 && pad.is_multiple_of(MIN_BLOCK_LEN as u64));
         debug_assert!(pad <= self.inner.cfg.buffer_size, "skip pad exceeds the ring");
         let inner = &*self.inner;
-        // The *whole* pad gets stamped in the availability ring, so the
-        // whole pad must lie inside the space window first: stamping a
-        // slot whose previous-generation fill is still unflushed would
-        // overwrite the unconsumed stamp and stall the watermark forever
-        // (see the ring invariant in `buffer.rs`). Reservation skips have
+        // The *whole* pad is one fill, so the whole pad must lie inside
+        // the space window first: a fill over bytes of the previous lap
+        // the flusher has not drained would overwrite them (see the ring
+        // invariant in `buffer.rs`). Reservation skips have
         // already waited in `allocate`, making this a single atomic load;
         // rotation losers genuinely block here until the flusher catches
         // up. No deadlock: a blocked range needs `flushed` to reach only
@@ -527,21 +524,10 @@ impl LogManager {
             // treats the unfilled range as the first hole. Nothing to do.
             return;
         }
-        let header = LogBlockHeader {
-            kind: BlockKind::Skip,
-            nrec: 0,
-            len: pad as u32,
-            checksum: 0,
-            cstamp: seg.lsn(off),
-            prev: 0,
-        };
-        let mut buf = [0u8; BLOCK_HEADER_LEN];
-        header.encode_into(&mut buf);
-        // Header and padding are one fill, published with one stamp
-        // (bytes after a skip header are never examined, so only the
-        // header is copied): the filled — and hence durable — watermark
-        // can never freeze between a skip header and its padding.
-        inner.buffer.fill_with(off, pad, |head, tail| BlockEncoder::new(head, tail).put(&buf));
+        // Header and padding are one fill, published with one store: the
+        // filled — and hence durable — watermark can never freeze between
+        // a skip header and its padding.
+        inner.buffer.mark_filled(off, pad);
         inner.stats.skip_blocks.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -561,19 +547,14 @@ impl LogManager {
             match inner.segments.lookup(off) {
                 Some(seg) => {
                     let stop = end.min(seg.end);
-                    self.write_skip(&seg, off, stop - off);
+                    self.write_skip(off, stop - off);
                     off = stop;
                 }
                 None => {
                     let next_start =
                         inner.segments.next_start_after(off).map_or(end, |s| s.min(end));
-                    // Dead zones are stamped like any other fill, so the
-                    // ring's generation invariant applies: the space
-                    // window must cover the range before its slots are
-                    // touched. A rotation loser can hold a claim well
-                    // beyond `flushed + cap` while the buffer is full —
-                    // stamping it early would clobber the previous
-                    // generation's unconsumed stamps (watermark stall).
+                    // A dead zone is one fill, with a header of its own:
+                    // it waits for space as a skip does (`write_skip`).
                     if !inner.buffer.wait_for_space(next_start) {
                         // Poisoned: nothing drains past the poison point,
                         // so publishing the dead zone is moot.
@@ -827,7 +808,7 @@ impl LogManager {
             std::thread::yield_now();
         }
         let durable = inner.durable.load(Ordering::Acquire);
-        let next = inner.next.load(Ordering::SeqCst);
+        let next = inner.buffer.frontier();
         self.write_gap_skips(durable, next)?;
         if next > durable {
             let mut gaps = inner.resume_gaps.lock().unwrap();
@@ -867,7 +848,7 @@ impl LogManager {
                             len: (stop - off) as u32,
                             checksum: 0,
                             cstamp: seg.lsn(off),
-                            prev: 0,
+                            prev: off | 1,
                         };
                         let mut buf = [0u8; BLOCK_HEADER_LEN];
                         header.encode_into(&mut buf);
@@ -909,7 +890,7 @@ impl LogManager {
     /// byte). `next_offset() - durable_offset()` is the durable-LSN lag.
     #[inline]
     pub fn next_offset(&self) -> u64 {
-        self.inner.next.load(Ordering::Relaxed)
+        self.inner.buffer.frontier()
     }
 
     /// Bytes sitting in the ring buffer between the flushed and filled
@@ -960,8 +941,8 @@ impl LogManager {
 
     /// Flush everything currently filled and wait until durable.
     pub fn sync(&self) -> Result<(), LogError> {
-        // `scan_tip` includes fills that are stamped in the availability
-        // ring but not yet folded into the flusher-owned watermark.
+        // `scan_tip` includes fills that are published in the ring but
+        // not yet folded into the flusher-owned watermark.
         let target = self.inner.buffer.scan_tip();
         self.wait_durable(target)
     }
@@ -1079,13 +1060,7 @@ impl Reservation<'_> {
     }
 
     fn do_skip(&self) {
-        let seg = self
-            .mgr
-            .inner
-            .segments
-            .lookup(self.offset)
-            .expect("reservation was validated against a segment");
-        self.mgr.write_skip(&seg, self.offset, self.len as u64);
+        self.mgr.write_skip(self.offset, self.len as u64);
     }
 }
 
@@ -1095,8 +1070,8 @@ impl Drop for Reservation<'_> {
             self.do_skip();
         }
         // Leave the outstanding set only after the skip (or fill) is in
-        // the ring: resume must never observe zero while a stamp is still
-        // in flight.
+        // the ring: resume must never observe zero while a publication is
+        // still in flight.
         self.mgr.inner.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 }

@@ -39,6 +39,10 @@ pub(crate) fn legacy_format(what: &str) -> io::Error {
 /// Serialized size of a block header in bytes.
 pub const BLOCK_HEADER_LEN: usize = 32;
 
+/// Where a block header holds its `len` and its `prev` word.
+pub(crate) const LEN_AT: usize = 8;
+pub(crate) const PREV_AT: usize = 24;
+
 /// Minimum allocation the LSN space will hand out; a closing skip record
 /// must always fit in the remainder of a segment, so segment sizes are
 /// multiples of this and all allocations are rounded up to it.
@@ -275,8 +279,14 @@ pub const MAX_BLOCK_RECORDS: usize = (1 << 24) - 1;
 /// 8  len        u32     total block length including header
 /// 12 checksum   u32     CRC-32C of the payload
 /// 16 cstamp     u64     committer's commit LSN (raw), 0 for skips
-/// 24 prev       u64     reserved: backward chain for overflow blocks
+/// 24 prev       u64     the block's own logical offset | 1: the log
+///                       ring's publication word (0 in older logs)
 /// ```
+///
+/// `prev` is the ring's: [`BlockEncoder::finish`] leaves it alone (zero in
+/// a fresh buffer), and the ring stores it last, publishing the fill
+/// (`crate::buffer`'s module docs). The scanner takes a nonzero `prev`
+/// that names another offset for a hole.
 #[derive(Clone, Copy, Debug)]
 pub struct LogBlockHeader {
     pub kind: BlockKind,
@@ -470,7 +480,11 @@ impl<'a> BlockEncoder<'a> {
 
     /// Close a block begun with [`BlockEncoder::block`]: zero the rest of
     /// the space, then write the header — `kind`, the records appended,
-    /// the whole space as the length, the payload's CRC-32C — in front.
+    /// the whole space as the length, the payload's CRC-32C — in front,
+    /// all but its `prev` word.
+    ///
+    /// # Panics
+    /// If the space is longer than the header's 32-bit length can say.
     #[inline]
     pub fn finish(mut self, kind: BlockKind, cstamp: Lsn) {
         let len = self.len();
@@ -481,17 +495,12 @@ impl<'a> BlockEncoder<'a> {
         let skip = BLOCK_HEADER_LEN.saturating_sub(self.head.len());
         let head = self.head.get(BLOCK_HEADER_LEN..).unwrap_or_default();
         let checksum = crc32c_append(crc32c(head), &self.tail[skip..]);
-        let header = LogBlockHeader {
-            kind,
-            nrec: self.nrec as u32,
-            len: len as u32,
-            checksum,
-            cstamp,
-            prev: 0,
-        };
+        let len = u32::try_from(len).expect("a block longer than its header's 32-bit length");
+        let header =
+            LogBlockHeader { kind, nrec: self.nrec as u32, len, checksum, cstamp, prev: 0 };
         let mut bytes = [0u8; BLOCK_HEADER_LEN];
         header.encode_into(&mut bytes);
-        self.write_at(0, &bytes);
+        self.write_at(0, &bytes[..PREV_AT]);
     }
 }
 

@@ -3,7 +3,8 @@
 //! Recovery is straightforward because the log contains only committed
 //! work: the scanner walks block headers from a start LSN, hops over
 //! skip records and dead zones using the segment table, verifies
-//! checksums (CRC-32C), and truncates at the first hole — no undo, no
+//! checksums (CRC-32C) and that each block names its own offset (its
+//! header's `prev`, 0 in older logs), and truncates at the first hole — no undo, no
 //! redo of uncommitted state. A block in the format before CRC-32C is no
 //! hole: the scan fails `InvalidData` there, so such a log is refused
 //! whole instead of truncated to nothing.
@@ -223,6 +224,9 @@ impl LogScanner {
             let len = header.len as u64;
             if len < BLOCK_HEADER_LEN as u64 || self.offset + len > seg.end {
                 return Ok(None); // corrupt length: treat as a hole
+            }
+            if header.prev != 0 && header.prev != self.offset | 1 {
+                return Ok(None); // written for another offset: misdirected or stale
             }
             if header.kind == BlockKind::Skip {
                 self.offset += len;

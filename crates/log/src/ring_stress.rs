@@ -1,10 +1,10 @@
-//! Stress and convergence tests for the lock-free availability ring.
+//! Stress and convergence tests for the lock-free log ring.
 //!
 //! These drive `RingBuffer` directly (it is crate-internal) through the
 //! access patterns the log manager produces — out-of-order aligned
-//! fills, dead zones published without content, ring wrap, and many
-//! writers stamping concurrently — and check the two properties the
-//! lock-free rewrite must preserve:
+//! fills, dead zones published as a bare header, ring wrap, and many
+//! writers publishing concurrently — and check the two properties the
+//! lock-free ring must preserve:
 //!
 //! 1. **Convergence**: the flusher-owned watermark reaches exactly the
 //!    total filled footprint no matter the fill order or interleaving,
@@ -20,6 +20,34 @@ use std::time::Instant;
 use ermia_common::rng::{mix64, SplitMix64, GAMMA};
 
 use crate::buffer::RingBuffer;
+use crate::records::{BLOCK_HEADER_LEN, LEN_AT, PREV_AT};
+
+/// A block of `len` bytes of `byte` behind a header that says `len`: all
+/// the ring reads of a fill. Its `prev` word is left to the publication.
+pub(crate) fn block(len: u64, byte: u8) -> Vec<u8> {
+    let mut bytes = vec![byte; len as usize];
+    bytes[LEN_AT..LEN_AT + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    bytes
+}
+
+/// What the ring holds of `block(len, byte)` once it is published at
+/// `offset`.
+pub(crate) fn published(offset: u64, len: u64, byte: u8) -> Vec<u8> {
+    let mut bytes = block(len, byte);
+    bytes[PREV_AT..BLOCK_HEADER_LEN].copy_from_slice(&(offset | 1).to_le_bytes());
+    bytes
+}
+
+/// The ring's bytes `[lo, hi)` (below the watermark), and how many
+/// slices they came in.
+pub(crate) fn read(rb: &RingBuffer, lo: u64, hi: u64) -> (Vec<u8>, usize) {
+    let (mut bytes, mut slices) = (Vec::new(), 0);
+    rb.read_range(lo, hi, |s| {
+        bytes.extend_from_slice(s);
+        slices += 1;
+    });
+    (bytes, slices)
+}
 
 /// Held by the one test here that compares two timings and by the one
 /// that keeps five threads busy for a second: libtest runs them side by
@@ -33,7 +61,7 @@ fn machine() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// One reservation in a precomputed layout: `dead` ranges are published
-/// without content (segment-rotation losers), the rest are written with
+/// as a bare header (segment-rotation losers), the rest are written with
 /// a derivable pattern.
 #[derive(Clone, Copy, Debug)]
 struct Chunk {
@@ -70,10 +98,11 @@ fn layout(total: u64) -> Vec<Chunk> {
 fn permuted_concurrent_fills_converge_across_wrap() {
     const THREADS: usize = 4;
     const CAP: u64 = 4096; // 128 slots
-    const TOTAL: u64 = 4 * CAP; // four full wrap generations
+    const TOTAL: u64 = 4 * CAP; // four full laps
 
     let chunks = layout(TOTAL);
     let rb = Arc::new(RingBuffer::new(CAP, 0));
+    rb.reserve(TOTAL);
 
     // Scatter chunks across threads with a coprime stride, then give each
     // thread its subset in ascending offset order. Disjoint ownership plus
@@ -94,15 +123,12 @@ fn permuted_concurrent_fills_converge_across_wrap() {
         for part in partitions {
             let rb = Arc::clone(&rb);
             s.spawn(move || {
-                let mut buf = Vec::new();
                 for c in part {
                     assert!(rb.wait_for_space(c.offset + c.len), "unexpected poison");
                     if c.dead {
                         rb.mark_filled(c.offset, c.len);
                     } else {
-                        buf.clear();
-                        buf.resize(c.len as usize, pattern_byte(c.offset));
-                        rb.write(c.offset, &buf);
+                        rb.write(c.offset, &block(c.len, pattern_byte(c.offset)));
                     }
                 }
             });
@@ -133,14 +159,9 @@ fn permuted_concurrent_fills_converge_across_wrap() {
                 while next < chunks.len() && chunks[next].offset + chunks[next].len <= w {
                     let c = chunks[next];
                     if !c.dead {
-                        let want = pattern_byte(c.offset);
-                        rb.read_range(c.offset, c.offset + c.len, |slice| {
-                            assert!(
-                                slice.iter().all(|&b| b == want),
-                                "chunk at {:#x} corrupted",
-                                c.offset
-                            );
-                        });
+                        let want = published(c.offset, c.len, pattern_byte(c.offset));
+                        let (got, _) = read(&rb, c.offset, c.offset + c.len);
+                        assert!(got == want, "chunk at {:#x} corrupted", c.offset);
                     }
                     next += 1;
                 }
@@ -156,39 +177,41 @@ fn permuted_concurrent_fills_converge_across_wrap() {
 }
 
 /// A ring that gives its memory back, run the way the flusher runs one:
-/// four seeded writers reserve with a shared `fetch_add`, wait for space
-/// and write; the consumer verifies every byte below the watermark, then
-/// releases the drained range — bytes and stamps — and only then
-/// publishes the space, a chunk at a time unless a writer is parked.
-/// Three and a half laps: fills start on slots that held an older lap's
-/// start or interior, or lie on a stamp page dropped in between, and a
-/// stale or resurrected word, or a page dropped under a writer, shows as
-/// a wrong byte or a watermark that stops.
+/// four seeded writers reserve with the ring's `fetch_add`, wait for
+/// space and write; the consumer walks the headers below the watermark
+/// and verifies every byte, then hands the drained range back with
+/// `free_space` — a chunk at a time unless a writer is parked;
+/// `mark_flushed` gives its whole pages to the operating system and
+/// zeroes the words on the rest before it publishes the space. The chunk
+/// cuts blocks, so the ring can fill up to `flushed + cap` while the
+/// word there is payload of the block `flushed` cuts. Three and a half
+/// laps: fills start where an older lap had a start, an interior or a
+/// dropped page, and a stale or resurrected word, or a page dropped
+/// under a writer, shows as a wrong byte, a wrong header or a watermark
+/// that stops.
 #[test]
 fn a_releasing_ring_survives_its_wraps() {
     let _alone = machine();
     const WRITERS: u64 = 4;
     const CAP: u64 = 16 << 20;
     const TOTAL: u64 = 7 * CAP / 2;
-    const CHUNK: u64 = 2 << 20;
     const SEED: u64 = 0x5EED_0030;
 
     // What slot `s` of the logical offset space holds, in every byte.
     let slot_byte = |s: u64| mix64(SEED ^ s) as u8;
 
     let rb = RingBuffer::new(CAP, 0);
-    let next = AtomicU64::new(0);
     std::thread::scope(|s| {
         for writer in 0..WRITERS {
-            let (rb, next) = (&rb, &next);
+            let rb = &rb;
             s.spawn(move || {
                 let mut rng = SplitMix64::new(SEED ^ writer.wrapping_mul(GAMMA));
                 let mut buf = Vec::new();
                 loop {
-                    // 32 B to 16 KiB, so blocks straddle stamp pages,
-                    // data pages and the wrap.
+                    // 32 B to 16 KiB, so blocks straddle data pages and
+                    // the wrap.
                     let len = 32 * (1 + rng.below(512));
-                    let offset = next.fetch_add(len, Ordering::Relaxed);
+                    let offset = rb.reserve(len);
                     if offset >= TOTAL {
                         break;
                     }
@@ -197,12 +220,13 @@ fn a_releasing_ring_survives_its_wraps() {
                     for slot in offset / 32..(offset + len) / 32 {
                         buf.extend_from_slice(&[slot_byte(slot); 32]);
                     }
+                    buf[LEN_AT..LEN_AT + 4].copy_from_slice(&(len as u32).to_le_bytes());
                     rb.write(offset, &buf);
                 }
             });
         }
 
-        let (mut verified, mut released) = (0u64, 0u64);
+        let mut verified = 0u64;
         let mut progressed = Instant::now();
         while verified < TOTAL {
             let filled = rb.advance_filled();
@@ -215,34 +239,33 @@ fn a_releasing_ring_survives_its_wraps() {
                 continue;
             }
             progressed = Instant::now();
-            let mut slot = verified / 32;
-            rb.read_range(verified, filled, |bytes| {
-                for run in bytes.chunks_exact(32) {
-                    assert!(
-                        run.iter().all(|&b| b == slot_byte(slot)),
-                        "slot {slot} (offset {:#x}) drained as {run:?}",
-                        slot * 32
-                    );
-                    slot += 1;
+            let (bytes, _) = read(&rb, verified, filled);
+            let mut start = verified;
+            for (i, run) in bytes.chunks_exact(32).enumerate() {
+                let slot = verified / 32 + i as u64;
+                let mut want = [slot_byte(slot); 32];
+                if slot * 32 == start {
+                    // A fill's header: its length and its word.
+                    let len = u32::from_le_bytes(run[LEN_AT..LEN_AT + 4].try_into().unwrap());
+                    want[LEN_AT..LEN_AT + 4].copy_from_slice(&len.to_le_bytes());
+                    want[PREV_AT..].copy_from_slice(&(start | 1).to_le_bytes());
+                    start += len as u64;
                 }
-            });
-            verified = filled;
-            let space = if rb.has_space_waiters() { filled } else { filled / CHUNK * CHUNK };
-            if space > released {
-                rb.release(released, space);
-                rb.mark_flushed(space);
-                released = space;
+                assert_eq!(run, want, "slot {slot} (offset {:#x}) drained wrong", slot * 32);
             }
+            assert_eq!(start, filled, "the headers below the watermark do not tile it");
+            verified = filled;
+            rb.free_space(filled);
         }
     });
-    assert!(next.load(Ordering::Relaxed) >= TOTAL && rb.filled() >= TOTAL);
+    assert!(rb.frontier() >= TOTAL && rb.filled() >= TOTAL);
 }
 
 /// Aggregate `mark_filled` throughput from N threads must not collapse
 /// against the single-thread rate. The old tracker funneled every call
-/// through a `Mutex<BTreeMap>` — under concurrent stamping that
-/// serializes (and convoy-collapses) while the availability ring's
-/// release stores proceed independently.
+/// through a `Mutex<BTreeMap>` — under concurrent fills that serializes
+/// (and convoy-collapses) while the ring's per-fill release stores
+/// proceed independently.
 #[test]
 fn concurrent_mark_filled_has_no_serialization_collapse() {
     let _alone = machine();
@@ -250,11 +273,11 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
     const THREADS: usize = 4;
     const ROUNDS: usize = 6;
 
-    // Each round stamps every slot of a fresh ring exactly once (one
-    // wrap generation), in 32-byte calls — the worst case for per-call
-    // overhead. Threads take interleaved chunks so neighboring stamps
-    // land on shared cache lines, as they do in a real commit storm.
-    let stamp_partition = |rb: &RingBuffer, lane: usize, lanes: usize| {
+    // Each round fills every slot of a fresh ring exactly once (one
+    // lap), in 32-byte calls — the worst case for per-call overhead.
+    // Threads take interleaved slots so neighboring publications land on
+    // shared cache lines, as they do in a real commit storm.
+    let fill_partition = |rb: &RingBuffer, lane: usize, lanes: usize| {
         let mut n = 0u64;
         let mut off = (lane as u64) * 32;
         while off < CAP {
@@ -273,7 +296,7 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
     for _ in 0..ROUNDS {
         let rb = RingBuffer::new(CAP, 0);
         let start = Instant::now();
-        let done = stamp_partition(&rb, 0, 1);
+        let done = fill_partition(&rb, 0, 1);
         single_rate = single_rate.max(done as f64 / start.elapsed().as_secs_f64());
     }
 
@@ -285,13 +308,13 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
             let handles: Vec<_> = (0..THREADS)
                 .map(|lane| {
                     let rb = Arc::clone(&rb);
-                    s.spawn(move || stamp_partition(&rb, lane, THREADS))
+                    s.spawn(move || fill_partition(&rb, lane, THREADS))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         multi_rate = multi_rate.max(done as f64 / start.elapsed().as_secs_f64());
-        assert_eq!(done, CAP / 32, "every slot stamped exactly once");
+        assert_eq!(done, CAP / 32, "every slot filled exactly once");
     }
 
     eprintln!(
@@ -320,7 +343,7 @@ mod props {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
         /// Single-consumer oracle check: fills applied in an arbitrary
-        /// permutation (per wrap generation) advance the watermark to
+        /// permutation (per lap) advance the watermark to
         /// exactly the contiguous filled prefix after every step.
         #[test]
         fn permuted_fills_match_prefix_oracle(
@@ -330,6 +353,7 @@ mod props {
             const CAP: u64 = 1024; // 32 slots
             const LAPS: u64 = 3;
             let rb = RingBuffer::new(CAP, 0);
+            rb.reserve(LAPS * CAP);
             let mut key_iter = keys.iter().copied().chain(std::iter::repeat(0));
 
             for lap in 0..LAPS {
@@ -350,15 +374,12 @@ mod props {
 
                 // Oracle: contiguous prefix over a bool map of filled slots.
                 let mut filled = vec![false; (CAP / 32) as usize];
-                let mut buf = Vec::new();
                 for &(_, c) in &keyed {
                     prop_assert!(rb.wait_for_space(c.offset + c.len));
                     if c.dead {
                         rb.mark_filled(c.offset, c.len);
                     } else {
-                        buf.clear();
-                        buf.resize(c.len as usize, pattern_byte(c.offset));
-                        rb.write(c.offset, &buf);
+                        rb.write(c.offset, &block(c.len, pattern_byte(c.offset)));
                     }
                     for s in (c.offset - base) / 32..(c.offset - base + c.len) / 32 {
                         filled[s as usize] = true;

@@ -1,9 +1,13 @@
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
-use ermia_common::{Oid, TableId, TestDir};
+use ermia_common::{Lsn, Oid, TableId, TestDir};
 
-use crate::{BlockKind, LogConfig, LogManager, LogScanner, TxLogBuffer, MIN_BLOCK_LEN};
+use crate::records::RECORD_HEADER_LEN;
+use crate::LogRecordKind::{Insert, Update};
+use crate::{
+    BlockEncoder, BlockKind, LogConfig, LogManager, LogRecordKind, LogScanner, BLOCK_HEADER_LEN,
+};
 
 fn small_cfg(dir: Option<PathBuf>) -> LogConfig {
     LogConfig {
@@ -16,14 +20,28 @@ fn small_cfg(dir: Option<PathBuf>) -> LogConfig {
     }
 }
 
-fn commit_block(log: &LogManager, table: u32, oid: u32, val: &[u8]) -> ermia_common::Lsn {
-    let mut tx = TxLogBuffer::new();
-    tx.add_update(TableId(table), Oid(oid), b"key", val);
-    let res = log.allocate(tx.block_len()).unwrap();
-    let lsn = res.lsn();
-    let block = tx.serialize(lsn);
-    res.fill(block);
-    lsn
+/// One record: kind, table, OID, key, value.
+type Rec<'a> = (LogRecordKind, u32, u32, &'a [u8], &'a [u8]);
+
+/// Append one block of `records`, built the way the tests build blocks —
+/// one [`BlockEncoder`] over a `Vec` — and copied in with
+/// `Reservation::fill`; returns its LSN and end offset.
+fn append(log: &LogManager, records: &[Rec<'_>]) -> (Lsn, u64) {
+    let payload: usize = records.iter().map(|r| RECORD_HEADER_LEN + r.3.len() + r.4.len()).sum();
+    let res = log.allocate(BLOCK_HEADER_LEN + payload).unwrap();
+    let mut block = vec![0; res.len()];
+    let mut enc = BlockEncoder::block(&mut block, &mut []);
+    for &(kind, table, oid, key, value) in records {
+        enc.record(kind, TableId(table), Oid(oid), key, value);
+    }
+    enc.finish(BlockKind::Txn, res.lsn());
+    let placed = (res.lsn(), res.end_offset());
+    res.fill(&block);
+    placed
+}
+
+fn commit_block(log: &LogManager, table: u32, oid: u32, val: &[u8]) -> Lsn {
+    append(log, &[(Update, table, oid, b"key", val)]).0
 }
 
 #[test]
@@ -131,12 +149,7 @@ fn reopen_resumes_after_tail() {
 fn wait_durable_blocks_until_flushed() {
     let dir = TestDir::new("durable");
     let log = LogManager::open(small_cfg(Some(dir.to_path_buf()))).unwrap();
-    let mut tx = TxLogBuffer::new();
-    tx.add_insert(TableId(1), Oid(1), b"k", b"v");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let (_, end) = append(&log, &[(Insert, 1, 1, b"k", b"v")]);
     log.wait_durable(end).unwrap();
     assert!(log.durable_offset() >= end);
     drop(log);
@@ -234,12 +247,7 @@ fn releasing_ring_loses_nothing_across_wraps() {
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let byte = (t * 31 + i) as u8;
-                    let mut tx = TxLogBuffer::new();
-                    tx.add_update(TableId(t), Oid(i), b"key", &[byte; PAYLOAD]);
-                    let res = log.allocate(tx.block_len()).unwrap();
-                    let end = res.end_offset();
-                    let block = tx.serialize(res.lsn());
-                    res.fill(block);
+                    let (_, end) = append(log, &[(Update, t, i, b"key", &[byte; PAYLOAD])]);
                     if i % 64 == 0 {
                         log.wait_durable(end).unwrap();
                     }
@@ -276,7 +284,7 @@ fn rotation_with_full_ring_converges() {
     // generation's unconsumed stamps and stalled the watermark forever
     // (flusher deadlock, wait_durable timeouts). The fixed paths block
     // for space first — this hammer must converge, and in debug builds
-    // the window assert in `mark_filled` polices every stamp.
+    // the window assert in `fill_with` polices every fill.
     const THREADS: u32 = 4;
     const PER_THREAD: u32 = 400;
     let log = LogManager::open(LogConfig {
@@ -292,12 +300,7 @@ fn rotation_with_full_ring_converges() {
             let log = &log;
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    let mut tx = TxLogBuffer::new();
-                    tx.add_update(TableId(t), Oid(i), b"key", b"rotation-payload");
-                    let res = log.allocate(tx.block_len()).unwrap();
-                    let end = res.end_offset();
-                    let block = tx.serialize(res.lsn());
-                    res.fill(block);
+                    let (_, end) = append(log, &[(Update, t, i, b"key", b"rotation-payload")]);
                     // Park on durability now and then so demand-driven
                     // wakes interleave with the full-ring churn.
                     if i % 32 == 0 {
@@ -319,31 +322,14 @@ fn per_operation_allocation_is_slower_shape() {
     let log = LogManager::open(LogConfig::in_memory()).unwrap();
     let before = log.stats().allocations.load(Ordering::Relaxed);
     // per-transaction: 1 allocation for 10 records
-    let mut tx = TxLogBuffer::new();
-    for i in 0..10 {
-        tx.add_update(TableId(1), Oid(i), b"k", b"v");
-    }
-    let res = log.allocate(tx.block_len()).unwrap();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let records: Vec<Rec<'_>> = (0..10).map(|i| (Update, 1, i, &b"k"[..], &b"v"[..])).collect();
+    append(&log, &records);
     // per-operation: 10 allocations
     for i in 0..10u32 {
         commit_block(&log, 1, i, b"v");
     }
     let after = log.stats().allocations.load(Ordering::Relaxed);
     assert_eq!(after - before, 11);
-}
-
-#[test]
-fn block_len_rounding_matches_reservation() {
-    let log = LogManager::open(LogConfig::in_memory()).unwrap();
-    let mut tx = TxLogBuffer::new();
-    tx.add_insert(TableId(1), Oid(1), b"odd-key", b"odd-value-bytes");
-    let res = log.allocate(tx.block_len()).unwrap();
-    assert_eq!(res.len() % MIN_BLOCK_LEN, 0);
-    let block = tx.serialize(res.lsn());
-    assert_eq!(block.len(), res.len());
-    res.fill(block);
 }
 
 /// A dead flusher: the wait gives up after the log's one patience,
@@ -356,12 +342,7 @@ fn wait_durable_times_out_when_flusher_is_dead() {
             .unwrap();
     // Kill the flusher: durability can no longer advance.
     log.halt_flusher_for_test();
-    let mut tx = TxLogBuffer::new();
-    tx.add_insert(TableId(1), Oid(1), b"key", b"value");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let (_, end) = append(&log, &[(Insert, 1, 1, b"key", b"value")]);
     let start = std::time::Instant::now();
     assert_eq!(log.wait_durable(end), Err(ermia_common::LogError::Timeout));
     assert!(start.elapsed() >= patience);
@@ -380,13 +361,8 @@ fn sync_commit_latency_is_demand_driven_not_interval_driven() {
     };
     let log = LogManager::open(cfg).unwrap();
     for i in 0..5u32 {
-        let mut tx = TxLogBuffer::new();
-        tx.add_update(TableId(1), Oid(i), b"key", b"value");
-        let res = log.allocate(tx.block_len()).unwrap();
-        let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
         let start = std::time::Instant::now();
-        res.fill(block);
+        let (_, end) = append(&log, &[(Update, 1, i, b"key", b"value")]);
         log.wait_durable(end).unwrap();
         let elapsed = start.elapsed();
         assert!(

@@ -6,8 +6,8 @@
 //! ([`crate::Reservation::encode`]) — no private arena, no scratch block
 //! (§3.3 feature 2's private buffer is the write set itself).
 //! [`TxLogBuffer`] gathers records first and then encodes the same block
-//! with the same [`BlockEncoder`] into a buffer of its own; the log's
-//! tests build blocks with it, and the ledger's probes time it.
+//! with the same [`BlockEncoder`] into a buffer of its own, for the
+//! ledger's probes to time (tests build blocks with the encoder itself).
 //!
 //! The buffer is **allocation-free in the steady state**: record metadata
 //! lives in a reused `Vec<RecordMeta>` and key/value bytes are bump-
@@ -74,11 +74,6 @@ impl TxLogBuffer {
 
     pub fn add_delete(&mut self, table: TableId, oid: Oid, key: &[u8]) {
         self.push(LogRecordKind::Delete, table, oid, key, &[]);
-    }
-
-    /// Record a secondary-index entry so recovery can rebuild the index.
-    pub fn add_secondary_insert(&mut self, table: TableId, index_raw: u32, oid: Oid, key: &[u8]) {
-        self.push(LogRecordKind::SecondaryInsert, table, oid, key, &index_raw.to_le_bytes());
     }
 
     fn push(&mut self, kind: LogRecordKind, table: TableId, oid: Oid, key: &[u8], value: &[u8]) {
@@ -156,7 +151,8 @@ impl TxLogBuffer {
         marker: Option<PrepareMarker>,
     ) -> &[u8] {
         let total = if marker.is_some() { self.prepare_block_len() } else { self.block_len() };
-        // The encoder writes every byte, padding included.
+        // The encoder writes every byte, padding included, but the
+        // header's `prev` word, which nothing here writes: it stays zero.
         self.scratch.resize(total, 0);
         let mut enc = BlockEncoder::block(&mut self.scratch, &mut []);
         if let Some(m) = marker {
@@ -194,6 +190,18 @@ mod tests {
         b.add_insert(TableId(1), Oid(1), b"k", b"v");
         assert_eq!(b.block_len() % MIN_BLOCK_LEN, 0);
         assert!(b.block_len() >= BLOCK_HEADER_LEN + 18);
+    }
+
+    #[test]
+    fn block_len_rounding_matches_reservation() {
+        let log = crate::LogManager::open(crate::LogConfig::in_memory()).unwrap();
+        let mut tx = TxLogBuffer::new();
+        tx.add_insert(TableId(1), Oid(1), b"odd-key", b"odd-value-bytes");
+        let res = log.allocate(tx.block_len()).unwrap();
+        assert_eq!(res.len() % MIN_BLOCK_LEN, 0);
+        let block = tx.serialize(res.lsn());
+        assert_eq!(block.len(), res.len());
+        res.fill(block);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! alike — instead of being read as a hole at offset 0 and truncated to
 //! nothing. A refusal touches no byte of the directory. A fresh directory
 //! round-trips and a torn tail is still a hole. A block whose checksum
-//! holds but whose records do not decode is refused too.
+//! holds but whose records do not decode is refused too, and so is one
+//! that names another offset than its own.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -16,11 +17,13 @@ use std::time::Duration;
 
 use ermia::{Database, DbConfig, IsolationLevel};
 use ermia_common::crc::crc32c;
-use ermia_common::{Oid, TableId, TestDir};
+use ermia_common::TestDir;
 use ermia_log::{
     BlockKind, CheckpointMeta, CheckpointStore, FileBackend, LogConfig, LogManager, LogScanner,
-    TxLogBuffer, BLOCK_HEADER_LEN,
+    BLOCK_HEADER_LEN,
 };
+
+mod common;
 
 /// The block magic of the format before CRC-32C, as it sits on disk.
 const LEGACY_BLOCK_MAGIC: [u8; 4] = 0x4552_4d4c_u32.to_le_bytes();
@@ -45,11 +48,8 @@ fn write_blocks(dir: &Path, n: u32) -> Vec<u64> {
     let log = LogManager::open(log_cfg(dir)).unwrap();
     (0..n)
         .map(|i| {
-            let mut tx = TxLogBuffer::new();
-            tx.add_update(TableId(1), Oid(i), &i.to_be_bytes(), b"format-payload");
-            let res = log.allocate(tx.block_len()).unwrap();
-            let (lsn, end) = (res.lsn(), res.end_offset());
-            res.fill(tx.serialize(lsn));
+            let (lsn, end) =
+                common::append(&log, i.into(), &i.to_be_bytes(), b"format-payload").unwrap();
             log.wait_durable(end).unwrap();
             lsn.offset()
         })
@@ -207,6 +207,27 @@ fn a_torn_tail_is_still_a_hole() {
     assert_eq!(scan_oids(&dir), vec![0, 1]);
     let log = LogManager::open(log_cfg(&dir)).unwrap();
     assert_eq!(log.next_offset(), offsets[2], "allocation resumes at the hole");
+}
+
+/// Every block names its own offset: its `prev` word, which the log ring
+/// stores to publish it, is the offset | 1 and reaches disk. A valid,
+/// checksummed block found at another offset — a misdirected write, or a
+/// stale one from an older use of the space — is a hole. A `prev` of 0,
+/// which every block holds in a log written before the word, is read.
+#[test]
+fn a_block_at_another_offset_is_a_hole() {
+    let dir = TestDir::new("misdirected");
+    let offsets = write_blocks(&dir, 4);
+    let len = (offsets[1] - offsets[0]) as usize;
+    assert_eq!(offsets[3] - offsets[2], len as u64, "blocks of one length");
+    let file = first_segment_file(&dir);
+    let at = offsets[0] as usize;
+    let first = std::fs::read(&file).unwrap()[at..at + len].to_vec();
+    assert_eq!(first[24..32], (offsets[0] | 1).to_le_bytes(), "the block names its offset");
+    patch(&file, offsets[2], &first);
+    assert_eq!(scan_oids(&dir), vec![0, 1], "block 0's copy was read at another offset");
+    patch(&file, offsets[2] + 24, &[0; 8]);
+    assert_eq!(scan_oids(&dir), vec![0, 1, 0, 3], "a block naming no offset is read");
 }
 
 /// A CRC-valid block whose records do not decode is corruption, not a

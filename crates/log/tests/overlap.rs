@@ -25,11 +25,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ermia_common::{LogError, Oid, TableId, TestDir};
+use ermia_common::{LogError, TestDir};
 use ermia_log::{
     DurableWaker, FileBackend, LogConfig, LogManager, LogScanner, SegmentIo, SegmentIoFactory,
-    TxLogBuffer,
 };
+
+mod common;
 
 const LONG: Duration = Duration::from_secs(10);
 
@@ -47,13 +48,7 @@ fn cfg(dir: &Path, device: Arc<dyn SegmentIoFactory>) -> LogConfig {
 
 /// Append one single-update transaction; returns its end offset.
 fn append(log: &LogManager, id: u64) -> u64 {
-    let mut tx = TxLogBuffer::new();
-    tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), b"overlap");
-    let res = log.allocate(tx.block_len()).expect("healthy log allocates");
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
-    end
+    common::append(log, id, &id.to_be_bytes(), b"overlap").expect("healthy log allocates").1
 }
 
 /// Ids of the transactions a restart would recover from `dir`.

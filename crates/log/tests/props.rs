@@ -5,8 +5,23 @@
 
 use ermia_common::crc::crc32c;
 use ermia_common::{Lsn, Oid, TableId};
-use ermia_log::{LogBlockHeader, LogRecord, LogRecordKind, TxLogBuffer, BLOCK_HEADER_LEN};
+use ermia_log::{
+    BlockEncoder, BlockKind, LogBlockHeader, LogRecord, LogRecordKind, BLOCK_HEADER_LEN,
+    MIN_BLOCK_LEN,
+};
 use proptest::prelude::*;
+
+/// A Txn block of `recs`, built with one `BlockEncoder` over a `Vec`.
+fn encode(recs: &[LogRecord], cstamp: Lsn) -> Vec<u8> {
+    let len = BLOCK_HEADER_LEN + recs.iter().map(LogRecord::encoded_len).sum::<usize>();
+    let mut bytes = vec![0; len.next_multiple_of(MIN_BLOCK_LEN)];
+    let mut enc = BlockEncoder::block(&mut bytes, &mut []);
+    for r in recs {
+        enc.record(r.kind, r.table, r.oid, &r.key, &r.value);
+    }
+    enc.finish(BlockKind::Txn, cstamp);
+    bytes
+}
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
     (
@@ -49,20 +64,8 @@ proptest! {
         cstamp_off in 0u64..(1 << 50),
         seg in 0u64..16,
     ) {
-        let mut txbuf = TxLogBuffer::new();
-        for r in &recs {
-            match r.kind {
-                LogRecordKind::Insert => txbuf.add_insert(r.table, r.oid, &r.key, &r.value),
-                LogRecordKind::Update => txbuf.add_update(r.table, r.oid, &r.key, &r.value),
-                LogRecordKind::Delete => txbuf.add_delete(r.table, r.oid, &r.key),
-                LogRecordKind::SecondaryInsert => {
-                    txbuf.add_secondary_insert(r.table, 7, r.oid, &r.key)
-                }
-            }
-        }
         let cstamp = Lsn::from_parts(cstamp_off, seg);
-        let bytes = txbuf.serialize(cstamp).to_vec();
-        prop_assert_eq!(bytes.len(), txbuf.block_len());
+        let bytes = encode(&recs, cstamp);
         prop_assert_eq!(bytes.len() % 32, 0);
 
         let header = LogBlockHeader::decode(&bytes).expect("header decodes");
@@ -70,22 +73,13 @@ proptest! {
         prop_assert_eq!(header.cstamp, cstamp);
         prop_assert_eq!(header.len as usize, bytes.len());
         prop_assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
+        // The ring's word: a block built outside the ring has none.
+        prop_assert_eq!(header.prev, 0);
 
         let mut pos = BLOCK_HEADER_LEN;
         for orig in &recs {
             let (dec, next) = LogRecord::decode(&bytes, pos).expect("record decodes");
-            // SecondaryInsert rewrites the value to the index id.
-            if orig.kind == LogRecordKind::SecondaryInsert {
-                prop_assert_eq!(dec.kind, LogRecordKind::SecondaryInsert);
-                prop_assert_eq!(&dec.key, &orig.key);
-                prop_assert_eq!(dec.value, 7u32.to_le_bytes().to_vec());
-            } else if orig.kind == LogRecordKind::Delete {
-                prop_assert_eq!(dec.kind, LogRecordKind::Delete);
-                prop_assert_eq!(&dec.key, &orig.key);
-                prop_assert!(dec.value.is_empty());
-            } else {
-                prop_assert_eq!(&dec, orig);
-            }
+            prop_assert_eq!(&dec, orig);
             pos = next;
         }
     }
@@ -115,11 +109,7 @@ proptest! {
     fn every_single_bit_flip_fails_verification(
         recs in proptest::collection::vec(record_strategy(), 1..3),
     ) {
-        let mut txbuf = TxLogBuffer::new();
-        for r in &recs {
-            txbuf.add_update(r.table, r.oid, &r.key, &r.value);
-        }
-        let mut bytes = txbuf.serialize(Lsn::from_parts(64, 1)).to_vec();
+        let mut bytes = encode(&recs, Lsn::from_parts(64, 1));
         let header = LogBlockHeader::decode(&bytes).expect("header decodes");
         prop_assert_eq!(header.checksum, crc32c(&bytes[BLOCK_HEADER_LEN..]));
         for bit in 0..(bytes.len() - BLOCK_HEADER_LEN) * 8 {

@@ -15,10 +15,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ermia_common::{LogError, Oid, TableId, TestDir};
-use ermia_log::{
-    FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner, TxLogBuffer,
-};
+use ermia_common::{LogError, TestDir};
+use ermia_log::{FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner};
+
+mod common;
 
 fn cfg_with(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
     LogConfig {
@@ -35,13 +35,8 @@ fn cfg_with(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
 /// Commit one single-update transaction; returns `(id, end_offset)` and
 /// whether the durability wait succeeded.
 fn commit_one(log: &LogManager, id: u64) -> std::io::Result<(u64, Result<(), LogError>)> {
-    let mut tx = TxLogBuffer::new();
     let value = format!("value-{id:08}");
-    tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), value.as_bytes());
-    let res = log.allocate(tx.block_len())?;
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let (_, end) = common::append(log, id, &id.to_be_bytes(), value.as_bytes())?;
     Ok((end, log.wait_durable(end)))
 }
 
@@ -160,12 +155,7 @@ fn timed_out_waiter_reports_concurrent_poison() {
     let log = Arc::new(LogManager::open(cfg).unwrap());
     // No flusher: nothing ever becomes durable and nobody wakes waiters.
     log.halt_flusher_for_test();
-    let mut tx = TxLogBuffer::new();
-    tx.add_update(TableId(1), Oid(9), b"k", b"v");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let (_, end) = common::append(&log, 9, b"k", b"v").unwrap();
 
     let waiter = {
         let log = Arc::clone(&log);

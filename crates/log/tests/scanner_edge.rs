@@ -9,7 +9,9 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use ermia_common::{Oid, TableId, TestDir};
-use ermia_log::{LogConfig, LogManager, LogScanner, TxLogBuffer, BLOCK_HEADER_LEN};
+use ermia_log::{LogConfig, LogManager, LogScanner, BLOCK_HEADER_LEN};
+
+mod common;
 
 fn cfg(dir: PathBuf) -> LogConfig {
     LogConfig {
@@ -28,13 +30,9 @@ fn write_blocks(dir: &Path, n: u64) -> Vec<u64> {
     let log = LogManager::open(cfg(dir.to_path_buf())).unwrap();
     let mut offsets = Vec::new();
     for i in 0..n {
-        let mut tx = TxLogBuffer::new();
-        tx.add_update(TableId(1), Oid(i as u32), &i.to_be_bytes(), b"scanner-edge-payload");
-        let res = log.allocate(tx.block_len()).unwrap();
-        offsets.push(res.lsn().offset());
-        let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
-        res.fill(block);
+        let (lsn, end) =
+            common::append(&log, i, &i.to_be_bytes(), b"scanner-edge-payload").unwrap();
+        offsets.push(lsn.offset());
         log.wait_durable(end).unwrap();
     }
     offsets
@@ -116,11 +114,7 @@ fn commits_after_reopening_on_a_torn_block_survive_the_next_reopen() {
     {
         let log = LogManager::open(cfg(dir.to_path_buf())).unwrap();
         assert_eq!(log.next_offset(), offsets[2], "allocation resumes at the hole");
-        let mut tx = TxLogBuffer::new();
-        tx.add_update(TableId(1), Oid(7), b"after", b"the torn block");
-        let res = log.allocate(tx.block_len()).unwrap();
-        let (lsn, end) = (res.lsn(), res.end_offset());
-        res.fill(tx.serialize(lsn));
+        let (_, end) = common::append(&log, 7, b"after", b"the torn block").unwrap();
         log.wait_durable(end).unwrap();
     }
     assert_eq!(scan_oids(&dir), vec![0, 1, 7]);
@@ -163,12 +157,7 @@ fn skip_block_filling_segment_tail_is_hopped() {
         let log = LogManager::open(cfg(dir.to_path_buf())).unwrap();
         let mut last_end = 0;
         for i in 0..n {
-            let mut tx = TxLogBuffer::new();
-            tx.add_update(TableId(1), Oid(i as u32), &i.to_be_bytes(), b"rotation-payload");
-            let res = log.allocate(tx.block_len()).unwrap();
-            last_end = res.end_offset();
-            let block = tx.serialize(res.lsn());
-            res.fill(block);
+            last_end = common::append(&log, i, &i.to_be_bytes(), b"rotation-payload").unwrap().1;
         }
         log.wait_durable(last_end).unwrap();
         assert!(
@@ -192,13 +181,10 @@ fn torn_header_at_segment_boundary_truncates() {
         let log = LogManager::open(cfg(dir.to_path_buf())).unwrap();
         let mut last_end = 0;
         for i in 0..n {
-            let mut tx = TxLogBuffer::new();
-            tx.add_update(TableId(1), Oid(i as u32), &i.to_be_bytes(), b"boundary-payload");
-            let res = log.allocate(tx.block_len()).unwrap();
-            offsets.push(res.lsn().offset());
-            last_end = res.end_offset();
-            let block = tx.serialize(res.lsn());
-            res.fill(block);
+            let (lsn, end) =
+                common::append(&log, i, &i.to_be_bytes(), b"boundary-payload").unwrap();
+            offsets.push(lsn.offset());
+            last_end = end;
         }
         log.wait_durable(last_end).unwrap();
     }
@@ -236,7 +222,7 @@ fn torn_header_at_segment_boundary_truncates() {
 }
 
 fn view_of(n: u8, size: usize) -> ermia_log::LogRecord {
-    let (kind, table, oid) = (ermia_log::LogRecordKind::Insert, TableId(1), Oid(n as u32));
+    let (kind, table, oid) = (ermia_log::LogRecordKind::Update, TableId(1), Oid(n as u32));
     ermia_log::LogRecord { kind, table, oid, key: vec![n], value: vec![n; size] }
 }
 
@@ -253,11 +239,7 @@ fn blocks_come_back_whole_across_chunk_boundaries() {
     // 7 MiB of blocks whose sizes share no factor with the chunk sizes.
     let sizes = [40usize, 700, 70_000, 3_000, 9, 1_200_000, 500];
     let append = |n: u8, size: usize| {
-        let mut buf = TxLogBuffer::new();
-        buf.add_insert(TableId(1), Oid(n as u32), &[n], &vec![n; size]);
-        let res = log.allocate(buf.block_len()).unwrap();
-        let bytes = buf.serialize(res.lsn()).to_vec();
-        res.fill(&bytes);
+        common::append(&log, n.into(), &[n], &vec![n; size]).unwrap();
         (n, size)
     };
     let written: Vec<_> =

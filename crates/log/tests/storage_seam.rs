@@ -13,11 +13,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ermia_common::{Lsn, Oid, TableId, TestDir};
+use ermia_common::{Lsn, TestDir};
 use ermia_log::{
     CheckpointMeta, CheckpointStore, FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager,
-    SegmentIo, SegmentIoFactory, TxLogBuffer,
+    SegmentIo, SegmentIoFactory,
 };
+
+mod common;
 
 /// One storage operation: its name and the path it acted on (a rename's
 /// destination, the entry its directory gains).
@@ -132,12 +134,7 @@ fn fill_segments(log: &LogManager, segments: usize) {
         if log.segments().all().len() >= segments {
             return;
         }
-        let mut tx = TxLogBuffer::new();
-        tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), &[7; 200]);
-        let res = log.allocate(tx.block_len()).unwrap();
-        let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
-        res.fill(block);
+        let (_, end) = common::append(log, id, &id.to_be_bytes(), &[7; 200]).unwrap();
         log.wait_durable(end).unwrap();
     }
 }

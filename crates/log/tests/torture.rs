@@ -22,11 +22,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia_common::rng::SplitMix64;
-use ermia_common::{Oid, TableId, TestDir};
+use ermia_common::TestDir;
 use ermia_log::{
     FaultInjector, FaultPlan, FileBackend, LogConfig, LogManager, LogScanner, TornWrite,
-    TxLogBuffer,
 };
+
+mod common;
 
 fn torture_cfg(dir: PathBuf, injector: &FaultInjector) -> LogConfig {
     LogConfig {
@@ -75,16 +76,8 @@ fn run_workload(
     };
     let mut outcome = WorkloadOutcome { attempted: Vec::new(), acked: Vec::new() };
     for id in 0..max_txns {
-        let mut tx = TxLogBuffer::new();
         let value = payload_for(seed, id);
-        tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), &value);
-        let res = match log.allocate(tx.block_len()) {
-            Ok(res) => res,
-            Err(_) => break,
-        };
-        let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
-        res.fill(block);
+        let Ok((_, end)) = common::append(&log, id, &id.to_be_bytes(), &value) else { break };
         outcome.attempted.push(id);
         match log.wait_durable(end) {
             Ok(()) => outcome.acked.push(id),
@@ -334,16 +327,10 @@ fn concurrent_commits_survive_crash_point() {
             s.spawn(move || {
                 for i in 0..200u64 {
                     let id = t * 1_000 + i;
-                    let mut tx = TxLogBuffer::new();
                     let value = payload_for(99, id);
-                    tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), &value);
-                    let res = match log.allocate(tx.block_len()) {
-                        Ok(res) => res,
-                        Err(_) => return,
+                    let Ok((_, end)) = common::append(log, id, &id.to_be_bytes(), &value) else {
+                        return;
                     };
-                    let end = res.end_offset();
-                    let block = tx.serialize(res.lsn());
-                    res.fill(block);
                     if log.wait_durable(end).is_ok() {
                         acked.lock().unwrap().push(id);
                     } else {
@@ -372,12 +359,7 @@ fn poison_wakes_waiters_and_blocks_allocation() {
     let dir = TestDir::new("poison");
     let injector = FaultInjector::new(FaultPlan { fail_sync_at: Some(0), ..FaultPlan::default() });
     let log = LogManager::open(torture_cfg(dir.to_path_buf(), &injector)).unwrap();
-    let mut tx = TxLogBuffer::new();
-    tx.add_update(TableId(1), Oid(1), b"k8bytes!", b"v");
-    let res = log.allocate(tx.block_len()).unwrap();
-    let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
-    res.fill(block);
+    let (_, end) = common::append(&log, 1, b"k8bytes!", b"v").unwrap();
     let err = log.wait_durable(end).expect_err("first fsync fails -> poisoned");
     assert!(matches!(err, ermia_common::LogError::Poisoned { .. }), "got {err:?}");
     assert!(log.is_poisoned());
