@@ -1,7 +1,8 @@
 //! The one seeded generator, SplitMix64 (Steele, Lea and Flood, OOPSLA
-//! 2014). Every seeded draw outside the workloads' `rand` streams — test
-//! histories and fault plans, the client's retry jitter, trace ids — is
-//! one of its streams, so a seed replays the same draws wherever it runs.
+//! 2014). Every seeded draw — the workloads' streams, test histories,
+//! property-test cases and fault plans, the client's retry jitter, trace
+//! ids — is one of its streams, so a seed replays the same draws
+//! wherever it runs.
 
 /// SplitMix64's increment: the golden ratio in 64 bits.
 pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -30,6 +31,12 @@ impl SplitMix64 {
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
+
+    /// True with probability `p`: the draw's top 53 bits, read as a
+    /// fraction of 1, fall below `p`.
+    pub fn chance(&mut self, p: f64) -> bool {
+        ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
+    }
 }
 
 #[cfg(test)]
@@ -39,4 +46,9 @@ fn the_stream_of_seed_zero_is_splitmix64s() {
     for w in [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F] {
         assert_eq!((g.next_u64(), b.below(1 << 20)), (w, w % (1 << 20)));
     }
+    // The same three draws as fractions: 0.883, 0.431, 0.026.
+    let mut c = SplitMix64::new(0);
+    assert_eq!([0.884, 0.5, 0.027].map(|p| c.chance(p)), [true, true, true]);
+    let mut c = SplitMix64::new(0);
+    assert_eq!([0.883, 0.431, 0.026].map(|p| c.chance(p)), [false, false, false]);
 }

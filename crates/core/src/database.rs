@@ -13,7 +13,7 @@
 //! replica mirroring from the cut finds every table the payload names).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
@@ -451,7 +451,12 @@ impl DbInner {
     /// versions their cut can still read stay linked even while no view
     /// transaction is in flight.
     fn gc_horizon(&self) -> Lsn {
-        let h = self.tid.min_active_begin(self.log.tail_lsn());
+        // The tail is read before the scan, a fence between: a reader
+        // whose claim the scan misses reads the tail after this read
+        // (see `Transaction::begin`), so its begin is not below `tail`.
+        let tail = self.log.tail_lsn();
+        fence(Ordering::SeqCst);
+        let h = self.tid.min_active_begin(tail);
         // Clamp by live pins and publish the result under the pin-table
         // lock, so `cut()` can bound what any in-flight pass might still
         // be sweeping with.

@@ -1,3 +1,4 @@
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ermia_common::rng::{SplitMix64, GAMMA};
@@ -7,6 +8,12 @@ use crate::{Database, DbConfig, IsolationLevel};
 
 fn db() -> Database {
     Database::open(DbConfig::in_memory()).unwrap()
+}
+
+thread_local! {
+    /// Run once by this thread's next `Transaction::begin`, between its
+    /// TID claim and its snapshot.
+    pub(crate) static IN_BEGIN: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
 }
 
 const SI: IsolationLevel = IsolationLevel::Snapshot;
@@ -737,6 +744,36 @@ fn gc_reclaims_old_versions() {
     let mut tx = w.begin(SI);
     assert_eq!(get(&mut tx, t, b"hot").as_deref(), Some(&499u32.to_le_bytes()[..]));
     tx.commit().unwrap();
+}
+
+#[test]
+fn a_collector_pass_inside_begin_leaves_the_snapshot_its_row() {
+    // A newer version commits and collector passes run while a reader is
+    // inside `begin`. Had the reader taken its snapshot before its claim
+    // was visible, a pass would take a horizon above that snapshot and
+    // unlink the version it reads: the row would read as absent.
+    let db = db();
+    let t = db.create_table("t");
+    let (mut w, mut w2) = (db.register_worker(), db.register_worker());
+    let mut setup = w.begin(SI);
+    setup.insert(t, b"k", b"old").unwrap();
+    setup.commit().unwrap();
+    let inner = db.clone();
+    IN_BEGIN.with(|f| {
+        f.set(Some(Box::new(move || {
+            let mut tx = w2.begin(SI);
+            tx.update(t, b"k", b"new").unwrap();
+            tx.commit().unwrap();
+            let passes = &inner.gc_stats().passes;
+            let seen = passes.load(Ordering::Relaxed);
+            while passes.load(Ordering::Relaxed) < seen + 3 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })))
+    });
+    let mut reader = w.begin(SI);
+    assert_eq!(get(&mut reader, t, b"k").as_deref(), Some(&b"new"[..]));
+    reader.commit().unwrap();
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! off that path: a sync-commit waiter's first registration, scan result
 //! staging and segment rotation.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, Stamp, TableId, Tid, TxResult};
@@ -153,10 +153,19 @@ impl<'w> Transaction<'w> {
         // Conditional quiescent point: transaction boundaries are where
         // workers hold no epoch-protected references.
         let guard = epoch_handle.pin();
+        // Claim the context before taking the snapshot. Until its begin
+        // is stored it reads `Lsn::NULL`, which holds the collector's
+        // horizon at 0; the fence pairs with the one in `gc_horizon`, so
+        // a pass that read the tail before this read does see the claim,
+        // and none can cut a version this snapshot needs.
+        let (tid, ctx) = db.inner.tid.acquire(Lsn::NULL, &mut scratch.tid_hint);
+        #[cfg(test)]
+        crate::tests::IN_BEGIN.with(|f| f.take().map(|f| f()));
+        fence(Ordering::SeqCst);
         // Snapshot views (forks, replica serving handles) pin their own
         // consistent cut; everything else reads at the live log tail.
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
-        let (tid, _ctx) = db.inner.tid.acquire(begin, &mut scratch.tid_hint);
+        ctx.set_begin(begin);
         scratch.telemetry.ring.record(EventKind::TxnBegin, tid.raw(), 0);
         scratch.keys.clear();
         Transaction {
@@ -359,6 +368,32 @@ impl<'w> Transaction<'w> {
     // Data operations (§3.2)
     // ------------------------------------------------------------------
 
+    /// Look `key` up in `tree`. A miss under SSN keeps the leaf's
+    /// snapshot, so an insert into its range before commit is caught as
+    /// a phantom.
+    fn lookup(&mut self, tree: &Arc<BTree>, key: &[u8]) -> Option<Oid> {
+        let (oid, snap) = tree.get(&self.guard, key);
+        if oid.is_none() && self.serializable() {
+            self.node_set.push((Arc::clone(tree), snap));
+        }
+        oid.map(|oid| Oid(oid as u32))
+    }
+
+    /// The payload of `oid` this snapshot sees, registered as read and
+    /// handed to `f`.
+    fn read_oid<R>(
+        &mut self,
+        t: &Table,
+        oid: Oid,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> OpResult<Option<R>> {
+        let Some(vis) = self.fetch_visible(&t.oids, oid)? else { return Ok(None) };
+        self.register_read(&vis)?;
+        // SAFETY: the version was reached under this transaction's epoch
+        // guard, which keeps it from being freed while the guard lives.
+        Ok(Some(f(unsafe { (*vis.ptr).data() })))
+    }
+
     /// Read a record by primary key; `f` receives the visible payload.
     pub fn read<R>(
         &mut self,
@@ -368,19 +403,8 @@ impl<'w> Transaction<'w> {
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
         let t = self.table(table);
-        let (oid, snap) = t.primary.get(&self.guard, key);
-        let Some(oid) = oid else {
-            if self.serializable() {
-                self.node_set.push((Arc::clone(&t.primary), snap));
-            }
-            return Ok(None);
-        };
-        match self.fetch_visible(&t.oids, Oid(oid as u32))? {
-            Some(vis) => {
-                self.register_read(&vis)?;
-                let data = unsafe { (*vis.ptr).data() };
-                Ok(Some(f(data)))
-            }
+        match self.lookup(&t.primary, key) {
+            Some(oid) => self.read_oid(t, oid, f),
             None => Ok(None),
         }
     }
@@ -395,19 +419,8 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         let idx = self.db.index(index);
         let t = self.table(idx.table);
-        let (oid, snap) = idx.tree.get(&self.guard, key);
-        let Some(oid) = oid else {
-            if self.serializable() {
-                self.node_set.push((Arc::clone(&idx.tree), snap));
-            }
-            return Ok(None);
-        };
-        match self.fetch_visible(&t.oids, Oid(oid as u32))? {
-            Some(vis) => {
-                self.register_read(&vis)?;
-                let data = unsafe { (*vis.ptr).data() };
-                Ok(Some(f(data)))
-            }
+        match self.lookup(&idx.tree, key) {
+            Some(oid) => self.read_oid(t, oid, f),
             None => Ok(None),
         }
     }
@@ -420,14 +433,10 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.table(table);
-        let (oid, snap) = t.primary.get(&self.guard, key);
-        let Some(oid) = oid else {
-            if self.serializable() {
-                self.node_set.push((Arc::clone(&t.primary), snap));
-            }
-            return Ok(false);
-        };
-        self.install_version(t, Oid(oid as u32), key, value, WriteKind::Update)
+        match self.lookup(&t.primary, key) {
+            Some(oid) => self.install_version(t, oid, key, value, WriteKind::Update),
+            None => Ok(false),
+        }
     }
 
     /// Delete a record (tombstone install, §3.2); returns false on miss.
@@ -436,14 +445,10 @@ impl<'w> Transaction<'w> {
         self.check_doomed()?;
         self.check_writable()?;
         let t = self.table(table);
-        let (oid, snap) = t.primary.get(&self.guard, key);
-        let Some(oid) = oid else {
-            if self.serializable() {
-                self.node_set.push((Arc::clone(&t.primary), snap));
-            }
-            return Ok(false);
-        };
-        self.install_version(t, Oid(oid as u32), key, &[], WriteKind::Delete)
+        match self.lookup(&t.primary, key) {
+            Some(oid) => self.install_version(t, oid, key, &[], WriteKind::Delete),
+            None => Ok(false),
+        }
     }
 
     /// Install a new version behind `oid` with the first-updater-wins

@@ -76,12 +76,12 @@ pub use manager::{
 };
 pub use records::{
     BlockEncoder, BlockKind, DdlRecord, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind,
-    PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MAX_BLOCK_RECORDS,
-    MAX_KEY_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    PrepareMarker, TxRecordView, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN,
+    MAX_BLOCK_RECORDS, MAX_KEY_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 pub use recovery::{BlockView, LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};
-pub use txlog::{TxLogBuffer, TxRecordView};
+pub use txlog::TxLogBuffer;
 
 #[cfg(test)]
 mod ring_stress;

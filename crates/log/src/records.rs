@@ -16,7 +16,6 @@ use ermia_common::crc::{crc32c, crc32c_append};
 use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::manager::LogManager;
-use crate::txlog::TxRecordView;
 
 /// Magic value identifying a block header ("ERMC": payloads carry
 /// CRC-32C).
@@ -526,6 +525,16 @@ impl LogRecord {
     pub fn decode(buf: &[u8], pos: usize) -> Option<(LogRecord, usize)> {
         TxRecordView::decode(buf, pos).map(|(view, next)| (view.to_owned(), next))
     }
+}
+
+/// A borrowed view of one record, decoded in place in a log block.
+#[derive(Clone, Copy, Debug)]
+pub struct TxRecordView<'a> {
+    pub kind: LogRecordKind,
+    pub table: TableId,
+    pub oid: Oid,
+    pub key: &'a [u8],
+    pub value: &'a [u8],
 }
 
 impl<'a> TxRecordView<'a> {

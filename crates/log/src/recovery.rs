@@ -16,11 +16,10 @@ use ermia_common::crc::crc32c;
 use ermia_common::Lsn;
 
 use crate::records::{
-    legacy_format, BlockKind, DdlRecord, LogBlockHeader, LogRecord, PrepareMarker,
+    legacy_format, BlockKind, DdlRecord, LogBlockHeader, LogRecord, PrepareMarker, TxRecordView,
     BLOCK_HEADER_LEN, LEGACY_BLOCK_MAGIC, PREPARE_MARKER_LEN,
 };
 use crate::segment::{Segment, SegmentTable};
-use crate::txlog::TxRecordView;
 
 /// One block as the scanner's chunk holds it (skip blocks are filtered
 /// out): nothing is copied until somebody asks for an owned

@@ -334,63 +334,52 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
     );
 }
 
-#[cfg(test)]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
+/// Single-consumer oracle check: fills applied in an arbitrary
+/// permutation (per lap) advance the watermark to exactly the contiguous
+/// filled prefix after every step.
+#[test]
+fn permuted_fills_match_prefix_oracle() {
+    ermia_check::cases("permuted_fills_match_prefix_oracle", 32, None, |rng| {
+        const CAP: u64 = 1024; // 32 slots
+        const LAPS: u64 = 3;
+        let rb = RingBuffer::new(CAP, 0);
+        rb.reserve(LAPS * CAP);
+        let dead_mask = rng.next_u64();
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-        /// Single-consumer oracle check: fills applied in an arbitrary
-        /// permutation (per lap) advance the watermark to
-        /// exactly the contiguous filled prefix after every step.
-        #[test]
-        fn permuted_fills_match_prefix_oracle(
-            keys in proptest::collection::vec(any::<u64>(), 96..97),
-            dead_mask in any::<u64>(),
-        ) {
-            const CAP: u64 = 1024; // 32 slots
-            const LAPS: u64 = 3;
-            let rb = RingBuffer::new(CAP, 0);
-            rb.reserve(LAPS * CAP);
-            let mut key_iter = keys.iter().copied().chain(std::iter::repeat(0));
-
-            for lap in 0..LAPS {
-                let base = lap * CAP;
-                let mut chunks: Vec<Chunk> = layout(CAP)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| Chunk {
-                        offset: base + c.offset,
-                        len: c.len,
-                        dead: dead_mask >> (i % 64) & 1 == 1,
-                    })
-                    .collect();
-                // Permute this lap's fill order by the generated keys.
-                let mut keyed: Vec<(u64, Chunk)> =
-                    chunks.drain(..).map(|c| (key_iter.next().unwrap(), c)).collect();
-                keyed.sort_by_key(|&(k, c)| (k, c.offset));
-
-                // Oracle: contiguous prefix over a bool map of filled slots.
-                let mut filled = vec![false; (CAP / 32) as usize];
-                for &(_, c) in &keyed {
-                    prop_assert!(rb.wait_for_space(c.offset + c.len));
-                    if c.dead {
-                        rb.mark_filled(c.offset, c.len);
-                    } else {
-                        rb.write(c.offset, &block(c.len, pattern_byte(c.offset)));
-                    }
-                    for s in (c.offset - base) / 32..(c.offset - base + c.len) / 32 {
-                        filled[s as usize] = true;
-                    }
-                    let prefix = filled.iter().take_while(|&&f| f).count() as u64;
-                    prop_assert_eq!(rb.advance_filled(), base + prefix * 32);
-                    prop_assert_eq!(rb.scan_tip(), base + prefix * 32);
-                }
-                prop_assert_eq!(rb.advance_filled(), base + CAP);
-                rb.mark_flushed(base + CAP);
+        for lap in 0..LAPS {
+            let base = lap * CAP;
+            let mut chunks: Vec<Chunk> = layout(CAP)
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| Chunk {
+                    offset: base + c.offset,
+                    len: c.len,
+                    dead: dead_mask >> (i % 64) & 1 == 1,
+                })
+                .collect();
+            // Permute this lap's fill order.
+            for i in (1..chunks.len()).rev() {
+                chunks.swap(i, rng.below(i as u64 + 1) as usize);
             }
+
+            // Oracle: contiguous prefix over a bool map of filled slots.
+            let mut filled = vec![false; (CAP / 32) as usize];
+            for c in chunks {
+                assert!(rb.wait_for_space(c.offset + c.len));
+                if c.dead {
+                    rb.mark_filled(c.offset, c.len);
+                } else {
+                    rb.write(c.offset, &block(c.len, pattern_byte(c.offset)));
+                }
+                for s in (c.offset - base) / 32..(c.offset - base + c.len) / 32 {
+                    filled[s as usize] = true;
+                }
+                let prefix = filled.iter().take_while(|&&f| f).count() as u64;
+                assert_eq!(rb.advance_filled(), base + prefix * 32);
+                assert_eq!(rb.scan_tip(), base + prefix * 32);
+            }
+            assert_eq!(rb.advance_filled(), base + CAP);
+            rb.mark_flushed(base + CAP);
         }
-    }
+    });
 }

@@ -10,10 +10,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use ermia::{DbConfig, ShardedDb};
+use ermia_check::{bytes, cases};
 use ermia_server::protocol::{crc32, read_frame, write_frame, FrameAssembler, MAX_FRAME_LEN};
 use ermia_server::{Client, FrameError, Request, Response, Server, ServerConfig, TraceContext};
-
-use proptest::prelude::*;
 
 /// One server shared by every case; if any hostile input kills it, the
 /// liveness probe of a later case fails loudly.
@@ -209,48 +208,45 @@ fn a_deeply_nested_batch_reply_is_refused_not_followed() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+fn seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok().and_then(|s| s.parse().ok())
+}
 
-    /// The client side of the hardening: whatever bytes a peer frames as
-    /// a reply decode to a reply or to an error — no panic, no allocation
-    /// sized by a count the payload does not back. Half the cases start
-    /// from a sample with one byte changed, so the decoder is reached
-    /// past the opcode.
-    #[test]
-    fn reply_decoding_survives_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        pick in any::<u16>(),
-        pos in any::<u16>(),
-        mask in any::<u8>(),
-    ) {
-        let _ = Response::decode(&bytes);
+/// The client side of the hardening: whatever bytes a peer frames as
+/// a reply decode to a reply or to an error — no panic, no allocation
+/// sized by a count the payload does not back. Half the cases start
+/// from a sample with one byte changed, so the decoder is reached
+/// past the opcode.
+#[test]
+fn reply_decoding_survives_arbitrary_bytes() {
+    cases("reply_decoding_survives_arbitrary_bytes", 64, seed(), |rng| {
+        let _ = Response::decode(&bytes(rng, 0, 512));
         let samples = Response::samples();
-        let mut payload = samples[pick as usize % samples.len()].encode();
-        let pos = pos as usize % payload.len();
-        payload[pos] ^= mask;
+        let mut payload = samples[rng.below(samples.len() as u64) as usize].encode();
+        let pos = rng.below(payload.len() as u64) as usize;
+        payload[pos] ^= rng.next_u64() as u8;
         if let Ok(resp) = Response::decode(&payload) {
-            prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
-    }
+    });
+}
 
-    /// Randomized generalization of the exhaustive split test: a stream
-    /// of several frames, carved into arbitrary chunks fed one readiness
-    /// event at a time, decodes to the same sequence as one-shot reads.
-    #[test]
-    fn arbitrary_chunking_preserves_the_frame_stream(
-        picks in proptest::collection::vec(0usize..Request::samples().len(), 1..5),
-        cuts in proptest::collection::vec(any::<u16>(), 0..16),
-    ) {
+/// Randomized generalization of the exhaustive split test: a stream
+/// of several frames, carved into arbitrary chunks fed one readiness
+/// event at a time, decodes to the same sequence as one-shot reads.
+#[test]
+fn arbitrary_chunking_preserves_the_frame_stream() {
+    cases("arbitrary_chunking_preserves_the_frame_stream", 64, seed(), |rng| {
         let reqs = Request::samples();
         let mut stream = Vec::new();
         let mut expect = Vec::new();
-        for &p in &picks {
-            let frame = valid_frame(&reqs[p]);
+        for _ in 0..1 + rng.below(4) {
+            let frame = valid_frame(&reqs[rng.below(reqs.len() as u64) as usize]);
             expect.push(read_frame(&mut &frame[..], MAX_FRAME_LEN).unwrap());
             stream.extend_from_slice(&frame);
         }
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| *c as usize % (stream.len() + 1)).collect();
+        let mut bounds: Vec<usize> =
+            (0..rng.below(16)).map(|_| rng.below(stream.len() as u64 + 1) as usize).collect();
         bounds.push(0);
         bounds.push(stream.len());
         bounds.sort_unstable();
@@ -264,76 +260,79 @@ proptest! {
                 got.push(payload);
             }
         }
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    #[test]
-    fn random_garbage_never_wedges_the_server(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        poke(&bytes);
+#[test]
+fn random_garbage_never_wedges_the_server() {
+    cases("random_garbage_never_wedges_the_server", 64, seed(), |rng| {
+        poke(&bytes(rng, 0, 512));
         assert_alive();
-    }
+    });
+}
 
-    /// The trace envelope is a pure prefix layer: any request under any
-    /// random context round-trips through `decode_traced`; an untraced
-    /// context degrades to the bare pre-envelope encoding (old frames
-    /// and old decoders keep working); and the plain decoder rejects
-    /// envelopes the way an old server would an unknown opcode.
-    #[test]
-    fn trace_envelope_roundtrips_under_random_contexts(
-        p in 0usize..Request::samples().len(),
-        hi in any::<u64>(),
-        lo in any::<u64>(),
-        parent in any::<u64>(),
-    ) {
-        let req = Request::samples().remove(p);
-        let ctx = TraceContext { trace_hi: hi, trace_lo: lo, parent };
+/// The trace envelope is a pure prefix layer: any request under any
+/// random context round-trips through `decode_traced`; an untraced
+/// context degrades to the bare pre-envelope encoding (old frames
+/// and old decoders keep working); and the plain decoder rejects
+/// envelopes the way an old server would an unknown opcode.
+#[test]
+fn trace_envelope_roundtrips_under_random_contexts() {
+    cases("trace_envelope_roundtrips_under_random_contexts", 64, seed(), |rng| {
+        let mut reqs = Request::samples();
+        let req = reqs.remove(rng.below(reqs.len() as u64) as usize);
+        let ctx = TraceContext {
+            trace_hi: rng.next_u64(),
+            trace_lo: rng.next_u64(),
+            parent: rng.next_u64(),
+        };
         let bytes = req.encode_traced(&ctx);
         let (got, got_ctx) = Request::decode_traced(&bytes).unwrap();
-        prop_assert_eq!(&got, &req);
+        assert_eq!(&got, &req);
         if ctx.is_traced() {
-            prop_assert_eq!(got_ctx, Some(ctx));
-            prop_assert!(Request::decode(&bytes).is_err(), "plain decoder accepted an envelope");
+            assert_eq!(got_ctx, Some(ctx));
+            assert!(Request::decode(&bytes).is_err(), "plain decoder accepted an envelope");
         } else {
-            prop_assert_eq!(got_ctx, None);
-            prop_assert_eq!(bytes, req.encode());
+            assert_eq!(got_ctx, None);
+            assert_eq!(bytes, req.encode());
         }
         // And the un-enveloped frame still decodes through the traced
         // decoder as untraced.
         let (bare, bare_ctx) = Request::decode_traced(&req.encode()).unwrap();
-        prop_assert_eq!(bare, req);
-        prop_assert_eq!(bare_ctx, None);
-    }
+        assert_eq!(bare, req);
+        assert_eq!(bare_ctx, None);
+    });
+}
 
-    /// Corrupting any single byte of the 25-byte envelope header (or the
-    /// inner payload) must yield a decode error or a valid request —
-    /// never a panic — and the live server must keep serving after
-    /// seeing it on the wire.
-    #[test]
-    fn corrupt_trace_envelopes_never_panic(
-        p in 0usize..Request::samples().len(),
-        pos in any::<u16>(),
-        mask in 1u8..=255,
-    ) {
-        let req = Request::samples().remove(p);
+/// Corrupting any single byte of the 25-byte envelope header (or the
+/// inner payload) must yield a decode error or a valid request —
+/// never a panic — and the live server must keep serving after
+/// seeing it on the wire.
+#[test]
+fn corrupt_trace_envelopes_never_panic() {
+    cases("corrupt_trace_envelopes_never_panic", 64, seed(), |rng| {
+        let mut reqs = Request::samples();
+        let req = reqs.remove(rng.below(reqs.len() as u64) as usize);
         let mut bytes = req.encode_traced(&sample_trace());
-        let pos = pos as usize % bytes.len();
-        bytes[pos] ^= mask;
+        let pos = rng.below(bytes.len() as u64) as usize;
+        bytes[pos] ^= 1 + rng.below(255) as u8;
         let _ = Request::decode_traced(&bytes);
         let mut frame = Vec::new();
         write_frame(&mut frame, &bytes).unwrap();
         poke(&frame);
         assert_alive();
-    }
+    });
+}
 
-    #[test]
-    fn garbage_after_a_valid_frame_is_contained(
-        bytes in proptest::collection::vec(any::<u8>(), 1..256),
-    ) {
+#[test]
+fn garbage_after_a_valid_frame_is_contained() {
+    cases("garbage_after_a_valid_frame_is_contained", 64, seed(), |rng| {
         // A connection that behaves, then turns hostile: the valid part
         // must be processed, the garbage must end only this connection.
         let mut stream = valid_frame(&Request::Ping);
-        stream.extend_from_slice(&bytes);
+        stream.extend_from_slice(&bytes(rng, 1, 256));
         poke(&stream);
         assert_alive();
-    }
+    });
 }

@@ -103,6 +103,12 @@ impl TxContext {
         Lsn::from_raw(self.begin.load(Ordering::Acquire))
     }
 
+    /// Publish the owner's begin timestamp, taken after the claim.
+    #[inline]
+    pub fn set_begin(&self, begin: Lsn) {
+        self.begin.store(begin.raw(), Ordering::Release);
+    }
+
     /// Decode the commit word.
     #[inline]
     pub fn status(&self) -> TidStatus {
@@ -301,7 +307,8 @@ impl TidManager {
     }
 
     /// The smallest begin timestamp among in-flight transactions, or
-    /// `fallback` if none — the GC's reclamation horizon.
+    /// `fallback` if none — the GC's reclamation horizon. A context
+    /// claimed with `Lsn::NULL` holds it at 0 until its begin is set.
     pub fn min_active_begin(&self, fallback: Lsn) -> Lsn {
         let mut min = fallback;
         for ctx in self.claimed() {

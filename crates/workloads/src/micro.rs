@@ -7,9 +7,8 @@
 
 use std::sync::OnceLock;
 
+use ermia_common::rng::SplitMix64;
 use ermia_common::{AbortReason, KeyWriter, TableId};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::driver::Workload;
 use crate::engine::{Engine, EngineTxn, EngineWorker, TxnProfile};
@@ -53,7 +52,7 @@ impl MicroWorkload {
 }
 
 pub struct MicroState {
-    rng: StdRng,
+    rng: SplitMix64,
     key: KeyWriter,
 }
 
@@ -79,7 +78,7 @@ impl<E: Engine> Workload<E> for MicroWorkload {
             for r in row..hi {
                 key.reset().u64(r);
                 let mut value = payload.clone();
-                value[0..8].copy_from_slice(&rng.random::<u64>().to_le_bytes());
+                value[0..8].copy_from_slice(&rng.next_u64().to_le_bytes());
                 tx.insert(t, key.as_bytes(), &value).expect("load insert");
             }
             tx.commit().expect("load commit");
@@ -104,7 +103,7 @@ impl<E: Engine> Workload<E> for MicroWorkload {
         let t = self.table();
         let mut tx = worker.begin(TxnProfile::ReadWrite);
         for _ in 0..self.cfg.reads {
-            let row = ws.rng.random_range(0..self.cfg.rows);
+            let row = ws.rng.below(self.cfg.rows);
             ws.key.reset().u64(row);
             let mut snapshot: u64 = 0;
             let found = tx.read(t, ws.key.as_bytes(), &mut |v| {
@@ -118,7 +117,7 @@ impl<E: Engine> Workload<E> for MicroWorkload {
                     return Err(r);
                 }
             }
-            if ws.rng.random_bool(self.cfg.write_ratio) {
+            if ws.rng.chance(self.cfg.write_ratio) {
                 let mut value = vec![0u8; ROW_BYTES];
                 value[0..8].copy_from_slice(&snapshot.wrapping_add(1).to_le_bytes());
                 if let Err(r) = tx.update(t, ws.key.as_bytes(), &value) {

@@ -1,25 +1,24 @@
 //! Workload randomness: TPC-C NURand, skew, benchmark strings.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ermia_common::rng::SplitMix64;
 
-/// A seeded per-worker RNG (deterministic given worker id for
+/// A seeded per-worker stream (deterministic given worker id for
 /// reproducible loads).
-pub fn worker_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0x5DEECE66D)
+pub fn worker_rng(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x5DEECE66D)
 }
 
 /// Uniform in `[lo, hi]` inclusive.
 #[inline]
-pub fn uniform(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
-    rng.random_range(lo..=hi)
+pub fn uniform(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo + 1)
 }
 
 /// TPC-C NURand(A, x, y) non-uniform distribution (spec §2.1.6).
 /// The C constants are fixed per run; the spec's run-to-run constraints
 /// don't affect benchmark behaviour.
 #[inline]
-pub fn nurand(rng: &mut StdRng, a: u64, x: u64, y: u64) -> u64 {
+pub fn nurand(rng: &mut SplitMix64, a: u64, x: u64, y: u64) -> u64 {
     const C: u64 = 42;
     ((uniform(rng, 0, a) | uniform(rng, x, y)) + C) % (y - x + 1) + x
 }
@@ -27,23 +26,23 @@ pub fn nurand(rng: &mut StdRng, a: u64, x: u64, y: u64) -> u64 {
 /// An 80-20 skewed pick over `[0, n)`: 80% of draws land in the first
 /// 20% of the domain (the Fig. 8 partition-skew experiment).
 #[inline]
-pub fn skew_80_20(rng: &mut StdRng, n: u64) -> u64 {
+pub fn skew_80_20(rng: &mut SplitMix64, n: u64) -> u64 {
     debug_assert!(n > 0);
     let hot = (n / 5).max(1);
-    if rng.random_range(0..100) < 80 {
-        rng.random_range(0..hot)
+    if rng.below(100) < 80 {
+        rng.below(hot)
     } else if hot < n {
-        rng.random_range(hot..n)
+        uniform(rng, hot, n - 1)
     } else {
         0
     }
 }
 
 /// Alphanumeric string of length in `[lo, hi]`.
-pub fn astring(rng: &mut StdRng, lo: usize, hi: usize) -> String {
+pub fn astring(rng: &mut SplitMix64, lo: usize, hi: usize) -> String {
     const CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
-    let len = rng.random_range(lo..=hi);
-    (0..len).map(|_| CHARS[rng.random_range(0..CHARS.len())] as char).collect()
+    let len = uniform(rng, lo as u64, hi as u64);
+    (0..len).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize] as char).collect()
 }
 
 /// TPC-C customer last name from a number 0..=999 (spec §4.3.2.3).
@@ -58,7 +57,7 @@ pub fn last_name(num: u64) -> String {
 }
 
 /// NURand customer-last-name pick (A = 255 over 0..=999).
-pub fn rand_last_name(rng: &mut StdRng) -> String {
+pub fn rand_last_name(rng: &mut SplitMix64) -> String {
     last_name(nurand(rng, 255, 0, 999))
 }
 

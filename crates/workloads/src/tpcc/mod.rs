@@ -11,9 +11,8 @@ pub mod schema;
 
 use std::sync::OnceLock;
 
+use ermia_common::rng::SplitMix64;
 use ermia_common::{AbortReason, IndexId, KeyWriter, TableId};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::driver::Workload;
 use crate::engine::{Engine, EngineTxn, EngineWorker, TxnProfile};
@@ -138,7 +137,7 @@ impl TpccTables {
 
 /// Per-worker state.
 pub struct TpccState {
-    pub rng: StdRng,
+    pub rng: SplitMix64,
     pub home: u32,
     pub kw: KeyWriter,
     pub kw2: KeyWriter,
@@ -275,7 +274,7 @@ impl TpccWorkload {
                         ytd_payment: 10.0,
                         payment_cnt: 1,
                         delivery_cnt: 0,
-                        credit: if rng.random_range(0..10) == 0 { "BC" } else { "GC" }.into(),
+                        credit: if rng.below(10) == 0 { "BC" } else { "GC" }.into(),
                         discount: uniform(&mut rng, 0, 5000) as f64 / 10_000.0,
                         data: astring(&mut rng, 100, 200),
                     };

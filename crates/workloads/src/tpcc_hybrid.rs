@@ -14,7 +14,6 @@
 //! StockLevel, Delivery.
 
 use ermia_common::{AbortReason, KeyWriter};
-use rand::Rng;
 
 use crate::driver::Workload;
 use crate::engine::{Engine, EngineTxn, TxnProfile};
@@ -122,7 +121,7 @@ impl<E: Engine> Workload<E> for TpccHybridWorkload {
 
     fn next_type(&self, ws: &mut TpccState) -> usize {
         // 40 / 38 / 10 / 4 / 4 / 4 (§4.2).
-        match ws.rng.random_range(1..=100u32) {
+        match uniform(&mut ws.rng, 1, 100) {
             1..=40 => H_NEWORDER,
             41..=78 => H_PAYMENT,
             79..=88 => H_Q2,

@@ -11,9 +11,8 @@
 
 use std::sync::OnceLock;
 
+use ermia_common::rng::SplitMix64;
 use ermia_common::{AbortReason, IndexId, KeyWriter, TableId};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::driver::Workload;
 use crate::engine::{Engine, EngineTxn, EngineWorker, TxnProfile};
@@ -296,7 +295,7 @@ impl TpceTables {
 // --- workload -------------------------------------------------------------
 
 pub struct TpceState {
-    pub rng: StdRng,
+    pub rng: SplitMix64,
     pub kw: KeyWriter,
     pub kw2: KeyWriter,
     /// Worker-unique trade-id / asset-history sequence.
@@ -384,7 +383,7 @@ impl TpceWorkload {
                     s_id: s,
                     qty: uniform(&mut rng, 100, 800) as u32,
                     price: uniform(&mut rng, 2_000, 5_000) as f64 / 100.0,
-                    is_buy: rng.random_bool(0.5),
+                    is_buy: rng.chance(0.5),
                     status: TRADE_COMPLETED,
                     note: astring(&mut rng, 10, 30),
                 };
@@ -578,7 +577,7 @@ pub fn trade_order<T: EngineTxn>(
         s_id: s,
         qty: uniform(&mut ws.rng, 100, 800) as u32,
         price,
-        is_buy: ws.rng.random_bool(0.5),
+        is_buy: ws.rng.chance(0.5),
         status: TRADE_PENDING,
         note: "pending".into(),
     };

@@ -5,10 +5,10 @@
 
 use std::collections::BTreeMap;
 
+use ermia_check::cases;
+use ermia_common::rng::SplitMix64;
 use ermia_workloads::{Engine, EngineTxn, EngineWorker, ErmiaEngine, SiloEngine, TxnProfile};
-use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
 enum Op {
     Insert(u8, u64),
     Update(u8, u64),
@@ -16,30 +16,34 @@ enum Op {
     Read(u8),
 }
 
-#[derive(Clone, Debug)]
 struct TxnPlan {
     ops: Vec<Op>,
     commit: bool,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        (any::<u8>(), any::<u64>()).prop_map(|(k, v)| Op::Update(k, v)),
-        any::<u8>().prop_map(Op::Delete),
-        any::<u8>().prop_map(Op::Read),
-    ]
+fn op(rng: &mut SplitMix64) -> Op {
+    let k = rng.next_u64() as u8;
+    match rng.below(4) {
+        0 => Op::Insert(k, rng.next_u64()),
+        1 => Op::Update(k, rng.next_u64()),
+        2 => Op::Delete(k),
+        _ => Op::Read(k),
+    }
 }
 
-fn txn_strategy() -> impl Strategy<Value = TxnPlan> {
-    (proptest::collection::vec(op_strategy(), 1..12), any::<bool>())
-        .prop_map(|(ops, commit)| TxnPlan { ops, commit })
+/// 1–15 transactions of 1–11 operations each, half of them committing.
+fn plans(rng: &mut SplitMix64) -> Vec<TxnPlan> {
+    let txn = |rng: &mut SplitMix64| TxnPlan {
+        ops: (0..1 + rng.below(11)).map(|_| op(rng)).collect(),
+        commit: rng.below(2) == 0,
+    };
+    (0..1 + rng.below(15)).map(|_| txn(rng)).collect()
 }
 
 /// Drive one engine through the plans, checking against the model.
 /// Duplicate inserts doom a transaction, so the model mirrors that:
 /// a doomed transaction's effects never apply.
-fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCaseError> {
+fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) {
     let t = engine.create_table("t");
     let mut worker = engine.register_worker();
     let mut model: BTreeMap<u8, u64> = BTreeMap::new();
@@ -55,10 +59,10 @@ fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCase
                 Op::Insert(k, v) => {
                     let r = tx.insert(t, &[k], &v.to_le_bytes());
                     if let std::collections::btree_map::Entry::Vacant(e) = staged.entry(k) {
-                        prop_assert!(r.is_ok());
+                        assert!(r.is_ok());
                         e.insert(v);
                     } else {
-                        prop_assert!(r.is_err(), "duplicate insert must doom");
+                        assert!(r.is_err(), "duplicate insert must doom");
                         doomed = true;
                     }
                 }
@@ -66,7 +70,7 @@ fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCase
                     let r = tx.update(t, &[k], &v.to_le_bytes());
                     match r {
                         Ok(found) => {
-                            prop_assert_eq!(found, staged.contains_key(&k));
+                            assert_eq!(found, staged.contains_key(&k));
                             if found {
                                 staged.insert(k, v);
                             }
@@ -78,7 +82,7 @@ fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCase
                     let r = tx.delete(t, &[k]);
                     match r {
                         Ok(found) => {
-                            prop_assert_eq!(found, staged.contains_key(&k));
+                            assert_eq!(found, staged.contains_key(&k));
                             staged.remove(&k);
                         }
                         Err(_) => doomed = true,
@@ -91,8 +95,8 @@ fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCase
                     });
                     match r {
                         Ok(found) => {
-                            prop_assert_eq!(found, staged.contains_key(&k));
-                            prop_assert_eq!(got, staged.get(&k).copied());
+                            assert_eq!(found, staged.contains_key(&k));
+                            assert_eq!(got, staged.get(&k).copied());
                         }
                         Err(_) => doomed = true,
                     }
@@ -116,33 +120,38 @@ fn check_engine<E: Engine>(engine: &E, plans: &[TxnPlan]) -> Result<(), TestCase
                 got = Some(u64::from_le_bytes(v.try_into().unwrap()));
             })
             .unwrap();
-        prop_assert_eq!(found, model.contains_key(&k), "key {} presence", k);
-        prop_assert_eq!(got, model.get(&k).copied());
+        assert_eq!(found, model.contains_key(&k), "key {} presence", k);
+        assert_eq!(got, model.get(&k).copied());
     }
     tx.abort();
-    Ok(())
 }
 
 fn ermia_db() -> ermia::ShardedDb {
     ermia::ShardedDb::open(ermia::DbConfig::in_memory(), 1).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+fn seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok().and_then(|s| s.parse().ok())
+}
 
-    #[test]
-    fn ermia_ssn_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        check_engine(&ErmiaEngine::ssn(ermia_db()), &plans)?;
-    }
+#[test]
+fn ermia_ssn_matches_model() {
+    cases("ermia_ssn_matches_model", 24, seed(), |rng| {
+        check_engine(&ErmiaEngine::ssn(ermia_db()), &plans(rng));
+    });
+}
 
-    #[test]
-    fn ermia_si_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
-        check_engine(&ErmiaEngine::si(ermia_db()), &plans)?;
-    }
+#[test]
+fn ermia_si_matches_model() {
+    cases("ermia_si_matches_model", 24, seed(), |rng| {
+        check_engine(&ErmiaEngine::si(ermia_db()), &plans(rng));
+    });
+}
 
-    #[test]
-    fn silo_matches_model(plans in proptest::collection::vec(txn_strategy(), 1..16)) {
+#[test]
+fn silo_matches_model() {
+    cases("silo_matches_model", 24, seed(), |rng| {
         let db = silo_occ::SiloDb::open(silo_occ::SiloConfig::default());
-        check_engine(&SiloEngine::new(db), &plans)?;
-    }
+        check_engine(&SiloEngine::new(db), &plans(rng));
+    });
 }
