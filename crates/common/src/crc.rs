@@ -1,21 +1,21 @@
-//! The repository's checksums: CRC-32 for wire frames, CRC-32C for log
-//! blocks and checkpoint frames.
+//! The repository's one checksum: CRC-32C (Castagnoli), carried by every
+//! log block, checkpoint frame and wire frame.
 //!
-//! Both are reflected CRCs with an all-ones initial value and final
-//! complement; they differ only in the polynomial — IEEE 802.3 for
-//! [`crc32`], whose values the wire protocol has always carried, and
-//! Castagnoli for [`crc32c`], which x86-64 computes in hardware (the
-//! SSE4.2 `crc32` instruction, eight bytes per instruction). Where the
-//! CPU lacks it, and for [`crc32`] everywhere, one table engine
+//! A reflected CRC with an all-ones initial value and final complement,
+//! which x86-64 computes in hardware (the SSE4.2 `crc32` instruction,
+//! eight bytes per instruction). Where the CPU lacks it, a table engine
 //! ("slicing-by-8": eight 256-entry tables built at compile time) folds
-//! eight bytes per step. Either way a CRC catches every single-bit and
-//! every odd-weight error, and every burst up to 32 bits, which the
-//! FNV-1a the log used before did not guarantee.
+//! eight bytes per step. It catches every single-bit error, every burst
+//! up to 32 bits and, since its generator has (x + 1) as a factor, every
+//! odd-weight error: guarantees neither the FNV-1a the log used before
+//! nor the IEEE CRC-32 wire frames carried before gave.
 
-/// Eight tables for one reflected polynomial: `t[0]` is the classic
-/// byte-at-a-time table, `t[k][b]` the CRC of byte `b` followed by `k`
-/// zero bytes.
-const fn tables(poly: u32) -> [[u32; 256]; 8] {
+/// The Castagnoli polynomial, reflected.
+const POLY: u32 = 0x82F6_3B78;
+
+/// Eight tables for [`POLY`]: `t[0]` is the classic byte-at-a-time
+/// table, `t[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const fn tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     // Row-major, so `t[0]` is complete before any later row reads it.
     let mut i = 0;
@@ -24,7 +24,7 @@ const fn tables(poly: u32) -> [[u32; 256]; 8] {
         t[k][b] = if k == 0 {
             let (mut c, mut bit) = (b as u32, 0);
             while bit < 8 {
-                c = if c & 1 != 0 { poly ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
                 bit += 1;
             }
             c
@@ -36,12 +36,12 @@ const fn tables(poly: u32) -> [[u32; 256]; 8] {
     t
 }
 
-static IEEE: [[u32; 256]; 8] = tables(0xEDB8_8320);
-static CASTAGNOLI: [[u32; 256]; 8] = tables(0x82F6_3B78);
+static CASTAGNOLI: [[u32; 256]; 8] = tables();
 
 /// Fold `bytes` into the (pre-complemented) register `c`, eight bytes a
 /// step.
-fn sliced(t: &[[u32; 256]; 8], mut c: u32, bytes: &[u8]) -> u32 {
+fn sliced(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CASTAGNOLI;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -62,14 +62,9 @@ fn sliced(t: &[[u32; 256]; 8], mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
-/// CRC-32 (IEEE 802.3) of `bytes`: what every wire frame carries.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !sliced(&IEEE, !0, bytes)
-}
-
-/// CRC-32C (Castagnoli) of `bytes`: what every log block and checkpoint
-/// frame carries. In hardware when the CPU has SSE4.2, from the table
-/// otherwise; the two agree on every input.
+/// CRC-32C (Castagnoli) of `bytes`: what every log block, checkpoint
+/// frame and wire frame carries. In hardware when the CPU has SSE4.2,
+/// from the table otherwise; the two agree on every input.
 pub fn crc32c(bytes: &[u8]) -> u32 {
     crc32c_append(0, bytes)
 }
@@ -82,7 +77,7 @@ pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
         // SAFETY: the CPU was just asked whether it has SSE4.2.
         return !unsafe { sse42(!crc, bytes) };
     }
-    !sliced(&CASTAGNOLI, !crc, bytes)
+    !sliced(!crc, bytes)
 }
 
 /// [`crc32c`]'s register update with the `crc32` instruction: one per
@@ -107,13 +102,13 @@ mod tests {
     /// The textbook one-bit-at-a-time CRC: the reference both engines
     /// are checked against. Returns the register after each prefix, so
     /// one pass yields the CRC of every length.
-    fn bitwise_prefixes(poly: u32, bytes: &[u8]) -> Vec<u32> {
+    fn bitwise_prefixes(bytes: &[u8]) -> Vec<u32> {
         let mut c = !0u32;
         let mut out = vec![!c];
         for &b in bytes {
             c ^= b as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 { poly ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             }
             out.push(!c);
         }
@@ -122,10 +117,8 @@ mod tests {
 
     #[test]
     fn known_answers() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(!sliced(&CASTAGNOLI, !0, b"123456789"), 0xE306_9283);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(!sliced(!0, b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
         for split in 0..=9 {
             let (a, b) = b"123456789".split_at(split);
@@ -134,9 +127,8 @@ mod tests {
     }
 
     /// Every length 0..=4096 at every start offset 0..8, over two
-    /// seeded buffers: the table engine of each polynomial equals the
-    /// bitwise reference, and the SSE4.2 path (where the CPU has it)
-    /// equals the table.
+    /// seeded buffers: the table engine equals the bitwise reference,
+    /// and the SSE4.2 path (where the CPU has it) equals the table.
     #[test]
     fn every_path_agrees_on_every_length_and_alignment() {
         for seed in 0..2 {
@@ -144,16 +136,10 @@ mod tests {
             let bytes: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
             for start in 0..8 {
                 let buf = &bytes[start..start + 4096];
-                let ieee = bitwise_prefixes(0xEDB8_8320, buf);
-                let castagnoli = bitwise_prefixes(0x82F6_3B78, buf);
+                let castagnoli = bitwise_prefixes(buf);
                 for len in 0..=buf.len() {
                     let data = &buf[..len];
-                    assert_eq!(
-                        crc32(data),
-                        ieee[len],
-                        "crc32, seed {seed} start {start} len {len}"
-                    );
-                    let table = !sliced(&CASTAGNOLI, !0, data);
+                    let table = !sliced(!0, data);
                     assert_eq!(
                         table, castagnoli[len],
                         "crc32c, seed {seed} start {start} len {len}"

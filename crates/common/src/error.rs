@@ -63,7 +63,7 @@ impl AbortReason {
     }
 
     /// Short stable label used by the benchmark reporters.
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             AbortReason::WriteWriteConflict => "ww-conflict",
             AbortReason::SsnExclusion => "ssn-exclusion",

@@ -12,9 +12,10 @@
 //! * **a scalable centralized log** ([`ermia_log::LogManager`]) — one
 //!   global `fetch_add` per committing transaction yields both a totally
 //!   ordered commit timestamp and the reserved log space;
-//! * **epoch-based resource managers** ([`ermia_epoch::EpochManager`]) —
-//!   three timelines (GC, RCU, TID) recycle versions, tree memory and
-//!   transaction contexts without reader-side locking.
+//! * **epoch-based resource management** ([`ermia_epoch::EpochManager`])
+//!   — one unified manager, where the paper has three timelines (GC, RCU,
+//!   TID), recycles versions, tree memory and transaction contexts
+//!   without reader-side locking.
 //!
 //! Concurrency control is **snapshot isolation** (§3.6.1): readers and
 //! writers never block each other, write-write conflicts follow the

@@ -18,6 +18,7 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Weak};
 
+use ermia_common::AbortReason;
 use ermia_telemetry::{FamilyDef, MetricDesc, MetricKind, Sample};
 
 use crate::database::DbInner;
@@ -26,80 +27,38 @@ use crate::database::DbInner;
 
 /// Counter 0: committed transactions.
 pub(crate) const TXN_COMMITS: usize = 0;
-/// Counters 1..=8: aborts, indexed by `TXN_ABORT_BASE + reason.idx()`.
+/// Counters from 1 on: aborts, indexed by `TXN_ABORT_BASE + reason.idx()`.
 pub(crate) const TXN_ABORT_BASE: usize = 1;
 /// Histogram 0: version-chain nodes walked per transaction (summed
 /// over its visibility fetches; recorded once at release so the
 /// per-read hot path carries no telemetry work).
 pub(crate) const TXN_CHAIN_HIST: usize = 0;
 
-const ABORT_HELP: &str = "Aborted transactions by reason";
-
-/// Per-transaction outcome counters. The abort descriptors must stay in
-/// [`ermia_common::AbortReason::ALL`] order (asserted by a test below).
+/// Per-transaction outcome counters: commits, then one abort counter per
+/// [`AbortReason`], in [`AbortReason::ALL`] order and labelled by
+/// [`AbortReason::label`].
 pub(crate) static TXN_FAMILY: FamilyDef = FamilyDef {
-    counters: &[
-        MetricDesc {
-            name: "ermia_txn_commits_total",
-            help: "Committed transactions",
-            kind: MetricKind::Counter,
-            label: None,
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "ww-conflict")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "ssn-exclusion")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "read-validation")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "phantom")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "dup-key")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "user")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "resource")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "log-failure")),
-        },
-        MetricDesc {
-            name: "ermia_txn_aborts_total",
-            help: ABORT_HELP,
-            kind: MetricKind::Counter,
-            label: Some(("reason", "read-only")),
-        },
-    ],
+    counters: &{
+        let mut counters = [const {
+            MetricDesc {
+                name: "ermia_txn_commits_total",
+                help: "Committed transactions",
+                kind: MetricKind::Counter,
+                label: None,
+            }
+        }; TXN_ABORT_BASE + AbortReason::ALL.len()];
+        let mut i = 0;
+        while i < AbortReason::ALL.len() {
+            counters[TXN_ABORT_BASE + i] = MetricDesc {
+                name: "ermia_txn_aborts_total",
+                help: "Aborted transactions by reason",
+                kind: MetricKind::Counter,
+                label: Some(("reason", AbortReason::ALL[i].label())),
+            };
+            i += 1;
+        }
+        counters
+    },
     hists: &[MetricDesc {
         name: "ermia_txn_chain_length",
         help: "Version-chain nodes walked per transaction (summed over its reads)",
@@ -339,17 +298,21 @@ fn collect_db(db: &DbInner, out: &mut Vec<Sample>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ermia_common::AbortReason;
+    use crate::{Database, DbConfig};
 
+    /// The rendered abort family names each reason once, in
+    /// `AbortReason::ALL` order: the order `TXN_ABORT_BASE + idx` counts in.
     #[test]
-    fn abort_descriptors_align_with_abort_reason_order() {
-        for r in AbortReason::ALL {
-            let desc = &TXN_FAMILY.counters[TXN_ABORT_BASE + r.idx()];
-            assert_eq!(desc.name, "ermia_txn_aborts_total");
-            let (key, val) = desc.label.expect("abort counters carry a reason label");
-            assert_eq!(key, "reason");
-            assert_eq!(val, r.label(), "descriptor order must match AbortReason::ALL");
-        }
-        assert_eq!(TXN_FAMILY.counters.len(), TXN_ABORT_BASE + AbortReason::ALL.len());
+    fn the_abort_family_renders_each_reason_once_in_order() {
+        let db = Database::open(DbConfig::in_memory()).unwrap();
+        let _worker = db.register_worker();
+        let text = db.telemetry().render_prometheus();
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("ermia_txn_aborts_total{reason=\""))
+            .map(|l| l.split('"').next().unwrap())
+            .collect();
+        let labels: Vec<&str> = AbortReason::ALL.iter().map(|r| r.label()).collect();
+        assert_eq!(rendered, labels);
     }
 }

@@ -28,8 +28,8 @@ use ermia_common::rng::SplitMix64;
 use ermia_telemetry::TraceContext;
 
 use crate::protocol::{
-    read_frame, write_frame, BatchOp, ErrorCode, FrameError, ReplStatus, Request, Response,
-    WireIsolation, MAX_FRAME_LEN,
+    read_frame, BatchOp, ErrorCode, FrameError, ReplStatus, Request, Response, WireIsolation,
+    MAX_FRAME_LEN,
 };
 
 /// Decoded [`Response::Health`] frame.
@@ -248,11 +248,7 @@ impl Client {
     /// call [`flush`](Client::flush) (or [`recv`](Client::recv), which
     /// flushes first) to put it on the wire.
     pub fn send(&mut self, req: &Request) -> ClientResult<()> {
-        let payload = match &self.trace {
-            Some(ctx) => req.encode_traced(ctx),
-            None => req.encode(),
-        };
-        write_frame(&mut self.writer, &payload)?;
+        self.writer.write_all(&req.frame(&self.trace.unwrap_or(TraceContext::UNTRACED)))?;
         self.in_flight += 1;
         Ok(())
     }

@@ -19,7 +19,7 @@ use ermia_log::MAX_KEY_LEN;
 use ermia_telemetry::TraceContext;
 
 use crate::poll::Interest;
-use crate::protocol::{crc32, BatchOp, ErrorCode, FrameAssembler, Response, WireIsolation};
+use crate::protocol::{BatchOp, ErrorCode, FrameAssembler, Response, WireIsolation};
 use crate::server::{ServerState, ShardStats};
 
 /// Accumulation cap for a sniffed HTTP request head.
@@ -232,7 +232,7 @@ impl Conn {
 
     /// Queue a wire response, framing it.
     pub fn push(&mut self, state: &ServerState, resp: Response) {
-        self.push_bytes(state, frame_bytes(&resp));
+        self.push_bytes(state, resp.frame());
     }
 
     pub fn push_err(&mut self, state: &ServerState, code: ErrorCode, detail: &str) {
@@ -367,16 +367,6 @@ impl Conn {
             && self.out.len() < reply_queue_depth;
         Interest::rw(readable, blocked)
     }
-}
-
-/// Frame a response into wire bytes (length prefix + payload + CRC).
-pub(crate) fn frame_bytes(resp: &Response) -> Vec<u8> {
-    let payload = resp.encode();
-    let mut wire = Vec::with_capacity(payload.len() + 8);
-    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    wire.extend_from_slice(&payload);
-    wire.extend_from_slice(&crc32(&payload).to_le_bytes());
-    wire
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! Everything the embedded engine exposes in-process, over a socket:
 //!
 //! * [`protocol`] — the framed, checksummed wire format (length-prefixed
-//!   payload + CRC-32), request/response codecs, an incremental
+//!   payload + CRC-32C, the log's checksum), request/response codecs, an incremental
 //!   [`FrameAssembler`](protocol::FrameAssembler) for non-blocking
 //!   transports, and hardening against malformed input.
 //! * [`Server`] — an event-driven TCP front end: N epoll shards each

@@ -8,14 +8,15 @@
 //! bytes    := len:u32le raw:len*u8          (length-prefixed byte string)
 //! ```
 //!
-//! `len` counts the payload only (1 ..= `max_frame_len`); `crc` is CRC-32
-//! (IEEE, reflected) over the payload ([`crc32`], from
-//! [`ermia_common::crc`]: the log's CRC-32C would change every wire
-//! byte clients of other builds check). A frame that fails the length
-//! bound, the checksum, or opcode/body decoding is a *protocol error*:
-//! the server replies [`Response::Error`] with [`ErrorCode::Protocol`]
-//! and closes the connection — it never panics and never desynchronizes
-//! silently.
+//! `len` counts the payload only (1 ..= `max_frame_len`); `crc` is the
+//! payload's CRC-32C ([`ermia_common::crc`], the log's checksum too). It
+//! replaced IEEE CRC-32 with the payload bytes unchanged: a peer built
+//! before gets [`FrameError::BadChecksum`] on its first frame, never a
+//! misparse. Only the private `seal`/`check` pair knows this layout. A
+//! frame that fails the length bound, the checksum, or opcode/body
+//! decoding is a *protocol error*: the server replies [`Response::Error`]
+//! with [`ErrorCode::Protocol`] and closes the connection — it never
+//! panics and never desynchronizes silently.
 //!
 //! # The frame table
 //!
@@ -50,8 +51,9 @@
 //! nonzero and the envelope must not nest.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
-pub use ermia_common::crc::crc32;
+use ermia_common::crc::crc32c;
 use ermia_common::AbortReason;
 use ermia_telemetry::TraceContext;
 
@@ -61,6 +63,10 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Frame overhead besides the payload (length prefix + checksum).
 pub const FRAME_OVERHEAD: usize = 8;
+
+/// The length prefix's share of [`FRAME_OVERHEAD`]; the checksum trailer
+/// is the rest.
+const PREFIX: usize = 4;
 
 // ---------------------------------------------------------------------
 // Frame I/O
@@ -100,34 +106,78 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// One frame holding what `put` appends as its payload: the length
+/// prefix, the payload, then its CRC-32C. With [`check`], the only code
+/// that knows a frame's layout.
+fn seal(capacity: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(capacity + FRAME_OVERHEAD);
+    frame.extend_from_slice(&[0; PREFIX]);
+    put(&mut frame);
+    let len = (frame.len() - PREFIX) as u32;
+    frame[..PREFIX].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&frame[PREFIX..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// What [`check`] found at the start of a byte run.
+enum Checked {
+    /// Not a whole frame yet: it spans this many bytes in all (the
+    /// prefix's, while the prefix itself is incomplete).
+    Short(usize),
+    /// A whole frame that passed both checks, and where its payload lies.
+    Whole { payload: Range<usize>, end: usize },
+}
+
+/// The frame at the start of `bytes`: its length bound is enforced as
+/// soon as the prefix is there (before anybody sizes a buffer by it),
+/// its checksum once the trailer is.
+fn check(bytes: &[u8], max_len: u32) -> Result<Checked, FrameError> {
+    let Some(prefix) = bytes.first_chunk::<PREFIX>() else {
+        return Ok(Checked::Short(PREFIX));
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len == 0 || len > max_len {
+        return Err(FrameError::BadLength(len));
+    }
+    let payload = PREFIX..PREFIX + len as usize;
+    let end = payload.end + (FRAME_OVERHEAD - PREFIX);
+    let Some(trailer) = bytes.get(payload.end..).and_then(<[u8]>::first_chunk) else {
+        return Ok(Checked::Short(end));
+    };
+    let got = u32::from_le_bytes(*trailer);
+    let expect = crc32c(&bytes[payload.clone()]);
+    if got != expect {
+        return Err(FrameError::BadChecksum { expect, got });
+    }
+    Ok(Checked::Whole { payload, end })
+}
+
 /// Write one frame (length prefix, payload, checksum).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(!payload.is_empty());
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
+    w.write_all(&seal(payload.len(), |f| f.extend_from_slice(payload)))
 }
 
 /// Read one frame's payload, enforcing `max_len` *before* allocating and
 /// verifying the checksum after.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Vec<u8>, FrameError> {
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4);
-    if len == 0 || len > max_len {
-        return Err(FrameError::BadLength(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc4 = [0u8; 4];
-    r.read_exact(&mut crc4)?;
-    let got = u32::from_le_bytes(crc4);
-    let expect = crc32(&payload);
-    if got != expect {
-        return Err(FrameError::BadChecksum { expect, got });
-    }
-    Ok(payload)
+    // Two reads: the prefix, then the rest of the frame it announces.
+    let mut prefix = [0; PREFIX];
+    r.read_exact(&mut prefix)?;
+    let Checked::Short(end) = check(&prefix, max_len)? else {
+        unreachable!("a prefix alone is never a whole frame")
+    };
+    let mut frame = Vec::with_capacity(end);
+    frame.extend_from_slice(&prefix);
+    frame.resize(end, 0);
+    r.read_exact(&mut frame[PREFIX..])?;
+    let Checked::Whole { payload, .. } = check(&frame, max_len)? else {
+        unreachable!("a frame is whole once the length its prefix announces is read")
+    };
+    frame.truncate(payload.end);
+    frame.drain(..payload.start);
+    Ok(frame)
 }
 
 /// Incremental frame decoder for non-blocking transports.
@@ -161,48 +211,24 @@ impl FrameAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Whether [`FrameAssembler::next_frame`] would make progress right
     /// now — a complete frame is buffered, or an error is detectable.
     pub fn has_frame(&self) -> bool {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return false;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap());
-        if len == 0 || len > self.max_len {
-            return true; // next_frame will surface the BadLength
-        }
-        avail.len() >= 4 + len as usize + 4
+        !matches!(check(&self.buf[self.pos..], self.max_len), Ok(Checked::Short(_)))
     }
 
     /// Pop the next complete frame payload, `Ok(None)` if more bytes are
     /// needed, or the same `FrameError` the blocking reader would raise.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
+        match check(avail, self.max_len)? {
+            Checked::Short(_) => Ok(None),
+            Checked::Whole { payload, end } => {
+                let payload = avail[payload].to_vec();
+                self.pos += end;
+                Ok(Some(payload))
+            }
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap());
-        if len == 0 || len > self.max_len {
-            return Err(FrameError::BadLength(len));
-        }
-        let total = 4 + len as usize + 4;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = avail[4..4 + len as usize].to_vec();
-        let got = u32::from_le_bytes(avail[4 + len as usize..total].try_into().unwrap());
-        let expect = crc32(&payload);
-        if got != expect {
-            return Err(FrameError::BadChecksum { expect, got });
-        }
-        self.pos += total;
-        Ok(Some(payload))
     }
 }
 
@@ -618,13 +644,23 @@ impl Request {
     /// absence is the untraced representation, never a zero-filled
     /// envelope.
     pub fn encode_traced(&self, ctx: &TraceContext) -> Vec<u8> {
-        if !ctx.is_traced() {
-            return self.encode();
-        }
-        let mut e = vec![OP_TRACED];
-        (ctx.trace_hi, ctx.trace_lo, ctx.parent).put(&mut e);
-        self.put(&mut e);
+        let mut e = Vec::new();
+        self.put_traced(ctx, &mut e);
         e
+    }
+
+    fn put_traced(&self, ctx: &TraceContext, e: &mut Vec<u8>) {
+        if ctx.is_traced() {
+            e.push(OP_TRACED);
+            (ctx.trace_hi, ctx.trace_lo, ctx.parent).put(e);
+        }
+        self.put(e);
+    }
+
+    /// [`Request::encode_traced`] as one frame, encoded straight into
+    /// the frame's buffer.
+    pub(crate) fn frame(&self, ctx: &TraceContext) -> Vec<u8> {
+        seal(0, |f| self.put_traced(ctx, f))
     }
 
     /// Decode a frame payload that may carry the trace envelope. Bare
@@ -907,6 +943,11 @@ impl Response {
         encode_payload(self)
     }
 
+    /// This reply as one frame, encoded straight into the frame's buffer.
+    pub(crate) fn frame(&self) -> Vec<u8> {
+        seal(0, |f| self.put(f))
+    }
+
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, FrameError> {
         Dec::new(payload).whole()
@@ -1073,22 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_and_zero_lengths_are_rejected_before_allocation() {
-        let mut giant = Vec::new();
-        giant.extend_from_slice(&u32::MAX.to_le_bytes());
-        giant.extend_from_slice(&[0u8; 16]);
-        match read_frame(&mut &giant[..], MAX_FRAME_LEN) {
-            Err(FrameError::BadLength(n)) => assert_eq!(n, u32::MAX),
-            other => panic!("oversize not caught: {other:?}"),
-        }
-        let zero = 0u32.to_le_bytes();
-        match read_frame(&mut &zero[..], MAX_FRAME_LEN) {
-            Err(FrameError::BadLength(0)) => {}
-            other => panic!("zero length not caught: {other:?}"),
-        }
-    }
-
-    #[test]
     fn truncated_frames_error_cleanly() {
         let payload = Request::Ping.encode();
         let mut wire = Vec::new();
@@ -1124,7 +1149,6 @@ mod tests {
             for (g, p) in got.iter().zip(&payloads) {
                 assert_eq!(g, p, "split at {cut}");
             }
-            assert_eq!(asm.buffered(), 0);
         }
         // Byte-at-a-time: the pathological readiness pattern.
         let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
@@ -1139,24 +1163,31 @@ mod tests {
         assert_eq!(got, payloads.len());
     }
 
+    /// Both readers answer each frame alike: a length out of bounds is
+    /// refused from the prefix alone, before anything is sized by it; the
+    /// Ping frame `01000000 01` passes with its CRC-32C trailer and is
+    /// refused with the IEEE CRC-32 trailer frames carried before (so a
+    /// peer of the old format fails on its first frame, never misparses).
     #[test]
     fn assembler_raises_the_same_errors_as_the_blocking_reader() {
-        let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
-        asm.feed(&u32::MAX.to_le_bytes());
-        assert!(matches!(asm.next_frame(), Err(FrameError::BadLength(u32::MAX))));
-
-        let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
-        asm.feed(&0u32.to_le_bytes());
-        assert!(matches!(asm.next_frame(), Err(FrameError::BadLength(0))));
-
-        let payload = Request::Ping.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        let n = wire.len();
-        wire[n - 1] ^= 0x01;
-        let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
-        asm.feed(&wire);
-        assert!(matches!(asm.next_frame(), Err(FrameError::BadChecksum { .. })));
+        let ping = |trailer: [u8; 4]| [&[1, 0, 0, 0, 1][..], &trailer].concat();
+        let cases = [
+            ([&u32::MAX.to_le_bytes()[..], &[0xAB; 16]].concat(), "Err(BadLength(4294967295))"),
+            (0u32.to_le_bytes().to_vec(), "Err(BadLength(0))"),
+            // 0xa016d052 = CRC-32C(01), 0xa505df1b = CRC-32(01).
+            (
+                ping([0x1b, 0xdf, 0x05, 0xa5]),
+                "Err(BadChecksum { expect: 2685849682, got: 2768625435 })",
+            ),
+            (ping([0x52, 0xd0, 0x16, 0xa0]), "Ok([1])"),
+        ];
+        for (bytes, want) in cases {
+            let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
+            asm.feed(&bytes);
+            let assembled = format!("{:?}", asm.next_frame().map(|p| p.expect("a whole frame")));
+            let blocking = format!("{:?}", read_frame(&mut &bytes[..], MAX_FRAME_LEN));
+            assert_eq!((blocking.as_str(), assembled.as_str()), (want, want));
+        }
     }
 
     #[test]

@@ -126,8 +126,8 @@ use ermia_telemetry::{
 };
 
 use crate::conn::{
-    aborted, engine_isolation, exec_op, frame_bytes, op_target, Conn, FlushState, Mode, OpenTxn,
-    Ops, Out, PendingWork, ReplConnState, TraceReq, Waiting, MAX_HTTP_HEAD,
+    aborted, engine_isolation, exec_op, op_target, Conn, FlushState, Mode, OpenTxn, Ops, Out,
+    PendingWork, ReplConnState, TraceReq, Waiting, MAX_HTTP_HEAD,
 };
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
@@ -1048,7 +1048,7 @@ fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, job: ParkJ
     if let Some(tr) = &job.trace {
         finish_trace(state, &handle.trace_ring, tr);
     }
-    conn.complete(job.seq, frame_bytes(&job.reply.with(log_stalled())));
+    conn.complete(job.seq, job.reply.with(log_stalled()).frame());
 }
 
 /// End of the turn: the published commits that wait go to the parker —
@@ -1516,7 +1516,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
                 job.conn,
                 job.enqueued.elapsed().as_micros() as u64,
             );
-            let bytes = frame_bytes(&job.reply.with(outcome));
+            let bytes = job.reply.with(outcome).frame();
             done.push(Completion { conn: job.conn, seq: job.seq, bytes });
             answered.push(job.work);
         }

@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use ermia::{DbConfig, ShardedDb};
 use ermia_check::{bytes, cases};
-use ermia_server::protocol::{crc32, read_frame, write_frame, FrameAssembler, MAX_FRAME_LEN};
+use ermia_common::crc::crc32c;
+use ermia_server::protocol::{read_frame, write_frame, FrameAssembler, MAX_FRAME_LEN};
 use ermia_server::{Client, FrameError, Request, Response, Server, ServerConfig, TraceContext};
 
 /// One server shared by every case; if any hostile input kills it, the
@@ -23,7 +24,7 @@ fn server_addr() -> SocketAddr {
         let cfg =
             ServerConfig { checkout_wait: Duration::from_millis(100), ..ServerConfig::default() };
         let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
-        let mut c = Client::connect(srv.local_addr()).unwrap();
+        let mut c = client(srv.local_addr());
         let t = c.open_table("fuzz").unwrap();
         c.put(t, b"k", b"v").unwrap();
         (db, srv, t)
@@ -52,10 +53,17 @@ fn poke(bytes: &[u8]) {
     }
 }
 
+/// A client whose every reply wait has `poke`'s bound, so a server that
+/// holds a reply back fails the test instead of wedging the suite.
+fn client(addr: SocketAddr) -> Client {
+    let mut c = Client::connect(addr).expect("acceptor must survive hostile input");
+    c.set_reply_timeout(Some(Duration::from_secs(2))).unwrap();
+    c
+}
+
 /// The real assertion: after hostile input, a well-formed session works.
 fn assert_alive() {
-    let mut c = Client::connect(server_addr()).expect("acceptor must survive hostile input");
-    c.ping().expect("server must keep serving after hostile input");
+    client(server_addr()).ping().expect("server must keep serving after hostile input");
 }
 
 fn valid_frame(req: &Request) -> Vec<u8> {
@@ -130,7 +138,7 @@ fn checksum_must_cover_the_payload_actually_sent() {
     let other = Request::Abort.encode();
     let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
     bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&crc32(&other).to_le_bytes());
+    bytes.extend_from_slice(&crc32c(&other).to_le_bytes());
     poke(&bytes);
     assert_alive();
 }

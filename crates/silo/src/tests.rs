@@ -50,6 +50,16 @@ fn insert_read_update_delete() {
     let mut tx = w.begin(RW);
     assert_eq!(get(&mut tx, t, b"k"), None);
     tx.commit().unwrap();
+
+    // Inserted and deleted by a transaction that aborts: nothing stays
+    // indexed to refuse the next insert as a duplicate.
+    let mut tx = w.begin(RW);
+    tx.insert(t, b"j", b"v1").unwrap();
+    assert!(tx.delete(t, b"j").unwrap());
+    tx.abort();
+    let mut tx = w.begin(RW);
+    tx.insert(t, b"j", b"v2").unwrap();
+    tx.commit().unwrap();
 }
 
 #[test]

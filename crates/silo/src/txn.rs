@@ -21,14 +21,16 @@ pub enum TxnMode {
     ReadOnly,
 }
 
+/// How a written record came into the write set, whatever the transaction
+/// does to it after: an `Insert` is its own record, unindexed on abort.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum WriteKind {
     /// Fresh record we created and indexed (ABSENT until commit).
     Insert,
     /// Revival of an existing ABSENT (deleted) record.
     Revive,
+    /// A committed, live record.
     Update,
-    Delete,
 }
 
 struct WriteOp {
@@ -37,6 +39,8 @@ struct WriteOp {
     key: Box<[u8]>,
     new_data: Vec<u8>,
     kind: WriteKind,
+    /// The transaction's last word on the record is a delete.
+    deleted: bool,
 }
 
 struct SecondaryIns {
@@ -174,10 +178,7 @@ impl<'w> SiloTxn<'w> {
         // Read own pending writes first.
         if let Some(i) = self.write_entry(rec) {
             let w = &self.writes[i];
-            return Ok(match w.kind {
-                WriteKind::Delete => None,
-                _ => Some(f(&w.new_data)),
-            });
+            return Ok(if w.deleted { None } else { Some(f(&w.new_data)) });
         }
         let r = unsafe { &*rec };
         let (word, buf) = r.stable_read();
@@ -226,7 +227,7 @@ impl<'w> SiloTxn<'w> {
         let rec = val as *mut Record;
         if let Some(i) = self.write_entry(rec) {
             let entry = &mut self.writes[i];
-            if entry.kind == WriteKind::Delete {
+            if entry.deleted {
                 // Deleted earlier in this transaction: a miss.
                 return Ok(false);
             }
@@ -245,6 +246,7 @@ impl<'w> SiloTxn<'w> {
             key: key.to_vec().into_boxed_slice(),
             new_data: value.to_vec(),
             kind: WriteKind::Update,
+            deleted: false,
         });
         Ok(true)
     }
@@ -261,10 +263,10 @@ impl<'w> SiloTxn<'w> {
         };
         let rec = val as *mut Record;
         if let Some(i) = self.write_entry(rec) {
-            if self.writes[i].kind == WriteKind::Delete {
+            if self.writes[i].deleted {
                 return Ok(false); // already deleted by us
             }
-            self.writes[i].kind = WriteKind::Delete;
+            self.writes[i].deleted = true;
             return Ok(true);
         }
         let r = unsafe { &*rec };
@@ -278,7 +280,8 @@ impl<'w> SiloTxn<'w> {
             tree: Arc::clone(&t.primary),
             key: key.to_vec().into_boxed_slice(),
             new_data: Vec::new(),
-            kind: WriteKind::Delete,
+            kind: WriteKind::Update,
+            deleted: true,
         });
         Ok(true)
     }
@@ -301,6 +304,7 @@ impl<'w> SiloTxn<'w> {
                     key: key.to_vec().into_boxed_slice(),
                     new_data: value.to_vec(),
                     kind: WriteKind::Insert,
+                    deleted: false,
                 });
                 Ok(rec as u64)
             }
@@ -314,8 +318,8 @@ impl<'w> SiloTxn<'w> {
                 // Re-insert over our own buffered delete: revive in place.
                 if let Some(i) = self.write_entry(existing) {
                     let entry = &mut self.writes[i];
-                    if entry.kind == WriteKind::Delete {
-                        entry.kind = WriteKind::Update;
+                    if entry.deleted {
+                        entry.deleted = false;
                         entry.new_data = value.to_vec();
                         return Ok(existing as u64);
                     }
@@ -337,6 +341,7 @@ impl<'w> SiloTxn<'w> {
                         key: key.to_vec().into_boxed_slice(),
                         new_data: value.to_vec(),
                         kind: WriteKind::Revive,
+                        deleted: false,
                     });
                     Ok(existing as u64)
                 } else {
@@ -418,15 +423,14 @@ impl<'w> SiloTxn<'w> {
                         None => true,
                     }
                 } else if let Some(i) = self.write_entry(rec) {
-                    match self.writes[i].kind {
-                        WriteKind::Delete => true,
-                        _ => {
-                            // Deliver own pending write; clone to end the
-                            // borrow of self.writes.
-                            let data = self.writes[i].new_data.clone();
-                            delivered += 1;
-                            f(k, &data)
-                        }
+                    if self.writes[i].deleted {
+                        true
+                    } else {
+                        // Deliver own pending write; clone to end the
+                        // borrow of self.writes.
+                        let data = self.writes[i].new_data.clone();
+                        delivered += 1;
+                        f(k, &data)
                     }
                 } else {
                     let r = unsafe { &*rec };
@@ -535,6 +539,23 @@ impl<'w> SiloTxn<'w> {
         let snapshots = self.db.inner.cfg.snapshots;
         for w in &self.writes {
             let r = unsafe { &*w.record };
+            if w.deleted {
+                // The record stays indexed (ABSENT); snapshots keep
+                // reading the pre-delete value from the chain — a value
+                // only a committed, live record has.
+                let old = r.data.load(Ordering::Acquire);
+                if w.kind == WriteKind::Update
+                    && self.preserve_snapshot(r, old, snap_now, snapshots)
+                {
+                    // The chain now owns `old`; give the record a fresh
+                    // (empty) current buffer.
+                    r.data.store(DataBuf::alloc(snap_now, &[]), Ordering::Release);
+                }
+                // else: the buffer stays as the (unreadable) current
+                // data — never freed while referenced.
+                r.unlock_with(commit_word | TID_ABSENT);
+                continue;
+            }
             match w.kind {
                 WriteKind::Insert | WriteKind::Revive => {
                     let new_buf = DataBuf::alloc(snap_now, &w.new_data);
@@ -550,19 +571,6 @@ impl<'w> SiloTxn<'w> {
                         unsafe { self.guard.defer_drop(old) };
                     }
                     r.unlock_with(commit_word);
-                }
-                WriteKind::Delete => {
-                    // The record stays indexed (ABSENT); snapshots keep
-                    // reading the pre-delete value from the chain.
-                    let old = r.data.load(Ordering::Acquire);
-                    if self.preserve_snapshot(r, old, snap_now, snapshots) {
-                        // The chain now owns `old`; give the record a
-                        // fresh (empty) current buffer.
-                        r.data.store(DataBuf::alloc(snap_now, &[]), Ordering::Release);
-                    }
-                    // else: the buffer stays as the (unreadable) current
-                    // data — never freed while referenced.
-                    r.unlock_with(commit_word | TID_ABSENT);
                 }
             }
         }

@@ -21,8 +21,12 @@ struct TxnPlan {
     commit: bool,
 }
 
+/// Keys are drawn from this many values, so a case's operations meet the
+/// same key again (insert over a live key, delete of a deleted one).
+const KEYS: u64 = 32;
+
 fn op(rng: &mut SplitMix64) -> Op {
-    let k = rng.next_u64() as u8;
+    let k = rng.below(KEYS) as u8;
     match rng.below(4) {
         0 => Op::Insert(k, rng.next_u64()),
         1 => Op::Update(k, rng.next_u64()),
