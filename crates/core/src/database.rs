@@ -892,7 +892,8 @@ impl Database {
     /// Persist a checkpoint payload received from a primary into this
     /// database's own checkpoint store, making the local data directory
     /// a restartable backup. The payload is stored verbatim under the
-    /// shipped begin LSN.
+    /// shipped begin LSN; recovery reads it as it reads its own, so one in
+    /// an earlier layout, or cut short, fails it with `InvalidData`.
     pub fn store_checkpoint(&self, begin: Lsn, payload: &[u8]) -> std::io::Result<()> {
         let store = self
             .inner

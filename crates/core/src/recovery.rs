@@ -36,21 +36,32 @@
 //! retire queue and the collector never hears of recovery: no snapshot
 //! older than the recovered tail can exist.
 //!
+//! **Rows are log records.** A checkpoint row is the log record a commit
+//! of its image would write, behind the version's stamp — an `Insert` (a
+//! `Delete` for a tombstone), or a `SecondaryInsert` for an index entry —
+//! written and read by `ermia_log`'s one row codec
+//! ([`CheckpointRows`], [`read_rows`]; crates/log/src/checkpoint.rs). So
+//! both steps read the checkpoint as they read the log, as `(address,
+//! stamp, record)`; a row's address is its offset in the payload. A
+//! payload in an earlier layout, or a row that does not decode, is
+//! `InvalidData` — a replica recovers from a payload a primary shipped.
+//!
 //! **What still differs.** The paper's checkpoint stores OID → address
 //! only and anti-caching loads a record's body on first touch; this
-//! reproduction has no buffer manager, so a checkpoint carries keys and
-//! payloads inline (an image's address is its offset in the payload) and
-//! step 2 builds every live row eagerly before the database serves.
+//! reproduction has no buffer manager, so a checkpoint row carries its
+//! key and value inline and step 2 builds every live row eagerly before
+//! the database serves.
 //!
 //! **The walk.** [`Database::checkpoint`] walks each index once, in key
 //! order, over the whole key space: a primary index yields `(key, OID)`
 //! and the OID's chain the version visible at the cut, by the read path's
 //! own rule — that pair is a row — and a secondary index yields its
-//! entries. A rolled-back insert's long key and a collected chain are
-//! freed through the engine's epoch, so the walk pins it — per
-//! [`WALK_BATCH`] entries, resuming at the first key not yet written,
-//! since a pin held across the walk would hold back every deferred free
-//! as long. Step 1 is keyed by OID: row order is immaterial.
+//! entries. This walk is all the checkpoint code core keeps. A
+//! rolled-back insert's long key and a collected chain are freed through
+//! the engine's epoch, so the walk pins it — per [`WALK_BATCH`] entries,
+//! resuming at the first key not yet written, since a pin held across the
+//! walk would hold back every deferred free as long. Step 1 is keyed by
+//! OID: row order is immaterial.
 //!
 //! The live tail ([`LogApplier::apply_available`] on a serving replica)
 //! *does* stack versions as the commits did, because snapshots below the
@@ -62,12 +73,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ermia_common::{Lsn, Oid, Stamp, TableId};
+use ermia_common::{IndexId, Lsn, Oid, Stamp, TableId};
 use ermia_epoch::{EpochHandle, Guard};
 use ermia_index::{BTree, ScanControl};
 use ermia_log::{
-    BlockKind, BlockView, CheckpointMeta, DdlRecord, DecideRecord, LogRecordKind, LogScanner,
-    PrepareMarker, ScannedBlock, TxRecordView,
+    read_rows, BlockKind, BlockView, CheckpointMeta, CheckpointRows, DdlRecord, DecideRecord,
+    LogRecordKind, LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
 };
 use ermia_storage::{OidArray, Retired, TidManager, Version};
 use ermia_telemetry::{EventKind, SpanKind, TraceContext};
@@ -219,8 +230,7 @@ impl<'a> Replay<'a> {
         addr: u64,
         stats: &mut RecoveryStats,
     ) -> std::io::Result<()> {
-        if rec.kind == LogRecordKind::SecondaryInsert {
-            let raw = u32::from_le_bytes(rec.value[..4].try_into().expect("index id"));
+        if let Some(IndexId(raw)) = rec.index_id() {
             if self.index.as_ref().is_none_or(|i| i.id.0 != raw) {
                 self.index =
                     self.db.inner.catalog.read().unwrap().indexes.get(raw as usize).cloned();
@@ -361,30 +371,32 @@ impl LogApplier {
     ) -> std::io::Result<Chosen<'_>> {
         let t0 = Instant::now();
         let unbuilt = Unbuilt(db);
-        let (begin, payload) = checkpoint.unwrap_or((Lsn::NULL, Vec::new()));
+        let begin = checkpoint.as_ref().map_or(Lsn::NULL, |(begin, _)| *begin);
         let mut applier = LogApplier::new(begin.offset());
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
         let mut replay = Replay::new(db, &guard, Some(false));
         let stats = &mut applier.stats;
-        walk_checkpoint(&payload, |addr, stamp, rec| {
-            if rec.kind != LogRecordKind::SecondaryInsert {
-                if stamp >= begin {
-                    return Err(invalid(format!(
-                        "checkpoint image of table {} OID {} is stamped {stamp:?}, at or above \
-                         the checkpoint's begin {begin:?}",
-                        rec.table.0, rec.oid.0
-                    )));
+        if let Some((_, payload)) = &checkpoint {
+            read_rows(payload, |addr, stamp, rec| {
+                if rec.kind != LogRecordKind::SecondaryInsert {
+                    if stamp >= begin {
+                        return Err(invalid(format!(
+                            "checkpoint image of table {} OID {} is stamped {stamp:?}, at or \
+                             above the checkpoint's begin {begin:?}",
+                            rec.table.0, rec.oid.0
+                        )));
+                    }
+                    stats.checkpoint_records += 1;
                 }
-                stats.checkpoint_records += 1;
-            }
-            replay.admit(rec, stamp, addr, stats)
-        })?;
+                replay.admit(rec, stamp, addr, stats)
+            })?;
+        }
         replay.ranking = Some(true);
         // The open-time walk checksummed every block below its tail.
         applier.scan(&mut replay, db.inner.log.tail_at_open())?;
         applier.stats.elapsed = t0.elapsed();
-        Ok(Chosen { unbuilt, applier, checkpoint: (begin, payload) })
+        Ok(Chosen { unbuilt, applier, checkpoint })
     }
 
     /// The offset replay has consumed through: every byte below it has
@@ -545,7 +557,7 @@ impl Drop for Unbuilt<'_> {
 pub(crate) struct Chosen<'a> {
     unbuilt: Unbuilt<'a>,
     pub(crate) applier: LogApplier,
-    checkpoint: (Lsn, Vec<u8>),
+    checkpoint: Option<(Lsn, Vec<u8>)>,
 }
 
 impl Chosen<'_> {
@@ -554,7 +566,7 @@ impl Chosen<'_> {
     /// `keep` names. A word left over is `InvalidData`.
     pub(crate) fn build(self, keep: impl Fn((u32, u64)) -> bool) -> std::io::Result<LogApplier> {
         let t0 = Instant::now();
-        let Chosen { unbuilt, mut applier, checkpoint: (begin, payload) } = self;
+        let Chosen { unbuilt, mut applier, checkpoint } = self;
         let db = unbuilt.0;
         let handle = db.inner.epoch.register();
         let guard = handle.pin();
@@ -571,7 +583,10 @@ impl Chosen<'_> {
             }
             Ok(())
         };
-        walk_checkpoint(&payload, |addr, stamp, rec| build(false, addr, stamp, rec))?;
+        let begin = checkpoint.as_ref().map_or(Lsn::NULL, |(begin, _)| *begin);
+        if let Some((_, payload)) = &checkpoint {
+            read_rows(payload, |addr, stamp, rec| build(false, addr, stamp, rec))?;
+        }
         let end = applier.applied;
         let mut scanner = LogScanner::new(db.inner.log.segments(), begin.offset()).trusting(end);
         while scanner.offset() < end {
@@ -595,7 +610,7 @@ impl Chosen<'_> {
             let what = "ranked an image that its second pass did not find";
             return Err(invalid(format!("recovery of table {} OID {} {what}", table.0, oid.0)));
         }
-        stats.scanned_bytes += payload.len() as u64;
+        stats.scanned_bytes += checkpoint.map_or(0, |(_, payload)| payload.len() as u64);
         stats.elapsed += t0.elapsed();
         db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
         *db.inner.recovered.lock().unwrap() = *stats;
@@ -603,76 +618,16 @@ impl Chosen<'_> {
     }
 }
 
-/// Walk a checkpoint payload, handing `row` every entry as the log record
-/// it stands for — a row image as an `Insert` (`Delete` for a tombstone)
-/// under its version's stamp, then each secondary-index entry as a
-/// `SecondaryInsert` — with its offset in the payload as its address.
-pub(crate) fn walk_checkpoint<'p>(
-    payload: &'p [u8],
-    mut row: impl FnMut(u64, Lsn, TxRecordView<'p>) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let mut pos = 0usize;
-    let mut take = |n: usize| {
-        pos += n;
-        (&payload[pos - n..pos], (pos - n) as u64)
-    };
-    let u32_at = |b: &[u8]| u32::from_le_bytes(b[..4].try_into().expect("four bytes"));
-    if payload.is_empty() {
-        return Ok(());
-    }
-    for _ in 0..u32_at(take(4).0) {
-        let table = TableId(u32_at(take(4).0));
-        for _ in 0..u32_at(take(4).0) {
-            let (head, addr) = take(19);
-            let stamp = u64::from_le_bytes(head[4..12].try_into().expect("eight bytes"));
-            let stamp = Lsn::from_raw(stamp);
-            let kind = if head[12] != 0 { LogRecordKind::Delete } else { LogRecordKind::Insert };
-            let key = take(u16::from_le_bytes([head[13], head[14]]) as usize).0;
-            let value = take(u32_at(&head[15..]) as usize).0;
-            let oid = Oid(u32_at(head));
-            row(addr, stamp, TxRecordView { kind, table, oid, key, value })?;
-        }
-    }
-    for _ in 0..u32_at(take(4).0) {
-        for _ in 0..u32_at(take(4).0) {
-            let (head, addr) = take(10);
-            let key = take(u16::from_le_bytes([head[8], head[9]]) as usize).0;
-            let (kind, oid) = (LogRecordKind::SecondaryInsert, Oid(u32_at(&head[4..])));
-            let table = TableId(0); // unused: the entry names its index, in `value`
-            let entry = TxRecordView { kind, table, oid, key, value: head };
-            row(addr, Lsn::NULL, entry)?;
-        }
-    }
-    Ok(())
-}
-
-// Checkpoint payload format (little-endian):
-//   u32 ntables
-//   per table: u32 table_id, u32 nrecords
-//     per record: u32 oid, u64 clsn_raw, u8 tombstone,
-//                 u16 key_len, u32 val_len, key, val
-//   u32 nsecondary
-//   per secondary index: u32 nentries
-//     per entry: u32 index_id, u32 oid, u16 key_len, key
-
 /// Index entries the checkpoint walk handles under one pin of the
 /// engine's epoch (module docs, "The walk"): the pin costs nothing next to
 /// them, and a free deferred meanwhile waits for one batch, not the walk.
 const WALK_BATCH: usize = 1024;
 
-/// Append to `payload` a u32 count, then the rows `row` writes for the
-/// entries of `tree` in key order (it says whether it wrote one). `handle`
-/// is pinned for at most [`WALK_BATCH`] entries at a time, and the walk
-/// resumes at the first key not yet handed over; `row` runs under the pin,
-/// so what it reaches through the engine's epoch stays allocated.
-pub(crate) fn walk_index(
-    handle: &EpochHandle,
-    tree: &BTree,
-    payload: &mut Vec<u8>,
-    mut row: impl FnMut(&mut Vec<u8>, &[u8], u64) -> bool,
-) {
-    let (at, mut rows) = (payload.len(), 0u32);
-    payload.extend_from_slice(&[0; 4]);
+/// Hand `row` the entries of `tree` in key order. `handle` is pinned for
+/// at most [`WALK_BATCH`] entries at a time, and the walk resumes at the
+/// first key not yet handed over; `row` runs under the pin, so what it
+/// reaches through the engine's epoch stays allocated.
+pub(crate) fn walk_index(handle: &EpochHandle, tree: &BTree, mut row: impl FnMut(&[u8], u64)) {
     let (mut from, mut next) = (Vec::new(), Vec::new());
     loop {
         let (mut room, mut more) = (WALK_BATCH, false);
@@ -683,7 +638,7 @@ pub(crate) fn walk_index(
                 return ScanControl::Stop;
             }
             room -= 1;
-            rows += row(payload, key, value) as u32;
+            row(key, value);
             ScanControl::Continue
         };
         tree.scan(&handle.pin(), &from, None, |_| {}, &mut entry);
@@ -693,11 +648,10 @@ pub(crate) fn walk_index(
         std::mem::swap(&mut from, &mut next);
         next.clear();
     }
-    payload[at..at + 4].copy_from_slice(&rows.to_le_bytes());
 }
 
-/// Append `key`'s row to `payload`: `oid`'s version visible `at` the cut,
-/// by the read path's rule. Says whether there was one.
+/// Append `key`'s row to `rows`: `oid`'s version visible `at` the cut, by
+/// the read path's rule, if there is one.
 ///
 /// # Safety
 ///
@@ -707,26 +661,19 @@ pub(crate) unsafe fn write_image(
     tid: &TidManager,
     table: &Table,
     at: Lsn,
-    payload: &mut Vec<u8>,
+    rows: &mut CheckpointRows,
     key: &[u8],
     oid: Oid,
-) -> bool {
+) {
     let mut cur = table.oids.head(oid);
     // SAFETY: the caller's pin keeps every version reached here allocated.
     while let Some(v) = unsafe { cur.as_ref() } {
         if let Visibility::Visible { cstamp, .. } = visibility(tid, v, at, None) {
-            payload.extend_from_slice(&oid.0.to_le_bytes());
-            payload.extend_from_slice(&cstamp.to_le_bytes());
-            payload.push(v.tombstone() as u8);
-            payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            payload.extend_from_slice(&(v.data().len() as u32).to_le_bytes());
-            payload.extend_from_slice(key);
-            payload.extend_from_slice(v.data());
-            return true;
+            let stamp = Lsn::from_raw(cstamp);
+            return rows.image(stamp, table.id, oid, key, v.data(), v.tombstone());
         }
         cur = v.next.load(Ordering::Acquire);
     }
-    false
 }
 
 impl Database {
@@ -754,14 +701,15 @@ impl Database {
     /// never retires the only copy of an entry, and whoever mirrors the
     /// segments from the cut on finds every table the payload names), wait
     /// once for it to be durable — every commit below the cut then is —
-    /// and walk every index once, in key order, serializing each primary
-    /// key with the version visible at the cut, and every secondary entry.
-    /// The cut's GC pin keeps what the walk reads linked; the engine's own
-    /// epoch, which keys and chains are freed through, is pinned a batch
-    /// at a time, so no deferred free waits for the whole walk.
+    /// and walk every index once, in key order, writing each primary key
+    /// with the version visible at the cut, and every secondary entry, as
+    /// checkpoint rows. The cut's GC pin keeps what the walk reads linked;
+    /// the engine's own epoch, which keys and chains are freed through, is
+    /// pinned a batch at a time, so no deferred free waits for the whole
+    /// walk.
     pub(crate) fn checkpoint_payload(&self, cut: &Cut) -> std::io::Result<Vec<u8>> {
         let begin = cut.stamp();
-        let mut payload: Vec<u8> = Vec::new();
+        let mut rows = CheckpointRows::default();
         let handle = self.inner.epoch.register();
 
         // Under the lock the walk holds: a table created meanwhile waits,
@@ -772,26 +720,20 @@ impl Database {
             .log
             .wait_durable(catalog_end.max(begin.offset()))
             .map_err(std::io::Error::other)?;
-        payload.extend_from_slice(&(catalog.tables.len() as u32).to_le_bytes());
         for table in &catalog.tables {
-            payload.extend_from_slice(&table.id.0.to_le_bytes());
-            walk_index(&handle, &table.primary, &mut payload, |payload, key, oid| {
+            walk_index(&handle, &table.primary, |key, oid| {
                 // SAFETY: `walk_index` runs `row` under its pin.
-                unsafe { write_image(&self.inner.tid, table, begin, payload, key, Oid(oid as u32)) }
+                unsafe {
+                    write_image(&self.inner.tid, table, begin, &mut rows, key, Oid(oid as u32))
+                }
             });
         }
-        let secondaries = || catalog.indexes.iter().filter(|i| !i.is_primary);
-        payload.extend_from_slice(&(secondaries().count() as u32).to_le_bytes());
-        for idx in secondaries() {
-            walk_index(&handle, &idx.tree, &mut payload, |payload, key, oid| {
-                payload.extend_from_slice(&idx.id.0.to_le_bytes());
-                payload.extend_from_slice(&(oid as u32).to_le_bytes());
-                payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                payload.extend_from_slice(key);
-                true
+        for idx in catalog.indexes.iter().filter(|i| !i.is_primary) {
+            walk_index(&handle, &idx.tree, |key, oid| {
+                rows.index_entry(idx.table, idx.id, Oid(oid as u32), key);
             });
         }
-        Ok(payload)
+        Ok(rows.into_payload())
     }
 
     /// Recover: restore the latest checkpoint (if any), then replay the

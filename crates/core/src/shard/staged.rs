@@ -188,7 +188,7 @@ struct StagedTrace {
 ///     └── abort: abort verdict appended, then rolled back
 /// ```
 ///
-/// It borrows nothing: every participant is a [`ParkedPrepare`], so the
+/// It borrows nothing: every participant is a `ParkedPrepare`, so the
 /// worker that ran the transaction is free, and no epoch is pinned. It
 /// waits only on log offsets ([`StagedCommit::waits`]);
 /// [`StagedCommit::poll`] moves it as far as durability allows without

@@ -1159,11 +1159,83 @@ fn a_checkpoint_image_at_or_above_its_begin_is_refused() {
     assert!(text.contains(&format!("table {} OID {}", t.0, oid.0)), "{text}");
 }
 
+/// A checkpoint payload that ends inside a row, stored the way a replica
+/// stores one a primary shipped, is refused `InvalidData` naming the
+/// row's offset — never read past its end.
+#[test]
+fn a_truncated_checkpoint_payload_is_refused() {
+    let dir = TestDir::new("truncated-payload");
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        tx.insert(t, b"k", b"v").unwrap();
+        tx.commit().unwrap();
+        db.checkpoint().unwrap();
+        let (begin, payload) = db.latest_checkpoint().unwrap().expect("the checkpoint");
+        db.store_checkpoint(begin, &payload[..payload.len() - 5]).unwrap();
+    }
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let err = db.recover().expect_err("a payload cut inside its row");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("row at offset"), "{err}");
+}
+
+/// A payload in the layout before checkpoint rows were log records — one
+/// table of no rows, no secondary index — stored the way a replica stores
+/// what a primary ships, is refused `InvalidData`, never misread.
+#[test]
+fn a_shipped_payload_in_the_previous_layout_is_refused() {
+    let dir = TestDir::new("previous-layout-payload");
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut tx = w.begin(SI);
+        tx.insert(t, b"k", b"v").unwrap();
+        let stamp = tx.commit().unwrap();
+        db.log().sync().unwrap();
+        let payload: Vec<u8> = [1, t.0, 0, 0].iter().flat_map(|w: &u32| w.to_le_bytes()).collect();
+        db.store_checkpoint(stamp, &payload).unwrap();
+    }
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let err = db.recover().expect_err("a payload in the previous layout");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("earlier layout"), "{err}");
+}
+
+/// A checksummed log block holding an index entry whose value is no
+/// 4-byte index id is corruption: recovery fails `InvalidData` naming
+/// the block's LSN, before it admits any of the block.
+#[test]
+fn an_index_entry_without_an_index_id_is_refused() {
+    use ermia_log::{BlockKind, LogRecordKind, BLOCK_HEADER_LEN, RECORD_HEADER_LEN};
+    let dir = TestDir::new("short-index-entry");
+    let lsn = {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let res = db.log().allocate(BLOCK_HEADER_LEN + RECORD_HEADER_LEN + 3).unwrap();
+        let lsn = res.lsn();
+        res.encode(BlockKind::Txn, |enc| {
+            let oid = ermia_common::Oid(0);
+            enc.record(LogRecordKind::SecondaryInsert, t, oid, b"k", &[1, 0]);
+        });
+        db.log().sync().unwrap();
+        lsn
+    };
+    let db = Database::open(DbConfig::durable(&dir)).unwrap();
+    let err = db.recover().expect_err("an index entry with a 2-byte value");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(&format!("LSN {lsn:?}")), "{err}");
+}
+
 /// Every log image outranks every checkpoint image, whatever their
 /// addresses: rows loaded a thousand to a transaction take fewer log bytes
-/// than checkpoint bytes (a 16-byte record head against a 19-byte image
-/// head), so the last row's offset in the payload lies above the log
-/// offset of the update that follows the checkpoint.
+/// than checkpoint bytes (a 16-byte record head against a row's 8-byte
+/// stamp and the same record head), so the last row's offset in the
+/// payload lies above the log offset of the update that follows the
+/// checkpoint.
 #[test]
 fn a_log_image_outranks_every_checkpoint_image() {
     let dir = TestDir::new("log-over-checkpoint");
@@ -1194,21 +1266,12 @@ fn a_log_image_outranks_every_checkpoint_image() {
     tx.commit().unwrap();
 }
 
-/// A checkpoint payload of one table and one row — (oid, stamp, live,
-/// "k", "v2") — and no secondary entries: stored under `stamp` as its
-/// begin, the image recovery refuses.
+/// A checkpoint payload of one row — `k` → `v2` on `oid`, stamped `stamp`:
+/// stored under `stamp` as its begin, the image recovery refuses.
 fn image_at_begin(t: ermia_common::TableId, oid: ermia_common::Oid, stamp: crate::Lsn) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for word in [1, t.0, 1, oid.0] {
-        payload.extend_from_slice(&u32::to_le_bytes(word));
-    }
-    payload.extend_from_slice(&stamp.raw().to_le_bytes());
-    payload.push(0);
-    payload.extend_from_slice(&1u16.to_le_bytes());
-    payload.extend_from_slice(&2u32.to_le_bytes());
-    payload.extend_from_slice(b"kv2");
-    payload.extend_from_slice(&0u32.to_le_bytes());
-    payload
+    let mut rows = ermia_log::CheckpointRows::default();
+    rows.image(stamp, t, oid, b"k", b"v2", false);
+    rows.into_payload()
 }
 
 /// Recovery's step 1 ranks images as address words in the slots it
@@ -1298,11 +1361,8 @@ fn a_recycled_oid_committed_during_a_walk_is_left_to_the_log() {
         let mut a = Some(wa.begin(SI));
         let oid = a.as_mut().unwrap().insert(t, b"k", b"v").unwrap();
         let handle = db.inner.epoch.register();
-        let mut payload = Vec::new();
-        for word in [1, t.0] {
-            payload.extend_from_slice(&u32::to_le_bytes(word));
-        }
-        crate::recovery::walk_index(&handle, &table.primary, &mut payload, |payload, key, o| {
+        let mut rows = ermia_log::CheckpointRows::default();
+        crate::recovery::walk_index(&handle, &table.primary, |key, o| {
             assert_eq!((key, o), (&b"k"[..], oid.0 as u64), "the walk reads k");
             a.take().expect("one entry").abort();
             let mut b = wb.begin(SI);
@@ -1310,10 +1370,10 @@ fn a_recycled_oid_committed_during_a_walk_is_left_to_the_log() {
             b.commit().unwrap();
             let tids = &db.inner.tid;
             // SAFETY: `walk_index` runs `row` under its pin.
-            unsafe { crate::recovery::write_image(tids, &table, cut.stamp(), payload, key, oid) }
+            unsafe { crate::recovery::write_image(tids, &table, cut.stamp(), &mut rows, key, oid) }
         });
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(payload[8..12], 0u32.to_le_bytes(), "no image for k");
+        let payload = rows.into_payload();
+        ermia_log::read_rows(&payload, |_, _, rec| panic!("no image for k: {rec:?}")).unwrap();
         db.store_checkpoint(cut.stamp(), &payload).unwrap();
         db.log().sync().unwrap();
     }
@@ -1398,7 +1458,7 @@ fn a_checkpoint_holds_what_a_fork_at_its_cut_scans() {
             let payload = db.checkpoint_payload(&cut).unwrap();
             let begin = cut.stamp();
             let mut images = BTreeMap::new();
-            crate::recovery::walk_checkpoint(&payload, |_, stamp, rec| {
+            ermia_log::read_rows(&payload, |_, stamp, rec| {
                 assert!(stamp < begin, "an image at {stamp:?}, the cut is {begin:?}");
                 if rec.kind == ermia_log::LogRecordKind::Insert {
                     images.insert(rec.key.to_vec(), rec.value.to_vec());

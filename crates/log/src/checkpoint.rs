@@ -1,31 +1,147 @@
-//! Checkpoint storage (§3.7).
+//! Checkpoints (§3.7): their rows, and the file that holds them.
 //!
 //! OID arrays are periodically copied to secondary storage — the paper's
 //! copy is *fuzzy*, the engine's is taken at a consistent cut. The engine
-//! serializes its snapshot payload; this module stores it beside the log
-//! and records the location of the most recent checkpoint in the name of
-//! an empty *marker file*, exactly as the paper describes, so recovery
-//! can find it without reading the log first.
+//! walks its indexes and hands each row to [`CheckpointRows`]; this module
+//! stores the payload beside the log and records the location of the most
+//! recent checkpoint in the name of an empty *marker file*, exactly as
+//! the paper describes, so recovery can find it without reading the log
+//! first.
+//!
+//! **Rows are log records.** A payload is the tag `ROWS`, then a
+//! flat run of rows, each its version's stamp (`u64`, little-endian) and
+//! one log record in the layout of [`crate::LogRecord`] — written by
+//! [`BlockEncoder::record`], read back by [`TxRecordView::decode`], as a
+//! commit's records are. A row image is an `Insert` (a `Delete` for a
+//! tombstone) under its version's stamp; a secondary-index entry is a
+//! `SecondaryInsert` naming its owning table, with the 4-byte index id as
+//! its value, stamped 0. A row's *address* is its offset in the payload.
+//!
+//! **The file.** A payload is framed with a magic, its length and its
+//! CRC-32C. A payload travels to a replica without that frame, so it
+//! carries its own format tag too. A file or a payload in an earlier
+//! layout is refused with `InvalidData`, never misread: the frame before
+//! CRC-32C (`ECHK`), and the rows before they were log records (`ECKC`,
+//! whose payload began with a table count).
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use ermia_common::crc::crc32c;
-use ermia_common::Lsn;
+use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::io::{create_dirs, SegmentIoFactory};
-use crate::records::legacy_format;
+use crate::records::{legacy_format, BlockEncoder, LogRecordKind, TxRecordView, RECORD_HEADER_LEN};
 
-/// Magic prefix of a checkpoint payload file ("ECKC": the payload carries
-/// CRC-32C).
-const CHECKPOINT_MAGIC: [u8; 4] = *b"ECKC";
+/// Magic prefix of a checkpoint file ("ECKR": its rows are log records).
+const CHECKPOINT_MAGIC: [u8; 4] = *b"ECKR";
 /// The magic of the frame before CRC-32C. Kept only so such a checkpoint
 /// is refused, not skipped: recovery would then replay a log that
 /// truncation has cut short.
 const LEGACY_CHECKPOINT_MAGIC: [u8; 4] = *b"ECHK";
+/// The magic of the frame whose rows had a layout of their own. Refused
+/// for the same reason.
+const ROW_LAYOUT_MAGIC: [u8; 4] = *b"ECKC";
 /// magic + u64 payload length + u32 CRC-32C.
 const CHECKPOINT_HEADER_LEN: usize = 4 + 8 + 4;
+
+/// The first bytes of every checkpoint payload: its format. A payload in
+/// the layout before began with its table count, which is never this
+/// many (`u32` 0x5357_4f52).
+const ROWS_FORMAT: [u8; 4] = *b"ROWS";
+/// Bytes of a row's stamp, in front of its record.
+const LSN_LEN: usize = 8;
+
+/// What a reader says of a checkpoint in a layout before this one.
+fn earlier_layout(what: &str) -> io::Error {
+    let msg = format!(
+        "{what} is not in the checkpoint format whose rows are log records; a checkpoint in \
+         an earlier layout is refused rather than misread: recover it with the build that \
+         wrote it"
+    );
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// A checkpoint payload being written, a row at a time: the tag `ROWS`,
+/// then per row its version's stamp (`u64`) and one log record in the
+/// layout of [`crate::LogRecord`]. [`read_rows`] reads it back.
+pub struct CheckpointRows {
+    payload: Vec<u8>,
+}
+
+/// An empty payload: the format tag alone.
+impl Default for CheckpointRows {
+    fn default() -> Self {
+        CheckpointRows { payload: ROWS_FORMAT.to_vec() }
+    }
+}
+
+impl CheckpointRows {
+    /// Append the image of `table`'s row `oid` under `key`: its version
+    /// stamped `stamp`, holding `value`, or a tombstone.
+    pub fn image(
+        &mut self,
+        stamp: Lsn,
+        table: TableId,
+        oid: Oid,
+        key: &[u8],
+        value: &[u8],
+        tombstone: bool,
+    ) {
+        let kind = if tombstone { LogRecordKind::Delete } else { LogRecordKind::Insert };
+        self.push(stamp, TxRecordView { kind, table, oid, key, value });
+    }
+
+    /// Append an entry of secondary index `index` of `table`: `key` names
+    /// the row `oid`.
+    pub fn index_entry(&mut self, table: TableId, index: IndexId, oid: Oid, key: &[u8]) {
+        let (kind, value) = (LogRecordKind::SecondaryInsert, &index.0.to_le_bytes());
+        self.push(Lsn::NULL, TxRecordView { kind, table, oid, key, value });
+    }
+
+    fn push(&mut self, stamp: Lsn, rec: TxRecordView<'_>) {
+        let at = self.payload.len();
+        let len = LSN_LEN + RECORD_HEADER_LEN + rec.key.len() + rec.value.len();
+        self.payload.resize(at + len, 0);
+        let mut enc = BlockEncoder::new(&mut self.payload[at..], &mut []);
+        enc.put(&stamp.raw().to_le_bytes());
+        enc.record(rec.kind, rec.table, rec.oid, rec.key, rec.value);
+    }
+
+    /// The payload, ready for [`CheckpointStore::write`].
+    pub fn into_payload(self) -> Vec<u8> {
+        self.payload
+    }
+}
+
+/// Hand `row` every row of `payload` in order: its address, its stamp
+/// and its record. A payload in an earlier layout, or a row that does not
+/// decode, is `InvalidData` (the latter naming its offset) — after `row`
+/// saw the rows before it.
+pub fn read_rows<'p>(
+    payload: &'p [u8],
+    mut row: impl FnMut(u64, Lsn, TxRecordView<'p>) -> io::Result<()>,
+) -> io::Result<()> {
+    if !payload.starts_with(&ROWS_FORMAT) {
+        return Err(earlier_layout("the checkpoint payload"));
+    }
+    let mut pos = ROWS_FORMAT.len();
+    while pos < payload.len() {
+        let stamp = payload[pos..].first_chunk::<LSN_LEN>();
+        let Some((stamp, (rec, next))) = stamp.zip(TxRecordView::decode(payload, pos + LSN_LEN))
+        else {
+            let msg = format!(
+                "the checkpoint row at offset {pos} of its {}-byte payload does not decode",
+                payload.len()
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        };
+        row(pos as u64, Lsn::from_raw(u64::from_le_bytes(*stamp)), rec)?;
+        pos = next;
+    }
+    Ok(())
+}
 
 /// Metadata identifying a checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,12 +216,16 @@ impl CheckpointStore {
 
     /// Decode and verify one framed payload file; `None` if the file is
     /// missing, truncated, or fails its checksum, `InvalidData` if it is
-    /// framed in the format before CRC-32C.
+    /// framed in an earlier format (module docs).
     fn read_verified(&self, begin: Lsn) -> io::Result<Option<Vec<u8>>> {
         let path = self.payload_path(begin);
-        let Ok(raw) = self.io.read(&path) else { return Ok(None) };
+        let Ok(mut raw) = self.io.read(&path) else { return Ok(None) };
+        let what = || format!("checkpoint {}", path.display());
         if raw.starts_with(&LEGACY_CHECKPOINT_MAGIC) {
-            return Err(legacy_format(&format!("checkpoint {}", path.display())));
+            return Err(legacy_format(&what()));
+        }
+        if raw.starts_with(&ROW_LAYOUT_MAGIC) {
+            return Err(earlier_layout(&what()));
         }
         if raw.len() < CHECKPOINT_HEADER_LEN || raw[..4] != CHECKPOINT_MAGIC {
             return Ok(None);
@@ -116,13 +236,15 @@ impl CheckpointStore {
         if body.len() != len || crc32c(body) != sum {
             return Ok(None);
         }
-        Ok(Some(body.to_vec()))
+        // The payload in place: a shift, not a second buffer its size.
+        raw.drain(..CHECKPOINT_HEADER_LEN);
+        Ok(Some(raw))
     }
 
     /// Find the most recent checkpoint whose payload verifies. A corrupt
     /// or incomplete newest checkpoint falls back to the next-older one —
-    /// recovery then simply replays more of the log; one in the frame
-    /// before CRC-32C fails the call with `InvalidData`.
+    /// recovery then simply replays more of the log; one in an earlier
+    /// format fails the call with `InvalidData`.
     pub fn latest(&self) -> io::Result<Option<(CheckpointMeta, Vec<u8>)>> {
         let mut marked: Vec<Lsn> = Vec::new();
         for name in self.io.list(&self.dir)? {
@@ -169,6 +291,59 @@ mod tests {
 
     fn files() -> Arc<dyn SegmentIoFactory> {
         Arc::new(FileBackend)
+    }
+
+    /// Every kind of row comes back as written, at its own offset.
+    #[test]
+    fn rows_read_back_as_their_log_records() {
+        let (t, stamp) = (TableId(3), Lsn::from_parts(7, 2));
+        let mut rows = CheckpointRows::default();
+        rows.image(stamp, t, Oid(1), b"live", b"value", false);
+        rows.image(stamp, t, Oid(2), b"gone", b"", true);
+        rows.index_entry(t, IndexId(5), Oid(1), b"by-value");
+        let payload = rows.into_payload();
+        let mut read = Vec::new();
+        read_rows(&payload, |addr, stamp, rec| {
+            read.push((addr, stamp, rec.to_owned(), rec.index_id()));
+            Ok(())
+        })
+        .unwrap();
+        let kinds: Vec<_> = read.iter().map(|(_, _, rec, index)| (rec.kind, *index)).collect();
+        use LogRecordKind::{Delete, Insert, SecondaryInsert};
+        assert_eq!(kinds, [(Insert, None), (Delete, None), (SecondaryInsert, Some(IndexId(5)))]);
+        assert_eq!((read[0].0, read[0].1, &read[0].2.key[..]), (4, stamp, &b"live"[..]));
+        assert_eq!((read[2].1, read[2].2.table, read[2].2.oid), (Lsn::NULL, t, Oid(1)));
+        let ends: Vec<u64> = read.iter().skip(1).map(|r| r.0).collect();
+        assert_eq!(ends, [4 + 8 + 16 + 4 + 5, 4 + 2 * (8 + 16) + 4 + 5 + 4]);
+    }
+
+    /// A payload cut short anywhere inside a row is `InvalidData` naming
+    /// that row's offset, after the rows before it; one without the format
+    /// tag — the previous layout began with its table count — is refused
+    /// before any row.
+    #[test]
+    fn a_short_or_untagged_payload_is_refused() {
+        let mut rows = CheckpointRows::default();
+        rows.image(Lsn::from_parts(1, 0), TableId(0), Oid(0), b"a", b"1", false);
+        rows.image(Lsn::from_parts(1, 0), TableId(0), Oid(1), b"b", b"2", false);
+        let payload = rows.into_payload();
+        let second = (payload.len() - 4) / 2 + 4;
+        for cut in second + 1..payload.len() {
+            let mut seen = 0;
+            let err = read_rows(&payload[..cut], |_, _, _| {
+                seen += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            assert_eq!((err.kind(), seen), (io::ErrorKind::InvalidData, 1), "cut at {cut}");
+            assert!(err.to_string().contains(&format!("offset {second}")), "{err}");
+        }
+        let previous: Vec<u8> = [1u32, 0, 0, 0].iter().flat_map(|w| w.to_le_bytes()).collect();
+        for untagged in [&previous[..], &[], &payload[1..]] {
+            let err = read_rows(untagged, |_, _, _| panic!("no row is read")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("earlier layout"), "{err}");
+        }
     }
 
     #[test]

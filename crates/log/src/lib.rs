@@ -67,7 +67,7 @@ mod recovery;
 mod segment;
 mod txlog;
 
-pub use checkpoint::{CheckpointMeta, CheckpointStore};
+pub use checkpoint::{read_rows, CheckpointMeta, CheckpointRows, CheckpointStore};
 pub use io::{
     create_dirs, FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite,
 };

@@ -343,7 +343,7 @@ pub enum LogRecordKind {
     /// Tombstone.
     Delete = 3,
     /// Secondary-index entry: `key` is the secondary key, `oid` the
-    /// primary record, and the first 4 bytes of `value` the index id.
+    /// primary record, and `value` the index id (4 bytes, little-endian).
     SecondaryInsert = 4,
 }
 
@@ -378,6 +378,9 @@ pub struct LogRecord {
 }
 
 pub const RECORD_HEADER_LEN: usize = 16;
+
+/// Bytes of a [`LogRecordKind::SecondaryInsert`] value: an index id.
+const INDEX_ID_LEN: usize = 4;
 
 /// The longest key a record (and a checkpoint row) can carry: its length
 /// is a u16. The engine refuses a longer one before it installs anything.
@@ -540,24 +543,36 @@ pub struct TxRecordView<'a> {
 impl<'a> TxRecordView<'a> {
     /// Decode one record at `buf[pos..]` without copying it, returning it
     /// and the position of the next record. `None` on malformed input: a
-    /// short record, an unknown kind or a nonzero flags byte.
+    /// short record, an unknown kind, a nonzero flags byte, or an index
+    /// entry whose value is not a 4-byte index id.
     pub fn decode(buf: &'a [u8], pos: usize) -> Option<(TxRecordView<'a>, usize)> {
         let b = buf.get(pos..pos + RECORD_HEADER_LEN)?;
+        let kind = LogRecordKind::from_u8(b[0])?;
         if b[1] != 0 {
             return None;
         }
         let key_len = u16::from_le_bytes(b[2..4].try_into().unwrap()) as usize;
         let val_len = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
+        if kind == LogRecordKind::SecondaryInsert && val_len != INDEX_ID_LEN {
+            return None;
+        }
         let body = pos + RECORD_HEADER_LEN;
         let (key, value) = buf.get(body..body + key_len + val_len)?.split_at(key_len);
         let view = TxRecordView {
-            kind: LogRecordKind::from_u8(b[0])?,
+            kind,
             table: TableId(u32::from_le_bytes(b[4..8].try_into().unwrap())),
             oid: Oid(u32::from_le_bytes(b[8..12].try_into().unwrap())),
             key,
             value,
         };
         Some((view, body + key_len + val_len))
+    }
+
+    /// The index an index entry names; `None` for a row image.
+    pub fn index_id(&self) -> Option<IndexId> {
+        let index = self.value.first_chunk::<INDEX_ID_LEN>();
+        let index = index.filter(|_| self.kind == LogRecordKind::SecondaryInsert)?;
+        Some(IndexId(u32::from_le_bytes(*index)))
     }
 
     pub fn to_owned(&self) -> LogRecord {
@@ -635,6 +650,26 @@ mod tests {
             let mut bad = buf.clone();
             bad[at] = byte;
             assert!(LogRecord::decode(&bad, 0).is_none(), "byte {at} = {byte}");
+        }
+    }
+
+    /// An index entry's value is its index id, four bytes: a record of any
+    /// other length does not decode, so no reader takes an id from it.
+    #[test]
+    fn an_index_entry_decodes_only_with_a_4_byte_index_id() {
+        for len in [0, 2, 3, 4, 5, 8] {
+            let r = LogRecord {
+                kind: LogRecordKind::SecondaryInsert,
+                table: TableId(1),
+                oid: Oid(2),
+                key: b"k".to_vec(),
+                value: vec![7; len],
+            };
+            let mut buf = Vec::new();
+            r.encode_into(&mut buf);
+            let decoded = TxRecordView::decode(&buf, 0).map(|(view, _)| view.index_id());
+            let id = (len == 4).then_some(Some(IndexId(0x0707_0707)));
+            assert_eq!(decoded, id, "a {len}-byte value");
         }
     }
 }

@@ -4,7 +4,9 @@
 //! magic "ERML", checkpoint magic "ECHK") is refused with `InvalidData` —
 //! by `LogManager::open`, `Database::open` and `CheckpointStore::latest`
 //! alike — instead of being read as a hole at offset 0 and truncated to
-//! nothing. A refusal touches no byte of the directory. A fresh directory
+//! nothing. A checkpoint whose rows are in the layout before they were
+//! log records (magic "ECKC") is refused the same way. A refusal touches
+//! no byte of the directory. A fresh directory
 //! round-trips and a torn tail is still a hole. A block whose checksum
 //! holds but whose records do not decode is refused too, and so is one
 //! that names another offset than its own.
@@ -99,13 +101,14 @@ fn patch(path: &Path, pos: u64, bytes: &[u8]) {
     f.sync_data().unwrap();
 }
 
-fn assert_refused<T>(what: &str, result: std::io::Result<T>) {
+/// `result` is the refusal of an earlier format, whose message `names`.
+fn assert_refused<T>(what: &str, names: &str, result: std::io::Result<T>) {
     match result {
         Err(e) => {
             assert_eq!(e.kind(), ErrorKind::InvalidData, "{what}: {e}");
-            assert!(e.to_string().contains("CRC-32C"), "{what} must name the format: {e}");
+            assert!(e.to_string().contains(names), "{what} must name the format: {e}");
         }
-        Ok(_) => panic!("{what} must refuse a directory in the format before CRC-32C"),
+        Ok(_) => panic!("{what} must refuse a directory in an earlier format ({names})"),
     }
 }
 
@@ -122,43 +125,46 @@ fn a_log_whose_first_block_has_the_legacy_magic_is_refused_untouched() {
     }
     patch(&first_segment_file(&dir), 0, &LEGACY_BLOCK_MAGIC);
     let before = snapshot(&dir);
-    assert_refused("LogManager::open", LogManager::open(log_cfg(&dir)));
+    assert_refused("LogManager::open", "CRC-32C", LogManager::open(log_cfg(&dir)));
     assert_eq!(snapshot(&dir), before, "LogManager::open changed the directory");
-    assert_refused("Database::open", Database::open(db_cfg(&dir)));
+    assert_refused("Database::open", "CRC-32C", Database::open(db_cfg(&dir)));
     assert_eq!(snapshot(&dir), before, "Database::open changed the directory");
 }
 
+/// A checkpoint file under either earlier frame's magic is refused: the
+/// one before CRC-32C ("ECHK"), and the one whose rows had a layout of
+/// their own before they were log records ("ECKC").
 #[test]
 fn a_checkpoint_in_the_legacy_frame_is_refused_untouched() {
-    let dir = TestDir::new("legacy-checkpoint");
-    {
-        let db = Database::open(db_cfg(&dir)).unwrap();
-        let table = db.create_table("kv");
-        let mut w = db.register_worker();
-        let mut tx = w.begin(IsolationLevel::Snapshot);
-        tx.insert(table, b"k", b"v").unwrap();
-        tx.commit().unwrap();
-        drop(w);
-        db.checkpoint().unwrap();
+    for (magic, names) in [(b"ECHK", "CRC-32C"), (b"ECKC", "earlier layout")] {
+        let dir = TestDir::new("legacy-checkpoint");
+        {
+            let db = Database::open(db_cfg(&dir)).unwrap();
+            let table = db.create_table("kv");
+            let mut w = db.register_worker();
+            let mut tx = w.begin(IsolationLevel::Snapshot);
+            tx.insert(table, b"k", b"v").unwrap();
+            tx.commit().unwrap();
+            drop(w);
+            db.checkpoint().unwrap();
+        }
+        let chk = dir.join("checkpoints");
+        let payload = std::fs::read_dir(&chk)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "bin"))
+            .expect("a checkpoint payload");
+        patch(&payload, 0, magic);
+        let before = snapshot(&dir);
+        let store = CheckpointStore::new(&chk, Arc::new(FileBackend)).unwrap();
+        assert_refused("CheckpointStore::latest", names, store.latest());
+        assert_eq!(snapshot(&dir), before, "CheckpointStore::latest changed the directory");
+        {
+            let db = Database::open(db_cfg(&dir)).unwrap();
+            assert_refused("Database::recover", names, db.recover());
+        }
+        assert_eq!(snapshot(&dir), before, "recovery changed the directory");
     }
-    let chk = dir.join("checkpoints");
-    let payload = std::fs::read_dir(&chk)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|x| x == "bin"))
-        .expect("a checkpoint payload");
-    patch(&payload, 0, b"ECHK");
-    let before = snapshot(&dir);
-    assert_refused(
-        "CheckpointStore::latest",
-        CheckpointStore::new(&chk, Arc::new(FileBackend)).unwrap().latest(),
-    );
-    assert_eq!(snapshot(&dir), before, "CheckpointStore::latest changed the directory");
-    {
-        let db = Database::open(db_cfg(&dir)).unwrap();
-        assert_refused("Database::recover", db.recover());
-    }
-    assert_eq!(snapshot(&dir), before, "recovery changed the directory");
 }
 
 #[test]

@@ -31,12 +31,17 @@ fn record(rng: &mut SplitMix64) -> LogRecord {
         LogRecordKind::Delete,
         LogRecordKind::SecondaryInsert,
     ];
+    let kind = kinds[rng.below(4) as usize];
     LogRecord {
-        kind: kinds[rng.below(4) as usize],
+        kind,
         table: TableId(rng.next_u64() as u32),
         oid: Oid(rng.next_u64() as u32),
         key: bytes(rng, 0, 64),
-        value: bytes(rng, 0, 256),
+        // An index entry's value is its 4-byte index id.
+        value: match kind {
+            LogRecordKind::SecondaryInsert => bytes(rng, 4, 5),
+            _ => bytes(rng, 0, 256),
+        },
     }
 }
 

@@ -12,7 +12,8 @@
 //! payload's CRC-32C ([`ermia_common::crc`], the log's checksum too). It
 //! replaced IEEE CRC-32 with the payload bytes unchanged: a peer built
 //! before gets [`FrameError::BadChecksum`] on its first frame, never a
-//! misparse. Only the private `seal`/`check` pair knows this layout. A
+//! misparse. Only the private `seal`/`check` pair knows this layout:
+//! `seal` makes a payload's prefix and trailer, `check` reads them. A
 //! frame that fails the length bound, the checksum, or opcode/body
 //! decoding is a *protocol error*: the server replies [`Response::Error`]
 //! with [`ErrorCode::Protocol`] and closes the connection — it never
@@ -50,7 +51,7 @@
 //! decodes exactly as before (absent = untraced). The trace id must be
 //! nonzero and the envelope must not nest.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::ops::Range;
 
 use ermia_common::crc::crc32c;
@@ -106,17 +107,22 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One frame holding what `put` appends as its payload: the length
-/// prefix, the payload, then its CRC-32C. With [`check`], the only code
+/// The bytes a frame puts around `payload`: the length prefix before
+/// it and the CRC-32C trailer after it. With [`check`], the only code
 /// that knows a frame's layout.
-fn seal(capacity: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(capacity + FRAME_OVERHEAD);
+fn seal(payload: &[u8]) -> ([u8; PREFIX], [u8; FRAME_OVERHEAD - PREFIX]) {
+    ((payload.len() as u32).to_le_bytes(), crc32c(payload).to_le_bytes())
+}
+
+/// One frame holding what `put` appends as its payload, encoded in place
+/// behind room for the prefix.
+fn framed(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD);
     frame.extend_from_slice(&[0; PREFIX]);
     put(&mut frame);
-    let len = (frame.len() - PREFIX) as u32;
-    frame[..PREFIX].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32c(&frame[PREFIX..]);
-    frame.extend_from_slice(&crc.to_le_bytes());
+    let (prefix, trailer) = seal(&frame[PREFIX..]);
+    frame[..PREFIX].copy_from_slice(&prefix);
+    frame.extend_from_slice(&trailer);
     frame
 }
 
@@ -153,10 +159,23 @@ fn check(bytes: &[u8], max_len: u32) -> Result<Checked, FrameError> {
     Ok(Checked::Whole { payload, end })
 }
 
-/// Write one frame (length prefix, payload, checksum).
+/// Write one frame (length prefix, payload, checksum) straight from
+/// `payload`: one vectored write of the three pieces where the writer
+/// takes them whole, no buffer of its own.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(!payload.is_empty());
-    w.write_all(&seal(payload.len(), |f| f.extend_from_slice(payload)))
+    let (prefix, trailer) = seal(payload);
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload), IoSlice::new(&trailer)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame's payload, enforcing `max_len` *before* allocating and
@@ -660,7 +679,7 @@ impl Request {
     /// [`Request::encode_traced`] as one frame, encoded straight into
     /// the frame's buffer.
     pub(crate) fn frame(&self, ctx: &TraceContext) -> Vec<u8> {
-        seal(0, |f| self.put_traced(ctx, f))
+        framed(|f| self.put_traced(ctx, f))
     }
 
     /// Decode a frame payload that may carry the trace envelope. Bare
@@ -945,7 +964,7 @@ impl Response {
 
     /// This reply as one frame, encoded straight into the frame's buffer.
     pub(crate) fn frame(&self) -> Vec<u8> {
-        seal(0, |f| self.put(f))
+        framed(|f| self.put(f))
     }
 
     /// Decode a frame payload.

@@ -2,18 +2,18 @@
 //!
 //! Four pieces, all std-only and allocation-free on the write side:
 //!
-//! * [`registry`] — per-thread metric slabs (relaxed `AtomicU64`
-//!   counters + [`hist::AtomicHistogram`]s) merged on read, with a
+//! * `registry` ([`Registry`]) — per-thread metric slabs (relaxed `AtomicU64`
+//!   counters + [`AtomicHistogram`]s) merged on read, with a
 //!   retire-on-drop aggregate so thread churn neither leaks nor loses
 //!   counts, plus read-side collector callbacks for subsystems that
 //!   already keep their own atomics.
-//! * [`prom`] — Prometheus text-format exposition: the renderer behind
+//! * `prom` ([`Exposition`]) — Prometheus text-format exposition: the renderer behind
 //!   the `Metrics` wire frame and HTTP `GET /metrics`, and the parser
 //!   the golden tests / CI smoke use to validate a live scrape.
-//! * [`flight`] — the flight recorder: fixed-size per-worker event
+//! * `flight` ([`FlightRecorder`]) — the flight recorder: fixed-size per-worker event
 //!   rings with nanosecond timestamps, merged into a bounded
 //!   human-readable dump on demand or when the log stalls.
-//! * [`trace`] — distributed tracing: per-worker span rings, 128-bit
+//! * `trace` ([`Tracer`]) — distributed tracing: per-worker span rings, 128-bit
 //!   wire-propagated trace ids, a worst-K slow-op log, and a Chrome
 //!   `trace_event` exporter.
 //!
