@@ -22,7 +22,7 @@ use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
 use ermia_log::{create_dirs, CheckpointStore, DdlRecord, LogManager};
 use ermia_storage::{Collector, GcStats, OidArray, RetireQueue, Retired, TidManager, VersionPool};
-use ermia_telemetry::{EventKind, EventRing, Telemetry};
+use ermia_telemetry::{SpanKind, Telemetry, TraceContext};
 
 use crate::config::DbConfig;
 use crate::metrics::{TXN_ABORT_BASE, TXN_COMMITS, TXN_FAMILY};
@@ -359,7 +359,7 @@ pub(crate) struct DbInner {
     pub checkpoints: Option<CheckpointStore>,
     /// The unified telemetry layer: per-worker metric slabs (txn
     /// outcomes), database-level collectors over the subsystem atomics,
-    /// and the flight-recorder event rings.
+    /// and the tracer's record rings.
     /// Workers write their own slabs with relaxed adds; locks guard only
     /// registration, retirement, and reads, never the transaction path.
     pub telemetry: Arc<Telemetry>,
@@ -370,9 +370,6 @@ pub(crate) struct DbInner {
     /// above a committed one names the chain here (see
     /// [`DbInner::retire`]), and the collector visits only those.
     pub retired: Arc<RetireQueue>,
-    /// Flight-recorder ring for background services (GC passes,
-    /// checkpoints, epoch advances); workers get their own rings.
-    pub svc_ring: Arc<EventRing>,
     /// Service state ([`DbState`] as u8): flipped to `Degraded` by the
     /// log's poison hook, back to `Active` by [`Database::resume`]. Read
     /// with a relaxed load on every write operation's admission check.
@@ -429,7 +426,7 @@ const EPOCH_TICK: Duration = Duration::from_millis(1);
 /// has nothing to tell it.
 fn start_ticker(inner: &Arc<DbInner>) -> Ticker {
     let (db, catalog) = (Arc::clone(inner), Arc::clone(inner));
-    let ring = Arc::clone(&inner.svc_ring);
+    let tracer = Arc::clone(inner.telemetry.tracer());
     let mut gc = Collector::new(
         Arc::clone(&inner.retired),
         inner.epoch.clone(),
@@ -438,7 +435,9 @@ fn start_ticker(inner: &Arc<DbInner>) -> Ticker {
             catalog.catalog.read().unwrap().tables.get(t.0 as usize).map(|t| Arc::clone(&t.oids))
         },
         Some(Arc::clone(&inner.versions)),
-        move |reclaimed, passes| ring.record(EventKind::GcPass, reclaimed, passes),
+        move |reclaimed, passes| {
+            tracer.svc_ring().event(&TraceContext::UNTRACED, SpanKind::GcPass, reclaimed, passes)
+        },
     );
     Ticker::start(inner.epoch.clone(), EPOCH_TICK, move || gc.pass())
 }
@@ -469,6 +468,13 @@ impl DbInner {
     /// no chain it was not told about.
     pub(crate) fn retire(&self, entries: &[Retired]) {
         self.retired.retire(entries);
+    }
+
+    /// Record a background service's flight event (GC passes, checkpoints,
+    /// epoch advances, recovery) in the tracer's service ring; workers
+    /// write their own rings.
+    pub(crate) fn svc_event(&self, kind: SpanKind, a: u64, b: u64) {
+        self.telemetry.tracer().svc_ring().event(&TraceContext::UNTRACED, kind, a, b);
     }
 
     /// [`Catalog::install`] an entry the log holds: a restore at open, or
@@ -508,7 +514,6 @@ impl Database {
         };
         let telemetry = Arc::new(Telemetry::new());
         telemetry.tracer().set_slow_threshold_ns(cfg.trace_slow_us.saturating_mul(1_000));
-        let svc_ring = telemetry.flight().ring();
         let gc_stats = Arc::new(GcStats::default());
         let inner = Arc::new(DbInner {
             log,
@@ -525,7 +530,6 @@ impl Database {
             telemetry,
             retired: Arc::new(RetireQueue::new(Arc::clone(&gc_stats))),
             gc_stats,
-            svc_ring,
             state: AtomicU8::new(DbState::Active as u8),
             role: AtomicU8::new(NodeRole::Primary as u8),
             applied: AtomicU64::new(0),
@@ -550,7 +554,7 @@ impl Database {
             inner.log.set_poison_hook(move || {
                 if let Some(db) = weak.upgrade() {
                     db.state.store(DbState::Degraded as u8, Ordering::Release);
-                    db.svc_ring.record(EventKind::DbDegraded, db.log.durable_offset(), 0);
+                    db.svc_event(SpanKind::DbDegraded, db.log.durable_offset(), 0);
                 }
             });
         }
@@ -562,7 +566,7 @@ impl Database {
             let weak = Arc::downgrade(&inner);
             inner.epoch.set_advance_hook(move |epoch| {
                 if let Some(db) = weak.upgrade() {
-                    db.svc_ring.record(EventKind::EpochAdvance, epoch, 0);
+                    db.svc_event(SpanKind::EpochAdvance, epoch, 0);
                 }
             });
         }
@@ -693,7 +697,7 @@ impl Database {
             self.inner.catalog.read().unwrap().append_all(&self.inner.log)?;
         }
         self.inner.state.store(DbState::Active as u8, Ordering::Release);
-        self.inner.svc_ring.record(EventKind::DbResumed, self.inner.log.durable_offset(), 0);
+        self.inner.svc_event(SpanKind::DbResumed, self.inner.log.durable_offset(), 0);
         Ok(())
     }
 
@@ -767,7 +771,7 @@ impl Database {
             cut = cut.min(pin);
         }
         let removed = self.inner.log.truncate_before(cut)?;
-        self.inner.svc_ring.record(EventKind::Checkpoint, cut, removed as u64);
+        self.inner.svc_event(SpanKind::Checkpoint, cut, removed as u64);
         Ok(removed)
     }
 
@@ -904,7 +908,7 @@ impl Database {
     }
 
     /// The database's telemetry layer: merged metric registry, Prometheus
-    /// exposition, and the flight recorder.
+    /// exposition, and the tracer whose rings hold spans and flight events.
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }

@@ -81,7 +81,7 @@ use ermia_log::{
     LogRecordKind, LogScanner, PrepareMarker, ScannedBlock, TxRecordView,
 };
 use ermia_storage::{OidArray, Retired, TidManager, Version};
-use ermia_telemetry::{EventKind, SpanKind, TraceContext};
+use ermia_telemetry::{SpanKind, TraceContext};
 
 use crate::database::{invalid, Cut, Database, IndexInfo, Table};
 use crate::transaction::{visibility, Visibility};
@@ -312,7 +312,7 @@ impl<'a> Replay<'a> {
         let r = self.txn(&block, stats);
         let ctx = TraceContext { trace_hi: txn.trace_hi, trace_lo: txn.trace_lo, parent: 0 };
         let cstamp = block.header.cstamp.raw();
-        ring.record(&ctx, SpanKind::ReplApply, t0, ring.now_ns(), cstamp, txn.coord_shard as u64);
+        ring.record(&ctx, SpanKind::ReplApply, t0, ring.now_ns(), cstamp, 1);
         r
     }
 }
@@ -612,7 +612,7 @@ impl Chosen<'_> {
         }
         stats.scanned_bytes += checkpoint.map_or(0, |(_, payload)| payload.len() as u64);
         stats.elapsed += t0.elapsed();
-        db.inner.svc_ring.record(EventKind::Recovery, stats.scanned_bytes, stats.built);
+        db.inner.svc_event(SpanKind::Recovery, stats.scanned_bytes, stats.built);
         *db.inner.recovered.lock().unwrap() = *stats;
         Ok(applier)
     }

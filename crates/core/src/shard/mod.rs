@@ -141,7 +141,7 @@ use std::sync::{Arc, RwLock, Weak};
 
 use ermia_common::{IndexId, Lsn, TableId};
 use ermia_log::DecideRecord;
-use ermia_telemetry::{EventKind, Sample};
+use ermia_telemetry::{Sample, SpanKind};
 
 use crate::config::DbConfig;
 use crate::database::{invalid, Database, DbState, NodeRole};
@@ -448,7 +448,6 @@ impl ShardedDb {
             resolved_aborts: 0,
             resolved_implicit: 0,
         };
-        let ring = &inner.dbs[0].inner.svc_ring;
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             for txn in &outcome.in_doubt {
                 let key = (txn.coord_shard, txn.gtid_lsn);
@@ -465,7 +464,8 @@ impl ShardedDb {
                 stats.resolved_implicit += implicit as u64;
                 let rec = DecideRecord { gtid_lsn: key.1, coord_shard: key.0, commit };
                 write_decide(&inner.dbs[shard], rec)?;
-                ring.record(EventKind::TwoPcResolve, key.1, commit as u64 | (implicit as u64) << 1);
+                let how = commit as u64 | (implicit as u64) << 1;
+                inner.dbs[0].inner.svc_event(SpanKind::TwoPcResolve, key.1, how);
                 inner.in_doubt.fetch_sub(1, Relaxed);
             }
             stats.per_shard.push(outcome.stats);

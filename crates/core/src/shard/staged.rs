@@ -11,9 +11,7 @@ use ermia_log::{
     BlockKind, DecideRecord, DurableWaker, PrepareMarker, BLOCK_HEADER_LEN, DECIDE_RECORD_LEN,
     MIN_BLOCK_LEN,
 };
-use ermia_telemetry::{
-    EventKind, EventRing, FamilyDef, MetricDesc, MetricKind, Slab, SpanKind, SpanRing, TraceContext,
-};
+use ermia_telemetry::{FamilyDef, MetricDesc, MetricKind, SpanKind, SpanRing, TraceContext};
 
 use super::txn::ActiveTrace;
 use super::{ShardedDb, ShardedWorker};
@@ -47,11 +45,6 @@ pub(super) static TWOPC_FAMILY: FamilyDef = FamilyDef {
         },
     ],
 };
-
-pub(super) struct TwoPcTelemetry {
-    pub(super) slab: Arc<Slab>,
-    pub(super) ring: Arc<EventRing>,
-}
 
 /// Total length of a TxnDecide block (header + 16-byte record, rounded
 /// up to the allocation grain).
@@ -218,7 +211,7 @@ impl StagedCommit {
     /// and park the prepares.
     pub(super) fn prepare<'w>(
         db: &ShardedDb,
-        twopc: &TwoPcTelemetry,
+        ring: &SpanRing,
         trace: Option<ActiveTrace<'_>>,
         writers: Vec<(usize, Transaction<'w>)>,
     ) -> TxResult<Box<StagedCommit>> {
@@ -264,9 +257,14 @@ impl StagedCommit {
                     if i == coord {
                         staged.gtid_lsn = p.cstamp().raw();
                     }
-                    if let Some(tr) = trace {
-                        let c = p.cstamp().raw();
-                        tr.ring.record(&tr.ctx, SpanKind::TwoPcPrepare, t0, now(), i as u64, c);
+                    let (part, c) = (i as u64, p.cstamp().raw());
+                    match trace {
+                        Some(tr) => {
+                            ring.record(&tr.ctx, SpanKind::TwoPcPrepare, t0, now(), part, c);
+                        }
+                        None => {
+                            ring.event(&TraceContext::UNTRACED, SpanKind::TwoPcPrepare, part, c)
+                        }
                     }
                     prepared.push((i, p));
                 }
@@ -278,9 +276,6 @@ impl StagedCommit {
                     return Err(r);
                 }
             }
-        }
-        for (i, p) in &prepared {
-            twopc.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
         }
         if let Some(tr) = &mut staged.trace {
             tr.t0 = now();
@@ -307,7 +302,7 @@ impl StagedCommit {
     /// [`StagedCommit::write_verdict`].
     pub fn poll(&mut self, resolver: &mut ShardedWorker) -> Option<TxResult<CommitToken>> {
         let inner = Arc::clone(&self.db.inner);
-        let ring = Arc::clone(&resolver.trace.ring);
+        let ring = Arc::clone(&resolver.tel.ring);
         assert!(matches!(self.stage, Stage::Prepared), "polled after its verdict");
         // Invariant 1: every prepare durable before anything is
         // published — a published half whose sibling's prepare is lost
@@ -337,7 +332,7 @@ impl StagedCommit {
             return None;
         }
         resolver
-            .twopc
+            .tel
             .slab
             .hist(TWOPC_PREPARE_HIST)
             .record(self.prepare_start.elapsed().as_nanos() as u64);
@@ -350,7 +345,7 @@ impl StagedCommit {
             coord_token.get_or_insert(token);
         }
         self.span(&ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
-        resolver.twopc.slab.add(TWOPC_CROSS, 1);
+        resolver.tel.slab.add(TWOPC_CROSS, 1);
         self.stage = Stage::Finalized { verdict_owed: true };
         let coord_token = coord_token.expect("a staged commit has participants");
         Some(Ok(coord_token.on_shard(self.parts[0].shard)))
@@ -364,16 +359,14 @@ impl StagedCommit {
             return;
         }
         self.stage = Stage::Finalized { verdict_owed: false };
-        let ring = Arc::clone(&resolver.trace.ring);
+        let ring = Arc::clone(&resolver.tel.ring);
         if let Some(tr) = &mut self.trace {
             tr.t0 = ring.now_ns();
         }
         let since = Instant::now();
         self.append_verdict(true);
-        self.span(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
-        let t = &resolver.twopc;
-        t.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
-        t.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 1);
+        self.step(&ring, SpanKind::TwoPcDecide, self.gtid_lsn, 1);
+        resolver.tel.slab.hist(TWOPC_DECIDE_HIST).record(since.elapsed().as_nanos() as u64);
     }
 
     /// Append the verdict record to every participant's log. A log that
@@ -397,6 +390,15 @@ impl StagedCommit {
         }
     }
 
+    /// [`StagedCommit::span`] for a step every cross-shard commit
+    /// records: untraced, an event.
+    fn step(&mut self, ring: &SpanRing, kind: SpanKind, a: u64, b: u64) {
+        match self.trace {
+            Some(_) => self.span(ring, kind, a, b),
+            None => ring.event(&TraceContext::UNTRACED, kind, a, b),
+        }
+    }
+
     /// Give up (a no-op once finalized): the abort verdict goes behind
     /// the prepares on every participant first, and only then is each
     /// half rolled back on `resolver`. In that order, whatever commits on
@@ -410,7 +412,7 @@ impl StagedCommit {
             return;
         }
         self.append_verdict(false);
-        resolver.twopc.ring.record(EventKind::TwoPcDecide, self.gtid_lsn, 0);
+        self.step(&resolver.tel.ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
         for p in &mut self.parts {
             let prepare = p.prepare.take().expect("no verdict yet");
             prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);

@@ -6,21 +6,23 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use ermia_common::{IndexId, Lsn, Oid, OpResult, TableId, TxResult};
-use ermia_telemetry::{SpanKind, SpanRing, TraceContext};
+use ermia_telemetry::{Slab, SpanKind, SpanRing, TraceContext};
 
 use super::routing::{shard_of_key, IndexRoute, IndexRouting, Routing};
-use super::staged::{DeferredCommit, StagedCommit, TwoPcTelemetry, TWOPC_FAMILY};
+use super::staged::{DeferredCommit, StagedCommit, TWOPC_FAMILY};
 use super::ShardedDb;
 use crate::config::IsolationLevel;
 use crate::transaction::{CommitToken, Transaction};
 use crate::worker::Worker;
 
-/// Per-worker tracing state: a span ring (this worker is its single
-/// writer) plus the head-sampling countdown. Created whenever telemetry
-/// is on so wire-traced requests always have a ring to land in;
-/// `sample_n` only governs engine-initiated traces.
-pub(super) struct WorkerTrace {
+/// This worker's share of the telemetry layer: its one record ring (this
+/// worker is its single writer) for the begins, 2PC steps and spans of
+/// its transactions, traced or not; its 2PC counters on shard 0's
+/// registry; and the head-sampling countdown (`sample_n` governs only
+/// engine-initiated traces).
+pub(super) struct WorkerTelemetry {
     pub(super) ring: Arc<SpanRing>,
+    pub(super) slab: Arc<Slab>,
     sample_n: u32,
     count: u32,
 }
@@ -30,8 +32,7 @@ pub struct ShardedWorker {
     pub(super) db: ShardedDb,
     pub(super) workers: Vec<Worker>,
     routing: Arc<Routing>,
-    pub(super) twopc: TwoPcTelemetry,
-    pub(super) trace: WorkerTrace,
+    pub(super) tel: WorkerTelemetry,
     /// The worker a blocking cross-shard [`ShardedTransaction::commit`]
     /// resolves its [`StagedCommit`] on (this one is still borrowed by
     /// the transaction then). Registered by the first such commit.
@@ -44,23 +45,13 @@ impl ShardedDb {
         let inner = &self.inner;
         let workers = inner.dbs.iter().map(|d| d.register_worker()).collect();
         let db0 = &inner.dbs[0];
-        let twopc = TwoPcTelemetry {
-            slab: db0.telemetry().registry().register_slab(&TWOPC_FAMILY),
-            ring: db0.telemetry().flight().ring(),
-        };
-        let trace = WorkerTrace {
+        let tel = WorkerTelemetry {
             ring: db0.telemetry().tracer().ring(),
+            slab: db0.telemetry().registry().register_slab(&TWOPC_FAMILY),
             sample_n: db0.inner.cfg.trace_sample_n,
             count: 0,
         };
-        ShardedWorker {
-            db: self.clone(),
-            workers,
-            routing: inner.routing(),
-            twopc,
-            trace,
-            resolver: None,
-        }
+        ShardedWorker { db: self.clone(), workers, routing: inner.routing(), tel, resolver: None }
     }
 }
 
@@ -87,7 +78,7 @@ impl ShardedWorker {
         }
         // Resolve the active context before splitting the borrows: wire
         // context wins; otherwise head sampling every Nth begin.
-        let t = &mut self.trace;
+        let t = &mut self.tel;
         let active = match ctx {
             Some(c) if c.is_traced() => Some((c, false)),
             _ if t.sample_n != 0 => {
@@ -102,11 +93,12 @@ impl ShardedWorker {
             }
             _ => None,
         };
-        let ShardedWorker { db, workers, routing, twopc, trace, resolver, .. } = self;
+        let ShardedWorker { db, workers, routing, tel, resolver, .. } = self;
+        let ring = &*tel.ring;
         let trace = active.map(|(ctx, sampled)| ActiveTrace {
             ctx,
-            ring: &trace.ring,
-            start_ns: trace.ring.now_ns(),
+            ring,
+            start_ns: ring.now_ns(),
             sampled,
         });
         let slots = if workers.len() == 1 {
@@ -114,16 +106,15 @@ impl ShardedWorker {
         } else {
             Slots::Many(workers.iter_mut().map(TxSlot::Idle).collect())
         };
-        ShardedTransaction { db: &*db, routing, twopc, isolation, slots, trace, resolver }
+        ShardedTransaction { db: &*db, routing, ring, isolation, slots, trace, resolver }
     }
 }
 
 impl Drop for ShardedWorker {
     fn drop(&mut self) {
         let tel = self.db.inner.dbs[0].telemetry();
-        tel.registry().retire_slab(&TWOPC_FAMILY, &self.twopc.slab);
-        tel.flight().retire(&self.twopc.ring);
-        tel.tracer().retire(&self.trace.ring);
+        tel.registry().retire_slab(&TWOPC_FAMILY, &self.tel.slab);
+        tel.tracer().retire(&self.tel.ring);
     }
 }
 
@@ -158,7 +149,8 @@ impl<'w> Slots<'w> {
 pub struct ShardedTransaction<'w> {
     db: &'w ShardedDb,
     routing: &'w Routing,
-    twopc: &'w TwoPcTelemetry,
+    /// The worker's record ring.
+    ring: &'w SpanRing,
     isolation: IsolationLevel,
     slots: Slots<'w>,
     trace: Option<ActiveTrace<'w>>,
@@ -203,16 +195,23 @@ impl<'w> ShardedTransaction<'w> {
         self.trace.as_ref().map(|t| (t.ring, t.ctx, t.ring.now_ns()))
     }
 
-    /// The inner transaction on `shard`, started on first touch.
+    /// The inner transaction on `shard`, started on first touch: one
+    /// `txn-begin` record, a span when traced.
     fn txn_at(&mut self, shard: usize) -> &mut Transaction<'w> {
-        let iso = self.isolation;
+        let (iso, ring) = (self.isolation, self.ring);
         let sp = self.span_start();
         let slot = self.slots.get_mut(shard);
         if matches!(slot, TxSlot::Idle(_)) {
             let TxSlot::Idle(w) = std::mem::replace(slot, TxSlot::Busy) else { unreachable!() };
-            *slot = TxSlot::Active(Transaction::begin(w, iso));
-            if let Some((ring, ctx, t0)) = sp {
-                ring.record(&ctx, SpanKind::TxnBegin, t0, ring.now_ns(), shard as u64, 0);
+            let ctx = sp.map_or(TraceContext::UNTRACED, |(_, ctx, _)| ctx);
+            let t = Transaction::begin(w, iso, ctx);
+            let (home, tid) = (shard as u64, t.tid().raw());
+            *slot = TxSlot::Active(t);
+            match sp {
+                Some((_, ctx, t0)) => {
+                    ring.record(&ctx, SpanKind::TxnBegin, t0, ring.now_ns(), home, tid);
+                }
+                None => ring.event(&ctx, SpanKind::TxnBegin, home, tid),
             }
         }
         match slot {
@@ -398,8 +397,8 @@ impl<'w> ShardedTransaction<'w> {
     /// — the coordinator's cstamp for a cross-shard transaction, whose
     /// [`StagedCommit`] this drives to its verdict with blocking waits.
     pub fn commit(self) -> TxResult<Lsn> {
-        let ShardedTransaction { db, twopc, trace, slots, resolver, .. } = self;
-        match commit_slots(db, twopc, trace, slots, true)? {
+        let ShardedTransaction { db, ring, trace, slots, resolver, .. } = self;
+        match commit_slots(db, ring, trace, slots, true)? {
             DeferredCommit::Committed(token) => Ok(token.lsn()),
             DeferredCommit::Staged(staged) => {
                 let resolver = resolver.get_or_insert_with(|| Box::new(db.register_worker()));
@@ -416,8 +415,8 @@ impl<'w> ShardedTransaction<'w> {
     /// drive (or hand to whoever waits on logs) and its worker back at
     /// once.
     pub fn commit_deferred(self) -> TxResult<DeferredCommit> {
-        let ShardedTransaction { db, twopc, trace, slots, .. } = self;
-        commit_slots(db, twopc, trace, slots, false)
+        let ShardedTransaction { db, ring, trace, slots, .. } = self;
+        commit_slots(db, ring, trace, slots, false)
     }
 }
 
@@ -427,7 +426,7 @@ impl<'w> ShardedTransaction<'w> {
 /// commit), or several (2PC).
 fn commit_slots<'w>(
     db: &ShardedDb,
-    twopc: &TwoPcTelemetry,
+    ring: &SpanRing,
     trace: Option<ActiveTrace<'_>>,
     slots: Slots<'w>,
     sync: bool,
@@ -469,7 +468,7 @@ fn commit_slots<'w>(
         }
         // From here the staged commit owns tail capture: its trace ends
         // with its verdict.
-        _ => StagedCommit::prepare(db, twopc, trace, writers).map(DeferredCommit::Staged),
+        _ => StagedCommit::prepare(db, ring, trace, writers).map(DeferredCommit::Staged),
     }
 }
 

@@ -26,7 +26,7 @@ use ermia_log::{
     PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
 };
 use ermia_storage::{defer_release, OidArray, Retired, TidManager, TidStatus, TxContext, Version};
-use ermia_telemetry::EventKind;
+use ermia_telemetry::{SpanKind, TraceContext};
 
 use crate::config::IsolationLevel;
 use crate::database::{Database, IndexInfo, Table};
@@ -135,6 +135,9 @@ pub struct Transaction<'w> {
     chain_walked: u64,
     doomed: Option<AbortReason>,
     finished: bool,
+    /// The traced operation this transaction runs in (untraced: all
+    /// zero): its commit, abort and log-poison records carry it.
+    trace: TraceContext,
 }
 
 /// Outcome of a visibility probe on one chain.
@@ -148,7 +151,11 @@ struct VisibleVersion {
 }
 
 impl<'w> Transaction<'w> {
-    pub(crate) fn begin(worker: &'w mut Worker, isolation: IsolationLevel) -> Transaction<'w> {
+    pub(crate) fn begin(
+        worker: &'w mut Worker,
+        isolation: IsolationLevel,
+        trace: TraceContext,
+    ) -> Transaction<'w> {
         let Worker { db, epoch_handle, scratch } = worker;
         // Conditional quiescent point: transaction boundaries are where
         // workers hold no epoch-protected references.
@@ -166,7 +173,6 @@ impl<'w> Transaction<'w> {
         // consistent cut; everything else reads at the live log tail.
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
         ctx.set_begin(begin);
-        scratch.telemetry.ring.record(EventKind::TxnBegin, tid.raw(), 0);
         scratch.keys.clear();
         Transaction {
             db,
@@ -184,6 +190,7 @@ impl<'w> Transaction<'w> {
             scratch,
             doomed: None,
             finished: false,
+            trace,
         }
     }
 
@@ -857,7 +864,7 @@ impl<'w> Transaction<'w> {
                 // A poisoned log rejects all allocations until restart;
                 // anything else is transient resource pressure.
                 let reason = if db.inner.log.is_poisoned() {
-                    self.scratch.telemetry.ring.record(EventKind::LogPoison, 1, 0);
+                    self.scratch.telemetry.ring.event(&self.trace, SpanKind::LogPoison, 1, 0);
                     AbortReason::LogFailure
                 } else {
                     AbortReason::ResourceExhausted
@@ -933,7 +940,8 @@ impl<'w> Transaction<'w> {
     fn publish(&mut self, cstamp: Lsn) {
         // All updates become visible atomically at this store.
         self.ctx().commit(cstamp);
-        self.scratch.telemetry.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
+        let (ring, tid) = (&self.scratch.telemetry.ring, self.tid.raw());
+        ring.event(&self.trace, SpanKind::TxnCommit, tid, cstamp.raw());
 
         // --- Post-commit ------------------------------------------------
         let sstamp_final = self.sstamp;
@@ -1068,7 +1076,7 @@ impl<'w> Transaction<'w> {
             // releasing; an explicit `abort()` call has none.
             let reason = self.doomed.unwrap_or(AbortReason::UserRequested);
             t.slab.add(TXN_ABORT_BASE + reason.idx(), 1);
-            t.ring.record(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
+            t.ring.event(&self.trace, SpanKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
         }
         self.reads.clear();
         self.writes.clear();
@@ -1203,6 +1211,7 @@ impl<'w> PreparedTransaction<'w> {
             secondary: std::mem::take(&mut txn.secondary),
             keys: std::mem::take(&mut txn.scratch.keys),
             attached: false,
+            trace: txn.trace,
         };
         // The node set has served (validation ran at pre-commit) and goes
         // straight back; the epoch pin drops with `txn`. The TID slot
@@ -1253,6 +1262,7 @@ pub struct ParkedPrepare {
     /// The key arena the write and secondary sets slice into.
     keys: Vec<u8>,
     attached: bool,
+    trace: TraceContext,
 }
 
 // SAFETY: the raw `Version` pointers stay valid without an epoch pin for
@@ -1300,6 +1310,7 @@ impl ParkedPrepare {
             scratch,
             doomed: None,
             finished: false,
+            trace: self.trace,
         };
         PreparedTransaction { txn, cstamp: self.cstamp, end_offset: Some(self.end_offset) }
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
 use ermia_storage::{Home, Retired, Version, VersionCache};
-use ermia_telemetry::{EventRing, Slab};
+use ermia_telemetry::{Slab, SpanRing, TraceContext};
 
 use crate::config::IsolationLevel;
 use crate::database::{Database, Table};
@@ -28,13 +28,13 @@ pub struct Worker {
 }
 
 /// This worker's share of the telemetry layer: a [`TXN_FAMILY`] slab for
-/// outcome counters and the chain-length histogram, plus a flight-recorder
-/// event ring. Every hot-path touch is one relaxed increment (or one
-/// seqlock-protected slot write for events) against memory only this
-/// thread writes.
+/// outcome counters and the chain-length histogram, plus a record ring
+/// for its commit, abort and log-poison events. Every hot-path touch is
+/// one relaxed increment (or one seqlock-protected slot write for a
+/// record) against memory only this thread writes.
 pub(crate) struct WorkerTelemetry {
     pub slab: Arc<Slab>,
-    pub ring: Arc<EventRing>,
+    pub ring: Arc<SpanRing>,
 }
 
 /// Mutable per-thread scratch reused across transactions.
@@ -49,7 +49,7 @@ pub(crate) struct Scratch {
     /// probe cursor inside it.
     pub home: Home,
     pub tid_hint: usize,
-    /// Txn outcome counters + flight ring.
+    /// Txn outcome counters + record ring.
     pub telemetry: WorkerTelemetry,
     pub reads: Vec<*mut Version>,
     pub writes: Vec<WriteEntry>,
@@ -86,7 +86,7 @@ impl Worker {
         let registry = db.inner.telemetry.registry();
         let telemetry = WorkerTelemetry {
             slab: registry.register_slab(&TXN_FAMILY),
-            ring: db.inner.telemetry.flight().ring(),
+            ring: db.inner.telemetry.tracer().ring(),
         };
         Worker {
             db,
@@ -110,7 +110,7 @@ impl Worker {
 
     /// Begin a transaction at the given isolation level.
     pub fn begin(&mut self, isolation: IsolationLevel) -> Transaction<'_> {
-        Transaction::begin(self, isolation)
+        Transaction::begin(self, isolation, TraceContext::UNTRACED)
     }
 
     /// Versions served from the worker's reuse cache instead of the
@@ -133,7 +133,7 @@ impl Drop for Worker {
         let registry = self.db.inner.telemetry.registry();
         let t = &self.scratch.telemetry;
         registry.retire_slab(&TXN_FAMILY, &t.slab);
-        self.db.inner.telemetry.flight().retire(&t.ring);
+        self.db.inner.telemetry.tracer().retire(&t.ring);
         self.db.inner.tid.vacate(self.scratch.home);
     }
 }

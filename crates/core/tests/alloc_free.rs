@@ -79,7 +79,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn steady_state_transactions_do_not_allocate() {
     // Default config: asynchronous commit (the paper's group-commit
     // pipeline acknowledges without waiting). The metric counters and
-    // flight-recorder events are live: a telemetry regression that
+    // flight events are live: a telemetry regression that
     // allocates on the hot path fails this test.
     let db = Database::open(DbConfig::in_memory()).unwrap();
     let t = db.create_table("t");

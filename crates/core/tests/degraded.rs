@@ -21,6 +21,7 @@ use std::time::Duration;
 use ermia::{AbortReason, Database, DbConfig, DbState, IsolationLevel};
 use ermia_common::TestDir;
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
+use ermia_telemetry::SpanKind;
 
 fn faulty_cfg(dir: PathBuf, injector: &FaultInjector) -> DbConfig {
     let mut cfg = DbConfig::durable(dir);
@@ -137,13 +138,14 @@ fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
         tx.abort();
     }
 
-    // The gauge and the flight recorder both tell the story.
+    // The gauge and the flight events both tell the story.
+    let recorded = |kind| db.telemetry().tracer().dump_spans(64).iter().any(|s| s.kind == kind);
     let metrics = db.telemetry().render_prometheus();
     assert!(
         metrics.contains("ermia_db_state 1"),
         "metrics must report the degraded state:\n{metrics}"
     );
-    assert!(db.telemetry().dump_events(64).contains("db-degraded"));
+    assert!(recorded(SpanKind::DbDegraded));
 
     // Resume fails while the disk is still full, then succeeds after the
     // operator repairs it.
@@ -153,7 +155,7 @@ fn degraded_mode_serves_reads_rejects_writes_and_resumes() {
     db.resume().expect("resume after repair");
     assert_eq!(db.state(), DbState::Active);
     assert!(db.telemetry().render_prometheus().contains("ermia_db_state 0"));
-    assert!(db.telemetry().dump_events(64).contains("db-resumed"));
+    assert!(recorded(SpanKind::DbResumed));
 
     // Write service is back, synchronously durable.
     for key in 0..16u64 {

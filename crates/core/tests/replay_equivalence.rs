@@ -349,8 +349,9 @@ fn recovery_reports_itself_and_a_traced_prepare_keeps_its_span() {
         let metrics = parse_exposition(&telemetry.render_prometheus()).unwrap();
         assert_eq!(metrics.value("ermia_recovery_bytes"), Some(shard.scanned_bytes as f64));
         assert_eq!(metrics.value("ermia_recovery_seconds"), Some(shard.elapsed.as_secs_f64()));
-        let event = format!("scanned_bytes={} built={}", shard.scanned_bytes, shard.built);
-        assert!(telemetry.dump_events(64).contains(&event), "shard {s}: no `{event}`");
+        let event = (SpanKind::Recovery, shard.scanned_bytes, shard.built);
+        let events = telemetry.tracer().dump_spans(64);
+        assert!(events.iter().any(|e| (e.kind, e.a, e.b) == event), "shard {s}: no {event:?}");
         let applies: Vec<_> = telemetry.tracer().capture_trace(7, 9);
         let applies = applies.iter().filter(|span| span.kind == SpanKind::ReplApply).count();
         assert_eq!(applies, 2, "shard {s}: one span per decided prepare");

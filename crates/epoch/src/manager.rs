@@ -33,7 +33,7 @@ pub enum EpochPhase {
 type Deferred = Box<dyn FnOnce() + Send>;
 
 /// Observer invoked with the new epoch after each successful advance
-/// (telemetry: the flight recorder's epoch-transition events).
+/// (telemetry: the `epoch-advance` flight events).
 type AdvanceHook = Box<dyn Fn(u64) + Send + Sync>;
 
 struct Bag {

@@ -291,30 +291,31 @@ fn concurrent_mark_filled_has_no_serialization_collapse() {
     // Each side's best round: a round is a millisecond or two (a ring
     // costs nothing to make and is not in the time), so a test that runs
     // beside this one can take a whole round away from either side — a
-    // convoy on a shared lock slows every round.
-    let mut single_rate = 0f64;
-    for _ in 0..ROUNDS {
+    // convoy on a shared lock slows every round. The sides take turns
+    // (1, 4, 1, 4, …), so a burst of stolen time lands on both of them
+    // rather than on every round of one.
+    let one_round = |threads: usize| {
         let rb = RingBuffer::new(CAP, 0);
         let start = Instant::now();
-        let done = fill_partition(&rb, 0, 1);
-        single_rate = single_rate.max(done as f64 / start.elapsed().as_secs_f64());
-    }
-
-    let mut multi_rate = 0f64;
-    for _ in 0..ROUNDS {
-        let rb = Arc::new(RingBuffer::new(CAP, 0));
-        let start = Instant::now();
-        let done: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|lane| {
-                    let rb = Arc::clone(&rb);
-                    s.spawn(move || fill_partition(&rb, lane, THREADS))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        multi_rate = multi_rate.max(done as f64 / start.elapsed().as_secs_f64());
+        let done: u64 = match threads {
+            1 => fill_partition(&rb, 0, 1),
+            _ => std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|lane| {
+                        let rb = &rb;
+                        s.spawn(move || fill_partition(rb, lane, threads))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            }),
+        };
         assert_eq!(done, CAP / 32, "every slot filled exactly once");
+        done as f64 / start.elapsed().as_secs_f64()
+    };
+    let (mut single_rate, mut multi_rate) = (0f64, 0f64);
+    for _ in 0..ROUNDS {
+        single_rate = single_rate.max(one_round(1));
+        multi_rate = multi_rate.max(one_round(THREADS));
     }
 
     eprintln!(

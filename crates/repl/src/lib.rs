@@ -47,7 +47,7 @@ use std::sync::Arc;
 use ermia::{Database, DbConfig, LogApplier, ShardedDb};
 use ermia_common::Lsn;
 use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig};
-use ermia_telemetry::{EventKind, EventRing, Sample, SpanKind, SpanRing, TraceContext};
+use ermia_telemetry::{Sample, SpanKind, SpanRing, TraceContext};
 
 /// Chunk source tags of the `FetchChunk` frame.
 const SRC_CHECKPOINT: u8 = 0;
@@ -202,11 +202,10 @@ struct ShardState {
     /// Log bytes mirrored into local segment files so far.
     shipped: u64,
     segment_size: u64,
-    ring: Arc<EventRing>,
-    /// Service span ring of the applying database's tracer: shipping
-    /// rounds record infra `repl-ship` spans here, alongside the
-    /// `repl-apply` spans the engine stitches to shipped trace ids.
-    span_ring: Arc<SpanRing>,
+    /// Service ring of the applying database's tracer: shipping rounds
+    /// record `repl-ship` spans and `repl-apply` events here, alongside
+    /// the `repl-apply` spans the engine stitches to shipped trace ids.
+    ring: Arc<SpanRing>,
 }
 
 impl ShardState {
@@ -292,10 +291,10 @@ impl ShardState {
         let blocks = applier.stats().replayed_blocks;
 
         let view = db.replica_view();
-        let ring = db.telemetry().flight().ring();
-        let span_ring = Arc::clone(db.telemetry().tracer().svc_ring());
+        let ring = Arc::clone(db.telemetry().tracer().svc_ring());
         if blocks > 0 {
-            ring.record(EventKind::ReplApplied, applier.applied_offset(), blocks);
+            let applied = applier.applied_offset();
+            ring.event(&TraceContext::UNTRACED, SpanKind::ReplApply, applied, blocks);
         }
         Ok(ShardState {
             shard,
@@ -306,7 +305,6 @@ impl ShardState {
             shipped,
             segment_size: status.segment_size,
             ring,
-            span_ring,
         })
     }
 
@@ -343,16 +341,16 @@ impl ShardState {
                 earliest: status.earliest,
             });
         }
-        let t0 = self.span_ring.now_ns();
+        let t0 = self.ring.now_ns();
         let shipped_bytes = self.ship_log(&status, chunk_len, stats)?;
         if shipped_bytes > 0 {
             // Infra span (no trace id): rounds that moved bytes show up
             // on the replica's timeline next to the stitched apply spans.
-            self.span_ring.record(
+            self.ring.record(
                 &TraceContext::UNTRACED,
                 SpanKind::ReplShip,
                 t0,
-                self.span_ring.now_ns(),
+                self.ring.now_ns(),
                 shipped_bytes,
                 self.shard as u64,
             );
@@ -360,7 +358,7 @@ impl ShardState {
         let blocks = self.applier.apply_available(&self.db)?;
         let applied = self.applier.applied_offset();
         if blocks > 0 {
-            self.ring.record(EventKind::ReplApplied, applied, blocks);
+            self.ring.event(&TraceContext::UNTRACED, SpanKind::ReplApply, applied, blocks);
         }
         Ok((shipped_bytes, blocks, status.durable_lsn.saturating_sub(applied)))
     }
@@ -606,8 +604,5 @@ impl Replica {
 impl Drop for Replica {
     fn drop(&mut self) {
         self.serving.telemetry().registry().unregister_group(self.telemetry_group);
-        for sh in &self.shards {
-            sh.db.telemetry().flight().retire(&sh.ring);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Golden names for the replication telemetry surface: the replica's
 //! `/metrics` exposition must carry the `ermia_repl_*` families with
-//! the right kinds, and the flight recorders on both sides must record
-//! the shipping events.
+//! the right kinds, and the dumps of both sides must hold the shipping
+//! events.
 
 use ermia::{DbConfig, ShardedDb};
 use ermia_common::TestDir;
@@ -54,11 +54,11 @@ fn replica_metrics_expose_the_repl_families() {
 
     // Flight events: the replica ring records applies; the primary ring
     // records the chunks it shipped.
-    let rdump = rc.dump_events(256).unwrap();
-    assert!(rdump.contains("repl-applied"), "replica apply events missing:\n{rdump}");
+    let rdump = rc.dump_traces(256).unwrap();
+    assert!(rdump.contains("kind=repl-apply "), "replica apply events missing:\n{rdump}");
     let mut pc = Client::connect(srv.local_addr()).unwrap();
-    let pdump = pc.dump_events(256).unwrap();
-    assert!(pdump.contains("repl-segment-shipped"), "primary ship events missing:\n{pdump}");
+    let pdump = pc.dump_traces(256).unwrap();
+    assert!(pdump.contains("kind=repl-segment-shipped "), "primary ship events missing:\n{pdump}");
 
     rsrv.shutdown();
     srv.shutdown();

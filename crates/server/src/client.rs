@@ -412,16 +412,11 @@ impl Client {
         reply!(self, Request::Metrics, Response::Metrics { text } => text)
     }
 
-    /// Fetch a human-readable flight-recorder dump of the most recent
-    /// `max` events (`0` = server default).
-    pub fn dump_events(&mut self, max: u32) -> ClientResult<String> {
-        reply!(self, Request::DumpEvents { max }, Response::Events { text } => text)
-    }
-
-    /// Fetch the server's span dump: one span per line, parseable with
-    /// [`ermia_telemetry::parse_spans`] and renderable as Chrome
-    /// `trace_event` JSON via [`ermia_telemetry::chrome_trace_json`]
-    /// (`0` = server default span cap).
+    /// Fetch the server's record dump — spans and flight events, the
+    /// newest `max` of each class (`0` = the server defaults): one record
+    /// per line, parseable with [`ermia_telemetry::parse_spans`] and
+    /// renderable as Chrome `trace_event` JSON via
+    /// [`ermia_telemetry::chrome_trace_json`].
     pub fn dump_traces(&mut self, max: u32) -> ClientResult<String> {
         reply!(self, Request::DumpTraces { max }, Response::Traces { text } => text)
     }

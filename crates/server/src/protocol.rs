@@ -609,9 +609,6 @@ requests! {
         /// format). Telemetry reads are legal mid-transaction (and
         /// useful: scrape while a stall is in progress).
         0x0C Metrics: "metrics", Always;
-        /// Dump the flight recorder's most recent events; `max` 0 means the
-        /// server default cap.
-        0x0D DumpEvents { max: u32 }: "dump_events", Always;
         /// Probe the database service state (active vs. degraded read-only)
         /// and the durable log frontier. Legal at any point in a session,
         /// including mid-transaction — a client whose writes start
@@ -634,8 +631,9 @@ requests! {
         /// source is `BadState`. Replies with a [`Response::SegmentChunk`].
         0x11 FetchChunk { shard: u32, source: u8, offset: u64, len: u32 }:
             "fetch_chunk", Idle("log shipping inside open txn");
-        /// Dump recent spans from the tracing rings (plus the slow-op
-        /// retention buffers); `max` 0 means the server default cap.
+        /// Dump the newest records of every ring (plus the slow-op
+        /// retention buffers): `max` sampled ones and `max` always-on ones,
+        /// flight events among them; `max` 0 means the server defaults.
         /// Replies with a [`Response::Traces`].
         0x13 DumpTraces { max: u32 }: "dump_traces", Always;
     }
@@ -734,7 +732,6 @@ impl Request {
             Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops },
             Request::Insert { table: 2, key: b"k".to_vec(), value: b"v".to_vec() },
             Request::Metrics,
-            Request::DumpEvents { max: 256 },
             Request::Health,
             Request::Resume,
             Request::Subscribe { shard: 3, from: 0xDEAD_BEEF },
@@ -885,8 +882,6 @@ frames! {
     0x8C BatchDone { results: Vec<Response>, outcome: Box<Response> };
     /// Prometheus text exposition (version 0.0.4).
     0x8D Metrics { text: String };
-    /// Human-readable flight-recorder dump.
-    0x8E Events { text: String };
     /// Service-state probe reply: `state` 0 = active, 1 = degraded
     /// read-only; `role` 0 = primary, 1 = replica; `durable_lsn` is the
     /// durable log frontier; `applied_lsn` is the replica's applied log
@@ -898,8 +893,8 @@ frames! {
     /// be shorter than the requested length at the durable frontier or
     /// a segment/payload boundary; empty means nothing available there.
     0x91 SegmentChunk { offset: u64, data: Vec<u8> };
-    /// Serialized span dump (reply to [`Request::DumpTraces`]); one
-    /// span per line, parseable by `ermia_telemetry::parse_spans`.
+    /// Serialized record dump (reply to [`Request::DumpTraces`]); one
+    /// record per line, parseable by `ermia_telemetry::parse_spans`.
     0x92 Traces { text: String };
 }
 
@@ -998,7 +993,6 @@ impl Response {
                 outcome: Box::new(Response::Committed { lsn: 99 }),
             },
             Response::Metrics { text: "# TYPE ermia_x counter\nermia_x 1\n".into() },
-            Response::Events { text: "flight-recorder dump: 0 event(s)".into() },
             Response::Health { state: 1, role: 1, durable_lsn: u64::MAX >> 8, applied_lsn: 9 },
             Response::ReplStatus(ReplStatus {
                 role: 0,

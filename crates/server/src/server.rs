@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use ermia::{ShardedDb, WorkerPool};
 use ermia_log::DurableWaker;
-use ermia_telemetry::{EventRing, Sample, SpanRing};
+use ermia_telemetry::{Sample, SpanRing};
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
@@ -160,11 +160,14 @@ pub(crate) struct ShardHandle {
     /// one settled flush demand per log when the turn ends. Written and
     /// read by the shard's own thread only, hence `Relaxed` throughout.
     pub flush_demand: Box<[AtomicU64]>,
-    /// Span ring for service-layer spans recorded on the shard thread
-    /// (frame decode, run-queue wait, worker checkout, request).
-    pub trace_ring: Arc<SpanRing>,
-    /// Span ring for the shard's durability parker thread (durability
-    /// waits resolved off the event loop).
+    /// Record ring of the shard thread: its service events (parked
+    /// sessions, shipped chunks, accept sheds on shard 0) and the spans
+    /// of traced requests (frame decode, run-queue wait, worker checkout,
+    /// request).
+    pub ring: Arc<SpanRing>,
+    /// Record ring of the shard's durability parker thread (resumed
+    /// sessions, log incidents, durability waits resolved off the event
+    /// loop).
     pub parker_ring: Arc<SpanRing>,
     pub stats: ShardStats,
 }
@@ -177,11 +180,6 @@ pub(crate) struct ServerState {
     pub shutdown: AtomicBool,
     pub stats: Stats,
     pub shards: Vec<ShardHandle>,
-    /// Flight-recorder ring for service-layer incidents (log stalls and
-    /// poison observed on parker threads, session park/resume). Long-
-    /// lived so the events stay in `DumpEvents` reports after the
-    /// incident.
-    pub svc_ring: Arc<EventRing>,
     /// Collector group in the database's registry; unregistered at
     /// shutdown.
     telemetry_group: u64,
@@ -222,7 +220,7 @@ impl Server {
                 park_waker: DurableWaker::default(),
                 outbox: Mutex::new(Vec::new()),
                 flush_demand: (0..db.shards()).map(|_| AtomicU64::new(0)).collect(),
-                trace_ring: db.telemetry().tracer().ring(),
+                ring: db.telemetry().tracer().ring(),
                 parker_ring: db.telemetry().tracer().ring(),
                 stats: ShardStats::default(),
             });
@@ -235,7 +233,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             shards,
-            svc_ring: db.telemetry().flight().ring(),
             telemetry_group,
         });
         // Weak: the registry lives inside the database the state holds,
@@ -298,9 +295,8 @@ impl Server {
         // calls are idempotent, matching this method.
         let telemetry = self.state.db.telemetry();
         telemetry.registry().unregister_group(self.state.telemetry_group);
-        telemetry.flight().retire(&self.state.svc_ring);
         for shard in &self.state.shards {
-            telemetry.tracer().retire(&shard.trace_ring);
+            telemetry.tracer().retire(&shard.ring);
             telemetry.tracer().retire(&shard.parker_ring);
         }
         // Every shard blocks in epoll_wait; its event fd gets it moving.

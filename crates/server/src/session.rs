@@ -121,9 +121,7 @@ use ermia::{
 };
 use ermia_common::LogError;
 use ermia_log::{DurableSub, DurableWaker};
-use ermia_telemetry::{
-    render_spans, EventKind, FlightRecorder, Registry, Span, SpanKind, SpanRing,
-};
+use ermia_telemetry::{render_spans, Registry, SpanKind, SpanRing, TraceContext, Tracer};
 
 use crate::conn::{
     aborted, engine_isolation, exec_op, op_target, Conn, FlushState, Mode, OpenTxn, Ops, Out,
@@ -136,14 +134,10 @@ use crate::protocol::{
 use crate::server::{BusyReason, ServerState, ShardHandle};
 use crate::sys;
 
-/// Events returned by a `DumpEvents` frame that asks for the server
-/// default (`max == 0`), and the size of the dump captured when a
-/// durability incident is first observed.
-const DEFAULT_DUMP_EVENTS: usize = 128;
-
-/// Spans returned by a `DumpTraces` frame that asks for the server
-/// default (`max == 0`).
-const DEFAULT_DUMP_TRACES: usize = 4096;
+/// Records a `DumpTraces` frame that asks for the server default
+/// (`max == 0`) returns, sampled and always-on: also the size of the
+/// dump stored when a durability incident is first observed.
+const DEFAULT_DUMP: (usize, usize) = (4096, 128);
 
 /// Quiet-window granularity for the shutdown drain: the window opens at
 /// twice this and extends by this much each time in-flight frames keep
@@ -357,7 +351,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     state.stats.busy(BusyReason::Checkout);
                     conn.push(&state, Response::Busy);
                     if let Some((tr, parked_ns)) = lapsed.trace {
-                        let ring = &handle.trace_ring;
+                        let ring = &handle.ring;
                         ring.record(
                             &tr.child(),
                             SpanKind::RunQueue,
@@ -372,7 +366,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 } else if let Some(w) = state.pool.try_checkout() {
                     let Waiting { work, trace, .. } = conn.waiting.take().expect("waiting");
                     let trace = trace.map(|(tr, parked_ns)| {
-                        let ring = &handle.trace_ring;
+                        let ring = &handle.ring;
                         ring.record(
                             &tr.child(),
                             SpanKind::RunQueue,
@@ -508,7 +502,9 @@ fn accept_burst(
                 if let Ok((stream, _)) = &queued {
                     let shed = state.stats.busy(BusyReason::FdLimit);
                     let errno = e.raw_os_error().unwrap_or(0) as u64;
-                    state.svc_ring.record(EventKind::AcceptShed, errno, shed);
+                    // The listener is shard 0's: this is its thread.
+                    let ring = &state.shards[0].ring;
+                    ring.event(&TraceContext::UNTRACED, SpanKind::AcceptShed, errno, shed);
                     let _ = write_frame(&mut &*stream, &Response::Busy.encode());
                 }
                 let took = queued.map(drop);
@@ -779,7 +775,7 @@ fn process_http(state: &Arc<ServerState>, conn: &mut Conn) -> bool {
 fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, payload: &[u8]) {
     // One branch on the first payload byte is the whole cost tracing
     // adds to an untraced frame; the clock is read only past it.
-    let t0 = if is_traced_frame(payload) { handle.trace_ring.now_ns() } else { 0 };
+    let t0 = if is_traced_frame(payload) { handle.ring.now_ns() } else { 0 };
     let (req, ctx) = match Request::decode_traced(payload) {
         Ok(v) => v,
         Err(e) => {
@@ -793,7 +789,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
     let (op, legal) = (req.name(), req.legal());
     let req = req.into_op();
     let trace = ctx.map(|ctx| {
-        let ring = &handle.trace_ring;
+        let ring = &handle.ring;
         let span_id = ring.alloc_span_id();
         // Table and key-prefix attribution for the slow-op log.
         let (table, key) = req.as_ref().map_or((0, &[][..]), op_target);
@@ -828,17 +824,15 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
             Request::Metrics => {
                 conn.push(state, Response::Metrics { text: render_metrics(&state.db) })
             }
-            Request::DumpEvents { max } => {
-                let max = if max == 0 { DEFAULT_DUMP_EVENTS } else { max as usize };
-                conn.push(state, Response::Events { text: dump_events(&state.db, max) })
+            Request::DumpTraces { max } => {
+                conn.push(state, Response::Traces { text: dump(&state.db, max as usize) })
             }
-            Request::DumpTraces { max } => push_traces(state, conn, max),
             Request::Health => push_health(state, conn),
             Request::Resume => do_resume(state, conn),
             Request::OpenTable { name } => open_table(state, conn, &name),
             Request::Subscribe { shard, from } => do_subscribe(state, conn, shard, from),
             Request::FetchChunk { shard, source, offset, len } => {
-                do_fetch_chunk(state, conn, shard, source, offset, len)
+                do_fetch_chunk(state, &handle.ring, conn, shard, source, offset, len)
             }
             Request::Begin { isolation } => {
                 let work = PendingWork::Begin { isolation: engine_isolation(isolation) };
@@ -855,7 +849,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
                 open.finish(|t| t.abort());
                 conn.push(state, Response::Aborted);
                 if let Some(tr) = txn_trace {
-                    finish_trace(state, &handle.trace_ring, &tr);
+                    finish_trace(state, &handle.ring, &tr);
                 }
             }
             Request::Commit { sync } => {
@@ -866,7 +860,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
                 let mut txn_trace = open.trace.take();
                 match (&txn_trace, trace) {
                     (None, frame) => txn_trace = frame,
-                    (Some(_), Some(frame)) => finish_trace(state, &handle.trace_ring, &frame),
+                    (Some(_), Some(frame)) => finish_trace(state, &handle.ring, &frame),
                     (Some(_), None) => {}
                 }
                 let commit = open.finish(|t| t.commit_deferred()).map_err(aborted);
@@ -880,7 +874,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
         },
     }
     if let Some(tr) = trace {
-        finish_trace(state, &handle.trace_ring, &tr);
+        finish_trace(state, &handle.ring, &tr);
     }
 }
 
@@ -907,11 +901,11 @@ fn need_worker(
     work: PendingWork,
     trace: Option<TraceReq>,
 ) {
-    let t_checkout = if trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
+    let t_checkout = if trace.is_some() { handle.ring.now_ns() } else { 0 };
     match state.pool.try_checkout() {
         Some(w) => {
             if let Some(tr) = &trace {
-                let ring = &handle.trace_ring;
+                let ring = &handle.ring;
                 ring.record(&tr.child(), SpanKind::WorkerCheckout, t_checkout, ring.now_ns(), 0, 0);
             }
             start_work(state, handle, conn, work, w, trace)
@@ -997,7 +991,7 @@ fn conclude(
         Err(outcome) => {
             conn.push(state, reply.with(outcome));
             if let Some(tr) = trace {
-                finish_trace(state, &handle.trace_ring, &tr);
+                finish_trace(state, &handle.ring, &tr);
             }
         }
     }
@@ -1019,12 +1013,13 @@ fn settle_commit(
     if let Some(token) = published.filter(|t| !sync || t.end_offset().is_none()) {
         conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
         if let Some(tr) = trace {
-            finish_trace(state, &handle.trace_ring, &tr);
+            finish_trace(state, &handle.ring, &tr);
         }
         return;
     }
     let seq = conn.push_pending(state);
-    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
+    let ctx = trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
+    handle.ring.event(&ctx, SpanKind::SessionParked, conn.token, seq);
     let enqueued = Instant::now();
     let job = ParkJob { conn: conn.token, seq, work: commit, reply, enqueued, trace };
     if published.is_some() {
@@ -1046,7 +1041,7 @@ fn settle_commit(
 /// staged one aborts as it drops — and its reply slot must not wedge.
 fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, job: ParkJob) {
     if let Some(tr) = &job.trace {
-        finish_trace(state, &handle.trace_ring, tr);
+        finish_trace(state, &handle.ring, tr);
     }
     conn.complete(job.seq, job.reply.with(log_stalled()).frame());
 }
@@ -1117,8 +1112,8 @@ fn log_stalled() -> Response {
 
 /// The reply to a commit whose log failed under it, once published: the
 /// incident is recorded here too.
-fn log_failed(state: &ServerState, e: &LogError) -> Response {
-    record_log_incident(state, EventKind::LogPoison, 1);
+fn log_failed(state: &ServerState, ring: &SpanRing, ctx: &TraceContext, e: &LogError) -> Response {
+    record_log_incident(state, ring, ctx, SpanKind::LogPoison, 1);
     Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
 }
 
@@ -1134,28 +1129,16 @@ fn render_metrics(db: &ShardedDb) -> String {
     Registry::render_merged(&registries, "shard")
 }
 
-/// Every engine shard's flight rings as one bounded, time-sorted dump.
-fn dump_events(db: &ShardedDb, max: usize) -> String {
-    let recorders: Vec<_> = (0..db.shards()).map(|i| db.shard(i).telemetry().flight()).collect();
-    FlightRecorder::dump_merged(&recorders, max)
-}
-
-/// Merge span dumps from every shard's tracer (worker and service rings
-/// register on shard 0; recovery/replica apply spans land on the shard
-/// that replayed them) into one bounded, time-sorted text dump.
-fn push_traces(state: &Arc<ServerState>, conn: &mut Conn, max: u32) {
-    let max = if max == 0 { DEFAULT_DUMP_TRACES } else { max as usize };
-    let mut spans: Vec<Span> = Vec::new();
-    for i in 0..state.db.shards() {
-        spans.extend(state.db.shard(i).telemetry().tracer().dump_spans(max));
-    }
-    spans.sort_by_key(|s| (s.start_ns, s.span_id));
-    spans.dedup();
-    if spans.len() > max {
-        let cut = spans.len() - max;
-        spans.drain(..cut);
-    }
-    conn.push(state, Response::Traces { text: render_spans(&spans) });
+/// Every engine shard's rings as one time-sorted text dump, each class
+/// cut to its newest `max` records ([`DEFAULT_DUMP`] for 0). The server's
+/// and the sharded workers' rings register on shard 0; an engine worker's
+/// commits and aborts, and recovery's and a replica's records, land on
+/// the shard that wrote them.
+fn dump(db: &ShardedDb, max: usize) -> String {
+    let (sampled, always) = if max == 0 { DEFAULT_DUMP } else { (max, max) };
+    let tracers: Vec<&Tracer> =
+        (0..db.shards()).map(|i| &**db.shard(i).telemetry().tracer()).collect();
+    render_spans(&Tracer::dump_merged(&tracers, sampled, always))
 }
 
 /// Service-state probe: the database state, the node's replication
@@ -1248,6 +1231,7 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
 /// from its `Subscribe` status, never from chunk shape.
 fn do_fetch_chunk(
     state: &Arc<ServerState>,
+    ring: &SpanRing,
     conn: &mut Conn,
     shard: u32,
     source: u8,
@@ -1302,7 +1286,8 @@ fn do_fetch_chunk(
         }
         _ => return conn.push_err(state, ErrorCode::BadState, "unknown chunk source"),
     };
-    state.svc_ring.record(EventKind::ReplSegmentShipped, offset, data.len() as u64);
+    let shipped = data.len() as u64;
+    ring.event(&TraceContext::UNTRACED, SpanKind::ReplSegmentShipped, offset, shipped);
     conn.push(state, Response::SegmentChunk { offset, data });
 }
 
@@ -1406,20 +1391,27 @@ fn close_parker(handle: &ShardHandle) {
 impl ParkJob {
     /// Advance the job as far as its logs allow. `Some(outcome)` once it
     /// has one: durable, failed, or out of patience.
-    fn poll(&mut self, state: &ServerState, resolver: &mut ShardedWorker) -> Option<Response> {
+    fn poll(
+        &mut self,
+        state: &ServerState,
+        ring: &SpanRing,
+        resolver: &mut ShardedWorker,
+    ) -> Option<Response> {
         let patience = state.patience();
+        let ctx = self.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
         let lapsed = self.enqueued.elapsed() >= patience;
         match self.work.poll(resolver) {
             Some(Ok(Ok(token))) => Some(Response::Committed { lsn: token.lsn().raw() }),
             Some(Ok(Err(reason))) => Some(aborted(reason)),
-            Some(Err(e)) => Some(log_failed(state, &e)),
+            Some(Err(e)) => Some(log_failed(state, ring, &ctx, &e)),
             None if lapsed => {
                 // Giving up on a commit still prepared writes the abort
                 // verdict behind the prepares before it rolls the halves
                 // back; until that is durable a crash can still commit
                 // them. One already published stands.
                 self.work.abort(resolver);
-                record_log_incident(state, EventKind::LogStall, patience.as_millis() as u64);
+                let waited = patience.as_millis() as u64;
+                record_log_incident(state, ring, &ctx, SpanKind::LogStall, waited);
                 Some(log_stalled())
             }
             None => None,
@@ -1494,7 +1486,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
         let mut done = Vec::new();
         let mut i = 0;
         while i < parked.len() {
-            let Some(outcome) = parked[i].poll(&state, &mut resolver) else {
+            let Some(outcome) = parked[i].poll(&state, &handle.parker_ring, &mut resolver) else {
                 i += 1;
                 continue;
             };
@@ -1511,11 +1503,9 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
                 }
                 finish_trace(&state, ring, tr);
             }
-            state.svc_ring.record(
-                EventKind::SessionResumed,
-                job.conn,
-                job.enqueued.elapsed().as_micros() as u64,
-            );
+            let ctx = job.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
+            let waited_us = job.enqueued.elapsed().as_micros() as u64;
+            handle.parker_ring.event(&ctx, SpanKind::SessionResumed, job.conn, waited_us);
             let bytes = job.reply.with(outcome).frame();
             done.push(Completion { conn: job.conn, seq: job.seq, bytes });
             answered.push(job.work);
@@ -1541,14 +1531,20 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
     }
 }
 
-/// A durability incident just surfaced to a client: stamp it into the
-/// server's long-lived service ring, capture a bounded flight-recorder
-/// dump, park it for later retrieval, and mirror it to stderr. The ring
-/// is not retired, so `DumpEvents` frames sent after the fact still see
-/// the incident.
-fn record_log_incident(state: &ServerState, kind: EventKind, a: u64) {
-    state.svc_ring.record(kind, a, 0);
-    let dump = dump_events(&state.db, DEFAULT_DUMP_EVENTS);
-    state.db.telemetry().flight().store_last_dump(dump.clone());
+/// A durability incident just surfaced to a client: record it in the
+/// parker's ring (under the request's trace, if it has one), store a
+/// dump for later retrieval, and mirror it to stderr. The ring lives
+/// until the server shuts down, so `DumpTraces` frames sent after the
+/// fact still see the incident.
+fn record_log_incident(
+    state: &ServerState,
+    ring: &SpanRing,
+    ctx: &TraceContext,
+    kind: SpanKind,
+    a: u64,
+) {
+    ring.event(ctx, kind, a, 0);
+    let dump = dump(&state.db, 0);
+    state.db.telemetry().tracer().store_last_dump(dump.clone());
     eprintln!("{dump}");
 }

@@ -27,7 +27,7 @@ use ermia_log::{FileBackend, LogManager, SegmentIo, SegmentIoFactory};
 use ermia_server::{
     BatchOp, Client, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
-use ermia_telemetry::{EventKind, Telemetry};
+use ermia_telemetry::{SpanKind, Telemetry};
 
 const LATENCY: Duration = Duration::from_millis(50);
 const LONG: Duration = Duration::from_secs(10);
@@ -147,9 +147,9 @@ fn mark(log: &LogManager, syncs: &Syncs, shard: usize) -> Mark {
 
 /// `SessionParked` and `SessionResumed` events recorded so far.
 fn parked_and_resumed(telemetry: &Telemetry) -> [usize; 2] {
-    let dump = telemetry.dump_events(usize::MAX);
-    [EventKind::SessionParked, EventKind::SessionResumed]
-        .map(|kind| dump.lines().filter(|l| l.contains(&format!(" {} ", kind.label()))).count())
+    let dump = telemetry.tracer().dump_spans(usize::MAX);
+    [SpanKind::SessionParked, SpanKind::SessionResumed]
+        .map(|kind| dump.iter().filter(|s| s.kind == kind).count())
 }
 
 fn sync_batch(table: u32, keys: &[Vec<u8>]) -> Request {

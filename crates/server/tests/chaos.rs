@@ -311,7 +311,7 @@ fn conclude(dir: &Path, title: &str, violations: &[String], c: &mut Client, chil
             out.push_str(&format!("  - {v}\n"));
         }
         let _ = std::fs::write(&report, &out);
-        let dump = c.dump_events(256).unwrap_or_default();
+        let dump = c.dump_traces(256).unwrap_or_default();
         let _ = std::fs::write(dir.join("flight-dump.txt"), dump);
         sigkill(child);
         panic!("{out}reports written to {}", report.display());

@@ -92,7 +92,7 @@ fn at_the_descriptor_limit_every_connection_is_answered_and_the_loop_rests() {
     let by = |why| metrics.value_with("ermia_server_busy_by_reason_total", "reason", why);
     assert_eq!(by("fd-limit"), Some(shed as f64));
     assert_eq!(metrics.value("ermia_server_busy_rejects_total"), Some(shed as f64));
-    assert!(late.dump_events(4096).unwrap().contains("accept-shed"));
+    assert!(late.dump_traces(4096).unwrap().contains("kind=accept-shed "));
 
     drop(child.stdin.take()); // EOF: graceful shutdown
     assert!(child.wait().unwrap().success());

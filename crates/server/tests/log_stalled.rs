@@ -58,16 +58,16 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
     // data) and the connection keeps working.
     assert_eq!(c.get(t, b"after").unwrap().as_deref(), Some(&b"v"[..]));
 
-    // The incident went into the flight recorder: a DumpEvents frame
+    // The incident went into the parker's ring: a DumpTraces frame
     // after the fact shows the stall alongside the transaction history
     // that led up to it.
-    let dump = c.dump_events(0).unwrap();
-    assert!(dump.contains("log-stall"), "dump must show the stall:\n{dump}");
-    assert!(dump.contains("txn-commit"), "dump must show recent txn events:\n{dump}");
+    let dump = c.dump_traces(0).unwrap();
+    assert!(dump.contains("kind=log-stall "), "dump must show the stall:\n{dump}");
+    assert!(dump.contains("kind=txn-commit "), "dump must show recent txn events:\n{dump}");
     // The server also parked the same dump for post-mortem retrieval.
-    let parked = db.telemetry().flight().last_dump();
+    let parked = db.telemetry().tracer().last_dump();
     assert!(
-        parked.as_deref().is_some_and(|d| d.contains("log-stall")),
+        parked.as_deref().is_some_and(|d| d.contains("kind=log-stall ")),
         "incident dump must be stored: {parked:?}"
     );
 
@@ -402,7 +402,7 @@ fn stalled_prepare_aborts_both_halves_with_logstalled() {
     // Aborted on both shards, and the connection keeps working.
     assert_eq!(c.get(t, &on0[0]).unwrap().as_deref(), Some(&b"old"[..]));
     assert_eq!(c.get(t, &on1[0]).unwrap().as_deref(), Some(&b"old"[..]));
-    assert!(c.dump_events(0).unwrap().contains("log-stall"));
+    assert!(c.dump_traces(0).unwrap().contains("kind=log-stall "));
     assert_nothing_leaked(&srv, &db);
 
     // The log moves again: the stalled prepare and the abort verdict

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use ermia::{DbConfig, ShardedDb};
 use ermia_server::{BatchOp, Client, Request, Response, Server, ServerConfig, WireIsolation};
-use ermia_telemetry::parse_exposition;
+use ermia_telemetry::{parse_exposition, parse_spans, SpanKind};
 
 /// Must match `AbortReason::ALL` order — the exposition labels.
 const ABORT_REASONS: [&str; 9] = [
@@ -236,8 +236,8 @@ fn sharded_engine_metrics_expose_per_shard_families() {
 
     // An operator sees every engine shard, not shard 0 alone: a commit
     // that runs on shard 1 only is in the scraped counters of that
-    // shard's transactions and log, under `shard="1"`, and its flight
-    // events are in the `DumpEvents` text.
+    // shard's transactions and log, under `shard="1"`, and its commit
+    // event is in the `DumpTraces` text, tagged with that shard.
     let on_one = if ermia::shard_of_key(&ka, 2) == 1 { &ka } else { &kb };
     let scrape = |c: &mut Client| {
         let exp = parse_exposition(&c.metrics().unwrap()).unwrap();
@@ -255,16 +255,16 @@ fn sharded_engine_metrics_expose_per_shard_families() {
     for (b, a) in before.iter().zip(&scrape(&mut c)) {
         assert_eq!((a[0] - b[0], a[1] - b[1]), (0.0, 1.0), "one commit, one log block, on shard 1");
     }
-    let dump = c.dump_events(64).unwrap();
+    let dump = c.dump_traces(64).unwrap();
     assert!(
-        dump.lines().any(|l| l.contains(" s1r") && l.contains("txn-commit")),
+        parse_spans(&dump).unwrap().iter().any(|s| s.kind == SpanKind::TxnCommit && s.shard == 1),
         "shard 1's commit event is missing:\n{dump}"
     );
     srv.shutdown();
 }
 
 #[test]
-fn dump_events_frame_returns_recent_transaction_events() {
+fn the_dump_frame_returns_recent_transaction_events() {
     let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
@@ -274,10 +274,13 @@ fn dump_events_frame_returns_recent_transaction_events() {
         c.put(t, &i.to_be_bytes(), b"v").unwrap();
         c.commit(false).unwrap();
     }
-    let dump = c.dump_events(64).unwrap();
-    assert!(dump.contains("flight-recorder dump"), "header missing:\n{dump}");
-    assert!(dump.contains("txn-begin"), "begin events missing:\n{dump}");
-    assert!(dump.contains("txn-commit"), "commit events missing:\n{dump}");
+    let dump = c.dump_traces(4096).unwrap();
+    let events = parse_spans(&dump).expect("the dump parses");
+    assert_eq!(events.len(), dump.lines().count(), "every line is a record:\n{dump}");
+    for kind in [SpanKind::TxnBegin, SpanKind::TxnCommit] {
+        let n = events.iter().filter(|s| s.kind == kind && s.dur_ns == 0).count();
+        assert!(n >= 4, "{} events missing:\n{dump}", kind.label());
+    }
     srv.shutdown();
 }
 

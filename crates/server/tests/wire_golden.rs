@@ -6,7 +6,9 @@
 //! breaks. The file uses only names both codecs export, so it runs
 //! unmodified against either. (PR 28 took the `schema` list off the end
 //! of `ReplStatus` — the schema ships in the log — and its bytes off the
-//! end of the two vectors; nothing else moved.)
+//! end of the two vectors; nothing else moved. PR 56 merged the flight
+//! dump into the span dump: its request (0x0D) and its reply (0x8E) left
+//! the table, and `DumpTraces` (0x13) returns both kinds of record.)
 
 use ermia_common::AbortReason;
 use ermia_server::{
@@ -51,12 +53,12 @@ fn requests() -> Vec<(Request, &'static str)> {
         (five_op_batch(), "0a010105000000040100000001000000610501000000010000006201000000310602000000010000006307010000000000000001000000ff000000000b0300000001000000640100000032"),
         (Request::Insert { table: 2, key: b"k".to_vec(), value: b"v".to_vec() }, "0b02000000010000006b0100000076"),
         (Request::Metrics, "0c"),
-        (Request::DumpEvents { max: 256 }, "0d00010000"),
         (Request::Health, "0e"),
         (Request::Resume, "0f"),
         (Request::Subscribe { shard: 3, from: 0xDEAD_BEEF }, "1003000000efbeadde00000000"),
         (Request::FetchChunk { shard: 0, source: 1, offset: 1 << 40, len: 65536 }, "110000000001000000000001000000000100"),
         (Request::DumpTraces { max: 4096 }, "1300100000"),
+        (Request::DumpTraces { max: 0 }, "1300000000"),
     ]
 }
 
@@ -124,7 +126,6 @@ fn responses() -> Vec<(Response, &'static str)> {
             "8c010000000d0000008903070000007461626c6520390d0000008903070000007461626c652039",
         ),
         (Response::Metrics { text: "# TYPE ermia_x counter\nermia_x 1\n".into() }, "8d210000002320545950452065726d69615f7820636f756e7465720a65726d69615f7820310a"),
-        (Response::Events { text: "flight-recorder dump: 0 event(s)".into() }, "8e20000000666c696768742d7265636f726465722064756d703a2030206576656e74287329"),
         (
             Response::Health {
                 state: 1,
@@ -177,6 +178,15 @@ fn response_bytes_are_pinned() {
         assert_eq!(hex(&resp.encode()), want, "{resp:?}");
         assert_eq!(Response::decode(&unhex(want)).unwrap(), resp);
     }
+}
+
+/// The one dump frame replaced the flight dump's pair: a peer that still
+/// sends its request (0x0D), or answers with its reply (0x8E), is refused
+/// with a decode error rather than misread.
+#[test]
+fn the_retired_flight_dump_opcodes_are_refused() {
+    assert!(Request::decode(&unhex("0d00010000")).is_err());
+    assert!(Response::decode(&unhex("8e0000000000")).is_err());
 }
 
 #[test]

@@ -154,7 +154,7 @@ impl Collector {
     /// manager versions are retired through; `pool`, when present,
     /// receives quiesced nodes for worker reuse instead of freeing them;
     /// `on_pass` observes each pass with `(reclaimed_this_pass,
-    /// total_passes)` — telemetry's flight-recorder hook.
+    /// total_passes)` — telemetry's `gc-pass` flight-event hook.
     pub fn new(
         queue: Arc<RetireQueue>,
         epoch: EpochManager,

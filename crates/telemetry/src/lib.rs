@@ -1,6 +1,6 @@
 //! `ermia-telemetry` — the unified observability layer.
 //!
-//! Four pieces, all std-only and allocation-free on the write side:
+//! Three pieces, all std-only and allocation-free on the write side:
 //!
 //! * `registry` ([`Registry`]) — per-thread metric slabs (relaxed `AtomicU64`
 //!   counters + [`AtomicHistogram`]s) merged on read, with a
@@ -10,38 +10,35 @@
 //! * `prom` ([`Exposition`]) — Prometheus text-format exposition: the renderer behind
 //!   the `Metrics` wire frame and HTTP `GET /metrics`, and the parser
 //!   the golden tests / CI smoke use to validate a live scrape.
-//! * `flight` ([`FlightRecorder`]) — the flight recorder: fixed-size per-worker event
-//!   rings with nanosecond timestamps, merged into a bounded
-//!   human-readable dump on demand or when the log stalls.
-//! * `trace` ([`Tracer`]) — distributed tracing: per-worker span rings, 128-bit
-//!   wire-propagated trace ids, a worst-K slow-op log, and a Chrome
-//!   `trace_event` exporter.
+//! * `trace` ([`Tracer`]) — the one telemetry record, [`Span`]: per-writer
+//!   rings with nanosecond timestamps, 128-bit wire-propagated trace
+//!   ids, a worst-K slow-op log, one text dump (on demand, or stored when
+//!   the log stalls) and a Chrome `trace_event` exporter. A flight event
+//!   is a span of zero length.
 //!
-//! Events and spans are recorded into the same single-writer seqlock
-//! ring (`ring.rs`), four payload words wide for the one and nine for
-//! the other.
+//! Every record goes into the single-writer seqlock ring of `ring.rs`,
+//! nine payload words wide.
 //!
-//! [`Telemetry`] bundles one registry, one flight recorder, and one
-//! tracer; the database owns one instance and every layer hangs its
-//! instruments off it. It is always on — there is no switch — and
-//! `crates/core/tests/alloc_free.rs` holds the warm hot path at zero
-//! allocations with counters, flight recorder and sampled tracing live.
+//! [`Telemetry`] bundles one registry and one tracer; the database owns
+//! one instance and every layer hangs its instruments off it. It is
+//! always on — there is no switch — and `crates/core/tests/alloc_free.rs`
+//! holds the warm hot path at zero allocations with counters, always-on
+//! records and sampled tracing live.
 
-mod flight;
 mod hist;
 mod prom;
 mod registry;
 mod ring;
 mod trace;
 
-pub use flight::{Event, EventKind, EventRing, FlightRecorder};
 pub use hist::{AtomicHistogram, Histogram, BUCKETS};
 pub use prom::{parse_exposition, Exposition, ParsedMetric, SampleLine};
 pub use registry::{FamilyDef, MetricDesc, MetricKind, Registry, Sample, Slab};
 pub use trace::{
     chrome_trace_json, parse_spans, render_spans, SlowOp, Span, SpanKind, SpanRing, TraceContext,
-    Tracer, DEFAULT_SPAN_RING_CAP, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
+    Tracer, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
 };
+use trace::{ALWAYS_LANE_CAP, SAMPLED_LANE_CAP};
 
 use std::sync::Arc;
 
@@ -57,13 +54,9 @@ pub fn process_resident() -> Option<(u64, u64)> {
     Some((field("VmRSS:")?, field("VmHWM:")?))
 }
 
-/// Default number of slots in each flight-recorder ring.
-pub const DEFAULT_RING_CAP: usize = 512;
-
 /// The per-database telemetry bundle.
 pub struct Telemetry {
     registry: Registry,
-    flight: FlightRecorder,
     tracer: Arc<Tracer>,
 }
 
@@ -76,7 +69,7 @@ impl Default for Telemetry {
 impl Telemetry {
     pub fn new() -> Telemetry {
         let registry = Registry::new();
-        let tracer = Arc::new(Tracer::new(DEFAULT_SPAN_RING_CAP));
+        let tracer = Arc::new(Tracer::new(SAMPLED_LANE_CAP, ALWAYS_LANE_CAP));
         // The slow-query log rides the standard exposition: a retained-op
         // count plus one labeled latency sample per retained op (the
         // label is the op/table/key/breakdown summary the `ermia_top`
@@ -102,15 +95,11 @@ impl Telemetry {
                 );
             }
         });
-        Telemetry { registry, flight: FlightRecorder::new(DEFAULT_RING_CAP), tracer }
+        Telemetry { registry, tracer }
     }
 
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     pub fn tracer(&self) -> &Arc<Tracer> {
@@ -120,10 +109,5 @@ impl Telemetry {
     /// Full Prometheus exposition of everything registered.
     pub fn render_prometheus(&self) -> String {
         self.registry.render()
-    }
-
-    /// Bounded flight-recorder dump across all rings.
-    pub fn dump_events(&self, max_events: usize) -> String {
-        self.flight.dump(max_events)
     }
 }

@@ -1,33 +1,44 @@
-//! The one ring under the flight recorder and the tracer: a fixed,
-//! power-of-two array of `W`-word slots with a single writer, any number
-//! of concurrent readers, and no lock, allocation or wait on either side.
+//! The one ring under the tracer: a fixed, power-of-two array of
+//! `W`-word slots with a single writer, any number of concurrent readers,
+//! and no lock, allocation or wait on either side.
 //!
 //! ## Slot protocol (per-slot seqlock)
 //!
-//! A slot is `{seq, words[W]}`. The writer stores `seq = 0` (release),
-//! writes the payload words (relaxed), then stores `seq = pos + 1`
-//! (release). A reader loads `seq` (acquire), skips the slot if it is 0,
-//! reads the payload, then re-loads `seq`; the slot is taken only if both
-//! loads agree. A writer lapping a reader therefore can't hand out a
-//! half-written slot: the leading `seq = 0` store is release-ordered
-//! after the previous payload and the reader's second load catches any
-//! overlap. Two *writers* can only collide on one slot if one of them
-//! stalls for a full ring lap inside the ~20ns write section; with ≥256
-//! slots this is astronomically unlikely, and the worst case is one
-//! garbled (not unsafe) slot — an accepted trade for a zero-coordination
-//! hot path.
+//! A slot is `{seq, words[W]}`. The writer stores `seq = 0`, issues a
+//! release fence, writes the payload words (relaxed), then stores
+//! `seq = pos + 1` (release). A reader loads `seq` (acquire), skips the
+//! slot if it is 0, reads the payload (relaxed), issues an acquire fence,
+//! then re-loads `seq`; the slot is taken only if both loads agree.
+//!
+//! Why the two fences. A release *store* orders only what comes before
+//! it, so `seq = 0` alone would let the new payload words become visible
+//! ahead of it; and an acquire *load* orders only what comes after it, so
+//! the re-load alone would let the payload loads drift past it. With the
+//! fences: if a reader's payload load saw a word of a newer write, the
+//! writer's fence makes its `seq = 0` visible to every load after the
+//! reader's fence, so the re-load reads 0 or a later position, never the
+//! first load's value — the torn slot is dropped. If the first load saw
+//! `pos + 1`, its acquire makes that write's words visible. (x86-TSO
+//! never reorders stores with stores or loads with loads, so the fences
+//! cost nothing there; weaker machines need them.)
+//!
+//! Two *writers* can only collide on one slot if one of them stalls for a
+//! full ring lap inside the ~20ns write section; with ≥256 slots this is
+//! astronomically unlikely, and the worst case is one garbled (not unsafe)
+//! slot — an accepted trade for a zero-coordination hot path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// A taxonomy of ring entries, stated once: each row `code Variant:
-/// "label";` is a variant, the stable code word a slot stores for it and
-/// the label dumps print. Generates the enum, `ALL` (every kind, in row
-/// order), `code`/`from_code` and `label`/`from_label`.
+/// The taxonomy of records, stated once: each row `code Variant:
+/// "label" (a, b);` is a variant, the stable code word a slot stores for
+/// it, the label dumps print, and the names a dump line gives the
+/// record's `a` and `b` words (`_` for a word the kind leaves 0).
+/// Generates the enum, `ALL` (every kind, in row order), `code`/
+/// `from_code`, `label`/`from_label` and `fields`.
 macro_rules! kinds {
     ($(#[$meta:meta])* $vis:vis enum $name:ident {
-        $($(#[$vmeta:meta])* $code:literal $variant:ident: $label:literal;)*
+        $($(#[$vmeta:meta])* $code:literal $variant:ident: $label:literal ($a:tt, $b:tt);)*
     }) => {
         $(#[$meta])*
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,6 +72,14 @@ macro_rules! kinds {
             pub fn from_label(s: &str) -> Option<$name> {
                 $name::ALL.iter().copied().find(|k| k.label() == s)
             }
+
+            /// What a dump line calls this kind's `a` and `b` words; `_`
+            /// for a word it leaves 0, which the line omits.
+            pub fn fields(self) -> (&'static str, &'static str) {
+                match self {
+                    $($name::$variant => (stringify!($a), stringify!($b)),)*
+                }
+            }
         }
     };
 }
@@ -76,39 +95,28 @@ struct Slot<const W: usize> {
 /// intended for a single writer (see the slot-protocol note above for why
 /// a second writer is tolerated but not encouraged).
 pub(crate) struct SeqRing<const W: usize> {
-    epoch: Instant,
     mask: usize,
     pos: AtomicU64,
     slots: Box<[Slot<W>]>,
 }
 
 impl<const W: usize> SeqRing<W> {
-    pub fn new(epoch: Instant, cap: usize) -> SeqRing<W> {
+    pub fn new(cap: usize) -> SeqRing<W> {
         let cap = cap.next_power_of_two().max(8);
         let slot =
             |_| Slot { seq: AtomicU64::new(0), words: std::array::from_fn(|_| AtomicU64::new(0)) };
-        SeqRing {
-            epoch,
-            mask: cap - 1,
-            pos: AtomicU64::new(0),
-            slots: (0..cap).map(slot).collect(),
-        }
+        SeqRing { mask: cap - 1, pos: AtomicU64::new(0), slots: (0..cap).map(slot).collect() }
     }
 
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Nanoseconds since the epoch every ring of one owner shares, so
-    /// slots from different threads land on one comparable timeline.
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Slots written so far (monotonic, may exceed capacity).
-    pub fn written(&self) -> u64 {
-        self.pos.load(Ordering::Relaxed)
+    /// What the slots take.
+    #[cfg(test)]
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots)
     }
 
     /// Append a slot. Allocation-free, lock-free, wait-free.
@@ -116,7 +124,8 @@ impl<const W: usize> SeqRing<W> {
     pub fn push(&self, words: [u64; W]) {
         let pos = self.pos.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[pos as usize & self.mask];
-        slot.seq.store(0, Ordering::Release);
+        slot.seq.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
         for (cell, word) in slot.words.iter().zip(words) {
             cell.store(word, Ordering::Relaxed);
         }
@@ -132,7 +141,8 @@ impl<const W: usize> SeqRing<W> {
                 continue;
             }
             let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            if slot.seq.load(Ordering::Acquire) != s1 {
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != s1 {
                 continue; // raced a writer; drop the torn slot
             }
             take(words);
@@ -163,6 +173,7 @@ impl<R> RingSet<R> {
         self.rings.lock().unwrap().retain(|r| !Arc::ptr_eq(r, ring));
     }
 
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.rings.lock().unwrap().len()
     }
@@ -178,27 +189,27 @@ impl<R> RingSet<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, SpanKind};
+    use crate::SpanKind;
 
-    /// The generated tables: codes and labels are distinct, dense from 1,
-    /// and each maps back to the kind it came from.
+    /// The generated table: codes and labels are distinct, dense from 1,
+    /// each maps back to the kind it came from, and no field name shadows
+    /// a word every line has or the other field.
     #[test]
     fn every_kind_round_trips() {
-        macro_rules! check {
-            ($kind:ident) => {
-                for (i, &k) in $kind::ALL.iter().enumerate() {
-                    assert_eq!(k.code() as usize, i + 1, "{k:?}");
-                    assert_eq!($kind::from_code(k.code()), Some(k));
-                    assert_eq!($kind::from_label(k.label()), Some(k));
-                }
-                assert_eq!($kind::from_code(0), None);
-                assert_eq!($kind::from_code($kind::ALL.len() as u32 + 1), None);
-                assert_eq!($kind::from_label("no-such-kind"), None);
-            };
+        for (i, &k) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(k.code() as usize, i + 1, "{k:?}");
+            assert_eq!(SpanKind::from_code(k.code()), Some(k));
+            assert_eq!(SpanKind::from_label(k.label()), Some(k));
+            let (a, b) = k.fields();
+            for name in [a, b] {
+                let fixed = ["trace", "id", "parent", "kind", "start", "dur", "shard"];
+                assert!(!fixed.contains(&name), "{k:?} names a field {name}");
+            }
+            assert!(a != b || a == "_", "{k:?} names both fields {a}");
         }
-        check!(SpanKind);
-        check!(EventKind);
-        assert_eq!((SpanKind::ALL.len(), EventKind::ALL.len()), (15, 19));
+        assert_eq!(SpanKind::from_code(0), None);
+        assert_eq!(SpanKind::from_code(SpanKind::ALL.len() as u32 + 1), None);
+        assert_eq!(SpanKind::from_label("no-such-kind"), None);
     }
 
     fn drain<const W: usize>(ring: &SeqRing<W>) -> Vec<[u64; W]> {
@@ -209,19 +220,17 @@ mod tests {
 
     #[test]
     fn wraparound_keeps_the_most_recent_lap() {
-        let ring = SeqRing::<2>::new(Instant::now(), 16);
+        let ring = SeqRing::<2>::new(16);
         let cap = ring.capacity() as u64;
         for i in 0..cap * 3 {
-            ring.push([i, ring.now_ns()]);
+            ring.push([i, i * 7]);
         }
-        assert_eq!(ring.written(), cap * 3);
         let mut out = drain(&ring);
         assert_eq!(out.len(), cap as usize, "full ring after 3 laps");
         out.sort_unstable();
         let firsts: Vec<u64> = out.iter().map(|w| w[0]).collect();
         assert_eq!(firsts, (cap * 2..cap * 3).collect::<Vec<_>>(), "only the last lap survives");
-        // One writer: clock order is write order.
-        assert!(out.windows(2).all(|w| w[0][1] <= w[1][1]));
+        assert!(out.iter().all(|w| w[1] == w[0] * 7), "no slot mixes two writes");
     }
 
     #[test]
@@ -254,12 +263,11 @@ mod tests {
                 })
             })
             .collect();
-        let epoch = Instant::now();
         let writers: Vec<_> = (0..4u64)
             .map(|w| {
                 let set = Arc::clone(&set);
                 std::thread::spawn(move || {
-                    let ring = set.register(SeqRing::new(epoch, 64));
+                    let ring = set.register(SeqRing::new(64));
                     for i in 0..20_000u64 {
                         let a = w << 32 | i;
                         ring.push([a, a ^ MARK, !a, a.rotate_left(17)]);

@@ -1,27 +1,38 @@
-//! Distributed tracing: wait-free per-worker span rings, wire-propagated
-//! trace context, tail-based slow-op capture, and a Chrome
-//! `trace_event` exporter.
+//! The one telemetry record: wait-free per-writer rings of [`Span`]s,
+//! wire-propagated trace context, tail-based slow-op capture, and the
+//! one text dump and Chrome `trace_event` exporter.
 //!
-//! A *span* is one timed step of one request — frame decode, run-queue
-//! wait, worker checkout, a transaction's reads and writes, the
-//! group-commit durability wait, each 2PC prepare/decide leg, a
-//! replica's ship/apply rounds — stamped with a 128-bit trace id and a
-//! parent span id so the steps of one logical operation can be stitched
-//! back together across connections, shards, and the replication
-//! stream.
+//! A *span* is one timed step — frame decode, run-queue wait, worker
+//! checkout, a transaction's reads and writes, the group-commit
+//! durability wait, each 2PC prepare/decide leg, a replica's ship/apply
+//! rounds. A flight event (a commit, an abort, a log stall, a GC pass)
+//! is a span of zero length. A record made inside a traced operation
+//! carries its 128-bit trace id and its parent span id, so the steps of
+//! one logical operation can be stitched back together across
+//! connections, shards and the replication stream; anything else has
+//! trace `(0, 0)` and parent 0.
 //!
-//! ## Write side: the flight-recorder discipline
+//! ## Write side
 //!
-//! Spans land in [`SpanRing`]s — the seqlock ring of [`crate::ring`],
-//! the flight recorder's, with nine payload words to its four. Writers
-//! never allocate, never lock, never wait. Each ring is single-writer
-//! (one per worker / shard thread / parker); a reader racing a lap sees
-//! a torn slot and skips it.
+//! Records land in [`SpanRing`]s — the seqlock ring of [`crate::ring`],
+//! nine words a slot. Writers never allocate (after a lane's first
+//! record), never lock, never wait. Each ring is single-writer (one per
+//! worker / shard thread / parker); a reader racing a lap sees a torn
+//! slot and skips it.
+//!
+//! ## Two classes, two lanes
+//!
+//! A traced record is *sampled*: one request in N, or one a client asked
+//! for. Every other record is *always on*. The two must not evict each
+//! other — a burst of commits would otherwise lap the spans of the one
+//! traced request a dump is fetched for — so a ring keeps one lane per
+//! class, each allocated on the first record of its class, and a dump
+//! cuts each class to its own bound.
 //!
 //! ## Sampling and retention
 //!
 //! Tracing is *off by default*: an untraced operation costs one
-//! `Option` branch and touches none of this module. Context arrives two
+//! `Option` branch beyond its always-on records. Context arrives two
 //! ways:
 //!
 //! * **head-based** — a client sends a `TraceContext` on the wire, or
@@ -30,19 +41,20 @@
 //! * **tail-based** — a traced operation whose total latency crosses
 //!   the slow threshold is *retained*: its spans are swept out of the
 //!   (otherwise wrapping) rings into the worst-K slow-op log, the
-//!   tracing analog of the flight recorder's auto-capture on
-//!   `LogStalled`.
+//!   tracing analog of the dump a log stall stores
+//!   ([`Tracer::store_last_dump`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ermia_common::rng::{SplitMix64, GAMMA};
 
 use crate::ring::{kinds, RingSet, SeqRing};
 
-/// Default number of slots in each span ring.
-pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
+/// Slots of a ring's sampled lane, and of its always-on lane.
+pub(crate) const SAMPLED_LANE_CAP: usize = 1024;
+pub(crate) const ALWAYS_LANE_CAP: usize = 512;
 
 /// Spans retained per slow op, and slow ops retained in the worst-K log.
 pub const SLOW_OP_SPAN_CAP: usize = 64;
@@ -82,56 +94,103 @@ impl TraceContext {
 }
 
 kinds! {
-    /// Span taxonomy. Codes are stable: they appear in dumps and tests.
+    /// What a record says happened. Codes are what a ring slot stores;
+    /// labels and field names are what dumps print.
     pub enum SpanKind {
-        /// A whole client request, decode to reply (`a` = opcode).
-        1 Request: "request";
-        /// Wire-frame CRC check + request decode.
-        2 FrameDecode: "frame-decode";
+        /// A whole client request, decode to reply.
+        1 Request: "request" (_, _);
+        /// Wire-frame checksum check + request decode.
+        2 FrameDecode: "frame-decode" (bytes, _);
         /// Waiting in a shard's run queue for a pooled worker.
-        3 RunQueue: "run-queue";
+        3 RunQueue: "run-queue" (_, _);
         /// Worker checkout from the pool (usually ~0; nonzero = contention).
-        4 WorkerCheckout: "worker-checkout";
-        /// Transaction begin (snapshot acquisition).
-        5 TxnBegin: "txn-begin";
-        /// One read (`a` = table, `b` = shard).
-        6 TxnRead: "txn-read";
-        /// One write — put/insert/delete (`a` = table, `b` = shard).
-        7 TxnWrite: "txn-write";
-        /// One range scan (`a` = index, `b` = rows returned).
-        8 TxnScan: "txn-scan";
+        4 WorkerCheckout: "worker-checkout" (_, _);
+        /// Transaction begin (snapshot acquisition) on shard `home`.
+        5 TxnBegin: "txn-begin" (home, tid);
+        /// One read (`home` = its shard).
+        6 TxnRead: "txn-read" (table, home);
+        /// One write — put/insert/delete (`home` = its shard, all ones
+        /// for a replicated table's fan-out).
+        7 TxnWrite: "txn-write" (table, home);
+        /// One range scan.
+        8 TxnScan: "txn-scan" (index, rows);
         /// `commit_deferred`: log-block fill + CAS publish, no durability.
-        9 CommitDeferred: "commit-deferred";
-        /// Group-commit durability wait (`a` = shard).
-        10 DurabilityWait: "durability-wait";
-        /// One participant's 2PC prepare incl. its durability wait
-        /// (`a` = participant shard, `b` = prepare cstamp).
-        11 TwoPcPrepare: "2pc-prepare";
-        /// The unforced verdict-record append on every participant's log,
-        /// after the commit was published and answered (`a` = gtid lsn).
-        12 TwoPcDecide: "2pc-decide";
+        9 CommitDeferred: "commit-deferred" (log, _);
+        /// Group-commit durability wait on shard `log`'s log.
+        10 DurabilityWait: "durability-wait" (log, _);
+        /// One participant's 2PC prepare incl. its block fill.
+        11 TwoPcPrepare: "2pc-prepare" (part, cstamp);
+        /// A cross-shard transaction's verdict records appended to its
+        /// participants' logs: for a commit after it was published and
+        /// answered (`commit` = 1), or an abort (0).
+        12 TwoPcDecide: "2pc-decide" (gtid, commit);
         /// In-memory publish on every participant, once all prepares are
-        /// durable (`a` = shard count).
-        13 TwoPcFinalize: "2pc-finalize";
-        /// Replica-side shipping round (`a` = bytes, `b` = shard).
-        14 ReplShip: "repl-ship";
-        /// Replica log apply (`a` = blocks or cstamp, `b` = shard).
-        15 ReplApply: "repl-apply";
+        /// durable.
+        13 TwoPcFinalize: "2pc-finalize" (parts, _);
+        /// Replica-side shipping round of replica shard `log`.
+        14 ReplShip: "repl-ship" (bytes, log);
+        /// A replica applied the log through `lsn`: a whole round's
+        /// `blocks`, or one stitched prepared transaction (its commit
+        /// stamp, one block).
+        15 ReplApply: "repl-apply" (lsn, blocks);
+        /// A transaction published its writes at `cstamp`.
+        16 TxnCommit: "txn-commit" (tid, cstamp);
+        /// A transaction aborted (`reason` = `AbortReason` index).
+        17 TxnAbort: "txn-abort" (tid, reason);
+        /// A commit's durability wait outlasted the log's patience.
+        18 LogStall: "log-stall" (waited_ms, _);
+        /// The log refused a write because it is poisoned.
+        19 LogPoison: "log-poison" (cause, _);
+        /// A collector pass.
+        20 GcPass: "gc-pass" (reclaimed, pass);
+        /// A checkpoint taken at cut `lsn`.
+        21 Checkpoint: "checkpoint" (lsn, removed);
+        /// The unified epoch advanced.
+        22 EpochAdvance: "epoch-advance" (epoch, _);
+        /// The database entered degraded read-only mode (log poisoned).
+        23 DbDegraded: "db-degraded" (durable, _);
+        /// The database resumed Active after an operator cleared the fault.
+        24 DbResumed: "db-resumed" (durable, _);
+        /// A server session parked a sync-commit reply on the durability
+        /// parker (the reply slot waits for the log instead of a thread).
+        25 SessionParked: "session-parked" (conn, seq);
+        /// A parked session's commit resolved; its reply slot was filled
+        /// and write interest re-armed.
+        26 SessionResumed: "session-resumed" (conn, waited_us);
+        /// Recovery resolved an in-doubt prepared transaction (`how` bit
+        /// 0 = committed, bit 1 = no verdict record was found and the
+        /// count of prepares decided).
+        27 TwoPcResolve: "2pc-resolve" (gtid, how);
+        /// The backup shipper served a log chunk to a subscriber.
+        28 ReplSegmentShipped: "repl-segment-shipped" (offset, bytes);
+        /// An offline recovery rebuilt the database (checkpoint and log
+        /// bytes scanned, versions built).
+        29 Recovery: "recovery" (scanned, built);
+        /// The listener ran out of descriptors and a queued connection was
+        /// answered `Busy` through the reserve one (`shed` = how many so
+        /// far).
+        30 AcceptShed: "accept-shed" (errno, shed);
     }
 }
 
-/// A decoded span. `a`/`b` are kind-specific payload words.
+/// One decoded record. `a`/`b` are kind-specific payload words
+/// ([`SpanKind::fields`] names them). A flight event has `dur_ns == 0`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     pub trace_hi: u64,
     pub trace_lo: u64,
-    /// Unique within the process: high 16 bits = ring number.
+    /// Unique within the process: high 16 bits = ring number. An
+    /// untraced record's low 48 bits are 0: nothing names it as a parent.
     pub span_id: u64,
     pub parent: u64,
     pub kind: SpanKind,
-    /// Nanoseconds since the owning [`Tracer`]'s epoch.
+    /// Nanoseconds since the owning [`Tracer`]'s epoch (in a merged
+    /// dump, the first tracer's).
     pub start_ns: u64,
     pub dur_ns: u64,
+    /// Which tracer of a merged dump wrote it (the engine shard); 0 from
+    /// a single tracer.
+    pub shard: u32,
     pub a: u64,
     pub b: u64,
 }
@@ -141,42 +200,62 @@ impl Span {
         format!("{:016x}{:016x}", self.trace_hi, self.trace_lo)
     }
 
-    /// Which ring (≈ thread) wrote this span; the Chrome `tid`.
+    /// Which ring (≈ thread) wrote this record; the Chrome `tid`.
     pub fn ring(&self) -> u64 {
         self.span_id >> RING_ID_SHIFT
+    }
+
+    /// Recorded inside a traced operation: the sampled class.
+    pub fn is_traced(&self) -> bool {
+        self.trace_hi != 0 || self.trace_lo != 0
     }
 }
 
 const RING_ID_SHIFT: u32 = 48;
 
-/// One writer's span ring: a `SeqRing` whose slots are a [`Span`]'s
-/// nine words, plus the ring's share of the span-id space.
+/// Ring numbers, process-wide, so a span id is unique across the tracers
+/// of every shard. Sixteen bits; 0 is never handed out.
+static NEXT_RING: AtomicU64 = AtomicU64::new(1);
+
+fn next_ring_number() -> u64 {
+    loop {
+        let n = NEXT_RING.fetch_add(1, Ordering::Relaxed) & 0xFFFF;
+        if n != 0 {
+            return n;
+        }
+    }
+}
+
+/// One writer's handle: a lane of `SeqRing` slots per class, each a
+/// [`Span`]'s nine words, plus the ring's share of the span-id space.
 pub struct SpanRing {
-    ring: SeqRing<9>,
+    epoch: Instant,
+    sampled: OnceLock<SeqRing<9>>,
+    always: OnceLock<SeqRing<9>>,
+    caps: (usize, usize),
     /// `ring_number << 48`; ors with a local counter to make span ids.
     id_base: u64,
     next_id: AtomicU64,
 }
 
 impl SpanRing {
-    fn new(epoch: Instant, cap: usize, ring_number: u64) -> SpanRing {
+    fn new(epoch: Instant, caps: (usize, usize)) -> SpanRing {
         SpanRing {
-            ring: SeqRing::new(epoch, cap),
-            id_base: ring_number << RING_ID_SHIFT,
+            epoch,
+            sampled: OnceLock::new(),
+            always: OnceLock::new(),
+            caps,
+            id_base: next_ring_number() << RING_ID_SHIFT,
             next_id: AtomicU64::new(1),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Nanoseconds since the tracer epoch — the span timebase. Every
-    /// ring of one [`Tracer`] shares the epoch, so spans from different
+    /// ring of one [`Tracer`] shares the epoch, so records from different
     /// threads land on one comparable timeline.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.ring.now_ns()
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Allocate a span id (to parent children under before the span
@@ -186,9 +265,16 @@ impl SpanRing {
         self.id_base | (self.next_id.fetch_add(1, Ordering::Relaxed) & ((1 << RING_ID_SHIFT) - 1))
     }
 
-    /// Record a completed span under a pre-allocated id. Allocation-free,
-    /// lock-free, wait-free. The flat argument list mirrors the slot
-    /// layout on purpose — no struct is built on the hot path.
+    #[inline]
+    fn lane(&self, traced: bool) -> &SeqRing<9> {
+        let (lane, cap) =
+            if traced { (&self.sampled, self.caps.0) } else { (&self.always, self.caps.1) };
+        lane.get_or_init(|| SeqRing::new(cap))
+    }
+
+    /// Record a completed span under a pre-allocated id, in the lane of
+    /// its class. Lock-free, wait-free. The flat argument list mirrors
+    /// the slot layout on purpose — no struct is built on the hot path.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn record_with_id(
@@ -203,7 +289,7 @@ impl SpanRing {
     ) {
         let dur_ns = end_ns.saturating_sub(start_ns);
         let kind = kind.code() as u64;
-        self.ring.push([
+        self.lane(ctx.is_traced()).push([
             ctx.trace_hi,
             ctx.trace_lo,
             span_id,
@@ -216,7 +302,8 @@ impl SpanRing {
         ]);
     }
 
-    /// Record a completed span, allocating its id. Returns the id.
+    /// Record a completed span; a traced one gets an id of its own,
+    /// which is returned.
     #[inline]
     pub fn record(
         &self,
@@ -227,34 +314,45 @@ impl SpanRing {
         a: u64,
         b: u64,
     ) -> u64 {
-        let id = self.alloc_span_id();
+        let id = if ctx.is_traced() { self.alloc_span_id() } else { self.id_base };
         self.record_with_id(ctx, kind, id, start_ns, end_ns, a, b);
         id
     }
 
-    /// Spans written so far (monotonic, may exceed capacity).
-    pub fn written(&self) -> u64 {
-        self.ring.written()
+    /// Record a flight event: a span of zero length, now.
+    #[inline]
+    pub fn event(&self, ctx: &TraceContext, kind: SpanKind, a: u64, b: u64) {
+        let now = self.now_ns();
+        self.record(ctx, kind, now, now, a, b);
     }
 
-    /// Copy out every currently-valid span. Torn slots are skipped,
-    /// never misread (seqlock double-read).
+    /// What the allocated lanes take.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        [&self.sampled, &self.always].iter().filter_map(|l| l.get()).map(|l| l.bytes()).sum()
+    }
+
+    /// Copy out every currently-valid record of both lanes. Torn slots
+    /// are skipped, never misread (seqlock double-read).
     pub fn snapshot(&self, out: &mut Vec<Span>) {
-        self.ring.snapshot(|[trace_hi, trace_lo, span_id, parent, kind, start_ns, dur_ns, a, b]| {
-            if let Some(kind) = SpanKind::from_code(kind as u32) {
-                out.push(Span {
-                    trace_hi,
-                    trace_lo,
-                    span_id,
-                    parent,
-                    kind,
-                    start_ns,
-                    dur_ns,
-                    a,
-                    b,
-                });
-            }
-        });
+        for lane in [&self.sampled, &self.always].into_iter().filter_map(OnceLock::get) {
+            lane.snapshot(|[trace_hi, trace_lo, span_id, parent, kind, start_ns, dur_ns, a, b]| {
+                if let Some(kind) = SpanKind::from_code(kind as u32) {
+                    out.push(Span {
+                        trace_hi,
+                        trace_lo,
+                        span_id,
+                        parent,
+                        kind,
+                        start_ns,
+                        dur_ns,
+                        shard: 0,
+                        a,
+                        b,
+                    });
+                }
+            });
+        }
     }
 }
 
@@ -310,37 +408,42 @@ fn hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Owns the shared clock epoch, the registered span rings, the trace-id
-/// generator, and the slow-op log. One per [`crate::Telemetry`].
+/// Owns the shared clock epoch, the registered rings, the trace-id
+/// generator, the slow-op log and the dump a failure stored. One per
+/// [`crate::Telemetry`].
 pub struct Tracer {
     epoch: Instant,
-    ring_cap: usize,
+    caps: (usize, usize),
     rings: RingSet<SpanRing>,
-    next_ring: AtomicU64,
     id_seed: AtomicU64,
     /// Tail-capture threshold; 0 disables retention.
     slow_threshold_ns: AtomicU64,
     slow: Mutex<Vec<SlowOp>>,
-    /// Long-lived ring for infra spans (replica ship/apply, recovery)
-    /// whose writers don't have a worker identity. Multi-writer is
-    /// tolerated here under the flight recorder's collision argument.
+    /// Long-lived ring for background services (GC passes, checkpoints,
+    /// epoch advances, recovery, replica ship/apply) whose writers have
+    /// no worker identity. Multi-writer is tolerated here under the
+    /// ring's collision argument.
     svc: Arc<SpanRing>,
+    last_dump: Mutex<Option<String>>,
 }
 
 impl Tracer {
-    pub fn new(ring_cap: usize) -> Tracer {
+    /// A tracer whose rings hold `sampled_cap` traced records and
+    /// `always_cap` others.
+    pub fn new(sampled_cap: usize, always_cap: usize) -> Tracer {
         let epoch = Instant::now();
+        let caps = (sampled_cap, always_cap);
         let rings = RingSet::new();
-        let svc = rings.register(SpanRing::new(epoch, ring_cap, 1));
+        let svc = rings.register(SpanRing::new(epoch, caps));
         Tracer {
             epoch,
-            ring_cap,
+            caps,
             rings,
-            next_ring: AtomicU64::new(2),
             id_seed: AtomicU64::new(GAMMA),
             slow_threshold_ns: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             svc,
+            last_dump: Mutex::new(None),
         }
     }
 
@@ -352,18 +455,17 @@ impl Tracer {
 
     /// Register a ring for a new single-writer owner.
     pub fn ring(&self) -> Arc<SpanRing> {
-        let n = self.next_ring.fetch_add(1, Ordering::Relaxed);
-        self.rings.register(SpanRing::new(self.epoch, self.ring_cap, n))
+        self.rings.register(SpanRing::new(self.epoch, self.caps))
     }
 
-    /// The shared service ring for infra spans.
+    /// The shared service ring.
     pub fn svc_ring(&self) -> &Arc<SpanRing> {
         &self.svc
     }
 
-    /// Drop a retired worker's ring from dumps. Its already-recorded
-    /// spans disappear with it — acceptable for a debugging ring, and
-    /// slow-op retention already copied anything that mattered.
+    /// Drop a retired writer's ring from dumps. Its records disappear
+    /// with it — a dump is about *recent live* activity, and slow-op
+    /// retention already copied anything that mattered.
     pub fn retire(&self, ring: &Arc<SpanRing>) {
         self.rings.retire(ring);
     }
@@ -423,7 +525,7 @@ impl Tracer {
         slow.truncate(SLOW_OP_LOG_CAP);
     }
 
-    /// Every span currently in any ring carrying the given trace id.
+    /// Every record currently in any ring carrying the given trace id.
     pub fn capture_trace(&self, trace_hi: u64, trace_lo: u64) -> Vec<Span> {
         let mut out = Vec::new();
         self.rings.for_each(|_, ring| ring.snapshot(&mut out));
@@ -437,21 +539,60 @@ impl Tracer {
         self.slow.lock().unwrap().clone()
     }
 
-    /// Merge every live ring plus the slow-op retention buffers into one
-    /// time-sorted bounded span list (newest kept when over `max`).
+    /// [`Tracer::dump_merged`] of this tracer alone, `max` records of
+    /// each class.
     pub fn dump_spans(&self, max: usize) -> Vec<Span> {
-        let mut out = Vec::new();
-        self.rings.for_each(|_, ring| ring.snapshot(&mut out));
-        for op in self.slow.lock().unwrap().iter() {
-            out.extend_from_slice(&op.spans);
+        Tracer::dump_merged(&[self], max, max)
+    }
+
+    /// Merge every live ring plus the slow-op retention buffers of
+    /// several tracers (one per engine shard) into one time-sorted list
+    /// on the first tracer's clock, each record tagged with its tracer's
+    /// position. Each class is cut to its newest records on its own:
+    /// `max_sampled` traced ones and `max_always` others.
+    pub fn dump_merged(tracers: &[&Tracer], max_sampled: usize, max_always: usize) -> Vec<Span> {
+        let Some(base) = tracers.first().map(|t| t.epoch) else { return Vec::new() };
+        let mut all = Vec::new();
+        for (shard, tracer) in tracers.iter().enumerate() {
+            let from = all.len();
+            tracer.rings.for_each(|_, ring| ring.snapshot(&mut all));
+            for op in tracer.slow.lock().unwrap().iter() {
+                all.extend_from_slice(&op.spans);
+            }
+            let (ahead, behind) = match tracer.epoch.checked_duration_since(base) {
+                Some(d) => (d.as_nanos() as u64, 0),
+                None => (0, base.duration_since(tracer.epoch).as_nanos() as u64),
+            };
+            for s in &mut all[from..] {
+                s.shard = shard as u32;
+                s.start_ns = (s.start_ns + ahead).saturating_sub(behind);
+            }
         }
-        out.sort_by_key(|s| (s.start_ns, s.span_id));
-        out.dedup();
-        if out.len() > max {
-            let cut = out.len() - max;
-            out.drain(..cut);
-        }
+        all.sort_by_key(|s| (s.start_ns, s.span_id));
+        all.dedup();
+        let mut room = (max_sampled, max_always);
+        let mut out: Vec<Span> = all
+            .into_iter()
+            .rev()
+            .filter(|s| {
+                let left = if s.is_traced() { &mut room.0 } else { &mut room.1 };
+                let keep = *left > 0;
+                *left = left.saturating_sub(1);
+                keep
+            })
+            .collect();
+        out.reverse();
         out
+    }
+
+    /// Keep a dump taken at a failure boundary (log stall/poison) so it
+    /// can be fetched later even after the moment has passed.
+    pub fn store_last_dump(&self, dump: String) {
+        *self.last_dump.lock().unwrap() = Some(dump);
+    }
+
+    pub fn last_dump(&self) -> Option<String> {
+        self.last_dump.lock().unwrap().clone()
     }
 }
 
@@ -459,14 +600,16 @@ impl Tracer {
 // Text dump + Chrome trace_event rendering
 // ---------------------------------------------------------------------------
 
-/// Render spans as the line-based text format carried by the
-/// `DumpTraces` wire frame: one span per line,
-/// `trace=<32hex> id=<hex> parent=<hex> kind=<label> start=<ns> dur=<ns> a=<n> b=<n>`.
+/// Render records as the line-based text format the `DumpTraces` wire
+/// frame carries: one record per line,
+/// `trace=<32hex> id=<hex> parent=<hex> kind=<label> start=<ns> dur=<ns>
+/// shard=<n>`, then the kind's named fields ([`SpanKind::fields`]), e.g.
+/// `tid=7 cstamp=4096`; a field the kind leaves unnamed is omitted.
 pub fn render_spans(spans: &[Span]) -> String {
-    let mut s = String::new();
+    let mut s = String::with_capacity(spans.len() * 128);
     for sp in spans {
         s.push_str(&format!(
-            "trace={:016x}{:016x} id={:x} parent={:x} kind={} start={} dur={} a={} b={}\n",
+            "trace={:016x}{:016x} id={:x} parent={:x} kind={} start={} dur={} shard={}",
             sp.trace_hi,
             sp.trace_lo,
             sp.span_id,
@@ -474,70 +617,58 @@ pub fn render_spans(spans: &[Span]) -> String {
             sp.kind.label(),
             sp.start_ns,
             sp.dur_ns,
-            sp.a,
-            sp.b
+            sp.shard,
         ));
+        let (a, b) = sp.kind.fields();
+        for (name, v) in [(a, sp.a), (b, sp.b)] {
+            if name != "_" {
+                s.push_str(&format!(" {name}={v}"));
+            }
+        }
+        s.push('\n');
     }
     s
 }
 
-/// Parse [`render_spans`] output. Unknown lines and unknown span kinds
-/// are skipped (forward compatibility); `None` only on a structurally
-/// broken field.
+/// Parse [`render_spans`] output. Lines that are not records, unknown
+/// record kinds and unknown fields are skipped (forward compatibility);
+/// `None` only on a structurally broken field.
 pub fn parse_spans(text: &str) -> Option<Vec<Span>> {
     let mut out = Vec::new();
-    for line in text.lines() {
-        if !line.starts_with("trace=") {
-            continue;
+    for line in text.lines().filter(|l| l.starts_with("trace=")) {
+        let fields: Vec<(&str, &str)> =
+            line.split_whitespace().map(|f| f.split_once('=')).collect::<Option<_>>()?;
+        let get = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
+        let Some(kind) = get("kind").and_then(SpanKind::from_label) else { continue };
+        let hex = |name| u64::from_str_radix(get(name)?, 16).ok();
+        let dec = |name| get(name)?.parse::<u64>().ok();
+        let trace = get("trace")?;
+        if trace.len() != 32 {
+            return None;
         }
-        let mut trace = None;
-        let mut id = None;
-        let mut parent = None;
-        let mut kind = None;
-        let mut start = None;
-        let mut dur = None;
-        let mut a = None;
-        let mut b = None;
-        for field in line.split_whitespace() {
-            let (k, v) = field.split_once('=')?;
-            match k {
-                "trace" => {
-                    if v.len() != 32 {
-                        return None;
-                    }
-                    let hi = u64::from_str_radix(&v[..16], 16).ok()?;
-                    let lo = u64::from_str_radix(&v[16..], 16).ok()?;
-                    trace = Some((hi, lo));
-                }
-                "id" => id = Some(u64::from_str_radix(v, 16).ok()?),
-                "parent" => parent = Some(u64::from_str_radix(v, 16).ok()?),
-                "kind" => kind = SpanKind::from_label(v),
-                "start" => start = Some(v.parse().ok()?),
-                "dur" => dur = Some(v.parse().ok()?),
-                "a" => a = Some(v.parse().ok()?),
-                "b" => b = Some(v.parse().ok()?),
-                _ => {}
-            }
-        }
-        let Some(kind) = kind else { continue };
-        let (trace_hi, trace_lo) = trace?;
+        let (a, b) = kind.fields();
+        // A word the kind leaves unnamed is 0; one named but missing or
+        // malformed breaks the line.
+        let word = |name| if name == "_" { Some(0) } else { dec(name) };
         out.push(Span {
-            trace_hi,
-            trace_lo,
-            span_id: id?,
-            parent: parent?,
+            trace_hi: u64::from_str_radix(&trace[..16], 16).ok()?,
+            trace_lo: u64::from_str_radix(&trace[16..], 16).ok()?,
+            span_id: hex("id")?,
+            parent: hex("parent")?,
             kind,
-            start_ns: start?,
-            dur_ns: dur?,
-            a: a?,
-            b: b?,
+            start_ns: dec("start")?,
+            dur_ns: dec("dur")?,
+            shard: get("shard").map_or(Some(0), |v| v.parse().ok())?,
+            a: word(a)?,
+            b: word(b)?,
         });
     }
     Some(out)
 }
 
-/// Render spans as Chrome `trace_event` JSON (the array form), loadable
-/// in `chrome://tracing` and Perfetto. Complete "X" phase events: `ts`
+/// Render records as Chrome `trace_event` JSON (the array form), loadable
+/// in `chrome://tracing` and Perfetto: a span is a complete "X" event, a
+/// zero-length record an instant "i" event on the same timeline. `ts`
 /// and `dur` in microseconds, `pid` = 1, `tid` = the writing ring.
 pub fn chrome_trace_json(spans: &[Span]) -> String {
     let mut s = String::from("[");
@@ -545,13 +676,15 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
         if i > 0 {
             s.push(',');
         }
+        let shape = match sp.dur_ns {
+            0 => "\"ph\":\"i\",\"s\":\"t\"".to_string(),
+            ns => format!("\"ph\":\"X\",\"dur\":{:.3}", ns as f64 / 1e3),
+        };
         s.push_str(&format!(
-            "\n{{\"name\":\"{}\",\"cat\":\"ermia\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"trace\":\"{}\",\"span\":\"{:x}\",\
-             \"parent\":\"{:x}\",\"a\":{},\"b\":{}}}}}",
+            "\n{{\"name\":\"{}\",\"cat\":\"ermia\",{shape},\"ts\":{:.3},\"pid\":1,\"tid\":{},\
+             \"args\":{{\"trace\":\"{}\",\"span\":\"{:x}\",\"parent\":\"{:x}\",\"a\":{},\"b\":{}}}}}",
             sp.kind.label(),
             sp.start_ns as f64 / 1e3,
-            sp.dur_ns as f64 / 1e3,
             sp.ring(),
             sp.trace_hex(),
             sp.span_id,
@@ -574,7 +707,7 @@ mod tests {
 
     #[test]
     fn record_snapshot_roundtrip() {
-        let tr = Tracer::new(64);
+        let tr = Tracer::new(64, 64);
         let ring = tr.ring();
         let c = ctx(7, 9, 3);
         let t0 = ring.now_ns();
@@ -590,11 +723,55 @@ mod tests {
         assert_eq!((s.a, s.b), (4, 2));
     }
 
+    /// A flight event is a zero-length record: untraced, it lands in the
+    /// always-on lane with no id of its own; inside a traced operation it
+    /// carries the trace and the parent and gets one. A lane is allocated
+    /// by the first record of its class, and only then.
     #[test]
-    fn span_ids_are_unique_across_rings() {
-        let tr = Tracer::new(16);
-        let r1 = tr.ring();
-        let r2 = tr.ring();
+    fn an_event_is_a_span_of_zero_length_in_the_lane_of_its_class() {
+        let tr = Tracer::new(64, 32);
+        let ring = tr.ring();
+        let slot = 80; // nine words and the sequence word
+        assert_eq!(ring.bytes(), 0, "no lane before a record");
+        ring.event(&TraceContext::UNTRACED, SpanKind::TxnCommit, 5, 77);
+        assert_eq!(ring.bytes(), 32 * slot, "the always-on lane only");
+        ring.event(&ctx(1, 2, 0x99), SpanKind::TxnCommit, 6, 78);
+        assert_eq!(ring.bytes(), (64 + 32) * slot);
+        assert_eq!(tr.svc_ring().bytes(), 0, "the service ring holds no lane yet");
+        let mut out = Vec::new();
+        ring.snapshot(&mut out);
+        out.sort_by_key(|s| s.a);
+        let [plain, traced] = [out[0], out[1]];
+        assert_eq!((plain.dur_ns, plain.parent, plain.is_traced()), (0, 0, false));
+        assert_eq!(plain.span_id, plain.ring() << RING_ID_SHIFT, "no id of its own");
+        assert_eq!((traced.dur_ns, traced.parent, traced.is_traced()), (0, 0x99, true));
+        assert_ne!(traced.span_id & ((1 << RING_ID_SHIFT) - 1), 0);
+    }
+
+    /// Sampled and always-on records do not evict each other: a burst of
+    /// untraced records laps only its own lane, and a dump's cut bounds
+    /// each class on its own.
+    #[test]
+    fn the_two_classes_never_evict_each_other() {
+        let tr = Tracer::new(16, 16);
+        let ring = tr.ring();
+        let traced = ctx(4, 4, 0);
+        ring.record(&traced, SpanKind::Request, 0, 10, 0, 0);
+        for i in 0..1000 {
+            ring.event(&TraceContext::UNTRACED, SpanKind::TxnBegin, 0, i);
+        }
+        let dump = tr.dump_spans(8);
+        assert!(dump.iter().any(|s| s.kind == SpanKind::Request), "the span survived the burst");
+        assert_eq!(dump.iter().filter(|s| !s.is_traced()).count(), 8);
+        assert_eq!(dump.iter().rfind(|s| !s.is_traced()).unwrap().b, 999, "newest kept");
+        assert!(Tracer::dump_merged(&[&tr], 0, 4).iter().all(|s| !s.is_traced()));
+    }
+
+    #[test]
+    fn span_ids_are_unique_across_rings_and_tracers() {
+        let (t1, t2) = (Tracer::new(16, 16), Tracer::new(16, 16));
+        let r1 = t1.ring();
+        let r2 = t2.ring();
         let ids: Vec<u64> =
             (0..10).flat_map(|_| [r1.alloc_span_id(), r2.alloc_span_id()]).collect();
         let mut dedup = ids.clone();
@@ -604,9 +781,38 @@ mod tests {
         assert_ne!(r1.alloc_span_id() >> RING_ID_SHIFT, r2.alloc_span_id() >> RING_ID_SHIFT);
     }
 
+    /// A merged dump puts every tracer on the first one's clock and tags
+    /// each record with its tracer's position.
+    #[test]
+    fn a_merged_dump_rebases_and_tags_each_tracer() {
+        let first = Tracer::new(16, 16);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let second = Tracer::new(16, 16);
+        let (r1, r2) = (first.ring(), second.ring());
+        r1.event(&TraceContext::UNTRACED, SpanKind::GcPass, 1, 0);
+        r2.event(&TraceContext::UNTRACED, SpanKind::GcPass, 2, 0);
+        let own = second.dump_spans(8)[0].start_ns;
+        let merged = Tracer::dump_merged(&[&first, &second], 8, 8);
+        let of = |a| *merged.iter().find(|s| s.a == a).unwrap();
+        assert_eq!((of(1).shard, of(2).shard), (0, 1));
+        assert!(of(2).start_ns >= own + 2_000_000, "shifted by the epochs' distance");
+    }
+
+    #[test]
+    fn retire_removes_the_ring_from_dumps() {
+        let tr = Tracer::new(8, 8);
+        let ring = tr.ring();
+        ring.event(&TraceContext::UNTRACED, SpanKind::GcPass, 7, 1);
+        assert!(tr.dump_spans(16).iter().any(|s| s.kind == SpanKind::GcPass));
+        tr.retire(&ring);
+        assert!(tr.dump_spans(16).is_empty());
+        tr.store_last_dump("kept".into());
+        assert_eq!(tr.last_dump().as_deref(), Some("kept"));
+    }
+
     #[test]
     fn trace_ids_are_nonzero_and_distinct() {
-        let tr = Tracer::new(8);
+        let tr = Tracer::new(8, 8);
         let a = tr.new_trace_id();
         let b = tr.new_trace_id();
         assert_ne!(a, b);
@@ -616,7 +822,7 @@ mod tests {
 
     #[test]
     fn capture_trace_filters_and_sorts() {
-        let tr = Tracer::new(64);
+        let tr = Tracer::new(64, 64);
         let ring = tr.ring();
         let want = ctx(5, 5, 0);
         let other = ctx(6, 6, 0);
@@ -631,7 +837,7 @@ mod tests {
 
     #[test]
     fn slow_op_retention_is_worst_k_and_survives_ring_wrap() {
-        let tr = Tracer::new(8);
+        let tr = Tracer::new(8, 8);
         tr.set_slow_threshold_ns(1_000);
         let ring = tr.ring();
         let slow = ctx(42, 43, 0);
@@ -665,7 +871,7 @@ mod tests {
 
     #[test]
     fn untraced_ops_are_never_retained() {
-        let tr = Tracer::new(8);
+        let tr = Tracer::new(8, 8);
         tr.set_slow_threshold_ns(1);
         tr.maybe_capture_slow(&ctx(0, 0, 0), "put", 1, b"k", u64::MAX);
         assert!(tr.slow_ops().is_empty());
@@ -673,32 +879,42 @@ mod tests {
 
     #[test]
     fn text_roundtrip() {
-        let tr = Tracer::new(16);
+        let tr = Tracer::new(16, 16);
         let ring = tr.ring();
         let c = ctx(0xdead, 0xbeef, 0x1);
         ring.record(&c, SpanKind::TwoPcPrepare, 10, 250, 1, 777);
         ring.record(&c, SpanKind::ReplApply, 300, 400, 2, 0);
+        ring.event(&TraceContext::UNTRACED, SpanKind::TxnAbort, 12, 3);
+        ring.event(&c, SpanKind::Request, 0, 0);
         let spans = tr.dump_spans(100);
         let text = render_spans(&spans);
+        assert!(text.contains(" part=1 cstamp=777\n"), "fields go by their names:\n{text}");
+        assert!(text.contains("kind=request start="), "{text}");
+        assert!(!text.contains(" a="), "an unnamed word is omitted:\n{text}");
         let parsed = parse_spans(&text).unwrap();
         assert_eq!(parsed, spans);
-        // Unknown lines are skipped, not fatal.
-        let parsed = parse_spans(&format!("# comment\n{text}extra garbage\n")).unwrap();
+        // Unknown lines, kinds and fields are skipped, not fatal.
+        let extra = "trace=00000000000000000000000000000000 id=1 parent=0 kind=new-kind \
+                     start=1 dur=0 shard=0 x=1\n";
+        let parsed = parse_spans(&format!("# comment\n{text}{extra}extra garbage\n")).unwrap();
         assert_eq!(parsed, spans);
+        assert_eq!(parse_spans(&text.replace("cstamp=777", "cstamp=x")), None);
     }
 
     #[test]
     fn chrome_json_is_structurally_valid() {
-        let tr = Tracer::new(16);
+        let tr = Tracer::new(16, 16);
         let ring = tr.ring();
         let c = ctx(0xabc, 0xdef, 0);
         ring.record(&c, SpanKind::Request, 0, 1000, 1, 0);
         ring.record(&c, SpanKind::DurabilityWait, 100, 900, 0, 0);
+        ring.event(&c, SpanKind::TxnCommit, 3, 4);
         let json = chrome_trace_json(&tr.dump_spans(100));
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"name\":\"durability-wait\""));
-        assert!(json.contains("\"ph\":\"X\""));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
+        assert_eq!(json.matches("\"ph\":\"i\"").count(), 1, "the event is an instant");
         // Balanced delimiters outside strings — the minimal structural
         // check a JSON-less test suite can make.
         let (mut depth_sq, mut depth_br, mut in_str, mut prev_esc) = (0i64, 0i64, false, false);
@@ -726,7 +942,7 @@ mod tests {
 
     #[test]
     fn slow_op_summary_names_op_table_key_and_breakdown() {
-        let tr = Tracer::new(16);
+        let tr = Tracer::new(16, 16);
         tr.set_slow_threshold_ns(1);
         let c = ctx(3, 4, 0);
         let ring = tr.ring();

@@ -9,17 +9,20 @@
 //!
 //! * `--once` (the CI smoke step): starts an embedded two-shard server
 //!   on an ephemeral port, runs one traced cross-shard read-write
-//!   transaction with a synchronous commit, dumps the span rings, and
-//!   checks that the golden span kinds for that path are all present
+//!   transaction with a synchronous commit, dumps the rings, and checks
+//!   that the golden span kinds for that path are all present
 //!   (`request`, `frame-decode`, `txn-write`, `2pc-prepare` on both
-//!   participant shards, `2pc-decide`). Exits non-zero if any is
-//!   missing.
+//!   participant shards, `2pc-decide`) and that its flight events
+//!   (`txn-commit`, `session-parked`) came with it. Exits non-zero if
+//!   any is missing.
 //! * `<addr>`: connects to a live server, runs the same traced probe
 //!   transaction against a `trace_demo` table, and dumps whatever the
 //!   server retained.
 //!
-//! Either way the spans for the minted trace id are rendered as Chrome
-//! `trace_event` JSON on stdout; everything else goes to stderr.
+//! Either way the records of the minted trace id are rendered as Chrome
+//! `trace_event` JSON on stdout — spans as complete events, flight events
+//! (spans of zero length) as instants on the same timeline; everything
+//! else goes to stderr.
 
 use ermia::{DbConfig, ShardedDb};
 use ermia_server::{Client, Server, ServerConfig, WireIsolation};
@@ -53,13 +56,15 @@ fn dump_trace(client: &mut Client, trace: (u64, u64)) -> Vec<Span> {
     spans.into_iter().filter(|s| (s.trace_hi, s.trace_lo) == trace).collect()
 }
 
-/// The span kinds a traced cross-shard sync commit must produce.
+/// The record kinds a traced cross-shard sync commit must produce.
 const GOLDEN: &[SpanKind] = &[
     SpanKind::Request,
     SpanKind::FrameDecode,
     SpanKind::TxnWrite,
     SpanKind::TwoPcPrepare,
     SpanKind::TwoPcDecide,
+    SpanKind::TxnCommit,
+    SpanKind::SessionParked,
 ];
 
 fn check_golden(spans: &[Span]) -> Result<(), String> {
@@ -86,17 +91,22 @@ fn check_golden(spans: &[Span]) -> Result<(), String> {
 }
 
 fn summarize(spans: &[Span]) {
-    eprintln!("{} spans in trace:", spans.len());
+    eprintln!("{} records in trace:", spans.len());
     let mut sorted = spans.to_vec();
     sorted.sort_by_key(|s| s.start_ns);
     for s in &sorted {
+        let (a, b) = s.kind.fields();
+        let fields: Vec<String> = [(a, s.a), (b, s.b)]
+            .iter()
+            .filter(|(name, _)| *name != "_")
+            .map(|(name, v)| format!("{name}={v}"))
+            .collect();
         eprintln!(
-            "  {:<16} start={:>12}ns dur={:>9}ns a={} b={}",
+            "  {:<16} start={:>12}ns dur={:>9}ns {}",
             s.kind.label(),
             s.start_ns,
             s.dur_ns,
-            s.a,
-            s.b
+            fields.join(" ")
         );
     }
 }
