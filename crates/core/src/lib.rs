@@ -65,8 +65,8 @@ pub use database::{Database, DbState, IndexInfo, LogRetention, NodeRole, Table};
 pub use pool::{PooledWorker, RegisterWorker, WorkerPool};
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
-    shard_of_key, DeferredCommit, IndexRouting, ShardPolicy, ShardRecoveryStats, ShardedDb,
-    ShardedTransaction, ShardedWorker, StagedCommit,
+    shard_of_key, DeferredCommit, IndexRouting, Parker, Settled, ShardPolicy, ShardRecoveryStats,
+    ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
 };
 pub use transaction::{CommitToken, Transaction};
 pub use worker::Worker;

@@ -20,10 +20,10 @@
 //! server, the worker pool and the workload adapters run on a
 //! `ShardedDb` only (`ShardedDb::open(cfg, 1)`).
 //!
-//! The module is its three concerns: `routing` (key → shard), `staged`
-//! (the commit handle and the two-phase state machine behind it) and the
-//! facade — [`ShardedDb`] with recovery here, [`ShardedWorker`] and
-//! [`ShardedTransaction`] in `txn`.
+//! The module is its four concerns: `routing` (key → shard), `staged`
+//! (the two-phase state machine), `parker` (the commit handle and the one
+//! wait on the logs) and the facade — [`ShardedDb`] with recovery here,
+//! [`ShardedWorker`] and [`ShardedTransaction`] in `txn`.
 //!
 //! **Cross-shard transactions** commit in one durability round, layered
 //! on the existing commit/durability split:
@@ -49,10 +49,10 @@
 //! Between the steps nothing is needed but log offsets turning durable,
 //! so from "every writer prepared" on the commit is an owned state
 //! machine (prepared → finalized), [`StagedCommit`], whose participants
-//! are parked — detached from the worker, no epoch pinned.
-//! [`ShardedTransaction::commit`] drives it with a blocking wait; the
-//! server parks it with a thread that waits on logs and gets its worker
-//! back at once.
+//! are parked — detached from the worker, no epoch pinned. A [`Parker`]
+//! waits it out on the logs: the one [`ShardedTransaction::commit`] runs
+//! for its own commit, or the server's, holding every commit in flight
+//! while the worker goes back at once.
 //!
 //! The failure side: a commit that gives up after its prepares are
 //! written (a stalled or poisoned log, a dropped [`StagedCommit`]) first
@@ -130,6 +130,7 @@
 //! paper compares against (H-Store-style) rather than a globally
 //! serializable distributed engine.
 
+mod parker;
 mod routing;
 mod staged;
 mod txn;
@@ -147,10 +148,11 @@ use crate::config::DbConfig;
 use crate::database::{invalid, Database, DbState, NodeRole};
 use crate::recovery::{LogApplier, RecoveryStats};
 
+pub use parker::{DeferredCommit, Parker, Settled};
 use routing::Routing;
 pub use routing::{shard_of_key, IndexRouting, ShardPolicy};
 use staged::write_decide;
-pub use staged::{DeferredCommit, StagedCommit};
+pub use staged::StagedCommit;
 pub use txn::{ShardedTransaction, ShardedWorker};
 
 pub(crate) struct ShardedInner {

@@ -1,18 +1,19 @@
-//! The commit handle and the staged two-phase commit behind it: what a
-//! cross-shard commit is between "every writer prepared" and its verdict.
+//! The staged two-phase commit: what a cross-shard commit is between
+//! "every writer prepared" and its verdict.
 
 use std::io;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ermia_common::{AbortReason, LogError, TxResult};
+use ermia_common::{AbortReason, TxResult};
 use ermia_log::{
     BlockKind, DecideRecord, DurableWaker, PrepareMarker, BLOCK_HEADER_LEN, DECIDE_RECORD_LEN,
     MIN_BLOCK_LEN,
 };
 use ermia_telemetry::{FamilyDef, MetricDesc, MetricKind, SpanKind, SpanRing, TraceContext};
 
+use super::parker::{DeferredCommit, Parker, Settled};
 use super::txn::ActiveTrace;
 use super::{ShardedDb, ShardedWorker};
 use crate::database::Database;
@@ -60,86 +61,6 @@ pub(super) fn write_decide(db: &Database, rec: DecideRecord) -> io::Result<u64> 
     Ok(end)
 }
 
-/// The one handle on a commit in flight, whatever it still waits for.
-///
-/// Either way it waits only on log offsets ([`DeferredCommit::waits`]),
-/// and [`DeferredCommit::poll`] reports how far durability has carried
-/// it, so whoever holds one — the server's durability parker holds
-/// hundreds — drives both cases with the same calls.
-pub enum DeferredCommit {
-    /// Committed in memory: the already-finalized case, with at most one
-    /// log offset to await and no verdict record owed.
-    Committed(CommitToken),
-    /// Prepared on every writer shard; the verdict is still to come.
-    Staged(Box<StagedCommit>),
-}
-
-impl DeferredCommit {
-    /// The receipt, if the commit was published in memory before
-    /// [`commit_deferred`](super::ShardedTransaction::commit_deferred)
-    /// returned. A staged commit has none until [`DeferredCommit::poll`]
-    /// delivers its verdict, and must not be left with a thread that
-    /// executes transactions: one of them may wait on its prepared heads.
-    pub fn published(&self) -> Option<CommitToken> {
-        match self {
-            DeferredCommit::Committed(token) => Some(*token),
-            DeferredCommit::Staged(_) => None,
-        }
-    }
-
-    /// The log offsets awaited now, as (shard, end offset) pairs.
-    pub fn waits(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let (token, staged) = match self {
-            DeferredCommit::Committed(token) => (Some(token), None),
-            DeferredCommit::Staged(staged) => (None, Some(staged)),
-        };
-        let own = token.and_then(|t| t.end_offset().map(|end| (t.shard() as usize, end)));
-        own.into_iter().chain(staged.into_iter().flat_map(|s| s.waits()))
-    }
-
-    /// Move as far as durability allows, without blocking. `None` while
-    /// a wait is outstanding; then `Ok` of the transaction's verdict (a
-    /// staged commit's is delivered on `resolver`, see
-    /// [`StagedCommit::poll`]) — or `Err` when the log failed under a
-    /// commit that is already published: it is not rolled back, and its
-    /// on-disk fate is indeterminate until restart recovery.
-    pub fn poll(
-        &mut self,
-        resolver: &mut ShardedWorker,
-    ) -> Option<Result<TxResult<CommitToken>, LogError>> {
-        match self {
-            DeferredCommit::Committed(token) => {
-                // A token without an offset occupied no log space.
-                let status = token.end_offset().map_or(Ok(true), |end| {
-                    resolver.db.inner.dbs[token.shard() as usize].inner.log.durable_status(end)
-                });
-                match status {
-                    Ok(true) => Some(Ok(Ok(*token))),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                }
-            }
-            DeferredCommit::Staged(staged) => staged.poll(resolver).map(Ok),
-        }
-    }
-
-    /// Give up waiting. A staged commit aborts ([`StagedCommit::abort`]);
-    /// a published one stands.
-    pub fn abort(&mut self, resolver: &mut ShardedWorker) {
-        if let DeferredCommit::Staged(staged) = self {
-            staged.abort(resolver);
-        }
-    }
-
-    /// Pay the verdict record a staged commit owes the logs since `poll`
-    /// published it ([`StagedCommit::write_verdict`]).
-    pub fn write_verdict(&mut self, resolver: &mut ShardedWorker) {
-        if let DeferredCommit::Staged(staged) = self {
-            staged.write_verdict(resolver);
-        }
-    }
-}
-
 /// One writer shard's half of a [`StagedCommit`].
 struct Participant {
     shard: usize,
@@ -183,16 +104,15 @@ struct StagedTrace {
 ///
 /// It borrows nothing: every participant is a `ParkedPrepare`, so the
 /// worker that ran the transaction is free, and no epoch is pinned. It
-/// waits only on log offsets ([`StagedCommit::waits`]);
-/// [`StagedCommit::poll`] moves it as far as durability allows without
-/// blocking, so one thread can carry any number of them through the same
-/// flush. Every prepare being durable is the commit point: nothing is
-/// published or answered before it (invariant 1), and the verdict record
-/// is owed to the logs only after ([`StagedCommit::write_verdict`]).
+/// waits only on log offsets ([`StagedCommit::waits`]), so a [`Parker`]
+/// carries any number of them through the same flush; a blocking
+/// [`StagedCommit::wait`] runs one of its own. Every prepare being durable
+/// is the commit point: nothing is published or answered before it
+/// (invariant 1), and the verdict record is owed to the logs only after
+/// ([`StagedCommit::write_verdict`]).
 ///
 /// A thread that executes transactions may wait on a prepared head, so a
 /// staged commit must not be left for that same thread to resolve later.
-///
 /// Dropped unresolved, it aborts like [`StagedCommit::abort`].
 pub struct StagedCommit {
     db: ShardedDb,
@@ -421,30 +341,23 @@ impl StagedCommit {
     }
 
     /// Drive to the verdict, blocking on every participant's log at once
-    /// — one wake-up cell subscribed on all outstanding offsets, so each
-    /// flusher sees the demand now rather than at its next timer tick —
-    /// for at most the coordinator log's `wait_durable_timeout`.
-    pub fn wait(mut self, resolver: &mut ShardedWorker) -> TxResult<CommitToken> {
-        let db = self.db.clone();
-        let log = |shard: usize| &db.inner.dbs[shard].inner.log;
-        let deadline = Instant::now() + log(self.parts[0].shard).config().wait_durable_timeout;
-        let waker = DurableWaker::default();
+    /// through a [`Parker`] of its own, for at most the coordinator log's
+    /// `wait_durable_timeout`.
+    pub fn wait(self: Box<Self>, resolver: &mut ShardedWorker) -> TxResult<CommitToken> {
+        let patience =
+            self.db.inner.dbs[self.parts[0].shard].inner.log.config().wait_durable_timeout;
+        let mut parker = Parker::new(&self.db, DurableWaker::default());
+        parker.park(Instant::now() + patience, (), DeferredCommit::Staged(self));
         loop {
-            if let Some(verdict) = self.poll(resolver) {
-                self.write_verdict(resolver);
-                return verdict;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.abort(resolver);
-                return Err(AbortReason::LogFailure);
-            }
-            let subs: Vec<_> =
-                self.waits().map(|(s, end)| log(s).subscribe_durable(end, &waker)).collect();
-            // No subscription: that offset landed (or its log failed)
-            // meanwhile — poll again instead of sleeping.
-            if subs.iter().all(Option::is_some) {
-                waker.wait(Some(deadline - now));
+            let mut settled = None;
+            parker.poll(resolver, |(), _, s| settled = Some(s));
+            match settled {
+                Some(Settled::Verdict(verdict)) => {
+                    parker.write_verdicts(resolver);
+                    return verdict;
+                }
+                Some(_) => return Err(AbortReason::LogFailure),
+                None => parker.wait(),
             }
         }
     }

@@ -8,8 +8,9 @@ use std::sync::Arc;
 use ermia_common::{IndexId, Lsn, Oid, OpResult, TableId, TxResult};
 use ermia_telemetry::{Slab, SpanKind, SpanRing, TraceContext};
 
+use super::parker::DeferredCommit;
 use super::routing::{shard_of_key, IndexRoute, IndexRouting, Routing};
-use super::staged::{DeferredCommit, StagedCommit, TWOPC_FAMILY};
+use super::staged::{StagedCommit, TWOPC_FAMILY};
 use super::ShardedDb;
 use crate::config::IsolationLevel;
 use crate::transaction::{CommitToken, Transaction};

@@ -6,13 +6,16 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use ermia::{
-    shard_of_key, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker, StagedCommit,
-    TableId,
+    shard_of_key, AbortReason, DbConfig, DeferredCommit, IsolationLevel, ShardedDb, ShardedWorker,
+    StagedCommit, TableId,
 };
 use ermia_common::crc::crc32c;
 use ermia_common::rng::{SplitMix64, GAMMA};
 use ermia_common::TestDir;
-use ermia_log::{BlockKind, DecideRecord, LogScanner, PrepareMarker};
+use ermia_log::{
+    BlockKind, DecideRecord, LogScanner, PrepareMarker, BLOCK_HEADER_LEN, DECIDE_RECORD_LEN,
+    MIN_BLOCK_LEN,
+};
 
 /// The `i`-th key with this prefix that lives on `shard` of two.
 fn key_on(shard: usize, prefix: &str, i: usize) -> Vec<u8> {
@@ -351,6 +354,61 @@ fn an_abort_after_durable_prepares_stays_aborted_across_a_crash() {
         }
     }
     assert_eq!(verdicts, 1);
+}
+
+/// A blocking cross-shard commit whose log stops flushing gives up after
+/// the logs' one patience, with `LogFailure`, and leaves an abort verdict
+/// behind the prepare on both participants' logs: shard 0's on disk,
+/// shard 1's in the ring its halted flusher no longer drains, where one
+/// verdict block is all that follows the prepare.
+#[test]
+fn a_blocking_commit_on_a_log_that_stops_flushing_aborts_after_the_patience() {
+    let patience = Duration::from_millis(200);
+    let dir = TestDir::new("stalled");
+    let (a, b) = (key_on(0, "k", 0), key_on(1, "k", 0));
+    let mut cfg = small_log(&dir);
+    cfg.log.wait_durable_timeout = patience;
+    let db = ShardedDb::open(cfg, 2).unwrap();
+    let t = db.create_table("kv");
+    let mut w = db.register_worker();
+    put(&mut w, t, &a, b"old");
+    put(&mut w, t, &b, b"old");
+    // The length of shard 1's prepare block for this shape of write, from
+    // a twin that commits while both logs flush.
+    let before = db.shard(1).log().next_offset();
+    let mut twin = stage(&mut w, IsolationLevel::Snapshot, t, [&a, &b], b"new");
+    let prepare_len = twin.waits().find(|&(shard, _)| shard == 1).unwrap().1 - before;
+    commit_now(&mut twin, &mut w);
+    twin.write_verdict(&mut w);
+    drop(twin);
+    sync_logs(&db);
+
+    db.shard(1).log().halt_flusher_for_test();
+    let tip1 = db.shard(1).log().next_offset();
+    let start = Instant::now();
+    let mut tx = w.begin(IsolationLevel::Snapshot);
+    for key in [&a, &b] {
+        assert!(tx.update(t, key, b"bad").unwrap());
+    }
+    assert!(matches!(tx.commit(), Err(AbortReason::LogFailure)));
+    assert!(start.elapsed() >= patience, "gave up after {:?}", start.elapsed());
+    assert_eq!(db.tid_slots_in_use(), 0, "both halves rolled back");
+    assert_eq!(gauge(&db, "ermia_shard_in_doubt"), 0.0);
+    assert_eq!(read(&mut w, t, &a).as_deref(), Some(&b"new"[..]));
+    assert_eq!(read(&mut w, t, &b).as_deref(), Some(&b"new"[..]));
+
+    db.shard(0).log().sync().unwrap();
+    let log0 = blocks(&db, 0);
+    match log0[log0.len() - 2..] {
+        [(_, Block::Prepare { gtid: p }), (end, Block::Verdict { gtid: v, commit: false })] => {
+            assert_eq!(p, v);
+            assert_eq!(end, db.shard(0).log().next_offset(), "the verdict ends shard 0's log");
+        }
+        ref tail => panic!("shard 0's log must end prepare, abort verdict: {tail:?}"),
+    }
+    let verdict_len = (BLOCK_HEADER_LEN + DECIDE_RECORD_LEN).div_ceil(MIN_BLOCK_LEN) as u64
+        * MIN_BLOCK_LEN as u64;
+    assert_eq!(db.shard(1).log().next_offset(), tip1 + prepare_len + verdict_len);
 }
 
 /// A step of the prefix-pair history, with the log offsets that decide

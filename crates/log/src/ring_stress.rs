@@ -266,6 +266,15 @@ fn a_releasing_ring_survives_its_wraps() {
 /// through a `Mutex<BTreeMap>` — under concurrent fills that serializes
 /// (and convoy-collapses) while the ring's per-fill release stores
 /// proceed independently.
+///
+/// What it cannot see: a cost that slows one thread and four alike. It
+/// judges a ratio of two rates of one build, and on two cores no convoy
+/// forms, so that `Mutex<BTreeMap>` planted back around `mark_filled`
+/// passed 10 runs of 10 (ratio 0.84–0.93 planted, 0.79–1.02 not). That a
+/// fill is published without serializing the fillers is a property of
+/// the schedules, not of the clock: the schedule property planned in
+/// ROADMAP.md ("Every interleaving of the lock-free protocols") is what
+/// can check it.
 #[test]
 fn concurrent_mark_filled_has_no_serialization_collapse() {
     let _alone = machine();

@@ -31,7 +31,7 @@ use ermia_telemetry::{Sample, SpanRing};
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
-use crate::session::{run_parker, run_shard, Completion, ParkIntake, ParkJob};
+use crate::session::{run_parker, run_shard, Completion, ParkIntake, Parked};
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
@@ -154,7 +154,7 @@ pub(crate) struct ShardHandle {
     /// Published commits of the turn in progress that wait for their log
     /// block; the shard posts them to the parker in one handoff when the
     /// turn ends. Filled and emptied by the shard's own thread only.
-    pub outbox: Mutex<Vec<ParkJob>>,
+    pub outbox: Mutex<Vec<Parked>>,
     /// Per engine shard, the highest log offset a commit handed to the
     /// parker this turn waits on (0: none); the event loop raises it as
     /// one settled flush demand per log when the turn ends. Written and

@@ -45,56 +45,49 @@
 //!
 //! A commit must not pin a thread while group commit fsyncs.
 //! `commit_deferred` yields a [`DeferredCommit`], the one handle this
-//! layer holds on a commit in flight: it names the log offsets still
-//! awaited (`waits`) and reports how far durability has carried it
-//! (`poll`). A transaction that wrote on one engine shard is already
-//! published and awaits one offset; one that wrote on several is
-//! prepared on each and commits once every prepare block is durable.
+//! layer holds on a commit in flight: published on its one engine shard
+//! and awaiting one offset, or prepared on several and committed once
+//! every prepare block is durable. Either waits on log offsets only
+//! (`waits`).
 //!
 //! From there one road leads to the reply. A commit with nothing to wait
 //! for — it is published and the client did not ask (`sync: false`), or
 //! it occupies no log block — is answered at once. Every other one gets
-//! an in-order placeholder reply and a [`ParkJob`], and the job goes to
-//! the shard's durability parker: an unpublished one straight away,
-//! whatever its `sync` flag, because this thread may wait on one of its
-//! prepared heads in a later frame and must never be the only thread able
-//! to resolve it; a published one with the rest of its turn's, in one post
+//! an in-order placeholder reply and a [`ParkJob`], and goes to the
+//! shard's durability parker: an unpublished one straight away, whatever
+//! its `sync` flag, because this thread may wait on one of its prepared
+//! heads in a later frame and must never be the only thread able to
+//! resolve it; a published one with the rest of its turn's, in one post
 //! when the turn ends. The event loop never reads a log's durable
-//! watermark: a commit that waits, waits on log offsets with the parker
-//! and on nothing else, and a poisoned log is what the parker's first
-//! poll finds. (On a device with any latency a block filled this turn
-//! cannot be durable this turn, so a probe from the loop answers nothing.)
+//! watermark: a commit that waits, waits with the parker and on nothing
+//! else. (On a device with any latency a block filled this turn cannot be
+//! durable this turn, so a probe from the loop answers nothing.)
 //!
 //! What gets the parked commits their flush is raised once per turn: when
 //! the turn's last frame has executed and its jobs are with the parker,
 //! the event loop tells each log a commit parked this turn waits on that
 //! the demand has *settled* (`LogManager::demand_flush`, up to the highest
-//! offset `DeferredCommit::waits` named) — nothing more will be filled
-//! before this thread sleeps, so that log starts a sync over everything
-//! filled now rather than at its next stagger instant. The parker's
-//! registration, which arrives a thread wake-up later, finds the bytes
-//! already on their way.
+//! offset `waits` named) — nothing more will be filled before this thread
+//! sleeps, so that log starts a sync over everything filled now rather
+//! than at its next stagger instant. The parker's registration, which
+//! arrives a thread wake-up later, finds the bytes already on their way.
 //!
-//! The parker — one thread per shard — is stage-aware rather than FIFO.
-//! It holds one registration of its wake-up cell on each engine log any
-//! parked job waits on, at the lowest offset still awaited there — a
-//! log's durable watermark only rises, so no wait on that log ends before
-//! that offset lands — not one per job; each wake polls every job, then
-//! moves each registration to the lowest offset still awaited, or drops
-//! it. A cross-shard commit whose prepares have all landed is published
-//! and answered in that pass — one durability round — and the verdict
-//! records it owes its participants' logs are appended, unforced, once
-//! its reply is in the completion mailbox. Verdicts are delivered on a
-//! worker the parker registers for itself: a parked commit holds no
-//! pooled worker and no epoch pin. Finished frames go back through the
-//! shard's completion mailbox + wake fd. Deadlines are absolute: enqueue
-//! time + the logs' one patience, `LogConfig::wait_durable_timeout` (the
-//! bound of every other durability wait too), so concurrent stalls share
-//! one window. A stalled log parks sessions, not threads, and the client
-//! gets the typed [`ErrorCode::LogStalled`] when the window lapses — a
-//! staged commit first appends an abort verdict behind its prepares and
-//! rolls both halves back ("indeterminate": a crash before that verdict
-//! is durable may still commit it). A connection that closes leaves its
+//! The parker — one thread per shard — runs the engine's [`Parker`],
+//! the one wait on the logs a blocking cross-shard commit runs too: one
+//! registration per engine log, at the lowest offset still awaited there,
+//! and every job polled on each wake. It turns each settled job into its
+//! reply frame; the verdict records a pass's cross-shard commits owe are
+//! appended, unforced, once their replies are in the completion mailbox.
+//! Verdicts are delivered on a worker the parker registers for itself: a
+//! parked commit holds no pooled worker and no epoch pin. Deadlines are
+//! absolute: enqueue time + the logs' one patience,
+//! `LogConfig::wait_durable_timeout`, so concurrent stalls share one
+//! window. A stalled log parks sessions, not threads: the client gets the
+//! typed [`ErrorCode::LogStalled`] when the window lapses — a staged
+//! commit first appends an abort verdict behind its prepares and rolls
+//! both halves back ("indeterminate": a crash before that verdict is
+//! durable may still commit it) — and [`ErrorCode::LogFailed`] when a
+//! published commit's log fails. A connection that closes leaves its
 //! parked jobs running to their verdicts; their completions are dropped.
 //!
 //! # Shutdown
@@ -117,10 +110,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ermia::{
-    DbState, DeferredCommit, IsolationLevel, NodeRole, PooledWorker, ShardedDb, ShardedWorker,
+    DbState, DeferredCommit, IsolationLevel, NodeRole, Parker, PooledWorker, Settled, ShardedDb,
 };
-use ermia_common::LogError;
-use ermia_log::{DurableSub, DurableWaker};
 use ermia_telemetry::{render_spans, Registry, SpanKind, SpanRing, TraceContext, Tracer};
 
 use crate::conn::{
@@ -180,13 +171,11 @@ impl Reply {
     }
 }
 
-/// A commit handed to the durability parker, its in-order reply slot
-/// reserved.
+/// Whom a commit handed to the durability parker answers, and how: its
+/// in-order reply slot is reserved. It travels with the commit.
 pub(crate) struct ParkJob {
     pub conn: u64,
     pub seq: u64,
-    /// The commit, and through it the log offsets it waits on.
-    pub work: DeferredCommit,
     pub reply: Reply,
     pub enqueued: Instant,
     /// Trace of the committing request; resolution records the
@@ -194,10 +183,13 @@ pub(crate) struct ParkJob {
     pub trace: Option<TraceReq>,
 }
 
+/// A commit on its way to the parker, with whom it answers.
+pub(crate) type Parked = (ParkJob, DeferredCommit);
+
 /// The parker's intake: jobs posted by the event loop, and whether more
 /// may come.
 pub(crate) struct ParkIntake {
-    pub jobs: Vec<ParkJob>,
+    pub jobs: Vec<Parked>,
     /// Cleared at shutdown cutoff; the parker exits once it is closed
     /// and every job it holds has resolved.
     pub open: bool,
@@ -298,14 +290,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         }
 
         // Connections handed over from the accepting shard.
-        let inbound: Vec<TcpStream> = {
-            let mut inbox = handle.inbox.lock().unwrap();
-            if inbox.is_empty() {
-                Vec::new()
-            } else {
-                std::mem::take(&mut *inbox)
-            }
-        };
+        let inbound = std::mem::take(&mut *handle.inbox.lock().unwrap());
         for stream in inbound {
             if matches!(phase, Phase::Running) {
                 if let Some(t) = admit(&state, handle, &poller, &mut conns, &mut next_token, stream)
@@ -320,14 +305,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         }
 
         // Resolved durability waits.
-        let comps: Vec<Completion> = {
-            let mut c = handle.completions.lock().unwrap();
-            if c.is_empty() {
-                Vec::new()
-            } else {
-                std::mem::take(&mut *c)
-            }
-        };
+        let comps = std::mem::take(&mut *handle.completions.lock().unwrap());
         for c in comps {
             let Some(conn) = conns.get_mut(&c.conn) else { continue };
             conn.complete(c.seq, c.bytes);
@@ -350,33 +328,13 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     let lapsed = conn.waiting.take().expect("waiting");
                     state.stats.busy(BusyReason::Checkout);
                     conn.push(&state, Response::Busy);
-                    if let Some((tr, parked_ns)) = lapsed.trace {
-                        let ring = &handle.ring;
-                        ring.record(
-                            &tr.child(),
-                            SpanKind::RunQueue,
-                            parked_ns,
-                            ring.now_ns(),
-                            0,
-                            0,
-                        );
-                        finish_trace(&state, ring, &tr);
+                    if let Some(tr) = leave_run_queue(&handle.ring, lapsed.trace) {
+                        finish_trace(&state, &handle.ring, &tr);
                     }
                     true
                 } else if let Some(w) = state.pool.try_checkout() {
                     let Waiting { work, trace, .. } = conn.waiting.take().expect("waiting");
-                    let trace = trace.map(|(tr, parked_ns)| {
-                        let ring = &handle.ring;
-                        ring.record(
-                            &tr.child(),
-                            SpanKind::RunQueue,
-                            parked_ns,
-                            ring.now_ns(),
-                            0,
-                            0,
-                        );
-                        tr
-                    });
+                    let trace = leave_run_queue(&handle.ring, trace);
                     start_work(&state, handle, conn, work, w, trace);
                     true
                 } else {
@@ -892,6 +850,15 @@ fn finish_trace(state: &ServerState, ring: &SpanRing, tr: &TraceReq) {
     );
 }
 
+/// A traced request leaves the run queue (`parked_ns`: when it joined):
+/// record its `run-queue` span.
+fn leave_run_queue(ring: &SpanRing, trace: Option<(TraceReq, u64)>) -> Option<TraceReq> {
+    trace.map(|(tr, parked_ns)| {
+        ring.record(&tr.child(), SpanKind::RunQueue, parked_ns, ring.now_ns(), 0, 0);
+        tr
+    })
+}
+
 /// A request that needs an engine worker: take one now, or park on the
 /// shard run queue until one frees up or the admission window closes.
 fn need_worker(
@@ -1021,7 +988,7 @@ fn settle_commit(
     let ctx = trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
     handle.ring.event(&ctx, SpanKind::SessionParked, conn.token, seq);
     let enqueued = Instant::now();
-    let job = ParkJob { conn: conn.token, seq, work: commit, reply, enqueued, trace };
+    let job = (ParkJob { conn: conn.token, seq, reply, enqueued, trace }, commit);
     if published.is_some() {
         // With the rest of this turn's, when the turn ends.
         return handle.outbox.lock().unwrap().push(job);
@@ -1039,7 +1006,7 @@ fn settle_commit(
 
 /// The parker is already gone (shutdown race): the commit is dropped — a
 /// staged one aborts as it drops — and its reply slot must not wedge.
-fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, job: ParkJob) {
+fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, (job, _commit): Parked) {
     if let Some(tr) = &job.trace {
         finish_trace(state, &handle.ring, tr);
     }
@@ -1060,7 +1027,7 @@ fn post_outbox(
     }
     post_to_parker(handle, |intake| intake.append(&mut outbox));
     for job in outbox.drain(..) {
-        let Some(conn) = conns.get_mut(&job.conn) else { continue };
+        let Some(conn) = conns.get_mut(&job.0.conn) else { continue };
         refuse(state, handle, conn, job);
         let _ = conn.flush(state, &handle.stats);
         touched.push(conn.token);
@@ -1071,7 +1038,7 @@ fn post_outbox(
 /// (shutdown race), and then `post` does not run — and wake the parker
 /// once for the lot. The log offsets the posted jobs wait on join the
 /// flush demand this turn raises when it ends ([`raise_flush_demand`]).
-fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<ParkJob>)) {
+fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<Parked>)) {
     let mut intake = handle.park_in.lock().unwrap();
     if !intake.open {
         return;
@@ -1081,7 +1048,7 @@ fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<ParkJob>)) {
     if intake.jobs.len() == first {
         return;
     }
-    for (shard, end) in intake.jobs[first..].iter().flat_map(|job| job.work.waits()) {
+    for (shard, end) in intake.jobs[first..].iter().flat_map(|(_, commit)| commit.waits()) {
         handle.flush_demand[shard].fetch_max(end, Ordering::Relaxed);
     }
     drop(intake);
@@ -1108,13 +1075,6 @@ fn log_stalled() -> Response {
         code: ErrorCode::LogStalled,
         detail: "durability wait timed out; commit fate indeterminate".into(),
     }
-}
-
-/// The reply to a commit whose log failed under it, once published: the
-/// incident is recorded here too.
-fn log_failed(state: &ServerState, ring: &SpanRing, ctx: &TraceContext, e: &LogError) -> Response {
-    record_log_incident(state, ring, ctx, SpanKind::LogPoison, 1);
-    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
 }
 
 // ---------------------------------------------------------------------
@@ -1388,146 +1348,74 @@ fn close_parker(handle: &ShardHandle) {
 // Durability parker
 // ---------------------------------------------------------------------
 
-impl ParkJob {
-    /// Advance the job as far as its logs allow. `Some(outcome)` once it
-    /// has one: durable, failed, or out of patience.
-    fn poll(
-        &mut self,
-        state: &ServerState,
-        ring: &SpanRing,
-        resolver: &mut ShardedWorker,
-    ) -> Option<Response> {
-        let patience = state.patience();
-        let ctx = self.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
-        let lapsed = self.enqueued.elapsed() >= patience;
-        match self.work.poll(resolver) {
-            Some(Ok(Ok(token))) => Some(Response::Committed { lsn: token.lsn().raw() }),
-            Some(Ok(Err(reason))) => Some(aborted(reason)),
-            Some(Err(e)) => Some(log_failed(state, ring, &ctx, &e)),
-            None if lapsed => {
-                // Giving up on a commit still prepared writes the abort
-                // verdict behind the prepares before it rolls the halves
-                // back; until that is durable a crash can still commit
-                // them. One already published stands.
-                self.work.abort(resolver);
-                let waited = patience.as_millis() as u64;
-                record_log_incident(state, ring, &ctx, SpanKind::LogStall, waited);
-                Some(log_stalled())
-            }
-            None => None,
-        }
-    }
-}
-
-/// Keep the parker's one registration per engine log (`subs[shard]`,
-/// with the offset it is for) at the lowest offset any parked job still
-/// awaits there, and none where no job waits. False if a log needs none
-/// — that offset landed (or the log failed) since the jobs were polled —
-/// so the jobs want another poll, not a sleep.
-fn register(
-    state: &ServerState,
-    parked: &[ParkJob],
-    subs: &mut [Option<(u64, DurableSub)>],
-    waker: &DurableWaker,
-) -> bool {
-    let mut settled = true;
-    for (shard, sub) in subs.iter_mut().enumerate() {
-        let lowest = parked
-            .iter()
-            .flat_map(|job| job.work.waits())
-            .filter_map(|(s, end)| (s == shard).then_some(end))
-            .min();
-        if sub.as_ref().map(|(end, _)| *end) == lowest {
-            continue;
-        }
-        *sub = lowest.and_then(|end| {
-            let registered = state.db.shard(shard).log().subscribe_durable(end, waker);
-            settled &= registered.is_some();
-            registered.map(|r| (end, r))
-        });
-    }
-    settled
-}
-
-/// One per shard: carries parked commits to their outcome off the event
-/// loop and posts the finished frames back through the shard's
-/// completion mailbox.
-///
-/// Stage-aware, not FIFO: the parker holds one registration on each
-/// engine log it waits on, at the lowest offset a parked job still awaits
-/// there — that log's durable watermark only rises, so the registration
-/// that fires first is always the one that can answer somebody — and each
-/// wake (a flusher's, the event loop's, the earliest deadline's) polls
-/// all jobs, then moves each log's registration to the new lowest offset,
-/// or drops it. What starts the jobs' syncs is the event loop's settled
-/// demand at the end of the turn that parked them, not the registration.
-/// The verdict records of the cross-shard commits a pass answered are
-/// appended after its completions are in the mailbox and ride the next
-/// flush; no reply waits for them. Verdicts are delivered on a worker the
-/// parker registers for itself, never a pooled one.
-///
-/// Exits when the shard closes the intake at cutoff and every job has
-/// resolved — each within the logs' one patience,
-/// `LogConfig::wait_durable_timeout`, of being parked.
+/// One per shard: the intake of an engine [`Parker`] (module docs,
+/// "Durability parker"). Each wake takes in what the event loop posted,
+/// turns every settled job into its reply frame, posts the frames through
+/// the shard's completion mailbox, and only then appends the verdict
+/// records those jobs owe. Exits when the shard closes the intake at
+/// cutoff and every job has resolved — each within the logs' one
+/// patience of being parked.
 pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
     let handle = &state.shards[idx];
-    let waker = &handle.park_waker;
+    let ring = &handle.parker_ring;
     let patience = state.patience();
     let mut resolver = state.db.register_worker();
-    let mut parked: Vec<ParkJob> = Vec::new();
-    let mut subs: Vec<Option<(u64, DurableSub)>> = (0..state.db.shards()).map(|_| None).collect();
-    let mut answered: Vec<DeferredCommit> = Vec::new();
+    let mut parker = Parker::new(&state.db, handle.park_waker.clone());
+    let mut posted = Vec::new();
     loop {
         let open = {
             let mut intake = handle.park_in.lock().unwrap();
-            parked.append(&mut intake.jobs);
+            std::mem::swap(&mut intake.jobs, &mut posted);
             intake.open
         };
+        for (job, commit) in posted.drain(..) {
+            parker.park(job.enqueued + patience, job, commit);
+        }
         let mut done = Vec::new();
-        let mut i = 0;
-        while i < parked.len() {
-            let Some(outcome) = parked[i].poll(&state, &handle.parker_ring, &mut resolver) else {
-                i += 1;
-                continue;
+        parker.poll(&mut resolver, |job, commit, settled| {
+            let ctx = job.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
+            let outcome = match settled {
+                Settled::Verdict(Ok(token)) => Response::Committed { lsn: token.lsn().raw() },
+                Settled::Verdict(Err(reason)) => aborted(reason),
+                Settled::LogFailed(e) => {
+                    record_log_incident(&state, ring, &ctx, SpanKind::LogPoison, 1);
+                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
+                }
+                Settled::Lapsed => {
+                    let waited = patience.as_millis() as u64;
+                    record_log_incident(&state, ring, &ctx, SpanKind::LogStall, waited);
+                    log_stalled()
+                }
             };
-            let job = parked.swap_remove(i);
             if let Some(tr) = &job.trace {
-                let ring = &handle.parker_ring;
                 // The wait of a published commit, measured from park
                 // time; the engine recorded a staged commit's waits
                 // itself, participant by participant.
-                if job.work.published().is_some() {
+                if commit.published().is_some() {
                     let now = ring.now_ns();
                     let start = now.saturating_sub(job.enqueued.elapsed().as_nanos() as u64);
                     ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
                 }
                 finish_trace(&state, ring, tr);
             }
-            let ctx = job.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
             let waited_us = job.enqueued.elapsed().as_micros() as u64;
-            handle.parker_ring.event(&ctx, SpanKind::SessionResumed, job.conn, waited_us);
+            ring.event(&ctx, SpanKind::SessionResumed, job.conn, waited_us);
             let bytes = job.reply.with(outcome).frame();
             done.push(Completion { conn: job.conn, seq: job.seq, bytes });
-            answered.push(job.work);
-        }
+        });
         // One flush batch typically resolves a whole run of parked
         // commits at once: a single wake for the lot. Verdict records go
         // out once the replies are queued; before the wake, so a client
         // that asks for its trace next finds the `2pc-decide` span.
         if !done.is_empty() {
             handle.completions.lock().unwrap().extend(done);
-            for mut commit in answered.drain(..) {
-                commit.write_verdict(&mut resolver);
-            }
+            parker.write_verdicts(&mut resolver);
             handle.wake.wake();
         }
-        if !open && parked.is_empty() {
+        if !open && parker.is_empty() {
             return;
         }
-        if register(&state, &parked, &mut subs, waker) {
-            let until = parked.iter().map(|job| job.enqueued + patience).min();
-            waker.wait(until.map(|t| t.saturating_duration_since(Instant::now())));
-        }
+        parker.wait();
     }
 }
 
