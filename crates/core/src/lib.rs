@@ -68,7 +68,7 @@ pub use shard::{
     shard_of_key, DeferredCommit, IndexRouting, Parker, Settled, ShardPolicy, ShardRecoveryStats,
     ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
 };
-pub use transaction::{CommitToken, Transaction};
+pub use transaction::{CommitToken, Transaction, VerdictHelper};
 pub use worker::Worker;
 
 pub use ermia_storage::GcStats;

@@ -51,8 +51,8 @@
 //! machine (prepared → finalized), [`StagedCommit`], whose participants
 //! are parked — detached from the worker, no epoch pinned. A [`Parker`]
 //! waits it out on the logs: the one [`ShardedTransaction::commit`] runs
-//! for its own commit, or the server's, holding every commit in flight
-//! while the worker goes back at once.
+//! for its own commit, or a server shard's, holding every commit its
+//! event loop parked while the worker goes back at once.
 //!
 //! The failure side: a commit that gives up after its prepares are
 //! written (a stalled or poisoned log, a dropped [`StagedCommit`]) first

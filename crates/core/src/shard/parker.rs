@@ -1,9 +1,10 @@
 //! The commit handle, and the one parker that waits commits in flight out
-//! on the logs: the server's parker thread drives one holding hundreds, a
-//! blocking cross-shard [`ShardedTransaction::commit`] one holding its
-//! own.
+//! on the logs: a server shard's event loop drives one holding hundreds
+//! (which its [`VerdictHelper`] polls too), a blocking cross-shard
+//! [`ShardedTransaction::commit`] one holding its own.
 //!
 //! [`ShardedTransaction::commit`]: super::ShardedTransaction::commit
+//! [`VerdictHelper`]: crate::VerdictHelper
 
 use std::time::Instant;
 
@@ -29,9 +30,9 @@ pub enum DeferredCommit {
 impl DeferredCommit {
     /// The receipt, if the commit was published in memory before
     /// [`commit_deferred`](super::ShardedTransaction::commit_deferred)
-    /// returned. A staged commit has none — a [`Parker`] delivers its
-    /// verdict — and must not be left with a thread that executes
-    /// transactions: one of them may wait on its prepared heads.
+    /// returned. A staged commit has none: a [`Parker`] delivers its
+    /// verdict, polled by any thread that runs transactions which may
+    /// wait on its prepared heads (a [`VerdictHelper`](crate::VerdictHelper)).
     pub fn published(&self) -> Option<CommitToken> {
         match self {
             DeferredCommit::Committed(token) => Some(*token),
@@ -168,11 +169,11 @@ impl<T> Parker<T> {
         }
     }
 
-    /// Register for the lowest offset each log still owes a job, then sleep
-    /// until woken or until the earliest deadline; with no job, until
-    /// woken. Returns at once when an offset landed (or its log failed)
-    /// since the last poll: the jobs want another poll, not a sleep.
-    pub fn wait(&mut self) {
+    /// Register for the lowest offset each log still owes a job: one
+    /// registration per log, moved only when that offset changes. Returns
+    /// false when an offset landed (or its log failed) since the last
+    /// poll: the jobs want another poll, not a sleep.
+    pub fn arm(&mut self) -> bool {
         let mut settled = true;
         for (shard, sub) in self.subs.iter_mut().enumerate() {
             let waits = self.jobs.iter().flat_map(|job| job.commit.waits());
@@ -187,9 +188,11 @@ impl<T> Parker<T> {
                 registered.map(|r| (end, r))
             });
         }
-        if settled {
-            let until = self.jobs.iter().map(|job| job.deadline).min();
-            self.waker.wait(until.map(|t| t.saturating_duration_since(Instant::now())));
-        }
+        settled
+    }
+
+    /// The earliest deadline of a job, if any job waits.
+    pub fn due(&self) -> Option<Instant> {
+        self.jobs.iter().map(|job| job.deadline).min()
     }
 }

@@ -111,9 +111,10 @@ struct StagedTrace {
 /// (invariant 1), and the verdict record is owed to the logs only after
 /// ([`StagedCommit::write_verdict`]).
 ///
-/// A thread that executes transactions may wait on a prepared head, so a
-/// staged commit must not be left for that same thread to resolve later.
-/// Dropped unresolved, it aborts like [`StagedCommit::abort`].
+/// A thread that runs transactions may wait on its prepared heads, so the
+/// thread that resolves it must not sleep on them: it polls its parker
+/// as it waits ([`crate::VerdictHelper`]). Dropped unresolved, it aborts
+/// like [`StagedCommit::abort`].
 pub struct StagedCommit {
     db: ShardedDb,
     /// Writer participants in shard order; the first coordinates.
@@ -346,7 +347,8 @@ impl StagedCommit {
     pub fn wait(self: Box<Self>, resolver: &mut ShardedWorker) -> TxResult<CommitToken> {
         let patience =
             self.db.inner.dbs[self.parts[0].shard].inner.log.config().wait_durable_timeout;
-        let mut parker = Parker::new(&self.db, DurableWaker::default());
+        let waker = DurableWaker::default();
+        let mut parker = Parker::new(&self.db, waker.clone());
         parker.park(Instant::now() + patience, (), DeferredCommit::Staged(self));
         loop {
             let mut settled = None;
@@ -357,7 +359,11 @@ impl StagedCommit {
                     return verdict;
                 }
                 Some(_) => return Err(AbortReason::LogFailure),
-                None => parker.wait(),
+                None if parker.arm() => {
+                    let until = parker.due().map(|t| t.saturating_duration_since(Instant::now()));
+                    waker.wait(until);
+                }
+                None => {}
             }
         }
     }

@@ -15,6 +15,9 @@
 //! off that path: a sync-commit waiter's first registration, scan result
 //! staging and segment rotation.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::rc::Rc;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
@@ -492,8 +495,8 @@ impl<'w> Transaction<'w> {
                     // verdict, then re-read the head — committed, it is a
                     // version we may overwrite; aborted, it gives way to
                     // the one beneath. A prepared cross-shard owner sits
-                    // here for its durability rounds, and whoever resolves
-                    // it must not be this thread.
+                    // here for its durability rounds; if this thread parked
+                    // it, its helper resolves it while it waits.
                     TidStatus::Precommit(c) if c.is_null() || c.raw() < self.begin.raw() => {
                         verdict_backoff(&mut spins);
                     }
@@ -1148,13 +1151,46 @@ pub(crate) fn visibility(tid: &TidManager, v: &Version, at: Lsn, own: Option<Tid
 /// window of a single-shard commit is a log-buffer copy long, so the first
 /// rounds only yield; a prepared cross-shard owner holds the window open
 /// through its durability rounds, so later rounds sleep instead of
-/// burning the core its resolver may need.
+/// burning the core its resolver may need, each after this thread's
+/// [`VerdictHelper`], if any: the owner may be a commit it parked itself.
 fn verdict_backoff(spins: &mut u32) {
     if *spins < 64 {
         *spins += 1;
         std::thread::yield_now();
     } else {
+        // Taken out while it runs: a verdict wait inside it does not help.
+        if let Some(helper) = VERDICT_HELPER.with(Cell::take) {
+            helper();
+            VERDICT_HELPER.with(|h| h.set(Some(helper)));
+        }
         std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+}
+
+thread_local! {
+    /// What this thread runs before it sleeps on another transaction's
+    /// verdict; empty outside a [`VerdictHelper`], and while it runs.
+    static VERDICT_HELPER: Cell<Option<Rc<dyn Fn()>>> = const { Cell::new(None) };
+}
+
+/// What the installing thread runs before each sleep on another
+/// transaction's verdict, until this guard drops: for a thread that runs
+/// transactions and resolves the cross-shard commits it parked — a server
+/// event loop polling its [`Parker`](crate::Parker) — so that it does not
+/// wait for a verdict only it can deliver. A verdict wait inside the
+/// helper does not help.
+pub struct VerdictHelper(PhantomData<Rc<()>>);
+
+impl VerdictHelper {
+    pub fn install(helper: Rc<dyn Fn()>) -> VerdictHelper {
+        VERDICT_HELPER.with(|h| h.set(Some(helper)));
+        VerdictHelper(PhantomData)
+    }
+}
+
+impl Drop for VerdictHelper {
+    fn drop(&mut self) {
+        VERDICT_HELPER.with(Cell::take);
     }
 }
 

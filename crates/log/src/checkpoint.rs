@@ -10,10 +10,11 @@
 //!
 //! **Rows are log records.** A payload is the tag `ROWS`, then a
 //! flat run of rows, each its version's stamp (`u64`, little-endian) and
-//! one log record in the layout of [`crate::LogRecord`] — written by
-//! [`BlockEncoder::record`], read back by [`TxRecordView::decode`], as a
-//! commit's records are. A row image is an `Insert` (a `Delete` for a
-//! tombstone) under its version's stamp; a secondary-index entry is a
+//! one log record in the layout of [`crate::LogRecord`] — its header the
+//! one [`crate::BlockEncoder::record`] writes a commit's records with,
+//! read back by [`TxRecordView::decode`], as a commit's records are. A
+//! row image is an `Insert` (a `Delete` for a tombstone) under its
+//! version's stamp; a secondary-index entry is a
 //! `SecondaryInsert` naming its owning table, with the 4-byte index id as
 //! its value, stamped 0. A row's *address* is its offset in the payload.
 //!
@@ -32,7 +33,7 @@ use ermia_common::crc::crc32c;
 use ermia_common::{IndexId, Lsn, Oid, TableId};
 
 use crate::io::{create_dirs, SegmentIoFactory};
-use crate::records::{legacy_format, BlockEncoder, LogRecordKind, TxRecordView, RECORD_HEADER_LEN};
+use crate::records::{legacy_format, LogRecordKind, TxRecordView};
 
 /// Magic prefix of a checkpoint file ("ECKR": its rows are log records).
 const CHECKPOINT_MAGIC: [u8; 4] = *b"ECKR";
@@ -100,13 +101,12 @@ impl CheckpointRows {
         self.push(Lsn::NULL, TxRecordView { kind, table, oid, key, value });
     }
 
+    /// Appended piece by piece, with no zero-fill ahead of it.
     fn push(&mut self, stamp: Lsn, rec: TxRecordView<'_>) {
-        let at = self.payload.len();
-        let len = LSN_LEN + RECORD_HEADER_LEN + rec.key.len() + rec.value.len();
-        self.payload.resize(at + len, 0);
-        let mut enc = BlockEncoder::new(&mut self.payload[at..], &mut []);
-        enc.put(&stamp.raw().to_le_bytes());
-        enc.record(rec.kind, rec.table, rec.oid, rec.key, rec.value);
+        self.payload.extend_from_slice(&stamp.raw().to_le_bytes());
+        self.payload.extend_from_slice(&rec.header());
+        self.payload.extend_from_slice(rec.key);
+        self.payload.extend_from_slice(rec.value);
     }
 
     /// The payload, ready for [`CheckpointStore::write`].

@@ -148,12 +148,17 @@ pub(crate) struct WaiterSlot {
     /// and notified it. Written under the lock so the wake cannot be missed.
     woken: Mutex<bool>,
     cv: Condvar,
+    /// Rung on every wake as well ([`DurableWaker::ringing`]).
+    ring: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl WaiterSlot {
     fn wake(&self) {
         *self.woken.lock().unwrap() = true;
         self.cv.notify_one();
+        if let Some(ring) = &self.ring {
+            ring();
+        }
     }
 }
 
@@ -167,6 +172,12 @@ impl WaiterSlot {
 pub struct DurableWaker(Arc<WaiterSlot>);
 
 impl DurableWaker {
+    /// A waker that also calls `ring`, on the waking thread, on every wake:
+    /// for an owner that sleeps elsewhere, say an event loop in `epoll_wait`.
+    pub fn ringing(ring: impl Fn() + Send + Sync + 'static) -> DurableWaker {
+        DurableWaker(Arc::new(WaiterSlot { ring: Some(Box::new(ring)), ..WaiterSlot::default() }))
+    }
+
     /// Wake the waiting thread (or make its next wait return at once).
     pub fn wake(&self) {
         self.0.wake();

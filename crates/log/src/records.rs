@@ -468,13 +468,7 @@ impl<'a> BlockEncoder<'a> {
         key: &[u8],
         value: &[u8],
     ) {
-        let mut h = [0u8; RECORD_HEADER_LEN];
-        h[0] = kind as u8;
-        h[2..4].copy_from_slice(&(key.len() as u16).to_le_bytes());
-        h[4..8].copy_from_slice(&table.0.to_le_bytes());
-        h[8..12].copy_from_slice(&oid.0.to_le_bytes());
-        h[12..16].copy_from_slice(&(value.len() as u32).to_le_bytes());
-        self.put(&h);
+        self.put(&TxRecordView { kind, table, oid, key, value }.header());
         self.put(key);
         self.put(value);
         self.nrec += 1;
@@ -541,6 +535,19 @@ pub struct TxRecordView<'a> {
 }
 
 impl<'a> TxRecordView<'a> {
+    /// The record's header (layout at [`LogRecord`]): its key and value
+    /// follow it.
+    #[inline]
+    pub(crate) fn header(&self) -> [u8; RECORD_HEADER_LEN] {
+        let mut h = [0u8; RECORD_HEADER_LEN];
+        h[0] = self.kind as u8;
+        h[2..4].copy_from_slice(&(self.key.len() as u16).to_le_bytes());
+        h[4..8].copy_from_slice(&self.table.0.to_le_bytes());
+        h[8..12].copy_from_slice(&self.oid.0.to_le_bytes());
+        h[12..16].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
+        h
+    }
+
     /// Decode one record at `buf[pos..]` without copying it, returning it
     /// and the position of the next record. `None` on malformed input: a
     /// short record, an unknown kind, a nonzero flags byte, or an index

@@ -407,6 +407,34 @@ fn durable_waker_wake_is_a_level_one_wait_consumes() {
     assert!(consumed(&waker), "a second wake was counted");
 }
 
+/// A ringing waker calls its ring on every wake, the flusher's included,
+/// and still keeps the level for a waiter on the condvar.
+#[test]
+fn a_ringing_waker_rings_on_a_flush_that_covers_its_target() {
+    use crate::DurableWaker;
+    use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
+    let rings = std::sync::Arc::new(AtomicU32::new(0));
+    let waker = DurableWaker::ringing({
+        let rings = std::sync::Arc::clone(&rings);
+        move || {
+            rings.fetch_add(1, SeqCst);
+        }
+    });
+    waker.wake();
+    assert_eq!(rings.load(SeqCst), 1);
+    waker.wait(None);
+
+    let log = LogManager::open(LogConfig::in_memory()).unwrap();
+    let (_, end) = append(&log, &[(Update, 1, 0, b"key", b"value")]);
+    let sub = log.subscribe_durable(end, &waker);
+    log.wait_durable(end).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while sub.is_some() && rings.load(SeqCst) < 2 {
+        assert!(std::time::Instant::now() < deadline, "the flush never rang the waker");
+        std::thread::yield_now();
+    }
+}
+
 /// The fault plan's `sync_linger`: the sync has finished and its return
 /// is held back, so the block is on the device — a fresh scanner reads
 /// it, as recovery after a kill would — while the log has told nobody:

@@ -29,9 +29,9 @@ pub(crate) const MAX_HTTP_HEAD: usize = 8 * 1024;
 pub(crate) enum Out {
     /// Fully framed (or raw, for HTTP) bytes ready to write.
     Bytes(Vec<u8>),
-    /// A sync commit parked on the durability parker; the frame arrives
-    /// as a completion carrying this sequence number. Later `Bytes`
-    /// entries wait behind it so replies stay in order.
+    /// A commit parked on the shard's durability parker; its frame lands
+    /// in this slot when it settles. Later `Bytes` entries wait behind it
+    /// so replies stay in order.
     Pending { seq: u64 },
 }
 
@@ -248,16 +248,12 @@ impl Conn {
         seq
     }
 
-    /// Resolve a parked slot with its frame. Returns false if the slot
-    /// is gone (it never is while the connection lives).
-    pub fn complete(&mut self, seq: u64, bytes: Vec<u8>) -> bool {
-        for slot in self.out.iter_mut() {
-            if matches!(slot, Out::Pending { seq: s } if *s == seq) {
-                *slot = Out::Bytes(bytes);
-                return true;
-            }
+    /// Resolve a parked slot with its frame.
+    pub fn complete(&mut self, seq: u64, bytes: Vec<u8>) {
+        let pending = |slot: &&mut Out| matches!(slot, Out::Pending { seq: s } if *s == seq);
+        if let Some(slot) = self.out.iter_mut().find(pending) {
+            *slot = Out::Bytes(bytes);
         }
-        false
     }
 
     /// Write as much of `out` as the socket accepts right now. A run of

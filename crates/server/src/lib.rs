@@ -11,7 +11,7 @@
 //!   [`WorkerPool`](ermia::WorkerPool) mapping requests to engine
 //!   workers per transaction, explicit `Busy` load shedding, in-order
 //!   pipelined replies with write-interest-driven partial-write state,
-//!   per-shard durability parkers for sync commits, and graceful
+//!   one thread per shard that also parks its sync commits, and graceful
 //!   shutdown that drains in-flight commits.
 //! * [`Client`] — a pipelined client library used by the loopback bench
 //!   harness and the examples.
@@ -29,6 +29,8 @@ mod poll;
 mod server;
 mod session;
 mod sys;
+#[cfg(test)]
+mod tests;
 
 pub use client::{Client, ClientError, ClientResult, HealthInfo, RetryPolicy};
 pub use protocol::{BatchOp, ErrorCode, FrameError, ReplStatus, Request, Response, WireIsolation};

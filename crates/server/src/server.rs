@@ -2,8 +2,8 @@
 //!
 //! The service layer is event-driven: [`ServerConfig::shards`] event
 //! loops (see [`crate::session`]) multiplex every connection over epoll,
-//! so OS threads scale with shards + engine workers + one durability
-//! parker per shard — never with connections. Shard 0 owns the
+//! so OS threads scale with shards, one thread each that also waits its
+//! parked commits out — never with connections. Shard 0 owns the
 //! non-blocking listener. Admission control happens at two levels:
 //!
 //! 1. **Connection count** — beyond [`ServerConfig::max_sessions`] the
@@ -26,12 +26,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ermia::{ShardedDb, WorkerPool};
-use ermia_log::DurableWaker;
 use ermia_telemetry::{Sample, SpanRing};
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
-use crate::session::{run_parker, run_shard, Completion, ParkIntake, Parked};
+use crate::session::run_shard;
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
@@ -136,43 +135,23 @@ pub(crate) struct ShardStats {
     pub run_queue: AtomicUsize,
 }
 
-/// Cross-thread surface of one shard: how the accepting shard, the
-/// durability parker, and `Server::shutdown` reach its event loop.
+/// Cross-thread surface of one shard: how the accepting shard, the logs
+/// its parked commits wait on, and `Server::shutdown` reach its event
+/// loop.
 pub(crate) struct ShardHandle {
     /// Rings the shard's epoll wait.
     pub wake: Arc<WakeFd>,
     /// Connections handed over by the accepting shard.
     pub inbox: Mutex<Vec<TcpStream>>,
-    /// Resolved durability waits from the shard's parker.
-    pub completions: Mutex<Vec<Completion>>,
-    /// Intake of the shard's durability parker; closed once the shard
-    /// cut over to shutdown (which is what lets the parker exit).
-    pub park_in: Mutex<ParkIntake>,
-    /// Wakes the parker: rung by the event loop after posting to the
-    /// intake, and by every log flusher a parked commit subscribed it to.
-    pub park_waker: DurableWaker,
-    /// Published commits of the turn in progress that wait for their log
-    /// block; the shard posts them to the parker in one handoff when the
-    /// turn ends. Filled and emptied by the shard's own thread only.
-    pub outbox: Mutex<Vec<Parked>>,
-    /// Per engine shard, the highest log offset a commit handed to the
-    /// parker this turn waits on (0: none); the event loop raises it as
-    /// one settled flush demand per log when the turn ends. Written and
-    /// read by the shard's own thread only, hence `Relaxed` throughout.
-    pub flush_demand: Box<[AtomicU64]>,
-    /// Record ring of the shard thread: its service events (parked
-    /// sessions, shipped chunks, accept sheds on shard 0) and the spans
-    /// of traced requests (frame decode, run-queue wait, worker checkout,
-    /// request).
+    /// Record ring of the shard thread: its service events (parked and
+    /// resumed sessions, log incidents, shipped chunks, accept sheds on
+    /// shard 0) and the spans of traced requests (frame decode, run-queue
+    /// wait, worker checkout, durability wait, request).
     pub ring: Arc<SpanRing>,
-    /// Record ring of the shard's durability parker thread (resumed
-    /// sessions, log incidents, durability waits resolved off the event
-    /// loop).
-    pub parker_ring: Arc<SpanRing>,
     pub stats: ShardStats,
 }
 
-/// Shared between shards, parkers, and the handle.
+/// Shared between the shards and the handle.
 pub(crate) struct ServerState {
     pub db: ShardedDb,
     pub cfg: ServerConfig,
@@ -215,13 +194,7 @@ impl Server {
             shards.push(ShardHandle {
                 wake: Arc::new(WakeFd::new()?),
                 inbox: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
-                park_in: Mutex::new(ParkIntake { jobs: Vec::new(), open: true }),
-                park_waker: DurableWaker::default(),
-                outbox: Mutex::new(Vec::new()),
-                flush_demand: (0..db.shards()).map(|_| AtomicU64::new(0)).collect(),
                 ring: db.telemetry().tracer().ring(),
-                parker_ring: db.telemetry().tracer().ring(),
                 stats: ShardStats::default(),
             });
         }
@@ -243,7 +216,7 @@ impl Server {
                 collect_server(&s, out);
             }
         });
-        let mut threads = Vec::with_capacity(shard_count * 2);
+        let mut threads = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let shard_state = Arc::clone(&state);
             let shard_listener = if i == 0 { Some(listener.try_clone()?) } else { None };
@@ -251,12 +224,6 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("ermia-shard-{i}"))
                     .spawn(move || run_shard(shard_state, i, shard_listener))?,
-            );
-            let parker_state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ermia-parker-{i}"))
-                    .spawn(move || run_parker(parker_state, i))?,
             );
         }
         drop(listener); // shard 0 holds the only remaining handle
@@ -297,7 +264,6 @@ impl Server {
         telemetry.registry().unregister_group(self.state.telemetry_group);
         for shard in &self.state.shards {
             telemetry.tracer().retire(&shard.ring);
-            telemetry.tracer().retire(&shard.parker_ring);
         }
         // Every shard blocks in epoll_wait; its event fd gets it moving.
         for shard in &self.state.shards {

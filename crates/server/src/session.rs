@@ -50,45 +50,41 @@
 //! every prepare block is durable. Either waits on log offsets only
 //! (`waits`).
 //!
-//! From there one road leads to the reply. A commit with nothing to wait
-//! for — it is published and the client did not ask (`sync: false`), or
-//! it occupies no log block — is answered at once. Every other one gets
-//! an in-order placeholder reply and a [`ParkJob`], and goes to the
-//! shard's durability parker: an unpublished one straight away, whatever
-//! its `sync` flag, because this thread may wait on one of its prepared
-//! heads in a later frame and must never be the only thread able to
-//! resolve it; a published one with the rest of its turn's, in one post
-//! when the turn ends. The event loop never reads a log's durable
-//! watermark: a commit that waits, waits with the parker and on nothing
-//! else. (On a device with any latency a block filled this turn cannot be
-//! durable this turn, so a probe from the loop answers nothing.)
+//! A commit with nothing to wait for — published, and the client did not
+//! ask (`sync: false`), or occupying no log block — is answered at once.
+//! Every other one gets an in-order placeholder reply and a [`ParkJob`],
+//! and joins the shard thread's own engine [`Parker`] (`Parking`), the one
+//! wait on the logs a blocking cross-shard commit runs too: a published one
+//! when the turn ends, with the rest of its turn's; an unpublished one at
+//! once, registered with its logs, whatever its `sync` flag. A later frame
+//! may read one of its prepared heads and wait for a verdict only this
+//! thread delivers, so the loop installs a [`VerdictHelper`] that polls
+//! its parker: such a wait publishes what has landed before each sleep.
 //!
-//! What gets the parked commits their flush is raised once per turn: when
-//! the turn's last frame has executed and its jobs are with the parker,
-//! the event loop tells each log a commit parked this turn waits on that
-//! the demand has *settled* (`LogManager::demand_flush`, up to the highest
-//! offset `waits` named) — nothing more will be filled before this thread
-//! sleeps, so that log starts a sync over everything filled now rather
-//! than at its next stagger instant. The parker's registration, which
-//! arrives a thread wake-up later, finds the bytes already on their way.
-//!
-//! The parker — one thread per shard — runs the engine's [`Parker`],
-//! the one wait on the logs a blocking cross-shard commit runs too: one
-//! registration per engine log, at the lowest offset still awaited there,
-//! and every job polled on each wake. It turns each settled job into its
-//! reply frame; the verdict records a pass's cross-shard commits owe are
-//! appended, unforced, once their replies are in the completion mailbox.
-//! Verdicts are delivered on a worker the parker registers for itself: a
-//! parked commit holds no pooled worker and no epoch pin. Deadlines are
-//! absolute: enqueue time + the logs' one patience,
-//! `LogConfig::wait_durable_timeout`, so concurrent stalls share one
-//! window. A stalled log parks sessions, not threads: the client gets the
-//! typed [`ErrorCode::LogStalled`] when the window lapses — a staged
-//! commit first appends an abort verdict behind its prepares and rolls
-//! both halves back ("indeterminate": a crash before that verdict is
-//! durable may still commit it) — and [`ErrorCode::LogFailed`] when a
-//! published commit's log fails. A connection that closes leaves its
-//! parked jobs running to their verdicts; their completions are dropped.
+//! When the turn's last frame has executed, the loop tells each log a
+//! commit parked this turn waits on that the demand has *settled*
+//! (`LogManager::demand_flush`, up to the highest offset `waits` named):
+//! nothing more will be filled before this thread sleeps, so that log
+//! starts a sync over everything filled now rather than at its next
+//! stagger instant. Then the published commits join the parker, which
+//! registers once per engine log, at the lowest offset still awaited
+//! there, with a wake-up cell that rings the shard's wake fd. The loop
+//! polls every parked commit at the end of each turn and sleeps in
+//! `epoll_wait` until a log rings or the earliest deadline passes
+//! (`loop_timeout`). It answers what settled in order: the replies
+//! queued, then the verdict records those cross-shard commits owe
+//! appended, unforced, then the sockets flushed. Verdicts are delivered
+//! on a worker the loop registers for itself: a parked commit holds no
+//! pooled worker and no epoch pin. Deadlines are absolute: enqueue time +
+//! the logs' one patience, `LogConfig::wait_durable_timeout`, so
+//! concurrent stalls share one window. A stalled log parks sessions, not
+//! threads: the client gets the typed [`ErrorCode::LogStalled`] when the
+//! window lapses — a staged commit first appends an abort verdict behind
+//! its prepares and rolls both halves back ("indeterminate": a crash
+//! before that verdict is durable may still commit it) — and
+//! [`ErrorCode::LogFailed`] when a published commit's log fails. A
+//! connection that closes leaves its parked jobs running to their
+//! verdicts; their replies are dropped.
 //!
 //! # Shutdown
 //!
@@ -96,22 +92,27 @@
 //! wakes every shard's event fd — no loopback connects, no read
 //! timeouts. Each shard closes the listener, drains a quiet window so
 //! already-flushed client frames still get served, aborts what remains
-//! (`ShuttingDown` frames to open transactions), closes the parker's
-//! intake, flushes outbound queues — including parked commits, which the
-//! parker resolves (or aborts) within that patience — and joins.
+//! (`ShuttingDown` frames to open transactions), flushes outbound queues
+//! — including parked commits, which its parker resolves (or aborts)
+//! within that patience — and returns once no connection and no parked
+//! commit is left.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ermia::{
     DbState, DeferredCommit, IsolationLevel, NodeRole, Parker, PooledWorker, Settled, ShardedDb,
+    ShardedWorker, VerdictHelper,
 };
+use ermia_log::DurableWaker;
 use ermia_telemetry::{render_spans, Registry, SpanKind, SpanRing, TraceContext, Tracer};
 
 use crate::conn::{
@@ -140,7 +141,7 @@ const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// The reply a parked commit turns into once its outcome is known.
-pub(crate) enum Reply {
+enum Reply {
     /// An interactive `Commit`: the outcome itself.
     Commit,
     /// A `Batch`: the per-op results ride along into `BatchDone`.
@@ -173,36 +174,140 @@ impl Reply {
 
 /// Whom a commit handed to the durability parker answers, and how: its
 /// in-order reply slot is reserved. It travels with the commit.
-pub(crate) struct ParkJob {
-    pub conn: u64,
-    pub seq: u64,
-    pub reply: Reply,
-    pub enqueued: Instant,
+struct ParkJob {
+    conn: u64,
+    seq: u64,
+    reply: Reply,
+    enqueued: Instant,
     /// Trace of the committing request; resolution records the
     /// durability-wait span and closes the request span.
-    pub trace: Option<TraceReq>,
+    trace: Option<TraceReq>,
 }
 
-/// A commit on its way to the parker, with whom it answers.
-pub(crate) type Parked = (ParkJob, DeferredCommit);
-
-/// The parker's intake: jobs posted by the event loop, and whether more
-/// may come.
-pub(crate) struct ParkIntake {
-    pub jobs: Vec<Parked>,
-    /// Cleared at shutdown cutoff; the parker exits once it is closed
-    /// and every job it holds has resolved.
-    pub open: bool,
+/// The commits one shard's thread parked (module docs, "Durability
+/// parker"), shared by its event loop and its verdict helper.
+struct Parking {
+    parker: Parker<ParkJob>,
+    /// Delivers the verdicts: a parked commit holds no pooled worker.
+    resolver: ShardedWorker,
+    /// Published commits of the turn in progress that wait for their log
+    /// block, parked when the turn ends.
+    outbox: Vec<(ParkJob, DeferredCommit)>,
+    /// Per engine shard, the highest log offset a commit parked this turn
+    /// waits on (0: none), raised as one settled flush demand per log
+    /// when the turn ends.
+    flush_demand: Vec<u64>,
+    /// Replies of settled commits not yet in their connections' queues:
+    /// (connection, reply slot, frame).
+    settled: Vec<(u64, u64, Vec<u8>)>,
 }
 
-/// A resolved durability wait, posted back to the owning shard.
-pub(crate) struct Completion {
-    pub conn: u64,
-    pub seq: u64,
-    pub bytes: Vec<u8>,
+impl Parking {
+    /// An empty parking whose parker's wake-up cell rings `handle`'s wake
+    /// fd: a log that lands an awaited offset wakes the event loop.
+    fn new(state: &ServerState, handle: &ShardHandle) -> Parking {
+        let wake = Arc::clone(&handle.wake);
+        Parking {
+            parker: Parker::new(&state.db, DurableWaker::ringing(move || wake.wake())),
+            resolver: state.db.register_worker(),
+            outbox: Vec::new(),
+            flush_demand: vec![0; state.db.shards()],
+            settled: Vec::new(),
+        }
+    }
+
+    /// Take on a commit that waits for the logs: a published one when the
+    /// turn ends, an unpublished one now, registrations and all — a later
+    /// frame may wait on its prepared heads (module docs).
+    fn park(&mut self, state: &ServerState, job: ParkJob, commit: DeferredCommit) {
+        for (shard, end) in commit.waits() {
+            self.flush_demand[shard] = self.flush_demand[shard].max(end);
+        }
+        if commit.published().is_some() {
+            return self.outbox.push((job, commit));
+        }
+        self.parker.park(job.enqueued + state.patience(), job, commit);
+        self.parker.arm();
+    }
+
+    /// The turn has ended: raise one settled flush demand per log a commit
+    /// parked this turn waits on, park the outbox, then poll and register
+    /// for what is still awaited — polling again while an offset lands
+    /// before its registration. Queue each settled reply in its slot (a
+    /// connection gone drops it), then append the verdict records those
+    /// cross-shard commits owe: a client that asks for its trace next
+    /// finds the `2pc-decide` span. The caller flushes `touched` after.
+    fn end_turn(
+        &mut self,
+        state: &ServerState,
+        ring: &SpanRing,
+        conns: &mut HashMap<u64, Conn>,
+        touched: &mut Vec<u64>,
+    ) {
+        for (shard, demand) in self.flush_demand.iter_mut().enumerate() {
+            if *demand != 0 {
+                state.db.shard(shard).log().demand_flush(std::mem::take(demand));
+            }
+        }
+        for (job, commit) in self.outbox.drain(..) {
+            self.parker.park(job.enqueued + state.patience(), job, commit);
+        }
+        self.poll(state, ring);
+        while !self.parker.arm() {
+            self.poll(state, ring);
+        }
+        for (t, seq, frame) in self.settled.drain(..) {
+            let Some(conn) = conns.get_mut(&t) else { continue };
+            conn.complete(seq, frame);
+            touched.push(t);
+        }
+        self.parker.write_verdicts(&mut self.resolver);
+    }
+
+    /// Poll every parked commit, without blocking, turning each settled
+    /// one into its reply frame.
+    fn poll(&mut self, state: &ServerState, ring: &SpanRing) {
+        let Parking { parker, resolver, settled, .. } = self;
+        parker.poll(resolver, |job, commit, outcome| {
+            let ctx = job.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
+            let outcome = match outcome {
+                Settled::Verdict(Ok(token)) => Response::Committed { lsn: token.lsn().raw() },
+                Settled::Verdict(Err(reason)) => aborted(reason),
+                Settled::LogFailed(e) => {
+                    record_log_incident(state, ring, &ctx, SpanKind::LogPoison, 1);
+                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
+                }
+                Settled::Lapsed => {
+                    let waited = state.patience().as_millis() as u64;
+                    record_log_incident(state, ring, &ctx, SpanKind::LogStall, waited);
+                    log_stalled()
+                }
+            };
+            if let Some(tr) = &job.trace {
+                // The wait of a published commit, measured from park
+                // time; the engine recorded a staged commit's waits
+                // itself, participant by participant.
+                if commit.published().is_some() {
+                    let now = ring.now_ns();
+                    let start = now.saturating_sub(job.enqueued.elapsed().as_nanos() as u64);
+                    ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
+                }
+                finish_trace(state, ring, tr);
+            }
+            let waited_us = job.enqueued.elapsed().as_micros() as u64;
+            ring.event(&ctx, SpanKind::SessionResumed, job.conn, waited_us);
+            settled.push((job.conn, job.seq, job.reply.with(outcome).frame()));
+        });
+    }
 }
 
-enum Phase {
+/// What one shard's thread reaches besides a connection.
+struct Shard<'a> {
+    handle: &'a ShardHandle,
+    parking: &'a RefCell<Parking>,
+}
+
+pub(crate) enum Phase {
     Running,
     /// Shutdown observed: listener closed, still serving frames already
     /// in flight. Once `soft` passes, idle connections quiesce each tick
@@ -219,9 +324,45 @@ enum Phase {
     },
 }
 
+/// How long the event loop may sleep in `epoll_wait`: until the next step
+/// of its phase — the worker-checkout retry tick while requests wait for
+/// a worker, the shutdown drain's ticks — or the earliest deadline of a
+/// parked commit, whichever comes first; `None`: until an event.
+pub(crate) fn loop_timeout(
+    now: Instant,
+    phase: &Phase,
+    run_queue_waiting: bool,
+    parker_due: Option<Instant>,
+) -> Option<Duration> {
+    let step = match phase {
+        Phase::Running => run_queue_waiting.then_some(Duration::from_millis(1)),
+        Phase::Drain { soft, .. } => Some(
+            soft.saturating_duration_since(now)
+                .clamp(Duration::from_millis(1), Duration::from_millis(25)),
+        ),
+        Phase::Flush { deadline } => {
+            Some(deadline.saturating_duration_since(now).min(Duration::from_millis(100)))
+        }
+    };
+    let due = parker_due.map(|t| t.saturating_duration_since(now));
+    step.into_iter().chain(due).min()
+}
+
 /// One shard's event loop. `listener` is `Some` only for shard 0.
 pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Option<TcpListener>) {
     let handle = &state.shards[idx];
+    let parking = Rc::new(RefCell::new(Parking::new(&state, handle)));
+    // A frame that waits on a prepared head this thread parked resolves
+    // it while it waits; inside a poll of its own it does not help.
+    let _helping = VerdictHelper::install(Rc::new({
+        let (parking, state) = (Rc::clone(&parking), Arc::clone(&state));
+        move || {
+            if let Ok(mut parking) = parking.try_borrow_mut() {
+                parking.poll(&state, &state.shards[idx].ring);
+            }
+        }
+    }));
+    let sh = &Shard { handle, parking: &parking };
     let poller = Poller::new().expect("epoll_create1");
     poller
         .register(
@@ -249,24 +390,9 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     let mut read_buf = vec![0u8; READ_BUF_LEN];
 
     loop {
-        let now = Instant::now();
-        let timeout = match &phase {
-            Phase::Running => {
-                if handle.stats.run_queue.load(Ordering::Relaxed) > 0 {
-                    // Worker-checkout retry tick.
-                    Some(Duration::from_millis(1))
-                } else {
-                    None
-                }
-            }
-            Phase::Drain { soft, .. } => Some(
-                soft.saturating_duration_since(now)
-                    .clamp(Duration::from_millis(1), Duration::from_millis(25)),
-            ),
-            Phase::Flush { deadline } => {
-                Some(deadline.saturating_duration_since(now).min(Duration::from_millis(100)))
-            }
-        };
+        let run_queue_waiting = handle.stats.run_queue.load(Ordering::Relaxed) > 0;
+        let due = parking.borrow().parker.due();
+        let timeout = loop_timeout(Instant::now(), &phase, run_queue_waiting, due);
         let _ = poller.wait(&mut events, timeout);
         handle.stats.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
 
@@ -282,7 +408,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 t => {
                     let Some(conn) = conns.get_mut(&t) else { continue };
                     touched.push(t);
-                    if handle_conn_event(&state, handle, conn, ev, &mut read_buf) {
+                    if handle_conn_event(&state, sh, conn, ev, &mut read_buf) {
                         to_close.push(t);
                     }
                 }
@@ -301,17 +427,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 // Accepted just before shutdown: account and drop.
                 state.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                 state.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Resolved durability waits.
-        let comps = std::mem::take(&mut *handle.completions.lock().unwrap());
-        for c in comps {
-            let Some(conn) = conns.get_mut(&c.conn) else { continue };
-            conn.complete(c.seq, c.bytes);
-            touched.push(c.conn);
-            if service(&state, handle, conn) {
-                to_close.push(c.conn);
             }
         }
 
@@ -335,7 +450,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 } else if let Some(w) = state.pool.try_checkout() {
                     let Waiting { work, trace, .. } = conn.waiting.take().expect("waiting");
                     let trace = leave_run_queue(&handle.ring, trace);
-                    start_work(&state, handle, conn, work, w, trace);
+                    start_work(&state, sh, conn, work, w, trace);
                     true
                 } else {
                     false
@@ -343,19 +458,29 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 if resolved {
                     handle.stats.run_queue.fetch_sub(1, Ordering::Relaxed);
                     touched.push(t);
-                    if service(&state, handle, conn) {
+                    if service(&state, sh, conn) {
                         to_close.push(t);
                     }
                 }
             }
         }
 
-        // The turn has ended: every frame read is executed. Its commits
-        // that wait go to the parker in one post, and since nothing more
-        // will be filled before this thread sleeps, the logs they wait on
-        // gain nothing by holding their syncs back.
-        post_outbox(&state, handle, &mut conns, &mut touched);
-        raise_flush_demand(&state, handle);
+        // The turn has ended: every frame read is executed. Park, answer,
+        // then flush; a connection that got a reply may serve frames its
+        // full reply queue held back, so round again until none settles.
+        loop {
+            let first = touched.len();
+            parking.borrow_mut().end_turn(&state, &handle.ring, &mut conns, &mut touched);
+            if touched.len() == first {
+                break;
+            }
+            for &t in &touched[first..] {
+                let Some(conn) = conns.get_mut(&t) else { continue };
+                if service(&state, sh, conn) {
+                    to_close.push(t);
+                }
+            }
+        }
 
         to_close.sort_unstable();
         to_close.dedup();
@@ -400,7 +525,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 } else if now >= soft {
                     quiesce_idle(&state, handle, &mut conns);
                     if conns.values().all(|c| c.draining) {
-                        close_parker(handle);
                         phase = Phase::Flush {
                             deadline: now + state.patience() + Duration::from_secs(1),
                         };
@@ -414,17 +538,18 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 }
             }
             Phase::Flush { deadline } => {
+                // Past the deadline every connection goes. The loop ends
+                // once none is left and every commit it parked — each due
+                // within the patience of being parked — has settled.
+                let done = |c: &Conn| c.finished() || now >= deadline;
                 let finished: Vec<u64> =
-                    conns.iter().filter(|(_, c)| c.finished()).map(|(t, _)| *t).collect();
+                    conns.iter().filter(|(_, c)| done(c)).map(|(t, _)| *t).collect();
                 for t in finished {
                     if let Some(c) = conns.remove(&t) {
                         close_conn(&state, handle, &poller, c);
                     }
                 }
-                if conns.is_empty() || now >= deadline {
-                    for (_, c) in conns.drain() {
-                        close_conn(&state, handle, &poller, c);
-                    }
+                if conns.is_empty() && parking.borrow().parker.is_empty() {
                     return;
                 }
                 phase = Phase::Flush { deadline };
@@ -550,7 +675,7 @@ fn close_conn(state: &Arc<ServerState>, handle: &ShardHandle, poller: &Poller, m
 /// close now.
 fn handle_conn_event(
     state: &Arc<ServerState>,
-    handle: &ShardHandle,
+    sh: &Shard,
     conn: &mut Conn,
     ev: Event,
     read_buf: &mut [u8],
@@ -558,14 +683,14 @@ fn handle_conn_event(
     if ev.error {
         return true;
     }
-    if ev.writable && matches!(conn.flush(state, &handle.stats), FlushState::Dead) {
+    if ev.writable && matches!(conn.flush(state, &sh.handle.stats), FlushState::Dead) {
         return true;
     }
     let readable = (ev.readable || ev.hangup) && !conn.draining && !conn.read_shut;
     if readable && read_into(conn, read_buf) {
         return true;
     }
-    service(state, handle, conn)
+    service(state, sh, conn)
 }
 
 /// Bytes read from a socket per `read` call.
@@ -616,7 +741,7 @@ fn feed(conn: &mut Conn, bytes: &[u8]) {
 
 /// Process buffered input, flush output, and settle end-of-life state.
 /// Returns true if the connection must close now.
-fn service(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn) -> bool {
+fn service(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> bool {
     let mut exhausted;
     loop {
         let worked = match conn.mode {
@@ -628,13 +753,13 @@ fn service(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn) -> b
                 0
             }
             Mode::Frames | Mode::Sniff { .. } => {
-                let (worked, ex) = process_frames(state, handle, conn);
+                let (worked, ex) = process_frames(state, sh, conn);
                 exhausted = ex;
                 worked
             }
         };
         let queued = conn.out.len();
-        if matches!(conn.flush(state, &handle.stats), FlushState::Dead) {
+        if matches!(conn.flush(state, &sh.handle.stats), FlushState::Dead) {
             return true;
         }
         // A flush that made room in the reply queue goes round again:
@@ -657,11 +782,7 @@ fn service(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn) -> b
 /// Dispatch complete frames until input runs dry, backpressure bites,
 /// or the connection parks on the run queue. Returns (frames handled,
 /// input exhausted).
-fn process_frames(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conn: &mut Conn,
-) -> (usize, bool) {
+fn process_frames(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> (usize, bool) {
     let mut worked = 0usize;
     loop {
         if conn.draining {
@@ -673,7 +794,7 @@ fn process_frames(
         match conn.asm.next_frame() {
             Ok(Some(payload)) => {
                 worked += 1;
-                dispatch(state, handle, conn, &payload);
+                dispatch(state, sh, conn, &payload);
             }
             Ok(None) => return (worked, true),
             Err(e) => {
@@ -730,10 +851,10 @@ fn process_http(state: &Arc<ServerState>, conn: &mut Conn) -> bool {
 /// state — between transactions, or inside `Begin` … `Commit`/`Abort` —
 /// is the legality column of the frame table ([`Request::legal`]); what
 /// is left to decide here is what a legal frame does.
-fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, payload: &[u8]) {
+fn dispatch(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn, payload: &[u8]) {
     // One branch on the first payload byte is the whole cost tracing
     // adds to an untraced frame; the clock is read only past it.
-    let t0 = if is_traced_frame(payload) { handle.ring.now_ns() } else { 0 };
+    let t0 = if is_traced_frame(payload) { sh.handle.ring.now_ns() } else { 0 };
     let (req, ctx) = match Request::decode_traced(payload) {
         Ok(v) => v,
         Err(e) => {
@@ -747,7 +868,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
     let (op, legal) = (req.name(), req.legal());
     let req = req.into_op();
     let trace = ctx.map(|ctx| {
-        let ring = &handle.ring;
+        let ring = &sh.handle.ring;
         let span_id = ring.alloc_span_id();
         // Table and key-prefix attribution for the slow-op log.
         let (table, key) = req.as_ref().map_or((0, &[][..]), op_target);
@@ -772,7 +893,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
                     sync: false,
                     ops: Ops::Auto(op),
                 };
-                return need_worker(state, handle, conn, work, trace);
+                return need_worker(state, sh, conn, work, trace);
             };
             let resp = exec_op(state, open.txn(), &op);
             conn.push(state, resp);
@@ -790,16 +911,16 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
             Request::OpenTable { name } => open_table(state, conn, &name),
             Request::Subscribe { shard, from } => do_subscribe(state, conn, shard, from),
             Request::FetchChunk { shard, source, offset, len } => {
-                do_fetch_chunk(state, &handle.ring, conn, shard, source, offset, len)
+                do_fetch_chunk(state, &sh.handle.ring, conn, shard, source, offset, len)
             }
             Request::Begin { isolation } => {
                 let work = PendingWork::Begin { isolation: engine_isolation(isolation) };
-                return need_worker(state, handle, conn, work, trace);
+                return need_worker(state, sh, conn, work, trace);
             }
             Request::Batch { isolation, sync, ops } => {
                 let isolation = engine_isolation(isolation);
                 let work = PendingWork::OneShot { isolation, sync, ops: Ops::Batch(ops) };
-                return need_worker(state, handle, conn, work, trace);
+                return need_worker(state, sh, conn, work, trace);
             }
             Request::Abort => {
                 let mut open = conn.txn.take().expect("legal only inside a transaction");
@@ -807,7 +928,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
                 open.finish(|t| t.abort());
                 conn.push(state, Response::Aborted);
                 if let Some(tr) = txn_trace {
-                    finish_trace(state, &handle.ring, &tr);
+                    finish_trace(state, &sh.handle.ring, &tr);
                 }
             }
             Request::Commit { sync } => {
@@ -818,11 +939,11 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
                 let mut txn_trace = open.trace.take();
                 match (&txn_trace, trace) {
                     (None, frame) => txn_trace = frame,
-                    (Some(_), Some(frame)) => finish_trace(state, &handle.ring, &frame),
+                    (Some(_), Some(frame)) => finish_trace(state, &sh.handle.ring, &frame),
                     (Some(_), None) => {}
                 }
                 let commit = open.finish(|t| t.commit_deferred()).map_err(aborted);
-                return conclude(state, handle, conn, commit, sync, Reply::Commit, txn_trace);
+                return conclude(state, sh, conn, commit, sync, Reply::Commit, txn_trace);
             }
             Request::Get { .. }
             | Request::Put { .. }
@@ -832,7 +953,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
         },
     }
     if let Some(tr) = trace {
-        finish_trace(state, &handle.ring, &tr);
+        finish_trace(state, &sh.handle.ring, &tr);
     }
 }
 
@@ -863,19 +984,19 @@ fn leave_run_queue(ring: &SpanRing, trace: Option<(TraceReq, u64)>) -> Option<Tr
 /// shard run queue until one frees up or the admission window closes.
 fn need_worker(
     state: &Arc<ServerState>,
-    handle: &ShardHandle,
+    sh: &Shard,
     conn: &mut Conn,
     work: PendingWork,
     trace: Option<TraceReq>,
 ) {
-    let t_checkout = if trace.is_some() { handle.ring.now_ns() } else { 0 };
+    let t_checkout = if trace.is_some() { sh.handle.ring.now_ns() } else { 0 };
     match state.pool.try_checkout() {
         Some(w) => {
             if let Some(tr) = &trace {
-                let ring = &handle.ring;
+                let ring = &sh.handle.ring;
                 ring.record(&tr.child(), SpanKind::WorkerCheckout, t_checkout, ring.now_ns(), 0, 0);
             }
-            start_work(state, handle, conn, work, w, trace)
+            start_work(state, sh, conn, work, w, trace)
         }
         None => {
             conn.waiting = Some(Waiting {
@@ -883,14 +1004,14 @@ fn need_worker(
                 work,
                 trace: trace.map(|tr| (tr, t_checkout)),
             });
-            handle.stats.run_queue.fetch_add(1, Ordering::Relaxed);
+            sh.handle.stats.run_queue.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 fn start_work(
     state: &Arc<ServerState>,
-    handle: &ShardHandle,
+    sh: &Shard,
     conn: &mut Conn,
     work: PendingWork,
     mut w: PooledWorker<ShardedDb>,
@@ -933,7 +1054,7 @@ fn start_work(
         }
         None => txn.commit_deferred().map_err(aborted),
     };
-    conclude(state, handle, conn, commit, sync, reply, trace)
+    conclude(state, sh, conn, commit, sync, reply, trace)
 }
 
 /// The one commit epilogue, for an interactive `Commit`, a `Batch` and an
@@ -943,7 +1064,7 @@ fn start_work(
 /// with why, and its trace closed.
 fn conclude(
     state: &Arc<ServerState>,
-    handle: &ShardHandle,
+    sh: &Shard,
     conn: &mut Conn,
     commit: Result<DeferredCommit, Response>,
     sync: bool,
@@ -953,12 +1074,12 @@ fn conclude(
     match commit {
         Ok(commit) => {
             state.stats.commits.fetch_add(1, Ordering::Relaxed);
-            settle_commit(state, handle, conn, commit, sync, reply, trace);
+            settle_commit(state, sh, conn, commit, sync, reply, trace);
         }
         Err(outcome) => {
             conn.push(state, reply.with(outcome));
             if let Some(tr) = trace {
-                finish_trace(state, &handle.ring, &tr);
+                finish_trace(state, &sh.handle.ring, &tr);
             }
         }
     }
@@ -969,7 +1090,7 @@ fn conclude(
 /// the parker until the logs have caught up.
 fn settle_commit(
     state: &Arc<ServerState>,
-    handle: &ShardHandle,
+    sh: &Shard,
     conn: &mut Conn,
     commit: DeferredCommit,
     sync: bool,
@@ -980,92 +1101,15 @@ fn settle_commit(
     if let Some(token) = published.filter(|t| !sync || t.end_offset().is_none()) {
         conn.push(state, reply.with(Response::Committed { lsn: token.lsn().raw() }));
         if let Some(tr) = trace {
-            finish_trace(state, &handle.ring, &tr);
+            finish_trace(state, &sh.handle.ring, &tr);
         }
         return;
     }
     let seq = conn.push_pending(state);
     let ctx = trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
-    handle.ring.event(&ctx, SpanKind::SessionParked, conn.token, seq);
-    let enqueued = Instant::now();
-    let job = (ParkJob { conn: conn.token, seq, reply, enqueued, trace }, commit);
-    if published.is_some() {
-        // With the rest of this turn's, when the turn ends.
-        return handle.outbox.lock().unwrap().push(job);
-    }
-    // Not even committed before its prepares are durable, sync or not.
-    // It goes to the parker now: this thread may yet wait on one of its
-    // prepared heads (a later frame touching the same key), so the job
-    // must already be with a thread that can resolve it.
-    let mut one = Some(job);
-    post_to_parker(handle, |intake| intake.extend(one.take()));
-    if let Some(job) = one {
-        refuse(state, handle, conn, job);
-    }
-}
-
-/// The parker is already gone (shutdown race): the commit is dropped — a
-/// staged one aborts as it drops — and its reply slot must not wedge.
-fn refuse(state: &ServerState, handle: &ShardHandle, conn: &mut Conn, (job, _commit): Parked) {
-    if let Some(tr) = &job.trace {
-        finish_trace(state, &handle.ring, tr);
-    }
-    conn.complete(job.seq, job.reply.with(log_stalled()).frame());
-}
-
-/// End of the turn: the published commits that wait go to the parker —
-/// one handoff, one wake for the lot.
-fn post_outbox(
-    state: &ServerState,
-    handle: &ShardHandle,
-    conns: &mut HashMap<u64, Conn>,
-    touched: &mut Vec<u64>,
-) {
-    let mut outbox = handle.outbox.lock().unwrap();
-    if outbox.is_empty() {
-        return;
-    }
-    post_to_parker(handle, |intake| intake.append(&mut outbox));
-    for job in outbox.drain(..) {
-        let Some(conn) = conns.get_mut(&job.0.conn) else { continue };
-        refuse(state, handle, conn, job);
-        let _ = conn.flush(state, &handle.stats);
-        touched.push(conn.token);
-    }
-}
-
-/// Let `post` add jobs to the parker's intake — unless it has closed
-/// (shutdown race), and then `post` does not run — and wake the parker
-/// once for the lot. The log offsets the posted jobs wait on join the
-/// flush demand this turn raises when it ends ([`raise_flush_demand`]).
-fn post_to_parker(handle: &ShardHandle, post: impl FnOnce(&mut Vec<Parked>)) {
-    let mut intake = handle.park_in.lock().unwrap();
-    if !intake.open {
-        return;
-    }
-    let first = intake.jobs.len();
-    post(&mut intake.jobs);
-    if intake.jobs.len() == first {
-        return;
-    }
-    for (shard, end) in intake.jobs[first..].iter().flat_map(|(_, commit)| commit.waits()) {
-        handle.flush_demand[shard].fetch_max(end, Ordering::Relaxed);
-    }
-    drop(intake);
-    handle.park_waker.wake();
-}
-
-/// End of the turn: tell each log a commit parked this turn waits on
-/// that the demand has settled ([`ermia_log::LogManager::demand_flush`]).
-/// One call per log and turn, however many commits parked; a turn that
-/// parked nothing calls nothing.
-fn raise_flush_demand(state: &ServerState, handle: &ShardHandle) {
-    for (shard, demand) in handle.flush_demand.iter().enumerate() {
-        // A plain load first: most turns park nothing.
-        if demand.load(Ordering::Relaxed) != 0 {
-            state.db.shard(shard).log().demand_flush(demand.swap(0, Ordering::Relaxed));
-        }
-    }
+    sh.handle.ring.event(&ctx, SpanKind::SessionParked, conn.token, seq);
+    let job = ParkJob { conn: conn.token, seq, reply, enqueued: Instant::now(), trace };
+    sh.parking.borrow_mut().park(state, job, commit);
 }
 
 /// The reply to a commit whose durability wait outlasted the logs' one
@@ -1334,88 +1378,6 @@ fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u6
         }
         conn.draining = true;
         let _ = conn.flush(state, &handle.stats);
-    }
-    close_parker(handle);
-}
-
-/// Close the parker's intake: it resolves what it holds and exits.
-fn close_parker(handle: &ShardHandle) {
-    handle.park_in.lock().unwrap().open = false;
-    handle.park_waker.wake();
-}
-
-// ---------------------------------------------------------------------
-// Durability parker
-// ---------------------------------------------------------------------
-
-/// One per shard: the intake of an engine [`Parker`] (module docs,
-/// "Durability parker"). Each wake takes in what the event loop posted,
-/// turns every settled job into its reply frame, posts the frames through
-/// the shard's completion mailbox, and only then appends the verdict
-/// records those jobs owe. Exits when the shard closes the intake at
-/// cutoff and every job has resolved — each within the logs' one
-/// patience of being parked.
-pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize) {
-    let handle = &state.shards[idx];
-    let ring = &handle.parker_ring;
-    let patience = state.patience();
-    let mut resolver = state.db.register_worker();
-    let mut parker = Parker::new(&state.db, handle.park_waker.clone());
-    let mut posted = Vec::new();
-    loop {
-        let open = {
-            let mut intake = handle.park_in.lock().unwrap();
-            std::mem::swap(&mut intake.jobs, &mut posted);
-            intake.open
-        };
-        for (job, commit) in posted.drain(..) {
-            parker.park(job.enqueued + patience, job, commit);
-        }
-        let mut done = Vec::new();
-        parker.poll(&mut resolver, |job, commit, settled| {
-            let ctx = job.trace.as_ref().map_or(TraceContext::UNTRACED, TraceReq::child);
-            let outcome = match settled {
-                Settled::Verdict(Ok(token)) => Response::Committed { lsn: token.lsn().raw() },
-                Settled::Verdict(Err(reason)) => aborted(reason),
-                Settled::LogFailed(e) => {
-                    record_log_incident(&state, ring, &ctx, SpanKind::LogPoison, 1);
-                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
-                }
-                Settled::Lapsed => {
-                    let waited = patience.as_millis() as u64;
-                    record_log_incident(&state, ring, &ctx, SpanKind::LogStall, waited);
-                    log_stalled()
-                }
-            };
-            if let Some(tr) = &job.trace {
-                // The wait of a published commit, measured from park
-                // time; the engine recorded a staged commit's waits
-                // itself, participant by participant.
-                if commit.published().is_some() {
-                    let now = ring.now_ns();
-                    let start = now.saturating_sub(job.enqueued.elapsed().as_nanos() as u64);
-                    ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
-                }
-                finish_trace(&state, ring, tr);
-            }
-            let waited_us = job.enqueued.elapsed().as_micros() as u64;
-            ring.event(&ctx, SpanKind::SessionResumed, job.conn, waited_us);
-            let bytes = job.reply.with(outcome).frame();
-            done.push(Completion { conn: job.conn, seq: job.seq, bytes });
-        });
-        // One flush batch typically resolves a whole run of parked
-        // commits at once: a single wake for the lot. Verdict records go
-        // out once the replies are queued; before the wake, so a client
-        // that asks for its trace next finds the `2pc-decide` span.
-        if !done.is_empty() {
-            handle.completions.lock().unwrap().extend(done);
-            parker.write_verdicts(&mut resolver);
-            handle.wake.wake();
-        }
-        if !open && parker.is_empty() {
-            return;
-        }
-        parker.wait();
     }
 }
 
