@@ -7,7 +7,7 @@
 //! every visible-version fetch.
 //!
 //! [`LOG_FAMILY`] holds the one log metric that is a distribution: the
-//! flusher thread records every device sync's latency into it
+//! log thread that publishes a device sync records its latency into it
 //! ([`observe_log_syncs`]), once per sync, off every transaction's path.
 //!
 //! Everything else (log, GC, epoch, TID, pool) already keeps its own
@@ -67,8 +67,8 @@ pub(crate) static TXN_FAMILY: FamilyDef = FamilyDef {
     }],
 };
 
-/// The log's one histogram; a single slab per database, written by the
-/// flusher thread alone.
+/// The log's one histogram; a single slab per database, written by one
+/// log thread at a time, under the log's mutex.
 pub(crate) static LOG_FAMILY: FamilyDef = FamilyDef {
     counters: &[],
     hists: &[MetricDesc {

@@ -23,7 +23,7 @@
 //! [`BlockEncoder::finish`] writes the header's first 24 bytes, and
 //! [`RingBuffer::write`] copies around it.
 //!
-//! The flusher (the only consumer) advances the contiguous `filled`
+//! The flusher (one consumer at a time) advances the contiguous `filled`
 //! watermark by loading the word at the next expected start: if it reads
 //! that start's `offset | 1`, the fill is whole, and its header's `len`
 //! is the hop to the next ([`RingBuffer::advance_filled`]). The `Acquire`
@@ -111,7 +111,8 @@ pub struct RingBuffer {
     /// Advanced only by the consumer (the flusher) via the scan.
     filled: AtomicU64,
     /// Prefix that the flusher has drained to stable storage (or
-    /// discarded, for dead zones / in-memory logs).
+    /// discarded, for dead zones / in-memory logs). Stored only under the
+    /// log's mutex, by whichever log thread publishes.
     flushed: AtomicU64,
     /// Lowest logical offset a durability waiter is parked on
     /// (`u64::MAX` when nobody waits). Maintained by the log manager's
@@ -154,7 +155,7 @@ pub struct RingBuffer {
     /// filled it — the double-fill detector (debug builds only).
     #[cfg(debug_assertions)]
     laps: Region,
-    /// Single-consumer discipline check (debug builds only).
+    /// The thread that holds the consumer role (debug builds only).
     #[cfg(debug_assertions)]
     consumer: Mutex<Option<std::thread::ThreadId>>,
 }
@@ -340,11 +341,11 @@ impl RingBuffer {
         }
     }
 
-    /// Wake the consumer for something that is not a fill (a device
-    /// sync it handed off has completed), however it is parked. The
-    /// caller publishes what the consumer's `kicked` closure reads
-    /// *before* this call; the fence here and the one in the park path
-    /// are the same Dekker handshake fills use.
+    /// Wake the consumer for something that is not a fill (a publish it
+    /// waits for), however it is parked. The caller publishes what the
+    /// consumer's `kicked` closure reads *before* this call; the fence
+    /// here and the one in the park path are the same Dekker handshake
+    /// fills use.
     pub fn kick_consumer(&self) {
         fence(Ordering::SeqCst);
         if self.consumer_parked.load(Ordering::Relaxed) != 0 {
@@ -504,11 +505,9 @@ impl RingBuffer {
         self.written.store(start, Ordering::Release);
         self.poisoned.store(false, Ordering::Release);
         // The next flusher incarnation is a fresh thread; let it claim
-        // the single-consumer role.
+        // the consumer role.
         #[cfg(debug_assertions)]
-        {
-            *self.consumer.lock().unwrap() = None;
-        }
+        self.consumer.lock().unwrap().take();
         fence(Ordering::SeqCst);
     }
 
@@ -659,7 +658,7 @@ impl RingBuffer {
     pub fn free_space(&self, durable: u64) {
         let batch = self.cap >= MIN_RELEASING_RING && !self.has_space_waiters();
         let to = if batch { durable / RELEASE_CHUNK * RELEASE_CHUNK } else { durable };
-        // Relaxed: only the consumer stores `flushed`.
+        // Relaxed: `flushed` is stored only under the log's mutex.
         if to > self.flushed.load(Ordering::Relaxed) {
             self.mark_flushed(to);
         }
@@ -674,7 +673,7 @@ impl RingBuffer {
     /// only if one registered — the Dekker handshake of
     /// [`RingBuffer::wait_for_space`].
     pub fn mark_flushed(&self, to: u64) {
-        // Relaxed: only the consumer stores `flushed`.
+        // Relaxed: `flushed` is stored only under the log's mutex.
         let from = self.flushed.load(Ordering::Relaxed);
         debug_assert!(from <= to && to <= self.filled(), "flushed {from:#x} -> {to:#x}");
         let pos = from % self.cap;
@@ -751,22 +750,24 @@ impl RingBuffer {
         assert_eq!(self.word(pos).load(Ordering::Relaxed), 0, "a stale word at {offset:#x}");
     }
 
-    /// Debug check that exactly one thread ever consumes (advances the
+    /// The consumer role leaves this thread for the next one to scan: the
+    /// flusher hands it on, with the writer role, under the log's mutex.
+    pub fn hand_over_consumer(&self) {
+        #[cfg(debug_assertions)]
+        self.consumer.lock().unwrap().take_if(|t| *t == std::thread::current().id());
+    }
+
+    /// Debug check that one thread at a time consumes (advances the
     /// watermark / parks on `filled_cv`): the plain `filled` store and
-    /// the `notify_one` wake both assume it.
+    /// the `notify_one` wake both assume it. A second thread that scans
+    /// before the role is handed over panics.
     #[inline]
     fn assert_single_consumer(&self) {
         #[cfg(debug_assertions)]
         {
             let me = std::thread::current().id();
-            let mut owner = self.consumer.lock().unwrap();
-            match *owner {
-                None => *owner = Some(me),
-                Some(t) => debug_assert_eq!(
-                    t, me,
-                    "RingBuffer has a single consumer; a second thread ran the watermark scan"
-                ),
-            }
+            let owner = *self.consumer.lock().unwrap().get_or_insert(me);
+            assert_eq!(owner, me, "RingBuffer has one consumer at a time; a second thread scanned");
         }
     }
 }

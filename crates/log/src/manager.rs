@@ -261,9 +261,11 @@ pub(crate) struct LogInner {
     /// Highest `hi` of any resume gap (0 = none): one load keeps the
     /// common `wait_durable` path off the gap lock entirely.
     pub(crate) resume_gap_hi: AtomicU64,
-    /// Told the latency of every completed device sync, on the flusher
-    /// thread ([`LogManager::set_sync_observer`]).
+    /// Told the latency of every completed device sync, by the log thread
+    /// that publishes it ([`LogManager::set_sync_observer`]).
     pub(crate) sync_observer: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
+    /// The log's threads and the one mutex they share (`flusher.rs`).
+    pub(crate) threads: flusher::LogThreads,
 }
 
 /// The poison hook and whether it has run for the current poisoning;
@@ -357,7 +359,8 @@ impl LogInner {
 /// with a single global atomic `fetch_add` ([`LogManager::allocate`]).
 pub struct LogManager {
     inner: Arc<LogInner>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Held for the whole of a [`LogManager::resume`]: one at a time.
+    resuming: Mutex<()>,
     catalog_at_open: Vec<DdlRecord>,
     tail_at_open: u64,
 }
@@ -401,11 +404,12 @@ impl LogManager {
             resume_gaps: Mutex::new(Vec::new()),
             resume_gap_hi: AtomicU64::new(0),
             sync_observer: OnceLock::new(),
+            threads: flusher::LogThreads::new(start),
             cfg,
         });
-        let flusher = flusher::spawn(Arc::clone(&inner));
-        let flusher = Mutex::new(Some(flusher));
-        let mgr = LogManager { inner, flusher, catalog_at_open: catalog, tail_at_open: start };
+        flusher::start(&inner);
+        let resuming = Mutex::new(());
+        let mgr = LogManager { inner, resuming, catalog_at_open: catalog, tail_at_open: start };
         if start == 0 {
             // Burn offset 0 with a skip block: LSN 0 stays the "null"
             // sentinel (begin stamps, SSN η initialization) and never
@@ -732,7 +736,7 @@ impl LogManager {
     }
 
     /// Register a callback invoked exactly once per poisoning: from the
-    /// flusher thread at the moment the log poisons, or — when the log
+    /// log thread that poisons it, at that moment, or — when the log
     /// poisoned before this call, say on the block `open` burns at offset
     /// 0 — from this call. The database layer hooks its transition to
     /// degraded read-only mode here.
@@ -748,8 +752,9 @@ impl LogManager {
 
     /// Register the callback told how long each device sync took, in
     /// nanoseconds — the measurement the flusher paces overlapped syncs
-    /// by. It runs on the flusher thread, once per completed sync, in
-    /// issue order. Only the first registration counts.
+    /// by. It runs on the log thread that publishes the sync, under the
+    /// log's mutex: once per completed sync, in issue order, one call at
+    /// a time. Only the first registration counts.
     pub fn set_sync_observer(&self, observer: impl Fn(u64) + Send + Sync + 'static) {
         let _ = self.inner.sync_observer.set(Box::new(observer));
     }
@@ -774,10 +779,9 @@ impl LogManager {
     /// must never be reported durable, whether they never reached disk
     /// or were written, even synced, behind a sync that failed. Resume:
     ///
-    /// 1. reaps the dead flusher thread, which does not exit before
-    ///    every sync it had in flight has returned and every helper
-    ///    thread is joined — nothing of the old incarnation touches the
-    ///    files from here on;
+    /// 1. joins every log thread, each of which exits once the sync it
+    ///    had in flight has returned — nothing of the old incarnation
+    ///    touches the files from here on;
     /// 2. quiesces: waits for the outstanding-reservation set to drain
     ///    while the poison flag is still up, which freezes `next` (any
     ///    new allocator observes the poison before touching it);
@@ -799,15 +803,11 @@ impl LogManager {
     /// unacknowledged commits.
     pub fn resume(&self) -> io::Result<()> {
         let inner = &*self.inner;
-        // Holding the flusher handle lock for the whole walk serializes
-        // concurrent resumes.
-        let mut flusher = self.flusher.lock().unwrap();
+        let _resuming = self.resuming.lock().unwrap();
         if !inner.poisoned.load(Ordering::Acquire) {
             return Ok(());
         }
-        if let Some(handle) = flusher.take() {
-            let _ = handle.join();
-        }
+        flusher::join(inner);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while inner.outstanding.load(Ordering::Acquire) != 0 {
             if std::time::Instant::now() >= deadline {
@@ -833,7 +833,7 @@ impl LogManager {
         inner.poison_hook.lock().unwrap().ran = false;
         inner.stats.log_poisoned.store(0, Ordering::Release);
         inner.stop.store(false, Ordering::Release);
-        *flusher = Some(flusher::spawn(Arc::clone(&self.inner)));
+        flusher::start(&self.inner);
         inner.poisoned.store(false, Ordering::Release);
         Ok(())
     }
@@ -958,7 +958,7 @@ impl LogManager {
         self.wait_durable(target)
     }
 
-    /// Stop and join the flusher thread without touching the rest of the
+    /// Stop and join every log thread without touching the rest of the
     /// log state. Like `Drop`, it returns only after everything filled
     /// so far is written and every sync that covers it is published.
     /// Test hook: lets durability waits run against a log whose flusher
@@ -966,9 +966,7 @@ impl LogManager {
     #[doc(hidden)]
     pub fn halt_flusher_for_test(&self) {
         self.inner.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.flusher.lock().unwrap().take() {
-            let _ = handle.join();
-        }
+        flusher::join(&self.inner);
         self.inner.stop.store(false, Ordering::Release);
     }
 
@@ -993,13 +991,11 @@ fn poisoned_error(inner: &LogInner) -> io::Error {
 }
 
 impl Drop for LogManager {
-    /// Stops the flusher, which first drains what is filled, waits for
-    /// every sync in flight, publishes them and joins its helpers.
+    /// Stops the log's threads and joins every one: they first drain what
+    /// is filled and publish every sync in flight.
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.flusher.lock().unwrap().take() {
-            let _ = handle.join();
-        }
+        flusher::join(&self.inner);
     }
 }
 

@@ -6,7 +6,7 @@
 //! no I/O. [`crate::flusher`] is the driver: once per turn of its loop it
 //! reads the ring and the clock into a [`Snapshot`], asks [`Plan::next`]
 //! what to do, and tells the plan what it did ([`Plan::issue`]) and what
-//! its helpers report ([`Plan::complete`]); what becomes durable, and in
+//! each sync reports ([`Plan::complete`]); what becomes durable, and in
 //! which order, is what [`Plan::publish_next`] hands back.
 //!
 //! The rules are the two tables in the flusher's module docs ("When a
@@ -58,7 +58,7 @@ pub(crate) enum Next {
     Wait(bool),
 }
 
-/// The sync of the ticket in this board slot failed.
+/// The sync of the ticket in this slot failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Failed(pub usize);
 
@@ -76,8 +76,8 @@ pub(crate) struct Published {
 struct Ticket {
     lo: u64,
     hi: u64,
-    /// The board cell a helper posts this ticket's result to: unique
-    /// among the tickets outstanding.
+    /// What names this ticket to [`Plan::complete`]: unique among the
+    /// tickets outstanding.
     slot: usize,
     synced: bool,
     /// `Some` once the sync has returned (at once, when there was nothing
@@ -94,7 +94,7 @@ pub(crate) struct Plan {
     /// [`MAX_SYNCS_IN_FLIGHT`].
     tickets: VecDeque<Ticket>,
     /// Tickets ever issued; `issued % MAX_SYNCS_IN_FLIGHT` is the next
-    /// ticket's board slot.
+    /// ticket's slot.
     issued: u64,
     /// The self-clock: when the last sync was handed off, and how long
     /// the last published one took (`None` until one has).
@@ -127,6 +127,7 @@ impl Plan {
     }
 
     /// Is a ticket still waiting for its sync to return?
+    #[cfg(test)]
     pub(crate) fn awaits_completion(&self) -> bool {
         self.tickets.iter().any(|t| t.done.is_none())
     }
@@ -154,9 +155,9 @@ impl Plan {
             s.demand_hi > self.written || urged || s.filled - s.flushed >= s.capacity / 4;
         if !demanded {
             // Bytes nobody waits for start no sync while one is in
-            // flight. Idle, they go as soon as the flusher sees them:
-            // when the interval timer wakes it, or on its way back from
-            // the completion that left the log idle.
+            // flight. Idle, they go as soon as the writer sees them:
+            // when the interval timer wakes it, or when the publish that
+            // left the log idle kicks it.
             return if idle { Next::Start(SyncCause::Timer) } else { Next::Wait(false) };
         }
         if idle {
@@ -179,7 +180,7 @@ impl Plan {
 
     /// `[written, hi)` is in the segment files: it becomes a ticket whose
     /// sync was handed off at `now_ns` — or, with `synced` false, owed
-    /// none and is complete as it stands. Returns the ticket's board slot.
+    /// none and is complete as it stands. Returns the ticket's slot.
     pub(crate) fn issue(&mut self, hi: u64, synced: bool, now_ns: u64) -> usize {
         debug_assert!(hi > self.written && self.tickets.len() < MAX_SYNCS_IN_FLIGHT);
         let slot = (self.issued % MAX_SYNCS_IN_FLIGHT as u64) as usize;
@@ -288,7 +289,7 @@ mod tests {
         (FULL, "nor for a quarter of the ring", (256, 4, 0, Some(L)), [L, 256 + CAP / 4, 0, 0], Pace(None, false)),
     ];
 
-    /// A sync in this board slot returns, `Ok` or not; or: `publish_next`
+    /// A sync in this slot returns, `Ok` or not; or: `publish_next`
     /// answers this.
     enum Step {
         Done(usize, bool),
@@ -374,7 +375,7 @@ mod tests {
         rng: SplitMix64,
         /// `flushed` is the end of the published prefix.
         ring: Snapshot,
-        /// Board slots whose sync is in the device.
+        /// Slots whose sync is in the device.
         in_device: Vec<usize>,
         failed: bool,
     }

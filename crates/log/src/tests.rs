@@ -472,3 +472,25 @@ fn a_lingering_sync_is_on_disk_and_unannounced() {
     assert!(started.elapsed() >= LINGER, "the sync's return was not held back");
     assert!(log.durable_offset() >= end);
 }
+
+/// The ring's consumer role moves between threads only when handed over:
+/// a second thread that scans while another holds it panics.
+#[cfg(debug_assertions)]
+#[test]
+fn the_consumer_role_moves_only_when_handed_over() {
+    let rb = crate::buffer::RingBuffer::new(4096, 0);
+    rb.advance_filled();
+    std::thread::scope(|s| {
+        let second = s.spawn(|| rb.advance_filled());
+        assert!(second.join().is_err(), "a second thread scanned while the role was held");
+    });
+    rb.hand_over_consumer();
+    std::thread::scope(|s| {
+        let next = s.spawn(|| {
+            rb.advance_filled();
+            rb.hand_over_consumer();
+        });
+        next.join().expect("the role was handed over");
+    });
+    rb.advance_filled();
+}

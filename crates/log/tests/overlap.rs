@@ -67,18 +67,29 @@ fn recovered_ids(dir: &Path) -> Vec<u64> {
 
 // --- a device whose sync is whatever the test says -------------------------
 
-type SyncHook = Arc<dyn Fn() -> std::io::Result<()> + Send + Sync>;
+type Hook = Arc<dyn Fn() -> std::io::Result<()> + Send + Sync>;
 
-/// Real files behind [`FileBackend`]; every `sync_data` runs the hook.
+/// Real files behind [`FileBackend`]; every `write_all_at` and every
+/// `sync_data` runs its hook first.
 #[derive(Clone)]
 struct Hooked {
     file: Option<Arc<dyn SegmentIo>>,
-    on_sync: SyncHook,
+    on_write: Hook,
+    on_sync: Hook,
 }
 
 /// The factory for a log whose syncs run `on_sync`.
 fn hooked(on_sync: impl Fn() -> std::io::Result<()> + Send + Sync + 'static) -> Arc<Hooked> {
-    Arc::new(Hooked { file: None, on_sync: Arc::new(on_sync) })
+    hooked_io(|| Ok(()), on_sync)
+}
+
+/// The factory for a log whose writes run `on_write` and whose syncs
+/// run `on_sync`.
+fn hooked_io(
+    on_write: impl Fn() -> std::io::Result<()> + Send + Sync + 'static,
+    on_sync: impl Fn() -> std::io::Result<()> + Send + Sync + 'static,
+) -> Arc<Hooked> {
+    Arc::new(Hooked { file: None, on_write: Arc::new(on_write), on_sync: Arc::new(on_sync) })
 }
 
 impl std::fmt::Debug for Hooked {
@@ -101,6 +112,7 @@ impl Hooked {
 
 impl SegmentIo for Hooked {
     fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        (self.on_write)()?;
         self.file().write_all_at(buf, offset)
     }
 
@@ -132,6 +144,10 @@ struct Script {
     returned: Vec<bool>,
     /// The most armed syncs ever inside `sync_data` at once.
     max_inside: usize,
+    /// Writes block while this holds.
+    hold_writes: bool,
+    /// Writes that have blocked, ever.
+    writes_held: usize,
 }
 
 /// Scripted syncs (on real files, see [`Hooked`]). Clones share the script.
@@ -174,7 +190,7 @@ impl Scripted {
     }
 }
 
-/// Lets every blocked sync go when dropped. Declared (or, as a field,
+/// Lets every blocked sync and write go when dropped. Declared (or, as a field,
 /// placed) so that it drops before the log: a failed assertion then
 /// unwinds into a log that can shut down, instead of hanging the test.
 struct Unblock(Scripted);
@@ -183,6 +199,7 @@ impl Drop for Unblock {
     fn drop(&mut self) {
         self.0.with(|s| {
             s.armed = false;
+            s.hold_writes = false;
             s.released.iter_mut().for_each(|r| *r = r.or(Some(true)));
         });
     }
@@ -190,8 +207,19 @@ impl Drop for Unblock {
 
 impl Scripted {
     fn factory(&self) -> Arc<dyn SegmentIoFactory> {
-        let dev = self.clone();
-        hooked(move || dev.sync())
+        let (writes, syncs) = (self.clone(), self.clone());
+        hooked_io(move || writes.write(), move || syncs.sync())
+    }
+
+    fn write(&self) -> std::io::Result<()> {
+        let (mx, cv) = &*self.0;
+        let mut s = mx.lock().unwrap();
+        if s.hold_writes {
+            s.writes_held += 1;
+            cv.notify_all();
+            drop(cv.wait_while(s, |s| s.hold_writes).unwrap());
+        }
+        Ok(())
     }
 
     fn sync(&self) -> std::io::Result<()> {
@@ -461,24 +489,27 @@ fn late_subscription_to_a_scanned_block_gets_its_flush() {
     let first = append(&log, 0);
     let _sub0 = log.subscribe_durable(first, &waker).expect("not durable yet");
     dev.wait_started(1);
+    // The second batch's write is held, so the unforced block lands
+    // above it: the thread the writer role passes to next scans it and
+    // — two syncs in flight, nobody waiting — leaves it in the ring.
+    dev.with(|s| s.hold_writes = true);
     let second = append(&log, 1);
     let _sub1 = log.subscribe_durable(second, &waker).expect("not durable yet");
-    dev.wait_started(2);
+    dev.wait_until("the second batch's write", |s| s.writes_held == 1);
     let unforced = append(&log, 2);
-    // The second sync returns first: it publishes nothing, but it wakes
-    // the flusher, which scans the unforced block and — a sync still in
-    // flight, nobody waiting — leaves it in the ring.
-    dev.release(1, true);
+    dev.with(|s| s.hold_writes = false);
+    dev.wait_started(2);
     let deadline = Instant::now() + LONG;
     while log.ring_occupancy() < unforced - base {
         assert!(Instant::now() < deadline, "the flusher never scanned the unforced block");
         std::thread::yield_now();
     }
     let _sub2 = log.subscribe_durable(unforced, &waker).expect("not durable yet");
-    // Sync 0 is still in the device and stays there.
+    // Syncs 0 and 1 are still in the device and stay there.
     dev.wait_started(3);
     dev.release(2, true);
     assert_eq!(log.durable_status(unforced), Ok(false));
+    dev.release(1, true);
     dev.release(0, true);
     log.wait_durable(unforced).unwrap();
     drop(log);
@@ -523,4 +554,77 @@ fn panicking_backend_poisons_the_log() {
     assert!(matches!(log.wait_durable(end), Err(LogError::Poisoned { .. })));
     assert_eq!(log.durable_offset(), 0);
     drop(log);
+}
+
+/// One thread writes a batch, runs its sync and tells its waiter: no
+/// hand-off stands between the `pwrite`, the device sync and the wake.
+#[test]
+fn the_thread_that_writes_a_batch_syncs_it_and_rings_its_waiter() {
+    type Seen = Arc<Mutex<Vec<(&'static str, std::thread::ThreadId)>>>;
+    let seen: Seen = Arc::default();
+    let note = |what: &'static str| {
+        let seen = Arc::clone(&seen);
+        move || {
+            seen.lock().unwrap().push((what, std::thread::current().id()));
+            Ok(())
+        }
+    };
+    let dir = TestDir::new("one-thread");
+    let log = LogManager::open(cfg(&dir, hooked_io(note("write"), note("sync")))).unwrap();
+    log.sync().unwrap();
+    for id in 0..3 {
+        seen.lock().unwrap().clear();
+        let end = append(&log, id);
+        let ring = note("ring");
+        let waker = DurableWaker::ringing(move || ring().unwrap());
+        let _sub = log.subscribe_durable(end, &waker).expect("not durable yet");
+        let deadline = Instant::now() + LONG;
+        while !seen.lock().unwrap().iter().any(|&(what, _)| what == "ring") {
+            assert!(Instant::now() < deadline, "batch {id}: the waiter was never rung");
+            std::thread::yield_now();
+        }
+        let seen = seen.lock().unwrap().clone();
+        let on = |what| seen.iter().filter(move |s| s.0 == what).map(|s| s.1);
+        let syncer = on("sync").next().expect("the batch was synced");
+        let mut failed = Vec::new();
+        if !on("write").all(|t| t == syncer) {
+            failed.push("written and synced on different threads");
+        }
+        if !on("ring").all(|t| t == syncer) {
+            failed.push("its waiter rung on another thread than its sync");
+        }
+        assert!(failed.is_empty(), "batch {id}: {}: {seen:?}", failed.join(", "));
+    }
+}
+
+/// The head sync fails just after a settled demand woke the writer, which
+/// finds every slot taken and goes back to sleep: the poison reaches it
+/// however late it parks, and the log shuts down.
+#[test]
+fn a_failed_head_sync_reaches_a_writer_going_back_to_sleep() {
+    let o = overlapped("poison-wakes-writer", 4);
+    // Let the writer role's next holder start and park; the demand below
+    // wakes it, and it goes back to sleep — deaf to fills, every slot
+    // taken — as the failure lands.
+    std::thread::sleep(Duration::from_millis(20));
+    let end = append(&o.log, 4);
+    o.log.demand_flush(end);
+    std::thread::sleep(Duration::from_millis(1));
+    o.dev.release(0, false);
+    (1..4).for_each(|id| o.dev.release(id, true));
+    for _ in 0..4 {
+        let (i, verdict) = o.verdicts.recv_timeout(LONG).unwrap();
+        assert!(matches!(verdict, Err(LogError::Poisoned { .. })), "waiter {i}: {verdict:?}");
+    }
+    assert!(o.log.is_poisoned());
+    let Overlapped { log, waiters, dir, .. } = o;
+    waiters.into_iter().for_each(|w| w.join().unwrap());
+    let log = Arc::into_inner(log).expect("the waiters are gone");
+    let (tx, dropped) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(log);
+        let _ = tx.send(());
+    });
+    assert!(dropped.recv_timeout(LONG).is_ok(), "a log thread slept through the poison");
+    drop(dir);
 }
