@@ -2,11 +2,13 @@
 //!
 //! A network front-end has many more connections than it wants engine
 //! workers: each [`Worker`] owns an epoch registration, scratch arenas,
-//! and a version cache, so the right shape is a small pool sized near the
-//! core count that sessions *check out* for the duration of one
-//! transaction and return at commit/abort. The pool is strictly bounded —
-//! when every worker is out, checkout fails and the caller retries on its
-//! own clock or sheds load instead of queueing unboundedly.
+//! and a version cache, so the right shape is a small pool that sessions
+//! *check out* for the duration of one transaction and return at
+//! commit/abort. The server draws on it only for interactive
+//! transactions, which outlive the frame that began them; a one-shot
+//! transaction runs on its event loop's own worker. The pool is strictly
+//! bounded — when every worker is out, checkout fails and the caller
+//! sheds load instead of queueing unboundedly.
 //!
 //! Workers are created lazily up to capacity and live for the pool's
 //! lifetime; [`EpochHandle`](ermia_epoch::EpochHandle) is `Send`, so a

@@ -85,9 +85,12 @@ fn steady_state_transactions_do_not_allocate() {
     let t = db.create_table("t");
     let mut w = db.register_worker();
 
+    // Every write is as large as the measured ones: a recycled node keeps
+    // its payload capacity, and `Version::reinit` reallocates one that is
+    // too small for its next payload.
     let mut tx = w.begin(IsolationLevel::Snapshot);
     tx.insert(t, b"read-target", b"some reasonably sized payload").unwrap();
-    tx.insert(t, b"write-target", b"initial").unwrap();
+    tx.insert(t, b"write-target", &[0; 24]).unwrap();
     tx.commit().unwrap();
 
     const MEASURED_TXNS: usize = 16;
@@ -117,7 +120,7 @@ fn steady_state_transactions_do_not_allocate() {
     // worker's local cache, so the measured window is served entirely
     // from memory the worker already owns.
     let mut tx = w.begin(IsolationLevel::Snapshot);
-    assert!(tx.update(t, b"write-target", b"refill").unwrap());
+    assert!(tx.update(t, b"write-target", &[0; 24]).unwrap());
     tx.commit().unwrap();
     assert!(w.versions_reused() > 0, "warmup never reached the reuse path");
     let reused_before = w.versions_reused();
@@ -161,7 +164,7 @@ fn fully_sampled_tracing_stays_alloc_free() {
 
     let mut tx = w.begin(IsolationLevel::Snapshot);
     tx.insert(t, b"read-target", b"some reasonably sized payload").unwrap();
-    tx.insert(t, b"write-target", b"initial").unwrap();
+    tx.insert(t, b"write-target", &[0; 24]).unwrap();
     tx.commit().unwrap();
 
     const MEASURED_TXNS: usize = 16;
@@ -188,7 +191,7 @@ fn fully_sampled_tracing_stays_alloc_free() {
         db.shard(0).version_pool_size()
     );
     let mut tx = w.begin(IsolationLevel::Snapshot);
-    assert!(tx.update(t, b"write-target", b"refill").unwrap());
+    assert!(tx.update(t, b"write-target", &[0; 24]).unwrap());
     tx.commit().unwrap();
 
     let before = alloc_calls();
@@ -230,7 +233,7 @@ fn handing_overwritten_versions_to_the_gc_stays_alloc_free() {
     let mut w = db.register_worker();
     let mut tx = w.begin(IsolationLevel::Snapshot);
     for row in 0..ROWS {
-        tx.insert(t, &[row], b"initial").unwrap();
+        tx.insert(t, &[row], &[0; 24]).unwrap();
     }
     tx.commit().unwrap();
 

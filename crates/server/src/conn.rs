@@ -2,16 +2,15 @@
 //!
 //! A [`Conn`] owns everything one socket needs between readiness events:
 //! the incremental frame assembler, the ordered outbound queue with its
-//! partial-write cursor, the protocol mode (sniffing / frames / HTTP),
-//! an optional open interactive transaction, and an optional parked
-//! request waiting for a pooled engine worker. The shard loop in
+//! partial-write cursor, the protocol mode (sniffing / frames / HTTP) and
+//! an optional open interactive transaction. The shard loop in
 //! [`crate::session`] drives these machines; nothing here blocks.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice};
 use std::net::TcpStream;
+use std::os::fd::AsFd;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use ermia::{IsolationLevel, PooledWorker, ShardedDb, ShardedTransaction};
 use ermia_common::{AbortReason, TableId};
@@ -21,9 +20,13 @@ use ermia_telemetry::TraceContext;
 use crate::poll::Interest;
 use crate::protocol::{BatchOp, ErrorCode, FrameAssembler, Response, WireIsolation};
 use crate::server::{ServerState, ShardStats};
+use crate::sys;
 
 /// Accumulation cap for a sniffed HTTP request head.
 pub(crate) const MAX_HTTP_HEAD: usize = 8 * 1024;
+
+/// Most replies one vectored write takes: the default reply queue depth.
+const IOV_CAP: usize = 128;
 
 /// One entry in a connection's ordered outbound queue.
 pub(crate) enum Out {
@@ -45,20 +48,6 @@ pub(crate) enum Mode {
     Http { head: Vec<u8> },
 }
 
-/// A request that decoded cleanly but found no idle engine worker; the
-/// shard retries until a worker frees up or the admission window closes.
-pub(crate) enum PendingWork {
-    Begin {
-        isolation: IsolationLevel,
-    },
-    /// A transaction that begins, runs and commits within one request.
-    OneShot {
-        isolation: IsolationLevel,
-        sync: bool,
-        ops: Ops,
-    },
-}
-
 /// What a one-shot transaction runs, and so how it is answered.
 pub(crate) enum Ops {
     /// A `Batch`: every op's reply, then the outcome.
@@ -66,14 +55,6 @@ pub(crate) enum Ops {
     /// An autocommitted data operation — a one-op batch answered with the
     /// op's own reply.
     Auto(BatchOp),
-}
-
-pub(crate) struct Waiting {
-    pub deadline: Instant,
-    pub work: PendingWork,
-    /// Trace of the parked request plus the park timestamp (tracer-epoch
-    /// ns), so the resume records a run-queue span covering the wait.
-    pub trace: Option<(TraceReq, u64)>,
 }
 
 /// The server-side trace of one in-flight traced request: the wire
@@ -178,7 +159,6 @@ pub(crate) struct Conn {
     /// Bytes of `out.front()` already written (partial-write cursor).
     pub head_written: usize,
     pub txn: Option<OpenTxn>,
-    pub waiting: Option<Waiting>,
     /// Active log-shipping subscription, if this peer is a replica.
     pub repl: Option<ReplConnState>,
     /// No further reads; flush `out`, then close.
@@ -189,9 +169,6 @@ pub(crate) struct Conn {
     pub interest: Interest,
     /// Sequence numbers for parked durability completions.
     pub next_seq: u64,
-    /// Reused coalescing buffer: a run of small replies goes out in one
-    /// `write` instead of one syscall per frame.
-    scratch: Vec<u8>,
 }
 
 /// Outcome of a flush attempt.
@@ -214,13 +191,11 @@ impl Conn {
             out: VecDeque::new(),
             head_written: 0,
             txn: None,
-            waiting: None,
             repl: None,
             draining: false,
             read_shut: false,
             interest: Interest::READ,
             next_seq: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -256,85 +231,50 @@ impl Conn {
         }
     }
 
-    /// Write as much of `out` as the socket accepts right now. A run of
-    /// queued replies is coalesced into a single `write` (capped so one
-    /// huge scan reply is still streamed directly, not copied).
+    /// Write as much of `out` as the socket accepts right now. Each
+    /// attempt is one vectored write ([`sys::send_vectored`]) over the
+    /// leading run of ready replies — the first from its partial-write
+    /// cursor — which stops at a parked slot, at [`IOV_CAP`] replies, or
+    /// once it holds 64 KiB.
     pub fn flush(&mut self, state: &ServerState, shard: &ShardStats) -> FlushState {
         const COALESCE_CAP: usize = 64 << 10;
         loop {
-            // Leading run of ready byte entries (stops at a parked slot).
-            let mut run = 0usize;
-            let mut total = 0usize;
-            for slot in self.out.iter() {
+            let mut iov = [IoSlice::new(&[]); IOV_CAP];
+            let (mut run, mut total, mut from) = (0, 0, self.head_written);
+            for slot in &self.out {
                 let Out::Bytes(b) = slot else { break };
+                iov[run] = IoSlice::new(&b[from..]);
+                total += b.len() - from;
                 run += 1;
-                total += b.len();
-                if total >= COALESCE_CAP {
+                from = 0;
+                if run == IOV_CAP || total >= COALESCE_CAP {
                     break;
                 }
             }
             if run == 0 {
                 return FlushState::Idle;
             }
-
-            if run == 1 {
-                let Some(Out::Bytes(bytes)) = self.out.front() else { unreachable!() };
-                let mut done = false;
-                while !done {
-                    match (&self.stream).write(&bytes[self.head_written..]) {
-                        Ok(0) => return FlushState::Dead,
-                        Ok(n) => {
-                            self.head_written += n;
-                            done = self.head_written >= bytes.len();
-                            if !done {
-                                shard.partial_writes.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            shard.partial_writes.fetch_add(1, Ordering::Relaxed);
-                            return FlushState::Blocked;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => return FlushState::Dead,
-                    }
-                }
-                self.out.pop_front();
-                self.head_written = 0;
-                state.stats.queued_replies.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-
-            self.scratch.clear();
-            for slot in self.out.iter().take(run) {
-                if let Out::Bytes(b) = slot {
-                    self.scratch.extend_from_slice(b);
-                }
-            }
-            let mut off = self.head_written;
-            while off < self.scratch.len() {
-                match (&self.stream).write(&self.scratch[off..]) {
-                    Ok(0) => return FlushState::Dead,
-                    Ok(n) => {
-                        off += n;
-                        if off < self.scratch.len() {
-                            shard.partial_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            match sys::send_vectored(self.stream.as_fd(), &iov[..run]) {
+                Ok(0) => return FlushState::Dead,
+                Ok(n) => {
+                    if n < total {
                         shard.partial_writes.fetch_add(1, Ordering::Relaxed);
-                        self.settle(off, state);
-                        return FlushState::Blocked;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return FlushState::Dead,
+                    self.settle(self.head_written + n, state);
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    shard.partial_writes.fetch_add(1, Ordering::Relaxed);
+                    return FlushState::Blocked;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return FlushState::Dead,
             }
-            self.settle(off, state);
         }
     }
 
-    /// After a coalesced write: retire fully-written queue entries and
-    /// leave `head_written` pointing into the first unfinished one.
+    /// After a write of `written` bytes from the front entry's start:
+    /// retire fully-written queue entries and leave `head_written`
+    /// pointing into the first unfinished one.
     fn settle(&mut self, mut written: usize, state: &ServerState) {
         while let Some(Out::Bytes(b)) = self.out.front() {
             if written < b.len() {
@@ -357,10 +297,7 @@ impl Conn {
     /// `blocked` is the last flush outcome (write readiness is only
     /// interesting while the socket buffer is full).
     pub fn desired_interest(&self, blocked: bool, reply_queue_depth: usize) -> Interest {
-        let readable = !self.draining
-            && !self.read_shut
-            && self.waiting.is_none()
-            && self.out.len() < reply_queue_depth;
+        let readable = !self.draining && !self.read_shut && self.out.len() < reply_queue_depth;
         Interest::rw(readable, blocked)
     }
 }

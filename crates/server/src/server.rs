@@ -9,9 +9,10 @@
 //! 1. **Connection count** — beyond [`ServerConfig::max_sessions`] the
 //!    accepting shard writes a single [`Response::Busy`] frame and
 //!    closes; the connection never enters an event loop.
-//! 2. **Worker checkout** — a request that cannot get a worker within
-//!    [`ServerConfig::checkout_wait`] gets `Busy` for that request and
-//!    keeps the connection.
+//! 2. **Worker checkout** — a `Begin` that finds every pooled worker
+//!    checked out gets `Busy` for that request and keeps the connection.
+//!    A one-shot transaction runs on its loop's own worker and is never
+//!    shed here.
 //!
 //! Shutdown is cooperative and wake-fd driven: [`Server::shutdown`]
 //! raises a flag and rings every shard's event fd. Shards close the
@@ -39,13 +40,13 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Event-loop shards multiplexing the admitted connections.
     pub shards: usize,
-    /// Engine workers shared by all sessions (the real concurrency bound).
+    /// Pooled engine workers shared by all sessions: how many interactive
+    /// transactions may be open at once. A one-shot transaction runs on
+    /// its event loop's own worker instead.
     pub worker_capacity: usize,
     /// Replies buffered per connection before the server stops reading
     /// from it (backpressure toward the client that stops reading).
     pub reply_queue_depth: usize,
-    /// How long a request waits for a pooled worker before `Busy`.
-    pub checkout_wait: Duration,
     /// Largest accepted frame (guards allocation on untrusted input).
     pub max_frame_len: u32,
 }
@@ -58,7 +59,6 @@ impl Default for ServerConfig {
             shards: cores.min(8),
             worker_capacity: cores,
             reply_queue_depth: 128,
-            checkout_wait: Duration::from_millis(100),
             max_frame_len: MAX_FRAME_LEN,
         }
     }
@@ -86,16 +86,14 @@ pub(crate) struct Stats {
 pub(crate) enum BusyReason {
     /// `max_sessions` connections are open.
     Sessions,
-    /// No engine worker came free within `checkout_wait`.
+    /// A `Begin` found every pooled worker checked out.
     Checkout,
-    /// The request was parked for a worker when shutdown cut it off.
-    Shutdown,
     /// The process is out of descriptors (`EMFILE`/`ENFILE`).
     FdLimit,
 }
 
 impl BusyReason {
-    const LABELS: [&'static str; 4] = ["sessions", "checkout", "shutdown", "fd-limit"];
+    const LABELS: [&'static str; 3] = ["sessions", "checkout", "fd-limit"];
 }
 
 impl Stats {
@@ -131,8 +129,6 @@ pub(crate) struct ShardStats {
     pub epoll_wakeups: AtomicU64,
     /// Writes that could not complete in one syscall.
     pub partial_writes: AtomicU64,
-    /// Requests parked waiting for an engine worker.
-    pub run_queue: AtomicUsize,
 }
 
 /// Cross-thread surface of one shard: how the accepting shard, the logs
@@ -145,8 +141,8 @@ pub(crate) struct ShardHandle {
     pub inbox: Mutex<Vec<TcpStream>>,
     /// Record ring of the shard thread: its service events (parked and
     /// resumed sessions, log incidents, shipped chunks, accept sheds on
-    /// shard 0) and the spans of traced requests (frame decode, run-queue
-    /// wait, worker checkout, durability wait, request).
+    /// shard 0) and the spans of traced requests (frame decode, a
+    /// `Begin`'s worker checkout, durability wait, request).
     pub ring: Arc<SpanRing>,
     pub stats: ShardStats,
 }
@@ -345,7 +341,6 @@ fn collect_server(state: &ServerState, out: &mut Vec<Sample>) {
     let shard_sessions_help = "Connections currently owned by the shard.";
     let wakeups_help = "Times the shard's epoll wait returned.";
     let partial_help = "Reply writes that could not complete in one syscall.";
-    let run_queue_help = "Requests parked on the shard waiting for an engine worker.";
     for (i, sh) in state.shards.iter().enumerate() {
         let label = i.to_string();
         out.push(
@@ -369,14 +364,6 @@ fn collect_server(state: &ServerState, out: &mut Vec<Sample>) {
                 "ermia_server_partial_writes_total",
                 partial_help,
                 sh.stats.partial_writes.load(Ordering::Relaxed),
-            )
-            .labeled("shard", label.clone()),
-        );
-        out.push(
-            Sample::gauge(
-                "ermia_server_run_queue_depth",
-                run_queue_help,
-                sh.stats.run_queue.load(Ordering::Relaxed) as f64,
             )
             .labeled("shard", label),
         );

@@ -6,12 +6,12 @@
 //! [`Poller`]. A shard multiplexes every connection assigned to it:
 //! non-blocking reads feed a per-connection [`FrameAssembler`]
 //! (incremental decode — no blocking `read_exact`), decoded requests
-//! dispatch against the engine through the shared
-//! [`WorkerPool`](ermia::WorkerPool), and replies flush through a
-//! bounded per-connection outbound queue with write-interest-driven
-//! partial-write state. Shard 0 additionally owns the (non-blocking)
-//! listener; admission control happens at accept and connections are
-//! handed round-robin to the other shards through a mailbox + wake fd.
+//! run on the engine through the loop's own worker (below), and replies
+//! flush through a bounded per-connection outbound queue with
+//! write-interest-driven partial-write state. Shard 0 additionally owns
+//! the (non-blocking) listener; admission control happens at accept and
+//! connections are handed round-robin to the other shards through a
+//! mailbox + wake fd.
 //!
 //! # Dispatch and the session state machine
 //!
@@ -27,19 +27,19 @@
 //! batch answered with the op's own reply) — ends in `conclude`, the one
 //! place a commit is counted and handed on to its reply (below).
 //!
-//! # Workers and the run queue
+//! # Workers
 //!
-//! Workers are checked out per *transaction* (`Begin`…`Commit`/`Abort`,
-//! a one-shot `Batch`, or a single autocommitted operation), never per
-//! connection. A request that finds the pool empty parks the connection
-//! on the shard's run queue (reads paused so pipelining stays ordered);
-//! the shard retries on a millisecond tick until a worker frees up or
-//! the admission window lapses into a `Busy` reply. An interactive
-//! transaction pins its worker across readiness events via
-//! [`OpenTxn`]; every exit path — commit, abort, disconnect mid-txn,
-//! malformed frame, shutdown — drops the transaction (aborting it) and
-//! returns the worker. Nothing leaks because cleanup is drop order, not
-//! bookkeeping.
+//! A transaction runs start to finish on one engine worker. A one-shot
+//! transaction — a `Batch`, or a single autocommitted operation — runs
+//! inside `dispatch` on the worker the shard thread registered for
+//! itself, so it never waits for one. An interactive transaction
+//! (`Begin`…`Commit`/`Abort`) outlives its frame: it checks a worker out
+//! of the shared [`WorkerPool`](ermia::WorkerPool) and pins it across
+//! readiness events via [`OpenTxn`]. A `Begin` that finds the pool empty
+//! is answered `Busy` at once and keeps its connection. Every exit path
+//! of an open transaction — commit, abort, disconnect mid-txn, malformed
+//! frame, shutdown — drops it (aborting it) and returns the worker.
+//! Nothing leaks because cleanup is drop order, not bookkeeping.
 //!
 //! # Durability parker
 //!
@@ -109,15 +109,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ermia::{
-    DbState, DeferredCommit, IsolationLevel, NodeRole, Parker, PooledWorker, Settled, ShardedDb,
-    ShardedWorker, VerdictHelper,
+    DbState, DeferredCommit, IsolationLevel, NodeRole, Parker, Settled, ShardedDb, ShardedWorker,
+    VerdictHelper,
 };
 use ermia_log::DurableWaker;
 use ermia_telemetry::{render_spans, Registry, SpanKind, SpanRing, TraceContext, Tracer};
 
 use crate::conn::{
     aborted, engine_isolation, exec_op, op_target, Conn, FlushState, Mode, OpenTxn, Ops, Out,
-    PendingWork, ReplConnState, TraceReq, Waiting, MAX_HTTP_HEAD,
+    ReplConnState, TraceReq, MAX_HTTP_HEAD,
 };
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
@@ -135,6 +135,10 @@ const DEFAULT_DUMP: (usize, usize) = (4096, 128);
 /// twice this and extends by this much each time in-flight frames keep
 /// arriving.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
+
+/// The shutdown drain's hard cap: past it, open transactions are aborted
+/// and reads stop, however busy a connection still is.
+const DRAIN_CAP: Duration = Duration::from_secs(2);
 
 const TOK_WAKE: u64 = 0;
 const TOK_LISTENER: u64 = 1;
@@ -305,15 +309,19 @@ impl Parking {
 struct Shard<'a> {
     handle: &'a ShardHandle,
     parking: &'a RefCell<Parking>,
+    /// Runs every one-shot transaction of this loop (module docs,
+    /// "Workers"). Not the parking's resolver: a verdict wait inside a
+    /// one-shot polls the parker, which delivers with the resolver.
+    worker: ShardedWorker,
 }
 
 pub(crate) enum Phase {
     Running,
     /// Shutdown observed: listener closed, still serving frames already
     /// in flight. Once `soft` passes, idle connections quiesce each tick
-    /// (aborting their open transactions, which frees their workers for
-    /// connections still working through a backlog); `hard` caps the
-    /// window against a client that never stops sending.
+    /// (aborting their open transactions, which returns their pooled
+    /// workers); `hard` caps the window against a client that never stops
+    /// sending.
     Drain {
         soft: Instant,
         hard: Instant,
@@ -325,17 +333,15 @@ pub(crate) enum Phase {
 }
 
 /// How long the event loop may sleep in `epoll_wait`: until the next step
-/// of its phase — the worker-checkout retry tick while requests wait for
-/// a worker, the shutdown drain's ticks — or the earliest deadline of a
-/// parked commit, whichever comes first; `None`: until an event.
+/// of a shutdown phase or the earliest deadline of a parked commit,
+/// whichever comes first; `None`: until an event.
 pub(crate) fn loop_timeout(
     now: Instant,
     phase: &Phase,
-    run_queue_waiting: bool,
     parker_due: Option<Instant>,
 ) -> Option<Duration> {
     let step = match phase {
-        Phase::Running => run_queue_waiting.then_some(Duration::from_millis(1)),
+        Phase::Running => None,
         Phase::Drain { soft, .. } => Some(
             soft.saturating_duration_since(now)
                 .clamp(Duration::from_millis(1), Duration::from_millis(25)),
@@ -362,7 +368,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             }
         }
     }));
-    let sh = &Shard { handle, parking: &parking };
+    let sh = &mut Shard { handle, parking: &parking, worker: state.db.register_worker() };
     let poller = Poller::new().expect("epoll_create1");
     poller
         .register(
@@ -390,9 +396,8 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     let mut read_buf = vec![0u8; READ_BUF_LEN];
 
     loop {
-        let run_queue_waiting = handle.stats.run_queue.load(Ordering::Relaxed) > 0;
         let due = parking.borrow().parker.due();
-        let timeout = loop_timeout(Instant::now(), &phase, run_queue_waiting, due);
+        let timeout = loop_timeout(Instant::now(), &phase, due);
         let _ = poller.wait(&mut events, timeout);
         handle.stats.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
 
@@ -427,41 +432,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 // Accepted just before shutdown: account and drop.
                 state.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                 state.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Run-queue retries: hand freed workers to parked requests, or
-        // turn lapsed admission windows into `Busy`.
-        if handle.stats.run_queue.load(Ordering::Relaxed) > 0 {
-            let now = Instant::now();
-            let waiters: Vec<u64> =
-                conns.iter().filter(|(_, c)| c.waiting.is_some()).map(|(t, _)| *t).collect();
-            for t in waiters {
-                let Some(conn) = conns.get_mut(&t) else { continue };
-                let deadline = conn.waiting.as_ref().expect("waiting").deadline;
-                let resolved = if now >= deadline {
-                    let lapsed = conn.waiting.take().expect("waiting");
-                    state.stats.busy(BusyReason::Checkout);
-                    conn.push(&state, Response::Busy);
-                    if let Some(tr) = leave_run_queue(&handle.ring, lapsed.trace) {
-                        finish_trace(&state, &handle.ring, &tr);
-                    }
-                    true
-                } else if let Some(w) = state.pool.try_checkout() {
-                    let Waiting { work, trace, .. } = conn.waiting.take().expect("waiting");
-                    let trace = leave_run_queue(&handle.ring, trace);
-                    start_work(&state, sh, conn, work, w, trace);
-                    true
-                } else {
-                    false
-                };
-                if resolved {
-                    handle.stats.run_queue.fetch_sub(1, Ordering::Relaxed);
-                    touched.push(t);
-                    if service(&state, sh, conn) {
-                        to_close.push(t);
-                    }
-                }
             }
         }
 
@@ -513,24 +483,23 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     // The quiet window gives frames a client flushed just
                     // before shutdown time to land and be served.
                     let quiet = SHUTDOWN_POLL * 2;
-                    let hard = now + (state.cfg.checkout_wait + Duration::from_secs(2));
-                    phase = Phase::Drain { soft: now + quiet, hard };
+                    phase = Phase::Drain { soft: now + quiet, hard: now + DRAIN_CAP };
                 }
             }
             Phase::Drain { soft, hard } => {
                 if now >= hard {
-                    cutoff(&state, handle, &mut conns);
+                    quiesce(&state, handle, &mut conns, true);
                     phase =
                         Phase::Flush { deadline: now + state.patience() + Duration::from_secs(1) };
                 } else if now >= soft {
-                    quiesce_idle(&state, handle, &mut conns);
+                    quiesce(&state, handle, &mut conns, false);
                     if conns.values().all(|c| c.draining) {
                         phase = Phase::Flush {
                             deadline: now + state.patience() + Duration::from_secs(1),
                         };
                     } else {
-                        // Some connections still have frames or worker
-                        // waits in flight: give them another tick.
+                        // Some connections still have frames in flight:
+                        // give them another tick.
                         phase = Phase::Drain { soft: now + SHUTDOWN_POLL, hard };
                     }
                 } else {
@@ -659,9 +628,6 @@ fn close_conn(state: &Arc<ServerState>, handle: &ShardHandle, poller: &Poller, m
         // the worker; all that's left is attribution.
         state.stats.disconnect_aborts.fetch_add(1, Ordering::Relaxed);
     }
-    if conn.waiting.take().is_some() {
-        handle.stats.run_queue.fetch_sub(1, Ordering::Relaxed);
-    }
     if !conn.out.is_empty() {
         state.stats.queued_replies.fetch_sub(conn.out.len(), Ordering::Relaxed);
         conn.out.clear();
@@ -675,7 +641,7 @@ fn close_conn(state: &Arc<ServerState>, handle: &ShardHandle, poller: &Poller, m
 /// close now.
 fn handle_conn_event(
     state: &Arc<ServerState>,
-    sh: &Shard,
+    sh: &mut Shard,
     conn: &mut Conn,
     ev: Event,
     read_buf: &mut [u8],
@@ -741,7 +707,7 @@ fn feed(conn: &mut Conn, bytes: &[u8]) {
 
 /// Process buffered input, flush output, and settle end-of-life state.
 /// Returns true if the connection must close now.
-fn service(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> bool {
+fn service(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn) -> bool {
     let mut exhausted;
     loop {
         let worked = match conn.mode {
@@ -770,7 +736,7 @@ fn service(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> bool {
         }
     }
     // Peer EOF and every complete frame served: finish the session.
-    if conn.read_shut && exhausted && conn.waiting.is_none() && !conn.draining {
+    if conn.read_shut && exhausted && !conn.draining {
         if conn.txn.take().is_some() {
             state.stats.disconnect_aborts.fetch_add(1, Ordering::Relaxed);
         }
@@ -779,16 +745,15 @@ fn service(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> bool {
     conn.finished()
 }
 
-/// Dispatch complete frames until input runs dry, backpressure bites,
-/// or the connection parks on the run queue. Returns (frames handled,
-/// input exhausted).
-fn process_frames(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn) -> (usize, bool) {
+/// Dispatch complete frames until input runs dry or backpressure bites.
+/// Returns (frames handled, input exhausted).
+fn process_frames(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn) -> (usize, bool) {
     let mut worked = 0usize;
     loop {
         if conn.draining {
             return (worked, true);
         }
-        if conn.waiting.is_some() || conn.out.len() >= state.cfg.reply_queue_depth {
+        if conn.out.len() >= state.cfg.reply_queue_depth {
             return (worked, false);
         }
         match conn.asm.next_frame() {
@@ -851,7 +816,7 @@ fn process_http(state: &Arc<ServerState>, conn: &mut Conn) -> bool {
 /// state — between transactions, or inside `Begin` … `Commit`/`Abort` —
 /// is the legality column of the frame table ([`Request::legal`]); what
 /// is left to decide here is what a legal frame does.
-fn dispatch(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn, payload: &[u8]) {
+fn dispatch(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn, payload: &[u8]) {
     // One branch on the first payload byte is the whole cost tracing
     // adds to an untraced frame; the clock is read only past it.
     let t0 = if is_traced_frame(payload) { sh.handle.ring.now_ns() } else { 0 };
@@ -888,12 +853,8 @@ fn dispatch(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn, payload: &[u8
                 // Autocommit: a one-operation transaction, answered at once
                 // unless the write crossed shards, as one on a replicated
                 // table does.
-                let work = PendingWork::OneShot {
-                    isolation: IsolationLevel::Snapshot,
-                    sync: false,
-                    ops: Ops::Auto(op),
-                };
-                return need_worker(state, sh, conn, work, trace);
+                let ops = Ops::Auto(op);
+                return one_shot(state, sh, conn, IsolationLevel::Snapshot, false, ops, trace);
             };
             let resp = exec_op(state, open.txn(), &op);
             conn.push(state, resp);
@@ -914,13 +875,11 @@ fn dispatch(state: &Arc<ServerState>, sh: &Shard, conn: &mut Conn, payload: &[u8
                 do_fetch_chunk(state, &sh.handle.ring, conn, shard, source, offset, len)
             }
             Request::Begin { isolation } => {
-                let work = PendingWork::Begin { isolation: engine_isolation(isolation) };
-                return need_worker(state, sh, conn, work, trace);
+                return begin(state, &sh.handle.ring, conn, engine_isolation(isolation), trace);
             }
             Request::Batch { isolation, sync, ops } => {
                 let isolation = engine_isolation(isolation);
-                let work = PendingWork::OneShot { isolation, sync, ops: Ops::Batch(ops) };
-                return need_worker(state, sh, conn, work, trace);
+                return one_shot(state, sh, conn, isolation, sync, Ops::Batch(ops), trace);
             }
             Request::Abort => {
                 let mut open = conn.txn.take().expect("legal only inside a transaction");
@@ -971,69 +930,48 @@ fn finish_trace(state: &ServerState, ring: &SpanRing, tr: &TraceReq) {
     );
 }
 
-/// A traced request leaves the run queue (`parked_ns`: when it joined):
-/// record its `run-queue` span.
-fn leave_run_queue(ring: &SpanRing, trace: Option<(TraceReq, u64)>) -> Option<TraceReq> {
-    trace.map(|(tr, parked_ns)| {
-        ring.record(&tr.child(), SpanKind::RunQueue, parked_ns, ring.now_ns(), 0, 0);
-        tr
-    })
-}
-
-/// A request that needs an engine worker: take one now, or park on the
-/// shard run queue until one frees up or the admission window closes.
-fn need_worker(
+/// Open an interactive transaction on a worker checked out of the pool;
+/// a pool with none free answers `Busy`, and the connection stays.
+fn begin(
     state: &Arc<ServerState>,
-    sh: &Shard,
+    ring: &SpanRing,
     conn: &mut Conn,
-    work: PendingWork,
+    isolation: IsolationLevel,
     trace: Option<TraceReq>,
 ) {
-    let t_checkout = if trace.is_some() { sh.handle.ring.now_ns() } else { 0 };
-    match state.pool.try_checkout() {
-        Some(w) => {
-            if let Some(tr) = &trace {
-                let ring = &sh.handle.ring;
-                ring.record(&tr.child(), SpanKind::WorkerCheckout, t_checkout, ring.now_ns(), 0, 0);
-            }
-            start_work(state, sh, conn, work, w, trace)
+    let t_checkout = if trace.is_some() { ring.now_ns() } else { 0 };
+    let Some(w) = state.pool.try_checkout() else {
+        state.stats.busy(BusyReason::Checkout);
+        conn.push(state, Response::Busy);
+        if let Some(tr) = trace {
+            finish_trace(state, ring, &tr);
         }
-        None => {
-            conn.waiting = Some(Waiting {
-                deadline: Instant::now() + state.cfg.checkout_wait,
-                work,
-                trace: trace.map(|tr| (tr, t_checkout)),
-            });
-            sh.handle.stats.run_queue.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn start_work(
-    state: &Arc<ServerState>,
-    sh: &Shard,
-    conn: &mut Conn,
-    work: PendingWork,
-    mut w: PooledWorker<ShardedDb>,
-    trace: Option<TraceReq>,
-) {
-    let (isolation, sync, ops) = match work {
-        PendingWork::Begin { isolation } => {
-            conn.push(state, Response::Begun);
-            // The begin trace stays open on the transaction: its request
-            // span is recorded when the transaction resolves.
-            let trace = trace.map(|mut tr| {
-                tr.op = "txn";
-                tr
-            });
-            conn.txn = Some(OpenTxn::begin(w, isolation, trace));
-            return;
-        }
-        PendingWork::OneShot { isolation, sync, ops } => (isolation, sync, ops),
+        return;
     };
-    // One-shot transaction: begin, run every op, commit — one request
-    // frame, one reply frame. Stops at the first failed op.
-    let mut txn = w.begin_traced(isolation, trace.as_ref().map(|t| t.child()));
+    conn.push(state, Response::Begun);
+    // The begin trace stays open on the transaction: its request span is
+    // recorded when the transaction resolves.
+    let trace = trace.map(|mut tr| {
+        ring.record(&tr.child(), SpanKind::WorkerCheckout, t_checkout, ring.now_ns(), 0, 0);
+        tr.op = "txn";
+        tr
+    });
+    conn.txn = Some(OpenTxn::begin(w, isolation, trace));
+}
+
+/// A one-shot transaction on the loop's own worker: begin, run every op,
+/// commit — one request frame, one reply frame. Stops at the first
+/// failed op.
+fn one_shot(
+    state: &Arc<ServerState>,
+    sh: &mut Shard,
+    conn: &mut Conn,
+    isolation: IsolationLevel,
+    sync: bool,
+    ops: Ops,
+    trace: Option<TraceReq>,
+) {
+    let mut txn = sh.worker.begin_traced(isolation, trace.as_ref().map(|t| t.child()));
     let reply = match &ops {
         Ops::Auto(op) => Reply::Auto(exec_op(state, &mut txn, op)),
         Ops::Batch(ops) => {
@@ -1342,15 +1280,21 @@ fn open_table(state: &Arc<ServerState>, conn: &mut Conn, name: &[u8]) {
 // Shutdown cutoff
 // ---------------------------------------------------------------------
 
-/// One shutdown-drain tick: quiesce every connection with no pending
-/// input — abort its open transaction (freeing its worker for
-/// connections still working through a backlog), tell its client, and
-/// stop its reads. Mirrors the blocking server, where idle sessions
-/// noticed the flag at their next read-poll tick while busy sessions
-/// kept serving buffered frames.
-fn quiesce_idle(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u64, Conn>) {
+/// Quiesce connections for shutdown: abort each one's open transaction
+/// (returning its pooled worker), tell its client, and stop its reads. A
+/// drain tick spares a connection with input still to serve, as the
+/// blocking server's busy sessions kept serving buffered frames while
+/// idle ones noticed the flag at their next read-poll tick; the drain's
+/// hard cap (`all`) spares none. What the loop parked settles in the
+/// flush phase that follows, within the logs' patience.
+fn quiesce(
+    state: &Arc<ServerState>,
+    handle: &ShardHandle,
+    conns: &mut HashMap<u64, Conn>,
+    all: bool,
+) {
     for conn in conns.values_mut() {
-        if conn.draining || conn.waiting.is_some() || conn.asm.has_frame() {
+        if !all && (conn.draining || conn.asm.has_frame()) {
             continue;
         }
         if let Some(open) = conn.txn.take() {
@@ -1362,27 +1306,8 @@ fn quiesce_idle(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut Hash
     }
 }
 
-/// The drain window's hard cap: abort open transactions (telling their
-/// clients), cancel parked admissions, stop all reads, and close the
-/// parker intake so it can finish and exit once queued waits resolve.
-fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u64, Conn>) {
-    for conn in conns.values_mut() {
-        if conn.waiting.take().is_some() {
-            handle.stats.run_queue.fetch_sub(1, Ordering::Relaxed);
-            state.stats.busy(BusyReason::Shutdown);
-            conn.push(state, Response::Busy);
-        }
-        if let Some(open) = conn.txn.take() {
-            open.finish(|t| t.abort());
-            conn.push_err(state, ErrorCode::ShuttingDown, "server shutting down");
-        }
-        conn.draining = true;
-        let _ = conn.flush(state, &handle.stats);
-    }
-}
-
 /// A durability incident just surfaced to a client: record it in the
-/// parker's ring (under the request's trace, if it has one), store a
+/// shard's ring (under the request's trace, if it has one), store a
 /// dump for later retrieval, and mirror it to stderr. The ring lives
 /// until the server shuts down, so `DumpTraces` frames sent after the
 /// fact still see the incident.

@@ -2,15 +2,16 @@
 //!
 //! The workspace is std-only — no `libc` crate — but std already links
 //! the platform C library, so the handful of symbols the event loop
-//! needs (`epoll_*`, `eventfd`) are declared here directly and wrapped
-//! in safe, `std::os::fd`-based types by [`crate::poll`].
+//! needs (`epoll_*`, `eventfd`, `sendmsg`) are declared here directly and
+//! wrapped in safe, `std::os::fd`-based types by [`crate::poll`] and
+//! [`send_vectored`].
 //! Everything is Linux-specific; the server crate does not build
 //! elsewhere (matching CI and the deployment target).
 
 #![allow(non_camel_case_types)]
 
-use std::io;
-use std::os::fd::RawFd;
+use std::io::{self, IoSlice};
+use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
 
 pub(crate) type c_int = i32;
 
@@ -49,8 +50,26 @@ pub(crate) struct epoll_event {
 pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
 pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
 
+// -- sendmsg ----------------------------------------------------------
+
+/// Raise no `SIGPIPE` when the peer has gone: the write fails `EPIPE`.
+const MSG_NOSIGNAL: c_int = 0x4000;
+
+/// `struct msghdr`, as the C library declares it.
+#[repr(C)]
+struct msghdr {
+    msg_name: *mut u8,
+    msg_namelen: u32,
+    msg_iov: *const IoSlice<'static>,
+    msg_iovlen: usize,
+    msg_control: *mut u8,
+    msg_controllen: usize,
+    msg_flags: c_int,
+}
+
 #[cfg(target_os = "linux")]
 extern "C" {
+    fn sendmsg(fd: c_int, msg: *const msghdr, flags: c_int) -> isize;
     pub(crate) fn epoll_create1(flags: c_int) -> c_int;
     pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     pub(crate) fn epoll_wait(
@@ -71,6 +90,31 @@ pub(crate) fn cvt(ret: c_int) -> io::Result<c_int> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+/// One vectored write of `bufs` to the socket `sock`: a single
+/// `sendmsg(2)`, which like std's `TcpStream::write` (a `send(2)`) raises
+/// no `SIGPIPE` on a closed peer — std's `write_vectored` there is a
+/// `writev(2)`, which does. Returns the bytes the socket took.
+pub(crate) fn send_vectored(sock: BorrowedFd<'_>, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+    let msg = msghdr {
+        msg_name: std::ptr::null_mut(),
+        msg_namelen: 0,
+        msg_iov: bufs.as_ptr().cast(),
+        msg_iovlen: bufs.len(),
+        msg_control: std::ptr::null_mut(),
+        msg_controllen: 0,
+        msg_flags: 0,
+    };
+    // SAFETY: `msg` names no address and no control data, and `bufs.len()`
+    // iovecs (`IoSlice` is ABI-compatible with `iovec` on Unix) that
+    // outlive the call; the kernel only reads them.
+    let sent = unsafe { sendmsg(fd(sock.as_raw_fd()), &msg, MSG_NOSIGNAL) };
+    if sent < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(sent as usize)
     }
 }
 

@@ -58,7 +58,7 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
     // data) and the connection keeps working.
     assert_eq!(c.get(t, b"after").unwrap().as_deref(), Some(&b"v"[..]));
 
-    // The incident went into the parker's ring: a DumpTraces frame
+    // The incident went into the shard's ring: a DumpTraces frame
     // after the fact shows the stall alongside the transaction history
     // that led up to it.
     let dump = c.dump_traces(0).unwrap();

@@ -102,7 +102,6 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_server_shard_sessions",
         "ermia_server_epoll_wakeups_total",
         "ermia_server_partial_writes_total",
-        "ermia_server_run_queue_depth",
         "ermia_pool_workers",
         "ermia_pool_capacity",
     ] {
@@ -124,7 +123,7 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         );
     }
     assert_eq!(exp.kind("ermia_recovery_seconds"), Some("gauge"));
-    for why in ["sessions", "checkout", "shutdown", "fd-limit"] {
+    for why in ["sessions", "checkout", "fd-limit"] {
         assert_eq!(
             exp.value_with("ermia_server_busy_by_reason_total", "reason", why),
             Some(0.0),

@@ -80,7 +80,6 @@ fn thousand_disconnects_leak_nothing() {
         max_sessions: 2 * WAVE,
         worker_capacity: 8,
         shards: 2,
-        checkout_wait: Duration::from_millis(500),
         ..ServerConfig::default()
     };
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();

@@ -236,27 +236,107 @@ fn session_cap_sheds_load_with_busy() {
     d.ping().unwrap();
 }
 
+/// The pool serves interactive transactions only. With its one worker
+/// pinned by an open `Begin`, another connection's one-shot transactions
+/// still run, on their event loop's own worker; its `Begin` is answered
+/// `Busy` and keeps the connection, which begins once the worker is back.
 #[test]
 fn worker_exhaustion_returns_busy_but_keeps_the_connection() {
-    let cfg = ServerConfig {
-        worker_capacity: 1,
-        checkout_wait: Duration::from_millis(30),
-        ..ServerConfig::default()
-    };
-    let (_db, srv) = server(cfg);
+    let (_db, srv) = server(ServerConfig { worker_capacity: 1, ..ServerConfig::default() });
     let mut holder = Client::connect(srv.local_addr()).unwrap();
     let t = holder.open_table("kv").unwrap();
-    holder.begin(WireIsolation::Snapshot).unwrap(); // pins the only worker
+    holder.begin(WireIsolation::Snapshot).unwrap(); // pins the only pooled worker
 
-    let mut starved = Client::connect(srv.local_addr()).unwrap();
-    match starved.get(t, b"k") {
+    let mut other = Client::connect(srv.local_addr()).unwrap();
+    assert_eq!(other.get(t, b"k").unwrap(), None);
+    let ops = vec![BatchOp::Put { table: t, key: b"k".to_vec(), value: b"v".to_vec() }];
+    let (_, outcome) = other.batch(WireIsolation::Snapshot, false, ops).unwrap();
+    assert!(matches!(outcome, Response::Committed { .. }), "{outcome:?}");
+    match other.begin(WireIsolation::Snapshot) {
         Err(ClientError::Busy) => {}
         other => panic!("expected Busy, got {other:?}"),
     }
+    assert_eq!(srv.stats().busy_rejects, 1);
     // Busy is per-request: after the worker frees up the same connection
-    // succeeds.
+    // begins.
     holder.commit(false).unwrap();
-    assert_eq!(starved.get(t, b"k").unwrap(), None);
+    other.begin(WireIsolation::Snapshot).unwrap();
+    assert_eq!(other.get(t, b"k").unwrap().as_deref(), Some(&b"v"[..]));
+    other.commit(false).unwrap();
+}
+
+/// Pipelined sync batches never touch the worker pool: each runs on its
+/// event loop's own worker, so the pool never creates one.
+#[test]
+fn one_shot_transactions_check_out_no_pooled_worker() {
+    let dir = TestDir::new("server-smoke-one-shot");
+    let db = ShardedDb::open(DbConfig::durable(&dir), 1).unwrap();
+    let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("kv").unwrap();
+    c.set_reply_timeout(Some(Duration::from_secs(20))).unwrap();
+    for i in 0..64 {
+        let ops = vec![BatchOp::Put { table: t, key: vec![i], value: b"v".to_vec() }];
+        c.send(&Request::Batch { isolation: WireIsolation::Snapshot, sync: true, ops }).unwrap();
+    }
+    for _ in 0..64 {
+        match c.recv().unwrap() {
+            Response::BatchDone { outcome, .. } => {
+                assert!(matches!(*outcome, Response::Committed { .. }), "{outcome:?}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(c.get(t, &[63]).unwrap().as_deref(), Some(&b"v"[..]));
+    assert_eq!(srv.worker_pool().created(), 0, "a one-shot transaction checked out a worker");
+    srv.shutdown();
+    drop(db);
+}
+
+/// Replies larger than the socket takes at once: a client pipelines scans
+/// of up to 256 KiB each and reads nothing until the server's writes have
+/// come up short. Then every reply arrives whole and in the order asked.
+#[test]
+fn replies_that_fill_the_socket_arrive_whole_and_in_order() {
+    const ROWS: u32 = 64;
+    const SCANS: u32 = 96;
+    let value = |row: u32| vec![row as u8; 4096];
+    let (_db, srv) = server(ServerConfig::default());
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let t = c.open_table("wide").unwrap();
+    for row in 0..ROWS {
+        c.put(t, format!("r{row:03}").as_bytes(), &value(row)).unwrap();
+    }
+    c.set_reply_timeout(Some(Duration::from_secs(20))).unwrap();
+    // Scan `i` asks for `i % ROWS + 1` rows: about 12 MiB of replies.
+    for i in 0..SCANS {
+        let limit = i % ROWS + 1;
+        c.send(&Request::Scan { table: t, low: b"r".to_vec(), high: b"s".to_vec(), limit })
+            .unwrap();
+    }
+    c.flush().unwrap();
+    // Read nothing until the server's writes have come up short.
+    let mut probe = Client::connect(srv.local_addr()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        let exp = ermia_telemetry::parse_exposition(&probe.metrics().unwrap()).unwrap();
+        if exp.sum("ermia_server_partial_writes_total", None).expect("partial writes") > 0.0 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the replies never filled the socket");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for i in 0..SCANS {
+        let Response::Rows { rows, truncated } = c.recv().unwrap() else {
+            panic!("scan {i} was not answered with rows")
+        };
+        assert!(!truncated);
+        assert_eq!(rows.len() as u32, i % ROWS + 1, "scan {i} answered out of order");
+        for (row, (k, v)) in rows.iter().enumerate() {
+            assert_eq!(k, format!("r{row:03}").as_bytes(), "scan {i}");
+            assert!(*v == value(row as u32), "scan {i}: row {row} arrived damaged");
+        }
+    }
 }
 
 #[test]

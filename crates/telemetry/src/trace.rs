@@ -2,7 +2,7 @@
 //! wire-propagated trace context, tail-based slow-op capture, and the
 //! one text dump and Chrome `trace_event` exporter.
 //!
-//! A *span* is one timed step — frame decode, run-queue wait, worker
+//! A *span* is one timed step — frame decode, a `Begin`'s worker
 //! checkout, a transaction's reads and writes, the group-commit
 //! durability wait, each 2PC prepare/decide leg, a replica's ship/apply
 //! rounds. A flight event (a commit, an abort, a log stall, a GC pass)
@@ -101,75 +101,73 @@ kinds! {
         1 Request: "request" (_, _);
         /// Wire-frame checksum check + request decode.
         2 FrameDecode: "frame-decode" (bytes, _);
-        /// Waiting in a shard's run queue for a pooled worker.
-        3 RunQueue: "run-queue" (_, _);
-        /// Worker checkout from the pool (usually ~0; nonzero = contention).
-        4 WorkerCheckout: "worker-checkout" (_, _);
+        /// A traced `Begin`'s worker checkout from the pool.
+        3 WorkerCheckout: "worker-checkout" (_, _);
         /// Transaction begin (snapshot acquisition) on shard `home`.
-        5 TxnBegin: "txn-begin" (home, tid);
+        4 TxnBegin: "txn-begin" (home, tid);
         /// One read (`home` = its shard).
-        6 TxnRead: "txn-read" (table, home);
+        5 TxnRead: "txn-read" (table, home);
         /// One write — put/insert/delete (`home` = its shard, all ones
         /// for a replicated table's fan-out).
-        7 TxnWrite: "txn-write" (table, home);
+        6 TxnWrite: "txn-write" (table, home);
         /// One range scan.
-        8 TxnScan: "txn-scan" (index, rows);
+        7 TxnScan: "txn-scan" (index, rows);
         /// `commit_deferred`: log-block fill + CAS publish, no durability.
-        9 CommitDeferred: "commit-deferred" (log, _);
+        8 CommitDeferred: "commit-deferred" (log, _);
         /// Group-commit durability wait on shard `log`'s log.
-        10 DurabilityWait: "durability-wait" (log, _);
+        9 DurabilityWait: "durability-wait" (log, _);
         /// One participant's 2PC prepare incl. its block fill.
-        11 TwoPcPrepare: "2pc-prepare" (part, cstamp);
+        10 TwoPcPrepare: "2pc-prepare" (part, cstamp);
         /// A cross-shard transaction's verdict records appended to its
         /// participants' logs: for a commit after it was published and
         /// answered (`commit` = 1), or an abort (0).
-        12 TwoPcDecide: "2pc-decide" (gtid, commit);
+        11 TwoPcDecide: "2pc-decide" (gtid, commit);
         /// In-memory publish on every participant, once all prepares are
         /// durable.
-        13 TwoPcFinalize: "2pc-finalize" (parts, _);
+        12 TwoPcFinalize: "2pc-finalize" (parts, _);
         /// Replica-side shipping round of replica shard `log`.
-        14 ReplShip: "repl-ship" (bytes, log);
+        13 ReplShip: "repl-ship" (bytes, log);
         /// A replica applied the log through `lsn`: a whole round's
         /// `blocks`, or one stitched prepared transaction (its commit
         /// stamp, one block).
-        15 ReplApply: "repl-apply" (lsn, blocks);
+        14 ReplApply: "repl-apply" (lsn, blocks);
         /// A transaction published its writes at `cstamp`.
-        16 TxnCommit: "txn-commit" (tid, cstamp);
+        15 TxnCommit: "txn-commit" (tid, cstamp);
         /// A transaction aborted (`reason` = `AbortReason` index).
-        17 TxnAbort: "txn-abort" (tid, reason);
+        16 TxnAbort: "txn-abort" (tid, reason);
         /// A commit's durability wait outlasted the log's patience.
-        18 LogStall: "log-stall" (waited_ms, _);
+        17 LogStall: "log-stall" (waited_ms, _);
         /// The log refused a write because it is poisoned.
-        19 LogPoison: "log-poison" (cause, _);
+        18 LogPoison: "log-poison" (cause, _);
         /// A collector pass.
-        20 GcPass: "gc-pass" (reclaimed, pass);
+        19 GcPass: "gc-pass" (reclaimed, pass);
         /// A checkpoint taken at cut `lsn`.
-        21 Checkpoint: "checkpoint" (lsn, removed);
+        20 Checkpoint: "checkpoint" (lsn, removed);
         /// The unified epoch advanced.
-        22 EpochAdvance: "epoch-advance" (epoch, _);
+        21 EpochAdvance: "epoch-advance" (epoch, _);
         /// The database entered degraded read-only mode (log poisoned).
-        23 DbDegraded: "db-degraded" (durable, _);
+        22 DbDegraded: "db-degraded" (durable, _);
         /// The database resumed Active after an operator cleared the fault.
-        24 DbResumed: "db-resumed" (durable, _);
+        23 DbResumed: "db-resumed" (durable, _);
         /// A server session parked a sync-commit reply on the durability
         /// parker (the reply slot waits for the log instead of a thread).
-        25 SessionParked: "session-parked" (conn, seq);
+        24 SessionParked: "session-parked" (conn, seq);
         /// A parked session's commit resolved; its reply slot was filled
         /// and write interest re-armed.
-        26 SessionResumed: "session-resumed" (conn, waited_us);
+        25 SessionResumed: "session-resumed" (conn, waited_us);
         /// Recovery resolved an in-doubt prepared transaction (`how` bit
         /// 0 = committed, bit 1 = no verdict record was found and the
         /// count of prepares decided).
-        27 TwoPcResolve: "2pc-resolve" (gtid, how);
+        26 TwoPcResolve: "2pc-resolve" (gtid, how);
         /// The backup shipper served a log chunk to a subscriber.
-        28 ReplSegmentShipped: "repl-segment-shipped" (offset, bytes);
+        27 ReplSegmentShipped: "repl-segment-shipped" (offset, bytes);
         /// An offline recovery rebuilt the database (checkpoint and log
         /// bytes scanned, versions built).
-        29 Recovery: "recovery" (scanned, built);
+        28 Recovery: "recovery" (scanned, built);
         /// The listener ran out of descriptors and a queued connection was
         /// answered `Busy` through the reserve one (`shed` = how many so
         /// far).
-        30 AcceptShed: "accept-shed" (errno, shed);
+        29 AcceptShed: "accept-shed" (errno, shed);
     }
 }
 
