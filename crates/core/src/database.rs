@@ -452,7 +452,7 @@ impl DbInner {
     fn gc_horizon(&self) -> Lsn {
         // The tail is read before the scan, a fence between: a reader
         // whose claim the scan misses reads the tail after this read
-        // (see `Transaction::begin`), so its begin is not below `tail`.
+        // (see `Txn::begin`), so its begin is not below `tail`.
         let tail = self.log.tail_lsn();
         fence(Ordering::SeqCst);
         let h = self.tid.min_active_begin(tail);

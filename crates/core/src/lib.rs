@@ -62,11 +62,11 @@ mod worker;
 
 pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, IndexInfo, LogRetention, NodeRole, Table};
-pub use pool::{PooledWorker, RegisterWorker, WorkerPool};
+pub use pool::{PooledWorker, WorkerPool};
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats, VerdictSet};
 pub use shard::{
-    shard_of_key, DeferredCommit, IndexRouting, Parker, Settled, ShardPolicy, ShardRecoveryStats,
-    ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
+    shard_of_key, DeferredCommit, DetachedTransaction, IndexRouting, Parker, Settled, ShardPolicy,
+    ShardRecoveryStats, ShardedDb, ShardedTransaction, ShardedWorker, StagedCommit,
 };
 pub use transaction::{CommitToken, Transaction, VerdictHelper};
 pub use worker::Worker;

@@ -17,8 +17,8 @@
 //! log writes, no coordination, overhead is one hash per operation. At
 //! `S = 1` even that disappears: routing is constant and commit is a
 //! direct pass-through. One shard is the degenerate shard set, so the
-//! server, the worker pool and the workload adapters run on a
-//! `ShardedDb` only (`ShardedDb::open(cfg, 1)`).
+//! server and the workload adapters run on a `ShardedDb` only
+//! (`ShardedDb::open(cfg, 1)`).
 //!
 //! The module is its four concerns: `routing` (key → shard), `staged`
 //! (the two-phase state machine), `parker` (the commit handle and the one
@@ -29,7 +29,7 @@
 //! on the existing commit/durability split:
 //!
 //! 1. *Prepare* — every writer shard runs the one pre-commit pipeline
-//!    every commit runs (`Transaction::precommit`: log space allocation,
+//!    every commit runs (`Txn::precommit`: log space allocation,
 //!    SSN exclusion test, node-set validation, block fill), with its
 //!    block serialized as [`BlockKind::TxnPrepare`] carrying the
 //!    coordinator's identity and the number of participants. The
@@ -153,7 +153,7 @@ use routing::Routing;
 pub use routing::{shard_of_key, IndexRouting, ShardPolicy};
 use staged::write_decide;
 pub use staged::StagedCommit;
-pub use txn::{ShardedTransaction, ShardedWorker};
+pub use txn::{DetachedTransaction, ShardedTransaction, ShardedWorker};
 
 pub(crate) struct ShardedInner {
     dbs: Vec<Database>,

@@ -17,7 +17,7 @@ use super::parker::{DeferredCommit, Parker, Settled};
 use super::txn::ActiveTrace;
 use super::{ShardedDb, ShardedWorker};
 use crate::database::Database;
-use crate::transaction::{CommitToken, ParkedPrepare, PreparedTransaction, Transaction};
+use crate::transaction::{CommitToken, Prepared, Txn};
 
 const TWOPC_CROSS: usize = 0;
 const TWOPC_PREPARE_HIST: usize = 0;
@@ -65,7 +65,7 @@ pub(super) fn write_decide(db: &Database, rec: DecideRecord) -> io::Result<u64> 
 struct Participant {
     shard: usize,
     /// `None` once the verdict was delivered.
-    prepare: Option<ParkedPrepare>,
+    prepare: Option<Prepared>,
     /// Exclusive end offset of the prepare block in the shard's log.
     end_offset: u64,
     /// The prepare block is durable.
@@ -74,8 +74,8 @@ struct Participant {
 
 /// Where a [`StagedCommit`] stands.
 enum Stage {
-    /// Every writer shard holds a parked prepare; waiting for their
-    /// prepare blocks to be durable.
+    /// Every writer shard holds a prepared participant; waiting for
+    /// their prepare blocks to be durable.
     Prepared,
     /// The verdict was delivered to every participant; after a commit,
     /// its record is owed to the logs until
@@ -102,14 +102,14 @@ struct StagedTrace {
 ///     └── abort: abort verdict appended, then rolled back
 /// ```
 ///
-/// It borrows nothing: every participant is a `ParkedPrepare`, so the
-/// worker that ran the transaction is free, and no epoch is pinned. It
-/// waits only on log offsets ([`StagedCommit::waits`]), so a [`Parker`]
-/// carries any number of them through the same flush; a blocking
-/// [`StagedCommit::wait`] runs one of its own. Every prepare being durable
-/// is the commit point: nothing is published or answered before it
-/// (invariant 1), and the verdict record is owed to the logs only after
-/// ([`StagedCommit::write_verdict`]).
+/// It borrows nothing: every participant is a prepared transaction, a
+/// value that holds no worker and pins no epoch, so the worker that ran
+/// the transaction is free. It waits only on log offsets
+/// ([`StagedCommit::waits`]), so a [`Parker`] carries any number of them
+/// through the same flush; a blocking [`StagedCommit::wait`] runs one of
+/// its own. Every prepare being durable is the commit point: nothing is
+/// published or answered before it (invariant 1), and the verdict record
+/// is owed to the logs only after ([`StagedCommit::write_verdict`]).
 ///
 /// A thread that runs transactions may wait on its prepared heads, so the
 /// thread that resolves it must not sleep on them: it polls its parker
@@ -127,15 +127,16 @@ pub struct StagedCommit {
 }
 
 impl StagedCommit {
-    /// Phase one: prepare every writer — coordinator (lowest writer
-    /// shard) first, its prepare cstamp is the global transaction id —
-    /// and park the prepares.
-    pub(super) fn prepare<'w>(
-        db: &ShardedDb,
-        ring: &SpanRing,
-        trace: Option<ActiveTrace<'_>>,
-        writers: Vec<(usize, Transaction<'w>)>,
+    /// Phase one: prepare every writer on `worker` — coordinator (lowest
+    /// writer shard) first, its prepare cstamp is the global transaction
+    /// id.
+    pub(super) fn prepare(
+        worker: &mut ShardedWorker,
+        trace: Option<ActiveTrace>,
+        writers: Vec<(usize, Txn)>,
     ) -> TxResult<Box<StagedCommit>> {
+        let ShardedWorker { db, workers, tel, .. } = worker;
+        let ring = &*tel.ring;
         db.inner.in_doubt.fetch_add(1, Relaxed);
         // From here every exit, the early returns included, closes the
         // in-doubt window through `Drop`.
@@ -157,13 +158,13 @@ impl StagedCommit {
         // stitch its apply spans to this transaction.
         let (trace_hi, trace_lo) =
             trace.map(|t| (t.ctx.trace_hi, t.ctx.trace_lo)).unwrap_or((0, 0));
-        let now = || trace.map(|tr| tr.ring.now_ns()).unwrap_or(0);
+        let now = || trace.map(|_| ring.now_ns()).unwrap_or(0);
         let coord = writers[0].0;
         // A participant that fails to prepare leaves the others' blocks
         // one short of this count: recovery aborts them.
         let participants = writers.len() as u32;
-        let mut prepared: Vec<(usize, PreparedTransaction<'w>)> = Vec::with_capacity(writers.len());
-        for (i, t) in writers {
+        let mut writers = writers.into_iter();
+        for (i, t) in writers.by_ref() {
             let t0 = now();
             let coord_lsn = if i == coord { PrepareMarker::COORD_SELF } else { staged.gtid_lsn };
             let marker = PrepareMarker {
@@ -173,7 +174,7 @@ impl StagedCommit {
                 trace_hi,
                 trace_lo,
             };
-            match t.precommit(Some(marker)) {
+            match t.precommit(&mut workers[i], Some(marker)) {
                 Ok(p) => {
                     if i == coord {
                         staged.gtid_lsn = p.cstamp().raw();
@@ -187,12 +188,24 @@ impl StagedCommit {
                             ring.event(&TraceContext::UNTRACED, SpanKind::TwoPcPrepare, part, c)
                         }
                     }
-                    prepared.push((i, p));
+                    let end_offset = p.end_offset().expect("a writer's prepare fills a block");
+                    staged.parts.push(Participant {
+                        shard: i,
+                        prepare: Some(p),
+                        end_offset,
+                        durable: false,
+                    });
                 }
                 Err(r) => {
-                    // The writers not yet prepared abort as they drop.
-                    for (_, p) in prepared {
-                        p.abort(r);
+                    // Roll back the participants prepared so far (their
+                    // blocks are one prepare short) and those not yet.
+                    for p in &mut staged.parts {
+                        let prepare = p.prepare.take().expect("no verdict yet");
+                        prepare.abort(&mut workers[p.shard], r);
+                    }
+                    staged.parts.clear();
+                    for (i, t) in writers {
+                        t.abort(&mut workers[i]);
                     }
                     return Err(r);
                 }
@@ -201,11 +214,6 @@ impl StagedCommit {
         if let Some(tr) = &mut staged.trace {
             tr.t0 = now();
         }
-        staged.parts.extend(prepared.into_iter().map(|(shard, p)| {
-            let prepare = p.park();
-            let end_offset = prepare.end_offset();
-            Participant { shard, prepare: Some(prepare), end_offset, durable: false }
-        }));
         Ok(staged)
     }
 
@@ -262,7 +270,7 @@ impl StagedCommit {
         let mut coord_token = None;
         for p in &mut self.parts {
             let prepare = p.prepare.take().expect("no verdict yet");
-            let token = prepare.attach(&mut resolver.workers[p.shard]).finish_commit();
+            let token = prepare.finish_commit(&mut resolver.workers[p.shard]);
             coord_token.get_or_insert(token);
         }
         self.span(&ring, SpanKind::TwoPcFinalize, self.parts.len() as u64, 0);
@@ -336,7 +344,7 @@ impl StagedCommit {
         self.step(&resolver.tel.ring, SpanKind::TwoPcDecide, self.gtid_lsn, 0);
         for p in &mut self.parts {
             let prepare = p.prepare.take().expect("no verdict yet");
-            prepare.attach(&mut resolver.workers[p.shard]).abort(AbortReason::LogFailure);
+            prepare.abort(&mut resolver.workers[p.shard], AbortReason::LogFailure);
         }
         self.stage = Stage::Finalized { verdict_owed: false };
     }
@@ -371,7 +379,7 @@ impl StagedCommit {
 
 #[cfg(test)]
 impl StagedCommit {
-    /// See [`ParkedPrepare::pointees`].
+    /// See `Txn::pointees`.
     fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
         self.parts.iter().filter_map(|p| p.prepare.as_ref()).flat_map(|p| p.pointees()).collect()
     }
@@ -384,7 +392,7 @@ impl Drop for StagedCommit {
             Stage::Finalized { verdict_owed: true } => self.append_verdict(true),
             Stage::Finalized { verdict_owed: false } => {}
             // Unresolved: the abort verdict first, as `abort` orders it;
-            // then the participants still parked abort as they drop.
+            // then the participants still prepared abort as they drop.
             _ if !self.parts.is_empty() => self.append_verdict(false),
             // Never got past preparing: nothing to overrule.
             _ => {}

@@ -1,6 +1,10 @@
 //! The worker and transaction of the sharded namespace: one inner
 //! transaction per shard touched, started on first touch, and the commit
-//! tail that picks the plain commit or the staged two-phase one.
+//! tail that picks the plain commit or the staged two-phase one. Like the
+//! inner ones, a sharded transaction is a value ([`DetachedTransaction`])
+//! that takes its worker per operation: [`ShardedTransaction`] pairs it
+//! with one, and [`ShardedTransaction::detach`] / [`ShardedWorker::resume`]
+//! part and rejoin them between operations.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -13,7 +17,7 @@ use super::routing::{shard_of_key, IndexRoute, IndexRouting, Routing};
 use super::staged::{StagedCommit, TWOPC_FAMILY};
 use super::ShardedDb;
 use crate::config::IsolationLevel;
-use crate::transaction::{CommitToken, Transaction};
+use crate::transaction::{CommitToken, Txn};
 use crate::worker::Worker;
 
 /// This worker's share of the telemetry layer: its one record ring (this
@@ -34,14 +38,10 @@ pub struct ShardedWorker {
     pub(super) workers: Vec<Worker>,
     routing: Arc<Routing>,
     pub(super) tel: WorkerTelemetry,
-    /// The worker a blocking cross-shard [`ShardedTransaction::commit`]
-    /// resolves its [`StagedCommit`] on (this one is still borrowed by
-    /// the transaction then). Registered by the first such commit.
-    resolver: Option<Box<ShardedWorker>>,
 }
 
 impl ShardedDb {
-    /// Check out a worker holding one engine [`Worker`] per shard.
+    /// Register a worker holding one engine [`Worker`] per shard.
     pub fn register_worker(&self) -> ShardedWorker {
         let inner = &self.inner;
         let workers = inner.dbs.iter().map(|d| d.register_worker()).collect();
@@ -52,7 +52,7 @@ impl ShardedDb {
             sample_n: db0.inner.cfg.trace_sample_n,
             count: 0,
         };
-        ShardedWorker { db: self.clone(), workers, routing: inner.routing(), tel, resolver: None }
+        ShardedWorker { db: self.clone(), workers, routing: inner.routing(), tel }
     }
 }
 
@@ -74,11 +74,8 @@ impl ShardedWorker {
         isolation: IsolationLevel,
         ctx: Option<TraceContext>,
     ) -> ShardedTransaction<'_> {
-        if self.db.inner.dbs[0].inner.catalog_version.load(Relaxed) != self.routing.version {
-            self.routing = self.db.inner.routing();
-        }
-        // Resolve the active context before splitting the borrows: wire
-        // context wins; otherwise head sampling every Nth begin.
+        // Resolve the active context: wire context wins; otherwise head
+        // sampling every Nth begin.
         let t = &mut self.tel;
         let active = match ctx {
             Some(c) if c.is_traced() => Some((c, false)),
@@ -94,20 +91,29 @@ impl ShardedWorker {
             }
             _ => None,
         };
-        let ShardedWorker { db, workers, routing, tel, resolver, .. } = self;
-        let ring = &*tel.ring;
-        let trace = active.map(|(ctx, sampled)| ActiveTrace {
-            ctx,
-            ring,
-            start_ns: ring.now_ns(),
-            sampled,
-        });
-        let slots = if workers.len() == 1 {
-            Slots::One(TxSlot::Idle(&mut workers[0]))
+        let start_ns = if active.is_some() { self.tel.ring.now_ns() } else { 0 };
+        let trace = active.map(|(ctx, sampled)| ActiveTrace { ctx, start_ns, sampled });
+        let slots = if self.workers.len() == 1 {
+            Slots::One(None)
         } else {
-            Slots::Many(workers.iter_mut().map(TxSlot::Idle).collect())
+            Slots::Many(self.workers.iter().map(|_| None).collect())
         };
-        ShardedTransaction { db: &*db, routing, ring, isolation, slots, trace, resolver }
+        self.resume(DetachedTransaction { isolation, slots, trace })
+    }
+
+    /// Pair `txn`, detached from a worker of this engine (this one or
+    /// another), with this worker again: each of its next operations runs
+    /// here.
+    pub fn resume(&mut self, txn: DetachedTransaction) -> ShardedTransaction<'_> {
+        if self.db.inner.dbs[0].inner.catalog_version.load(Relaxed) != self.routing.version {
+            self.routing = self.db.inner.routing();
+        }
+        for (t, w) in txn.slots.as_slice().iter().zip(&self.workers) {
+            if let Some(t) = t {
+                t.check_worker(w);
+            }
+        }
+        ShardedTransaction { worker: self, txn }
     }
 }
 
@@ -119,52 +125,65 @@ impl Drop for ShardedWorker {
     }
 }
 
-enum TxSlot<'w> {
-    Idle(&'w mut Worker),
-    Active(Transaction<'w>),
-    /// Transient state while a slot is being activated.
-    Busy,
-}
-
-enum Slots<'w> {
+/// The inner transactions, one slot per shard, each started on first
+/// touch.
+enum Slots {
     /// `S == 1`: no allocation, no routing.
-    One(TxSlot<'w>),
-    Many(Vec<TxSlot<'w>>),
+    One(Option<Txn>),
+    Many(Vec<Option<Txn>>),
 }
 
-impl<'w> Slots<'w> {
-    fn get_mut(&mut self, i: usize) -> &mut TxSlot<'w> {
+impl Slots {
+    fn as_slice(&self) -> &[Option<Txn>] {
         match self {
-            Slots::One(s) => {
-                debug_assert_eq!(i, 0);
-                s
-            }
-            Slots::Many(v) => &mut v[i],
+            Slots::One(s) => std::slice::from_ref(s),
+            Slots::Many(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Option<Txn>] {
+        match self {
+            Slots::One(s) => std::slice::from_mut(s),
+            Slots::Many(v) => v,
+        }
+    }
+
+    /// Move every slot out, leaving none behind (no allocation).
+    fn take(&mut self) -> Slots {
+        match self {
+            Slots::One(s) => Slots::One(s.take()),
+            Slots::Many(v) => Slots::Many(std::mem::take(v)),
         }
     }
 }
 
-/// A transaction over the sharded namespace. Routes each operation to
-/// the owning shard's inner [`Transaction`]; commit runs the inner
-/// commit directly (one participant) or 2PC (several writers).
-pub struct ShardedTransaction<'w> {
-    db: &'w ShardedDb,
-    routing: &'w Routing,
-    /// The worker's record ring.
-    ring: &'w SpanRing,
+/// A transaction over the sharded namespace, as a value: its inner
+/// transactions and its trace, with no worker and no epoch pin. A server
+/// session holds its open interactive transaction this way between
+/// frames. Dropped, it aborts every inner transaction, each on a worker
+/// registered for just that: end it on a worker instead
+/// ([`ShardedWorker::resume`], then commit or abort).
+pub struct DetachedTransaction {
     isolation: IsolationLevel,
-    slots: Slots<'w>,
-    trace: Option<ActiveTrace<'w>>,
-    resolver: &'w mut Option<Box<ShardedWorker>>,
+    slots: Slots,
+    trace: Option<ActiveTrace>,
 }
 
-/// Tracing state of one *traced* transaction: the propagated context,
-/// the owning worker's span ring, and the begin timestamp the tail-based
-/// slow-op check measures against.
+/// A transaction over the sharded namespace, on a worker. Routes each
+/// operation to the owning shard's inner transaction; commit runs the
+/// inner commit directly (one participant) or 2PC (several writers).
+/// Dropping it aborts every participant on its worker.
+pub struct ShardedTransaction<'w> {
+    worker: &'w mut ShardedWorker,
+    txn: DetachedTransaction,
+}
+
+/// Tracing state of one *traced* transaction: the propagated context and
+/// the begin timestamp the tail-based slow-op check measures against.
+/// Its spans go to the ring of whichever worker runs it.
 #[derive(Clone, Copy)]
-pub(super) struct ActiveTrace<'w> {
+pub(super) struct ActiveTrace {
     pub(super) ctx: TraceContext,
-    pub(super) ring: &'w SpanRing,
     pub(super) start_ns: u64,
     /// Engine-sampled (head sampling) rather than wire-propagated: the
     /// engine owns slow-op capture at commit. Wire-traced ops are
@@ -184,46 +203,49 @@ fn unpack_handle(handle: u64) -> (usize, Oid) {
 
 impl<'w> ShardedTransaction<'w> {
     fn nshards(&self) -> usize {
-        self.db.inner.dbs.len()
+        self.worker.workers.len()
     }
 
-    /// Tracing hook: `(ring, ctx, now_ns)` for a traced transaction,
-    /// `None` (one branch, nothing else) otherwise. The returned
-    /// borrows are free of `self`, so callers can record after a
-    /// `&mut self` operation.
+    /// Tracing hook: `(ctx, now_ns)` for a traced transaction, `None`
+    /// (one branch, nothing else) otherwise.
     #[inline]
-    fn span_start(&self) -> Option<(&'w SpanRing, TraceContext, u64)> {
-        self.trace.as_ref().map(|t| (t.ring, t.ctx, t.ring.now_ns()))
+    fn span_start(&self) -> Option<(TraceContext, u64)> {
+        self.txn.trace.as_ref().map(|t| (t.ctx, self.worker.tel.ring.now_ns()))
     }
 
-    /// The inner transaction on `shard`, started on first touch: one
-    /// `txn-begin` record, a span when traced.
-    fn txn_at(&mut self, shard: usize) -> &mut Transaction<'w> {
-        let (iso, ring) = (self.isolation, self.ring);
+    /// Close a span opened by [`ShardedTransaction::span_start`].
+    #[inline]
+    fn span_end(&self, sp: Option<(TraceContext, u64)>, kind: SpanKind, a: u64, b: u64) {
+        if let Some((ctx, t0)) = sp {
+            let ring = &self.worker.tel.ring;
+            ring.record(&ctx, kind, t0, ring.now_ns(), a, b);
+        }
+    }
+
+    /// The inner transaction on `shard`, started on first touch (one
+    /// `txn-begin` record, a span when traced), with the worker it runs on.
+    fn txn_at(&mut self, shard: usize) -> (&mut Txn, &mut Worker) {
         let sp = self.span_start();
-        let slot = self.slots.get_mut(shard);
-        if matches!(slot, TxSlot::Idle(_)) {
-            let TxSlot::Idle(w) = std::mem::replace(slot, TxSlot::Busy) else { unreachable!() };
-            let ctx = sp.map_or(TraceContext::UNTRACED, |(_, ctx, _)| ctx);
-            let t = Transaction::begin(w, iso, ctx);
-            let (home, tid) = (shard as u64, t.tid().raw());
-            *slot = TxSlot::Active(t);
+        let ShardedWorker { workers, tel, .. } = &mut *self.worker;
+        let w = &mut workers[shard];
+        let slot = &mut self.txn.slots.as_mut_slice()[shard];
+        if slot.is_none() {
+            let ctx = sp.map_or(TraceContext::UNTRACED, |(ctx, _)| ctx);
+            let t = slot.insert(Txn::begin(w, self.txn.isolation, ctx));
+            let (home, tid, ring) = (shard as u64, t.tid().raw(), &tel.ring);
             match sp {
-                Some((_, ctx, t0)) => {
+                Some((ctx, t0)) => {
                     ring.record(&ctx, SpanKind::TxnBegin, t0, ring.now_ns(), home, tid);
                 }
                 None => ring.event(&ctx, SpanKind::TxnBegin, home, tid),
             }
         }
-        match slot {
-            TxSlot::Active(t) => t,
-            _ => unreachable!("slot is never left busy"),
-        }
+        (slot.as_mut().expect("started above"), w)
     }
 
     /// Owning shard for a primary-key operation; `None` = replicated.
     fn home_shard(&self, table: TableId, key: &[u8]) -> Option<usize> {
-        self.routing.home_shard(table, key, self.nshards())
+        self.worker.routing.home_shard(table, key, self.nshards())
     }
 
     /// Read a record by primary key.
@@ -236,10 +258,9 @@ impl<'w> ShardedTransaction<'w> {
         // Replicated reads anchor on shard 0.
         let shard = self.home_shard(table, key).unwrap_or(0);
         let sp = self.span_start();
-        let r = self.txn_at(shard).read(table, key, f);
-        if let Some((ring, ctx, t0)) = sp {
-            ring.record(&ctx, SpanKind::TxnRead, t0, ring.now_ns(), table.0 as u64, shard as u64);
-        }
+        let (t, w) = self.txn_at(shard);
+        let r = t.read(w, table, key, f);
+        self.span_end(sp, SpanKind::TxnRead, table.0 as u64, shard as u64);
         r
     }
 
@@ -250,38 +271,38 @@ impl<'w> ShardedTransaction<'w> {
         &mut self,
         table: TableId,
         key: &[u8],
-        mut op: impl FnMut(&mut Transaction<'w>) -> OpResult<R>,
+        mut op: impl FnMut(&mut Txn, &mut Worker) -> OpResult<R>,
     ) -> OpResult<(usize, R)> {
         let sp = self.span_start();
         let home = self.home_shard(table, key);
         let (first, rest) = home.map_or((0, 1..self.nshards()), |s| (s, 0..0));
-        let r = op(self.txn_at(first)).and_then(|answer| {
+        let (t, w) = self.txn_at(first);
+        let r = op(t, w).and_then(|answer| {
             for s in rest {
-                op(self.txn_at(s))?;
+                let (t, w) = self.txn_at(s);
+                op(t, w)?;
             }
             Ok((first, answer))
         });
-        if let Some((ring, ctx, t0)) = sp {
-            let b = home.map_or(u64::MAX, |s| s as u64);
-            ring.record(&ctx, SpanKind::TxnWrite, t0, ring.now_ns(), table.0 as u64, b);
-        }
+        let b = home.map_or(u64::MAX, |s| s as u64);
+        self.span_end(sp, SpanKind::TxnWrite, table.0 as u64, b);
         r
     }
 
     /// Update a record; fans out on replicated tables.
     pub fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
-        self.write_at(table, key, |t| t.update(table, key, value)).map(|(_, hit)| hit)
+        self.write_at(table, key, |t, w| t.update(w, table, key, value)).map(|(_, hit)| hit)
     }
 
     /// Delete a record; fans out on replicated tables.
     pub fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
-        self.write_at(table, key, |t| t.delete(table, key)).map(|(_, hit)| hit)
+        self.write_at(table, key, |t, w| t.delete(w, table, key)).map(|(_, hit)| hit)
     }
 
     /// Insert a record. Returns an opaque handle (shard + OID) for
     /// [`ShardedTransaction::insert_secondary`].
     pub fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<u64> {
-        self.write_at(table, key, |t| t.insert(table, key, value))
+        self.write_at(table, key, |t, w| t.insert(w, table, key, value))
             .map(|(shard, oid)| pack_handle(shard, oid))
     }
 
@@ -290,7 +311,8 @@ impl<'w> ShardedTransaction<'w> {
     /// lands next to the row.
     pub fn insert_secondary(&mut self, index: IndexId, key: &[u8], handle: u64) -> OpResult<()> {
         let (shard, oid) = unpack_handle(handle);
-        self.txn_at(shard).insert_secondary(index, key, oid)
+        let (t, w) = self.txn_at(shard);
+        t.insert_secondary(w, index, key, oid)
     }
 
     /// Read through a secondary index. `OwnerPrefix` keys route
@@ -302,30 +324,27 @@ impl<'w> ShardedTransaction<'w> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> OpResult<Option<R>> {
         let n = self.nshards();
-        if n == 1 {
-            return self.txn_at(0).read_secondary(index, key, f);
-        }
-        match self.routing.index_route(index) {
-            Some(IndexRoute::Primary(table)) => {
-                let shard = self.home_shard(table, key).unwrap_or(0);
-                self.txn_at(shard).read_secondary(index, key, f)
-            }
-            Some(IndexRoute::Secondary(IndexRouting::OwnerPrefix(len))) => {
-                let routed = &key[..len.min(key.len())];
-                let shard = shard_of_key(routed, n);
-                self.txn_at(shard).read_secondary(index, key, f)
-            }
-            Some(IndexRoute::Secondary(IndexRouting::Probe)) | None => {
-                for s in 0..n {
-                    if let Some(bytes) =
-                        self.txn_at(s).read_secondary(index, key, |v| v.to_vec())?
-                    {
-                        return Ok(Some(f(&bytes)));
-                    }
+        let shard = if n == 1 {
+            0
+        } else {
+            match self.worker.routing.index_route(index) {
+                Some(IndexRoute::Primary(table)) => self.home_shard(table, key).unwrap_or(0),
+                Some(IndexRoute::Secondary(IndexRouting::OwnerPrefix(len))) => {
+                    shard_of_key(&key[..len.min(key.len())], n)
                 }
-                Ok(None)
+                Some(IndexRoute::Secondary(IndexRouting::Probe)) | None => {
+                    for s in 0..n {
+                        let (t, w) = self.txn_at(s);
+                        if let Some(bytes) = t.read_secondary(w, index, key, |v| v.to_vec())? {
+                            return Ok(Some(f(&bytes)));
+                        }
+                    }
+                    return Ok(None);
+                }
             }
-        }
+        };
+        let (t, w) = self.txn_at(shard);
+        t.read_secondary(w, index, key, f)
     }
 
     /// Range scan, ascending, both bounds inclusive. Single-shard when
@@ -340,12 +359,15 @@ impl<'w> ShardedTransaction<'w> {
         f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> OpResult<usize> {
         let sp = self.span_start();
-        let r = match self.routing.scan_shard(index, low, high, self.nshards()) {
-            Some(s) => self.txn_at(s).scan(index, low, high, limit, f),
+        let r = match self.worker.routing.scan_shard(index, low, high, self.nshards()) {
+            Some(s) => {
+                let (t, w) = self.txn_at(s);
+                t.scan(w, index, low, high, limit, f)
+            }
             None => self.scan_every_shard(index, low, high, limit, f),
         };
-        if let (Some((ring, ctx, t0)), Ok(n)) = (sp, &r) {
-            ring.record(&ctx, SpanKind::TxnScan, t0, ring.now_ns(), index.0 as u64, *n as u64);
+        if let Ok(n) = &r {
+            self.span_end(sp, SpanKind::TxnScan, index.0 as u64, *n as u64);
         }
         r
     }
@@ -360,7 +382,8 @@ impl<'w> ShardedTransaction<'w> {
     ) -> OpResult<usize> {
         let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for s in 0..self.nshards() {
-            self.txn_at(s).scan(index, low, high, limit, |k, v| {
+            let (t, w) = self.txn_at(s);
+            t.scan(w, index, low, high, limit, |k, v| {
                 rows.push((k.to_vec(), v.to_vec()));
                 true
             })?;
@@ -381,11 +404,14 @@ impl<'w> ShardedTransaction<'w> {
 
     /// Whether any participant has been doomed.
     pub fn is_doomed(&self) -> bool {
-        let check = |s: &TxSlot<'_>| matches!(s, TxSlot::Active(t) if t.is_doomed());
-        match &self.slots {
-            Slots::One(s) => check(s),
-            Slots::Many(v) => v.iter().any(check),
-        }
+        self.txn.slots.as_slice().iter().flatten().any(Txn::is_doomed)
+    }
+
+    /// Part the transaction from its worker: the value holds no worker and
+    /// no epoch pin until [`ShardedWorker::resume`] pairs it with one.
+    pub fn detach(mut self) -> DetachedTransaction {
+        let txn = &mut self.txn;
+        DetachedTransaction { isolation: txn.isolation, slots: txn.slots.take(), trace: txn.trace }
     }
 
     /// Abort every participant, as dropping the transaction does.
@@ -396,15 +422,13 @@ impl<'w> ShardedTransaction<'w> {
     /// has a directory); one that wrote on several always waits for every
     /// prepare, because that is its commit point. Returns the commit LSN
     /// — the coordinator's cstamp for a cross-shard transaction, whose
-    /// [`StagedCommit`] this drives to its verdict with blocking waits.
-    pub fn commit(self) -> TxResult<Lsn> {
-        let ShardedTransaction { db, ring, trace, slots, resolver, .. } = self;
-        match commit_slots(db, ring, trace, slots, true)? {
+    /// [`StagedCommit`] this drives to its verdict with blocking waits,
+    /// delivering it on this worker, which runs no transaction by then.
+    pub fn commit(mut self) -> TxResult<Lsn> {
+        let (slots, trace) = (self.txn.slots.take(), self.txn.trace);
+        match commit_slots(self.worker, trace, slots, true)? {
             DeferredCommit::Committed(token) => Ok(token.lsn()),
-            DeferredCommit::Staged(staged) => {
-                let resolver = resolver.get_or_insert_with(|| Box::new(db.register_worker()));
-                staged.wait(resolver).map(|token| token.lsn())
-            }
+            DeferredCommit::Staged(staged) => staged.wait(self.worker).map(|token| token.lsn()),
         }
     }
 
@@ -415,9 +439,20 @@ impl<'w> ShardedTransaction<'w> {
     /// prepare is durable — so the caller gets the [`StagedCommit`] to
     /// drive (or hand to whoever waits on logs) and its worker back at
     /// once.
-    pub fn commit_deferred(self) -> TxResult<DeferredCommit> {
-        let ShardedTransaction { db, ring, trace, slots, .. } = self;
-        commit_slots(db, ring, trace, slots, false)
+    pub fn commit_deferred(mut self) -> TxResult<DeferredCommit> {
+        let (slots, trace) = (self.txn.slots.take(), self.txn.trace);
+        commit_slots(self.worker, trace, slots, false)
+    }
+}
+
+impl Drop for ShardedTransaction<'_> {
+    fn drop(&mut self) {
+        let slots = self.txn.slots.as_mut_slice();
+        for (slot, w) in slots.iter_mut().zip(&mut self.worker.workers) {
+            if let Some(t) = slot.take() {
+                t.abort(w);
+            }
+        }
     }
 }
 
@@ -425,51 +460,59 @@ impl<'w> ShardedTransaction<'w> {
 /// [`ShardedTransaction::commit_deferred`]: read-only participants
 /// commit first, then the writers — none, one (the plain single-database
 /// commit), or several (2PC).
-fn commit_slots<'w>(
-    db: &ShardedDb,
-    ring: &SpanRing,
-    trace: Option<ActiveTrace<'_>>,
-    slots: Slots<'w>,
+fn commit_slots(
+    worker: &mut ShardedWorker,
+    trace: Option<ActiveTrace>,
+    slots: Slots,
     sync: bool,
 ) -> TxResult<DeferredCommit> {
     let slots = match slots {
         // One shard, one participant: no slot Vec materialized. Sampled
         // commits must stay on the allocation-free path (see
         // tests/alloc_free.rs).
-        Slots::One(TxSlot::Active(t)) => {
-            return commit_one(db, trace, 0, t, sync).map(DeferredCommit::Committed)
+        Slots::One(Some(t)) => {
+            return commit_one(worker, trace, 0, t, sync).map(DeferredCommit::Committed)
         }
-        Slots::One(slot) => vec![slot],
+        Slots::One(None) => Vec::new(),
         Slots::Many(slots) => slots,
     };
-    let mut readonly: Vec<(usize, Transaction<'w>)> = Vec::new();
-    let mut writers: Vec<(usize, Transaction<'w>)> = Vec::new();
+    let mut readonly: Vec<(usize, Txn)> = Vec::new();
+    let mut writers: Vec<(usize, Txn)> = Vec::new();
     for (i, slot) in slots.into_iter().enumerate() {
         match slot {
-            TxSlot::Active(t) if t.has_writes() => writers.push((i, t)),
-            TxSlot::Active(t) => readonly.push((i, t)),
-            _ => {}
+            Some(t) if t.has_writes() => writers.push((i, t)),
+            Some(t) => readonly.push((i, t)),
+            None => {}
         }
     }
     // Read-only participants first: they publish nothing, so a failure
     // here (doomed by SSN read validation) can still abort the writers,
     // which it does as they drop.
-    let mut token = CommitToken::readonly_at(db.inner.dbs[0].now_lsn());
-    for (i, t) in readonly {
-        token = t.commit_deferred()?.on_shard(i);
+    let mut token = CommitToken::readonly_at(worker.db.inner.dbs[0].now_lsn());
+    let mut readonly = readonly.into_iter();
+    for (i, t) in readonly.by_ref() {
+        match t.commit_impl(&mut worker.workers[i], false) {
+            Ok(t) => token = t.on_shard(i),
+            Err(r) => {
+                for (i, t) in readonly.chain(writers) {
+                    t.abort(&mut worker.workers[i]);
+                }
+                return Err(r);
+            }
+        }
     }
     match writers.len() {
         0 => {
-            capture_slow(db, trace);
+            capture_slow(worker, trace);
             Ok(DeferredCommit::Committed(token))
         }
         1 => {
             let (i, t) = writers.pop().expect("len checked");
-            commit_one(db, trace, i, t, sync).map(DeferredCommit::Committed)
+            commit_one(worker, trace, i, t, sync).map(DeferredCommit::Committed)
         }
         // From here the staged commit owns tail capture: its trace ends
         // with its verdict.
-        _ => StagedCommit::prepare(db, ring, trace, writers).map(DeferredCommit::Staged),
+        _ => StagedCommit::prepare(worker, trace, writers).map(DeferredCommit::Staged),
     }
 }
 
@@ -478,32 +521,33 @@ fn commit_slots<'w>(
 /// Deliberately Vec-free — sampled single-shard commits ride the
 /// allocation-free hot path (tests/alloc_free.rs asserts this).
 fn commit_one(
-    db: &ShardedDb,
-    trace: Option<ActiveTrace<'_>>,
+    worker: &mut ShardedWorker,
+    trace: Option<ActiveTrace>,
     i: usize,
-    t: Transaction<'_>,
+    t: Txn,
     sync: bool,
 ) -> TxResult<CommitToken> {
     // A commit waits for its block only on a durable database; the inner
     // call is then dominated by the group-commit wait, which is what the
     // span names.
-    let wait = sync && db.inner.dbs[i].inner.cfg.commit_waits();
-    let t0 = trace.map_or(0, |tr| tr.ring.now_ns());
-    let token = t.commit_impl(wait)?.on_shard(i);
+    let wait = sync && worker.db.inner.dbs[i].inner.cfg.commit_waits();
+    let t0 = trace.map_or(0, |_| worker.tel.ring.now_ns());
+    let token = t.commit_impl(&mut worker.workers[i], wait)?.on_shard(i);
     if let Some(tr) = trace {
         let kind = if wait { SpanKind::DurabilityWait } else { SpanKind::CommitDeferred };
-        tr.ring.record(&tr.ctx, kind, t0, tr.ring.now_ns(), i as u64, 0);
+        let ring = &worker.tel.ring;
+        ring.record(&tr.ctx, kind, t0, ring.now_ns(), i as u64, 0);
     }
-    capture_slow(db, trace);
+    capture_slow(worker, trace);
     Ok(token)
 }
 
 /// Tail-based slow-op capture for engine-sampled traces: the server owns
 /// it for wire-traced requests (it knows the opcode and key).
-fn capture_slow(db: &ShardedDb, trace: Option<ActiveTrace<'_>>) {
+fn capture_slow(worker: &ShardedWorker, trace: Option<ActiveTrace>) {
     if let Some(tr) = trace.filter(|tr| tr.sampled) {
-        let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-        db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
+        let total = worker.tel.ring.now_ns().saturating_sub(tr.start_ns);
+        worker.db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
     }
 }
 

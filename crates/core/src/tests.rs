@@ -11,7 +11,7 @@ fn db() -> Database {
 }
 
 thread_local! {
-    /// Run once by this thread's next `Transaction::begin`, between its
+    /// Run once by this thread's next `Txn::begin`, between its
     /// TID claim and its snapshot.
     pub(crate) static IN_BEGIN: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
 }
@@ -776,6 +776,88 @@ fn a_collector_pass_inside_begin_leaves_the_snapshot_its_row() {
     reader.commit().unwrap();
 }
 
+/// What an open transaction holds between operations stays valid with no
+/// epoch pin (`transaction.rs`, "Why what it holds stays valid
+/// unpinned"). A Serializable transaction reads hot rows and overwrites
+/// one, then sits idle while another worker overwrites every hot row
+/// again and again, the epoch advances ten times and the collector
+/// passes. Every pointer it holds still dereferences to the stamp and
+/// payload it had, and its verdict is the one a twin run gets that holds
+/// an epoch pin across the same idle window: with a reader of the row it
+/// overwrote committing after the first overwrite of its read set, an SSN
+/// abort; without, a commit.
+#[test]
+fn an_idle_transaction_keeps_what_it_holds_unpinned() {
+    for reader in [false, true] {
+        let (verdict, rounds) = idle_ssn_run(reader, None);
+        let (twin, _) = idle_ssn_run(reader, Some(rounds));
+        assert_eq!(verdict, twin, "reader: {reader}");
+        let want = if reader { Err(AbortReason::SsnExclusion) } else { Ok(()) };
+        assert_eq!(verdict, want, "reader: {reader}");
+    }
+}
+
+/// One run of [`an_idle_transaction_keeps_what_it_holds_unpinned`]: its
+/// verdict and how many overwrite rounds ran while it sat idle. The twin
+/// (`pinned_rounds`) pins the epoch through the idle window and runs that
+/// many rounds.
+fn idle_ssn_run(reader: bool, pinned_rounds: Option<u64>) -> (Result<(), AbortReason>, u64) {
+    const HOT: u32 = 8;
+    let db = db();
+    let t = db.create_table("t");
+    let key = |i: u32| format!("hot-{i}").into_bytes();
+    let (mut w, mut churn) = (db.register_worker(), db.register_worker());
+    let mut setup = churn.begin(SSN);
+    for i in 0..HOT {
+        setup.insert(t, &key(i), b"v0").unwrap();
+    }
+    setup.insert(t, b"x", b"x0").unwrap();
+    setup.commit().unwrap();
+
+    let mut subject = w.begin(SSN);
+    for i in 0..HOT {
+        assert_eq!(get(&mut subject, t, &key(i)).as_deref(), Some(&b"v0"[..]));
+    }
+    assert!(subject.update(t, b"x", b"mine").unwrap());
+    let held = subject.pointees();
+    assert_eq!(held.len(), HOT as usize + 1, "the read set and the overwritten version");
+
+    let pin = pinned_rounds.map(|_| db.inner.epoch.register());
+    let guard = pin.as_ref().map(|h| h.pin());
+    let (advances0, passes0) =
+        (db.epoch_stats().advances, db.gc_stats().passes.load(Ordering::Relaxed));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut rounds = 0u64;
+    loop {
+        for i in 0..HOT {
+            let mut tx = churn.begin(SSN);
+            assert!(tx.update(t, &key(i), &rounds.to_le_bytes()).unwrap());
+            tx.commit().unwrap();
+        }
+        rounds += 1;
+        if rounds == 1 && reader {
+            // Reads the version beneath the subject's uncommitted head.
+            let mut tx = churn.begin(SSN);
+            assert_eq!(get(&mut tx, t, b"x").as_deref(), Some(&b"x0"[..]));
+            tx.commit().unwrap();
+        }
+        let done = match pinned_rounds {
+            Some(n) => rounds >= n,
+            None => {
+                let passes = db.gc_stats().passes.load(Ordering::Relaxed);
+                db.epoch_stats().advances >= advances0 + 10 && passes >= passes0 + 3
+            }
+        };
+        if done {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "epoch or collector stalled");
+    }
+    assert_eq!(subject.pointees(), held, "a version the idle transaction holds was reclaimed");
+    drop(guard);
+    (subject.commit().map(|_| ()), rounds)
+}
+
 #[test]
 fn ssn_allows_serializable_histories() {
     // Simple non-conflicting updates must never be aborted by SSN.
@@ -1000,7 +1082,7 @@ fn a_commit_too_long_for_the_ring_aborts_resource_exhausted() {
             trace_lo: 0,
         };
         let got = if prepare {
-            tx.precommit(Some(marker)).map(|p| p.finish_commit().lsn())
+            tx.precommit(Some(marker)).map(|p| p.finish_commit(&mut w).lsn())
         } else {
             tx.commit()
         };
@@ -1903,7 +1985,7 @@ fn run_exit(scenario: Scenario, exit: Exit) -> Outcome {
                 trace_lo: 0,
             };
             subject.precommit(Some(marker)).map(|prepared| {
-                prepared.finish_commit();
+                prepared.finish_commit(&mut wt);
             })
         }
     };
@@ -2195,7 +2277,7 @@ fn commit_blocks_encode_as_the_standalone_builder_does() {
                 trace_lo: round,
             });
             let cstamp = match marker {
-                Some(m) => tx.precommit(Some(m)).unwrap().finish_commit().lsn(),
+                Some(m) => tx.precommit(Some(m)).unwrap().finish_commit(&mut w).lsn(),
                 None => tx.commit().unwrap(),
             };
             for e in &entries {

@@ -1,15 +1,56 @@
 //! Transactions: snapshot isolation, the Serial Safety Net, and the
 //! pre-commit / post-commit pipeline (paper §3.1, §3.6).
 //!
+//! # An open transaction is a value
+//!
+//! A [`Txn`] owns its state and borrows nothing. Each operation — a read,
+//! a scan, a write, pre-commit, a verdict, an abort — is handed a
+//! [`Worker`] of the same database, pins the epoch through it for its own
+//! length and draws on its scratch. Operation boundaries are the paper's
+//! conditional quiescent points (§3.4), so an idle transaction holds back
+//! no epoch advance and no deferred free. [`Transaction`], what
+//! [`Worker::begin`] returns, pairs the value with its worker.
+//!
+//! # Why what it holds stays valid unpinned
+//!
+//! Between operations a transaction holds raw pointers no epoch pin
+//! protects. Each stays allocated for another reason:
+//! - a read-set version was visible at `begin`, and that `begin`,
+//!   published in the transaction's TID slot, holds the collector's
+//!   horizon at or below it: the version is the newest committed one of
+//!   its chain below the horizon or above it, and the collector frees
+//!   only what lies beneath that one;
+//! - a write entry's `prev` is the committed version beneath our locked
+//!   head: while our uncommitted head sits on it, it is the newest
+//!   committed version of its chain, which no horizon frees;
+//! - a write entry's `new` is our own head: only its owner replaces it
+//!   (an own head replaced mid-transaction is retired through the epoch
+//!   of that operation, and the entry moves to the new head), and the TID
+//!   slot its stamp names is ours until release;
+//! - a node-set leaf is freed only when its tree drops, and the node set
+//!   holds the tree's `Arc<BTree>`;
+//! - a write entry's `*const Table` points into the catalog, which never
+//!   drops a table while its database lives, and the value holds the
+//!   database.
+//!
+//! The horizon counts a slot only while it is active, pending or in
+//! pre-commit, so the first and second hold until the commit point:
+//! pre-commit's certify reads them unpinned. Once `publish` marks the
+//! slot committed, the collector may free the read set and the `prev`s
+//! through the epoch, so post-commit stamping runs under a pin.
+//!
+//! A prepared cross-shard participant ([`Prepared`]) is the same value in
+//! the `Precommit` state, so the same argument carries it through its
+//! durability rounds.
+//!
 //! # Allocation-free hot path
 //!
-//! The transaction working sets (read set, write set, secondary set,
-//! node set), the write keys, and the version nodes themselves are all
-//! recycled through the worker's
-//! [`Scratch`]: the sets are *taken* at begin (a pointer move), cleared
-//! and returned at release, key bytes are bump-copied into a reused
-//! arena, new versions come from a per-worker cache fed by the GC, and
-//! the overwritten ones are named to the GC through a reused buffer.
+//! The working sets (read set, write set, secondary set, node set) and
+//! the key arena, and the version nodes themselves, are all recycled
+//! through the worker's [`Scratch`]: the sets are *taken* at begin (a
+//! pointer move), cleared and returned to the worker that ends the
+//! transaction, new versions come from a per-worker cache fed by the GC,
+//! and the overwritten ones are named to the GC through a reused buffer.
 //! After warmup, begin + execute + commit of a read/write transaction
 //! touches the allocator zero times. What still allocates, by design and
 //! off that path: a sync-commit waiter's first registration, scan result
@@ -43,8 +84,8 @@ pub(crate) enum WriteKind {
     Delete,
 }
 
-/// A range in the worker's key arena (`Scratch::keys`). Replaces a
-/// per-write `Box<[u8]>` copy of the key.
+/// A range in the transaction's key arena. Replaces a per-write
+/// `Box<[u8]>` copy of the key.
 #[derive(Clone, Copy)]
 pub(crate) struct KeyRef {
     start: u32,
@@ -64,8 +105,7 @@ impl KeyRef {
 }
 
 pub(crate) struct WriteEntry {
-    /// In the worker's table view (`Scratch::tables`), which holds it for
-    /// the worker's life.
+    /// In the catalog, which never drops a table (module docs).
     table: *const Table,
     oid: Oid,
     key: KeyRef,
@@ -78,8 +118,8 @@ pub(crate) struct WriteEntry {
 
 impl WriteEntry {
     fn table(&self) -> &Table {
-        // SAFETY: the worker's table view keeps an `Arc` to every table a
-        // write entry names, and entries never outlive their worker.
+        // SAFETY: the catalog holds every table for the database's life,
+        // and the transaction owning this entry holds the database.
         unsafe { &*self.table }
     }
 
@@ -106,17 +146,11 @@ pub(crate) struct SecondaryEntry {
     oid: Oid,
 }
 
-/// An in-flight transaction. Created by [`Worker::begin`]; consumed by
-/// [`Transaction::commit`] or [`Transaction::abort`] (dropping an
-/// unfinished transaction aborts it).
-pub struct Transaction<'w> {
-    db: &'w Database,
-    scratch: &'w mut Scratch,
-    /// Single pin on the unified epoch: versions, tree nodes, and TID
-    /// contexts we can reach all stay allocated while it is held (the
-    /// paper's three timescales were pinned in lockstep anyway; one pin
-    /// is equivalent and 3× cheaper per begin).
-    guard: Guard<'w>,
+/// An open transaction, as a value (module docs). Consumed by
+/// [`Txn::commit_impl`], [`Txn::precommit`] or [`Txn::abort`]; dropped
+/// open, it aborts on a worker registered for just that.
+pub(crate) struct Txn {
+    db: Database,
     tid: Tid,
     begin: Lsn,
     isolation: IsolationLevel,
@@ -124,13 +158,14 @@ pub struct Transaction<'w> {
     pstamp: u64,
     /// SSN π(T): earliest successor stamp (∞ = none).
     sstamp: u64,
-    // Working sets, borrowed from the worker's scratch for the duration
-    // of the transaction (returned, cleared but with capacity, at
-    // release).
+    // Working sets and key arena, taken from the beginning worker's
+    // scratch and handed, cleared but with capacity, to the scratch of
+    // the worker that ends the transaction.
     reads: Vec<*mut Version>,
     writes: Vec<WriteEntry>,
     secondary: Vec<SecondaryEntry>,
     node_set: Vec<(Arc<BTree>, LeafSnapshot)>,
+    keys: Vec<u8>,
     /// Version-chain nodes inspected by every visibility walk of this
     /// transaction. A plain local accumulator so the per-read path pays
     /// one integer add; folded into the telemetry chain-length
@@ -143,6 +178,31 @@ pub struct Transaction<'w> {
     trace: TraceContext,
 }
 
+// SAFETY: the raw `Version` and `Table` pointers stay valid without an
+// epoch pin while the TID slot is held (module docs), and are
+// dereferenced only by the operation that has the value, on the thread
+// that runs it; everything else the value holds is `Send`.
+unsafe impl Send for Txn {}
+
+/// One operation's hold on a worker: the epoch pin it runs under and the
+/// scratch it draws on.
+struct Op<'a> {
+    guard: Guard<'a>,
+    scratch: &'a mut Scratch,
+}
+
+impl Worker {
+    /// Begin a transaction at the given isolation level.
+    pub fn begin(&mut self, isolation: IsolationLevel) -> Transaction<'_> {
+        let txn = Some(Txn::begin(self, isolation, TraceContext::UNTRACED));
+        Transaction { worker: self, txn }
+    }
+
+    fn op(&mut self) -> Op<'_> {
+        Op { guard: self.epoch_handle.pin(), scratch: &mut self.scratch }
+    }
+}
+
 /// Outcome of a visibility probe on one chain.
 struct VisibleVersion {
     ptr: *mut Version,
@@ -153,16 +213,16 @@ struct VisibleVersion {
     own: bool,
 }
 
-impl<'w> Transaction<'w> {
+impl Txn {
+    /// Begin on `worker`: claim a TID context, take the snapshot, take
+    /// the working sets. Pins nothing: nothing it touches is
+    /// epoch-protected.
     pub(crate) fn begin(
-        worker: &'w mut Worker,
+        worker: &mut Worker,
         isolation: IsolationLevel,
         trace: TraceContext,
-    ) -> Transaction<'w> {
-        let Worker { db, epoch_handle, scratch } = worker;
-        // Conditional quiescent point: transaction boundaries are where
-        // workers hold no epoch-protected references.
-        let guard = epoch_handle.pin();
+    ) -> Txn {
+        let Worker { db, scratch, .. } = worker;
         // Claim the context before taking the snapshot. Until its begin
         // is stored it reads `Lsn::NULL`, which holds the collector's
         // horizon at 0; the fence pairs with the one in `gc_horizon`, so
@@ -176,10 +236,8 @@ impl<'w> Transaction<'w> {
         // consistent cut; everything else reads at the live log tail.
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
         ctx.set_begin(begin);
-        scratch.keys.clear();
-        Transaction {
-            db,
-            guard,
+        Txn {
+            db: db.clone(),
             tid,
             begin,
             isolation,
@@ -189,23 +247,27 @@ impl<'w> Transaction<'w> {
             writes: std::mem::take(&mut scratch.writes),
             secondary: std::mem::take(&mut scratch.secondary),
             node_set: std::mem::take(&mut scratch.node_set),
+            keys: std::mem::take(&mut scratch.keys),
             chain_walked: 0,
-            scratch,
             doomed: None,
             finished: false,
             trace,
         }
     }
 
-    /// This transaction's ID.
-    pub fn tid(&self) -> Tid {
+    pub(crate) fn tid(&self) -> Tid {
         self.tid
     }
 
-    /// True once a CC violation doomed the transaction: further data
-    /// operations fail fast with the original reason — the paper's early
-    /// detection of transactions destined to abort.
-    pub fn is_doomed(&self) -> bool {
+    /// A transaction runs only on workers of its own database.
+    pub(crate) fn check_worker(&self, w: &Worker) {
+        assert!(
+            Arc::ptr_eq(&w.db.inner, &self.db.inner),
+            "a transaction runs on a worker of its own database"
+        );
+    }
+
+    pub(crate) fn is_doomed(&self) -> bool {
         self.doomed.is_some()
     }
 
@@ -215,16 +277,17 @@ impl<'w> Transaction<'w> {
     }
 
     /// Table `id`, through the worker's table view: the catalog lock is
-    /// taken once per worker and table, not once per row.
-    fn table(&mut self, id: TableId) -> &'w Table {
+    /// taken once per worker and table, not once per row. The reference
+    /// is not tied to the view: the catalog never drops a table, and this
+    /// transaction holds the database for as long as it uses it.
+    fn table<'t>(&self, scratch: &mut Scratch, id: TableId) -> &'t Table {
         let slot = id.0 as usize;
-        if self.scratch.tables.len() <= slot {
-            self.scratch.tables.resize(slot + 1, None);
+        if scratch.tables.len() <= slot {
+            scratch.tables.resize(slot + 1, None);
         }
-        let table = self.scratch.tables[slot].get_or_insert_with(|| self.db.table(id));
-        // SAFETY: the view only grows and lives as long as the worker the
-        // transaction borrows for `'w`; the `Arc` keeps the table in place
-        // when the view's vector moves.
+        let table = scratch.tables[slot].get_or_insert_with(|| self.db.table(id));
+        // SAFETY: see above; the `Arc` keeps the table in place when the
+        // view's vector moves.
         unsafe { &*Arc::as_ptr(table) }
     }
 
@@ -267,13 +330,11 @@ impl<'w> Transaction<'w> {
         self.isolation == IsolationLevel::Serializable
     }
 
-    /// Record (into `scratch.valid_idx`) the indices of node-set entries
-    /// for `tree` that are currently valid. Captured immediately before
-    /// one of our own inserts so that [`Transaction::refresh_node_set`]
-    /// can distinguish self-inflicted version bumps from genuine
-    /// concurrent phantoms.
-    fn capture_valid_node_entries(&mut self, tree: &Arc<BTree>) {
-        let valid = &mut self.scratch.valid_idx;
+    /// Record (into `valid`) the indices of node-set entries for `tree`
+    /// that are currently valid. Captured immediately before one of our
+    /// own inserts so that [`Txn::refresh_node_set`] can distinguish
+    /// self-inflicted version bumps from genuine concurrent phantoms.
+    fn capture_valid_node_entries(&self, valid: &mut Vec<usize>, tree: &Arc<BTree>) {
         valid.clear();
         for (i, (t2, snap)) in self.node_set.iter().enumerate() {
             if Arc::ptr_eq(t2, tree) && t2.validate(snap) {
@@ -286,8 +347,8 @@ impl<'w> Transaction<'w> {
     /// stale now: the change is (with overwhelming probability) ours.
     /// Entries already stale beforehand keep their old stamp and abort
     /// the transaction at pre-commit — a real phantom.
-    fn refresh_node_set(&mut self) {
-        for &i in &self.scratch.valid_idx {
+    fn refresh_node_set(&mut self, valid: &[usize]) {
+        for &i in valid {
             let (tree, snap) = &mut self.node_set[i];
             if !tree.validate(snap) {
                 tree.refresh_snapshot(snap);
@@ -300,6 +361,7 @@ impl<'w> Transaction<'w> {
     // ------------------------------------------------------------------
 
     /// Walk a version chain and return the version this snapshot reads.
+    /// The caller holds an epoch pin.
     ///
     /// `None` means the record does not exist in this snapshot (no
     /// visible version, or the visible version is a tombstone). Under
@@ -375,14 +437,15 @@ impl<'w> Transaction<'w> {
     }
 
     // ------------------------------------------------------------------
-    // Data operations (§3.2)
+    // Data operations (§3.2): [`Transaction`]'s, each pinned for its own
+    // length on the worker handed in
     // ------------------------------------------------------------------
 
     /// Look `key` up in `tree`. A miss under SSN keeps the leaf's
     /// snapshot, so an insert into its range before commit is caught as
     /// a phantom.
-    fn lookup(&mut self, tree: &Arc<BTree>, key: &[u8]) -> Option<Oid> {
-        let (oid, snap) = tree.get(&self.guard, key);
+    fn lookup(&mut self, guard: &Guard<'_>, tree: &Arc<BTree>, key: &[u8]) -> Option<Oid> {
+        let (oid, snap) = tree.get(guard, key);
         if oid.is_none() && self.serializable() {
             self.node_set.push((Arc::clone(tree), snap));
         }
@@ -390,7 +453,7 @@ impl<'w> Transaction<'w> {
     }
 
     /// The payload of `oid` this snapshot sees, registered as read and
-    /// handed to `f`.
+    /// handed to `f`. The caller holds an epoch pin.
     fn read_oid<R>(
         &mut self,
         t: &Table,
@@ -399,64 +462,70 @@ impl<'w> Transaction<'w> {
     ) -> OpResult<Option<R>> {
         let Some(vis) = self.fetch_visible(&t.oids, oid)? else { return Ok(None) };
         self.register_read(&vis)?;
-        // SAFETY: the version was reached under this transaction's epoch
-        // guard, which keeps it from being freed while the guard lives.
+        // SAFETY: the version was reached under the operation's epoch
+        // pin, which keeps it from being freed while `f` runs.
         Ok(Some(f(unsafe { (*vis.ptr).data() })))
     }
 
-    /// Read a record by primary key; `f` receives the visible payload.
-    pub fn read<R>(
+    pub(crate) fn read<R>(
         &mut self,
+        w: &mut Worker,
         table: TableId,
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
-        let t = self.table(table);
-        match self.lookup(&t.primary, key) {
+        let op = w.op();
+        let t = self.table(op.scratch, table);
+        match self.lookup(&op.guard, &t.primary, key) {
             Some(oid) => self.read_oid(t, oid, f),
             None => Ok(None),
         }
     }
 
-    /// Read through a secondary index.
-    pub fn read_secondary<R>(
+    pub(crate) fn read_secondary<R>(
         &mut self,
+        w: &mut Worker,
         index: IndexId,
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> OpResult<Option<R>> {
         self.check_doomed()?;
+        let op = w.op();
         let idx = self.db.index(index);
-        let t = self.table(idx.table);
-        match self.lookup(&idx.tree, key) {
+        let t = self.table(op.scratch, idx.table);
+        match self.lookup(&op.guard, &idx.tree, key) {
             Some(oid) => self.read_oid(t, oid, f),
             None => Ok(None),
         }
     }
 
-    /// Update a record; returns false if the key does not exist in this
-    /// snapshot. First-updater-wins: a conflicting concurrent writer
-    /// dooms this transaction immediately.
-    pub fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
+    pub(crate) fn update(
+        &mut self,
+        w: &mut Worker,
+        table: TableId,
+        key: &[u8],
+        value: &[u8],
+    ) -> OpResult<bool> {
         Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.table(table);
-        match self.lookup(&t.primary, key) {
-            Some(oid) => self.install_version(t, oid, key, value, WriteKind::Update),
+        let mut op = w.op();
+        let t = self.table(op.scratch, table);
+        match self.lookup(&op.guard, &t.primary, key) {
+            Some(oid) => self.install_version(&mut op, t, oid, key, value, WriteKind::Update),
             None => Ok(false),
         }
     }
 
-    /// Delete a record (tombstone install, §3.2); returns false on miss.
-    pub fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
+    pub(crate) fn delete(&mut self, w: &mut Worker, table: TableId, key: &[u8]) -> OpResult<bool> {
         Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.table(table);
-        match self.lookup(&t.primary, key) {
-            Some(oid) => self.install_version(t, oid, key, &[], WriteKind::Delete),
+        let mut op = w.op();
+        let t = self.table(op.scratch, table);
+        match self.lookup(&op.guard, &t.primary, key) {
+            Some(oid) => self.install_version(&mut op, t, oid, key, &[], WriteKind::Delete),
             None => Ok(false),
         }
     }
@@ -465,6 +534,7 @@ impl<'w> Transaction<'w> {
     /// write-write conflict rule (§3.6.1).
     fn install_version(
         &mut self,
+        op: &mut Op<'_>,
         t: &Table,
         oid: Oid,
         key: &[u8],
@@ -486,7 +556,7 @@ impl<'w> Transaction<'w> {
                         // We deleted it earlier in this transaction.
                         return Ok(false);
                     }
-                    return self.replace_own_head(t, oid, head, value, kind);
+                    return self.replace_own_head(op, t, oid, head, value, kind);
                 }
                 match self.db.inner.tid.inquire(owner) {
                     // An owner that will commit before our snapshot (if it
@@ -536,7 +606,7 @@ impl<'w> Transaction<'w> {
                     return Err(self.doom(AbortReason::SsnExclusion));
                 }
             }
-            let new = self.scratch.versions.acquire(
+            let new = op.scratch.versions.acquire(
                 Stamp::from_tid(self.tid),
                 value,
                 kind == WriteKind::Delete,
@@ -545,7 +615,7 @@ impl<'w> Transaction<'w> {
             match t.oids.cas_head(oid, head, new) {
                 Ok(()) => {
                     let kind = if kind == WriteKind::Insert { WriteKind::Update } else { kind };
-                    let key = KeyRef::stash(&mut self.scratch.keys, key);
+                    let key = KeyRef::stash(&mut self.keys, key);
                     self.writes.push(WriteEntry { table: t, oid, key, new, prev: head, kind });
                     return Ok(true);
                 }
@@ -553,7 +623,7 @@ impl<'w> Transaction<'w> {
                     // Another writer won the CAS: first-updater-wins. The
                     // version never became visible, so it goes straight
                     // back to the cache.
-                    unsafe { self.scratch.versions.release_unpublished(new) };
+                    unsafe { op.scratch.versions.release_unpublished(new) };
                     return Err(self.doom(AbortReason::WriteWriteConflict));
                 }
             }
@@ -564,6 +634,7 @@ impl<'w> Transaction<'w> {
     /// same record inside one transaction).
     fn replace_own_head(
         &mut self,
+        op: &mut Op<'_>,
         t: &Table,
         oid: Oid,
         head: *mut Version,
@@ -571,7 +642,7 @@ impl<'w> Transaction<'w> {
         kind: WriteKind,
     ) -> OpResult<bool> {
         let next = unsafe { (*head).next.load(Ordering::Relaxed) };
-        let new = self.scratch.versions.acquire(
+        let new = op.scratch.versions.acquire(
             Stamp::from_tid(self.tid),
             value,
             kind == WriteKind::Delete,
@@ -584,7 +655,7 @@ impl<'w> Transaction<'w> {
         // it into the reuse pool.
         unsafe {
             (*head).clsn.store(Stamp::from_lsn(Lsn::MAX).raw(), Ordering::Release);
-            defer_release(&self.guard, Some(&self.db.inner.versions), head);
+            defer_release(&op.guard, Some(&self.db.inner.versions), head);
         }
         let entry = self
             .writes
@@ -604,25 +675,29 @@ impl<'w> Transaction<'w> {
         Ok(true)
     }
 
-    /// Insert a new record; returns its OID. Inserting a key whose
-    /// visible version is a tombstone revives the record; inserting a
-    /// live duplicate dooms the transaction.
-    pub fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<Oid> {
+    pub(crate) fn insert(
+        &mut self,
+        w: &mut Worker,
+        table: TableId,
+        key: &[u8],
+        value: &[u8],
+    ) -> OpResult<Oid> {
         Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
-        let t = self.table(table);
+        let mut op = w.op();
+        let t = self.table(op.scratch, table);
         loop {
             // Obtain a new OID and publish the version, then index it
             // (§3.2 Insert: contention-free).
             let oid = t.oids.allocate();
-            let new = self.scratch.versions.acquire(Stamp::from_tid(self.tid), value, false);
+            let new = op.scratch.versions.acquire(Stamp::from_tid(self.tid), value, false);
             t.oids.store_head(oid, new);
-            self.capture_valid_node_entries(&t.primary);
-            match t.primary.insert(&self.guard, key, oid.0 as u64) {
+            self.capture_valid_node_entries(&mut op.scratch.valid_idx, &t.primary);
+            match t.primary.insert(&op.guard, key, oid.0 as u64) {
                 InsertOutcome::Inserted => {
-                    self.refresh_node_set();
-                    let key = KeyRef::stash(&mut self.scratch.keys, key);
+                    self.refresh_node_set(&op.scratch.valid_idx);
+                    let key = KeyRef::stash(&mut self.keys, key);
                     self.writes.push(WriteEntry {
                         table: t,
                         oid,
@@ -638,7 +713,7 @@ impl<'w> Transaction<'w> {
                     // through the array slot, so it must quiesce before
                     // reuse.
                     t.oids.store_head(oid, std::ptr::null_mut());
-                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), new) };
+                    unsafe { defer_release(&op.guard, Some(&self.db.inner.versions), new) };
                     t.oids.recycle(oid);
                     let existing = Oid(existing as u32);
                     // Revive if the visible version is a tombstone.
@@ -654,7 +729,8 @@ impl<'w> Transaction<'w> {
                     }
                     // Invisible or deleted: attempt a tombstone overwrite
                     // under first-updater-wins.
-                    match self.install_version(t, existing, key, value, WriteKind::Insert) {
+                    match self.install_version(&mut op, t, existing, key, value, WriteKind::Insert)
+                    {
                         Ok(true) => return Ok(existing),
                         Ok(false) => {
                             // Record vanished mid-flight (concurrent
@@ -669,18 +745,23 @@ impl<'w> Transaction<'w> {
         }
     }
 
-    /// Add a secondary-index entry pointing at `oid` (obtained from
-    /// [`Transaction::insert`]). Secondary keys must be immutable.
-    pub fn insert_secondary(&mut self, index: IndexId, key: &[u8], oid: Oid) -> OpResult<()> {
+    pub(crate) fn insert_secondary(
+        &mut self,
+        w: &mut Worker,
+        index: IndexId,
+        key: &[u8],
+        oid: Oid,
+    ) -> OpResult<()> {
         Self::check_key(key);
         self.check_doomed()?;
         self.check_writable()?;
+        let op = w.op();
         let idx = self.db.index(index);
-        self.capture_valid_node_entries(&idx.tree);
-        match idx.tree.insert(&self.guard, key, oid.0 as u64) {
+        self.capture_valid_node_entries(&mut op.scratch.valid_idx, &idx.tree);
+        match idx.tree.insert(&op.guard, key, oid.0 as u64) {
             InsertOutcome::Inserted => {
-                self.refresh_node_set();
-                let key = KeyRef::stash(&mut self.scratch.keys, key);
+                self.refresh_node_set(&op.scratch.valid_idx);
+                let key = KeyRef::stash(&mut self.keys, key);
                 self.secondary.push(SecondaryEntry { index: idx, key, oid });
                 Ok(())
             }
@@ -688,11 +769,9 @@ impl<'w> Transaction<'w> {
         }
     }
 
-    /// Range scan over any index (primary or secondary), ascending, both
-    /// bounds inclusive. `f` receives (key, payload) for each visible
-    /// record and returns `false` to stop. Returns the delivered count.
-    pub fn scan(
+    pub(crate) fn scan(
         &mut self,
+        w: &mut Worker,
         index: IndexId,
         low: &[u8],
         high: &[u8],
@@ -700,8 +779,9 @@ impl<'w> Transaction<'w> {
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> OpResult<usize> {
         self.check_doomed()?;
+        let op = w.op();
         let idx = self.db.index(index);
-        let t = self.table(idx.table);
+        let t = self.table(op.scratch, idx.table);
 
         let mut delivered = 0usize;
         let mut resume: Vec<u8> = low.to_vec();
@@ -717,7 +797,7 @@ impl<'w> Transaction<'w> {
                 let serializable = self.isolation == IsolationLevel::Serializable;
                 let tree = &idx.tree;
                 tree.scan(
-                    &self.guard,
+                    &op.guard,
                     &resume,
                     high,
                     |snap| {
@@ -766,44 +846,18 @@ impl<'w> Transaction<'w> {
     // Commit pipeline (§3.1, §3.6; SSN Algorithm 1)
     // ------------------------------------------------------------------
     //
-    // One pipeline, three exits. [`Transaction::precommit`] certifies the
+    // One pipeline, three exits. [`Txn::precommit`] certifies the
     // transaction and puts its block in the log; what differs is only
-    // what happens to the [`PreparedTransaction`] it returns:
+    // what happens to the [`Prepared`] it returns:
     //
     //   commit_deferred   precommit(None) ─► finish_commit
     //   commit (durable)  precommit(None) ─► wait own block ─► finish_commit | abort
-    //   2PC participant   precommit(Some(marker)) ─► park … attach ─► finish_commit | abort
-
-    /// Commit. On success returns the commit LSN.
-    ///
-    /// On a durable database (the log has a directory) the call blocks
-    /// until the commit block is durable and rolls back on durability
-    /// failure; in memory it publishes at once.
-    pub fn commit(self) -> TxResult<Lsn> {
-        let wait = self.db.inner.cfg.commit_waits();
-        self.commit_impl(wait).map(|t| t.lsn)
-    }
-
-    /// Commit without waiting for durability, durable database or not.
-    ///
-    /// The transaction becomes visible to other transactions immediately;
-    /// the returned [`CommitToken`] identifies the point in the log the
-    /// caller must wait on (`db.log().wait_durable(end)`, `end` from
-    /// [`CommitToken::end_offset`]) before acknowledging the commit as
-    /// durable. This is the server's reply-path integration: the session
-    /// thread can move on to the next pipelined request while another
-    /// thread awaits group commit. If the durability wait later fails, the
-    /// transaction is *not* rolled back — its in-memory effects stand and
-    /// its on-disk fate is indeterminate until restart recovery (see
-    /// [`ermia_common::LogError`]).
-    pub fn commit_deferred(self) -> TxResult<CommitToken> {
-        self.commit_impl(false)
-    }
+    //   2PC participant   precommit(Some(marker)) ─► … durability rounds … ─► finish_commit | abort
 
     /// Pre-commit, then publish — at once, or with `wait_durable` only
     /// after the commit block is durable.
-    pub(crate) fn commit_impl(self, wait_durable: bool) -> TxResult<CommitToken> {
-        let prepared = self.precommit(None)?;
+    pub(crate) fn commit_impl(self, w: &mut Worker, wait_durable: bool) -> TxResult<CommitToken> {
+        let prepared = self.precommit(w, None)?;
         if let (true, Some(end)) = (wait_durable, prepared.end_offset) {
             if prepared.txn.db.inner.log.wait_durable(end).is_err() {
                 // The commit block never became durable (poisoned log) or
@@ -811,11 +865,11 @@ impl<'w> Transaction<'w> {
                 // surface the failure; restart recovery truncates at the
                 // first hole, so an unacknowledged block can never
                 // resurrect past one.
-                prepared.abort(AbortReason::LogFailure);
+                prepared.abort(w, AbortReason::LogFailure);
                 return Err(AbortReason::LogFailure);
             }
         }
-        Ok(prepared.finish_commit())
+        Ok(prepared.finish_commit(w))
     }
 
     /// The pre-commit pipeline, the one every commit passes through:
@@ -830,9 +884,8 @@ impl<'w> Transaction<'w> {
     /// With a `marker` this is 2PC phase one: the block is published as a
     /// [`ermia_log::BlockKind::TxnPrepare`] carrying it, and the caller
     /// must see that block, and every sibling's, durable before it calls
-    /// [`PreparedTransaction::finish_commit`] (or else
-    /// [`PreparedTransaction::abort`]) — directly, or after a
-    /// [`PreparedTransaction::park`] that frees this worker meanwhile.
+    /// [`Prepared::finish_commit`] (or else [`Prepared::abort`]), on any
+    /// worker of this database.
     ///
     /// A transaction that wrote nothing occupies no log space. Under SSN
     /// it still needs a commit stamp for the exclusion test and for
@@ -841,16 +894,17 @@ impl<'w> Transaction<'w> {
     /// only add false positives, never lost dependencies).
     pub(crate) fn precommit(
         mut self,
+        w: &mut Worker,
         marker: Option<ermia_log::PrepareMarker>,
-    ) -> TxResult<PreparedTransaction<'w>> {
+    ) -> TxResult<Prepared> {
         if let Some(r) = self.doomed {
-            return Err(self.fail(r));
+            return Err(self.fail(w, r));
         }
         debug_assert!(
             marker.is_none() || self.has_writes(),
             "read-only participants never prepare"
         );
-        let db = self.db;
+        let db = &self.db;
         let ctx = db.inner.tid.ctx(self.tid);
 
         // Publish intent, then take the commit stamp.
@@ -859,7 +913,7 @@ impl<'w> Transaction<'w> {
             let (payload, records) = self.size_log_block();
             if records > MAX_BLOCK_RECORDS {
                 // More than one block header can count.
-                return Err(self.fail(AbortReason::ResourceExhausted));
+                return Err(self.fail(w, AbortReason::ResourceExhausted));
             }
             let marker_len = if marker.is_some() { PREPARE_MARKER_LEN } else { 0 };
             let len = BLOCK_HEADER_LEN + marker_len + payload;
@@ -867,12 +921,12 @@ impl<'w> Transaction<'w> {
                 // A poisoned log rejects all allocations until restart;
                 // anything else is transient resource pressure.
                 let reason = if db.inner.log.is_poisoned() {
-                    self.scratch.telemetry.ring.event(&self.trace, SpanKind::LogPoison, 1, 0);
+                    w.scratch.telemetry.ring.event(&self.trace, SpanKind::LogPoison, 1, 0);
                     AbortReason::LogFailure
                 } else {
                     AbortReason::ResourceExhausted
                 };
-                return Err(self.fail(reason));
+                return Err(self.fail(w, reason));
             };
             Some(reservation)
         } else {
@@ -881,9 +935,14 @@ impl<'w> Transaction<'w> {
         let cstamp = reservation.as_ref().map_or_else(|| db.inner.log.tail_lsn(), |r| r.lsn());
         ctx.enter_precommit(cstamp);
 
-        if let Err(reason) = self.certify(cstamp) {
-            drop(reservation); // becomes a skip record
-            return Err(self.fail(reason));
+        // Unpinned: the slot is in pre-commit, so it still holds the
+        // horizon (module docs).
+        match self.certify(cstamp) {
+            Ok(sstamp) => self.sstamp = sstamp,
+            Err(reason) => {
+                drop(reservation); // becomes a skip record
+                return Err(self.fail(w, reason));
+            }
         }
 
         // Encode the block into the centralized log buffer.
@@ -898,52 +957,60 @@ impl<'w> Transaction<'w> {
             });
             end_offset
         });
-        Ok(PreparedTransaction { txn: self, cstamp, end_offset })
+        // The node set has served: validation ran above.
+        self.node_set.clear();
+        Ok(Prepared { txn: self, cstamp, end_offset })
     }
 
     /// The CC commit protocol against commit stamp `cstamp`: the SSN
     /// exclusion-window test, then phantom protection by node-set
-    /// validation (§3.6.2). Snapshot isolation certifies nothing here —
+    /// validation (§3.6.2). Returns π(T) as the test settled it, which
+    /// post-commit hands on. Snapshot isolation certifies nothing here —
     /// its write-write conflicts were caught at install time.
-    fn certify(&mut self, cstamp: Lsn) -> Result<(), AbortReason> {
+    fn certify(&self, cstamp: Lsn) -> Result<u64, AbortReason> {
         if !self.serializable() {
-            return Ok(());
+            return Ok(self.sstamp);
         }
+        let mut pstamp = self.pstamp;
         for w in &self.writes {
             if !w.prev.is_null() {
                 let p = unsafe { &*w.prev };
-                self.pstamp = self.pstamp.max(p.pstamp.load(Ordering::Acquire));
+                pstamp = pstamp.max(p.pstamp.load(Ordering::Acquire));
             }
         }
-        self.sstamp = self.sstamp.min(cstamp.raw());
+        let mut sstamp = self.sstamp.min(cstamp.raw());
         for &r in &self.reads {
-            let vs = unsafe { (*r).sstamp.load(Ordering::Acquire) };
-            self.sstamp = self.sstamp.min(vs);
+            sstamp = sstamp.min(unsafe { (*r).sstamp.load(Ordering::Acquire) });
         }
-        if self.sstamp <= self.pstamp {
+        if sstamp <= pstamp {
             return Err(AbortReason::SsnExclusion);
         }
         if self.node_set.iter().all(|(tree, snap)| tree.validate(snap)) {
-            Ok(())
+            Ok(sstamp)
         } else {
             Err(AbortReason::Phantom)
         }
     }
 
     /// The one failure exit: record why (so the abort is attributed to
-    /// the right reason), then abort, roll back and release.
-    fn fail(&mut self, reason: AbortReason) -> AbortReason {
+    /// the right reason), then abort, roll back and release on `w`.
+    fn fail(&mut self, w: &mut Worker, reason: AbortReason) -> AbortReason {
         self.doomed = Some(reason);
-        self.do_abort();
+        self.do_abort(w);
         reason
     }
 
     /// The in-memory commit point and post-commit: the tail of a
     /// single-shard commit, and all of a prepared one's commit verdict.
-    fn publish(&mut self, cstamp: Lsn) {
+    fn publish(&mut self, w: &mut Worker, cstamp: Lsn) {
+        let Worker { epoch_handle, scratch, .. } = w;
+        // Taken before the commit store: from that store on, the slot no
+        // longer holds the horizon, and only this pin keeps the read set
+        // and the `prev`s stamped below from being freed.
+        let _pin = epoch_handle.pin();
         // All updates become visible atomically at this store.
         self.ctx().commit(cstamp);
-        let (ring, tid) = (&self.scratch.telemetry.ring, self.tid.raw());
+        let (ring, tid) = (&scratch.telemetry.ring, self.tid.raw());
         ring.event(&self.trace, SpanKind::TxnCommit, tid, cstamp.raw());
 
         // --- Post-commit ------------------------------------------------
@@ -962,19 +1029,19 @@ impl<'w> Transaction<'w> {
             new.clsn.store(Stamp::from_lsn(cstamp).raw(), Ordering::Release);
             if !w.prev.is_null() {
                 // `prev` is garbage once the horizon passes `cstamp`.
-                self.scratch.retired.push(Retired { cstamp, table: w.table().id, oid: w.oid });
+                scratch.retired.push(Retired { cstamp, table: w.table().id, oid: w.oid });
             }
         }
         // One hand-off per transaction, after every version it names is
         // stamped.
-        self.db.inner.retire(&self.scratch.retired);
-        self.scratch.retired.clear();
+        self.db.inner.retire(&scratch.retired);
+        scratch.retired.clear();
         if self.serializable() {
             for &r in &self.reads {
                 unsafe { (*r).raise_pstamp(cstamp.raw()) };
             }
         }
-        self.release(true);
+        self.release(scratch, true);
     }
 
     /// The log block's payload, sized from the write and secondary sets:
@@ -992,16 +1059,16 @@ impl<'w> Transaction<'w> {
         (bytes, self.writes.len() + self.secondary.len())
     }
 
-    /// Encode the records [`Transaction::size_log_block`] sized: each
-    /// written key and final version straight from the write set, then
-    /// the secondary entries.
+    /// Encode the records [`Txn::size_log_block`] sized: each written key
+    /// and final version straight from the write set, then the secondary
+    /// entries.
     fn encode_log_records(&self, enc: &mut BlockEncoder<'_>) {
         for w in &self.writes {
             let (kind, data) = w.log_record();
-            enc.record(kind, w.table().id, w.oid, w.key.slice(&self.scratch.keys), data);
+            enc.record(kind, w.table().id, w.oid, w.key.slice(&self.keys), data);
         }
         for s in &self.secondary {
-            let key = s.key.slice(&self.scratch.keys);
+            let key = s.key.slice(&self.keys);
             let index = s.index.id.0.to_le_bytes();
             enc.record(LogRecordKind::SecondaryInsert, s.index.table, s.oid, key, &index);
         }
@@ -1013,22 +1080,24 @@ impl<'w> Transaction<'w> {
         !self.writes.is_empty() || !self.secondary.is_empty()
     }
 
-    /// Abort explicitly.
-    pub fn abort(mut self) {
-        self.do_abort();
+    /// Abort explicitly, on `w`.
+    pub(crate) fn abort(mut self, w: &mut Worker) {
+        self.do_abort(w);
     }
 
-    fn do_abort(&mut self) {
+    fn do_abort(&mut self, w: &mut Worker) {
         if self.finished {
             return;
         }
+        let Worker { epoch_handle, scratch, .. } = w;
+        let guard = epoch_handle.pin();
         self.ctx().abort();
-        self.rollback();
-        self.release(false);
+        self.rollback(&guard);
+        self.release(scratch, false);
     }
 
     /// Undo installed versions and speculative index entries.
-    fn rollback(&mut self) {
+    fn rollback(&mut self, guard: &Guard<'_>) {
         for w in self.writes.drain(..).rev() {
             // Re-stamp the dead version with +∞ before unlinking so
             // concurrent readers already holding the pointer classify it
@@ -1040,9 +1109,9 @@ impl<'w> Transaction<'w> {
             match w.kind {
                 WriteKind::Insert => {
                     // Remove the index entry, unpublish, recycle.
-                    w.table().primary.remove(&self.guard, w.key.slice(&self.scratch.keys));
+                    w.table().primary.remove(guard, w.key.slice(&self.keys));
                     w.table().oids.store_head(w.oid, std::ptr::null_mut());
-                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), w.new) };
+                    unsafe { defer_release(guard, Some(&self.db.inner.versions), w.new) };
                     w.table().oids.recycle(w.oid);
                 }
                 WriteKind::Update | WriteKind::Delete => {
@@ -1051,24 +1120,24 @@ impl<'w> Transaction<'w> {
                         .oids
                         .cas_head(w.oid, w.new, w.prev)
                         .expect("uncommitted head owned by us");
-                    unsafe { defer_release(&self.guard, Some(&self.db.inner.versions), w.new) };
+                    unsafe { defer_release(guard, Some(&self.db.inner.versions), w.new) };
                 }
             }
         }
         for s in self.secondary.drain(..).rev() {
-            s.index.tree.remove(&self.guard, s.key.slice(&self.scratch.keys));
+            s.index.tree.remove(guard, s.key.slice(&self.keys));
         }
     }
 
-    /// Common epilogue: return resources, deregister, and hand the
-    /// (cleared, capacity-preserving) working sets back to the worker's
-    /// scratch for the next transaction.
-    fn release(&mut self, committed: bool) {
+    /// Common epilogue: free the TID slot, count the outcome, and hand
+    /// the (cleared, capacity-preserving) working sets and key arena to
+    /// the ending worker's scratch for its next transaction.
+    fn release(&mut self, scratch: &mut Scratch, committed: bool) {
         // The context may be released only after every TID-stamped
         // version has been re-stamped or unlinked (Stale inquiries then
         // re-read a proper stamp).
         self.db.inner.tid.release(self.tid);
-        let t = &self.scratch.telemetry;
+        let t = &scratch.telemetry;
         // Chain nodes this transaction walked, accumulated read by
         // read in `fetch_visible` and recorded once here.
         t.slab.hist(TXN_CHAIN_HIST).record(self.chain_walked);
@@ -1085,19 +1154,201 @@ impl<'w> Transaction<'w> {
         self.writes.clear();
         self.secondary.clear();
         self.node_set.clear();
-        self.scratch.reads = std::mem::take(&mut self.reads);
-        self.scratch.writes = std::mem::take(&mut self.writes);
-        self.scratch.secondary = std::mem::take(&mut self.secondary);
-        self.scratch.node_set = std::mem::take(&mut self.node_set);
-        self.scratch.keys.clear();
+        self.keys.clear();
+        scratch.reads = std::mem::take(&mut self.reads);
+        scratch.writes = std::mem::take(&mut self.writes);
+        scratch.secondary = std::mem::take(&mut self.secondary);
+        scratch.node_set = std::mem::take(&mut self.node_set);
+        scratch.keys = std::mem::take(&mut self.keys);
         self.finished = true;
     }
 }
 
-impl Drop for Transaction<'_> {
+impl Drop for Txn {
     fn drop(&mut self) {
         if !self.finished {
-            self.do_abort();
+            // Nobody ended it on a worker: abort, on one registered for
+            // just this.
+            let mut worker = self.db.register_worker();
+            self.do_abort(&mut worker);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Txn {
+    /// Stamp and payload behind every raw pointer that must stay valid
+    /// unpinned (module docs): the read set, then the overwritten
+    /// versions.
+    pub(crate) fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
+        let prevs = self.writes.iter().map(|w| w.prev).filter(|p| !p.is_null());
+        (self.reads.iter().copied().chain(prevs))
+            // SAFETY: the very claim under test — these nodes are not
+            // reclaimed while the TID slot is held (module docs).
+            .map(|v| unsafe { ((*v).clsn.load(Ordering::Acquire), (*v).data().to_vec()) })
+            .collect()
+    }
+}
+
+/// An in-flight transaction on the worker that began it: `Txn`, the
+/// value, paired with the `&mut Worker` each of its operations runs on.
+/// Created by [`Worker::begin`]; consumed by [`Transaction::commit`] or
+/// [`Transaction::abort`] (dropping an unfinished transaction aborts it
+/// on its worker).
+pub struct Transaction<'w> {
+    worker: &'w mut Worker,
+    /// `None` only once a commit or an abort consumed it.
+    txn: Option<Txn>,
+}
+
+impl<'w> Transaction<'w> {
+    fn parts(&mut self) -> (&mut Txn, &mut Worker) {
+        (self.txn.as_mut().expect("open until consumed"), self.worker)
+    }
+
+    /// Take the value out for a consuming exit; the `Drop` that follows
+    /// finds nothing to abort.
+    fn take(&mut self) -> Txn {
+        self.txn.take().expect("open until consumed")
+    }
+
+    /// This transaction's ID.
+    pub fn tid(&self) -> Tid {
+        self.value().tid()
+    }
+
+    fn value(&self) -> &Txn {
+        self.txn.as_ref().expect("open until consumed")
+    }
+
+    /// True once a CC violation doomed the transaction: further data
+    /// operations fail fast with the original reason — the paper's early
+    /// detection of transactions destined to abort.
+    pub fn is_doomed(&self) -> bool {
+        self.value().is_doomed()
+    }
+
+    /// Read a record by primary key; `f` receives the visible payload.
+    pub fn read<R>(
+        &mut self,
+        table: TableId,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> OpResult<Option<R>> {
+        let (t, w) = self.parts();
+        t.read(w, table, key, f)
+    }
+
+    /// Read through a secondary index.
+    pub fn read_secondary<R>(
+        &mut self,
+        index: IndexId,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> OpResult<Option<R>> {
+        let (t, w) = self.parts();
+        t.read_secondary(w, index, key, f)
+    }
+
+    /// Update a record; returns false if the key does not exist in this
+    /// snapshot. First-updater-wins: a conflicting concurrent writer
+    /// dooms this transaction immediately.
+    pub fn update(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<bool> {
+        let (t, w) = self.parts();
+        t.update(w, table, key, value)
+    }
+
+    /// Delete a record (tombstone install, §3.2); returns false on miss.
+    pub fn delete(&mut self, table: TableId, key: &[u8]) -> OpResult<bool> {
+        let (t, w) = self.parts();
+        t.delete(w, table, key)
+    }
+
+    /// Insert a new record; returns its OID. Inserting a key whose
+    /// visible version is a tombstone revives the record; inserting a
+    /// live duplicate dooms the transaction.
+    pub fn insert(&mut self, table: TableId, key: &[u8], value: &[u8]) -> OpResult<Oid> {
+        let (t, w) = self.parts();
+        t.insert(w, table, key, value)
+    }
+
+    /// Add a secondary-index entry pointing at `oid` (obtained from
+    /// [`Transaction::insert`]). Secondary keys must be immutable.
+    pub fn insert_secondary(&mut self, index: IndexId, key: &[u8], oid: Oid) -> OpResult<()> {
+        let (t, w) = self.parts();
+        t.insert_secondary(w, index, key, oid)
+    }
+
+    /// Range scan over any index (primary or secondary), ascending, both
+    /// bounds inclusive. `f` receives (key, payload) for each visible
+    /// record and returns `false` to stop. Returns the delivered count.
+    pub fn scan(
+        &mut self,
+        index: IndexId,
+        low: &[u8],
+        high: &[u8],
+        limit: Option<usize>,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> OpResult<usize> {
+        let (t, w) = self.parts();
+        t.scan(w, index, low, high, limit, f)
+    }
+
+    /// Commit. On success returns the commit LSN.
+    ///
+    /// On a durable database (the log has a directory) the call blocks
+    /// until the commit block is durable and rolls back on durability
+    /// failure; in memory it publishes at once.
+    pub fn commit(mut self) -> TxResult<Lsn> {
+        let txn = self.take();
+        let wait = txn.db.inner.cfg.commit_waits();
+        txn.commit_impl(self.worker, wait).map(|t| t.lsn)
+    }
+
+    /// Commit without waiting for durability, durable database or not.
+    ///
+    /// The transaction becomes visible to other transactions immediately;
+    /// the returned [`CommitToken`] identifies the point in the log the
+    /// caller must wait on (`db.log().wait_durable(end)`, `end` from
+    /// [`CommitToken::end_offset`]) before acknowledging the commit as
+    /// durable. This is the server's reply-path integration: the session
+    /// thread can move on to the next pipelined request while another
+    /// thread awaits group commit. If the durability wait later fails, the
+    /// transaction is *not* rolled back — its in-memory effects stand and
+    /// its on-disk fate is indeterminate until restart recovery (see
+    /// [`ermia_common::LogError`]).
+    pub fn commit_deferred(mut self) -> TxResult<CommitToken> {
+        self.take().commit_impl(self.worker, false)
+    }
+
+    /// [`Txn::precommit`] on this transaction's worker; the [`Prepared`]
+    /// value takes a worker for its verdict.
+    #[cfg(test)]
+    pub(crate) fn precommit(
+        mut self,
+        marker: Option<ermia_log::PrepareMarker>,
+    ) -> TxResult<Prepared> {
+        self.take().precommit(self.worker, marker)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn has_writes(&self) -> bool {
+        self.value().has_writes()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
+        self.value().pointees()
+    }
+
+    /// Abort explicitly.
+    pub fn abort(self) {}
+}
+
+impl Drop for Transaction<'_> {
+    fn drop(&mut self) {
+        if let Some(txn) = self.txn.take() {
+            txn.abort(self.worker);
         }
     }
 }
@@ -1194,186 +1445,62 @@ impl Drop for VerdictHelper {
     }
 }
 
-/// A transaction that passed [`Transaction::precommit`]: CC-validated,
-/// its block (if it wrote anything) filled in the log, awaiting the
-/// verdict. Dropping it without one aborts in memory only: recovery still
-/// commits a 2PC participant if every participant's prepare is on disk
-/// and no abort verdict is, so whoever drops it after all have prepared
-/// owes the logs that verdict first (`StagedCommit` does).
-pub struct PreparedTransaction<'w> {
-    txn: Transaction<'w>,
+/// A transaction that passed [`Txn::precommit`]: the value in the
+/// `Precommit` TID state — CC-validated, its block (if it wrote anything)
+/// filled in the log — plus its commit stamp and the block's end offset,
+/// awaiting the verdict. Like any [`Txn`] it holds no worker and no epoch
+/// pin, so any number can sit out a coordinator's durability rounds
+/// without stalling epoch advance (module docs); the TID slot it holds
+/// keeps the write lock on every head it installed, and through the
+/// horizon the versions its sets point at.
+///
+/// Whoever delivers the verdict lends a worker of the same database: the
+/// epoch pin rollback needs and the counters the outcome lands in are
+/// that worker's. Dropped without a verdict it aborts in memory only, on
+/// a worker registered for that: recovery still commits a 2PC
+/// participant if every participant's prepare is on disk and no abort
+/// verdict is, so whoever drops it after all have prepared owes the logs
+/// that verdict first (`StagedCommit` does).
+pub(crate) struct Prepared {
+    txn: Txn,
     cstamp: Lsn,
     /// Exclusive end offset of the block; `None` when nothing was written.
     end_offset: Option<u64>,
 }
 
-impl<'w> PreparedTransaction<'w> {
+impl Prepared {
     /// The commit stamp taken at pre-commit (becomes the commit LSN).
-    pub fn cstamp(&self) -> Lsn {
+    pub(crate) fn cstamp(&self) -> Lsn {
         self.cstamp
     }
 
-    /// The commit verdict: make the updates visible atomically and run
-    /// post-commit stamping. A 2PC participant's caller must already have
-    /// seen every participant's prepare block durable.
-    pub fn finish_commit(mut self) -> CommitToken {
-        self.txn.publish(self.cstamp);
-        CommitToken { lsn: self.cstamp, end_offset: self.end_offset, shard: 0 }
-    }
-
-    /// The abort verdict: roll back the in-memory effects. The block
-    /// stays in the log: recovery drops a commit block behind the first
-    /// hole, and aborts a prepare by an abort verdict record or for want
-    /// of a sibling's prepare.
-    pub fn abort(mut self, reason: AbortReason) {
-        self.txn.fail(reason);
-    }
-
-    /// Detach from the worker, which is free for its next transaction
-    /// the moment this returns; [`ParkedPrepare::attach`] is the inverse.
-    pub fn park(self) -> ParkedPrepare {
-        let PreparedTransaction { mut txn, cstamp, end_offset } = self;
-        let parked = ParkedPrepare {
-            db: txn.db.clone(),
-            tid: txn.tid,
-            begin: txn.begin,
-            isolation: txn.isolation,
-            sstamp: txn.sstamp,
-            cstamp,
-            end_offset: end_offset.expect("only a writer parks: its verdict waits on its block"),
-            chain_walked: txn.chain_walked,
-            reads: std::mem::take(&mut txn.reads),
-            writes: std::mem::take(&mut txn.writes),
-            secondary: std::mem::take(&mut txn.secondary),
-            keys: std::mem::take(&mut txn.scratch.keys),
-            attached: false,
-            trace: txn.trace,
-        };
-        // The node set has served (validation ran at pre-commit) and goes
-        // straight back; the epoch pin drops with `txn`. The TID slot
-        // stays claimed — it is the parked prepare's now.
-        txn.node_set.clear();
-        txn.scratch.node_set = std::mem::take(&mut txn.node_set);
-        txn.finished = true;
-        parked
-    }
-}
-
-/// A [`PreparedTransaction`] detached from the worker that ran it, to sit
-/// out the coordinator's durability rounds without holding anything a
-/// running transaction needs.
-///
-/// It owns exactly what the verdict needs: the TID slot, still in
-/// `Precommit` (the write lock on every head it installed, and through
-/// `min_active_begin` a clamp on the GC horizon at or below its `begin`),
-/// the write, secondary and read sets with the key bytes they point
-/// into, and the commit stamp. It holds no worker and **no epoch pin**,
-/// so any number of prepares can be parked without stalling epoch
-/// advance. Whoever delivers the verdict lends a worker of the same
-/// database for the duration: the epoch pin that rollback needs and the
-/// counters the outcome lands in are that worker's.
-///
-/// Holding raw [`Version`] pointers without a pin is sound because none
-/// of them can be unlinked while the TID slot is held: `new` is the
-/// chain head, which only its owner replaces; `prev` is the newest
-/// committed version beneath a locked head, which the collector keeps as
-/// (or above) its boundary; and a read-set version was visible at
-/// `begin`, so it is the boundary of its chain for any horizon up to
-/// `begin`, which the held slot guarantees.
-///
-/// Dropped unattached, it aborts in memory like its attached form.
-pub struct ParkedPrepare {
-    db: Database,
-    tid: Tid,
-    begin: Lsn,
-    isolation: IsolationLevel,
-    /// SSN π(T) as settled by the exclusion test at prepare.
-    sstamp: u64,
-    cstamp: Lsn,
-    end_offset: u64,
-    chain_walked: u64,
-    reads: Vec<*mut Version>,
-    writes: Vec<WriteEntry>,
-    secondary: Vec<SecondaryEntry>,
-    /// The key arena the write and secondary sets slice into.
-    keys: Vec<u8>,
-    attached: bool,
-    trace: TraceContext,
-}
-
-// SAFETY: the raw `Version` pointers stay valid without an epoch pin for
-// as long as the TID slot is held (see the type docs), and the parked
-// prepare is their only user until it re-attaches to one worker on one
-// thread; everything else it holds is `Send`.
-unsafe impl Send for ParkedPrepare {}
-
-impl ParkedPrepare {
     /// Exclusive end offset of the prepare block; it must be durable, and
-    /// every sibling's, before anything is published.
-    pub fn end_offset(&self) -> u64 {
+    /// every sibling's, before a 2PC participant is published.
+    pub(crate) fn end_offset(&self) -> Option<u64> {
         self.end_offset
     }
 
-    /// Re-attach to `worker` (of the same database) for the verdict: a
-    /// fresh epoch pin from its handle, its scratch and its counters.
-    pub fn attach(mut self, worker: &mut Worker) -> PreparedTransaction<'_> {
-        self.attach_to(worker)
+    /// The commit verdict, on `w`: make the updates visible atomically and
+    /// run post-commit stamping. A 2PC participant's caller must already
+    /// have seen every participant's prepare block durable.
+    pub(crate) fn finish_commit(mut self, w: &mut Worker) -> CommitToken {
+        self.txn.check_worker(w);
+        self.txn.publish(w, self.cstamp);
+        CommitToken { lsn: self.cstamp, end_offset: self.end_offset, shard: 0 }
     }
 
-    fn attach_to<'a>(&mut self, worker: &'a mut Worker) -> PreparedTransaction<'a> {
-        let Worker { db, epoch_handle, scratch } = worker;
-        assert!(
-            Arc::ptr_eq(&db.inner, &self.db.inner),
-            "a parked prepare resolves on a worker of its own database"
-        );
-        self.attached = true;
-        // Rollback slices keys out of the scratch arena.
-        std::mem::swap(&mut scratch.keys, &mut self.keys);
-        let txn = Transaction {
-            db,
-            guard: epoch_handle.pin(),
-            tid: self.tid,
-            begin: self.begin,
-            isolation: self.isolation,
-            // η(T) has served: only π(T) outlives the exclusion test.
-            pstamp: 0,
-            sstamp: self.sstamp,
-            reads: std::mem::take(&mut self.reads),
-            writes: std::mem::take(&mut self.writes),
-            secondary: std::mem::take(&mut self.secondary),
-            node_set: std::mem::take(&mut scratch.node_set),
-            chain_walked: self.chain_walked,
-            scratch,
-            doomed: None,
-            finished: false,
-            trace: self.trace,
-        };
-        PreparedTransaction { txn, cstamp: self.cstamp, end_offset: Some(self.end_offset) }
+    /// The abort verdict, on `w`: roll back the in-memory effects. The
+    /// block stays in the log: recovery drops a commit block behind the
+    /// first hole, and aborts a prepare by an abort verdict record or for
+    /// want of a sibling's prepare.
+    pub(crate) fn abort(mut self, w: &mut Worker, reason: AbortReason) {
+        self.txn.check_worker(w);
+        self.txn.fail(w, reason);
     }
-}
 
-#[cfg(test)]
-impl ParkedPrepare {
-    /// Stamp and payload behind every raw pointer that must stay valid
-    /// unpinned: the read set, then the overwritten versions.
+    #[cfg(test)]
     pub(crate) fn pointees(&self) -> Vec<(u64, Vec<u8>)> {
-        let prevs = self.writes.iter().map(|w| w.prev).filter(|p| !p.is_null());
-        (self.reads.iter().copied().chain(prevs))
-            // SAFETY: the very claim under test — these nodes are not
-            // reclaimed while the TID slot is held (see the type docs).
-            .map(|v| unsafe { ((*v).clsn.load(Ordering::Acquire), (*v).data().to_vec()) })
-            .collect()
-    }
-}
-
-impl Drop for ParkedPrepare {
-    fn drop(&mut self) {
-        if !self.attached {
-            // Nobody delivered a verdict: abort, on a worker registered
-            // for just this.
-            let mut worker = self.db.register_worker();
-            self.attach_to(&mut worker).abort(AbortReason::UserRequested);
-        }
+        self.txn.pointees()
     }
 }
 

@@ -3,22 +3,24 @@
 //! When a transaction enters the system it joins the epoch-based
 //! resource manager (§3.1 *Initialization*; the paper's three timescales
 //! share one unified timeline here). A [`Worker`] holds the thread's
-//! registration plus reusable scratch buffers — the transaction's read
-//! set, write set, node set, key arena, log buffer, and version cache
-//! all live here and are recycled across transactions, so beginning and
-//! committing a transaction is allocation-free in the steady state.
+//! registration plus reusable scratch buffers — the capacity of the
+//! transaction's read set, write set, node set and key arena, and the
+//! version cache, live here and are recycled across transactions, so
+//! beginning and committing a transaction is allocation-free in the
+//! steady state. A transaction is a value that takes a worker per
+//! operation (see [`crate::transaction`]): the worker's epoch handle
+//! pins for that operation only.
 
 use std::sync::Arc;
 
 use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
 use ermia_storage::{Home, Retired, Version, VersionCache};
-use ermia_telemetry::{Slab, SpanRing, TraceContext};
+use ermia_telemetry::{Slab, SpanRing};
 
-use crate::config::IsolationLevel;
 use crate::database::{Database, Table};
 use crate::metrics::TXN_FAMILY;
-use crate::transaction::{SecondaryEntry, Transaction, WriteEntry};
+use crate::transaction::{SecondaryEntry, WriteEntry};
 
 /// Per-thread handle for running transactions against a [`Database`].
 pub struct Worker {
@@ -39,11 +41,12 @@ pub(crate) struct WorkerTelemetry {
 
 /// Mutable per-thread scratch reused across transactions.
 ///
-/// The transaction working sets are *taken* out of here at begin
-/// (`std::mem::take` — a pointer move, no allocation), filled during the
-/// transaction, then cleared and returned at release so their capacity
-/// survives. Key bytes for the write set are bump-copied into `keys`,
-/// replacing a per-write boxed copy.
+/// The transaction working sets and key arena are *taken* out of here at
+/// begin (`std::mem::take` — a pointer move, no allocation), owned by the
+/// transaction while it is open, then cleared and handed to the scratch
+/// of the worker that ends it, so their capacity survives. Key bytes for
+/// the write set are bump-copied into the arena, replacing a per-write
+/// boxed copy.
 pub(crate) struct Scratch {
     /// This worker's TID-table stretch, leased until it drops, and the
     /// probe cursor inside it.
@@ -70,12 +73,11 @@ pub(crate) struct Scratch {
     pub tables: Vec<Option<Arc<Table>>>,
 }
 
-// SAFETY: the raw `Version` and `Table` pointers held here are only
-// dereferenced by the owning worker thread while its transaction is live
-// (under an epoch pin); between transactions every set is empty and the
-// version cache holds only quiesced nodes it exclusively owns (tables are
-// `Sync`, and the view owns an `Arc` to each). Moving the Worker to
-// another thread at rest therefore transfers sole ownership.
+// SAFETY: the sets here are empty and hold no pointer: a transaction
+// takes them at begin and hands them back cleared. The version cache holds only quiesced nodes it exclusively owns, and
+// the retire buffer is empty outside a commit. Tables are `Sync`, and the
+// view owns an `Arc` to each. Moving the Worker to another thread between
+// operations therefore transfers sole ownership.
 unsafe impl Send for Scratch {}
 
 impl Worker {
@@ -106,11 +108,6 @@ impl Worker {
                 tables: Vec::new(),
             },
         }
-    }
-
-    /// Begin a transaction at the given isolation level.
-    pub fn begin(&mut self, isolation: IsolationLevel) -> Transaction<'_> {
-        Transaction::begin(self, isolation, TraceContext::UNTRACED)
     }
 
     /// Versions served from the worker's reuse cache instead of the

@@ -358,3 +358,69 @@ fn tables_created_later_are_collected() {
     audit(&ShardedDb::from_shards(vec![db.clone()]), "a table created after open");
     assert_eq!(db.gc_stats().reclaimed.load(Relaxed), 9);
 }
+
+/// An idle transaction holds back no epoch. One worker holds a snapshot
+/// transaction open after one read while two others run update pairs on
+/// sixteen hot keys — one commits, the other loses first-updater-wins —
+/// and inserts they roll back. The epoch keeps advancing all the while,
+/// and the versions the rollbacks retired through it are freed. (What the
+/// open snapshot's horizon keeps of the overwritten versions is the
+/// collector's business, and not asserted here.) The idle transaction
+/// then still reads its snapshot and commits.
+#[test]
+fn an_idle_transaction_holds_back_no_epoch() {
+    const HOT: u32 = 16;
+    const PAIRS: u32 = 20_000;
+    const ROLLED_BACK: u32 = 1_000;
+    let db = Database::open(config(None)).unwrap();
+    let t = db.create_table("t");
+    let (mut w0, mut w1, mut w2) =
+        (db.register_worker(), db.register_worker(), db.register_worker());
+    let mut tx = w1.begin(SI);
+    for i in 0..HOT {
+        tx.insert(t, &key(i), b"v0").unwrap();
+    }
+    tx.commit().unwrap();
+
+    let mut idle = w0.begin(SI);
+    assert_eq!(idle.read(t, &key(0), |v| v.to_vec()).unwrap().as_deref(), Some(&b"v0"[..]));
+    let before = db.epoch_stats();
+
+    for i in 0..PAIRS {
+        let k = key(i % HOT);
+        let (mut winner, mut loser) = (w1.begin(SI), w2.begin(SI));
+        assert!(winner.update(t, &k, &i.to_le_bytes()).unwrap());
+        assert_eq!(loser.update(t, &k, b"lost"), Err(ermia::AbortReason::WriteWriteConflict));
+        winner.commit().unwrap();
+        loser.abort();
+        if i % (PAIRS / ROLLED_BACK) == 0 {
+            let mut tx = w2.begin(SI);
+            tx.insert(t, format!("gone-{i}").as_bytes(), b"x").unwrap();
+            tx.abort();
+        }
+    }
+    // The rollbacks retired their versions through the epoch: at least
+    // one each, to be freed once every thread has moved past it.
+    let deferred = db.epoch_stats().deferred - before.deferred;
+    assert!(deferred >= ROLLED_BACK as u64, "{deferred} deferred");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let now = db.epoch_stats();
+        if now.advances >= before.advances + 10 && now.freed >= before.freed + deferred {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "an idle transaction held the epoch: {} advances, {} of {deferred} deferred frees \
+             since it went idle ({now:?})",
+            now.advances - before.advances,
+            now.freed - before.freed,
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    assert_eq!(idle.read(t, &key(1), |v| v.to_vec()).unwrap().as_deref(), Some(&b"v0"[..]));
+    assert_eq!(idle.read(t, &key(0), |v| v.to_vec()).unwrap().as_deref(), Some(&b"v0"[..]));
+    idle.commit().unwrap();
+    assert_eq!(db.tid_slots_in_use(), 0);
+}

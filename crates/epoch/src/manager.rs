@@ -62,6 +62,7 @@ struct Shared {
     advance_blocked: AtomicU64,
     deferred_total: AtomicU64,
     freed_total: AtomicU64,
+    registrations: AtomicU64,
     /// Called (outside the slots lock) after each successful advance.
     advance_hook: Mutex<Option<AdvanceHook>>,
     name: &'static str,
@@ -84,6 +85,8 @@ pub struct EpochStats {
     pub pending: u64,
     /// Registered (non-retired) threads.
     pub threads: usize,
+    /// Registrations ever made, the dropped ones included.
+    pub registrations: u64,
     /// Threads currently active two or more epochs behind.
     pub stragglers: usize,
 }
@@ -110,6 +113,7 @@ impl EpochManager {
                 advance_blocked: AtomicU64::new(0),
                 deferred_total: AtomicU64::new(0),
                 freed_total: AtomicU64::new(0),
+                registrations: AtomicU64::new(0),
                 advance_hook: Mutex::new(None),
                 name,
             }),
@@ -129,6 +133,7 @@ impl EpochManager {
             retired: AtomicBool::new(false),
         });
         self.shared.slots.lock().unwrap().push(Arc::clone(&slot));
+        self.shared.registrations.fetch_add(1, Ordering::Relaxed);
         EpochHandle {
             shared: Arc::clone(&self.shared),
             slot,
@@ -270,6 +275,7 @@ impl EpochManager {
             freed,
             pending: deferred - freed,
             threads,
+            registrations: shared.registrations.load(Ordering::Relaxed),
             stragglers,
         }
     }

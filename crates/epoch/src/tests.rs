@@ -148,6 +148,9 @@ fn stats_accounting() {
     assert_eq!(s.freed, 10);
     assert_eq!(s.pending, 0);
     assert_eq!(s.threads, 1);
+    drop(mgr.register());
+    let s = mgr.stats();
+    assert_eq!((s.threads, s.registrations), (1, 2), "a dropped registration still counts");
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! A [`Conn`] owns everything one socket needs between readiness events:
 //! the incremental frame assembler, the ordered outbound queue with its
 //! partial-write cursor, the protocol mode (sniffing / frames / HTTP) and
-//! an optional open interactive transaction. The shard loop in
-//! [`crate::session`] drives these machines; nothing here blocks.
+//! an optional open interactive transaction, held as a value between
+//! frames. The shard loop in [`crate::session`] drives these machines;
+//! nothing here blocks.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice};
@@ -12,7 +13,7 @@ use std::net::TcpStream;
 use std::os::fd::AsFd;
 use std::sync::atomic::Ordering;
 
-use ermia::{IsolationLevel, PooledWorker, ShardedDb, ShardedTransaction};
+use ermia::{DetachedTransaction, IsolationLevel, ShardedTransaction};
 use ermia_common::{AbortReason, TableId};
 use ermia_log::MAX_KEY_LEN;
 use ermia_telemetry::TraceContext;
@@ -94,59 +95,15 @@ pub(crate) struct ReplConnState {
     pub checkpoint: Option<(u64, std::sync::Arc<Vec<u8>>)>,
 }
 
-/// An open interactive transaction spanning readiness events.
-///
-/// `ShardedTransaction<'w>` borrows its worker, so carrying one across
-/// loop iterations needs the worker at a stable address with an erased
-/// lifetime: the `PooledWorker` is boxed onto the heap and held
-/// as a raw pointer (not a `Box`, which would assert unique access it no
-/// longer has while the transaction borrows through it). Drop order
-/// restores the invariant the blocking server got from scoping:
-/// transaction first (aborting it if still open), then the worker box,
-/// returning the worker to the pool.
-pub(crate) struct OpenTxn {
-    txn: Option<ShardedTransaction<'static>>,
-    worker: *mut PooledWorker<ShardedDb>,
+/// An interactive transaction open across frames. The engine's value
+/// holds no worker and no epoch pin: each frame resumes it on the event
+/// loop's own worker and detaches it again.
+pub(crate) struct Interactive {
+    pub txn: DetachedTransaction,
     /// The begin frame's trace, held open across the whole interactive
     /// transaction: its `request` span is recorded at commit/abort, so a
     /// traced `Begin` yields one span covering begin → durable.
     pub trace: Option<TraceReq>,
-}
-
-impl OpenTxn {
-    pub fn begin(
-        worker: PooledWorker<ShardedDb>,
-        isolation: IsolationLevel,
-        trace: Option<TraceReq>,
-    ) -> OpenTxn {
-        let worker = Box::into_raw(Box::new(worker));
-        let ctx = trace.as_ref().map(|t| t.child());
-        // SAFETY: the worker lives on the heap until our Drop, and the
-        // transaction is dropped (or consumed) strictly before the box;
-        // `Conn` never moves the worker while the borrow is live.
-        let txn: ShardedTransaction<'static> = unsafe { (*worker).begin_traced(isolation, ctx) };
-        OpenTxn { txn: Some(txn), worker, trace }
-    }
-
-    pub fn txn(&mut self) -> &mut ShardedTransaction<'static> {
-        self.txn.as_mut().expect("open transaction")
-    }
-
-    /// Consume the transaction (commit/abort take `self` by value) and
-    /// return the worker to the pool.
-    pub fn finish<R>(mut self, f: impl FnOnce(ShardedTransaction<'static>) -> R) -> R {
-        let t = self.txn.take().expect("open transaction");
-        f(t)
-        // Drop of `self` frees the worker box.
-    }
-}
-
-impl Drop for OpenTxn {
-    fn drop(&mut self) {
-        drop(self.txn.take()); // abort-on-drop, while the worker is alive
-                               // SAFETY: created by Box::into_raw in `begin`, dropped once.
-        unsafe { drop(Box::from_raw(self.worker)) };
-    }
 }
 
 /// One multiplexed connection.
@@ -158,7 +115,9 @@ pub(crate) struct Conn {
     pub out: VecDeque<Out>,
     /// Bytes of `out.front()` already written (partial-write cursor).
     pub head_written: usize,
-    pub txn: Option<OpenTxn>,
+    /// Counted against `worker_capacity` while open; every exit takes it
+    /// through [`Conn::take_txn`].
+    pub txn: Option<Interactive>,
     /// Active log-shipping subscription, if this peer is a replica.
     pub repl: Option<ReplConnState>,
     /// No further reads; flush `out`, then close.
@@ -197,6 +156,14 @@ impl Conn {
             interest: Interest::READ,
             next_seq: 0,
         }
+    }
+
+    /// Take the open interactive transaction, if any, out of the session:
+    /// it no longer counts against `worker_capacity`. The caller ends it.
+    pub fn take_txn(&mut self, state: &ServerState) -> Option<Interactive> {
+        let open = self.txn.take()?;
+        state.stats.open_txns.fetch_sub(1, Ordering::Relaxed);
+        Some(open)
     }
 
     /// Queue raw bytes (a framed reply, or an HTTP response).

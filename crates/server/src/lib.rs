@@ -7,19 +7,20 @@
 //!   [`FrameAssembler`](protocol::FrameAssembler) for non-blocking
 //!   transports, and hardening against malformed input.
 //! * [`Server`] — an event-driven TCP front end: N epoll shards each
-//!   multiplexing thousands of non-blocking sessions, a bounded
-//!   [`WorkerPool`](ermia::WorkerPool) mapping requests to engine
-//!   workers per transaction, explicit `Busy` load shedding, in-order
-//!   pipelined replies with write-interest-driven partial-write state,
-//!   one thread per shard that also parks its sync commits, and graceful
-//!   shutdown that drains in-flight commits.
+//!   multiplexing thousands of non-blocking sessions on the shard's own
+//!   engine worker (an open interactive transaction is a value between
+//!   its frames), explicit `Busy` load shedding, in-order pipelined
+//!   replies with write-interest-driven partial-write state, one thread
+//!   per shard that also parks its sync commits, and graceful shutdown
+//!   that drains in-flight commits.
 //! * [`Client`] — a pipelined client library used by the loopback bench
 //!   harness and the examples.
 //!
 //! The layer is std-only:
 //! no async runtime, no serialization framework, no `libc` crate.
-//! Threads scale with shards + workers, never with connections — the
-//! engine, not the front end, is meant to be the bottleneck.
+//! Threads scale with shards, never with connections or open
+//! transactions — the engine, not the front end, is meant to be the
+//! bottleneck.
 
 pub mod client;
 pub mod protocol;

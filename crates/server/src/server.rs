@@ -9,10 +9,12 @@
 //! 1. **Connection count** — beyond [`ServerConfig::max_sessions`] the
 //!    accepting shard writes a single [`Response::Busy`] frame and
 //!    closes; the connection never enters an event loop.
-//! 2. **Worker checkout** — a `Begin` that finds every pooled worker
-//!    checked out gets `Busy` for that request and keeps the connection.
-//!    A one-shot transaction runs on its loop's own worker and is never
-//!    shed here.
+//! 2. **Open transactions** — a `Begin` that finds
+//!    [`ServerConfig::worker_capacity`] interactive transactions open
+//!    gets `Busy` for that request and keeps the connection. Every
+//!    transaction, interactive or one-shot, runs on its loop's own
+//!    worker; an interactive one is a value between its frames, so only
+//!    this count bounds them.
 //!
 //! Shutdown is cooperative and wake-fd driven: [`Server::shutdown`]
 //! raises a flag and rings every shard's event fd. Shards close the
@@ -26,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ermia::{ShardedDb, WorkerPool};
+use ermia::ShardedDb;
 use ermia_telemetry::{Sample, SpanRing};
 
 use crate::poll::WakeFd;
@@ -40,9 +42,9 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Event-loop shards multiplexing the admitted connections.
     pub shards: usize,
-    /// Pooled engine workers shared by all sessions: how many interactive
-    /// transactions may be open at once. A one-shot transaction runs on
-    /// its event loop's own worker instead.
+    /// How many interactive transactions may be open at once, over all
+    /// sessions (a session holds at most one). Each runs on its event
+    /// loop's own worker, like a one-shot transaction.
     pub worker_capacity: usize,
     /// Replies buffered per connection before the server stops reading
     /// from it (backpressure toward the client that stops reading).
@@ -54,10 +56,11 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let max_sessions = 1024;
         ServerConfig {
-            max_sessions: 1024,
+            max_sessions,
             shards: cores.min(8),
-            worker_capacity: cores,
+            worker_capacity: max_sessions,
             reply_queue_depth: 128,
             max_frame_len: MAX_FRAME_LEN,
         }
@@ -76,6 +79,9 @@ pub(crate) struct Stats {
     pub frames_processed: AtomicU64,
     pub commits: AtomicU64,
     pub disconnect_aborts: AtomicU64,
+    /// Interactive transactions open now, bounded by
+    /// [`ServerConfig::worker_capacity`].
+    pub open_txns: AtomicUsize,
     /// Replies currently sitting in per-connection outbound queues
     /// (summed across sessions; the telemetry reply-queue-depth gauge).
     pub queued_replies: AtomicUsize,
@@ -86,14 +92,14 @@ pub(crate) struct Stats {
 pub(crate) enum BusyReason {
     /// `max_sessions` connections are open.
     Sessions,
-    /// A `Begin` found every pooled worker checked out.
-    Checkout,
+    /// A `Begin` found `worker_capacity` interactive transactions open.
+    OpenTransactions,
     /// The process is out of descriptors (`EMFILE`/`ENFILE`).
     FdLimit,
 }
 
 impl BusyReason {
-    const LABELS: [&'static str; 3] = ["sessions", "checkout", "fd-limit"];
+    const LABELS: [&'static str; 3] = ["sessions", "open-txns", "fd-limit"];
 }
 
 impl Stats {
@@ -118,6 +124,8 @@ pub struct StatsSnapshot {
     pub frames_processed: u64,
     pub commits: u64,
     pub disconnect_aborts: u64,
+    /// Interactive transactions open now.
+    pub open_txns: usize,
 }
 
 /// Per-shard occupancy and churn counters.
@@ -141,8 +149,8 @@ pub(crate) struct ShardHandle {
     pub inbox: Mutex<Vec<TcpStream>>,
     /// Record ring of the shard thread: its service events (parked and
     /// resumed sessions, log incidents, shipped chunks, accept sheds on
-    /// shard 0) and the spans of traced requests (frame decode, a
-    /// `Begin`'s worker checkout, durability wait, request).
+    /// shard 0) and the spans of traced requests (frame decode,
+    /// durability wait, request).
     pub ring: Arc<SpanRing>,
     pub stats: ShardStats,
 }
@@ -151,7 +159,6 @@ pub(crate) struct ShardHandle {
 pub(crate) struct ServerState {
     pub db: ShardedDb,
     pub cfg: ServerConfig,
-    pub pool: WorkerPool<ShardedDb>,
     pub shutdown: AtomicBool,
     pub stats: Stats,
     pub shards: Vec<ShardHandle>,
@@ -197,7 +204,6 @@ impl Server {
         let telemetry_group = db.telemetry().registry().group();
         let state = Arc::new(ServerState {
             db: db.clone(),
-            pool: WorkerPool::new(db, cfg.worker_capacity),
             cfg,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
@@ -231,11 +237,6 @@ impl Server {
         self.addr
     }
 
-    /// The shared worker pool (leak checks, sizing introspection).
-    pub fn worker_pool(&self) -> &WorkerPool<ShardedDb> {
-        &self.state.pool
-    }
-
     pub fn stats(&self) -> StatsSnapshot {
         let s = &self.state.stats;
         StatsSnapshot {
@@ -247,6 +248,7 @@ impl Server {
             frames_processed: s.frames_processed.load(Ordering::Relaxed),
             commits: s.commits.load(Ordering::Relaxed),
             disconnect_aborts: s.disconnect_aborts.load(Ordering::Relaxed),
+            open_txns: s.open_txns.load(Ordering::Relaxed),
         }
     }
 
@@ -280,7 +282,7 @@ impl Drop for Server {
 }
 
 /// Emit the service-layer samples (server counters, queue depth, shard
-/// occupancy, worker pool) into a registry render.
+/// occupancy, open transactions) into a registry render.
 fn collect_server(state: &ServerState, out: &mut Vec<Sample>) {
     let s = &state.stats;
     let c = |name, help, v: &AtomicU64| Sample::counter(name, help, v.load(Ordering::Relaxed));
@@ -368,24 +370,14 @@ fn collect_server(state: &ServerState, out: &mut Vec<Sample>) {
             .labeled("shard", label),
         );
     }
-    let pool = &state.pool;
-    let workers_help = "Engine workers in the shared pool, by state.";
-    out.push(
-        Sample::gauge("ermia_pool_workers", workers_help, pool.idle() as f64)
-            .labeled("state", "idle"),
-    );
-    out.push(
-        Sample::gauge("ermia_pool_workers", workers_help, pool.outstanding() as f64)
-            .labeled("state", "checked_out"),
-    );
     out.push(Sample::gauge(
-        "ermia_pool_capacity",
-        "Configured worker-pool capacity.",
-        pool.capacity() as f64,
+        "ermia_server_open_txns",
+        "Interactive transactions open now.",
+        s.open_txns.load(Ordering::Relaxed) as f64,
     ));
-    out.push(Sample::counter(
-        "ermia_pool_workers_created_total",
-        "Workers ever constructed by the pool.",
-        pool.created() as u64,
+    out.push(Sample::gauge(
+        "ermia_server_open_txns_limit",
+        "Interactive transactions that may be open at once (worker_capacity).",
+        state.cfg.worker_capacity as f64,
     ));
 }

@@ -29,17 +29,18 @@
 //!
 //! # Workers
 //!
-//! A transaction runs start to finish on one engine worker. A one-shot
-//! transaction — a `Batch`, or a single autocommitted operation — runs
-//! inside `dispatch` on the worker the shard thread registered for
-//! itself, so it never waits for one. An interactive transaction
-//! (`Begin`…`Commit`/`Abort`) outlives its frame: it checks a worker out
-//! of the shared [`WorkerPool`](ermia::WorkerPool) and pins it across
-//! readiness events via [`OpenTxn`]. A `Begin` that finds the pool empty
-//! is answered `Busy` at once and keeps its connection. Every exit path
-//! of an open transaction — commit, abort, disconnect mid-txn, malformed
-//! frame, shutdown — drops it (aborting it) and returns the worker.
-//! Nothing leaks because cleanup is drop order, not bookkeeping.
+//! Every transaction runs on the worker the shard thread registered for
+//! itself. A one-shot transaction — a `Batch`, or a single autocommitted
+//! operation — begins and ends inside `dispatch`. An interactive
+//! transaction (`Begin`…`Commit`/`Abort`) outlives its frame: between
+//! frames the session holds it as a value ([`Interactive`], the engine's
+//! `DetachedTransaction`), which holds no worker and no epoch pin, and
+//! each frame resumes it on the loop's worker for that frame's operation.
+//! A `Begin` that finds `worker_capacity` interactive transactions open
+//! is answered `Busy` at once and keeps its connection. Every exit of an
+//! open transaction — commit, abort, disconnect mid-txn, malformed frame,
+//! shutdown — takes it out of the session ([`Conn::take_txn`], which
+//! uncounts it) and ends it on the loop's worker.
 //!
 //! # Durability parker
 //!
@@ -74,8 +75,8 @@
 //! (`loop_timeout`). It answers what settled in order: the replies
 //! queued, then the verdict records those cross-shard commits owe
 //! appended, unforced, then the sockets flushed. Verdicts are delivered
-//! on a worker the loop registers for itself: a parked commit holds no
-//! pooled worker and no epoch pin. Deadlines are absolute: enqueue time +
+//! on a second worker the loop registers for itself: a parked commit
+//! holds no worker and no epoch pin. Deadlines are absolute: enqueue time +
 //! the logs' one patience, `LogConfig::wait_durable_timeout`, so
 //! concurrent stalls share one window. A stalled log parks sessions, not
 //! threads: the client gets the typed [`ErrorCode::LogStalled`] when the
@@ -116,7 +117,7 @@ use ermia_log::DurableWaker;
 use ermia_telemetry::{render_spans, Registry, SpanKind, SpanRing, TraceContext, Tracer};
 
 use crate::conn::{
-    aborted, engine_isolation, exec_op, op_target, Conn, FlushState, Mode, OpenTxn, Ops, Out,
+    aborted, engine_isolation, exec_op, op_target, Conn, FlushState, Interactive, Mode, Ops, Out,
     ReplConnState, TraceReq, MAX_HTTP_HEAD,
 };
 use crate::poll::{Event, Interest, Poller};
@@ -192,7 +193,7 @@ struct ParkJob {
 /// parker"), shared by its event loop and its verdict helper.
 struct Parking {
     parker: Parker<ParkJob>,
-    /// Delivers the verdicts: a parked commit holds no pooled worker.
+    /// Delivers the verdicts: a parked commit holds no worker.
     resolver: ShardedWorker,
     /// Published commits of the turn in progress that wait for their log
     /// block, parked when the turn ends.
@@ -309,9 +310,10 @@ impl Parking {
 struct Shard<'a> {
     handle: &'a ShardHandle,
     parking: &'a RefCell<Parking>,
-    /// Runs every one-shot transaction of this loop (module docs,
-    /// "Workers"). Not the parking's resolver: a verdict wait inside a
-    /// one-shot polls the parker, which delivers with the resolver.
+    /// Runs every transaction of this loop, one operation at a time
+    /// (module docs, "Workers"). Not the parking's resolver: a verdict
+    /// wait inside an operation polls the parker, which delivers with the
+    /// resolver.
     worker: ShardedWorker,
 }
 
@@ -319,9 +321,8 @@ pub(crate) enum Phase {
     Running,
     /// Shutdown observed: listener closed, still serving frames already
     /// in flight. Once `soft` passes, idle connections quiesce each tick
-    /// (aborting their open transactions, which returns their pooled
-    /// workers); `hard` caps the window against a client that never stops
-    /// sending.
+    /// (aborting their open transactions); `hard` caps the window against
+    /// a client that never stops sending.
     Drain {
         soft: Instant,
         hard: Instant,
@@ -456,7 +457,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
         to_close.dedup();
         for t in to_close.drain(..) {
             if let Some(c) = conns.remove(&t) {
-                close_conn(&state, handle, &poller, c);
+                close_conn(&state, sh, &poller, c);
             }
         }
 
@@ -488,11 +489,11 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             }
             Phase::Drain { soft, hard } => {
                 if now >= hard {
-                    quiesce(&state, handle, &mut conns, true);
+                    quiesce(&state, sh, &mut conns, true);
                     phase =
                         Phase::Flush { deadline: now + state.patience() + Duration::from_secs(1) };
                 } else if now >= soft {
-                    quiesce(&state, handle, &mut conns, false);
+                    quiesce(&state, sh, &mut conns, false);
                     if conns.values().all(|c| c.draining) {
                         phase = Phase::Flush {
                             deadline: now + state.patience() + Duration::from_secs(1),
@@ -515,7 +516,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                     conns.iter().filter(|(_, c)| done(c)).map(|(t, _)| *t).collect();
                 for t in finished {
                     if let Some(c) = conns.remove(&t) {
-                        close_conn(&state, handle, &poller, c);
+                        close_conn(&state, sh, &poller, c);
                     }
                 }
                 if conns.is_empty() && parking.borrow().parker.is_empty() {
@@ -621,13 +622,10 @@ fn admit(
 }
 
 /// Tear a connection down, releasing everything it holds.
-fn close_conn(state: &Arc<ServerState>, handle: &ShardHandle, poller: &Poller, mut conn: Conn) {
+fn close_conn(state: &Arc<ServerState>, sh: &mut Shard, poller: &Poller, mut conn: Conn) {
     let _ = poller.deregister(conn.stream.as_raw_fd());
-    if conn.txn.take().is_some() {
-        // Dropping the `OpenTxn` aborted the transaction and returned
-        // the worker; all that's left is attribution.
-        state.stats.disconnect_aborts.fetch_add(1, Ordering::Relaxed);
-    }
+    disconnect_abort(state, sh, &mut conn);
+    let handle = sh.handle;
     if !conn.out.is_empty() {
         state.stats.queued_replies.fetch_sub(conn.out.len(), Ordering::Relaxed);
         conn.out.clear();
@@ -737,9 +735,7 @@ fn service(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn) -> bool {
     }
     // Peer EOF and every complete frame served: finish the session.
     if conn.read_shut && exhausted && !conn.draining {
-        if conn.txn.take().is_some() {
-            state.stats.disconnect_aborts.fetch_add(1, Ordering::Relaxed);
-        }
+        disconnect_abort(state, sh, conn);
         conn.draining = true;
     }
     conn.finished()
@@ -849,14 +845,18 @@ fn dispatch(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn, payload: 
     match (refusal, req) {
         (Some(why), _) => conn.push_err(state, ErrorCode::BadState, why),
         (None, Ok(op)) => {
-            let Some(open) = conn.txn.as_mut() else {
+            let Some(mut open) = conn.txn.take() else {
                 // Autocommit: a one-operation transaction, answered at once
                 // unless the write crossed shards, as one on a replicated
                 // table does.
                 let ops = Ops::Auto(op);
                 return one_shot(state, sh, conn, IsolationLevel::Snapshot, false, ops, trace);
             };
-            let resp = exec_op(state, open.txn(), &op);
+            // One operation of the open transaction, on the loop's worker.
+            let mut txn = sh.worker.resume(open.txn);
+            let resp = exec_op(state, &mut txn, &op);
+            open.txn = txn.detach();
+            conn.txn = Some(open);
             conn.push(state, resp);
         }
         (None, Err(req)) => match req {
@@ -875,33 +875,32 @@ fn dispatch(state: &Arc<ServerState>, sh: &mut Shard, conn: &mut Conn, payload: 
                 do_fetch_chunk(state, &sh.handle.ring, conn, shard, source, offset, len)
             }
             Request::Begin { isolation } => {
-                return begin(state, &sh.handle.ring, conn, engine_isolation(isolation), trace);
+                return begin(state, sh, conn, engine_isolation(isolation), trace);
             }
             Request::Batch { isolation, sync, ops } => {
                 let isolation = engine_isolation(isolation);
                 return one_shot(state, sh, conn, isolation, sync, Ops::Batch(ops), trace);
             }
             Request::Abort => {
-                let mut open = conn.txn.take().expect("legal only inside a transaction");
-                let txn_trace = open.trace.take();
-                open.finish(|t| t.abort());
+                let open = conn.take_txn(state).expect("legal only inside a transaction");
+                sh.worker.resume(open.txn).abort();
                 conn.push(state, Response::Aborted);
-                if let Some(tr) = txn_trace {
+                if let Some(tr) = open.trace {
                     finish_trace(state, &sh.handle.ring, &tr);
                 }
             }
             Request::Commit { sync } => {
-                let mut open = conn.txn.take().expect("legal only inside a transaction");
+                let open = conn.take_txn(state).expect("legal only inside a transaction");
                 // Prefer the begin frame's trace for the commit outcome —
                 // its request span covers the whole interactive transaction,
                 // begin through durable — over the commit frame's own.
-                let mut txn_trace = open.trace.take();
+                let mut txn_trace = open.trace;
                 match (&txn_trace, trace) {
                     (None, frame) => txn_trace = frame,
                     (Some(_), Some(frame)) => finish_trace(state, &sh.handle.ring, &frame),
                     (Some(_), None) => {}
                 }
-                let commit = open.finish(|t| t.commit_deferred()).map_err(aborted);
+                let commit = sh.worker.resume(open.txn).commit_deferred().map_err(aborted);
                 return conclude(state, sh, conn, commit, sync, Reply::Commit, txn_trace);
             }
             Request::Get { .. }
@@ -930,33 +929,44 @@ fn finish_trace(state: &ServerState, ring: &SpanRing, tr: &TraceReq) {
     );
 }
 
-/// Open an interactive transaction on a worker checked out of the pool;
-/// a pool with none free answers `Busy`, and the connection stays.
+/// Open an interactive transaction, as a value the session holds; with
+/// `worker_capacity` open already it is answered `Busy`, and the
+/// connection stays.
 fn begin(
     state: &Arc<ServerState>,
-    ring: &SpanRing,
+    sh: &mut Shard,
     conn: &mut Conn,
     isolation: IsolationLevel,
     trace: Option<TraceReq>,
 ) {
-    let t_checkout = if trace.is_some() { ring.now_ns() } else { 0 };
-    let Some(w) = state.pool.try_checkout() else {
-        state.stats.busy(BusyReason::Checkout);
+    let cap = state.cfg.worker_capacity;
+    let open = state
+        .stats
+        .open_txns
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < cap).then_some(n + 1));
+    if open.is_err() {
+        state.stats.busy(BusyReason::OpenTransactions);
         conn.push(state, Response::Busy);
         if let Some(tr) = trace {
-            finish_trace(state, ring, &tr);
+            finish_trace(state, &sh.handle.ring, &tr);
         }
         return;
-    };
+    }
     conn.push(state, Response::Begun);
+    let txn = sh.worker.begin_traced(isolation, trace.as_ref().map(TraceReq::child)).detach();
     // The begin trace stays open on the transaction: its request span is
     // recorded when the transaction resolves.
-    let trace = trace.map(|mut tr| {
-        ring.record(&tr.child(), SpanKind::WorkerCheckout, t_checkout, ring.now_ns(), 0, 0);
-        tr.op = "txn";
-        tr
-    });
-    conn.txn = Some(OpenTxn::begin(w, isolation, trace));
+    let trace = trace.map(|tr| TraceReq { op: "txn", ..tr });
+    conn.txn = Some(Interactive { txn, trace });
+}
+
+/// The client is gone: abort the session's open transaction, if any, on
+/// the loop's worker.
+fn disconnect_abort(state: &ServerState, sh: &mut Shard, conn: &mut Conn) {
+    if let Some(open) = conn.take_txn(state) {
+        sh.worker.resume(open.txn).abort();
+        state.stats.disconnect_aborts.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A one-shot transaction on the loop's own worker: begin, run every op,
@@ -1281,28 +1291,23 @@ fn open_table(state: &Arc<ServerState>, conn: &mut Conn, name: &[u8]) {
 // ---------------------------------------------------------------------
 
 /// Quiesce connections for shutdown: abort each one's open transaction
-/// (returning its pooled worker), tell its client, and stop its reads. A
-/// drain tick spares a connection with input still to serve, as the
-/// blocking server's busy sessions kept serving buffered frames while
-/// idle ones noticed the flag at their next read-poll tick; the drain's
-/// hard cap (`all`) spares none. What the loop parked settles in the
-/// flush phase that follows, within the logs' patience.
-fn quiesce(
-    state: &Arc<ServerState>,
-    handle: &ShardHandle,
-    conns: &mut HashMap<u64, Conn>,
-    all: bool,
-) {
+/// on the loop's worker, tell its client, and stop its reads. A drain
+/// tick spares a connection with input still to serve, as the blocking
+/// server's busy sessions kept serving buffered frames while idle ones
+/// noticed the flag at their next read-poll tick; the drain's hard cap
+/// (`all`) spares none. What the loop parked settles in the flush phase
+/// that follows, within the logs' patience.
+fn quiesce(state: &Arc<ServerState>, sh: &mut Shard, conns: &mut HashMap<u64, Conn>, all: bool) {
     for conn in conns.values_mut() {
         if !all && (conn.draining || conn.asm.has_frame()) {
             continue;
         }
-        if let Some(open) = conn.txn.take() {
-            open.finish(|t| t.abort());
+        if let Some(open) = conn.take_txn(state) {
+            sh.worker.resume(open.txn).abort();
             conn.push_err(state, ErrorCode::ShuttingDown, "server shutting down");
         }
         conn.draining = true;
-        let _ = conn.flush(state, &handle.stats);
+        let _ = conn.flush(state, &sh.handle.stats);
     }
 }
 

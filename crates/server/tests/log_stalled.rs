@@ -297,12 +297,10 @@ fn in_doubt(db: &ShardedDb) -> f64 {
         .expect("in-doubt gauge")
 }
 
-/// Nothing of a parked commit may outlive its reply: no pooled worker,
-/// no TID slot, no in-doubt count.
+/// Nothing of a parked commit may outlive its reply: no open
+/// transaction, no TID slot, no in-doubt count.
 fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
-    let pool = srv.worker_pool();
-    assert_eq!(pool.outstanding(), 0, "every pooled worker returned");
-    assert_eq!(pool.idle(), pool.created(), "idle set equals created set");
+    assert_eq!(srv.stats().open_txns, 0, "no interactive transaction left open");
     assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
     assert_eq!(in_doubt(db), 0.0, "no cross-shard commit left in doubt");
 }
@@ -310,7 +308,7 @@ fn assert_nothing_leaked(srv: &Server, db: &ShardedDb) {
 /// The event loop must never be the only thread able to resolve a
 /// prepared head it may wait on. Sixteen pipelined cross-shard commits
 /// against logs that cannot flush all end up prepared and parked, holding
-/// no pooled worker, while the loop keeps serving other connections;
+/// no worker, while the loop keeps serving other connections;
 /// when the logs move again they all commit, in order.
 #[test]
 fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
@@ -322,6 +320,7 @@ fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
     let t = c.open_table("kv").unwrap();
     let [on0, on1] = keys_on_both_shards("parked", 16);
     c.put(t, b"bystander", b"served").unwrap();
+    let workers = db.shard(0).epoch_stats().threads;
 
     gates[0].allow(0);
     gates[1].allow(0);
@@ -336,9 +335,7 @@ fn parked_cross_shard_commits_hold_no_worker_and_never_block_the_loop() {
         assert!(Instant::now() < deadline, "only {} commits got prepared", in_doubt(&db));
         std::thread::sleep(Duration::from_millis(5));
     }
-    let pool = srv.worker_pool();
-    assert_eq!(pool.outstanding(), 0, "a parked prepare holds no pooled worker");
-    assert_eq!(pool.idle(), pool.created());
+    assert_eq!(db.shard(0).epoch_stats().threads, workers, "a parked prepare holds no worker");
     assert_eq!(db.tid_slots_in_use(), 32, "one TID slot per prepared participant");
 
     // The single event loop is still serving: another connection gets

@@ -102,8 +102,8 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "ermia_server_shard_sessions",
         "ermia_server_epoll_wakeups_total",
         "ermia_server_partial_writes_total",
-        "ermia_pool_workers",
-        "ermia_pool_capacity",
+        "ermia_server_open_txns",
+        "ermia_server_open_txns_limit",
     ] {
         assert!(exp.has(name), "exposition is missing {name}:\n{text}");
     }
@@ -123,7 +123,7 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         );
     }
     assert_eq!(exp.kind("ermia_recovery_seconds"), Some("gauge"));
-    for why in ["sessions", "checkout", "fd-limit"] {
+    for why in ["sessions", "open-txns", "fd-limit"] {
         assert_eq!(
             exp.value_with("ermia_server_busy_by_reason_total", "reason", why),
             Some(0.0),
@@ -158,9 +158,11 @@ fn metrics_frame_and_http_scrape_expose_the_full_surface() {
         "the explicit abort above must be attributed to reason=user"
     );
     assert!(exp.value("ermia_txn_commits_total").unwrap() >= 1.0);
-    // Worker-pool states are labeled.
-    assert!(exp.value_with("ermia_pool_workers", "state", "idle").is_some());
-    assert!(exp.value_with("ermia_pool_workers", "state", "checked_out").is_some());
+    // Open interactive transactions: none now, under the configured cap.
+    assert_eq!(exp.kind("ermia_server_open_txns"), Some("gauge"));
+    assert_eq!(exp.value("ermia_server_open_txns"), Some(0.0));
+    let limit = ServerConfig::default().worker_capacity as f64;
+    assert_eq!(exp.value("ermia_server_open_txns_limit"), Some(limit));
 
     // HTTP scrape of the same port: same exposition, proper headers.
     let (head, body) = scrape_http(srv.local_addr(), "/metrics");

@@ -141,7 +141,7 @@ fn autocommitted_write_to_a_replicated_table_commits_on_every_shard() {
 }
 
 /// A window of sixteen cross-shard commits, pipelined on one connection,
-/// parks sixteen prepares on the pooled worker at once. Their contexts
+/// parks sixteen prepares from the loop's worker at once. Their contexts
 /// stay in the worker's home stretch: each shard's TID high-water mark
 /// reads the same after 200 windows as after 2 000, and is at most 64 ×
 /// the workers registered there.

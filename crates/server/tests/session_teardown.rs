@@ -1,7 +1,10 @@
 //! Session-teardown torture: five thousand clients die mid-transaction —
 //! mid-interactive-txn, mid-pipelined-batch, even mid-frame — and the
-//! server must release every TID context slot, epoch pin, and pooled
-//! worker. The leak checks are exact, not "eventually small".
+//! server must release every TID context slot, epoch pin and open
+//! transaction's place under `worker_capacity`, ending each transaction
+//! on its event loop's worker: no worker is registered while they die,
+//! not even one dropped at once. The leak checks are exact, not
+//! "eventually small".
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -23,6 +26,14 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Shard `s`'s live epoch registrations and all it ever made. A
+/// transaction nobody ended aborts on a worker registered for just that,
+/// which the second count sees even after the worker is dropped.
+fn registered(db: &ShardedDb, s: usize) -> (usize, u64) {
+    let st = db.shard(s).epoch_stats();
+    (st.threads, st.registrations)
 }
 
 /// Connect, get partway into some transactional work, and vanish.
@@ -85,10 +96,14 @@ fn thousand_disconnects_leak_nothing() {
     let srv = Server::start_sharded(&db, "127.0.0.1:0", cfg).unwrap();
     let addr = srv.local_addr();
 
-    // A table every doomed client writes into.
+    // A table every doomed client writes into. Two connections, one per
+    // event loop, so both loops have registered their workers.
     let mut setup = Client::connect(addr).unwrap();
     let table = setup.open_table("torture").unwrap();
-    drop(setup);
+    let mut second = Client::connect(addr).unwrap();
+    second.ping().unwrap();
+    drop((setup, second));
+    let workers = registered(&db, 0);
 
     for wave in 0..(CLIENTS / WAVE) {
         let handles: Vec<_> = (0..WAVE)
@@ -104,24 +119,25 @@ fn thousand_disconnects_leak_nothing() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let st = srv.stats();
-        if st.active_sessions == 0 && srv.worker_pool().outstanding() == 0 {
+        if st.active_sessions == 0 && st.open_txns == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "sessions failed to retire: {} active, {} workers out",
+            "sessions failed to retire: {} active, {} transactions open",
             st.active_sessions,
-            srv.worker_pool().outstanding()
+            st.open_txns
         );
         std::thread::sleep(Duration::from_millis(20));
     }
 
     // Exact leak accounting.
-    let pool = srv.worker_pool();
-    assert_eq!(pool.outstanding(), 0, "every pooled worker returned");
-    assert_eq!(pool.idle(), pool.created(), "idle set equals created set");
-    assert!(pool.created() <= pool.capacity());
     assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
+    assert_eq!(
+        registered(&db, 0),
+        workers,
+        "a disconnect registered a worker instead of aborting on its loop's"
+    );
 
     // No epoch pin leaked: a stuck pin would freeze epoch advances.
     let e0 = db.shard(0).epoch_stats().epoch;
@@ -183,7 +199,7 @@ fn disconnect_under_reply_backpressure_leaks_nothing() {
     }
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while srv.stats().active_sessions != 0 || srv.worker_pool().outstanding() != 0 {
+    while srv.stats().active_sessions != 0 || srv.stats().open_txns != 0 {
         assert!(Instant::now() < deadline, "backpressured sessions failed to retire");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -205,7 +221,10 @@ fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
     let addr = srv.local_addr();
     let mut setup = Client::connect(addr).unwrap();
     let table = setup.open_table("torture").unwrap();
-    drop(setup);
+    let mut second = Client::connect(addr).unwrap();
+    second.ping().unwrap();
+    drop((setup, second));
+    let workers: Vec<_> = (0..2).map(|s| registered(&db, s)).collect();
 
     const DOOMED: usize = 200;
     for wave in 0..(DOOMED / 50) {
@@ -261,9 +280,9 @@ fn disconnects_with_parked_cross_shard_commits_leak_nothing() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let pool = srv.worker_pool();
-    assert_eq!(pool.outstanding(), 0, "every pooled worker returned");
-    assert_eq!(pool.idle(), pool.created(), "idle set equals created set");
+    for (s, &before) in workers.iter().enumerate() {
+        assert_eq!(registered(&db, s), before, "shard {s}: a worker was registered");
+    }
     assert_eq!(db.tid_slots_in_use(), 0, "every TID context slot released");
     assert_eq!(in_doubt(), 0.0, "every parked commit reached a verdict");
     let cross = ermia_telemetry::parse_exposition(&db.telemetry().render_prometheus())

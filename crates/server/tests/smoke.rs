@@ -236,16 +236,17 @@ fn session_cap_sheds_load_with_busy() {
     d.ping().unwrap();
 }
 
-/// The pool serves interactive transactions only. With its one worker
-/// pinned by an open `Begin`, another connection's one-shot transactions
-/// still run, on their event loop's own worker; its `Begin` is answered
-/// `Busy` and keeps the connection, which begins once the worker is back.
+/// `worker_capacity` bounds interactive transactions only. With its one
+/// slot taken by an open `Begin`, another connection's one-shot
+/// transactions still run; its `Begin` is answered `Busy` and keeps the
+/// connection, which begins once the holder has committed.
 #[test]
 fn worker_exhaustion_returns_busy_but_keeps_the_connection() {
     let (_db, srv) = server(ServerConfig { worker_capacity: 1, ..ServerConfig::default() });
     let mut holder = Client::connect(srv.local_addr()).unwrap();
     let t = holder.open_table("kv").unwrap();
-    holder.begin(WireIsolation::Snapshot).unwrap(); // pins the only pooled worker
+    holder.begin(WireIsolation::Snapshot).unwrap(); // takes the only slot
+    assert_eq!(srv.stats().open_txns, 1);
 
     let mut other = Client::connect(srv.local_addr()).unwrap();
     assert_eq!(other.get(t, b"k").unwrap(), None);
@@ -257,16 +258,89 @@ fn worker_exhaustion_returns_busy_but_keeps_the_connection() {
         other => panic!("expected Busy, got {other:?}"),
     }
     assert_eq!(srv.stats().busy_rejects, 1);
-    // Busy is per-request: after the worker frees up the same connection
+    assert_eq!(srv.stats().open_txns, 1, "a refused Begin counts nothing");
+    // Busy is per-request: after the slot frees up the same connection
     // begins.
     holder.commit(false).unwrap();
+    assert_eq!(srv.stats().open_txns, 0);
     other.begin(WireIsolation::Snapshot).unwrap();
     assert_eq!(other.get(t, b"k").unwrap().as_deref(), Some(&b"v"[..]));
     other.commit(false).unwrap();
+    assert_eq!(srv.stats().open_txns, 0);
 }
 
-/// Pipelined sync batches never touch the worker pool: each runs on its
-/// event loop's own worker, so the pool never creates one.
+/// An open interactive transaction is a value the session holds, not a
+/// worker it keeps: a hundred sessions each hold a `Begin` open at once on
+/// one event loop — more than one worker's 64-slot TID home stretch, so
+/// the TID claims spill past it — with no `Busy`. Their reads and writes
+/// interleave on the loop's one worker; two of them writing one key get a
+/// write-write conflict for the second, at once. Every slot is free once
+/// they have all ended.
+#[test]
+fn a_hundred_open_transactions_share_one_loop() {
+    const SESSIONS: usize = 100;
+    let (db, srv) = server(ServerConfig { shards: 1, ..ServerConfig::default() });
+    let addr = srv.local_addr();
+    let mut setup = Client::connect(addr).unwrap();
+    let t = setup.open_table("kv").unwrap();
+    for i in 0..SESSIONS {
+        setup.put(t, format!("k{i}").as_bytes(), b"v0").unwrap();
+    }
+    let mut sessions: Vec<Client> = (0..SESSIONS)
+        .map(|_| {
+            let mut c = Client::connect(addr).unwrap();
+            c.set_reply_timeout(Some(Duration::from_secs(10))).unwrap();
+            c.begin(WireIsolation::Snapshot).expect("no Busy while sessions last");
+            c
+        })
+        .collect();
+    assert_eq!(srv.stats().open_txns, SESSIONS);
+    assert_eq!(srv.stats().busy_rejects, 0);
+
+    // Interleaved: every session reads, then every session writes its own
+    // key, then reads its neighbour's, which it sees unchanged.
+    for (i, c) in sessions.iter_mut().enumerate() {
+        assert_eq!(c.get(t, format!("k{i}").as_bytes()).unwrap().as_deref(), Some(&b"v0"[..]));
+    }
+    assert_eq!(db.tid_slots_in_use(), SESSIONS);
+    for (i, c) in sessions.iter_mut().enumerate() {
+        assert!(c.put(t, format!("k{i}").as_bytes(), format!("v{i}").as_bytes()).unwrap());
+    }
+    for (i, c) in sessions.iter_mut().enumerate() {
+        let next = format!("k{}", (i + 1) % SESSIONS);
+        assert_eq!(c.get(t, next.as_bytes()).unwrap().as_deref(), Some(&b"v0"[..]));
+    }
+
+    // Two sessions write one key: the second loses first-updater-wins.
+    assert!(sessions[0].put(t, b"shared", b"first").is_ok());
+    match sessions[1].put(t, b"shared", b"second") {
+        Err(ClientError::Server {
+            code: ErrorCode::TxnAborted(AbortReason::WriteWriteConflict),
+            ..
+        }) => {}
+        other => panic!("expected a write-write conflict, got {other:?}"),
+    }
+
+    // Half commit, half abort; the doomed one can only abort.
+    for (i, c) in sessions.iter_mut().enumerate() {
+        if i % 2 == 0 {
+            c.commit(false).unwrap();
+        } else {
+            c.abort().unwrap();
+        }
+    }
+    assert_eq!(srv.stats().open_txns, 0);
+    assert_eq!(db.tid_slots_in_use(), 0, "every TID slot released");
+    for i in 0..SESSIONS {
+        let want = if i % 2 == 0 { format!("v{i}") } else { "v0".into() };
+        let got = setup.get(t, format!("k{i}").as_bytes()).unwrap();
+        assert_eq!(got.as_deref(), Some(want.as_bytes()), "key {i}");
+    }
+    assert_eq!(setup.get(t, b"shared").unwrap().as_deref(), Some(&b"first"[..]));
+}
+
+/// Pipelined sync batches register no worker: each runs on its event
+/// loop's own, so the epoch sees no new thread.
 #[test]
 fn one_shot_transactions_check_out_no_pooled_worker() {
     let dir = TestDir::new("server-smoke-one-shot");
@@ -274,6 +348,7 @@ fn one_shot_transactions_check_out_no_pooled_worker() {
     let srv = Server::start_sharded(&db, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut c = Client::connect(srv.local_addr()).unwrap();
     let t = c.open_table("kv").unwrap();
+    let registrations = db.shard(0).epoch_stats().registrations;
     c.set_reply_timeout(Some(Duration::from_secs(20))).unwrap();
     for i in 0..64 {
         let ops = vec![BatchOp::Put { table: t, key: vec![i], value: b"v".to_vec() }];
@@ -288,7 +363,11 @@ fn one_shot_transactions_check_out_no_pooled_worker() {
         }
     }
     assert_eq!(c.get(t, &[63]).unwrap().as_deref(), Some(&b"v"[..]));
-    assert_eq!(srv.worker_pool().created(), 0, "a one-shot transaction checked out a worker");
+    assert_eq!(
+        db.shard(0).epoch_stats().registrations,
+        registrations,
+        "a one-shot transaction registered a worker"
+    );
     srv.shutdown();
     drop(db);
 }
@@ -435,7 +514,7 @@ fn multiple_shards_serve_concurrent_sessions_consistently() {
     assert_eq!(stats.sessions_opened, 10);
     srv.shutdown();
     assert_eq!(srv.stats().active_sessions, 0);
-    assert_eq!(srv.worker_pool().outstanding(), 0);
+    assert_eq!(srv.stats().open_txns, 0);
 }
 
 /// Two clients on different event loops opening different new tables on
@@ -534,7 +613,7 @@ fn graceful_shutdown_drains_inflight_sync_commits_and_leaks_nothing() {
 
     let stats = srv.stats();
     assert_eq!(stats.active_sessions, 0, "all sessions joined");
-    assert_eq!(srv.worker_pool().outstanding(), 0, "no worker leaked");
+    assert_eq!(stats.open_txns, 0, "no open transaction leaked");
     assert_eq!(db.tid_slots_in_use(), 0, "open txn aborted on shutdown");
 
     // New connections are refused (listener closed with the acceptor).

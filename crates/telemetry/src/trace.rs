@@ -2,15 +2,14 @@
 //! wire-propagated trace context, tail-based slow-op capture, and the
 //! one text dump and Chrome `trace_event` exporter.
 //!
-//! A *span* is one timed step — frame decode, a `Begin`'s worker
-//! checkout, a transaction's reads and writes, the group-commit
-//! durability wait, each 2PC prepare/decide leg, a replica's ship/apply
-//! rounds. A flight event (a commit, an abort, a log stall, a GC pass)
-//! is a span of zero length. A record made inside a traced operation
-//! carries its 128-bit trace id and its parent span id, so the steps of
-//! one logical operation can be stitched back together across
-//! connections, shards and the replication stream; anything else has
-//! trace `(0, 0)` and parent 0.
+//! A *span* is one timed step — frame decode, a transaction's begin,
+//! reads and writes, the group-commit durability wait, each 2PC
+//! prepare/decide leg, a replica's ship/apply rounds. A flight event (a
+//! commit, an abort, a log stall, a GC pass) is a span of zero length. A
+//! record made inside a traced operation carries its 128-bit trace id
+//! and its parent span id, so the steps of one logical operation can be
+//! stitched back together across connections, shards and the replication
+//! stream; anything else has trace `(0, 0)` and parent 0.
 //!
 //! ## Write side
 //!
@@ -101,73 +100,71 @@ kinds! {
         1 Request: "request" (_, _);
         /// Wire-frame checksum check + request decode.
         2 FrameDecode: "frame-decode" (bytes, _);
-        /// A traced `Begin`'s worker checkout from the pool.
-        3 WorkerCheckout: "worker-checkout" (_, _);
         /// Transaction begin (snapshot acquisition) on shard `home`.
-        4 TxnBegin: "txn-begin" (home, tid);
+        3 TxnBegin: "txn-begin" (home, tid);
         /// One read (`home` = its shard).
-        5 TxnRead: "txn-read" (table, home);
+        4 TxnRead: "txn-read" (table, home);
         /// One write — put/insert/delete (`home` = its shard, all ones
         /// for a replicated table's fan-out).
-        6 TxnWrite: "txn-write" (table, home);
+        5 TxnWrite: "txn-write" (table, home);
         /// One range scan.
-        7 TxnScan: "txn-scan" (index, rows);
+        6 TxnScan: "txn-scan" (index, rows);
         /// `commit_deferred`: log-block fill + CAS publish, no durability.
-        8 CommitDeferred: "commit-deferred" (log, _);
+        7 CommitDeferred: "commit-deferred" (log, _);
         /// Group-commit durability wait on shard `log`'s log.
-        9 DurabilityWait: "durability-wait" (log, _);
+        8 DurabilityWait: "durability-wait" (log, _);
         /// One participant's 2PC prepare incl. its block fill.
-        10 TwoPcPrepare: "2pc-prepare" (part, cstamp);
+        9 TwoPcPrepare: "2pc-prepare" (part, cstamp);
         /// A cross-shard transaction's verdict records appended to its
         /// participants' logs: for a commit after it was published and
         /// answered (`commit` = 1), or an abort (0).
-        11 TwoPcDecide: "2pc-decide" (gtid, commit);
+        10 TwoPcDecide: "2pc-decide" (gtid, commit);
         /// In-memory publish on every participant, once all prepares are
         /// durable.
-        12 TwoPcFinalize: "2pc-finalize" (parts, _);
+        11 TwoPcFinalize: "2pc-finalize" (parts, _);
         /// Replica-side shipping round of replica shard `log`.
-        13 ReplShip: "repl-ship" (bytes, log);
+        12 ReplShip: "repl-ship" (bytes, log);
         /// A replica applied the log through `lsn`: a whole round's
         /// `blocks`, or one stitched prepared transaction (its commit
         /// stamp, one block).
-        14 ReplApply: "repl-apply" (lsn, blocks);
+        13 ReplApply: "repl-apply" (lsn, blocks);
         /// A transaction published its writes at `cstamp`.
-        15 TxnCommit: "txn-commit" (tid, cstamp);
+        14 TxnCommit: "txn-commit" (tid, cstamp);
         /// A transaction aborted (`reason` = `AbortReason` index).
-        16 TxnAbort: "txn-abort" (tid, reason);
+        15 TxnAbort: "txn-abort" (tid, reason);
         /// A commit's durability wait outlasted the log's patience.
-        17 LogStall: "log-stall" (waited_ms, _);
+        16 LogStall: "log-stall" (waited_ms, _);
         /// The log refused a write because it is poisoned.
-        18 LogPoison: "log-poison" (cause, _);
+        17 LogPoison: "log-poison" (cause, _);
         /// A collector pass.
-        19 GcPass: "gc-pass" (reclaimed, pass);
+        18 GcPass: "gc-pass" (reclaimed, pass);
         /// A checkpoint taken at cut `lsn`.
-        20 Checkpoint: "checkpoint" (lsn, removed);
+        19 Checkpoint: "checkpoint" (lsn, removed);
         /// The unified epoch advanced.
-        21 EpochAdvance: "epoch-advance" (epoch, _);
+        20 EpochAdvance: "epoch-advance" (epoch, _);
         /// The database entered degraded read-only mode (log poisoned).
-        22 DbDegraded: "db-degraded" (durable, _);
+        21 DbDegraded: "db-degraded" (durable, _);
         /// The database resumed Active after an operator cleared the fault.
-        23 DbResumed: "db-resumed" (durable, _);
+        22 DbResumed: "db-resumed" (durable, _);
         /// A server session parked a sync-commit reply on the durability
         /// parker (the reply slot waits for the log instead of a thread).
-        24 SessionParked: "session-parked" (conn, seq);
+        23 SessionParked: "session-parked" (conn, seq);
         /// A parked session's commit resolved; its reply slot was filled
         /// and write interest re-armed.
-        25 SessionResumed: "session-resumed" (conn, waited_us);
+        24 SessionResumed: "session-resumed" (conn, waited_us);
         /// Recovery resolved an in-doubt prepared transaction (`how` bit
         /// 0 = committed, bit 1 = no verdict record was found and the
         /// count of prepares decided).
-        26 TwoPcResolve: "2pc-resolve" (gtid, how);
+        25 TwoPcResolve: "2pc-resolve" (gtid, how);
         /// The backup shipper served a log chunk to a subscriber.
-        27 ReplSegmentShipped: "repl-segment-shipped" (offset, bytes);
+        26 ReplSegmentShipped: "repl-segment-shipped" (offset, bytes);
         /// An offline recovery rebuilt the database (checkpoint and log
         /// bytes scanned, versions built).
-        28 Recovery: "recovery" (scanned, built);
+        27 Recovery: "recovery" (scanned, built);
         /// The listener ran out of descriptors and a queued connection was
         /// answered `Busy` through the reserve one (`shed` = how many so
         /// far).
-        29 AcceptShed: "accept-shed" (errno, shed);
+        28 AcceptShed: "accept-shed" (errno, shed);
     }
 }
 

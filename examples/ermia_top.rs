@@ -45,8 +45,8 @@ const ROWS: &[Row] = &[
     ("active sessions", "ermia_server_active_sessions", None, false),
     ("reply queue depth", "ermia_server_reply_queue_depth", None, false),
     ("frames/s", "ermia_server_frames_processed_total", None, true),
-    ("idle workers", "ermia_pool_workers", Some(("state", "idle")), false),
-    ("checked-out workers", "ermia_pool_workers", Some(("state", "checked_out")), false),
+    ("open transactions", "ermia_server_open_txns", None, false),
+    ("open transaction limit", "ermia_server_open_txns_limit", None, false),
     ("slow ops retained", "ermia_slow_ops", None, false),
 ];
 
